@@ -53,13 +53,10 @@ def _run(lane, shards=1):
 
 
 def test_sharded_smoke_differential():
-    from repro.simulation import sharded
-
     _, python_digest, python_seconds = _run("python")
-    before = sharded.engagements
     result, shard_digest, shard_seconds = _run("sharded", shards=SHARDS)
-    assert sharded.engagements == before + 1, (
-        f"sharded lane fell back: {sharded.last_fallback_reason}")
+    assert result.fallback_reason is None, (
+        f"sharded lane fell back: {result.fallback_reason}")
     assert shard_digest == python_digest
 
     info = result.extra["sharded"]

@@ -32,7 +32,6 @@ happens in time and Single-Site Validity is preserved.
 
 from __future__ import annotations
 
-import heapq
 import random
 from typing import Any, List, Optional, Sequence, Set
 
@@ -331,41 +330,52 @@ class WildfireHost(ProtocolHost):
         return self.combiner.finalize(self.partial)
 
 
-class WildfireVectorAdapter:
-    """Protocol-side batch kernel for the vectorized lane.
+class WildfireBatchKernel:
+    """The one batch transcription of :class:`WildfireHost` for tick lanes.
 
-    The lane (:mod:`repro.simulation.vector_lane`) drains whole calendar
-    instants at once and hands each instant's delivery batch to
-    :meth:`process_instant`, which runs WILDFIRE's hot ``on_message``
-    branches **inlined** over the batch: per delivery it costs a couple
-    of index operations and an int (or float) comparison instead of a
-    :class:`~repro.simulation.messages.Message` allocation, a context
-    rebind and a method-dispatch chain.  The inlined branches are exact
-    transcriptions of :meth:`WildfireHost.on_message` and the FLUSH
-    timer (packed-int folding for FM count/sum, the
-    ``absorbs``/``combine`` hook pair for min/max, activation through
-    the real ``combiner.initial`` so RNG consumption order stays that
-    of the spec engine).  In packed mode, lane payloads carry the raw
-    packed bitmask int instead of a sketch object -- only this adapter
-    consumes in-run payloads, receivers normalise either form, and the
-    querying host's declared sketch is materialised lazily by the
-    ``partial`` property exactly as in the spec lane.
+    A tick lane (:mod:`repro.simulation.vector_lane`; its epoch-exchange
+    subclass in :mod:`repro.simulation.sharded.worker`) hands each
+    instant's deliveries to :meth:`process_instant` and the flushes they
+    registered to :meth:`process_timer_bucket`.  Both run WILDFIRE's hot
+    ``on_message`` / FLUSH branches **inlined** over the batch: per
+    delivery a couple of index operations and an int (or float)
+    comparison instead of a :class:`~repro.simulation.messages.Message`
+    allocation, a context rebind and a method-dispatch chain.  The
+    branches are exact transcriptions of the spec host (packed-int
+    folding for FM count/sum, the ``absorbs``/``combine`` hook pair for
+    min/max, activation through the real ``combiner.initial`` so RNG
+    consumption order stays that of the spec engine).
+
+    Everything travels as one flat record shape,
+    ``(rank, sender, dests, kind, agg, dist, chain_depth)``: ``agg`` is
+    the raw packed bitmask int in packed mode (the querying host's
+    declared sketch is materialised lazily by ``partial`` as in the spec
+    lane), ``dests`` ascend, and ``rank`` orders the record within its
+    instant.  A delivery's rank rides onto the flush registration
+    ``(host, chain_depth, rank)`` it causes and from there into slot 0
+    of that flush's emissions; the in-process lane never reads it
+    (append order already is spec order), the sharded lane turns it into
+    the canonical cross-shard key.
 
     The transcription is safe because deliveries are processed in the
     exact global FIFO order of the spec loop and every branch reads the
-    host's *live* state (no mirrors, no staleness): the sequence of
-    state transitions is the one the spec loop would have produced,
-    step for step.  ``try_build`` gates engagement to host tables this
-    adapter provably understands; everything else falls back to the
-    spec lane.
+    host's *live* state: the sequence of state transitions is the one
+    the spec loop would have produced, step for step.  It relies on the
+    fixed-delay gate both lanes share -- a flush always fires at its
+    registration instant (``_next_flush`` is never in the future, which
+    :meth:`process_instant` asserts) and every send of instant ``t``
+    lands at ``t + delta`` -- so one flat ``lane.timer_bucket`` and one
+    flat ``lane.out_records`` per instant replace any event ring.
+    ``try_build`` gates engagement to host tables the kernel provably
+    understands; everything else falls back to the spec lane.
     """
 
     __slots__ = ("hosts", "packed_mode", "global_deadline", "deadlines")
 
     @classmethod
     def try_build(cls, hosts: Sequence[Any], num_hosts: int,
-                  querying_host: int) -> Optional["WildfireVectorAdapter"]:
-        """An adapter for this host table, or ``None`` if unsupported.
+                  querying_host: int) -> Optional["WildfireBatchKernel"]:
+        """A kernel for this host table, or ``None`` if unsupported.
 
         Supported: every host is exactly a :class:`WildfireHost` sharing
         one combiner whose state is either a packed bitmask
@@ -399,7 +409,7 @@ class WildfireVectorAdapter:
         #: attribute reads per delivery, and past-deadline deliveries
         #: (the tail of every flood) skip the host object entirely.
         #: Maintained by the inlined activation path and
-        #: :meth:`refresh_host` after any real hook runs.
+        #: :meth:`refresh_host` after the real query-start hook runs.
         self.deadlines: List[Optional[float]] = [
             host._deadline if host.active else None for host in hosts]
 
@@ -408,68 +418,49 @@ class WildfireVectorAdapter:
         host = self.hosts[host_id]
         self.deadlines[host_id] = host._deadline if host.active else None
 
-    def process_instant(self, now: float, entries: Sequence[Any],
+    def process_instant(self, now: float, entries: Sequence[tuple],
                         lane: Any) -> None:
         """Process one instant's delivery records in spec FIFO order.
 
-        ``entries`` is one lane ring bucket: per send one
-        ``(sender, dests, kind, agg, dist, chain_depth)`` record, in
-        send order; destinations ascend within a record.  The payload
-        dict of the spec path is flattened to the two fields WILDFIRE
-        handlers read -- only this adapter consumes in-run records.
-        Receive-side accounting (processed counts, drops, chain depth)
-        is accumulated into the ``lane``'s bulk counters; send-side
-        accounting happens at submit time as usual.
+        ``entries`` holds the instant's records in ascending rank order
+        (``dests`` restricted to the hosts this lane owns).  Receive-side
+        accounting (processed counts, drops, chain depth) accumulates
+        into the ``lane``'s bulk counters; with a ``lane.tracer`` every
+        delivery, drop and send is recorded where the spec loop records
+        it (one pointer check each when there is none).
         """
         hosts = self.hosts
         alive = lane.alive_bytes
         counts = lane.counts
         deadlines = self.deadlines
-        timers = lane._timers
-        timer_heap = lane._timer_heap
-        heappush = heapq.heappush
+        bucket = lane.timer_bucket
         gdl = self.global_deadline
         packed_mode = self.packed_mode
         dropped = 0
         max_depth = lane.max_depth
-        last_fire = -1.0  # memo: flush times repeat within an instant
-        last_timer_bucket: Optional[list] = None
-        for sender, dests, kind, incoming, dist, depth in entries:
-            if kind != CONVERGECAST and kind != BROADCAST:
-                # on_message ignores foreign kinds: deliveries count,
-                # state never moves.
-                delivered = False
-                for dest in dests:
-                    if alive[dest]:
-                        counts[dest] += 1
-                        delivered = True
-                    else:
-                        dropped += 1
-                if delivered and depth > max_depth:
-                    max_depth = depth
-                continue
-            # Packed mode ships the raw bitmask int in lane records
-            # (only this adapter consumes them); sketch objects appear
-            # only in sends from the real hooks (query start).
-            if packed_mode and incoming is not None:
-                inc_packed = (incoming if type(incoming) is int
-                              else incoming.packed)
-            else:
-                inc_packed = None
+        tracer = lane.tracer
+        # Under the fixed-delay gate every delivery was sent one delta ago.
+        sent_at = now - lane.delta
+        for rank, sender, dests, kind, incoming, dist, depth in entries:
             delivered = False
             for dest in dests:
                 if not alive[dest]:
                     dropped += 1
+                    if tracer is not None:
+                        tracer.drop(now, dest)
                     continue
                 counts[dest] += 1
                 delivered = True
+                if tracer is not None:
+                    # Recorded before the handler body runs, the spec
+                    # loop's deliver-then-dispatch order.
+                    tracer.deliver(now, sender, dest, kind, depth, sent_at)
                 deadline = deadlines[dest]
                 if deadline is None:  # inactive
                     if now >= gdl:
                         continue  # spec path: return untouched
-                    self._activate_host(hosts[dest], dest, sender,
-                                        incoming, inc_packed, dist,
-                                        now, depth, lane)
+                    self._activate_host(hosts[dest], dest, sender, incoming,
+                                        dist, now, depth, rank, lane)
                     continue
                 if now > deadline:
                     continue  # spec path: return untouched
@@ -479,9 +470,9 @@ class WildfireVectorAdapter:
                 # -- inlined WildfireHost.on_message, active host ------
                 if packed_mode:
                     packed = host._packed
-                    merged = packed | inc_packed
+                    merged = packed | incoming
                     if merged == packed:
-                        if packed == inc_packed:
+                        if packed == incoming:
                             continue  # pure no-op
                         # absorbed but the sender is stale: owe a reply
                         reply_to = host._reply_to
@@ -494,7 +485,7 @@ class WildfireVectorAdapter:
                         host._packed_stale = True
                         host.updates_observed += 1
                         host._dirty = True
-                        host._skip_neighbor = (sender if merged == inc_packed
+                        host._skip_neighbor = (sender if merged == incoming
                                                else None)
                         if host._reply_to is not None:
                             host._reply_to.discard(sender)
@@ -519,27 +510,21 @@ class WildfireVectorAdapter:
                             else None)
                         if host._reply_to is not None:
                             host._reply_to.discard(sender)
-                # inlined _schedule_flush + lane.register_timer
+                # inlined _schedule_flush: the flush fires this instant.
                 if not host._flush_pending:
                     host._flush_pending = True
-                    wait = host._next_flush - now
-                    fire_at = now + (wait if wait > 0.0 else 0.0)
-                    if fire_at != last_fire:
-                        last_fire = fire_at
-                        last_timer_bucket = timers.get(fire_at)
-                        if last_timer_bucket is None:
-                            timers[fire_at] = last_timer_bucket = []
-                            heappush(timer_heap, fire_at)
-                    last_timer_bucket.append((dest, FLUSH, None, depth))
+                    if host._next_flush > now:
+                        raise RuntimeError(
+                            "tick lane: flush scheduled in the future")
+                    bucket.append((dest, depth, rank))
             if delivered and depth > max_depth:
                 max_depth = depth
         lane.dropped += dropped
         lane.max_depth = max_depth
 
     def _activate_host(self, host: WildfireHost, dest: int, sender: int,
-                       incoming: Any, inc_packed: Optional[int],
-                       sender_distance: Optional[int], now: float,
-                       depth: int, lane: Any) -> None:
+                       incoming: Any, sender_distance: Optional[int],
+                       now: float, depth: int, rank: int, lane: Any) -> None:
         """Inlined inactive branch of :meth:`WildfireHost.on_message`.
 
         Transcribed from ``_activate``, ``_fold`` and the Broadcast
@@ -550,9 +535,11 @@ class WildfireVectorAdapter:
         union, so the int transitions are the spec transitions) and the
         onward Broadcast ships the raw int.  The two ``_schedule_flush``
         sites are coalesced into one registration after the Broadcast
-        submit: nothing between them registers a timer, so the timer
-        ring order is unchanged.
+        submit: nothing between them registers a timer, so the bucket
+        order is unchanged.  A host that was never active has never
+        flushed, so its flush is due at once.
         """
+        packed_mode = self.packed_mode
         distance = (sender_distance + 1) if sender_distance is not None else 1
         # _activate
         host.active = True
@@ -565,27 +552,28 @@ class WildfireVectorAdapter:
         self.deadlines[dest] = host._deadline
         # _fold (the freshly set partial is never stale)
         schedule = False
-        if inc_packed is not None:
+        if incoming is None:
+            pass
+        elif packed_mode:
             packed = host._packed
-            merged = packed | inc_packed
+            merged = packed | incoming
             if merged != packed:
                 host._packed = merged
                 host._packed_stale = True
                 host.updates_observed += 1
                 host._dirty = True
-                host._skip_neighbor = (sender if merged == inc_packed
-                                       else None)
+                host._skip_neighbor = sender if merged == incoming else None
                 if host._reply_to is not None:
                     host._reply_to.discard(sender)
                 schedule = True
-            elif packed != inc_packed:
+            elif packed != incoming:
                 reply_to = host._reply_to
                 if reply_to is None:
                     host._reply_to = {sender}
                 else:
                     reply_to.add(sender)
                 schedule = True
-        elif incoming is not None:
+        else:
             partial = host._partial_obj
             equal = host._states_equal
             new_partial = host._combine(partial, incoming)
@@ -613,19 +601,13 @@ class WildfireVectorAdapter:
             nbr_cache[dest] = neighbors = \
                 lane.network.alive_neighbors_sorted(dest)
         targets = [t for t in neighbors if t != sender]
+        agg = host._packed if packed_mode else host._partial_obj
         if targets:
-            lane.submit_multi(
-                dest, targets, BROADCAST,
-                host._packed if self.packed_mode else host._partial_obj,
-                distance, now, depth + 1)
+            lane.submit_multi(dest, targets, BROADCAST, agg, distance, now,
+                              depth + 1)
         # The sender still needs our aggregate if it knows less than us.
-        if self.packed_mode:
-            owes_reply = inc_packed is None or host._packed != inc_packed
-        else:
-            owes_reply = (incoming is None
-                          or not host._states_equal(host._partial_obj,
-                                                    incoming))
-        if owes_reply:
+        if incoming is None or (agg != incoming if packed_mode else
+                                not host._states_equal(agg, incoming)):
             reply_to = host._reply_to
             if reply_to is None:
                 host._reply_to = {sender}
@@ -634,29 +616,23 @@ class WildfireVectorAdapter:
             schedule = True
         if schedule and not host._flush_pending:
             host._flush_pending = True
-            wait = host._next_flush - now
-            lane.register_timer(now + (wait if wait > 0.0 else 0.0),
-                                dest, FLUSH, None, depth)
+            lane.timer_bucket.append((dest, depth, rank))
         host._dirty = False  # neighbors just heard our aggregate
 
     def process_timer_bucket(self, now: float, bucket: List[tuple],
                              lane: Any) -> None:
-        """Fire one instant's timers in registration (spec seq) order.
+        """Fire one instant's flushes in registration (spec seq) order.
 
-        The FLUSH handler -- :meth:`WildfireHost.on_timer` plus the
-        ``send_to_neighbors`` path it calls -- is transcribed inline; a
-        timer with any other name (impossible for WILDFIRE hosts, kept
-        for safety) goes through the real hook.  Iteration is by index
-        so timers registered while the bucket fires still run within
-        this instant, matching the calendar queue's drain semantics.
-
-        All sends from this bucket share one delivery instant
-        (``now + delta``) and one accounting key
-        (``(now, CONVERGECAST)``), so the lane's submit twins are
-        inlined here against one lazily created ring bucket and two
-        local counters folded into the lane at the end -- the same
-        totals the per-send path would record, in the same FIFO ring
-        order.
+        ``bucket`` holds ``(host_id, chain_depth, causing_rank)`` in
+        (rank, destination) order -- the spec loop's timer registration
+        order.  The FLUSH handler (:meth:`WildfireHost.on_timer` plus
+        the ``send_to_neighbors`` / ``send`` paths it calls) is
+        transcribed inline.  All sends from this bucket share one
+        delivery instant (``now + delta``) and one accounting key
+        (``(now, CONVERGECAST)``), so they are appended straight to
+        ``lane.out_records`` and counted in two locals folded into the
+        lane at the end -- the same totals the per-send path would
+        record, in the same FIFO order.
         """
         hosts = self.hosts
         alive = lane.alive_bytes
@@ -665,23 +641,17 @@ class WildfireVectorAdapter:
         nbr_cache = lane.nbr_cache
         packed_mode = self.packed_mode
         wireless = lane.wireless
-        deliver_at = now + lane.delta
-        deliveries = lane._deliveries
-        ring_bucket = None  # created on first send, never empty
+        out = lane.out_records
+        tracer = lane.tracer
         sent = 0
         wireless_extra = 0
-        index = 0
-        pending = len(bucket)
-        while index < pending:
-            host_id, name, data, depth = bucket[index]
-            index += 1
+        for host_id, depth, rank in bucket:
             if not alive[host_id]:
                 continue  # dead hosts' timers expire silently
-            if name != FLUSH:
-                lane.run_foreign_timer(now, host_id, name, data, depth)
-                # A real hook may have registered same-instant timers.
-                pending = len(bucket)
-                continue
+            if tracer is not None:
+                # The spec loop records every fired timer on an alive
+                # host before its handler runs.
+                tracer.timer(now, host_id, FLUSH)
             # -- inlined WildfireHost.on_timer(FLUSH) ------------------
             host = hosts[host_id]
             host._flush_pending = False
@@ -690,6 +660,9 @@ class WildfireVectorAdapter:
                 host._dirty = False
                 host._reply_to = None
                 continue
+            # Packed mode ships the raw bitmask int; no sketch
+            # materialisation per flush.
+            agg = host._packed if packed_mode else host._partial_obj
             if host._dirty:
                 targets = nbr_cache[host_id]
                 if targets is None:
@@ -705,23 +678,15 @@ class WildfireVectorAdapter:
                         wireless_extra += len(targets) - 1
                     else:
                         sent += len(targets)
-                    if ring_bucket is None:
-                        ring_bucket = deliveries.get(deliver_at)
-                        if ring_bucket is None:
-                            deliveries[deliver_at] = ring_bucket = []
-                            heapq.heappush(lane._delivery_heap,
-                                           deliver_at)
-                    # Packed mode ships the raw bitmask int (receivers
-                    # normalise); no sketch materialisation per flush.
-                    ring_bucket.append(
-                        (host_id, targets, CONVERGECAST,
-                         host._packed if packed_mode
-                         else host._partial_obj,
-                         host.distance, depth + 1))
+                    if tracer is not None:
+                        # submit_multicast's record: dest -1, width as
+                        # the count.
+                        tracer.send(now, host_id, -1, CONVERGECAST,
+                                    len(targets))
+                    out.append((rank, host_id, targets, CONVERGECAST, agg,
+                                host.distance, depth + 1))
                 host._reply_to = None
             elif host._reply_to:
-                agg = (host._packed if packed_mode
-                       else host._partial_obj)
                 distance = host.distance
                 for neighbor in sorted(host._reply_to):
                     # The spec's unicast path re-checks edge liveness
@@ -729,22 +694,17 @@ class WildfireVectorAdapter:
                     if not has_alive_edge(host_id, neighbor):
                         continue
                     sent += 1
-                    if ring_bucket is None:
-                        ring_bucket = deliveries.get(deliver_at)
-                        if ring_bucket is None:
-                            deliveries[deliver_at] = ring_bucket = []
-                            heapq.heappush(lane._delivery_heap,
-                                           deliver_at)
-                    ring_bucket.append(
-                        (host_id, (neighbor,), CONVERGECAST, agg,
-                         distance, depth + 1))
+                    if tracer is not None:
+                        tracer.send(now, host_id, neighbor, CONVERGECAST)
+                    out.append((rank, host_id, (neighbor,), CONVERGECAST,
+                                agg, distance, depth + 1))
                 host._reply_to = None
             host._dirty = False
             host._skip_neighbor = None
         if sent:
-            lane._send_acc[(now, CONVERGECAST)] += sent
+            lane.send_acc[(now, CONVERGECAST)] += sent
         if wireless_extra:
-            lane._wireless_groups += wireless_extra
+            lane.wireless_groups += wireless_extra
 
 
 class Wildfire(Protocol):

@@ -39,9 +39,8 @@ class SimulationResult:
         extra: protocol- or experiment-specific extras (e.g. tree depth).
         fallback_reason: when an opt-in lane (``vector``/``sharded``) was
             requested but declined to engage, why -- carried on the result
-            itself so concurrent or subsequent runs cannot clobber it
-            (the module-global ``vector_lane.last_fallback_reason`` is a
-            deprecated alias).  ``None`` when the requested lane ran.
+            itself so concurrent or subsequent runs cannot clobber it.
+            ``None`` when the requested lane ran.
     """
 
     value: Any
@@ -87,12 +86,13 @@ class Simulator:
             the per-tick vectorized lane
             (:mod:`~repro.simulation.vector_lane`), which engages when
             the run is supported (fixed delay, no joins, no tracer,
-            adapter-supported hosts) and silently falls back to the spec
-            loop otherwise.  ``"sharded"`` opts into the multiprocess
-            epoch-synchronous lane (:mod:`~repro.simulation.sharded`),
-            which partitions the host range across ``shards`` worker
-            processes.  ``lane_used`` records, after :meth:`run`, which
-            lane actually executed.
+            kernel-supported hosts) and otherwise falls back to the spec
+            loop, recording why on the result's ``fallback_reason``.
+            ``"sharded"`` opts into the multiprocess epoch-synchronous
+            lane (:mod:`~repro.simulation.sharded`), which partitions
+            the host range across ``shards`` worker processes under the
+            same contract.  ``lane_used`` records, after :meth:`run`,
+            which lane actually executed.
         shards: worker-process count for the sharded lane (ignored by the
             other lanes); ``1`` runs the sharded protocol in-process.
     """
@@ -285,26 +285,18 @@ class Simulator:
         self._queue.push(0.0, EventKind.QUERY_START, host=self.querying_host)
 
         fallback_reason: Optional[str] = None
-        if self.lane == "vector":
-            # Opt-in vectorized per-tick lane; returns None (consuming
-            # nothing) when the run is unsupported, in which case the
-            # spec loop below proceeds untouched.
-            from repro.simulation import vector_lane
+        if self.lane != "python":
+            # Opt-in tick lanes (in-process vector, multiprocess epoch-
+            # synchronous sharded): each returns (None, reason), having
+            # consumed nothing, when the run is unsupported, in which
+            # case the spec loop below proceeds untouched.
+            from repro.simulation import sharded, vector_lane
 
-            result = vector_lane.maybe_run(self, horizon)
+            lane = vector_lane if self.lane == "vector" else sharded
+            result, fallback_reason = lane.maybe_run(self, horizon)
             if result is not None:
-                self.lane_used = "vector"
+                self.lane_used = self.lane
                 return result
-            fallback_reason = vector_lane.last_fallback_reason
-        elif self.lane == "sharded":
-            # Opt-in multiprocess epoch-synchronous lane; same contract.
-            from repro.simulation import sharded
-
-            result = sharded.maybe_run(self, horizon)
-            if result is not None:
-                self.lane_used = "sharded"
-                return result
-            fallback_reason = sharded.last_fallback_reason
         self.lane_used = "python"
 
         # The run loop handles the two hot event kinds (message deliveries
@@ -524,8 +516,3 @@ class InertHost(ProtocolHost):
 
     def on_message(self, message: Message, ctx: HostContext) -> None:
         return
-
-
-#: Backwards-compatible alias (the class was module-private before the
-#: service layer started sharing it).
-_InertHost = InertHost

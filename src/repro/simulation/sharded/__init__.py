@@ -5,41 +5,23 @@ lockstep ``delta``-wide epochs and exchange canonically keyed message
 batches at each barrier -- bit-identical (value, cost fingerprint,
 declaration time) to the single-process engine at any shard count,
 including ``K=1``.  See :mod:`.coordinator` for the engagement gate and
-protocol, :mod:`.worker` for the per-shard lane, and :mod:`.adapter`
-for the WILDFIRE batch kernel.
+protocol and :mod:`.worker` for the per-shard lane; the instant loop and
+the WILDFIRE batch kernel are the ones the vector lane runs
+(:mod:`repro.simulation.vector_lane`).
 
 Like the vector lane, engagement is conservative and observable:
-``engagements`` counts actual sharded runs and ``last_fallback_reason``
-records why the most recent :func:`maybe_run` declined (both exist so
-differential tests can prove the lane ran; the per-run
-``SimulationResult.fallback_reason`` field is the non-global way to
-read the decision).
+:func:`maybe_run` returns the reason it declined beside the result, and
+``Simulator.run`` records it on ``SimulationResult.fallback_reason``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-__all__ = ["maybe_run", "engagements", "last_fallback_reason"]
-
-#: Number of times the sharded lane actually engaged.
-engagements = 0
-
-#: Why the most recent ``maybe_run`` declined to engage (None = engaged).
-#: Deprecated alias for ``SimulationResult.fallback_reason``.
-last_fallback_reason: Optional[str] = None
+__all__ = ["maybe_run"]
 
 
 def maybe_run(simulator, horizon: float):
-    """Run the simulation on the sharded lane, or return ``None`` to
-    fall back to the spec loop (consuming nothing)."""
-    global engagements, last_fallback_reason
+    """Run the simulation on the sharded lane: ``(result, None)``, or
+    ``(None, reason)`` to fall back to the spec loop (consuming nothing)."""
     from repro.simulation.sharded.coordinator import run_sharded
 
-    result, reason = run_sharded(simulator, horizon)
-    if result is None:
-        last_fallback_reason = reason
-        return None
-    last_fallback_reason = None
-    engagements += 1
-    return result
+    return run_sharded(simulator, horizon)

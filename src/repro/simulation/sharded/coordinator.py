@@ -6,53 +6,50 @@ single :class:`~repro.simulation.engine.SimulationResult` that is
 bit-identical (value, cost fingerprint, declaration time) to the
 single-process engine.  The sequence:
 
-1. **Gate** -- reuse the vector lane's engagement checks (fixed delay,
-   no tracer, no joins, nothing unexpected queued, adapter-supported
-   hosts), require a range-partitionable network, and for ``K > 1`` the
-   ``fork`` start method (worker arguments reference the live simulator
-   and must not be pickled).
-2. **Drain** -- pull the primed calendar queue's prefix
-   (:meth:`EventQueue.drain_until`) into an explicit plan: exactly one
-   query start at time 0 plus the failure schedule.  Anything else puts
-   the events back (:meth:`EventQueue.ingest_events`) and falls back.
-3. **Activation pre-pass** -- compute every host's global activation
+1. **Gate and plan** -- the checks only a multi-process run adds (an
+   exact ``RingTracer`` or none, no failure callbacks, the ``fork``
+   start method for ``K > 1`` since worker arguments reference the live
+   simulator and must not be pickled, a range-partitionable network),
+   then the tick lanes' shared :func:`~repro.simulation.vector_lane.plan_run`
+   (fixed delay, no joins, kernel-supported hosts), which pulls the
+   primed calendar queue into an explicit plan -- exactly one query
+   start at time 0 plus the failure schedule -- or puts it back
+   untouched and names the reason.
+2. **Activation pre-pass** -- compute every host's global activation
    rank content-independently on a throwaway network copy.  WILDFIRE
    activations are caused by Broadcast records only (any Convergecast
    reaching an inactive alive host is a dirty multicast whose Broadcast
    sibling reaches that host at the same instant, earlier in FIFO
    order), so a BFS-with-churn replay of the Broadcast wave yields the
    exact activation order without knowing any aggregate content.
-4. **RNG pre-draw** -- replay ``combiner.initial`` against the shared
+3. **RNG pre-draw** -- replay ``combiner.initial`` against the shared
    run RNG in activation order, recording each host's draws; workers
    replay their partition's tape, so RNG consumption is bit-exact and
    the parent's RNG ends in the spec engine's post-run state.
-5. **Run** -- ``K=1`` runs the shard lane in-process (an executable
+4. **Run** -- ``K=1`` runs the shard lane in-process (an executable
    cross-check of the epoch protocol itself); ``K>1`` forks one worker
    per shard wired with a pipe matrix for the pairwise epoch barriers.
-6. **Merge** -- fold the shards' commutative accounting into the stats
-   sink (per-(tick, kind) send totals, per-host receive counts, drops,
-   depth max), replicate the consumed churn onto the parent's own
-   network, and stamp the declaration clock.
+5. **Merge** -- fold the shards' commutative accounting into the stats
+   sink (:func:`~repro.simulation.vector_lane.replay_accounting`),
+   replicate the consumed churn onto the parent's own network, and
+   stamp the declaration clock.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from bisect import bisect_right
-from collections import defaultdict
 from multiprocessing import connection as mp_connection
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.simulation.events import Event, EventKind
-from repro.simulation.sharded.adapter import ShardWildfireAdapter
 from repro.simulation.sharded.worker import (
     _RecordingRng,
     _ShardLane,
     _worker_main,
     local_exchange,
-    make_pipe_exchange,
 )
+from repro.simulation.vector_lane import plan_run, replay_accounting
 
 __all__ = ["run_sharded"]
 
@@ -65,53 +62,31 @@ def run_sharded(simulator, horizon: float):
     untouched.
     """
     from repro.obs.trace import RingTracer
-    from repro.simulation import vector_lane
 
-    reason = vector_lane._unsupported_reason(simulator, allow_tracer=True)
-    if reason is not None:
-        return None, reason
     tracer = simulator.tracer
+    shards = simulator.shards
+    bounds = None
     if tracer is not None and type(tracer) is not RingTracer:
         # Workers trace into fresh rings and the coordinator merges raw
         # ring tuples; a third-party tracer subclass could observe state
         # the result pipe cannot carry, so only the exact RingTracer is
         # supported (anything else falls back to the spec loop, which
         # calls every hook in-process).
-        return None, "unsupported tracer (sharded tracing needs RingTracer)"
-    if simulator._fail_callbacks:
-        return None, "failure callbacks registered"
-    adapter = ShardWildfireAdapter.try_build(
-        simulator.hosts, simulator.network.num_hosts,
-        simulator.querying_host)
-    if adapter is None:
-        return None, "unsupported protocol hosts or combiner"
-    shards = simulator.shards
-    if shards > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        return None, "fork start method unavailable"
-    try:
-        bounds = simulator.network.partition_bounds(shards)
-    except ValueError:
-        return None, "network is not range-partitionable"
-
-    # Extract the primed queue into an explicit plan (restored verbatim
-    # on any surprise -- drain_until/ingest_events round-trip exactly).
-    queue = simulator._queue
-    drained = queue.drain_until(horizon)
-    starts: List[Tuple[float, int]] = []
-    fails: List[Tuple[float, int]] = []
-    recognised = 0
-    for time, entry in drained:
-        if entry.__class__ is Event:
-            if entry.kind is EventKind.QUERY_START:
-                starts.append((time, entry.host))
-                recognised += 1
-            elif entry.kind is EventKind.FAIL:
-                fails.append((time, entry.host))
-                recognised += 1
-    if (recognised != len(drained)
-            or starts != [(0.0, simulator.querying_host)]):
-        queue.ingest_events(drained)
-        return None, "unexpected pre-queued events"
+        reason = "unsupported tracer (sharded tracing needs RingTracer)"
+    elif simulator._fail_callbacks:
+        reason = "failure callbacks registered"
+    elif (shards > 1
+          and "fork" not in multiprocessing.get_all_start_methods()):
+        reason = "fork start method unavailable"
+    else:
+        reason = None
+        try:
+            bounds = simulator.network.partition_bounds(shards)
+        except ValueError:
+            reason = "network is not range-partitionable"
+    kernel, fails, reason = plan_run(simulator, horizon, reason)
+    if reason is not None:
+        return None, reason
 
     act_rank, act_order = _activation_prepass(simulator, fails, horizon)
     draws_by_shard = _predraw(simulator.hosts, act_order, bounds, shards)
@@ -134,22 +109,20 @@ def run_sharded(simulator, horizon: float):
     if shards == 1:
         child_tracer = (RingTracer(trace_conf[0], trace_conf[1])
                         if trace_conf is not None else None)
-        lane = _ShardLane(simulator, adapter, 0, bounds, act_rank, fails,
-                          horizon, tracer=child_tracer, wall_base=wall_base,
-                          progress_cells=cells)
+        lane = _ShardLane(simulator, kernel, horizon, fails, 0, bounds,
+                          act_rank, local_exchange, tracer=child_tracer,
+                          wall_base=wall_base, progress_cells=cells)
         lane.install_replay_rng(draws_by_shard[0])
         try:
-            lane.run_epochs(local_exchange)
+            lane.run()
         finally:
             lane.restore_rngs()
         results = [lane.collect_result()]
-        applied = lane.fails_applied
     else:
-        results = _run_forked(simulator, adapter, shards, bounds, act_rank,
+        results = _run_forked(simulator, kernel, shards, bounds, act_rank,
                               draws_by_shard, fails, horizon, trace_conf,
                               wall_base, cells)
-        applied = 0  # forked workers mutated copies, not the parent
-    return _merge(simulator, results, fails, applied, bounds, shards), None
+    return _merge(simulator, results, fails, bounds, shards), None
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +230,7 @@ def _predraw(hosts, act_order: Sequence[int], bounds: Sequence[int],
 # ----------------------------------------------------------------------
 # Forked execution (K > 1)
 # ----------------------------------------------------------------------
-def _run_forked(simulator, adapter, shards: int, bounds, act_rank,
+def _run_forked(simulator, kernel, shards: int, bounds, act_rank,
                 draws_by_shard, fails, horizon: float, trace_conf,
                 wall_base: float, progress_cells) -> List[dict]:
     from repro.orchestration.executor import _pool_context
@@ -281,7 +254,7 @@ def _run_forked(simulator, adapter, shards: int, bounds, act_rank,
                      for j in range(shards)]
         procs.append(ctx.Process(
             target=_worker_main,
-            args=(simulator, adapter, shard, shards, bounds, act_rank,
+            args=(simulator, kernel, shard, shards, bounds, act_rank,
                   draws_by_shard[shard], fails, horizon, trace_conf,
                   wall_base, progress_cells, senders, receivers,
                   result_pipes[shard][1]),
@@ -335,67 +308,35 @@ def _run_forked(simulator, adapter, shards: int, bounds, act_rank,
 # Result merge
 # ----------------------------------------------------------------------
 def _merge(simulator, results: Sequence[Dict[str, Any]],
-           fails: Sequence[Tuple[float, int]], fails_applied: int,
-           bounds, shards: int):
+           fails: Sequence[Tuple[float, int]], bounds, shards: int):
     """Fold shard results into the parent's sink, network and clock."""
     from repro.simulation.engine import SimulationResult
 
     costs = simulator.costs
-    merged_sends: Dict[tuple, int] = defaultdict(int)
-    wireless_groups = 0
-    dropped = 0
-    max_depth = 0
-    last_instant = 0.0
+    replay_accounting(costs, results)
+    # Every lane's clock stops on the last instant it processed or the
+    # last failure it applied, whichever is later.
+    finished = max(res["finished_at"] for res in results)
     value = None
     worker_metrics = []
     timeline: List[Dict[str, Any]] = []
     for res in results:
-        timeline.extend(res.get("timeline", ()))
-        for key, count in res["send_acc"].items():
-            merged_sends[key] += count
-        wireless_groups += res["wireless_groups"]
-        dropped += res["dropped"]
-        if res["max_depth"] > max_depth:
-            max_depth = res["max_depth"]
-        if res["last_instant"] > last_instant:
-            last_instant = res["last_instant"]
+        timeline.extend(res["timeline"])
         worker_metrics.append({"shard": res["shard"], **res["metrics"]})
         if res.get("has_value"):
             value = res["value"]
-    # Every counter below is a commutative sum (or max), so bulk replay
-    # rebuilds exactly what per-send recording would have -- the same
-    # argument (and the same sink calls) as the vector lane's replay.
-    for (time, kind), count in sorted(merged_sends.items()):
-        costs.record_send_batch(kind, time, count)
-    if wireless_groups:
-        costs.record_wireless_group(wireless_groups)
-    if dropped:
-        costs.dropped_messages += dropped
-    if max_depth > costs.max_chain_depth:
-        costs.max_chain_depth = max_depth
 
-    def _iter_counts():
-        for res in results:
-            lo, _hi, counts = res["counts"]
-            for offset, count in enumerate(counts):
-                if count:
-                    yield lo + offset, count
-
-    costs.record_processed_bulk(_iter_counts())
-
-    # Churn parity: the run consumed these failures (workers applied
-    # them to process-private copies); mirror them onto the parent's
-    # network and hosts so post-run state matches the spec engine.
+    # Churn parity: the run consumed these failures, but forked workers
+    # applied them to process-private copies; mirror them onto the
+    # parent's network and hosts so post-run state matches the spec
+    # engine (a no-op after the in-process K=1 lane, which already did).
     network = simulator.network
     hosts = simulator.hosts
-    for time, host in fails[fails_applied:]:
+    for time, host in fails:
         if network.is_alive(host):
             network.fail_host(host, time)
             hosts[host].on_fail(time)
 
-    finished = last_instant
-    if fails and fails[-1][0] > finished:
-        finished = fails[-1][0]
     simulator.clock._now = finished
     extra = {"sharded": {
         "shards": shards,

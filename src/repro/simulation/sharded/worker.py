@@ -1,27 +1,27 @@
 """The per-shard execution lane and worker-process entry point.
 
-One :class:`_ShardLane` drives one shard's slice of a run: it owns the
-shard's flat per-epoch buckets (ranked delivery entries in, canonical
-keyed records out), replicates the global churn schedule onto its
-process-private network copy, and replays the pre-drawn RNG values so
-activation draws are identical to the spec engine no matter which shard
-a host landed on.  The epoch protocol itself (who talks to whom at a
-barrier) lives in the ``exchange`` callable the coordinator injects --
-the same lane runs in-process for ``--shards 1`` and inside a forked
-worker for ``K > 1``.
+One :class:`_ShardLane` drives one shard's slice of a run.  The instant
+loop, the flat per-instant buckets, the bulk accounting and the WILDFIRE
+batch kernel are the shared tick-lane skeleton's
+(:mod:`repro.simulation.vector_lane`); this module adds what a
+partitioned run needs on top: canonical keys for the records a shard
+emits, the epoch barriers that rank and exchange them, the RNG tape that
+makes activation draws identical to the spec engine no matter which
+shard a host landed on, and the per-epoch timeline.  The barrier itself
+(who talks to whom) is a callable the coordinator injects -- the same
+lane runs in-process for ``--shards 1`` and inside a forked worker for
+``K > 1``.
 
-Determinism rests on three invariants, each enforced loudly:
+Determinism rests on two invariants, each enforced loudly:
 
-* every record crossing an epoch barrier carries a canonical integer
-  key (see :mod:`.adapter`) and the exchange assigns dense global ranks
-  by key order, so all shards agree on the spec FIFO order;
+* every record crossing an epoch barrier gets a canonical integer key
+  (:meth:`_ShardLane.keyed_out`) and the exchange assigns dense global
+  ranks by key order, so all shards agree on the spec FIFO order;
 * activation RNG draws are recorded by the coordinator in global
   activation order and replayed here (:class:`_ReplayRng`); a draw of
   the wrong type or past the recorded tape means the content-independent
   activation pre-pass diverged from the run -- impossible by the
-  Broadcast-first argument, so it raises;
-* flush timers always fire at their registration instant, so one flat
-  bucket per epoch suffices (asserted in the adapter).
+  Broadcast-first argument, so it raises.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from __future__ import annotations
 import marshal
 import traceback
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.simulation.vector_lane import _LaneContext
+from repro.protocols.wildfire import BROADCAST
+from repro.simulation.vector_lane import _TickLane
 
 __all__ = ["_ShardLane", "_RecordingRng", "_ReplayRng", "_worker_main"]
 
@@ -94,60 +94,35 @@ class _ReplayRng:
         return self._next("r")
 
 
-class _ShardLane:
-    """One shard's slice of one sharded-lane run."""
+class _ShardLane(_TickLane):
+    """One shard's slice of one sharded-lane run.
 
-    def __init__(self, simulator, adapter, shard: int,
+    The :class:`~repro.simulation.vector_lane._TickLane` skeleton plus
+    what only a partitioned run needs: ownership of hosts
+    ``[bounds[shard], bounds[shard + 1])``, canonical keys for the
+    records it emits (:meth:`keyed_out`), the injected epoch barrier,
+    the RNG tape, its own tracer and the per-epoch timeline.
+    """
+
+    def __init__(self, simulator, kernel, horizon: float,
+                 fails: Sequence[Tuple[float, int]], shard: int,
                  bounds: Sequence[int], act_rank: Sequence[Optional[int]],
-                 fails: Sequence[Tuple[float, int]], horizon: float,
+                 barrier: Callable[["_ShardLane", float], Tuple[list, int]],
                  tracer=None, wall_base: float = 0.0,
                  progress_cells=None) -> None:
-        self.sim = simulator
-        self.adapter = adapter
+        super().__init__(simulator, kernel, horizon, fails,
+                         lo=bounds[shard], hi=bounds[shard + 1])
         self.shard = shard
-        self.bounds = bounds
-        self.lo = bounds[shard]
-        self.hi = bounds[shard + 1]
-        self.horizon = horizon
         self.act_rank = act_rank
-        self.fails = fails
-        network = simulator.network
-        n = network.num_hosts
-        self.num_hosts = n
-        self.hosts = simulator.hosts
-        self.network = network
-        self.delta = simulator.delta
-        self.wireless = simulator.wireless
-        self.packed_mode = adapter.packed_mode
-        self.alive_bytes = network._alive
+        #: Who talks to whom at an epoch boundary: ``local_exchange`` in
+        #: process, a pipe exchange inside a forked worker.
+        self.barrier = barrier
         # Canonical-key arithmetic base: host ids, per-record sequence
         # numbers and activation ranks are all < n + 1.
-        self._nh1 = n + 1
-        self._nh1_sq = self._nh1 * self._nh1
-        #: Records emitted this epoch, as canonical
-        #: ``(key, sender, dests, kind, agg, dist, depth)`` tuples
-        #: (``agg`` normalised to marshal-safe int/float/None).
-        self.out_records: List[tuple] = []
-        #: This instant's flush registrations:
-        #: ``(host_id, chain_depth, causing_rank)`` in canonical order.
-        self.timer_bucket: List[tuple] = []
-        #: Global rank of the delivery record currently being processed
-        #: (stamped onto registrations it causes).
-        self._current_rank = 0
+        self._nh1 = self.num_hosts + 1
         #: Phase separator for this instant's canonical keys (shared by
         #: all shards: ``max(num_hosts, records this instant) + 1``).
-        self.rank_bound = n + 1
-        # Receive-side accounting (local host range only), replayed in
-        # bulk by the coordinator.
-        self.counts: List[int] = [0] * n
-        self.dropped = 0
-        self.max_depth = 0
-        self._send_acc: Dict[tuple, int] = defaultdict(int)
-        self._wireless_groups = 0
-        self.nbr_cache: List[Optional[tuple]] = [None] * n
-        self.ctx = _LaneContext(self, simulator)
-        self.last_instant = 0.0
-        self.fails_applied = 0
+        self.rank_bound = self._nh1
         self._saved_rngs: Optional[list] = None
         # Per-shard observability, surfaced via result.extra["sharded"].
         self.epochs = 0
@@ -169,60 +144,56 @@ class _ShardLane:
         #: Per-epoch ``(epoch, t, wall_start, exchange_s, compute_s,
         #: barrier_wait_s, cross_records, queue_depth)`` samples.
         self.timeline: List[tuple] = []
+        self._epoch_open: tuple = ()
 
     # ------------------------------------------------------------------
-    # Submit targets (the _LaneContext / adapter call sites)
+    # Canonical keys
     # ------------------------------------------------------------------
-    def register_timer(self, time: float, host: int, name: str,
-                       data: Any, chain_depth: int) -> None:
-        from repro.protocols.wildfire import FLUSH
+    def keyed_out(self) -> Tuple[List[int], List[tuple]]:
+        """Take this epoch's emissions with their canonical integer keys.
 
-        if time != self.last_instant or name != FLUSH or data is not None:
-            raise RuntimeError(
-                "sharded lane: unexpected timer registration "
-                f"({name!r} at {time} vs instant {self.last_instant})")
-        self.timer_bucket.append((host, chain_depth, self._current_rank))
-
-    def submit_multi(self, sender: int, dests: Sequence[int], kind: str,
-                     agg, dist, time: float, chain_depth: int) -> None:
-        """File one Broadcast under its phase-0 canonical key.
-
-        Called from the inherited activation path and the query-start
-        hook; ``dests`` is the sender's alive-neighbor view (ascending),
-        exactly the spec multicast's trusted destination list.  The key
-        is the sender's global activation rank -- broadcasts of one
-        instant are emitted in activation order on every shard count.
+        A key is a pure function of content-independent quantities,
+        identical on every shard count, so sorting the union by key
+        reproduces the spec loop's global FIFO order.  Phase 0: a
+        Broadcast is keyed by its sender's global activation rank
+        (broadcasts of one instant are emitted in activation order).
+        Phase 1: a flush emission is keyed
+        ``((rank_bound + causing rank) * nh1 + host) * nh1 + seq`` --
+        ``rank_bound`` places it after every Broadcast of the instant,
+        and ``(rank, host, seq)`` orders the emissions as the spec's
+        single global timer bucket would (a host flushes once per
+        instant, so equal bases are one flush's unicast replies).
+        Emission order is key order within a shard (deliveries are
+        processed in rank order), so nothing is sorted here; an
+        inversion raises.
         """
-        acc = self._send_acc
-        if self.wireless:
-            acc[(time, kind)] += 1
-            self._wireless_groups += len(dests) - 1
-        else:
-            acc[(time, kind)] += len(dests)
-        tracer = self.tracer
-        if tracer is not None:
-            # The spec engine's submit_multicast record: one send with
-            # dest -1 and the multicast width as its count.
-            tracer.send(time, sender, -1, kind, len(dests))
-        rank = self.act_rank[sender]
-        if rank is None:
-            raise RuntimeError(
-                "sharded lane: broadcast from a host the activation "
-                "pre-pass never ranked")
-        if self.packed_mode and agg is not None and type(agg) is not int:
-            # Query-start payloads carry the sketch object; ship the
-            # packed int so records stay marshal-safe (receivers
-            # normalise either form).
-            agg = agg.packed
-        self.out_records.append(
-            (rank * self._nh1_sq, sender, tuple(dests), kind, agg, dist,
-             chain_depth))
-
-    def submit_single(self, sender: int, dest: int, kind: str, agg,
-                      dist, time: float, chain_depth: int) -> bool:
-        # No real hook ever unicasts in a gated run (replies are inlined
-        # in the adapter); reaching this means the gate was wrong.
-        raise RuntimeError("sharded lane: unexpected unicast submit")
+        out = self.out_records
+        self.out_records = []
+        nh1 = self._nh1
+        nh1_sq = nh1 * nh1
+        act_rank = self.act_rank
+        rank_bound = self.rank_bound
+        keys: List[int] = []
+        previous = last_base = seq = -1
+        for rank, sender, _dests, kind, _agg, _dist, _depth in out:
+            if kind == BROADCAST:
+                key = act_rank[sender]
+                if key is None:
+                    raise RuntimeError(
+                        "sharded lane: broadcast from a host the "
+                        "activation pre-pass never ranked")
+                key *= nh1_sq
+            else:
+                base = ((rank_bound + rank) * nh1 + sender) * nh1
+                seq = seq + 1 if base == last_base else 0
+                last_base = base
+                key = base + seq
+            if key <= previous:
+                raise RuntimeError(
+                    "sharded lane: emissions left canonical key order")
+            keys.append(key)
+            previous = key
+        return keys, out
 
     # ------------------------------------------------------------------
     # RNG replay
@@ -249,145 +220,56 @@ class _ShardLane:
         self._saved_rngs = None
 
     # ------------------------------------------------------------------
-    # Churn replication
+    # Epoch hooks of the instant loop
     # ------------------------------------------------------------------
-    def _apply_fail(self, host: int, time: float) -> None:
-        # Liveness is replicated: every shard applies the full global
-        # churn schedule to its private network copy, so alive bitmaps
-        # agree at every epoch boundary.
-        if self.network.is_alive(host):
-            self.network.fail_host(host, time)
-            self.nbr_cache = [None] * self.num_hosts
-            if self.tracer is not None and self.lo <= host < self.hi:
-                # Only the owning shard records the churn event: every
-                # shard replays the full schedule, and K copies of one
-                # failure would break the merged trace's exact counts.
-                self.tracer.fail(time, host)
-            self.hosts[host].on_fail(time)
+    def exchange(self, t_next: float) -> Tuple[List[tuple], int]:
+        """Meet the other shards at the epoch barrier.
 
-    # ------------------------------------------------------------------
-    # Main epoch loop
-    # ------------------------------------------------------------------
-    def run_epochs(self, exchange: Callable[["_ShardLane", float],
-                                            Tuple[list, int]]) -> None:
-        """Drive the run in lockstep ``delta``-wide epochs.
-
-        Instant ordering matches the spec calendar exactly: query start,
-        then failures up to each epoch boundary, then the instant's
-        deliveries (in global rank order), then its flush timers, then
-        failures at the instant itself.  Terminates when a barrier
-        reports zero records in flight globally (all shards see the same
-        total, so all break together) or the next instant would pass the
-        horizon.
+        Timeline instrumentation is always on: three ``perf_counter()``
+        calls and one tuple per epoch (epochs number in the tens to
+        hundreds), invisible next to one barrier's pipe round-trip.
         """
-        import gc
+        depth_now = len(self.out_records)
+        if depth_now > self.queue_depth_peak:
+            self.queue_depth_peak = depth_now
+        wall_start = perf_counter()
+        barrier_before = self.barrier_wait
+        cross_before = self.cross_records_in
+        entries, total = self.barrier(self, t_next)
+        self._epoch_open = (wall_start, perf_counter(), barrier_before,
+                            cross_before, depth_now)
+        self.rank_bound = (total if total > self.num_hosts
+                           else self.num_hosts) + 1
+        return entries, total
 
-        sim = self.sim
-        adapter = self.adapter
-        delta = self.delta
-        horizon = self.horizon
-        fails = self.fails
-        num_fails = len(fails)
-        fail_index = 0
-        qh = sim.querying_host
-
-        # Instant 0.0: the query start (before any time-0 failures --
-        # QUERY_START outranks FAIL in the calendar's priority order).
-        if self.lo <= qh < self.hi and self.network.is_alive(qh):
-            ctx = self.ctx
-            ctx.host_id = qh
-            ctx.now = 0.0
-            ctx._chain_depth = 0
-            self.hosts[qh].on_query_start(ctx)
-            adapter.refresh_host(qh)
-        while fail_index < num_fails and fails[fail_index][0] <= 0.0:
-            time, host = fails[fail_index]
-            self._apply_fail(host, time)
-            fail_index += 1
-
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        # Timeline instrumentation is always on: three perf_counter()
-        # calls and one tuple per epoch (epochs number in the tens to
-        # hundreds), invisible next to one barrier's pipe round-trip.
-        timeline = self.timeline
-        wall_base = self.wall_base
+    def end_instant(self, t: float, total: int) -> None:
+        wall_start, wall_mid, barrier_before, cross_before, depth_now = \
+            self._epoch_open
+        self.epochs += 1
+        if total > self.max_epoch_records:
+            self.max_epoch_records = total
+        self.timeline.append((
+            self.epochs, t, wall_start - self.wall_base,
+            wall_mid - wall_start, perf_counter() - wall_mid,
+            self.barrier_wait - barrier_before,
+            self.cross_records_in - cross_before, depth_now))
         cells = self.progress_cells
-        slot = 2 * self.shard
-        try:
-            t = 0.0
-            while True:
-                t_next = t + delta
-                if t_next > horizon:
-                    break
-                depth_now = len(self.out_records)
-                if depth_now > self.queue_depth_peak:
-                    self.queue_depth_peak = depth_now
-                barrier_before = self.barrier_wait
-                cross_before = self.cross_records_in
-                wall_start = perf_counter()
-                entries, total = exchange(self, t_next)
-                wall_mid = perf_counter()
-                if total == 0:
-                    break
-                self.epochs += 1
-                if total > self.max_epoch_records:
-                    self.max_epoch_records = total
-                # Failures strictly inside (t, t_next) happen at their
-                # own instants, before the deliveries at t_next.
-                while (fail_index < num_fails
-                       and fails[fail_index][0] < t_next):
-                    time, host = fails[fail_index]
-                    self._apply_fail(host, time)
-                    fail_index += 1
-                t = t_next
-                self.last_instant = t
-                self.rank_bound = (total if total > self.num_hosts
-                                   else self.num_hosts) + 1
-                if entries:
-                    adapter.process_instant(t, entries, self)
-                bucket = self.timer_bucket
-                if bucket:
-                    self.timer_bucket = []
-                    adapter.process_timer_bucket(t, bucket, self)
-                # Failures at exactly t follow the instant's deliveries
-                # and timers (FAIL has the lowest calendar priority).
-                while (fail_index < num_fails
-                       and fails[fail_index][0] == t):
-                    time, host = fails[fail_index]
-                    self._apply_fail(host, time)
-                    fail_index += 1
-                timeline.append((
-                    self.epochs, t, wall_start - wall_base,
-                    wall_mid - wall_start, perf_counter() - wall_mid,
-                    self.barrier_wait - barrier_before,
-                    self.cross_records_in - cross_before, depth_now))
-                if cells is not None:
-                    # Two unsynchronised float stores: one writer per
-                    # slot, and the sampler thread tolerates reading
-                    # between them (progress is advisory, not exact).
-                    cells[slot] = float(self.epochs)
-                    cells[slot + 1] = t
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        self.fails_applied = fail_index
+        if cells is not None:
+            # Two unsynchronised float stores: one writer per slot, and
+            # the sampler thread tolerates reading between them
+            # (progress is advisory, not exact).
+            cells[2 * self.shard] = float(self.epochs)
+            cells[2 * self.shard + 1] = t
 
     # ------------------------------------------------------------------
     # Result shipping
     # ------------------------------------------------------------------
     def collect_result(self) -> Dict[str, Any]:
-        lo, hi = self.lo, self.hi
         qh = self.sim.querying_host
-        result: Dict[str, Any] = {
+        result = self.accounting()
+        result.update({
             "shard": self.shard,
-            "send_acc": dict(self._send_acc),
-            "wireless_groups": self._wireless_groups,
-            "dropped": self.dropped,
-            "max_depth": self.max_depth,
-            "counts": (lo, hi, self.counts[lo:hi]),
-            "last_instant": self.last_instant,
-            "fails_applied": self.fails_applied,
+            "finished_at": self.sim.clock.now,
             "metrics": {
                 "epochs": self.epochs,
                 "barrier_wait_s": round(self.barrier_wait, 6),
@@ -406,14 +288,14 @@ class _ShardLane:
                 for (epoch, t, wall_start, exchange_s, compute_s,
                      barrier_s, cross, depth) in self.timeline
             ],
-        }
+        })
         tracer = self.tracer
         if tracer is not None:
             # Raw ring tuples plus exact counts: everything the parent's
             # RingTracer.ingest_process needs, all pickle-safe scalars.
             result["trace"] = {"records": tracer.raw_records(),
                                "counts": dict(tracer.counts)}
-        if lo <= qh < hi:
+        if self.lo <= qh < self.hi:
             result["has_value"] = True
             result["value"] = self.hosts[qh].local_result()
         return result
@@ -424,11 +306,7 @@ class _ShardLane:
 # ----------------------------------------------------------------------
 def local_exchange(lane: _ShardLane, t_next: float) -> Tuple[list, int]:
     """The ``K=1`` barrier: rank this shard's own records canonically."""
-    out = lane.out_records
-    if not out:
-        return [], 0
-    lane.out_records = []
-    out.sort(key=itemgetter(0))
+    _keys, out = lane.keyed_out()
     entries = [(rank,) + record[1:] for rank, record in enumerate(out)]
     return entries, len(out)
 
@@ -491,10 +369,7 @@ def make_pipe_exchange(shard: int, shards: int, bounds: Sequence[int],
     hub = shard == 0
 
     def exchange(lane: _ShardLane, t_next: float) -> Tuple[list, int]:
-        out = lane.out_records
-        lane.out_records = []
-        out.sort(key=itemgetter(0))
-        keys = [record[0] for record in out]
+        keys, out = lane.keyed_out()
 
         barrier_start = perf_counter()
         if hub:
@@ -567,7 +442,7 @@ def make_pipe_exchange(shard: int, shards: int, bounds: Sequence[int],
     return exchange
 
 
-def _worker_main(simulator, adapter, shard: int, shards: int,
+def _worker_main(simulator, kernel, shard: int, shards: int,
                  bounds: Sequence[int], act_rank: Sequence[Optional[int]],
                  draws: Sequence[tuple], fails: Sequence[Tuple[float, int]],
                  horizon: float, trace_conf, wall_base: float,
@@ -586,14 +461,13 @@ def _worker_main(simulator, adapter, shard: int, shards: int,
 
             capacity, sampling = trace_conf
             tracer = RingTracer(capacity, sampling)
-        lane = _ShardLane(simulator, adapter, shard, bounds, act_rank,
-                          fails, horizon, tracer=tracer,
-                          wall_base=wall_base,
-                          progress_cells=progress_cells)
+        lane = _ShardLane(
+            simulator, kernel, horizon, fails, shard, bounds, act_rank,
+            make_pipe_exchange(shard, shards, bounds, senders, receivers),
+            tracer=tracer, wall_base=wall_base,
+            progress_cells=progress_cells)
         lane.install_replay_rng(draws)
-        exchange = make_pipe_exchange(shard, shards, bounds, senders,
-                                      receivers)
-        lane.run_epochs(exchange)
+        lane.run()
         result_conn.send(lane.collect_result())
     except BaseException:
         try:

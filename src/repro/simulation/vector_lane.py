@@ -1,22 +1,31 @@
-"""The vectorized per-tick kernel lane (opt-in fast path).
+"""The tick-lane skeleton and its in-process driver (``--lane vector``).
 
-Under the fixed-delay model every delivery of a tick shares one calendar
-slot, so the spec engine's one-Python-iteration-per-message drain can be
-replaced by *instant-at-a-time* processing: the lane keeps its own
-per-instant rings -- one for deliveries, one for timers -- and hands each
-instant's batch to a protocol adapter (currently
-:class:`~repro.protocols.wildfire.WildfireVectorAdapter`) that runs the
-protocol's hot receive and flush branches inlined over the whole batch.
-Per delivery this costs a couple of index operations and an int (or
-float) comparison instead of a calendar-queue round trip, a
+Under the fixed-delay model every send of instant ``t`` lands at
+``t + delta`` and every WILDFIRE flush fires at the instant that
+registered it, so the spec engine's one-Python-iteration-per-message
+drain can be replaced by *instant-at-a-time* processing.
+:class:`_TickLane` is that replacement, once: the flat per-instant
+buckets (delivery records out, flush registrations), the bulk cost
+counters, and one instant loop -- query start, failures inside the
+window, the instant's deliveries, its flushes, failures at the instant
+-- that hands each batch to the protocol's batch kernel
+(:class:`~repro.protocols.wildfire.WildfireBatchKernel`).  Per delivery
+this costs a couple of index operations and an int (or float) comparison
+instead of a calendar-queue round trip, a
 :class:`~repro.simulation.messages.Message` allocation, a context rebind
-and a method-dispatch chain; receive-side cost accounting is accumulated
-in flat per-host count vectors and replayed into the stats sink in bulk
-at the end of the run.  Only deliveries with irreducibly stateful
-effects (activation, which draws from the shared RNG and floods the
-query onward) run the unmodified per-message hook.
+and a method-dispatch chain; cost accounting is accumulated flat and
+replayed into the stats sink in bulk at the end of the run
+(:func:`replay_accounting`).
 
-The lane is locked bit-identical to the spec path by construction plus
+Used as is, the skeleton is the vector lane: one process owns every
+host, :meth:`_TickLane.exchange` swaps two lists (append order already is
+the spec loop's global FIFO order) and activations draw the live run RNG
+in place.  The sharded lane (:mod:`repro.simulation.sharded`) subclasses
+it with what genuinely differs across processes -- host-range ownership,
+canonical keys and the rank exchange, an RNG tape, per-worker tracing and
+the epoch timeline.
+
+The lanes are locked bit-identical to the spec path by construction plus
 harness:
 
 * deliveries are processed in the exact global FIFO order of the spec
@@ -24,54 +33,38 @@ harness:
   instants in time order, deliveries before timers before failures),
   and every inlined branch reads live host state, so the sequence of
   state transitions is the spec loop's, step for step;
-* activations, query starts and foreign timers execute the unmodified
-  ``on_message``/``on_query_start``/``on_timer`` hooks with a real
-  (subclassed) :class:`~repro.simulation.host.HostContext`, so RNG
-  consumption order, send order, payload contents and declaration times
-  are those of the spec engine;
-* sends are filed with the same liveness checks and ``time + delta``
-  arrival arithmetic as the engine's
-  ``submit_message``/``submit_multicast`` (payload snapshots are shared
-  rather than copied -- payloads are immutable by repo-wide convention,
-  so sharing is observationally identical), and both cost-accounting
-  sides -- per-(tick, kind) send totals and per-host receive counts,
-  all commutative sums -- are replayed into the same
-  :class:`~repro.simulation.stats.StatsSink` at the end of the run, so
+* the query start executes the unmodified ``on_query_start`` hook
+  against a real :class:`~repro.simulation.host.HostContext`, and
+  activations call the real ``combiner.initial``, so RNG consumption
+  order, send order and declaration times are those of the spec engine;
+* both cost-accounting sides -- per-(tick, kind) send totals and
+  per-host receive counts, all commutative sums -- are replayed into the
+  same :class:`~repro.simulation.stats.StatsSink`, so
   ``costs.fingerprint()`` matches;
-* the golden matrix and the python-vs-vector differential axis in
+* the golden matrix and the differential axes in
   ``tests/integration/test_protocol_matrix.py`` pin value, fingerprint
   and declaration time across topologies, churn and combiners.
 
-Engagement is conservative: the lane runs only when delay is fixed, no
-tracer is attached, churn has no joins, nothing unexpected is
-pre-queued, and the host table is supported by a protocol adapter.
-Anything else falls back to the spec loop -- ``Simulator.lane_used``
-records which lane actually ran, and this module's ``engagements`` /
-``last_fallback_reason`` expose the decision to the differential tests
-so a silent fallback cannot masquerade as a passing bit-identity check.
+Engagement is conservative (:func:`plan_run`): a lane runs only when
+delay is fixed, churn has no joins, the primed queue holds exactly the
+query start plus failures, and the host table is supported by the batch
+kernel; the vector lane additionally refuses any tracer.  Anything else
+falls back to the spec loop with the reason returned beside the result,
+and ``Simulator.run`` records it on ``SimulationResult.fallback_reason``
+and ``Simulator.lane_used``.
 """
 
 from __future__ import annotations
 
-import heapq
+import gc
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.simulation.events import Event, EventKind
 from repro.simulation.host import HostContext
 
 #: Lane names understood by the engine and every CLI/config surface.
 LANES = ("python", "vector", "sharded")
-
-#: Number of times the vector lane actually engaged (for tests: assert
-#: the differential harness exercised the lane, not a silent fallback).
-engagements = 0
-
-#: Why the most recent ``maybe_run`` declined to engage (None = engaged).
-#: Deprecated alias: a module global is clobbered by any other run in the
-#: process; prefer ``SimulationResult.fallback_reason``, which carries the
-#: decision on the run it belongs to.
-last_fallback_reason: Optional[str] = None
 
 
 def validate_lane(lane: str) -> str:
@@ -83,174 +76,150 @@ def validate_lane(lane: str) -> str:
     return lane
 
 
-class _LaneContext(HostContext):
-    """A :class:`HostContext` whose sends and timers go to the lane rings.
+def plan_run(simulator, horizon: float, lane_reason: Optional[str]):
+    """The engagement gate and plan extraction both tick lanes share.
 
-    The redirected methods reproduce the engine paths they stand in for
-    (same liveness checks, same cost-recording calls, same arrival
-    arithmetic); they exist so a whole instant's sends land in one lane
-    ring bucket instead of round-tripping through the calendar queue.
+    Returns ``(kernel, fails, None)`` when the run can be driven
+    instant-at-a-time -- ``fails`` being the primed queue's failure
+    schedule as ``(time, host)`` in drain order, its one query start
+    consumed -- or ``(None, None, reason)`` with the queue restored
+    verbatim (``drain_until``/``ingest_events`` round-trip exactly), so
+    the spec loop proceeds as if the lane had never been consulted.
+    ``lane_reason`` is the verdict of the calling lane's own checks
+    (tracer, and for the sharded lane what forking needs); ``None`` =
+    passed.
     """
+    from repro.protocols.wildfire import WildfireBatchKernel
 
-    __slots__ = ("_lane",)
-
-    def __init__(self, lane: "_VectorLane", simulator) -> None:
-        super().__init__(simulator, 0, 0.0, 0)
-        self._lane = lane
-
-    def send(self, dest, kind, payload) -> bool:
-        # Lane records carry the two payload fields the WILDFIRE
-        # message handlers read (flat, no per-send dict); unknown kinds
-        # never have their payload inspected at delivery.
-        return self._lane.submit_single(
-            self.host_id, dest, kind, payload.get("agg"),
-            payload.get("dist"), self.now, self._chain_depth + 1)
-
-    def send_to_neighbors(self, kind, payload, exclude=None) -> int:
-        targets: Sequence[int] = self._simulator.network.alive_neighbors_sorted(
-            self.host_id)
-        if exclude is not None:
-            excluded = set(exclude)
-            if excluded:
-                targets = [t for t in targets if t not in excluded]
-        if not targets:
-            return 0
-        self._lane.submit_multi(self.host_id, targets, kind,
-                                payload.get("agg"), payload.get("dist"),
-                                self.now, self._chain_depth + 1)
-        return len(targets)
-
-    def set_timer(self, delay: float, name: str, data: Any = None) -> None:
-        if delay < 0:
-            raise ValueError("timer delay must be non-negative")
-        self._lane.register_timer(self.now + delay, self.host_id, name,
-                                  data, self._chain_depth)
-
-
-def _unsupported_reason(simulator, allow_tracer: bool = False
-                        ) -> Optional[str]:
-    """Why this run cannot use the vector lane (None = it can).
-
-    The sharded lane shares these checks but traces per worker and
-    merges rings in its coordinator, so it passes ``allow_tracer=True``
-    (and applies its own tracer-type gate); the vector lane itself still
-    rejects any attached tracer.
-    """
     if simulator.delay_model is not None:
-        return "variable delay model"
-    if simulator.tracer is not None and not allow_tracer:
-        return "tracer attached"
+        return None, None, "variable delay model"
+    if lane_reason is not None:
+        return None, None, lane_reason
     if simulator._churn.joins:
-        return "join churn scheduled"
+        return None, None, "join churn scheduled"
     # The queue was just primed by run(): churn failures plus the query
     # start.  Anything else (pre-pushed timers, custom events, external
-    # deliveries) belongs to a driver the lane does not know about.
-    for entry, _weight in simulator._queue.iter_pending():
-        if entry.__class__ is not Event or entry.kind not in (
-                EventKind.QUERY_START, EventKind.FAIL):
-            return "unexpected pre-queued events"
-    return None
+    # deliveries) belongs to a driver the lanes do not know about.
+    queue = simulator._queue
+    drained = queue.drain_until(horizon)
+    starts = [(time, entry.host) for time, entry in drained
+              if entry.__class__ is Event
+              and entry.kind is EventKind.QUERY_START]
+    fails = [(time, entry.host) for time, entry in drained
+             if entry.__class__ is Event and entry.kind is EventKind.FAIL]
+    kernel = None
+    if (len(starts) + len(fails) != len(drained)
+            or starts != [(0.0, simulator.querying_host)]):
+        reason = "unexpected pre-queued events"
+    else:
+        reason = "unsupported protocol hosts or combiner"
+        kernel = WildfireBatchKernel.try_build(
+            simulator.hosts, simulator.network.num_hosts,
+            simulator.querying_host)
+    if kernel is None:
+        queue.ingest_events(drained)
+        return None, None, reason
+    return kernel, fails, None
 
 
 def maybe_run(simulator, horizon: float):
-    """Run the simulation on the vector lane, or return ``None`` to fall
-    back to the spec loop.
+    """Run the simulation on the vector lane.
 
-    Called by :meth:`Simulator.run` after churn and the query start are
-    queued; on fallback nothing has been consumed, so the spec loop
-    proceeds as if the lane had never been consulted.
+    Returns ``(result, None)`` on engagement or ``(None, reason)`` on
+    fallback.  Called by :meth:`Simulator.run` after churn and the query
+    start are queued; a fallback consumes nothing.
     """
-    global engagements, last_fallback_reason
-    reason = _unsupported_reason(simulator)
-    if reason is None:
-        from repro.protocols.wildfire import WildfireVectorAdapter
+    from repro.simulation.engine import SimulationResult
 
-        adapter = WildfireVectorAdapter.try_build(
-            simulator.hosts, simulator.network.num_hosts,
-            simulator.querying_host)
-        if adapter is None:
-            reason = "unsupported protocol hosts or combiner"
+    kernel, fails, reason = plan_run(
+        simulator, horizon,
+        "tracer attached" if simulator.tracer is not None else None)
     if reason is not None:
-        last_fallback_reason = reason
-        return None
-    last_fallback_reason = None
-    engagements += 1
-    return _VectorLane(simulator, adapter, horizon).run()
+        return None, reason
+    lane = _TickLane(simulator, kernel, horizon, fails)
+    lane.run()
+    replay_accounting(simulator.costs, [lane.accounting()])
+    return SimulationResult(
+        value=simulator.hosts[simulator.querying_host].local_result(),
+        costs=simulator.costs,
+        finished_at=simulator.clock.now,
+        querying_host=simulator.querying_host,
+    ), None
 
 
-class _VectorLane:
-    """One engaged vector-lane run (see the module docstring)."""
+class _TickLane:
+    """One engaged tick-lane run over hosts ``[lo, hi)`` (see the module
+    docstring); the whole host range unless a subclass narrows it."""
 
-    def __init__(self, simulator, adapter, horizon: float) -> None:
+    #: Trace sink the kernel and the submit paths report to; the
+    #: in-process lane is gated to untraced runs.
+    tracer = None
+
+    def __init__(self, simulator, kernel, horizon: float,
+                 fails: Sequence[Tuple[float, int]], lo: int = 0,
+                 hi: Optional[int] = None) -> None:
         self.sim = simulator
-        self.adapter = adapter
+        self.kernel = kernel
         self.horizon = horizon
+        #: The run's whole failure schedule; every lane applies all of it
+        #: to its own network, so alive bitmaps agree at every instant.
+        self.fails = fails
+        self._fail_index = 0
         network = simulator.network
         n = network.num_hosts
         self.num_hosts = n
+        self.lo = lo
+        self.hi = n if hi is None else hi
         self.hosts = simulator.hosts
         self.network = network
-        self.costs = simulator.costs
         self.delta = simulator.delta
         self.wireless = simulator.wireless
         #: The network's own packed alive bitmap (one byte per host);
         #: failures the lane applies show through immediately.
         self.alive_bytes = network._alive
-        # Receive-side accounting, accumulated flat and replayed into
-        # the stats sink at the end of the run (send-side counters stay
-        # incremental through the submit paths below).
+        #: Records emitted this instant, delivered the next:
+        #: ``(rank, sender, dests, kind, agg, dist, depth)``.
+        self.out_records: List[tuple] = []
+        #: This instant's flush registrations
+        #: ``(host_id, chain_depth, causing_rank)``, in spec order.
+        self.timer_bucket: List[tuple] = []
+        # Accounting, accumulated flat and replayed into the stats sink
+        # at the end of the run: per-host receive counts, and per
+        # (time, kind) send totals -- the sink counters these feed are
+        # commutative sums, so a handful of ``record_send_batch`` calls
+        # rebuild exactly what per-send recording would have.
         self.counts: List[int] = [0] * n
         self.dropped = 0
         self.max_depth = 0
-        # Send-side accounting, also accumulated flat: per (time, kind)
-        # totals -- the sink counters these feed are commutative sums,
-        # so a handful of end-of-run ``record_send_batch`` calls rebuild
-        # exactly what per-send recording would have.
-        self._send_acc: Dict[tuple, int] = defaultdict(int)
-        self._wireless_groups = 0
-        # Lane rings: fire/delivery time -> FIFO bucket, plus a heap of
-        # times per ring (dict-guarded, so no duplicates).  Same-instant
-        # ordering inside a bucket is append order, which is exactly the
-        # calendar queue's same-instant seq order.
-        self._timers: Dict[float, List[tuple]] = {}
-        self._timer_heap: List[float] = []
-        self._deliveries: Dict[float, List[tuple]] = {}
-        self._delivery_heap: List[float] = []
+        self.send_acc: Dict[tuple, int] = defaultdict(int)
+        self.wireless_groups = 0
         #: alive-neighbor lists memoised per host (``None`` = not yet
-        #: computed); liveness only changes at FAIL events, which reset
-        #: the whole cache.
-        self.nbr_cache: List[Optional[list]] = [None] * n
-        self.ctx = _LaneContext(self, simulator)
+        #: computed); liveness only changes at failures, which reset the
+        #: whole cache.
+        self.nbr_cache: List[Optional[Sequence[int]]] = [None] * n
 
     # ------------------------------------------------------------------
-    # Ring registries (the LaneContext / adapter submit targets)
+    # Submit targets (the query-start hook / kernel activation call sites)
     # ------------------------------------------------------------------
-    def register_timer(self, time: float, host: int, name: str,
-                       data: Any, chain_depth: int) -> None:
-        bucket = self._timers.get(time)
-        if bucket is None:
-            self._timers[time] = bucket = []
-            heapq.heappush(self._timer_heap, time)
-        bucket.append((host, name, data, chain_depth))
+    def submit_multicast(self, sender: int, dests: Sequence[int], kind: str,
+                         payload, time: float, chain_depth: int,
+                         trusted_dests: bool = False) -> None:
+        """``Simulator.submit_multicast`` as the query-start hook sees it.
 
-    def submit_single(self, sender: int, dest: int, kind: str, agg,
-                      dist, time: float, chain_depth: int) -> bool:
-        """Lane twin of ``Simulator.submit_message`` (alive sender).
-
-        The sender is the host a hook is currently running for, so only
-        the edge liveness check remains; a failed check records nothing,
-        exactly like the engine path.
+        The real ``on_query_start`` runs against a plain
+        :class:`HostContext` whose simulator is this lane.  The spec
+        payload is flattened to the two fields WILDFIRE handlers read (a
+        sketch travels as its packed int).  The gate admits only
+        ``WildfireHost``, whose query start multicasts and does nothing
+        else, so the context's unicast and timer targets are
+        deliberately absent: reaching one means the gate was wrong, and
+        the ``AttributeError`` is the fail-loud signal.
         """
-        if not self.network.has_alive_edge(sender, dest):
-            return False
-        self._send_acc[(time, kind)] += 1
-        deliver_at = time + self.delta
-        bucket = self._deliveries.get(deliver_at)
-        if bucket is None:
-            self._deliveries[deliver_at] = bucket = []
-            heapq.heappush(self._delivery_heap, deliver_at)
-        bucket.append((sender, (dest,), kind, agg, dist, chain_depth))
-        return True
+        agg = payload.get("agg")
+        if self.kernel.packed_mode and agg is not None:
+            agg = agg.packed
+        self.submit_multi(sender, dests, kind, agg, payload.get("dist"),
+                          time, chain_depth)
 
     def submit_multi(self, sender: int, dests: Sequence[int], kind: str,
                      agg, dist, time: float, chain_depth: int) -> None:
@@ -261,146 +230,145 @@ class _VectorLane:
         re-check happens -- destinations that die before the delivery
         instant are dropped at delivery time, as in the spec path.
         """
-        acc = self._send_acc
         if self.wireless:
             # One over-the-air transmission for the whole batch.
-            acc[(time, kind)] += 1
-            self._wireless_groups += len(dests) - 1
+            self.send_acc[(time, kind)] += 1
+            self.wireless_groups += len(dests) - 1
         else:
-            acc[(time, kind)] += len(dests)
-        deliver_at = time + self.delta
-        bucket = self._deliveries.get(deliver_at)
-        if bucket is None:
-            self._deliveries[deliver_at] = bucket = []
-            heapq.heappush(self._delivery_heap, deliver_at)
-        bucket.append((sender, dests, kind, agg, dist, chain_depth))
+            self.send_acc[(time, kind)] += len(dests)
+        if self.tracer is not None:
+            # The spec engine's submit_multicast record: one send with
+            # dest -1 and the multicast width as its count.
+            self.tracer.send(time, sender, -1, kind, len(dests))
+        self.out_records.append(
+            (0, sender, dests, kind, agg, dist, chain_depth))
 
     # ------------------------------------------------------------------
-    # Main loop
+    # The instant loop
     # ------------------------------------------------------------------
-    def run(self):
-        from repro.simulation.engine import SimulationResult
+    def exchange(self, t_next: float) -> Tuple[List[tuple], int]:
+        """The records to deliver at ``t_next`` and how many are in
+        flight run-wide.  In process both are the list just emitted:
+        append order already is spec order, so it is swapped, not
+        sorted."""
+        entries = self.out_records
+        self.out_records = []
+        return entries, len(entries)
 
+    def end_instant(self, t: float, total: int) -> None:
+        """Per-instant bookkeeping hook (nothing in process)."""
+
+    def run(self) -> None:
+        """Drive the run one ``delta``-wide instant at a time.
+
+        Instant ordering matches the spec calendar exactly: query start
+        (QUERY_START outranks FAIL at time 0), then failures up to each
+        boundary, then the instant's deliveries in rank order, then its
+        flushes, then failures at the instant itself (FAIL has the
+        lowest calendar priority).  Ends when nothing is in flight
+        run-wide (every lane sees the same total, so all stop together)
+        or the next instant would pass the horizon; failures scheduled
+        after that still happen, as the spec loop drains them.
+        """
         sim = self.sim
-        queue = sim._queue
-        clock = sim.clock
+        kernel = self.kernel
+        delta = self.delta
         horizon = self.horizon
-        timer_heap = self._timer_heap
-        delivery_heap = self._delivery_heap
-        adapter = self.adapter
-        import gc
-
+        clock = sim.clock
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
+            qh = sim.querying_host
+            if self.lo <= qh < self.hi and self.alive_bytes[qh]:
+                self.hosts[qh].on_query_start(HostContext(self, qh, 0.0, 0))
+                kernel.refresh_host(qh)
+            self._apply_fails(0.0, inclusive=True)
+            t = 0.0
             while not sim._stopped:
-                now = queue.peek_time()
-                if delivery_heap and (now is None or delivery_heap[0] < now):
-                    now = delivery_heap[0]
-                if timer_heap and (now is None or timer_heap[0] < now):
-                    now = timer_heap[0]
-                if now is None or now > horizon:
+                t_next = t + delta
+                if t_next > horizon:
                     break
-                clock._now = now
-                fails: List[Event] = []
-                if queue.peek_time() == now:
-                    _, buckets = queue.pop_tick()
-                    if buckets[1] or buckets[2] or buckets[3] or buckets[4]:
-                        # JOIN/CUSTOM/raw DELIVER/raw TIMER are excluded
-                        # at engagement time and never arise in a lane
-                        # run; if one shows up the run cannot be
-                        # continued bit-identically, so fail loud,
-                        # never wrong.
-                        raise RuntimeError(
-                            "vector lane encountered unsupported events")
-                    for event in buckets[0]:
-                        self._handle_query_start(event, now)
-                    fails = buckets[5]
-                if delivery_heap and delivery_heap[0] == now:
-                    heapq.heappop(delivery_heap)
-                    adapter.process_instant(
-                        now, self._deliveries.pop(now), self)
-                self._fire_timers(now)
-                for event in fails:
-                    self._handle_fail(event, now)
+                entries, total = self.exchange(t_next)
+                if total == 0:
+                    break
+                self._apply_fails(t_next, inclusive=False)
+                clock._now = t = t_next
+                if entries:
+                    kernel.process_instant(t, entries, self)
+                bucket = self.timer_bucket
+                if bucket:
+                    self.timer_bucket = []
+                    kernel.process_timer_bucket(t, bucket, self)
+                self._apply_fails(t, inclusive=True)
+                self.end_instant(t, total)
+            self._apply_fails(horizon, inclusive=True)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-        self._replay_accounting()
-        return SimulationResult(
-            value=self.hosts[sim.querying_host].local_result(),
-            costs=sim.costs,
-            finished_at=clock.now,
-            querying_host=sim.querying_host,
-        )
-
-    # ------------------------------------------------------------------
-    # Instant processing
-    # ------------------------------------------------------------------
-    def _handle_query_start(self, event: Event, now: float) -> None:
-        host = event.host
-        if host is None or not self.sim.network.is_alive(host):
-            return
-        ctx = self.ctx
-        ctx.host_id = host
-        ctx.now = now
-        ctx._chain_depth = 0
-        self.hosts[host].on_query_start(ctx)
-        self.adapter.refresh_host(host)
-
-    def _fire_timers(self, now: float) -> None:
-        # Looked up at fire time, not peek time: deliveries of this
-        # instant may have just scheduled zero-delay flush timers.
-        bucket = self._timers.get(now)
-        if bucket is not None:
-            self.adapter.process_timer_bucket(now, bucket, self)
-            del self._timers[now]
-        if self._timer_heap and self._timer_heap[0] == now:
-            heapq.heappop(self._timer_heap)
-
-    def run_foreign_timer(self, now: float, host: int, name: str,
-                          data: Any, chain_depth: int) -> None:
-        """Dispatch one non-adapter timer through the real hook."""
-        ctx = self.ctx
-        ctx.host_id = host
-        ctx.now = now
-        ctx._chain_depth = chain_depth
-        self.hosts[host].on_timer(name, data, ctx)
-        self.adapter.refresh_host(host)
-
-    def _handle_fail(self, event: Event, now: float) -> None:
-        host = event.host
+    def _apply_fails(self, limit: float, inclusive: bool) -> None:
+        """Apply the scheduled failures before (or through) ``limit``."""
+        fails = self.fails
         sim = self.sim
-        if host is None or not sim.network.is_alive(host):
-            return
-        sim.network.fail_host(host, now)
-        self.nbr_cache = [None] * self.num_hosts
-        self.hosts[host].on_fail(now)
-        for callback in sim._fail_callbacks:
-            callback(host, now)
+        index = self._fail_index
+        while index < len(fails) and not sim._stopped:
+            time, host = fails[index]
+            if time > limit or (time == limit and not inclusive):
+                break
+            index += 1
+            sim.clock._now = time
+            if not self.alive_bytes[host]:
+                continue
+            self.network.fail_host(host, time)
+            self.nbr_cache = [None] * self.num_hosts
+            if self.tracer is not None and self.lo <= host < self.hi:
+                # Only the owning lane records the churn event: every
+                # lane replays the full schedule, and one copy per lane
+                # would break a merged trace's exact counts.
+                self.tracer.fail(time, host)
+            self.hosts[host].on_fail(time)
+            for callback in sim._fail_callbacks:
+                callback(host, time)
+        self._fail_index = index
 
     # ------------------------------------------------------------------
-    # End-of-run accounting replay
+    # End-of-run accounting
     # ------------------------------------------------------------------
-    def _replay_accounting(self) -> None:
-        """Fold the lane's flat counters into the stats sink.
+    def accounting(self) -> Dict[str, Any]:
+        """This lane's flat counters, as :func:`replay_accounting` (and
+        the sharded result pipe) take them."""
+        return {
+            "send_acc": dict(self.send_acc),
+            "wireless_groups": self.wireless_groups,
+            "dropped": self.dropped,
+            "max_depth": self.max_depth,
+            "counts": (self.lo, self.counts[self.lo:self.hi]),
+        }
 
-        Everything the batch path bypassed commutes -- per-host and
-        per-(tick, kind) sums, a running max, scalars -- so replaying
-        the totals at the end produces counter-for-counter the state
-        the spec loop's per-send / per-delivery recording would have
-        built.
-        """
-        costs = self.sim.costs
-        for (time, kind), count in self._send_acc.items():
-            costs.record_send_batch(kind, time, count)
-        if self._wireless_groups:
-            costs.record_wireless_group(self._wireless_groups)
-        if self.dropped:
-            costs.dropped_messages += self.dropped
-        if self.max_depth > costs.max_chain_depth:
-            costs.max_chain_depth = self.max_depth
-        costs.record_processed_bulk(
-            (host, count)
-            for host, count in enumerate(self.counts) if count)
+
+def replay_accounting(costs, parts: Sequence[Dict[str, Any]]) -> None:
+    """Fold the lanes' flat counters into the stats sink.
+
+    Everything the batch path bypassed commutes -- per-host and
+    per-(tick, kind) sums, a running max, scalars -- so replaying the
+    totals at the end (of one lane or of every shard's) produces
+    counter-for-counter the state the spec loop's per-send /
+    per-delivery recording would have built.
+    """
+    sends: Dict[tuple, int] = defaultdict(int)
+    for part in parts:
+        for key, count in part["send_acc"].items():
+            sends[key] += count
+    for (time, kind), count in sorted(sends.items()):
+        costs.record_send_batch(kind, time, count)
+    wireless_groups = sum(part["wireless_groups"] for part in parts)
+    if wireless_groups:
+        costs.record_wireless_group(wireless_groups)
+    costs.dropped_messages += sum(part["dropped"] for part in parts)
+    max_depth = max(part["max_depth"] for part in parts)
+    if max_depth > costs.max_chain_depth:
+        costs.max_chain_depth = max_depth
+    costs.record_processed_bulk(
+        (lo + offset, count)
+        for lo, counts in (part["counts"] for part in parts)
+        for offset, count in enumerate(counts) if count)

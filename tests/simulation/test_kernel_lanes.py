@@ -1,0 +1,323 @@
+"""The opt-in kernel lanes: engagement, fallback, bit-identity.
+
+The vector lane and the sharded lane (at 1, 2 and 4 shards) are one
+batch kernel under two drivers, so their contract is pinned once, over
+every ``(lane, shards)`` case: a supported run engages the lane and is
+bit-identical to the executable-spec loop (value, cost fingerprint,
+declaration time, post-run liveness and RNG state); an unsupported run
+falls back to the spec loop and says why on the result it returns.  The
+heavyweight locks live in the integration matrix and the perf smokes.
+"""
+
+import multiprocessing
+
+import pytest
+
+from repro.core.config import SimulationConfig
+from repro.obs.trace import RingTracer, Tracer
+from repro.protocols.base import prepare_protocol_run
+from repro.protocols.spanning_tree import SpanningTree
+from repro.protocols.wildfire import Wildfire
+from repro.simulation.churn import ChurnSchedule, JoinSpec
+from repro.simulation.engine import Simulator
+from repro.simulation.vector_lane import LANES, validate_lane
+from repro.topology.grid import grid_topology
+from repro.topology.random_graph import random_topology
+from repro.workloads.values import uniform_values
+
+SEED = 11
+
+#: Every driver of the batch kernel: ``(lane, shards)``.
+LANE_CASES = [("vector", 1), ("sharded", 1), ("sharded", 2), ("sharded", 4)]
+lane_cases = pytest.mark.parametrize(
+    "lane,shards", LANE_CASES, ids=lambda v: str(v))
+
+
+def _simulate(lane, shards=1, query="count", churn=None, wireless=False,
+              delay=None, tracer=None, protocol=None, stats="full",
+              querying_host=0, num_hosts=30, prime=None):
+    """One run; returns ``(snapshot, simulator, result)``.
+
+    ``prime`` is called with the built simulator before ``run`` (to
+    register callbacks or pre-queue events).
+    """
+    topology = random_topology(num_hosts, avg_degree=3.0, seed=SEED)
+    values = uniform_values(len(topology), low=1, high=50, seed=SEED)
+    prepared = prepare_protocol_run(
+        protocol or Wildfire(), topology, values, query,
+        querying_host=querying_host, seed=SEED, delay=delay)
+    simulator = Simulator(
+        network=topology.to_network(), hosts=prepared.hosts,
+        querying_host=querying_host, churn=churn, wireless=wireless,
+        max_time=prepared.termination * 4 + 16,
+        delay_model=prepared.delay_model, stats=stats, tracer=tracer,
+        lane=lane, shards=shards)
+    if prime is not None:
+        prime(simulator)
+    assert simulator.lane_used is None
+    result = simulator.run(until=prepared.termination)
+    snapshot = {
+        "value": result.value,
+        "fingerprint": result.costs.fingerprint(),
+        "declared_at": result.finished_at,
+        "clock": simulator.clock.now,
+        "alive": bytes(simulator.network._alive),
+        "rng_next": prepared.rng.random(),
+    }
+    return snapshot, simulator, result
+
+
+def _spec(**kwargs):
+    snapshot, simulator, result = _simulate("python", **kwargs)
+    assert simulator.lane_used == "python"
+    assert result.fallback_reason is None
+    return snapshot
+
+
+def _engaged(lane, shards, **kwargs):
+    """Run on the lane, prove it engaged, return the snapshot."""
+    snapshot, simulator, result = _simulate(lane, shards, **kwargs)
+    assert result.fallback_reason is None
+    assert simulator.lane_used == lane
+    assert ("sharded" in result.extra) == (lane == "sharded")
+    return snapshot
+
+
+# ----------------------------------------------------------------------
+# Lane validation / plumbing
+# ----------------------------------------------------------------------
+def test_validate_lane_accepts_known_lanes():
+    assert LANES == ("python", "vector", "sharded")
+    for lane in LANES:
+        assert validate_lane(lane) == lane
+
+
+def test_validate_lane_rejects_unknown():
+    with pytest.raises(ValueError, match="unknown kernel lane"):
+        validate_lane("turbo")
+
+
+def test_simulation_config_validates_lane():
+    assert SimulationConfig(lane="vector").lane == "vector"
+    with pytest.raises(ValueError, match="unknown kernel lane"):
+        SimulationConfig(lane="turbo")
+
+
+def test_simulator_rejects_unknown_lane_and_non_positive_shards():
+    topology = grid_topology(3)
+    prepared = prepare_protocol_run(
+        Wildfire(), topology, [1.0] * len(topology), "min",
+        querying_host=0, seed=SEED)
+    with pytest.raises(ValueError, match="unknown kernel lane"):
+        Simulator(network=topology.to_network(), hosts=prepared.hosts,
+                  querying_host=0, lane="turbo")
+    with pytest.raises(ValueError, match="shards must be at least 1"):
+        Simulator(network=topology.to_network(), hosts=prepared.hosts,
+                  querying_host=0, shards=0)
+
+
+# ----------------------------------------------------------------------
+# Engagement and bit-identity, every driver
+# ----------------------------------------------------------------------
+@lane_cases
+@pytest.mark.parametrize("query", ["min", "max", "count", "sum"])
+def test_lane_is_bit_identical(lane, shards, query):
+    churn = ChurnSchedule(failures=[(1.0, 7), (2.0, 3), (3.0, 11)])
+    assert (_engaged(lane, shards, query=query, churn=churn)
+            == _spec(query=query, churn=churn))
+
+
+@lane_cases
+def test_identical_under_wireless_and_streaming(lane, shards):
+    assert (_engaged(lane, shards, wireless=True, stats="streaming")
+            == _spec(wireless=True, stats="streaming"))
+
+
+@lane_cases
+def test_identical_with_failure_at_time_zero(lane, shards):
+    # QUERY_START outranks FAIL at time 0: the query still floods out of
+    # host 0 before host 5 (a neighbor-to-be) dies.
+    churn = ChurnSchedule(failures=[(0.0, 5)])
+    assert (_engaged(lane, shards, query="min", churn=churn)
+            == _spec(query="min", churn=churn))
+
+
+@lane_cases
+def test_identical_when_querying_host_dies(lane, shards):
+    # The declared value must still match the spec loop's, which reads
+    # the dead host's frozen partial.
+    churn = ChurnSchedule(failures=[(2.0, 0)])
+    assert _engaged(lane, shards, churn=churn) == _spec(churn=churn)
+
+
+@lane_cases
+def test_identical_with_off_grid_failures(lane, shards):
+    # Failures between delivery instants (1.5 and 2.25 delta) and one
+    # after the flood has died out but before the horizon: each happens
+    # at its own instant, the clock ends on the last one.
+    churn = ChurnSchedule(failures=[(1.5, 7), (2.25, 3), (2.25, 12),
+                                    (3.0, 9), (3.5, 20), (19.5, 4)])
+    spec = _spec(churn=churn)
+    assert spec["declared_at"] == 19.5
+    assert _engaged(lane, shards, churn=churn) == spec
+
+
+@pytest.mark.parametrize("lane,shards", LANE_CASES + [("sharded", 12)],
+                         ids=lambda v: str(v))
+def test_identical_on_a_network_smaller_than_the_shard_count(lane, shards):
+    # Empty shards participate in every barrier and own no hosts.
+    assert (_engaged(lane, shards, num_hosts=8, query="sum")
+            == _spec(num_hosts=8, query="sum"))
+
+
+def test_vector_lane_failure_callbacks_match_the_spec_loop():
+    churn = ChurnSchedule(failures=[(0.0, 5), (1.5, 7), (2.0, 3),
+                                    (2.25, 12), (19.5, 4)])
+
+    def observe(lane):
+        seen = []
+
+        def prime(simulator):
+            simulator.on_host_failure(
+                lambda host, time: seen.append(
+                    (host, time, simulator.clock.now)))
+
+        snapshot, simulator, result = _simulate(lane, churn=churn,
+                                                prime=prime)
+        assert simulator.lane_used == lane
+        return snapshot, seen
+
+    spec, spec_seen = observe("python")
+    vector, vector_seen = observe("vector")
+    assert spec_seen == [(5, 0.0, 0.0), (7, 1.5, 1.5), (3, 2.0, 2.0),
+                         (12, 2.25, 2.25), (4, 19.5, 19.5)]
+    assert vector_seen == spec_seen
+    assert vector == spec
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_sharded_result_carries_workers_and_epoch_timeline(shards):
+    from repro.obs.timeline import SAMPLE_FIELDS, ShardTimeline
+
+    _, _, result = _simulate("sharded", shards)
+    info = result.extra["sharded"]
+    assert info["shards"] == shards
+    assert [w["shard"] for w in info["workers"]] == list(range(shards))
+    assert all(w["epochs"] >= 1 for w in info["workers"])
+    samples = info["timeline"]
+    assert samples, "an engaged run records at least one epoch sample"
+    for sample in samples:
+        assert set(sample) == set(SAMPLE_FIELDS)
+        assert sample["exchange_s"] >= 0.0
+        assert sample["compute_s"] >= 0.0
+        assert sample["barrier_wait_s"] >= 0.0
+    # Each shard's samples cover the same epochs (lockstep barriers),
+    # and wall starts are monotone within a shard.
+    by_shard = {}
+    for sample in samples:
+        by_shard.setdefault(sample["shard"], []).append(sample)
+    assert set(by_shard) == set(range(shards))
+    epoch_sets = [sorted(s["epoch"] for s in group)
+                  for group in by_shard.values()]
+    assert all(epochs == epoch_sets[0] for epochs in epoch_sets)
+    for group in by_shard.values():
+        starts = [s["wall_start"] for s in group]
+        assert starts == sorted(starts)
+    timeline = ShardTimeline.from_run(result)
+    assert timeline is not None
+    assert timeline.epochs() == len(epoch_sets[0])
+    report = timeline.skew_report()
+    assert all(row["straggler"] in range(shards) for row in report)
+
+
+def test_ring_tracer_engages_sharded_and_stays_bit_identical():
+    # A traced sharded run engages the lane and the digests stay
+    # bit-identical to the untraced run, while the merged trace carries
+    # one process track per shard with the exact run-wide hook counts --
+    # including the failure after the flood has died out.
+    churn = ChurnSchedule(failures=[(1.0, 7), (2.0, 3), (19.5, 4)])
+    spec_tracer = RingTracer(capacity=100_000)
+    spec = _spec(churn=churn, tracer=spec_tracer)
+    for shards in (1, 2, 4):
+        tracer = RingTracer(capacity=100_000)
+        traced = _engaged("sharded", shards, churn=churn, tracer=tracer)
+        assert traced == spec
+        assert traced == _engaged("sharded", shards, churn=churn)
+        assert dict(tracer.counts) == dict(spec_tracer.counts)
+        assert ([p["label"] for p in tracer.processes]
+                == [f"shard {k}" for k in range(shards)])
+        assert all(p["records"] for p in tracer.processes)
+
+
+# ----------------------------------------------------------------------
+# Fallback gating: unsupported runs use the spec loop, with a reason
+# ----------------------------------------------------------------------
+def _push_foreign_timer(simulator):
+    # A driver-pushed timer the lanes have no transcription for.
+    simulator._queue.push_timer(1.0, 0, "custom-probe", (None, 0))
+
+
+def _watch_failures(simulator):
+    simulator.on_host_failure(lambda host, time: None)
+
+
+#: gate -> (fallback reason, run arguments, lanes it applies to).  Fresh
+#: tracers are built per run: identity is about value/costs, not traces.
+GATES = {
+    "variable delay": (
+        "variable delay model",
+        lambda: dict(delay="uniform:0.25,1.0"), ("vector", "sharded")),
+    "tracer on the vector lane": (
+        "tracer attached",
+        lambda: dict(tracer=RingTracer(capacity=1000)), ("vector",)),
+    "foreign tracer on the sharded lane": (
+        "unsupported tracer (sharded tracing needs RingTracer)",
+        lambda: dict(tracer=Tracer()), ("sharded",)),
+    "failure callbacks on the sharded lane": (
+        "failure callbacks registered",
+        lambda: dict(churn=ChurnSchedule(failures=[(2.0, 4)]),
+                     prime=_watch_failures), ("sharded",)),
+    "join churn": (
+        "join churn scheduled",
+        lambda: dict(churn=ChurnSchedule(failures=[(2.0, 4)],
+                                         joins=[JoinSpec(3.0, (0, 1))])),
+        ("vector", "sharded")),
+    # FM average carries pair state; the kernel only handles packed
+    # bitmask and bare-float states.
+    "pair-state combiner": (
+        "unsupported protocol hosts or combiner",
+        lambda: dict(query="avg"), ("vector", "sharded")),
+    "foreign protocol hosts": (
+        "unsupported protocol hosts or combiner",
+        lambda: dict(protocol=SpanningTree()), ("vector", "sharded")),
+    "pre-queued foreign event": (
+        "unexpected pre-queued events",
+        lambda: dict(churn=ChurnSchedule(failures=[(2.0, 4)]),
+                     prime=_push_foreign_timer), ("vector", "sharded")),
+}
+
+
+@pytest.mark.parametrize(
+    "gate,lane,shards",
+    [(gate, lane, shards) for gate in sorted(GATES)
+     for lane, shards in LANE_CASES if lane in GATES[gate][2]],
+    ids=lambda v: str(v))
+def test_falls_back_with_a_reason(gate, lane, shards):
+    reason, make_kwargs, _ = GATES[gate]
+    snapshot, simulator, result = _simulate(lane, shards, **make_kwargs())
+    assert result.fallback_reason == reason
+    assert simulator.lane_used == "python"
+    assert "sharded" not in result.extra
+    # The fallback consumed nothing: the spec loop ran the whole plan.
+    spec, _, _ = _simulate("python", **make_kwargs())
+    assert snapshot == spec
+
+
+def test_sharded_falls_back_without_the_fork_start_method(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    _, simulator, result = _simulate("sharded", 2)
+    assert result.fallback_reason == "fork start method unavailable"
+    assert simulator.lane_used == "python"
+    # One in-process shard forks nothing.
+    _engaged("sharded", 1)
