@@ -21,8 +21,8 @@ Three locks on the simulation kernel's performance:
   --stats streaming`` in a clean subprocess must peak >=2x below the
   pre-packed-core baseline RSS recorded in ``BENCH_kernel.json``.
 * ``test_vector_lane_10k_differential_and_2x_speedup`` -- the CI
-  python-vs-vector differential cell: the opt-in vectorized kernel lane
-  must reproduce the python lane bit-for-bit (value, cost fingerprint,
+  python-vs-vector differential cell: the vectorized kernel lane (the
+  default) must reproduce the python lane bit-for-bit (value, cost fingerprint,
   declaration time) on a 10k-host streaming run and beat it by >=2x
   (self-calibrating: both lanes are timed interleaved on this machine).
 * ``test_bench_lane_cli_smoke`` -- ``repro bench --lane`` end to end in

@@ -49,9 +49,13 @@ def test_traced_10k_run_within_overhead_budget():
     values = [1.0] * topology.num_hosts
 
     def one_run(tracer):
+        # The budget is a same-lane price: the default lane's gate sends
+        # a traced run to the spec loop ("tracer attached" -- per-delivery
+        # hooks on a ~1 us/msg batch lane cannot meet 1.15x), so both
+        # halves are pinned to the spec loop the tracer actually rides.
         start = time.perf_counter()
         result = run_protocol(Wildfire(), topology, values, "count",
-                              seed=SEED, tracer=tracer)
+                              seed=SEED, tracer=tracer, lane="python")
         return time.perf_counter() - start, result
 
     # Five paired rounds; the budget is judged on the best *paired*
@@ -77,6 +81,7 @@ def test_traced_10k_run_within_overhead_budget():
           f"{[round(r[0], 3) for r in sorted(rounds)]})")
 
     # Tracing observes only: identical results either way.
+    assert traced_result.fallback_reason is None
     assert traced_result.value == untraced_result.value
     assert traced_result.costs.messages_sent == \
         untraced_result.costs.messages_sent

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.simulation.vector_lane import DEFAULT_LANE, validate_lane
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -25,11 +27,11 @@ class SimulationConfig:
         stats: cost-accounting mode -- ``"full"`` keeps per-host counters,
             ``"streaming"`` is the bounded-memory sink for very large runs
             (see :mod:`repro.simulation.stats`).
-        lane: kernel lane -- ``"python"`` (the executable spec, default)
-            or ``"vector"`` for the opt-in per-tick vectorized lane
-            (see :mod:`repro.simulation.vector_lane`); the vector lane
-            is locked bit-identical to the spec path and falls back to
-            it when a run is unsupported.
+        lane: kernel lane -- ``"vector"`` (the default) asks for the
+            per-tick batch lane (see :mod:`repro.simulation.vector_lane`),
+            which is locked bit-identical to the spec path and falls
+            back to it when its gate refuses a run; ``"python"``
+            requests the executable-spec loop itself.
     """
 
     delta: float = 1.0
@@ -38,7 +40,7 @@ class SimulationConfig:
     max_time: float = 1_000_000.0
     delay: str = "fixed"
     stats: str = "full"
-    lane: str = "python"
+    lane: str = DEFAULT_LANE
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
@@ -48,7 +50,6 @@ class SimulationConfig:
         # Fail fast on malformed specs instead of at first query time.
         from repro.simulation.delay import delay_model_from_spec
         from repro.simulation.stats import validate_stats_mode
-        from repro.simulation.vector_lane import validate_lane
 
         delay_model_from_spec(self.delay, self.delta, seed=self.seed)
         validate_stats_mode(self.stats)

@@ -19,6 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.profiling import PhaseTimer
 from repro.protocols.base import run_protocol
+from repro.simulation.vector_lane import DEFAULT_LANE
 from repro.topology.base import Topology
 
 
@@ -79,7 +80,7 @@ def run_scale_benchmark(
     stats: str = "full",
     delay: str = "fixed",
     tracer=None,
-    lane: str = "python",
+    lane: str = DEFAULT_LANE,
     shards: int = 1,
 ) -> Dict[str, Any]:
     """Run one protocol once at ``num_hosts`` scale and measure it.
@@ -109,11 +110,10 @@ def run_scale_benchmark(
         tracer: structured trace sink threaded into the simulation; the
             benchmark's own phases (topology generation, simulation)
             land in the same trace as wall-clock ``phase`` spans.
-        lane: kernel lane, ``"python"`` (the executable spec),
-            ``"vector"`` (the opt-in per-tick vectorized lane) or
-            ``"sharded"`` (the epoch-synchronous multiprocess lane);
-            the opt-in lanes fall back to the spec loop when the run is
-            unsupported.
+        lane: kernel lane, ``"vector"`` (the per-tick batch lane, the
+            default), ``"sharded"`` (the epoch-synchronous multiprocess
+            lane) or ``"python"`` (the executable spec); the tick lanes
+            fall back to the spec loop when their gate refuses the run.
         shards: worker-process count for ``lane="sharded"`` (ignored by
             the other lanes beyond validation).
     """
@@ -149,11 +149,6 @@ def run_scale_benchmark(
     gen_seconds = timer.seconds("generate_topology")
     run_seconds = timer.seconds("simulate")
 
-    # Opt-in lanes may decline the run; the row records both what was
-    # *asked for* (``lane``) and what actually *ran* (``lane_used``),
-    # plus the machine-readable reason when they differ.
-    fallback_reason = result.fallback_reason
-    lane_used = "python" if fallback_reason is not None else lane
     messages = result.costs.messages_sent
     row = {
         "hosts": topo.num_hosts,
@@ -164,8 +159,10 @@ def run_scale_benchmark(
         "stats": stats,
         "delay": delay,
         "lane": lane,
-        "lane_used": lane_used,
-        "fallback_reason": fallback_reason,
+        # A tick lane's gate may refuse the run: the row records what
+        # was *asked for*, what *ran*, and the reason when they differ.
+        "lane_used": result.lane_used,
+        "fallback_reason": result.fallback_reason,
         "shards": shards,
         "value": result.value,
         "d_hat": result.d_hat,
@@ -249,7 +246,7 @@ def run_scale_sweep(
     stats: str = "full",
     delay: str = "fixed",
     tracer=None,
-    lane: str = "python",
+    lane: str = DEFAULT_LANE,
     shards: int = 1,
 ) -> List[Dict[str, Any]]:
     """Run :func:`run_scale_benchmark` for each host count, in order.

@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence
 from repro.obs.logconfig import configure as configure_logging, get_logger
 from repro.orchestration.executor import RunReport, run_specs
 from repro.orchestration.store import ResultStore, default_cache_root
+from repro.simulation.vector_lane import DEFAULT_LANE, LANES
 
 log = get_logger()
 
@@ -102,14 +103,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="link-delay model spec: fixed | uniform[:lo,hi]"
                             " | per_edge[:lo,hi] | heavy_tail[:alpha,xm] "
                             "(default fixed)")
-    bench.add_argument("--lane", choices=("python", "vector", "sharded"),
-                       default="python",
-                       help="kernel lane: python (the executable spec), "
-                            "vector (per-tick vectorized fast lane) or "
+    bench.add_argument("--lane", choices=LANES, default=None,
+                       help="kernel lane: vector (per-tick batch lane), "
                             "sharded (epoch-synchronous multiprocess "
-                            "lane, see --shards); the opt-in lanes are "
+                            "lane, see --shards) or python (the "
+                            "executable spec); the tick lanes are "
                             "bit-identical and fall back to python when "
-                            "the run is unsupported)")
+                            "their gate refuses the run "
+                            f"(default {DEFAULT_LANE})")
     bench.add_argument("--shards", type=int, default=1, metavar="K",
                        help="worker processes for --lane sharded "
                             "(default 1 = in-process shard)")
@@ -407,6 +408,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("--shards must be at least 1", file=sys.stderr)
         return 2
+    lane_requested = args.lane is not None
+    if not lane_requested:
+        args.lane = DEFAULT_LANE
     if args.shards > 1 and args.lane != "sharded":
         print("--shards requires --lane sharded", file=sys.stderr)
         return 2
@@ -537,13 +541,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if args.profile:
             # Top cumulative-time functions, for hunting the next hot path.
             capture.print_stats(25)
-    # An opt-in lane that declined a run is worth a loud line: the user
-    # asked for (say) a sharded traced run and silently got the spec
-    # loop's numbers instead.  The reason is machine-readable in the
-    # row; here it is surfaced at warning level so --quiet still shows
-    # it.
+    # A lane the user named that declined a run is worth a loud line:
+    # they asked for (say) a sharded traced run and silently got the
+    # spec loop's numbers instead.  The reason is machine-readable in
+    # the row; here it is surfaced at warning level so --quiet still
+    # shows it.  The default lane falling back is the gate doing its
+    # job, not a surprise.
     for row in rows:
-        if row.get("fallback_reason") is not None:
+        if lane_requested and row.get("fallback_reason") is not None:
             log.warning(
                 "lane %r fell back to the python spec loop at %s hosts: %s",
                 args.lane, row["hosts"], row["fallback_reason"])

@@ -14,6 +14,7 @@ from repro.simulation.engine import SimulationResult, Simulator
 from repro.simulation.host import ProtocolHost
 from repro.simulation.network import DynamicNetwork
 from repro.simulation.stats import StatsSink
+from repro.simulation.vector_lane import DEFAULT_LANE
 from repro.sketches.combiners import Combiner, combiner_for_query
 from repro.topology.base import Topology
 
@@ -33,10 +34,11 @@ class ProtocolRunResult:
         d_hat: the stable-diameter overestimate used by the run.
         termination_time: the protocol's nominal termination time ``T``.
         extra: protocol-specific details (tree depth, reports received, ...).
-        fallback_reason: why an opt-in kernel lane (``vector`` /
-            ``sharded``) declined this run and the spec loop ran instead
-            (``None``: the requested lane ran, or the spec lane was
-            requested).
+        lane_used: the kernel lane that executed the run.
+        fallback_reason: why the gate of the tick lane asked for
+            (``vector``, the default, or ``sharded``) refused this run
+            and the spec loop ran instead (``None``: the lane asked for
+            ran, or the spec lane was requested).
     """
 
     protocol: str
@@ -48,6 +50,7 @@ class ProtocolRunResult:
     d_hat: int
     termination_time: float
     extra: Dict[str, Any] = field(default_factory=dict)
+    lane_used: str = "python"
     fallback_reason: Optional[str] = None
 
 
@@ -284,7 +287,7 @@ def run_protocol(
     delay: "DelayModel | str | None" = None,
     stats: "StatsSink | str | None" = None,
     tracer=None,
-    lane: str = "python",
+    lane: str = DEFAULT_LANE,
     shards: int = 1,
 ) -> ProtocolRunResult:
     """Run ``protocol`` once and return its declared answer and costs.
@@ -331,13 +334,14 @@ def run_protocol(
             (``None`` = the process default, usually disabled).  Tracers
             observe; the declared value and every cost counter are
             bit-identical with tracing on or off.
-        lane: kernel lane -- ``"python"`` (the executable spec, default),
-            ``"vector"`` for the opt-in per-tick vectorized lane
-            (:mod:`repro.simulation.vector_lane`), or ``"sharded"`` for
-            the multiprocess epoch-synchronous lane
-            (:mod:`repro.simulation.sharded`); both opt-in lanes are
-            locked bit-identical to the spec path and fall back to it
-            when the run is unsupported.
+        lane: kernel lane -- ``"vector"`` (the default) asks for the
+            per-tick batch lane (:mod:`repro.simulation.vector_lane`)
+            and ``"sharded"`` for the multiprocess epoch-synchronous
+            lane (:mod:`repro.simulation.sharded`); each engages when
+            its gate admits the run and otherwise falls back to the
+            spec loop, with the reason on ``fallback_reason``.  Both are
+            locked bit-identical to ``"python"``, the executable spec,
+            which stays the explicit request for the spec loop itself.
         shards: worker-process count for the sharded lane (ignored by
             the other lanes).
     """
@@ -373,5 +377,6 @@ def run_protocol(
         d_hat=prepared.d_hat,
         termination_time=termination,
         extra=dict(sim_result.extra),
+        lane_used=sim_result.lane_used,
         fallback_reason=sim_result.fallback_reason,
     )

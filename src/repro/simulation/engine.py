@@ -23,6 +23,7 @@ from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
 from repro.simulation.stats import CostAccounting, StatsSink, make_stats_sink
+from repro.simulation.vector_lane import DEFAULT_LANE, validate_lane
 from repro.obs.trace import Tracer, default_tracer
 
 
@@ -37,10 +38,11 @@ class SimulationResult:
         finished_at: simulation time when the run stopped.
         querying_host: id of the host that issued the query.
         extra: protocol- or experiment-specific extras (e.g. tree depth).
-        fallback_reason: when an opt-in lane (``vector``/``sharded``) was
-            requested but declined to engage, why -- carried on the result
-            itself so concurrent or subsequent runs cannot clobber it.
-            ``None`` when the requested lane ran.
+        lane_used: the kernel lane that executed the run.
+        fallback_reason: when a tick lane (``vector``, the default, or
+            ``sharded``) was asked for but its gate refused the run, why
+            -- carried on the result itself so concurrent or subsequent
+            runs cannot clobber it.  ``None`` when the lane asked for ran.
     """
 
     value: Any
@@ -48,6 +50,7 @@ class SimulationResult:
     finished_at: float
     querying_host: int
     extra: Dict[str, Any] = field(default_factory=dict)
+    lane_used: str = "python"
     fallback_reason: Optional[str] = None
 
 
@@ -81,18 +84,19 @@ class Simulator:
             no tracer bound the run loop performs a single pointer check
             per event and nothing else -- tracing observes, it never
             perturbs RNG streams, event ordering, or cost accounting.
-        lane: kernel lane -- ``"python"`` (default) drains one event per
-            iteration and is the executable spec; ``"vector"`` opts into
-            the per-tick vectorized lane
-            (:mod:`~repro.simulation.vector_lane`), which engages when
-            the run is supported (fixed delay, no joins, no tracer,
-            kernel-supported hosts) and otherwise falls back to the spec
-            loop, recording why on the result's ``fallback_reason``.
-            ``"sharded"`` opts into the multiprocess epoch-synchronous
-            lane (:mod:`~repro.simulation.sharded`), which partitions
-            the host range across ``shards`` worker processes under the
-            same contract.  ``lane_used`` records, after :meth:`run`,
-            which lane actually executed.
+        lane: kernel lane -- ``"vector"`` (the default,
+            :data:`~repro.simulation.vector_lane.DEFAULT_LANE`) asks for
+            the per-tick batch lane (:mod:`~repro.simulation.vector_lane`),
+            whose gate engages it when the run is supported (fixed delay,
+            no joins, no tracer, kernel-supported hosts) and otherwise
+            falls back to the spec loop, recording why on the result's
+            ``fallback_reason``.  ``"python"`` requests the spec loop
+            itself -- one event per iteration, the executable spec every
+            lane is locked to.  ``"sharded"`` asks for the multiprocess
+            epoch-synchronous lane (:mod:`~repro.simulation.sharded`),
+            which partitions the host range across ``shards`` worker
+            processes under the same gate contract.  ``lane_used``
+            (here and on the result) records which lane executed.
         shards: worker-process count for the sharded lane (ignored by the
             other lanes); ``1`` runs the sharded protocol in-process.
     """
@@ -109,7 +113,7 @@ class Simulator:
         delay_model: Union[DelayModel, str, None] = None,
         stats: Union[StatsSink, str, None] = None,
         tracer: Optional[Tracer] = None,
-        lane: str = "python",
+        lane: str = DEFAULT_LANE,
         shards: int = 1,
     ) -> None:
         if len(hosts) < network.num_hosts:
@@ -140,8 +144,6 @@ class Simulator:
         self._stopped = False
         self._fail_callbacks: List[Callable[[int, float], None]] = []
         self.tracer = tracer if tracer is not None else default_tracer()
-        from repro.simulation.vector_lane import validate_lane
-
         self.lane = validate_lane(lane)
         if int(shards) < 1:
             raise ValueError("shards must be at least 1")
@@ -286,16 +288,16 @@ class Simulator:
 
         fallback_reason: Optional[str] = None
         if self.lane != "python":
-            # Opt-in tick lanes (in-process vector, multiprocess epoch-
+            # Tick lanes (in-process vector, multiprocess epoch-
             # synchronous sharded): each returns (None, reason), having
-            # consumed nothing, when the run is unsupported, in which
+            # consumed nothing, when its gate refuses the run, in which
             # case the spec loop below proceeds untouched.
             from repro.simulation import sharded, vector_lane
 
             lane = vector_lane if self.lane == "vector" else sharded
             result, fallback_reason = lane.maybe_run(self, horizon)
             if result is not None:
-                self.lane_used = self.lane
+                self.lane_used = result.lane_used = self.lane
                 return result
         self.lane_used = "python"
 

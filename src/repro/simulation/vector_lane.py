@@ -1,4 +1,4 @@
-"""The tick-lane skeleton and its in-process driver (``--lane vector``).
+"""The tick-lane skeleton and its in-process driver (the default lane).
 
 Under the fixed-delay model every send of instant ``t`` lands at
 ``t + delta`` and every WILDFIRE flush fires at the instant that
@@ -45,13 +45,14 @@ harness:
   ``tests/integration/test_protocol_matrix.py`` pin value, fingerprint
   and declaration time across topologies, churn and combiners.
 
-Engagement is conservative (:func:`plan_run`): a lane runs only when
-delay is fixed, churn has no joins, the primed queue holds exactly the
-query start plus failures, and the host table is supported by the batch
+Engagement is the gate's decision, not the caller's (:func:`plan_run`):
+``"vector"`` is :data:`DEFAULT_LANE`, and a lane runs only when delay is
+fixed, churn has no joins, the primed queue holds exactly the query
+start plus failures, and the host table is supported by the batch
 kernel; the vector lane additionally refuses any tracer.  Anything else
 falls back to the spec loop with the reason returned beside the result,
 and ``Simulator.run`` records it on ``SimulationResult.fallback_reason``
-and ``Simulator.lane_used``.
+and ``lane_used``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ from repro.simulation.host import HostContext
 
 #: Lane names understood by the engine and every CLI/config surface.
 LANES = ("python", "vector", "sharded")
+
+#: The lane every surface asks for unless told otherwise.  Asking is not
+#: engaging: :func:`plan_run` admits the runs the batch kernel provably
+#: reproduces and sends every other one to the spec loop with the reason
+#: on the result, so the default costs an unsupported run one gate check.
+#: ``"python"`` stays the explicit request for the executable spec.
+DEFAULT_LANE = "vector"
 
 
 def validate_lane(lane: str) -> str:
@@ -82,9 +90,12 @@ def plan_run(simulator, horizon: float, lane_reason: Optional[str]):
     Returns ``(kernel, fails, None)`` when the run can be driven
     instant-at-a-time -- ``fails`` being the primed queue's failure
     schedule as ``(time, host)`` in drain order, its one query start
-    consumed -- or ``(None, None, reason)`` with the queue restored
-    verbatim (``drain_until``/``ingest_events`` round-trip exactly), so
-    the spec loop proceeds as if the lane had never been consulted.
+    consumed -- or ``(None, None, reason)`` with the queue as it was, so
+    the spec loop proceeds as if the lane had never been consulted.  The
+    checks that need no queue run first (every default-lane run comes
+    through here, most of them tree/DAG runs that refuse on the host
+    table); a refusal after the drain restores the queue verbatim
+    (``drain_until``/``ingest_events`` round-trip exactly).
     ``lane_reason`` is the verdict of the calling lane's own checks
     (tracer, and for the sharded lane what forking needs); ``None`` =
     passed.
@@ -95,31 +106,37 @@ def plan_run(simulator, horizon: float, lane_reason: Optional[str]):
         return None, None, "variable delay model"
     if lane_reason is not None:
         return None, None, lane_reason
-    if simulator._churn.joins:
+    churn = simulator._churn
+    if churn.joins:
         return None, None, "join churn scheduled"
+    kernel = WildfireBatchKernel.try_build(
+        simulator.hosts, simulator.network.num_hosts,
+        simulator.querying_host)
+    queue = simulator._queue
     # The queue was just primed by run(): churn failures plus the query
     # start.  Anything else (pre-pushed timers, custom events, external
-    # deliveries) belongs to a driver the lanes do not know about.
-    queue = simulator._queue
+    # deliveries) belongs to a driver the lanes do not know about -- a
+    # cause that outranks the host verdict, so an unsupported host table
+    # refuses without touching the queue only when its length says it
+    # holds nothing but what run() pushed.
+    if kernel is None and len(queue) == 1 + sum(
+            time <= horizon for time, _host in churn.failures):
+        return None, None, "unsupported protocol hosts or combiner"
     drained = queue.drain_until(horizon)
     starts = [(time, entry.host) for time, entry in drained
               if entry.__class__ is Event
               and entry.kind is EventKind.QUERY_START]
     fails = [(time, entry.host) for time, entry in drained
              if entry.__class__ is Event and entry.kind is EventKind.FAIL]
-    kernel = None
     if (len(starts) + len(fails) != len(drained)
             or starts != [(0.0, simulator.querying_host)]):
         reason = "unexpected pre-queued events"
-    else:
+    elif kernel is None:
         reason = "unsupported protocol hosts or combiner"
-        kernel = WildfireBatchKernel.try_build(
-            simulator.hosts, simulator.network.num_hosts,
-            simulator.querying_host)
-    if kernel is None:
-        queue.ingest_events(drained)
-        return None, None, reason
-    return kernel, fails, None
+    else:
+        return kernel, fails, None
+    queue.ingest_events(drained)
+    return None, None, reason
 
 
 def maybe_run(simulator, horizon: float):

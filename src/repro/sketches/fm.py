@@ -23,7 +23,8 @@ Storage and sampling are built for the simulation kernel's hot path:
   followed by a zero has probability ``2**-(k+1)`` and a chunk of all ones
   has probability ``2**-(num_bits-1)`` -- exactly the clamped coin-toss
   distribution, at a fraction of the cost of per-toss ``rng.random()``
-  calls.
+  calls.  The ``c`` run lengths are read by a handful of whole-block
+  integer operations, not a per-vector loop.
 
 The pre-rewrite sampler (one ``rng.random()`` call per coin toss) is kept
 as the ``"legacy"`` sampling mode.  It consumes the underlying RNG stream
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 #: The Flajolet-Martin bias correction constant phi; E[2^z] ~= phi * n.
@@ -94,6 +96,39 @@ def _geometric_bit_index(rng: random.Random, num_bits: int) -> int:
     return index
 
 
+@lru_cache(maxsize=64)
+def _spread_plan(repetitions: int, num_bits: int
+                 ) -> Tuple[int, Tuple[Tuple[int, int], ...], int]:
+    """The fast sampler's constants for one sketch shape.
+
+    Returns ``(draw_bits, steps, ones)``: the width of the random block
+    (``num_bits - 1`` coin tosses per vector), the masked shift steps
+    that move chunk ``i`` of that block from bit ``i * (num_bits - 1)``
+    to bit ``i * num_bits`` -- its vector's lane, top bit clear -- and a
+    one at the bottom of every lane.  Chunk ``i`` has ``i`` bits to
+    travel; step ``(mask, shift)`` moves the chunks whose index has the
+    ``shift`` bit set, highest bit first, so every intermediate layout
+    keeps the chunks in index order with at least a chunk's width
+    between starts and no two ever overlap.
+    """
+    chunk = num_bits - 1
+    chunk_mask = (1 << chunk) - 1
+    steps = []
+    shift = 1 << (repetitions - 1).bit_length() >> 1
+    while shift:
+        done = -(shift << 1)    # the index bits above ``shift``: moved
+        mask = 0
+        for rep in range(repetitions):
+            if rep & shift:
+                mask |= chunk_mask << (rep * chunk + (rep & done))
+        steps.append((mask, shift))
+        shift >>= 1
+    ones = 0
+    for rep in range(repetitions):
+        ones |= 1 << (rep * num_bits)
+    return repetitions * chunk, tuple(steps), ones
+
+
 def _sample_packed_element(rng: random.Random, repetitions: int,
                            num_bits: int) -> int:
     """One element's sketch as a packed int: one set bit per vector."""
@@ -102,24 +137,20 @@ def _sample_packed_element(rng: random.Random, repetitions: int,
         for rep in range(repetitions):
             packed |= 1 << (rep * num_bits + _geometric_bit_index(rng, num_bits))
         return packed
-    chunk = num_bits - 1
-    if chunk == 0:
+    draw_bits, steps, ones = _spread_plan(repetitions, num_bits)
+    if not draw_bits:
         # One-bit vectors: every element lands on bit 0 of each vector.
-        packed = 0
-        for rep in range(repetitions):
-            packed |= 1 << (rep * num_bits)
-        return packed
-    draw = rng.getrandbits(repetitions * chunk)
-    mask = (1 << chunk) - 1
-    packed = 0
-    offset = 0
-    for rep in range(repetitions):
-        bits = (draw >> (rep * chunk)) & mask
-        # Index = length of the run of ones at the bottom of the chunk:
-        # ``~bits & (bits + 1)`` isolates the lowest zero bit.
-        packed |= 1 << (offset + (~bits & (bits + 1)).bit_length() - 1)
-        offset += num_bits
-    return packed
+        return ones
+    lanes = rng.getrandbits(draw_bits)
+    for mask, shift in steps:
+        moving = lanes & mask
+        lanes ^= moving ^ (moving << shift)
+    # Index = length of the run of ones at the bottom of the chunk, for
+    # every vector at once: adding one to each lane carries through the
+    # run and sets the lowest zero bit (an all-ones chunk carries into
+    # the lane's clear top bit, ``num_bits - 1``: the clamp), and
+    # ``& ~lanes`` keeps only that bit.
+    return (lanes + ones) & ~lanes
 
 
 class FMSketch:

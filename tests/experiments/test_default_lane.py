@@ -1,0 +1,109 @@
+"""The default lane through every driver that calls ``run_protocol``.
+
+No figure driver names a lane, so each takes ``DEFAULT_LANE`` and the
+``plan_run`` gate decides per run.  Each driver is run twice on one small
+configuration -- once as shipped, once with its ``run_protocol`` pinned to
+``lane="python"`` -- and every protocol run inside it must agree bit for
+bit (value, cost fingerprint, finish time), with the lane the gate chose
+and the reason it gave being the documented ones: WILDFIRE engages the
+batch kernel, tree/DAG host tables and variable delay fall back.
+"""
+
+import pytest
+
+from repro.core import aggregator
+from repro.core.aggregator import ValidAggregator
+from repro.experiments import (
+    badcase,
+    communication,
+    computation,
+    delay_sweep,
+    time_cost,
+    validity_sweep,
+)
+from repro.simulation.churn import ChurnSchedule
+from repro.simulation.vector_lane import DEFAULT_LANE
+from repro.topology.random_graph import random_topology
+
+
+def _aggregator_queries():
+    topology = random_topology(60, avg_degree=4, seed=3)
+    values = [float(1 + host % 7) for host in range(60)]
+    agg = ValidAggregator(topology, values, seed=3)
+    churn = ChurnSchedule(failures=[(1.0, 7), (2.5, 11)])
+    for kind, protocol in (("count", "wildfire"), ("min", "wildfire"),
+                           ("count", "spanning-tree"), ("sum", "dag")):
+        agg.query(kind, protocol=protocol, churn=churn)
+
+
+#: driver -> (module whose ``run_protocol`` it calls, one small run).
+DRIVERS = {
+    "validity_sweep": (validity_sweep, lambda: validity_sweep.run_validity_sweep(
+        random_topology(80, avg_degree=4, seed=5), "count",
+        departures=[0, 12], num_trials=2, seed=5)),
+    "communication": (communication, lambda: (
+        communication.run_communication_cost_experiment(
+            network_sizes=(60,), d_hat_factors=(1.0, 1.5),
+            include_gnutella_point=False, seed=2))),
+    "computation": (computation, lambda: (
+        computation.run_computation_cost_experiment(
+            power_law_size=80, grid_side=6, seed=2))),
+    "time_cost": (time_cost, lambda: (
+        time_cost.run_time_cost_experiment(
+            network_sizes=(60,), d_hat_factors=(1.0, 2.0), seed=2),
+        time_cost.run_messages_per_instant_experiment(
+            random_size=60, power_law_size=60, grid_side=5, seed=2))),
+    "badcase": (badcase, lambda: badcase.run_theorem_44_experiment(
+        cycle_size=12, seed=4)),
+    "delay_sweep": (delay_sweep, lambda: delay_sweep.run_delay_sweep(
+        random_topology(60, avg_degree=4, seed=7), "count",
+        departures=(0, 8), num_trials=1, seed=7)),
+    "core.aggregator": (aggregator, _aggregator_queries),
+}
+
+
+def _record_runs(monkeypatch, module, drive, **pinned):
+    """Drive once; returns one digest per ``run_protocol`` call made."""
+    runs = []
+    real = module.run_protocol
+
+    def recording(*args, **kwargs):
+        kwargs.update(pinned)
+        result = real(*args, **kwargs)
+        runs.append({
+            "protocol": result.protocol,
+            "delay": kwargs.get("delay") or "fixed",
+            "digest": (result.value, result.costs.fingerprint(),
+                       result.finished_at),
+            "lane_used": result.lane_used,
+            "fallback_reason": result.fallback_reason,
+        })
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "run_protocol", recording)
+        drive()
+    return runs
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_default_lane_is_bit_identical_and_says_what_ran(driver, monkeypatch):
+    module, drive = DRIVERS[driver]
+    default = _record_runs(monkeypatch, module, drive)
+    spec = _record_runs(monkeypatch, module, drive, lane="python")
+    assert default, "the driver made no run_protocol call"
+    assert ([run["digest"] for run in default]
+            == [run["digest"] for run in spec])
+    assert all(run["lane_used"] == "python"
+               and run["fallback_reason"] is None for run in spec)
+    for run in default:
+        if run["delay"] != "fixed":
+            expected = ("python", "variable delay model")
+        elif run["protocol"] == "wildfire":
+            expected = (DEFAULT_LANE, None)
+        else:
+            expected = ("python", "unsupported protocol hosts or combiner")
+        assert (run["lane_used"], run["fallback_reason"]) == expected, run
+    engaged = {run["protocol"] for run in default
+               if run["fallback_reason"] is None}
+    assert engaged == {"wildfire"}

@@ -325,7 +325,7 @@ def test_packed_core_is_event_identical_to_reference_network(
 
 
 # ----------------------------------------------------------------------
-# Kernel-lane differential: the opt-in vector lane must be event-
+# Kernel-lane differential: the vector lane (the default) must be event-
 # identical to the executable-spec python loop on every WILDFIRE cell
 # it engages for -- same declared value, same full cost-accounting
 # fingerprint, same declaration time.

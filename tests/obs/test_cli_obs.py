@@ -162,6 +162,16 @@ class TestDistributedTraceArtifacts:
         assert "variable delay model" in captured.err
         assert "fallback_reason" in captured.out
 
+    def test_default_lane_fallback_is_a_column_not_a_warning(self, capsys):
+        # Nobody named a lane, so the gate refusing the run is routine:
+        # the reason stays in the table, no warning is raised.
+        assert main(["--quiet", "bench", "--hosts", "200",
+                     "--topology", "random",
+                     "--delay", "uniform:0.2,0.9"]) == 0
+        captured = capsys.readouterr()
+        assert "fell back" not in captured.err
+        assert "variable delay model" in captured.out
+
     def test_engaged_run_prints_no_fallback_column(self, capsys):
         assert main(["--quiet", "bench", "--hosts", "200",
                      "--topology", "random", "--lane", "sharded",

@@ -1,4 +1,4 @@
-"""The opt-in kernel lanes: engagement, fallback, bit-identity.
+"""The tick lanes: engagement, fallback, bit-identity.
 
 The vector lane and the sharded lane (at 1, 2 and 4 shards) are one
 batch kernel under two drivers, so their contract is pinned once, over
@@ -20,7 +20,8 @@ from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
 from repro.simulation.churn import ChurnSchedule, JoinSpec
 from repro.simulation.engine import Simulator
-from repro.simulation.vector_lane import LANES, validate_lane
+from repro.simulation.events import EventQueue
+from repro.simulation.vector_lane import DEFAULT_LANE, LANES, validate_lane
 from repro.topology.grid import grid_topology
 from repro.topology.random_graph import random_topology
 from repro.workloads.values import uniform_values
@@ -69,7 +70,7 @@ def _simulate(lane, shards=1, query="count", churn=None, wireless=False,
 
 def _spec(**kwargs):
     snapshot, simulator, result = _simulate("python", **kwargs)
-    assert simulator.lane_used == "python"
+    assert simulator.lane_used == result.lane_used == "python"
     assert result.fallback_reason is None
     return snapshot
 
@@ -78,7 +79,7 @@ def _engaged(lane, shards, **kwargs):
     """Run on the lane, prove it engaged, return the snapshot."""
     snapshot, simulator, result = _simulate(lane, shards, **kwargs)
     assert result.fallback_reason is None
-    assert simulator.lane_used == lane
+    assert simulator.lane_used == result.lane_used == lane
     assert ("sharded" in result.extra) == (lane == "sharded")
     return snapshot
 
@@ -95,6 +96,21 @@ def test_validate_lane_accepts_known_lanes():
 def test_validate_lane_rejects_unknown():
     with pytest.raises(ValueError, match="unknown kernel lane"):
         validate_lane("turbo")
+
+
+def test_the_default_lane_is_the_vector_lane_everywhere():
+    assert DEFAULT_LANE == "vector"
+    assert SimulationConfig().lane == DEFAULT_LANE
+    topology = grid_topology(3)
+    prepared = prepare_protocol_run(
+        Wildfire(), topology, [1.0] * len(topology), "min",
+        querying_host=0, seed=SEED)
+    simulator = Simulator(network=topology.to_network(),
+                          hosts=prepared.hosts, querying_host=0)
+    assert simulator.lane == DEFAULT_LANE
+    result = simulator.run(until=prepared.termination)
+    assert result.lane_used == DEFAULT_LANE
+    assert result.fallback_reason is None
 
 
 def test_simulation_config_validates_lane():
@@ -306,11 +322,37 @@ def test_falls_back_with_a_reason(gate, lane, shards):
     reason, make_kwargs, _ = GATES[gate]
     snapshot, simulator, result = _simulate(lane, shards, **make_kwargs())
     assert result.fallback_reason == reason
-    assert simulator.lane_used == "python"
+    assert simulator.lane_used == result.lane_used == "python"
     assert "sharded" not in result.extra
     # The fallback consumed nothing: the spec loop ran the whole plan.
     spec, _, _ = _simulate("python", **make_kwargs())
     assert snapshot == spec
+
+
+@lane_cases
+def test_unsupported_hosts_refuse_without_touching_the_queue(
+        lane, shards, monkeypatch):
+    # Every default-lane tree/DAG run consults the gate, so the host
+    # verdict must not cost a drain/ingest round trip -- unless something
+    # was pre-queued, which outranks it in the reason order and can only
+    # be seen by looking.
+    drains = []
+    real_drain = EventQueue.drain_until
+
+    def counting_drain(self, horizon):
+        drains.append(horizon)
+        return real_drain(self, horizon)
+
+    monkeypatch.setattr(EventQueue, "drain_until", counting_drain)
+    churn = ChurnSchedule(failures=[(2.0, 4), (400.0, 5)])
+    _, _, result = _simulate(lane, shards, protocol=SpanningTree(),
+                             churn=churn)
+    assert result.fallback_reason == "unsupported protocol hosts or combiner"
+    assert drains == []
+    _, _, result = _simulate(lane, shards, protocol=SpanningTree(),
+                             churn=churn, prime=_push_foreign_timer)
+    assert result.fallback_reason == "unexpected pre-queued events"
+    assert len(drains) == 1
 
 
 def test_sharded_falls_back_without_the_fork_start_method(monkeypatch):

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches.fm import FMSketch, relative_error, sampling_mode
+from repro.sketches.fm import (
+    FMSketch,
+    _sample_packed_element,
+    relative_error,
+    sampling_mode,
+)
 
 
 def sketches(repetitions=4, num_bits=16):
@@ -159,3 +164,59 @@ def test_order_of_merging_does_not_matter(values, seed):
         backward = backward.merge(sketch)
 
     assert forward == backward
+
+
+# ----------------------------------------------------------------------
+# The fast sampler's whole-block kernel against its loop formulation
+# ----------------------------------------------------------------------
+def _sample_by_loop(draw, repetitions, num_bits):
+    """The per-vector formulation of the fast sampler, kept here as the
+    reference: vector ``i`` reads chunk ``i`` of ``draw`` (``num_bits -
+    1`` coin tosses) and sets the bit indexed by the length of the run
+    of ones at the bottom of that chunk."""
+    chunk = num_bits - 1
+    mask = (1 << chunk) - 1
+    packed = 0
+    for rep in range(repetitions):
+        bits = (draw >> (rep * chunk)) & mask
+        # ``~bits & (bits + 1)`` isolates the lowest zero bit.
+        packed |= 1 << (rep * num_bits
+                        + (~bits & (bits + 1)).bit_length() - 1)
+    return packed
+
+
+class _ScriptedRng:
+    """Hands out prepared ``getrandbits`` blocks and logs each request;
+    any other draw is an error (the sampler may consume nothing else)."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+        self.requests = []
+
+    def getrandbits(self, bits):
+        self.requests.append(bits)
+        return next(self._draws)
+
+
+@pytest.mark.parametrize("repetitions", range(1, 34))
+def test_fast_sampler_equals_its_loop_formulation(repetitions):
+    for num_bits in range(1, 34):
+        width = repetitions * (num_bits - 1)
+        if not width:
+            # One-bit vectors leave nothing to toss: no draw at all, so
+            # the RNG stream (and the sharded lane's tape) is untouched.
+            rng = _ScriptedRng([])
+            assert (_sample_packed_element(rng, repetitions, num_bits)
+                    == _sample_by_loop(0, repetitions, num_bits))
+            assert rng.requests == []
+            continue
+        seeded = random.Random(1000 * repetitions + num_bits)
+        draws = [0, (1 << width) - 1]       # all tails; all heads (clamp)
+        draws += [seeded.getrandbits(width) for _ in range(12)]
+        rng = _ScriptedRng(draws)
+        for draw in draws:
+            packed = _sample_packed_element(rng, repetitions, num_bits)
+            assert packed == _sample_by_loop(draw, repetitions, num_bits), (
+                f"c={repetitions} b={num_bits} draw={draw:#x}")
+        # Exactly one block of c * (b - 1) bits per element, nothing else.
+        assert rng.requests == [width] * len(draws)
