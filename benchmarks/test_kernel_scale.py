@@ -25,6 +25,8 @@ Three locks on the simulation kernel's performance:
   default) must reproduce the python lane bit-for-bit (value, cost fingerprint,
   declaration time) on a 10k-host streaming run and beat it by >=2x
   (self-calibrating: both lanes are timed interleaved on this machine).
+* ``test_convergecast_10k_differential_and_2x_speedup`` -- the paired cell
+  for SPANNINGTREE and DAG-2 ``count`` (the convergecast batch kernel).
 * ``test_bench_lane_cli_smoke`` -- ``repro bench --lane`` end to end in
   a clean subprocess: the flag reaches the kernel, the JSON row records
   the lane, and both lanes' rows agree on every cost measure.
@@ -361,19 +363,13 @@ def test_service_throughput_10k():
 VECTOR_LANE_REQUIRED_SPEEDUP = 2.0
 
 
-def test_vector_lane_10k_differential_and_2x_speedup():
-    """CI perf smoke, vector-lane half: the python-vs-vector cell.
-
-    Runs the same 10k-host streaming WILDFIRE count query through both
-    kernel lanes, interleaved best-of-3 (same rationale as
-    ``_measure_kernel``): the vector lane must be *bit-identical* --
-    value, ``costs.fingerprint()`` and declaration time -- and at least
-    2x faster.  The budget is self-calibrating because both lanes are
-    timed on the same machine in the same session; no recorded baseline
-    is involved.
+def _time_lanes_10k(label, make_protocol, rounds, **run_kwargs):
+    """Run one 10k-host count query on the python lane and the default
+    lane, interleaved, ``rounds`` times; assert the digests -- value,
+    ``costs.fingerprint()``, declaration time -- are bit-identical and
+    return the ``(python_seconds, vector_seconds)`` of each round.
     """
     from repro.protocols.base import run_protocol
-    from repro.protocols.wildfire import Wildfire
     from repro.topology.gnutella import gnutella_like_topology
 
     topology = gnutella_like_topology(10_000, seed=TOPOLOGY_SEED)
@@ -381,43 +377,92 @@ def test_vector_lane_10k_differential_and_2x_speedup():
 
     def sample(lane):
         start = time.perf_counter()
-        result = run_protocol(Wildfire(), topology, values, "count",
-                              seed=RUN_SEED, stats="streaming", lane=lane)
+        result = run_protocol(make_protocol(), topology, values, "count",
+                              seed=RUN_SEED, lane=lane, **run_kwargs)
         elapsed = time.perf_counter() - start
         assert result.fallback_reason is None, (
             f"{lane} lane fell back to the spec loop "
             f"({result.fallback_reason})")
+        assert result.lane_used == lane
         return elapsed, {
             "value": result.value,
             "fingerprint": result.costs.fingerprint(),
             "declared_at": result.finished_at,
         }
 
-    best = {"python": float("inf"), "vector": float("inf")}
     snapshots = {}
-    for _ in range(3):
+    timings = []
+    for _ in range(rounds):
+        elapsed = {}
         for lane in ("python", "vector"):
-            elapsed, snapshot = sample(lane)
-            best[lane] = min(best[lane], elapsed)
+            elapsed[lane], snapshot = sample(lane)
             assert snapshots.setdefault(lane, snapshot) == snapshot, (
                 f"{lane} lane is not deterministic across repeats")
+        timings.append((elapsed["python"], elapsed["vector"]))
     assert snapshots["vector"] == snapshots["python"], (
-        "vector lane diverged from the python lane on the 10k cell: "
-        f"python={snapshots['python']} vector={snapshots['vector']}")
+        f"vector lane diverged from the python lane on the 10k {label} "
+        f"cell: python={snapshots['python']} vector={snapshots['vector']}")
+    return timings
 
-    speedup = best["python"] / best["vector"]
-    print(f"\n10k differential: python {best['python']:.4f}s, "
-          f"vector {best['vector']:.4f}s -> {speedup:.2f}x (bit-identical)")
-    _record_trajectory("pytest 10k vector differential", hosts=10_000,
-                       python_seconds=round(best["python"], 4),
-                       vector_seconds=round(best["vector"], 4),
+
+def _require_lane_speedup(label, python_seconds, vector_seconds):
+    """Record the cell and hold it to ``VECTOR_LANE_REQUIRED_SPEEDUP``.
+    Self-calibrating: both lanes were timed on the same machine in the
+    same session; no recorded baseline is involved."""
+    speedup = python_seconds / vector_seconds
+    print(f"\n10k {label} differential: python {python_seconds:.4f}s, "
+          f"vector {vector_seconds:.4f}s -> {speedup:.2f}x (bit-identical)")
+    _record_trajectory(f"pytest 10k {label} differential", hosts=10_000,
+                       python_seconds=round(python_seconds, 4),
+                       vector_seconds=round(vector_seconds, 4),
                        speedup=round(speedup, 2))
     if _RELAX:
         pytest.skip(f"REPRO_BENCH_RELAX=1 (measured {speedup:.2f}x)")
     assert speedup >= VECTOR_LANE_REQUIRED_SPEEDUP, (
-        f"vector lane speedup {speedup:.2f}x fell below the required "
-        f"{VECTOR_LANE_REQUIRED_SPEEDUP}x (python {best['python']:.4f}s, "
-        f"vector {best['vector']:.4f}s)")
+        f"{label}: vector lane speedup {speedup:.2f}x fell below the "
+        f"required {VECTOR_LANE_REQUIRED_SPEEDUP}x (python "
+        f"{python_seconds:.4f}s, vector {vector_seconds:.4f}s)")
+
+
+def test_vector_lane_10k_differential_and_2x_speedup():
+    """CI perf smoke, vector-lane half: the python-vs-vector cell.
+
+    Runs the same 10k-host streaming WILDFIRE count query through both
+    kernel lanes, interleaved best-of-3 (same rationale as
+    ``_measure_kernel``): the vector lane must be *bit-identical* and
+    its best time at least 2x below the python lane's best time.
+    """
+    from repro.protocols.wildfire import Wildfire
+
+    timings = _time_lanes_10k("vector", Wildfire, 3, stats="streaming")
+    _require_lane_speedup("vector",
+                          min(python for python, _vector in timings),
+                          min(vector for _python, vector in timings))
+
+
+@pytest.mark.parametrize("protocol", ["spanning-tree", "dag2"])
+def test_convergecast_10k_differential_and_2x_speedup(protocol):
+    """The paired cell for the convergecast kernel: SPANNINGTREE and
+    DAG-2 ``count`` at 10k hosts, default lane against ``lane="python"``,
+    bit-identical and at least 2x faster in the best back-to-back round
+    of seven (the statistic ``test_obs_overhead.py`` uses).
+
+    Not the WILDFIRE cell's ratio of independent minima: these runs are
+    a tenth as long and their margin is thinner (tree 2.4-2.7x, dag2
+    2.1-2.5x on this box over four sessions of seven rounds; activation,
+    FM sampling and the alive-edge checks are the spec's own work in both
+    lanes), so two minima caught in different states of the shared box
+    read under 2x now and then.  A kernel regression to parity still
+    fails every round.
+    """
+    from repro.protocols.dag import DirectedAcyclicGraph
+    from repro.protocols.spanning_tree import SpanningTree
+
+    make = SpanningTree if protocol == "spanning-tree" else (
+        lambda: DirectedAcyclicGraph(num_parents=2))
+    timings = _time_lanes_10k(protocol, make, 7)
+    _require_lane_speedup(
+        protocol, *max(timings, key=lambda pair: pair[0] / pair[1]))
 
 
 def test_bench_lane_cli_smoke():

@@ -98,6 +98,14 @@ def run_validity_sweep(
     resolved_d_hat = resolve_d_hat(topology, d_hat, seed=seed)
     horizon = 2.0 * resolved_d_hat * delta
 
+    # FM estimates are judged with slack; exact combiners with none.
+    sketch_query = query_kind.lower() in ("count", "sum", "avg", "average")
+    epsilons: Dict[str, float] = {}
+    for protocol in protocols:
+        combiner = protocol.default_combiner(query, repetitions=fm_repetitions)
+        epsilons[protocol.name] = sketch_epsilon if sketch_query and \
+            combiner.duplicate_insensitive else 0.0
+
     rows: List[ValiditySweepRow] = []
     for num_departures in departures:
         per_protocol_values: Dict[str, List[float]] = {p.name: [] for p in protocols}
@@ -134,11 +142,13 @@ def run_validity_sweep(
                 )
                 declared = result.value if result.value is not None else 0.0
                 per_protocol_values[protocol.name].append(declared)
-                combiner = protocol.default_combiner(query, repetitions=fm_repetitions)
-                epsilon = sketch_epsilon if combiner.duplicate_insensitive and \
-                    query_kind.lower() in ("count", "sum", "avg", "average") else 0.0
-                if oracle.is_valid(declared, query_kind, churn,
-                                   horizon=result.termination_time, epsilon=epsilon):
+                # Every protocol here terminates at the sweep's horizon, so
+                # the trial's bounds are the run's; recompute if one did not.
+                run_bounds = bounds if result.termination_time == horizon \
+                    else oracle.bounds(query_kind, churn,
+                                       horizon=result.termination_time)
+                if oracle.judge(declared, run_bounds, query_kind,
+                                epsilons[protocol.name]):
                     per_protocol_valid[protocol.name] += 1
 
         lower_stats = aggregate_trials(lower_samples)

@@ -10,6 +10,10 @@ Report deadlines are computed from the delay *bound* ``delta`` (see the
 spanning-tree module for the argument); extra parents are only adopted
 from strictly shallower hosts, which keeps the parent relation acyclic
 under any realised delay model bounded by ``delta``.
+
+This module holds the one convergecast body -- :class:`DagHost`, of
+which SPANNINGTREE's host is the ``k = 1`` subclass -- and its one batch
+transcription for the tick lane, :class:`ConvergecastBatchKernel`.
 """
 
 from __future__ import annotations
@@ -29,13 +33,23 @@ REPORT = "dag-report"
 
 
 class DagHost(ProtocolHost):
-    """Per-host DIRECTEDACYCLICGRAPH state machine (slotted)."""
+    """Per-host convergecast state machine (slotted), for any ``k``.
+
+    SPANNINGTREE is the ``k = 1`` case of this body
+    (:class:`~repro.protocols.spanning_tree.SpanningTreeHost`): with one
+    parent slot the extra-parent branch below is dead and the only
+    difference left is the two message-kind strings, which are class
+    attributes.
+    """
 
     __slots__ = (
         "querying_host", "combiner", "d_hat", "delta", "rng", "num_parents",
         "active", "parents", "depth", "partial", "reports_received",
         "reported",
     )
+
+    broadcast_kind = BROADCAST
+    report_kind = REPORT
 
     def __init__(
         self,
@@ -69,12 +83,13 @@ class DagHost(ProtocolHost):
         self.active = True
         self.depth = 0
         self.partial = self.combiner.initial(self.value, self.rng)
-        ctx.send_to_neighbors(BROADCAST, {"depth": 0, "d_hat": self.d_hat})
+        ctx.send_to_neighbors(self.broadcast_kind,
+                              {"depth": 0, "d_hat": self.d_hat})
 
     def on_message(self, message: Message, ctx: HostContext) -> None:
-        if message.kind == BROADCAST:
+        if message.kind == self.broadcast_kind:
             self._on_broadcast(message, ctx)
-        elif message.kind == REPORT:
+        elif message.kind == self.report_kind:
             self._on_report(message, ctx)
 
     def _on_broadcast(self, message: Message, ctx: HostContext) -> None:
@@ -85,7 +100,7 @@ class DagHost(ProtocolHost):
             self.depth = sender_depth + 1
             self.partial = self.combiner.initial(self.value, self.rng)
             ctx.send_to_neighbors(
-                BROADCAST,
+                self.broadcast_kind,
                 {"depth": self.depth, "d_hat": self.d_hat},
                 exclude=(message.sender,),
             )
@@ -105,6 +120,8 @@ class DagHost(ProtocolHost):
 
     def _on_report(self, message: Message, ctx: HostContext) -> None:
         if not self.active or self.reported:
+            # Reports arriving after this host already pushed its own partial
+            # aggregate up the tree are lost -- the best-effort behaviour.
             return
         self.partial = self.combiner.combine(self.partial, message.payload["agg"])
         self.reports_received += 1
@@ -118,12 +135,162 @@ class DagHost(ProtocolHost):
             # ``ctx.send`` performs the alive-edge check itself and
             # records nothing when it fails, so the guarded send needs no
             # materialised neighbor view.
-            ctx.send(parent, REPORT, payload)
+            ctx.send(parent, self.report_kind, payload)
 
     def local_result(self) -> Optional[float]:
         if self.partial is None:
             return None
         return self.combiner.finalize(self.partial)
+
+
+class ConvergecastBatchKernel:
+    """The batch transcription of :class:`DagHost` for the tick lane.
+
+    Same shape as :class:`~repro.protocols.wildfire.WildfireBatchKernel`:
+    the lane hands each instant's delivery records
+    ``(rank, sender, dests, kind, agg, dist, chain_depth)`` to
+    :meth:`process_instant` and each instant's due timers
+    ``(host_id, chain_depth, rank)`` to :meth:`process_timer_bucket`.  A
+    Broadcast carries the sender's tree depth in the ``dist`` slot, a
+    Report carries the partial aggregate in ``agg`` (the object itself:
+    a host never changes its partial after reporting, so the reference
+    the spec's payload dict holds is the same one).  ``rank`` is carried
+    for the shared record shape and never read -- only the in-process
+    lane admits convergecast, where append order already is spec order.
+
+    Unlike WILDFIRE's flush, the report timer is due at
+    ``(2 * d_hat - depth) * delta`` -- generally a future instant, and
+    for a non-dyadic ``delta`` a float that can sit one ulp off the
+    tick-accumulated delivery instant it "coincides" with.  The kernel
+    therefore registers it on the lane's timer calendar under the exact
+    float the spec host computes, and the lane orders instants by float
+    comparison as the spec calendar does.
+    """
+
+    __slots__ = ("hosts", "broadcast_kind", "report_kind")
+
+    @classmethod
+    def try_build(cls, hosts: Sequence[Any], num_hosts: int,
+                  querying_host: int) -> Optional["ConvergecastBatchKernel"]:
+        """A kernel for this host table, or ``None`` if unsupported.
+
+        Supported: every host is exactly of the querying host's class,
+        and that class names this kernel in its own body -- a subclass
+        that merely inherits the name may have overridden a handler the
+        kernel inlines.  The branches call each host's own combiner and
+        never look inside a partial, so any combiner works.
+        """
+        if num_hosts <= 0 or len(hosts) < num_hosts:
+            return None
+        host_type = type(hosts[querying_host])
+        if vars(host_type).get("batch_kernel") is not cls:
+            return None
+        for host in hosts:
+            if type(host) is not host_type:
+                return None
+        return cls(hosts, host_type.broadcast_kind, host_type.report_kind)
+
+    def __init__(self, hosts: Sequence[Any], broadcast_kind: str,
+                 report_kind: str) -> None:
+        self.hosts = hosts
+        self.broadcast_kind = broadcast_kind
+        self.report_kind = report_kind
+
+    def flatten(self, payload) -> tuple:
+        """The ``(agg, dist)`` record slots of a spec Broadcast payload."""
+        return None, payload["depth"]
+
+    def refresh_host(self, host_id: int) -> None:
+        """The kernel mirrors no host state, so a real hook having run
+        leaves nothing to refresh."""
+
+    def process_instant(self, now: float, entries: Sequence[tuple],
+                        lane: Any) -> None:
+        """Process one instant's delivery records in spec FIFO order
+        (inlined :meth:`DagHost.on_message`)."""
+        hosts = self.hosts
+        alive = lane.alive_bytes
+        counts = lane.counts
+        broadcast_kind = self.broadcast_kind
+        dropped = 0
+        max_depth = lane.max_depth
+        for rank, sender, dests, kind, incoming, sender_depth, depth in entries:
+            is_broadcast = kind == broadcast_kind
+            delivered = False
+            for dest in dests:
+                if not alive[dest]:
+                    dropped += 1  # lost to a host that failed in flight
+                    continue
+                counts[dest] += 1
+                delivered = True
+                host = hosts[dest]
+                if is_broadcast:
+                    if not host.active:
+                        self._activate_host(host, dest, sender,
+                                            sender_depth, now, depth, rank,
+                                            lane)
+                        continue
+                    # -- _on_broadcast, already active: extra parents --
+                    parents = host.parents
+                    if (len(parents) < host.num_parents
+                            and sender not in parents
+                            and sender_depth < host.depth
+                            and sender != dest):
+                        parents.append(sender)
+                elif host.active and not host.reported:
+                    # -- _on_report ------------------------------------
+                    host.partial = host.combiner.combine(host.partial,
+                                                         incoming)
+                    host.reports_received += 1
+            if delivered and depth > max_depth:
+                max_depth = depth
+        lane.dropped += dropped
+        lane.max_depth = max_depth
+
+    def _activate_host(self, host: DagHost, dest: int, sender: int,
+                       sender_depth: int, now: float, depth: int, rank: int,
+                       lane: Any) -> None:
+        """Inlined inactive branch of :meth:`DagHost._on_broadcast`."""
+        host.active = True
+        host.parents = [sender]
+        host.depth = my_depth = sender_depth + 1
+        host.partial = host.combiner.initial(host.value, host.rng)
+        # A host forwards the Broadcast once, so the lane's neighbor memo
+        # would never be read back.
+        targets = [t for t in lane.network.alive_neighbors_sorted(dest)
+                   if t != sender]
+        if targets:
+            lane.submit_multi(dest, targets, self.broadcast_kind, None,
+                              my_depth, now, depth + 1)
+        report_time = (2.0 * host.d_hat - my_depth) * host.delta
+        # The spec's ``ctx.set_timer(max(0.0, report_time - now))``: the
+        # same two float operations, so the same calendar key.
+        lane.timers_at(now + max(0.0, report_time - now)).append(
+            (dest, depth, rank))
+
+    def process_timer_bucket(self, now: float, bucket: List[tuple],
+                             lane: Any) -> None:
+        """Fire one instant's report timers in registration order
+        (inlined :meth:`DagHost.on_timer`)."""
+        hosts = self.hosts
+        alive = lane.alive_bytes
+        report_kind = self.report_kind
+        for host_id, depth, rank in bucket:
+            if not alive[host_id]:
+                continue  # dead hosts' timers expire silently
+            host = hosts[host_id]
+            if host.reported or not host.parents:
+                continue
+            host.reported = True
+            partial = host.partial
+            for parent in host.parents:
+                lane.submit_unicast(host_id, parent, report_kind, partial,
+                                    None, now, depth + 1, rank)
+
+
+# Named after both classes exist; ``SpanningTreeHost`` names it again in
+# its own body (``try_build`` does not honour an inherited claim).
+DagHost.batch_kernel = ConvergecastBatchKernel
 
 
 class DirectedAcyclicGraph(Protocol):

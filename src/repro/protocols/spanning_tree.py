@@ -21,12 +21,12 @@ clamped at "now" in that case and correctness is unaffected.)
 from __future__ import annotations
 
 import random
-from typing import Any, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.protocols.base import Protocol
+from repro.protocols.dag import ConvergecastBatchKernel, DagHost
 from repro.queries.query import AggregateQuery
-from repro.simulation.host import HostContext, ProtocolHost
-from repro.simulation.messages import Message
+from repro.simulation.host import ProtocolHost
 from repro.sketches.combiners import Combiner
 from repro.topology.base import Topology
 
@@ -34,14 +34,15 @@ BROADCAST = "st-broadcast"
 REPORT = "st-report"
 
 
-class SpanningTreeHost(ProtocolHost):
-    """Per-host SPANNINGTREE state machine (slotted: one per network host)."""
+class SpanningTreeHost(DagHost):
+    """Per-host SPANNINGTREE state machine: the convergecast body of
+    :class:`~repro.protocols.dag.DagHost` with one parent slot."""
 
-    __slots__ = (
-        "querying_host", "combiner", "d_hat", "delta", "rng",
-        "active", "parent", "depth", "partial", "reports_received",
-        "reported",
-    )
+    __slots__ = ()
+
+    broadcast_kind = BROADCAST
+    report_kind = REPORT
+    batch_kernel = ConvergecastBatchKernel
 
     def __init__(
         self,
@@ -53,68 +54,8 @@ class SpanningTreeHost(ProtocolHost):
         delta: float,
         rng: random.Random,
     ) -> None:
-        super().__init__(host_id, value)
-        self.querying_host = querying_host
-        self.combiner = combiner
-        self.d_hat = d_hat
-        self.delta = delta
-        self.rng = rng
-
-        self.active = False
-        self.parent: Optional[int] = None
-        self.depth: Optional[int] = None
-        self.partial: Any = None
-        self.reports_received = 0
-        self.reported = False
-
-    # ------------------------------------------------------------------
-    def on_query_start(self, ctx: HostContext) -> None:
-        self.active = True
-        self.depth = 0
-        self.partial = self.combiner.initial(self.value, self.rng)
-        ctx.send_to_neighbors(BROADCAST, {"depth": 0, "d_hat": self.d_hat})
-
-    def on_message(self, message: Message, ctx: HostContext) -> None:
-        if message.kind == BROADCAST:
-            self._on_broadcast(message, ctx)
-        elif message.kind == REPORT:
-            self._on_report(message, ctx)
-
-    def _on_broadcast(self, message: Message, ctx: HostContext) -> None:
-        if self.active:
-            return  # duplicate Broadcast: already have a parent
-        self.active = True
-        self.parent = message.sender
-        self.depth = int(message.payload["depth"]) + 1
-        self.partial = self.combiner.initial(self.value, self.rng)
-        ctx.send_to_neighbors(
-            BROADCAST,
-            {"depth": self.depth, "d_hat": self.d_hat},
-            exclude=(self.parent,),
-        )
-        report_time = (2.0 * self.d_hat - self.depth) * self.delta
-        delay = max(0.0, report_time - ctx.now)
-        ctx.set_timer(delay, "report")
-
-    def _on_report(self, message: Message, ctx: HostContext) -> None:
-        if not self.active or self.reported:
-            # Reports arriving after this host already pushed its own partial
-            # aggregate up the tree are lost -- the best-effort behaviour.
-            return
-        incoming = message.payload["agg"]
-        self.partial = self.combiner.combine(self.partial, incoming)
-        self.reports_received += 1
-
-    def on_timer(self, name: str, data: Any, ctx: HostContext) -> None:
-        if name != "report" or self.reported or self.parent is None:
-            return
-        self.reported = True
-        ctx.send(self.parent, REPORT, {"agg": self.partial})
-
-    def local_result(self) -> Optional[float]:
-        if self.partial is None:
-            return None
-        return self.combiner.finalize(self.partial)
+        super().__init__(host_id, value, querying_host, combiner, d_hat,
+                         delta, rng, num_parents=1)
 
 
 class SpanningTree(Protocol):

@@ -363,9 +363,9 @@ class WildfireBatchKernel:
     the spec loop would have produced, step for step.  It relies on the
     fixed-delay gate both lanes share -- a flush always fires at its
     registration instant (``_next_flush`` is never in the future, which
-    :meth:`process_instant` asserts) and every send of instant ``t``
-    lands at ``t + delta`` -- so one flat ``lane.timer_bucket`` and one
-    flat ``lane.out_records`` per instant replace any event ring.
+    :meth:`process_instant` asserts), so every flush is registered on
+    the lane's timer calendar at ``now``, and every send of instant
+    ``t`` lands at ``t + delta``.
     ``try_build`` gates engagement to host tables the kernel provably
     understands; everything else falls back to the spec lane.
     """
@@ -413,6 +413,14 @@ class WildfireBatchKernel:
         self.deadlines: List[Optional[float]] = [
             host._deadline if host.active else None for host in hosts]
 
+    def flatten(self, payload) -> tuple:
+        """The ``(agg, dist)`` record slots of a spec payload: the two
+        fields WILDFIRE handlers read, a sketch as its packed int."""
+        agg = payload.get("agg")
+        if self.packed_mode and agg is not None:
+            agg = agg.packed
+        return agg, payload.get("dist")
+
     def refresh_host(self, host_id: int) -> None:
         """Re-mirror one host's activation state after a real hook ran."""
         host = self.hosts[host_id]
@@ -433,7 +441,7 @@ class WildfireBatchKernel:
         alive = lane.alive_bytes
         counts = lane.counts
         deadlines = self.deadlines
-        bucket = lane.timer_bucket
+        bucket = lane.timers_at(now)
         gdl = self.global_deadline
         packed_mode = self.packed_mode
         dropped = 0
@@ -460,7 +468,8 @@ class WildfireBatchKernel:
                     if now >= gdl:
                         continue  # spec path: return untouched
                     self._activate_host(hosts[dest], dest, sender, incoming,
-                                        dist, now, depth, rank, lane)
+                                        dist, now, depth, rank, lane,
+                                        bucket)
                     continue
                 if now > deadline:
                     continue  # spec path: return untouched
@@ -524,7 +533,8 @@ class WildfireBatchKernel:
 
     def _activate_host(self, host: WildfireHost, dest: int, sender: int,
                        incoming: Any, sender_distance: Optional[int],
-                       now: float, depth: int, rank: int, lane: Any) -> None:
+                       now: float, depth: int, rank: int, lane: Any,
+                       bucket: List[tuple]) -> None:
         """Inlined inactive branch of :meth:`WildfireHost.on_message`.
 
         Transcribed from ``_activate``, ``_fold`` and the Broadcast
@@ -616,7 +626,7 @@ class WildfireBatchKernel:
             schedule = True
         if schedule and not host._flush_pending:
             host._flush_pending = True
-            lane.timer_bucket.append((dest, depth, rank))
+            bucket.append((dest, depth, rank))
         host._dirty = False  # neighbors just heard our aggregate
 
     def process_timer_bucket(self, now: float, bucket: List[tuple],
@@ -629,15 +639,20 @@ class WildfireBatchKernel:
         the ``send_to_neighbors`` / ``send`` paths it calls) is
         transcribed inline.  All sends from this bucket share one
         delivery instant (``now + delta``) and one accounting key
-        (``(now, CONVERGECAST)``), so they are appended straight to
-        ``lane.out_records`` and counted in two locals folded into the
-        lane at the end -- the same totals the per-send path would
-        record, in the same FIFO order.
+        (``(now, CONVERGECAST)``).  Multicasts (the dirty branch) are
+        appended straight to ``lane.out_records`` and counted in two
+        locals folded into the lane at the end; unicast replies (the
+        ``_reply_to`` branch) go through ``lane.submit_unicast``, which
+        re-checks the edge, counts, traces and appends per call.  The
+        totals are those the per-send path would record, and FIFO order
+        holds across the two branches because ``out`` below *is*
+        ``lane.out_records`` -- the list ``submit_unicast`` appends to;
+        nothing rebinds it inside a bucket.
         """
         hosts = self.hosts
         alive = lane.alive_bytes
         network = lane.network
-        has_alive_edge = network.has_alive_edge
+        submit_unicast = lane.submit_unicast
         nbr_cache = lane.nbr_cache
         packed_mode = self.packed_mode
         wireless = lane.wireless
@@ -689,15 +704,8 @@ class WildfireBatchKernel:
             elif host._reply_to:
                 distance = host.distance
                 for neighbor in sorted(host._reply_to):
-                    # The spec's unicast path re-checks edge liveness
-                    # and records nothing when it fails.
-                    if not has_alive_edge(host_id, neighbor):
-                        continue
-                    sent += 1
-                    if tracer is not None:
-                        tracer.send(now, host_id, neighbor, CONVERGECAST)
-                    out.append((rank, host_id, (neighbor,), CONVERGECAST,
-                                agg, distance, depth + 1))
+                    submit_unicast(host_id, neighbor, CONVERGECAST, agg,
+                                   distance, now, depth + 1, rank)
                 host._reply_to = None
             host._dirty = False
             host._skip_neighbor = None
@@ -705,6 +713,11 @@ class WildfireBatchKernel:
             lane.send_acc[(now, CONVERGECAST)] += sent
         if wireless_extra:
             lane.wireless_groups += wireless_extra
+
+
+# Named after both classes exist: the host class names its batch kernel
+# for the tick lanes' gate (``try_build`` admits exactly this class).
+WildfireHost.batch_kernel = WildfireBatchKernel
 
 
 class Wildfire(Protocol):

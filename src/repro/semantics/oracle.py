@@ -110,7 +110,18 @@ class Oracle:
             horizon: protocol termination time ``T``.
             epsilon: when non-zero, check the approximate variant instead.
         """
-        bounds = self.bounds(kind, churn, horizon=horizon)
+        return self.judge(value, self.bounds(kind, churn, horizon=horizon),
+                          kind, epsilon)
+
+    def judge(
+        self,
+        value: float,
+        bounds: validity.ValidityBounds,
+        kind: str,
+        epsilon: float = 0.0,
+    ) -> bool:
+        """:meth:`is_valid` on bounds already computed: a driver judging
+        several answers against one (churn, horizon) computes them once."""
         if epsilon > 0.0:
             return validity.check_approximate_single_site_validity(
                 value, bounds, kind, self.values, epsilon

@@ -11,7 +11,9 @@ single-process engine.  The sequence:
    start method for ``K > 1`` since worker arguments reference the live
    simulator and must not be pickled, a range-partitionable network),
    then the tick lanes' shared :func:`~repro.simulation.vector_lane.plan_run`
-   (fixed delay, no joins, kernel-supported hosts), which pulls the
+   (fixed delay, no joins, kernel-supported hosts -- here WILDFIRE's
+   only: the pre-pass below and the canonical keys are derived from its
+   Broadcast-first activation order), which pulls the
    primed calendar queue into an explicit plan -- exactly one query
    start at time 0 plus the failure schedule -- or puts it back
    untouched and names the reason.
@@ -43,6 +45,7 @@ from multiprocessing import connection as mp_connection
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.protocols.wildfire import WildfireBatchKernel
 from repro.simulation.sharded.worker import (
     _RecordingRng,
     _ShardLane,
@@ -84,7 +87,8 @@ def run_sharded(simulator, horizon: float):
             bounds = simulator.network.partition_bounds(shards)
         except ValueError:
             reason = "network is not range-partitionable"
-    kernel, fails, reason = plan_run(simulator, horizon, reason)
+    kernel, fails, reason = plan_run(simulator, horizon, reason,
+                                     kernels=(WildfireBatchKernel,))
     if reason is not None:
         return None, reason
 

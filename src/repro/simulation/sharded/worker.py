@@ -1,8 +1,8 @@
 """The per-shard execution lane and worker-process entry point.
 
 One :class:`_ShardLane` drives one shard's slice of a run.  The instant
-loop, the flat per-instant buckets, the bulk accounting and the WILDFIRE
-batch kernel are the shared tick-lane skeleton's
+loop, the in-flight queue and timer calendar, the bulk accounting and
+the WILDFIRE batch kernel are the shared tick-lane skeleton's
 (:mod:`repro.simulation.vector_lane`); this module adds what a
 partitioned run needs on top: canonical keys for the records a shard
 emits, the epoch barriers that rank and exchange them, the RNG tape that
@@ -222,8 +222,11 @@ class _ShardLane(_TickLane):
     # ------------------------------------------------------------------
     # Epoch hooks of the instant loop
     # ------------------------------------------------------------------
-    def exchange(self, t_next: float) -> Tuple[List[tuple], int]:
-        """Meet the other shards at the epoch barrier.
+    def exchange(self, t_next: float) -> None:
+        """Meet the other shards at the epoch barrier and file this
+        shard's slice of what lands at ``t_next`` -- an empty slice too
+        while anything is in flight run-wide, so every shard keeps
+        meeting the barrier until all can stop together.
 
         Timeline instrumentation is always on: three ``perf_counter()``
         calls and one tuple per epoch (epochs number in the tens to
@@ -237,14 +240,15 @@ class _ShardLane(_TickLane):
         cross_before = self.cross_records_in
         entries, total = self.barrier(self, t_next)
         self._epoch_open = (wall_start, perf_counter(), barrier_before,
-                            cross_before, depth_now)
+                            cross_before, depth_now, total)
         self.rank_bound = (total if total > self.num_hosts
                            else self.num_hosts) + 1
-        return entries, total
+        if total:
+            self.in_flight.append((t_next, entries))
 
-    def end_instant(self, t: float, total: int) -> None:
-        wall_start, wall_mid, barrier_before, cross_before, depth_now = \
-            self._epoch_open
+    def end_instant(self, t: float) -> None:
+        (wall_start, wall_mid, barrier_before, cross_before, depth_now,
+         total) = self._epoch_open
         self.epochs += 1
         if total > self.max_epoch_records:
             self.max_epoch_records = total

@@ -1,29 +1,42 @@
 """The tick-lane skeleton and its in-process driver (the default lane).
 
 Under the fixed-delay model every send of instant ``t`` lands at
-``t + delta`` and every WILDFIRE flush fires at the instant that
-registered it, so the spec engine's one-Python-iteration-per-message
+``t + delta``, so the spec engine's one-Python-iteration-per-message
 drain can be replaced by *instant-at-a-time* processing.
-:class:`_TickLane` is that replacement, once: the flat per-instant
-buckets (delivery records out, flush registrations), the bulk cost
-counters, and one instant loop -- query start, failures inside the
-window, the instant's deliveries, its flushes, failures at the instant
--- that hands each batch to the protocol's batch kernel
-(:class:`~repro.protocols.wildfire.WildfireBatchKernel`).  Per delivery
-this costs a couple of index operations and an int (or float) comparison
-instead of a calendar-queue round trip, a
+:class:`_TickLane` is that replacement, once: one flat list of delivery
+records per landing instant, a timer calendar, the bulk cost counters,
+and one instant loop -- query start, failures inside the window, the
+instant's deliveries, its timers, failures at the instant -- that hands
+each batch to the batch kernel the host class names
+(:class:`~repro.protocols.wildfire.WildfireBatchKernel`,
+:class:`~repro.protocols.dag.ConvergecastBatchKernel` for SPANNINGTREE
+and DAG-k).  Per delivery this costs a couple of index operations and a
+comparison instead of a calendar-queue round trip, a
 :class:`~repro.simulation.messages.Message` allocation, a context rebind
 and a method-dispatch chain; cost accounting is accumulated flat and
 replayed into the stats sink in bulk at the end of the run
 (:func:`replay_accounting`).
 
+The timer calendar is a dict of per-instant registration lists keyed by
+the *exact float* the spec host computes, plus a heap of its distinct
+keys (at most ``2 * d_hat`` of them: one per tree depth).  A WILDFIRE
+flush registers at ``now`` and fires in the instant that registered it;
+a convergecast report registers at
+``now + max(0.0, (2 * d_hat - depth) * delta - now)``, which for a
+non-dyadic ``delta`` can sit one ulp before or after the
+tick-accumulated delivery instant it nominally shares.  The loop
+therefore advances to ``min(next landing instant, next timer instant)``
+by float comparison -- exactly the spec calendar's order, so a report
+landing one ulp after its parent's timer is lost here as it is there --
+and stops only when nothing is in flight and no timer is pending.
+
 Used as is, the skeleton is the vector lane: one process owns every
-host, :meth:`_TickLane.exchange` swaps two lists (append order already is
-the spec loop's global FIFO order) and activations draw the live run RNG
-in place.  The sharded lane (:mod:`repro.simulation.sharded`) subclasses
-it with what genuinely differs across processes -- host-range ownership,
-canonical keys and the rank exchange, an RNG tape, per-worker tracing and
-the epoch timeline.
+host, :meth:`_TickLane.exchange` files the list just emitted (append
+order already is the spec loop's global FIFO order) and activations draw
+the live run RNG in place.  The sharded lane
+(:mod:`repro.simulation.sharded`) subclasses it with what genuinely
+differs across processes -- host-range ownership, canonical keys and the
+rank exchange, an RNG tape, per-worker tracing and the epoch timeline.
 
 The lanes are locked bit-identical to the spec path by construction plus
 harness:
@@ -48,8 +61,9 @@ harness:
 Engagement is the gate's decision, not the caller's (:func:`plan_run`):
 ``"vector"`` is :data:`DEFAULT_LANE`, and a lane runs only when delay is
 fixed, churn has no joins, the primed queue holds exactly the query
-start plus failures, and the host table is supported by the batch
-kernel; the vector lane additionally refuses any tracer.  Anything else
+start plus failures, and the host class names a batch kernel that
+accepts the host table; the vector lane additionally refuses any tracer,
+the sharded lane any kernel but WILDFIRE's.  Anything else
 falls back to the spec loop with the reason returned beside the result,
 and ``Simulator.run`` records it on ``SimulationResult.fallback_reason``
 and ``lane_used``.
@@ -58,8 +72,9 @@ and ``lane_used``.
 from __future__ import annotations
 
 import gc
-from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import defaultdict, deque
+from heapq import heappop, heappush
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.simulation.events import Event, EventKind
 from repro.simulation.host import HostContext
@@ -74,6 +89,8 @@ LANES = ("python", "vector", "sharded")
 #: ``"python"`` stays the explicit request for the executable spec.
 DEFAULT_LANE = "vector"
 
+_NEVER = float("inf")
+
 
 def validate_lane(lane: str) -> str:
     """Check that ``lane`` names a known kernel lane; returns it."""
@@ -84,7 +101,8 @@ def validate_lane(lane: str) -> str:
     return lane
 
 
-def plan_run(simulator, horizon: float, lane_reason: Optional[str]):
+def plan_run(simulator, horizon: float, lane_reason: Optional[str],
+             kernels: Optional[tuple] = None):
     """The engagement gate and plan extraction both tick lanes share.
 
     Returns ``(kernel, fails, None)`` when the run can be driven
@@ -93,15 +111,15 @@ def plan_run(simulator, horizon: float, lane_reason: Optional[str]):
     consumed -- or ``(None, None, reason)`` with the queue as it was, so
     the spec loop proceeds as if the lane had never been consulted.  The
     checks that need no queue run first (every default-lane run comes
-    through here, most of them tree/DAG runs that refuse on the host
-    table); a refusal after the drain restores the queue verbatim
+    through here); a refusal after the drain restores the queue verbatim
     (``drain_until``/``ingest_events`` round-trip exactly).
     ``lane_reason`` is the verdict of the calling lane's own checks
     (tracer, and for the sharded lane what forking needs); ``None`` =
-    passed.
+    passed.  The kernel is the one the querying host's class names as
+    ``batch_kernel``; whether it accepts this host table is its
+    ``try_build``'s call.  ``kernels`` is the sharded lane's restriction
+    to the kernel classes it can drive (``None`` = any).
     """
-    from repro.protocols.wildfire import WildfireBatchKernel
-
     if simulator.delay_model is not None:
         return None, None, "variable delay model"
     if lane_reason is not None:
@@ -109,9 +127,14 @@ def plan_run(simulator, horizon: float, lane_reason: Optional[str]):
     churn = simulator._churn
     if churn.joins:
         return None, None, "join churn scheduled"
-    kernel = WildfireBatchKernel.try_build(
-        simulator.hosts, simulator.network.num_hosts,
-        simulator.querying_host)
+    hosts = simulator.hosts
+    kernel_class = getattr(type(hosts[simulator.querying_host]),
+                           "batch_kernel", None)
+    kernel = None
+    if kernel_class is not None and (kernels is None
+                                     or kernel_class in kernels):
+        kernel = kernel_class.try_build(
+            hosts, simulator.network.num_hosts, simulator.querying_host)
     queue = simulator._queue
     # The queue was just primed by run(): churn failures plus the query
     # start.  Anything else (pre-pushed timers, custom events, external
@@ -194,12 +217,19 @@ class _TickLane:
         #: The network's own packed alive bitmap (one byte per host);
         #: failures the lane applies show through immediately.
         self.alive_bytes = network._alive
-        #: Records emitted this instant, delivered the next:
+        #: Records emitted this instant, landing one ``delta`` later:
         #: ``(rank, sender, dests, kind, agg, dist, depth)``.
         self.out_records: List[tuple] = []
-        #: This instant's flush registrations
-        #: ``(host_id, chain_depth, causing_rank)``, in spec order.
-        self.timer_bucket: List[tuple] = []
+        #: ``(landing instant, records)`` in landing order.  Instants are
+        #: visited in ascending order and ``t + delta`` is monotone in
+        #: ``t``, so filing at the tail keeps the queue sorted.
+        self.in_flight: Deque[Tuple[float, List[tuple]]] = deque()
+        #: The timer calendar: per-instant registrations
+        #: ``(host_id, chain_depth, causing_rank)`` in spec order, keyed
+        #: by the exact float the spec host computes, and a heap of the
+        #: distinct keys.
+        self.timers: Dict[float, List[tuple]] = {}
+        self.timer_heap: List[float] = []
         # Accounting, accumulated flat and replayed into the stats sink
         # at the end of the run: per-host receive counts, and per
         # (time, kind) send totals -- the sink counters these feed are
@@ -224,19 +254,16 @@ class _TickLane:
         """``Simulator.submit_multicast`` as the query-start hook sees it.
 
         The real ``on_query_start`` runs against a plain
-        :class:`HostContext` whose simulator is this lane.  The spec
-        payload is flattened to the two fields WILDFIRE handlers read (a
-        sketch travels as its packed int).  The gate admits only
-        ``WildfireHost``, whose query start multicasts and does nothing
-        else, so the context's unicast and timer targets are
-        deliberately absent: reaching one means the gate was wrong, and
-        the ``AttributeError`` is the fail-loud signal.
+        :class:`HostContext` whose simulator is this lane; the kernel
+        flattens the spec payload to the record's ``(agg, dist)`` slots.
+        The gate admits only host classes whose query start multicasts
+        and does nothing else, so the context's unicast and timer
+        targets (``submit_message``, ``_queue``) are deliberately
+        absent: reaching one means the gate was wrong, and the
+        ``AttributeError`` is the fail-loud signal.
         """
-        agg = payload.get("agg")
-        if self.kernel.packed_mode and agg is not None:
-            agg = agg.packed
-        self.submit_multi(sender, dests, kind, agg, payload.get("dist"),
-                          time, chain_depth)
+        agg, dist = self.kernel.flatten(payload)
+        self.submit_multi(sender, dests, kind, agg, dist, time, chain_depth)
 
     def submit_multi(self, sender: int, dests: Sequence[int], kind: str,
                      agg, dist, time: float, chain_depth: int) -> None:
@@ -260,38 +287,78 @@ class _TickLane:
         self.out_records.append(
             (0, sender, dests, kind, agg, dist, chain_depth))
 
+    def submit_unicast(self, sender: int, dest: int, kind: str, agg, dist,
+                       time: float, chain_depth: int, rank: int) -> bool:
+        """Lane twin of ``Simulator.submit_message``: the same sender-
+        alive and alive-edge checks, recording nothing when one fails."""
+        if not self.alive_bytes[sender]:
+            return False
+        if not self.network.has_alive_edge(sender, dest):
+            return False
+        self.send_acc[(time, kind)] += 1
+        if self.tracer is not None:
+            self.tracer.send(time, sender, dest, kind)
+        self.out_records.append(
+            (rank, sender, (dest,), kind, agg, dist, chain_depth))
+        return True
+
+    def timers_at(self, time: float) -> List[tuple]:
+        """The calendar's registration list for instant ``time``
+        (created, and its key heaped, on first use); append
+        ``(host_id, chain_depth, causing_rank)`` to register a timer."""
+        bucket = self.timers.get(time)
+        if bucket is None:
+            self.timers[time] = bucket = []
+            heappush(self.timer_heap, time)
+        return bucket
+
     # ------------------------------------------------------------------
     # The instant loop
     # ------------------------------------------------------------------
-    def exchange(self, t_next: float) -> Tuple[List[tuple], int]:
-        """The records to deliver at ``t_next`` and how many are in
-        flight run-wide.  In process both are the list just emitted:
-        append order already is spec order, so it is swapped, not
-        sorted."""
-        entries = self.out_records
+    def exchange(self, t_next: float) -> None:
+        """File the records just emitted under their landing instant
+        ``t_next``.  In process that is the list itself: append order
+        already is spec order, so it is moved, not sorted.  Two instants
+        one ulp apart can round to the same landing instant; the later
+        one's records then queue behind the earlier one's, as in the
+        spec calendar's slot."""
+        out = self.out_records
+        if not out:
+            return
         self.out_records = []
-        return entries, len(entries)
+        in_flight = self.in_flight
+        if in_flight and in_flight[-1][0] == t_next:
+            in_flight[-1][1].extend(out)
+        else:
+            in_flight.append((t_next, out))
 
-    def end_instant(self, t: float, total: int) -> None:
+    def end_instant(self, t: float) -> None:
         """Per-instant bookkeeping hook (nothing in process)."""
 
     def run(self) -> None:
-        """Drive the run one ``delta``-wide instant at a time.
+        """Drive the run one instant at a time.
 
         Instant ordering matches the spec calendar exactly: query start
         (QUERY_START outranks FAIL at time 0), then failures up to each
         boundary, then the instant's deliveries in rank order, then its
-        flushes, then failures at the instant itself (FAIL has the
-        lowest calendar priority).  Ends when nothing is in flight
-        run-wide (every lane sees the same total, so all stop together)
-        or the next instant would pass the horizon; failures scheduled
-        after that still happen, as the spec loop drains them.
+        timers in registration order (those registered by the instant's
+        own deliveries included), then failures at the instant itself
+        (FAIL has the lowest calendar priority).  The next instant is
+        the earlier of the next landing instant and the next timer
+        instant.  Ends when nothing is in flight run-wide (every lane
+        files the same landing instants, so all stop together) and no
+        timer is pending, or the next instant would pass the horizon;
+        failures scheduled after that still happen, as the spec loop
+        drains them.
         """
         sim = self.sim
         kernel = self.kernel
         delta = self.delta
         horizon = self.horizon
         clock = sim.clock
+        in_flight = self.in_flight
+        timers = self.timers
+        timer_heap = self.timer_heap
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -302,22 +369,25 @@ class _TickLane:
             self._apply_fails(0.0, inclusive=True)
             t = 0.0
             while not sim._stopped:
-                t_next = t + delta
-                if t_next > horizon:
-                    break
-                entries, total = self.exchange(t_next)
-                if total == 0:
+                t_land = t + delta
+                if t_land <= horizon:
+                    self.exchange(t_land)
+                t_next = in_flight[0][0] if in_flight else _NEVER
+                if timer_heap and timer_heap[0] < t_next:
+                    t_next = timer_heap[0]
+                if t_next > horizon:  # or nothing is pending at all
                     break
                 self._apply_fails(t_next, inclusive=False)
                 clock._now = t = t_next
-                if entries:
-                    kernel.process_instant(t, entries, self)
-                bucket = self.timer_bucket
-                if bucket:
-                    self.timer_bucket = []
-                    kernel.process_timer_bucket(t, bucket, self)
+                if in_flight and in_flight[0][0] == t:
+                    entries = in_flight.popleft()[1]
+                    if entries:
+                        kernel.process_instant(t, entries, self)
+                while timer_heap and timer_heap[0] == t:
+                    heappop(timer_heap)
+                    kernel.process_timer_bucket(t, timers.pop(t), self)
                 self._apply_fails(t, inclusive=True)
-                self.end_instant(t, total)
+                self.end_instant(t)
             self._apply_fails(horizon, inclusive=True)
         finally:
             if gc_was_enabled:

@@ -5,8 +5,9 @@ No figure driver names a lane, so each takes ``DEFAULT_LANE`` and the
 configuration -- once as shipped, once with its ``run_protocol`` pinned to
 ``lane="python"`` -- and every protocol run inside it must agree bit for
 bit (value, cost fingerprint, finish time), with the lane the gate chose
-and the reason it gave being the documented ones: WILDFIRE engages the
-batch kernel, tree/DAG host tables and variable delay fall back.
+and the reason it gave being the documented ones: WILDFIRE, SPANNINGTREE
+and DAG-k engage their batch kernels at fixed delay, variable delay falls
+back.
 """
 
 import pytest
@@ -36,29 +37,35 @@ def _aggregator_queries():
         agg.query(kind, protocol=protocol, churn=churn)
 
 
-#: driver -> (module whose ``run_protocol`` it calls, one small run).
+TREE = {"wildfire", "spanning-tree"}
+DAG2 = TREE | {"dag-k2"}
+LINE_UP = DAG2 | {"dag-k3"}
+
+#: driver -> (module whose ``run_protocol`` it calls, one small run, the
+#: protocols it runs at fixed delay -- exactly those must engage).
 DRIVERS = {
     "validity_sweep": (validity_sweep, lambda: validity_sweep.run_validity_sweep(
         random_topology(80, avg_degree=4, seed=5), "count",
-        departures=[0, 12], num_trials=2, seed=5)),
+        departures=[0, 12], num_trials=2, seed=5), LINE_UP),
     "communication": (communication, lambda: (
         communication.run_communication_cost_experiment(
             network_sizes=(60,), d_hat_factors=(1.0, 1.5),
-            include_gnutella_point=False, seed=2))),
+            include_gnutella_point=False, seed=2)), DAG2),
     "computation": (computation, lambda: (
         computation.run_computation_cost_experiment(
-            power_law_size=80, grid_side=6, seed=2))),
+            power_law_size=80, grid_side=6, seed=2)), TREE),
     "time_cost": (time_cost, lambda: (
         time_cost.run_time_cost_experiment(
             network_sizes=(60,), d_hat_factors=(1.0, 2.0), seed=2),
         time_cost.run_messages_per_instant_experiment(
-            random_size=60, power_law_size=60, grid_side=5, seed=2))),
+            random_size=60, power_law_size=60, grid_side=5, seed=2)),
+        TREE),
     "badcase": (badcase, lambda: badcase.run_theorem_44_experiment(
-        cycle_size=12, seed=4)),
+        cycle_size=12, seed=4), TREE),
     "delay_sweep": (delay_sweep, lambda: delay_sweep.run_delay_sweep(
         random_topology(60, avg_degree=4, seed=7), "count",
-        departures=(0, 8), num_trials=1, seed=7)),
-    "core.aggregator": (aggregator, _aggregator_queries),
+        departures=(0, 8), num_trials=1, seed=7), LINE_UP),
+    "core.aggregator": (aggregator, _aggregator_queries, DAG2),
 }
 
 
@@ -88,7 +95,7 @@ def _record_runs(monkeypatch, module, drive, **pinned):
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_default_lane_is_bit_identical_and_says_what_ran(driver, monkeypatch):
-    module, drive = DRIVERS[driver]
+    module, drive, engages = DRIVERS[driver]
     default = _record_runs(monkeypatch, module, drive)
     spec = _record_runs(monkeypatch, module, drive, lane="python")
     assert default, "the driver made no run_protocol call"
@@ -99,11 +106,9 @@ def test_default_lane_is_bit_identical_and_says_what_ran(driver, monkeypatch):
     for run in default:
         if run["delay"] != "fixed":
             expected = ("python", "variable delay model")
-        elif run["protocol"] == "wildfire":
-            expected = (DEFAULT_LANE, None)
         else:
-            expected = ("python", "unsupported protocol hosts or combiner")
+            expected = (DEFAULT_LANE, None)
         assert (run["lane_used"], run["fallback_reason"]) == expected, run
     engaged = {run["protocol"] for run in default
                if run["fallback_reason"] is None}
-    assert engaged == {"wildfire"}
+    assert engaged == engages

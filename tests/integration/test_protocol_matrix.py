@@ -326,17 +326,28 @@ def test_packed_core_is_event_identical_to_reference_network(
 
 # ----------------------------------------------------------------------
 # Kernel-lane differential: the vector lane (the default) must be event-
-# identical to the executable-spec python loop on every WILDFIRE cell
-# it engages for -- same declared value, same full cost-accounting
-# fingerprint, same declaration time.
+# identical to the executable-spec python loop on every cell it engages
+# for -- WILDFIRE and the convergecast protocols -- same declared value,
+# same full cost-accounting fingerprint, same declaration time.
 # ----------------------------------------------------------------------
-def _run_lane_cell(topology_name, query, churned, lane, shards=1):
+#: ``(protocol, delta)`` cells of the vector-lane axis.  The convergecast
+#: protocols also run at a non-dyadic delta, where report timers sit an
+#: ulp off the tick-accumulated delivery instants.
+LANE_PROTOCOLS = {**PROTOCOLS,
+                  "dag3": lambda: DirectedAcyclicGraph(num_parents=3)}
+LANE_CELLS = [("wildfire", 1.0)] + [
+    (name, delta) for name in ("spanning-tree", "dag2", "dag3")
+    for delta in (1.0, 0.3)]
+
+
+def _run_lane_cell(topology_name, query, churned, lane, shards=1,
+                   protocol_name="wildfire", delta=1.0):
     topology = TOPOLOGIES[topology_name]()
     values = uniform_values(topology.num_hosts, low=1, high=50, seed=SEED)
     churn = _make_churn(topology, churned)
-    result = run_protocol(Wildfire(), topology, values, query,
-                          querying_host=0, churn=churn, seed=SEED,
-                          lane=lane, shards=shards)
+    result = run_protocol(LANE_PROTOCOLS[protocol_name](), topology, values,
+                          query, querying_host=0, churn=churn, seed=SEED,
+                          delta=delta, lane=lane, shards=shards)
     assert result.fallback_reason is None, (
         f"{lane} lane fell back: {result.fallback_reason}")
     return {
@@ -349,13 +360,17 @@ def _run_lane_cell(topology_name, query, churned, lane, shards=1):
 @pytest.mark.parametrize("churned", [False, True], ids=["static", "churn"])
 @pytest.mark.parametrize("query", ["min", "max", "count", "sum"])
 @pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("protocol_name,delta", LANE_CELLS)
 def test_vector_lane_is_event_identical_to_spec_lane(
-        topology_name, query, churned):
-    python = _run_lane_cell(topology_name, query, churned, "python")
-    vector = _run_lane_cell(topology_name, query, churned, "vector")
+        protocol_name, delta, topology_name, query, churned):
+    python = _run_lane_cell(topology_name, query, churned, "python",
+                            protocol_name=protocol_name, delta=delta)
+    vector = _run_lane_cell(topology_name, query, churned, "vector",
+                            protocol_name=protocol_name, delta=delta)
     assert vector == python, (
-        f"vector lane diverged from the spec loop on wildfire/"
-        f"{topology_name}/{query}/{'churn' if churned else 'static'}"
+        f"vector lane diverged from the spec loop on {protocol_name}/"
+        f"delta={delta}/{topology_name}/{query}/"
+        f"{'churn' if churned else 'static'}"
     )
 
 

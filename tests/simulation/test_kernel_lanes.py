@@ -6,7 +6,10 @@ every ``(lane, shards)`` case: a supported run engages the lane and is
 bit-identical to the executable-spec loop (value, cost fingerprint,
 declaration time, post-run liveness and RNG state); an unsupported run
 falls back to the spec loop and says why on the result it returns.  The
-heavyweight locks live in the integration matrix and the perf smokes.
+convergecast kernel (SPANNINGTREE, DAG-k) runs on the in-process driver
+only and is pinned the same way, on the inputs its timer calendar
+exists for.  The heavyweight locks live in the integration matrix and
+the perf smokes.
 """
 
 import multiprocessing
@@ -15,7 +18,9 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.obs.trace import RingTracer, Tracer
+from repro.protocols.allreport import AllReport
 from repro.protocols.base import prepare_protocol_run
+from repro.protocols.dag import DagHost, DirectedAcyclicGraph
 from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
 from repro.simulation.churn import ChurnSchedule, JoinSpec
@@ -36,20 +41,24 @@ lane_cases = pytest.mark.parametrize(
 
 def _simulate(lane, shards=1, query="count", churn=None, wireless=False,
               delay=None, tracer=None, protocol=None, stats="full",
-              querying_host=0, num_hosts=30, prime=None):
+              querying_host=0, num_hosts=30, prime=None, topology=None,
+              delta=1.0, d_hat=None):
     """One run; returns ``(snapshot, simulator, result)``.
 
     ``prime`` is called with the built simulator before ``run`` (to
     register callbacks or pre-queue events).
     """
-    topology = random_topology(num_hosts, avg_degree=3.0, seed=SEED)
+    if topology is None:
+        topology = random_topology(num_hosts, avg_degree=3.0, seed=SEED)
     values = uniform_values(len(topology), low=1, high=50, seed=SEED)
     prepared = prepare_protocol_run(
         protocol or Wildfire(), topology, values, query,
-        querying_host=querying_host, seed=SEED, delay=delay)
+        querying_host=querying_host, seed=SEED, delay=delay, delta=delta,
+        d_hat=d_hat)
     simulator = Simulator(
         network=topology.to_network(), hosts=prepared.hosts,
-        querying_host=querying_host, churn=churn, wireless=wireless,
+        querying_host=querying_host, delta=delta, churn=churn,
+        wireless=wireless,
         max_time=prepared.termination * 4 + 16,
         delay_model=prepared.delay_model, stats=stats, tracer=tracer,
         lane=lane, shards=shards)
@@ -186,7 +195,116 @@ def test_identical_on_a_network_smaller_than_the_shard_count(lane, shards):
             == _spec(num_hosts=8, query="sum"))
 
 
-def test_vector_lane_failure_callbacks_match_the_spec_loop():
+# ----------------------------------------------------------------------
+# The convergecast kernel (in-process driver only)
+# ----------------------------------------------------------------------
+CONVERGECAST = {
+    "spanning-tree": SpanningTree,
+    "dag-k2": lambda: DirectedAcyclicGraph(num_parents=2),
+    "dag-k3": lambda: DirectedAcyclicGraph(num_parents=3),
+}
+convergecast = pytest.mark.parametrize("protocol", sorted(CONVERGECAST))
+
+
+def _convergecast_pair(protocol, **kwargs):
+    """The engaged vector-lane snapshot and the spec snapshot."""
+    return (_engaged("vector", 1, protocol=CONVERGECAST[protocol](), **kwargs),
+            _spec(protocol=CONVERGECAST[protocol](), **kwargs))
+
+
+@convergecast
+@pytest.mark.parametrize("query", ["count", "sum", "min"])
+def test_convergecast_is_bit_identical(protocol, query):
+    churn = ChurnSchedule(failures=[(1.0, 7), (2.0, 3), (3.0, 11)])
+    vector, spec = _convergecast_pair(protocol, query=query, churn=churn)
+    assert vector == spec
+
+
+@convergecast
+@pytest.mark.parametrize("delta", [0.1, 0.3])
+def test_convergecast_identical_when_timers_sit_an_ulp_off_the_ticks(
+        protocol, delta):
+    # Report timers are keyed ``now + ((2 * d_hat - depth) * delta - now)``
+    # while delivery instants accumulate ``t + delta``; for a non-dyadic
+    # delta the two differ in the last bit, a Report can land one ulp
+    # after its parent's timer, and the spec calendar loses it.  The lane
+    # must lose exactly the same ones.
+    def observe(lane, delta):
+        churn = ChurnSchedule(failures=[(4.5 * delta, 7), (9.25 * delta, 3)])
+        snapshot, simulator, _ = _simulate(
+            lane, protocol=CONVERGECAST[protocol](), delta=delta, churn=churn)
+        assert simulator.lane_used == lane
+        return snapshot, [host.reports_received for host in simulator.hosts]
+
+    spec, spec_folded = observe("python", delta)
+    vector, vector_folded = observe("vector", delta)
+    assert vector == spec
+    assert vector_folded == spec_folded
+    # The quirk is really exercised: the same run on the exact grid
+    # (delta = 1) folds in Reports this one loses.
+    _, exact_folded = observe("python", 1.0)
+    assert sum(spec_folded) < sum(exact_folded)
+
+
+@convergecast
+@pytest.mark.parametrize("d_hat", [2, 3])
+def test_convergecast_identical_when_d_hat_is_underestimated(protocol, d_hat):
+    # Hosts deeper than 2 * d_hat - depth <= now clamp their report delay
+    # to zero: the timer fires in the instant that registered it.
+    vector, spec = _convergecast_pair(protocol, d_hat=d_hat)
+    assert vector == spec
+
+
+@convergecast
+def test_convergecast_identical_when_an_interior_parent_dies_before_reporting(
+        protocol):
+    _, static, _ = _simulate("python", protocol=CONVERGECAST[protocol]())
+    victim = next(host for host in static.hosts[1:]
+                  if any(other.parents and other.parents[0] == host.host_id
+                         for other in static.hosts))
+    # After the Broadcast passed it (at ``depth``), before its report is
+    # due, and between two delivery instants.
+    churn = ChurnSchedule(failures=[(victim.depth + 1.5, victim.host_id)])
+    vector, simulator, result = _simulate(
+        "vector", protocol=CONVERGECAST[protocol](), churn=churn)
+    assert (result.lane_used, result.fallback_reason) == ("vector", None)
+    died = simulator.hosts[victim.host_id]
+    assert died.active and not died.reported
+    assert vector == _spec(protocol=CONVERGECAST[protocol](), churn=churn)
+
+
+@convergecast
+def test_convergecast_identical_when_the_querying_host_dies(protocol):
+    vector, spec = _convergecast_pair(
+        protocol, churn=ChurnSchedule(failures=[(2.0, 0)]))
+    assert vector == spec
+
+
+@convergecast
+def test_convergecast_identical_on_a_wireless_grid(protocol):
+    kwargs = dict(topology=grid_topology(5), wireless=True,
+                  stats="streaming",
+                  churn=ChurnSchedule(failures=[(2.5, 12), (6.0, 7)]))
+    vector, spec = _convergecast_pair(protocol, **kwargs)
+    assert vector == spec
+
+
+@convergecast
+def test_convergecast_identical_with_a_failure_after_the_last_report(protocol):
+    # On a static network the root's children report into the horizon
+    # itself; with the root dead their reports are never sent, so the
+    # run is idle -- nothing in flight, no timer pending -- one delta
+    # early.  The late failure still happens and ends the clock.
+    horizon = _spec(protocol=CONVERGECAST[protocol]())["declared_at"]
+    churn = ChurnSchedule(failures=[(2.0, 0), (horizon - 0.5, 4)])
+    vector, spec = _convergecast_pair(protocol, churn=churn)
+    assert spec["declared_at"] == horizon - 0.5
+    assert vector == spec
+
+
+@pytest.mark.parametrize("protocol", ["wildfire"] + sorted(CONVERGECAST))
+def test_vector_lane_failure_callbacks_match_the_spec_loop(protocol):
+    make = CONVERGECAST.get(protocol, Wildfire)
     churn = ChurnSchedule(failures=[(0.0, 5), (1.5, 7), (2.0, 3),
                                     (2.25, 12), (19.5, 4)])
 
@@ -198,8 +316,8 @@ def test_vector_lane_failure_callbacks_match_the_spec_loop():
                 lambda host, time: seen.append(
                     (host, time, simulator.clock.now)))
 
-        snapshot, simulator, result = _simulate(lane, churn=churn,
-                                                prime=prime)
+        snapshot, simulator, result = _simulate(
+            lane, churn=churn, prime=prime, protocol=make())
         assert simulator.lane_used == lane
         return snapshot, seen
 
@@ -277,6 +395,20 @@ def _watch_failures(simulator):
     simulator.on_host_failure(lambda host, time: None)
 
 
+class _DeafDagHost(DagHost):
+    """Inherits ``batch_kernel`` but not the body the kernel inlines."""
+
+    __slots__ = ()
+
+    def _on_report(self, message, ctx):
+        pass
+
+
+def _rebrand_hosts(simulator):
+    for host in simulator.hosts:
+        host.__class__ = _DeafDagHost
+
+
 #: gate -> (fallback reason, run arguments, lanes it applies to).  Fresh
 #: tracers are built per run: identity is about value/costs, not traces.
 GATES = {
@@ -305,7 +437,23 @@ GATES = {
         lambda: dict(query="avg"), ("vector", "sharded")),
     "foreign protocol hosts": (
         "unsupported protocol hosts or combiner",
-        lambda: dict(protocol=SpanningTree()), ("vector", "sharded")),
+        lambda: dict(protocol=AllReport()), ("vector", "sharded")),
+    # The activation pre-pass and the canonical keys are WILDFIRE's.
+    "convergecast hosts on the sharded lane": (
+        "unsupported protocol hosts or combiner",
+        lambda: dict(protocol=SpanningTree()), ("sharded",)),
+    # A subclass inherits the kernel's name but may override a handler
+    # the kernel inlines; only the class that names it is admitted.
+    "subclassed convergecast hosts": (
+        "unsupported protocol hosts or combiner",
+        lambda: dict(protocol=DirectedAcyclicGraph(),
+                     prime=_rebrand_hosts), ("vector",)),
+    # The lane's own checks outrank the host table: a traced tree run
+    # falls back for the tracer, not for its hosts.
+    "tracer on a tree run": (
+        "tracer attached",
+        lambda: dict(protocol=SpanningTree(),
+                     tracer=RingTracer(capacity=1000)), ("vector",)),
     "pre-queued foreign event": (
         "unexpected pre-queued events",
         lambda: dict(churn=ChurnSchedule(failures=[(2.0, 4)]),
@@ -332,10 +480,12 @@ def test_falls_back_with_a_reason(gate, lane, shards):
 @lane_cases
 def test_unsupported_hosts_refuse_without_touching_the_queue(
         lane, shards, monkeypatch):
-    # Every default-lane tree/DAG run consults the gate, so the host
-    # verdict must not cost a drain/ingest round trip -- unless something
-    # was pre-queued, which outranks it in the reason order and can only
-    # be seen by looking.
+    # Every default-lane run consults the gate, so a host verdict (a
+    # protocol with no batch kernel; tree hosts on the sharded lane) must
+    # not cost a drain/ingest round trip -- unless something was
+    # pre-queued, which outranks it in the reason order and can only be
+    # seen by looking.
+    protocol = SpanningTree if lane == "sharded" else AllReport
     drains = []
     real_drain = EventQueue.drain_until
 
@@ -345,12 +495,11 @@ def test_unsupported_hosts_refuse_without_touching_the_queue(
 
     monkeypatch.setattr(EventQueue, "drain_until", counting_drain)
     churn = ChurnSchedule(failures=[(2.0, 4), (400.0, 5)])
-    _, _, result = _simulate(lane, shards, protocol=SpanningTree(),
-                             churn=churn)
+    _, _, result = _simulate(lane, shards, protocol=protocol(), churn=churn)
     assert result.fallback_reason == "unsupported protocol hosts or combiner"
     assert drains == []
-    _, _, result = _simulate(lane, shards, protocol=SpanningTree(),
-                             churn=churn, prime=_push_foreign_timer)
+    _, _, result = _simulate(lane, shards, protocol=protocol(), churn=churn,
+                             prime=_push_foreign_timer)
     assert result.fallback_reason == "unexpected pre-queued events"
     assert len(drains) == 1
 
