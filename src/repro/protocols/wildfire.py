@@ -694,7 +694,7 @@ class WildfireBatchKernel:
                     else:
                         sent += len(targets)
                     if tracer is not None:
-                        # submit_multicast's record: dest -1, width as
+                        # session_multicast's record: dest -1, width as
                         # the count.
                         tracer.send(now, host_id, -1, CONVERGECAST,
                                     len(targets))

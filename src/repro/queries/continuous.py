@@ -7,27 +7,19 @@ host sets of a recent window ``[t - W, t]`` rather than the whole history,
 because the stable core over an unbounded interval quickly becomes empty in
 a dynamic network.
 
-Two execution paths exist:
-
-* the historical **compat path** (:meth:`ContinuousQuery.run`) re-issues
-  each report through a caller-supplied ``execute_once`` callback, which
-  every legacy driver implements by *rebuilding a pristine simulator* per
-  report -- churn before the report time never actually degraded the
-  protocol run, only the bounds.  Tests pin this behaviour where goldens
-  depend on it.
-* the **live path** (:meth:`ContinuousQuery.run_live` /
-  :meth:`ContinuousQuery.schedule_live`) registers each report as a
-  session of a multi-tenant :class:`~repro.service.QueryService`, so
-  every per-report protocol execution runs against the live network --
-  hosts that failed before the report launch are genuinely gone, and
-  churn during the report interval hits the in-flight protocol, exactly
-  as Section 4.2's semantics intend.
+:meth:`ContinuousQuery.run_live` (or :meth:`ContinuousQuery.schedule_live`
+plus :meth:`ContinuousQuery.collect_live`) registers each report as a
+session of a multi-tenant :class:`~repro.service.QueryService`, so every
+per-report protocol execution runs against the live network -- hosts that
+failed before the report launch are genuinely gone, and churn during the
+report interval hits the in-flight protocol, exactly as Section 4.2's
+semantics intend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.queries.query import AggregateQuery
 from repro.semantics.validity import ValidityBounds, compute_bounds
@@ -65,13 +57,13 @@ def _windowed_bounds(
 ):
     """Validity bounds for one report window ``[window_end - W, window_end]``.
 
-    The semantic core of Continuous Single-Site Validity, shared by the
-    compat and live paths: failures before the window started are "old
-    news" (the network the protocol sees already excludes those hosts, so
-    bounds are computed on the residual topology), failures inside the
-    window count against the report's bounds.
+    The semantic core of Continuous Single-Site Validity: failures
+    before the window started are "old news" (the network the protocol
+    sees already excludes those hosts, so bounds are computed on the
+    residual topology), failures inside the window count against the
+    report's bounds.
 
-    Returns ``(window_start, churn_in_window, bounds)``.
+    Returns ``(window_start, bounds)``.
     """
     window_start = max(0.0, window_end - window)
     churn_in_window = ChurnSchedule(
@@ -99,7 +91,7 @@ def _windowed_bounds(
         kind=kind,
         horizon=window_end,
     )
-    return window_start, churn_in_window, bounds
+    return window_start, bounds
 
 
 @dataclass
@@ -173,12 +165,10 @@ class ContinuousQuery:
 
         The validity window of each report ends at its *declaration*
         instant (launch + T): bounds are computed on the residual
-        topology (hosts failed before the window are old news, exactly as
-        in the compat path) against the service's churn schedule
-        restricted to the window.
+        topology (hosts failed before the window are old news) against
+        the service's churn schedule restricted to the window.
 
-        Unlike the compat :meth:`run` (which always yields one result per
-        period), reports whose session failed -- the querying host was
+        Reports whose session failed -- the querying host was
         dead at the launch instant -- declare nothing and are *omitted*:
         a live network can genuinely lose the querying host between
         reports.  Compare ``len(results)`` against ``len(session_ids)``
@@ -198,7 +188,7 @@ class ContinuousQuery:
             # A declared value implies finalize() ran, which always sets
             # the declaration instant alongside it.
             declared_at = outcome.declared_at
-            window_start, _, bounds = _windowed_bounds(
+            window_start, bounds = _windowed_bounds(
                 topology, values, churn, querying_host,
                 self.query.kind.value, self.window, declared_at)
             valid = check_single_site_validity(
@@ -225,12 +215,12 @@ class ContinuousQuery:
         """Drive the continuous query through a live query service.
 
         Convenience wrapper: schedules every report as a session, drains
-        the service, and collects windowed results.  Unlike the compat
-        :meth:`run`, each report's protocol execution sees the *churned*
-        network as it exists at the report instant (and any churn during
-        the report interval), not a pristine rebuild.  The service may
-        carry other tenants' sessions at the same time; per-query seed
-        streams keep this query's reports bit-identical either way.
+        the service, and collects windowed results.  Each report's
+        protocol execution sees the *churned* network as it exists at the
+        report instant (and any churn during the report interval).  The
+        service may carry other tenants' sessions at the same time;
+        per-query seed streams keep this query's reports bit-identical
+        either way.
         """
         session_ids = self.schedule_live(
             service, protocol, querying_host=querying_host,
@@ -238,57 +228,3 @@ class ContinuousQuery:
         service.run()
         return self.collect_live(service, session_ids,
                                  querying_host=querying_host)
-
-    # ------------------------------------------------------------------
-    # Compat path: caller-supplied per-report executor
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        topology: Topology,
-        values: Sequence[float],
-        churn: ChurnSchedule,
-        querying_host: int,
-        execute_once: Callable[[ChurnSchedule, float], float],
-    ) -> List[WindowedResult]:
-        """Drive the continuous query over a churn schedule (compat path).
-
-        Each report is produced by the caller's ``execute_once`` callback
-        on a schedule *restricted to the report's window* -- legacy
-        drivers rebuild a pristine simulator per report, so churn before
-        the window only tightens the bounds, never the execution.  Kept
-        (and pinned by regression tests) because golden experiment
-        outputs depend on it; new code should prefer :meth:`run_live`.
-
-        Args:
-            topology: initial topology.
-            values: per-host attribute values.
-            churn: the full failure schedule over ``[0, duration]``.
-            querying_host: host issuing the query.
-            execute_once: callback running one valid protocol execution that
-                starts at the given report time and sees the given (already
-                restricted) churn schedule; returns the declared value.
-
-        Returns:
-            One :class:`WindowedResult` per reporting period.
-        """
-        from repro.semantics.validity import check_single_site_validity
-
-        results = []
-        for report_time in self.report_times():
-            window_start, churn_in_window, bounds = _windowed_bounds(
-                topology, values, churn, querying_host,
-                self.query.kind.value, self.window, report_time)
-            value = execute_once(churn_in_window, report_time)
-            valid = check_single_site_validity(
-                value, bounds, self.query.kind.value, values
-            )
-            results.append(
-                WindowedResult(
-                    report_time=report_time,
-                    window_start=window_start,
-                    value=value,
-                    bounds=bounds,
-                    is_valid=valid,
-                )
-            )
-        return results

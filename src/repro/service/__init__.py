@@ -30,12 +30,7 @@ one-shot/continuous queries) lives in
 from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.engine import MuxEngine
 from repro.service.service import QueryService, ServiceReport
-from repro.service.session import (
-    QueryOutcome,
-    QuerySession,
-    QueryStatus,
-    SessionContext,
-)
+from repro.service.session import QueryOutcome, QuerySession, QueryStatus
 from repro.service.sharing import (
     SharedComputation,
     SharedFloodCache,
@@ -52,7 +47,6 @@ __all__ = [
     "QueryOutcome",
     "QuerySession",
     "QueryStatus",
-    "SessionContext",
     "SharedComputation",
     "SharedFloodCache",
     "computation_key",

@@ -1,49 +1,45 @@
-"""The multiplexing event loop: one calendar queue, many queries.
+"""The query service's engine: many sessions on the one event loop.
 
-:class:`MuxEngine` is the service counterpart of the solo
-:class:`~repro.simulation.engine.Simulator`: the same calendar
-:class:`~repro.simulation.events.EventQueue`, the same
-:class:`~repro.simulation.network.DynamicNetwork`, the same churn event
-handling -- but instead of one host table it demultiplexes every stimulus
-to the per-query protocol instances of the session it belongs to:
+:class:`MuxEngine` is the :class:`~repro.simulation.engine.EventEngine`
+-- the loop, the submit paths, churn scheduling and FAIL / JOIN fan-out
+that a solo :class:`~repro.simulation.engine.Simulator` runs with one
+session -- plus what only a multi-tenant service has:
 
-* message deliveries route on ``Message.query_id`` (stamped at send time
-  by the session-scoped context);
-* timers route on the ``(session, name)`` tag the session context filed
-  them under;
-* churn events (FAIL / JOIN) are *shared*: they mutate the one network
-  every session runs on, and fan out to every live session's host table.
+* the QUERY_START control plane: shared-flood subscription, admission
+  control, then the lazy launch of the session's protocol state;
+* retirement: sessions leave the demux table the moment simulation time
+  passes their termination instant -- their declared value and cost sink
+  are kept, their per-host protocol state (the dominant memory cost at
+  10k+ hosts) is released -- so resident state is proportional to the
+  number of *concurrently active* queries, not to the total served;
+* late-delivery tallies: messages of a retired session still in flight
+  are counted as ``late_messages`` and dropped without waking protocol
+  code;
+* per-tenant queue depth and the sharded drive's summary merge.
 
 Per-session state (seed stream, delay-model stream, cost sink, virtual
 clock) is fully private, so the stimulus sequence one query observes is
 independent of what other queries are doing on the same substrate --
 which is what makes per-query results bit-identical to solo runs and
 reproducible under any interleaving.
-
-Sessions retire from the demux table the moment simulation time passes
-their termination instant: their declared value and cost sink are kept,
-their per-host protocol state (the dominant memory cost at 10k+ hosts)
-is released, and any of their messages still in flight are counted as
-``late_messages`` and dropped without waking protocol code.  Resident
-state is therefore proportional to the number of *concurrently active*
-queries, not to the total number served.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Any
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.obs.trace import Tracer, default_tracer
-from repro.service.session import QuerySession, QueryStatus, SessionContext
+from repro.obs.trace import Tracer
+from repro.service.session import QuerySession, QueryStatus
 from repro.simulation.churn import ChurnSchedule
-from repro.simulation.clock import SimulationClock
-from repro.simulation.events import Event, EventKind, EventQueue, _DeliverBatch
+from repro.simulation.engine import EventEngine
+from repro.simulation.events import Event, EventKind, _DeliverBatch
+from repro.simulation.host import HostContext
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
 
 
-class MuxEngine:
+class MuxEngine(EventEngine):
     """Event-driven executor multiplexing query sessions on one network.
 
     Args:
@@ -51,7 +47,9 @@ class MuxEngine:
         delta: the per-hop delay bound every session's timer math uses.
         churn: service-wide schedule of host failures/joins.
         wireless: broadcast-medium accounting (shared by all sessions).
-        max_time: hard stop for the engine clock (runaway backstop).
+        max_time: hard stop for the engine clock (runaway backstop: a
+            drain-to-empty :meth:`run` that reaches it with events still
+            pending raises).
         tracer: structured trace sink (``None`` resolves the process
             default once; trace times are session *virtual* times plus
             the query id, so one trace demultiplexes per tenant).
@@ -66,32 +64,15 @@ class MuxEngine:
         max_time: float = 1_000_000.0,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        self.network = network
-        self.delta = float(delta)
-        self.wireless = wireless
-        self.max_time = float(max_time)
-        self.clock = SimulationClock()
-        self._queue = EventQueue(width=self.delta)
-        self._churn = churn or ChurnSchedule.empty()
+        super().__init__(network, delta, churn, wireless, max_time, tracer)
         self._churn_scheduled = False
-        # qid -> live session (the demux table); retirement deadline heap.
-        self._active: Dict[int, QuerySession] = {}
-        self._ends_heap: List[Tuple[float, int]] = []
-        self._sctx = SessionContext(self)
-        # Service-wide tallies (per-query accounting lives on the sessions).
-        self.messages_sent = 0
-        self.dropped_messages = 0
         self.late_messages = 0
-        self.events_processed = 0
         # Introspection: high-water mark of concurrently live sessions,
         # the order sessions left the demux table (declared), and late
         # deliveries per query (only bumped on the rare late path).
         self.max_active_sessions = 0
         self.retired_order: List[int] = []
         self.late_by_query: Dict[int, int] = {}
-        self.tracer = tracer if tracer is not None else default_tracer()
         # Optional control-plane hooks, installed by the service:
         # a SharedFloodCache and/or an AdmissionController.  Both sit on
         # the QUERY_START dispatch path only -- the hot message/timer
@@ -112,10 +93,6 @@ class MuxEngine:
         self._queue.push(session.launch_at, EventKind.QUERY_START,
                          data=session)
 
-    def schedule_custom(self, time: float, handler) -> None:
-        """Schedule ``handler(engine)`` at an absolute engine time."""
-        self._queue.push(time, EventKind.CUSTOM, data=handler)
-
     @property
     def active_sessions(self) -> int:
         """Number of sessions currently holding live protocol state."""
@@ -129,8 +106,8 @@ class MuxEngine:
 
         Walks the calendar queue's live entries (never the drain path):
         unicasts count 1 under their ``query_id``, multicast batches
-        count their not-yet-delivered destinations, and mux timers route
-        on the session carried in their tag.  This is the per-tenant
+        count their not-yet-delivered destinations, and timers route on
+        the session they were filed with.  This is the per-tenant
         queue-depth signal the admission-control roadmap item needs.
         """
         depths: Dict[int, int] = {}
@@ -139,116 +116,11 @@ class MuxEngine:
             if cls is Message or cls is _DeliverBatch:
                 qid = entry.query_id
             elif cls is Event and entry.kind is EventKind.TIMER:
-                tag = entry.timer_name
-                if type(tag) is not tuple:
-                    continue
-                qid = tag[0].qid
+                qid = entry.data[2].qid
             else:
                 continue
             depths[qid] = depths.get(qid, 0) + weight
         return depths
-
-    # ------------------------------------------------------------------
-    # Session-context API (the per-query analogue of Simulator.submit_*)
-    # ------------------------------------------------------------------
-    def session_send(
-        self,
-        session: QuerySession,
-        sender: int,
-        dest: int,
-        kind: str,
-        payload: Mapping[str, Any],
-        vnow: float,
-        chain_depth: int,
-    ) -> bool:
-        """Queue one unicast on behalf of ``session``.
-
-        ``vnow`` is the session's virtual time; the sink is keyed by it
-        (so per-tick histograms match a solo run) while the delivery is
-        filed at the corresponding absolute engine time.
-        """
-        network = self.network
-        if not network.is_alive(sender):
-            return False
-        if not network.has_alive_edge(sender, dest):
-            return False
-        sample = session.sample
-        delay = self.delta if sample is None else sample(sender, dest, vnow)
-        # The virtual delivery instant is computed with the exact same
-        # arithmetic a solo run performs (``vnow + delay``); the absolute
-        # instant only orders the shared calendar.  IEEE addition is
-        # monotone, so ``t0 + v`` never reorders a session's events.
-        vdeliver = vnow + delay
-        message = Message(sender, dest, kind, dict(payload),
-                          session.t0 + vnow, chain_depth, False,
-                          session.qid, vdeliver)
-        session.sink.record_send(kind, vnow)
-        self.messages_sent += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.send(vnow, sender, dest, kind, query_id=session.qid)
-        self._queue.push_deliver(session.t0 + vdeliver, message)
-        return True
-
-    def session_multicast(
-        self,
-        session: QuerySession,
-        sender: int,
-        dests: Sequence[int],
-        kind: str,
-        payload: Mapping[str, Any],
-        vnow: float,
-        chain_depth: int,
-        trusted_dests: bool = False,
-    ) -> None:
-        """Queue one multicast on behalf of ``session``.
-
-        Mirrors :meth:`Simulator.submit_multicast` exactly (shared payload
-        snapshot, one ring slot under fixed delay, per-destination
-        sampling under variable delay, wireless batch accounting) with
-        costs attributed to the session's private sink.
-        """
-        network = self.network
-        if not network.is_alive(sender):
-            return
-        if not trusted_dests:
-            neighbors = network.neighbors(sender)
-            dests = [dest for dest in dests if dest in neighbors]
-        if not dests:
-            return
-        abs_now = session.t0 + vnow
-        shared_payload = dict(payload)
-        wireless = self.wireless
-        qid = session.qid
-        t0 = session.t0
-        sample = session.sample
-        if sample is None:
-            # Fixed delay: one lazily expanded batch in the shared ring
-            # (same memory layout as the solo kernel's multicast path).
-            vdeliver = vnow + self.delta
-            self._queue.push_multicast(t0 + vdeliver, sender, dests, kind,
-                                       shared_payload, abs_now, chain_depth,
-                                       wireless, qid, vdeliver)
-        else:
-            push_deliver = self._queue.push_deliver
-            for dest in dests:
-                vdeliver = vnow + sample(sender, dest, vnow)
-                message = Message(sender, dest, kind, shared_payload,
-                                  abs_now, chain_depth, wireless, qid,
-                                  vdeliver)
-                push_deliver(t0 + vdeliver, message)
-        sink = session.sink
-        if wireless:
-            sink.record_send(kind, vnow)
-            sink.record_wireless_group(len(dests) - 1)
-            self.messages_sent += 1
-        else:
-            sink.record_send_batch(kind, vnow, len(dests))
-            self.messages_sent += len(dests)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.send(vnow, sender, -1, kind, count=len(dests),
-                        query_id=qid)
 
     # ------------------------------------------------------------------
     # Run loop
@@ -262,239 +134,108 @@ class MuxEngine:
         horizon stay queued and a later ``run`` call resumes them, which
         lets drivers interleave simulation with submission.
         """
-        horizon = min(until, self.max_time) if until is not None else self.max_time
         if not self._churn_scheduled:
-            self._schedule_churn()
+            self._schedule_churn(self.max_time)
             self._churn_scheduled = True
-
-        # Same loop discipline as the solo kernel: hot kinds inline, one
-        # reused context, direct clock assignment, GC paused (the object
-        # graph is acyclic; allocation-rate-triggered gen-0 scans are pure
-        # overhead).  The extra work per stimulus is exactly the demux:
-        # one dict lookup for messages, one tuple unpack for timers, and
-        # the deadline check that retires finished sessions.
-        import gc
-
-        queue = self._queue
-        pop_due = queue.pop_due
-        clock = self.clock
-        # Same packed alive bitmap the solo kernel binds (bytearray; grows
-        # in place on joins): one memory layout for both paths.
-        alive_flags = self.network._alive
-        active = self._active
-        ends_heap = self._ends_heap
-        timer = EventKind.TIMER
-        sctx = self._sctx
-        tracer = self.tracer
-        events = 0
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            while True:
-                front = pop_due(horizon)
-                if front is None:
-                    break
-                time, entry = front
-                clock._now = time
-                events += 1
-                # Retire sessions whose deadline has strictly passed.
-                # Safe: IEEE addition is monotone, so every event of a
-                # session with virtual time <= T sits at an absolute time
-                # <= fl(t0 + T) == the session's heap key, and has
-                # therefore already been popped.
-                while ends_heap and ends_heap[0][0] < time:
-                    self._retire_front()
-                if entry.__class__ is Message:
-                    session = active.get(entry.query_id)
-                    # The horizon check runs in *virtual* time (exact, the
-                    # same comparison a solo run's drain horizon makes).
-                    if session is None or entry.vtime > session.termination:
-                        # Sender's query already declared: a solo run
-                        # would have left this delivery unconsumed.
-                        self.late_messages += 1
-                        qid = entry.query_id
-                        late = self.late_by_query
-                        late[qid] = late.get(qid, 0) + 1
-                        if tracer is not None:
-                            tracer.late(entry.vtime, entry.dest, qid)
-                        continue
-                    dest = entry.dest
-                    if not alive_flags[dest]:
-                        self.dropped_messages += 1
-                        session.sink.record_dropped()
-                        if tracer is not None:
-                            tracer.drop(entry.vtime, dest, entry.query_id)
-                        continue
-                    chain_depth = entry.chain_depth
-                    session.sink.record_processed(dest, chain_depth)
-                    if tracer is not None:
-                        tracer.deliver(entry.vtime, entry.sender, dest,
-                                       entry.kind, chain_depth,
-                                       entry.sent_at - session.t0,
-                                       entry.query_id)
-                    sctx.session = session
-                    sctx.host_id = dest
-                    sctx.now = entry.vtime
-                    sctx._chain_depth = chain_depth
-                    session.hosts[dest].on_message(entry, sctx)
-                elif entry.kind is timer:
-                    host = entry.host
-                    if not alive_flags[host]:
-                        continue
-                    session, name, vfire = entry.timer_name
-                    if (session.status is not QueryStatus.RUNNING
-                            or vfire > session.termination):
-                        continue
-                    data, chain_depth = entry.data
-                    if tracer is not None:
-                        tracer.timer(vfire, host, name, session.qid)
-                    sctx.session = session
-                    sctx.host_id = host
-                    sctx.now = vfire
-                    sctx._chain_depth = chain_depth
-                    session.hosts[host].on_timer(name, data, sctx)
-                else:
-                    self._dispatch(time, entry)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        self.events_processed += events
-        # ``pop_due(horizon)`` consumed every event at time <= horizon, so
-        # any session whose deadline lies within the horizon is final --
+        horizon = self._drain(until)
+        # The drain consumed every event at time <= horizon, so any
+        # session whose deadline lies within the horizon is final --
         # declare it even if no later event popped to trigger retirement
         # (a horizon-bounded drive must leave poll() accurate).
+        ends_heap = self._ends_heap
         while ends_heap and ends_heap[0][0] <= horizon:
             self._retire_front()
-        if not queue:
+        if not self._queue:
             # Queue drained: no stimulus can ever reach a session again,
             # so every running query's state is final -- declare them all.
-            for qid in list(active):
-                session = active.pop(qid)
-                self._finalize_session(session)
-                self.retired_order.append(qid)
-                if tracer is not None:
-                    tracer.session(session.termination, qid, "declare",
-                                   session.value)
+            for qid in list(self._active):
+                self._retire(qid)
             ends_heap.clear()
-        return clock.now
+        return self.clock.now
 
     # ------------------------------------------------------------------
-    # Internals
+    # Internals (the hooks the shared loop calls)
     # ------------------------------------------------------------------
     def _retire_front(self) -> None:
-        _, qid = heapq.heappop(self._ends_heap)
-        session = self._active.pop(qid, None)
-        if session is not None:
-            self._finalize_session(session)
-            self.retired_order.append(qid)
-            if self.tracer is not None:
-                self.tracer.session(session.termination, qid, "declare",
-                                    session.value)
+        self._retire(heapq.heappop(self._ends_heap)[1])
 
-    def _finalize_session(self, session: QuerySession) -> None:
-        """Declare a session and run the control-plane retirement hooks."""
+    def _retire(self, qid: int) -> None:
+        """Declare a session, drop it from the demux table and run the
+        control-plane retirement hooks."""
+        session = self._active.pop(qid, None)
+        if session is None:
+            return
         session.finalize()
         if self.sharing is not None:
             self.sharing.on_retired(session)
         if self.admission is not None:
             self.admission.charge(session)
+        self.retired_order.append(qid)
+        if self.tracer is not None:
+            self.tracer.session(session.termination, qid, "declare",
+                                session.value)
 
-    def _schedule_churn(self) -> None:
-        for time, host in self._churn.failures:
-            if time <= self.max_time:
-                self._queue.push(time, EventKind.FAIL, host=host)
-        for join in self._churn.joins:
-            if join.time <= self.max_time:
-                self._queue.push(
-                    join.time, EventKind.JOIN, data=tuple(join.neighbors))
+    def _late(self, message: Message) -> None:
+        """Tally a delivery whose query already declared: a solo run
+        would have left it unconsumed."""
+        self.late_messages += 1
+        qid = message.query_id
+        late = self.late_by_query
+        late[qid] = late.get(qid, 0) + 1
+        if self.tracer is not None:
+            self.tracer.late(message.vtime, message.dest, qid)
 
-    def _dispatch(self, time: float, event: Event) -> None:
-        kind = event.kind
-        if kind is EventKind.QUERY_START:
-            session = event.data
-            sharing = self.sharing
+    def _enroll(self, session: QuerySession) -> None:
+        """Give a session its demux slot until its deadline."""
+        self._active[session.qid] = session
+        if len(self._active) > self.max_active_sessions:
+            self.max_active_sessions = len(self._active)
+        heapq.heappush(self._ends_heap, (session.ends_at, session.qid))
+
+    def _on_query_start(self, time: float, event: Event,
+                        ctx: HostContext) -> None:
+        session = event.data
+        sharing = self.sharing
+        if sharing is not None:
+            comp = sharing.try_subscribe(session, time)
+            if comp is not None:
+                # Shared-flood hit: ride the in-flight computation
+                # instead of launching another flood.  The session
+                # still occupies a demux slot until its own deadline
+                # so retirement order and residency stay faithful.
+                sharing.hits += 1
+                session.attach_shared(comp, time)
+                self._enroll(session)
+                if self.tracer is not None:
+                    self.tracer.session(
+                        0.0, session.qid, "subscribe",
+                        f"leader={comp.leader.qid}")
+                return
+        admission = self.admission
+        if admission is not None and admission.decide(self, session, time):
+            return
+        try:
+            launched = session.launch(self, time)
+        except Exception as exc:
+            # A session that cannot materialise (bad combiner shape,
+            # protocol construction error) fails alone; aborting the
+            # shared loop would strand every other tenant.
+            session.status = QueryStatus.FAILED
+            session.hosts = None
+            session.extra["error"] = repr(exc)
+            if self.tracer is not None:
+                self.tracer.session(time, session.qid, "failed", repr(exc))
+            return
+        if launched:
+            self._enroll(session)
+            if admission is not None:
+                admission.note_admitted(time, session)
             if sharing is not None:
-                comp = sharing.try_subscribe(session, time)
-                if comp is not None:
-                    # Shared-flood hit: ride the in-flight computation
-                    # instead of launching another flood.  The session
-                    # still occupies a demux slot until its own deadline
-                    # so retirement order and residency stay faithful.
-                    sharing.hits += 1
-                    session.attach_shared(comp, time)
-                    self._active[session.qid] = session
-                    if len(self._active) > self.max_active_sessions:
-                        self.max_active_sessions = len(self._active)
-                    heapq.heappush(self._ends_heap,
-                                   (session.ends_at, session.qid))
-                    if self.tracer is not None:
-                        self.tracer.session(
-                            0.0, session.qid, "subscribe",
-                            f"leader={comp.leader.qid}")
-                    return
-            admission = self.admission
-            if admission is not None and admission.decide(self, session, time):
-                return
-            try:
-                launched = session.launch(self, time)
-            except Exception as exc:
-                # A session that cannot materialise (bad combiner shape,
-                # protocol construction error) fails alone; aborting the
-                # shared loop would strand every other tenant.
-                session.status = QueryStatus.FAILED
-                session.hosts = None
-                session.extra["error"] = repr(exc)
-                if self.tracer is not None:
-                    self.tracer.session(time, session.qid, "failed",
-                                        repr(exc))
-                return
-            if launched:
-                self._active[session.qid] = session
-                if len(self._active) > self.max_active_sessions:
-                    self.max_active_sessions = len(self._active)
-                heapq.heappush(self._ends_heap,
-                               (session.ends_at, session.qid))
-                if admission is not None:
-                    admission.note_admitted(time, session)
-                if sharing is not None:
-                    sharing.register(session)
-                if self.tracer is not None:
-                    self.tracer.session(0.0, session.qid, "launch",
-                                        session.protocol.name)
-                sctx = self._sctx
-                sctx.session = session
-                sctx.host_id = session.querying_host
-                sctx.now = 0.0
-                sctx._chain_depth = 0
-                session.hosts[session.querying_host].on_query_start(sctx)
-        elif kind is EventKind.FAIL:
-            host = event.host
-            if not self.network.is_alive(host):
-                return
-            self.network.fail_host(host, time)
+                sharing.register(session)
             if self.tracer is not None:
-                self.tracer.fail(time, host)
-            for session in self._active.values():
-                # Subscribers hold no host table (their leader's hosts
-                # see the failure); the subscription quiet-window gate
-                # guarantees no churn falls inside their window anyway.
-                if time <= session.ends_at and session.hosts is not None:
-                    session.hosts[host].on_fail(time - session.t0)
-        elif kind is EventKind.JOIN:
-            neighbors = [
-                h for h in (event.data or ()) if self.network.is_alive(h)
-            ]
-            if not neighbors:
-                return
-            new_id = self.network.join_host(neighbors, time)
-            if self.tracer is not None:
-                self.tracer.join(time, new_id)
-            for session in self._active.values():
-                session.on_join(new_id)
-        elif kind is EventKind.CUSTOM:
-            handler = event.data
-            if callable(handler):
-                handler(self)
+                self.tracer.session(0.0, session.qid, "launch",
+                                    session.protocol.name)
+            self._issue_query(session, session.querying_host, time, ctx)
 
 
 def merge_shard_summaries(summaries: Sequence[Mapping[str, Any]],

@@ -3,7 +3,8 @@
 :class:`QueryService` is the front door of the service subsystem.  One
 instance owns one live simulated network (topology + churn schedule +
 delay-bound ``delta``) and multiplexes any number of aggregate queries
-over it through the :class:`~repro.service.engine.MuxEngine`:
+over it through the :class:`~repro.service.engine.MuxEngine` (the
+simulation engine's one event loop plus the service's control plane):
 
 >>> service = QueryService(topology, values, seed=0)
 >>> q1 = service.submit("wildfire", "count", at=0.0)
@@ -30,8 +31,8 @@ separated by a single ulp of virtual time (an artefact of addition
 order, e.g. ``(a + k) + d`` vs ``(a + d) + k`` under the fixed-latency
 ``per_edge`` model) may collapse into one calendar slot on the shared
 clock, where the deliver-before-timer priority -- the model's actual
-simultaneity rule -- resolves them.  The solo kernel instead keeps the
-artificial ulp gap.  The paper's protocols are insensitive to this
+simultaneity rule -- resolves them.  A run launched at 0 instead keeps
+the artificial ulp gap.  The paper's protocols are insensitive to this
 (their folds are idempotent and deadline math uses the bound); only
 order-sensitive float accumulation (push-sum gossip) can differ in the
 last digits on such knife-edge ties.
@@ -172,7 +173,8 @@ class QueryService:
             not pass their own; resolved once from the topology (the
             shared-substrate service resolves it with the *service* seed,
             so concurrent queries agree on the horizon arithmetic).
-        max_time: engine runaway backstop.
+        max_time: engine runaway backstop (a drain-to-empty :meth:`run`
+            that reaches it with events still pending raises).
         tracer: structured trace sink handed to the engine (``None``
             resolves the process default once at construction).
         share_floods: enable the cross-tenant shared-flood cache --

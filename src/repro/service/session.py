@@ -1,15 +1,18 @@
-"""Per-query sessions and the session-scoped host context.
+"""Per-query sessions of the multi-tenant query service.
 
 A :class:`QuerySession` is one tenant of the multi-tenant query service:
 one aggregate query, its per-query protocol state machines, its private
-seed stream, its private cost accounting, and its private *virtual clock*.
+seed stream, its private cost accounting, and its private *virtual clock*
+-- the engine-facing :class:`~repro.simulation.engine.Session` plus the
+lifecycle (lazy launch, shared-flood subscription, declaration) and the
+tenant-visible record.
 
 The virtual clock is what makes multiplexing invisible to protocol code:
 every protocol in this repository computes its deadlines assuming the
-query starts at time 0 (``2 * D_hat * delta`` and friends), so the
-session translates between engine time and query-local time -- a session
-launched at engine time ``t0`` hands its hosts a context whose ``now`` is
-``engine_now - t0`` and schedules their timers at ``t0 + virtual_time``.
+query starts at time 0 (``2 * D_hat * delta`` and friends), so a session
+launched at engine time ``t0`` has its hosts handed a
+:class:`~repro.simulation.host.HostContext` whose ``now`` is
+``engine_now - t0`` and their timers filed at ``t0 + virtual_time``.
 Combined with per-session RNG, delay-model and accounting streams, a
 query's stimulus sequence inside the service is *bit-identical* to a solo
 :func:`~repro.protocols.base.run_protocol` execution with the same seed
@@ -20,12 +23,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
 from repro.protocols.base import Protocol, prepare_protocol_run
 from repro.queries.query import AggregateQuery
-from repro.simulation.engine import InertHost
-from repro.simulation.host import HostContext, ProtocolHost
+from repro.simulation.engine import Session
+from repro.simulation.host import ProtocolHost
 from repro.simulation.stats import StatsSink, make_stats_sink
 from repro.sketches.combiners import Combiner
 from repro.topology.base import Topology
@@ -104,7 +107,7 @@ class QueryOutcome:
         return row
 
 
-class QuerySession:
+class QuerySession(Session):
     """One query multiplexed onto the shared simulated network.
 
     Constructed by :meth:`~repro.service.service.QueryService.submit`;
@@ -114,12 +117,11 @@ class QuerySession:
     """
 
     __slots__ = (
-        "qid", "protocol", "query", "querying_host", "seed", "launch_at",
+        "protocol", "query", "querying_host", "seed", "launch_at",
         "repetitions", "combiner", "d_hat_hint", "stats_mode", "delay_spec",
-        "topology", "values", "join_factory", "stream", "extra",
+        "topology", "values", "stream", "extra",
         # launch-time state
-        "status", "hosts", "sink", "sample", "delay_model", "d_hat",
-        "termination", "t0", "ends_at", "value", "declared_at",
+        "status", "delay_model", "d_hat", "value", "declared_at",
         # shared-flood cache wiring
         "share_key", "shared_from",
     )
@@ -143,7 +145,7 @@ class QuerySession:
         stream: Optional[int] = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self.qid = qid
+        super().__init__(qid, join_factory=join_factory)
         self.protocol = protocol
         self.query = query
         self.querying_host = querying_host
@@ -156,19 +158,13 @@ class QuerySession:
         self.delay_spec = delay
         self.topology = topology
         self.values = values
-        self.join_factory = join_factory
         self.stream = stream
         self.extra = dict(extra or {})
 
         self.status = QueryStatus.PENDING
-        self.hosts: Optional[list] = None
-        self.sink: Optional[StatsSink] = None
-        self.sample = None
         self.delay_model = None
         self.d_hat = 0
         self.termination = 0.0
-        self.t0 = 0.0
-        self.ends_at = float("inf")
         self.value: Optional[float] = None
         self.declared_at: Optional[float] = None
         # Set by the service when flood sharing is on: the session's
@@ -184,8 +180,9 @@ class QuerySession:
         """Materialise protocol state at the launch instant.
 
         Returns True when the session went live; False when the querying
-        host was dead at launch (status becomes ``FAILED``), mirroring the
-        solo engine's QUERY_START liveness check.
+        host was dead at launch (status becomes ``FAILED``), mirroring
+        :class:`~repro.simulation.engine.Simulator`'s QUERY_START
+        liveness check.
         """
         if not engine.network.is_alive(self.querying_host):
             # Fail before building the O(N) per-host state table; the
@@ -248,16 +245,6 @@ class QuerySession:
         self.extra["shared_with"] = leader.qid
         comp.subscribers.append(self.qid)
 
-    def _joined_host(self, host_id: int) -> ProtocolHost:
-        if self.join_factory is not None:
-            return self.join_factory(host_id)
-        return InertHost(host_id)
-
-    def on_join(self, host_id: int) -> None:
-        """Extend the host table for a host that joined mid-session."""
-        if self.hosts is not None:
-            self.hosts.append(self._joined_host(host_id))
-
     def finalize(self) -> None:
         """Declare the query's value and release its protocol state."""
         if self.status is not QueryStatus.RUNNING:
@@ -299,62 +286,4 @@ class QuerySession:
             termination=self.termination,
             stream=self.stream,
             extra=dict(self.extra),
-        )
-
-
-class SessionContext(HostContext):
-    """A :class:`HostContext` bound to one session's virtual clock.
-
-    ``now`` is query-local time (engine time minus the session's launch
-    instant), sends stamp the session's query id onto every message and
-    account against the session's private sink, and timers are filed back
-    into the shared calendar queue at ``t0 + virtual_time`` with a
-    ``(session, name)`` demux tag.  The engine reuses one instance across
-    stimuli, rebinding it per handler call exactly like the solo kernel's
-    context; protocol code cannot tell the difference.
-    """
-
-    __slots__ = ("session",)
-
-    def __init__(self, engine: "MuxEngine") -> None:
-        super().__init__(engine, 0, 0.0, 0)
-        self.session: Optional[QuerySession] = None
-
-    def send(self, dest: int, kind: str, payload: Mapping[str, Any]) -> bool:
-        return self._simulator.session_send(
-            self.session, self.host_id, dest, kind, payload,
-            self.now, self._chain_depth + 1,
-        )
-
-    def send_to_neighbors(
-        self,
-        kind: str,
-        payload: Mapping[str, Any],
-        exclude: Optional[Iterable[int]] = None,
-    ) -> int:
-        engine = self._simulator
-        targets = engine.network.alive_neighbors_sorted(self.host_id)
-        if exclude is not None:
-            excluded = set(exclude)
-            if excluded:
-                targets = [t for t in targets if t not in excluded]
-        if not targets:
-            return 0
-        engine.session_multicast(
-            self.session, self.host_id, targets, kind, payload,
-            self.now, self._chain_depth + 1, True,
-        )
-        return len(targets)
-
-    def set_timer(self, delay: float, name: str, data: Any = None) -> None:
-        if delay < 0:
-            raise ValueError("timer delay must be non-negative")
-        session = self.session
-        # The virtual fire time rides in the demux tag: re-deriving it
-        # from the absolute instant (``abs - t0``) would lose float
-        # precision and perturb deadline comparisons vs a solo run.
-        vfire = self.now + delay
-        self._simulator._queue.push_timer(
-            session.t0 + vfire, self.host_id,
-            (session, name, vfire), (data, self._chain_depth),
         )

@@ -1,19 +1,40 @@
-"""The discrete-event simulation engine.
+"""The discrete-event simulation engine: one loop, keyed by session.
 
-The :class:`Simulator` drives a set of :class:`~repro.simulation.host.ProtocolHost`
-state machines over a :class:`~repro.simulation.network.DynamicNetwork`,
-delivering messages within the per-hop delay bound ``delta`` (realised
-delays come from a pluggable :class:`~repro.simulation.delay.DelayModel`;
-the default is the paper's worst case of exactly ``delta`` per hop),
-executing a churn schedule, and accounting costs through a pluggable
-:class:`~repro.simulation.stats.StatsSink` as defined in the paper's
-Section 6.3.
+The paper's setting is one dynamic network on which *many* users issue
+aggregate queries; a single query is the one-user case.  The code says
+it once.  :class:`EventEngine` drives any number of :class:`Session`
+objects -- one query's :class:`~repro.simulation.host.ProtocolHost`
+state machines, cost sink, delay stream and launch instant ``t0`` --
+over one :class:`~repro.simulation.network.DynamicNetwork` and one
+calendar :class:`~repro.simulation.events.EventQueue`:
+
+* message deliveries route on ``Message.query_id`` and timers on the
+  session they were filed with; both carry their *query-local* instant
+  (computed with the arithmetic ``now + delay`` a lone query performs),
+  while the calendar orders them at ``t0 + local`` -- IEEE addition is
+  monotone, so a session's events never reorder, and ``0.0 + x == x``
+  exactly, so a session launched at 0 sees the very floats it would
+  see alone;
+* sends are accounted to the session's private
+  :class:`~repro.simulation.stats.StatsSink` (the paper's Section 6.3
+  costs) and delayed by its private
+  :class:`~repro.simulation.delay.DelayModel` stream (``None`` = the
+  paper's worst case of exactly ``delta`` per hop);
+* churn (FAIL / JOIN) is shared: it mutates the one network and fans out
+  to every live session's host table.
+
+:class:`Simulator` is that engine with exactly one session that never
+retires (``qid 0``, ``t0 = 0.0``) plus the kernel-lane gate in front of
+the loop; the multi-tenant :class:`~repro.service.engine.MuxEngine` adds
+what only a service has -- the QUERY_START control plane, session
+retirement and late-delivery tallies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from math import inf
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.simulation.churn import ChurnSchedule
 from repro.simulation.clock import SimulationClock
@@ -22,10 +43,9 @@ from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
-from repro.simulation.stats import CostAccounting, StatsSink, make_stats_sink
+from repro.simulation.stats import StatsSink, make_stats_sink
 from repro.simulation.vector_lane import DEFAULT_LANE, validate_lane
 from repro.obs.trace import Tracer, default_tracer
-
 
 @dataclass
 class SimulationResult:
@@ -54,149 +74,171 @@ class SimulationResult:
     fallback_reason: Optional[str] = None
 
 
-class Simulator:
-    """Event-driven executor for aggregation protocols on dynamic networks.
+class Session:
+    """What the event engine knows of one query.
+
+    Attributes:
+        qid: the id stamped on every message of the query (the demux key).
+        t0: engine time of the query's launch; protocol code sees
+            ``engine time - t0``.
+        hosts: one protocol state machine per network host, indexed by
+            host id (``None`` while the session holds no protocol state).
+        sink: the query's private cost accounting.
+        sample: the query's realised-delay sampler (``None`` = fixed
+            ``delta``).
+        termination: query-local instant after which the query's
+            stimuli are no longer delivered.
+        ends_at: the same instant in engine time.
+        join_factory: builds the protocol state of a host that joins
+            mid-query (``None`` = an :class:`InertHost`).
+
+    A fresh session never expires (``termination = ends_at = inf``); the
+    query service narrows both at launch.
+    """
+
+    __slots__ = ("qid", "t0", "hosts", "sink", "sample", "termination",
+                 "ends_at", "join_factory")
+
+    def __init__(
+        self,
+        qid: int,
+        hosts: Optional[List[ProtocolHost]] = None,
+        sink: Optional[StatsSink] = None,
+        sample: Optional[Callable[[int, int, float], float]] = None,
+        join_factory: Optional[Callable[[int], ProtocolHost]] = None,
+    ) -> None:
+        self.qid = qid
+        self.t0 = 0.0
+        self.hosts = hosts
+        self.sink = sink
+        self.sample = sample
+        self.termination = inf
+        self.ends_at = inf
+        self.join_factory = join_factory
+
+    def _joined_host(self, host_id: int) -> ProtocolHost:
+        if self.join_factory is not None:
+            return self.join_factory(host_id)
+        return InertHost(host_id)
+
+    def on_join(self, host_id: int) -> None:
+        """Extend the host table for a host that joined mid-session."""
+        if self.hosts is not None:
+            self.hosts.append(self._joined_host(host_id))
+
+
+class EventEngine:
+    """The event loop shared by :class:`Simulator` and the query service.
+
+    A subclass says what a QUERY_START event means
+    (``_on_query_start(time, event, ctx)``); one whose sessions expire
+    also pushes their ``(ends_at, qid)`` deadlines and supplies
+    ``_retire_front()`` and ``_late(message)``, which the loop reaches
+    only through a deadline or a message of a session no longer live.
 
     Args:
-        network: the (mutable) dynamic network the protocol runs on.
-        hosts: one protocol state machine per host id; the list is indexed
-            by host id and must cover every host in the network.
-        querying_host: the host at which the query is issued at time 0.
-        delta: maximum per-hop message delay (the paper's ``delta``).
-            This is the *bound* every protocol's timer math relies on;
-            realised delays are drawn from ``delay_model`` and never
-            exceed it.
-        churn: schedule of host failures/joins to apply during the run.
+        network: the (mutable) dynamic network every session runs on.
+        delta: maximum per-hop message delay (the paper's ``delta``):
+            the *bound* every protocol's timer math relies on.
+        churn: schedule of host failures/joins to apply.
         wireless: when True, a multicast to all neighbors of a host counts
             as one transmission (the sensor-network broadcast medium).
-        max_time: hard stop for the simulation clock; runs longer than this
-            raise, which catches protocols that fail to terminate.
-        delay_model: realised per-message delay policy (see
-            :mod:`repro.simulation.delay`); ``None`` or a spec string
-            resolving to ``fixed`` selects the historical exact-``delta``
-            fast path.  A model instance must carry ``bound == delta``.
-        stats: cost accounting sink -- ``"full"``, ``"streaming"`` for
-            the bounded-memory accumulator, a ready-made
-            :class:`~repro.simulation.stats.StatsSink`, or ``None`` for
-            the process-wide default mode (``"full"`` unless changed).
+        max_time: hard stop for the engine clock.  A drain-to-empty run
+            (no ``until``) that reaches it with events still pending
+            raises, which catches protocols that fail to terminate.
         tracer: structured trace sink (see :mod:`repro.obs.trace`);
             ``None`` resolves the process-wide default *once* here.  With
-            no tracer bound the run loop performs a single pointer check
-            per event and nothing else -- tracing observes, it never
-            perturbs RNG streams, event ordering, or cost accounting.
-        lane: kernel lane -- ``"vector"`` (the default,
-            :data:`~repro.simulation.vector_lane.DEFAULT_LANE`) asks for
-            the per-tick batch lane (:mod:`~repro.simulation.vector_lane`),
-            whose gate engages it when the run is supported (fixed delay,
-            no joins, no tracer, kernel-supported hosts) and otherwise
-            falls back to the spec loop, recording why on the result's
-            ``fallback_reason``.  ``"python"`` requests the spec loop
-            itself -- one event per iteration, the executable spec every
-            lane is locked to.  ``"sharded"`` asks for the multiprocess
-            epoch-synchronous lane (:mod:`~repro.simulation.sharded`),
-            which partitions the host range across ``shards`` worker
-            processes under the same gate contract.  ``lane_used``
-            (here and on the result) records which lane executed.
-        shards: worker-process count for the sharded lane (ignored by the
-            other lanes); ``1`` runs the sharded protocol in-process.
+            no tracer bound the loop performs a single pointer check per
+            event and nothing else -- tracing observes, it never perturbs
+            RNG streams, event ordering, or cost accounting.  Trace times
+            are query-local and carry the query id, so one trace
+            demultiplexes per session.
     """
 
     def __init__(
         self,
         network: DynamicNetwork,
-        hosts: Sequence[ProtocolHost],
-        querying_host: int,
-        delta: float = 1.0,
-        churn: Optional[ChurnSchedule] = None,
-        wireless: bool = False,
-        max_time: float = 1_000_000.0,
-        delay_model: Union[DelayModel, str, None] = None,
-        stats: Union[StatsSink, str, None] = None,
-        tracer: Optional[Tracer] = None,
-        lane: str = DEFAULT_LANE,
-        shards: int = 1,
+        delta: float,
+        churn: Optional[ChurnSchedule],
+        wireless: bool,
+        max_time: float,
+        tracer: Optional[Tracer],
     ) -> None:
-        if len(hosts) < network.num_hosts:
-            raise ValueError(
-                f"expected at least {network.num_hosts} protocol hosts, got {len(hosts)}"
-            )
-        if not network.is_alive(querying_host):
-            raise ValueError("the querying host must be alive at time 0")
         if delta <= 0:
             raise ValueError("delta must be positive")
         self.network = network
-        self.hosts: List[ProtocolHost] = list(hosts)
-        self.querying_host = querying_host
         self.delta = float(delta)
         self.wireless = wireless
         self.max_time = float(max_time)
         self.clock = SimulationClock()
-        self.costs = make_stats_sink(stats, num_hosts=network.num_hosts,
-                                     tick_width=self.delta)
-        # ``None`` marks the fixed-delay fast path: deliveries land exactly
-        # ``delta`` after their send and multicasts share one ring slot.
-        self.delay_model = delay_model_from_spec(delay_model, self.delta)
-        self._sample_delay = (
-            None if self.delay_model is None else self.delay_model.sample
-        )
         self._queue = EventQueue(width=self.delta)
         self._churn = churn or ChurnSchedule.empty()
-        self._stopped = False
+        # qid -> live session (the demux table), and the (ends_at, qid)
+        # heap of sessions due to leave it (empty while none expires).
+        self._active: Dict[int, Session] = {}
+        self._ends_heap: List[Tuple[float, int]] = []
         self._fail_callbacks: List[Callable[[int, float], None]] = []
+        # Engine-wide tallies (per-query accounting lives on the sinks).
+        self.messages_sent = 0
+        self.dropped_messages = 0
+        self.events_processed = 0
         self.tracer = tracer if tracer is not None else default_tracer()
-        self.lane = validate_lane(lane)
-        if int(shards) < 1:
-            raise ValueError("shards must be at least 1")
-        self.shards = int(shards)
-        #: Which lane :meth:`run` actually executed (``None`` before it).
-        self.lane_used: Optional[str] = None
+
+    def on_host_failure(self, callback: Callable[[int, float], None]) -> None:
+        """Register an observer invoked as ``callback(host, time)`` on failures."""
+        self._fail_callbacks.append(callback)
 
     # ------------------------------------------------------------------
     # Scheduling API used by HostContext
     # ------------------------------------------------------------------
-    def submit_message(
+    def session_send(
         self,
+        session: Session,
         sender: int,
         dest: int,
         kind: str,
         payload: Mapping[str, Any],
-        time: float,
+        vnow: float,
         chain_depth: int,
     ) -> bool:
-        """Queue a unicast message for delivery within ``delta`` time."""
+        """Queue one unicast of ``session`` for delivery within ``delta``.
+
+        ``vnow`` is the session's query-local time; the sink is keyed by
+        it while the delivery is filed at the corresponding engine time.
+        """
         network = self.network
         if not network.is_alive(sender):
             return False
         if not network.has_alive_edge(sender, dest):
             return False
-        message = Message(
-            sender=sender,
-            dest=dest,
-            kind=kind,
-            payload=dict(payload),
-            sent_at=time,
-            chain_depth=chain_depth,
-        )
-        self.costs.record_send(kind, time)
+        sample = session.sample
+        delay = self.delta if sample is None else sample(sender, dest, vnow)
+        # The query-local delivery instant is computed with the arithmetic
+        # a lone query performs (``vnow + delay``); the engine instant
+        # only orders the shared calendar.
+        vdeliver = vnow + delay
+        message = Message(sender, dest, kind, dict(payload), vnow,
+                          chain_depth, False, session.qid, vdeliver)
+        session.sink.record_send(kind, vnow)
+        self.messages_sent += 1
         tracer = self.tracer
         if tracer is not None:
-            tracer.send(time, sender, dest, kind)
-        sample = self._sample_delay
-        delay = self.delta if sample is None else sample(sender, dest, time)
-        self._queue.push_deliver(time + delay, message)
+            tracer.send(vnow, sender, dest, kind, query_id=session.qid)
+        self._queue.push_deliver(session.t0 + vdeliver, message)
         return True
 
-    def submit_multicast(
+    def session_multicast(
         self,
+        session: Session,
         sender: int,
         dests: Sequence[int],
         kind: str,
         payload: Mapping[str, Any],
-        time: float,
+        vnow: float,
         chain_depth: int,
         trusted_dests: bool = False,
     ) -> None:
-        """Queue the same message to several neighbors.
+        """Queue the same message of ``session`` to several neighbors.
 
         On a wireless medium the whole batch counts as one transmission; on
         a point-to-point medium each destination is a separate message.
@@ -219,60 +261,303 @@ class Simulator:
             dests = [dest for dest in dests if dest in neighbors]
         if not dests:
             return
+        t0 = session.t0
         shared_payload = dict(payload)
         wireless = self.wireless
-        sample = self._sample_delay
+        qid = session.qid
+        sample = session.sample
         if sample is None:
             # Fixed delay: the whole multicast shares one delivery instant
             # and lands in the ring as a single lazily expanded batch (no
             # per-destination Message exists until its delivery pops).
-            self._queue.push_multicast(time + self.delta, sender, dests,
-                                       kind, shared_payload, time,
-                                       chain_depth, wireless)
+            vdeliver = vnow + self.delta
+            self._queue.push_multicast(t0 + vdeliver, sender, dests, kind,
+                                       shared_payload, vnow, chain_depth,
+                                       wireless, qid, vdeliver)
         else:
             # Variable delay: each destination gets its own realised delay
             # (still at most ``delta``), so messages are filed one by one.
             push_deliver = self._queue.push_deliver
             for dest in dests:
+                vdeliver = vnow + sample(sender, dest, vnow)
                 push_deliver(
-                    time + sample(sender, dest, time),
-                    Message(sender, dest, kind, shared_payload, time,
-                            chain_depth, wireless))
+                    t0 + vdeliver,
+                    Message(sender, dest, kind, shared_payload, vnow,
+                            chain_depth, wireless, qid, vdeliver))
+        sink = session.sink
         if wireless:
             # The whole batch is one over-the-air transmission; follow-on
             # group members are tracked separately for the summary.
-            self.costs.record_send(kind, time)
-            self.costs.record_wireless_group(len(dests) - 1)
+            sink.record_send(kind, vnow)
+            sink.record_wireless_group(len(dests) - 1)
+            self.messages_sent += 1
         else:
-            self.costs.record_send_batch(kind, time, len(dests))
+            sink.record_send_batch(kind, vnow, len(dests))
+            self.messages_sent += len(dests)
         tracer = self.tracer
         if tracer is not None:
-            tracer.send(time, sender, -1, kind, count=len(dests))
+            tracer.send(vnow, sender, -1, kind, count=len(dests),
+                        query_id=qid)
 
-    def schedule_timer(
+    # ------------------------------------------------------------------
+    # The loop
+    # ------------------------------------------------------------------
+    def _bound(self, until: Optional[float]) -> float:
+        """The engine-time horizon of a run asked to stop at ``until``."""
+        return self.max_time if until is None else min(until, self.max_time)
+
+    def _schedule_churn(self, limit: float) -> None:
+        """File the churn schedule's events up to ``limit``."""
+        for time, host in self._churn.failures:
+            if time <= limit:
+                self._queue.push(time, EventKind.FAIL, host=host)
+        for join in self._churn.joins:
+            if join.time <= limit:
+                self._queue.push(
+                    join.time, EventKind.JOIN, data=tuple(join.neighbors))
+
+    def _drain(self, until: Optional[float]) -> float:
+        """Consume every event due by ``until``; returns the horizon.
+
+        With no ``until`` the loop runs until the calendar queue drains
+        (every protocol in this repository terminates via timers, so it
+        does) and raises if ``max_time`` is reached first.  With
+        ``until``, events beyond the horizon stay queued and a later call
+        resumes them.
+
+        The two hot event kinds (message deliveries and timers, >99% of
+        traffic) are handled inline and everything else goes through
+        :meth:`_dispatch`.  One :class:`HostContext` -- a local, so the
+        engine holds no reference cycle -- is reused across stimuli (no
+        protocol retains it past the handler call), the clock is advanced
+        by direct assignment (the ring pops in non-decreasing time order
+        by construction), and the cyclic garbage collector is paused for
+        the duration of the loop -- simulation objects are acyclic, so the
+        periodic gen-0 scans triggered by the allocation rate are pure
+        overhead.  Per stimulus the demux costs one dict lookup for a
+        message, one tuple slot for a timer, and the deadline check that
+        retires expired sessions.
+        """
+        import gc
+
+        horizon = self._bound(until)
+        queue = self._queue
+        pop_due = queue.pop_due
+        clock = self.clock
+        # The network's packed alive bitmap (a bytearray: one byte per
+        # host, appended in place on joins, so the binding stays valid).
+        alive_flags = self.network._alive
+        active = self._active
+        ends_heap = self._ends_heap
+        timer = EventKind.TIMER
+        tracer = self.tracer
+        ctx = HostContext(self, None, 0, 0.0, 0)
+        events = 0
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while True:
+                front = pop_due(horizon)
+                if front is None:
+                    break
+                time, entry = front
+                clock._now = time
+                events += 1
+                # Retire sessions whose deadline has strictly passed.
+                # Safe: IEEE addition is monotone, so every event of a
+                # session with query-local time <= T sits at an engine
+                # time <= fl(t0 + T) == the session's heap key, and has
+                # therefore already been popped.
+                while ends_heap and ends_heap[0][0] < time:
+                    self._retire_front()
+                if entry.__class__ is Message:
+                    session = active.get(entry.query_id)
+                    # The deadline check runs in *query-local* time (exact,
+                    # the comparison a lone run's drain horizon makes).
+                    if session is None or entry.vtime > session.termination:
+                        self._late(entry)
+                        continue
+                    dest = entry.dest
+                    # Messages to hosts that failed in flight are lost.
+                    if not alive_flags[dest]:
+                        self.dropped_messages += 1
+                        session.sink.record_dropped()
+                        if tracer is not None:
+                            tracer.drop(entry.vtime, dest, entry.query_id)
+                        continue
+                    chain_depth = entry.chain_depth
+                    session.sink.record_processed(dest, chain_depth)
+                    if tracer is not None:
+                        tracer.deliver(entry.vtime, entry.sender, dest,
+                                       entry.kind, chain_depth,
+                                       entry.sent_at, entry.query_id)
+                    ctx.session = session
+                    ctx.host_id = dest
+                    ctx.now = entry.vtime
+                    ctx._chain_depth = chain_depth
+                    session.hosts[dest].on_message(entry, ctx)
+                elif entry.kind is timer:
+                    host = entry.host
+                    if not alive_flags[host]:
+                        continue
+                    data, chain_depth, session, vfire = entry.data
+                    # A session that declared has released its hosts.
+                    if session.hosts is None or vfire > session.termination:
+                        continue
+                    if tracer is not None:
+                        tracer.timer(vfire, host, entry.timer_name,
+                                     session.qid)
+                    ctx.session = session
+                    ctx.host_id = host
+                    ctx.now = vfire
+                    ctx._chain_depth = chain_depth
+                    session.hosts[host].on_timer(entry.timer_name, data, ctx)
+                else:
+                    self._dispatch(time, entry, ctx)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        self.events_processed += events
+        if until is None and queue:
+            raise RuntimeError(
+                f"run stopped at max_time={self.max_time} with {len(queue)} "
+                f"events still pending; the protocol did not terminate")
+        return horizon
+
+    def _issue_query(self, session: Session, host: int, time: float,
+                     ctx: HostContext) -> None:
+        """Run ``session``'s query-start hook at ``host``."""
+        ctx.session = session
+        ctx.host_id = host
+        ctx.now = time - session.t0
+        ctx._chain_depth = 0
+        session.hosts[host].on_query_start(ctx)
+
+    def _dispatch(self, time: float, event: Event, ctx: HostContext) -> None:
+        kind = event.kind
+        if kind is EventKind.QUERY_START:
+            self._on_query_start(time, event, ctx)
+        elif kind is EventKind.FAIL:
+            host = event.host
+            if not self.network.is_alive(host):
+                return
+            self.network.fail_host(host, time)
+            if self.tracer is not None:
+                self.tracer.fail(time, host)
+            for session in self._active.values():
+                # Sessions riding a shared flood hold no host table (the
+                # flood's own session sees the failure).
+                if time <= session.ends_at and session.hosts is not None:
+                    session.hosts[host].on_fail(time - session.t0)
+            for callback in self._fail_callbacks:
+                callback(host, time)
+        elif kind is EventKind.JOIN:
+            neighbors = [
+                h for h in (event.data or ()) if self.network.is_alive(h)
+            ]
+            if not neighbors:
+                return
+            new_id = self.network.join_host(neighbors, time)
+            if self.tracer is not None:
+                self.tracer.join(time, new_id)
+            for session in self._active.values():
+                session.on_join(new_id)
+        elif kind is EventKind.CUSTOM:
+            handler = event.data
+            if callable(handler):
+                handler(self)
+
+
+class Simulator(EventEngine):
+    """Event-driven executor for one aggregation query on a dynamic network.
+
+    Args:
+        network: the (mutable) dynamic network the protocol runs on.
+        hosts: one protocol state machine per host id; the list is indexed
+            by host id and must cover every host in the network.
+        querying_host: the host at which the query is issued at time 0.
+        delta: maximum per-hop message delay (the paper's ``delta``).
+            This is the *bound* every protocol's timer math relies on;
+            realised delays are drawn from ``delay_model`` and never
+            exceed it.
+        churn: schedule of host failures/joins to apply during the run.
+        wireless: when True, a multicast to all neighbors of a host counts
+            as one transmission (the sensor-network broadcast medium).
+        max_time: hard stop for the simulation clock; a drain-to-empty
+            run (no ``until``) that reaches it with events still pending
+            raises, which catches protocols that fail to terminate.
+        delay_model: realised per-message delay policy (see
+            :mod:`repro.simulation.delay`); ``None`` or a spec string
+            resolving to ``fixed`` selects the historical exact-``delta``
+            fast path.  A model instance must carry ``bound == delta``.
+        stats: cost accounting sink -- ``"full"``, ``"streaming"`` for
+            the bounded-memory accumulator, a ready-made
+            :class:`~repro.simulation.stats.StatsSink`, or ``None`` for
+            the process-wide default mode (``"full"`` unless changed).
+        tracer: structured trace sink (see :class:`EventEngine`).
+        lane: kernel lane -- ``"vector"`` (the default,
+            :data:`~repro.simulation.vector_lane.DEFAULT_LANE`) asks for
+            the per-tick batch lane (:mod:`~repro.simulation.vector_lane`),
+            whose gate engages it when the run is supported (fixed delay,
+            no joins, no tracer, kernel-supported hosts) and otherwise
+            falls back to the spec loop, recording why on the result's
+            ``fallback_reason``.  ``"python"`` requests the spec loop
+            itself -- one event per iteration, the executable spec every
+            lane is locked to.  ``"sharded"`` asks for the multiprocess
+            epoch-synchronous lane (:mod:`~repro.simulation.sharded`),
+            which partitions the host range across ``shards`` worker
+            processes under the same gate contract.  ``lane_used``
+            (here and on the result) records which lane executed.
+        shards: worker-process count for the sharded lane (ignored by the
+            other lanes); ``1`` runs the sharded protocol in-process.
+    """
+
+    #: Optional ``factory(host_id) -> ProtocolHost`` an experiment driver
+    #: attaches for hosts that join mid-run; without one a joining host
+    #: silently ignores all traffic.
+    join_host_factory: Optional[Callable[[int], ProtocolHost]] = None
+
+    def __init__(
         self,
-        host: int,
-        time: float,
-        name: str,
-        data: Any,
-        chain_depth: int,
+        network: DynamicNetwork,
+        hosts: Sequence[ProtocolHost],
+        querying_host: int,
+        delta: float = 1.0,
+        churn: Optional[ChurnSchedule] = None,
+        wireless: bool = False,
+        max_time: float = 1_000_000.0,
+        delay_model: Union[DelayModel, str, None] = None,
+        stats: Union[StatsSink, str, None] = None,
+        tracer: Optional[Tracer] = None,
+        lane: str = DEFAULT_LANE,
+        shards: int = 1,
     ) -> None:
-        """Schedule a timer event for ``host`` at absolute ``time``."""
-        self._queue.push(
-            time,
-            EventKind.TIMER,
-            host=host,
-            timer_name=name,
-            data=(data, chain_depth),
-        )
+        if len(hosts) < network.num_hosts:
+            raise ValueError(
+                f"expected at least {network.num_hosts} protocol hosts, got {len(hosts)}"
+            )
+        if not network.is_alive(querying_host):
+            raise ValueError("the querying host must be alive at time 0")
+        super().__init__(network, delta, churn, wireless, max_time, tracer)
+        self.hosts: List[ProtocolHost] = list(hosts)
+        self.querying_host = querying_host
+        self.costs = make_stats_sink(stats, num_hosts=network.num_hosts,
+                                     tick_width=self.delta)
+        # ``None`` marks the fixed-delay fast path: deliveries land exactly
+        # ``delta`` after their send and multicasts share one ring slot.
+        self.delay_model = delay_model_from_spec(delay_model, self.delta)
+        #: The run's one session: launched at 0, never retired.
+        self.session = Session(
+            0, self.hosts, self.costs,
+            None if self.delay_model is None else self.delay_model.sample)
+        self._active[0] = self.session
+        self.lane = validate_lane(lane)
+        if int(shards) < 1:
+            raise ValueError("shards must be at least 1")
+        self.shards = int(shards)
+        #: Which lane :meth:`run` actually executed (``None`` before it).
+        self.lane_used: Optional[str] = None
 
-    def on_host_failure(self, callback: Callable[[int, float], None]) -> None:
-        """Register an observer invoked as ``callback(host, time)`` on failures."""
-        self._fail_callbacks.append(callback)
-
-    # ------------------------------------------------------------------
-    # Run loop
-    # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> SimulationResult:
         """Execute the protocol and return the querying host's result.
 
@@ -282,7 +567,7 @@ class Simulator:
                 this repository terminate via timers, so the queue always
                 drains).
         """
-        horizon = min(until, self.max_time) if until is not None else self.max_time
+        horizon = self._bound(until)
         self._schedule_churn(horizon)
         self._queue.push(0.0, EventKind.QUERY_START, host=self.querying_host)
 
@@ -300,203 +585,20 @@ class Simulator:
                 self.lane_used = result.lane_used = self.lane
                 return result
         self.lane_used = "python"
-
-        # The run loop handles the two hot event kinds (message deliveries
-        # and timers, >99% of traffic) inline and routes everything else
-        # through ``_dispatch``; semantics are identical to dispatching all
-        # kinds, this just removes two function-call hops per event.  One
-        # HostContext is reused across stimuli (no protocol retains it past
-        # the handler call), the clock is advanced by direct assignment
-        # (the ring pops in non-decreasing time order by construction), and
-        # the cyclic garbage collector is paused for the duration of the
-        # loop -- simulation objects are acyclic, so the periodic gen-0
-        # scans triggered by the allocation rate are pure overhead.
-        import gc
-
-        queue = self._queue
-        pop_due = queue.pop_due
-        clock = self.clock
-        network = self.network
-        # The network's packed alive bitmap (a bytearray: one byte per
-        # host, appended in place on joins, so the binding stays valid).
-        alive_flags = network._alive
-        hosts = self.hosts
-        costs = self.costs
-        # The default full accounting keeps its per-host Counter inlined in
-        # the loop (one dict bump per message); any other sink goes through
-        # its record_processed hook, which streaming sinks keep O(1).
-        if type(costs) is CostAccounting:
-            processed = costs.messages_processed
-            record_processed = None
-        else:
-            processed = None
-            record_processed = costs.record_processed
-        timer = EventKind.TIMER
-        tracer = self.tracer
-        ctx = HostContext(self, 0, 0.0, 0)
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            while not self._stopped:
-                front = pop_due(horizon)
-                if front is None:
-                    break
-                time, entry = front
-                clock._now = time
-                if entry.__class__ is Message:
-                    dest = entry.dest
-                    # Messages to hosts that failed in flight are lost.
-                    if not alive_flags[dest]:
-                        costs.dropped_messages += 1
-                        if tracer is not None:
-                            tracer.drop(time, dest)
-                        continue
-                    chain_depth = entry.chain_depth
-                    if processed is not None:
-                        processed[dest] += 1
-                        if chain_depth > costs.max_chain_depth:
-                            costs.max_chain_depth = chain_depth
-                    else:
-                        record_processed(dest, chain_depth)
-                    if tracer is not None:
-                        tracer.deliver(time, entry.sender, dest, entry.kind,
-                                       chain_depth, entry.sent_at)
-                    ctx.host_id = dest
-                    ctx.now = time
-                    ctx._chain_depth = chain_depth
-                    hosts[dest].on_message(entry, ctx)
-                elif entry.kind is timer:
-                    host = entry.host
-                    if not alive_flags[host]:
-                        continue
-                    info = entry.data
-                    if info is not None:
-                        data, chain_depth = info
-                    else:
-                        data = None
-                        chain_depth = 0
-                    if tracer is not None:
-                        tracer.timer(time, host, entry.timer_name or "")
-                    ctx.host_id = host
-                    ctx.now = time
-                    ctx._chain_depth = chain_depth
-                    hosts[host].on_timer(entry.timer_name or "", data, ctx)
-                else:
-                    self._dispatch(entry)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-        finished = self.clock.now
-        value = self.hosts[self.querying_host].local_result()
+        self.session.join_factory = self.join_host_factory
+        self._drain(until)
         return SimulationResult(
-            value=value,
+            value=self.hosts[self.querying_host].local_result(),
             costs=self.costs,
-            finished_at=finished,
+            finished_at=self.clock.now,
             querying_host=self.querying_host,
             fallback_reason=fallback_reason,
         )
 
-    def stop(self) -> None:
-        """Stop the run after the current event (used by custom handlers)."""
-        self._stopped = True
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _schedule_churn(self, horizon: float) -> None:
-        for time, host in self._churn.failures:
-            if time <= horizon:
-                self._queue.push(time, EventKind.FAIL, host=host)
-        for join in self._churn.joins:
-            if join.time <= horizon:
-                self._queue.push(
-                    join.time, EventKind.JOIN, data=tuple(join.neighbors)
-                )
-
-    def _dispatch(self, event: Event) -> None:
-        if event.kind is EventKind.QUERY_START:
-            self._handle_query_start(event)
-        elif event.kind is EventKind.DELIVER:
-            self._handle_deliver(event)
-        elif event.kind is EventKind.TIMER:
-            self._handle_timer(event)
-        elif event.kind is EventKind.FAIL:
-            self._handle_fail(event)
-        elif event.kind is EventKind.JOIN:
-            self._handle_join(event)
-        elif event.kind is EventKind.CUSTOM:
-            handler = event.data
-            if callable(handler):
-                handler(self)
-
-    def _handle_query_start(self, event: Event) -> None:
-        host = event.host
-        assert host is not None
-        if not self.network.is_alive(host):
-            return
-        ctx = HostContext(self, host, self.clock.now, chain_depth=0)
-        self.hosts[host].on_query_start(ctx)
-
-    def _handle_deliver(self, event: Event) -> None:
-        message = event.message
-        assert message is not None
-        dest = message.dest
-        # Messages to hosts that failed while the message was in flight are
-        # lost; the sender may detect this via heartbeats but the base model
-        # simply drops them.
-        if not self.network.is_alive(dest):
-            self.costs.record_dropped()
-            if self.tracer is not None:
-                self.tracer.drop(self.clock.now, dest)
-            return
-        self.costs.record_processed(dest, message.chain_depth)
-        if self.tracer is not None:
-            self.tracer.deliver(self.clock.now, message.sender, dest,
-                                message.kind, message.chain_depth,
-                                message.sent_at)
-        ctx = HostContext(self, dest, self.clock.now, chain_depth=message.chain_depth)
-        self.hosts[dest].on_message(message, ctx)
-
-    def _handle_timer(self, event: Event) -> None:
-        host = event.host
-        assert host is not None
-        if not self.network.is_alive(host):
-            return
-        info = event.data
-        data, chain_depth = info if info is not None else (None, 0)
-        ctx = HostContext(self, host, self.clock.now, chain_depth=chain_depth)
-        self.hosts[host].on_timer(event.timer_name or "", data, ctx)
-
-    def _handle_fail(self, event: Event) -> None:
-        host = event.host
-        assert host is not None
-        if not self.network.is_alive(host):
-            return
-        self.network.fail_host(host, self.clock.now)
-        if self.tracer is not None:
-            self.tracer.fail(self.clock.now, host)
-        self.hosts[host].on_fail(self.clock.now)
-        for callback in self._fail_callbacks:
-            callback(host, self.clock.now)
-
-    def _handle_join(self, event: Event) -> None:
-        neighbors = [
-            h for h in (event.data or ()) if self.network.is_alive(h)
-        ]
-        if not neighbors:
-            return
-        new_id = self.network.join_host(neighbors, self.clock.now)
-        if self.tracer is not None:
-            self.tracer.join(self.clock.now, new_id)
-        # Joining hosts get a default protocol state cloned from the factory
-        # attached by the experiment driver; if none was provided the host
-        # silently ignores all traffic.
-        factory = getattr(self, "join_host_factory", None)
-        if factory is not None:
-            self.hosts.append(factory(new_id))
-        else:
-            self.hosts.append(InertHost(new_id))
+    def _on_query_start(self, time: float, event: Event,
+                        ctx: HostContext) -> None:
+        if self.network.is_alive(event.host):
+            self._issue_query(self.session, event.host, time, ctx)
 
 
 class InertHost(ProtocolHost):

@@ -32,8 +32,11 @@ within a day, the drain order is identical to a single global heap of
 timestamps for every ``width`` -- the calendar only changes how much
 heap work each push and pop performs.
 
-The public API (``push`` / ``pop`` / ``peek_time`` / ``cancel`` /
-``drain``) is unchanged from the heap implementation.
+The engine drives the queue through the fast paths -- ``push_deliver`` /
+``push_multicast`` / ``push_timer`` in, ``pop_due`` out (one call site:
+``EventEngine._drain``) -- and the tick lanes' gate through
+``drain_until`` / ``ingest_events``; ``push`` / ``pop`` / ``peek_time`` /
+``cancel`` / ``drain`` are the generic :class:`Event` API.
 """
 
 from __future__ import annotations
@@ -163,9 +166,9 @@ class EventQueue:
     ``occupancy()`` stay exact under any interleaving of push/pop/cancel.
 
     Time-validity contract: **every** scheduling entry point (``push``,
-    ``push_deliver``, ``push_timer``, ``extend_delivers``,
-    ``push_multicast``) rejects negative times with :class:`ValueError`.
-    The check is performed inline on all five paths -- it is one float
+    ``push_deliver``, ``push_timer``, ``push_multicast``) rejects
+    negative times with :class:`ValueError`.
+    The check is performed inline on all four paths -- it is one float
     comparison per call, which is not measurable against the dict lookup
     and list append each push already performs, and it keeps the contract
     in one place instead of hoisting it to every caller.
@@ -288,20 +291,6 @@ class EventQueue:
         self._size += 1
         return event
 
-    def extend_delivers(self, time: float, messages: List[Message]) -> None:
-        """Bulk :meth:`push_deliver`: append one multicast's messages.
-
-        All messages of a multicast share the delivery instant, so the
-        whole batch lands in one slot bucket with a single call.
-        """
-        if time < 0:
-            raise ValueError("events cannot be scheduled at negative times")
-        slot = self._slot_at(time)
-        slot.buckets[_DELIVER_PRIORITY].extend(messages)
-        if _DELIVER_PRIORITY < slot.min_pri:
-            slot.min_pri = _DELIVER_PRIORITY
-        self._size += len(messages)
-
     def push_multicast(
         self,
         time: float,
@@ -317,17 +306,16 @@ class EventQueue:
     ) -> None:
         """Schedule one multicast's deliveries without materialising them.
 
-        Drain-order-equivalent to building the per-destination
-        :class:`Message` list and calling :meth:`extend_delivers`, but the
-        ring holds one compact :class:`_DeliverBatch` record instead of
-        ``len(dests)`` message objects; :meth:`pop_due` mints each message
-        at its delivery instant.  This is the fixed-delay multicast fast
-        path of both the solo and the multi-tenant engine.
+        Drain-order-equivalent to one :meth:`push_deliver` per
+        destination, in ``dests`` order, but the ring holds one compact
+        :class:`_DeliverBatch` record instead of ``len(dests)`` message
+        objects; :meth:`pop_due` mints each message at its delivery
+        instant.  This is the engine's fixed-delay multicast fast path.
         """
         if time < 0:
             raise ValueError("events cannot be scheduled at negative times")
         if not dests:
-            return  # same no-op contract as extend_delivers([])
+            return
         slot = self._slot_at(time)
         slot.buckets[_DELIVER_PRIORITY].append(
             _DeliverBatch(sender, dests, kind, payload, sent_at,

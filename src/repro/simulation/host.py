@@ -3,11 +3,18 @@
 Protocols are written as per-host state machines.  Each host reacts to three
 stimuli -- the local query start (only at the querying host), the receipt of
 a message, and the expiry of a local timer -- and may respond by sending
-messages to neighbors or setting further timers.  The simulator mediates all
+messages to neighbors or setting further timers.  The engine mediates all
 interaction through a :class:`HostContext`, which also enforces the network
 model (messages only travel along alive edges, each hop taking at most
-``delta`` -- the realised delay comes from the engine's
+``delta`` -- the realised delay comes from the session's
 :class:`~repro.simulation.delay.DelayModel`).
+
+There is one context class.  It is bound to the engine and to the *session*
+(one query's hosts, cost sink, delay stream and launch instant ``t0``, see
+:class:`~repro.simulation.engine.Session`) the stimulus belongs to; ``now``
+is query-local time, so a protocol computes its deadlines as if its query
+started at 0 whether it runs alone (``t0 = 0.0``) or as one of many tenants
+of the query service.
 """
 
 from __future__ import annotations
@@ -18,33 +25,37 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Se
 from repro.simulation.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.simulation.engine import Simulator
+    from repro.simulation.engine import EventEngine, Session
 
 
 class HostContext:
-    """The simulator-facing API available to a protocol host.
+    """The engine-facing API available to a protocol host.
 
-    The context handed to the host for a stimulus is bound to the host id,
-    the current simulation time, and the causal chain depth of the
-    triggering event so that the time-cost metric can be computed without
-    protocol cooperation.  The simulator may *reuse* one context object
-    across stimuli (rebinding it between handler calls), so protocol code
-    must not retain a context past the handler invocation it was passed to.
+    The context handed to the host for a stimulus is bound to the session
+    the stimulus belongs to, the host id, the current query-local time, and
+    the causal chain depth of the triggering event so that the time-cost
+    metric can be computed without protocol cooperation.  The engine
+    *reuses* one context object across stimuli (rebinding it between
+    handler calls), so protocol code must not retain a context past the
+    handler invocation it was passed to.
     """
 
-    __slots__ = ("_simulator", "host_id", "now", "_chain_depth")
+    __slots__ = ("_simulator", "session", "host_id", "now", "_chain_depth")
 
     def __init__(
         self,
-        simulator: "Simulator",
+        simulator: "EventEngine",
+        session: "Optional[Session]",
         host: int,
         now: float,
         chain_depth: int,
     ) -> None:
         self._simulator = simulator
+        #: The session whose sink, delay stream and clock sends go through.
+        self.session = session
         #: The id of the host this context is bound to.
         self.host_id = host
-        #: Current simulation time.
+        #: Current query-local time (engine time minus the session's ``t0``).
         self.now = now
         self._chain_depth = chain_depth
 
@@ -87,13 +98,9 @@ class HostContext:
         destination may still fail before delivery), False if ``dest`` is not
         an alive neighbor at send time.
         """
-        return self._simulator.submit_message(
-            sender=self.host_id,
-            dest=dest,
-            kind=kind,
-            payload=payload,
-            time=self.now,
-            chain_depth=self._chain_depth + 1,
+        return self._simulator.session_send(
+            self.session, self.host_id, dest, kind, payload,
+            self.now, self._chain_depth + 1,
         )
 
     def send_to_neighbors(
@@ -120,8 +127,8 @@ class HostContext:
         # ``targets`` was just derived from the network's alive-neighbor
         # view, so the multicast can skip re-checking each destination
         # (positional call: this is the kernel's hottest send path).
-        self._simulator.submit_multicast(
-            self.host_id, targets, kind, payload, self.now,
+        self._simulator.session_multicast(
+            self.session, self.host_id, targets, kind, payload, self.now,
             self._chain_depth + 1, True,
         )
         return len(targets)
@@ -130,11 +137,14 @@ class HostContext:
         """Schedule a timer for this host ``delay`` time units from now."""
         if delay < 0:
             raise ValueError("timer delay must be non-negative")
-        # Equivalent to Simulator.schedule_timer, via the queue's timer
-        # fast path (zero-delay flush timers fire once per host-instant).
+        session = self.session
+        # The query-local fire time rides with the timer: re-deriving it
+        # from the absolute instant (``abs - t0``) would lose float
+        # precision and perturb deadline comparisons against a solo run.
+        vfire = self.now + delay
         self._simulator._queue.push_timer(
-            self.now + delay, self.host_id, name,
-            (data, self._chain_depth),
+            session.t0 + vfire, self.host_id, name,
+            (data, self._chain_depth, session, vfire),
         )
 
 

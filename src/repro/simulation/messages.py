@@ -32,25 +32,28 @@ class Message:
         dest: host id of the destination host (a neighbor of the sender).
         kind: protocol-defined message kind (e.g. ``"broadcast"``).
         payload: protocol-defined immutable mapping of message fields.
-        sent_at: simulation time at which the message was sent.
+        sent_at: query-local time at which the message was sent (on the
+            clock ``vtime`` is on).
         chain_depth: 1 + the chain depth of the message whose receipt caused
             this one to be sent; used for the time-cost metric.
         wireless: True when the message was sent over a broadcast medium to
             all neighbors at once (counted once for communication cost).
-        query_id: identifier of the query session this message belongs to.
-            Single-query simulations leave it at 0; the multi-tenant
-            :mod:`repro.service` layer stamps every message with its
-            session id so one shared event loop can demultiplex traffic
-            from many concurrent queries back to the right per-query
-            protocol instances.
-        vtime: the *query-local* (virtual) delivery time, used only by
-            the service demux.  A session launched at engine time ``t0``
-            runs its protocol on a clock where the query starts at 0;
-            carrying the virtual delivery instant explicitly (computed
-            with the same arithmetic a solo run uses, rather than
-            re-derived as ``engine_time - t0``) keeps per-query event
-            timing exact in floating point, which the bit-identical
-            solo-equivalence guarantee relies on.  Solo runs leave it 0.
+        query_id: identifier of the query session this message belongs to,
+            stamped at send time so the one event loop can demultiplex
+            traffic from many concurrent queries back to the right
+            per-query protocol instances.  A
+            :class:`~repro.simulation.engine.Simulator`'s single session
+            is query 0; the multi-tenant :mod:`repro.service` numbers
+            its sessions from 1.
+        vtime: the *query-local* (virtual) delivery time.  A session
+            launched at engine time ``t0`` runs its protocol on a clock
+            where the query starts at 0; carrying the virtual delivery
+            instant explicitly (computed as ``now + delay``, the
+            arithmetic a lone query performs, rather than re-derived as
+            ``engine_time - t0``) keeps per-query event timing exact in
+            floating point, which the bit-identical solo-equivalence
+            guarantee relies on.  For a session launched at 0 it equals
+            the engine delivery time.
     """
 
     sender: int

@@ -248,17 +248,18 @@ class _TickLane:
     # ------------------------------------------------------------------
     # Submit targets (the query-start hook / kernel activation call sites)
     # ------------------------------------------------------------------
-    def submit_multicast(self, sender: int, dests: Sequence[int], kind: str,
-                         payload, time: float, chain_depth: int,
-                         trusted_dests: bool = False) -> None:
-        """``Simulator.submit_multicast`` as the query-start hook sees it.
+    def session_multicast(self, session, sender: int, dests: Sequence[int],
+                          kind: str, payload, time: float, chain_depth: int,
+                          trusted_dests: bool = False) -> None:
+        """``EventEngine.session_multicast`` as the query-start hook sees it.
 
         The real ``on_query_start`` runs against a plain
-        :class:`HostContext` whose simulator is this lane; the kernel
-        flattens the spec payload to the record's ``(agg, dist)`` slots.
+        :class:`HostContext` whose engine is this lane (and whose session
+        is none: the lane keeps its own accounting); the kernel flattens
+        the spec payload to the record's ``(agg, dist)`` slots.
         The gate admits only host classes whose query start multicasts
         and does nothing else, so the context's unicast and timer
-        targets (``submit_message``, ``_queue``) are deliberately
+        targets (``session_send``, ``_queue``) are deliberately
         absent: reaching one means the gate was wrong, and the
         ``AttributeError`` is the fail-loud signal.
         """
@@ -267,7 +268,7 @@ class _TickLane:
 
     def submit_multi(self, sender: int, dests: Sequence[int], kind: str,
                      agg, dist, time: float, chain_depth: int) -> None:
-        """Lane twin of ``Simulator.submit_multicast`` (trusted dests).
+        """Lane twin of ``EventEngine.session_multicast`` (trusted dests).
 
         ``dests`` comes from the network's own alive-neighbor view (the
         ``send_to_neighbors`` contract), so no per-destination liveness
@@ -281,7 +282,7 @@ class _TickLane:
         else:
             self.send_acc[(time, kind)] += len(dests)
         if self.tracer is not None:
-            # The spec engine's submit_multicast record: one send with
+            # The spec engine's session_multicast record: one send with
             # dest -1 and the multicast width as its count.
             self.tracer.send(time, sender, -1, kind, len(dests))
         self.out_records.append(
@@ -289,7 +290,7 @@ class _TickLane:
 
     def submit_unicast(self, sender: int, dest: int, kind: str, agg, dist,
                        time: float, chain_depth: int, rank: int) -> bool:
-        """Lane twin of ``Simulator.submit_message``: the same sender-
+        """Lane twin of ``EventEngine.session_send``: the same sender-
         alive and alive-edge checks, recording nothing when one fails."""
         if not self.alive_bytes[sender]:
             return False
@@ -364,11 +365,12 @@ class _TickLane:
         try:
             qh = sim.querying_host
             if self.lo <= qh < self.hi and self.alive_bytes[qh]:
-                self.hosts[qh].on_query_start(HostContext(self, qh, 0.0, 0))
+                self.hosts[qh].on_query_start(
+                    HostContext(self, None, qh, 0.0, 0))
                 kernel.refresh_host(qh)
             self._apply_fails(0.0, inclusive=True)
             t = 0.0
-            while not sim._stopped:
+            while True:
                 t_land = t + delta
                 if t_land <= horizon:
                     self.exchange(t_land)
@@ -398,7 +400,7 @@ class _TickLane:
         fails = self.fails
         sim = self.sim
         index = self._fail_index
-        while index < len(fails) and not sim._stopped:
+        while index < len(fails):
             time, host = fails[index]
             if time > limit or (time == limit and not inclusive):
                 break

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.protocols.base import run_protocol
 from repro.protocols.wildfire import Wildfire
 from repro.queries.continuous import ContinuousQuery, WindowedResult
 from repro.queries.query import AggregateQuery
@@ -29,56 +28,8 @@ class TestContinuousQueryConfig:
             ContinuousQuery(**{**base, "duration": 1.0})
 
 
-class TestContinuousQueryRun:
-    def test_reports_track_shrinking_population(self):
-        topology = ring_topology(20)
-        values = constant_values(20, 1)
-        # Hosts fail steadily over the run.
-        churn = ChurnSchedule(failures=[(float(2 + i), 10 + i) for i in range(8)])
-        continuous = ContinuousQuery(query=AggregateQuery.of("count"), period=10.0,
-                                     window=10.0, duration=30.0)
-
-        def execute_once(window_churn, report_time):
-            # An idealised valid executor: counts the hosts in the stable
-            # core of the window (what WILDFIRE would return with an exact
-            # duplicate-insensitive counter).
-            from repro.semantics.validity import stable_core
-
-            failed_before = {h for t, h in churn.failures if t <= report_time}
-            return float(20 - len(failed_before))
-
-        results = continuous.run(topology, values, churn, querying_host=0,
-                                 execute_once=execute_once)
-        assert len(results) == 3
-        assert all(isinstance(r, WindowedResult) for r in results)
-        counts = [r.value for r in results]
-        assert counts[0] >= counts[-1]
-        assert all(r.is_valid for r in results)
-
-    def test_window_bounds_exclude_pre_window_failures(self):
-        topology = ring_topology(10)
-        values = constant_values(10, 1)
-        churn = ChurnSchedule(failures=[(1.0, 5)])
-        continuous = ContinuousQuery(query=AggregateQuery.of("count"), period=20.0,
-                                     window=5.0, duration=20.0)
-
-        def execute_once(window_churn, report_time):
-            # Host 5 failed long before the window [15, 20]; a valid answer
-            # for that window counts the 9 remaining hosts.
-            return 9.0
-
-        results = continuous.run(topology, values, churn, querying_host=0,
-                                 execute_once=execute_once)
-        assert len(results) == 1
-        result = results[0]
-        assert result.window_start == 15.0
-        assert result.bounds.core_size == 9
-        assert result.is_valid
-
-
-#: Scenario shared by the compat-pin and live-path tests: host 10 holds
-#: the distinctive minimum and fails at t=1, long before the reporting
-#: window opens.
+#: Scenario shared by the live-path tests: host 10 holds the distinctive
+#: minimum and fails at t=1, long before the reporting window opens.
 def _stale_min_scenario():
     topology = ring_topology(20)
     values = [1.0] * 20
@@ -89,64 +40,39 @@ def _stale_min_scenario():
     return topology, values, churn, continuous
 
 
-class TestLegacyCompatPathRegression:
-    """Pin the historical per-report behaviour the live path replaces.
-
-    Legacy drivers implement ``execute_once`` by *rebuilding a pristine
-    simulator* per report, restricted to the window's churn -- so a host
-    that failed long before the window is resurrected for the execution
-    (only the bounds know it is gone).  Goldens and the existing driver
-    outputs depend on this, so the compat path must keep producing the
-    stale answer bit-for-bit.
-    """
-
-    def test_compat_path_resurrects_pre_window_failures(self):
-        topology, values, churn, continuous = _stale_min_scenario()
-        seen_calls = []
-
-        def execute_once(window_churn, report_time):
-            seen_calls.append(
-                (tuple(window_churn.failures), report_time))
-            return run_protocol(Wildfire(), topology, values, "min",
-                                querying_host=0, churn=window_churn,
-                                seed=0).value
-
-        results = continuous.run(topology, values, churn, querying_host=0,
-                                 execute_once=execute_once)
-        # The window [15, 20] excludes the t=1 failure, so the rebuilt
-        # pristine run still counts host 10: the stale minimum 0.5.
-        assert seen_calls == [((), 20.0)]
-        assert len(results) == 1
-        assert results[0].report_time == 20.0
-        assert results[0].window_start == 15.0
-        assert results[0].value == 0.5
-
-    def test_compat_path_window_restriction_is_unchanged(self):
-        # The original windowing arithmetic, pinned exactly: failures
-        # inside the window are forwarded, earlier ones excluded.
-        topology = ring_topology(10)
-        values = constant_values(10, 1)
-        churn = ChurnSchedule(failures=[(1.0, 5), (16.0, 7)])
-        continuous = ContinuousQuery(query=AggregateQuery.of("count"),
-                                     period=20.0, window=5.0, duration=20.0)
-        forwarded = []
-        continuous.run(topology, values, churn, querying_host=0,
-                       execute_once=lambda c, t: forwarded.append(
-                           tuple(c.failures)) or 8.0)
-        assert forwarded == [((16.0, 7),)]
-
-
 class TestLivePath:
     def test_live_reports_run_on_the_churned_network(self):
-        """The fix under test: a live session launched after host 10
-        failed genuinely runs without it, so the declared minimum is the
-        survivors' -- where the compat path reports the stale 0.5."""
+        """A live session launched after host 10 failed genuinely runs
+        without it, so the declared minimum is the survivors' -- not the
+        stale 0.5 a pristine per-report rebuild would resurrect."""
         topology, values, churn, continuous = _stale_min_scenario()
         service = QueryService(topology, values, churn=churn, seed=0)
         results = continuous.run_live(service, "wildfire", querying_host=0)
         assert len(results) == 1
         assert results[0].value == 1.0
         assert results[0].is_valid
+
+    def test_window_bounds_count_only_in_window_failures(self):
+        # The windowing arithmetic: a failure before the window opened is
+        # old news (the bounds live on the residual topology, where host 5
+        # is already gone), a failure inside the window costs the stable
+        # core one more host.
+        topology = ring_topology(10)
+        values = constant_values(10, 1)
+        continuous = ContinuousQuery(query=AggregateQuery.of("min"),
+                                     period=20.0, window=5.0, duration=20.0)
+        probe = QueryService(topology, values, seed=0)
+        declared_at = 20.0 + Wildfire().termination_time(probe.d_hat, 1.0)
+        churn = ChurnSchedule(
+            failures=[(1.0, 5), (declared_at - 2.0, 6)])
+        service = QueryService(topology, values, churn=churn, seed=0)
+        results = continuous.run_live(service, "wildfire", querying_host=0)
+        assert len(results) == 1
+        result = results[0]
+        assert result.report_time == declared_at
+        assert result.window_start == declared_at - 5.0
+        assert result.bounds.stable_core == frozenset(range(10)) - {5, 6}
+        assert result.is_valid
 
     def test_live_reports_share_the_service_with_other_tenants(self):
         topology, values, churn, continuous = _stale_min_scenario()

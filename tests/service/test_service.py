@@ -13,12 +13,20 @@ The contract under test (the reason the subsystem exists):
   of *concurrently active* queries, not the total served.
 """
 
+import ast
+import gc
+import pathlib
+import weakref
+
 import pytest
 
-from repro.protocols.base import protocol_from_spec, run_protocol
+from repro.obs.trace import RingTracer
+from repro.protocols.base import (prepare_protocol_run, protocol_from_spec,
+                                  run_protocol)
 from repro.queries.query import AggregateQuery
 from repro.service import QueryService, QueryStatus
 from repro.simulation.churn import ChurnSchedule, JoinSpec, uniform_failure_schedule
+from repro.simulation.engine import Simulator
 from repro.topology.random_graph import random_topology
 from repro.workloads.values import uniform_values
 
@@ -44,6 +52,28 @@ MIX = [
     ("allreport", "count", 3.25, 3),
     ("gossip", "count", 4.0, 11),
 ]
+
+
+#: Churn axis of the mux-vs-solo identity: every event falls after the
+#: last launch of ``MIX`` (a solo run cannot start on a network that
+#: already churned) at dyadic instants, so shifting by a launch instant
+#: is exact.  The second join attaches to the first joined host (id 60).
+_FAILURES = [(4.5, 21), (6.0, 30), (7.25, 42), (9.5, 8)]
+CHURN_AXIS = {
+    "none": ChurnSchedule.empty(),
+    "failures": ChurnSchedule(failures=_FAILURES),
+    "failures+joins": ChurnSchedule(
+        failures=_FAILURES,
+        joins=[JoinSpec(5.0, (2, 21, 33)), JoinSpec(8.75, (60, 14))]),
+}
+
+
+def _as_seen_from(churn, at):
+    """``churn`` on the clock of a query launched at engine time ``at``."""
+    return ChurnSchedule(
+        failures=[(time - at, host) for time, host in churn.failures],
+        joins=[JoinSpec(join.time - at, join.neighbors)
+               for join in churn.joins])
 
 
 def _submit_mix(service):
@@ -134,6 +164,73 @@ class TestLifecycle:
             assert outcome.status is QueryStatus.DONE
 
 
+class TestOneEventLoop:
+    """A solo run and the service drive the same loop."""
+
+    def test_one_definition_of_the_drain(self):
+        """``pop_due`` is called from exactly one function outside the
+        queue's own module, and the second context class is gone."""
+        import repro
+        import repro.service
+
+        package = pathlib.Path(repro.__file__).parent
+        callers = []
+        for path in sorted(package.rglob("*.py")):
+            if path.name == "events.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and any(
+                        isinstance(call, ast.Call)
+                        and getattr(call.func, "id",
+                                    getattr(call.func, "attr", None))
+                        == "pop_due"
+                        for call in ast.walk(node)):
+                    callers.append(f"{path.stem}.{node.name}")
+        assert callers == ["engine._drain"]
+        assert not hasattr(repro.service, "SessionContext")
+
+    def test_finished_service_is_collectable_without_the_cyclic_gc(
+            self, topology, values):
+        """The engine holds no back-reference cycle: dropping the last
+        reference to a service frees the engine -- and with it the
+        network (slotted, so not itself weakly referenceable), the queue
+        and the sessions -- at once."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            service = QueryService(topology, values, seed=SEED)
+            service.submit("wildfire", "count")
+            service.run()
+            engine = weakref.ref(service.engine)
+            del service
+            assert engine() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("driver", ["solo", "service"])
+    def test_drain_to_empty_run_raises_at_max_time(
+            self, topology, values, driver):
+        """``max_time`` is a backstop, not a horizon: a run asked to drain
+        that reaches it with live events pending says so; a run bounded by
+        ``until`` just stops."""
+        def build():
+            if driver == "service":
+                service = QueryService(topology, values, seed=SEED,
+                                       max_time=5.0)
+                service.submit("wildfire", "count")
+                return service
+            prepared = prepare_protocol_run(
+                protocol_from_spec("wildfire"), topology, values, "count",
+                seed=SEED)
+            return Simulator(topology.to_network(), prepared.hosts, 0,
+                             max_time=5.0, lane="python")
+
+        with pytest.raises(RuntimeError, match=r"max_time=5\.0 with \d+ events"):
+            build().run()
+        build().run(until=50.0)
+
+
 class TestDeterminismAndIsolation:
     def test_rerun_is_bit_identical(self, topology, values):
         def run_once():
@@ -161,29 +258,35 @@ class TestDeterminismAndIsolation:
             assert (solo_outcome.costs.fingerprint()
                     == outcome.costs.fingerprint()), protocol
 
+    @pytest.mark.parametrize("churn", sorted(CHURN_AXIS))
     @pytest.mark.parametrize("delay", [None, "uniform:0.25,1.0",
                                        "heavy_tail:1.2", "per_edge"])
     def test_multiplexed_query_matches_run_protocol(
-            self, topology, values, delay):
+            self, topology, values, delay, churn):
         """The acceptance contract: a service session is bit-identical to
-        a solo run_protocol execution with the session's seed and the
-        service's d_hat, for every delay model.
+        a solo run_protocol execution (the spec loop) with the session's
+        seed, the service's d_hat and the service's churn as the session
+        sees it (shifted to its launch instant), for every delay model --
+        value, cost fingerprint and declaration time.  Joined hosts are
+        inert on both sides.
 
         One carve-out: push-sum gossip under ``per_edge``.  A share sent
         at a round instant over an edge with fixed latency ``d`` arrives
         as ``(a + k) + d`` while the receiver's round timer fires at
         ``(a + d) + k`` -- the same real number, one ulp apart in float
-        arithmetic.  The solo kernel keeps the artificial ulp gap; the
-        service's absolute mapping collapses it into one slot where the
+        arithmetic.  A run launched at 0 keeps the artificial ulp gap; a
+        launch offset collapses it into one slot where the
         deliver-before-timer priority (the model's actual simultaneity
         rule) applies.  Gossip's order-sensitive float sums then differ
         in the last digits, so that single structurally tie-prone cell is
         excluded; every other protocol/model cell must match exactly.
         """
-        service = QueryService(topology, values, seed=SEED, delay=delay)
+        schedule = CHURN_AXIS[churn]
+        service = QueryService(topology, values, seed=SEED, delay=delay,
+                               churn=schedule)
         ids = _submit_mix(service)
         service.run()
-        for (protocol, _, _, _), qid in zip(MIX, ids):
+        for (protocol, _, at, _), qid in zip(MIX, ids):
             if delay == "per_edge" and protocol == "gossip":
                 continue
             outcome = service.poll(qid)
@@ -191,10 +294,42 @@ class TestDeterminismAndIsolation:
                 protocol_from_spec(outcome.protocol), topology, values,
                 outcome.query.kind.value,
                 querying_host=outcome.querying_host,
-                seed=outcome.seed, d_hat=service.d_hat, delay=delay)
+                seed=outcome.seed, d_hat=service.d_hat, delay=delay,
+                churn=_as_seen_from(schedule, at), lane="python")
             assert solo.value == outcome.value, outcome.protocol
             assert (solo.costs.fingerprint()
                     == outcome.costs.fingerprint()), outcome.protocol
+            # The solo run stops at its last event; it declares at T.
+            assert (solo.finished_at <= solo.termination_time
+                    == outcome.declared_at - outcome.submitted_at)
+
+    def test_lone_session_trace_equals_the_solo_trace(
+            self, topology, values):
+        """One loop: a session launched at 0 produces the traced solo
+        run's records, record for record, up to the query id and the
+        service's own lifecycle records."""
+        def masked(tracer):
+            return [{**row, "query_id": 0} for row in tracer.records()
+                    if row["type"] != "session"]
+
+        schedule = CHURN_AXIS["failures+joins"]
+        for protocol, delay in (("wildfire", None), ("dag2", "uniform")):
+            mux_tracer = RingTracer(capacity=200_000)
+            service = QueryService(topology, values, seed=SEED, delay=delay,
+                                   churn=schedule, tracer=mux_tracer)
+            qid = service.submit(protocol, "count", at=0.0)
+            # Bounded at the solo horizon: a drained service would go on
+            # to record late deliveries and post-declaration churn.
+            service.run(until=protocol_from_spec(protocol).termination_time(
+                service.d_hat, service.delta))
+            solo_tracer = RingTracer(capacity=200_000)
+            run_protocol(
+                protocol_from_spec(protocol), topology, values, "count",
+                seed=service.poll(qid).seed, d_hat=service.d_hat,
+                delay=delay, churn=schedule, tracer=solo_tracer,
+                lane="python")
+            records = masked(mux_tracer)
+            assert records and records == masked(solo_tracer)
 
     def test_adding_a_tenant_does_not_perturb_existing_ones(
             self, topology, values):

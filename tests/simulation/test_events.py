@@ -153,9 +153,9 @@ class TestTieBreakingRegression:
         dests = [queue.pop().message.dest for _ in range(3)]
         assert dests == [1, 2, 3]
 
-    def test_push_multicast_is_drain_identical_to_extend_delivers(self):
-        """The lazily expanded batch must interleave exactly like the
-        materialised bulk append it replaced, including deliveries and
+    def test_push_multicast_is_drain_identical_to_materialised_delivers(self):
+        """The lazily expanded batch must interleave exactly like its
+        materialised per-destination deliveries, including deliveries and
         timers pushed before, between and after the batch."""
         from repro.simulation.messages import Message
 
@@ -165,10 +165,9 @@ class TestTieBreakingRegression:
                 queue.push_multicast(1.0, 7, (1, 2, 3), "kind", {"x": 1},
                                      0.0, 2)
             else:
-                queue.extend_delivers(1.0, [
-                    Message(7, dest, "kind", {"x": 1}, 0.0, 2)
-                    for dest in (1, 2, 3)
-                ])
+                for dest in (1, 2, 3):
+                    queue.push_deliver(
+                        1.0, Message(7, dest, "kind", {"x": 1}, 0.0, 2))
             queue.push_timer(1.0, 5, "t", None)
             queue.push_deliver(1.0, make_message(9, 200))
 

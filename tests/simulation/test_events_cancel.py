@@ -7,8 +7,8 @@ Two confirmed bugs are locked down here:
   negative) and ``occupancy()["pending"]`` drifted.  Cancellation of
   consumed/unknown events must be a no-op.
 * ``push()`` rejected negative times but the fast paths
-  (``push_deliver``/``push_timer``/``extend_delivers``/``push_multicast``)
-  silently accepted them.  All five entry points now share one contract.
+  (``push_deliver``/``push_timer``/``push_multicast``) silently accepted
+  them.  All four entry points now share one contract.
 
 The hypothesis fuzz interleaves push/pop/cancel (including cancel-after-pop
 and double-cancel) and checks ``len``, ``occupancy()["pending"]`` and the
@@ -103,7 +103,7 @@ def test_cancel_popped_wrapper_of_fast_path_delivery_is_noop():
 
 
 # ---------------------------------------------------------------------------
-# Regression: one time-validity contract across all five entry points
+# Regression: one time-validity contract across all four entry points
 # ---------------------------------------------------------------------------
 
 def test_negative_time_rejected_on_every_entry_point():
@@ -116,8 +116,6 @@ def test_negative_time_rejected_on_every_entry_point():
     with pytest.raises(ValueError):
         queue.push_timer(-5.0, 0, "flush", None)
     with pytest.raises(ValueError):
-        queue.extend_delivers(-0.5, [message])
-    with pytest.raises(ValueError):
         queue.push_multicast(-2.0, 0, (1, 2), "QUERY", None, 0.0, 1)
     # Nothing leaked into the queue from the rejected calls.
     assert len(queue) == 0
@@ -129,9 +127,8 @@ def test_zero_time_accepted_on_every_entry_point():
     queue.push(0.0, EventKind.QUERY_START, host=0)
     queue.push_deliver(0.0, Message(0, 1, "QUERY", None))
     queue.push_timer(0.0, 0, "flush", None)
-    queue.extend_delivers(0.0, [Message(0, 2, "QUERY", None)])
     queue.push_multicast(0.0, 0, (1, 2), "QUERY", None, 0.0, 1)
-    assert len(queue) == 6
+    assert len(queue) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.protocols.wildfire import Wildfire
 from repro.simulation.churn import ChurnSchedule, JoinSpec
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventQueue
+from repro.simulation.host import HostContext
 from repro.simulation.vector_lane import DEFAULT_LANE, LANES, validate_lane
 from repro.topology.grid import grid_topology
 from repro.topology.random_graph import random_topology
@@ -388,7 +389,8 @@ def test_ring_tracer_engages_sharded_and_stays_bit_identical():
 # ----------------------------------------------------------------------
 def _push_foreign_timer(simulator):
     # A driver-pushed timer the lanes have no transcription for.
-    simulator._queue.push_timer(1.0, 0, "custom-probe", (None, 0))
+    HostContext(simulator, simulator.session, 0, 0.0, 0).set_timer(
+        1.0, "custom-probe")
 
 
 def _watch_failures(simulator):

@@ -87,19 +87,11 @@ def frozen_payloads(monkeypatch):
     from repro.simulation.events import EventQueue
 
     original_push = EventQueue.push_deliver
-    original_extend = EventQueue.extend_delivers
     original_multicast = EventQueue.push_multicast
 
     def freezing_push(self, time, message):
         message.payload = types.MappingProxyType(message.payload)
         original_push(self, time, message)
-
-    def freezing_extend(self, time, messages):
-        if messages:
-            shared = types.MappingProxyType(messages[0].payload)
-            for message in messages:
-                message.payload = shared
-        original_extend(self, time, messages)
 
     def freezing_multicast(self, time, sender, dests, kind, payload,
                            *args, **kwargs):
@@ -109,7 +101,6 @@ def frozen_payloads(monkeypatch):
                            types.MappingProxyType(payload), *args, **kwargs)
 
     monkeypatch.setattr(EventQueue, "push_deliver", freezing_push)
-    monkeypatch.setattr(EventQueue, "extend_delivers", freezing_extend)
     monkeypatch.setattr(EventQueue, "push_multicast", freezing_multicast)
 
 
