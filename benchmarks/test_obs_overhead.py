@@ -43,19 +43,21 @@ def test_traced_10k_run_within_overhead_budget():
     from repro.obs.trace import RingTracer
     from repro.protocols.base import run_protocol
     from repro.protocols.wildfire import Wildfire
+    from repro.simulation.vector_lane import DEFAULT_LANE
     from repro.topology.gnutella import gnutella_like_topology
 
     topology = gnutella_like_topology(HOSTS, seed=SEED)
     values = [1.0] * topology.num_hosts
 
-    def one_run(tracer):
-        # The budget is a same-lane price: the default lane's gate sends
-        # a traced run to the spec loop ("tracer attached" -- per-delivery
-        # hooks on a ~1 us/msg batch lane cannot meet 1.15x), so both
-        # halves are pinned to the spec loop the tracer actually rides.
+    def one_run(tracer, lane="python"):
+        # The budget is a same-lane price, taken on the spec loop: the
+        # hook costs the same on the default lane, but over a ~5x cheaper
+        # delivery, so that lane's ratio is higher (1.2-1.3x) while its
+        # traced wall-clock is far lower -- which is what the third run
+        # of each round checks instead.
         start = time.perf_counter()
         result = run_protocol(Wildfire(), topology, values, "count",
-                              seed=SEED, tracer=tracer, lane="python")
+                              seed=SEED, tracer=tracer, lane=lane)
         return time.perf_counter() - start, result
 
     # Five paired rounds; the budget is judged on the best *paired*
@@ -71,14 +73,26 @@ def test_traced_10k_run_within_overhead_budget():
         untraced_elapsed, untraced_result = one_run(None)
         round_tracer = RingTracer()       # fresh ring: no eviction skew
         traced_elapsed, traced_result = one_run(round_tracer)
+        # The same traced run as a user runs it: the default lane
+        # engages under the tracer and declares what the spec loop does.
+        default_elapsed, default_result = one_run(RingTracer(),
+                                                  DEFAULT_LANE)
+        assert (default_result.lane_used, default_result.fallback_reason) \
+            == (DEFAULT_LANE, None)
+        assert default_result.value == traced_result.value
+        assert (default_result.costs.fingerprint()
+                == traced_result.costs.fingerprint()
+                == untraced_result.costs.fingerprint())
         rounds.append((traced_elapsed / untraced_elapsed,
-                       untraced_elapsed, traced_elapsed, round_tracer))
+                       untraced_elapsed, traced_elapsed, default_elapsed,
+                       round_tracer))
 
-    ratio, best_untraced, best_traced, tracer = min(rounds)
+    ratio, best_untraced, best_traced, best_default, tracer = min(rounds)
     print(f"\n10k hosts, best paired round: untraced {best_untraced:.3f}s, "
           f"traced {best_traced:.3f}s -> {ratio:.3f}x "
           f"(budget {TRACED_OVERHEAD_FACTOR}x; all rounds "
-          f"{[round(r[0], 3) for r in sorted(rounds)]})")
+          f"{[round(r[0], 3) for r in sorted(rounds)]}); traced on the "
+          f"default lane {best_default:.3f}s")
 
     # Tracing observes only: identical results either way.
     assert traced_result.fallback_reason is None
@@ -110,6 +124,9 @@ def test_traced_10k_run_within_overhead_budget():
         f"traced 10k-host run is {ratio:.3f}x the untraced wall-clock, "
         f"over the {TRACED_OVERHEAD_FACTOR}x budget "
         f"({best_traced:.3f}s vs {best_untraced:.3f}s)")
+    assert best_default <= best_traced, (
+        f"traced default-lane run took {best_default:.3f}s, longer than "
+        f"the traced spec loop's {best_traced:.3f}s in the same round")
 
 
 def test_traced_sharded_run_within_overhead_budget():

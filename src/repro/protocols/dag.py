@@ -207,22 +207,32 @@ class ConvergecastBatchKernel:
     def process_instant(self, now: float, entries: Sequence[tuple],
                         lane: Any) -> None:
         """Process one instant's delivery records in spec FIFO order
-        (inlined :meth:`DagHost.on_message`)."""
+        (inlined :meth:`DagHost.on_message`); with a ``lane.tracer``
+        every delivery and drop is recorded where the spec loop records
+        it, stamped with the batch's send instant ``lane.sent_at``."""
         hosts = self.hosts
         alive = lane.alive_bytes
         counts = lane.counts
         broadcast_kind = self.broadcast_kind
         dropped = 0
         max_depth = lane.max_depth
+        tracer = lane.tracer
+        sent_at = lane.sent_at
         for rank, sender, dests, kind, incoming, sender_depth, depth in entries:
             is_broadcast = kind == broadcast_kind
             delivered = False
             for dest in dests:
                 if not alive[dest]:
                     dropped += 1  # lost to a host that failed in flight
+                    if tracer is not None:
+                        tracer.drop(now, dest)
                     continue
                 counts[dest] += 1
                 delivered = True
+                if tracer is not None:
+                    # Recorded before the handler body runs, the spec
+                    # loop's deliver-then-dispatch order.
+                    tracer.deliver(now, sender, dest, kind, depth, sent_at)
                 host = hosts[dest]
                 if is_broadcast:
                     if not host.active:
@@ -275,9 +285,14 @@ class ConvergecastBatchKernel:
         hosts = self.hosts
         alive = lane.alive_bytes
         report_kind = self.report_kind
+        tracer = lane.tracer
         for host_id, depth, rank in bucket:
             if not alive[host_id]:
                 continue  # dead hosts' timers expire silently
+            if tracer is not None:
+                # The spec loop records every fired timer on an alive
+                # host before its handler runs.
+                tracer.timer(now, host_id, "report")
             host = hosts[host_id]
             if host.reported or not host.parents:
                 continue

@@ -447,8 +447,7 @@ class WildfireBatchKernel:
         dropped = 0
         max_depth = lane.max_depth
         tracer = lane.tracer
-        # Under the fixed-delay gate every delivery was sent one delta ago.
-        sent_at = now - lane.delta
+        sent_at = lane.sent_at
         for rank, sender, dests, kind, incoming, dist, depth in entries:
             delivered = False
             for dest in dests:

@@ -65,7 +65,6 @@ class MuxEngine(EventEngine):
         tracer: Optional[Tracer] = None,
     ) -> None:
         super().__init__(network, delta, churn, wireless, max_time, tracer)
-        self._churn_scheduled = False
         self.late_messages = 0
         # Introspection: high-water mark of concurrently live sessions,
         # the order sessions left the demux table (declared), and late
@@ -134,9 +133,7 @@ class MuxEngine(EventEngine):
         horizon stay queued and a later ``run`` call resumes them, which
         lets drivers interleave simulation with submission.
         """
-        if not self._churn_scheduled:
-            self._schedule_churn(self.max_time)
-            self._churn_scheduled = True
+        self._schedule_churn()
         horizon = self._drain(until)
         # The drain consumed every event at time <= horizon, so any
         # session whose deadline lies within the horizon is final --

@@ -173,6 +173,7 @@ class EventEngine:
         self.clock = SimulationClock()
         self._queue = EventQueue(width=self.delta)
         self._churn = churn or ChurnSchedule.empty()
+        self._churn_scheduled = False
         # qid -> live session (the demux table), and the (ends_at, qid)
         # heap of sessions due to leave it (empty while none expires).
         self._active: Dict[int, Session] = {}
@@ -306,8 +307,13 @@ class EventEngine:
         """The engine-time horizon of a run asked to stop at ``until``."""
         return self.max_time if until is None else min(until, self.max_time)
 
-    def _schedule_churn(self, limit: float) -> None:
-        """File the churn schedule's events up to ``limit``."""
+    def _schedule_churn(self) -> None:
+        """File the churn schedule's events up to ``max_time``, once: a
+        resumed run finds them (or what is left of them) queued."""
+        if self._churn_scheduled:
+            return
+        self._churn_scheduled = True
+        limit = self.max_time
         for time, host in self._churn.failures:
             if time <= limit:
                 self._queue.push(time, EventKind.FAIL, host=host)
@@ -499,8 +505,9 @@ class Simulator(EventEngine):
             :data:`~repro.simulation.vector_lane.DEFAULT_LANE`) asks for
             the per-tick batch lane (:mod:`~repro.simulation.vector_lane`),
             whose gate engages it when the run is supported (fixed delay,
-            no joins, no tracer, kernel-supported hosts) and otherwise
-            falls back to the spec loop, recording why on the result's
+            no joins, nothing queued before the first ``run()``,
+            kernel-supported hosts; traced or not) and otherwise falls
+            back to the spec loop, recording why on the result's
             ``fallback_reason``.  ``"python"`` requests the spec loop
             itself -- one event per iteration, the executable spec every
             lane is locked to.  ``"sharded"`` asks for the multiprocess
@@ -555,11 +562,20 @@ class Simulator(EventEngine):
         if int(shards) < 1:
             raise ValueError("shards must be at least 1")
         self.shards = int(shards)
-        #: Which lane :meth:`run` actually executed (``None`` before it).
+        #: Which lane :meth:`run` actually executed (``None`` before it),
+        #: and why not the one asked for.
         self.lane_used: Optional[str] = None
+        self._fallback_reason: Optional[str] = None
 
     def run(self, until: Optional[float] = None) -> SimulationResult:
         """Execute the protocol and return the querying host's result.
+
+        The first call consults the lane gate and, when the gate refuses
+        or the spec loop was asked for, primes the queue (churn schedule,
+        query start); a later call never re-primes.  On the spec loop it
+        resumes the events left beyond the earlier horizon; after an
+        engaged lane, which runs to its horizon in one go, it finds
+        nothing queued and returns the same result.
 
         Args:
             until: optional simulation-time horizon; when omitted the run
@@ -567,24 +583,24 @@ class Simulator(EventEngine):
                 this repository terminate via timers, so the queue always
                 drains).
         """
-        horizon = self._bound(until)
-        self._schedule_churn(horizon)
-        self._queue.push(0.0, EventKind.QUERY_START, host=self.querying_host)
+        if self.lane_used is None:
+            if self.lane != "python":
+                # Tick lanes (in-process vector, multiprocess epoch-
+                # synchronous sharded), consulted before anything is
+                # queued: a refusing gate returns (None, reason) having
+                # touched nothing, and the spec loop takes the run.
+                from repro.simulation import sharded, vector_lane
 
-        fallback_reason: Optional[str] = None
-        if self.lane != "python":
-            # Tick lanes (in-process vector, multiprocess epoch-
-            # synchronous sharded): each returns (None, reason), having
-            # consumed nothing, when its gate refuses the run, in which
-            # case the spec loop below proceeds untouched.
-            from repro.simulation import sharded, vector_lane
-
-            lane = vector_lane if self.lane == "vector" else sharded
-            result, fallback_reason = lane.maybe_run(self, horizon)
-            if result is not None:
-                self.lane_used = result.lane_used = self.lane
-                return result
-        self.lane_used = "python"
+                lane = vector_lane if self.lane == "vector" else sharded
+                result, self._fallback_reason = lane.maybe_run(
+                    self, self._bound(until))
+                if result is not None:
+                    self.lane_used = result.lane_used = self.lane
+                    return result
+            self.lane_used = "python"
+            self._schedule_churn()
+            self._queue.push(0.0, EventKind.QUERY_START,
+                             host=self.querying_host)
         self.session.join_factory = self.join_host_factory
         self._drain(until)
         return SimulationResult(
@@ -592,7 +608,8 @@ class Simulator(EventEngine):
             costs=self.costs,
             finished_at=self.clock.now,
             querying_host=self.querying_host,
-            fallback_reason=fallback_reason,
+            lane_used=self.lane_used,
+            fallback_reason=self._fallback_reason,
         )
 
     def _on_query_start(self, time: float, event: Event,

@@ -34,9 +34,9 @@ heap work each push and pop performs.
 
 The engine drives the queue through the fast paths -- ``push_deliver`` /
 ``push_multicast`` / ``push_timer`` in, ``pop_due`` out (one call site:
-``EventEngine._drain``) -- and the tick lanes' gate through
-``drain_until`` / ``ingest_events``; ``push`` / ``pop`` / ``peek_time`` /
-``cancel`` / ``drain`` are the generic :class:`Event` API.
+``EventEngine._drain``); ``push`` / ``cancel`` are the generic
+:class:`Event` API (churn, query starts, custom events), ``pop_tick``
+detaches one whole instant, and the tick lanes' gate only asks ``len``.
 """
 
 from __future__ import annotations
@@ -434,7 +434,7 @@ class EventQueue:
         encountered on the way are discarded, exhausted slots are released
         (their timestamp popped from their day's heap), and exhausted days
         are retired from the calendar, so the scan never revisits them.
-        Both :meth:`pop_due` and :meth:`peek_time` share this scan, keeping
+        Both :meth:`pop_due` and :meth:`pop_tick` share this scan, keeping
         the cursor/``min_pri``/``_size`` bookkeeping in exactly one place.
         """
         day_heap = self._day_heap
@@ -493,12 +493,12 @@ class EventQueue:
     def pop_due(self, horizon: Optional[float]):
         """Consume and return ``(time, entry)`` for the earliest live event.
 
-        This is the kernel-facing drain API: it fuses the ``peek_time`` +
-        ``pop`` pair into one traversal and skips the delivery ``Event``
-        wrapper.  ``entry`` is a bare :class:`Message` for fast-path
-        deliveries and an :class:`Event` for everything else.  When
-        ``horizon`` is given, an event due after it is *not* consumed and
-        ``None`` is returned; ``None`` consumes unconditionally.
+        This is the drain API: one traversal locates and consumes the
+        front, and deliveries carry no ``Event`` wrapper.  ``entry`` is
+        a bare :class:`Message` for fast-path deliveries and an
+        :class:`Event` for everything else.  When ``horizon`` is given,
+        an event due after it is *not* consumed and ``None`` is
+        returned; ``None`` consumes unconditionally.
         """
         front = self._locate_front()
         if front is None:
@@ -529,50 +529,6 @@ class EventQueue:
         if entry.__class__ is Event:
             entry.queued = None
         return time, entry
-
-    def drain_until(self, horizon: Optional[float]) -> List[tuple]:
-        """Pop every event due at or before ``horizon``, in drain order.
-
-        This is the sharded lane's epoch entry point: the whole
-        ``(time, priority, seq)``-ordered prefix of the queue is extracted
-        in one call so a coordinator can re-plan it (and, via
-        :meth:`ingest_events`, put it back untouched on fallback).  Each
-        element is the ``(time, entry)`` pair :meth:`pop_due` would have
-        returned -- a bare :class:`Message` for fast-path deliveries
-        (multicast batches are expanded) and an :class:`Event` for
-        everything else.  ``None`` drains unconditionally.  Events due
-        after ``horizon`` stay queued.
-        """
-        drained: List[tuple] = []
-        append = drained.append
-        pop_due = self.pop_due
-        while True:
-            front = pop_due(horizon)
-            if front is None:
-                return drained
-            append(front)
-
-    def ingest_events(self, batch: Sequence[tuple]) -> None:
-        """Re-schedule a batch of ``(time, entry)`` pairs in batch order.
-
-        The inverse of :meth:`drain_until`: pushing the drained list back
-        restores the exact drain order (same times, same relative order
-        within an instant -- fresh sequence numbers preserve the original
-        FIFO ranks because the batch is already (time, priority, seq)
-        sorted).  Entries may be bare :class:`Message` objects or
-        :class:`Event` wrappers; cancel handles on the originals are
-        stale after a round trip (the originals were consumed), which
-        matches the queue's cancel-after-consume no-op contract.
-        """
-        push = self.push
-        push_deliver = self.push_deliver
-        for time, entry in batch:
-            if entry.__class__ is Event:
-                push(time, entry.kind, host=entry.host,
-                     message=entry.message, timer_name=entry.timer_name,
-                     data=entry.data)
-            else:
-                push_deliver(time, entry)
 
     def pop_tick(self, horizon: Optional[float] = None):
         """Consume *every* event of the earliest instant in one call.
@@ -635,34 +591,3 @@ class EventQueue:
         del self._slots[time]
         heapq.heappop(self._front_times)
         return time, buckets_out
-
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event.
-
-        Raises:
-            IndexError: if the queue is empty.
-        """
-        front = self.pop_due(None)
-        if front is None:
-            raise IndexError("pop from empty event queue")
-        time, entry = front
-        if entry.__class__ is Message:
-            # Wrap fast-path deliveries for the generic Event API.
-            return Event(
-                time=time,
-                priority=_DELIVER_PRIORITY,
-                seq=next(self._counter),
-                kind=EventKind.DELIVER,
-                message=entry,
-            )
-        return entry
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next event without removing it."""
-        front = self._locate_front()
-        return None if front is None else front[0]
-
-    def drain(self) -> Iterator[Event]:
-        """Yield remaining events in order (mainly for tests)."""
-        while self:
-            yield self.pop()

@@ -1,6 +1,6 @@
 """Coordinator for the sharded lane: gate, pre-pass, fork, merge.
 
-The coordinator turns one primed :class:`~repro.simulation.engine.Simulator`
+The coordinator turns one :class:`~repro.simulation.engine.Simulator`
 into ``K`` lockstep shard runs and folds their results back into a
 single :class:`~repro.simulation.engine.SimulationResult` that is
 bit-identical (value, cost fingerprint, declaration time) to the
@@ -13,10 +13,9 @@ single-process engine.  The sequence:
    then the tick lanes' shared :func:`~repro.simulation.vector_lane.plan_run`
    (fixed delay, no joins, kernel-supported hosts -- here WILDFIRE's
    only: the pre-pass below and the canonical keys are derived from its
-   Broadcast-first activation order), which pulls the
-   primed calendar queue into an explicit plan -- exactly one query
-   start at time 0 plus the failure schedule -- or puts it back
-   untouched and names the reason.
+   Broadcast-first activation order), which returns the failure plan
+   read off the churn schedule -- the query start at time 0 is the
+   lane's own first step -- or names the reason, having touched nothing.
 2. **Activation pre-pass** -- compute every host's global activation
    rank content-independently on a throwaway network copy.  WILDFIRE
    activations are caused by Broadcast records only (any Convergecast

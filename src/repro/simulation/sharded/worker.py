@@ -222,7 +222,7 @@ class _ShardLane(_TickLane):
     # ------------------------------------------------------------------
     # Epoch hooks of the instant loop
     # ------------------------------------------------------------------
-    def exchange(self, t_next: float) -> None:
+    def exchange(self, t_next: float, sent_at: float) -> None:
         """Meet the other shards at the epoch barrier and file this
         shard's slice of what lands at ``t_next`` -- an empty slice too
         while anything is in flight run-wide, so every shard keeps
@@ -244,7 +244,7 @@ class _ShardLane(_TickLane):
         self.rank_bound = (total if total > self.num_hosts
                            else self.num_hosts) + 1
         if total:
-            self.in_flight.append((t_next, entries))
+            self.in_flight.append((t_next, entries, sent_at))
 
     def end_instant(self, t: float) -> None:
         (wall_start, wall_mid, barrier_before, cross_before, depth_now,

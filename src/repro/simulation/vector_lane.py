@@ -60,13 +60,18 @@ harness:
 
 Engagement is the gate's decision, not the caller's (:func:`plan_run`):
 ``"vector"`` is :data:`DEFAULT_LANE`, and a lane runs only when delay is
-fixed, churn has no joins, the primed queue holds exactly the query
-start plus failures, and the host class names a batch kernel that
-accepts the host table; the vector lane additionally refuses any tracer,
-the sharded lane any kernel but WILDFIRE's.  Anything else
-falls back to the spec loop with the reason returned beside the result,
-and ``Simulator.run`` records it on ``SimulationResult.fallback_reason``
-and ``lane_used``.
+fixed, churn has no joins, nothing was queued before the first ``run()``
+and the host class names a batch kernel that accepts the host table; the
+sharded lane additionally refuses any kernel but WILDFIRE's and any
+tracer but the exact ``RingTracer``.  The gate reads the run's inputs,
+never the queue's contents, and is consulted before the queue is primed:
+an engaged lane takes the failure schedule straight from the churn
+schedule and runs the query start itself, a refused run is primed for
+the spec loop with the reason returned beside the result, and
+``Simulator.run`` records it on ``SimulationResult.fallback_reason`` and
+``lane_used``.  Traced or not, a configuration has one execution: the
+lane reports to the simulator's tracer through the same hooks, at the
+same points and with the same floats as the spec loop.
 """
 
 from __future__ import annotations
@@ -74,9 +79,9 @@ from __future__ import annotations
 import gc
 from collections import defaultdict, deque
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.simulation.events import Event, EventKind
 from repro.simulation.host import HostContext
 
 #: Lane names understood by the engine and every CLI/config surface.
@@ -101,24 +106,26 @@ def validate_lane(lane: str) -> str:
     return lane
 
 
-def plan_run(simulator, horizon: float, lane_reason: Optional[str],
+def plan_run(simulator, horizon: float, lane_reason: Optional[str] = None,
              kernels: Optional[tuple] = None):
-    """The engagement gate and plan extraction both tick lanes share.
+    """The engagement gate and failure plan both tick lanes share.
 
-    Returns ``(kernel, fails, None)`` when the run can be driven
-    instant-at-a-time -- ``fails`` being the primed queue's failure
-    schedule as ``(time, host)`` in drain order, its one query start
-    consumed -- or ``(None, None, reason)`` with the queue as it was, so
-    the spec loop proceeds as if the lane had never been consulted.  The
-    checks that need no queue run first (every default-lane run comes
-    through here); a refusal after the drain restores the queue verbatim
-    (``drain_until``/``ingest_events`` round-trip exactly).
-    ``lane_reason`` is the verdict of the calling lane's own checks
-    (tracer, and for the sharded lane what forking needs); ``None`` =
-    passed.  The kernel is the one the querying host's class names as
-    ``batch_kernel``; whether it accepts this host table is its
-    ``try_build``'s call.  ``kernels`` is the sharded lane's restriction
-    to the kernel classes it can drive (``None`` = any).
+    A pure function of what the run was given, consulted before
+    :meth:`Simulator.run` primes the queue: returns
+    ``(kernel, fails, None)`` when the run can be driven
+    instant-at-a-time -- ``fails`` being the churn schedule's failures
+    due by ``horizon`` as ``(time, host)`` in stable time order, exactly
+    the calendar's ``(time, seq)`` drain order -- or
+    ``(None, None, reason)``, and then nothing was consumed because
+    nothing was touched.  ``lane_reason`` is the verdict of the calling
+    lane's own checks (what forking and the trace merge need); ``None``
+    = passed.  The queue must be empty: anything a driver pushed before
+    the first ``run()`` (timers, custom events, external deliveries)
+    belongs to a protocol the lanes do not know about.  The kernel is
+    the one the querying host's class names as ``batch_kernel``; whether
+    it accepts this host table is its ``try_build``'s call.  ``kernels``
+    is the sharded lane's restriction to the kernel classes it can drive
+    (``None`` = any).
     """
     if simulator.delay_model is not None:
         return None, None, "variable delay model"
@@ -127,6 +134,8 @@ def plan_run(simulator, horizon: float, lane_reason: Optional[str],
     churn = simulator._churn
     if churn.joins:
         return None, None, "join churn scheduled"
+    if len(simulator._queue) != 0:
+        return None, None, "unexpected pre-queued events"
     hosts = simulator.hosts
     kernel_class = getattr(type(hosts[simulator.querying_host]),
                            "batch_kernel", None)
@@ -135,45 +144,23 @@ def plan_run(simulator, horizon: float, lane_reason: Optional[str],
                                      or kernel_class in kernels):
         kernel = kernel_class.try_build(
             hosts, simulator.network.num_hosts, simulator.querying_host)
-    queue = simulator._queue
-    # The queue was just primed by run(): churn failures plus the query
-    # start.  Anything else (pre-pushed timers, custom events, external
-    # deliveries) belongs to a driver the lanes do not know about -- a
-    # cause that outranks the host verdict, so an unsupported host table
-    # refuses without touching the queue only when its length says it
-    # holds nothing but what run() pushed.
-    if kernel is None and len(queue) == 1 + sum(
-            time <= horizon for time, _host in churn.failures):
+    if kernel is None:
         return None, None, "unsupported protocol hosts or combiner"
-    drained = queue.drain_until(horizon)
-    starts = [(time, entry.host) for time, entry in drained
-              if entry.__class__ is Event
-              and entry.kind is EventKind.QUERY_START]
-    fails = [(time, entry.host) for time, entry in drained
-             if entry.__class__ is Event and entry.kind is EventKind.FAIL]
-    if (len(starts) + len(fails) != len(drained)
-            or starts != [(0.0, simulator.querying_host)]):
-        reason = "unexpected pre-queued events"
-    elif kernel is None:
-        reason = "unsupported protocol hosts or combiner"
-    else:
-        return kernel, fails, None
-    queue.ingest_events(drained)
-    return None, None, reason
+    fails = sorted((fail for fail in churn.failures if fail[0] <= horizon),
+                   key=itemgetter(0))
+    return kernel, fails, None
 
 
 def maybe_run(simulator, horizon: float):
     """Run the simulation on the vector lane.
 
     Returns ``(result, None)`` on engagement or ``(None, reason)`` on
-    fallback.  Called by :meth:`Simulator.run` after churn and the query
-    start are queued; a fallback consumes nothing.
+    fallback.  Called by :meth:`Simulator.run` on its first call, before
+    anything is queued; a fallback consumes nothing.
     """
     from repro.simulation.engine import SimulationResult
 
-    kernel, fails, reason = plan_run(
-        simulator, horizon,
-        "tracer attached" if simulator.tracer is not None else None)
+    kernel, fails, reason = plan_run(simulator, horizon)
     if reason is not None:
         return None, reason
     lane = _TickLane(simulator, kernel, horizon, fails)
@@ -190,10 +177,6 @@ def maybe_run(simulator, horizon: float):
 class _TickLane:
     """One engaged tick-lane run over hosts ``[lo, hi)`` (see the module
     docstring); the whole host range unless a subclass narrows it."""
-
-    #: Trace sink the kernel and the submit paths report to; the
-    #: in-process lane is gated to untraced runs.
-    tracer = None
 
     def __init__(self, simulator, kernel, horizon: float,
                  fails: Sequence[Tuple[float, int]], lo: int = 0,
@@ -214,16 +197,23 @@ class _TickLane:
         self.network = network
         self.delta = simulator.delta
         self.wireless = simulator.wireless
+        #: Trace sink the kernel and the submit paths report to (one
+        #: pointer check per hook when there is none).
+        self.tracer = simulator.tracer
         #: The network's own packed alive bitmap (one byte per host);
         #: failures the lane applies show through immediately.
         self.alive_bytes = network._alive
         #: Records emitted this instant, landing one ``delta`` later:
         #: ``(rank, sender, dests, kind, agg, dist, depth)``.
         self.out_records: List[tuple] = []
-        #: ``(landing instant, records)`` in landing order.  Instants are
-        #: visited in ascending order and ``t + delta`` is monotone in
-        #: ``t``, so filing at the tail keeps the queue sorted.
-        self.in_flight: Deque[Tuple[float, List[tuple]]] = deque()
+        #: ``(landing instant, records, send instant)`` in landing order.
+        #: Instants are visited in ascending order and ``t + delta`` is
+        #: monotone in ``t``, so filing at the tail keeps the queue sorted.
+        self.in_flight: Deque[Tuple[float, List[tuple], float]] = deque()
+        #: Send instant of the batch being delivered: the float the spec
+        #: stamps on ``Message.sent_at``, carried rather than recomputed
+        #: (``(t + delta) - delta != t`` for a non-dyadic ``delta``).
+        self.sent_at = 0.0
         #: The timer calendar: per-instant registrations
         #: ``(host_id, chain_depth, causing_rank)`` in spec order, keyed
         #: by the exact float the spec host computes, and a heap of the
@@ -316,22 +306,16 @@ class _TickLane:
     # ------------------------------------------------------------------
     # The instant loop
     # ------------------------------------------------------------------
-    def exchange(self, t_next: float) -> None:
-        """File the records just emitted under their landing instant
-        ``t_next``.  In process that is the list itself: append order
-        already is spec order, so it is moved, not sorted.  Two instants
-        one ulp apart can round to the same landing instant; the later
-        one's records then queue behind the earlier one's, as in the
-        spec calendar's slot."""
-        out = self.out_records
-        if not out:
-            return
-        self.out_records = []
-        in_flight = self.in_flight
-        if in_flight and in_flight[-1][0] == t_next:
-            in_flight[-1][1].extend(out)
-        else:
-            in_flight.append((t_next, out))
+    def exchange(self, t_next: float, sent_at: float) -> None:
+        """File the records emitted at instant ``sent_at`` under their
+        landing instant ``t_next``.  In process that is the list itself:
+        append order already is spec order, so it is moved, not sorted.
+        Two instants one ulp apart can round to the same landing
+        instant; the later one's batch then queues behind the earlier
+        one's, as in the spec calendar's slot."""
+        if self.out_records:
+            self.in_flight.append((t_next, self.out_records, sent_at))
+            self.out_records = []
 
     def end_instant(self, t: float) -> None:
         """Per-instant bookkeeping hook (nothing in process)."""
@@ -373,7 +357,7 @@ class _TickLane:
             while True:
                 t_land = t + delta
                 if t_land <= horizon:
-                    self.exchange(t_land)
+                    self.exchange(t_land, t)
                 t_next = in_flight[0][0] if in_flight else _NEVER
                 if timer_heap and timer_heap[0] < t_next:
                     t_next = timer_heap[0]
@@ -381,8 +365,8 @@ class _TickLane:
                     break
                 self._apply_fails(t_next, inclusive=False)
                 clock._now = t = t_next
-                if in_flight and in_flight[0][0] == t:
-                    entries = in_flight.popleft()[1]
+                while in_flight and in_flight[0][0] == t:
+                    _, entries, self.sent_at = in_flight.popleft()
                     if entries:
                         kernel.process_instant(t, entries, self)
                 while timer_heap and timer_heap[0] == t:

@@ -119,6 +119,32 @@ class TestObservationOnly:
             sorted(plain.costs.messages_by_time.items())
 
 
+    @pytest.mark.parametrize("delta", [1.0, 0.3])
+    @pytest.mark.parametrize("protocol", [Wildfire, SpanningTree])
+    def test_default_lane_runs_traced_and_attributes_like_the_spec_loop(
+            self, topology, values, protocol, delta):
+        # The provenance of an answer is taken from the run that produced
+        # it: the default lane engages under the tracer, and its record
+        # (send instants included, which the deadline pass compares
+        # exactly) yields the spec loop's attribution.
+        def attribute(**lane):
+            churn = ChurnSchedule(failures=[(0.5 * delta, 11),
+                                            (0.5 * delta, 23),
+                                            (1.5 * delta, 37)])
+            return run_protocol_with_provenance(
+                protocol(), topology, values, "count", churn=churn,
+                delta=delta, seed=SEED, **lane)
+
+        default, provenance = attribute()
+        spec, spec_provenance = attribute(lane="python")
+        assert (default.lane_used, default.fallback_reason) == ("vector",
+                                                                None)
+        assert spec.lane_used == "python"
+        assert provenance == spec_provenance
+        assert provenance.failed == frozenset({11, 23, 37})
+        assert provenance.deliveries > 0
+
+
 class TestExperimentsOptIn:
     def test_badcase_attribution_tells_the_theorem_story(self):
         from repro.experiments.badcase import run_theorem_44_experiment

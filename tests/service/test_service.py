@@ -189,6 +189,32 @@ class TestOneEventLoop:
         assert callers == ["engine._drain"]
         assert not hasattr(repro.service, "SessionContext")
 
+    def test_the_lane_gate_reads_the_queue_only_through_len(self):
+        """No drain/ingest round trip is left anywhere under ``src/``,
+        and ``plan_run`` -- consulted before the queue is primed --
+        touches ``_queue`` solely as the argument of ``len()``."""
+        import repro
+
+        package = pathlib.Path(repro.__file__).parent
+        plan_run = None
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                # An attribute access or a definition, by either name
+                # (spelled in halves: a grep for them stays empty too).
+                name = getattr(node, "attr", getattr(node, "name", None))
+                assert name not in ("drain" "_until",
+                                    "ingest" "_events"), path
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name == "plan_run"):
+                    plan_run = node
+        reads = [node for node in ast.walk(plan_run)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr == "_queue"]
+        measured = [call.args[0] for call in ast.walk(plan_run)
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "len"]
+        assert reads and all(read in measured for read in reads)
+
     def test_finished_service_is_collectable_without_the_cyclic_gc(
             self, topology, values):
         """The engine holds no back-reference cycle: dropping the last

@@ -242,12 +242,12 @@ class TestCalendarQueueFuzz:
                         reference,
                         (time, _KIND_PRIORITY[kind], next(counter), label))
                     if rng.random() < 0.3 and queue:
-                        got = queue.pop()
+                        got = queue.pop_due(None)[1]
                         expected = heapq.heappop(reference)
                         assert (got.time, got.priority, got.host) == (
                             expected[0], expected[1], expected[3])
                 while queue:
-                    got = queue.pop()
+                    got = queue.pop_due(None)[1]
                     expected = heapq.heappop(reference)
                     assert (got.time, got.priority, got.host) == (
                         expected[0], expected[1], expected[3])
@@ -263,7 +263,8 @@ class TestCalendarQueueFuzz:
             queue = EventQueue(width=width)
             for time, label in pushes:
                 queue.push(time, EventKind.TIMER, host=label)
-            orders.append([event.host for event in queue.drain()])
+            orders.append([queue.pop_due(None)[1].host for _ in pushes])
+            assert not queue
         assert orders[0] == orders[1] == orders[2]
 
     def test_width_must_be_positive(self):

@@ -4,12 +4,15 @@ from typing import Any, Optional
 
 import pytest
 
+from repro.protocols.base import prepare_protocol_run
+from repro.protocols.wildfire import Wildfire
 from repro.simulation.churn import ChurnSchedule
 from repro.simulation.engine import Simulator
 from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
 from repro.topology.primitives import chain_topology, star_topology
+from repro.topology.random_graph import random_topology
 
 
 class FloodHost(ProtocolHost):
@@ -192,3 +195,39 @@ class TestRunControl:
         result = simulator.run(until=20)
         assert result.value == 0.0  # querying host received at time 0
         assert result.querying_host == 0
+
+    @staticmethod
+    def _wildfire_count(lane):
+        """A 40-host WILDFIRE count with one failure past instant 3."""
+        topology = random_topology(40, seed=3)
+        prepared = prepare_protocol_run(
+            Wildfire(), topology, [1.0] * len(topology), "count", seed=1)
+        simulator = Simulator(
+            network=topology.to_network(), hosts=prepared.hosts,
+            querying_host=0, churn=ChurnSchedule(failures=[(4.5, 7)]),
+            lane=lane)
+        return simulator, prepared.termination
+
+    @staticmethod
+    def _digest(result):
+        return result.value, result.costs.fingerprint(), result.finished_at
+
+    def test_a_resumed_run_equals_the_one_shot_run(self):
+        one_shot, horizon = self._wildfire_count("python")
+        expected = one_shot.run(until=horizon)
+        resumed, _ = self._wildfire_count("python")
+        resumed.run(until=3.0)
+        # Primed once: no second query start behind the clock, the churn
+        # schedule filed once and the failure past the first horizon kept.
+        result = resumed.run(until=horizon)
+        assert self._digest(result) == self._digest(expected)
+        assert not resumed.network.is_alive(7)
+        assert result.lane_used == "python"
+
+    def test_a_second_run_after_an_engaged_lane_changes_nothing(self):
+        simulator, horizon = self._wildfire_count("vector")
+        first = self._digest(simulator.run(until=horizon))
+        again = simulator.run(until=horizon)
+        assert (again.lane_used, again.fallback_reason) == ("vector", None)
+        assert self._digest(again) == first
+        assert len(simulator._queue) == 0

@@ -10,43 +10,53 @@ def make_message(sender=0, dest=1):
     return Message(sender=sender, dest=dest, kind="test", payload={})
 
 
+def pop(queue):
+    """Consume the earliest live entry: an :class:`Event`, or the bare
+    :class:`Message` of a fast-path delivery."""
+    return queue.pop_due(None)[1]
+
+
+def dest_of(entry):
+    return entry.dest if isinstance(entry, Message) else entry.message.dest
+
+
 class TestEventQueueOrdering:
     def test_pops_in_time_order(self):
         queue = EventQueue()
         queue.push(5.0, EventKind.TIMER, host=1, timer_name="b")
         queue.push(1.0, EventKind.TIMER, host=1, timer_name="a")
         queue.push(3.0, EventKind.TIMER, host=1, timer_name="c")
-        times = [queue.pop().time for _ in range(3)]
+        times = [queue.pop_due(None)[0] for _ in range(3)]
         assert times == [1.0, 3.0, 5.0]
 
     def test_ties_broken_by_insertion_order_within_same_kind(self):
         queue = EventQueue()
         first = queue.push(2.0, EventKind.TIMER, host=1, timer_name="first")
         second = queue.push(2.0, EventKind.TIMER, host=2, timer_name="second")
-        assert queue.pop().timer_name == "first"
-        assert queue.pop().timer_name == "second"
+        assert pop(queue).timer_name == "first"
+        assert pop(queue).timer_name == "second"
         assert first.seq < second.seq
 
     def test_deliveries_precede_timers_at_same_instant(self):
         queue = EventQueue()
         queue.push(2.0, EventKind.TIMER, host=1, timer_name="deadline")
         queue.push(2.0, EventKind.DELIVER, message=make_message())
-        assert queue.pop().kind is EventKind.DELIVER
-        assert queue.pop().kind is EventKind.TIMER
+        assert pop(queue).kind is EventKind.DELIVER
+        assert pop(queue).kind is EventKind.TIMER
 
     def test_failures_processed_last_at_same_instant(self):
         queue = EventQueue()
         queue.push(2.0, EventKind.FAIL, host=3)
         queue.push(2.0, EventKind.DELIVER, message=make_message())
         queue.push(2.0, EventKind.TIMER, host=1, timer_name="t")
-        kinds = [queue.pop().kind for _ in range(3)]
+        kinds = [pop(queue).kind for _ in range(3)]
         assert kinds == [EventKind.DELIVER, EventKind.TIMER, EventKind.FAIL]
 
     def test_query_start_runs_before_everything(self):
         queue = EventQueue()
         queue.push(0.0, EventKind.DELIVER, message=make_message())
         queue.push(0.0, EventKind.QUERY_START, host=0)
-        assert queue.pop().kind is EventKind.QUERY_START
+        assert pop(queue).kind is EventKind.QUERY_START
 
 
 class TestEventQueueBehaviour:
@@ -63,10 +73,8 @@ class TestEventQueueBehaviour:
         with pytest.raises(ValueError):
             queue.push(-0.5, EventKind.TIMER, host=0, timer_name="x")
 
-    def test_pop_empty_raises(self):
-        queue = EventQueue()
-        with pytest.raises(IndexError):
-            queue.pop()
+    def test_pop_due_on_an_empty_queue_returns_none(self):
+        assert EventQueue().pop_due(None) is None
 
     def test_cancel_skips_event(self):
         queue = EventQueue()
@@ -74,26 +82,32 @@ class TestEventQueueBehaviour:
         drop = queue.push(0.5, EventKind.TIMER, host=0, timer_name="drop")
         queue.cancel(drop)
         assert len(queue) == 1
-        event = queue.pop()
+        event = pop(queue)
         assert event.timer_name == "keep"
         assert event.seq == keep.seq
 
-    def test_peek_time_ignores_cancelled(self):
+    def test_horizon_ignores_a_cancelled_front(self):
         queue = EventQueue()
         drop = queue.push(0.5, EventKind.TIMER, host=0, timer_name="drop")
         queue.push(2.0, EventKind.TIMER, host=0, timer_name="keep")
         queue.cancel(drop)
-        assert queue.peek_time() == 2.0
+        # The live front is the 2.0 timer: not due by 1.0, and left queued.
+        assert queue.pop_due(1.0) is None
+        assert len(queue) == 1
+        assert queue.pop_due(2.0)[0] == 2.0
 
-    def test_peek_time_empty_returns_none(self):
-        assert EventQueue().peek_time() is None
+    def test_horizon_bounded_pop_on_an_empty_queue_returns_none(self):
+        assert EventQueue().pop_due(1.0) is None
 
-    def test_drain_yields_all_in_order(self):
+    def test_draining_yields_all_in_order(self):
         queue = EventQueue()
         for t in (3.0, 1.0, 2.0):
             queue.push(t, EventKind.TIMER, host=0, timer_name=str(t))
-        assert [e.time for e in queue.drain()] == [1.0, 2.0, 3.0]
-        assert not queue
+        times = []
+        while queue:
+            times.append(pop(queue).time)
+        assert times == [1.0, 2.0, 3.0]
+        assert queue.pop_due(None) is None
 
 
 class TestTieBreakingRegression:
@@ -106,7 +120,7 @@ class TestTieBreakingRegression:
         queue = EventQueue()
         for i in range(200):
             queue.push(7.0, EventKind.TIMER, host=i, timer_name=f"t{i}")
-        assert [queue.pop().host for _ in range(200)] == list(range(200))
+        assert [pop(queue).host for _ in range(200)] == list(range(200))
 
     def test_interleaved_kinds_at_one_instant_follow_priority_then_fifo(self):
         queue = EventQueue()
@@ -119,7 +133,7 @@ class TestTieBreakingRegression:
         queue.push(1.0, EventKind.DELIVER, message=make_message(0, 31))
         queue.push(1.0, EventKind.TIMER, host=21, timer_name="b")
         queue.push(1.0, EventKind.JOIN, data=(1, 2))
-        drained = [queue.pop() for _ in range(7)]
+        drained = [pop(queue) for _ in range(7)]
         kinds = [e.kind for e in drained]
         assert kinds == [EventKind.JOIN, EventKind.DELIVER, EventKind.DELIVER,
                          EventKind.TIMER, EventKind.TIMER, EventKind.FAIL,
@@ -135,14 +149,14 @@ class TestTieBreakingRegression:
         queue = EventQueue()
         queue.push(2.0, EventKind.DELIVER, message=make_message(0, 1))
         queue.push(2.0, EventKind.TIMER, host=5, timer_name="first")
-        assert queue.pop().kind is EventKind.DELIVER
+        assert pop(queue).kind is EventKind.DELIVER
         # Mid-drain: schedule another timer and a delivery at time 2.0.
         queue.push(2.0, EventKind.TIMER, host=6, timer_name="second")
         queue.push(2.0, EventKind.DELIVER, message=make_message(0, 2))
         # The late delivery outranks both timers; timers stay FIFO.
-        assert queue.pop().message.dest == 2
-        assert queue.pop().timer_name == "first"
-        assert queue.pop().timer_name == "second"
+        assert pop(queue).message.dest == 2
+        assert pop(queue).timer_name == "first"
+        assert pop(queue).timer_name == "second"
         assert not queue
 
     def test_fast_path_delivers_interleave_with_generic_pushes(self):
@@ -150,7 +164,7 @@ class TestTieBreakingRegression:
         queue.push_deliver(3.0, make_message(0, 1))
         queue.push(3.0, EventKind.DELIVER, message=make_message(0, 2))
         queue.push_deliver(3.0, make_message(0, 3))
-        dests = [queue.pop().message.dest for _ in range(3)]
+        dests = [dest_of(pop(queue)) for _ in range(3)]
         assert dests == [1, 2, 3]
 
     def test_push_multicast_is_drain_identical_to_materialised_delivers(self):
@@ -223,12 +237,12 @@ class TestTieBreakingRegression:
                     reference,
                     (time, _KIND_PRIORITY[kind], next(counter), label))
                 if rng.random() < 0.25 and queue:
-                    got = queue.pop()
+                    got = pop(queue)
                     expected = heapq.heappop(reference)
                     assert (got.time, got.priority, got.host) == (
                         expected[0], expected[1], expected[3])
             while queue:
-                got = queue.pop()
+                got = pop(queue)
                 expected = heapq.heappop(reference)
                 assert (got.time, got.priority, got.host) == (
                     expected[0], expected[1], expected[3])
@@ -259,7 +273,7 @@ class TestOccupancyWindow:
         queue = EventQueue()
         queue.push(1.0, EventKind.TIMER, host=0, timer_name="t")
         queue.push(2.0, EventKind.TIMER, host=1, timer_name="t")
-        queue.pop()
+        pop(queue)
         occupancy = queue.occupancy()
         assert occupancy["horizon"] == 2.0
         assert occupancy["current_epoch"] == 2
@@ -294,7 +308,7 @@ class TestOccupancyWindow:
                                        timer_name="t")
                     live.append((time, event))
                 elif action < 0.75:
-                    popped = queue.pop()
+                    popped = pop(queue)
                     expected_time, _ = min(live, key=lambda p: p[0])
                     assert popped.time == expected_time
                     for index, (_, event) in enumerate(live):
@@ -314,50 +328,3 @@ class TestOccupancyWindow:
                     assert occupancy["horizon"] == max(times)
                     assert (occupancy["current_epoch"]
                             == int(min(times) / width))
-
-
-class TestDrainIngestRoundTrip:
-    """``drain_until`` + ``ingest_events`` must round-trip exactly --
-    the sharded coordinator drains the primed queue to inspect it and
-    pushes it back verbatim whenever it declines to engage."""
-
-    def _primed_queue(self):
-        queue = EventQueue()
-        queue.push(0.0, EventKind.QUERY_START, host=3)
-        queue.push(1.5, EventKind.FAIL, host=4)
-        queue.push_deliver(1.0, make_message(sender=1, dest=2))
-        queue.push_multicast(1.0, 0, (5, 6), "kind", {"x": 1}, 0.5, 2)
-        queue.push(2.0, EventKind.TIMER, host=7, timer_name="flush",
-                   data=(None, 0))
-        return queue
-
-    def _drain_signature(self, queue):
-        out = []
-        while True:
-            front = queue.pop_due(None)
-            if front is None:
-                return out
-            time, entry = front
-            if isinstance(entry, Message):
-                out.append((time, "msg", entry.sender, entry.dest,
-                            entry.kind, entry.chain_depth))
-            else:
-                out.append((time, entry.kind, entry.host,
-                            entry.timer_name))
-
-    def test_round_trip_preserves_drain_order(self):
-        drained = self._primed_queue().drain_until(None)
-        assert len(drained) == 6  # the multicast expands to two messages
-        restored = self._primed_queue()
-        batch = restored.drain_until(None)
-        restored.ingest_events(batch)
-        assert (self._drain_signature(restored)
-                == self._drain_signature(self._primed_queue()))
-
-    def test_drain_until_respects_the_horizon(self):
-        queue = self._primed_queue()
-        drained = queue.drain_until(1.0)
-        assert [time for time, _ in drained] == [0.0, 1.0, 1.0, 1.0]
-        assert len(queue) == 2  # the 1.5 FAIL and the 2.0 timer stay
-        occupancy = queue.occupancy()
-        assert occupancy["horizon"] == 2.0

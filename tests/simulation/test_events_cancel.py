@@ -34,7 +34,7 @@ def test_cancel_after_pop_is_noop():
     """The ISSUE repro: push one timer, pop it, cancel it, take len()."""
     queue = EventQueue()
     event = queue.push_timer(1.0, 0, "flush", None)
-    queue.pop()
+    queue.pop_due(None)
     queue.cancel(event)  # already consumed: must not poison the queue
     assert len(queue) == 0
     assert bool(queue) is False
@@ -45,11 +45,11 @@ def test_cancel_after_pop_is_noop():
 def test_cancel_after_pop_keeps_len_exact_for_later_events():
     queue = EventQueue()
     consumed = queue.push_timer(1.0, 0, "flush", None)
-    queue.pop()
+    queue.pop_due(None)
     queue.cancel(consumed)
     queue.push_timer(2.0, 1, "flush", None)
     assert len(queue) == 1  # used to report 0 (and -1 before the push)
-    assert queue.pop().host == 1
+    assert queue.pop_due(None)[1].host == 1
 
 
 def test_double_cancel_counts_once():
@@ -60,7 +60,7 @@ def test_double_cancel_counts_once():
     queue.cancel(event)
     assert len(queue) == 1
     assert queue.occupancy()["cancelled"] == 1
-    assert queue.pop().host == 1
+    assert queue.pop_due(None)[1].host == 1
     assert len(queue) == 0
 
 
@@ -71,7 +71,8 @@ def test_cancel_after_lazy_discard_is_noop():
     event = queue.push_timer(1.0, 0, "flush", None)
     queue.push_timer(2.0, 1, "flush", None)
     queue.cancel(event)
-    assert queue.pop().host == 1  # drain discards the cancelled event
+    # The drain discards the cancelled event.
+    assert queue.pop_due(None)[1].host == 1
     queue.cancel(event)
     assert len(queue) == 0
     assert queue.occupancy()["cancelled"] == 0
@@ -91,13 +92,13 @@ def test_cancel_foreign_event_is_noop():
     assert len(other) == 0
 
 
-def test_cancel_popped_wrapper_of_fast_path_delivery_is_noop():
-    """pop() wraps bare fast-path messages in a fresh Event; cancelling
-    that wrapper must be a no-op (it was never queued)."""
+def test_cancel_popped_fast_path_delivery_is_noop():
+    """A fast-path delivery pops as its bare message; cancelling that
+    must be a no-op (only Event wrappers are ever cancellable)."""
     queue = EventQueue()
     queue.push_deliver(1.0, Message(0, 1, "QUERY", None))
-    wrapper = queue.pop()
-    queue.cancel(wrapper)
+    _, message = queue.pop_due(None)
+    queue.cancel(message)
     assert len(queue) == 0
     assert queue.occupancy()["pending"] == 0
 
@@ -119,7 +120,7 @@ def test_negative_time_rejected_on_every_entry_point():
         queue.push_multicast(-2.0, 0, (1, 2), "QUERY", None, 0.0, 1)
     # Nothing leaked into the queue from the rejected calls.
     assert len(queue) == 0
-    assert queue.peek_time() is None
+    assert queue.pop_due(None) is None
 
 
 def test_zero_time_accepted_on_every_entry_point():
@@ -149,6 +150,14 @@ _ops = st.lists(
     ),
     min_size=1, max_size=80,
 )
+
+
+def _labelled(front):
+    """``(time, model label)`` of a popped ``(time, entry)`` pair: the
+    label rides in ``data`` of an Event, in the payload of a message."""
+    time, entry = front
+    return time, (entry.payload if entry.__class__ is Message
+                  else entry.data)
 
 
 @settings(max_examples=80, deadline=None,
@@ -199,14 +208,10 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
         elif op[0] == "pop":
             expected = model_pop()
             if expected is None:
-                with pytest.raises(IndexError):
-                    queue.pop()
+                assert queue.pop_due(None) is None
             else:
-                popped = queue.pop()
-                got_label = (popped.data if popped.data is not None
-                             else popped.message.payload)
-                assert popped.time == expected[0]
-                assert got_label == expected[3]
+                assert _labelled(queue.pop_due(None)) == (
+                    expected[0], expected[3])
         elif op[0] == "cancel":
             if handles:
                 index = op[1] % len(handles)
@@ -216,10 +221,7 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
 
     # Drain whatever is left and require the exact reference order.
     remaining = [model_pop() for _ in range(len(alive))]
-    drained = [(event.time,
-                event.data if event.data is not None
-                else event.message.payload)
-               for event in queue.drain()]
+    drained = [_labelled(queue.pop_due(None)) for _ in remaining]
     assert drained == [(entry[0], entry[3]) for entry in remaining]
     assert len(queue) == 0
     assert queue.occupancy()["pending"] == 0
@@ -247,7 +249,7 @@ def test_pop_tick_returns_whole_instant_in_priority_order():
     assert buckets[_KIND_PRIORITY[EventKind.FAIL]][0].host == 9
     # Weight accounting: 1 bare + 2 batched + timer + fail consumed.
     assert len(queue) == 1
-    assert queue.peek_time() == 2.0
+    assert queue.pop_due(None)[0] == 2.0
 
 
 def test_pop_tick_respects_horizon_and_skips_cancelled():

@@ -25,7 +25,6 @@ from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
 from repro.simulation.churn import ChurnSchedule, JoinSpec
 from repro.simulation.engine import Simulator
-from repro.simulation.events import EventQueue
 from repro.simulation.host import HostContext
 from repro.simulation.vector_lane import DEFAULT_LANE, LANES, validate_lane
 from repro.topology.grid import grid_topology
@@ -186,6 +185,20 @@ def test_identical_with_off_grid_failures(lane, shards):
     spec = _spec(churn=churn)
     assert spec["declared_at"] == 19.5
     assert _engaged(lane, shards, churn=churn) == spec
+
+
+@lane_cases
+def test_identical_when_failures_were_appended_out_of_time_order(
+        lane, shards):
+    # The schedule sorts at construction only.  The spec calendar drains
+    # whatever it was handed by (time, push order); the lanes' failure
+    # plan must be that same stable time sort, not the list as it stands.
+    def churn():
+        schedule = ChurnSchedule(failures=[(2.0, 3)])
+        schedule.failures += [(1.0, 7), (2.0, 11), (1.0, 9), (0.5, 12)]
+        return schedule
+
+    assert _engaged(lane, shards, churn=churn()) == _spec(churn=churn())
 
 
 @pytest.mark.parametrize("lane,shards", LANE_CASES + [("sharded", 12)],
@@ -365,23 +378,56 @@ def test_sharded_result_carries_workers_and_epoch_timeline(shards):
     assert all(row["straggler"] in range(shards) for row in report)
 
 
-def test_ring_tracer_engages_sharded_and_stays_bit_identical():
-    # A traced sharded run engages the lane and the digests stay
-    # bit-identical to the untraced run, while the merged trace carries
-    # one process track per shard with the exact run-wide hook counts --
-    # including the failure after the flood has died out.
-    churn = ChurnSchedule(failures=[(1.0, 7), (2.0, 3), (19.5, 4)])
-    spec_tracer = RingTracer(capacity=100_000)
-    spec = _spec(churn=churn, tracer=spec_tracer)
-    for shards in (1, 2, 4):
-        tracer = RingTracer(capacity=100_000)
-        traced = _engaged("sharded", shards, churn=churn, tracer=tracer)
-        assert traced == spec
-        assert traced == _engaged("sharded", shards, churn=churn)
-        assert dict(tracer.counts) == dict(spec_tracer.counts)
-        assert ([p["label"] for p in tracer.processes]
-                == [f"shard {k}" for k in range(shards)])
-        assert all(p["records"] for p in tracer.processes)
+#: Every traced driver: WILDFIRE on every lane case, convergecast on the
+#: in-process lane.
+TRACED_CASES = ([("wildfire", lane, shards) for lane, shards in LANE_CASES]
+                + [(protocol, "vector", 1)
+                   for protocol in sorted(CONVERGECAST)])
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.1, 0.3])
+@pytest.mark.parametrize("protocol,lane,shards", TRACED_CASES,
+                         ids=lambda v: str(v))
+def test_ring_tracer_engages_the_lane_and_records_the_spec_trace(
+        protocol, lane, shards, delta):
+    # A traced run engages the lane it asked for, its digests stay
+    # bit-identical to the untraced run and to the spec loop, and its
+    # unsampled ring holds the spec loop's records -- every send instant
+    # included, which for a non-dyadic delta is not ``now - delta`` --
+    # under a time-0 failure, two failures at one instant and one late
+    # in the run (after a flood has died out; a tree reports to the end).
+    make = CONVERGECAST.get(protocol, Wildfire)
+    churn = ChurnSchedule(failures=[(0.0, 5), (1.5 * delta, 7),
+                                    (1.5 * delta, 3), (19.5 * delta, 4)])
+
+    def ring():
+        return RingTracer(capacity=100_000, sampling={})
+
+    spec_tracer = ring()
+    spec = _spec(protocol=make(), delta=delta, churn=churn,
+                 tracer=spec_tracer)
+    if protocol == "wildfire":
+        assert spec["declared_at"] == 19.5 * delta
+    tracer = ring()
+    traced = _engaged(lane, shards, protocol=make(), delta=delta,
+                      churn=churn, tracer=tracer)
+    assert traced == spec
+    assert traced == _engaged(lane, shards, protocol=make(), delta=delta,
+                              churn=churn)
+    assert dict(tracer.counts) == dict(spec_tracer.counts)
+    if lane == "vector":
+        assert tracer.raw_records() == spec_tracer.raw_records()
+        return
+    # One process track per shard; one shard sees the whole run in spec
+    # order, several see a partition of it.
+    assert ([p["label"] for p in tracer.processes]
+            == [f"shard {k}" for k in range(shards)])
+    assert all(p["records"] for p in tracer.processes)
+    if shards == 1:
+        assert tracer.processes[0]["records"] == spec_tracer.raw_records()
+    else:
+        merged = [r for p in tracer.processes for r in p["records"]]
+        assert sorted(merged) == sorted(spec_tracer.raw_records())
 
 
 # ----------------------------------------------------------------------
@@ -417,9 +463,6 @@ GATES = {
     "variable delay": (
         "variable delay model",
         lambda: dict(delay="uniform:0.25,1.0"), ("vector", "sharded")),
-    "tracer on the vector lane": (
-        "tracer attached",
-        lambda: dict(tracer=RingTracer(capacity=1000)), ("vector",)),
     "foreign tracer on the sharded lane": (
         "unsupported tracer (sharded tracing needs RingTracer)",
         lambda: dict(tracer=Tracer()), ("sharded",)),
@@ -450,12 +493,6 @@ GATES = {
         "unsupported protocol hosts or combiner",
         lambda: dict(protocol=DirectedAcyclicGraph(),
                      prime=_rebrand_hosts), ("vector",)),
-    # The lane's own checks outrank the host table: a traced tree run
-    # falls back for the tracer, not for its hosts.
-    "tracer on a tree run": (
-        "tracer attached",
-        lambda: dict(protocol=SpanningTree(),
-                     tracer=RingTracer(capacity=1000)), ("vector",)),
     "pre-queued foreign event": (
         "unexpected pre-queued events",
         lambda: dict(churn=ChurnSchedule(failures=[(2.0, 4)]),
@@ -479,31 +516,28 @@ def test_falls_back_with_a_reason(gate, lane, shards):
     assert snapshot == spec
 
 
-@lane_cases
-def test_unsupported_hosts_refuse_without_touching_the_queue(
-        lane, shards, monkeypatch):
-    # Every default-lane run consults the gate, so a host verdict (a
-    # protocol with no batch kernel; tree hosts on the sharded lane) must
-    # not cost a drain/ingest round trip -- unless something was
-    # pre-queued, which outranks it in the reason order and can only be
-    # seen by looking.
-    protocol = SpanningTree if lane == "sharded" else AllReport
-    drains = []
-    real_drain = EventQueue.drain_until
-
-    def counting_drain(self, horizon):
-        drains.append(horizon)
-        return real_drain(self, horizon)
-
-    monkeypatch.setattr(EventQueue, "drain_until", counting_drain)
-    churn = ChurnSchedule(failures=[(2.0, 4), (400.0, 5)])
-    _, _, result = _simulate(lane, shards, protocol=protocol(), churn=churn)
-    assert result.fallback_reason == "unsupported protocol hosts or combiner"
-    assert drains == []
-    _, _, result = _simulate(lane, shards, protocol=protocol(), churn=churn,
-                             prime=_push_foreign_timer)
-    assert result.fallback_reason == "unexpected pre-queued events"
-    assert len(drains) == 1
+def test_gate_reasons_follow_one_order():
+    # Delay, the lane's own checks, joins, pre-queued events, hosts: a
+    # run refused on several counts names the first.
+    joins = ChurnSchedule(joins=[JoinSpec(3.0, (0, 1))])
+    refused = [
+        ("unsupported protocol hosts or combiner",
+         dict(protocol=AllReport())),
+        ("unexpected pre-queued events", dict(prime=_push_foreign_timer)),
+        ("join churn scheduled", dict(churn=joins)),
+        ("unsupported tracer (sharded tracing needs RingTracer)",
+         dict(tracer=Tracer())),
+        ("variable delay model", dict(delay="uniform:0.25,1.0")),
+    ]
+    kwargs = {}
+    for reason, more in refused:
+        kwargs.update(more)
+        _, _, result = _simulate("sharded", 2, **kwargs)
+        assert result.fallback_reason == reason
+    # The vector lane has no checks of its own.
+    kwargs.pop("delay")
+    _, _, result = _simulate("vector", **kwargs)
+    assert result.fallback_reason == "join churn scheduled"
 
 
 def test_sharded_falls_back_without_the_fork_start_method(monkeypatch):
