@@ -11,19 +11,17 @@ Three locks on the simulation kernel's performance:
   inside a generous calibrated budget and fails on a >2x regression.
 * ``test_100k_host_run_completes`` -- a beyond-paper 100,000-host
   Gnutella-like WILDFIRE count run completes and declares a sane
-  estimate (the paper's own experiments stop at ~39k hosts).
-* ``test_100k_streaming_run_matches_full_and_stays_in_rss_budget`` --
-  the same run under streaming accounting is measure-identical, its
-  accounting structures are >=5x smaller, and the process peak RSS stays
-  inside a budget.
+  estimate (the paper's own experiments stop at ~39k hosts), its
+  accounting structures stay packed (a few bytes per host), and the
+  process peak RSS stays inside a budget.
 * ``test_packed_core_100k_rss_is_2x_below_prepacked_baseline`` -- the
-  packed-memory network core's guard: ``repro bench --hosts 100000
-  --stats streaming`` in a clean subprocess must peak >=2x below the
-  pre-packed-core baseline RSS recorded in ``BENCH_kernel.json``.
+  packed-memory network core's guard: ``repro bench --hosts 100000``
+  in a clean subprocess must peak >=2x below the pre-packed-core
+  baseline RSS recorded in ``BENCH_kernel.json``.
 * ``test_vector_lane_10k_differential_and_2x_speedup`` -- the CI
   python-vs-vector differential cell: the vectorized kernel lane (the
   default) must reproduce the python lane bit-for-bit (value, cost fingerprint,
-  declaration time) on a 10k-host streaming run and beat it by >=2x
+  declaration time) on a 10k-host run and beat it by >=2x
   (self-calibrating: both lanes are timed interleaved on this machine).
 * ``test_convergecast_10k_differential_and_2x_speedup`` -- the paired cell
   for SPANNINGTREE and DAG-2 ``count`` (the convergecast batch kernel).
@@ -31,7 +29,7 @@ Three locks on the simulation kernel's performance:
   a clean subprocess: the flag reaches the kernel, the JSON row records
   the lane, and both lanes' rows agree on every cost measure.
 * ``test_million_host_run_completes_when_requested`` -- the 1,000,000
-  host streaming run (opt-in via ``REPRO_BENCH_MILLION=1``).
+  host run (opt-in via ``REPRO_BENCH_MILLION=1``).
 
 Each benchmark appends its measurement to the ``BENCH_kernel.json``
 trajectory (path overridable via ``REPRO_BENCH_OUT``) so CI can upload
@@ -187,11 +185,14 @@ def test_10k_host_run_is_quick():
                             "messages_per_second")})
 
 
-#: Bridge between the full- and streaming-accounting 100k runs: the full
-#: run records its accounting footprint here so the streaming run (later
-#: in this module) can assert the memory ratio without paying for a
-#: second full-accounting pass.
-_FULL_100K = {}
+#: Peak-RSS budget for the perf-smoke *session* up to and including the
+#: 100k run.  ``ru_maxrss`` is a process-wide high-water mark, so this
+#: covers everything that precedes it in the module; the packed network
+#: core (CSR adjacency + slotted hosts + lazy multicast expansion)
+#: brought the clean-process peak from ~377 MiB down to ~179 MiB.
+#: Budgeted with headroom; the strict clean-process 2x guard lives in
+#: ``test_packed_core_100k_rss_is_2x_below_prepacked_baseline``.
+STREAMING_100K_RSS_BUDGET_MB = 250.0
 
 
 def test_100k_host_run_completes():
@@ -201,6 +202,8 @@ def test_100k_host_run_completes():
     is ~2.5x that.  Completion (no runaway event growth, no quadratic
     blowup in the network structures) plus a sane estimate is the
     assertion; the wall time lands in the trajectory for trend-watching.
+    CI perf smoke, memory half: the accounting structures stay packed
+    and the process's peak RSS stays inside the budget.
     """
     from repro.experiments.scale_bench import run_scale_benchmark
 
@@ -209,59 +212,19 @@ def test_100k_host_run_completes():
                               seed=1)
     print(f"\n100k hosts: {row['run_seconds']}s, {row['messages']} messages "
           f"({row['messages_per_second']}/s, "
-          f"accounting {row['accounting_bytes']} bytes)")
+          f"accounting {row['accounting_bytes']} bytes), "
+          f"peak RSS {row['peak_rss_mb']} MiB")
     assert row["hosts"] == 100_000
     assert row["messages"] > 100_000          # the flood alone exceeds |H|
     # FM count estimate at c=8 is within a small multiplicative factor.
     assert 100_000 / 8 <= row["value"] <= 100_000 * 8
-    _FULL_100K.update(row)
+    # Four bytes per host plus the per-tick / per-kind maps; a per-host
+    # Counter took ~90 bytes per host.
+    assert row["accounting_bytes"] <= 5 * row["hosts"]
     _record_trajectory("pytest 100k scale", **{
         k: row[k] for k in ("hosts", "gen_seconds", "run_seconds",
                             "messages", "messages_per_second",
                             "peak_rss_mb", "accounting_bytes")})
-
-
-#: Peak-RSS budget for the perf-smoke *session* up to and including the
-#: streaming 100k run.  ``ru_maxrss`` is a process-wide high-water mark,
-#: so this covers the full-accounting 100k run that precedes it in the
-#: module; the packed network core (CSR adjacency + slotted hosts + lazy
-#: multicast expansion) brought the clean-process streaming peak from
-#: ~377 MiB down to ~179 MiB, and the in-session mark with the full-
-#: accounting predecessor lands just above that.  Budgeted with ~25%
-#: headroom; the strict clean-process 2x guard lives in
-#: ``test_packed_core_100k_rss_is_2x_below_prepacked_baseline``.
-STREAMING_100K_RSS_BUDGET_MB = 250.0
-
-
-def test_100k_streaming_run_matches_full_and_stays_in_rss_budget():
-    """CI perf smoke, memory half: the 100k-host run under streaming
-    accounting reproduces the full sink's measures exactly, its
-    accounting structures are >=5x smaller, and the process's peak RSS
-    stays inside the budget."""
-    from repro.experiments.scale_bench import run_scale_benchmark
-
-    row = run_scale_benchmark(100_000, topology="gnutella",
-                              protocol="wildfire", aggregate="count",
-                              seed=1, stats="streaming")
-    print(f"\n100k hosts (streaming): {row['run_seconds']}s, "
-          f"accounting {row['accounting_bytes']} bytes, "
-          f"peak RSS {row['peak_rss_mb']} MiB")
-    assert row["hosts"] == 100_000
-    _record_trajectory("pytest 100k streaming", **{
-        k: row[k] for k in ("hosts", "run_seconds", "messages",
-                            "messages_per_second", "peak_rss_mb",
-                            "accounting_bytes")})
-
-    if _FULL_100K:
-        # Same seed, same kernel: every cost measure must agree exactly,
-        # and the packed accounting must be >=5x below the Counter-based
-        # full accounting.
-        for key in ("value", "messages", "computation_cost", "time_cost"):
-            assert row[key] == _FULL_100K[key], (
-                f"streaming accounting diverged from full on {key}")
-        assert row["accounting_bytes"] * 5 <= _FULL_100K["accounting_bytes"], (
-            f"streaming accounting ({row['accounting_bytes']} bytes) is "
-            f"not 5x below full ({_FULL_100K['accounting_bytes']} bytes)")
 
     if _RELAX:
         pytest.skip(f"REPRO_BENCH_RELAX=1 (peak RSS {row['peak_rss_mb']} MiB)")
@@ -274,9 +237,9 @@ def test_100k_streaming_run_matches_full_and_stays_in_rss_budget():
 def test_packed_core_100k_rss_is_2x_below_prepacked_baseline():
     """CI perf smoke, packed-core memory guard.
 
-    Runs ``repro bench --hosts 100000 --stats streaming`` in a *clean*
-    subprocess (exactly the CLI invocation the acceptance row names, so
-    no earlier benchmark inflates the high-water mark) and holds its peak
+    Runs plain ``repro bench --hosts 100000`` in a *clean* subprocess
+    (the default invocation, so no earlier benchmark inflates the
+    high-water mark) and holds its peak
     RSS to the committed budget -- which itself encodes a >=2x reduction
     against the pre-packed-core baseline recorded in BENCH_kernel.json.
     """
@@ -302,7 +265,7 @@ def test_packed_core_100k_rss_is_2x_below_prepacked_baseline():
         out_path = os.path.join(tmp, "bench.json")
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "bench", "--hosts", "100000",
-             "--stats", "streaming", "--seed", "1", "--json", out_path],
+             "--seed", "1", "--json", out_path],
             env=env, capture_output=True, text=True, timeout=1800)
         assert proc.returncode == 0, (
             f"repro bench failed:\n{proc.stdout}\n{proc.stderr}")
@@ -311,7 +274,7 @@ def test_packed_core_100k_rss_is_2x_below_prepacked_baseline():
             # one --hosts value means exactly one row.
             row = json.load(handle)["trajectory"][-1]["rows"][0]
 
-    print(f"\n100k streaming (clean process): peak RSS {row['peak_rss_mb']}"
+    print(f"\n100k (clean process): peak RSS {row['peak_rss_mb']}"
           f" MiB vs budget {budget} MiB (pre-packed baseline {baseline})")
     _record_trajectory("pytest 100k streaming clean-process", **{
         k: row[k] for k in ("hosts", "run_seconds", "messages",
@@ -339,8 +302,7 @@ def test_service_throughput_10k():
     """
     from repro.experiments.scale_bench import run_service_benchmark
 
-    row = run_service_benchmark(10_000, qps=1.0, duration=10.0, seed=1,
-                                stats="streaming")
+    row = run_service_benchmark(10_000, qps=1.0, duration=10.0, seed=1)
     print(f"\n10k-host service: {row['answered']}/{row['queries']} queries "
           f"in {row['run_seconds']}s ({row['queries_per_second']} q/s, "
           f"{row['messages_per_second']} msg/s)")
@@ -427,14 +389,14 @@ def _require_lane_speedup(label, python_seconds, vector_seconds):
 def test_vector_lane_10k_differential_and_2x_speedup():
     """CI perf smoke, vector-lane half: the python-vs-vector cell.
 
-    Runs the same 10k-host streaming WILDFIRE count query through both
+    Runs the same 10k-host WILDFIRE count query through both
     kernel lanes, interleaved best-of-3 (same rationale as
     ``_measure_kernel``): the vector lane must be *bit-identical* and
     its best time at least 2x below the python lane's best time.
     """
     from repro.protocols.wildfire import Wildfire
 
-    timings = _time_lanes_10k("vector", Wildfire, 3, stats="streaming")
+    timings = _time_lanes_10k("vector", Wildfire, 3)
     _require_lane_speedup("vector",
                           min(python for python, _vector in timings),
                           min(vector for _python, vector in timings))
@@ -489,7 +451,7 @@ def test_bench_lane_cli_smoke():
             out_path = os.path.join(tmp, f"bench-{lane}.json")
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", "bench", "--hosts", "4000",
-                 "--stats", "streaming", "--seed", "1", "--lane", lane,
+                 "--seed", "1", "--lane", lane,
                  "--json", out_path, "--label", f"cli-smoke-{lane}"],
                 env=env, capture_output=True, text=True, timeout=600)
             assert proc.returncode == 0, (
@@ -513,7 +475,7 @@ def test_bench_lane_cli_smoke():
 
 
 def test_million_host_run_completes_when_requested():
-    """The headline streaming-accounting run: 1,000,000 hosts.
+    """The headline bounded-memory run: 1,000,000 hosts.
 
     ~25x the paper's largest network.  Takes several minutes, so it only
     runs when REPRO_BENCH_MILLION=1 is set (CI smoke stays at 100k); the
@@ -525,8 +487,8 @@ def test_million_host_run_completes_when_requested():
 
     row = run_scale_benchmark(1_000_000, topology="gnutella",
                               protocol="wildfire", aggregate="count",
-                              seed=1, stats="streaming")
-    print(f"\n1M hosts (streaming): {row['run_seconds']}s, "
+                              seed=1)
+    print(f"\n1M hosts: {row['run_seconds']}s, "
           f"{row['messages']} messages, peak RSS {row['peak_rss_mb']} MiB, "
           f"accounting {row['accounting_bytes']} bytes")
     assert row["hosts"] == 1_000_000

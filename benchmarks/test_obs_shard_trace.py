@@ -43,8 +43,7 @@ def _run(tracer):
     started = time.perf_counter()
     result = run_protocol(Wildfire(), topology, values, "count",
                           querying_host=0, churn=churn, seed=SEED,
-                          stats="streaming", tracer=tracer,
-                          lane="sharded", shards=SHARDS)
+                          tracer=tracer, lane="sharded", shards=SHARDS)
     elapsed = time.perf_counter() - started
     return result, {
         "value": result.value,

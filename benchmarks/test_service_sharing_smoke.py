@@ -26,7 +26,6 @@ SMOKE_KWARGS = dict(
     qps=2.0,
     duration=15.0,
     seed=23,
-    stats="streaming",
 )
 
 OUT_PATH = os.environ.get(

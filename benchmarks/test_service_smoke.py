@@ -1,8 +1,8 @@
 """CI smoke for the multi-tenant query service.
 
 A fast end-to-end drive of ``repro serve``'s machinery: 500 hosts, 20
-mixed WILDFIRE/tree/DAG queries (one-shot and continuous), streaming
-per-query stats -- run TWICE, asserting per-query determinism: every
+mixed WILDFIRE/tree/DAG queries (one-shot and continuous), private
+per-query cost sinks -- run TWICE, asserting per-query determinism: every
 query's declared value and cost fingerprint must be bit-identical across
 the two runs.  The full report of the first run is written next to the
 committed benchmarks (``SERVICE_smoke.out.json``, gitignored) so CI can
@@ -20,7 +20,6 @@ SMOKE_KWARGS = dict(
     qps=2.0,
     duration=15.0,
     seed=23,
-    stats="streaming",
     continuous_fraction=0.25,
     max_queries=20,
 )

@@ -42,7 +42,7 @@ def _run(lane, shards=1):
     started = time.perf_counter()
     result = run_protocol(Wildfire(), topology, values, "count",
                           querying_host=0, churn=churn, seed=SEED,
-                          stats="streaming", lane=lane, shards=shards)
+                          lane=lane, shards=shards)
     elapsed = time.perf_counter() - started
     return result, {
         "value": result.value,

@@ -44,7 +44,7 @@ def main() -> None:
     # Multiplex everything over one service (one live network, one event
     # loop, per-query seed streams and cost accounting).
     # ------------------------------------------------------------------
-    service = QueryService(topo, values, seed=seed, stats="streaming")
+    service = QueryService(topo, values, seed=seed)
     ids = [
         service.submit(s.protocol, s.aggregate, querying_host=s.querying_host,
                        at=s.time, stream=s.stream)

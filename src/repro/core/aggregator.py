@@ -150,7 +150,6 @@ class ValidAggregator:
             seed=run_seed,
             repetitions=self.protocol_config.fm_repetitions,
             delay=self.simulation.delay,
-            stats=self.simulation.stats,
             lane=self.simulation.lane,
         )
 

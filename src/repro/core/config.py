@@ -24,9 +24,6 @@ class SimulationConfig:
             ``"uniform:0.25,1.0"``, ``"per_edge"``, ``"heavy_tail:1.2"``;
             see :func:`repro.simulation.delay.delay_model_from_spec`).
             The default reproduces the paper's exact-``delta`` worst case.
-        stats: cost-accounting mode -- ``"full"`` keeps per-host counters,
-            ``"streaming"`` is the bounded-memory sink for very large runs
-            (see :mod:`repro.simulation.stats`).
         lane: kernel lane -- ``"vector"`` (the default) asks for the
             per-tick batch lane (see :mod:`repro.simulation.vector_lane`),
             which is locked bit-identical to the spec path and falls
@@ -39,7 +36,6 @@ class SimulationConfig:
     seed: int = 0
     max_time: float = 1_000_000.0
     delay: str = "fixed"
-    stats: str = "full"
     lane: str = DEFAULT_LANE
 
     def __post_init__(self) -> None:
@@ -49,10 +45,8 @@ class SimulationConfig:
             raise ValueError("max_time must be positive")
         # Fail fast on malformed specs instead of at first query time.
         from repro.simulation.delay import delay_model_from_spec
-        from repro.simulation.stats import validate_stats_mode
 
         delay_model_from_spec(self.delay, self.delta, seed=self.seed)
-        validate_stats_mode(self.stats)
         validate_lane(self.lane)
 
 

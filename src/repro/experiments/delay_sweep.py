@@ -26,7 +26,7 @@ from repro.experiments.runner import TrialStats, aggregate_trials
 from repro.obs.provenance import ProvenanceTracer
 from repro.protocols.base import Protocol, resolve_d_hat, run_protocol
 from repro.queries.query import AggregateQuery
-from repro.semantics.oracle import Oracle
+from repro.semantics.oracle import Oracle, sketch_slack
 from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
 from repro.topology.base import Topology
 from repro.workloads.values import zipf_values
@@ -152,13 +152,7 @@ def run_delay_sweep(
         ]
         for delay_spec in delay_specs:
             for protocol in protocols:
-                combiner = protocol.default_combiner(
-                    query, repetitions=fm_repetitions)
-                epsilon = sketch_epsilon if (
-                    combiner.duplicate_insensitive
-                    and query_kind.lower() in ("count", "sum", "avg",
-                                               "average")
-                ) else 0.0
+                epsilon = sketch_slack(protocol, query, sketch_epsilon)
                 declared_samples: List[float] = []
                 finished_samples: List[float] = []
                 lower_samples: List[float] = []

@@ -19,6 +19,7 @@ from repro.obs.metrics import collect_service_metrics
 from repro.obs.stream import current_rss_mb
 from repro.service import QueryService
 from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
+from repro.simulation.stats import make_stats_sink
 from repro.topology.base import Topology
 from repro.workloads.query_mix import QueryMixConfig, generate_query_mix
 
@@ -29,7 +30,7 @@ def run_query_mix(
     qps: float = 2.0,
     duration: float = 60.0,
     seed: int = 0,
-    stats: str = "full",
+    stats: Optional[str] = None,
     delay: Optional[str] = None,
     departures: int = 0,
     mix: Optional[QueryMixConfig] = None,
@@ -56,7 +57,9 @@ def run_query_mix(
             every launched query declares.
         seed: seeds topology generation, values, churn, the mix and the
             per-query seed streams.
-        stats: per-query cost accounting mode (``full`` / ``streaming``).
+        stats: ignored.  ``"full"`` / ``"streaming"`` used to pick between
+            two cost sinks; the frozen ``benchmarks/perf`` still passes
+            one, so the two names (and nothing else) are accepted.
         delay: link-delay model spec shared by all queries (each session
             samples its own stream).
         departures: number of hosts failed uniformly over the arrival
@@ -111,6 +114,7 @@ def run_query_mix(
         compared with one string; ``metrics`` is the service metrics
         snapshot (engine tallies, queue occupancy, per-tenant breakdown).
     """
+    make_stats_sink(stats)  # validates the historical names, nothing more
     if int(shards) < 1:
         raise ValueError("shards must be at least 1")
     if shards > 1:
@@ -128,7 +132,7 @@ def run_query_mix(
                 "pass the generator name instead of a prebuilt topology")
         return _run_sharded_query_mix(
             shards=int(shards), num_hosts=num_hosts, topology=topology,
-            qps=qps, duration=duration, seed=seed, stats=stats,
+            qps=qps, duration=duration, seed=seed,
             delay=delay, departures=departures, mix=mix,
             share_floods=share_floods, admission=admission,
             mix_overrides=mix_overrides)
@@ -156,8 +160,8 @@ def run_query_mix(
         topo.num_hosts, mix_config, seed=seed, **mix_overrides)
 
     service = QueryService(
-        topo, values, churn=churn, seed=seed, stats=stats, delay=delay,
-        tracer=tracer, share_floods=share_floods, admission=admission)
+        topo, values, churn=churn, seed=seed, delay=delay, tracer=tracer,
+        share_floods=share_floods, admission=admission)
     for index, submission in enumerate(submissions):
         # Ids are pinned explicitly (1-based submission order, exactly
         # what auto-assignment would hand out) so a shard worker that
@@ -231,7 +235,6 @@ def run_query_mix(
         "qps": qps,
         "duration": duration,
         "seed": seed,
-        "stats": stats,
         "delay": delay or "fixed",
         "departures": departures,
         "share_floods": bool(share_floods),
@@ -255,7 +258,6 @@ def _run_sharded_query_mix(
     qps: float,
     duration: float,
     seed: int,
-    stats: str,
     delay: Optional[str],
     departures: int,
     mix: Optional[QueryMixConfig],
@@ -280,7 +282,7 @@ def _run_sharded_query_mix(
     payloads = [
         {
             "num_hosts": num_hosts, "topology": topology, "qps": qps,
-            "duration": duration, "seed": seed, "stats": stats,
+            "duration": duration, "seed": seed,
             "delay": delay, "departures": departures, "mix": mix,
             "share_floods": share_floods, "admission": admission,
             "_session_slice": (worker, shards),
@@ -321,7 +323,6 @@ def run_qps_sweep(
     topology: str = "gnutella",
     duration: float = 30.0,
     seed: int = 0,
-    stats: str = "streaming",
     share_floods: bool = False,
     mix: Optional[QueryMixConfig] = None,
     knee_slowdown: float = 1.5,
@@ -355,7 +356,7 @@ def run_qps_sweep(
         point_mix = replace(base_mix, qps=offered, duration=duration)
         result = run_query_mix(
             num_hosts=num_hosts, topology=topology, qps=offered,
-            duration=duration, seed=seed, stats=stats, mix=point_mix,
+            duration=duration, seed=seed, mix=point_mix,
             share_floods=share_floods, **mix_overrides)
         summary = result["summary"]
         queries = summary["queries"]

@@ -2,8 +2,8 @@
 
 The paper's experiments top out at the ~39k-host Gnutella crawl; the
 batched-ring kernel opens network sizes an order of magnitude past that,
-and the streaming stats sink (``stats="streaming"``) keeps cost
-accounting memory bounded all the way to million-host runs.
+and the packed cost sink keeps accounting memory bounded all the way to
+million-host runs.
 :func:`run_scale_benchmark` runs one protocol/topology/aggregate cell at an
 arbitrary host count and reports wall-clock throughput alongside the
 paper's cost measures, the process's peak RSS, and the accounting
@@ -77,7 +77,6 @@ def run_scale_benchmark(
     repetitions: int = 8,
     values: Optional[Sequence[float]] = None,
     prebuilt_topology: Optional[Topology] = None,
-    stats: str = "full",
     delay: str = "fixed",
     tracer=None,
     lane: str = DEFAULT_LANE,
@@ -91,8 +90,8 @@ def run_scale_benchmark(
     accounting structures' footprint.
 
     Args:
-        num_hosts: network size (the paper stops at ~39k; with
-            ``stats="streaming"`` a 1,000,000-host run completes).
+        num_hosts: network size (the paper stops at ~39k; a
+            1,000,000-host run completes).
         topology: a :data:`~repro.orchestration.runners.TOPOLOGY_BUILDERS`
             key (``gnutella``, ``power-law``, ``grid``, ``random``, ...).
         protocol: ``wildfire``, ``spanning-tree`` or ``dagK``.
@@ -103,7 +102,6 @@ def run_scale_benchmark(
             [0, 100) drawn from ``seed``).
         prebuilt_topology: reuse an existing topology (e.g. to time several
             protocols on one graph without regenerating it).
-        stats: cost accounting mode, ``"full"`` or ``"streaming"``.
         delay: link-delay model spec (``"fixed"``, ``"uniform"``,
             ``"per_edge"``, ``"heavy_tail"``, with optional ``:``
             arguments).
@@ -140,7 +138,6 @@ def run_scale_benchmark(
             querying_host=0,
             seed=seed,
             repetitions=repetitions,
-            stats=stats,
             delay=delay,
             tracer=tracer,
             lane=lane,
@@ -156,7 +153,6 @@ def run_scale_benchmark(
         "protocol": protocol,
         "aggregate": aggregate,
         "seed": seed,
-        "stats": stats,
         "delay": delay,
         "lane": lane,
         # A tick lane's gate may refuse the run: the row records what
@@ -193,7 +189,6 @@ def run_service_benchmark(
     duration: float = 20.0,
     topology: str = "gnutella",
     seed: int = 0,
-    stats: str = "streaming",
     delay: Optional[str] = None,
     tracer=None,
     **mix_overrides,
@@ -210,8 +205,8 @@ def run_service_benchmark(
 
     result = run_query_mix(
         num_hosts=num_hosts, topology=topology, qps=qps,
-        duration=duration, seed=seed, stats=stats, delay=delay,
-        tracer=tracer, **mix_overrides)
+        duration=duration, seed=seed, delay=delay, tracer=tracer,
+        **mix_overrides)
     summary = result["summary"]
     elapsed = summary["elapsed_seconds"]
     return {
@@ -220,7 +215,6 @@ def run_service_benchmark(
         "qps": qps,
         "duration": duration,
         "seed": seed,
-        "stats": stats,
         "queries": summary["queries"],
         "answered": summary["answered"],
         "failed": summary["failed"],
@@ -243,7 +237,6 @@ def run_scale_sweep(
     seed: int = 0,
     repetitions: int = 8,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-    stats: str = "full",
     delay: str = "fixed",
     tracer=None,
     lane: str = DEFAULT_LANE,
@@ -260,8 +253,7 @@ def run_scale_sweep(
         row = run_scale_benchmark(
             int(num_hosts), topology=topology, protocol=protocol,
             aggregate=aggregate, seed=seed, repetitions=repetitions,
-            stats=stats, delay=delay, tracer=tracer, lane=lane,
-            shards=shards,
+            delay=delay, tracer=tracer, lane=lane, shards=shards,
         )
         rows.append(row)
         if progress is not None:

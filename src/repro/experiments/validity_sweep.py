@@ -19,7 +19,7 @@ from repro.protocols.dag import DirectedAcyclicGraph
 from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
 from repro.queries.query import AggregateQuery
-from repro.semantics.oracle import Oracle
+from repro.semantics.oracle import Oracle, sketch_slack
 from repro.simulation.churn import uniform_failure_schedule
 from repro.topology.base import Topology
 from repro.workloads.values import zipf_values
@@ -98,13 +98,10 @@ def run_validity_sweep(
     resolved_d_hat = resolve_d_hat(topology, d_hat, seed=seed)
     horizon = 2.0 * resolved_d_hat * delta
 
-    # FM estimates are judged with slack; exact combiners with none.
-    sketch_query = query_kind.lower() in ("count", "sum", "avg", "average")
-    epsilons: Dict[str, float] = {}
-    for protocol in protocols:
-        combiner = protocol.default_combiner(query, repetitions=fm_repetitions)
-        epsilons[protocol.name] = sketch_epsilon if sketch_query and \
-            combiner.duplicate_insensitive else 0.0
+    epsilons: Dict[str, float] = {
+        protocol.name: sketch_slack(protocol, query, sketch_epsilon)
+        for protocol in protocols
+    }
 
     rows: List[ValiditySweepRow] = []
     for num_departures in departures:

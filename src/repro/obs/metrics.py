@@ -13,7 +13,7 @@ artifacts, the ``repro serve --metrics-out`` flag, and the CI metrics
 upload.  The ``collect_*`` functions wire the registry to the seams the
 repo already has:
 
-* :func:`collect_run_metrics` -- one solo run's :class:`StatsSink`.
+* :func:`collect_run_metrics` -- one solo run's :class:`CostAccounting`.
 * :func:`collect_queue_metrics` -- calendar-queue depth and day-bucket
   occupancy (:meth:`EventQueue.occupancy`).
 * :func:`collect_service_metrics` -- the multi-tenant service: engine
@@ -70,8 +70,8 @@ class Histogram:
     """Streaming summary of observed samples (count/sum/min/max/mean).
 
     O(1) per observation and O(1) resident -- the full sample list is
-    never kept, matching the bounded-memory discipline of the streaming
-    stats sink.
+    never kept, matching the bounded-memory discipline of the cost
+    sink.
     """
 
     __slots__ = ("name", "count", "total", "min", "max")
@@ -144,7 +144,7 @@ class MetricsRegistry:
 # ---------------------------------------------------------------------------
 def collect_run_metrics(costs, registry: Optional[MetricsRegistry] = None,
                         prefix: str = "run") -> MetricsRegistry:
-    """Fold one run's :class:`StatsSink` into a registry.
+    """Fold one run's :class:`CostAccounting` into a registry.
 
     Accepts either a sink or anything with a ``.costs`` attribute (a
     :class:`SimulationResult` / :class:`ProtocolRunResult`).

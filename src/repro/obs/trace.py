@@ -16,8 +16,7 @@ record object is built, no method is called, and the goldens stay
 bit-identical because a tracer only ever *observes* -- it never touches
 RNG streams, event ordering, or cost accounting.
 
-A process-wide default can be bound once per run (mirroring
-``repro.simulation.stats.set_default_stats_mode``): engines resolve
+A process-wide default can be bound once per run: engines resolve
 :func:`default_tracer` in their constructor, never per event.
 
 Exporters
@@ -503,11 +502,11 @@ class RingTracer(Tracer):
 
 
 # ---------------------------------------------------------------------------
-# Process-wide default binding (mirrors stats.set_default_stats_mode)
+# Process-wide default binding
 # ---------------------------------------------------------------------------
 #: The process-wide default tracer; ``None`` = tracing disabled.  Engines
 #: resolve this ONCE in their constructor, so flipping it mid-run has no
-#: effect on runs already built -- exactly the stats-mode contract.
+#: effect on runs already built.
 _default_tracer: Optional[Tracer] = None
 
 

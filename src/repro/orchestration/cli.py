@@ -6,12 +6,11 @@ Exposed both as ``python -m repro`` and as the ``repro`` console script:
     repro run fig8 --workers 4         # run one figure's trial matrix
     repro run all --scale 0.3 -t 2     # every figure, two trials each
     repro run fig7 --scale 2.0         # beyond-paper network sizes
-    repro run all --stats streaming    # bounded-memory cost accounting
     repro bench --hosts 1000 100000    # kernel scale benchmark
-    repro bench --hosts 1000000 --stats streaming   # million-host run
+    repro bench --hosts 1000000        # million-host run
     repro bench --hosts 10000 --delay heavy_tail    # variable link delay
     repro bench --hosts 1000 --profile              # cProfile the kernel
-    repro serve --hosts 10000 --qps 5 --duration 200 --stats streaming
+    repro serve --hosts 10000 --qps 5 --duration 200
                                        # multi-tenant query service
     repro bench --lane sharded --shards 4 --trace-out trace.json
                                        # merged per-shard Perfetto trace
@@ -74,11 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="recompute even if cached")
     run.add_argument("-q", "--quiet", action="store_true",
                      help="suppress result tables; print summaries only")
-    run.add_argument("--stats", choices=("full", "streaming"),
-                     default="full",
-                     help="cost accounting mode for every simulation "
-                          "(streaming = bounded memory; requires "
-                          "--workers 1)")
 
     bench = sub.add_parser(
         "bench", help="kernel scale benchmark at arbitrary host counts")
@@ -95,10 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--repetitions", type=int, default=8,
                        help="FM repetitions c for sketch combiners")
-    bench.add_argument("--stats", choices=("full", "streaming"),
-                       default="full",
-                       help="cost accounting mode (streaming keeps memory "
-                            "bounded; required for million-host runs)")
     bench.add_argument("--delay", default="fixed", metavar="MODEL",
                        help="link-delay model spec: fixed | uniform[:lo,hi]"
                             " | per_edge[:lo,hi] | heavy_tail[:alpha,xm] "
@@ -158,10 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "then runs to drain so every launched query "
                             "declares (default 60)")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--stats", choices=("full", "streaming"),
-                       default="full",
-                       help="per-query cost accounting mode (streaming = "
-                            "bounded memory per session)")
     serve.add_argument("--delay", default="fixed", metavar="MODEL",
                        help="link-delay model spec shared by all queries; "
                             "each session samples its own stream "
@@ -358,38 +344,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Dedupe while preserving order: `run all fig9` runs fig9 once.
     figure_ids = list(dict.fromkeys(figure_ids))
 
-    previous_stats_mode = None
-    if args.stats != "full":
-        if args.workers > 1:
-            # The mode is a process-wide default that worker processes
-            # would not inherit; silently falling back to full accounting
-            # would defeat the reason the user asked for streaming.
-            print("--stats streaming requires --workers 1 (worker "
-                  "processes do not inherit the stats mode)",
-                  file=sys.stderr)
-            return 2
-        # Process-wide default so every simulation behind the figure
-        # drivers picks the sink up without per-driver plumbing;
-        # restored afterwards for in-process callers of main().
-        from repro.simulation.stats import set_default_stats_mode
-
-        previous_stats_mode = set_default_stats_mode(args.stats)
-    try:
-        store = None if args.no_cache else ResultStore(args.cache_dir)
-        specs = [
-            figure_spec(figure_id, scale=args.scale,
-                        num_trials=args.trials, base_seed=args.seed)
-            for figure_id in figure_ids
-        ]
-        # One shared pool across figures: `run all --workers N`
-        # parallelises even at one trial per figure.
-        reports = run_specs(specs, workers=args.workers, store=store,
-                            force=args.force, progress=log.debug)
-    finally:
-        if previous_stats_mode is not None:
-            from repro.simulation.stats import set_default_stats_mode
-
-            set_default_stats_mode(previous_stats_mode)
+    store = None if args.no_cache else ResultStore(args.cache_dir)
+    specs = [
+        figure_spec(figure_id, scale=args.scale,
+                    num_trials=args.trials, base_seed=args.seed)
+        for figure_id in figure_ids
+    ]
+    # One shared pool across figures: `run all --workers N`
+    # parallelises even at one trial per figure.
+    reports = run_specs(specs, workers=args.workers, store=store,
+                        force=args.force, progress=log.debug)
     for figure_id, report in zip(figure_ids, reports):
         _print_report(figure_id, report, args.quiet)
     return 0
@@ -504,7 +468,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             aggregate=args.aggregate,
             seed=args.seed,
             repetitions=args.repetitions,
-            stats=args.stats,
             delay=args.delay,
             lane=args.lane,
             shards=args.shards,
@@ -571,7 +534,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                        title=f"Kernel scale benchmark "
                              f"({args.protocol} / {args.topology} / "
                              f"{args.aggregate} / {args.delay} delay / "
-                             f"{args.stats} stats / {lane_label})"))
+                             f"{lane_label})"))
     if args.json and payload is not None:
         label = args.label or (
             f"cli {args.protocol}/{args.topology}/{args.aggregate}")
@@ -680,7 +643,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             qps=args.qps,
             duration=args.duration,
             seed=args.seed,
-            stats=args.stats,
             delay=None if args.delay == "fixed" else args.delay,
             departures=args.departures,
             mix=mix,
@@ -719,9 +681,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(format_table(
             shown,
             title=f"Query service ({summary['hosts']} hosts / "
-                  f"{summary['topology']} / qps {summary['qps']} / "
-                  f"{summary['stats']} stats) -- first {len(shown)} of "
-                  f"{len(rows)} queries"))
+                  f"{summary['topology']} / qps {summary['qps']}) -- "
+                  f"first {len(shown)} of {len(rows)} queries"))
     # Structured summary values (retired order, per-query late counts)
     # belong in the JSON artifacts; the printed table stays scalar.
     printable = {key: value for key, value in summary.items()

@@ -161,7 +161,6 @@ def scale_bench_runner(params: Dict[str, Any], seed: int) -> List[Dict[str, Any]
         aggregate=str(params.get("aggregate", "count")),
         seed=seed,
         repetitions=int(params.get("repetitions", 8)),
-        stats=str(params.get("stats", "full")),
         delay=str(params.get("delay", "fixed")),
     )
     # Wall-clock and machine-local memory fields are stripped: spec results

@@ -13,7 +13,7 @@ from repro.simulation.delay import DelayModel, delay_model_from_spec
 from repro.simulation.engine import SimulationResult, Simulator
 from repro.simulation.host import ProtocolHost
 from repro.simulation.network import DynamicNetwork
-from repro.simulation.stats import StatsSink
+from repro.simulation.stats import CostAccounting
 from repro.simulation.vector_lane import DEFAULT_LANE
 from repro.sketches.combiners import Combiner, combiner_for_query
 from repro.topology.base import Topology
@@ -44,7 +44,7 @@ class ProtocolRunResult:
     protocol: str
     query: AggregateQuery
     value: Optional[float]
-    costs: StatsSink
+    costs: CostAccounting
     finished_at: float
     querying_host: int
     d_hat: int
@@ -285,7 +285,7 @@ def run_protocol(
     repetitions: int = 8,
     max_time: Optional[float] = None,
     delay: "DelayModel | str | None" = None,
-    stats: "StatsSink | str | None" = None,
+    stats: "CostAccounting | str | None" = None,
     tracer=None,
     lane: str = DEFAULT_LANE,
     shards: int = 1,
@@ -327,9 +327,9 @@ def run_protocol(
             ``delta``, or ``None``/``"fixed"`` for the paper's exact-
             ``delta`` worst case).  ``delta`` stays the *bound* the
             protocols' timer math uses regardless of the model.
-        stats: cost accounting mode -- ``"full"`` (default),
-            ``"streaming"`` for the bounded-memory sink used by
-            million-host runs, or a ready-made sink.
+        stats: a ready-made
+            :class:`~repro.simulation.stats.CostAccounting` to account
+            into, or ``None`` for a fresh one.
         tracer: structured trace sink from :mod:`repro.obs.trace`
             (``None`` = the process default, usually disabled).  Tracers
             observe; the declared value and every cost counter are

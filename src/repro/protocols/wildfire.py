@@ -604,12 +604,8 @@ class WildfireBatchKernel:
                 schedule = True
         # Forward the Broadcast immediately (send_to_neighbors with
         # exclude=(sender,)); flooding must not wait a whole instant.
-        nbr_cache = lane.nbr_cache
-        neighbors = nbr_cache[dest]
-        if neighbors is None:
-            nbr_cache[dest] = neighbors = \
-                lane.network.alive_neighbors_sorted(dest)
-        targets = [t for t in neighbors if t != sender]
+        targets = [t for t in lane.network.alive_neighbors_sorted(dest)
+                   if t != sender]
         agg = host._packed if packed_mode else host._partial_obj
         if targets:
             lane.submit_multi(dest, targets, BROADCAST, agg, distance, now,
@@ -652,7 +648,6 @@ class WildfireBatchKernel:
         alive = lane.alive_bytes
         network = lane.network
         submit_unicast = lane.submit_unicast
-        nbr_cache = lane.nbr_cache
         packed_mode = self.packed_mode
         wireless = lane.wireless
         out = lane.out_records
@@ -678,10 +673,7 @@ class WildfireBatchKernel:
             # materialisation per flush.
             agg = host._packed if packed_mode else host._partial_obj
             if host._dirty:
-                targets = nbr_cache[host_id]
-                if targets is None:
-                    nbr_cache[host_id] = targets = \
-                        network.alive_neighbors_sorted(host_id)
+                targets = network.alive_neighbors_sorted(host_id)
                 skip = host._skip_neighbor
                 if skip is not None:
                     targets = [t for t in targets if t != skip]

@@ -36,7 +36,9 @@ class WindowedResult:
         window_start: start of the validity window ``t - W``.
         value: the declared aggregate.
         bounds: the Single-Site Validity bounds for the window.
-        is_valid: whether ``value`` lies within the bounds.
+        is_valid: whether ``value`` lies within the bounds (within
+            sketch slack of them for an FM estimate; see
+            :func:`~repro.semantics.oracle.sketch_slack`).
     """
 
     report_time: float
@@ -175,11 +177,14 @@ class ContinuousQuery:
         (or poll the ids) to detect dropped periods before computing
         per-period aggregates such as a valid fraction.
         """
-        from repro.semantics.validity import check_single_site_validity
+        from repro.protocols.base import protocol_from_spec
+        from repro.semantics.oracle import Oracle, sketch_slack
 
         topology = service.topology
         values = service.values
         churn = service.churn
+        kind = self.query.kind.value
+        oracle = Oracle(topology, values, querying_host)
         results: List[WindowedResult] = []
         for session_id in session_ids:
             outcome = service.poll(session_id)
@@ -189,11 +194,13 @@ class ContinuousQuery:
             # the declaration instant alongside it.
             declared_at = outcome.declared_at
             window_start, bounds = _windowed_bounds(
-                topology, values, churn, querying_host,
-                self.query.kind.value, self.window, declared_at)
-            valid = check_single_site_validity(
-                outcome.value, bounds, self.query.kind.value, values
-            )
+                topology, values, churn, querying_host, kind, self.window,
+                declared_at)
+            # Judged as the figure sweeps judge: an FM estimate within
+            # sketch slack of an admissible answer is valid.
+            slack = sketch_slack(protocol_from_spec(outcome.protocol),
+                                 self.query)
+            valid = oracle.judge(outcome.value, bounds, kind, slack)
             results.append(
                 WindowedResult(
                     report_time=declared_at,

@@ -36,6 +36,22 @@ class OracleReport:
         return self.union_value
 
 
+def sketch_slack(protocol, query, sketch_epsilon: float = 0.5) -> float:
+    """The multiplicative slack :meth:`Oracle.judge` grants ``protocol``'s
+    answer to ``query``.
+
+    An FM estimate -- a count/sum/avg folded by the duplicate-insensitive
+    combiner the protocol picks for it -- is judged by Approximate
+    Single-Site Validity: within ``(1 +- sketch_epsilon) * q(H)`` for some
+    admissible ``H``.  An exact answer (exact addition; min/max under any
+    combiner) gets none.
+    """
+    if (not query.kind.duplicate_insensitive_exact
+            and protocol.default_combiner(query).duplicate_insensitive):
+        return sketch_epsilon
+    return 0.0
+
+
 class Oracle:
     """Omniscient observer computing validity bounds for an execution.
 

@@ -54,7 +54,6 @@ from repro.service.sharing import (SharedFloodCache, computation_key,
                                    consensus_seed, delay_is_stochastic)
 from repro.simulation.churn import ChurnSchedule
 from repro.simulation.host import ProtocolHost
-from repro.simulation.stats import validate_stats_mode
 from repro.sketches.combiners import Combiner
 from repro.topology.base import Topology
 
@@ -162,8 +161,6 @@ class QueryService:
         seed: service seed; per-query seeds derive from it and the
             query's content (see
             :func:`~repro.service.sharing.consensus_seed`).
-        stats: per-query cost accounting mode (``"full"`` or
-            ``"streaming"``); every session gets its own private sink.
         delay: realised link-delay model spec shared by all sessions
             *as a spec* -- each session instantiates its own model with a
             session-derived seed, so delay randomness never couples
@@ -194,7 +191,6 @@ class QueryService:
         delta: float = 1.0,
         churn: Optional[ChurnSchedule] = None,
         seed: int = 0,
-        stats: str = "full",
         delay: Any = None,
         wireless: bool = False,
         d_hat: Optional[int] = None,
@@ -210,7 +206,6 @@ class QueryService:
         self.delta = float(delta)
         self.churn = churn or ChurnSchedule.empty()
         self.seed = seed
-        self.stats_mode = validate_stats_mode(stats)
         self.delay_spec = delay
         self.d_hat = resolve_d_hat(topology, d_hat, seed=seed)
         self.engine = MuxEngine(
@@ -335,7 +330,6 @@ class QueryService:
             repetitions=repetitions,
             combiner=combiner,
             d_hat=resolved_d_hat,
-            stats=self.stats_mode,
             delay=self.delay_spec,
             join_factory=join_factory,
             stream=stream,

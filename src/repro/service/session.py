@@ -29,7 +29,7 @@ from repro.protocols.base import Protocol, prepare_protocol_run
 from repro.queries.query import AggregateQuery
 from repro.simulation.engine import Session
 from repro.simulation.host import ProtocolHost
-from repro.simulation.stats import StatsSink, make_stats_sink
+from repro.simulation.stats import CostAccounting
 from repro.sketches.combiners import Combiner
 from repro.topology.base import Topology
 
@@ -79,7 +79,7 @@ class QueryOutcome:
     submitted_at: float
     declared_at: Optional[float] = None
     value: Optional[float] = None
-    costs: Optional[StatsSink] = None
+    costs: Optional[CostAccounting] = None
     d_hat: int = 0
     termination: float = 0.0
     stream: Optional[int] = None
@@ -118,7 +118,7 @@ class QuerySession(Session):
 
     __slots__ = (
         "protocol", "query", "querying_host", "seed", "launch_at",
-        "repetitions", "combiner", "d_hat_hint", "stats_mode", "delay_spec",
+        "repetitions", "combiner", "d_hat_hint", "delay_spec",
         "topology", "values", "stream", "extra",
         # launch-time state
         "status", "delay_model", "d_hat", "value", "declared_at",
@@ -139,7 +139,6 @@ class QuerySession(Session):
         repetitions: int = 8,
         combiner: Optional[Combiner] = None,
         d_hat: Optional[int] = None,
-        stats: "StatsSink | str | None" = None,
         delay: Any = None,
         join_factory: Optional[Callable[[int], ProtocolHost]] = None,
         stream: Optional[int] = None,
@@ -154,7 +153,6 @@ class QuerySession(Session):
         self.repetitions = repetitions
         self.combiner = combiner
         self.d_hat_hint = d_hat
-        self.stats_mode = stats
         self.delay_spec = delay
         self.topology = topology
         self.values = values
@@ -214,9 +212,8 @@ class QuerySession(Session):
         self.delay_model = prepared.delay_model
         self.sample = (None if prepared.delay_model is None
                        else prepared.delay_model.sample)
-        self.sink = make_stats_sink(
-            self.stats_mode, num_hosts=engine.network.num_hosts,
-            tick_width=engine.delta)
+        self.sink = CostAccounting(num_hosts=engine.network.num_hosts,
+                                   tick_width=engine.delta)
         self.t0 = now
         self.ends_at = now + self.termination
         self.status = QueryStatus.RUNNING

@@ -6,17 +6,12 @@ between alive neighbors are delivered reliably within a known maximum delay
 is accounted for so that communication, computation and time costs can be
 measured exactly as defined in Section 6.3 of the paper.
 
-Two cross-cutting policies are pluggable:
-
-* the *realised* per-message delay (always at most ``delta``) comes from a
-  :class:`~repro.simulation.delay.DelayModel` -- the default
-  :class:`~repro.simulation.delay.FixedDelay` reproduces the paper's
-  worst case of exactly ``delta`` per hop;
-* cost measurement goes through a :class:`~repro.simulation.stats.StatsSink`
-  -- the default full :class:`~repro.simulation.stats.CostAccounting`, or
-  the bounded-memory
-  :class:`~repro.simulation.stats.StreamingCostAccounting` for
-  million-host runs.
+The *realised* per-message delay (always at most ``delta``) is pluggable:
+it comes from a :class:`~repro.simulation.delay.DelayModel`, whose default
+:class:`~repro.simulation.delay.FixedDelay` reproduces the paper's worst
+case of exactly ``delta`` per hop.  Cost measurement is not: every run
+accounts into one :class:`~repro.simulation.stats.CostAccounting`, whose
+packed per-host counts keep a million-host run in bounded memory.
 """
 
 from repro.simulation.clock import SimulationClock, tick_index, tick_time
@@ -37,12 +32,7 @@ from repro.simulation.events import (
 from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork, NetworkEvent, NetworkEventKind
-from repro.simulation.stats import (
-    CostAccounting,
-    StatsSink,
-    StreamingCostAccounting,
-    make_stats_sink,
-)
+from repro.simulation.stats import CostAccounting
 from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
 
 __all__ = [
@@ -61,9 +51,6 @@ __all__ = [
     "NetworkEvent",
     "NetworkEventKind",
     "CostAccounting",
-    "StatsSink",
-    "StreamingCostAccounting",
-    "make_stats_sink",
     "DelayModel",
     "FixedDelay",
     "UniformDelay",

@@ -16,8 +16,8 @@ calendar :class:`~repro.simulation.events.EventQueue`:
   exactly, so a session launched at 0 sees the very floats it would
   see alone;
 * sends are accounted to the session's private
-  :class:`~repro.simulation.stats.StatsSink` (the paper's Section 6.3
-  costs) and delayed by its private
+  :class:`~repro.simulation.stats.CostAccounting` (the paper's Section
+  6.3 costs) and delayed by its private
   :class:`~repro.simulation.delay.DelayModel` stream (``None`` = the
   paper's worst case of exactly ``delta`` per hop);
 * churn (FAIL / JOIN) is shared: it mutates the one network and fans out
@@ -43,7 +43,7 @@ from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
-from repro.simulation.stats import StatsSink, make_stats_sink
+from repro.simulation.stats import CostAccounting, make_stats_sink
 from repro.simulation.vector_lane import DEFAULT_LANE, validate_lane
 from repro.obs.trace import Tracer, default_tracer
 
@@ -66,7 +66,7 @@ class SimulationResult:
     """
 
     value: Any
-    costs: StatsSink
+    costs: CostAccounting
     finished_at: float
     querying_host: int
     extra: Dict[str, Any] = field(default_factory=dict)
@@ -103,7 +103,7 @@ class Session:
         self,
         qid: int,
         hosts: Optional[List[ProtocolHost]] = None,
-        sink: Optional[StatsSink] = None,
+        sink: Optional[CostAccounting] = None,
         sample: Optional[Callable[[int, int, float], float]] = None,
         join_factory: Optional[Callable[[int], ProtocolHost]] = None,
     ) -> None:
@@ -178,16 +178,11 @@ class EventEngine:
         # heap of sessions due to leave it (empty while none expires).
         self._active: Dict[int, Session] = {}
         self._ends_heap: List[Tuple[float, int]] = []
-        self._fail_callbacks: List[Callable[[int, float], None]] = []
         # Engine-wide tallies (per-query accounting lives on the sinks).
         self.messages_sent = 0
         self.dropped_messages = 0
         self.events_processed = 0
         self.tracer = tracer if tracer is not None else default_tracer()
-
-    def on_host_failure(self, callback: Callable[[int, float], None]) -> None:
-        """Register an observer invoked as ``callback(host, time)`` on failures."""
-        self._fail_callbacks.append(callback)
 
     # ------------------------------------------------------------------
     # Scheduling API used by HostContext
@@ -455,8 +450,6 @@ class EventEngine:
                 # flood's own session sees the failure).
                 if time <= session.ends_at and session.hosts is not None:
                     session.hosts[host].on_fail(time - session.t0)
-            for callback in self._fail_callbacks:
-                callback(host, time)
         elif kind is EventKind.JOIN:
             neighbors = [
                 h for h in (event.data or ()) if self.network.is_alive(h)
@@ -496,10 +489,9 @@ class Simulator(EventEngine):
             :mod:`repro.simulation.delay`); ``None`` or a spec string
             resolving to ``fixed`` selects the historical exact-``delta``
             fast path.  A model instance must carry ``bound == delta``.
-        stats: cost accounting sink -- ``"full"``, ``"streaming"`` for
-            the bounded-memory accumulator, a ready-made
-            :class:`~repro.simulation.stats.StatsSink`, or ``None`` for
-            the process-wide default mode (``"full"`` unless changed).
+        stats: a ready-made
+            :class:`~repro.simulation.stats.CostAccounting` to account
+            into, or ``None`` for a fresh one.
         tracer: structured trace sink (see :class:`EventEngine`).
         lane: kernel lane -- ``"vector"`` (the default,
             :data:`~repro.simulation.vector_lane.DEFAULT_LANE`) asks for
@@ -534,7 +526,7 @@ class Simulator(EventEngine):
         wireless: bool = False,
         max_time: float = 1_000_000.0,
         delay_model: Union[DelayModel, str, None] = None,
-        stats: Union[StatsSink, str, None] = None,
+        stats: Union[CostAccounting, str, None] = None,
         tracer: Optional[Tracer] = None,
         lane: str = DEFAULT_LANE,
         shards: int = 1,

@@ -7,9 +7,9 @@ bit-identical (value, cost fingerprint, declaration time) to the
 single-process engine.  The sequence:
 
 1. **Gate and plan** -- the checks only a multi-process run adds (an
-   exact ``RingTracer`` or none, no failure callbacks, the ``fork``
-   start method for ``K > 1`` since worker arguments reference the live
-   simulator and must not be pickled, a range-partitionable network),
+   exact ``RingTracer`` or none, the ``fork`` start method for
+   ``K > 1`` since worker arguments reference the live simulator and
+   must not be pickled, a range-partitionable network),
    then the tick lanes' shared :func:`~repro.simulation.vector_lane.plan_run`
    (fixed delay, no joins, kernel-supported hosts -- here WILDFIRE's
    only: the pre-pass below and the canonical keys are derived from its
@@ -75,8 +75,6 @@ def run_sharded(simulator, horizon: float):
         # supported (anything else falls back to the spec loop, which
         # calls every hook in-process).
         reason = "unsupported tracer (sharded tracing needs RingTracer)"
-    elif simulator._fail_callbacks:
-        reason = "failure callbacks registered"
     elif (shards > 1
           and "fork" not in multiprocessing.get_all_start_methods()):
         reason = "fork start method unavailable"

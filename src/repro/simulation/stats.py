@@ -1,4 +1,4 @@
-"""Cost accounting behind a pluggable :class:`StatsSink` interface.
+"""Cost accounting: the paper's three cost measures, accumulated once.
 
 The paper evaluates protocols on three measures (Section 6.3):
 
@@ -10,309 +10,43 @@ The paper evaluates protocols on three measures (Section 6.3):
 * **Time cost** -- the length of the longest causal chain of messages,
   starting with the query initiation at the querying host.
 
-Two sinks implement the interface:
+:class:`CostAccounting` is the one sink every run accounts into.  Every
+measure is exact; the representation is sized for million-host runs:
+per-host processed counts live in a packed ``array('I')`` (4 bytes per
+host) updated with a running maximum, per-kind send counts in a dict,
+and per-instant send counts in a *sparse* dict keyed by clock tick
+(:func:`~repro.simulation.clock.tick_index`), so memory follows the
+host count and the number of ticks that saw a send -- never traffic,
+and never the run's duration.  Per-message work is O(1) with no
+allocation.
 
-* :class:`CostAccounting` -- the full accumulator: per-host processed
-  ``Counter``, per-kind counters, and the per-tick message histogram used
-  by Figure 13(b).  This is the default and what the golden seeded
-  snapshots pin.
-* :class:`StreamingCostAccounting` -- the bounded-memory accumulator for
-  million-host runs.  Every cost measure stays *exact*; what changes is
-  the representation: the per-host ``Counter`` (a hash map of boxed ints,
-  ~90 bytes per host) becomes a packed ``array('I')`` (4 bytes per host)
-  updated with a running maximum, and the per-instant float-keyed
-  ``Counter`` becomes a fixed-width per-tick ``array('q')`` whose length
-  is bounded by the run's duration in ticks, not by traffic or host
-  count.  Per-message work is O(1) with no allocation.
-
-Both sinks bucket per-instant message counts by clock tick
-(:func:`~repro.simulation.clock.tick_time`), so the Figure 13(b)
-histogram stays well-defined when a variable delay model spreads sends
-over arbitrary float timestamps; under the fixed-delay model tick
-bucketing is the identity and keying is unchanged.
+Bucketing by tick keeps the Figure 13(b) histogram well-defined when a
+variable delay model spreads sends over arbitrary float timestamps;
+under the fixed-delay model it is the identity.  The per-host, per-tick
+and per-kind counts read back as plain mappings (``messages_processed``,
+``messages_by_time``, ``messages_by_kind``), which is what the golden
+seeded snapshots pin.
 """
 
 from __future__ import annotations
 
-import abc
+import hashlib
+import json
 import sys
 from array import array
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Union
 
-from repro.simulation.clock import _TICK_EPSILON, tick_index
+from repro.simulation.clock import _TICK_EPSILON
 
-__all__ = [
-    "StatsSink",
-    "CostAccounting",
-    "StreamingCostAccounting",
-    "STATS_MODES",
-    "make_stats_sink",
-]
+__all__ = ["CostAccounting", "StreamingCostAccounting", "make_stats_sink"]
 
 
-class StatsSink(abc.ABC):
-    """Interface between the simulation engine and cost measurement.
+class CostAccounting:
+    """Accumulator of the paper's three cost measures for one run.
 
-    The engine reports raw events (sends, processed deliveries, drops);
-    a sink turns them into the paper's cost measures.  Implementations
-    must expose ``messages_sent``, ``wireless_transmissions``,
-    ``dropped_messages`` and ``max_chain_depth`` as plain attributes --
-    the engine's inline hot loop updates chain depth directly.
-    """
-
-    messages_sent: int
-    wireless_transmissions: int
-    dropped_messages: int
-    max_chain_depth: int
-
-    @abc.abstractmethod
-    def record_send(self, kind: str, time: float, wireless_group: bool = False) -> None:
-        """Record one message transmission (see :class:`CostAccounting`)."""
-
-    @abc.abstractmethod
-    def record_send_batch(self, kind: str, time: float, count: int) -> None:
-        """Record ``count`` point-to-point transmissions of one multicast."""
-
-    @abc.abstractmethod
-    def record_wireless_group(self, count: int) -> None:
-        """Record ``count`` follow-on members of one wireless broadcast."""
-
-    @abc.abstractmethod
-    def record_processed(self, host: int, chain_depth: int) -> None:
-        """Record that ``host`` processed a message with given chain depth."""
-
-    @abc.abstractmethod
-    def record_dropped(self) -> None:
-        """Record a message dropped because its destination failed."""
-
-    def record_processed_bulk(self, host_counts) -> None:
-        """Fold many per-host processed-count increments in at once.
-
-        ``host_counts`` yields ``(host, count)`` pairs with ``count >= 1``.
-        Equivalent to ``count`` calls to :meth:`record_processed` per pair
-        except that chain depths are **not** folded here -- the caller
-        (the vector lane's end-of-run replay) updates the
-        ``max_chain_depth`` attribute directly, exactly like the engine's
-        inline hot loop does.  Concrete sinks override this with an O(1)-
-        per-pair implementation; the default loops for third-party sinks.
-        """
-        record = self.record_processed
-        for host, count in host_counts:
-            for _ in range(count):
-                record(host, 0)
-
-    # ------------------------------------------------------------------
-    # Derived measures
-    # ------------------------------------------------------------------
-    @property
-    def communication_cost(self) -> int:
-        """Total messages sent (the paper's communication cost)."""
-        return self.messages_sent
-
-    @property
-    @abc.abstractmethod
-    def computation_cost(self) -> int:
-        """Maximum number of messages processed by any single host."""
-
-    @property
-    def time_cost(self) -> int:
-        """Length of the longest causal message chain."""
-        return self.max_chain_depth
-
-    @abc.abstractmethod
-    def computation_histogram(self) -> Dict[int, int]:
-        """Map ``cost -> number of hosts`` that processed exactly that many
-        messages (the Figure 12 distribution)."""
-
-    @abc.abstractmethod
-    def messages_per_instant(self) -> Dict[float, int]:
-        """Messages sent in each clock tick, keyed by the tick's start time
-        (the Figure 13(b) series)."""
-
-    @abc.abstractmethod
-    def footprint_bytes(self) -> int:
-        """Approximate resident size of the accounting structures."""
-
-    def summary(self) -> Mapping[str, int]:
-        """A compact summary used by the experiment reports."""
-        return {
-            "communication_cost": self.communication_cost,
-            "computation_cost": self.computation_cost,
-            "time_cost": self.time_cost,
-            "wireless_transmissions": self.wireless_transmissions,
-            "dropped_messages": self.dropped_messages,
-        }
-
-    def fingerprint(self) -> str:
-        """A stable hex digest of every measure this sink reports.
-
-        Two sinks fingerprint identically iff they agree on the summary
-        measures, the per-kind send counts, the computation histogram and
-        the per-tick send histogram -- regardless of representation, so a
-        full and a streaming sink that accounted the same run match.  The
-        multi-tenant query service uses this to assert that a query's cost
-        attribution is bit-identical across re-runs and to a solo run.
-        """
-        import hashlib
-        import json
-
-        by_kind = getattr(self, "messages_by_kind", {})
-        payload = json.dumps(
-            {
-                "summary": dict(self.summary()),
-                "by_kind": {k: by_kind[k] for k in sorted(by_kind)},
-                "computation_histogram": sorted(
-                    self.computation_histogram().items()),
-                "per_instant": sorted(self.messages_per_instant().items()),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-
-@dataclass
-class CostAccounting(StatsSink):
-    """Full accumulator of the paper's three cost measures.
-
-    ``tick_width`` is the per-instant histogram's bucket width (the
-    engine passes the delay bound ``delta``); under the fixed-delay
-    model every send already lands on a tick boundary, so the keys of
-    ``messages_by_time`` are unchanged from the historical raw-float
-    keying.
-    """
-
-    messages_sent: int = 0
-    wireless_transmissions: int = 0
-    messages_processed: Counter = field(default_factory=Counter)
-    max_chain_depth: int = 0
-    messages_by_time: Counter = field(default_factory=Counter)
-    messages_by_kind: Counter = field(default_factory=Counter)
-    dropped_messages: int = 0
-    tick_width: float = 1.0
-
-    def record_send(self, kind: str, time: float, wireless_group: bool = False) -> None:
-        """Record one message transmission.
-
-        Args:
-            kind: protocol message kind (for per-kind breakdowns).
-            time: simulation time of the send.
-            wireless_group: True when this send is part of a wireless
-                broadcast that was already counted; only the first message of
-                the group should be recorded with ``wireless_group=False``.
-        """
-        if not wireless_group:
-            self.messages_sent += 1
-            # Inline tick_time(): this runs once per send on the kernel's
-            # hottest accounting path.
-            width = self.tick_width
-            self.messages_by_time[
-                int(time / width + _TICK_EPSILON) * width] += 1
-            self.messages_by_kind[kind] += 1
-        else:
-            self.wireless_transmissions += 1
-
-    def record_send_batch(self, kind: str, time: float, count: int) -> None:
-        """Record ``count`` point-to-point transmissions of one multicast.
-
-        Equivalent to ``count`` calls to :meth:`record_send` with
-        ``wireless_group=False`` -- same counters, one bump each.
-        """
-        if count <= 0:
-            return
-        self.messages_sent += count
-        width = self.tick_width
-        self.messages_by_time[
-            int(time / width + _TICK_EPSILON) * width] += count
-        self.messages_by_kind[kind] += count
-
-    def record_wireless_group(self, count: int) -> None:
-        """Record ``count`` follow-on members of one wireless broadcast."""
-        self.wireless_transmissions += count
-
-    def record_processed(self, host: int, chain_depth: int) -> None:
-        """Record that ``host`` processed a message with given chain depth."""
-        self.messages_processed[host] += 1
-        if chain_depth > self.max_chain_depth:
-            self.max_chain_depth = chain_depth
-
-    def record_dropped(self) -> None:
-        """Record a message dropped because its destination failed."""
-        self.dropped_messages += 1
-
-    def record_processed_bulk(self, host_counts) -> None:
-        """Fold ``(host, count)`` processed increments in one dict bump each."""
-        processed = self.messages_processed
-        for host, count in host_counts:
-            processed[host] += count
-
-    # ------------------------------------------------------------------
-    # Derived measures
-    # ------------------------------------------------------------------
-    @property
-    def computation_cost(self) -> int:
-        """Maximum number of messages processed by any single host."""
-        if not self.messages_processed:
-            return 0
-        return max(self.messages_processed.values())
-
-    def computation_histogram(self) -> Dict[int, int]:
-        """Map ``cost -> number of hosts`` that processed exactly that many
-        messages (the Figure 12 distribution)."""
-        histogram: Dict[int, int] = defaultdict(int)
-        for count in self.messages_processed.values():
-            histogram[count] += 1
-        return dict(histogram)
-
-    def messages_per_instant(self) -> Dict[float, int]:
-        """Messages sent in each clock tick (the Figure 13(b) series)."""
-        return dict(self.messages_by_time)
-
-    def footprint_bytes(self) -> int:
-        """Approximate resident size of the accounting counters."""
-        total = 0
-        for counter in (self.messages_processed, self.messages_by_time,
-                        self.messages_by_kind):
-            total += sys.getsizeof(counter)
-            for key, value in counter.items():
-                total += sys.getsizeof(key) + sys.getsizeof(value)
-        return total
-
-    def merge(self, other: "CostAccounting") -> None:
-        """Fold another accounting object into this one (for phased runs).
-
-        Both sides must use the same ``tick_width`` for the per-tick
-        histogram to stay meaningful.
-        """
-        self.messages_sent += other.messages_sent
-        self.wireless_transmissions += other.wireless_transmissions
-        self.messages_processed.update(other.messages_processed)
-        self.max_chain_depth = max(self.max_chain_depth, other.max_chain_depth)
-        self.messages_by_time.update(other.messages_by_time)
-        self.messages_by_kind.update(other.messages_by_kind)
-        self.dropped_messages += other.dropped_messages
-
-
-class StreamingCostAccounting(StatsSink):
-    """Bounded-memory cost accounting for million-host runs.
-
-    Every measure the full :class:`CostAccounting` reports is computed
-    exactly; only the representation changes:
-
-    * per-host processed counts live in a packed ``array('I')`` (4 bytes
-      per host, vs ~90 bytes per ``Counter`` entry) and the computation
-      cost is maintained as a running maximum instead of a final
-      ``max()`` scan;
-    * the per-instant message histogram is an ``array('q')`` indexed by
-      clock tick, whose length is bounded by the run's duration in ticks
-      (~``2 * D_hat`` for the paper's protocols) rather than by the
-      number of distinct float send times.
-
-    What is *not* available is the ``messages_processed`` mapping itself
-    -- callers that need per-host attribution (none of the figure
-    drivers do; Figure 12 only needs the histogram) must use the full
-    sink.
+    The engine reports raw events (sends, processed deliveries, drops)
+    and updates ``max_chain_depth`` / ``dropped_messages`` directly from
+    its bulk paths; this class turns them into the paper's measures.
 
     Args:
         num_hosts: number of host slots to pre-size the processed-count
@@ -334,46 +68,49 @@ class StreamingCostAccounting(StatsSink):
         self._max_processed = 0
         # bytes(4 * n) zero-fills without materialising a Python int list.
         self._processed = array("I", bytes(4 * num_hosts))
-        self._by_tick = array("q")
+        # Sparse on purpose: one late send must not allocate every tick
+        # before it.
+        self._by_tick: Dict[int, int] = {}
         self.messages_by_kind: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _bump_tick(self, time: float, count: int) -> None:
-        index = tick_index(time, self.tick_width)
-        ticks = self._by_tick
-        if index >= len(ticks):
-            # frombytes appends zero-filled *elements* (extend would treat
-            # the bytes as an iterable and append one element per byte).
-            ticks.frombytes(bytes(ticks.itemsize * (index + 1 - len(ticks))))
-        ticks[index] += count
-
     def record_send(self, kind: str, time: float, wireless_group: bool = False) -> None:
+        """Record one message transmission.
+
+        Args:
+            kind: protocol message kind (for per-kind breakdowns).
+            time: simulation time of the send.
+            wireless_group: True when this send is part of a wireless
+                broadcast that was already counted; only the first message of
+                the group should be recorded with ``wireless_group=False``.
+        """
         if wireless_group:
             self.wireless_transmissions += 1
-            return
-        self.messages_sent += 1
-        self._bump_tick(time, 1)
-        kinds = self.messages_by_kind
-        kinds[kind] = kinds.get(kind, 0) + 1
+        else:
+            self.record_send_batch(kind, time, 1)
 
     def record_send_batch(self, kind: str, time: float, count: int) -> None:
+        """Record ``count`` point-to-point transmissions of one multicast."""
         if count <= 0:
             return
         self.messages_sent += count
-        self._bump_tick(time, count)
+        tick = int(time / self.tick_width + _TICK_EPSILON)  # tick_index()
+        ticks = self._by_tick
+        ticks[tick] = ticks.get(tick, 0) + count
         kinds = self.messages_by_kind
         kinds[kind] = kinds.get(kind, 0) + count
 
     def record_wireless_group(self, count: int) -> None:
+        """Record ``count`` follow-on members of one wireless broadcast."""
         self.wireless_transmissions += count
 
     def record_processed(self, host: int, chain_depth: int) -> None:
+        """Record that ``host`` processed a message with given chain depth."""
         processed = self._processed
-        if host >= len(processed):  # a host joined after construction
-            processed.frombytes(
-                bytes(processed.itemsize * (host + 1 - len(processed))))
+        if host >= len(processed):
+            self._grow(host)
         count = processed[host] + 1
         processed[host] = count
         if count > self._max_processed:
@@ -381,17 +118,33 @@ class StreamingCostAccounting(StatsSink):
         if chain_depth > self.max_chain_depth:
             self.max_chain_depth = chain_depth
 
+    def _grow(self, host: int) -> None:
+        """Zero-extend the processed array, in place, to cover ``host``
+        (a host that joined after construction)."""
+        processed = self._processed
+        # frombytes appends zero-filled *elements* (extend would treat
+        # the bytes as an iterable and append one element per byte).
+        processed.frombytes(
+            bytes(processed.itemsize * (host + 1 - len(processed))))
+
     def record_dropped(self) -> None:
+        """Record a message dropped because its destination failed."""
         self.dropped_messages += 1
 
     def record_processed_bulk(self, host_counts) -> None:
-        """Fold ``(host, count)`` processed increments, tracking the max."""
+        """Fold many per-host processed-count increments in at once.
+
+        ``host_counts`` yields ``(host, count)`` pairs with ``count >= 1``.
+        Equivalent to ``count`` calls to :meth:`record_processed` per pair
+        except that chain depths are **not** folded here -- the caller
+        (the tick lanes' end-of-run replay) updates ``max_chain_depth``
+        directly.
+        """
         processed = self._processed
         max_processed = self._max_processed
         for host, count in host_counts:
-            if host >= len(processed):  # a host joined after construction
-                processed.frombytes(
-                    bytes(processed.itemsize * (host + 1 - len(processed))))
+            if host >= len(processed):
+                self._grow(host)
             total = processed[host] + count
             processed[host] = total
             if total > max_processed:
@@ -402,83 +155,108 @@ class StreamingCostAccounting(StatsSink):
     # Derived measures
     # ------------------------------------------------------------------
     @property
+    def communication_cost(self) -> int:
+        """Total messages sent (the paper's communication cost)."""
+        return self.messages_sent
+
+    @property
     def computation_cost(self) -> int:
+        """Maximum number of messages processed by any single host."""
         return self._max_processed
 
+    @property
+    def time_cost(self) -> int:
+        """Length of the longest causal message chain."""
+        return self.max_chain_depth
+
+    @property
+    def messages_processed(self) -> Dict[int, int]:
+        """Map ``host -> messages processed``, hosts that processed none
+        left out."""
+        return {host: count
+                for host, count in enumerate(self._processed) if count}
+
     def computation_histogram(self) -> Dict[int, int]:
-        histogram: Dict[int, int] = defaultdict(int)
+        """Map ``cost -> number of hosts`` that processed exactly that many
+        messages (the Figure 12 distribution)."""
+        histogram: Dict[int, int] = {}
         for count in self._processed:
             if count:
-                histogram[count] += 1
-        return dict(histogram)
+                histogram[count] = histogram.get(count, 0) + 1
+        return histogram
 
     def messages_per_instant(self) -> Dict[float, int]:
+        """Messages sent in each clock tick, keyed by the tick's start time
+        (the Figure 13(b) series)."""
         width = self.tick_width
-        return {index * width: count
-                for index, count in enumerate(self._by_tick) if count}
+        return {tick * width: count for tick, count in self._by_tick.items()}
+
+    messages_by_time = property(messages_per_instant)
 
     def footprint_bytes(self) -> int:
-        total = (sys.getsizeof(self._processed)
-                 + sys.getsizeof(self._by_tick)
-                 + sys.getsizeof(self.messages_by_kind))
-        for key, value in self.messages_by_kind.items():
-            total += sys.getsizeof(key) + sys.getsizeof(value)
+        """Approximate resident size of the accounting structures."""
+        total = sys.getsizeof(self._processed)
+        for counter in (self._by_tick, self.messages_by_kind):
+            total += sys.getsizeof(counter)
+            for key, value in counter.items():
+                total += sys.getsizeof(key) + sys.getsizeof(value)
         return total
 
+    def summary(self) -> Mapping[str, int]:
+        """A compact summary used by the experiment reports."""
+        return {
+            "communication_cost": self.communication_cost,
+            "computation_cost": self.computation_cost,
+            "time_cost": self.time_cost,
+            "wireless_transmissions": self.wireless_transmissions,
+            "dropped_messages": self.dropped_messages,
+        }
 
-#: Stats-sink modes understood by :func:`make_stats_sink` and the CLI.
-STATS_MODES = ("full", "streaming")
+    def fingerprint(self) -> str:
+        """A stable hex digest of every measure this sink reports.
 
-
-def validate_stats_mode(mode: str) -> str:
-    """Check that ``mode`` names a known sink; returns it for chaining."""
-    if mode not in STATS_MODES:
-        raise ValueError(
-            f"unknown stats mode {mode!r}; known: {', '.join(STATS_MODES)}"
+        Two sinks fingerprint identically iff they agree on the summary
+        measures, the per-kind send counts, the computation histogram and
+        the per-tick send histogram.  The multi-tenant query service uses
+        this to assert that a query's cost attribution is bit-identical
+        across re-runs and to a solo run.
+        """
+        by_kind = self.messages_by_kind
+        payload = json.dumps(
+            {
+                "summary": dict(self.summary()),
+                "by_kind": {k: by_kind[k] for k in sorted(by_kind)},
+                "computation_histogram": sorted(
+                    self.computation_histogram().items()),
+                "per_instant": sorted(self.messages_per_instant().items()),
+            },
+            sort_keys=True,
         )
-    return mode
-
-#: Process-wide default mode used when a run does not pick one explicitly.
-#: ``repro run --stats streaming`` flips this so every simulation of a
-#: figure matrix uses the bounded-memory sink without threading a
-#: parameter through each driver.  In-process only: worker processes
-#: spawned by the orchestration pool start back at ``"full"``.
-_default_mode = "full"
+        return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def default_stats_mode() -> str:
-    return _default_mode
-
-
-def set_default_stats_mode(mode: str) -> str:
-    """Set the process-wide default mode; returns the previous one."""
-    global _default_mode
-    validate_stats_mode(mode)
-    previous = _default_mode
-    _default_mode = mode
-    return previous
+#: ``benchmarks/perf`` (frozen between benchmark-typed PRs) still imports
+#: the bounded-memory sink under its historical name.
+StreamingCostAccounting = CostAccounting
 
 
 def make_stats_sink(
-    mode: "str | StatsSink | None" = None,
+    stats: Union[CostAccounting, str, None] = None,
     num_hosts: int = 0,
     tick_width: float = 1.0,
-) -> StatsSink:
-    """Build the stats sink for one run.
+) -> CostAccounting:
+    """The sink one run accounts into.
 
     Args:
-        mode: ``"full"``, ``"streaming"``, a ready-made sink (passed
-            through unchanged), or ``None`` for the process-wide default
-            (see :func:`set_default_stats_mode`).
-        num_hosts: host count used to pre-size the streaming sink.
-        tick_width: per-instant histogram bucket width.
+        stats: a ready-made sink (passed through unchanged) or ``None``
+            for a fresh one.  ``"full"`` and ``"streaming"``, which used
+            to pick between two accumulators, both mean a fresh one.
+        num_hosts: host count used to pre-size a fresh sink.
+        tick_width: per-instant histogram bucket width of a fresh sink.
     """
-    if isinstance(mode, StatsSink):
-        return mode
-    if mode is None:
-        mode = _default_mode
-    validate_stats_mode(mode)
-    if mode == "full":
-        return CostAccounting(tick_width=tick_width)
-    return StreamingCostAccounting(num_hosts=num_hosts,
-                                   tick_width=tick_width)
+    if isinstance(stats, CostAccounting):
+        return stats
+    if stats not in (None, "full", "streaming"):
+        raise ValueError(
+            f"stats must be a CostAccounting or None, got {stats!r}")
+    return CostAccounting(num_hosts=num_hosts, tick_width=tick_width)

@@ -52,7 +52,7 @@ harness:
   order, send order and declaration times are those of the spec engine;
 * both cost-accounting sides -- per-(tick, kind) send totals and
   per-host receive counts, all commutative sums -- are replayed into the
-  same :class:`~repro.simulation.stats.StatsSink`, so
+  same :class:`~repro.simulation.stats.CostAccounting`, so
   ``costs.fingerprint()`` matches;
 * the golden matrix and the differential axes in
   ``tests/integration/test_protocol_matrix.py`` pin value, fingerprint
@@ -230,10 +230,6 @@ class _TickLane:
         self.max_depth = 0
         self.send_acc: Dict[tuple, int] = defaultdict(int)
         self.wireless_groups = 0
-        #: alive-neighbor lists memoised per host (``None`` = not yet
-        #: computed); liveness only changes at failures, which reset the
-        #: whole cache.
-        self.nbr_cache: List[Optional[Sequence[int]]] = [None] * n
 
     # ------------------------------------------------------------------
     # Submit targets (the query-start hook / kernel activation call sites)
@@ -393,15 +389,12 @@ class _TickLane:
             if not self.alive_bytes[host]:
                 continue
             self.network.fail_host(host, time)
-            self.nbr_cache = [None] * self.num_hosts
             if self.tracer is not None and self.lo <= host < self.hi:
                 # Only the owning lane records the churn event: every
                 # lane replays the full schedule, and one copy per lane
                 # would break a merged trace's exact counts.
                 self.tracer.fail(time, host)
             self.hosts[host].on_fail(time)
-            for callback in sim._fail_callbacks:
-                callback(host, time)
         self._fail_index = index
 
     # ------------------------------------------------------------------

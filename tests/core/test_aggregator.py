@@ -173,15 +173,3 @@ class TestConfiguration:
         # case, so the run finishes no later.
         fixed = ValidAggregator(topo, values, seed=33).minimum()
         assert result.run.finished_at <= fixed.run.finished_at + 1e-9
-
-    def test_streaming_stats_config_keeps_measures(self):
-        topo = random_topology(50, avg_degree=6, seed=34)
-        values = constant_values(50, 1)
-        full = ValidAggregator(topo, values, seed=34).count(
-            protocol="spanning-tree")
-        streaming = ValidAggregator(
-            topo, values, seed=34,
-            simulation=SimulationConfig(stats="streaming")).count(
-            protocol="spanning-tree")
-        assert streaming.value == full.value
-        assert streaming.run.costs.summary() == full.run.costs.summary()

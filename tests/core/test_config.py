@@ -12,7 +12,7 @@ class TestSimulationConfig:
         assert not config.wireless
         assert config.seed == 0
         assert config.delay == "fixed"
-        assert config.stats == "full"
+        assert not hasattr(config, "stats")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -20,15 +20,12 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(max_time=-1.0)
 
-    def test_delay_and_stats_specs_validated_eagerly(self):
+    def test_delay_spec_validated_eagerly(self):
         assert SimulationConfig(delay="uniform:0.5,1.0").delay == "uniform:0.5,1.0"
-        assert SimulationConfig(stats="streaming").stats == "streaming"
         with pytest.raises(ValueError):
             SimulationConfig(delay="warp")
         with pytest.raises(ValueError):
             SimulationConfig(delay="uniform:0.9,0.1")
-        with pytest.raises(ValueError):
-            SimulationConfig(stats="verbose")
 
     def test_frozen(self):
         config = SimulationConfig()

@@ -13,7 +13,7 @@ import pytest
 from repro.experiments.query_mix import run_query_mix
 
 BASE = dict(num_hosts=200, topology="random", qps=1.5, duration=10.0,
-            seed=5, stats="full", departures=6)
+            seed=5, departures=6)
 
 
 @pytest.fixture(scope="module")

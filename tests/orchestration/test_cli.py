@@ -76,11 +76,10 @@ def test_no_cache_leaves_no_records(cache_dir, tmp_path, capsys):
     assert not (tmp_path / "cache").exists()
 
 
-def test_bench_streaming_variable_delay_row(capsys):
+def test_bench_variable_delay_row(capsys):
     assert main(["bench", "--hosts", "64", "--topology", "random",
-                 "--stats", "streaming", "--delay", "uniform:0.5,1.0"]) == 0
+                 "--delay", "uniform:0.5,1.0"]) == 0
     captured = capsys.readouterr()
-    assert "streaming" in captured.out
     assert "uniform:0.5,1.0" in captured.out
     assert "peak_rss_mb" in captured.out
     assert "accounting_bytes" in captured.out
@@ -114,24 +113,25 @@ def test_delay_sweep_rejects_unknown_topology(capsys):
     assert "unknown topology" in capsys.readouterr().err
 
 
-def test_run_accepts_streaming_stats(cache_dir, capsys):
-    """--stats streaming flips the process default for the run (and
-    restores it afterwards); figure results keep the same measures, so
-    the run succeeds and prints its table."""
-    from repro.simulation.stats import default_stats_mode
+@pytest.mark.parametrize("command", [
+    ["run", "fig6", *RUN_ARGS, "--no-cache"],
+    ["bench", "--hosts", "64"],
+    ["serve", "--hosts", "64"],
+])
+def test_stats_option_is_gone(command, capsys):
+    """One sink: there is no accounting mode to pick on any command."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--stats", "streaming"])
+    assert excinfo.value.code == 2
+    assert "--stats" in capsys.readouterr().err
 
+
+def test_run_on_a_worker_pool_needs_no_stats_restriction(capsys):
+    """Every worker process accounts into the same bounded-memory sink,
+    so nothing about accounting constrains ``--workers``."""
     assert main(["run", "fig6", *RUN_ARGS, "--no-cache",
-                 "--stats", "streaming"]) == 0
+                 "--workers", "2"]) == 0
     assert "1 trials" in capsys.readouterr().out
-    assert default_stats_mode() == "full"
-
-
-def test_run_streaming_stats_requires_single_worker(capsys):
-    """Worker processes would not inherit the stats mode, so the
-    combination is rejected instead of silently using full accounting."""
-    assert main(["run", "fig6", *RUN_ARGS, "--no-cache",
-                 "--stats", "streaming", "--workers", "2"]) == 2
-    assert "--workers 1" in capsys.readouterr().err
 
 
 def test_bench_profile_refuses_trajectory_json(tmp_path, capsys):
@@ -151,7 +151,7 @@ def test_serve_runs_a_small_mix_and_reports(tmp_path, capsys):
 
     report_path = str(tmp_path / "serve.json")
     assert main(["serve", "--hosts", "120", "--topology", "random",
-                 "--qps", "1", "--duration", "8", "--stats", "streaming",
+                 "--qps", "1", "--duration", "8",
                  "--rows", "3", "--json", report_path]) == 0
     out = capsys.readouterr().out
     assert "Service summary" in out

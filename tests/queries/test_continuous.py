@@ -8,7 +8,8 @@ from repro.queries.query import AggregateQuery
 from repro.service import QueryService
 from repro.simulation.churn import ChurnSchedule
 from repro.topology.primitives import ring_topology
-from repro.workloads.values import constant_values
+from repro.topology.random_graph import random_topology
+from repro.workloads.values import constant_values, zipf_values
 
 
 class TestContinuousQueryConfig:
@@ -111,3 +112,37 @@ class TestLivePath:
         assert [r.report_time for r in results] == sorted(
             r.report_time for r in results)
         assert all(r.is_valid for r in results)
+
+    @pytest.mark.parametrize("protocol", ["wildfire", "dag2"])
+    def test_fm_estimates_are_judged_as_the_figure_sweeps_judge_them(
+            self, protocol):
+        """On a static network ``H_C = H_U = H``, so the bounds pinch to
+        the true count and an FM estimate never equals them; it is valid
+        within the sketch slack Figs. 7-9 grant the same estimates."""
+        topology = random_topology(80, avg_degree=4, seed=3)
+        service = QueryService(topology, zipf_values(80, seed=3), seed=1)
+        continuous = ContinuousQuery(query=AggregateQuery.of("count"),
+                                     period=5.0, window=40.0, duration=20.0)
+        results = continuous.run_live(service, protocol, querying_host=0)
+        assert len(results) == 4
+        for result in results:
+            assert (result.bounds.lower_value, result.bounds.upper_value) \
+                == (80, 80)
+            assert result.value != 80
+            assert 40 <= result.value <= 120
+            assert result.is_valid
+
+    def test_exact_answers_get_no_slack(self):
+        topology = ring_topology(20)
+        continuous = ContinuousQuery(query=AggregateQuery.of("count"),
+                                     period=20.0, window=30.0, duration=20.0)
+        service = QueryService(topology, constant_values(20, 1), seed=0)
+        [session_id] = continuous.schedule_live(service, "spanning-tree")
+        service.run()
+        [result] = continuous.collect_live(service, [session_id])
+        assert result.value == 20 and result.is_valid
+        # One host short of the pinched bounds: within 50 % slack, but a
+        # tree adds exactly, so the verdict is exact too.
+        service._sessions[session_id].value = 19.0
+        [short] = continuous.collect_live(service, [session_id])
+        assert not short.is_valid

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.semantics.oracle import Oracle
+from repro.protocols.base import protocol_from_spec
+from repro.queries.query import AggregateQuery
+from repro.semantics.oracle import Oracle, sketch_slack
 from repro.simulation.churn import ChurnSchedule
 from repro.topology.primitives import chain_topology, ring_topology
 
@@ -61,3 +63,18 @@ class TestOracle:
         assert oracle.completeness_of([0, 1]) == pytest.approx(0.5)
         assert oracle.completeness_of([0, 0, 1]) == pytest.approx(0.5)
         assert oracle.completeness_of([]) == 0.0
+
+
+@pytest.mark.parametrize("protocol,kind,slack", [
+    ("wildfire", "count", 0.5),       # FM estimate
+    ("wildfire", "average", 0.5),
+    ("dag2", "sum", 0.5),             # several parents force FM too
+    ("spanning-tree", "count", 0.0),  # exact addition
+    ("wildfire", "min", 0.0),         # duplicate-insensitive yet exact
+    ("dag2", "max", 0.0),
+])
+def test_sketch_slack_is_granted_to_fm_estimates_only(protocol, kind, slack):
+    protocol = protocol_from_spec(protocol)
+    query = AggregateQuery.of(kind)
+    assert sketch_slack(protocol, query) == slack
+    assert sketch_slack(protocol, query, 0.25) == slack / 2

@@ -1,7 +1,7 @@
 """The overload/fairness test matrix for the admission controller.
 
 The controller's contract, exercised over the full configuration
-matrix (policy x stats mode x shard count) under the adversarial
+matrix (policy x shard count) under the adversarial
 overload workload:
 
 * **exactly one terminal outcome per query** -- every submitted query
@@ -38,19 +38,17 @@ BASE = dict(num_hosts=80, topology="random", qps=2.0, duration=12.0,
             seed=11, mix=adversarial_overload_mix(qps=2.0, duration=12.0))
 
 
-def _run_cell(policy, stats, shards, **admission_overrides):
+def _run_cell(policy, shards, **admission_overrides):
     admission = AdmissionConfig(policy=policy,
                                 **{**ENVELOPE, **admission_overrides})
-    return run_query_mix(**BASE, stats=stats, shards=shards,
+    return run_query_mix(**BASE, shards=shards,
                          share_floods=False, admission=admission)
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-@pytest.mark.parametrize("stats", ["streaming", "full"])
 @pytest.mark.parametrize("policy", ["shed", "defer", "degrade"])
-def test_overload_matrix_one_terminal_outcome_per_query(
-        policy, stats, shards):
-    result = _run_cell(policy, stats, shards)
+def test_overload_matrix_one_terminal_outcome_per_query(policy, shards):
+    result = _run_cell(policy, shards)
     rows, summary = result["rows"], result["summary"]
 
     # Every submitted query has exactly one row, and every row ended in
@@ -91,7 +89,7 @@ def test_overload_matrix_one_terminal_outcome_per_query(
 def test_defer_policy_retries_then_drains():
     """Deferrals happen, and every deferred query still terminates --
     launched inside the deadline or shed at it."""
-    result = _run_cell("defer", "streaming", 1)
+    result = _run_cell("defer", 1)
     summary = result["summary"]
     assert summary["deferrals"] > 0
     assert summary["deferred"] == 0
@@ -170,7 +168,7 @@ def test_sharded_matrix_merges_admission_tallies():
     """The merged sharded summary's fairness counters equal the sums of
     what each shard actually did (locked via the rows, which carry every
     shard's per-query decisions)."""
-    result = _run_cell("shed", "streaming", 2)
+    result = _run_cell("shed", 2)
     rows, summary = result["rows"], result["summary"]
     assert summary["shards"] == 2
     assert summary["shed"] == sum(

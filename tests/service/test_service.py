@@ -376,18 +376,6 @@ class TestDeterminismAndIsolation:
         assert (loaded.poll(loaded_qid).costs.fingerprint()
                 == base.poll(base_qid).costs.fingerprint())
 
-    def test_streaming_and_full_attribution_agree(self, topology, values):
-        outcomes = {}
-        for mode in ("full", "streaming"):
-            service = QueryService(topology, values, seed=SEED, stats=mode)
-            ids = _submit_mix(service)
-            service.run()
-            outcomes[mode] = [
-                (service.poll(i).value, service.poll(i).costs.fingerprint())
-                for i in ids
-            ]
-        assert outcomes["full"] == outcomes["streaming"]
-
 
 class TestSharedSubstrate:
     def test_churn_hits_every_overlapping_session(self, topology, values):
@@ -423,15 +411,77 @@ class TestSharedSubstrate:
         assert service.engine.network.num_hosts == topology.num_hosts + 1
 
     def test_late_messages_are_counted_not_delivered(self, topology, values):
-        # A query's convergecast traffic can still be in flight at its
-        # declaration instant; those deliveries must never wake retired
-        # protocol state.
-        service = QueryService(topology, values, seed=SEED)
-        _submit_mix(service)
+        """Traffic still in flight at the declaration instant is tallied
+        per query and traced, and never wakes the retired session's
+        protocol state."""
+        from repro.protocols.base import Protocol
+        from repro.simulation.host import ProtocolHost
+
+        class LastWordHost(ProtocolHost):
+            """Silent until the deadline, at which the querying host
+            multicasts: every copy lands one ``delta`` too late."""
+
+            __slots__ = ("deadline", "woken")
+
+            def __init__(self, host_id, deadline):
+                super().__init__(host_id, value=0.0)
+                self.deadline = deadline
+                self.woken = 0
+
+            def on_query_start(self, ctx):
+                ctx.set_timer(self.deadline, "last-word")
+
+            def on_timer(self, name, data, ctx):
+                assert ctx.now == self.deadline
+                ctx.send_to_neighbors("last-word", {})
+
+            def on_message(self, message, ctx):
+                self.woken += 1
+
+            def local_result(self):
+                return 1.0
+
+        class LastWord(Protocol):
+            name = "last-word"
+
+            def termination_time(self, d_hat, delta):
+                return 2.0 * d_hat * delta
+
+            def create_hosts(self, topology, values, querying_host, query,
+                             combiner, d_hat, delta, rng):
+                self.hosts = [
+                    LastWordHost(host_id, self.termination_time(d_hat, delta))
+                    for host_id in range(topology.num_hosts)]
+                return self.hosts
+
+        tracer = RingTracer(sampling={})
+        service = QueryService(topology, values, seed=SEED, tracer=tracer)
+        protocol = LastWord()
+        qid = service.submit(protocol, "count", at=2.5, querying_host=4)
+        bystander = service.submit("wildfire", "min", at=0.0)
         report = service.run()
-        assert report.answered == len(MIX)
-        assert report.late_messages >= 0
-        assert report.messages_sent > 0
+
+        outcome = service.poll(qid)
+        assert outcome.status is QueryStatus.DONE and outcome.value == 1.0
+        neighbors = sorted(topology.adjacency[4])
+        assert neighbors
+        # Sent (and accounted to the query) at the deadline ...
+        assert outcome.costs.messages_sent == len(neighbors)
+        assert outcome.costs.messages_per_instant() == {
+            outcome.termination: len(neighbors)}
+        # ... tallied late on the engine, per query and in the trace ...
+        engine = service.engine
+        assert report.late_messages == engine.late_messages == len(neighbors)
+        assert report.late_by_query == engine.late_by_query == {
+            qid: len(neighbors)}
+        landing = outcome.termination + service.delta
+        assert [record for record in tracer.raw_records()
+                if record[0] == "late"] == [
+            ("late", landing, dest, qid) for dest in neighbors]
+        # ... and never delivered: no host woke, nothing was processed.
+        assert all(host.woken == 0 for host in protocol.hosts)
+        assert outcome.costs.computation_cost == 0
+        assert service.poll(bystander).value == float(min(values))
 
     def test_horizon_past_deadline_finalizes_without_later_events(
             self, topology, values):

@@ -4,6 +4,7 @@ from typing import Any, Optional
 
 import pytest
 
+from repro.obs.trace import RingTracer
 from repro.protocols.base import prepare_protocol_run
 from repro.protocols.wildfire import Wildfire
 from repro.simulation.churn import ChurnSchedule
@@ -142,14 +143,14 @@ class TestFailures:
         result = simulator.run(until=50)
         assert result.costs.dropped_messages >= 1
 
-    def test_failure_callback_invoked(self):
+    def test_failures_are_observed_through_the_tracer(self):
         topo = chain_topology(3)
         churn = ChurnSchedule(failures=[(2.0, 2)])
-        simulator, _ = build_simulator(topo, churn=churn)
-        observed = []
-        simulator.on_host_failure(lambda host, time: observed.append((host, time)))
+        tracer = RingTracer()
+        simulator, _ = build_simulator(topo, churn=churn, tracer=tracer)
         simulator.run(until=10)
-        assert observed == [(2, 2.0)]
+        assert [record for record in tracer.raw_records()
+                if record[0] == "fail"] == [("fail", 2.0, 2)]
 
     def test_querying_host_must_be_alive(self):
         topo = chain_topology(3)

@@ -40,7 +40,7 @@ lane_cases = pytest.mark.parametrize(
 
 
 def _simulate(lane, shards=1, query="count", churn=None, wireless=False,
-              delay=None, tracer=None, protocol=None, stats="full",
+              delay=None, tracer=None, protocol=None,
               querying_host=0, num_hosts=30, prime=None, topology=None,
               delta=1.0, d_hat=None):
     """One run; returns ``(snapshot, simulator, result)``.
@@ -60,8 +60,8 @@ def _simulate(lane, shards=1, query="count", churn=None, wireless=False,
         querying_host=querying_host, delta=delta, churn=churn,
         wireless=wireless,
         max_time=prepared.termination * 4 + 16,
-        delay_model=prepared.delay_model, stats=stats, tracer=tracer,
-        lane=lane, shards=shards)
+        delay_model=prepared.delay_model, tracer=tracer, lane=lane,
+        shards=shards)
     if prime is not None:
         prime(simulator)
     assert simulator.lane_used is None
@@ -153,9 +153,8 @@ def test_lane_is_bit_identical(lane, shards, query):
 
 
 @lane_cases
-def test_identical_under_wireless_and_streaming(lane, shards):
-    assert (_engaged(lane, shards, wireless=True, stats="streaming")
-            == _spec(wireless=True, stats="streaming"))
+def test_identical_under_wireless(lane, shards):
+    assert _engaged(lane, shards, wireless=True) == _spec(wireless=True)
 
 
 @lane_cases
@@ -297,7 +296,6 @@ def test_convergecast_identical_when_the_querying_host_dies(protocol):
 @convergecast
 def test_convergecast_identical_on_a_wireless_grid(protocol):
     kwargs = dict(topology=grid_topology(5), wireless=True,
-                  stats="streaming",
                   churn=ChurnSchedule(failures=[(2.5, 12), (6.0, 7)]))
     vector, spec = _convergecast_pair(protocol, **kwargs)
     assert vector == spec
@@ -313,33 +311,6 @@ def test_convergecast_identical_with_a_failure_after_the_last_report(protocol):
     churn = ChurnSchedule(failures=[(2.0, 0), (horizon - 0.5, 4)])
     vector, spec = _convergecast_pair(protocol, churn=churn)
     assert spec["declared_at"] == horizon - 0.5
-    assert vector == spec
-
-
-@pytest.mark.parametrize("protocol", ["wildfire"] + sorted(CONVERGECAST))
-def test_vector_lane_failure_callbacks_match_the_spec_loop(protocol):
-    make = CONVERGECAST.get(protocol, Wildfire)
-    churn = ChurnSchedule(failures=[(0.0, 5), (1.5, 7), (2.0, 3),
-                                    (2.25, 12), (19.5, 4)])
-
-    def observe(lane):
-        seen = []
-
-        def prime(simulator):
-            simulator.on_host_failure(
-                lambda host, time: seen.append(
-                    (host, time, simulator.clock.now)))
-
-        snapshot, simulator, result = _simulate(
-            lane, churn=churn, prime=prime, protocol=make())
-        assert simulator.lane_used == lane
-        return snapshot, seen
-
-    spec, spec_seen = observe("python")
-    vector, vector_seen = observe("vector")
-    assert spec_seen == [(5, 0.0, 0.0), (7, 1.5, 1.5), (3, 2.0, 2.0),
-                         (12, 2.25, 2.25), (4, 19.5, 19.5)]
-    assert vector_seen == spec_seen
     assert vector == spec
 
 
@@ -383,6 +354,57 @@ def test_sharded_result_carries_workers_and_epoch_timeline(shards):
 TRACED_CASES = ([("wildfire", lane, shards) for lane, shards in LANE_CASES]
                 + [(protocol, "vector", 1)
                    for protocol in sorted(CONVERGECAST)])
+
+
+class _FailureLog(Tracer):
+    """Observes failures the way any caller does: through ``Tracer.fail``."""
+
+    __slots__ = ("seen", "clock")
+
+    def __init__(self):
+        self.seen = []
+        self.clock = None
+
+    def fail(self, time, host):
+        self.seen.append((host, time, self.clock.now))
+
+
+@pytest.mark.parametrize("protocol,lane,shards", TRACED_CASES,
+                         ids=lambda v: str(v))
+def test_failures_reach_the_tracer_as_the_spec_loop_applies_them(
+        protocol, lane, shards):
+    make = CONVERGECAST.get(protocol, Wildfire)
+    churn = ChurnSchedule(failures=[(0.0, 5), (1.5, 7), (2.0, 3),
+                                    (2.25, 12), (19.5, 4)])
+
+    def observe(lane, shards, tracer):
+        def prime(simulator):
+            if isinstance(tracer, _FailureLog):
+                tracer.clock = simulator.clock
+
+        snapshot, simulator, _ = _simulate(
+            lane, shards, churn=churn, prime=prime, tracer=tracer,
+            protocol=make())
+        assert simulator.lane_used == lane
+        return snapshot
+
+    spec_log = _FailureLog()
+    spec = observe("python", 1, spec_log)
+    assert spec_log.seen == [(5, 0.0, 0.0), (7, 1.5, 1.5), (3, 2.0, 2.0),
+                             (12, 2.25, 2.25), (4, 19.5, 19.5)]
+    if lane == "vector":
+        log = _FailureLog()
+        assert observe(lane, shards, log) == spec
+        assert log.seen == spec_log.seen
+        return
+    # Forked workers report into rings; the owning shard records each
+    # failure once, so the merged tracks hold the same sequence.
+    ring = RingTracer(sampling={})
+    assert observe(lane, shards, ring) == spec
+    fails = sorted((time, host) for track in ring.processes
+                   for kind, time, host, *_ in track["records"]
+                   if kind == "fail")
+    assert fails == [(time, host) for host, time, _ in spec_log.seen]
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.1, 0.3])
@@ -439,10 +461,6 @@ def _push_foreign_timer(simulator):
         1.0, "custom-probe")
 
 
-def _watch_failures(simulator):
-    simulator.on_host_failure(lambda host, time: None)
-
-
 class _DeafDagHost(DagHost):
     """Inherits ``batch_kernel`` but not the body the kernel inlines."""
 
@@ -466,10 +484,6 @@ GATES = {
     "foreign tracer on the sharded lane": (
         "unsupported tracer (sharded tracing needs RingTracer)",
         lambda: dict(tracer=Tracer()), ("sharded",)),
-    "failure callbacks on the sharded lane": (
-        "failure callbacks registered",
-        lambda: dict(churn=ChurnSchedule(failures=[(2.0, 4)]),
-                     prime=_watch_failures), ("sharded",)),
     "join churn": (
         "join churn scheduled",
         lambda: dict(churn=ChurnSchedule(failures=[(2.0, 4)],

@@ -1,17 +1,14 @@
-"""Tests for cost accounting (full and streaming sinks)."""
+"""Tests for cost accounting (the one sink)."""
 
+import ast
+import pathlib
 import random
+from collections import Counter
 
 import pytest
 
-from repro.simulation.stats import (
-    CostAccounting,
-    StatsSink,
-    StreamingCostAccounting,
-    default_stats_mode,
-    make_stats_sink,
-    set_default_stats_mode,
-)
+from repro.simulation.clock import tick_time
+from repro.simulation.stats import CostAccounting, make_stats_sink
 
 
 class TestCostAccounting:
@@ -28,6 +25,7 @@ class TestCostAccounting:
         costs.record_send("report", time=2.0)
         assert costs.communication_cost == 3
         assert costs.messages_per_instant() == {1.0: 2, 2.0: 1}
+        assert costs.messages_by_time == {1.0: 2, 2.0: 1}
         assert costs.messages_by_kind["broadcast"] == 2
 
     def test_wireless_group_counts_once(self):
@@ -45,6 +43,8 @@ class TestCostAccounting:
         costs.record_processed(8, chain_depth=1)
         assert costs.computation_cost == 3
         assert costs.messages_processed[7] == 3
+        # Hosts that processed nothing are left out of the mapping.
+        assert sorted(costs.messages_processed) == [7, 8]
 
     def test_time_cost_is_max_chain_depth(self):
         costs = CostAccounting()
@@ -75,18 +75,6 @@ class TestCostAccounting:
         assert summary["computation_cost"] == 1
         assert summary["time_cost"] == 2
 
-    def test_merge_combines_accumulators(self):
-        a = CostAccounting()
-        b = CostAccounting()
-        a.record_send("x", 0.0)
-        b.record_send("x", 1.0)
-        b.record_processed(3, 5)
-        a.merge(b)
-        assert a.communication_cost == 2
-        assert a.computation_cost == 1
-        assert a.time_cost == 5
-        assert a.messages_per_instant() == {0.0: 1, 1.0: 1}
-
     def test_sends_are_bucketed_by_clock_tick(self):
         """Raw float send times from a variable-delay run collapse onto
         the tick grid, keyed by the tick's start time."""
@@ -110,14 +98,103 @@ class TestCostAccounting:
             costs.record_send("x", time)
         assert sorted(costs.messages_per_instant()) == [0.0, 1.0, 7.0, 13.0]
 
+    def test_memory_is_bounded_by_hosts_and_ticks_not_traffic(self):
+        sink = CostAccounting(num_hosts=100, tick_width=1.0)
+        sink.record_processed(7, 1)
+        sink.record_send("x", 9.5)
+        before = sink.footprint_bytes()
+        for _ in range(10_000):
+            sink.record_processed(7, 1)
+            sink.record_send("x", 9.5)
+        assert sink.footprint_bytes() == before
 
-def _drive(sink: StatsSink, seed: int = 4, hosts: int = 50,
-           events: int = 400) -> StatsSink:
+    @pytest.mark.parametrize("stats", [None, "full", "streaming"])
+    def test_one_late_send_does_not_allocate_the_ticks_before_it(self, stats):
+        """The per-tick map is sparse under every name a run can ask by:
+        the dense per-tick array ``"streaming"`` used to mean held ten
+        million zero slots (85 MB) for this one send."""
+        sink = make_stats_sink(stats, tick_width=1.0)
+        sink.record_send("x", 1e7)
+        assert sink.messages_per_instant() == {1e7: 1}
+        assert sink.footprint_bytes() < 10_000
+
+    def test_per_host_counts_are_packed(self):
+        """Four bytes per host, where a ``Counter`` entry takes ~90."""
+        sink = CostAccounting(num_hosts=5000)
+        for host in range(5000):
+            sink.record_processed(host, 0)
+        assert sink.footprint_bytes() < 5000 * 5
+
+    def test_growth_allocates_elements_not_bytes(self):
+        """Regression: array growth must append zero *elements*, not one
+        element per zero byte (which would 4x the footprint)."""
+        sink = CostAccounting(num_hosts=0)
+        sink.record_processed(4, 0)
+        assert len(sink._processed) == 5
+
+    def test_joined_hosts_grow_the_processed_array(self):
+        sink = CostAccounting(num_hosts=3)
+        sink.record_processed(10, 2)  # a host joined after construction
+        sink.record_processed(10, 2)
+        sink.record_processed_bulk([(12, 3)])
+        assert sink.computation_cost == 3
+        assert sink.computation_histogram() == {2: 1, 3: 1}
+
+    def test_running_max_tracks_computation_cost(self):
+        sink = CostAccounting(num_hosts=4)
+        for _ in range(3):
+            sink.record_processed(1, 0)
+        sink.record_processed(2, 0)
+        assert sink.computation_cost == 3
+        assert sink.time_cost == 0
+
+    def test_rejects_bad_construction(self):
+        with pytest.raises(ValueError):
+            CostAccounting(num_hosts=-1)
+        with pytest.raises(ValueError):
+            CostAccounting(tick_width=0.0)
+
+
+class _NaiveModel:
+    """The measures as Section 6.3 words them, on plain ``Counter``s: the
+    reference the packed sink is held to."""
+
+    def __init__(self, tick_width: float = 1.0) -> None:
+        self.tick_width = tick_width
+        self.sent = Counter()         # (tick start, kind) -> messages
+        self.processed = Counter()    # host -> messages processed
+        self.wireless = 0
+        self.dropped = 0
+        self.depth = 0
+
+    def record_send(self, kind, time, wireless_group=False):
+        if wireless_group:
+            self.wireless += 1
+        else:
+            self.record_send_batch(kind, time, 1)
+
+    def record_send_batch(self, kind, time, count):
+        if count > 0:
+            self.sent[(tick_time(time, self.tick_width), kind)] += count
+
+    def record_wireless_group(self, count):
+        self.wireless += count
+
+    def record_processed(self, host, chain_depth):
+        self.processed[host] += 1
+        self.depth = max(self.depth, chain_depth)
+
+    def record_dropped(self):
+        self.dropped += 1
+
+
+def _drive(sink, seed: int = 4, hosts: int = 50, events: int = 400,
+           span: float = 12.0):
     """Feed one synthetic event stream into a sink (same for any sink)."""
     rng = random.Random(seed)
     for _ in range(events):
         roll = rng.random()
-        time = rng.random() * 12.0
+        time = rng.random() * span
         if roll < 0.45:
             sink.record_send(rng.choice("abc"), time)
         elif roll < 0.6:
@@ -133,87 +210,100 @@ def _drive(sink: StatsSink, seed: int = 4, hosts: int = 50,
     return sink
 
 
-class TestStreamingCostAccounting:
-    def test_matches_full_accounting_on_any_event_stream(self):
-        full = _drive(CostAccounting())
-        streaming = _drive(StreamingCostAccounting(num_hosts=50))
-        assert streaming.summary() == full.summary()
-        assert streaming.computation_histogram() == full.computation_histogram()
-        assert streaming.messages_per_instant() == full.messages_per_instant()
-        assert dict(full.messages_by_kind) == streaming.messages_by_kind
+@pytest.mark.parametrize("seed,tick_width,span", [
+    (4, 1.0, 12.0), (5, 0.25, 3.0), (6, 0.1, 40.0)])
+def test_matches_the_naive_model_on_any_event_stream(seed, tick_width, span):
+    sink = _drive(CostAccounting(num_hosts=20, tick_width=tick_width),
+                  seed=seed, span=span)
+    model = _drive(_NaiveModel(tick_width), seed=seed, span=span)
 
-    def test_footprint_is_much_smaller_than_full(self):
-        """In the regime that matters -- most hosts touched, as in any
-        protocol run -- the packed array is >5x below the Counter."""
-        full = _drive(CostAccounting(), hosts=5000, events=20_000)
-        streaming = _drive(StreamingCostAccounting(num_hosts=5000),
-                           hosts=5000, events=20_000)
-        assert streaming.footprint_bytes() * 5 < full.footprint_bytes()
+    def total_by(index):
+        totals = Counter()
+        for key, count in model.sent.items():
+            totals[key[index]] += count
+        return dict(totals)
 
-    def test_memory_is_bounded_by_hosts_and_ticks_not_traffic(self):
-        sink = StreamingCostAccounting(num_hosts=100, tick_width=1.0)
-        sink.record_processed(7, 1)
-        sink.record_send("x", 9.5)
-        before = sink.footprint_bytes()
-        for _ in range(10_000):
-            sink.record_processed(7, 1)
-            sink.record_send("x", 9.5)
-        assert sink.footprint_bytes() == before
+    assert sink.summary() == {
+        "communication_cost": sum(model.sent.values()),
+        "computation_cost": max(model.processed.values()),
+        "time_cost": model.depth,
+        "wireless_transmissions": model.wireless,
+        "dropped_messages": model.dropped,
+    }
+    assert sink.messages_processed == dict(model.processed)
+    assert sink.computation_histogram() == dict(
+        Counter(model.processed.values()))
+    assert sink.messages_by_time == total_by(0)
+    assert sink.messages_by_kind == total_by(1)
 
-    def test_growth_allocates_elements_not_bytes(self):
-        """Regression: array growth must append zero *elements*, not one
-        element per zero byte (which would 4-8x the footprint)."""
-        sink = StreamingCostAccounting(num_hosts=0, tick_width=1.0)
-        sink.record_send("x", 9.5)
-        assert len(sink._by_tick) == 10
-        sink.record_processed(4, 0)
-        assert len(sink._processed) == 5
 
-    def test_joined_hosts_grow_the_processed_array(self):
-        sink = StreamingCostAccounting(num_hosts=3)
-        sink.record_processed(10, 2)  # a host joined after construction
-        sink.record_processed(10, 2)
-        assert sink.computation_cost == 2
-        assert sink.computation_histogram() == {2: 1}
-
-    def test_running_max_tracks_computation_cost(self):
-        sink = StreamingCostAccounting(num_hosts=4)
-        for _ in range(3):
-            sink.record_processed(1, 0)
-        sink.record_processed(2, 0)
-        assert sink.computation_cost == 3
-        assert sink.time_cost == 0
-
-    def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            StreamingCostAccounting(num_hosts=-1)
-        with pytest.raises(ValueError):
-            StreamingCostAccounting(tick_width=0.0)
+def test_bulk_replay_equals_per_delivery_recording():
+    """What the tick lanes rely on: folding per-host totals in at the end
+    builds the state per-delivery recording would have."""
+    one_by_one = _drive(CostAccounting(num_hosts=50))
+    bulk = CostAccounting(num_hosts=50)
+    bulk.record_processed_bulk(one_by_one.messages_processed.items())
+    assert bulk.computation_cost == one_by_one.computation_cost
+    assert bulk.computation_histogram() == one_by_one.computation_histogram()
 
 
 class TestMakeStatsSink:
-    def test_modes_and_passthrough(self):
-        assert isinstance(make_stats_sink("full"), CostAccounting)
-        streaming = make_stats_sink("streaming", num_hosts=7, tick_width=2.0)
-        assert isinstance(streaming, StreamingCostAccounting)
-        assert streaming.tick_width == 2.0
+    def test_fresh_sink_and_passthrough(self):
+        fresh = make_stats_sink(None, num_hosts=7, tick_width=2.0)
+        assert type(fresh) is CostAccounting
+        assert fresh.tick_width == 2.0 and len(fresh._processed) == 7
         ready = CostAccounting()
         assert make_stats_sink(ready) is ready
-        with pytest.raises(ValueError):
-            make_stats_sink("verbose")
 
-    def test_none_uses_the_process_default(self):
-        assert default_stats_mode() == "full"
-        previous = set_default_stats_mode("streaming")
-        try:
-            assert previous == "full"
-            assert isinstance(make_stats_sink(None), StreamingCostAccounting)
-            # An explicit mode still wins over the default.
-            assert isinstance(make_stats_sink("full"), CostAccounting)
-        finally:
-            set_default_stats_mode(previous)
-        assert isinstance(make_stats_sink(None), CostAccounting)
+    def test_historical_mode_names_are_synonyms(self):
+        """``benchmarks/perf`` still passes them; nothing else is taken."""
+        for name in ("full", "streaming"):
+            assert type(make_stats_sink(name)) is CostAccounting
+        for bogus in ("verbose", "", 3):
+            with pytest.raises(ValueError):
+                make_stats_sink(bogus)
 
-    def test_default_mode_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_default_stats_mode("bogus")
+
+class TestOneSink:
+    """No second accumulator, and nothing left that chose between two."""
+
+    def test_stats_module_defines_one_sink_class(self):
+        import repro.simulation.stats as stats
+
+        tree = ast.parse(pathlib.Path(stats.__file__).read_text())
+        sinks = [node.name for node in tree.body
+                 if isinstance(node, ast.ClassDef) and any(
+                     isinstance(item, ast.FunctionDef)
+                     and item.name == "record_processed"
+                     for item in node.body)]
+        assert sinks == ["CostAccounting"]
+        assert stats.StreamingCostAccounting is CostAccounting
+
+    def test_no_stats_option_in_the_parser(self):
+        from repro.orchestration.cli import _build_parser
+
+        def option_strings(parser):
+            for action in parser._actions:
+                yield from action.option_strings
+                if isinstance(action.choices, dict):  # the subcommands
+                    for sub in action.choices.values():
+                        yield from option_strings(sub)
+
+        options = set(option_strings(_build_parser()))
+        assert "--lane" in options      # the walk reaches the subcommands
+        assert "--stats" not in options
+
+    def test_no_default_mode_global_under_src(self):
+        """No module assigns, declares ``global`` or defines a name that
+        carries a process-wide stats mode."""
+        import repro
+
+        for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = list(getattr(node, "names", ()))
+                for attr in ("id", "attr", "name"):
+                    names.append(getattr(node, attr, None))
+                for name in names:
+                    if isinstance(name, str):
+                        assert "stats_mode" not in name, (path, name)
+                        assert name != "_default_mode", path
