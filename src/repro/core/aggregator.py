@@ -22,10 +22,6 @@ from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
 from repro.queries.query import AggregateQuery, QueryKind
 from repro.semantics.oracle import Oracle
-from repro.semantics.validity import (
-    check_approximate_single_site_validity,
-    check_single_site_validity,
-)
 from repro.simulation.churn import ChurnSchedule
 from repro.topology.base import Topology
 
@@ -67,7 +63,7 @@ class ValidAggregator:
         self.values = list(values)
         self.querying_host = querying_host
         self.seed = seed
-        self.simulation = simulation or SimulationConfig(seed=seed)
+        self.simulation = simulation or SimulationConfig()
         self.protocol_config = protocol_config or ProtocolConfig()
         self._oracle = Oracle(topology, self.values, querying_host)
 
@@ -159,14 +155,8 @@ class ValidAggregator:
                 query.kind.value, churn, horizon=run.termination_time
             )
             epsilon = self._certificate_epsilon(query, protocol_obj, epsilon_for_certificate)
-            if epsilon > 0.0:
-                valid = check_approximate_single_site_validity(
-                    run.value, bounds, query.kind.value, self.values, epsilon
-                )
-            else:
-                valid = check_single_site_validity(
-                    run.value, bounds, query.kind.value, self.values
-                )
+            valid = self._oracle.judge(run.value, bounds, query.kind.value,
+                                       epsilon)
             certificate = ValidityCertificate(
                 bounds=bounds, is_single_site_valid=valid, epsilon=epsilon
             )

@@ -18,8 +18,6 @@ class SimulationConfig:
             realised delay of each message comes from ``delay``.
         wireless: model a broadcast medium where one transmission reaches all
             neighbors of the sender (sensor-network grids).
-        seed: base RNG seed for sketches and protocol randomness.
-        max_time: hard upper bound on simulated time as a safety net.
         delay: realised link-delay model spec (``"fixed"``, ``"uniform"``,
             ``"uniform:0.25,1.0"``, ``"per_edge"``, ``"heavy_tail:1.2"``;
             see :func:`repro.simulation.delay.delay_model_from_spec`).
@@ -33,20 +31,16 @@ class SimulationConfig:
 
     delta: float = 1.0
     wireless: bool = False
-    seed: int = 0
-    max_time: float = 1_000_000.0
     delay: str = "fixed"
     lane: str = DEFAULT_LANE
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.max_time <= 0:
-            raise ValueError("max_time must be positive")
         # Fail fast on malformed specs instead of at first query time.
         from repro.simulation.delay import delay_model_from_spec
 
-        delay_model_from_spec(self.delay, self.delta, seed=self.seed)
+        delay_model_from_spec(self.delay, self.delta)
         validate_lane(self.lane)
 
 

@@ -20,7 +20,7 @@ from repro.experiments.time_cost import (
 )
 from repro.experiments.badcase import run_theorem_44_experiment
 from repro.experiments.capture_recapture import run_capture_recapture_experiment
-from repro.experiments.delay_sweep import DelaySweepRow, run_delay_sweep
+from repro.experiments.delay_sweep import run_delay_sweep
 from repro.experiments.scale_bench import (
     run_scale_benchmark,
     run_scale_sweep,
@@ -49,7 +49,6 @@ __all__ = [
     "run_messages_per_instant_experiment",
     "run_theorem_44_experiment",
     "run_capture_recapture_experiment",
-    "DelaySweepRow",
     "run_delay_sweep",
     "run_scale_benchmark",
     "run_scale_sweep",

@@ -22,7 +22,6 @@ from repro.orchestration.executor import (
 )
 from repro.orchestration.runners import (
     register_runner,
-    registered_runners,
     resolve_runner,
 )
 from repro.orchestration.spec import ExperimentSpec, Trial, derive_trial_seed
@@ -39,7 +38,6 @@ __all__ = [
     "run_spec",
     "run_specs",
     "register_runner",
-    "registered_runners",
     "resolve_runner",
     "ResultStore",
     "default_cache_root",

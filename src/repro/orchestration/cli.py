@@ -846,6 +846,9 @@ def _cmd_delay_sweep(args: argparse.Namespace) -> int:
     if args.trials < 1:
         print("--trials must be at least 1", file=sys.stderr)
         return 2
+    if min(args.departures) < 0:
+        print("--departures must not be negative", file=sys.stderr)
+        return 2
     if args.topology not in TOPOLOGY_BUILDERS:
         print(f"unknown topology {args.topology!r}; known: "
               f"{', '.join(sorted(TOPOLOGY_BUILDERS))}", file=sys.stderr)

@@ -47,10 +47,6 @@ def resolve_runner(name: str) -> TrialRunner:
     )
 
 
-def registered_runners() -> List[str]:
-    return sorted(_REGISTRY)
-
-
 # ---------------------------------------------------------------------------
 # Built-in runners
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ the paper contrasts with in-network aggregation.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.protocols.base import Protocol
 from repro.queries.query import AggregateQuery
@@ -217,6 +217,3 @@ class AllReport(Protocol):
             )
             for host_id in range(topology.num_hosts)
         ]
-
-    def termination_time(self, d_hat: int, delta: float) -> float:
-        return 2.0 * d_hat * delta

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import abc
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Type
 
-from repro.queries.query import AggregateQuery, QueryKind
+from repro.queries.query import AggregateQuery
 from repro.simulation.churn import ChurnSchedule
 from repro.simulation.delay import DelayModel, delay_model_from_spec
 from repro.simulation.engine import SimulationResult, Simulator
 from repro.simulation.host import ProtocolHost
-from repro.simulation.network import DynamicNetwork
 from repro.simulation.stats import CostAccounting
 from repro.simulation.vector_lane import DEFAULT_LANE
 from repro.sketches.combiners import Combiner, combiner_for_query
@@ -54,16 +52,25 @@ class ProtocolRunResult:
     fallback_reason: Optional[str] = None
 
 
-class Protocol(abc.ABC):
+class Protocol:
     """A runnable aggregation protocol.
 
-    Concrete protocols know how to build their per-host state machines and
-    how long they nominally run; everything else (network construction,
-    churn, cost accounting) is shared in :func:`run_protocol`.
+    A protocol names its per-host state machine (:attr:`host_class`) and,
+    where it departs from the paper's defaults, says how the host table
+    is built and how long a run nominally lasts; everything else
+    (network construction, churn, cost accounting) is shared in
+    :func:`run_protocol`.
     """
 
     #: Short name used in experiment tables.
     name: str = "protocol"
+
+    #: The per-host state machine, constructed by :meth:`create_hosts` as
+    #: ``host_class(host_id, value, querying_host, combiner, d_hat, delta,
+    #: rng, **host_options())`` -- the shape WILDFIRE, SPANNINGTREE and
+    #: DAG-k share.  A protocol whose hosts take anything else overrides
+    #: :meth:`create_hosts` instead of naming one.
+    host_class: Type[ProtocolHost]
 
     #: Whether the protocol needs a duplicate-insensitive combiner to return
     #: meaningful answers for count/sum/avg.
@@ -84,7 +91,10 @@ class Protocol(abc.ABC):
         """
         return ()
 
-    @abc.abstractmethod
+    def host_options(self) -> Dict[str, Any]:
+        """Extra keyword arguments :meth:`create_hosts` passes every host."""
+        return {}
+
     def create_hosts(
         self,
         topology: Topology,
@@ -97,10 +107,19 @@ class Protocol(abc.ABC):
         rng: random.Random,
     ) -> List[ProtocolHost]:
         """Build one protocol host per topology host."""
+        host_class, options = self.host_class, self.host_options()
+        return [
+            host_class(host_id, values[host_id], querying_host, combiner,
+                       d_hat, delta, rng, **options)
+            for host_id in range(topology.num_hosts)
+        ]
 
-    @abc.abstractmethod
     def termination_time(self, d_hat: int, delta: float) -> float:
-        """The nominal time ``T`` at which the querying host declares."""
+        """The nominal time ``T`` at which the querying host declares:
+        the paper's ``2 * D_hat * delta`` (one Broadcast sweep out, one
+        Convergecast sweep back, each at most ``D_hat`` hops of at most
+        ``delta``)."""
+        return 2.0 * d_hat * delta
 
     def default_combiner(self, query: AggregateQuery, repetitions: int = 8) -> Combiner:
         """The combiner this protocol would pick for a query by default."""

@@ -12,8 +12,9 @@ from strictly shallower hosts, which keeps the parent relation acyclic
 under any realised delay model bounded by ``delta``.
 
 This module holds the one convergecast body -- :class:`DagHost`, of
-which SPANNINGTREE's host is the ``k = 1`` subclass -- and its one batch
-transcription for the tick lane, :class:`ConvergecastBatchKernel`.
+which SPANNINGTREE's host is the ``k = 1`` subclass -- and the tick
+lane's driver for it, :class:`ConvergecastBatchKernel`, which calls that
+body for every per-host transition.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.queries.query import AggregateQuery
 from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.sketches.combiners import Combiner, combiner_for_query
-from repro.topology.base import Topology
 
 BROADCAST = "dag-broadcast"
 REPORT = "dag-report"
@@ -40,6 +40,19 @@ class DagHost(ProtocolHost):
     parent slot the extra-parent branch below is dead and the only
     difference left is the two message-kind strings, which are class
     attributes.
+
+    The three O(hosts) transitions are methods that return what to send
+    instead of sending it -- :meth:`adopt` (the first Broadcast: parent,
+    depth, contribution, and the one statement of the report deadline
+    ``(2 * D_hat - depth) * delta``), :meth:`take_report` and
+    :meth:`report_due` -- so the handlers below and
+    :class:`ConvergecastBatchKernel` both call them: each runs once per
+    host (or per host and parent) -- the 24 tree/DAG runs of a Fig. 7
+    sweep repetition make 16 641 adoptions, 19 547 Report folds and
+    15 990 report timers against 242 008 messages in the sweep -- where
+    a method call is noise.  Only the extra-parent test in
+    :meth:`_on_broadcast`, which runs once per Broadcast *delivery*, is
+    stated again in the kernel.
     """
 
     __slots__ = (
@@ -90,22 +103,18 @@ class DagHost(ProtocolHost):
         if message.kind == self.broadcast_kind:
             self._on_broadcast(message, ctx)
         elif message.kind == self.report_kind:
-            self._on_report(message, ctx)
+            self.take_report(message.payload["agg"])
 
     def _on_broadcast(self, message: Message, ctx: HostContext) -> None:
         sender_depth = int(message.payload["depth"])
         if not self.active:
-            self.active = True
-            self.parents = [message.sender]
-            self.depth = sender_depth + 1
-            self.partial = self.combiner.initial(self.value, self.rng)
+            wait = self.adopt(message.sender, sender_depth, ctx.now)
             ctx.send_to_neighbors(
                 self.broadcast_kind,
                 {"depth": self.depth, "d_hat": self.d_hat},
                 exclude=(message.sender,),
             )
-            report_time = (2.0 * self.d_hat - self.depth) * self.delta
-            ctx.set_timer(max(0.0, report_time - ctx.now), "report")
+            ctx.set_timer(wait, "report")
             return
         # Additional Broadcasts from hosts no deeper than us become extra
         # parents, up to k; this keeps the parent relation acyclic.
@@ -118,20 +127,40 @@ class DagHost(ProtocolHost):
         ):
             self.parents.append(message.sender)
 
-    def _on_report(self, message: Message, ctx: HostContext) -> None:
-        if not self.active or self.reported:
-            # Reports arriving after this host already pushed its own partial
-            # aggregate up the tree are lost -- the best-effort behaviour.
-            return
-        self.partial = self.combiner.combine(self.partial, message.payload["agg"])
-        self.reports_received += 1
+    def adopt(self, sender: int, sender_depth: int, now: float) -> float:
+        """The first Broadcast heard: ``sender`` becomes the parent, the
+        host draws its own contribution, and the return value is how long
+        to wait before reporting -- until ``(2 * D_hat - depth) * delta``,
+        one ``delta`` before the parent's own deadline (clamped at "now"
+        when a fast many-hop path made ``depth`` exceed the hop distance).
+        The caller forwards the Broadcast and sets the timer."""
+        self.active = True
+        self.parents = [sender]
+        self.depth = sender_depth + 1
+        self.partial = self.combiner.initial(self.value, self.rng)
+        return max(0.0, (2.0 * self.d_hat - self.depth) * self.delta - now)
+
+    def take_report(self, agg: Any) -> None:
+        """Fold a child's Report.  One that arrives after this host pushed
+        its own partial aggregate up the tree (or before it heard the
+        Broadcast) is lost -- the best-effort behaviour."""
+        if self.active and not self.reported:
+            self.partial = self.combiner.combine(self.partial, agg)
+            self.reports_received += 1
+
+    def report_due(self) -> Sequence[int]:
+        """The report timer fired: the parents now owed this host's partial
+        aggregate (none when it already reported or has no parent)."""
+        if self.reported or not self.parents:
+            return ()
+        self.reported = True
+        return self.parents
 
     def on_timer(self, name: str, data: Any, ctx: HostContext) -> None:
-        if name != "report" or self.reported or not self.parents:
+        if name != "report":
             return
-        self.reported = True
         payload = {"agg": self.partial}
-        for parent in self.parents:
+        for parent in self.report_due():
             # ``ctx.send`` performs the alive-edge check itself and
             # records nothing when it fails, so the guarded send needs no
             # materialised neighbor view.
@@ -144,13 +173,20 @@ class DagHost(ProtocolHost):
 
 
 class ConvergecastBatchKernel:
-    """The batch transcription of :class:`DagHost` for the tick lane.
+    """:class:`DagHost` over the tick lane's batches: the lane's business.
 
     Same shape as :class:`~repro.protocols.wildfire.WildfireBatchKernel`:
     the lane hands each instant's delivery records
     ``(rank, sender, dests, kind, agg, dist, chain_depth)`` to
     :meth:`process_instant` and each instant's due timers
-    ``(host_id, chain_depth, rank)`` to :meth:`process_timer_bucket`.  A
+    ``(host_id, chain_depth, rank)`` to :meth:`process_timer_bucket`, and
+    the kernel keeps what a lane adds to the protocol -- target lists,
+    ``submit_multi`` / ``submit_unicast``, timer registration,
+    accounting and trace hooks.  Adoption, the Report fold and the
+    report deadline are calls into the spec host
+    (:meth:`DagHost.adopt`, :meth:`~DagHost.take_report`,
+    :meth:`~DagHost.report_due`); the extra-parent test is the one
+    per-delivery branch inlined here.  A
     Broadcast carries the sender's tree depth in the ``dist`` slot, a
     Report carries the partial aggregate in ``agg`` (the object itself:
     a host never changes its partial after reporting, so the reference
@@ -163,8 +199,9 @@ class ConvergecastBatchKernel:
     for a non-dyadic ``delta`` a float that can sit one ulp off the
     tick-accumulated delivery instant it "coincides" with.  The kernel
     therefore registers it on the lane's timer calendar under the exact
-    float the spec host computes, and the lane orders instants by float
-    comparison as the spec calendar does.
+    float the spec host computes (``now`` plus the wait
+    :meth:`DagHost.adopt` returns, ``ctx.set_timer``'s own sum), and the
+    lane orders instants by float comparison as the spec calendar does.
     """
 
     __slots__ = ("hosts", "broadcast_kind", "report_kind")
@@ -176,9 +213,9 @@ class ConvergecastBatchKernel:
 
         Supported: every host is exactly of the querying host's class,
         and that class names this kernel in its own body -- a subclass
-        that merely inherits the name may have overridden a handler the
-        kernel inlines.  The branches call each host's own combiner and
-        never look inside a partial, so any combiner works.
+        that merely inherits the name may have overridden the branch the
+        kernel inlines.  The hosts call their own combiner and the kernel
+        never looks inside a partial, so any combiner works.
         """
         if num_hosts <= 0 or len(hosts) < num_hosts:
             return None
@@ -207,11 +244,12 @@ class ConvergecastBatchKernel:
     def process_instant(self, now: float, entries: Sequence[tuple],
                         lane: Any) -> None:
         """Process one instant's delivery records in spec FIFO order
-        (inlined :meth:`DagHost.on_message`); with a ``lane.tracer``
+        (:meth:`DagHost.on_message`'s dispatch); with a ``lane.tracer``
         every delivery and drop is recorded where the spec loop records
         it, stamped with the batch's send instant ``lane.sent_at``."""
         hosts = self.hosts
         alive = lane.alive_bytes
+        network = lane.network
         counts = lane.counts
         broadcast_kind = self.broadcast_kind
         dropped = 0
@@ -234,54 +272,41 @@ class ConvergecastBatchKernel:
                     # loop's deliver-then-dispatch order.
                     tracer.deliver(now, sender, dest, kind, depth, sent_at)
                 host = hosts[dest]
-                if is_broadcast:
-                    if not host.active:
-                        self._activate_host(host, dest, sender,
-                                            sender_depth, now, depth, rank,
-                                            lane)
-                        continue
-                    # -- _on_broadcast, already active: extra parents --
+                if not is_broadcast:
+                    host.take_report(incoming)
+                elif host.active:
+                    # DagHost._on_broadcast's extra-parent branch, stated
+                    # again: it runs per Broadcast delivery, not per host
+                    # (a Fig. 7 sweep rep: 16 641 adoptions against
+                    # 242 008 messages), so it stays inlined.
                     parents = host.parents
                     if (len(parents) < host.num_parents
                             and sender not in parents
                             and sender_depth < host.depth
                             and sender != dest):
                         parents.append(sender)
-                elif host.active and not host.reported:
-                    # -- _on_report ------------------------------------
-                    host.partial = host.combiner.combine(host.partial,
-                                                         incoming)
-                    host.reports_received += 1
+                else:
+                    # Adoption is the spec host's own transition; the
+                    # lane forwards the Broadcast (a host does so once, so
+                    # the lane's neighbor memo would never be read back)
+                    # and registers the report timer under the spec's
+                    # ``ctx.set_timer(wait)`` key, ``now + wait``.
+                    wait = host.adopt(sender, sender_depth, now)
+                    targets = [t for t in network.alive_neighbors_sorted(dest)
+                               if t != sender]
+                    if targets:
+                        lane.submit_multi(dest, targets, broadcast_kind, None,
+                                          host.depth, now, depth + 1)
+                    lane.timers_at(now + wait).append((dest, depth, rank))
             if delivered and depth > max_depth:
                 max_depth = depth
         lane.dropped += dropped
         lane.max_depth = max_depth
 
-    def _activate_host(self, host: DagHost, dest: int, sender: int,
-                       sender_depth: int, now: float, depth: int, rank: int,
-                       lane: Any) -> None:
-        """Inlined inactive branch of :meth:`DagHost._on_broadcast`."""
-        host.active = True
-        host.parents = [sender]
-        host.depth = my_depth = sender_depth + 1
-        host.partial = host.combiner.initial(host.value, host.rng)
-        # A host forwards the Broadcast once, so the lane's neighbor memo
-        # would never be read back.
-        targets = [t for t in lane.network.alive_neighbors_sorted(dest)
-                   if t != sender]
-        if targets:
-            lane.submit_multi(dest, targets, self.broadcast_kind, None,
-                              my_depth, now, depth + 1)
-        report_time = (2.0 * host.d_hat - my_depth) * host.delta
-        # The spec's ``ctx.set_timer(max(0.0, report_time - now))``: the
-        # same two float operations, so the same calendar key.
-        lane.timers_at(now + max(0.0, report_time - now)).append(
-            (dest, depth, rank))
-
     def process_timer_bucket(self, now: float, bucket: List[tuple],
                              lane: Any) -> None:
         """Fire one instant's report timers in registration order
-        (inlined :meth:`DagHost.on_timer`)."""
+        (:meth:`DagHost.on_timer`'s sends)."""
         hosts = self.hosts
         alive = lane.alive_bytes
         report_kind = self.report_kind
@@ -294,11 +319,8 @@ class ConvergecastBatchKernel:
                 # host before its handler runs.
                 tracer.timer(now, host_id, "report")
             host = hosts[host_id]
-            if host.reported or not host.parents:
-                continue
-            host.reported = True
             partial = host.partial
-            for parent in host.parents:
+            for parent in host.report_due():
                 lane.submit_unicast(host_id, parent, report_kind, partial,
                                     None, now, depth + 1, rank)
 
@@ -316,6 +338,7 @@ class DirectedAcyclicGraph(Protocol):
     """
 
     requires_duplicate_insensitive = False
+    host_class = DagHost
 
     def __init__(self, num_parents: int = 2) -> None:
         if num_parents < 1:
@@ -323,33 +346,8 @@ class DirectedAcyclicGraph(Protocol):
         self.num_parents = num_parents
         self.name = f"dag-k{num_parents}"
 
-    def create_hosts(
-        self,
-        topology: Topology,
-        values: Sequence[float],
-        querying_host: int,
-        query: AggregateQuery,
-        combiner: Combiner,
-        d_hat: int,
-        delta: float,
-        rng: random.Random,
-    ) -> List[ProtocolHost]:
-        return [
-            DagHost(
-                host_id=host_id,
-                value=values[host_id],
-                querying_host=querying_host,
-                combiner=combiner,
-                d_hat=d_hat,
-                delta=delta,
-                rng=rng,
-                num_parents=self.num_parents,
-            )
-            for host_id in range(topology.num_hosts)
-        ]
-
-    def termination_time(self, d_hat: int, delta: float) -> float:
-        return 2.0 * d_hat * delta
+    def host_options(self) -> dict:
+        return {"num_parents": self.num_parents}
 
     def default_combiner(self, query: AggregateQuery, repetitions: int = 8) -> Combiner:
         # With multiple parents the same partial aggregate reaches the root

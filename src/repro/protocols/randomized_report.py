@@ -112,6 +112,3 @@ class RandomizedReport(Protocol):
             )
             for host_id in range(topology.num_hosts)
         ]
-
-    def termination_time(self, d_hat: int, delta: float) -> float:
-        return 2.0 * d_hat * delta

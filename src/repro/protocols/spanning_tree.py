@@ -20,15 +20,8 @@ clamped at "now" in that case and correctness is unaffected.)
 
 from __future__ import annotations
 
-import random
-from typing import List, Sequence
-
 from repro.protocols.base import Protocol
 from repro.protocols.dag import ConvergecastBatchKernel, DagHost
-from repro.queries.query import AggregateQuery
-from repro.simulation.host import ProtocolHost
-from repro.sketches.combiners import Combiner
-from repro.topology.base import Topology
 
 BROADCAST = "st-broadcast"
 REPORT = "st-report"
@@ -36,7 +29,10 @@ REPORT = "st-report"
 
 class SpanningTreeHost(DagHost):
     """Per-host SPANNINGTREE state machine: the convergecast body of
-    :class:`~repro.protocols.dag.DagHost` with one parent slot."""
+    :class:`~repro.protocols.dag.DagHost` run with one parent slot
+    (:class:`SpanningTree` passes ``num_parents=1``), so every transition
+    -- ``adopt``, ``take_report``, ``report_due`` -- is DAG-k's, shared
+    with the batch kernel, and only the two message-kind strings differ."""
 
     __slots__ = ()
 
@@ -44,49 +40,13 @@ class SpanningTreeHost(DagHost):
     report_kind = REPORT
     batch_kernel = ConvergecastBatchKernel
 
-    def __init__(
-        self,
-        host_id: int,
-        value: float,
-        querying_host: int,
-        combiner: Combiner,
-        d_hat: int,
-        delta: float,
-        rng: random.Random,
-    ) -> None:
-        super().__init__(host_id, value, querying_host, combiner, d_hat,
-                         delta, rng, num_parents=1)
-
 
 class SpanningTree(Protocol):
     """Protocol object for SPANNINGTREE runs."""
 
     name = "spanning-tree"
     requires_duplicate_insensitive = False
+    host_class = SpanningTreeHost
 
-    def create_hosts(
-        self,
-        topology: Topology,
-        values: Sequence[float],
-        querying_host: int,
-        query: AggregateQuery,
-        combiner: Combiner,
-        d_hat: int,
-        delta: float,
-        rng: random.Random,
-    ) -> List[ProtocolHost]:
-        return [
-            SpanningTreeHost(
-                host_id=host_id,
-                value=values[host_id],
-                querying_host=querying_host,
-                combiner=combiner,
-                d_hat=d_hat,
-                delta=delta,
-                rng=rng,
-            )
-            for host_id in range(topology.num_hosts)
-        ]
-
-    def termination_time(self, d_hat: int, delta: float) -> float:
-        return 2.0 * d_hat * delta
+    def host_options(self) -> dict:
+        return {"num_parents": 1}

@@ -36,12 +36,10 @@ import random
 from typing import Any, List, Optional, Sequence, Set
 
 from repro.protocols.base import Protocol
-from repro.queries.query import AggregateQuery
 from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.sketches.combiners import Combiner
 from repro.sketches.fm import FMSketch
-from repro.topology.base import Topology
 
 #: Message kinds used by the protocol.
 BROADCAST = "wf-broadcast"
@@ -52,7 +50,24 @@ FLUSH = "wf-flush"
 
 
 class WildfireHost(ProtocolHost):
-    """Per-host WILDFIRE state machine (slotted: one per network host)."""
+    """Per-host WILDFIRE state machine (slotted: one per network host).
+
+    This class is the protocol, stated once.  Its O(hosts) transition --
+    :meth:`first_contact`: adopt the distance, draw the contribution,
+    fold the piggybacked aggregate, decide whether a flush is owed -- is
+    a method that returns what to do instead of doing it, so
+    :meth:`on_message` and :class:`WildfireBatchKernel` both call it
+    and each adds only its own way of sending.  Two O(messages) bodies
+    are deliberately *not* shared, and the kernel states them again:
+    the active-host fold in :meth:`on_message` and the FLUSH emission
+    in :meth:`on_timer`.  One 6 000-host flood makes 6 000 activations
+    (the query start and 5 999 first contacts) but 191 263 deliveries
+    and 43 418 flushes; a ~60 ns method call per delivery is 7 % of the
+    batch lane's run, and sharing the flush was tried when the split was
+    sized and cost a call plus a result tuple per flush for three *more*
+    lines.  A unit differential (``tests/protocols/test_wildfire.py``)
+    locks the two fold bodies together delivery by delivery.
+    """
 
     __slots__ = (
         "querying_host", "combiner", "d_hat", "delta", "rng",
@@ -170,6 +185,45 @@ class WildfireHost(ProtocolHost):
         self.partial = self.combiner.initial(self.value, self.rng)
         self._deadline = self._participation_deadline()
 
+    def first_contact(self, sender: int, incoming: Any,
+                      sender_distance: Optional[int]) -> bool:
+        """The first message an inactive host hears (Fig. 4, first contact).
+
+        Adopts the hop distance, draws the host's own contribution and
+        folds the piggybacked aggregate into it -- ``incoming`` in the
+        host's own representation: the packed bitmask int in packed
+        mode, the combiner state otherwise.  Sends nothing: the caller
+        forwards the Broadcast (carrying the folded aggregate to every
+        neighbor but ``sender``, which is why nothing is left dirty) and
+        then, when this returns ``True``, schedules the flush that
+        either replies to a ``sender`` that knows less than this host
+        or just opens the one-update-per-``delta`` window.
+        """
+        self._activate(
+            sender_distance + 1 if sender_distance is not None else 1)
+        if incoming is None:
+            grew, settled = False, False
+        elif self._packed_mode:
+            packed = self._packed
+            merged = packed | incoming
+            grew = merged != packed
+            if grew:
+                self._packed = merged
+                self._packed_stale = True
+            settled = merged == incoming
+        else:
+            partial = self._partial_obj
+            grew = not self._absorbs(partial, incoming)
+            if grew:
+                self.partial = partial = self._combine(partial, incoming)
+            settled = self._states_equal(partial, incoming)
+        if grew:
+            self.updates_observed += 1
+        if not settled:
+            # The sender still needs our aggregate: it knows less than us.
+            self._note_reply(sender)
+        return grew or not settled
+
     def _payload(self) -> dict:
         return {
             "d_hat": self.d_hat,
@@ -211,26 +265,24 @@ class WildfireHost(ProtocolHost):
         if not self.active:
             if ctx.now >= self._global_deadline:
                 return
-            sender_distance = message.payload.get("dist")
-            distance = (sender_distance + 1) if sender_distance is not None else 1
-            self._activate(distance=distance)
+            if incoming is not None and self._packed_mode:
+                incoming = incoming.packed
+            owes_flush = self.first_contact(
+                message.sender, incoming, message.payload.get("dist"))
             # Forward the Broadcast immediately (flooding must not wait a
-            # whole instant); the current partial aggregate -- already folded
-            # with the piggybacked one below -- rides along as this host's
-            # first Convergecast contribution.
-            self._fold(incoming, message.sender, ctx)
+            # whole instant); the partial aggregate -- already folded with
+            # the piggybacked one -- rides along as this host's first
+            # Convergecast contribution.
             ctx.send_to_neighbors(BROADCAST, self._payload(),
                                   exclude=(message.sender,))
-            # The sender still needs our aggregate if it knows less than us.
-            if incoming is None or not self.combiner.states_equal(self.partial, incoming):
-                self._note_reply(message.sender)
+            if owes_flush:
                 self._schedule_flush(ctx)
-            self._dirty = False  # neighbors just heard our aggregate
             return
 
         if ctx.now > self._deadline:
             return
-        # Inlined _fold (Fig. 4 rules), the hottest protocol code path.
+        # The Fig. 4 fold, the hottest protocol code path (see the class
+        # docstring for why the batch kernel repeats it).
         if incoming is None:
             return
         if self._packed_mode:
@@ -279,26 +331,6 @@ class WildfireHost(ProtocolHost):
             self._reply_to.discard(message.sender)
         self._schedule_flush(ctx)
 
-    def _fold(self, incoming: Any, sender: int, ctx: HostContext) -> None:
-        """Fold a received partial aggregate into our own (Fig. 4 rules)."""
-        if incoming is None:
-            return
-        new_partial = self._combine(self.partial, incoming)
-        if not self._states_equal(new_partial, self.partial):
-            self.partial = new_partial
-            self.updates_observed += 1
-            self._dirty = True
-            if self._states_equal(self.partial, incoming):
-                self._skip_neighbor = sender
-            else:
-                self._skip_neighbor = None
-            if self._reply_to is not None:
-                self._reply_to.discard(sender)
-            self._schedule_flush(ctx)
-        elif not self._states_equal(self.partial, incoming):
-            self._note_reply(sender)
-            self._schedule_flush(ctx)
-
     def on_timer(self, name: str, data: Any, ctx: HostContext) -> None:
         if name != FLUSH:
             return
@@ -331,20 +363,26 @@ class WildfireHost(ProtocolHost):
 
 
 class WildfireBatchKernel:
-    """The one batch transcription of :class:`WildfireHost` for tick lanes.
+    """WILDFIRE over a tick lane's batches: the lane's business only.
 
     A tick lane (:mod:`repro.simulation.vector_lane`; its epoch-exchange
     subclass in :mod:`repro.simulation.sharded.worker`) hands each
     instant's deliveries to :meth:`process_instant` and the flushes they
-    registered to :meth:`process_timer_bucket`.  Both run WILDFIRE's hot
-    ``on_message`` / FLUSH branches **inlined** over the batch: per
-    delivery a couple of index operations and an int (or float)
-    comparison instead of a :class:`~repro.simulation.messages.Message`
-    allocation, a context rebind and a method-dispatch chain.  The
-    branches are exact transcriptions of the spec host (packed-int
-    folding for FM count/sum, the ``absorbs``/``combine`` hook pair for
-    min/max, activation through the real ``combiner.initial`` so RNG
-    consumption order stays that of the spec engine).
+    registered to :meth:`process_timer_bucket`.  What a lane adds to the
+    protocol is how things travel -- target lists, ``submit_multi`` /
+    ``submit_unicast``, timer registration, the ``deadlines`` mirror,
+    accounting and trace hooks -- and that is what lives here.  The
+    protocol itself is :class:`WildfireHost`: an inactive host's first
+    contact is a call to its own :meth:`~WildfireHost.first_contact`
+    (which draws ``combiner.initial`` in spec RNG order).  The two
+    bodies that run per message rather than per host are stated a
+    second time, **inlined** over the batch -- the active-host fold
+    (packed-int OR for FM count/sum, the ``absorbs`` / ``combine`` hook
+    pair for min/max) and the FLUSH emission -- because there a
+    delivery must cost a couple of index operations and an int (or
+    float) comparison, not a :class:`~repro.simulation.messages.Message`
+    allocation, a context rebind and a method call (the call counts are
+    in the :class:`WildfireHost` docstring).
 
     Everything travels as one flat record shape,
     ``(rank, sender, dests, kind, agg, dist, chain_depth)``: ``agg`` is
@@ -357,10 +395,10 @@ class WildfireBatchKernel:
     (append order already is spec order), the sharded lane turns it into
     the canonical cross-shard key.
 
-    The transcription is safe because deliveries are processed in the
+    The inlined bodies are safe because deliveries are processed in the
     exact global FIFO order of the spec loop and every branch reads the
     host's *live* state: the sequence of state transitions is the one
-    the spec loop would have produced, step for step.  It relies on the
+    the spec loop would have produced, step for step.  They rely on the
     fixed-delay gate both lanes share -- a flush always fires at its
     registration instant (``_next_flush`` is never in the future, which
     :meth:`process_instant` asserts), so every flush is registered on
@@ -408,8 +446,8 @@ class WildfireBatchKernel:
         #: inactive: one list load replaces a host fetch plus two
         #: attribute reads per delivery, and past-deadline deliveries
         #: (the tail of every flood) skip the host object entirely.
-        #: Maintained by the inlined activation path and
-        #: :meth:`refresh_host` after the real query-start hook runs.
+        #: Maintained at first contact and by :meth:`refresh_host` after
+        #: the real query-start hook runs.
         self.deadlines: List[Optional[float]] = [
             host._deadline if host.active else None for host in hosts]
 
@@ -439,6 +477,7 @@ class WildfireBatchKernel:
         """
         hosts = self.hosts
         alive = lane.alive_bytes
+        network = lane.network
         counts = lane.counts
         deadlines = self.deadlines
         bucket = lane.timers_at(now)
@@ -466,16 +505,35 @@ class WildfireBatchKernel:
                 if deadline is None:  # inactive
                     if now >= gdl:
                         continue  # spec path: return untouched
-                    self._activate_host(hosts[dest], dest, sender, incoming,
-                                        dist, now, depth, rank, lane,
-                                        bucket)
+                    # First contact is the spec host's own transition, a
+                    # plain call: 5 999 of them a 6 000-host flood against
+                    # 191 263 deliveries.  The lane's business is what is
+                    # left -- the deadline mirror, the onward Broadcast
+                    # (send_to_neighbors with exclude=(sender,)) and the
+                    # flush registration, due at once: a host that was
+                    # never active has never flushed.
+                    host = hosts[dest]
+                    owes_flush = host.first_contact(sender, incoming, dist)
+                    deadlines[dest] = host._deadline
+                    targets = [t for t in network.alive_neighbors_sorted(dest)
+                               if t != sender]
+                    if targets:
+                        lane.submit_multi(
+                            dest, targets, BROADCAST,
+                            host._packed if packed_mode else host._partial_obj,
+                            host.distance, now, depth + 1)
+                    if owes_flush and not host._flush_pending:
+                        host._flush_pending = True
+                        bucket.append((dest, depth, rank))
                     continue
                 if now > deadline:
                     continue  # spec path: return untouched
                 if incoming is None:
                     continue
                 host = hosts[dest]
-                # -- inlined WildfireHost.on_message, active host ------
+                # -- WildfireHost.on_message's active-host fold, stated
+                # again: 191 263 deliveries a 6 000-host flood, where a
+                # ~60 ns method call each would be 7 % of the run ------
                 if packed_mode:
                     packed = host._packed
                     merged = packed | incoming
@@ -530,100 +588,6 @@ class WildfireBatchKernel:
         lane.dropped += dropped
         lane.max_depth = max_depth
 
-    def _activate_host(self, host: WildfireHost, dest: int, sender: int,
-                       incoming: Any, sender_distance: Optional[int],
-                       now: float, depth: int, rank: int, lane: Any,
-                       bucket: List[tuple]) -> None:
-        """Inlined inactive branch of :meth:`WildfireHost.on_message`.
-
-        Transcribed from ``_activate``, ``_fold`` and the Broadcast
-        forwarding; the combiner hooks -- including the shared-RNG draw
-        in ``initial`` -- run in exact spec order.  In packed mode the
-        fold runs on the bitmask int (the packed combiners define
-        ``states_equal`` as packed equality and ``combine`` as the
-        union, so the int transitions are the spec transitions) and the
-        onward Broadcast ships the raw int.  The two ``_schedule_flush``
-        sites are coalesced into one registration after the Broadcast
-        submit: nothing between them registers a timer, so the bucket
-        order is unchanged.  A host that was never active has never
-        flushed, so its flush is due at once.
-        """
-        packed_mode = self.packed_mode
-        distance = (sender_distance + 1) if sender_distance is not None else 1
-        # _activate
-        host.active = True
-        host.distance = distance
-        host.partial = host.combiner.initial(host.value, host.rng)
-        if host.early_termination and host.host_id != host.querying_host:
-            host._deadline = (2.0 * host.d_hat - distance + 1.0) * host.delta
-        else:
-            host._deadline = self.global_deadline
-        self.deadlines[dest] = host._deadline
-        # _fold (the freshly set partial is never stale)
-        schedule = False
-        if incoming is None:
-            pass
-        elif packed_mode:
-            packed = host._packed
-            merged = packed | incoming
-            if merged != packed:
-                host._packed = merged
-                host._packed_stale = True
-                host.updates_observed += 1
-                host._dirty = True
-                host._skip_neighbor = sender if merged == incoming else None
-                if host._reply_to is not None:
-                    host._reply_to.discard(sender)
-                schedule = True
-            elif packed != incoming:
-                reply_to = host._reply_to
-                if reply_to is None:
-                    host._reply_to = {sender}
-                else:
-                    reply_to.add(sender)
-                schedule = True
-        else:
-            partial = host._partial_obj
-            equal = host._states_equal
-            new_partial = host._combine(partial, incoming)
-            if not equal(new_partial, partial):
-                host.partial = new_partial
-                host.updates_observed += 1
-                host._dirty = True
-                host._skip_neighbor = (sender if equal(new_partial, incoming)
-                                       else None)
-                if host._reply_to is not None:
-                    host._reply_to.discard(sender)
-                schedule = True
-            elif not equal(partial, incoming):
-                reply_to = host._reply_to
-                if reply_to is None:
-                    host._reply_to = {sender}
-                else:
-                    reply_to.add(sender)
-                schedule = True
-        # Forward the Broadcast immediately (send_to_neighbors with
-        # exclude=(sender,)); flooding must not wait a whole instant.
-        targets = [t for t in lane.network.alive_neighbors_sorted(dest)
-                   if t != sender]
-        agg = host._packed if packed_mode else host._partial_obj
-        if targets:
-            lane.submit_multi(dest, targets, BROADCAST, agg, distance, now,
-                              depth + 1)
-        # The sender still needs our aggregate if it knows less than us.
-        if incoming is None or (agg != incoming if packed_mode else
-                                not host._states_equal(agg, incoming)):
-            reply_to = host._reply_to
-            if reply_to is None:
-                host._reply_to = {sender}
-            else:
-                reply_to.add(sender)
-            schedule = True
-        if schedule and not host._flush_pending:
-            host._flush_pending = True
-            bucket.append((dest, depth, rank))
-        host._dirty = False  # neighbors just heard our aggregate
-
     def process_timer_bucket(self, now: float, bucket: List[tuple],
                              lane: Any) -> None:
         """Fire one instant's flushes in registration (spec seq) order.
@@ -661,7 +625,10 @@ class WildfireBatchKernel:
                 # The spec loop records every fired timer on an alive
                 # host before its handler runs.
                 tracer.timer(now, host_id, FLUSH)
-            # -- inlined WildfireHost.on_timer(FLUSH) ------------------
+            # -- WildfireHost.on_timer(FLUSH), stated again: 43 418
+            # flushes a 6 000-host flood; sharing the handler was
+            # measured (a call plus a (targets, agg) tuple per flush,
+            # three lines more than this) and not kept ---------------
             host = hosts[host_id]
             host._flush_pending = False
             host._next_flush = now + host.delta
@@ -720,43 +687,12 @@ class Wildfire(Protocol):
     """
 
     name = "wildfire"
+    # WILDFIRE always needs duplicate-insensitive combine functions.
     requires_duplicate_insensitive = True
+    host_class = WildfireHost
 
     def __init__(self, early_termination: bool = True) -> None:
         self.early_termination = early_termination
 
-    def create_hosts(
-        self,
-        topology: Topology,
-        values: Sequence[float],
-        querying_host: int,
-        query: AggregateQuery,
-        combiner: Combiner,
-        d_hat: int,
-        delta: float,
-        rng: random.Random,
-    ) -> List[ProtocolHost]:
-        hosts: List[ProtocolHost] = []
-        for host_id in range(topology.num_hosts):
-            hosts.append(
-                WildfireHost(
-                    host_id=host_id,
-                    value=values[host_id],
-                    querying_host=querying_host,
-                    combiner=combiner,
-                    d_hat=d_hat,
-                    delta=delta,
-                    rng=rng,
-                    early_termination=self.early_termination,
-                )
-            )
-        return hosts
-
-    def termination_time(self, d_hat: int, delta: float) -> float:
-        return 2.0 * d_hat * delta
-
-    def default_combiner(self, query: AggregateQuery, repetitions: int = 8):
-        from repro.sketches.combiners import combiner_for_query
-
-        # WILDFIRE always needs duplicate-insensitive combine functions.
-        return combiner_for_query(query.kind.value, exact=False, repetitions=repetitions)
+    def host_options(self) -> dict:
+        return {"early_termination": self.early_termination}

@@ -69,12 +69,6 @@ class DelayModel(abc.ABC):
     #: Spec-string name of the model (also the registry key).
     name: str = "delay"
     stochastic: bool = True
-    #: True when a host's sample sequence depends only on the seed and the
-    #: message endpoints, never on which other hosts shared the RNG -- the
-    #: property a range-partitioned (sharded) run needs so sampling is
-    #: identical no matter where the partition cuts fall.  Models drawing
-    #: from one shared stream are *not* partition independent.
-    partition_independent: bool = False
 
     def __init__(self, bound: float) -> None:
         if bound <= 0:
@@ -87,10 +81,6 @@ class DelayModel(abc.ABC):
 
     def reseed(self, seed: int) -> None:
         """Re-derive the model's private RNG stream (no-op if none)."""
-
-    def spec(self) -> Dict[str, object]:
-        """JSON-friendly description for experiment reports."""
-        return {"model": self.name, "bound": self.bound}
 
     def _clamp(self, fraction: float) -> float:
         """Map a fraction of the bound into the legal ``(0, bound]``."""
@@ -114,7 +104,6 @@ class FixedDelay(DelayModel):
 
     name = "fixed"
     stochastic = False
-    partition_independent = True
 
     def sample(self, sender: int, dest: int, now: float) -> float:
         return self.bound
@@ -128,20 +117,12 @@ class UniformDelay(DelayModel):
         lo: lower fraction of the bound (must be positive).
         hi: upper fraction of the bound (at most 1).
         seed: seed of the model's private RNG stream.
-        per_host: draw each sender's delays from its own seed-derived
-            stream instead of one shared stream.  The distribution is
-            unchanged, but a host's sample sequence then depends only on
-            ``(seed, sender)`` and the order of *its own* sends, so the
-            model is partition independent -- any contiguous sharding of
-            the host range sees identical samples.  Off by default: the
-            shared stream is the historical draw order the golden runs
-            were recorded under.
     """
 
     name = "uniform"
 
     def __init__(self, bound: float, lo: float = 0.25, hi: float = 1.0,
-                 seed: int = 0, per_host: bool = False) -> None:
+                 seed: int = 0) -> None:
         super().__init__(bound)
         if not 0.0 < lo <= hi <= 1.0:
             raise ValueError(
@@ -150,38 +131,14 @@ class UniformDelay(DelayModel):
             )
         self.lo = float(lo)
         self.hi = float(hi)
-        self._seed = int(seed)
         self._rng = random.Random(seed)
-        self.per_host = bool(per_host)
-        if self.per_host:
-            self.partition_independent = True
-        self._host_rngs: Dict[int, random.Random] = {}
 
     def reseed(self, seed: int) -> None:
-        self._seed = int(seed)
         self._rng = random.Random(seed)
-        self._host_rngs.clear()
-
-    def _host_rng(self, sender: int) -> random.Random:
-        rng = self._host_rngs.get(sender)
-        if rng is None:
-            # String seeding hashes with SHA-512, so nearby host ids get
-            # uncorrelated streams.
-            rng = random.Random(f"{self._seed}:host:{sender}")
-            self._host_rngs[sender] = rng
-        return rng
 
     def sample(self, sender: int, dest: int, now: float) -> float:
-        rng = self._host_rng(sender) if self.per_host else self._rng
         lo, hi = self.lo, self.hi
-        return self._clamp(lo + (hi - lo) * rng.random())
-
-    def spec(self) -> Dict[str, object]:
-        spec: Dict[str, object] = {"model": self.name, "bound": self.bound,
-                                   "lo": self.lo, "hi": self.hi}
-        if self.per_host:
-            spec["per_host"] = True
-        return spec
+        return self._clamp(lo + (hi - lo) * self._rng.random())
 
 
 class PerEdgeDelay(DelayModel):
@@ -197,9 +154,6 @@ class PerEdgeDelay(DelayModel):
     """
 
     name = "per_edge"
-    #: Each edge's latency depends only on (seed, endpoints) -- already
-    #: independent of any host-range partition.
-    partition_independent = True
 
     def __init__(self, bound: float, lo: float = 0.1, hi: float = 1.0,
                  seed: int = 0) -> None:
@@ -229,10 +183,6 @@ class PerEdgeDelay(DelayModel):
             self._edge_delays[key] = delay
         return delay
 
-    def spec(self) -> Dict[str, object]:
-        return {"model": self.name, "bound": self.bound,
-                "lo": self.lo, "hi": self.hi}
-
 
 class HeavyTailDelay(DelayModel):
     """Truncated-Pareto delays: mostly fast links, a heavy straggler tail.
@@ -247,15 +197,12 @@ class HeavyTailDelay(DelayModel):
         alpha: Pareto tail index (must be positive; default 1.2).
         xm: scale, the minimum delay fraction (default 0.05).
         seed: seed of the model's private RNG stream.
-        per_host: draw each sender's delays from its own seed-derived
-            stream (see :class:`UniformDelay`); makes the model
-            partition independent.
     """
 
     name = "heavy_tail"
 
     def __init__(self, bound: float, alpha: float = 1.2, xm: float = 0.05,
-                 seed: int = 0, per_host: bool = False) -> None:
+                 seed: int = 0) -> None:
         super().__init__(bound)
         if alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -263,38 +210,16 @@ class HeavyTailDelay(DelayModel):
             raise ValueError("xm must be in (0, 1]")
         self.alpha = float(alpha)
         self.xm = float(xm)
-        self._seed = int(seed)
         self._rng = random.Random(seed)
-        self.per_host = bool(per_host)
-        if self.per_host:
-            self.partition_independent = True
-        self._host_rngs: Dict[int, random.Random] = {}
 
     def reseed(self, seed: int) -> None:
-        self._seed = int(seed)
         self._rng = random.Random(seed)
-        self._host_rngs.clear()
-
-    def _host_rng(self, sender: int) -> random.Random:
-        rng = self._host_rngs.get(sender)
-        if rng is None:
-            rng = random.Random(f"{self._seed}:host:{sender}")
-            self._host_rngs[sender] = rng
-        return rng
 
     def sample(self, sender: int, dest: int, now: float) -> float:
         # 1 - random() lies in (0, 1]; the Pareto inverse CDF maps it to
         # [xm, inf), truncated to the bound by _clamp.
-        rng = self._host_rng(sender) if self.per_host else self._rng
-        u = 1.0 - rng.random()
+        u = 1.0 - self._rng.random()
         return self._clamp(self.xm * u ** (-1.0 / self.alpha))
-
-    def spec(self) -> Dict[str, object]:
-        spec: Dict[str, object] = {"model": self.name, "bound": self.bound,
-                                   "alpha": self.alpha, "xm": self.xm}
-        if self.per_host:
-            spec["per_host"] = True
-        return spec
 
 
 #: Registry of spec-string names to model classes.

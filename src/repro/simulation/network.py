@@ -436,23 +436,6 @@ class DynamicNetwork:
         bounds.append(n)
         return bounds
 
-    def apply_failures(self, failures: Iterable[Tuple[float, int]]) -> int:
-        """Apply a batch of ``(time, host)`` failures in batch order.
-
-        Already-failed hosts are skipped (the engine's FAIL handler
-        guards with ``is_alive`` the same way); returns how many hosts
-        actually failed.  Used by the sharded lane to replicate the churn
-        schedule onto every worker's network copy and to bring the
-        parent's network up to date after a forked run.
-        """
-        applied = 0
-        alive = self._alive
-        for time, host in failures:
-            if alive[host]:
-                self.fail_host(host, time)
-                applied += 1
-        return applied
-
     # ------------------------------------------------------------------
     # Graph algorithms
     # ------------------------------------------------------------------

@@ -55,11 +55,6 @@ SAMPLING_MODES = ("fast", "legacy")
 _sampling_mode = "fast"
 
 
-def get_sampling_mode() -> str:
-    """The geometric sampling mode currently in effect."""
-    return _sampling_mode
-
-
 def set_sampling_mode(mode: str) -> str:
     """Set the sampling mode and return the previous one."""
     global _sampling_mode
@@ -197,41 +192,6 @@ class FMSketch:
         sketch.repetitions = repetitions
         sketch.num_bits = num_bits
         return sketch
-
-    @classmethod
-    def from_packed(cls, packed: int, repetitions: int,
-                    num_bits: int = DEFAULT_NUM_BITS) -> "FMSketch":
-        """Rehydrate a sketch from its packed-int representation.
-
-        This is the public counterpart of the internal hot-path
-        constructor: bulk consumers (the WILDFIRE packed fast path, the
-        vector kernel lane) carry sketch state around as bare ints --
-        merging is then a single integer OR -- and only materialise an
-        :class:`FMSketch` when the aggregate is actually read or sent.
-        ``packed`` must fit ``repetitions`` vectors of ``num_bits`` bits.
-        """
-        if repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if num_bits < 1:
-            raise ValueError("num_bits must be positive")
-        if packed < 0 or packed >> (repetitions * num_bits):
-            raise ValueError("packed value out of range for the sketch shape")
-        return cls._from_packed(packed, repetitions, num_bits)
-
-    @staticmethod
-    def union_packed(masks: Iterable[int]) -> int:
-        """OR together many packed sketch states in one pass.
-
-        The batched form of :meth:`merge` for callers holding bare packed
-        ints: folding ``k`` partial aggregates costs ``k`` integer ORs and
-        zero object allocations.  Returns 0 (the empty sketch) for an
-        empty iterable; callers are responsible for shape agreement, as
-        with any packed-int arithmetic.
-        """
-        union = 0
-        for mask in masks:
-            union |= mask
-        return union
 
     # ------------------------------------------------------------------
     # Constructors

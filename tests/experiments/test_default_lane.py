@@ -62,7 +62,7 @@ DRIVERS = {
         TREE),
     "badcase": (badcase, lambda: badcase.run_theorem_44_experiment(
         cycle_size=12, seed=4), TREE),
-    "delay_sweep": (delay_sweep, lambda: delay_sweep.run_delay_sweep(
+    "delay_sweep": (validity_sweep, lambda: delay_sweep.run_delay_sweep(
         random_topology(60, avg_degree=4, seed=7), "count",
         departures=(0, 8), num_trials=1, seed=7), LINE_UP),
     "core.aggregator": (aggregator, _aggregator_queries, DAG2),

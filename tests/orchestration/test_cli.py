@@ -113,6 +113,13 @@ def test_delay_sweep_rejects_unknown_topology(capsys):
     assert "unknown topology" in capsys.readouterr().err
 
 
+def test_delay_sweep_rejects_negative_departures(capsys):
+    """The one churn sweep draws ``R`` victims; ``R < 0`` used to run as
+    a static network under an ``R = -3`` label."""
+    assert main(["delay-sweep", "--size", "40", "--departures", "-3"]) == 2
+    assert "--departures must not be negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["run", "fig6", *RUN_ARGS, "--no-cache"],
     ["bench", "--hosts", "64"],

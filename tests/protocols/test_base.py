@@ -1,12 +1,18 @@
 """Tests for the shared protocol plumbing."""
 
+import ast
+import pathlib
+import random
+
 import pytest
 
-from repro.protocols.base import resolve_d_hat, run_protocol
+import repro.protocols
+from repro.protocols.base import Protocol, resolve_d_hat, run_protocol
 from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
 from repro.queries.query import AggregateQuery
-from repro.sketches.combiners import ExactCountCombiner
+from repro.simulation.host import ProtocolHost
+from repro.sketches.combiners import ExactCountCombiner, MaxCombiner
 from repro.topology.primitives import chain_topology, star_topology
 from repro.workloads.values import constant_values
 
@@ -83,3 +89,87 @@ class TestRunProtocol:
                           FMCountCombiner)
         assert isinstance(tree.default_combiner(AggregateQuery.of("count")), Exact)
         assert isinstance(tree.default_combiner(AggregateQuery.of("max")), MaxCombiner)
+
+
+class TestProtocolDefaults:
+    def test_a_protocol_naming_only_its_host_class_runs(self):
+        """``create_hosts`` and ``termination_time`` are the paper's
+        defaults: one host per topology host in the shared constructor
+        shape, declaring at ``2 * D_hat * delta``."""
+        class Loner(ProtocolHost):
+            __slots__ = ("shape",)
+
+            def __init__(self, host_id, value, *shape):
+                super().__init__(host_id, value)
+                self.shape = shape
+
+            def on_query_start(self, ctx):
+                pass
+
+            def on_message(self, message, ctx):
+                pass
+
+            def local_result(self):
+                return self.value
+
+        class Lonely(Protocol):
+            host_class = Loner
+
+        topo = chain_topology(4)
+        combiner, rng = MaxCombiner(), random.Random(0)
+        hosts = Lonely().create_hosts(topo, [5, 6, 7, 8], 2,
+                                      AggregateQuery.of("max"), combiner,
+                                      7, 0.5, rng)
+        assert [(h.host_id, h.value) for h in hosts] == [
+            (0, 5), (1, 6), (2, 7), (3, 8)]
+        assert all(h.shape == (2, combiner, 7, 0.5, rng) for h in hosts)
+        assert Lonely().termination_time(7, 0.5) == 7.0
+        run = run_protocol(Lonely(), topo, [5, 6, 7, 8], "max",
+                           querying_host=2, d_hat=7, delta=0.5)
+        assert (run.value, run.termination_time) == (7, 7.0)
+
+
+class TestEachProtocolFactStatedOnce:
+    """Kernels call the spec and ``Protocol`` builds the hosts: none of
+    the transcribed bodies may come back."""
+
+    @staticmethod
+    def _modules():
+        root = pathlib.Path(repro.protocols.__file__).parent
+        return {path.name: ast.parse(path.read_text())
+                for path in sorted(root.glob("*.py"))}
+
+    def test_batch_kernels_hold_no_deadline_or_activation_body(self):
+        kernels = [node for tree in self._modules().values()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)
+                   and node.name.endswith("BatchKernel")]
+        assert sorted(k.name for k in kernels) == [
+            "ConvergecastBatchKernel", "WildfireBatchKernel"]
+        for kernel in kernels:
+            for node in ast.walk(kernel):
+                # The report and participation deadlines are d_hat
+                # arithmetic; a host's contribution is combiner.initial.
+                assert not (isinstance(node, ast.Attribute)
+                            and node.attr == "d_hat"), kernel.name
+                assert not (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "initial"), kernel.name
+
+    def test_one_body_per_definition(self):
+        defined = {}
+        for name, tree in self._modules().items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    defined.setdefault(node.name, set()).add(name)
+                if isinstance(node, ast.ClassDef) and node.name == "WildfireHost":
+                    methods = {item.name for item in node.body
+                               if isinstance(item, ast.FunctionDef)}
+                    assert "_fold" not in methods
+                    assert "first_contact" in methods
+        assert defined["termination_time"] == {"base.py", "gossip.py"}
+        assert defined["create_hosts"] == {
+            "base.py", "allreport.py", "randomized_report.py", "gossip.py"}
+        for transition in ("first_contact", "adopt", "take_report",
+                           "report_due"):
+            assert len(defined[transition]) == 1, transition

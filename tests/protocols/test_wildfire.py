@@ -1,12 +1,28 @@
 """Tests for the WILDFIRE protocol."""
 
-import pytest
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.protocols.base import run_protocol
-from repro.protocols.wildfire import Wildfire
+from repro.protocols.wildfire import (
+    CONVERGECAST,
+    FLUSH,
+    Wildfire,
+    WildfireBatchKernel,
+    WildfireHost,
+)
 from repro.semantics.oracle import Oracle
 from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
-from repro.sketches.combiners import FMCountCombiner, FMSumCombiner
+from repro.simulation.messages import Message
+from repro.sketches.combiners import (
+    FMCountCombiner,
+    FMSumCombiner,
+    MaxCombiner,
+    MinCombiner,
+)
+from repro.sketches.fm import FMSketch
 from repro.topology.primitives import chain_topology, ring_topology, star_topology
 from repro.topology.random_graph import random_topology
 from repro.workloads.values import constant_values, zipf_values
@@ -150,3 +166,151 @@ class TestCostBehaviour:
                                 wireless=True, seed=9)
         assert wireless.costs.communication_cost < wired.costs.communication_cost
         assert wired.value == wireless.value
+
+
+# ----------------------------------------------------------------------
+# The one protocol body that is stated twice: spec host vs batch kernel
+# ----------------------------------------------------------------------
+class _CapturingContext:
+    """The slice of ``HostContext`` a WILDFIRE delivery touches."""
+
+    def __init__(self, now):
+        self.now = now
+        self.timers = []
+        self.multicasts = []
+
+    def set_timer(self, delay, name, data=None):
+        self.timers.append((delay, name))
+
+    def send_to_neighbors(self, kind, payload, exclude=()):
+        self.multicasts.append((kind, payload["agg"], payload["dist"],
+                                tuple(exclude)))
+
+
+class _CapturingLane:
+    """The slice of ``_TickLane`` one ``process_instant`` call touches
+    (it is its own ``network``: every host is alive, host 1's neighbors
+    are 0, 2 and 3)."""
+
+    tracer = None
+    sent_at = 0.0
+
+    def __init__(self, now):
+        self.now = now
+        self.alive_bytes = bytearray([1, 1, 1, 1])
+        self.counts = [0, 0, 0, 0]
+        self.dropped = self.max_depth = 0
+        self.bucket = []
+        self.multicasts = []
+        self.network = self
+
+    def timers_at(self, time):
+        assert time == self.now
+        return self.bucket
+
+    def alive_neighbors_sorted(self, host_id):
+        assert host_id == 1
+        return (0, 2, 3)
+
+    def submit_multi(self, sender, dests, kind, agg, dist, time, depth):
+        assert (sender, time) == (1, self.now)
+        self.multicasts.append((kind, agg, dist, tuple(dests)))
+
+
+def _slots(host):
+    """Every slot a delivery may move.  The lazily materialised sketch
+    object (``_partial_obj`` / ``_packed_stale``: the spec builds it to
+    send a payload, the lane ships the packed int) is read through
+    ``partial``, by its packed value."""
+    skip = {"combiner", "rng", "_combine", "_states_equal", "_absorbs",
+            "_partial_obj", "_packed_stale"}
+    slots = {name: getattr(host, name, None) for cls in type(host).__mro__
+             for name in getattr(cls, "__slots__", ()) if name not in skip}
+    slots["partial"] = getattr(host.partial, "packed", host.partial)
+    return slots
+
+
+def _one_delivery_both_ways(combiner, wrap, state, incoming, sender, reply_to,
+                            flush_pending, now):
+    """Deliver one message to host 1 of two identical 4-host tables, once
+    through ``WildfireHost.on_message`` and once as a single-record batch
+    through ``WildfireBatchKernel.process_instant``; ``state is None``
+    leaves the host inactive, so the delivery is its first contact."""
+    def table():
+        rng = random.Random(11)
+        hosts = [WildfireHost(host_id, 3.0, 0, combiner, 4, 1.0, rng)
+                 for host_id in range(4)]
+        host = hosts[1]
+        if state is not None:
+            host._activate(2)
+            host.partial = wrap(state)
+        host._reply_to = set(reply_to) or None
+        host._flush_pending = flush_pending
+        return hosts
+
+    spec_hosts, lane_hosts = table(), table()
+    ctx = _CapturingContext(now)
+    payload = {"agg": None if incoming is None else wrap(incoming), "dist": 1}
+    spec_hosts[1].on_message(
+        Message(sender, 1, CONVERGECAST, payload, now - 1.0, 3), ctx)
+
+    kernel = WildfireBatchKernel.try_build(lane_hosts, 4, 0)
+    assert kernel is not None
+    lane = _CapturingLane(now)
+    kernel.process_instant(
+        now, [(5, sender, (1,), CONVERGECAST) + kernel.flatten(payload) + (3,)],
+        lane)
+
+    assert _slots(lane_hosts[1]) == _slots(spec_hosts[1])
+    assert kernel.deadlines[1] == (
+        spec_hosts[1]._deadline if spec_hosts[1].active else None)
+    # The flush: the same decision, due at once, tagged with the cause.
+    assert ctx.timers == ([(0.0, FLUSH)] if lane.bucket else [])
+    assert lane.bucket in ([], [(1, 3, 5)])
+    # A first contact forwards the same Broadcast to everyone but the
+    # sender (the lane names the targets, the spec the exclusion).
+    def unpacked(multicasts):
+        return [(kind, getattr(agg, "packed", agg), dist)
+                for kind, agg, dist, _ in multicasts]
+    assert unpacked(lane.multicasts) == unpacked(ctx.multicasts)
+    for (_, _, _, targets), (_, _, _, exclude) in zip(lane.multicasts,
+                                                      ctx.multicasts):
+        assert exclude == (sender,)
+        assert targets == tuple(t for t in (0, 2, 3) if t != sender)
+    assert lane.counts == [0, 1, 0, 0] and lane.max_depth == 3
+
+
+class TestFoldStatedTwice:
+    """``WildfireHost.on_message``'s active-host fold is the one protocol
+    body the batch kernel repeats (a method call per delivery is 7 % of a
+    flood); first contact is shared.  One delivery through each must
+    leave the host in the same state and agree on the flush."""
+
+    _common = dict(
+        sender=st.sampled_from([0, 2, 3]),
+        reply_to=st.sets(st.sampled_from([0, 2, 3])),
+        flush_pending=st.booleans(),
+        # Inside the window, on and past the participation deadline
+        # (distance 2: 7.0) and the global one (8.0).
+        now=st.sampled_from([3.0, 7.0, 7.5, 8.0, 8.5]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=st.none() | st.integers(0, 15),
+           incoming=st.none() | st.integers(0, 15), **_common)
+    def test_packed_sketch_delivery(self, state, incoming, **delivery):
+        combiner = FMCountCombiner(repetitions=2)
+
+        def wrap(packed):
+            return FMSketch._from_packed(packed, 2, combiner.num_bits)
+
+        _one_delivery_both_ways(combiner, wrap, state, incoming, **delivery)
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=st.none() | st.integers(-2, 5),
+           incoming=st.none() | st.integers(-2, 5),
+           maximum=st.booleans(), **_common)
+    def test_min_max_float_delivery(self, state, incoming, maximum,
+                                    **delivery):
+        combiner = MaxCombiner() if maximum else MinCombiner()
+        _one_delivery_both_ways(combiner, float, state, incoming, **delivery)

@@ -272,71 +272,3 @@ class TestCalendarQueueFuzz:
 
         with pytest.raises(ValueError):
             EventQueue(width=0.0)
-
-
-class TestPartitionIndependence:
-    """Per-host seed streams (satellite of the sharded-lane PR): a model
-    flagged ``partition_independent`` must hand every sender a stream
-    that depends only on ``(seed, sender)`` -- never on which other
-    senders sampled, or in what order.  That is exactly the property a
-    range-partitioned execution needs: a worker owning any subset of the
-    senders replays each sender's stream bit-for-bit."""
-
-    def test_flags(self):
-        assert FixedDelay(1.0).partition_independent
-        assert PerEdgeDelay(1.0, seed=1).partition_independent
-        assert not UniformDelay(1.0, seed=1).partition_independent
-        assert UniformDelay(1.0, seed=1, per_host=True).partition_independent
-        assert not HeavyTailDelay(1.0, seed=1).partition_independent
-        assert HeavyTailDelay(1.0, seed=1,
-                              per_host=True).partition_independent
-
-    def test_per_host_spec_survives_round_trip(self):
-        model = UniformDelay(1.0, seed=3, per_host=True)
-        assert model.spec()["per_host"] is True
-        # The shared-stream spec stays byte-identical to the pre-PR form
-        # (golden protection: no new key unless the flag is set).
-        assert "per_host" not in UniformDelay(1.0, seed=3).spec()
-        assert "per_host" not in HeavyTailDelay(1.0, seed=3).spec()
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32),
-        num_senders=st.integers(min_value=1, max_value=12),
-        shards=st.integers(min_value=1, max_value=6),
-        interleave=st.randoms(use_true_random=False),
-        make=st.sampled_from([UniformDelay, HeavyTailDelay]),
-    )
-    def test_per_host_streams_are_invariant_under_partitioning(
-            self, seed, num_senders, shards, interleave, make):
-        """Draw each sender's stream three ways -- all senders on one
-        model in interleaved order, and each sender on the model of the
-        contiguous shard that owns it -- and require identical draws."""
-        draws_per_sender = 5
-        # Reference: one model, senders interleaved in a random order.
-        reference_model = make(1.0, seed=seed, per_host=True)
-        schedule = [sender for sender in range(num_senders)
-                    for _ in range(draws_per_sender)]
-        interleave.shuffle(schedule)
-        reference = {sender: [] for sender in range(num_senders)}
-        for sender in schedule:
-            reference[sender].append(
-                reference_model.sample(sender, (sender + 1) % 100, 0.0))
-        # Partitioned: one model per contiguous shard of the sender
-        # range, each seeing only its own senders, in sender order.
-        cut = [min(k * num_senders // shards, num_senders)
-               for k in range(shards + 1)]
-        for k in range(shards):
-            shard_model = make(1.0, seed=seed, per_host=True)
-            for sender in range(cut[k], cut[k + 1]):
-                draws = [shard_model.sample(sender, (sender + 1) % 100, 0.0)
-                         for _ in range(draws_per_sender)]
-                assert draws == reference[sender], (
-                    f"sender {sender}'s stream changed under partitioning")
-
-    def test_reseed_resets_per_host_streams(self):
-        model = UniformDelay(1.0, seed=5, per_host=True)
-        first = [model.sample(3, 4, 0.0) for _ in range(6)]
-        model.sample(7, 8, 0.0)  # a second host's stream, interleaved
-        model.reseed(5)
-        assert [model.sample(3, 4, 0.0) for _ in range(6)] == first

@@ -1,0 +1,47 @@
+"""The code-line count CHANGES.md reports (``tools/code_lines.py``)."""
+
+import importlib.util
+import pathlib
+
+_TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("code_lines", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FIXTURE = '''"""Module docstring,
+two lines."""
+
+import os  # trailing comments do not stop a line counting
+
+# A comment line.
+class Thing:
+    """Class docstring."""
+
+    value = """a string that is data,
+    not a docstring: both lines count"""
+
+    def method(self):
+        "one-line docstring"
+        return (self.value,
+
+                os.sep)  # the blank line inside the expression does not
+'''
+
+
+def test_counts_non_blank_non_comment_non_docstring_lines():
+    # import, class, value (2), def, return, os.sep.
+    assert _load().count_code_lines(FIXTURE) == 7
+
+
+def test_counts_a_tree_per_file(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\n\n# note\ny = 2\n")
+    (tmp_path / "pkg" / "b.py").write_text('"""Doc."""\n')
+    counts = _load().count_tree(tmp_path)
+    assert {path.name: lines for path, lines in counts.items()} == {
+        "a.py": 2, "b.py": 0}
