@@ -47,6 +47,12 @@ def test_shared_flood_cache_smoke():
     summary = shared["summary"]
     assert summary["queries"] == 24
     assert summary["answered"] == 24
+    # A static, fixed-delay mix: leaders ran on their tick lanes and
+    # subscribers report their leader's path.  A lane that silently
+    # declined measured a different program.
+    for row in solo["rows"] + shared["rows"]:
+        assert (row["lane_used"], row["fallback_reason"]) == (
+            "vector", None), row["query_id"]
 
     # The duplicate-heavy mix must actually exercise the cache...
     assert summary["cache_hits"] > 0

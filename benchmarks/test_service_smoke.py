@@ -40,6 +40,11 @@ def test_serve_smoke_is_deterministic_per_query():
     assert summary["queries"] == 20
     assert summary["answered"] == 20
     assert summary["failed"] == 0
+    # A static, fixed-delay mix: every session must have run on its tick
+    # lane.  A lane that silently declined measured a different program.
+    for row in first["rows"]:
+        assert (row["lane_used"], row["fallback_reason"]) == (
+            "vector", None), row["query_id"]
 
     # Per-query determinism: identical values and identical per-query
     # cost attribution, query by query, across independent service runs.

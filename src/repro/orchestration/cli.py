@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from typing import List, Optional, Sequence
 
 from repro.obs.logconfig import configure as configure_logging, get_logger
@@ -688,6 +689,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     printable = {key: value for key, value in summary.items()
                  if not isinstance(value, (list, dict))}
     print(format_table([printable], title="Service summary"))
+    # Sessions the lane gate refused ran the per-message spec loop: same
+    # answers, another cost.  One line per reason, so a sweep that
+    # expected the batch path sees that (and why) it did not get it.
+    reasons = Counter(row["fallback_reason"] for row in rows
+                      if row.get("fallback_reason") is not None)
+    for reason, count in sorted(reasons.items()):
+        print(f"{count} of {len(rows)} sessions ran the spec loop: {reason}")
     if args.json or args.metrics_out:
         import json
 

@@ -255,6 +255,7 @@ class ConvergecastBatchKernel:
         dropped = 0
         max_depth = lane.max_depth
         tracer = lane.tracer
+        qid = lane.qid
         sent_at = lane.sent_at
         for rank, sender, dests, kind, incoming, sender_depth, depth in entries:
             is_broadcast = kind == broadcast_kind
@@ -263,14 +264,15 @@ class ConvergecastBatchKernel:
                 if not alive[dest]:
                     dropped += 1  # lost to a host that failed in flight
                     if tracer is not None:
-                        tracer.drop(now, dest)
+                        tracer.drop(now, dest, qid)
                     continue
                 counts[dest] += 1
                 delivered = True
                 if tracer is not None:
                     # Recorded before the handler body runs, the spec
                     # loop's deliver-then-dispatch order.
-                    tracer.deliver(now, sender, dest, kind, depth, sent_at)
+                    tracer.deliver(now, sender, dest, kind, depth, sent_at,
+                                   qid)
                 host = hosts[dest]
                 if not is_broadcast:
                     host.take_report(incoming)
@@ -311,13 +313,14 @@ class ConvergecastBatchKernel:
         alive = lane.alive_bytes
         report_kind = self.report_kind
         tracer = lane.tracer
+        qid = lane.qid
         for host_id, depth, rank in bucket:
             if not alive[host_id]:
                 continue  # dead hosts' timers expire silently
             if tracer is not None:
                 # The spec loop records every fired timer on an alive
                 # host before its handler runs.
-                tracer.timer(now, host_id, "report")
+                tracer.timer(now, host_id, "report", qid)
             host = hosts[host_id]
             partial = host.partial
             for parent in host.report_due():

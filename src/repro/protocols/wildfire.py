@@ -486,6 +486,7 @@ class WildfireBatchKernel:
         dropped = 0
         max_depth = lane.max_depth
         tracer = lane.tracer
+        qid = lane.qid
         sent_at = lane.sent_at
         for rank, sender, dests, kind, incoming, dist, depth in entries:
             delivered = False
@@ -493,14 +494,15 @@ class WildfireBatchKernel:
                 if not alive[dest]:
                     dropped += 1
                     if tracer is not None:
-                        tracer.drop(now, dest)
+                        tracer.drop(now, dest, qid)
                     continue
                 counts[dest] += 1
                 delivered = True
                 if tracer is not None:
                     # Recorded before the handler body runs, the spec
                     # loop's deliver-then-dispatch order.
-                    tracer.deliver(now, sender, dest, kind, depth, sent_at)
+                    tracer.deliver(now, sender, dest, kind, depth, sent_at,
+                                   qid)
                 deadline = deadlines[dest]
                 if deadline is None:  # inactive
                     if now >= gdl:
@@ -616,6 +618,7 @@ class WildfireBatchKernel:
         wireless = lane.wireless
         out = lane.out_records
         tracer = lane.tracer
+        qid = lane.qid
         sent = 0
         wireless_extra = 0
         for host_id, depth, rank in bucket:
@@ -624,7 +627,7 @@ class WildfireBatchKernel:
             if tracer is not None:
                 # The spec loop records every fired timer on an alive
                 # host before its handler runs.
-                tracer.timer(now, host_id, FLUSH)
+                tracer.timer(now, host_id, FLUSH, qid)
             # -- WildfireHost.on_timer(FLUSH), stated again: 43 418
             # flushes a 6 000-host flood; sharing the handler was
             # measured (a call plus a (targets, agg) tuple per flush,
@@ -655,7 +658,7 @@ class WildfireBatchKernel:
                         # session_multicast's record: dest -1, width as
                         # the count.
                         tracer.send(now, host_id, -1, CONVERGECAST,
-                                    len(targets))
+                                    len(targets), qid)
                     out.append((rank, host_id, targets, CONVERGECAST, agg,
                                 host.distance, depth + 1))
                 host._reply_to = None

@@ -6,7 +6,17 @@ that a solo :class:`~repro.simulation.engine.Simulator` runs with one
 session -- plus what only a multi-tenant service has:
 
 * the QUERY_START control plane: shared-flood subscription, admission
-  control, then the lazy launch of the session's protocol state;
+  control, the lazy launch of the session's protocol state, then the
+  lane gate (:func:`~repro.simulation.vector_lane.plan_run`, the one a
+  solo run consults).  A session it admits gets its own tick lane and
+  one calendar entry per *instant* of its query-local clock -- popping
+  the entry runs the lane's step, the batch kernel's body of that
+  instant, and files the next -- instead of one entry per message; a
+  session it refuses (variable delay, join churn, hosts no kernel
+  drives) runs per message as before, with the reason on its row.
+  Either way the calendar is the only ordering authority: QUERY_START,
+  FAIL and retirement are where they were, and a FAIL fans out to the
+  host objects the kernels mutate;
 * retirement: sessions leave the demux table the moment simulation time
   passes their termination instant -- their declared value and cost sink
   are kept, their per-host protocol state (the dominant memory cost at
@@ -14,8 +24,11 @@ session -- plus what only a multi-tenant service has:
   number of *concurrently active* queries, not to the total served;
 * late-delivery tallies: messages of a retired session still in flight
   are counted as ``late_messages`` and dropped without waking protocol
-  code;
-* per-tenant queue depth and the sharded drive's summary merge.
+  code (a lane's leftovers are filed as the deliveries they are once
+  its window holds no further instant, so they are tallied when they
+  would have landed);
+* per-tenant queue depth -- calendar entries plus what each lane holds,
+  in the same weights -- and the sharded drive's summary merge.
 
 Per-session state (seed stream, delay-model stream, cost sink, virtual
 clock) is fully private, so the stimulus sequence one query observes is
@@ -27,6 +40,7 @@ reproducible under any interleaving.
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.trace import Tracer
@@ -37,6 +51,7 @@ from repro.simulation.events import Event, EventKind, _DeliverBatch
 from repro.simulation.host import HostContext
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
+from repro.simulation.vector_lane import _TickLane, plan_run
 
 
 class MuxEngine(EventEngine):
@@ -119,6 +134,14 @@ class MuxEngine(EventEngine):
             else:
                 continue
             depths[qid] = depths.get(qid, 0) + weight
+        # A tick-path session's work sits in its lane, not the calendar
+        # (which holds one entry for its next instant): count it with
+        # the calendar's own weights, so the admission gates trip where
+        # they would on the spec loop.
+        for qid, session in self._active.items():
+            held = session.lane.pending() if session.lane is not None else 0
+            if held:
+                depths[qid] = depths.get(qid, 0) + held
         return depths
 
     # ------------------------------------------------------------------
@@ -232,7 +255,47 @@ class MuxEngine(EventEngine):
             if self.tracer is not None:
                 self.tracer.session(0.0, session.qid, "launch",
                                     session.protocol.name)
-            self._issue_query(session, session.querying_host, time, ctx)
+            kernel, session.fallback_reason = plan_run(self, session)
+            if kernel is None:
+                session.lane_used = "python"
+                self._issue_query(session, session.querying_host, time, ctx)
+            else:
+                # The lane runs until the engine stops stepping it: its
+                # instants are ordered here, against everything else.
+                session.lane_used = "vector"
+                session.lane = _TickLane(self, session, kernel, inf)
+                self.lane_stepped(session, session.lane.start())
+
+    def lane_stepped(self, session: QuerySession, v_next: float) -> None:
+        """Book the instant ``session``'s lane just ran and file its next.
+
+        The instant's sends and drops reach the session's sink and the
+        engine tallies now, so a sliced drive reads what one drain
+        would.  The lane works in query-local time; only the calendar
+        key is ``t0 + v_next``, at CUSTOM priority -- after the
+        QUERY_STARTs and before the FAILs of that engine instant, the
+        only kinds a tick-path session can share one with.  Two instants
+        an ulp apart that round to one engine time are two entries, in
+        filing order.  Once no instant is left inside the window, what
+        is still in flight would have landed late: it goes to the
+        calendar as the deliveries it is, for :meth:`_late` to tally
+        when they land.
+        """
+        lane = session.lane
+        sent, dropped = lane.flush_tallies(session.sink)
+        self.messages_sent += sent
+        self.dropped_messages += dropped
+        t0 = session.t0
+        if v_next <= session.termination:
+            self._queue.push(t0 + v_next, EventKind.CUSTOM,
+                             data=session.step)
+            return
+        for v_land, records, sent_at in lane.in_flight:
+            for _, sender, dests, kind, _, _, depth in records:
+                self._queue.push_multicast(
+                    t0 + v_land, sender, dests, kind, None, sent_at, depth,
+                    self.wireless, session.qid, v_land)
+        lane.in_flight.clear()
 
 
 def merge_shard_summaries(summaries: Sequence[Mapping[str, Any]],

@@ -17,6 +17,16 @@ Combined with per-session RNG, delay-model and accounting streams, a
 query's stimulus sequence inside the service is *bit-identical* to a solo
 :func:`~repro.protocols.base.run_protocol` execution with the same seed
 (the service test suite pins this).
+
+A session the lane gate admits at launch does not even share the
+calendar's arithmetic: it owns a tick lane
+(:class:`~repro.simulation.vector_lane._TickLane`) that keeps its
+in-flight records and timers in query-local time, and the engine files
+one calendar entry per lane instant (:meth:`QuerySession.step` is what
+the entry runs).  ``lane_used`` / ``fallback_reason`` on the session and
+its outcome row say which path ran; :meth:`QuerySession.finalize`
+replays the lane's flat counters into the cost sink before anything
+reads it and drops the lane with the host table.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from repro.queries.query import AggregateQuery
 from repro.simulation.engine import Session
 from repro.simulation.host import ProtocolHost
 from repro.simulation.stats import CostAccounting
+from repro.simulation.vector_lane import replay_accounting
 from repro.sketches.combiners import Combiner
 from repro.topology.base import Topology
 
@@ -68,6 +79,13 @@ class QueryOutcome:
         stream: caller-supplied user-stream tag (reports of one
             continuous query share it); ``None`` when untagged.
         extra: caller-supplied metadata attached at submit time.
+        lane_used: the path that executed the query -- ``"vector"`` (its
+            own tick lane, stepped by the event loop) or ``"python"``
+            (the per-message spec loop); a shared-flood subscriber
+            reports its leader's.  ``None`` until launch, and for a
+            query that never launched (shed, failed at launch).
+        fallback_reason: why the lane gate refused the session
+            (``None`` when the lane ran).
     """
 
     query_id: int
@@ -84,6 +102,8 @@ class QueryOutcome:
     termination: float = 0.0
     stream: Optional[int] = None
     extra: Dict[str, Any] = field(default_factory=dict)
+    lane_used: Optional[str] = None
+    fallback_reason: Optional[str] = None
 
     def as_row(self) -> Dict[str, Any]:
         """Flatten into a report-table row (submit-time metadata included,
@@ -98,6 +118,8 @@ class QueryOutcome:
             "declared_at": self.declared_at,
             "value": self.value,
             "seed": self.seed,
+            "lane_used": self.lane_used,
+            "fallback_reason": self.fallback_reason,
         }
         if self.stream is not None:
             row["stream"] = self.stream
@@ -117,11 +139,12 @@ class QuerySession(Session):
     """
 
     __slots__ = (
-        "protocol", "query", "querying_host", "seed", "launch_at",
+        "protocol", "query", "seed", "launch_at",
         "repetitions", "combiner", "d_hat_hint", "delay_spec",
         "topology", "values", "stream", "extra",
         # launch-time state
         "status", "delay_model", "d_hat", "value", "declared_at",
+        "lane", "lane_used", "fallback_reason",
         # shared-flood cache wiring
         "share_key", "shared_from",
     )
@@ -144,10 +167,10 @@ class QuerySession(Session):
         stream: Optional[int] = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> None:
-        super().__init__(qid, join_factory=join_factory)
+        super().__init__(qid, join_factory=join_factory,
+                         querying_host=querying_host)
         self.protocol = protocol
         self.query = query
-        self.querying_host = querying_host
         self.seed = seed
         self.launch_at = float(launch_at)
         self.repetitions = repetitions
@@ -165,6 +188,11 @@ class QuerySession(Session):
         self.termination = 0.0
         self.value: Optional[float] = None
         self.declared_at: Optional[float] = None
+        # The gate's verdict at launch: the session's own tick lane
+        # while it runs on one, and what the outcome row reports.
+        self.lane = None
+        self.lane_used: Optional[str] = None
+        self.fallback_reason: Optional[str] = None
         # Set by the service when flood sharing is on: the session's
         # computation key, and (after subscription) the in-flight
         # computation this session rides instead of flooding itself.
@@ -219,6 +247,11 @@ class QuerySession(Session):
         self.status = QueryStatus.RUNNING
         return True
 
+    def step(self, engine: "MuxEngine") -> None:
+        """The calendar entry of a tick-path session came due: run its
+        lane's earliest pending instant and hand the engine the next."""
+        engine.lane_stepped(self, self.lane.step())
+
     def attach_shared(self, comp, now: float) -> None:
         """Go live as a *subscriber* of an in-flight shared computation.
 
@@ -238,6 +271,8 @@ class QuerySession(Session):
         self.ends_at = now + self.termination
         self.status = QueryStatus.RUNNING
         self.shared_from = comp
+        self.lane_used = leader.lane_used
+        self.fallback_reason = leader.fallback_reason
         self.extra["cache_hit"] = True
         self.extra["shared_with"] = leader.qid
         comp.subscribers.append(self.qid)
@@ -256,6 +291,11 @@ class QuerySession(Session):
             self.shared_from = None
             return
         assert self.hosts is not None
+        if self.lane is not None:
+            # What the lane still holds flat (receive counts, chain
+            # depth, wireless groups) lands in the sink before anyone --
+            # a subscriber's fork, the admission charge -- reads it.
+            replay_accounting(self.sink, [self.lane.accounting()])
         self.value = self.hosts[self.querying_host].local_result()
         self.declared_at = self.ends_at
         self.status = QueryStatus.DONE
@@ -263,6 +303,7 @@ class QuerySession(Session):
         # state machine per network host); the result and the cost sink
         # are all that outlives the declaration.
         self.hosts = None
+        self.lane = None
         self.sample = None
         self.delay_model = None
 
@@ -283,4 +324,6 @@ class QuerySession(Session):
             termination=self.termination,
             stream=self.stream,
             extra=dict(self.extra),
+            lane_used=self.lane_used,
+            fallback_reason=self.fallback_reason,
         )

@@ -27,7 +27,10 @@ calendar :class:`~repro.simulation.events.EventQueue`:
 retires (``qid 0``, ``t0 = 0.0``) plus the kernel-lane gate in front of
 the loop; the multi-tenant :class:`~repro.service.engine.MuxEngine` adds
 what only a service has -- the QUERY_START control plane, session
-retirement and late-delivery tallies.
+retirement and late-delivery tallies -- and asks the same gate per
+session: an admitted one is stepped an instant at a time by this loop
+(one CUSTOM calendar entry per instant of its tick lane) instead of
+delivered a message at a time.
 """
 
 from __future__ import annotations
@@ -91,13 +94,14 @@ class Session:
         ends_at: the same instant in engine time.
         join_factory: builds the protocol state of a host that joins
             mid-query (``None`` = an :class:`InertHost`).
+        querying_host: the host the query is issued at.
 
     A fresh session never expires (``termination = ends_at = inf``); the
     query service narrows both at launch.
     """
 
     __slots__ = ("qid", "t0", "hosts", "sink", "sample", "termination",
-                 "ends_at", "join_factory")
+                 "ends_at", "join_factory", "querying_host")
 
     def __init__(
         self,
@@ -106,8 +110,10 @@ class Session:
         sink: Optional[CostAccounting] = None,
         sample: Optional[Callable[[int, int, float], float]] = None,
         join_factory: Optional[Callable[[int], ProtocolHost]] = None,
+        querying_host: int = 0,
     ) -> None:
         self.qid = qid
+        self.querying_host = querying_host
         self.t0 = 0.0
         self.hosts = hosts
         self.sink = sink
@@ -548,7 +554,8 @@ class Simulator(EventEngine):
         #: The run's one session: launched at 0, never retired.
         self.session = Session(
             0, self.hosts, self.costs,
-            None if self.delay_model is None else self.delay_model.sample)
+            None if self.delay_model is None else self.delay_model.sample,
+            querying_host=querying_host)
         self._active[0] = self.session
         self.lane = validate_lane(lane)
         if int(shards) < 1:

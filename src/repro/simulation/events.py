@@ -58,7 +58,9 @@ class EventKind(enum.Enum):
     FAIL = "fail"        # a host leaves the network
     JOIN = "join"        # a host joins the network
     QUERY_START = "query_start"  # the querying host initiates the protocol
-    CUSTOM = "custom"    # extension hook for experiment drivers
+    # A callable run with the engine: driver hooks, and each instant of
+    # a service session's tick lane.
+    CUSTOM = "custom"
 
 
 #: Tie-breaking priority for events scheduled at the same instant.  Message

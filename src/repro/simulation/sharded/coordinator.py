@@ -13,9 +13,10 @@ single-process engine.  The sequence:
    then the tick lanes' shared :func:`~repro.simulation.vector_lane.plan_run`
    (fixed delay, no joins, kernel-supported hosts -- here WILDFIRE's
    only: the pre-pass below and the canonical keys are derived from its
-   Broadcast-first activation order), which returns the failure plan
-   read off the churn schedule -- the query start at time 0 is the
-   lane's own first step -- or names the reason, having touched nothing.
+   Broadcast-first activation order), which names the reason, having
+   touched nothing, or admits the run; the failure plan is then read
+   off the churn schedule (the query start at time 0 is the lane's own
+   first step).
 2. **Activation pre-pass** -- compute every host's global activation
    rank content-independently on a throwaway network copy.  WILDFIRE
    activations are caused by Broadcast records only (any Convergecast
@@ -51,7 +52,8 @@ from repro.simulation.sharded.worker import (
     _worker_main,
     local_exchange,
 )
-from repro.simulation.vector_lane import plan_run, replay_accounting
+from repro.simulation.vector_lane import (failure_plan, plan_run,
+                                          replay_accounting)
 
 __all__ = ["run_sharded"]
 
@@ -84,10 +86,11 @@ def run_sharded(simulator, horizon: float):
             bounds = simulator.network.partition_bounds(shards)
         except ValueError:
             reason = "network is not range-partitionable"
-    kernel, fails, reason = plan_run(simulator, horizon, reason,
-                                     kernels=(WildfireBatchKernel,))
+    kernel, reason = plan_run(simulator, simulator.session, reason,
+                              kernels=(WildfireBatchKernel,))
     if reason is not None:
         return None, reason
+    fails = failure_plan(simulator._churn, horizon)
 
     act_rank, act_order = _activation_prepass(simulator, fails, horizon)
     draws_by_shard = _predraw(simulator.hosts, act_order, bounds, shards)
@@ -110,9 +113,10 @@ def run_sharded(simulator, horizon: float):
     if shards == 1:
         child_tracer = (RingTracer(trace_conf[0], trace_conf[1])
                         if trace_conf is not None else None)
-        lane = _ShardLane(simulator, kernel, horizon, fails, 0, bounds,
-                          act_rank, local_exchange, tracer=child_tracer,
-                          wall_base=wall_base, progress_cells=cells)
+        lane = _ShardLane(simulator, simulator.session, kernel, horizon,
+                          fails, 0, bounds, act_rank, local_exchange,
+                          tracer=child_tracer, wall_base=wall_base,
+                          progress_cells=cells)
         lane.install_replay_rng(draws_by_shard[0])
         try:
             lane.run()

@@ -104,13 +104,13 @@ class _ShardLane(_TickLane):
     the RNG tape, its own tracer and the per-epoch timeline.
     """
 
-    def __init__(self, simulator, kernel, horizon: float,
+    def __init__(self, engine, session, kernel, horizon: float,
                  fails: Sequence[Tuple[float, int]], shard: int,
                  bounds: Sequence[int], act_rank: Sequence[Optional[int]],
                  barrier: Callable[["_ShardLane", float], Tuple[list, int]],
                  tracer=None, wall_base: float = 0.0,
                  progress_cells=None) -> None:
-        super().__init__(simulator, kernel, horizon, fails,
+        super().__init__(engine, session, kernel, horizon, fails,
                          lo=bounds[shard], hi=bounds[shard + 1])
         self.shard = shard
         self.act_rank = act_rank
@@ -269,11 +269,11 @@ class _ShardLane(_TickLane):
     # Result shipping
     # ------------------------------------------------------------------
     def collect_result(self) -> Dict[str, Any]:
-        qh = self.sim.querying_host
+        qh = self.querying_host
         result = self.accounting()
         result.update({
             "shard": self.shard,
-            "finished_at": self.sim.clock.now,
+            "finished_at": self.clock.now,
             "metrics": {
                 "epochs": self.epochs,
                 "barrier_wait_s": round(self.barrier_wait, 6),
@@ -466,7 +466,8 @@ def _worker_main(simulator, kernel, shard: int, shards: int,
             capacity, sampling = trace_conf
             tracer = RingTracer(capacity, sampling)
         lane = _ShardLane(
-            simulator, kernel, horizon, fails, shard, bounds, act_rank,
+            simulator, simulator.session, kernel, horizon, fails, shard,
+            bounds, act_rank,
             make_pipe_exchange(shard, shards, bounds, senders, receivers),
             tracer=tracer, wall_base=wall_base,
             progress_cells=progress_cells)

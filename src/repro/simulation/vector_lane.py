@@ -1,12 +1,13 @@
-"""The tick-lane skeleton and its in-process driver (the default lane).
+"""The tick-lane skeleton, one per session, and its drivers.
 
 Under the fixed-delay model every send of instant ``t`` lands at
 ``t + delta``, so the spec engine's one-Python-iteration-per-message
 drain can be replaced by *instant-at-a-time* processing.
 :class:`_TickLane` is that replacement, once: one flat list of delivery
 records per landing instant, a timer calendar, the bulk cost counters,
-and one instant loop -- query start, failures inside the window, the
-instant's deliveries, its timers, failures at the instant -- that hands
+and the body of an instant stated as one resumable step
+(:meth:`_TickLane.step`: the instant's deliveries, then its timers, then
+file what it emitted and return the next pending instant) that hands
 each batch to the batch kernel the host class names
 (:class:`~repro.protocols.wildfire.WildfireBatchKernel`,
 :class:`~repro.protocols.dag.ConvergecastBatchKernel` for SPANNINGTREE
@@ -14,8 +15,23 @@ and DAG-k).  Per delivery this costs a couple of index operations and a
 comparison instead of a calendar-queue round trip, a
 :class:`~repro.simulation.messages.Message` allocation, a context rebind
 and a method-dispatch chain; cost accounting is accumulated flat and
-replayed into the stats sink in bulk at the end of the run
-(:func:`replay_accounting`).
+replayed into the stats sink in bulk (:func:`replay_accounting`).
+
+A lane belongs to one :class:`~repro.simulation.engine.Session` -- its
+host table, query id and querying host -- on one engine's network, and
+works in the session's query-local time throughout.  It never orders
+itself against anything else; a driver does, and there are two:
+
+* **its own clock** (:meth:`_TickLane.run`): a solo run, the one-session
+  case, owns the network, so the lane takes the failure schedule
+  straight from the churn schedule, applies it between steps and
+  advances the simulator's clock itself;
+* **the engine's calendar** (:class:`~repro.service.engine.MuxEngine`):
+  a service session shares the network with other tenants, so the one
+  event loop files one calendar entry per session instant, at engine
+  time ``t0 + v``, and popping it runs :meth:`_TickLane.step`; failures,
+  query starts and retirement stay calendar events, ordered against the
+  step by the calendar's own priorities.
 
 The timer calendar is a dict of per-instant registration lists keyed by
 the *exact float* the spec host computes, plus a heap of its distinct
@@ -24,11 +40,12 @@ flush registers at ``now`` and fires in the instant that registered it;
 a convergecast report registers at
 ``now + max(0.0, (2 * d_hat - depth) * delta - now)``, which for a
 non-dyadic ``delta`` can sit one ulp before or after the
-tick-accumulated delivery instant it nominally shares.  The loop
-therefore advances to ``min(next landing instant, next timer instant)``
-by float comparison -- exactly the spec calendar's order, so a report
+tick-accumulated delivery instant it nominally shares.  The next instant
+is therefore ``min(next landing instant, next timer instant)`` by float
+comparison -- exactly the solo spec calendar's order, so a report
 landing one ulp after its parent's timer is lost here as it is there --
-and stops only when nothing is in flight and no timer is pending.
+and a lane is done only when nothing is in flight and no timer is
+pending.
 
 Used as is, the skeleton is the vector lane: one process owns every
 host, :meth:`_TickLane.exchange` files the list just emitted (append
@@ -56,22 +73,26 @@ harness:
   ``costs.fingerprint()`` matches;
 * the golden matrix and the differential axes in
   ``tests/integration/test_protocol_matrix.py`` pin value, fingerprint
-  and declaration time across topologies, churn and combiners.
+  and declaration time across topologies, churn and combiners, and
+  ``tests/service/test_service.py`` pins a service session to its solo
+  spec run across launch offsets, ``delta`` and failure placements.
 
 Engagement is the gate's decision, not the caller's (:func:`plan_run`):
 ``"vector"`` is :data:`DEFAULT_LANE`, and a lane runs only when delay is
-fixed, churn has no joins, nothing was queued before the first ``run()``
-and the host class names a batch kernel that accepts the host table; the
-sharded lane additionally refuses any kernel but WILDFIRE's and any
-tracer but the exact ``RingTracer``.  The gate reads the run's inputs,
-never the queue's contents, and is consulted before the queue is primed:
-an engaged lane takes the failure schedule straight from the churn
-schedule and runs the query start itself, a refused run is primed for
-the spec loop with the reason returned beside the result, and
-``Simulator.run`` records it on ``SimulationResult.fallback_reason`` and
-``lane_used``.  Traced or not, a configuration has one execution: the
-lane reports to the simulator's tracer through the same hooks, at the
-same points and with the same floats as the spec loop.
+fixed, churn has no joins, nothing was queued before a solo run's first
+``run()`` and the host class names a batch kernel that accepts the host
+table; the sharded lane additionally refuses any kernel but WILDFIRE's
+and any tracer but the exact ``RingTracer``.  The gate reads the query's
+inputs, never the queue's contents.  A solo run consults it before the
+queue is primed: a refused run is primed for the spec loop with the
+reason returned beside the result, and ``Simulator.run`` records it on
+``SimulationResult.fallback_reason`` and ``lane_used``.  The service
+consults it at each session's launch and records the same two facts on
+the session's row; a refused session runs the spec loop beside the
+admitted ones.  Traced or not, a configuration has one execution: the
+lane reports to the engine's tracer through the same hooks, at the same
+points, with the same floats and under the session's query id, as the
+spec loop does.
 """
 
 from __future__ import annotations
@@ -106,49 +127,54 @@ def validate_lane(lane: str) -> str:
     return lane
 
 
-def plan_run(simulator, horizon: float, lane_reason: Optional[str] = None,
+def plan_run(engine, session, lane_reason: Optional[str] = None,
              kernels: Optional[tuple] = None):
-    """The engagement gate and failure plan both tick lanes share.
+    """The engagement gate every tick lane shares.
 
-    A pure function of what the run was given, consulted before
-    :meth:`Simulator.run` primes the queue: returns
-    ``(kernel, fails, None)`` when the run can be driven
-    instant-at-a-time -- ``fails`` being the churn schedule's failures
-    due by ``horizon`` as ``(time, host)`` in stable time order, exactly
-    the calendar's ``(time, seq)`` drain order -- or
-    ``(None, None, reason)``, and then nothing was consumed because
-    nothing was touched.  ``lane_reason`` is the verdict of the calling
-    lane's own checks (what forking and the trace merge need); ``None``
-    = passed.  The queue must be empty: anything a driver pushed before
-    the first ``run()`` (timers, custom events, external deliveries)
-    belongs to a protocol the lanes do not know about.  The kernel is
-    the one the querying host's class names as ``batch_kernel``; whether
-    it accepts this host table is its ``try_build``'s call.  ``kernels``
-    is the sharded lane's restriction to the kernel classes it can drive
-    (``None`` = any).
+    A pure function of what the query was given: returns
+    ``(kernel, None)`` when ``session`` can be driven instant-at-a-time
+    on ``engine``'s network, or ``(None, reason)`` -- and then nothing
+    was consumed because nothing was touched.  ``lane_reason`` is the
+    verdict of the calling lane's own checks (what forking and the trace
+    merge need); ``None`` = passed.  An engine that has not primed its
+    calendar yet (a solo or sharded run, which the lane then drives on
+    its own clock) must hold an empty queue: anything a driver pushed
+    before the first ``run()`` (timers, custom events, external
+    deliveries) belongs to a protocol the lanes do not know about.  On
+    a running calendar (the query service) the lane is stepped *from*
+    the queue, so whatever else is filed there keeps its place.  The
+    kernel is the one the querying host's class names as
+    ``batch_kernel``; whether it accepts this host table is its
+    ``try_build``'s call.  ``kernels`` is the sharded lane's restriction
+    to the kernel classes it can drive (``None`` = any).
     """
-    if simulator.delay_model is not None:
-        return None, None, "variable delay model"
+    if session.sample is not None:
+        return None, "variable delay model"
     if lane_reason is not None:
-        return None, None, lane_reason
-    churn = simulator._churn
-    if churn.joins:
-        return None, None, "join churn scheduled"
-    if len(simulator._queue) != 0:
-        return None, None, "unexpected pre-queued events"
-    hosts = simulator.hosts
-    kernel_class = getattr(type(hosts[simulator.querying_host]),
-                           "batch_kernel", None)
+        return None, lane_reason
+    if engine._churn.joins:
+        return None, "join churn scheduled"
+    if not engine._churn_scheduled and len(engine._queue) != 0:
+        return None, "unexpected pre-queued events"
+    hosts = session.hosts
+    querying_host = session.querying_host
+    kernel_class = getattr(type(hosts[querying_host]), "batch_kernel", None)
     kernel = None
     if kernel_class is not None and (kernels is None
                                      or kernel_class in kernels):
         kernel = kernel_class.try_build(
-            hosts, simulator.network.num_hosts, simulator.querying_host)
+            hosts, engine.network.num_hosts, querying_host)
     if kernel is None:
-        return None, None, "unsupported protocol hosts or combiner"
-    fails = sorted((fail for fail in churn.failures if fail[0] <= horizon),
-                   key=itemgetter(0))
-    return kernel, fails, None
+        return None, "unsupported protocol hosts or combiner"
+    return kernel, None
+
+
+def failure_plan(churn, horizon: float) -> List[Tuple[float, int]]:
+    """The failures a lane on its own clock applies itself: the churn
+    schedule's, due by ``horizon``, as ``(time, host)`` in stable time
+    order -- exactly the calendar's ``(time, seq)`` drain order."""
+    return sorted((fail for fail in churn.failures if fail[0] <= horizon),
+                  key=itemgetter(0))
 
 
 def maybe_run(simulator, horizon: float):
@@ -160,46 +186,61 @@ def maybe_run(simulator, horizon: float):
     """
     from repro.simulation.engine import SimulationResult
 
-    kernel, fails, reason = plan_run(simulator, horizon)
+    session = simulator.session
+    kernel, reason = plan_run(simulator, session)
     if reason is not None:
         return None, reason
-    lane = _TickLane(simulator, kernel, horizon, fails)
+    lane = _TickLane(simulator, session, kernel, horizon,
+                     failure_plan(simulator._churn, horizon))
     lane.run()
-    replay_accounting(simulator.costs, [lane.accounting()])
+    replay_accounting(session.sink, [lane.accounting()])
     return SimulationResult(
-        value=simulator.hosts[simulator.querying_host].local_result(),
-        costs=simulator.costs,
+        value=session.hosts[session.querying_host].local_result(),
+        costs=session.sink,
         finished_at=simulator.clock.now,
-        querying_host=simulator.querying_host,
+        querying_host=session.querying_host,
     ), None
 
 
 class _TickLane:
-    """One engaged tick-lane run over hosts ``[lo, hi)`` (see the module
-    docstring); the whole host range unless a subclass narrows it."""
+    """One session's engaged tick lane over hosts ``[lo, hi)`` (see the
+    module docstring); the whole host range unless a subclass narrows it.
 
-    def __init__(self, simulator, kernel, horizon: float,
-                 fails: Sequence[Tuple[float, int]], lo: int = 0,
+    It keeps what it needs of the engine and the session by value -- the
+    network, the clock, the tracer, the host table, the query id -- and
+    no reference to either, so a live lane closes no cycle through the
+    session that holds it.
+    """
+
+    def __init__(self, engine, session, kernel, horizon: float,
+                 fails: Sequence[Tuple[float, int]] = (), lo: int = 0,
                  hi: Optional[int] = None) -> None:
-        self.sim = simulator
         self.kernel = kernel
+        #: Last query-local instant whose emissions are still filed;
+        #: ``inf`` under a driver that stops the lane itself.
         self.horizon = horizon
-        #: The run's whole failure schedule; every lane applies all of it
-        #: to its own network, so alive bitmaps agree at every instant.
+        #: The failure plan of a lane on its own clock (:meth:`run`):
+        #: the run's whole schedule, which every such lane applies to its
+        #: own network, so alive bitmaps agree at every instant.  Empty
+        #: when the engine's calendar applies the failures.
         self.fails = fails
         self._fail_index = 0
-        network = simulator.network
+        #: Stamped on every trace record (0 for a solo run).
+        self.qid = session.qid
+        self.querying_host = session.querying_host
+        self.clock = engine.clock
+        network = engine.network
         n = network.num_hosts
         self.num_hosts = n
         self.lo = lo
         self.hi = n if hi is None else hi
-        self.hosts = simulator.hosts
+        self.hosts = session.hosts
         self.network = network
-        self.delta = simulator.delta
-        self.wireless = simulator.wireless
+        self.delta = engine.delta
+        self.wireless = engine.wireless
         #: Trace sink the kernel and the submit paths report to (one
         #: pointer check per hook when there is none).
-        self.tracer = simulator.tracer
+        self.tracer = engine.tracer
         #: The network's own packed alive bitmap (one byte per host);
         #: failures the lane applies show through immediately.
         self.alive_bytes = network._alive
@@ -221,7 +262,8 @@ class _TickLane:
         self.timers: Dict[float, List[tuple]] = {}
         self.timer_heap: List[float] = []
         # Accounting, accumulated flat and replayed into the stats sink
-        # at the end of the run: per-host receive counts, and per
+        # in bulk (at the end of a solo run; sends and drops per stepped
+        # instant under the service): per-host receive counts, and per
         # (time, kind) send totals -- the sink counters these feed are
         # commutative sums, so a handful of ``record_send_batch`` calls
         # rebuild exactly what per-send recording would have.
@@ -270,7 +312,7 @@ class _TickLane:
         if self.tracer is not None:
             # The spec engine's session_multicast record: one send with
             # dest -1 and the multicast width as its count.
-            self.tracer.send(time, sender, -1, kind, len(dests))
+            self.tracer.send(time, sender, -1, kind, len(dests), self.qid)
         self.out_records.append(
             (0, sender, dests, kind, agg, dist, chain_depth))
 
@@ -284,7 +326,7 @@ class _TickLane:
             return False
         self.send_acc[(time, kind)] += 1
         if self.tracer is not None:
-            self.tracer.send(time, sender, dest, kind)
+            self.tracer.send(time, sender, dest, kind, 1, self.qid)
         self.out_records.append(
             (rank, sender, (dest,), kind, agg, dist, chain_depth))
         return True
@@ -300,7 +342,7 @@ class _TickLane:
         return bucket
 
     # ------------------------------------------------------------------
-    # The instant loop
+    # The instant: one step, and the driver of a lane on its own clock
     # ------------------------------------------------------------------
     def exchange(self, t_next: float, sent_at: float) -> None:
         """File the records emitted at instant ``sent_at`` under their
@@ -316,60 +358,88 @@ class _TickLane:
     def end_instant(self, t: float) -> None:
         """Per-instant bookkeeping hook (nothing in process)."""
 
+    def next_instant(self) -> float:
+        """The earliest pending query-local instant -- the earlier of
+        the next landing instant and the next timer instant, by float
+        comparison -- or ``inf`` when nothing is in flight (run-wide:
+        every lane files the same landing instants) and no timer is
+        pending."""
+        in_flight = self.in_flight
+        timer_heap = self.timer_heap
+        t_next = in_flight[0][0] if in_flight else _NEVER
+        if timer_heap and timer_heap[0] < t_next:
+            t_next = timer_heap[0]
+        return t_next
+
+    def _file(self, t: float) -> float:
+        """File what instant ``t`` emitted (inside the horizon) and
+        return the next pending instant."""
+        t_land = t + self.delta
+        if t_land <= self.horizon:
+            self.exchange(t_land, t)
+        return self.next_instant()
+
+    def start(self) -> float:
+        """Instant 0: the unmodified query-start hook at the querying
+        host (when this lane owns it and it is alive), run against this
+        lane; returns as :meth:`step` does."""
+        qh = self.querying_host
+        if self.lo <= qh < self.hi and self.alive_bytes[qh]:
+            self.hosts[qh].on_query_start(HostContext(self, None, qh, 0.0, 0))
+            self.kernel.refresh_host(qh)
+        return self._file(0.0)
+
+    def step(self) -> float:
+        """Run the earliest pending instant; return the next one.
+
+        The body of an instant, stated once for every driver: its
+        deliveries in rank order, then its timers in registration order
+        (those registered by the instant's own deliveries included),
+        then file what it emitted.  All of it happens in query-local
+        time -- instants are accumulated as the spec does (``t +
+        delta``; timers at the exact float the spec host computes) --
+        and none of it touches a clock or applies a failure: whoever
+        drives the lane orders its instants against everything else.
+        """
+        t = self.next_instant()
+        kernel = self.kernel
+        in_flight = self.in_flight
+        timer_heap = self.timer_heap
+        while in_flight and in_flight[0][0] == t:
+            _, entries, self.sent_at = in_flight.popleft()
+            if entries:
+                kernel.process_instant(t, entries, self)
+        while timer_heap and timer_heap[0] == t:
+            heappop(timer_heap)
+            kernel.process_timer_bucket(t, self.timers.pop(t), self)
+        self.end_instant(t)
+        return self._file(t)
+
     def run(self) -> None:
-        """Drive the run one instant at a time.
+        """Drive the lane on its own clock and failure plan (a solo run
+        or one shard of one; the query service steps the lane from its
+        calendar instead).
 
         Instant ordering matches the spec calendar exactly: query start
         (QUERY_START outranks FAIL at time 0), then failures up to each
-        boundary, then the instant's deliveries in rank order, then its
-        timers in registration order (those registered by the instant's
-        own deliveries included), then failures at the instant itself
-        (FAIL has the lowest calendar priority).  The next instant is
-        the earlier of the next landing instant and the next timer
-        instant.  Ends when nothing is in flight run-wide (every lane
-        files the same landing instants, so all stop together) and no
-        timer is pending, or the next instant would pass the horizon;
-        failures scheduled after that still happen, as the spec loop
-        drains them.
+        boundary, then the instant (:meth:`step`), then failures at the
+        instant itself (FAIL has the lowest calendar priority).  Ends
+        when nothing is pending or the next instant would pass the
+        horizon; failures scheduled after that still happen, as the spec
+        loop drains them.
         """
-        sim = self.sim
-        kernel = self.kernel
-        delta = self.delta
         horizon = self.horizon
-        clock = sim.clock
-        in_flight = self.in_flight
-        timers = self.timers
-        timer_heap = self.timer_heap
+        clock = self.clock
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            qh = sim.querying_host
-            if self.lo <= qh < self.hi and self.alive_bytes[qh]:
-                self.hosts[qh].on_query_start(
-                    HostContext(self, None, qh, 0.0, 0))
-                kernel.refresh_host(qh)
+            t_next = self.start()
             self._apply_fails(0.0, inclusive=True)
-            t = 0.0
-            while True:
-                t_land = t + delta
-                if t_land <= horizon:
-                    self.exchange(t_land, t)
-                t_next = in_flight[0][0] if in_flight else _NEVER
-                if timer_heap and timer_heap[0] < t_next:
-                    t_next = timer_heap[0]
-                if t_next > horizon:  # or nothing is pending at all
-                    break
+            while t_next <= horizon:
                 self._apply_fails(t_next, inclusive=False)
                 clock._now = t = t_next
-                while in_flight and in_flight[0][0] == t:
-                    _, entries, self.sent_at = in_flight.popleft()
-                    if entries:
-                        kernel.process_instant(t, entries, self)
-                while timer_heap and timer_heap[0] == t:
-                    heappop(timer_heap)
-                    kernel.process_timer_bucket(t, timers.pop(t), self)
+                t_next = self.step()
                 self._apply_fails(t, inclusive=True)
-                self.end_instant(t)
             self._apply_fails(horizon, inclusive=True)
         finally:
             if gc_was_enabled:
@@ -378,14 +448,13 @@ class _TickLane:
     def _apply_fails(self, limit: float, inclusive: bool) -> None:
         """Apply the scheduled failures before (or through) ``limit``."""
         fails = self.fails
-        sim = self.sim
         index = self._fail_index
         while index < len(fails):
             time, host = fails[index]
             if time > limit or (time == limit and not inclusive):
                 break
             index += 1
-            sim.clock._now = time
+            self.clock._now = time
             if not self.alive_bytes[host]:
                 continue
             self.network.fail_host(host, time)
@@ -398,8 +467,31 @@ class _TickLane:
         self._fail_index = index
 
     # ------------------------------------------------------------------
-    # End-of-run accounting
+    # Accounting
     # ------------------------------------------------------------------
+    def pending(self) -> int:
+        """The work this lane holds, in the calendar's own weights: one
+        per destination of every in-flight record, one per registered
+        timer (dead hosts' included: the spec calendar holds both until
+        their instant pops)."""
+        return (sum(len(record[2]) for _, records, _ in self.in_flight
+                    for record in records)
+                + sum(map(len, self.timers.values())))
+
+    def flush_tallies(self, costs) -> Tuple[int, int]:
+        """Replay the sends and drops counted since the last call into
+        ``costs`` and forget them; returns ``(sent, dropped)``.  What a
+        driver that reports tallies mid-run (the query service) calls
+        per instant; :meth:`accounting` then carries the rest."""
+        sent = 0
+        for (time, kind), count in self.send_acc.items():
+            costs.record_send_batch(kind, time, count)
+            sent += count
+        self.send_acc.clear()
+        dropped, self.dropped = self.dropped, 0
+        costs.dropped_messages += dropped
+        return sent, dropped
+
     def accounting(self) -> Dict[str, Any]:
         """This lane's flat counters, as :func:`replay_accounting` (and
         the sharded result pipe) take them."""

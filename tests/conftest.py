@@ -11,6 +11,21 @@ from repro.workloads.values import zipf_values
 
 
 @pytest.fixture
+def pin_spec_loop(monkeypatch):
+    """Returns a callable that, from then on, makes the query service's
+    lane gate refuse every session, so each runs per message on the spec
+    loop.  The service has no lane knob; its differential tests pin the
+    spec loop by patching the gate, as ``test_default_lane.py`` patches
+    ``run_protocol``."""
+    from repro.service import engine as service_engine
+
+    def pin():
+        monkeypatch.setattr(service_engine, "plan_run",
+                            lambda *args: (None, "pinned to the spec loop"))
+    return pin
+
+
+@pytest.fixture
 def small_random_topology():
     """A small connected random topology used across protocol tests."""
     return random_topology(60, avg_degree=4, seed=7)

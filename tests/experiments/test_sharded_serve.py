@@ -28,6 +28,9 @@ def test_sharded_mix_matches_single_process(single_process_result, shards):
             == single_process_result["summary"]["determinism_digest"])
     assert sharded["rows"] == single_process_result["rows"]
     assert sharded["summary"]["shards"] == shards
+    # The rows name the path, and it is the tick lane in every worker.
+    assert {row["lane_used"] for row in sharded["rows"]
+            if row["status"] == "done"} == {"vector"}
     # Service-level tallies that must merge exactly (events_processed
     # legitimately differs: each shard's engine replays the shared
     # churn schedule on its private network copy).

@@ -148,17 +148,30 @@ class TestServiceCollector:
             assert row["residency"] > 0
         assert snapshot["service.session_residency"]["count"] == len(qids)
 
-    def test_mid_run_queue_depth_demuxes_per_tenant(self, topology, values):
-        service = QueryService(topology, values, seed=SEED)
-        first = service.submit("wildfire", "count")
-        second = service.submit("spanning-tree", "sum", at=1.0)
-        service.run(until=1.5)       # both launched, neither declared
-        depths = service.engine.queue_depth_by_session()
-        assert depths.get(first, 0) > 0
-        assert depths.get(second, 0) > 0
-        total = sum(w for _, w in service.engine._queue.iter_pending())
-        assert sum(depths.values()) <= total
-        service.run()                # horizon-sliced drive still drains
+    def test_mid_run_queue_depth_demuxes_per_tenant(
+            self, topology, values, pin_spec_loop):
+        def mid_run():
+            service = QueryService(topology, values, seed=SEED)
+            first = service.submit("wildfire", "count")
+            second = service.submit("spanning-tree", "sum", at=1.0)
+            service.run(until=1.5)   # both launched, neither declared
+            depths = service.engine.queue_depth_by_session()
+            assert depths.get(first, 0) > 0
+            assert depths.get(second, 0) > 0
+            queued = sum(w for _, w in service.engine._queue.iter_pending())
+            service.run()            # horizon-sliced drive still drains
+            return depths, queued
+
+        # Both sessions run on tick lanes, which hold their own work:
+        # the calendar has one entry per session's next instant.
+        depths, queued = mid_run()
+        assert queued == 2 < sum(depths.values())
+        # On the spec loop the same work sits in the calendar, message
+        # by message, and the per-tenant depths are the same numbers.
+        pin_spec_loop()
+        spec_depths, spec_queued = mid_run()
+        assert spec_depths == depths
+        assert sum(spec_depths.values()) <= spec_queued
 
 
 class TestWorkerUtilisation:

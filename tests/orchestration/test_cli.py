@@ -172,6 +172,27 @@ def test_serve_runs_a_small_mix_and_reports(tmp_path, capsys):
                if row["status"] == "done")
 
 
+def test_serve_rows_name_the_path_and_fallbacks_get_a_line(tmp_path, capsys):
+    """Every launched session's row says which path ran it; a mix the
+    lane gate refuses prints one line per reason with its count, and a
+    mix it admits prints none."""
+    import json
+
+    args = ["serve", "--hosts", "80", "--topology", "random",
+            "--qps", "1", "--duration", "6", "--rows", "0"]
+    report_path = str(tmp_path / "serve.json")
+    assert main(args + ["--json", report_path]) == 0
+    assert "ran the spec loop" not in capsys.readouterr().out
+    with open(report_path) as handle:
+        rows = json.load(handle)["rows"]
+    assert rows and all(
+        (row["lane_used"], row["fallback_reason"]) == ("vector", None)
+        for row in rows)
+    assert main(args + ["--delay", "uniform"]) == 0
+    assert (f"{len(rows)} of {len(rows)} sessions ran the spec loop: "
+            f"variable delay model") in capsys.readouterr().out
+
+
 def test_serve_is_deterministic_across_invocations(capsys):
     args = ["serve", "--hosts", "80", "--topology", "random",
             "--qps", "1", "--duration", "6", "--rows", "0"]

@@ -193,6 +193,7 @@ class _CapturingLane:
     are 0, 2 and 3)."""
 
     tracer = None
+    qid = 0
     sent_at = 0.0
 
     def __init__(self, now):

@@ -86,6 +86,39 @@ def test_overload_matrix_one_terminal_outcome_per_query(policy, shards):
             assert row["source_query"] != row["query_id"]
 
 
+@pytest.mark.parametrize("policy", ["shed", "defer", "degrade"])
+def test_overload_matrix_decides_the_same_on_either_path(policy,
+                                                         pin_spec_loop):
+    """Admission reads live engine state at every QUERY_START; sessions
+    on tick lanes must present it the state the per-message spec loop
+    does, so every query ends the same way after as many deferrals --
+    under the matrix's session cap and under queue-depth caps, which
+    read the work the lanes hold."""
+    def outcomes(**overrides):
+        result = _run_cell(policy, 1, **overrides)
+        launched = {row["lane_used"] for row in result["rows"]
+                    if row["status"] == "done" and not row.get("degraded")}
+        return launched, result["summary"]["deferrals"], [
+            (row["query_id"], row["status"], row["value"],
+             row.get("cost_fingerprint"), row["declared_at"],
+             row.get("deferred_retries"), row.get("shed_reason"),
+             row.get("defer_reason"), row.get("degraded"))
+            for row in result["rows"]]
+
+    depth_caps = dict(max_active_sessions=None, max_queue_depth=500,
+                      max_tenant_queue_depth=150)
+    on_lanes = [outcomes(), outcomes(**depth_caps)]
+    pin_spec_loop()
+    on_the_spec_loop = [outcomes(), outcomes(**depth_caps)]
+    for lanes, spec in zip(on_lanes, on_the_spec_loop):
+        assert lanes[0] == {"vector"} and spec[0] == {"python"}
+        assert lanes[1:] == spec[1:]
+    # The depth caps did trip, on work only a lane's own count can see.
+    assert any(row[6] in ("queue_depth", "tenant_queue_depth")
+               or row[7] in ("queue_depth", "tenant_queue_depth")
+               for row in on_lanes[1][2])
+
+
 def test_defer_policy_retries_then_drains():
     """Deferrals happen, and every deferred query still terminates --
     launched inside the deadline or shed at it."""

@@ -25,6 +25,7 @@ from repro.protocols.base import (prepare_protocol_run, protocol_from_spec,
                                   run_protocol)
 from repro.queries.query import AggregateQuery
 from repro.service import QueryService, QueryStatus
+from repro.service import engine as service_engine
 from repro.simulation.churn import ChurnSchedule, JoinSpec, uniform_failure_schedule
 from repro.simulation.engine import Simulator
 from repro.topology.random_graph import random_topology
@@ -74,6 +75,21 @@ def _as_seen_from(churn, at):
         failures=[(time - at, host) for time, host in churn.failures],
         joins=[JoinSpec(join.time - at, join.neighbors)
                for join in churn.joins])
+
+
+def _launched_at(local, at):
+    """The inverse of :func:`_as_seen_from`: a failure schedule written
+    on the query's own clock, filed on the engine's.  Shifting forward
+    is the exact direction: the engine orders ``at + v`` against the
+    session's instants ``at + k * delta`` the way the solo run orders
+    ``v`` against ``k * delta`` (IEEE addition is monotone), whereas
+    ``(at + v) - at`` need not give ``v`` back for a non-dyadic ``at``."""
+    return ChurnSchedule(
+        failures=[(at + time, host) for time, host in local.failures])
+
+
+def _digest(outcome):
+    return (outcome.value, outcome.costs.fingerprint(), outcome.declared_at)
 
 
 def _submit_mix(service):
@@ -328,6 +344,17 @@ class TestDeterminismAndIsolation:
             # The solo run stops at its last event; it declares at T.
             assert (solo.finished_at <= solo.termination_time
                     == outcome.declared_at - outcome.submitted_at)
+            # The row names the path: the gate's reasons in its order.
+            if delay is not None:
+                expected = ("python", "variable delay model")
+            elif schedule.joins:
+                expected = ("python", "join churn scheduled")
+            elif protocol in ("allreport", "gossip"):
+                expected = ("python", "unsupported protocol hosts or combiner")
+            else:
+                expected = ("vector", None)
+            assert (outcome.lane_used,
+                    outcome.fallback_reason) == expected, outcome.protocol
 
     def test_lone_session_trace_equals_the_solo_trace(
             self, topology, values):
@@ -338,22 +365,32 @@ class TestDeterminismAndIsolation:
             return [{**row, "query_id": 0} for row in tracer.records()
                     if row["type"] != "session"]
 
-        schedule = CHURN_AXIS["failures+joins"]
-        for protocol, delay in (("wildfire", None), ("dag2", "uniform")):
-            mux_tracer = RingTracer(capacity=200_000)
+        # The failures-only cells run the traced tick lane (joins and a
+        # variable delay send the other two to the spec loop), one of
+        # them at a delta whose instants are not exact in binary.
+        for protocol, delay, churn, delta, lane in (
+                ("wildfire", None, "failures+joins", 1.0, "python"),
+                ("dag2", "uniform", "failures+joins", 1.0, "python"),
+                ("wildfire", None, "failures", 1.0, "vector"),
+                ("spanning-tree", None, "failures", 1.0, "vector"),
+                ("dag2", None, "failures", 0.3, "vector")):
+            schedule = CHURN_AXIS[churn]
+            mux_tracer = RingTracer(capacity=200_000, sampling={})
             service = QueryService(topology, values, seed=SEED, delay=delay,
-                                   churn=schedule, tracer=mux_tracer)
+                                   churn=schedule, delta=delta,
+                                   tracer=mux_tracer)
             qid = service.submit(protocol, "count", at=0.0)
             # Bounded at the solo horizon: a drained service would go on
             # to record late deliveries and post-declaration churn.
             service.run(until=protocol_from_spec(protocol).termination_time(
                 service.d_hat, service.delta))
-            solo_tracer = RingTracer(capacity=200_000)
+            assert service.poll(qid).lane_used == lane
+            solo_tracer = RingTracer(capacity=200_000, sampling={})
             run_protocol(
                 protocol_from_spec(protocol), topology, values, "count",
                 seed=service.poll(qid).seed, d_hat=service.d_hat,
-                delay=delay, churn=schedule, tracer=solo_tracer,
-                lane="python")
+                delay=delay, churn=schedule, delta=delta,
+                tracer=solo_tracer, lane="python")
             records = masked(mux_tracer)
             assert records and records == masked(solo_tracer)
 
@@ -375,6 +412,315 @@ class TestDeterminismAndIsolation:
                 == base.poll(base_qid).value)
         assert (loaded.poll(loaded_qid).costs.fingerprint()
                 == base.poll(base_qid).costs.fingerprint())
+
+
+class TestSessionsOnTheTickLane:
+    """An admitted session runs on its own tick lane, stepped by the one
+    event loop -- and stays what it was: its solo spec run."""
+
+    #: Launch offsets: none, a dyadic one, and one that is not (a
+    #: ``round(x, 9)``), so ``t0 + v`` rounds and query-local instants
+    #: an ulp apart can collapse onto one engine instant.
+    OFFSETS = (0.0, 0.5, 1.234567891)
+
+    @staticmethod
+    def _failure_cells(d_hat, delta):
+        """Failure schedules on the query's own clock, one per way a
+        FAIL can fall against the lane's instants (hosts by their BFS
+        depth from querying host 0 in the fixture topology: 6, 18 and 31
+        are its neighbors, 11 and 23 sit at depth 2)."""
+        on_grid = 0.0
+        for _ in range(3):
+            on_grid += delta  # accumulated, as the engine's instants are
+        return {
+            "none": [],
+            "at the launch instant": [(0.0, 6)],
+            "on an instant": [(on_grid, 11)],
+            "off the grid": [(2.37 * delta, 23), (4.81 * delta, 31)],
+            "after the flood died out": [((2.0 * d_hat - 0.25) * delta, 30)],
+            "the querying host": [(1.5 * delta, 0)],
+            "a tree parent between Broadcast and Report":
+                [((d_hat + 0.5) * delta, 18)],
+        }
+
+    @pytest.mark.parametrize("delta", [1.0, 0.1, 0.3])
+    @pytest.mark.parametrize("protocol",
+                             ["wildfire", "spanning-tree", "dag2", "dag3"])
+    def test_a_session_equals_its_solo_spec_run(
+            self, topology, values, protocol, delta):
+        """Value, cost fingerprint and declaration time of a tick-path
+        session equal ``run_protocol(lane="python")`` on the churn as
+        the session sees it, for every launch offset, every way a
+        failure can fall against its instants, and with the shared-flood
+        cache on (the duplicate subscribes on a quiet window, floods
+        beside its twin otherwise) and off."""
+        d_hat = QueryService(topology, values, seed=SEED).d_hat
+        for cell, failures in self._failure_cells(d_hat, delta).items():
+            local = ChurnSchedule(failures=failures)
+            solo = None
+            for at in self.OFFSETS:
+                for sharing in (False, True):
+                    service = QueryService(
+                        topology, values, seed=SEED, delta=delta,
+                        churn=_launched_at(local, at), share_floods=sharing)
+                    ids = [service.submit(protocol, "count", at=at)
+                           for _ in range(2)]
+                    service.run()
+                    where = (cell, at, sharing)
+                    for qid in ids:
+                        outcome = service.poll(qid)
+                        if solo is None:
+                            solo = run_protocol(
+                                protocol_from_spec(protocol), topology,
+                                values, "count", seed=outcome.seed,
+                                d_hat=d_hat, delta=delta, churn=local,
+                                lane="python")
+                        assert outcome.lane_used == "vector", where
+                        assert outcome.fallback_reason is None, where
+                        assert outcome.value == solo.value, where
+                        assert (outcome.costs.fingerprint()
+                                == solo.costs.fingerprint()), where
+                        assert (outcome.declared_at
+                                == at + solo.termination_time), where
+                    rode = service.poll(ids[1]).extra.get("cache_hit", False)
+                    assert rode == (sharing and not failures), where
+
+    #: Sessions the gate refuses: what makes them unsupported, and the
+    #: reason their row must carry.
+    GATES = {
+        "variable delay": (
+            "variable delay model",
+            dict(service=dict(delay="uniform:0.25,1.0"))),
+        "join churn": (
+            "join churn scheduled",
+            dict(service=dict(churn=ChurnSchedule(
+                failures=[(2.0, 4)], joins=[JoinSpec(3.0, (0, 1))])))),
+        "pair-state combiner": (
+            "unsupported protocol hosts or combiner",
+            dict(submit=dict(query="avg"))),
+        "ALLREPORT hosts": (
+            "unsupported protocol hosts or combiner",
+            dict(submit=dict(protocol="allreport"))),
+        "gossip hosts": (
+            "unsupported protocol hosts or combiner",
+            dict(submit=dict(protocol="gossip"))),
+        # The network outgrew the topology before the launch, so the
+        # host table is padded with what the join factory builds.
+        "a padded host table": (
+            "unsupported protocol hosts or combiner",
+            dict(grow=True)),
+    }
+
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    def test_a_refused_session_keeps_the_spec_loop(
+            self, topology, values, gate, pin_spec_loop):
+        reason, setup = self.GATES[gate]
+
+        def drive():
+            service = QueryService(topology, values, seed=SEED,
+                                   **setup.get("service", {}))
+            if setup.get("grow"):
+                service.engine.network.join_host([0, 1], 0.0)
+            submit = {"protocol": "wildfire", "query": "count",
+                      **setup.get("submit", {})}
+            refused = service.submit(submit["protocol"], submit["query"],
+                                     at=0.5)
+            admitted = service.submit("spanning-tree", "count", at=0.5)
+            service.run()
+            return service.poll(refused), service.poll(admitted)
+
+        refused, admitted = drive()
+        assert (refused.lane_used, refused.fallback_reason) == (
+            "python", reason)
+        row = refused.as_row()
+        assert (row["lane_used"], row["fallback_reason"]) == ("python", reason)
+        # Nothing else forks: the tenant beside it is judged on its own
+        # (a service-wide cause refuses it for the same reason).
+        if "submit" in setup:
+            assert (admitted.lane_used, admitted.fallback_reason) == (
+                "vector", None)
+        else:
+            assert admitted.fallback_reason == reason
+        # The refused session ran the spec loop it would have run with
+        # every session pinned to it.
+        pin_spec_loop()
+        pinned_refused, pinned_admitted = drive()
+        assert _digest(refused) == _digest(pinned_refused)
+        assert _digest(admitted) == _digest(pinned_admitted)
+        assert pinned_admitted.fallback_reason == "pinned to the spec loop"
+
+    def test_sessions_that_never_launch_name_no_path(self, topology, values):
+        from repro.service import AdmissionConfig
+
+        churn = ChurnSchedule(failures=[(1.0, 9)])
+        service = QueryService(
+            topology, values, churn=churn, seed=SEED,
+            admission=AdmissionConfig(policy="shed", max_active_sessions=1))
+        dead = service.submit("wildfire", "min", at=5.0, querying_host=9)
+        leader = service.submit("wildfire", "count", at=30.0)
+        shed = service.submit("spanning-tree", "count", at=30.5)
+        service.run()
+        assert service.poll(leader).lane_used == "vector"
+        for qid, status in ((dead, QueryStatus.FAILED),
+                            (shed, QueryStatus.SHED)):
+            outcome = service.poll(qid)
+            assert outcome.status is status
+            assert outcome.lane_used is None
+            assert outcome.fallback_reason is None
+
+    def test_sliced_drive_equals_one_drain_slice_by_slice(
+            self, topology, values, pin_spec_loop):
+        """``run(until=)`` in slices reads, at every boundary, the
+        tallies the spec loop reads there -- engine-wide and per tenant
+        -- and ends where one drain ends."""
+        churn = ChurnSchedule(failures=[(2.0, 11), (3.5, 6), (7.0, 30)])
+
+        def drive(sliced):
+            service = QueryService(topology, values, seed=SEED, churn=churn)
+            ids = [service.submit(protocol, "count", at=at, d_hat=d_hat)
+                   for protocol, at, d_hat in (
+                       ("wildfire", 0.0, None), ("spanning-tree", 0.5, None),
+                       # Too small a D_hat: still flooding at its
+                       # deadline, so some of it lands late.
+                       ("wildfire", 1.25, 2), ("dag2", 1.25, None))]
+            engine = service.engine
+            snapshots = []
+            horizon = 0.0
+            while sliced and engine.pending_events():
+                horizon += 1.5
+                service.run(until=horizon)
+                snapshots.append((
+                    engine.messages_sent, engine.dropped_messages,
+                    engine.late_messages, list(engine.retired_order),
+                    [service.poll(qid).costs.messages_sent
+                     if service.poll(qid).costs is not None else None
+                     for qid in ids]))
+            service.run()
+            final = ([_digest(service.poll(qid)) for qid in ids],
+                     engine.messages_sent, engine.dropped_messages,
+                     engine.late_messages, dict(engine.late_by_query),
+                     list(engine.retired_order))
+            return snapshots, final, engine.events_processed
+
+        lane_slices, lane_final, lane_events = drive(sliced=True)
+        assert lane_slices and lane_final[3] > 0
+        assert drive(sliced=False)[1] == lane_final
+        pin_spec_loop()
+        spec_slices, spec_final, spec_events = drive(sliced=True)
+        assert lane_slices == spec_slices
+        assert lane_final == spec_final
+        # One calendar entry per session instant against one per message.
+        assert lane_events * 10 < spec_events
+
+    @pytest.mark.parametrize("delta", [1.0, 0.3])
+    def test_late_deliveries_land_when_they_would_have(
+            self, topology, values, delta, pin_spec_loop):
+        """With ``D_hat`` far too small a flood is still spreading at
+        its deadline.  What a lane holds in flight then is tallied and
+        traced as the spec loop tallies it -- per query the same
+        records, ``("late", landing instant, dest, qid)`` included --
+        and each tenant's own record sequence is the spec loop's."""
+        at = 1.234567891
+        churn = ChurnSchedule(failures=[(at + 1.5 * delta, 3),
+                                        (at + 2.0 * delta, 9)])
+
+        def drive():
+            tracer = RingTracer(sampling={})
+            service = QueryService(topology, values, seed=SEED, delta=delta,
+                                   churn=churn, tracer=tracer)
+            ids = [service.submit(protocol, "count", at=at, d_hat=1,
+                                  querying_host=4)
+                   for protocol in ("wildfire", "spanning-tree", "dag2")]
+            ids.append(service.submit("wildfire", "min", at=at + 0.25,
+                                      d_hat=2, querying_host=8))
+            service.run()
+            per_tenant = {qid: [] for qid in ids}
+            for record in tracer.raw_records():
+                if record[0] not in ("session", "fail"):
+                    per_tenant[record[-1]].append(record)
+            engine = service.engine
+            return (per_tenant, engine.late_messages,
+                    dict(engine.late_by_query),
+                    [_digest(service.poll(qid)) for qid in ids],
+                    {qid: service.poll(qid).termination for qid in ids})
+
+        lanes = drive()
+        per_tenant, late, late_by_query, _, termination = lanes
+        assert late == sum(late_by_query.values()) > 0
+        for qid, records in per_tenant.items():
+            landed_late = [r for r in records if r[0] == "late"]
+            assert len(landed_late) == late_by_query.get(qid, 0)
+            assert all(r[1] > termination[qid] for r in landed_late)
+        pin_spec_loop()
+        assert drive() == lanes
+
+    def test_queue_depth_per_tenant_at_every_query_start(
+            self, monkeypatch, pin_spec_loop):
+        """The admission signal: at each QUERY_START of an overload mix
+        -- where the controller reads it -- a lane-held session weighs
+        what its messages and timers weigh in the calendar."""
+        from repro.experiments.query_mix import run_query_mix
+        from repro.service import AdmissionConfig
+        from repro.workloads.query_mix import adversarial_overload_mix
+
+        seen = []
+        real = service_engine.MuxEngine._on_query_start
+
+        def recording(self, time, event, ctx):
+            seen.append((time, event.data.qid, self.queue_depth_by_session()))
+            real(self, time, event, ctx)
+
+        monkeypatch.setattr(service_engine.MuxEngine, "_on_query_start",
+                            recording)
+
+        def drive():
+            del seen[:]
+            result = run_query_mix(
+                num_hosts=80, topology="random", qps=2.0, duration=12.0,
+                seed=11, departures=6,
+                mix=adversarial_overload_mix(qps=2.0, duration=12.0),
+                admission=AdmissionConfig(
+                    policy="defer", max_queue_depth=600,
+                    max_tenant_queue_depth=200, defer_retry=1.0,
+                    defer_deadline=6.0))
+            return list(seen), result["summary"]
+
+        lane_depths, lane_summary = drive()
+        assert any(depths for _, _, depths in lane_depths)
+        assert lane_summary["deferrals"] > 0
+        pin_spec_loop()
+        spec_depths, spec_summary = drive()
+        assert lane_depths == spec_depths
+        for key in ("determinism_digest", "deferrals", "shed", "answered",
+                    "retired_order", "messages_sent"):
+            assert lane_summary[key] == spec_summary[key], key
+
+    def test_batch_kernels_are_driven_from_one_function(self):
+        """No second loop: the kernels' two entry points are called from
+        ``_TickLane.step`` and nowhere else -- not from the service,
+        which only files and pops that step's calendar entries."""
+        import repro
+
+        package = pathlib.Path(repro.__file__).parent
+        callers = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and any(
+                        isinstance(call, ast.Call)
+                        and getattr(call.func, "attr", None)
+                        in ("process_instant", "process_timer_bucket")
+                        for call in ast.walk(node)):
+                    callers.append(
+                        f"{path.relative_to(package).as_posix()}:{node.name}")
+        assert callers == ["simulation/vector_lane.py:step"]
+        # And the service grew no way to ask for a path.
+        import inspect
+
+        from repro.experiments.query_mix import run_query_mix
+
+        for callable_ in (QueryService.__init__, QueryService.submit,
+                          run_query_mix):
+            assert "lane" not in inspect.signature(callable_).parameters
 
 
 class TestSharedSubstrate:
