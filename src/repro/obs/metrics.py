@@ -3,7 +3,7 @@
 Unlike the trace layer (which observes individual events as they
 happen), metrics are *pull-based*: every number the collectors report is
 computed on demand from structures the engines already maintain -- the
-cost sinks, the calendar queue's day buckets, the service's session
+cost sinks, the event queue's bucket table, the service's session
 table -- so keeping metrics costs the hot loops nothing at all.
 
 :class:`MetricsRegistry` is the common vocabulary: named counters,
@@ -14,8 +14,8 @@ upload.  The ``collect_*`` functions wire the registry to the seams the
 repo already has:
 
 * :func:`collect_run_metrics` -- one solo run's :class:`CostAccounting`.
-* :func:`collect_queue_metrics` -- calendar-queue depth and day-bucket
-  occupancy (:meth:`EventQueue.occupancy`).
+* :func:`collect_queue_metrics` -- event-queue depth and pending time
+  window (:meth:`EventQueue.occupancy`).
 * :func:`collect_service_metrics` -- the multi-tenant service: engine
   tallies, session residency, per-tenant late-delivery/message counts,
   per-tenant pending queue depth.
@@ -163,7 +163,8 @@ def collect_run_metrics(costs, registry: Optional[MetricsRegistry] = None,
 
 def collect_queue_metrics(queue, registry: Optional[MetricsRegistry] = None,
                           prefix: str = "queue") -> MetricsRegistry:
-    """Calendar-queue depth and day-bucket occupancy gauges.
+    """Event-queue depth and pending-window gauges, one per
+    :meth:`EventQueue.occupancy` field.
 
     ``occupancy()`` reports ``None`` for the horizon fields of an empty
     queue ("no next event" is not a number); those are skipped rather

@@ -31,7 +31,7 @@ run per message on the spec loop (variable delay, join churn, hosts no
 batch kernel drives -- ``fallback_reason`` on the row): two session
 events separated by a single ulp of virtual time (an artefact of
 addition order, e.g. ``(a + k) + d`` vs ``(a + d) + k`` under the
-fixed-latency ``per_edge`` model) may collapse into one calendar slot on
+fixed-latency ``per_edge`` model) may collapse into one calendar instant on
 the shared clock, where the deliver-before-timer priority -- the model's
 actual simultaneity rule -- resolves them.  A run launched at 0 instead
 keeps the artificial ulp gap.  The paper's protocols are insensitive to

@@ -549,7 +549,7 @@ class Simulator(EventEngine):
         self.costs = make_stats_sink(stats, num_hosts=network.num_hosts,
                                      tick_width=self.delta)
         # ``None`` marks the fixed-delay fast path: deliveries land exactly
-        # ``delta`` after their send and multicasts share one ring slot.
+        # ``delta`` after their send and multicasts share one queue bucket.
         self.delay_model = delay_model_from_spec(delay_model, self.delta)
         #: The run's one session: launched at 0, never retired.
         self.session = Session(

@@ -1,51 +1,44 @@
 """Event queue for the discrete-event simulator.
 
-Events are ordered by ``(time, kind priority, sequence number)`` so that
-ties are broken deterministically in insertion order, which keeps
-simulations reproducible for a fixed random seed.
+Events drain in ``(time, kind priority, insertion)`` order, so ties are
+broken deterministically and a run is reproducible for a fixed seed.
 
-The queue is implemented as a *calendar queue* over batched delivery
-slots rather than a single binary heap of events:
+One structure holds them: a dict ``(time, priority) -> bucket`` -- a
+FIFO list, position *is* insertion order -- plus one ``heapq`` of those
+keys, with the front bucket and its cursor cached on the queue.  A push
+is a tuple, a dict lookup and an append (a new key adds a list and a
+``heappush``); a pop reads the cached front and retires an exhausted
+key with one ``heappop``.  Keys rather than per-timestamp slots because
+the traffic is bimodal (counted on the benchmark's 6000-host floods):
+at fixed delay 84 215 pushes share 23 keys and the heap is never deeper
+than 3, under a variable-delay model 61 394 pushes make 61 394 keys --
+one tuple, one list and one C-level sift each, and nothing else.
 
-* each distinct timestamp owns one *slot* -- six FIFO lists, one per
-  :data:`_KIND_PRIORITY` level -- and pushing an event is a dict lookup
-  plus a list append (no per-event heap sift, no event comparisons);
-* slots are grouped into calendar *days* of configurable ``width``
-  (the engine uses the delay bound ``delta``): a small heap of day
-  indices orders the days, and a per-day heap of bare floats orders the
-  timestamps within one day.  Under the fixed-delay model nearly all
-  pending events share a handful of distinct timestamps (``t + delta``
-  for messages, a few timer deadlines, the churn schedule), so each day
-  holds one or two slots and the structure degenerates to the original
-  batched ring.  Under variable-delay models almost every delivery gets
-  a unique timestamp; the calendar keeps each heap bounded by one
-  bound-window of traffic instead of the whole simulation's future;
-* within a slot, events drain in priority order and, within a priority, in
-  insertion order -- exactly the ``(time, priority, seq)`` total order the
-  original heap implementation produced, including events appended to the
-  slot *while it is draining* (a zero-delay timer scheduled at the current
-  instant still runs after the instant's remaining deliveries, and a
-  delivery appended mid-drain still precedes the instant's timers).
+Three cases keep the order exact:
 
-Because day indices are a monotone function of time and timestamps heap
-within a day, the drain order is identical to a single global heap of
-timestamps for every ``width`` -- the calendar only changes how much
-heap work each push and pop performs.
+* an event appended to the bucket *being drained* (a zero-delay timer)
+  lands beyond the cursor and still runs in that instant: a bucket that
+  ran dry stays filed until the next pop finds it so;
+* a new key below the front becomes the front at once: the pre-empted
+  bucket drops its drained prefix and later resumes where it stopped (a
+  half-expanded :class:`_DeliverBatch` at its ``pos``);
+* a key re-created after its bucket was retired is a new bucket: it
+  sorts after everything already popped and before every larger key.
 
-The engine drives the queue through the fast paths -- ``push_deliver`` /
-``push_multicast`` / ``push_timer`` in, ``pop_due`` out (one call site:
+The engine pushes through ``push_deliver`` / ``push_multicast`` /
+``push_timer`` and pops through ``pop_due`` (one call site:
 ``EventEngine._drain``); ``push`` / ``cancel`` are the generic
-:class:`Event` API (churn, query starts, custom events), ``pop_tick``
-detaches one whole instant, and the tick lanes' gate only asks ``len``.
+:class:`Event` API (churn, query starts, custom events), and the tick
+lanes' gate only asks ``len``.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from math import inf
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.simulation.messages import Message
 
@@ -82,30 +75,29 @@ _DELIVER_PRIORITY = _KIND_PRIORITY[EventKind.DELIVER]
 _TIMER_PRIORITY = _KIND_PRIORITY[EventKind.TIMER]
 
 
-@dataclass(order=True, slots=True)
+@dataclass(eq=False, slots=True)
 class Event:
     """A scheduled simulation event.
 
-    The dataclass ordering is (time, priority, seq); the payload fields are
-    excluded from comparison.  ``queued``/``cancelled`` are queue-internal
-    lifecycle markers: ``queued`` holds the owning :class:`EventQueue`
-    exactly while the event sits unconsumed in it (``None`` otherwise), and
+    Events are never compared: FIFO position in their bucket is their
+    order.  ``queued``/``cancelled`` are queue-internal lifecycle
+    markers: ``queued`` holds the owning :class:`EventQueue` exactly
+    while the event sits unconsumed in it (``None`` otherwise), and
     ``cancelled`` marks a lazy cancellation the drain has not yet
-    discarded.  Keeping them on the event (rather than in a queue-side seq
+    discarded.  Keeping them on the event (rather than in a queue-side
     set) makes cancelling a consumed, foreign, or never-scheduled event a
     natural no-op.
     """
 
     time: float
     priority: int
-    seq: int
-    kind: EventKind = field(compare=False)
-    host: Optional[int] = field(compare=False, default=None)
-    message: Optional[Message] = field(compare=False, default=None)
-    timer_name: Optional[str] = field(compare=False, default=None)
-    data: Any = field(compare=False, default=None)
-    queued: Any = field(compare=False, default=None)
-    cancelled: bool = field(compare=False, default=False)
+    kind: EventKind
+    host: Optional[int] = None
+    message: Optional[Message] = None
+    timer_name: Optional[str] = None
+    data: Any = None
+    queued: Any = None
+    cancelled: bool = False
 
 
 class _DeliverBatch:
@@ -113,14 +105,15 @@ class _DeliverBatch:
 
     A multicast to ``d`` neighbors used to materialise ``d`` Message
     objects up front; at 100k+ hosts one flood wave keeps hundreds of
-    thousands of them alive in the ring at once, dominating peak RSS.
+    thousands of them alive in the queue at once, dominating peak RSS.
     The batch stores the shared fields once (the destination tuple is the
     network's cached packed view, so it is not even copied) and the pop
     path mints each per-destination :class:`Message` only at its delivery
-    instant, so at most one exists at a time.  FIFO position in the slot
-    bucket encodes the exact (time, priority, seq) order the materialised
-    list produced, so drain order -- and therefore every golden snapshot
-    -- is unchanged.  Batches cannot be cancelled (deliveries never are).
+    instant, so at most one exists at a time.  The batch holds its FIFO
+    position until its last destination pops, which is exactly the order
+    the materialised list produced, so drain order -- and therefore every
+    golden snapshot -- is unchanged.  Batches cannot be cancelled
+    (deliveries never are).
     """
 
     __slots__ = ("sender", "dests", "kind", "payload", "sent_at",
@@ -140,62 +133,38 @@ class _DeliverBatch:
         self.pos = 0
 
 
-class _Slot:
-    """All events scheduled at one instant: six priority-ordered FIFOs.
-
-    ``cursors[p]`` is the index of the next undrained event in
-    ``buckets[p]``; appends during draining land beyond the cursor and are
-    therefore picked up before the slot is released.  ``min_pri`` is a
-    lower bound on the smallest priority level with pending events, so the
-    drain scan can skip the (usually empty) levels below it; pushes lower
-    it when they schedule below the current bound.
-    """
-
-    __slots__ = ("buckets", "cursors", "min_pri")
-
-    def __init__(self) -> None:
-        self.buckets: List[List[Event]] = [[] for _ in range(_NUM_PRIORITIES)]
-        self.cursors: List[int] = [0] * _NUM_PRIORITIES
-        self.min_pri = _NUM_PRIORITIES
-
-
 class EventQueue:
-    """A calendar queue of :class:`Event` objects ordered by (time, prio, seq).
+    """Events ordered by ``(time, kind priority, insertion)``.
 
-    Supports lazy cancellation: cancelled events stay in their slot but are
-    skipped when popped.  Cancelling an event that was already consumed
-    (or that was never scheduled on this queue) is a no-op, so ``len`` and
-    ``occupancy()`` stay exact under any interleaving of push/pop/cancel.
+    Supports lazy cancellation: a cancelled event stays in its bucket and
+    is discarded when the drain meets it.  Cancelling an event that was
+    already consumed (or that was never scheduled on this queue) is a
+    no-op, so ``len`` and ``occupancy()`` stay exact under any
+    interleaving of push/pop/cancel.
 
     Time-validity contract: **every** scheduling entry point (``push``,
-    ``push_deliver``, ``push_timer``, ``push_multicast``) rejects
-    negative times with :class:`ValueError`.
-    The check is performed inline on all four paths -- it is one float
-    comparison per call, which is not measurable against the dict lookup
-    and list append each push already performs, and it keeps the contract
-    in one place instead of hoisting it to every caller.
+    ``push_deliver``, ``push_timer``, ``push_multicast``) rejects a
+    negative, infinite or NaN time with :class:`ValueError` -- stated
+    once, in :meth:`_bucket_at`, which all four go through.
 
     Args:
-        width: calendar day width.  Purely a performance knob (drain order
-            is width-independent); the engine passes the delay bound
-            ``delta`` so one day covers one bound-window of traffic.
+        width: the epoch unit of ``occupancy()["current_epoch"]`` (the
+            engine passes the delay bound ``delta``).  No push or pop
+            reads it: the drain order and its cost are width-independent.
     """
 
     def __init__(self, width: float = 1.0) -> None:
         if width <= 0:
-            raise ValueError("calendar day width must be positive")
+            raise ValueError("epoch width must be positive")
         self._width = float(width)
-        self._slots: Dict[float, _Slot] = {}
-        self._days: Dict[int, List[float]] = {}  # day -> heap of timestamps
-        self._day_heap: List[int] = []           # heap of day indices
-        # Cache of the minimal non-empty day (index, timestamp heap): the
-        # drain revisits it once per event, so resolving it through the
-        # day heap every time would cost a peek plus a dict lookup on the
-        # hottest path.  Invalidated when a day earlier than the cached
-        # one appears or the cached day drains.
-        self._front_day = -1
-        self._front_times: Optional[List[float]] = None
-        self._counter = itertools.count()
+        self._buckets: Dict[Tuple[float, int], List[Any]] = {}
+        self._keys: List[Tuple[float, int]] = []  # heap; one entry per bucket
+        # The bucket of ``_keys[0]``, the index of its next entry and its
+        # time; with no key pending, an empty list (exhausted, like a
+        # drained bucket, so the pop path needs no separate test for it).
+        self._front: List[Any] = []
+        self._cursor = 0
+        self._time = 0.0
         self._num_cancelled = 0
         self._size = 0
 
@@ -205,21 +174,24 @@ class EventQueue:
     def __bool__(self) -> bool:
         return len(self) > 0
 
-    def _slot_at(self, time: float) -> _Slot:
-        """The slot for ``time``, creating (and calendar-filing) it once."""
-        slot = self._slots.get(time)
-        if slot is None:
-            slot = _Slot()
-            self._slots[time] = slot
-            day = int(time / self._width)
-            bucket = self._days.get(day)
-            if bucket is None:
-                self._days[day] = bucket = []
-                heapq.heappush(self._day_heap, day)
-                if day < self._front_day:
-                    self._front_times = None  # new earlier day: re-resolve
-            heapq.heappush(bucket, time)
-        return slot
+    def _bucket_at(self, time: float, priority: int) -> List[Any]:
+        """The FIFO bucket of ``(time, priority)``, filing a new key once."""
+        if not 0.0 <= time < inf:  # NaN would silently break the heap
+            raise ValueError(
+                f"events need a finite, non-negative time, not {time!r}")
+        key = (time, priority)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = []
+            heappush(self._keys, key)
+            if self._keys[0] is key:
+                # A new minimum pre-empts the front, which drops its
+                # drained prefix to resume at index 0 like any other.
+                del self._front[:self._cursor]
+                self._front = bucket
+                self._cursor = 0
+                self._time = time
+        return bucket
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -234,44 +206,23 @@ class EventQueue:
         data: Any = None,
     ) -> Event:
         """Schedule a new event and return it (useful for ``cancel``)."""
-        if time < 0:
-            raise ValueError("events cannot be scheduled at negative times")
         priority = _KIND_PRIORITY[kind]
-        event = Event(
-            time=time,
-            priority=priority,
-            seq=next(self._counter),
-            kind=kind,
-            host=host,
-            message=message,
-            timer_name=timer_name,
-            data=data,
-            queued=self,
-        )
-        slot = self._slot_at(time)
-        slot.buckets[priority].append(event)
-        if priority < slot.min_pri:
-            slot.min_pri = priority
+        event = Event(time, priority, kind, host, message, timer_name, data,
+                      self)
+        self._bucket_at(time, priority).append(event)
         self._size += 1
         return event
 
     def push_deliver(self, time: float, message: Message) -> None:
         """Fast-path scheduling of a message delivery (the hot event kind).
 
-        The bare :class:`Message` is stored in the slot's deliver bucket --
-        FIFO position alone encodes its place in the (time, priority, seq)
-        total order, so no :class:`Event` wrapper (and no sequence number)
-        is allocated.  Ordering semantics are identical to
-        ``push(time, EventKind.DELIVER, message=message)``; the only
-        difference is that fast-path deliveries cannot be cancelled (the
-        simulator never cancels deliveries).
+        The bare :class:`Message` is stored in the deliver bucket of its
+        instant with no :class:`Event` wrapper.  Ordering semantics are
+        identical to ``push(time, EventKind.DELIVER, message=message)``;
+        the only difference is that fast-path deliveries cannot be
+        cancelled (the simulator never cancels deliveries).
         """
-        if time < 0:
-            raise ValueError("events cannot be scheduled at negative times")
-        slot = self._slot_at(time)
-        slot.buckets[_DELIVER_PRIORITY].append(message)
-        if _DELIVER_PRIORITY < slot.min_pri:
-            slot.min_pri = _DELIVER_PRIORITY
+        self._bucket_at(time, _DELIVER_PRIORITY).append(message)
         self._size += 1
 
     def push_timer(self, time: float, host: int, name: str, info: Any) -> Event:
@@ -279,17 +230,11 @@ class EventQueue:
 
         Equivalent to ``push(time, EventKind.TIMER, host=host,
         timer_name=name, data=info)`` minus the keyword plumbing; the
-        returned event carries a sequence number and can be cancelled like
-        any other event.
+        returned event can be cancelled like any other.
         """
-        if time < 0:
-            raise ValueError("events cannot be scheduled at negative times")
-        event = Event(time, _TIMER_PRIORITY, next(self._counter),
-                      EventKind.TIMER, host, None, name, info, self)
-        slot = self._slot_at(time)
-        slot.buckets[_TIMER_PRIORITY].append(event)
-        if _TIMER_PRIORITY < slot.min_pri:
-            slot.min_pri = _TIMER_PRIORITY
+        event = Event(time, _TIMER_PRIORITY, EventKind.TIMER, host, None,
+                      name, info, self)
+        self._bucket_at(time, _TIMER_PRIORITY).append(event)
         self._size += 1
         return event
 
@@ -309,21 +254,16 @@ class EventQueue:
         """Schedule one multicast's deliveries without materialising them.
 
         Drain-order-equivalent to one :meth:`push_deliver` per
-        destination, in ``dests`` order, but the ring holds one compact
+        destination, in ``dests`` order, but the bucket holds one compact
         :class:`_DeliverBatch` record instead of ``len(dests)`` message
         objects; :meth:`pop_due` mints each message at its delivery
         instant.  This is the engine's fixed-delay multicast fast path.
         """
-        if time < 0:
-            raise ValueError("events cannot be scheduled at negative times")
         if not dests:
             return
-        slot = self._slot_at(time)
-        slot.buckets[_DELIVER_PRIORITY].append(
+        self._bucket_at(time, _DELIVER_PRIORITY).append(
             _DeliverBatch(sender, dests, kind, payload, sent_at,
                           chain_depth, wireless, query_id, vtime))
-        if _DELIVER_PRIORITY < slot.min_pri:
-            slot.min_pri = _DELIVER_PRIORITY
         self._size += len(dests)
 
     def cancel(self, event: Event) -> None:
@@ -344,252 +284,170 @@ class EventQueue:
     # ------------------------------------------------------------------
     # Introspection (pull-based; never touched by the drain hot path)
     # ------------------------------------------------------------------
+    def _live(self, bucket: List[Any]) -> Iterator[Any]:
+        """The unconsumed, non-cancelled entries of ``bucket``, in order."""
+        start = self._cursor if bucket is self._front else 0
+        for index in range(start, len(bucket)):
+            entry = bucket[index]
+            if not (entry.__class__ is Event and entry.cancelled):
+                yield entry
+
     def occupancy(self) -> Dict[str, Any]:
-        """Queue depth and calendar occupancy, computed on demand.
+        """Queue depth and the pending time window, computed on demand.
 
-        Walks the day index (one entry per non-empty day) plus, for the
-        ``horizon``/``current_epoch`` fields, the slot table (one entry
-        per distinct timestamp, scanning each slot only until the first
-        live entry) -- still far from touching every event, so a metrics
-        snapshot stays safe to take mid-run at any scale.
+        Walks the bucket table (one entry per key, scanning each bucket
+        only until its first live entry) -- far from touching every event,
+        so a metrics snapshot stays safe to take mid-run at any scale.
 
+        ``slots`` counts the distinct timestamps in the table,
         ``horizon`` is the latest timestamp that still has a live
-        (non-cancelled, unconsumed) entry, ``current_epoch`` the calendar
-        day index of the earliest such timestamp -- exactly the window the
-        sharded lane's barrier scheduler reasons about.  Both are ``None``
-        when no live entries remain; cancelled events and already-drained
-        slot positions never count.
+        (non-cancelled, unconsumed) entry and ``current_epoch`` the index,
+        in units of ``width``, of the earliest such timestamp -- exactly
+        the window the sharded lane's barrier scheduler reasons about.
+        Both are ``None`` when no live entries remain; cancelled events
+        and already-drained positions never count.
         """
-        day_sizes = [len(bucket) for bucket in self._days.values()]
-        total = sum(day_sizes)
-        horizon: Optional[float] = None
-        earliest: Optional[float] = None
-        for time, slot in self._slots.items():
-            if not self._slot_has_live(slot):
-                continue
-            if horizon is None or time > horizon:
-                horizon = time
-            if earliest is None or time < earliest:
-                earliest = time
+        live = [key[0] for key, bucket in self._buckets.items()
+                if next(self._live(bucket), None) is not None]
         return {
             "pending": len(self),
             "cancelled": self._num_cancelled,
-            "slots": len(self._slots),
-            "days": len(self._days),
-            "max_day_occupancy": max(day_sizes, default=0),
-            "mean_day_occupancy": (round(total / len(day_sizes), 2)
-                                   if day_sizes else 0),
-            "horizon": horizon,
-            "current_epoch": (None if earliest is None
-                              else int(earliest / self._width)),
+            "slots": len({key[0] for key in self._buckets}),
+            "horizon": max(live, default=None),
+            "current_epoch": (int(min(live) / self._width) if live
+                              else None),
         }
-
-    @staticmethod
-    def _slot_has_live(slot: _Slot) -> bool:
-        """Whether any live entry remains in ``slot`` (non-mutating)."""
-        buckets = slot.buckets
-        cursors = slot.cursors
-        for priority in range(_NUM_PRIORITIES):
-            bucket = buckets[priority]
-            for index in range(cursors[priority], len(bucket)):
-                entry = bucket[index]
-                if entry is None:
-                    continue
-                if entry.__class__ is Event and entry.cancelled:
-                    continue
-                return True
-        return False
 
     def iter_pending(self) -> Iterator[Any]:
         """Yield ``(entry, weight)`` for every live queued entry.
 
-        Non-destructive and unordered (slot-table order).  ``entry`` is
+        Non-destructive and unordered (bucket-table order).  ``entry`` is
         a bare :class:`Message`, a :class:`_DeliverBatch` (``weight`` =
         destinations not yet delivered), or an :class:`Event`; cancelled
         events and already-popped positions are skipped.  Intended for
         metrics collectors, not for draining.
         """
-        for slot in self._slots.values():
-            buckets = slot.buckets
-            cursors = slot.cursors
-            for priority in range(_NUM_PRIORITIES):
-                bucket = buckets[priority]
-                for index in range(cursors[priority], len(bucket)):
-                    entry = bucket[index]
-                    if entry is None:
-                        continue
-                    if entry.__class__ is Event and entry.cancelled:
-                        continue
-                    if entry.__class__ is _DeliverBatch:
-                        yield entry, len(entry.dests) - entry.pos
-                    else:
-                        yield entry, 1
+        for bucket in self._buckets.values():
+            for entry in self._live(bucket):
+                if entry.__class__ is _DeliverBatch:
+                    yield entry, len(entry.dests) - entry.pos
+                else:
+                    yield entry, 1
 
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
-    def _locate_front(self):
-        """Advance past cancelled events and locate the earliest live one.
+    def _next_bucket(self) -> bool:
+        """Retire the exhausted front bucket and cache the next one.
 
-        Returns ``(time, slot, priority, index, entry)`` without consuming
-        the entry, or ``None`` when the queue is empty.  Cancelled events
-        encountered on the way are discarded, exhausted slots are released
-        (their timestamp popped from their day's heap), and exhausted days
-        are retired from the calendar, so the scan never revisits them.
-        Both :meth:`pop_due` and :meth:`pop_tick` share this scan, keeping
-        the cursor/``min_pri``/``_size`` bookkeeping in exactly one place.
+        Returns whether there is one.  Called by the pop *after* the
+        bucket ran dry, so an event appended to the instant being drained
+        needs no new key: it is met at the cursor.
         """
-        day_heap = self._day_heap
-        days = self._days
-        while True:
-            times = self._front_times
-            if not times:  # cached front day drained or invalidated
-                while day_heap:
-                    day = day_heap[0]
-                    times = days.get(day)
-                    if times:
-                        self._front_day = day
-                        self._front_times = times
-                        break
-                    # Day exhausted (or retired): leave the calendar.
-                    heapq.heappop(day_heap)
-                    days.pop(day, None)
-                else:
-                    self._front_times = None
-                    return None
-            time = times[0]
-            slot = self._slots.get(time)
-            if slot is None:  # released slot whose timestamp lingered
-                heapq.heappop(times)
-                continue
-            buckets = slot.buckets
-            cursors = slot.cursors
-            priority = slot.min_pri
-            while priority < _NUM_PRIORITIES:
-                bucket = buckets[priority]
-                index = cursors[priority]
-                length = len(bucket)
-                while index < length:
-                    entry = bucket[index]
-                    # Only Event wrappers can be cancelled (bare messages
-                    # and multicast batches never are).
-                    if entry.__class__ is Event and entry.cancelled:
-                        entry.queued = None
-                        self._num_cancelled -= 1
-                        self._size -= 1
-                        bucket[index] = None  # type: ignore[call-overload]
-                        index += 1
-                        continue
-                    cursors[priority] = index
-                    return time, slot, priority, index, entry
-                cursors[priority] = index
-                # Level drained; remember so future scans skip it (a later
-                # push at a lower level lowers ``min_pri`` again).
-                priority += 1
-                slot.min_pri = priority
-            # Every bucket drained: release the slot and its timestamp.
-            del self._slots[time]
-            heapq.heappop(times)
-        return None
+        keys = self._keys
+        if not keys:
+            return False
+        del self._buckets[heappop(keys)]
+        self._cursor = 0
+        if not keys:
+            self._front = []
+            return False
+        key = keys[0]
+        self._front = self._buckets[key]
+        self._time = key[0]
+        return True
 
     def pop_due(self, horizon: Optional[float]):
         """Consume and return ``(time, entry)`` for the earliest live event.
 
-        This is the drain API: one traversal locates and consumes the
-        front, and deliveries carry no ``Event`` wrapper.  ``entry`` is
-        a bare :class:`Message` for fast-path deliveries and an
-        :class:`Event` for everything else.  When ``horizon`` is given,
-        an event due after it is *not* consumed and ``None`` is
-        returned; ``None`` consumes unconditionally.
+        This is the drain API.  ``entry`` is a bare :class:`Message` for
+        a fast-path delivery or one destination of a multicast batch and
+        an :class:`Event` for everything else; cancelled events met on
+        the way are discarded.  When ``horizon`` is given, an event due
+        after it is *not* consumed and ``None`` is returned; ``None``
+        consumes unconditionally.  An empty queue returns ``None``.
         """
-        front = self._locate_front()
-        if front is None:
-            return None
-        time, slot, priority, index, entry = front
-        if horizon is not None and time > horizon:
-            return None
-        self._size -= 1
-        if entry.__class__ is _DeliverBatch:
-            # Mint this pop's Message from the batch record; the batch
-            # stays at the bucket cursor until its last destination pops,
-            # preserving the contiguous FIFO order of the materialised
-            # equivalent.
-            pos = entry.pos
-            message = Message(entry.sender, entry.dests[pos], entry.kind,
-                              entry.payload, entry.sent_at,
-                              entry.chain_depth, entry.wireless,
-                              entry.query_id, entry.vtime)
-            pos += 1
-            if pos == len(entry.dests):
-                slot.cursors[priority] = index + 1
-                slot.buckets[priority][index] = None  # type: ignore[call-overload]
-            else:
-                entry.pos = pos
-            return time, message
-        slot.cursors[priority] = index + 1
-        slot.buckets[priority][index] = None  # type: ignore[call-overload]
-        if entry.__class__ is Event:
-            entry.queued = None
-        return time, entry
+        while True:
+            bucket = self._front
+            index = self._cursor
+            if index == len(bucket):
+                if not self._next_bucket():
+                    return None
+                continue
+            time = self._time
+            if horizon is not None and time > horizon:
+                return None
+            entry = bucket[index]
+            cls = entry.__class__
+            self._size -= 1
+            if cls is _DeliverBatch:
+                # Mint this pop's Message; the batch keeps its position
+                # until its last destination pops, preserving the FIFO
+                # order of the materialised equivalent.
+                batch = entry
+                pos = batch.pos
+                batch.pos = pos + 1
+                entry = Message(batch.sender, batch.dests[pos], batch.kind,
+                                batch.payload, batch.sent_at,
+                                batch.chain_depth, batch.wireless,
+                                batch.query_id, batch.vtime)
+                if pos + 1 < len(batch.dests):
+                    return time, entry
+            bucket[index] = None  # release the popped position
+            self._cursor = index + 1
+            if cls is Event:
+                entry.queued = None
+                if entry.cancelled:
+                    self._num_cancelled -= 1
+                    continue
+            return time, entry
 
     def pop_tick(self, horizon: Optional[float] = None):
         """Consume *every* event of the earliest instant in one call.
 
-        This is the vector lane's batch drain: instead of one
-        :meth:`pop_due` per message, the whole calendar slot is detached
-        at once.  Returns ``(time, buckets)`` where ``buckets`` is a list
-        of ``_NUM_PRIORITIES`` lists in priority order; each entry is a
+        Returns ``(time, buckets)`` where ``buckets`` is a list of
+        ``_NUM_PRIORITIES`` lists in priority order; each entry is a
         bare :class:`Message`, an *unexpanded* :class:`_DeliverBatch`
         (``entry.dests[entry.pos:]`` are its undelivered destinations, in
         FIFO/ascending order), or an :class:`Event`.  Cancelled events are
-        discarded, consumed events are unqueued, and the slot is released,
-        exactly as if the instant had been drained with ``pop_due`` --
-        the per-entry order within each bucket is the (time, priority,
-        seq) drain order.  When ``horizon`` is given, an instant due after
-        it is left untouched and ``None`` is returned; an empty queue also
-        returns ``None``.
+        discarded, consumed events are unqueued and the instant's keys
+        are retired, exactly as if it had been drained with ``pop_due``
+        -- the per-entry order within each list is the drain order.  When
+        ``horizon`` is given, an instant due after it is left untouched
+        and ``None`` is returned; an empty queue also returns ``None``.
 
         Unlike ``pop_due``, events appended to the instant *while the
-        caller processes the returned buckets* land in a fresh slot and
-        surface on the next call, so callers that schedule same-instant
-        work (zero-delay timers) must drain the instant repeatedly or
-        manage that work themselves -- the vector lane does the latter.
+        caller processes the returned lists* land in fresh buckets and
+        surface on the next call.  Nothing under ``src/`` calls this
+        since the tick lanes got their own flat lists; it stays for the
+        frozen ``perf_kernels.events_tick`` benchmark kernel.
         """
-        front = self._locate_front()
-        if front is None:
-            return None
-        time = front[0]
-        if horizon is not None and time > horizon:
-            return None
-        slot = self._slots[time]
-        removed = 0
-        buckets_out: List[List[Any]] = []
-        for priority in range(_NUM_PRIORITIES):
-            bucket = slot.buckets[priority]
-            start = slot.cursors[priority]
-            live: List[Any] = []
-            for index in range(start, len(bucket)):
-                entry = bucket[index]
-                if entry is None:
-                    continue
-                cls = entry.__class__
-                if cls is Event:
-                    if entry.cancelled:
-                        entry.queued = None
-                        self._num_cancelled -= 1
+        keys = self._keys
+        while self._cursor < len(self._front) or self._next_bucket():
+            time = self._time
+            if horizon is not None and time > horizon:
+                return None
+            out: List[List[Any]] = [[] for _ in range(_NUM_PRIORITIES)]
+            removed = 0
+            while True:  # each bucket of the instant in turn
+                bucket = self._front
+                live = out[keys[0][1]]
+                for entry in bucket[self._cursor:]:
+                    cls = entry.__class__
+                    if cls is _DeliverBatch:
+                        removed += len(entry.dests) - entry.pos
+                    else:
                         removed += 1
-                        continue
-                    entry.queued = None
-                    removed += 1
-                elif cls is _DeliverBatch:
-                    removed += len(entry.dests) - entry.pos
-                else:
-                    removed += 1
-                live.append(entry)
-            buckets_out.append(live)
-        self._size -= removed
-        # Release the slot and its timestamp ( _locate_front resolved the
-        # front day, so the cached heap's head is exactly ``time``).
-        del self._slots[time]
-        heapq.heappop(self._front_times)
-        return time, buckets_out
+                        if cls is Event:
+                            entry.queued = None
+                            if entry.cancelled:
+                                self._num_cancelled -= 1
+                                continue
+                    live.append(entry)
+                self._cursor = len(bucket)
+                if not self._next_bucket() or self._time != time:
+                    break
+            self._size -= removed
+            if any(out):
+                return time, out
+        return None

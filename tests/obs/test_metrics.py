@@ -87,8 +87,8 @@ class TestQueueCollector:
         snapshot = collect_queue_metrics(queue).snapshot()
         assert snapshot["queue.pending"] == len(queue) == 25
         assert snapshot["queue.cancelled"] == 1
-        assert snapshot["queue.max_day_occupancy"] >= \
-            snapshot["queue.mean_day_occupancy"] > 0
+        assert snapshot["queue.slots"] == 7
+        assert not any("day" in name for name in snapshot)
 
     def test_iter_pending_agrees_with_len(self):
         queue = EventQueue()

@@ -1,5 +1,8 @@
 """Tests for the event queue."""
 
+import ast
+import pathlib
+
 import pytest
 
 from repro.simulation.events import EventKind, EventQueue
@@ -33,9 +36,8 @@ class TestEventQueueOrdering:
         queue = EventQueue()
         first = queue.push(2.0, EventKind.TIMER, host=1, timer_name="first")
         second = queue.push(2.0, EventKind.TIMER, host=2, timer_name="second")
-        assert pop(queue).timer_name == "first"
-        assert pop(queue).timer_name == "second"
-        assert first.seq < second.seq
+        assert pop(queue) is first
+        assert pop(queue) is second
 
     def test_deliveries_precede_timers_at_same_instant(self):
         queue = EventQueue()
@@ -83,8 +85,7 @@ class TestEventQueueBehaviour:
         queue.cancel(drop)
         assert len(queue) == 1
         event = pop(queue)
-        assert event.timer_name == "keep"
-        assert event.seq == keep.seq
+        assert event is keep
 
     def test_horizon_ignores_a_cancelled_front(self):
         queue = EventQueue()
@@ -328,3 +329,35 @@ class TestOccupancyWindow:
                     assert occupancy["horizon"] == max(times)
                     assert (occupancy["current_epoch"]
                             == int(min(times) / width))
+
+
+class TestOneStructure:
+    """``width`` cannot grow back into a performance knob and the drain
+    loop cannot fork."""
+
+    @staticmethod
+    def _readers(path, attr):
+        """Names of the functions in ``path`` that read ``<obj>.attr``."""
+        found = []
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [function.name for node in ast.walk(function)
+                          if isinstance(node, ast.Attribute)
+                          and node.attr == attr
+                          and isinstance(node.ctx, ast.Load)]
+        return found
+
+    def test_width_is_read_by_occupancy_only(self):
+        import repro.simulation.events as events
+
+        assert self._readers(pathlib.Path(events.__file__),
+                             "_width") == ["occupancy"]
+
+    def test_pop_due_has_one_call_site_under_src(self):
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        sites = [(str(path.relative_to(root)), name)
+                 for path in sorted(root.rglob("*.py"))
+                 for name in self._readers(path, "pop_due")]
+        assert sites == [("simulation/engine.py", "_drain")]

@@ -10,9 +10,11 @@ Two confirmed bugs are locked down here:
   (``push_deliver``/``push_timer``/``push_multicast``) silently accepted
   them.  All four entry points now share one contract.
 
-The hypothesis fuzz interleaves push/pop/cancel (including cancel-after-pop
-and double-cancel) and checks ``len``, ``occupancy()["pending"]`` and the
-drain order against a reference heap model after every operation.
+The hypothesis fuzz interleaves all four push paths, ``pop_due``,
+``pop_tick`` and cancel (including cancel-after-pop and double-cancel), on
+a shared time grid and on float times that each own a key, and checks
+``len``, ``occupancy()["pending"]`` and the drain order against a reference
+heap model after every operation.
 """
 
 import heapq
@@ -22,7 +24,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.events import EventKind, EventQueue, _KIND_PRIORITY
+from repro.simulation.events import (
+    EventKind,
+    EventQueue,
+    _DeliverBatch,
+    _KIND_PRIORITY,
+)
 from repro.simulation.messages import Message
 
 
@@ -108,18 +115,22 @@ def test_cancel_popped_fast_path_delivery_is_noop():
 # ---------------------------------------------------------------------------
 
 def test_negative_time_rejected_on_every_entry_point():
+    """Negative, NaN and infinite times alike: a NaN key would enter the
+    heap and silently break its order."""
     queue = EventQueue()
     message = Message(0, 1, "QUERY", None)
-    with pytest.raises(ValueError):
-        queue.push(-1.0, EventKind.TIMER, host=0)
-    with pytest.raises(ValueError):
-        queue.push_deliver(-1.0, message)
-    with pytest.raises(ValueError):
-        queue.push_timer(-5.0, 0, "flush", None)
-    with pytest.raises(ValueError):
-        queue.push_multicast(-2.0, 0, (1, 2), "QUERY", None, 0.0, 1)
+    for bad in (-1.0, -5e-324, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="time"):
+            queue.push(bad, EventKind.TIMER, host=0)
+        with pytest.raises(ValueError, match="time"):
+            queue.push_deliver(bad, message)
+        with pytest.raises(ValueError, match="time"):
+            queue.push_timer(bad, 0, "flush", None)
+        with pytest.raises(ValueError, match="time"):
+            queue.push_multicast(bad, 0, (1, 2), "QUERY", None, 0.0, 1)
     # Nothing leaked into the queue from the rejected calls.
     assert len(queue) == 0
+    assert queue.occupancy()["slots"] == 0
     assert queue.pop_due(None) is None
 
 
@@ -140,24 +151,41 @@ _TIMES = (0.0, 0.5, 1.0, 1.5, 2.5, 7.25)
 _KINDS = (EventKind.TIMER, EventKind.CUSTOM, EventKind.FAIL,
           EventKind.DELIVER, EventKind.QUERY_START)
 
+# The grid makes many events share a key (the fixed-delay regime); the
+# floats give nearly every event a key of its own (variable delay).
+_time = st.one_of(st.sampled_from(_TIMES), st.floats(0, 8, allow_nan=False))
+
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("push"), st.sampled_from(range(len(_TIMES))),
+        st.tuples(st.just("push"), _time,
                   st.sampled_from(range(len(_KINDS)))),
-        st.tuples(st.just("deliver"), st.sampled_from(range(len(_TIMES)))),
+        st.tuples(st.just("deliver"), _time),
+        st.tuples(st.just("multicast"), _time, st.integers(1, 4)),
+        st.tuples(st.just("timer"), _time),
         st.tuples(st.just("pop")),
+        st.tuples(st.just("tick")),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
     ),
     min_size=1, max_size=80,
 )
 
 
+def _labels(entry):
+    """Model labels of one queue entry, in drain order: ``data`` of an
+    Event, ``(payload, dest)`` of a message, one such pair per
+    undelivered destination of a multicast batch."""
+    if entry.__class__ is Message:
+        return [(entry.payload, entry.dest)]
+    if entry.__class__ is _DeliverBatch:
+        return [(entry.payload, dest) for dest in entry.dests[entry.pos:]]
+    return [entry.data]
+
+
 def _labelled(front):
-    """``(time, model label)`` of a popped ``(time, entry)`` pair: the
-    label rides in ``data`` of an Event, in the payload of a message."""
+    """``(time, model label)`` of a popped ``(time, entry)`` pair."""
     time, entry = front
-    return time, (entry.payload if entry.__class__ is Message
-                  else entry.data)
+    (label,) = _labels(entry)
+    return time, label
 
 
 @settings(max_examples=80, deadline=None,
@@ -171,13 +199,21 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
     handles = []         # push-returned events, cancellable by index
     handle_labels = []   # parallel: model label per handle
 
+    def model_push(time, priority, label):
+        entry = (time, priority, next(counter), label)
+        heapq.heappush(heap, entry)
+        alive[label] = entry
+
+    def model_front():
+        while heap and heap[0][3] not in alive:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
     def model_pop():
-        while heap:
-            entry = heapq.heappop(heap)
-            if entry[3] in alive:
-                del alive[entry[3]]
-                return entry
-        return None
+        entry = model_front()
+        if entry is not None:
+            del alive[heapq.heappop(heap)[3]]
+        return entry
 
     def check_counts():
         assert len(queue) == len(alive)
@@ -185,26 +221,31 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
         assert queue.occupancy()["pending"] == len(alive)
 
     label_counter = itertools.count()
+    deliver = _KIND_PRIORITY[EventKind.DELIVER]
     for op in ops:
         if op[0] == "push":
-            time, kind = _TIMES[op[1]], _KINDS[op[2]]
+            time, kind = op[1], _KINDS[op[2]]
             label = next(label_counter)
-            event = queue.push(time, kind, host=0, data=label)
-            seq = next(counter)
-            entry = (time, _KIND_PRIORITY[kind], seq, label)
-            heapq.heappush(heap, entry)
-            alive[label] = entry
-            handles.append(event)
+            handles.append(queue.push(time, kind, host=0, data=label))
             handle_labels.append(label)
+            model_push(time, _KIND_PRIORITY[kind], label)
+        elif op[0] == "timer":
+            label = next(label_counter)
+            handles.append(queue.push_timer(op[1], 0, "flush", label))
+            handle_labels.append(label)
+            model_push(op[1], _KIND_PRIORITY[EventKind.TIMER], label)
         elif op[0] == "deliver":
             # Fast-path bare message: no seq, FIFO position is its order.
-            time = _TIMES[op[1]]
             label = next(label_counter)
-            queue.push_deliver(time, Message(0, 1, "QUERY", label))
-            seq = next(counter)
-            entry = (time, _KIND_PRIORITY[EventKind.DELIVER], seq, label)
-            heapq.heappush(heap, entry)
-            alive[label] = entry
+            queue.push_deliver(op[1], Message(0, 0, "QUERY", label))
+            model_push(op[1], deliver, (label, 0))
+        elif op[0] == "multicast":
+            # One reference entry per destination, consecutive seqs.
+            label = next(label_counter)
+            dests = tuple(range(op[2]))
+            queue.push_multicast(op[1], 0, dests, "QUERY", label, 0.0, 1)
+            for dest in dests:
+                model_push(op[1], deliver, (label, dest))
         elif op[0] == "pop":
             expected = model_pop()
             if expected is None:
@@ -212,6 +253,22 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
             else:
                 assert _labelled(queue.pop_due(None)) == (
                     expected[0], expected[3])
+        elif op[0] == "tick":
+            # Reference: every live entry of the front time, by priority.
+            front = model_front()
+            if front is None:
+                assert queue.pop_tick() is None
+            else:
+                expected = [[] for _ in _KIND_PRIORITY]
+                entry = front
+                while entry is not None and entry[0] == front[0]:
+                    expected[entry[1]].append(model_pop()[3])
+                    entry = model_front()
+                time, buckets = queue.pop_tick()
+                assert time == front[0]
+                assert [[label for entry in bucket
+                         for label in _labels(entry)]
+                        for bucket in buckets] == expected
         elif op[0] == "cancel":
             if handles:
                 index = op[1] % len(handles)
@@ -228,7 +285,59 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
 
 
 # ---------------------------------------------------------------------------
-# pop_tick: the vector lane's batch drain
+# Pre-emption and re-created keys: the cases the cached front must get right
+# ---------------------------------------------------------------------------
+
+def test_preempted_half_expanded_batch_resumes_at_its_next_destination():
+    queue = EventQueue()
+    queue.push_multicast(2.0, 0, (10, 11, 12), "QUERY", "batch", 0.0, 1)
+    queue.push_deliver(2.0, Message(0, 13, "QUERY", "after"))
+    assert queue.pop_due(None)[1].dest == 10
+    # An earlier key arrives while the 2.0 bucket is half drained.
+    queue.push_deliver(1.0, Message(0, 99, "QUERY", "earlier"))
+    assert len(queue) == 4
+    assert [(time, message.dest) for time, message in
+            (queue.pop_due(None) for _ in range(4))] == [
+        (1.0, 99), (2.0, 11), (2.0, 12), (2.0, 13)]
+    assert queue.pop_due(None) is None
+
+
+def test_key_recreated_after_retirement_is_a_new_bucket():
+    queue = EventQueue()
+    queue.push_timer(1.0, 0, "flush", None)
+    queue.push_timer(3.0, 3, "flush", None)
+    assert queue.pop_due(None)[1].host == 0
+    assert queue.pop_due(None)[1].host == 3   # retires the 1.0 key
+    # Both keys come back: 1.0 after its bucket was retired, 3.0 while its
+    # exhausted bucket is still the cached front; 2.0 is new.
+    queue.push_timer(3.0, 4, "flush", None)
+    queue.push_timer(1.0, 1, "flush", None)
+    queue.push_timer(2.0, 2, "flush", None)
+    assert [queue.pop_due(None)[1].host for _ in range(3)] == [1, 2, 4]
+    assert len(queue) == 0
+    assert queue.occupancy()["horizon"] is None
+
+
+def test_pop_tick_of_a_preempted_bucket_returns_exactly_the_remainder():
+    queue = EventQueue()
+    queue.push_multicast(2.0, 0, (10, 11, 12), "QUERY", "batch", 0.0, 1)
+    queue.push_timer(2.0, 5, "flush", None)
+    assert queue.pop_due(None)[1].dest == 10
+    queue.push_deliver(1.0, Message(0, 99, "QUERY", "earlier"))
+    assert queue.pop_due(None)[1].dest == 99
+    assert queue.pop_due(None)[1].dest == 11
+
+    time, buckets = queue.pop_tick()
+    assert time == 2.0
+    assert [label for entry in buckets[_KIND_PRIORITY[EventKind.DELIVER]]
+            for label in _labels(entry)] == [("batch", 12)]
+    assert [e.host for e in buckets[_KIND_PRIORITY[EventKind.TIMER]]] == [5]
+    assert len(queue) == 0
+    assert queue.pop_tick() is None
+
+
+# ---------------------------------------------------------------------------
+# pop_tick: one whole instant per call
 # ---------------------------------------------------------------------------
 
 def test_pop_tick_returns_whole_instant_in_priority_order():
