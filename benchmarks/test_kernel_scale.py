@@ -25,6 +25,10 @@ Three locks on the simulation kernel's performance:
   (self-calibrating: both lanes are timed interleaved on this machine).
 * ``test_convergecast_10k_differential_and_2x_speedup`` -- the paired cell
   for SPANNINGTREE and DAG-2 ``count`` (the convergecast batch kernel).
+* ``test_sum_sketch_block_sampler_equals_loop_and_2x_faster`` -- the SUM
+  sketch's block sampler against the per-element loop it replaced: equal
+  sketch from equal-seeded generators and at least 2x faster (a ratio
+  within one process, no calibration).
 * ``test_bench_lane_cli_smoke`` -- ``repro bench --lane`` end to end in
   a clean subprocess: the flag reaches the kernel, the JSON row records
   the lane, and both lanes' rows agree on every cost measure.
@@ -425,6 +429,53 @@ def test_convergecast_10k_differential_and_2x_speedup(protocol):
     timings = _time_lanes_10k(protocol, make, 7)
     _require_lane_speedup(
         protocol, *max(timings, key=lambda pair: pair[0] / pair[1]))
+
+
+BLOCK_SAMPLER_REQUIRED_SPEEDUP = 2.0
+
+
+def test_sum_sketch_block_sampler_equals_loop_and_2x_faster():
+    """``FMSketch.for_value(4096, 8, rng)`` against the OR of 4 096
+    single-element draws from an equal-seeded generator: the same sketch,
+    best-of-5 each, the block sampler at least 2x faster (4-6x measured).
+    """
+    import random
+
+    from repro.sketches.fm import FMSketch, _sample_packed_element
+
+    def loop(rng):
+        packed = 0
+        for _ in range(4096):
+            packed |= _sample_packed_element(rng, 8, 32)
+        return packed
+
+    def block(rng):
+        return FMSketch.for_value(4096, 8, rng).packed
+
+    best = {}
+    for _ in range(5):
+        results = {}
+        for sampler in (loop, block):
+            rng = random.Random(RUN_SEED)
+            start = time.perf_counter()
+            results[sampler] = sampler(rng)
+            elapsed = time.perf_counter() - start
+            best[sampler] = min(best.get(sampler, elapsed), elapsed)
+        assert results[block] == results[loop]
+    speedup = best[loop] / best[block]
+    print(f"\nfor_value(4096, c=8): loop {best[loop] * 1e3:.3f} ms, "
+          f"block {best[block] * 1e3:.3f} ms -> {speedup:.2f}x (equal sketch)")
+    _record_trajectory("pytest sum-sketch block sampler", elements=4096,
+                       repetitions=8,
+                       loop_seconds=round(best[loop], 6),
+                       block_seconds=round(best[block], 6),
+                       speedup=round(speedup, 2))
+    if _RELAX:
+        pytest.skip(f"REPRO_BENCH_RELAX=1 (measured {speedup:.2f}x)")
+    assert speedup >= BLOCK_SAMPLER_REQUIRED_SPEEDUP, (
+        f"block sampler speedup {speedup:.2f}x fell below the required "
+        f"{BLOCK_SAMPLER_REQUIRED_SPEEDUP}x (loop {best[loop]:.6f}s, "
+        f"block {best[block]:.6f}s)")
 
 
 def test_bench_lane_cli_smoke():

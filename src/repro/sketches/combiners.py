@@ -208,7 +208,11 @@ class FMCountCombiner(Combiner[FMSketch]):
 
 
 class FMSumCombiner(Combiner[FMSketch]):
-    """Duplicate-insensitive sum: each host contributes ``value`` elements."""
+    """Duplicate-insensitive sum: each host contributes ``value`` elements.
+
+    A fractional value is truncated (99.9 contributes 99 elements), so
+    the estimated SUM is that of the integer parts.
+    """
 
     duplicate_insensitive = True
     stochastic = True

@@ -186,11 +186,20 @@ class Topology:
     # Conversions
     # ------------------------------------------------------------------
     def to_network(self) -> DynamicNetwork:
-        """Instantiate a fresh :class:`DynamicNetwork` with this topology."""
-        # The network packs the rows into its CSR buffers without aliasing
-        # them, so the topology's own sets can be handed over directly --
-        # no per-host set copy even at million-host scale.
-        return DynamicNetwork(self.adjacency, validate=False, copy=False)
+        """Instantiate a fresh :class:`DynamicNetwork` with this topology.
+
+        The topology is immutable, so the pristine network is packed once
+        and memoised like :meth:`diameter_estimate`; each call returns an
+        independent copy sharing only the immutable base CSR buffers.
+        """
+        pristine = self.__dict__.get("_pristine_network")
+        if pristine is None:
+            # The network packs the rows into its CSR buffers without
+            # aliasing them, so the topology's own sets can be handed over
+            # directly -- no per-host set copy even at million-host scale.
+            pristine = self.__dict__["_pristine_network"] = DynamicNetwork(
+                self.adjacency, validate=False, copy=False)
+        return pristine.copy()
 
     def to_networkx(self):  # pragma: no cover - convenience only
         """Return a ``networkx.Graph`` view (requires networkx)."""

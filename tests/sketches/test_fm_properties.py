@@ -97,25 +97,35 @@ def test_insert_then_merge_equals_merge_then_insert(a, b, seed, mode):
     assert insert_then_merge == merge_then_insert
 
 
-@given(st.integers(min_value=0, max_value=300),
+@given(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]),
+                 st.integers(min_value=0, max_value=600)),
+       st.one_of(st.integers(min_value=1, max_value=34), st.just(64)),
+       st.sampled_from([1, 2, 8, 31, 32, 33]),
        st.integers(min_value=0, max_value=2 ** 31),
        st.sampled_from(["fast", "legacy"]))
-@settings(max_examples=40)
-def test_for_value_equals_repeated_single_inserts(value, seed, mode):
+@settings(max_examples=150, deadline=None)
+def test_for_value_equals_repeated_single_inserts(value, repetitions,
+                                                  num_bits, seed, mode):
     """A sum sketch for v equals v single-element inserts from one stream.
 
     In each sampling mode, ``for_value`` must be exactly the OR of ``v``
-    single-element sketches drawn from the same RNG stream -- the packed
-    fast path cannot change what the sketch *is*, only how it is built.
+    single-element sketches drawn from the same RNG stream -- the block
+    sampler cannot change what the sketch *is*, only how it is built --
+    and must leave the generator where the element loop leaves it, for
+    every shape: a last word the generator truncates, a draw stride below
+    and above the sketch width, whole and partial blocks.
     """
     with sampling_mode(mode):
-        bulk = FMSketch.for_value(value, 4, random.Random(seed))
+        bulk_rng = random.Random(seed)
+        bulk = FMSketch.for_value(value, repetitions, bulk_rng,
+                                  num_bits=num_bits)
         rng = random.Random(seed)
-        incremental = FMSketch.empty(4)
+        incremental = FMSketch.empty(repetitions, num_bits=num_bits)
         for _ in range(value):
             incremental = incremental.merge(
-                FMSketch.for_new_element(4, rng))
+                FMSketch.for_new_element(repetitions, rng, num_bits=num_bits))
     assert bulk == incremental
+    assert bulk_rng.getstate() == rng.getstate()
 
 
 @pytest.mark.parametrize("mode", ["fast", "legacy"])
@@ -220,3 +230,24 @@ def test_fast_sampler_equals_its_loop_formulation(repetitions):
                 f"c={repetitions} b={num_bits} draw={draw:#x}")
         # Exactly one block of c * (b - 1) bits per element, nothing else.
         assert rng.requests == [width] * len(draws)
+
+
+@pytest.mark.parametrize("value,repetitions,num_bits,requests", [
+    (0, 8, 32, []),                 # nothing to insert
+    (500, 8, 1, []),                # one-bit vectors leave nothing to toss
+    (64, 8, 32, [64 * 256]),        # exactly one block: 248 bits -> 8 words
+    (65, 16, 32, [64 * 512, 512]),  # a whole block, then a 1-element one
+    (3, 32, 32, [3 * 992]),         # draw stride below the sketch width
+    (3, 8, 2, [3 * 32]),            # ... and above it
+])
+def test_block_sampler_requests_whole_word_strides(value, repetitions,
+                                                   num_bits, requests):
+    """``for_value`` asks for ``n * 32 * ceil(c * (b - 1) / 32)`` bits per
+    block of ``n <= 64`` elements and for nothing else -- in particular
+    nothing at all for ``value = 0`` or one-bit vectors, which the
+    sharded lane's tape relies on."""
+    rng = _ScriptedRng([0] * len(requests))
+    sketch = FMSketch.for_value(value, repetitions, rng, num_bits=num_bits)
+    assert rng.requests == requests
+    # All-tails draws: every inserted element lands on bit 0 of each vector.
+    assert sketch.vectors == (1 if value else 0,) * repetitions

@@ -78,6 +78,25 @@ class TestConversions:
         network.fail_host(0, time=1.0)
         assert topo.neighbors(1) == {0, 2}
 
+    def test_to_network_copies_of_the_memoised_pristine_network(self):
+        """The CSR is packed once per topology; every result is private."""
+        topo = ring_topology(6)
+        first, second = topo.to_network(), topo.to_network()
+        assert first is not second
+        assert first._base_targets is second._base_targets
+        first.fail_host(0, time=1.0)
+        joined = first.join_host([1, 2], time=2.0)
+        third = topo.to_network()
+        for pristine in (second, third):
+            assert pristine.num_alive == pristine.num_hosts == joined == 6
+            assert pristine.is_alive(0)
+            assert pristine.neighbors(1) == {0, 2}
+            assert not pristine.events
+            # A join on one copy leaves the memo range-partitionable.
+            assert pristine.partition_bounds(2)[-1] == 6
+        with pytest.raises(ValueError):
+            first.partition_bounds(2)
+
     def test_to_networkx_roundtrip(self):
         nx_graph = ring_topology(5).to_networkx()
         assert nx_graph.number_of_nodes() == 5
