@@ -33,12 +33,12 @@ def run_orchestrated(benchmark, figure_id, *, scale=BENCH_SCALE, trials=1,
                      workers=1, store=None, force=False):
     """Run a figure's trial matrix through the orchestration subsystem.
 
-    Routes the benchmark through :func:`repro.experiments.figures.
+    Routes the benchmark through :func:`repro.orchestration.figures.
     run_figure_matrix` (spec -> executor -> cache) so the harness measures
     the same path the ``python -m repro`` CLI exercises.  Returns the
     figure's :class:`~repro.orchestration.executor.RunReport`.
     """
-    from repro.experiments.figures import run_figure_matrix
+    from repro.orchestration.figures import run_figure_matrix
 
     def orchestrate():
         reports = run_figure_matrix(

@@ -2,7 +2,7 @@
 
 from conftest import BENCH_SEED, run_once
 
-from repro.experiments.communication import (
+from repro.experiments.costs import (
     run_communication_cost_experiment,
     wildfire_to_tree_ratio,
 )

@@ -2,7 +2,7 @@
 
 from conftest import BENCH_SEED, run_once
 
-from repro.experiments.communication import run_grid_communication_experiment
+from repro.experiments.costs import run_grid_communication_experiment
 from repro.experiments.tables import format_table
 
 

@@ -2,7 +2,7 @@
 
 from conftest import BENCH_SEED, run_once
 
-from repro.experiments.computation import (
+from repro.experiments.costs import (
     computation_cost_ratio,
     run_computation_cost_experiment,
 )

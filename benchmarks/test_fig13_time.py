@@ -3,7 +3,7 @@
 from conftest import BENCH_SEED, run_once
 
 from repro.experiments.tables import format_table
-from repro.experiments.time_cost import (
+from repro.experiments.costs import (
     run_messages_per_instant_experiment,
     run_time_cost_experiment,
 )

@@ -27,7 +27,7 @@ def test_orchestrated_figure_cold(benchmark, tmp_path):
 def test_orchestrated_figure_warm(benchmark, tmp_path):
     store = ResultStore(tmp_path / "cache")
     # Populate the cache outside the timed region.
-    from repro.experiments.figures import run_figure_matrix
+    from repro.orchestration.figures import run_figure_matrix
 
     cold = run_figure_matrix([FIGURE], scale=SCALE, num_trials=2,
                              base_seed=BENCH_SEED, store=store)[FIGURE]

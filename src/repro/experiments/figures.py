@@ -3,21 +3,12 @@
 Each entry runs a scaled-down version of the corresponding paper figure and
 returns a list of dictionaries (one per table row); EXPERIMENTS.md records a
 representative output of every entry next to the paper's reported shape.
-
-:func:`figure_spec` and :func:`run_figure_matrix` bridge this registry to
-the orchestration subsystem: a figure becomes a declarative
-:class:`~repro.orchestration.spec.ExperimentSpec` that can be fanned out
-over a worker pool and cached content-addressably.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.orchestration.executor import RunReport
-    from repro.orchestration.spec import ExperimentSpec
-    from repro.orchestration.store import ResultStore
+from functools import partial
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.experiments.accuracy import run_accuracy_experiment
 from repro.experiments.badcase import run_theorem_44_experiment
@@ -25,16 +16,15 @@ from repro.experiments.capture_recapture import (
     run_capture_recapture_experiment,
     run_ring_segment_experiment,
 )
-from repro.experiments.communication import (
+from repro.experiments.costs import (
     run_communication_cost_experiment,
+    run_computation_cost_experiment,
     run_grid_communication_experiment,
-)
-from repro.experiments.computation import run_computation_cost_experiment
-from repro.experiments.time_cost import (
     run_messages_per_instant_experiment,
     run_time_cost_experiment,
 )
 from repro.experiments.validity_sweep import run_validity_sweep
+from repro.topology.base import Topology
 from repro.topology.gnutella import gnutella_like_topology
 from repro.topology.grid import grid_topology
 
@@ -45,30 +35,26 @@ def _fig06(scale: float = 1.0, seed: int = 0) -> List[Dict[str, Any]]:
     return [row.as_dict() for row in rows]
 
 
-def _fig07(scale: float = 1.0, seed: int = 0) -> List[Dict[str, Any]]:
-    size = max(200, int(1500 * scale))
-    topology = gnutella_like_topology(size, seed=seed)
-    departures = [max(2, int(size * f)) for f in (0.01, 0.03, 0.06, 0.10)]
-    rows = run_validity_sweep(topology, "count", departures,
-                              num_trials=3, seed=seed)
-    return [row.as_dict() for row in rows]
+def _gnutella(scale: float, seed: int) -> Topology:
+    return gnutella_like_topology(max(200, int(1500 * scale)), seed=seed)
 
 
-def _fig08(scale: float = 1.0, seed: int = 0) -> List[Dict[str, Any]]:
-    size = max(200, int(1500 * scale))
-    topology = gnutella_like_topology(size, seed=seed)
-    departures = [max(2, int(size * f)) for f in (0.01, 0.03, 0.06, 0.10)]
-    rows = run_validity_sweep(topology, "sum", departures,
-                              num_trials=3, seed=seed)
-    return [row.as_dict() for row in rows]
+def _grid(scale: float, seed: int) -> Topology:
+    return grid_topology(max(10, int(24 * scale)))
 
 
-def _fig09(scale: float = 1.0, seed: int = 0) -> List[Dict[str, Any]]:
-    side = max(10, int(24 * scale))
-    topology = grid_topology(side)
-    size = topology.num_hosts
-    departures = [max(2, int(size * f)) for f in (0.01, 0.03, 0.06, 0.10)]
-    rows = run_validity_sweep(topology, "count", departures,
+def _churn_figure(
+    topology_at: Callable[[float, int], Topology],
+    query_kind: str,
+    scale: float = 1.0,
+    seed: int = 0,
+) -> List[Dict[str, Any]]:
+    """Figures 7-9: one query on one topology while 1 / 3 / 6 / 10 % of
+    its hosts depart."""
+    topology = topology_at(scale, seed)
+    departures = [max(2, int(topology.num_hosts * f))
+                  for f in (0.01, 0.03, 0.06, 0.10)]
+    rows = run_validity_sweep(topology, query_kind, departures,
                               num_trials=3, seed=seed)
     return [row.as_dict() for row in rows]
 
@@ -132,11 +118,14 @@ def _sec54(scale: float = 1.0, seed: int = 0) -> List[Dict[str, Any]]:
 
 
 #: Figure id -> (description, driver)
-FIGURES: Dict[str, Any] = {
+FIGURES: Dict[str, Tuple[str, Callable]] = {
     "fig6": ("Accuracy of FM count and sum vs repetitions c", _fig06),
-    "fig7": ("Count query vs churn on Gnutella-like topology", _fig07),
-    "fig8": ("Sum query vs churn on Gnutella-like topology", _fig08),
-    "fig9": ("Count query vs churn on Grid topology", _fig09),
+    "fig7": ("Count query vs churn on Gnutella-like topology",
+             partial(_churn_figure, _gnutella, "count")),
+    "fig8": ("Sum query vs churn on Gnutella-like topology",
+             partial(_churn_figure, _gnutella, "sum")),
+    "fig9": ("Count query vs churn on Grid topology",
+             partial(_churn_figure, _grid, "count")),
     "fig10": ("Communication cost vs |H| on Random (+Gnutella)", _fig10),
     "fig11": ("Communication cost vs |H| on Grid (wireless)", _fig11),
     "fig12": ("Computation cost distribution on Power-law and Grid", _fig12),
@@ -147,65 +136,17 @@ FIGURES: Dict[str, Any] = {
 }
 
 
+def lookup_figure(figure_id: str) -> Tuple[str, Callable]:
+    """The ``(description, driver)`` entry of a figure id; an unknown id
+    raises the one ``KeyError`` every surface reports."""
+    try:
+        return FIGURES[figure_id]
+    except KeyError:
+        raise KeyError(f"unknown figure {figure_id!r}; known: "
+                       f"{', '.join(sorted(FIGURES))}") from None
+
+
 def run_figure(figure_id: str, scale: float = 1.0, seed: int = 0) -> List[Dict[str, Any]]:
     """Run one figure's experiment at the given scale and return its rows."""
-    if figure_id not in FIGURES:
-        raise KeyError(
-            f"unknown figure {figure_id!r}; known: {sorted(FIGURES)}"
-        )
-    _, driver = FIGURES[figure_id]
+    _, driver = lookup_figure(figure_id)
     return driver(scale=scale, seed=seed)
-
-
-def figure_spec(
-    figure_id: str,
-    scale: float = 0.5,
-    num_trials: int = 1,
-    base_seed: int = 0,
-) -> "ExperimentSpec":
-    """Wrap a figure as a declarative spec for the orchestration layer."""
-    from repro.orchestration.spec import ExperimentSpec
-
-    if figure_id not in FIGURES:
-        raise KeyError(
-            f"unknown figure {figure_id!r}; known: {sorted(FIGURES)}"
-        )
-    description, _ = FIGURES[figure_id]
-    return ExperimentSpec.create(
-        name=description,
-        runner="figure",
-        axes={"figure": [figure_id], "scale": [scale]},
-        num_trials=num_trials,
-        base_seed=base_seed,
-    )
-
-
-def run_figure_matrix(
-    figure_ids: Sequence[str],
-    scale: float = 0.5,
-    num_trials: int = 1,
-    base_seed: int = 0,
-    workers: int = 1,
-    store: Optional["ResultStore"] = None,
-    force: bool = False,
-) -> Dict[str, "RunReport"]:
-    """Run several figures' trial matrices through the orchestration layer.
-
-    All figures' pending trials share one worker pool, so ``workers``
-    parallelism spans figures as well as trials.  Results are bit-identical
-    for any worker count.  Note that each trial's driver seed is *derived*
-    from the spec hash, ``base_seed``, and the trial index (see
-    :func:`repro.orchestration.spec.derive_trial_seed`), not passed through
-    verbatim -- to reproduce one trial with :func:`run_figure` directly,
-    take its seed from the report (or ``spec.trials()``).
-    """
-    from repro.orchestration.executor import run_specs
-
-    figure_ids = list(dict.fromkeys(figure_ids))
-    specs = [
-        figure_spec(figure_id, scale=scale, num_trials=num_trials,
-                    base_seed=base_seed)
-        for figure_id in figure_ids
-    ]
-    reports = run_specs(specs, workers=workers, store=store, force=force)
-    return dict(zip(figure_ids, reports))

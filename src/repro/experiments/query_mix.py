@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.experiments.scale_bench import _build_topology
 from repro.obs.metrics import collect_service_metrics
 from repro.obs.stream import current_rss_mb
 from repro.service import QueryService
+from repro.service.engine import merge_shard_summaries
 from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
+from repro.simulation.sharded import pool_context
 from repro.simulation.stats import make_stats_sink
-from repro.topology.base import Topology
+from repro.topology import Topology, topology_from_spec
 from repro.workloads.query_mix import QueryMixConfig, generate_query_mix
 
 
@@ -50,11 +52,11 @@ def run_query_mix(
 
     Args:
         num_hosts: network size.
-        topology: a :data:`~repro.orchestration.runners.TOPOLOGY_BUILDERS`
-            key.
-        qps: mean Poisson arrival rate of query streams.
-        duration: arrival window; the service then runs to drain, so
-            every launched query declares.
+        topology: a :func:`~repro.topology.topology_from_spec` name.
+        qps: mean Poisson arrival rate of query streams, when no ``mix``
+            is passed.
+        duration: arrival window, when no ``mix`` is passed; the service
+            then runs to drain, so every launched query declares.
         seed: seeds topology generation, values, churn, the mix and the
             per-query seed streams.
         stats: ignored.  ``"full"`` / ``"streaming"`` used to pick between
@@ -64,8 +66,12 @@ def run_query_mix(
             samples its own stream).
         departures: number of hosts failed uniformly over the arrival
             window (0 = static network).
-        mix: explicit :class:`QueryMixConfig`; ``mix_overrides`` tweak
-            its fields (``continuous_fraction=...``, ``max_queries=...``).
+        mix: explicit :class:`QueryMixConfig`, built from ``qps`` and
+            ``duration`` when omitted; ``mix_overrides`` tweak its fields
+            (``continuous_fraction=...``, ``max_queries=...``).  The
+            resulting mix is the one statement of the arrival rate and
+            window: the churn window, the progress slice and the
+            summary's ``qps`` / ``duration`` all read it.
         prebuilt_topology: reuse an existing topology.
         tracer: structured trace sink handed to the service's engine.
         progress: when given, the drive is sliced into simulated-time
@@ -115,6 +121,9 @@ def run_query_mix(
         snapshot (engine tallies, queue occupancy, per-tenant breakdown).
     """
     make_stats_sink(stats)  # validates the historical names, nothing more
+    mix = replace(mix if mix is not None
+                  else QueryMixConfig(qps=qps, duration=duration),
+                  **mix_overrides)
     if int(shards) < 1:
         raise ValueError("shards must be at least 1")
     if shards > 1:
@@ -132,15 +141,13 @@ def run_query_mix(
                 "pass the generator name instead of a prebuilt topology")
         return _run_sharded_query_mix(
             shards=int(shards), num_hosts=num_hosts, topology=topology,
-            qps=qps, duration=duration, seed=seed,
-            delay=delay, departures=departures, mix=mix,
-            share_floods=share_floods, admission=admission,
-            mix_overrides=mix_overrides)
+            seed=seed, delay=delay, departures=departures, mix=mix,
+            share_floods=share_floods, admission=admission)
 
     if prebuilt_topology is not None:
         topo = prebuilt_topology
     else:
-        topo = _build_topology(topology, num_hosts, seed)
+        topo = topology_from_spec(topology, num_hosts, seed)
     rng = random.Random(seed)
     values = [rng.random() * 100.0 for _ in range(topo.num_hosts)]
 
@@ -149,15 +156,12 @@ def run_query_mix(
         churn = uniform_failure_schedule(
             candidates=list(range(topo.num_hosts)),
             num_failures=departures,
-            start=duration * 0.05,
-            end=duration * 0.95,
+            start=mix.duration * 0.05,
+            end=mix.duration * 0.95,
             seed=seed,
         )
 
-    mix_config = mix if mix is not None else QueryMixConfig(
-        qps=qps, duration=duration)
-    submissions = generate_query_mix(
-        topo.num_hosts, mix_config, seed=seed, **mix_overrides)
+    submissions = generate_query_mix(topo.num_hosts, mix, seed=seed)
 
     service = QueryService(
         topo, values, churn=churn, seed=seed, delay=delay, tracer=tracer,
@@ -192,7 +196,7 @@ def run_query_mix(
         candidates = [i for i in (progress_interval, metrics_interval)
                       if i]
         interval = (min(candidates) if candidates
-                    else max(duration / 10.0, 1.0))
+                    else max(mix.duration / 10.0, 1.0))
         horizon = 0.0
         while engine.pending_events():
             horizon += interval
@@ -232,8 +236,8 @@ def run_query_mix(
     summary.update({
         "hosts": topo.num_hosts,
         "topology": topo.name if prebuilt_topology is not None else topology,
-        "qps": qps,
-        "duration": duration,
+        "qps": mix.qps,
+        "duration": mix.duration,
         "seed": seed,
         "delay": delay or "fixed",
         "departures": departures,
@@ -246,24 +250,19 @@ def run_query_mix(
 
 def _mix_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Pool entry point: one worker's slice of the sharded query mix."""
-    kwargs = dict(payload)
-    overrides = kwargs.pop("mix_overrides")
-    return run_query_mix(**kwargs, **overrides)
+    return run_query_mix(**payload)
 
 
 def _run_sharded_query_mix(
     shards: int,
     num_hosts: int,
     topology: str,
-    qps: float,
-    duration: float,
     seed: int,
     delay: Optional[str],
     departures: int,
-    mix: Optional[QueryMixConfig],
+    mix: QueryMixConfig,
     share_floods: bool,
     admission,
-    mix_overrides: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Partition the mix by query id over a worker pool and merge.
 
@@ -276,22 +275,16 @@ def _run_sharded_query_mix(
     single-process algorithm -- digest equality is the end-to-end proof
     that sharding changed nothing a tenant can observe.
     """
-    from repro.orchestration.executor import _pool_context
-    from repro.service.engine import merge_shard_summaries
-
     payloads = [
         {
-            "num_hosts": num_hosts, "topology": topology, "qps": qps,
-            "duration": duration, "seed": seed,
+            "num_hosts": num_hosts, "topology": topology, "seed": seed,
             "delay": delay, "departures": departures, "mix": mix,
             "share_floods": share_floods, "admission": admission,
             "_session_slice": (worker, shards),
-            "mix_overrides": mix_overrides,
         }
         for worker in range(shards)
     ]
-    ctx = _pool_context()
-    with ctx.Pool(processes=shards) as pool:
+    with pool_context().Pool(processes=shards) as pool:
         shard_results = pool.map(_mix_shard_worker, payloads)
 
     rows = sorted(
@@ -344,8 +337,6 @@ def run_qps_sweep(
     "share_floods": ...}``; rows carry the fields
     ``benchmarks/test_bench_schema.py`` locks.
     """
-    from dataclasses import replace
-
     qps_values = sorted(float(q) for q in qps_values)
     if not qps_values:
         raise ValueError("qps sweep needs at least one offered rate")
@@ -355,9 +346,8 @@ def run_qps_sweep(
     for offered in qps_values:
         point_mix = replace(base_mix, qps=offered, duration=duration)
         result = run_query_mix(
-            num_hosts=num_hosts, topology=topology, qps=offered,
-            duration=duration, seed=seed, mix=point_mix,
-            share_floods=share_floods, **mix_overrides)
+            num_hosts=num_hosts, topology=topology, seed=seed,
+            mix=point_mix, share_floods=share_floods, **mix_overrides)
         summary = result["summary"]
         queries = summary["queries"]
         elapsed = summary["elapsed_seconds"]

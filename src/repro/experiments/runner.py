@@ -1,4 +1,4 @@
-"""Multi-trial experiment runner with confidence intervals.
+"""Trial statistics: means with confidence intervals.
 
 The paper reports averages over 10 trials with 95% confidence intervals;
 this module provides the small amount of shared machinery the per-figure
@@ -8,7 +8,7 @@ drivers need to do the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Sequence
+from typing import Sequence
 
 from repro.semantics.metrics import mean_and_confidence_interval
 
@@ -37,55 +37,3 @@ def aggregate_trials(samples: Sequence[float]) -> TrialStats:
     """Summarise repeated measurements as a :class:`TrialStats`."""
     mean, ci = mean_and_confidence_interval(samples)
     return TrialStats(mean=mean, ci=ci, samples=len(samples))
-
-
-def _trial_samples(
-    trial: Callable[[int], Any],
-    num_trials: int,
-    base_seed: int,
-    workers: int,
-) -> List[Any]:
-    if num_trials < 1:
-        raise ValueError("num_trials must be at least 1")
-    seeds = [base_seed + i for i in range(num_trials)]
-    if workers <= 1:
-        return [trial(seed) for seed in seeds]
-    # Route through the orchestration subsystem's pool; the serial path
-    # above stays import-free so existing call sites pay nothing.
-    from repro.orchestration.executor import map_over_seeds
-
-    return map_over_seeds(trial, seeds, workers=workers)
-
-
-def run_trials(
-    trial: Callable[[int], float],
-    num_trials: int,
-    base_seed: int = 0,
-    workers: int = 1,
-) -> TrialStats:
-    """Run ``trial(seed)`` for ``num_trials`` different seeds and summarise.
-
-    Args:
-        trial: a callable mapping a seed to one scalar measurement.
-        num_trials: how many independent trials to run.
-        base_seed: seeds are ``base_seed, base_seed + 1, ...``.
-        workers: with ``workers > 1`` trials fan out over a process pool
-            (``trial`` must then be picklable, i.e. a module-level
-            function); results are identical to the serial path.
-    """
-    samples = _trial_samples(trial, num_trials, base_seed, workers)
-    return aggregate_trials(samples)
-
-
-def run_trials_multi(
-    trial: Callable[[int], Dict[str, float]],
-    num_trials: int,
-    base_seed: int = 0,
-    workers: int = 1,
-) -> Dict[str, TrialStats]:
-    """Like :func:`run_trials` for trials that return several named metrics."""
-    per_key: Dict[str, List[float]] = {}
-    for outcome in _trial_samples(trial, num_trials, base_seed, workers):
-        for key, value in outcome.items():
-            per_key.setdefault(key, []).append(value)
-    return {key: aggregate_trials(values) for key, values in per_key.items()}

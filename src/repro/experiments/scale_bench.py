@@ -15,12 +15,14 @@ route through here.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence
+import sys
+from typing import Any, Dict, Optional, Sequence
 
+from repro.experiments.query_mix import run_query_mix
 from repro.obs.profiling import PhaseTimer
-from repro.protocols.base import run_protocol
+from repro.protocols.base import protocol_from_spec, run_protocol
 from repro.simulation.vector_lane import DEFAULT_LANE
-from repro.topology.base import Topology
+from repro.topology import Topology, topology_from_spec
 
 
 def peak_rss_mb() -> Optional[float]:
@@ -46,26 +48,8 @@ def peak_rss_mb() -> Optional[float]:
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is KiB on Linux/BSD but *bytes* on macOS.
-    import sys
-
     divisor = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
     return round(peak / divisor, 1)
-
-
-def _build_topology(name: str, num_hosts: int, seed: int) -> Topology:
-    from repro.orchestration.runners import TOPOLOGY_BUILDERS
-
-    if name not in TOPOLOGY_BUILDERS:
-        raise KeyError(
-            f"unknown topology {name!r}; known: {sorted(TOPOLOGY_BUILDERS)}"
-        )
-    return TOPOLOGY_BUILDERS[name](num_hosts, seed)
-
-
-def _build_protocol(name: str):
-    from repro.protocols.base import protocol_from_spec
-
-    return protocol_from_spec(name)
 
 
 def run_scale_benchmark(
@@ -92,8 +76,8 @@ def run_scale_benchmark(
     Args:
         num_hosts: network size (the paper stops at ~39k; a
             1,000,000-host run completes).
-        topology: a :data:`~repro.orchestration.runners.TOPOLOGY_BUILDERS`
-            key (``gnutella``, ``power-law``, ``grid``, ``random``, ...).
+        topology: a :func:`~repro.topology.topology_from_spec` name
+            (``gnutella``, ``power-law``, ``grid``, ``random``, ...).
         protocol: ``wildfire``, ``spanning-tree`` or ``dagK``.
         aggregate: query kind (``count``, ``sum``, ``min``, ...).
         seed: seed for topology generation, values and the protocol run.
@@ -123,7 +107,7 @@ def run_scale_benchmark(
         if prebuilt_topology is not None:
             topo = prebuilt_topology
         else:
-            topo = _build_topology(topology, num_hosts, seed)
+            topo = topology_from_spec(topology, num_hosts, seed)
 
     if values is None:
         rng = random.Random(seed)
@@ -131,7 +115,7 @@ def run_scale_benchmark(
 
     with timer.section("simulate", detail=num_hosts):
         result = run_protocol(
-            _build_protocol(protocol),
+            protocol_from_spec(protocol),
             topo,
             values,
             aggregate,
@@ -201,8 +185,6 @@ def run_service_benchmark(
     message throughput alongside the determinism digest -- the service
     counterpart of :func:`run_scale_benchmark`'s single-query row.
     """
-    from repro.experiments.query_mix import run_query_mix
-
     result = run_query_mix(
         num_hosts=num_hosts, topology=topology, qps=qps,
         duration=duration, seed=seed, delay=delay, tracer=tracer,
@@ -212,8 +194,8 @@ def run_service_benchmark(
     return {
         "hosts": summary["hosts"],
         "topology": summary["topology"],
-        "qps": qps,
-        "duration": duration,
+        "qps": summary["qps"],
+        "duration": summary["duration"],
         "seed": seed,
         "queries": summary["queries"],
         "answered": summary["answered"],
@@ -227,35 +209,3 @@ def run_service_benchmark(
         "peak_rss_mb": peak_rss_mb(),
         "determinism_digest": summary["determinism_digest"],
     }
-
-
-def run_scale_sweep(
-    host_counts: Sequence[int],
-    topology: str = "gnutella",
-    protocol: str = "wildfire",
-    aggregate: str = "count",
-    seed: int = 0,
-    repetitions: int = 8,
-    progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-    delay: str = "fixed",
-    tracer=None,
-    lane: str = DEFAULT_LANE,
-    shards: int = 1,
-) -> List[Dict[str, Any]]:
-    """Run :func:`run_scale_benchmark` for each host count, in order.
-
-    Note that ``peak_rss_mb`` is a process-wide high-water mark, so
-    within one sweep it is non-decreasing and attributable to the
-    largest run so far.
-    """
-    rows: List[Dict[str, Any]] = []
-    for num_hosts in host_counts:
-        row = run_scale_benchmark(
-            int(num_hosts), topology=topology, protocol=protocol,
-            aggregate=aggregate, seed=seed, repetitions=repetitions,
-            delay=delay, tracer=tracer, lane=lane, shards=shards,
-        )
-        rows.append(row)
-        if progress is not None:
-            progress(row)
-    return rows

@@ -9,6 +9,8 @@ The subsystem separates *what* an experiment is from *how* it runs:
   are identical for any worker count;
 - :class:`ResultStore` content-addresses results on disk for
   skip-if-cached resume and incremental re-runs;
+- :func:`figure_spec` / :func:`run_figure_matrix` bridge the paper-figure
+  registry of :mod:`repro.experiments.figures` to all of the above;
 - :mod:`repro.orchestration.cli` exposes it all as ``python -m repro``.
 """
 
@@ -16,10 +18,10 @@ from repro.orchestration.executor import (
     ParallelExecutor,
     RunReport,
     TrialResult,
-    map_over_seeds,
     run_spec,
     run_specs,
 )
+from repro.orchestration.figures import figure_spec, run_figure_matrix
 from repro.orchestration.runners import (
     register_runner,
     resolve_runner,
@@ -34,9 +36,10 @@ __all__ = [
     "ParallelExecutor",
     "RunReport",
     "TrialResult",
-    "map_over_seeds",
     "run_spec",
     "run_specs",
+    "figure_spec",
+    "run_figure_matrix",
     "register_runner",
     "resolve_runner",
     "ResultStore",

@@ -26,16 +26,96 @@ Exposed both as ``python -m repro`` and as the ``repro`` console script:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import os
 import sys
 from collections import Counter
-from typing import List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+from repro.experiments.delay_sweep import DEFAULT_DELAY_SPECS, run_delay_sweep
+from repro.experiments.figures import FIGURES
+from repro.experiments.query_mix import run_query_mix
+from repro.experiments.scale_bench import run_scale_benchmark
+from repro.experiments.tables import format_table
 from repro.obs.logconfig import configure as configure_logging, get_logger
-from repro.orchestration.executor import RunReport, run_specs
+from repro.obs.profiling import ProfileCapture
+from repro.obs.stream import (MetricsStreamWriter, PeriodicSampler,
+                              ShardProgressBoard, current_rss_mb,
+                              read_metrics_stream, set_progress_board)
+from repro.obs.timeline import ShardTimeline
+from repro.obs.trace import RingTracer
+from repro.orchestration.executor import RunReport
+from repro.orchestration.figures import run_figure_matrix
 from repro.orchestration.store import ResultStore, default_cache_root
+from repro.service import AdmissionConfig
 from repro.simulation.vector_lane import DEFAULT_LANE, LANES
+from repro.topology import topology_from_spec
+from repro.workloads.query_mix import DEFAULT_PROTOCOL_MIX, QueryMixConfig
 
 log = get_logger()
+
+
+class _UsageError(Exception):
+    """A bad invocation: :func:`main` prints the message -- one line on
+    stderr, nothing on stdout -- and exits 2."""
+
+
+@contextlib.contextmanager
+def _driver_errors() -> Iterator[None]:
+    """Report a driver's own ``KeyError`` / ``ValueError`` -- an unknown
+    figure, topology, protocol, aggregate or delay model name, an
+    out-of-range argument -- as a usage error."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise _UsageError(exc.args[0] if exc.args else exc) from exc
+
+
+@contextlib.contextmanager
+def _tracing(path: Optional[str]) -> Iterator[Optional[RingTracer]]:
+    """``--trace-out PATH``: a sampled structured tracer for the block
+    (``None`` without a PATH), written to PATH when the block completes
+    (``.jsonl`` = JSON Lines, anything else = Chrome trace-event JSON)."""
+    if not path:
+        yield None
+        return
+    tracer = RingTracer()
+    yield tracer
+    if path.endswith(".jsonl"):
+        written = tracer.export_jsonl(path)
+    else:
+        written = tracer.export_chrome(path)
+    counts = tracer.summary()["counts"]
+    log.info("wrote %s trace records to %s (%.1f MiB; exact counts: %s)",
+             written, path, os.path.getsize(path) / (1024.0 * 1024.0),
+             ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
+
+
+def _metrics_interval(args: argparse.Namespace) -> Optional[float]:
+    """The checked ``--metrics-interval`` (``None`` when not given)."""
+    if args.metrics_interval is None:
+        return None
+    if not args.metrics_out:
+        raise _UsageError(
+            "--metrics-interval needs --metrics-out PATH to stream to")
+    if args.metrics_interval <= 0:
+        raise _UsageError("--metrics-interval must be positive")
+    return args.metrics_interval
+
+
+def _scalars(row: Dict[str, Any]) -> Dict[str, Any]:
+    """Nested structures (a sharded timeline block, the retired order,
+    per-shard progress) belong in the JSON artifacts; printed tables stay
+    scalar."""
+    return {key: value for key, value in row.items()
+            if not isinstance(value, (dict, list))}
+
+
+def _write_json(path: str, payload: Any) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.write("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,10 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_figures() -> int:
-    from repro.experiments.figures import FIGURES
-    from repro.experiments.tables import format_table
-
+def _cmd_figures(args: argparse.Namespace) -> int:
     rows = [{"figure": key, "description": description}
             for key, (description, _) in FIGURES.items()]
     print(format_table(rows, title="Available figures"))
@@ -294,8 +371,6 @@ def _cmd_figures() -> int:
 
 
 def _print_report(figure_id: str, report: RunReport, quiet: bool) -> None:
-    from repro.experiments.tables import format_table
-
     spec = report.spec
     print(f"== {figure_id}: {spec.name} "
           f"[cache {report.cache_key[:12]}] ==")
@@ -324,187 +399,130 @@ def _print_report(figure_id: str, report: RunReport, quiet: bool) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import FIGURES, figure_spec
-
     if args.trials < 1:
-        print("--trials must be at least 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--trials must be at least 1")
     if args.workers < 1:
-        print("--workers must be at least 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--workers must be at least 1")
     figure_ids: List[str] = []
     for figure_id in args.figures:
-        if figure_id == "all":
-            figure_ids.extend(FIGURES)
-        elif figure_id in FIGURES:
-            figure_ids.append(figure_id)
-        else:
-            print(f"unknown figure {figure_id!r}; known: "
-                  f"{', '.join(sorted(FIGURES))}", file=sys.stderr)
-            return 2
-    # Dedupe while preserving order: `run all fig9` runs fig9 once.
-    figure_ids = list(dict.fromkeys(figure_ids))
-
+        figure_ids.extend(FIGURES if figure_id == "all" else [figure_id])
     store = None if args.no_cache else ResultStore(args.cache_dir)
-    specs = [
-        figure_spec(figure_id, scale=args.scale,
-                    num_trials=args.trials, base_seed=args.seed)
-        for figure_id in figure_ids
-    ]
-    # One shared pool across figures: `run all --workers N`
-    # parallelises even at one trial per figure.
-    reports = run_specs(specs, workers=args.workers, store=store,
-                        force=args.force, progress=log.debug)
-    for figure_id, report in zip(figure_ids, reports):
+    with _driver_errors():
+        reports = run_figure_matrix(
+            figure_ids, scale=args.scale, num_trials=args.trials,
+            base_seed=args.seed, workers=args.workers, store=store,
+            force=args.force, progress=log.debug)
+    for figure_id, report in reports.items():
         _print_report(figure_id, report, args.quiet)
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.scale_bench import run_scale_sweep
-    from repro.experiments.tables import format_table
+def _load_trajectory(path: str) -> dict:
+    """Pre-flight ``bench --json PATH`` BEFORE the (potentially long)
+    sweep: a corrupt or non-object file must fail fast, not after minutes
+    of benchmarking, and must never be silently overwritten."""
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except FileNotFoundError:
+        return {"trajectory": []}
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"refusing to overwrite {path}: {exc}")
+    if not isinstance(payload, dict):
+        raise _UsageError(
+            f"refusing to overwrite {path}: top-level JSON value is "
+            f"{type(payload).__name__}, expected an object")
+    if not isinstance(payload.setdefault("trajectory", []), list):
+        raise _UsageError(
+            f"refusing to overwrite {path}: 'trajectory' is not a list")
+    return payload
 
+
+@contextlib.contextmanager
+def _bench_live_metrics(args: argparse.Namespace,
+                        interval: float) -> Iterator[None]:
+    """``bench --metrics-out``: sample per-shard epoch progress and the
+    resident set size into a JSON Lines stream while the block runs."""
+    # The board is fork-shared: sharded workers store their (epoch,
+    # simulated time) once per epoch, and the sampler thread here only
+    # *reads*, so the run stays bit-identical.
+    board = ShardProgressBoard(args.shards)
+
+    def live_payload():
+        payload = {"progress": board.snapshot()}
+        rss = current_rss_mb()
+        if rss is not None:
+            payload["process.rss_mb"] = rss
+        return payload
+
+    prev_board = set_progress_board(board)
+    stream = MetricsStreamWriter(args.metrics_out, meta={
+        "command": "bench", "lane": args.lane, "shards": args.shards,
+        "hosts": list(args.hosts), "interval_s": interval})
+    sampler = PeriodicSampler(
+        interval, lambda: stream.sample(live_payload())).start()
+    try:
+        yield
+    finally:
+        try:
+            sampler.stop(final_sample=False)
+            stream.final(live_payload())
+        finally:
+            set_progress_board(prev_board)
+            stream.close()
+            log.info("wrote %s live metrics samples to %s",
+                     stream.samples_written, args.metrics_out)
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
     if any(h < 2 for h in args.hosts):
-        print("--hosts values must be at least 2", file=sys.stderr)
-        return 2
+        raise _UsageError("--hosts values must be at least 2")
     if args.repetitions < 1:
-        print("--repetitions must be at least 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--repetitions must be at least 1")
     if args.shards < 1:
-        print("--shards must be at least 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--shards must be at least 1")
     lane_requested = args.lane is not None
     if not lane_requested:
         args.lane = DEFAULT_LANE
     if args.shards > 1 and args.lane != "sharded":
-        print("--shards requires --lane sharded", file=sys.stderr)
-        return 2
-    payload = None
-    if args.json:
-        # Pre-flight the trajectory file BEFORE the (potentially long)
-        # sweep: a corrupt or non-object file must fail fast, not after
-        # minutes of benchmarking, and must never be silently overwritten.
-        import json
-
-        try:
-            with open(args.json) as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            payload = {"trajectory": []}
-        except (OSError, ValueError) as exc:
-            print(f"refusing to overwrite {args.json}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if not isinstance(payload, dict):
-            print(f"refusing to overwrite {args.json}: top-level JSON "
-                  f"value is {type(payload).__name__}, expected an object",
-                  file=sys.stderr)
-            return 2
-        if not isinstance(payload.setdefault("trajectory", []), list):
-            print(f"refusing to overwrite {args.json}: 'trajectory' is "
-                  f"not a list", file=sys.stderr)
-            return 2
-    capture = None
-    if args.profile or args.profile_out:
-        if args.json:
-            # Profiled wall times carry cProfile's tracing overhead; a
-            # trajectory file must only ever record clean measurements.
-            print("--profile cannot be combined with --json (profiled "
-                  "timings would pollute the trajectory)", file=sys.stderr)
-            return 2
-        from repro.obs.profiling import ProfileCapture
-
-        capture = ProfileCapture()
-    tracer = None
-    if args.trace_out:
-        from repro.obs.trace import RingTracer
-
-        tracer = RingTracer()
-    if args.metrics_interval is not None and not args.metrics_out:
-        print("--metrics-interval needs --metrics-out PATH to stream to",
-              file=sys.stderr)
-        return 2
-    sampler = None
-    stream = None
-    prev_board = None
-    if args.metrics_out:
-        from repro.obs.stream import (
-            MetricsStreamWriter,
-            PeriodicSampler,
-            ShardProgressBoard,
-            current_rss_mb,
-            set_progress_board,
-        )
-
-        interval = (args.metrics_interval
-                    if args.metrics_interval is not None else 1.0)
-        if interval <= 0:
-            print("--metrics-interval must be positive", file=sys.stderr)
-            return 2
-        # The board is fork-shared: sharded workers store their
-        # (epoch, simulated time) once per epoch, and the sampler
-        # thread here only *reads*, so the run stays bit-identical.
-        board = ShardProgressBoard(args.shards)
-        prev_board = set_progress_board(board)
-        stream = MetricsStreamWriter(args.metrics_out, meta={
-            "command": "bench", "lane": args.lane, "shards": args.shards,
-            "hosts": list(args.hosts), "interval_s": interval})
-
-        def _live_payload():
-            payload = {"progress": board.snapshot()}
-            rss = current_rss_mb()
-            if rss is not None:
-                payload["process.rss_mb"] = rss
-            return payload
-
-        sampler = PeriodicSampler(
-            interval, lambda: stream.sample(_live_payload())).start()
-    try:
+        raise _UsageError("--shards requires --lane sharded")
+    payload = _load_trajectory(args.json) if args.json else None
+    profiled = args.profile or args.profile_out
+    if profiled and args.json:
+        # Profiled wall times carry cProfile's tracing overhead; a
+        # trajectory file must only ever record clean measurements.
+        raise _UsageError("--profile cannot be combined with --json "
+                          "(profiled timings would pollute the trajectory)")
+    interval = _metrics_interval(args) or 1.0
+    capture = ProfileCapture() if profiled else None
+    rows = []
+    with contextlib.ExitStack() as stack:
+        tracer = stack.enter_context(_tracing(args.trace_out))
+        if args.metrics_out:
+            stack.enter_context(_bench_live_metrics(args, interval))
         if capture is not None:
-            capture.start()
-        rows = run_scale_sweep(
-            args.hosts,
-            topology=args.topology,
-            protocol=args.protocol,
-            aggregate=args.aggregate,
-            seed=args.seed,
-            repetitions=args.repetitions,
-            delay=args.delay,
-            lane=args.lane,
-            shards=args.shards,
-            tracer=tracer,
-            progress=lambda row: log.info(
+            stack.enter_context(capture)
+        stack.enter_context(_driver_errors())
+        # ``peak_rss_mb`` is a process-wide high-water mark, so within one
+        # sweep it is non-decreasing: attributable to the largest run so far.
+        for num_hosts in args.hosts:
+            row = run_scale_benchmark(
+                num_hosts, topology=args.topology, protocol=args.protocol,
+                aggregate=args.aggregate, seed=args.seed,
+                repetitions=args.repetitions, delay=args.delay,
+                tracer=tracer, lane=args.lane, shards=args.shards)
+            rows.append(row)
+            log.info(
                 ".. %s hosts: %.2fs, %s messages (%s/s, peak RSS %s MiB)",
                 row["hosts"], row["run_seconds"], row["messages"],
-                row["messages_per_second"], row["peak_rss_mb"]),
-        )
-    except (KeyError, ValueError) as exc:
-        # Unknown topology/protocol/aggregate/delay names surface as
-        # one-line errors, matching the `run` subcommand's convention.
-        message = exc.args[0] if exc.args else str(exc)
-        print(str(message), file=sys.stderr)
-        return 2
-    finally:
-        if capture is not None:
-            capture.stop()
-        if sampler is not None:
-            try:
-                sampler.stop(final_sample=False)
-                stream.final(_live_payload())
-            finally:
-                set_progress_board(prev_board)
-                stream.close()
-                log.info("wrote %s live metrics samples to %s",
-                         stream.samples_written, args.metrics_out)
-    if capture is not None:
-        if args.profile_out:
-            capture.dump(args.profile_out)
-            log.info("wrote profile to %s (load with pstats.Stats; "
-                     "sidecar at %s.json)", args.profile_out,
-                     args.profile_out)
-        if args.profile:
-            # Top cumulative-time functions, for hunting the next hot path.
-            capture.print_stats(25)
+                row["messages_per_second"], row["peak_rss_mb"])
+    if args.profile_out:
+        capture.dump(args.profile_out)
+        log.info("wrote profile to %s (load with pstats.Stats; sidecar at "
+                 "%s.json)", args.profile_out, args.profile_out)
+    if args.profile:
+        # Top cumulative-time functions, for hunting the next hot path.
+        capture.print_stats(25)
     # A lane the user named that declined a run is worth a loud line:
     # they asked for (say) a sharded traced run and silently got the
     # spec loop's numbers instead.  The reason is machine-readable in
@@ -516,79 +534,48 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             log.warning(
                 "lane %r fell back to the python spec loop at %s hosts: %s",
                 args.lane, row["hosts"], row["fallback_reason"])
-    if tracer is not None:
-        _export_trace(tracer, args.trace_out)
     lane_label = (f"{args.lane} lane x{args.shards}"
                   if args.lane == "sharded" else f"{args.lane} lane")
-    # Nested structures (the sharded timeline block) belong in the JSON
-    # artifacts; the printed table stays scalar, and the fallback column
-    # only appears when some row actually fell back.
-    all_engaged = all(row.get("fallback_reason") is None for row in rows)
-    printable = []
-    for row in rows:
-        shown = {key: value for key, value in row.items()
-                 if not isinstance(value, (dict, list))}
-        if all_engaged:
-            shown.pop("fallback_reason", None)
-        printable.append(shown)
+    # The fallback column only appears when some row actually fell back.
+    printable = [_scalars(row) for row in rows]
+    if all(row["fallback_reason"] is None for row in printable):
+        for row in printable:
+            del row["fallback_reason"]
     print(format_table(printable,
                        title=f"Kernel scale benchmark "
                              f"({args.protocol} / {args.topology} / "
                              f"{args.aggregate} / {args.delay} delay / "
                              f"{lane_label})"))
-    if args.json and payload is not None:
+    if payload is not None:
         label = args.label or (
             f"cli {args.protocol}/{args.topology}/{args.aggregate}")
         payload["trajectory"].append({"label": label, "rows": rows})
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, payload)
         log.info("appended trajectory point to %s", args.json)
     return 0
 
 
-def _export_trace(tracer, path: str) -> None:
-    """Write a RingTracer to ``path`` (.jsonl = JSON Lines, else Chrome)."""
-    import os
-
-    if path.endswith(".jsonl"):
-        written = tracer.export_jsonl(path)
-    else:
-        written = tracer.export_chrome(path)
-    counts = tracer.summary()["counts"]
-    log.info("wrote %s trace records to %s (%.1f MiB; exact counts: %s)",
-             written, path, os.path.getsize(path) / (1024.0 * 1024.0),
-             ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.experiments.query_mix import run_query_mix
-    from repro.experiments.tables import format_table
-    from repro.workloads.query_mix import DEFAULT_PROTOCOL_MIX, QueryMixConfig
-
     if args.hosts < 2:
-        print("--hosts must be at least 2", file=sys.stderr)
-        return 2
+        raise _UsageError("--hosts must be at least 2")
     if args.qps <= 0 or args.duration <= 0:
-        print("--qps and --duration must be positive", file=sys.stderr)
-        return 2
+        raise _UsageError("--qps and --duration must be positive")
     if args.shards < 1:
-        print("--shards must be at least 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--shards must be at least 1")
+    if args.departures < 0:
+        raise _UsageError("--departures must not be negative")
     protocol_mix = dict(DEFAULT_PROTOCOL_MIX)
     if args.wildfire_share is not None:
         if not 0.0 <= args.wildfire_share <= 1.0:
-            print("--wildfire-share must be in [0, 1]", file=sys.stderr)
-            return 2
+            raise _UsageError("--wildfire-share must be in [0, 1]")
         rest = 1.0 - args.wildfire_share
         protocol_mix = {"wildfire": args.wildfire_share,
                         "spanning-tree": rest * 2.0 / 3.0,
                         "dag2": rest / 3.0}
-    tracer = None
-    if args.trace_out:
-        from repro.obs.trace import RingTracer
-
-        tracer = RingTracer()
+    interval = _metrics_interval(args)
+    if interval is not None and args.shards > 1:
+        raise _UsageError(
+            "--metrics-interval is incompatible with --shards > 1")
     progress = None
     if log.isEnabledFor(10):  # DEBUG: periodic progress line per slice
         progress = lambda snap: log.debug(  # noqa: E731
@@ -596,28 +583,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "%s retired", snap["time"], snap["active_sessions"],
             snap["pending_events"], snap["messages_sent"],
             snap["retired"])
-    metrics_stream = None
-    if args.metrics_interval is not None:
-        if args.metrics_interval <= 0:
-            print("--metrics-interval must be positive", file=sys.stderr)
-            return 2
-        if not args.metrics_out:
-            print("--metrics-interval needs --metrics-out PATH to stream "
-                  "to", file=sys.stderr)
-            return 2
-        from repro.obs.stream import MetricsStreamWriter
-
-        metrics_stream = MetricsStreamWriter(args.metrics_out, meta={
-            "command": "serve", "hosts": args.hosts, "qps": args.qps,
-            "duration": args.duration, "seed": args.seed,
-            "interval_s": args.metrics_interval})
-    admission = None
-    if (args.shed_policy is not None or args.max_qps is not None
-            or args.max_active is not None
-            or args.tenant_budget is not None):
-        from repro.service import AdmissionConfig
-
-        try:
+    with _driver_errors(), contextlib.ExitStack() as stack:
+        admission = None
+        if (args.shed_policy is not None or args.max_qps is not None
+                or args.max_active is not None
+                or args.tenant_budget is not None):
             admission = AdmissionConfig(
                 policy=args.shed_policy or "shed",
                 max_qps=args.max_qps,
@@ -626,48 +596,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 defer_retry=args.defer_retry,
                 defer_deadline=args.defer_deadline,
             )
-        except ValueError as exc:
-            if metrics_stream is not None:
-                metrics_stream.close()
-            print(str(exc), file=sys.stderr)
-            return 2
-    try:
         mix = QueryMixConfig(
             qps=args.qps, duration=args.duration,
             protocol_mix=protocol_mix,
             continuous_fraction=args.continuous_fraction,
             max_queries=args.max_queries,
         )
+        # Every option but the topology name (resolved by the run) is
+        # checked by now, before any artifact is opened.
+        tracer = stack.enter_context(_tracing(args.trace_out))
+        metrics_stream = None
+        if interval is not None:
+            metrics_stream = stack.enter_context(MetricsStreamWriter(
+                args.metrics_out, meta={
+                    "command": "serve", "hosts": args.hosts, "qps": args.qps,
+                    "duration": args.duration, "seed": args.seed,
+                    "interval_s": interval}))
         result = run_query_mix(
-            num_hosts=args.hosts,
-            topology=args.topology,
-            qps=args.qps,
-            duration=args.duration,
-            seed=args.seed,
+            num_hosts=args.hosts, topology=args.topology, seed=args.seed,
             delay=None if args.delay == "fixed" else args.delay,
-            departures=args.departures,
-            mix=mix,
-            tracer=tracer,
-            progress=progress,
-            metrics_interval=args.metrics_interval,
-            metrics_stream=metrics_stream,
-            shards=args.shards,
-            share_floods=args.share_floods == "on",
-            admission=admission,
-        )
-    except (KeyError, ValueError) as exc:
+            departures=args.departures, mix=mix, tracer=tracer,
+            progress=progress, metrics_interval=interval,
+            metrics_stream=metrics_stream, shards=args.shards,
+            share_floods=args.share_floods == "on", admission=admission)
         if metrics_stream is not None:
-            metrics_stream.close()
-        message = exc.args[0] if exc.args else str(exc)
-        print(str(message), file=sys.stderr)
-        return 2
-    if metrics_stream is not None:
-        # The stream ends with the end-of-run snapshot, so a consumer
-        # that only tails the file still sees the authoritative totals.
-        metrics_stream.final(result["metrics"])
-        metrics_stream.close()
-        log.info("streamed %s live metrics samples to %s",
-                 metrics_stream.samples_written, args.metrics_out)
+            # The stream ends with the end-of-run snapshot, so a consumer
+            # that only tails the file still sees the authoritative totals.
+            metrics_stream.final(result["metrics"])
+            log.info("streamed %s live metrics samples to %s",
+                     metrics_stream.samples_written, args.metrics_out)
     rows = result["rows"]
     summary = result["summary"]
     if args.rows > 0 and rows:
@@ -684,11 +641,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             title=f"Query service ({summary['hosts']} hosts / "
                   f"{summary['topology']} / qps {summary['qps']}) -- "
                   f"first {len(shown)} of {len(rows)} queries"))
-    # Structured summary values (retired order, per-query late counts)
-    # belong in the JSON artifacts; the printed table stays scalar.
-    printable = {key: value for key, value in summary.items()
-                 if not isinstance(value, (list, dict))}
-    print(format_table([printable], title="Service summary"))
+    print(format_table([_scalars(summary)], title="Service summary"))
     # Sessions the lane gate refused ran the per-message spec loop: same
     # answers, another cost.  One line per reason, so a sweep that
     # expected the batch path sees that (and why) it did not get it.
@@ -696,60 +649,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       if row.get("fallback_reason") is not None)
     for reason, count in sorted(reasons.items()):
         print(f"{count} of {len(rows)} sessions ran the spec loop: {reason}")
-    if args.json or args.metrics_out:
-        import json
-
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(result, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            log.info("wrote full report to %s", args.json)
-        if args.metrics_out and metrics_stream is None:
-            with open(args.metrics_out, "w") as handle:
-                json.dump(result["metrics"], handle, indent=1,
-                          sort_keys=True)
-                handle.write("\n")
-            log.info("wrote metrics snapshot to %s", args.metrics_out)
-    if tracer is not None:
-        _export_trace(tracer, args.trace_out)
+    if args.json:
+        _write_json(args.json, result)
+        log.info("wrote full report to %s", args.json)
+    if args.metrics_out and metrics_stream is None:
+        _write_json(args.metrics_out, result["metrics"])
+        log.info("wrote metrics snapshot to %s", args.metrics_out)
     return 0
 
 
-def _cmd_obs(args: argparse.Namespace) -> int:
-    if args.obs_command == "report":
-        return _cmd_obs_report(args)
-    raise AssertionError(f"unhandled obs command {args.obs_command!r}")
-
-
 def _cmd_obs_report(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.tables import format_table
-
     if args.epochs < 0:
-        print("--epochs must be >= 0", file=sys.stderr)
-        return 2
+        raise _UsageError("--epochs must be >= 0")
     try:
         if args.artifact.endswith(".jsonl"):
             return _report_metrics_stream(args.artifact, args.epochs)
         with open(args.artifact) as handle:
             payload = json.load(handle)
     except OSError as exc:
-        print(f"cannot read {args.artifact}: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot read {args.artifact}: {exc}")
     except ValueError as exc:
-        print(f"{args.artifact} is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-
-    from repro.obs.timeline import ShardTimeline
-
+        raise _UsageError(f"{args.artifact} is not valid JSON: {exc}")
     timeline = ShardTimeline.from_run(payload)
     if timeline is None:
-        print(f"{args.artifact} carries no sharded epoch timeline; "
-              f"produce one with repro bench --lane sharded --json "
-              f"(a run that fell back to the spec loop records none)",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(
+            f"{args.artifact} carries no sharded epoch timeline; "
+            f"produce one with repro bench --lane sharded --json "
+            f"(a run that fell back to the spec loop records none)")
     report = timeline.skew_report()
     rows = report
     note = ""
@@ -790,9 +716,6 @@ def _report_metrics_stream(path: str, limit: int) -> int:
     all exit 0.  Only real corruption (a bad line before the end) and a
     stream with nothing readable at all stay exit 2.
     """
-    from repro.experiments.tables import format_table
-    from repro.obs.stream import read_metrics_stream
-
     stream = read_metrics_stream(path)
     meta = stream["meta"]
     samples = stream["rows"]
@@ -801,14 +724,11 @@ def _report_metrics_stream(path: str, limit: int) -> int:
         print(f"{path}:{number}: dropped torn last line (interrupted "
               f"run): {error}", file=sys.stderr)
     if meta is None and not samples:
-        print(f"{path} holds no metrics samples", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{path} holds no metrics samples")
     if meta is not None:
-        described = {key: value for key, value in sorted(meta.items())
-                     if key != "type" and not isinstance(value,
-                                                         (dict, list))}
-        print("stream: " + ", ".join(f"{key}={value}"
-                                     for key, value in described.items()))
+        print("stream: " + ", ".join(
+            f"{key}={value}" for key, value in sorted(_scalars(meta).items())
+            if key != "type"))
     if not samples:
         print("no metrics samples yet -- the run was interrupted before "
               "its first sample")
@@ -819,8 +739,7 @@ def _report_metrics_stream(path: str, limit: int) -> int:
     shown = samples[-limit:] if limit else samples
 
     def _flat(row):
-        out = {key: value for key, value in row.items()
-               if not isinstance(value, (dict, list))}
+        out = _scalars(row)
         progress = row.get("progress")
         if isinstance(progress, dict):
             # The bench stream's per-shard board: one epochs/t column
@@ -841,30 +760,15 @@ def _report_metrics_stream(path: str, limit: int) -> int:
 
 
 def _cmd_delay_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.delay_sweep import (
-        DEFAULT_DELAY_SPECS,
-        run_delay_sweep,
-    )
-    from repro.experiments.tables import format_table
-    from repro.orchestration.runners import TOPOLOGY_BUILDERS
-
     if args.size < 2:
-        print("--size must be at least 2", file=sys.stderr)
-        return 2
+        raise _UsageError("--size must be at least 2")
     if args.trials < 1:
-        print("--trials must be at least 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--trials must be at least 1")
     if min(args.departures) < 0:
-        print("--departures must not be negative", file=sys.stderr)
-        return 2
-    if args.topology not in TOPOLOGY_BUILDERS:
-        print(f"unknown topology {args.topology!r}; known: "
-              f"{', '.join(sorted(TOPOLOGY_BUILDERS))}", file=sys.stderr)
-        return 2
-    topology = TOPOLOGY_BUILDERS[args.topology](args.size, args.seed)
-    try:
+        raise _UsageError("--departures must not be negative")
+    with _driver_errors():
         rows = run_delay_sweep(
-            topology,
+            topology_from_spec(args.topology, args.size, args.seed),
             args.aggregate,
             departures=args.departures,
             delay_specs=args.delays or DEFAULT_DELAY_SPECS,
@@ -872,10 +776,6 @@ def _cmd_delay_sweep(args: argparse.Namespace) -> int:
             seed=args.seed,
             provenance=args.provenance,
         )
-    except (KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(str(message), file=sys.stderr)
-        return 2
     print(format_table(
         [row.as_dict() for row in rows],
         title=f"Validity under variable delay "
@@ -884,8 +784,6 @@ def _cmd_delay_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.experiments.tables import format_table
-
     store = ResultStore(args.cache_dir)
     if args.cache_command == "ls":
         entries = store.entries()
@@ -895,18 +793,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(format_table(entries, title=f"Cache at {store.root}"))
         return 0
     # clear
-    if args.clear_all:
-        target = None
-    elif args.hash is not None:
-        target = args.hash
-    else:
-        print("cache clear requires a hash prefix or --all", file=sys.stderr)
-        return 2
-    try:
-        removed = store.clear(target)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    if not args.clear_all and args.hash is None:
+        raise _UsageError("cache clear requires a hash prefix or --all")
+    with _driver_errors():
+        removed = store.clear(None if args.clear_all else args.hash)
     print(f"removed {removed} record(s) from {store.root}")
     return 0
 
@@ -914,21 +804,22 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     configure_logging(-1 if args.log_quiet else args.verbose)
+    # ``obs`` and ``cache`` pick their sub-subcommand themselves; argparse
+    # has already rejected any command not listed here.
+    command = {
+        "figures": _cmd_figures,
+        "run": _cmd_run,
+        "bench": _cmd_bench,
+        "serve": _cmd_serve,
+        "obs": _cmd_obs_report,
+        "delay-sweep": _cmd_delay_sweep,
+        "cache": _cmd_cache,
+    }[args.command]
     try:
-        if args.command == "figures":
-            return _cmd_figures()
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "obs":
-            return _cmd_obs(args)
-        if args.command == "delay-sweep":
-            return _cmd_delay_sweep(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
+        return command(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # Completed trials are already persisted; a re-run resumes there.
         print("\ninterrupted; finished trials are cached", file=sys.stderr)
@@ -936,11 +827,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like a
         # well-behaved unix filter.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":  # pragma: no cover

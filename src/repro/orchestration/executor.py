@@ -11,14 +11,15 @@ index, the outcome is bit-identical for any worker count.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import worker_utilisation
 from repro.orchestration.runners import resolve_runner
 from repro.orchestration.spec import ExperimentSpec, Trial
 from repro.orchestration.store import ResultStore
+from repro.simulation.sharded import pool_context
 
 ProgressCallback = Callable[[str], None]
 
@@ -66,17 +67,7 @@ class RunReport:
     def worker_utilisation(self) -> float:
         """Fraction of the pool's wall-clock budget spent inside trials
         (cached trials cost no worker time and are excluded)."""
-        from repro.obs.metrics import worker_utilisation
-
         return worker_utilisation(self)
-
-
-def _pool_context():
-    """Prefer fork (fast; inherits registered runners); fall back otherwise."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
 
 
 def _execute_payload(payload: Tuple[str, Dict[str, Any], int, int]):
@@ -86,29 +77,6 @@ def _execute_payload(payload: Tuple[str, Dict[str, Any], int, int]):
     started = time.perf_counter()
     value = runner(params, seed)
     return index, value, time.perf_counter() - started
-
-
-def _call_with_seed(payload: Tuple[Callable[[int], Any], int]):
-    func, seed = payload
-    return func(seed)
-
-
-def map_over_seeds(
-    func: Callable[[int], Any],
-    seeds: Sequence[int],
-    workers: int = 1,
-) -> List[Any]:
-    """Map ``func`` over seeds, optionally across a process pool.
-
-    The in-order results match a serial ``[func(s) for s in seeds]`` run.
-    ``func`` must be picklable (a module-level function) when ``workers > 1``;
-    :func:`repro.experiments.runner.run_trials` routes through this.
-    """
-    if workers <= 1 or len(seeds) <= 1:
-        return [func(seed) for seed in seeds]
-    ctx = _pool_context()
-    with ctx.Pool(processes=min(workers, len(seeds))) as pool:
-        return pool.map(_call_with_seed, [(func, seed) for seed in seeds])
 
 
 class ParallelExecutor:
@@ -194,7 +162,7 @@ class ParallelExecutor:
             for payload in payloads:
                 complete(*_execute_payload(payload))
         elif payloads:
-            ctx = _pool_context()
+            ctx = pool_context()
             with ctx.Pool(processes=min(self.workers, len(payloads))) as pool:
                 for owner_index, value, elapsed in pool.imap_unordered(
                     _execute_payload, payloads, chunksize=1

@@ -16,7 +16,20 @@ Like the vector lane, engagement is conservative and observable:
 
 from __future__ import annotations
 
-__all__ = ["maybe_run"]
+import multiprocessing
+
+__all__ = ["maybe_run", "pool_context"]
+
+
+def pool_context():
+    """The ``multiprocessing`` context every worker pool of the package is
+    forked from (shard workers here, the executor's trial pool, the
+    service's query-mix shards): ``fork`` where the platform has it --
+    fast, and workers inherit registered runners and the live simulator --
+    else the platform default."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 def maybe_run(simulator, horizon: float):

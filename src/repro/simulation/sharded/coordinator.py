@@ -46,6 +46,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.protocols.wildfire import WildfireBatchKernel
+from repro.simulation.sharded import pool_context
 from repro.simulation.sharded.worker import (
     _RecordingRng,
     _ShardLane,
@@ -238,9 +239,7 @@ def _predraw(hosts, act_order: Sequence[int], bounds: Sequence[int],
 def _run_forked(simulator, kernel, shards: int, bounds, act_rank,
                 draws_by_shard, fails, horizon: float, trace_conf,
                 wall_base: float, progress_cells) -> List[dict]:
-    from repro.orchestration.executor import _pool_context
-
-    ctx = _pool_context()
+    ctx = pool_context()
     # pipes[i][j] carries i -> j epoch blobs; result pipes carry one
     # final dict per worker.  All ends are created before the forks so
     # every worker inherits its wiring.

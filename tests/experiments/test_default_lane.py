@@ -16,10 +16,8 @@ from repro.core import aggregator
 from repro.core.aggregator import ValidAggregator
 from repro.experiments import (
     badcase,
-    communication,
-    computation,
+    costs,
     delay_sweep,
-    time_cost,
     validity_sweep,
 )
 from repro.simulation.churn import ChurnSchedule
@@ -47,19 +45,17 @@ DRIVERS = {
     "validity_sweep": (validity_sweep, lambda: validity_sweep.run_validity_sweep(
         random_topology(80, avg_degree=4, seed=5), "count",
         departures=[0, 12], num_trials=2, seed=5), LINE_UP),
-    "communication": (communication, lambda: (
-        communication.run_communication_cost_experiment(
+    "costs": (costs, lambda: (
+        costs.run_communication_cost_experiment(
             network_sizes=(60,), d_hat_factors=(1.0, 1.5),
-            include_gnutella_point=False, seed=2)), DAG2),
-    "computation": (computation, lambda: (
-        computation.run_computation_cost_experiment(
-            power_law_size=80, grid_side=6, seed=2)), TREE),
-    "time_cost": (time_cost, lambda: (
-        time_cost.run_time_cost_experiment(
+            include_gnutella_point=False, seed=2),
+        costs.run_computation_cost_experiment(
+            power_law_size=80, grid_side=6, seed=2),
+        costs.run_time_cost_experiment(
             network_sizes=(60,), d_hat_factors=(1.0, 2.0), seed=2),
-        time_cost.run_messages_per_instant_experiment(
+        costs.run_messages_per_instant_experiment(
             random_size=60, power_law_size=60, grid_side=5, seed=2)),
-        TREE),
+        DAG2),
     "badcase": (badcase, lambda: badcase.run_theorem_44_experiment(
         cycle_size=12, seed=4), TREE),
     "delay_sweep": (validity_sweep, lambda: delay_sweep.run_delay_sweep(

@@ -16,20 +16,16 @@ from repro.experiments.capture_recapture import (
     run_capture_recapture_experiment,
     run_ring_segment_experiment,
 )
-from repro.experiments.communication import (
-    run_communication_cost_experiment,
-    run_grid_communication_experiment,
-    wildfire_to_tree_ratio,
-)
-from repro.experiments.computation import (
+from repro.experiments.costs import (
     computation_cost_ratio,
+    run_communication_cost_experiment,
     run_computation_cost_experiment,
-)
-from repro.experiments.figures import FIGURES, run_figure
-from repro.experiments.time_cost import (
+    run_grid_communication_experiment,
     run_messages_per_instant_experiment,
     run_time_cost_experiment,
+    wildfire_to_tree_ratio,
 )
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.validity_sweep import run_validity_sweep
 from repro.topology.random_graph import random_topology
 

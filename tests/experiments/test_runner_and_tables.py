@@ -1,8 +1,6 @@
-"""Tests for the experiment runner helpers and table formatting."""
+"""Tests for the trial statistics and table formatting."""
 
-import pytest
-
-from repro.experiments.runner import TrialStats, aggregate_trials, run_trials, run_trials_multi
+from repro.experiments.runner import TrialStats, aggregate_trials
 from repro.experiments.tables import format_table
 
 
@@ -12,30 +10,6 @@ class TestTrialStats:
         assert stats.mean == 4.0
         assert stats.samples == 3
         assert stats.low < 4.0 < stats.high
-
-    def test_run_trials_passes_distinct_seeds(self):
-        seen = []
-
-        def trial(seed):
-            seen.append(seed)
-            return float(seed)
-
-        stats = run_trials(trial, num_trials=4, base_seed=10)
-        assert seen == [10, 11, 12, 13]
-        assert stats.mean == 11.5
-
-    def test_run_trials_validates_count(self):
-        with pytest.raises(ValueError):
-            run_trials(lambda s: 1.0, num_trials=0)
-
-    def test_run_trials_multi(self):
-        def trial(seed):
-            return {"a": float(seed), "b": 2.0 * seed}
-
-        stats = run_trials_multi(trial, num_trials=3, base_seed=1)
-        assert set(stats) == {"a", "b"}
-        assert stats["a"].mean == 2.0
-        assert stats["b"].mean == 4.0
 
     def test_str_rendering(self):
         assert "+/-" in str(TrialStats(mean=1.0, ci=0.5, samples=3))

@@ -52,6 +52,19 @@ def test_sharded_mix_rejects_unshippable_arguments():
         run_query_mix(**BASE, shards=0)
 
 
+def test_a_passed_mix_is_the_one_statement_of_rate_and_window():
+    """``mix=`` names qps and duration; the summary and the churn window
+    read it, not the ``qps=`` / ``duration=`` argument defaults (2.0 /
+    60.0, which spread the failures out to t = 57 of a 6 s mix)."""
+    from repro.workloads.query_mix import QueryMixConfig
+
+    summary = run_query_mix(
+        num_hosts=60, mix=QueryMixConfig(qps=4, duration=6), seed=1,
+        departures=10)["summary"]
+    assert (summary["qps"], summary["duration"]) == (4.0, 6.0)
+    assert summary["finished_at"] < 57.0
+
+
 def test_submit_with_pinned_query_id():
     from repro.service import QueryService
     from repro.topology.random_graph import random_topology

@@ -221,3 +221,24 @@ def test_serve_rejects_bad_parameters(capsys):
     assert "unknown topology" in capsys.readouterr().err
     assert main(["serve", "--hosts", "64", "--wildfire-share", "2"]) == 2
     assert "--wildfire-share" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_input", [
+    ["--departures", "-5"],
+    ["--metrics-interval", "1", "--metrics-out", "METRICS", "--shards", "2"],
+])
+def test_serve_checks_every_input_before_opening_a_file(
+        bad_input, tmp_path, capsys):
+    """A negative ``--departures`` used to run (and print ``departures
+    -5``); ``--metrics-interval`` with ``--shards 2`` used to fail only
+    after creating a meta-only stream file."""
+    metrics = tmp_path / "m.jsonl"
+    bad_input = [str(metrics) if arg == "METRICS" else arg
+                 for arg in bad_input]
+    assert main(["serve", "--hosts", "50", "--qps", "1", "--duration", "3",
+                 *bad_input]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert bad_input[0] in captured.err
+    assert not metrics.exists()

@@ -4,7 +4,7 @@ from typing import Any, Dict
 
 import pytest
 
-from repro.orchestration.executor import ParallelExecutor, map_over_seeds, run_spec
+from repro.orchestration.executor import ParallelExecutor, run_spec
 from repro.orchestration.runners import resolve_runner
 from repro.orchestration.spec import ExperimentSpec
 from repro.orchestration.store import ResultStore
@@ -138,17 +138,6 @@ def test_progress_callback_reports_cache_and_trials(tmp_path):
 def test_executor_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         ParallelExecutor(workers=0)
-
-
-def test_map_over_seeds_matches_serial_path():
-    seeds = [3, 1, 4, 1, 5]
-    assert map_over_seeds(square_seed, seeds, workers=1) == \
-        map_over_seeds(square_seed, seeds, workers=2) == \
-        [seed * seed for seed in seeds]
-
-
-def square_seed(seed: int) -> int:
-    return seed * seed
 
 
 def test_import_path_runner_resolution():

@@ -1,9 +1,9 @@
-"""The figures <-> orchestration bridge and the runner workers= path."""
+"""The figures -> orchestration bridge."""
 
 import pytest
 
-from repro.experiments.figures import figure_spec, run_figure, run_figure_matrix
-from repro.experiments.runner import run_trials, run_trials_multi
+from repro.experiments.figures import run_figure
+from repro.orchestration.figures import figure_spec, run_figure_matrix
 from repro.orchestration.spec import derive_trial_seed
 
 
@@ -23,31 +23,3 @@ def test_run_figure_matrix_matches_direct_driver_call():
     assert report.spec_hash == spec.content_hash()
     seed = derive_trial_seed(spec.content_hash(), 0, 0)
     assert report.values[0] == run_figure("fig6", scale=0.05, seed=seed)
-
-
-def scalar_trial(seed: int) -> float:
-    return float(seed % 7)
-
-
-def multi_trial(seed: int):
-    return {"a": float(seed), "b": float(seed * 2)}
-
-
-def test_run_trials_workers_path_matches_serial():
-    serial = run_trials(scalar_trial, num_trials=5, base_seed=3)
-    pooled = run_trials(scalar_trial, num_trials=5, base_seed=3, workers=2)
-    assert serial == pooled
-
-
-def test_run_trials_multi_workers_path_matches_serial():
-    serial = run_trials_multi(multi_trial, num_trials=4, base_seed=1)
-    pooled = run_trials_multi(multi_trial, num_trials=4, base_seed=1,
-                              workers=3)
-    assert serial == pooled
-
-
-def test_run_trials_still_validates_num_trials():
-    with pytest.raises(ValueError):
-        run_trials(scalar_trial, num_trials=0)
-    with pytest.raises(ValueError):
-        run_trials_multi(multi_trial, num_trials=0)

@@ -45,3 +45,18 @@ def test_counts_a_tree_per_file(tmp_path):
     counts = _load().count_tree(tmp_path)
     assert {path.name: lines for path, lines in counts.items()} == {
         "a.py": 2, "b.py": 0}
+
+
+def test_prints_packages_of_a_tree_and_files_of_a_package(tmp_path, capsys):
+    for name, source in (("pkg/a.py", "x = 1\ny = 2\n"),
+                         ("pkg/b.py", "z = 3\n"), ("top.py", "w = 4\n")):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(source)
+    _load().main([str(tmp_path), str(tmp_path / "pkg")])
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["4", str(tmp_path)],
+        ["1", str(tmp_path)], ["3", str(tmp_path / "pkg")],
+        ["3", str(tmp_path / "pkg")],
+        ["2", str(tmp_path / "pkg" / "a.py")],
+        ["1", str(tmp_path / "pkg" / "b.py")],
+    ]

@@ -1,0 +1,76 @@
+"""The package layering is a checked fact.
+
+``orchestration`` (specs, pool, cache, CLI) -> ``experiments`` (drivers)
+-> ``protocols`` / ``service`` / ``topology`` / ``simulation``: nothing
+imports upward, and inside the two surface packages every ``repro``
+import sits at module top, where an import cycle would fail at once
+instead of hiding in a function body.
+"""
+
+import ast
+import pathlib
+
+import repro
+
+ROOT = pathlib.Path(repro.__file__).parent
+
+#: ``(file, imported name) -> the cycle a function-level import breaks``.
+NESTED_IMPORTS_KEPT = {
+    ("orchestration/spec.py", "repro.__version__"):
+        "repro/__init__.py imports orchestration before it binds "
+        "__version__",
+}
+
+
+def _repro_imports(path):
+    """``(imported dotted name, at module top?)`` for every import of a
+    ``repro`` name in one source file."""
+    tree = ast.parse(path.read_text())
+    top_level = {id(node) for node in tree.body}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import in {path}"
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] == "repro":
+                yield name, id(node) in top_level
+
+
+def _imports_under(*packages):
+    for package in packages:
+        for path in sorted((ROOT / package).rglob("*.py")):
+            for name, at_top in _repro_imports(path):
+                yield path.relative_to(ROOT).as_posix(), name, at_top
+
+
+def test_nothing_below_imports_orchestration():
+    entry_points = {"__init__.py", "__main__.py"}
+    offenders = [
+        (file, name) for file, name, _ in _imports_under(".")
+        if name.startswith("repro.orchestration")
+        and not file.startswith("orchestration/")
+        and file not in entry_points
+    ]
+    assert offenders == []
+
+
+def test_the_kernel_packages_do_not_import_experiments():
+    offenders = [
+        (file, name) for file, name, _ in _imports_under(
+            "simulation", "protocols", "topology", "service")
+        if name.startswith("repro.experiments")
+    ]
+    assert offenders == []
+
+
+def test_surface_packages_import_repro_at_module_top_only():
+    nested = {
+        (file, name) for file, name, at_top in _imports_under(
+            "experiments", "orchestration")
+        if not at_top
+    }
+    assert nested == set(NESTED_IMPORTS_KEPT)

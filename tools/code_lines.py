@@ -5,7 +5,7 @@ This is the "ast+tokenize" count the CHANGES log reports for every
 refactor PR, as one command so the number is reproducible::
 
     python3 tools/code_lines.py src               # total + per-package
-    python3 tools/code_lines.py src/repro/protocols
+    python3 tools/code_lines.py src/repro/protocols   # total + per-file
 
 A line counts when it carries at least one token that is not a comment
 or layout (``tokenize``), unless it belongs to a docstring -- the
@@ -67,9 +67,11 @@ def main(argv) -> int:
         for path, lines in counts.items():
             package = path.parent
             packages[package] = packages.get(package, 0) + lines
-        if len(packages) > 1:
-            for package in sorted(packages):
-                print(f"{packages[package]:7d}    {package}")
+        # A tree of packages lists its packages, one package its files.
+        breakdown = packages if len(packages) > 1 else counts
+        if root.is_dir():
+            for path in sorted(breakdown):
+                print(f"{breakdown[path]:7d}    {path}")
     return 0
 
 
