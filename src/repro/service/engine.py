@@ -120,9 +120,9 @@ class MuxEngine(EventEngine):
 
         Walks the calendar queue's live entries (never the drain path):
         unicasts count 1 under their ``query_id``, multicast batches
-        count their not-yet-delivered destinations, and timers route on
-        the session they were filed with.  This is the per-tenant
-        queue-depth signal the admission-control roadmap item needs.
+        count their destinations, and timers route on the session they
+        were filed with.  This is the per-tenant queue-depth signal the
+        admission-control roadmap item needs.
         """
         depths: Dict[int, int] = {}
         for entry, weight in self._queue.iter_pending():
@@ -195,15 +195,14 @@ class MuxEngine(EventEngine):
             self.tracer.session(session.termination, qid, "declare",
                                 session.value)
 
-    def _late(self, message: Message) -> None:
+    def _late(self, qid: int, vtime: float, dest: int) -> None:
         """Tally a delivery whose query already declared: a solo run
         would have left it unconsumed."""
         self.late_messages += 1
-        qid = message.query_id
         late = self.late_by_query
         late[qid] = late.get(qid, 0) + 1
         if self.tracer is not None:
-            self.tracer.late(message.vtime, message.dest, qid)
+            self.tracer.late(vtime, dest, qid)
 
     def _enroll(self, session: QuerySession) -> None:
         """Give a session its demux slot until its deadline."""

@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.simulation.churn import ChurnSchedule
 from repro.simulation.clock import SimulationClock
 from repro.simulation.delay import DelayModel, delay_model_from_spec
-from repro.simulation.events import Event, EventKind, EventQueue
+from repro.simulation.events import Event, EventKind, EventQueue, _DeliverBatch
 from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
@@ -139,8 +139,9 @@ class EventEngine:
     A subclass says what a QUERY_START event means
     (``_on_query_start(time, event, ctx)``); one whose sessions expire
     also pushes their ``(ends_at, qid)`` deadlines and supplies
-    ``_retire_front()`` and ``_late(message)``, which the loop reaches
-    only through a deadline or a message of a session no longer live.
+    ``_retire_front()`` and ``_late(query_id, vtime, dest)``, which the
+    loop reaches only through a deadline or a delivery of a session no
+    longer live.
 
     Args:
         network: the (mutable) dynamic network every session runs on.
@@ -270,8 +271,8 @@ class EventEngine:
         sample = session.sample
         if sample is None:
             # Fixed delay: the whole multicast shares one delivery instant
-            # and lands in the ring as a single lazily expanded batch (no
-            # per-destination Message exists until its delivery pops).
+            # and is one calendar entry (no per-destination Message exists
+            # until ``_drain`` delivers it).
             vdeliver = vnow + self.delta
             self._queue.push_multicast(t0 + vdeliver, sender, dests, kind,
                                        shared_payload, vnow, chain_depth,
@@ -344,6 +345,16 @@ class EventEngine:
         overhead.  Per stimulus the demux costs one dict lookup for a
         message, one tuple slot for a timer, and the deadline check that
         retires expired sessions.
+
+        A fixed-delay multicast pops as one
+        :class:`~repro.simulation.events._DeliverBatch` and is expanded
+        here -- one engine step, ``len(dests)`` deliveries, each counted
+        in ``events_processed`` -- in exactly the order its deliveries
+        would drain filed one by one (see ``EventQueue.pop_due`` for what
+        a handler may file meanwhile).  A late multicast is tallied
+        through ``_late`` per destination.  A handler that raises
+        abandons the rest of its multicast with it: the queue no longer
+        holds those deliveries, and ``len(queue)`` says so.
         """
         import gc
 
@@ -382,7 +393,7 @@ class EventEngine:
                     # The deadline check runs in *query-local* time (exact,
                     # the comparison a lone run's drain horizon makes).
                     if session is None or entry.vtime > session.termination:
-                        self._late(entry)
+                        self._late(entry.query_id, entry.vtime, entry.dest)
                         continue
                     dest = entry.dest
                     # Messages to hosts that failed in flight are lost.
@@ -403,6 +414,45 @@ class EventEngine:
                     ctx.now = entry.vtime
                     ctx._chain_depth = chain_depth
                     session.hosts[dest].on_message(entry, ctx)
+                elif entry.__class__ is _DeliverBatch:
+                    # One multicast, expanded here: the unicast's
+                    # statements in ``dests`` order, with what the
+                    # deliveries share (session, deadline, clock, sink)
+                    # read once.  Kept beside the unicast rather than
+                    # folded into it: the one-destination loop costs a
+                    # variable-delay run, all unicasts, a few percent.
+                    dests = entry.dests
+                    events += len(dests) - 1
+                    qid = entry.query_id
+                    vtime = entry.vtime
+                    session = active.get(qid)
+                    if session is None or vtime > session.termination:
+                        for dest in dests:
+                            self._late(qid, vtime, dest)
+                        continue
+                    sender, kind, payload = entry.sender, entry.kind, entry.payload
+                    sent_at, wireless = entry.sent_at, entry.wireless
+                    chain_depth = entry.chain_depth
+                    sink = session.sink
+                    hosts = session.hosts
+                    ctx.session = session
+                    ctx.now = vtime
+                    ctx._chain_depth = chain_depth
+                    for dest in dests:
+                        if not alive_flags[dest]:
+                            self.dropped_messages += 1
+                            sink.record_dropped()
+                            if tracer is not None:
+                                tracer.drop(vtime, dest, qid)
+                            continue
+                        sink.record_processed(dest, chain_depth)
+                        if tracer is not None:
+                            tracer.deliver(vtime, sender, dest, kind,
+                                           chain_depth, sent_at, qid)
+                        ctx.host_id = dest
+                        hosts[dest].on_message(
+                            Message(sender, dest, kind, payload, sent_at,
+                                    chain_depth, wireless, qid, vtime), ctx)
                 elif entry.kind is timer:
                     host = entry.host
                     if not alive_flags[host]:

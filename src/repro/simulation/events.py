@@ -20,16 +20,19 @@ Three cases keep the order exact:
   lands beyond the cursor and still runs in that instant: a bucket that
   ran dry stays filed until the next pop finds it so;
 * a new key below the front becomes the front at once: the pre-empted
-  bucket drops its drained prefix and later resumes where it stopped (a
-  half-expanded :class:`_DeliverBatch` at its ``pos``);
+  bucket drops its drained prefix and later resumes where it stopped;
 * a key re-created after its bucket was retired is a new bucket: it
   sorts after everything already popped and before every larger key.
 
+A multicast is *one* entry weighing ``len(dests)``: it is filed, popped
+and counted out of ``len`` whole, and this module never builds a
+:class:`Message` -- whoever pops a :class:`_DeliverBatch` expands it.
+
 The engine pushes through ``push_deliver`` / ``push_multicast`` /
-``push_timer`` and pops through ``pop_due`` (one call site:
-``EventEngine._drain``); ``push`` / ``cancel`` are the generic
-:class:`Event` API (churn, query starts, custom events), and the tick
-lanes' gate only asks ``len``.
+``push_timer``, pops through ``pop_due`` (one call site:
+``EventEngine._drain``) and expands multicasts there; ``push`` /
+``cancel`` are the generic :class:`Event` API (churn, query starts,
+custom events), and the tick lanes' gate only asks ``len``.
 """
 
 from __future__ import annotations
@@ -101,23 +104,21 @@ class Event:
 
 
 class _DeliverBatch:
-    """One multicast's deliveries, expanded lazily at pop time.
+    """One multicast: a single queue entry standing for ``len(dests)``
+    deliveries, in ``dests`` order.
 
-    A multicast to ``d`` neighbors used to materialise ``d`` Message
-    objects up front; at 100k+ hosts one flood wave keeps hundreds of
-    thousands of them alive in the queue at once, dominating peak RSS.
-    The batch stores the shared fields once (the destination tuple is the
-    network's cached packed view, so it is not even copied) and the pop
-    path mints each per-destination :class:`Message` only at its delivery
-    instant, so at most one exists at a time.  The batch holds its FIFO
-    position until its last destination pops, which is exactly the order
-    the materialised list produced, so drain order -- and therefore every
-    golden snapshot -- is unchanged.  Batches cannot be cancelled
-    (deliveries never are).
+    A multicast to ``d`` neighbors filed as ``d`` :class:`Message`
+    objects keeps hundreds of thousands of them alive in the queue during
+    one flood wave at 100k+ hosts, dominating peak RSS.  The batch stores
+    the shared fields once (the destination tuple is the network's cached
+    packed view, so it is not even copied) and is popped whole; the
+    consumer mints each per-destination message at its delivery, so at
+    most one exists at a time.  Batches cannot be cancelled (deliveries
+    never are).
     """
 
     __slots__ = ("sender", "dests", "kind", "payload", "sent_at",
-                 "chain_depth", "wireless", "query_id", "vtime", "pos")
+                 "chain_depth", "wireless", "query_id", "vtime")
 
     def __init__(self, sender, dests, kind, payload, sent_at, chain_depth,
                  wireless, query_id, vtime):
@@ -130,7 +131,12 @@ class _DeliverBatch:
         self.wireless = wireless
         self.query_id = query_id
         self.vtime = vtime
-        self.pos = 0
+
+
+def _check_time(time: float) -> None:
+    if not 0.0 <= time < inf:  # NaN would silently break the heap
+        raise ValueError(
+            f"events need a finite, non-negative time, not {time!r}")
 
 
 class EventQueue:
@@ -145,7 +151,9 @@ class EventQueue:
     Time-validity contract: **every** scheduling entry point (``push``,
     ``push_deliver``, ``push_timer``, ``push_multicast``) rejects a
     negative, infinite or NaN time with :class:`ValueError` -- stated
-    once, in :meth:`_bucket_at`, which all four go through.
+    once, in :func:`_check_time`, which :meth:`_bucket_at` applies to
+    each new key (a key already filed passed it) and an empty multicast,
+    which files nothing, applies itself.
 
     Args:
         width: the epoch unit of ``occupancy()["current_epoch"]`` (the
@@ -176,12 +184,10 @@ class EventQueue:
 
     def _bucket_at(self, time: float, priority: int) -> List[Any]:
         """The FIFO bucket of ``(time, priority)``, filing a new key once."""
-        if not 0.0 <= time < inf:  # NaN would silently break the heap
-            raise ValueError(
-                f"events need a finite, non-negative time, not {time!r}")
         key = (time, priority)
         bucket = self._buckets.get(key)
         if bucket is None:
+            _check_time(time)
             bucket = self._buckets[key] = []
             heappush(self._keys, key)
             if self._keys[0] is key:
@@ -253,13 +259,15 @@ class EventQueue:
     ) -> None:
         """Schedule one multicast's deliveries without materialising them.
 
-        Drain-order-equivalent to one :meth:`push_deliver` per
-        destination, in ``dests`` order, but the bucket holds one compact
-        :class:`_DeliverBatch` record instead of ``len(dests)`` message
-        objects; :meth:`pop_due` mints each message at its delivery
-        instant.  This is the engine's fixed-delay multicast fast path.
+        The bucket holds one :class:`_DeliverBatch` where one
+        :meth:`push_deliver` per destination would hold ``len(dests)``
+        messages; ``len`` counts it as ``len(dests)`` and the engine's
+        expansion delivers it in ``dests`` order, exactly as those
+        messages would drain.  This is the engine's fixed-delay multicast
+        fast path.  An empty ``dests`` files nothing.
         """
         if not dests:
+            _check_time(time)
             return
         self._bucket_at(time, _DELIVER_PRIORITY).append(
             _DeliverBatch(sender, dests, kind, payload, sent_at,
@@ -323,14 +331,15 @@ class EventQueue:
 
         Non-destructive and unordered (bucket-table order).  ``entry`` is
         a bare :class:`Message`, a :class:`_DeliverBatch` (``weight`` =
-        destinations not yet delivered), or an :class:`Event`; cancelled
-        events and already-popped positions are skipped.  Intended for
-        metrics collectors, not for draining.
+        its destinations), or an :class:`Event`; cancelled events and
+        already-popped positions are skipped.  The weights sum to
+        ``len(queue)``.  Intended for metrics collectors, not for
+        draining.
         """
         for bucket in self._buckets.values():
             for entry in self._live(bucket):
                 if entry.__class__ is _DeliverBatch:
-                    yield entry, len(entry.dests) - entry.pos
+                    yield entry, len(entry.dests)
                 else:
                     yield entry, 1
 
@@ -358,14 +367,26 @@ class EventQueue:
         return True
 
     def pop_due(self, horizon: Optional[float]):
-        """Consume and return ``(time, entry)`` for the earliest live event.
+        """Consume and return ``(time, entry)`` for the earliest live entry.
 
         This is the drain API.  ``entry`` is a bare :class:`Message` for
-        a fast-path delivery or one destination of a multicast batch and
-        an :class:`Event` for everything else; cancelled events met on
-        the way are discarded.  When ``horizon`` is given, an event due
-        after it is *not* consumed and ``None`` is returned; ``None``
-        consumes unconditionally.  An empty queue returns ``None``.
+        a fast-path delivery, a whole :class:`_DeliverBatch` for a
+        multicast (``len`` drops by ``len(entry.dests)``; expanding it is
+        the caller's job) and an :class:`Event` for everything else;
+        cancelled events met on the way are discarded.  When ``horizon``
+        is given, an entry due after it is *not* consumed and ``None`` is
+        returned; ``None`` consumes unconditionally.  An empty queue
+        returns ``None``.
+
+        Whatever is filed while the caller works through a batch sorts
+        against the *popped* position: at the batch's own key it lands
+        behind it, at a later key it drains later -- both as if the
+        batch's deliveries had been filed one by one.  Only a key *below*
+        an in-progress DELIVER bucket (a QUERY_START or JOIN at this very
+        instant) would have cut in between two destinations and now runs
+        after the last; no message handler can file one
+        (``HostContext.send`` delays lie in ``(0, delta]``,
+        ``set_timer`` files at TIMER priority).
         """
         while True:
             bucket = self._front
@@ -378,43 +399,33 @@ class EventQueue:
             if horizon is not None and time > horizon:
                 return None
             entry = bucket[index]
-            cls = entry.__class__
-            self._size -= 1
-            if cls is _DeliverBatch:
-                # Mint this pop's Message; the batch keeps its position
-                # until its last destination pops, preserving the FIFO
-                # order of the materialised equivalent.
-                batch = entry
-                pos = batch.pos
-                batch.pos = pos + 1
-                entry = Message(batch.sender, batch.dests[pos], batch.kind,
-                                batch.payload, batch.sent_at,
-                                batch.chain_depth, batch.wireless,
-                                batch.query_id, batch.vtime)
-                if pos + 1 < len(batch.dests):
-                    return time, entry
             bucket[index] = None  # release the popped position
             self._cursor = index + 1
-            if cls is Event:
-                entry.queued = None
-                if entry.cancelled:
-                    self._num_cancelled -= 1
-                    continue
+            cls = entry.__class__
+            if cls is _DeliverBatch:
+                self._size -= len(entry.dests)
+            else:
+                self._size -= 1
+                if cls is Event:
+                    entry.queued = None
+                    if entry.cancelled:
+                        self._num_cancelled -= 1
+                        continue
             return time, entry
 
     def pop_tick(self, horizon: Optional[float] = None):
         """Consume *every* event of the earliest instant in one call.
 
         Returns ``(time, buckets)`` where ``buckets`` is a list of
-        ``_NUM_PRIORITIES`` lists in priority order; each entry is a
-        bare :class:`Message`, an *unexpanded* :class:`_DeliverBatch`
-        (``entry.dests[entry.pos:]`` are its undelivered destinations, in
-        FIFO/ascending order), or an :class:`Event`.  Cancelled events are
-        discarded, consumed events are unqueued and the instant's keys
-        are retired, exactly as if it had been drained with ``pop_due``
-        -- the per-entry order within each list is the drain order.  When
-        ``horizon`` is given, an instant due after it is left untouched
-        and ``None`` is returned; an empty queue also returns ``None``.
+        ``_NUM_PRIORITIES`` lists in priority order; each entry is what
+        ``pop_due`` would have returned -- a bare :class:`Message`, a
+        whole :class:`_DeliverBatch` or an :class:`Event`.  Cancelled
+        events are discarded, consumed events are unqueued and the
+        instant's keys are retired, exactly as if it had been drained
+        with ``pop_due`` -- the per-entry order within each list is the
+        drain order.  When ``horizon`` is given, an instant due after it
+        is left untouched and ``None`` is returned; an empty queue also
+        returns ``None``.
 
         Unlike ``pop_due``, events appended to the instant *while the
         caller processes the returned lists* land in fresh buckets and
@@ -435,7 +446,7 @@ class EventQueue:
                 for entry in bucket[self._cursor:]:
                     cls = entry.__class__
                     if cls is _DeliverBatch:
-                        removed += len(entry.dests) - entry.pos
+                        removed += len(entry.dests)
                     else:
                         removed += 1
                         if cls is Event:

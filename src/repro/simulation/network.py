@@ -151,9 +151,12 @@ class DynamicNetwork:
         self._overflow: Dict[int, List[int]] = {}
         self._events: List[NetworkEvent] = []
         # Per-host caches of the alive-neighbor views; invalidated only for
-        # the hosts an individual failure or join touches.
+        # the hosts an individual failure or join touches.  The views are
+        # immutable and ``copy()`` shares them, so the sorted ones start
+        # materialised: with everyone alive they are the rows just packed.
         self._alive_neighbors: List[Optional[FrozenSet[int]]] = [None] * n
-        self._alive_sorted: List[Optional[Tuple[int, ...]]] = [None] * n
+        self._alive_sorted: List[Optional[Tuple[int, ...]]] = list(
+            map(tuple, rows))
 
     @staticmethod
     def _validate(adjacency: Sequence[Set[int]], n: int) -> None:
@@ -527,8 +530,11 @@ class DynamicNetwork:
         """An independent copy of the current network state.
 
         The base CSR buffers are immutable after construction, so clones
-        share them; only the alive bitmap, overflow table, event log and
-        view caches are private.
+        share them, and so are the cached neighbor views (tuples and
+        frozensets), so clones share those copy-on-write: each side owns
+        the *list* of views, and an invalidation only assigns ``None``
+        into its own.  The alive bitmap, overflow table and event log are
+        private.
         """
         clone = DynamicNetwork.__new__(DynamicNetwork)
         clone._base_n = self._base_n
@@ -538,9 +544,8 @@ class DynamicNetwork:
         clone._alive_count = self._alive_count
         clone._overflow = {h: list(row) for h, row in self._overflow.items()}
         clone._events = list(self._events)
-        n = len(clone._alive)
-        clone._alive_neighbors = [None] * n
-        clone._alive_sorted = [None] * n
+        clone._alive_neighbors = list(self._alive_neighbors)
+        clone._alive_sorted = list(self._alive_sorted)
         return clone
 
     @classmethod

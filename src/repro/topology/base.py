@@ -190,7 +190,9 @@ class Topology:
 
         The topology is immutable, so the pristine network is packed once
         and memoised like :meth:`diameter_estimate`; each call returns an
-        independent copy sharing only the immutable base CSR buffers.
+        independent copy sharing only what is immutable: the base CSR
+        buffers and the pristine sorted neighbor views (a copy that fails
+        or joins a host drops the stale views from its own table).
         """
         pristine = self.__dict__.get("_pristine_network")
         if pristine is None:

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from repro.simulation.events import EventKind, EventQueue
+from repro.simulation.events import EventKind, EventQueue, _DeliverBatch
 from repro.simulation.messages import Message
 
 
@@ -14,8 +14,8 @@ def make_message(sender=0, dest=1):
 
 
 def pop(queue):
-    """Consume the earliest live entry: an :class:`Event`, or the bare
-    :class:`Message` of a fast-path delivery."""
+    """Consume the earliest live entry: an :class:`Event`, the bare
+    :class:`Message` of a fast-path delivery, or a whole multicast."""
     return queue.pop_due(None)[1]
 
 
@@ -168,43 +168,51 @@ class TestTieBreakingRegression:
         dests = [dest_of(pop(queue)) for _ in range(3)]
         assert dests == [1, 2, 3]
 
-    def test_push_multicast_is_drain_identical_to_materialised_delivers(self):
-        """The lazily expanded batch must interleave exactly like its
-        materialised per-destination deliveries, including deliveries and
-        timers pushed before, between and after the batch."""
-        from repro.simulation.messages import Message
+    def test_push_multicast_pops_whole_at_its_fifo_position(self):
+        """A multicast is one entry weighing ``len(dests)``: it keeps the
+        FIFO position of its push among the deliveries filed before and
+        after it, pops whole, and takes its whole weight out of ``len``
+        in that one pop.  (That the engine then delivers it exactly like
+        per-destination deliveries is ``test_multicast_expansion.py``.)"""
+        queue = EventQueue()
+        payload = {"x": 1}
+        queue.push_deliver(1.0, make_message(9, 100))
+        queue.push_multicast(1.0, 7, (1, 2, 3), "kind", payload, 0.25, 2,
+                             True, 5, 0.75)
+        queue.push_timer(1.0, 5, "t", None)
+        queue.push_deliver(1.0, make_message(9, 200))
+        assert len(queue) == queue.occupancy()["pending"] == 6
+        assert pop(queue).dest == 100
+        time, batch = queue.pop_due(None)
+        assert batch.__class__ is _DeliverBatch
+        assert time == 1.0 and batch.payload is payload
+        assert [getattr(batch, name) for name in _DeliverBatch.__slots__] == [
+            7, (1, 2, 3), "kind", payload, 0.25, 2, True, 5, 0.75]
+        assert len(queue) == queue.occupancy()["pending"] == 2
+        assert sum(weight for _, weight in queue.iter_pending()) == 2
+        assert pop(queue).dest == 200
+        assert pop(queue).kind is EventKind.TIMER
+        assert not queue
 
-        def fill(queue, use_batch):
-            queue.push_deliver(1.0, make_message(9, 100))
-            if use_batch:
-                queue.push_multicast(1.0, 7, (1, 2, 3), "kind", {"x": 1},
-                                     0.0, 2)
-            else:
-                for dest in (1, 2, 3):
-                    queue.push_deliver(
-                        1.0, Message(7, dest, "kind", {"x": 1}, 0.0, 2))
-            queue.push_timer(1.0, 5, "t", None)
-            queue.push_deliver(1.0, make_message(9, 200))
-
-        batched, materialised = EventQueue(), EventQueue()
-        fill(batched, True)
-        fill(materialised, False)
-        assert len(batched) == len(materialised) == 6
-        while materialised:
-            expected = materialised.pop_due(None)
-            got = batched.pop_due(None)
-            assert got is not None and expected is not None
-            assert got[0] == expected[0]
-            if expected[1].__class__ is Message:
-                for field in ("sender", "dest", "kind", "payload",
-                              "sent_at", "chain_depth", "wireless",
-                              "query_id", "vtime"):
-                    assert (getattr(got[1], field)
-                            == getattr(expected[1], field)), field
-            else:
-                assert got[1].kind is expected[1].kind
-        assert not batched
-        assert len(batched) == 0
+    def test_event_filed_while_a_multicast_is_out_runs_after_it(self):
+        """While the engine works through a popped multicast the bucket's
+        cursor is already past it: a delivery a handler files at that
+        very key lands behind the multicast and still runs in the
+        instant, ahead of the instant's timers."""
+        queue = EventQueue()
+        queue.push_multicast(2.0, 0, (10, 11, 12), "QUERY", "batch", 0.0, 1)
+        queue.push_deliver(2.0, make_message(0, 13))
+        queue.push_timer(2.0, 5, "t", None)
+        assert queue.pop_due(None)[1].dests == (10, 11, 12)
+        # Filed "from inside the second destination's handler".
+        queue.push_deliver(2.0, make_message(0, 14))
+        queue.push_multicast(2.0, 0, (15,), "QUERY", "next", 0.0, 1)
+        assert len(queue) == 4
+        assert pop(queue).dest == 13
+        assert pop(queue).dest == 14
+        assert pop(queue).dests == (15,)
+        assert pop(queue).kind is EventKind.TIMER
+        assert queue.pop_due(None) is None
 
     def test_push_multicast_with_no_destinations_is_a_noop(self):
         queue = EventQueue()
@@ -332,8 +340,8 @@ class TestOccupancyWindow:
 
 
 class TestOneStructure:
-    """``width`` cannot grow back into a performance knob and the drain
-    loop cannot fork."""
+    """``width`` cannot grow back into a performance knob, the drain loop
+    cannot fork and the queue cannot grow lazy expansion back."""
 
     @staticmethod
     def _readers(path, attr):
@@ -352,6 +360,18 @@ class TestOneStructure:
 
         assert self._readers(pathlib.Path(events.__file__),
                              "_width") == ["occupancy"]
+
+    def test_the_queue_builds_no_message_and_resumes_no_batch(self):
+        """Expansion lives in the engine: ``events.py`` never calls
+        ``Message(...)`` and a batch carries no cursor of its own."""
+        import repro.simulation.events as events
+
+        tree = ast.parse(pathlib.Path(events.__file__).read_text())
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert "_DeliverBatch" in called and "Message" not in called
+        assert "pos" not in _DeliverBatch.__slots__
+        assert not self._readers(pathlib.Path(events.__file__), "pos")
 
     def test_pop_due_has_one_call_site_under_src(self):
         import repro

@@ -14,7 +14,8 @@ The hypothesis fuzz interleaves all four push paths, ``pop_due``,
 ``pop_tick`` and cancel (including cancel-after-pop and double-cancel), on
 a shared time grid and on float times that each own a key, and checks
 ``len``, ``occupancy()["pending"]`` and the drain order against a reference
-heap model after every operation.
+heap model after every operation.  A multicast is one model entry weighing
+``len(dests)``: it pops whole and leaves ``len`` whole.
 """
 
 import heapq
@@ -128,6 +129,10 @@ def test_negative_time_rejected_on_every_entry_point():
             queue.push_timer(bad, 0, "flush", None)
         with pytest.raises(ValueError, match="time"):
             queue.push_multicast(bad, 0, (1, 2), "QUERY", None, 0.0, 1)
+        # An empty multicast files nothing, but the contract is on the
+        # call, not on what it files.
+        with pytest.raises(ValueError, match="time"):
+            queue.push_multicast(bad, 0, (), "QUERY", None, 0.0, 1)
     # Nothing leaked into the queue from the rejected calls.
     assert len(queue) == 0
     assert queue.occupancy()["slots"] == 0
@@ -170,22 +175,20 @@ _ops = st.lists(
 )
 
 
-def _labels(entry):
-    """Model labels of one queue entry, in drain order: ``data`` of an
-    Event, ``(payload, dest)`` of a message, one such pair per
-    undelivered destination of a multicast batch."""
+def _label(entry):
+    """Model label of one queue entry: ``data`` of an Event, ``(payload,
+    dest)`` of a message, ``(payload, dests)`` of a whole multicast."""
     if entry.__class__ is Message:
-        return [(entry.payload, entry.dest)]
+        return entry.payload, entry.dest
     if entry.__class__ is _DeliverBatch:
-        return [(entry.payload, dest) for dest in entry.dests[entry.pos:]]
-    return [entry.data]
+        return entry.payload, entry.dests
+    return entry.data
 
 
 def _labelled(front):
     """``(time, model label)`` of a popped ``(time, entry)`` pair."""
     time, entry = front
-    (label,) = _labels(entry)
-    return time, label
+    return time, _label(entry)
 
 
 @settings(max_examples=80, deadline=None,
@@ -196,6 +199,7 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
     counter = itertools.count()
     heap = []            # reference model: (time, priority, seq, label)
     alive = {}           # label -> heap entry still pending in the model
+    weights = {}         # label -> what it adds to len (default 1)
     handles = []         # push-returned events, cancellable by index
     handle_labels = []   # parallel: model label per handle
 
@@ -216,9 +220,10 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
         return entry
 
     def check_counts():
-        assert len(queue) == len(alive)
-        assert len(queue) >= 0
-        assert queue.occupancy()["pending"] == len(alive)
+        pending = sum(weights.get(label, 1) for label in alive)
+        assert len(queue) == pending
+        assert queue.occupancy()["pending"] == pending
+        assert sum(weight for _, weight in queue.iter_pending()) == pending
 
     label_counter = itertools.count()
     deliver = _KIND_PRIORITY[EventKind.DELIVER]
@@ -240,12 +245,12 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
             queue.push_deliver(op[1], Message(0, 0, "QUERY", label))
             model_push(op[1], deliver, (label, 0))
         elif op[0] == "multicast":
-            # One reference entry per destination, consecutive seqs.
-            label = next(label_counter)
+            # One reference entry for the lot, weighing its destinations.
             dests = tuple(range(op[2]))
-            queue.push_multicast(op[1], 0, dests, "QUERY", label, 0.0, 1)
-            for dest in dests:
-                model_push(op[1], deliver, (label, dest))
+            label = (next(label_counter), dests)
+            queue.push_multicast(op[1], 0, dests, "QUERY", label[0], 0.0, 1)
+            model_push(op[1], deliver, label)
+            weights[label] = len(dests)
         elif op[0] == "pop":
             expected = model_pop()
             if expected is None:
@@ -266,8 +271,7 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
                     entry = model_front()
                 time, buckets = queue.pop_tick()
                 assert time == front[0]
-                assert [[label for entry in bucket
-                         for label in _labels(entry)]
+                assert [[_label(entry) for entry in bucket]
                         for bucket in buckets] == expected
         elif op[0] == "cancel":
             if handles:
@@ -280,6 +284,7 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
     remaining = [model_pop() for _ in range(len(alive))]
     drained = [_labelled(queue.pop_due(None)) for _ in remaining]
     assert drained == [(entry[0], entry[3]) for entry in remaining]
+    assert queue.pop_due(None) is None
     assert len(queue) == 0
     assert queue.occupancy()["pending"] == 0
 
@@ -288,17 +293,21 @@ def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
 # Pre-emption and re-created keys: the cases the cached front must get right
 # ---------------------------------------------------------------------------
 
-def test_preempted_half_expanded_batch_resumes_at_its_next_destination():
+def test_preempted_bucket_resumes_behind_the_multicast_that_was_out():
     queue = EventQueue()
     queue.push_multicast(2.0, 0, (10, 11, 12), "QUERY", "batch", 0.0, 1)
     queue.push_deliver(2.0, Message(0, 13, "QUERY", "after"))
-    assert queue.pop_due(None)[1].dest == 10
-    # An earlier key arrives while the 2.0 bucket is half drained.
+    assert queue.pop_due(None)[1].dests == (10, 11, 12)
+    assert len(queue) == 1
+    # An earlier key arrives while the multicast is being delivered: it
+    # is the next pop, and the 2.0 bucket then resumes behind the batch,
+    # whose three destinations are not counted (or met) a second time.
     queue.push_deliver(1.0, Message(0, 99, "QUERY", "earlier"))
-    assert len(queue) == 4
+    queue.push_deliver(2.0, Message(0, 14, "QUERY", "appended"))
+    assert len(queue) == queue.occupancy()["pending"] == 3
     assert [(time, message.dest) for time, message in
-            (queue.pop_due(None) for _ in range(4))] == [
-        (1.0, 99), (2.0, 11), (2.0, 12), (2.0, 13)]
+            (queue.pop_due(None) for _ in range(3))] == [
+        (1.0, 99), (2.0, 13), (2.0, 14)]
     assert queue.pop_due(None) is None
 
 
@@ -320,17 +329,20 @@ def test_key_recreated_after_retirement_is_a_new_bucket():
 
 def test_pop_tick_of_a_preempted_bucket_returns_exactly_the_remainder():
     queue = EventQueue()
+    queue.push_deliver(2.0, Message(0, 9, "QUERY", "first"))
     queue.push_multicast(2.0, 0, (10, 11, 12), "QUERY", "batch", 0.0, 1)
+    queue.push_multicast(2.0, 0, (13, 14), "QUERY", "rest", 0.0, 1)
     queue.push_timer(2.0, 5, "flush", None)
-    assert queue.pop_due(None)[1].dest == 10
+    assert queue.pop_due(None)[1].dest == 9
     queue.push_deliver(1.0, Message(0, 99, "QUERY", "earlier"))
     assert queue.pop_due(None)[1].dest == 99
-    assert queue.pop_due(None)[1].dest == 11
+    assert queue.pop_due(None)[1].payload == "batch"
+    assert len(queue) == 3
 
     time, buckets = queue.pop_tick()
     assert time == 2.0
-    assert [label for entry in buckets[_KIND_PRIORITY[EventKind.DELIVER]]
-            for label in _labels(entry)] == [("batch", 12)]
+    assert [_label(entry) for entry in
+            buckets[_KIND_PRIORITY[EventKind.DELIVER]]] == [("rest", (13, 14))]
     assert [e.host for e in buckets[_KIND_PRIORITY[EventKind.TIMER]]] == [5]
     assert len(queue) == 0
     assert queue.pop_tick() is None

@@ -97,6 +97,51 @@ class TestConversions:
         with pytest.raises(ValueError):
             first.partition_bounds(2)
 
+    def test_copies_share_neighbor_views_copy_on_write(self):
+        """Every copy starts from the pristine network's sorted views --
+        the same tuple objects, not rebuilt ones -- and a fail or a join
+        on one copy drops views from that copy's own table only."""
+        topo = ring_topology(6)
+        first, sibling = topo.to_network(), topo.to_network()
+        pristine = topo.__dict__["_pristine_network"]
+        before = [pristine.alive_neighbors_sorted(host) for host in range(6)]
+        assert before == [tuple(sorted(row)) for row in topo.adjacency]
+        for host in range(6):
+            assert first.alive_neighbors_sorted(host) is before[host]
+            assert sibling.alive_neighbors_sorted(host) is before[host]
+        first.fail_host(0, time=1.0)
+        joined = first.join_host([1, 2], time=2.0)
+        assert first.alive_neighbors_sorted(1) == (2, joined)
+        assert first.neighbors(5) == {4}
+        # A clone of the churned copy shares *its* views, the same way.
+        second = first.copy()
+        assert second.alive_neighbors_sorted(1) is first.alive_neighbors_sorted(1)
+        second.fail_host(2, time=3.0)
+        assert second.alive_neighbors_sorted(1) == (joined,)
+        assert first.alive_neighbors_sorted(1) == (2, joined)
+        for untouched in (pristine, sibling, topo.to_network()):
+            assert untouched.num_hosts == 6
+            assert [untouched.alive_neighbors_sorted(host)
+                    for host in range(6)] == before
+            assert untouched.neighbors(1) == {0, 2}
+
+    @pytest.mark.parametrize("lane", ["python", "vector"])
+    def test_to_network_after_a_churned_run_is_still_pristine(self, lane):
+        from repro.protocols.base import run_protocol
+        from repro.protocols.wildfire import Wildfire
+        from repro.simulation.churn import ChurnSchedule
+        from repro.topology.random_graph import random_topology
+
+        topo = random_topology(40, avg_degree=4, seed=3)
+        churn = ChurnSchedule(failures=[(0.5, 7), (1.5, 11), (1.5, 2)])
+        run = run_protocol(Wildfire(), topo, [1.0] * 40, "count", churn=churn,
+                           seed=3, lane=lane)
+        assert run.lane_used == lane and run.value is not None
+        network = topo.to_network()
+        assert network.num_alive == 40 and not network.events
+        assert [network.alive_neighbors_sorted(host) for host in range(40)] \
+            == [tuple(sorted(row)) for row in topo.adjacency]
+
     def test_to_networkx_roundtrip(self):
         nx_graph = ring_topology(5).to_networkx()
         assert nx_graph.number_of_nodes() == 5
