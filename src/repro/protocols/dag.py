@@ -108,13 +108,13 @@ class DagHost(ProtocolHost):
     def _on_broadcast(self, message: Message, ctx: HostContext) -> None:
         sender_depth = int(message.payload["depth"])
         if not self.active:
-            wait = self.adopt(message.sender, sender_depth, ctx.now)
+            deadline = self.adopt(message.sender, sender_depth, ctx.now)
             ctx.send_to_neighbors(
                 self.broadcast_kind,
                 {"depth": self.depth, "d_hat": self.d_hat},
                 exclude=(message.sender,),
             )
-            ctx.set_timer(wait, "report")
+            ctx.set_timer_at(deadline, "report")
             return
         # Additional Broadcasts from hosts no deeper than us become extra
         # parents, up to k; this keeps the parent relation acyclic.
@@ -129,16 +129,16 @@ class DagHost(ProtocolHost):
 
     def adopt(self, sender: int, sender_depth: int, now: float) -> float:
         """The first Broadcast heard: ``sender`` becomes the parent, the
-        host draws its own contribution, and the return value is how long
-        to wait before reporting -- until ``(2 * D_hat - depth) * delta``,
-        one ``delta`` before the parent's own deadline (clamped at "now"
-        when a fast many-hop path made ``depth`` exceed the hop distance).
-        The caller forwards the Broadcast and sets the timer."""
+        host draws its own contribution, and the return value is the
+        instant to report at -- ``(2 * D_hat - depth) * delta``, one
+        ``delta`` before the parent's own deadline ("now" when a fast
+        many-hop path made ``depth`` exceed the hop distance).  The
+        caller forwards the Broadcast and sets the timer at it."""
         self.active = True
         self.parents = [sender]
         self.depth = sender_depth + 1
         self.partial = self.combiner.initial(self.value, self.rng)
-        return max(0.0, (2.0 * self.d_hat - self.depth) * self.delta - now)
+        return max(now, (2.0 * self.d_hat - self.depth) * self.delta)
 
     def take_report(self, agg: Any) -> None:
         """Fold a child's Report.  One that arrives after this host pushed
@@ -194,14 +194,10 @@ class ConvergecastBatchKernel:
     for the shared record shape and never read -- only the in-process
     lane admits convergecast, where append order already is spec order.
 
-    Unlike WILDFIRE's flush, the report timer is due at
-    ``(2 * d_hat - depth) * delta`` -- generally a future instant, and
-    for a non-dyadic ``delta`` a float that can sit one ulp off the
-    tick-accumulated delivery instant it "coincides" with.  The kernel
-    therefore registers it on the lane's timer calendar under the exact
-    float the spec host computes (``now`` plus the wait
-    :meth:`DagHost.adopt` returns, ``ctx.set_timer``'s own sum), and the
-    lane orders instants by float comparison as the spec calendar does.
+    Unlike WILDFIRE's flush, the report timer is generally due at a
+    future instant: the kernel registers it on the lane's timer calendar
+    under the deadline :meth:`DagHost.adopt` returns, the float the spec
+    host hands ``ctx.set_timer_at``.
     """
 
     __slots__ = ("hosts", "broadcast_kind", "report_kind")
@@ -291,15 +287,14 @@ class ConvergecastBatchKernel:
                     # Adoption is the spec host's own transition; the
                     # lane forwards the Broadcast (a host does so once, so
                     # the lane's neighbor memo would never be read back)
-                    # and registers the report timer under the spec's
-                    # ``ctx.set_timer(wait)`` key, ``now + wait``.
-                    wait = host.adopt(sender, sender_depth, now)
+                    # and registers the report timer at the deadline.
+                    deadline = host.adopt(sender, sender_depth, now)
                     targets = [t for t in network.alive_neighbors_sorted(dest)
                                if t != sender]
                     if targets:
                         lane.submit_multi(dest, targets, broadcast_kind, None,
                                           host.depth, now, depth + 1)
-                    lane.timers_at(now + wait).append((dest, depth, rank))
+                    lane.timers_at(deadline).append((dest, depth, rank))
             if delivered and depth > max_depth:
                 max_depth = depth
         lane.dropped += dropped

@@ -36,6 +36,7 @@ import random
 from typing import Any, List, Optional, Sequence, Set
 
 from repro.protocols.base import Protocol
+from repro.simulation.clock import instant_after
 from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.sketches.combiners import Combiner
@@ -242,12 +243,11 @@ class WildfireHost(ProtocolHost):
     def _schedule_flush(self, ctx: HostContext) -> None:
         if not self._flush_pending:
             self._flush_pending = True
-            # Zero-delay timer (or the remainder of the one-per-delta rate
-            # limit): timers are dispatched after all message deliveries of
-            # the same instant, so every aggregate received by the flush
-            # instant is folded in before the single outgoing update.
-            wait = self._next_flush - ctx.now
-            ctx.set_timer(wait if wait > 0.0 else 0.0, FLUSH)
+            # Due now (or when the one-per-delta rate limit ends): timers
+            # are dispatched after all message deliveries of the same
+            # instant, so every aggregate received by the flush instant
+            # is folded in before the single outgoing update.
+            ctx.set_timer_at(max(ctx.now, self._next_flush), FLUSH)
 
     # ------------------------------------------------------------------
     # Protocol hooks
@@ -335,7 +335,7 @@ class WildfireHost(ProtocolHost):
         if name != FLUSH:
             return
         self._flush_pending = False
-        self._next_flush = ctx.now + self.delta
+        self._next_flush = instant_after(ctx.now, self.delta, self.delta)
         if not self.active or ctx.now > self._deadline:
             self._dirty = False
             self._reply_to = None
@@ -403,7 +403,7 @@ class WildfireBatchKernel:
     registration instant (``_next_flush`` is never in the future, which
     :meth:`process_instant` asserts), so every flush is registered on
     the lane's timer calendar at ``now``, and every send of instant
-    ``t`` lands at ``t + delta``.
+    ``t`` lands one ``delta`` later.
     ``try_build`` gates engagement to host tables the kernel provably
     understands; everything else falls back to the spec lane.
     """
@@ -599,7 +599,8 @@ class WildfireBatchKernel:
         order.  The FLUSH handler (:meth:`WildfireHost.on_timer` plus
         the ``send_to_neighbors`` / ``send`` paths it calls) is
         transcribed inline.  All sends from this bucket share one
-        delivery instant (``now + delta``) and one accounting key
+        delivery instant (``lane.lands_at``, one ``delta`` after ``now``:
+        also every flushing host's ``_next_flush``) and one accounting key
         (``(now, CONVERGECAST)``).  Multicasts (the dirty branch) are
         appended straight to ``lane.out_records`` and counted in two
         locals folded into the lane at the end; unicast replies (the
@@ -634,7 +635,7 @@ class WildfireBatchKernel:
             # three lines more than this) and not kept ---------------
             host = hosts[host_id]
             host._flush_pending = False
-            host._next_flush = now + host.delta
+            host._next_flush = lane.lands_at
             if not host.active or now > host._deadline:
                 host._dirty = False
                 host._reply_to = None

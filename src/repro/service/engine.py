@@ -273,12 +273,10 @@ class MuxEngine(EventEngine):
         would.  The lane works in query-local time; only the calendar
         key is ``t0 + v_next``, at CUSTOM priority -- after the
         QUERY_STARTs and before the FAILs of that engine instant, the
-        only kinds a tick-path session can share one with.  Two instants
-        an ulp apart that round to one engine time are two entries, in
-        filing order.  Once no instant is left inside the window, what
-        is still in flight would have landed late: it goes to the
-        calendar as the deliveries it is, for :meth:`_late` to tally
-        when they land.
+        only kinds a tick-path session can share one with.  Once no
+        instant is left inside the window, the batch still in flight
+        would have landed late: it goes to the calendar as the
+        deliveries it is, for :meth:`_late` to tally when they land.
         """
         lane = session.lane
         sent, dropped = lane.flush_tallies(session.sink)
@@ -289,12 +287,11 @@ class MuxEngine(EventEngine):
             self._queue.push(t0 + v_next, EventKind.CUSTOM,
                              data=session.step)
             return
-        for v_land, records, sent_at in lane.in_flight:
-            for _, sender, dests, kind, _, _, depth in records:
-                self._queue.push_multicast(
-                    t0 + v_land, sender, dests, kind, None, sent_at, depth,
-                    self.wireless, session.qid, v_land)
-        lane.in_flight.clear()
+        v_land, records, sent_at = lane.take_in_flight()
+        for _, sender, dests, kind, _, _, depth in records:
+            self._queue.push_multicast(
+                t0 + v_land, sender, dests, kind, None, sent_at, depth,
+                self.wireless, session.qid, v_land)
 
 
 def merge_shard_summaries(summaries: Sequence[Mapping[str, Any]],

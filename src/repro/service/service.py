@@ -26,24 +26,15 @@ how the queries interleave on the shared substrate; and a query run solo
 seed and the service's ``d_hat``) declares the identical value with
 identical costs whenever no cross-query churn interferes.
 
-One float-arithmetic caveat on the solo comparison, for sessions that
-run per message on the spec loop (variable delay, join churn, hosts no
-batch kernel drives -- ``fallback_reason`` on the row): two session
-events separated by a single ulp of virtual time (an artefact of
-addition order, e.g. ``(a + k) + d`` vs ``(a + d) + k`` under the
-fixed-latency ``per_edge`` model) may collapse into one calendar instant on
-the shared clock, where the deliver-before-timer priority -- the model's
-actual simultaneity rule -- resolves them.  A run launched at 0 instead
-keeps the artificial ulp gap.  The paper's protocols are insensitive to
-this at the delays the figures use (their folds are idempotent and
-deadline math uses the bound); only order-sensitive float accumulation
-(push-sum gossip) can differ in the last digits on such knife-edge ties.
-A session on its own tick lane (``lane_used == "vector"``) is not
-subject to it: the lane orders its instants in query-local time and the
-shared clock only keys the calendar entry of each, so it equals the solo
-run even where an ulp collapses on the shared clock -- which at a
-non-dyadic ``delta`` includes losing the tree/DAG Reports the solo run
-loses.
+One float-arithmetic caveat on the solo comparison, under a *variable*
+delay model only (a fixed-delay instant is ``k * delta`` from
+:mod:`repro.simulation.clock` on either path, and no two sit an ulp
+apart): two session events an ulp apart by addition order -- ``(a + k)
++ d`` vs ``(a + d) + k`` under the fixed-latency ``per_edge`` model --
+may share one calendar instant on the shared clock, where the
+deliver-before-timer priority resolves them, so order-sensitive float
+accumulation (push-sum gossip) can differ from the solo run in the last
+digits on such a tie.
 """
 
 from __future__ import annotations

@@ -10,11 +10,10 @@ calendar :class:`~repro.simulation.events.EventQueue`:
 
 * message deliveries route on ``Message.query_id`` and timers on the
   session they were filed with; both carry their *query-local* instant
-  (computed with the arithmetic ``now + delay`` a lone query performs),
-  while the calendar orders them at ``t0 + local`` -- IEEE addition is
-  monotone, so a session's events never reorder, and ``0.0 + x == x``
-  exactly, so a session launched at 0 sees the very floats it would
-  see alone;
+  (the float a lone query computes for it), while the calendar orders
+  them at ``t0 + local`` -- IEEE addition is monotone, so a session's
+  events never reorder, and ``0.0 + x == x`` exactly, so a session
+  launched at 0 sees the very floats it would see alone;
 * sends are accounted to the session's private
   :class:`~repro.simulation.stats.CostAccounting` (the paper's Section
   6.3 costs) and delayed by its private
@@ -40,7 +39,7 @@ from math import inf
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.simulation.churn import ChurnSchedule
-from repro.simulation.clock import SimulationClock
+from repro.simulation.clock import SimulationClock, instant_after
 from repro.simulation.delay import DelayModel, delay_model_from_spec
 from repro.simulation.events import Event, EventKind, EventQueue, _DeliverBatch
 from repro.simulation.host import HostContext, ProtocolHost
@@ -190,6 +189,10 @@ class EventEngine:
         self.dropped_messages = 0
         self.events_processed = 0
         self.tracer = tracer if tracer is not None else default_tracer()
+        # The last fixed-delay multicast's send and landing instants: an
+        # instant's multicasts share one landing, computed once.
+        self._sent_at = 0.0
+        self._lands_at = self.delta
 
     # ------------------------------------------------------------------
     # Scheduling API used by HostContext
@@ -215,11 +218,10 @@ class EventEngine:
         if not network.has_alive_edge(sender, dest):
             return False
         sample = session.sample
-        delay = self.delta if sample is None else sample(sender, dest, vnow)
-        # The query-local delivery instant is computed with the arithmetic
-        # a lone query performs (``vnow + delay``); the engine instant
-        # only orders the shared calendar.
-        vdeliver = vnow + delay
+        # The query-local delivery instant is the one a lone query
+        # computes; the engine instant only orders the shared calendar.
+        vdeliver = (instant_after(vnow, self.delta, self.delta)
+                    if sample is None else vnow + sample(sender, dest, vnow))
         message = Message(sender, dest, kind, dict(payload), vnow,
                           chain_depth, False, session.qid, vdeliver)
         session.sink.record_send(kind, vnow)
@@ -273,7 +275,10 @@ class EventEngine:
             # Fixed delay: the whole multicast shares one delivery instant
             # and is one calendar entry (no per-destination Message exists
             # until ``_drain`` delivers it).
-            vdeliver = vnow + self.delta
+            if vnow != self._sent_at:
+                self._sent_at = vnow
+                self._lands_at = instant_after(vnow, self.delta, self.delta)
+            vdeliver = self._lands_at
             self._queue.push_multicast(t0 + vdeliver, sender, dests, kind,
                                        shared_payload, vnow, chain_depth,
                                        wireless, qid, vdeliver)

@@ -20,8 +20,10 @@ of the query service.
 from __future__ import annotations
 
 import abc
+from math import inf
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Set
 
+from repro.simulation.clock import instant_after
 from repro.simulation.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -134,17 +136,25 @@ class HostContext:
         return len(targets)
 
     def set_timer(self, delay: float, name: str, data: Any = None) -> None:
-        """Schedule a timer for this host ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError("timer delay must be non-negative")
+        """Schedule a timer for this host ``delay`` time units from now
+        (a whole number of ``delta`` after a grid instant is a grid
+        instant: :func:`~repro.simulation.clock.instant_after`)."""
+        self.set_timer_at(
+            instant_after(self.now, delay, self._simulator.delta), name, data)
+
+    def set_timer_at(self, instant: float, name: str, data: Any = None) -> None:
+        """Schedule a timer for this host at query-local ``instant`` --
+        how a deadline is set: by the float that states it, not by a wait
+        whose sum with ``now`` would have to round back to it."""
+        if not self.now <= instant < inf:
+            raise ValueError("a timer fires at a finite instant, now or later")
         session = self.session
         # The query-local fire time rides with the timer: re-deriving it
         # from the absolute instant (``abs - t0``) would lose float
         # precision and perturb deadline comparisons against a solo run.
-        vfire = self.now + delay
         self._simulator._queue.push_timer(
-            session.t0 + vfire, self.host_id, name,
-            (data, self._chain_depth, session, vfire),
+            session.t0 + instant, self.host_id, name,
+            (data, self._chain_depth, session, instant),
         )
 
 

@@ -48,9 +48,8 @@ class Message:
         vtime: the *query-local* (virtual) delivery time.  A session
             launched at engine time ``t0`` runs its protocol on a clock
             where the query starts at 0; carrying the virtual delivery
-            instant explicitly (computed as ``now + delay``, the
-            arithmetic a lone query performs, rather than re-derived as
-            ``engine_time - t0``) keeps per-query event timing exact in
+            instant explicitly (the float a lone query computes for
+            it, rather than one re-derived as ``engine_time - t0``) keeps per-query event timing exact in
             floating point, which the bit-identical solo-equivalence
             guarantee relies on.  For a session launched at 0 it equals
             the engine delivery time.

@@ -46,6 +46,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.protocols.wildfire import WildfireBatchKernel
+from repro.simulation.clock import instant_after
 from repro.simulation.sharded import pool_context
 from repro.simulation.sharded.worker import (
     _RecordingRng,
@@ -172,7 +173,7 @@ def _activation_prepass(simulator, fails: Sequence[Tuple[float, int]],
 
     t = 0.0
     while frontier:
-        t_next = t + delta
+        t_next = instant_after(t, delta, delta)
         if t_next > horizon:
             break
         while fail_index < num_fails and fails[fail_index][0] < t_next:

@@ -1,7 +1,7 @@
 """The per-shard execution lane and worker-process entry point.
 
 One :class:`_ShardLane` drives one shard's slice of a run.  The instant
-loop, the in-flight queue and timer calendar, the bulk accounting and
+loop, the in-flight batch and timer calendar, the bulk accounting and
 the WILDFIRE batch kernel are the shared tick-lane skeleton's
 (:mod:`repro.simulation.vector_lane`); this module adds what a
 partitioned run needs on top: canonical keys for the records a shard
@@ -244,7 +244,7 @@ class _ShardLane(_TickLane):
         self.rank_bound = (total if total > self.num_hosts
                            else self.num_hosts) + 1
         if total:
-            self.in_flight.append((t_next, entries, sent_at))
+            self.in_flight = (t_next, entries, sent_at)
 
     def end_instant(self, t: float) -> None:
         (wall_start, wall_mid, barrier_before, cross_before, depth_now,

@@ -1,10 +1,10 @@
 """The tick-lane skeleton, one per session, and its drivers.
 
-Under the fixed-delay model every send of instant ``t`` lands at
-``t + delta``, so the spec engine's one-Python-iteration-per-message
+Under the fixed-delay model every send of instant ``t`` lands one
+``delta`` later, so the spec engine's one-Python-iteration-per-message
 drain can be replaced by *instant-at-a-time* processing.
-:class:`_TickLane` is that replacement, once: one flat list of delivery
-records per landing instant, a timer calendar, the bulk cost counters,
+:class:`_TickLane` is that replacement, once: the one flat list of
+delivery records in flight, a timer calendar, the bulk cost counters,
 and the body of an instant stated as one resumable step
 (:meth:`_TickLane.step`: the instant's deliveries, then its timers, then
 file what it emitted and return the next pending instant) that hands
@@ -34,18 +34,14 @@ itself against anything else; a driver does, and there are two:
   step by the calendar's own priorities.
 
 The timer calendar is a dict of per-instant registration lists keyed by
-the *exact float* the spec host computes, plus a heap of its distinct
-keys (at most ``2 * d_hat`` of them: one per tree depth).  A WILDFIRE
-flush registers at ``now`` and fires in the instant that registered it;
-a convergecast report registers at
-``now + max(0.0, (2 * d_hat - depth) * delta - now)``, which for a
-non-dyadic ``delta`` can sit one ulp before or after the
-tick-accumulated delivery instant it nominally shares.  The next instant
-is therefore ``min(next landing instant, next timer instant)`` by float
-comparison -- exactly the solo spec calendar's order, so a report
-landing one ulp after its parent's timer is lost here as it is there --
-and a lane is done only when nothing is in flight and no timer is
-pending.
+the float the spec host files its timer at (at most ``2 * d_hat`` keys:
+one per tree depth).  A WILDFIRE flush registers at ``now`` and fires in
+the instant that registered it; a convergecast report registers at the
+deadline :meth:`~repro.protocols.dag.DagHost.adopt` returns.  Every
+instant is ``k * delta`` from :mod:`~repro.simulation.clock` -- no two
+sit an ulp apart -- so whatever is in flight is one batch, the next
+instant is the earlier of its landing and the earliest timer key, and a
+lane is done when nothing is in flight and no timer is pending.
 
 Used as is, the skeleton is the vector lane: one process owns every
 host, :meth:`_TickLane.exchange` files the list just emitted (append
@@ -98,11 +94,11 @@ spec loop does.
 from __future__ import annotations
 
 import gc
-from collections import defaultdict, deque
-from heapq import heappop, heappush
+from collections import defaultdict
 from operator import itemgetter
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.simulation.clock import instant_after
 from repro.simulation.host import HostContext
 
 #: Lane names understood by the engine and every CLI/config surface.
@@ -116,6 +112,9 @@ LANES = ("python", "vector", "sharded")
 DEFAULT_LANE = "vector"
 
 _NEVER = float("inf")
+
+#: ``_TickLane.in_flight`` with nothing in flight: no records, landing never.
+_NOTHING = (_NEVER, (), 0.0)
 
 
 def validate_lane(lane: str) -> str:
@@ -247,20 +246,20 @@ class _TickLane:
         #: Records emitted this instant, landing one ``delta`` later:
         #: ``(rank, sender, dests, kind, agg, dist, depth)``.
         self.out_records: List[tuple] = []
-        #: ``(landing instant, records, send instant)`` in landing order.
-        #: Instants are visited in ascending order and ``t + delta`` is
-        #: monotone in ``t``, so filing at the tail keeps the queue sorted.
-        self.in_flight: Deque[Tuple[float, List[tuple], float]] = deque()
+        #: ``(landing instant, records, send instant)`` of the one batch
+        #: in flight: grid instants are a whole ``delta`` apart, so a
+        #: batch lands before the next is filed.
+        self.in_flight: Tuple[float, Sequence[tuple], float] = _NOTHING
         #: Send instant of the batch being delivered: the float the spec
-        #: stamps on ``Message.sent_at``, carried rather than recomputed
-        #: (``(t + delta) - delta != t`` for a non-dyadic ``delta``).
+        #: stamps on ``Message.sent_at``, carried, never re-derived.
         self.sent_at = 0.0
+        #: Where the current instant's sends land, one ``delta`` later
+        #: (also the earliest next flush of a host flushing now).
+        self.lands_at = self.delta
         #: The timer calendar: per-instant registrations
         #: ``(host_id, chain_depth, causing_rank)`` in spec order, keyed
-        #: by the exact float the spec host computes, and a heap of the
-        #: distinct keys.
+        #: by the float the spec host files the timer at.
         self.timers: Dict[float, List[tuple]] = {}
-        self.timer_heap: List[float] = []
         # Accounting, accumulated flat and replayed into the stats sink
         # in bulk (at the end of a solo run; sends and drops per stepped
         # instant under the service): per-host receive counts, and per
@@ -333,13 +332,9 @@ class _TickLane:
 
     def timers_at(self, time: float) -> List[tuple]:
         """The calendar's registration list for instant ``time``
-        (created, and its key heaped, on first use); append
+        (created on first use); append
         ``(host_id, chain_depth, causing_rank)`` to register a timer."""
-        bucket = self.timers.get(time)
-        if bucket is None:
-            self.timers[time] = bucket = []
-            heappush(self.timer_heap, time)
-        return bucket
+        return self.timers.setdefault(time, [])
 
     # ------------------------------------------------------------------
     # The instant: one step, and the driver of a lane on its own clock
@@ -347,36 +342,31 @@ class _TickLane:
     def exchange(self, t_next: float, sent_at: float) -> None:
         """File the records emitted at instant ``sent_at`` under their
         landing instant ``t_next``.  In process that is the list itself:
-        append order already is spec order, so it is moved, not sorted.
-        Two instants one ulp apart can round to the same landing
-        instant; the later one's batch then queues behind the earlier
-        one's, as in the spec calendar's slot."""
+        append order already is spec order, so it is moved, not sorted."""
         if self.out_records:
-            self.in_flight.append((t_next, self.out_records, sent_at))
+            self.in_flight = (t_next, self.out_records, sent_at)
             self.out_records = []
+
+    def take_in_flight(self) -> Tuple[float, Sequence[tuple], float]:
+        """Hand over the batch in flight, leaving nothing in flight."""
+        batch, self.in_flight = self.in_flight, _NOTHING
+        return batch
 
     def end_instant(self, t: float) -> None:
         """Per-instant bookkeeping hook (nothing in process)."""
 
     def next_instant(self) -> float:
         """The earliest pending query-local instant -- the earlier of
-        the next landing instant and the next timer instant, by float
-        comparison -- or ``inf`` when nothing is in flight (run-wide:
-        every lane files the same landing instants) and no timer is
-        pending."""
-        in_flight = self.in_flight
-        timer_heap = self.timer_heap
-        t_next = in_flight[0][0] if in_flight else _NEVER
-        if timer_heap and timer_heap[0] < t_next:
-            t_next = timer_heap[0]
-        return t_next
+        the landing instant and the earliest timer instant -- or ``inf``
+        when nothing is in flight (run-wide: every lane files the same
+        landing instants) and no timer is pending."""
+        return min(self.in_flight[0], min(self.timers, default=_NEVER))
 
     def _file(self, t: float) -> float:
         """File what instant ``t`` emitted (inside the horizon) and
         return the next pending instant."""
-        t_land = t + self.delta
-        if t_land <= self.horizon:
-            self.exchange(t_land, t)
+        if self.lands_at <= self.horizon:
+            self.exchange(self.lands_at, t)
         return self.next_instant()
 
     def start(self) -> float:
@@ -396,22 +386,20 @@ class _TickLane:
         deliveries in rank order, then its timers in registration order
         (those registered by the instant's own deliveries included),
         then file what it emitted.  All of it happens in query-local
-        time -- instants are accumulated as the spec does (``t +
-        delta``; timers at the exact float the spec host computes) --
-        and none of it touches a clock or applies a failure: whoever
-        drives the lane orders its instants against everything else.
+        time, and none of it touches a clock or applies a failure:
+        whoever drives the lane orders its instants against everything
+        else.
         """
         t = self.next_instant()
+        self.lands_at = instant_after(t, self.delta, self.delta)
         kernel = self.kernel
-        in_flight = self.in_flight
-        timer_heap = self.timer_heap
-        while in_flight and in_flight[0][0] == t:
-            _, entries, self.sent_at = in_flight.popleft()
+        if self.in_flight[0] == t:
+            _, entries, self.sent_at = self.take_in_flight()
             if entries:
                 kernel.process_instant(t, entries, self)
-        while timer_heap and timer_heap[0] == t:
-            heappop(timer_heap)
-            kernel.process_timer_bucket(t, self.timers.pop(t), self)
+        bucket = self.timers.pop(t, None)
+        if bucket:
+            kernel.process_timer_bucket(t, bucket, self)
         self.end_instant(t)
         return self._file(t)
 
@@ -474,8 +462,7 @@ class _TickLane:
         per destination of every in-flight record, one per registered
         timer (dead hosts' included: the spec calendar holds both until
         their instant pops)."""
-        return (sum(len(record[2]) for _, records, _ in self.in_flight
-                    for record in records)
+        return (sum(len(record[2]) for record in self.in_flight[1])
                 + sum(map(len, self.timers.values())))
 
     def flush_tallies(self, costs) -> Tuple[int, int]:

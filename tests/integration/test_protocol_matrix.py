@@ -27,7 +27,8 @@ from repro.protocols.gossip import PushSumGossip
 from repro.protocols.randomized_report import RandomizedReport
 from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
-from repro.semantics.oracle import Oracle
+from repro.queries.query import AggregateQuery
+from repro.semantics.oracle import Oracle, sketch_slack
 from repro.semantics.validity import aggregate_over, union_set
 from repro.simulation.churn import (
     ChurnSchedule,
@@ -120,6 +121,17 @@ def test_protocol_terminates_declares_and_respects_validity(
         upper = aggregate_over("count", union, values)
         assert 1.0 <= result.value <= upper + 1e-9
         assert float(result.value).is_integer()
+        if not churned and sketch_slack(protocol,
+                                        AggregateQuery.of(query)) == 0.0:
+            # A static network has one admissible host set, H_C = H_U = H,
+            # so an answer granted no sketch slack is q(H) itself, at any
+            # ``delta`` -- the bound above alone admits a run that lost
+            # most of its Reports.
+            for delta in (1.0, 0.1, 0.3):
+                static = run_protocol(
+                    PROTOCOLS[protocol_name](), topology, values, query,
+                    querying_host=0, seed=SEED, delta=delta)
+                assert static.value == upper, delta
 
 
 @pytest.mark.parametrize("topology_name", sorted(TOPOLOGIES))
@@ -331,8 +343,8 @@ def test_packed_core_is_event_identical_to_reference_network(
 # same full cost-accounting fingerprint, same declaration time.
 # ----------------------------------------------------------------------
 #: ``(protocol, delta)`` cells of the vector-lane axis.  The convergecast
-#: protocols also run at a non-dyadic delta, where report timers sit an
-#: ulp off the tick-accumulated delivery instants.
+#: protocols also run at a non-dyadic delta, where a report deadline
+#: ``(2 * d_hat - depth) * delta`` must still be a delivery instant.
 LANE_PROTOCOLS = {**PROTOCOLS,
                   "dag3": lambda: DirectedAcyclicGraph(num_parents=3)}
 LANE_CELLS = [("wildfire", 1.0)] + [

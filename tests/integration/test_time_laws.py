@@ -1,0 +1,211 @@
+"""Two metamorphic laws of simulated time.
+
+The paper folds every timing bound into one per-hop ``delta`` and argues
+over *ticks*: a Report is due one ``delta`` before its parent's own
+deadline, a flood dies out by ``2 * D_hat * delta``.  Nothing in those
+arguments depends on what ``delta`` is or on when the query was issued,
+so nothing a run reports may either:
+
+* **time-scale invariance** -- a fixed-delay run at any ``delta`` is the
+  ``delta = 1`` run with every instant multiplied by ``delta``: same
+  value, same costs tick for tick, same Reports folded host for host;
+* **launch-offset invariance** -- a service session launched at any
+  instant equals its solo run, whether the event loop steps it on its
+  own tick lane or delivers it message by message.
+
+Both hold because a fixed-delay instant is ``k * delta``, stated once in
+``repro.simulation.clock``; when instants were accumulated (``t +
+delta``) beside deadlines stated as products, a non-dyadic ``delta`` put
+the two an ulp apart and tree / DAG runs lost Reports on a static
+network.
+
+Churn is written as ``(tick, sixteenths, host)`` and realised as
+``(tick + sixteenths / 16) * delta``, so a failure *on* a tick boundary
+is stated rather than re-derived by a float multiply, and one between
+two boundaries stays strictly between them at every ``delta``.
+
+The pinned cells below are the fast tier; each law is also drawn by
+hypothesis -- a handful of examples in a plain run, the active profile's
+count when the command line names a profile (CI's perf-smoke job names
+``default``).
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.protocols.base import (prepare_protocol_run, protocol_from_spec,
+                                  run_protocol)
+from repro.service import QueryService
+from repro.simulation.churn import ChurnSchedule
+from repro.simulation.engine import Simulator
+from repro.topology.random_graph import random_topology
+from repro.workloads.values import uniform_values
+
+SEED = 5
+#: The pinned tier's topology: one on which, when instants were
+#: accumulated, tree / DAG sessions on the spec loop differed from their
+#: solo runs at a non-dyadic launch offset (20 of its 192 cells).
+TOPOLOGY_SEED = 2
+NUM_HOSTS = 40
+
+PROTOCOLS = ("wildfire", "spanning-tree", "dag-k2", "dag-k3", "allreport",
+             "gossip")
+#: Protocols the lane gate admits: a ``"vector"`` request must engage.
+KERNEL_PROTOCOLS = ("wildfire", "spanning-tree", "dag-k2", "dag-k3")
+#: ``(tick, sixteenths, host)``: on a boundary, between two, at the launch
+#: instant, and late enough to hit a tree parent waiting to report.
+CHURN = {
+    "static": (),
+    "churn": ((0, 0, 9), (1, 8, 17), (3, 0, 11), (4, 13, 23), (9, 4, 3)),
+}
+SCALE_DELTAS = (0.1, 0.2, 0.3, 0.7, 3.3, 1e-3)
+OFFSET_DELTAS = (1.0, 0.1, 0.3, 0.7)
+OFFSETS = (0.0, 0.5, 1.234567891, 1000.1)
+
+
+def _network(topology_seed):
+    topology = random_topology(NUM_HOSTS, avg_degree=4.0, seed=topology_seed)
+    return topology, uniform_values(NUM_HOSTS, low=1, high=50,
+                                    seed=topology_seed)
+
+
+def _failures(ticks, delta, at=0.0):
+    return ChurnSchedule(failures=[
+        (at + (tick + sixteenths / 16) * delta, host)
+        for tick, sixteenths, host in ticks])
+
+
+def _observe(protocol, topology, values, query, ticks, delta, lane):
+    """Everything a run reports, with every time expressed in ticks --
+    except ``finished_at``, compared as the float it is."""
+    prepared = prepare_protocol_run(
+        protocol_from_spec(protocol), topology, values, query, seed=SEED,
+        delta=delta)
+    simulator = Simulator(
+        network=topology.to_network(), hosts=prepared.hosts, querying_host=0,
+        delta=delta, churn=_failures(ticks, delta),
+        max_time=prepared.termination * 4 + 16, lane=lane)
+    result = simulator.run(until=prepared.termination)
+    if protocol in KERNEL_PROTOCOLS:
+        assert (result.lane_used, result.fallback_reason) == (lane, None)
+    costs = result.costs
+    per_tick = Counter()
+    for time, count in costs.messages_per_instant().items():
+        per_tick[round(time / delta)] += count
+    return result.finished_at, {
+        "value": result.value,
+        "summary": dict(costs.summary()),
+        "by_kind": dict(costs.messages_by_kind),
+        "computation": costs.computation_histogram(),
+        "per_tick": dict(per_tick),
+        "reports": [getattr(host, "reports_received", None)
+                    for host in simulator.hosts],
+    }
+
+
+def _check_time_scale(protocol, topology_seed, query, ticks, lane, deltas):
+    topology, values = _network(topology_seed)
+    finished, reference = _observe(protocol, topology, values, query, ticks,
+                                   1.0, lane)
+    for delta in deltas:
+        scaled_finish, scaled = _observe(protocol, topology, values, query,
+                                         ticks, delta, lane)
+        assert scaled == reference, delta
+        # The run stops on a tick (or on a stated failure instant):
+        # exactly that many ``delta``, not approximately.
+        assert scaled_finish == finished * delta, delta
+
+
+def _check_launch_offset(protocol, topology_seed, query, ticks, delta, at,
+                         on_tick_path):
+    topology, values = _network(topology_seed)
+    service = QueryService(topology, values, seed=SEED, delta=delta,
+                           churn=_failures(ticks, delta, at))
+    qid = service.submit(protocol, query, at=at)
+    service.run()
+    outcome = service.poll(qid)
+    if on_tick_path and protocol in KERNEL_PROTOCOLS:
+        assert (outcome.lane_used, outcome.fallback_reason) == ("vector", None)
+    else:
+        assert outcome.lane_used == "python"
+    solo = run_protocol(
+        protocol_from_spec(protocol), topology, values, query,
+        seed=outcome.seed, d_hat=service.d_hat, delta=delta,
+        churn=_failures(ticks, delta), lane="python")
+    where = (delta, at)
+    assert outcome.value == solo.value, where
+    assert outcome.costs.fingerprint() == solo.costs.fingerprint(), where
+    assert outcome.declared_at == at + solo.termination_time, where
+
+
+# ----------------------------------------------------------------------
+# The pinned tier
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("lane", ["python", "vector"])
+@pytest.mark.parametrize("churn", sorted(CHURN))
+@pytest.mark.parametrize("query", ["count", "min"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_run_at_any_delta_is_the_unit_run_rescaled(
+        protocol, query, churn, lane):
+    _check_time_scale(protocol, TOPOLOGY_SEED, query, CHURN[churn], lane,
+                      SCALE_DELTAS)
+
+
+@pytest.mark.parametrize("path", ["tick lane", "spec loop"])
+@pytest.mark.parametrize("churn", sorted(CHURN))
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_session_launched_at_any_instant_equals_its_solo_run(
+        protocol, churn, path, pin_spec_loop):
+    if path == "spec loop":
+        pin_spec_loop()
+    for delta in OFFSET_DELTAS:
+        for at in OFFSETS:
+            _check_launch_offset(protocol, TOPOLOGY_SEED, "count",
+                                 CHURN[churn], delta, at, path == "tick lane")
+
+
+# ----------------------------------------------------------------------
+# The drawn tier
+# ----------------------------------------------------------------------
+_cells = dict(
+    protocol=st.sampled_from(PROTOCOLS),
+    topology_seed=st.integers(0, 10_000),
+    query=st.sampled_from(["count", "sum", "min", "max"]),
+    ticks=st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 15),
+                  st.integers(1, NUM_HOSTS - 1)),
+        max_size=8, unique_by=lambda fail: fail[2]).map(tuple),
+    delta=st.floats(1e-3, 1e3, allow_subnormal=False),
+)
+
+
+def _drawn(request, law, **strategies):
+    """Run ``law`` over drawn cells (see the module docstring)."""
+    named = request.config.getoption("--hypothesis-profile", default=None)
+    examples = settings.default.max_examples if named else 6
+    settings(max_examples=examples, deadline=None,
+             suppress_health_check=list(HealthCheck))(
+        given(**strategies)(law))()
+
+
+def test_time_scale_invariance_over_drawn_cells(request):
+    def law(protocol, topology_seed, query, ticks, delta, lane):
+        _check_time_scale(protocol, topology_seed, query, ticks, lane,
+                          [delta])
+
+    _drawn(request, law, lane=st.sampled_from(["python", "vector"]), **_cells)
+
+
+@pytest.mark.parametrize("path", ["tick lane", "spec loop"])
+def test_launch_offset_invariance_over_drawn_cells(request, path,
+                                                   pin_spec_loop):
+    def law(protocol, topology_seed, query, ticks, delta, at):
+        _check_launch_offset(protocol, topology_seed, query, ticks, delta, at,
+                             path == "tick lane")
+
+    if path == "spec loop":
+        pin_spec_loop()
+    _drawn(request, law, at=st.floats(0.0, 2000.0), **_cells)

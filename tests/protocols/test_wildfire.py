@@ -179,8 +179,8 @@ class _CapturingContext:
         self.timers = []
         self.multicasts = []
 
-    def set_timer(self, delay, name, data=None):
-        self.timers.append((delay, name))
+    def set_timer_at(self, instant, name, data=None):
+        self.timers.append((instant - self.now, name))
 
     def send_to_neighbors(self, kind, payload, exclude=()):
         self.multicasts.append((kind, payload["agg"], payload["dist"],

@@ -429,13 +429,10 @@ class TestSessionsOnTheTickLane:
         FAIL can fall against the lane's instants (hosts by their BFS
         depth from querying host 0 in the fixture topology: 6, 18 and 31
         are its neighbors, 11 and 23 sit at depth 2)."""
-        on_grid = 0.0
-        for _ in range(3):
-            on_grid += delta  # accumulated, as the engine's instants are
         return {
             "none": [],
             "at the launch instant": [(0.0, 6)],
-            "on an instant": [(on_grid, 11)],
+            "on an instant": [(3 * delta, 11)],  # tick 3, as the engine states it
             "off the grid": [(2.37 * delta, 23), (4.81 * delta, 31)],
             "after the flood died out": [((2.0 * d_hat - 0.25) * delta, 30)],
             "the querying host": [(1.5 * delta, 0)],

@@ -123,6 +123,39 @@ class TestTimers:
         with pytest.raises(ValueError):
             simulator.run(until=5)
 
+    @pytest.mark.parametrize("instant", [
+        2.5, float("inf"), float("nan")], ids=str)
+    def test_a_timer_is_set_at_a_finite_instant_not_in_the_past(
+            self, instant):
+        """``set_timer_at`` shares ``set_timer``'s one range check: no
+        instant before the session's ``now``, none that never comes."""
+        fired = []
+
+        class LateHost(FloodHost):
+            def on_query_start(self, ctx):
+                ctx.set_timer_at(3.0, "due")
+
+            def on_timer(self, name, data, ctx):
+                fired.append((ctx.now, name))
+                if name == "due":
+                    ctx.set_timer_at(ctx.now, "at once")  # now is legal
+                else:
+                    ctx.set_timer_at(instant, "oops")
+
+        simulator, _ = build_simulator(chain_topology(1), hosts=[LateHost(0)])
+        with pytest.raises(ValueError):
+            simulator.run(until=5)
+        assert fired == [(3.0, "due"), (3.0, "at once")]
+
+    def test_a_non_finite_delay_is_rejected_like_a_negative_one(self):
+        class BadHost(FloodHost):
+            def on_query_start(self, ctx):
+                ctx.set_timer(float("inf"), "never")
+
+        simulator, _ = build_simulator(chain_topology(1), hosts=[BadHost(0)])
+        with pytest.raises(ValueError):
+            simulator.run(until=5)
+
 
 class TestFailures:
     def test_failed_host_stops_forwarding(self):

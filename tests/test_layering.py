@@ -5,6 +5,10 @@
 imports upward, and inside the two surface packages every ``repro``
 import sits at module top, where an import cycle would fail at once
 instead of hiding in a function body.
+
+One arithmetic fact is layered the same way: how a fixed-delay instant
+becomes a float is ``simulation/clock.py``'s to state, so no other
+kernel module adds or subtracts a ``delta``.
 """
 
 import ast
@@ -74,3 +78,25 @@ def test_surface_packages_import_repro_at_module_top_only():
         if not at_top
     }
     assert nested == set(NESTED_IMPORTS_KEPT)
+
+
+def test_only_the_clock_module_adds_a_delta_to_an_instant():
+    """A fixed-delay instant is ``k * delta`` (``clock.instant_after``);
+    a running sum ``t + delta`` elsewhere would sit an ulp off it for a
+    non-dyadic ``delta``.  Products are the rule itself and stay legal,
+    as does ``vnow + sample(...)``: a variable delay names no ``delta``."""
+    def names_delta(node):
+        return (getattr(node, "id", None) == "delta"
+                or getattr(node, "attr", None) == "delta")
+
+    offenders = [
+        (path.relative_to(ROOT).as_posix(), node.lineno)
+        for package in ("simulation", "protocols", "service")
+        for path in sorted((ROOT / package).rglob("*.py"))
+        if path != ROOT / "simulation" / "clock.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.Add, ast.Sub))
+        and (names_delta(node.left) or names_delta(node.right))
+    ]
+    assert offenders == []
