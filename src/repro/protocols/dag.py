@@ -186,7 +186,10 @@ class ConvergecastBatchKernel:
     report deadline are calls into the spec host
     (:meth:`DagHost.adopt`, :meth:`~DagHost.take_report`,
     :meth:`~DagHost.report_due`); the extra-parent test is the one
-    per-delivery branch inlined here.  A
+    per-delivery branch inlined here.  As there, the onward Broadcast's
+    targets are ``lane.onward`` (the network's own sorted view less the
+    sender), and a Report to a parent -- a former sender -- needs only
+    both ends alive (``lane.submit_unicast``).  A
     Broadcast carries the sender's tree depth in the ``dist`` slot, a
     Report carries the partial aggregate in ``agg`` (the object itself:
     a host never changes its partial after reporting, so the reference
@@ -245,7 +248,6 @@ class ConvergecastBatchKernel:
         it, stamped with the batch's send instant ``lane.sent_at``."""
         hosts = self.hosts
         alive = lane.alive_bytes
-        network = lane.network
         counts = lane.counts
         broadcast_kind = self.broadcast_kind
         dropped = 0
@@ -289,8 +291,7 @@ class ConvergecastBatchKernel:
                     # the lane's neighbor memo would never be read back)
                     # and registers the report timer at the deadline.
                     deadline = host.adopt(sender, sender_depth, now)
-                    targets = [t for t in network.alive_neighbors_sorted(dest)
-                               if t != sender]
+                    targets = lane.onward(dest, sender)
                     if targets:
                         lane.submit_multi(dest, targets, broadcast_kind, None,
                                           host.depth, now, depth + 1)

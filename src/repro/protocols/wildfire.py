@@ -63,16 +63,20 @@ class WildfireHost(ProtocolHost):
     the active-host fold in :meth:`on_message` and the FLUSH emission
     in :meth:`on_timer`.  One 6 000-host flood makes 6 000 activations
     (the query start and 5 999 first contacts) but 191 263 deliveries
-    and 43 418 flushes; a ~60 ns method call per delivery is 7 % of the
-    batch lane's run, and sharing the flush was tried when the split was
-    sized and cost a call plus a result tuple per flush for three *more*
-    lines.  A unit differential (``tests/protocols/test_wildfire.py``)
-    locks the two fold bodies together delivery by delivery.
+    and 43 418 flushes.  Per delivery the kernel's fold is one scalar
+    merge and three comparisons for every fold it admits -- the packed
+    sketch OR, min and max alike -- where this class goes through the
+    combiner's ``absorbs`` / ``states_equal`` / ``combine`` hooks (the
+    spec is the general statement; any duplicate-insensitive combiner
+    runs here).  Sharing the flush was tried when the split was sized
+    and cost a call plus a result tuple per flush for three *more*
+    lines.  Unit differentials (``tests/protocols/test_wildfire.py``)
+    lock the two fold bodies together delivery by delivery.
     """
 
     __slots__ = (
         "querying_host", "combiner", "d_hat", "delta", "rng",
-        "early_termination", "active", "distance", "updates_observed",
+        "early_termination", "active", "distance",
         "_dirty", "_skip_neighbor", "_reply_to", "_flush_pending",
         "_next_flush", "_combine", "_states_equal", "_absorbs", "_deadline",
         "_packed_mode", "_packed", "_packed_stale", "_reps", "_nbits",
@@ -100,7 +104,6 @@ class WildfireHost(ProtocolHost):
 
         self.active = False
         self.distance: Optional[int] = None
-        self.updates_observed = 0
 
         # Per-instant batching state.  ``_next_flush`` rate-limits outgoing
         # Convergecast updates to one per ``delta`` (the paper's cost
@@ -218,8 +221,6 @@ class WildfireHost(ProtocolHost):
             if grew:
                 self.partial = partial = self._combine(partial, incoming)
             settled = self._states_equal(partial, incoming)
-        if grew:
-            self.updates_observed += 1
         if not settled:
             # The sender still needs our aggregate: it knows less than us.
             self._note_reply(sender)
@@ -298,7 +299,6 @@ class WildfireHost(ProtocolHost):
                 return
             self._packed = merged
             self._packed_stale = True
-            self.updates_observed += 1
             self._dirty = True
             # If the merge result equals what the sender already has, there
             # is no point echoing it straight back (Example 5.1).
@@ -319,7 +319,6 @@ class WildfireHost(ProtocolHost):
                 self._schedule_flush(ctx)
             return
         self.partial = new_partial = self._combine(partial, incoming)
-        self.updates_observed += 1
         self._dirty = True
         # If the merge result equals what the sender already has, there
         # is no point echoing it straight back (Example 5.1).
@@ -376,13 +375,20 @@ class WildfireBatchKernel:
     contact is a call to its own :meth:`~WildfireHost.first_contact`
     (which draws ``combiner.initial`` in spec RNG order).  The two
     bodies that run per message rather than per host are stated a
-    second time, **inlined** over the batch -- the active-host fold
-    (packed-int OR for FM count/sum, the ``absorbs`` / ``combine`` hook
-    pair for min/max) and the FLUSH emission -- because there a
-    delivery must cost a couple of index operations and an int (or
-    float) comparison, not a :class:`~repro.simulation.messages.Message`
-    allocation, a context rebind and a method call (the call counts are
-    in the :class:`WildfireHost` docstring).
+    second time, **inlined** over the batch -- the active-host fold and
+    the FLUSH emission -- because there a delivery must cost a couple of
+    index operations and one comparison, not a
+    :class:`~repro.simulation.messages.Message` allocation, a context
+    rebind and a method call (the call counts are in the
+    :class:`WildfireHost` docstring).  The fold is one body for the
+    three duplicate-insensitive folds Section 5 admits: the host state
+    is one scalar (the packed sketch int, or the min / max float), only
+    the merge expression depends on the fold, and three comparisons on
+    ``merged`` decide no-op, stale sender or growth -- no combiner hook
+    and no ``partial`` property is called per delivery.  Target lists
+    are read from the network's own sorted-view table
+    (``lane.alive_sorted``; ``lane.onward`` at first contact), rebuilt
+    through the network only where a failure cleared a row.
 
     Everything travels as one flat record shape,
     ``(rank, sender, dests, kind, agg, dist, chain_depth)``: ``agg`` is
@@ -408,7 +414,8 @@ class WildfireBatchKernel:
     understands; everything else falls back to the spec lane.
     """
 
-    __slots__ = ("hosts", "packed_mode", "global_deadline", "deadlines")
+    __slots__ = ("hosts", "packed_mode", "keep_min", "global_deadline",
+                 "deadlines")
 
     @classmethod
     def try_build(cls, hosts: Sequence[Any], num_hosts: int,
@@ -417,10 +424,11 @@ class WildfireBatchKernel:
 
         Supported: every host is exactly a :class:`WildfireHost` sharing
         one combiner whose state is either a packed bitmask
-        (``packed_state``; FM count/sum) or a bare float with exact-
-        equality semantics (:class:`~repro.sketches.combiners.MinCombiner`
-        / :class:`~repro.sketches.combiners.MaxCombiner`).  Pair states
-        (FM average) and third-party combiners fall back to the spec lane.
+        (``packed_state``; FM count/sum) or a bare float folded by
+        exactly :class:`~repro.sketches.combiners.MinCombiner` /
+        :class:`~repro.sketches.combiners.MaxCombiner` (whose ``combine``
+        the kernel's merge restates).  Pair states (FM average) and
+        third-party combiners fall back to the spec lane.
         """
         from repro.sketches.combiners import MaxCombiner, MinCombiner
 
@@ -430,17 +438,18 @@ class WildfireBatchKernel:
         for host in hosts:
             if type(host) is not WildfireHost or host.combiner is not combiner:
                 return None
-        if bool(getattr(combiner, "packed_state", False)):
-            packed_mode = True
-        elif type(combiner) in (MinCombiner, MaxCombiner):
-            packed_mode = False
-        else:
+        packed_mode = bool(getattr(combiner, "packed_state", False))
+        if not packed_mode and type(combiner) not in (MinCombiner,
+                                                      MaxCombiner):
             return None
-        return cls(hosts, packed_mode)
+        return cls(hosts, packed_mode, type(combiner) is MinCombiner)
 
-    def __init__(self, hosts: Sequence[Any], packed_mode: bool) -> None:
+    def __init__(self, hosts: Sequence[Any], packed_mode: bool,
+                 keep_min: bool) -> None:
         self.hosts = hosts
+        #: The fold: OR of packed ints, else min (``keep_min``) or max.
         self.packed_mode = packed_mode
+        self.keep_min = keep_min
         self.global_deadline = hosts[0]._global_deadline
         #: Participation-deadline mirror, ``None`` while a host is
         #: inactive: one list load replaces a host fetch plus two
@@ -477,12 +486,12 @@ class WildfireBatchKernel:
         """
         hosts = self.hosts
         alive = lane.alive_bytes
-        network = lane.network
         counts = lane.counts
         deadlines = self.deadlines
         bucket = lane.timers_at(now)
         gdl = self.global_deadline
         packed_mode = self.packed_mode
+        keep_min = self.keep_min
         dropped = 0
         max_depth = lane.max_depth
         tracer = lane.tracer
@@ -517,8 +526,7 @@ class WildfireBatchKernel:
                     host = hosts[dest]
                     owes_flush = host.first_contact(sender, incoming, dist)
                     deadlines[dest] = host._deadline
-                    targets = [t for t in network.alive_neighbors_sorted(dest)
-                               if t != sender]
+                    targets = lane.onward(dest, sender)
                     if targets:
                         lane.submit_multi(
                             dest, targets, BROADCAST,
@@ -534,50 +542,38 @@ class WildfireBatchKernel:
                     continue
                 host = hosts[dest]
                 # -- WildfireHost.on_message's active-host fold, stated
-                # again: 191 263 deliveries a 6 000-host flood, where a
-                # ~60 ns method call each would be 7 % of the run ------
+                # again (see the class docstring).  Min / max merge as
+                # the combiner writes it, so ``merged`` is the very
+                # object ``combine`` returns, NaN and -0.0 included ----
                 if packed_mode:
-                    packed = host._packed
-                    merged = packed | incoming
-                    if merged == packed:
-                        if packed == incoming:
-                            continue  # pure no-op
-                        # absorbed but the sender is stale: owe a reply
-                        reply_to = host._reply_to
-                        if reply_to is None:
-                            host._reply_to = {sender}
-                        else:
-                            reply_to.add(sender)
+                    state = host._packed
+                    merged = state | incoming
+                else:
+                    state = host._partial_obj
+                    if keep_min:
+                        merged = state if state <= incoming else incoming
                     else:
+                        merged = state if state >= incoming else incoming
+                if merged == state:
+                    if state == incoming:
+                        continue  # pure no-op
+                    # absorbed but the sender is stale: owe a reply
+                    reply_to = host._reply_to
+                    if reply_to is None:
+                        host._reply_to = {sender}
+                    else:
+                        reply_to.add(sender)
+                else:
+                    if packed_mode:
                         host._packed = merged
                         host._packed_stale = True
-                        host.updates_observed += 1
-                        host._dirty = True
-                        host._skip_neighbor = (sender if merged == incoming
-                                               else None)
-                        if host._reply_to is not None:
-                            host._reply_to.discard(sender)
-                else:
-                    partial = host.partial
-                    if host._absorbs(partial, incoming):
-                        if host._states_equal(partial, incoming):
-                            continue  # pure no-op
-                        reply_to = host._reply_to
-                        if reply_to is None:
-                            host._reply_to = {sender}
-                        else:
-                            reply_to.add(sender)
                     else:
-                        host.partial = new_partial = host._combine(
-                            partial, incoming)
-                        host.updates_observed += 1
-                        host._dirty = True
-                        host._skip_neighbor = (
-                            sender
-                            if host._states_equal(new_partial, incoming)
-                            else None)
-                        if host._reply_to is not None:
-                            host._reply_to.discard(sender)
+                        host._partial_obj = merged
+                    host._dirty = True
+                    host._skip_neighbor = (sender if merged == incoming
+                                           else None)
+                    if host._reply_to is not None:
+                        host._reply_to.discard(sender)
                 # inlined _schedule_flush: the flush fires this instant.
                 if not host._flush_pending:
                     host._flush_pending = True
@@ -605,7 +601,7 @@ class WildfireBatchKernel:
         appended straight to ``lane.out_records`` and counted in two
         locals folded into the lane at the end; unicast replies (the
         ``_reply_to`` branch) go through ``lane.submit_unicast``, which
-        re-checks the edge, counts, traces and appends per call.  The
+        checks both ends alive, counts, traces and appends per call.  The
         totals are those the per-send path would record, and FIFO order
         holds across the two branches because ``out`` below *is*
         ``lane.out_records`` -- the list ``submit_unicast`` appends to;
@@ -614,6 +610,8 @@ class WildfireBatchKernel:
         hosts = self.hosts
         alive = lane.alive_bytes
         network = lane.network
+        views = lane.alive_sorted
+        lands_at = lane.lands_at
         submit_unicast = lane.submit_unicast
         packed_mode = self.packed_mode
         wireless = lane.wireless
@@ -635,7 +633,7 @@ class WildfireBatchKernel:
             # three lines more than this) and not kept ---------------
             host = hosts[host_id]
             host._flush_pending = False
-            host._next_flush = lane.lands_at
+            host._next_flush = lands_at
             if not host.active or now > host._deadline:
                 host._dirty = False
                 host._reply_to = None
@@ -644,10 +642,13 @@ class WildfireBatchKernel:
             # materialisation per flush.
             agg = host._packed if packed_mode else host._partial_obj
             if host._dirty:
-                targets = network.alive_neighbors_sorted(host_id)
+                targets = views[host_id]
+                if targets is None:  # cleared by a failure
+                    targets = network.alive_neighbors_sorted(host_id)
                 skip = host._skip_neighbor
-                if skip is not None:
-                    targets = [t for t in targets if t != skip]
+                if skip is not None and skip in targets:
+                    targets = list(targets)
+                    targets.remove(skip)
                 if targets:
                     if wireless:
                         # One over-the-air transmission for the batch.

@@ -43,6 +43,7 @@ from heapq import heappop, heappush
 from math import inf
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.simulation.clock import tick_index
 from repro.simulation.messages import Message
 
 
@@ -322,7 +323,7 @@ class EventQueue:
             "cancelled": self._num_cancelled,
             "slots": len({key[0] for key in self._buckets}),
             "horizon": max(live, default=None),
-            "current_epoch": (int(min(live) / self._width) if live
+            "current_epoch": (tick_index(min(live), self._width) if live
                               else None),
         }
 

@@ -79,9 +79,14 @@ fixed, churn has no joins, nothing was queued before a solo run's first
 ``run()`` and the host class names a batch kernel that accepts the host
 table; the sharded lane additionally refuses any kernel but WILDFIRE's
 and any tracer but the exact ``RingTracer``.  The gate reads the query's
-inputs, never the queue's contents.  A solo run consults it before the
-queue is primed: a refused run is primed for the spec loop with the
-reason returned beside the result, and ``Simulator.run`` records it on
+inputs, never the queue's contents.  What it refuses is also what lets
+a lane trust its own sends: with no joins, structural adjacency is
+fixed, so a unicast back to a former sender (WILDFIRE's catch-up reply,
+a DAG Report to a parent) needs only both ends alive
+(:meth:`_TickLane.submit_unicast`) and no ``has_alive_edge`` lookup.
+A solo run consults the gate before the queue is primed: a refused run
+is primed for the spec loop with the reason returned beside the
+result, and ``Simulator.run`` records it on
 ``SimulationResult.fallback_reason`` and ``lane_used``.  The service
 consults it at each session's launch and records the same two facts on
 the session's row; a refused session runs the spec loop beside the
@@ -243,6 +248,11 @@ class _TickLane:
         #: The network's own packed alive bitmap (one byte per host);
         #: failures the lane applies show through immediately.
         self.alive_bytes = network._alive
+        #: The network's own sorted alive-neighbor view table: a failure
+        #: clears rows in place (``None``: rebuild through
+        #: ``alive_neighbors_sorted``) and ``copy()`` gives every network
+        #: its own list, so the binding stays this network's.
+        self.alive_sorted = network._alive_sorted
         #: Records emitted this instant, landing one ``delta`` later:
         #: ``(rank, sender, dests, kind, agg, dist, depth)``.
         self.out_records: List[tuple] = []
@@ -317,11 +327,17 @@ class _TickLane:
 
     def submit_unicast(self, sender: int, dest: int, kind: str, agg, dist,
                        time: float, chain_depth: int, rank: int) -> bool:
-        """Lane twin of ``EventEngine.session_send``: the same sender-
-        alive and alive-edge checks, recording nothing when one fails."""
-        if not self.alive_bytes[sender]:
-            return False
-        if not self.network.has_alive_edge(sender, dest):
+        """Lane twin of ``EventEngine.session_send``, recording nothing
+        when either end is dead.
+
+        The spec's alive-edge check reduces to that here: every lane
+        unicast goes back to a host that once sent to ``sender``
+        (WILDFIRE's ``_reply_to``, a DAG parent), so the two are
+        structurally adjacent, and the gate refuses joins, so
+        structural adjacency never changes on a lane.
+        """
+        alive = self.alive_bytes
+        if not (alive[sender] and alive[dest]):
             return False
         self.send_acc[(time, kind)] += 1
         if self.tracer is not None:
@@ -329,6 +345,20 @@ class _TickLane:
         self.out_records.append(
             (rank, sender, (dest,), kind, agg, dist, chain_depth))
         return True
+
+    def onward(self, host_id: int, sender: int) -> Sequence[int]:
+        """``host_id``'s alive neighbors but ``sender``, ascending: the
+        targets of the Broadcast a first contact forwards.  Read from
+        the view table, rebuilt through the network only where a failure
+        cleared the row; the shared view itself when ``sender`` is not
+        in it (it died), else a list without it."""
+        targets = self.alive_sorted[host_id]
+        if targets is None:
+            targets = self.network.alive_neighbors_sorted(host_id)
+        if sender in targets:
+            targets = list(targets)
+            targets.remove(sender)
+        return targets
 
     def timers_at(self, time: float) -> List[tuple]:
         """The calendar's registration list for instant ``time``

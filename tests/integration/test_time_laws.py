@@ -33,7 +33,6 @@ count when the command line names a profile (CI's perf-smoke job names
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.protocols.base import (prepare_protocol_run, protocol_from_spec,
@@ -43,6 +42,7 @@ from repro.simulation.churn import ChurnSchedule
 from repro.simulation.engine import Simulator
 from repro.topology.random_graph import random_topology
 from repro.workloads.values import uniform_values
+from tests.drawn import drawn
 
 SEED = 5
 #: The pinned tier's topology: one on which, when instants were
@@ -182,21 +182,12 @@ _cells = dict(
 )
 
 
-def _drawn(request, law, **strategies):
-    """Run ``law`` over drawn cells (see the module docstring)."""
-    named = request.config.getoption("--hypothesis-profile", default=None)
-    examples = settings.default.max_examples if named else 6
-    settings(max_examples=examples, deadline=None,
-             suppress_health_check=list(HealthCheck))(
-        given(**strategies)(law))()
-
-
 def test_time_scale_invariance_over_drawn_cells(request):
     def law(protocol, topology_seed, query, ticks, delta, lane):
         _check_time_scale(protocol, topology_seed, query, ticks, lane,
                           [delta])
 
-    _drawn(request, law, lane=st.sampled_from(["python", "vector"]), **_cells)
+    drawn(request, law, lane=st.sampled_from(["python", "vector"]), **_cells)
 
 
 @pytest.mark.parametrize("path", ["tick lane", "spec loop"])
@@ -208,4 +199,4 @@ def test_launch_offset_invariance_over_drawn_cells(request, path,
 
     if path == "spec loop":
         pin_spec_loop()
-    _drawn(request, law, at=st.floats(0.0, 2000.0), **_cells)
+    drawn(request, law, at=st.floats(0.0, 2000.0), **_cells)

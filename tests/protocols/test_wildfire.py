@@ -2,7 +2,6 @@
 
 import random
 
-from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.protocols.base import run_protocol
@@ -16,6 +15,7 @@ from repro.protocols.wildfire import (
 from repro.semantics.oracle import Oracle
 from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
 from repro.simulation.messages import Message
+from repro.simulation.vector_lane import _TickLane
 from repro.sketches.combiners import (
     FMCountCombiner,
     FMSumCombiner,
@@ -26,6 +26,7 @@ from repro.sketches.fm import FMSketch
 from repro.topology.primitives import chain_topology, ring_topology, star_topology
 from repro.topology.random_graph import random_topology
 from repro.workloads.values import constant_values, zipf_values
+from tests.drawn import drawn
 
 
 class TestFailureFreeCorrectness:
@@ -190,15 +191,19 @@ class _CapturingContext:
 class _CapturingLane:
     """The slice of ``_TickLane`` one ``process_instant`` call touches
     (it is its own ``network``: every host is alive, host 1's neighbors
-    are 0, 2 and 3)."""
+    are 0, 2 and 3; ``view_cleared`` leaves host 1's row of the view
+    table as a failure leaves it, for the network to rebuild)."""
 
     tracer = None
     qid = 0
     sent_at = 0.0
+    onward = _TickLane.onward
 
-    def __init__(self, now):
+    def __init__(self, now, view_cleared):
         self.now = now
         self.alive_bytes = bytearray([1, 1, 1, 1])
+        self.alive_sorted = [(1,), None if view_cleared else (0, 2, 3),
+                             (1,), (1,)]
         self.counts = [0, 0, 0, 0]
         self.dropped = self.max_depth = 0
         self.bucket = []
@@ -210,7 +215,7 @@ class _CapturingLane:
         return self.bucket
 
     def alive_neighbors_sorted(self, host_id):
-        assert host_id == 1
+        assert host_id == 1 and self.alive_sorted[1] is None
         return (0, 2, 3)
 
     def submit_multi(self, sender, dests, kind, agg, dist, time, depth):
@@ -232,11 +237,12 @@ def _slots(host):
 
 
 def _one_delivery_both_ways(combiner, wrap, state, incoming, sender, reply_to,
-                            flush_pending, now):
+                            flush_pending, now, view_cleared):
     """Deliver one message to host 1 of two identical 4-host tables, once
     through ``WildfireHost.on_message`` and once as a single-record batch
     through ``WildfireBatchKernel.process_instant``; ``state is None``
-    leaves the host inactive, so the delivery is its first contact."""
+    leaves the host inactive, so the delivery is its first contact.
+    Returns both tables' host 1, spec first."""
     def table():
         rng = random.Random(11)
         hosts = [WildfireHost(host_id, 3.0, 0, combiner, 4, 1.0, rng)
@@ -257,7 +263,7 @@ def _one_delivery_both_ways(combiner, wrap, state, incoming, sender, reply_to,
 
     kernel = WildfireBatchKernel.try_build(lane_hosts, 4, 0)
     assert kernel is not None
-    lane = _CapturingLane(now)
+    lane = _CapturingLane(now, view_cleared)
     kernel.process_instant(
         now, [(5, sender, (1,), CONVERGECAST) + kernel.flatten(payload) + (3,)],
         lane)
@@ -279,13 +285,16 @@ def _one_delivery_both_ways(combiner, wrap, state, incoming, sender, reply_to,
         assert exclude == (sender,)
         assert targets == tuple(t for t in (0, 2, 3) if t != sender)
     assert lane.counts == [0, 1, 0, 0] and lane.max_depth == 3
+    return spec_hosts[1], lane_hosts[1]
 
 
 class TestFoldStatedTwice:
     """``WildfireHost.on_message``'s active-host fold is the one protocol
-    body the batch kernel repeats (a method call per delivery is 7 % of a
-    flood); first contact is shared.  One delivery through each must
-    leave the host in the same state and agree on the flush."""
+    body the batch kernel repeats (the kernel's is one scalar merge and
+    three comparisons for all three folds; the spec's goes through the
+    combiner hooks); first contact is shared.  One delivery through each
+    must leave the host in the same state and agree on the flush.  Drawn
+    300 times in tier-1, ten times the named profile's count in CI."""
 
     _common = dict(
         sender=st.sampled_from([0, 2, 3]),
@@ -294,24 +303,63 @@ class TestFoldStatedTwice:
         # Inside the window, on and past the participation deadline
         # (distance 2: 7.0) and the global one (8.0).
         now=st.sampled_from([3.0, 7.0, 7.5, 8.0, 8.5]),
+        view_cleared=st.booleans(),
     )
 
-    @settings(max_examples=300, deadline=None)
-    @given(state=st.none() | st.integers(0, 15),
-           incoming=st.none() | st.integers(0, 15), **_common)
-    def test_packed_sketch_delivery(self, state, incoming, **delivery):
+    def test_packed_sketch_delivery(self, request):
         combiner = FMCountCombiner(repetitions=2)
 
         def wrap(packed):
             return FMSketch._from_packed(packed, 2, combiner.num_bits)
 
-        _one_delivery_both_ways(combiner, wrap, state, incoming, **delivery)
+        def law(state, incoming, **delivery):
+            _one_delivery_both_ways(combiner, wrap, state, incoming,
+                                    **delivery)
 
-    @settings(max_examples=300, deadline=None)
-    @given(state=st.none() | st.integers(-2, 5),
-           incoming=st.none() | st.integers(-2, 5),
-           maximum=st.booleans(), **_common)
-    def test_min_max_float_delivery(self, state, incoming, maximum,
-                                    **delivery):
-        combiner = MaxCombiner() if maximum else MinCombiner()
-        _one_delivery_both_ways(combiner, float, state, incoming, **delivery)
+        drawn(request, law, plain=300, wide=10,
+              state=st.none() | st.integers(0, 15),
+              incoming=st.none() | st.integers(0, 15), **self._common)
+
+    def test_min_max_float_delivery(self, request):
+        """Every float, NaN, the infinities and both zeros included: the
+        state kept is the very object the spec keeps, which is the one
+        ``combiner.combine`` returns whenever the fold runs."""
+        def law(state, incoming, maximum, **delivery):
+            combiner = MaxCombiner() if maximum else MinCombiner()
+            spec, lane = _one_delivery_both_ways(
+                combiner, float, state, incoming, **delivery)
+            assert lane.partial is spec.partial
+            if (state is not None and incoming is not None
+                    and delivery["now"] <= spec._deadline):
+                assert lane.partial is combiner.combine(state, incoming)
+
+        floats = st.none() | st.floats() | st.sampled_from(
+            [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1.0])
+        drawn(request, law, plain=300, wide=10, state=floats,
+              incoming=floats, maximum=st.booleans(), **self._common)
+
+
+def test_the_lane_fold_calls_no_combiner_hook(monkeypatch):
+    """On the vector lane only first contact reaches the combiner's
+    hooks -- at most one ``absorbs`` and one ``states_equal`` per host --
+    while the spec loop pays them per delivery."""
+    calls = []
+    for name in ("absorbs", "states_equal", "combine"):
+        hook = getattr(MinCombiner, name)
+        monkeypatch.setattr(
+            MinCombiner, name,
+            lambda self, a, b, hook=hook, name=name: (
+                calls.append(name), hook(self, a, b))[1])
+    topo = random_topology(60, avg_degree=5, seed=3)
+    values = zipf_values(60, seed=3)
+    tallies = {}
+    for lane in ("python", "vector"):
+        calls.clear()
+        result = run_protocol(Wildfire(), topo, values, "min", seed=3,
+                              lane=lane)
+        assert result.lane_used == lane and result.value == min(values)
+        tallies[lane] = {name: calls.count(name)
+                         for name in ("absorbs", "states_equal")}
+    assert 0 < tallies["vector"]["absorbs"] <= topo.num_hosts - 1
+    assert tallies["vector"]["states_equal"] == tallies["vector"]["absorbs"]
+    assert tallies["python"]["absorbs"] > 3 * tallies["vector"]["absorbs"]

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from repro.simulation.clock import tick_index
 from repro.simulation.events import EventKind, EventQueue, _DeliverBatch
 from repro.simulation.messages import Message
 
@@ -336,7 +337,17 @@ class TestOccupancyWindow:
                     times = [t for t, _ in live]
                     assert occupancy["horizon"] == max(times)
                     assert (occupancy["current_epoch"]
-                            == int(min(times) / width))
+                            == tick_index(min(times), width))
+
+    @pytest.mark.parametrize("delta", [0.1, 0.2, 0.3, 0.7, 3.3, 1e-3])
+    def test_grid_instant_lies_in_its_own_epoch(self, delta):
+        """The instant ``k * delta`` opens epoch ``k``: a plain
+        ``int(time / width)`` reads ``k - 1`` for 11 of these 234 cells
+        (``delta = 0.7``, ``k = 3`` among them)."""
+        for k in range(1, 40):
+            queue = EventQueue(width=delta)
+            queue.push(k * delta, EventKind.TIMER, host=0, timer_name="t")
+            assert queue.occupancy()["current_epoch"] == k
 
 
 class TestOneStructure:
