@@ -8,15 +8,15 @@ session -- plus what only a multi-tenant service has:
 * the QUERY_START control plane: shared-flood subscription, admission
   control, the lazy launch of the session's protocol state, then the
   lane gate (:func:`~repro.simulation.vector_lane.plan_run`, the one a
-  solo run consults).  A session it admits gets its own tick lane and
-  one calendar entry per *instant* of its query-local clock -- popping
-  the entry runs the lane's step, the batch kernel's body of that
-  instant, and files the next -- instead of one entry per message; a
-  session it refuses (variable delay, join churn, hosts no kernel
-  drives) runs per message as before, with the reason on its row.
-  Either way the calendar is the only ordering authority: QUERY_START,
-  FAIL and retirement are where they were, and a FAIL fans out to the
-  host objects the kernels mutate;
+  solo run consults).  A session it admits gets its own tick lane
+  through the launch a solo run uses
+  (:meth:`~repro.simulation.engine.EventEngine.start_query`: one
+  calendar entry per *instant* of its query-local clock, instead of one
+  per message); a session it refuses (variable delay, join churn, hosts
+  no kernel drives) runs per message as before, with the reason on its
+  row.  Either way the calendar is the only ordering authority:
+  QUERY_START, FAIL and retirement are where they were, and a FAIL fans
+  out to the host objects the kernels mutate;
 * retirement: sessions leave the demux table the moment simulation time
   passes their termination instant -- their declared value and cost sink
   are kept, their per-host protocol state (the dominant memory cost at
@@ -40,7 +40,6 @@ reproducible under any interleaving.
 from __future__ import annotations
 
 import heapq
-from math import inf
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.trace import Tracer
@@ -51,7 +50,7 @@ from repro.simulation.events import Event, EventKind, _DeliverBatch
 from repro.simulation.host import HostContext
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
-from repro.simulation.vector_lane import _TickLane, plan_run
+from repro.simulation.vector_lane import plan_run
 
 
 class MuxEngine(EventEngine):
@@ -154,7 +153,8 @@ class MuxEngine(EventEngine):
         (every submitted query has launched, run to its deadline, and
         stopped producing traffic).  With ``until``, events beyond the
         horizon stay queued and a later ``run`` call resumes them, which
-        lets drivers interleave simulation with submission.
+        lets drivers interleave simulation with submission; either way a
+        tick-path session's sink then reads what its spec loop's would.
         """
         self._schedule_churn()
         horizon = self._drain(until)
@@ -255,43 +255,8 @@ class MuxEngine(EventEngine):
                 self.tracer.session(0.0, session.qid, "launch",
                                     session.protocol.name)
             kernel, session.fallback_reason = plan_run(self, session)
-            if kernel is None:
-                session.lane_used = "python"
-                self._issue_query(session, session.querying_host, time, ctx)
-            else:
-                # The lane runs until the engine stops stepping it: its
-                # instants are ordered here, against everything else.
-                session.lane_used = "vector"
-                session.lane = _TickLane(self, session, kernel, inf)
-                self.lane_stepped(session, session.lane.start())
-
-    def lane_stepped(self, session: QuerySession, v_next: float) -> None:
-        """Book the instant ``session``'s lane just ran and file its next.
-
-        The instant's sends and drops reach the session's sink and the
-        engine tallies now, so a sliced drive reads what one drain
-        would.  The lane works in query-local time; only the calendar
-        key is ``t0 + v_next``, at CUSTOM priority -- after the
-        QUERY_STARTs and before the FAILs of that engine instant, the
-        only kinds a tick-path session can share one with.  Once no
-        instant is left inside the window, the batch still in flight
-        would have landed late: it goes to the calendar as the
-        deliveries it is, for :meth:`_late` to tally when they land.
-        """
-        lane = session.lane
-        sent, dropped = lane.flush_tallies(session.sink)
-        self.messages_sent += sent
-        self.dropped_messages += dropped
-        t0 = session.t0
-        if v_next <= session.termination:
-            self._queue.push(t0 + v_next, EventKind.CUSTOM,
-                             data=session.step)
-            return
-        v_land, records, sent_at = lane.take_in_flight()
-        for _, sender, dests, kind, _, _, depth in records:
-            self._queue.push_multicast(
-                t0 + v_land, sender, dests, kind, None, sent_at, depth,
-                self.wireless, session.qid, v_land)
+            session.lane_used = "python" if kernel is None else "vector"
+            self.start_query(session, kernel, time, ctx)
 
 
 def merge_shard_summaries(summaries: Sequence[Mapping[str, Any]],

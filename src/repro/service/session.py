@@ -19,14 +19,15 @@ query's stimulus sequence inside the service is *bit-identical* to a solo
 (the service test suite pins this).
 
 A session the lane gate admits at launch does not even share the
-calendar's arithmetic: it owns a tick lane
+calendar's arithmetic: like a solo run's, it owns a tick lane
 (:class:`~repro.simulation.vector_lane._TickLane`) that keeps its
 in-flight records and timers in query-local time, and the engine files
-one calendar entry per lane instant (:meth:`QuerySession.step` is what
-the entry runs).  ``lane_used`` / ``fallback_reason`` on the session and
-its outcome row say which path ran; :meth:`QuerySession.finalize`
-replays the lane's flat counters into the cost sink before anything
-reads it and drops the lane with the host table.
+one calendar entry per lane instant (``Session.step`` is what the entry
+runs).  ``lane_used`` / ``fallback_reason`` on the session and its
+outcome row say which path ran.  The lane's flat counters reach the
+cost sink whenever a drain returns and, for a session that retires
+mid-drain, in :meth:`QuerySession.finalize`, which then drops the lane
+with the host table.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.queries.query import AggregateQuery
 from repro.simulation.engine import Session
 from repro.simulation.host import ProtocolHost
 from repro.simulation.stats import CostAccounting
-from repro.simulation.vector_lane import replay_accounting
 from repro.sketches.combiners import Combiner
 from repro.topology.base import Topology
 
@@ -144,7 +144,7 @@ class QuerySession(Session):
         "topology", "values", "stream", "extra",
         # launch-time state
         "status", "delay_model", "d_hat", "value", "declared_at",
-        "lane", "lane_used", "fallback_reason",
+        "lane_used", "fallback_reason",
         # shared-flood cache wiring
         "share_key", "shared_from",
     )
@@ -188,9 +188,7 @@ class QuerySession(Session):
         self.termination = 0.0
         self.value: Optional[float] = None
         self.declared_at: Optional[float] = None
-        # The gate's verdict at launch: the session's own tick lane
-        # while it runs on one, and what the outcome row reports.
-        self.lane = None
+        # The gate's verdict at launch, as the outcome row reports it.
         self.lane_used: Optional[str] = None
         self.fallback_reason: Optional[str] = None
         # Set by the service when flood sharing is on: the session's
@@ -247,11 +245,6 @@ class QuerySession(Session):
         self.status = QueryStatus.RUNNING
         return True
 
-    def step(self, engine: "MuxEngine") -> None:
-        """The calendar entry of a tick-path session came due: run its
-        lane's earliest pending instant and hand the engine the next."""
-        engine.lane_stepped(self, self.lane.step())
-
     def attach_shared(self, comp, now: float) -> None:
         """Go live as a *subscriber* of an in-flight shared computation.
 
@@ -295,7 +288,7 @@ class QuerySession(Session):
             # What the lane still holds flat (receive counts, chain
             # depth, wireless groups) lands in the sink before anyone --
             # a subscriber's fork, the admission charge -- reads it.
-            replay_accounting(self.sink, [self.lane.accounting()])
+            self.lane.settle(self.sink)
         self.value = self.hosts[self.querying_host].local_result()
         self.declared_at = self.ends_at
         self.status = QueryStatus.DONE

@@ -20,16 +20,17 @@ calendar :class:`~repro.simulation.events.EventQueue`:
   :class:`~repro.simulation.delay.DelayModel` stream (``None`` = the
   paper's worst case of exactly ``delta`` per hop);
 * churn (FAIL / JOIN) is shared: it mutates the one network and fans out
-  to every live session's host table.
+  to every live session's host table;
+* a session the kernel-lane gate admits is stepped an instant at a time
+  by this loop (:meth:`EventEngine.start_query`: one CUSTOM calendar
+  entry per instant of its tick lane) instead of delivered a message at
+  a time; its failures still arrive through the FAIL handler.
 
 :class:`Simulator` is that engine with exactly one session that never
-retires (``qid 0``, ``t0 = 0.0``) plus the kernel-lane gate in front of
-the loop; the multi-tenant :class:`~repro.service.engine.MuxEngine` adds
-what only a service has -- the QUERY_START control plane, session
-retirement and late-delivery tallies -- and asks the same gate per
-session: an admitted one is stepped an instant at a time by this loop
-(one CUSTOM calendar entry per instant of its tick lane) instead of
-delivered a message at a time.
+retires (``qid 0``, ``t0 = 0.0``) plus the gate in front of the loop;
+the multi-tenant :class:`~repro.service.engine.MuxEngine` adds what only
+a service has -- the QUERY_START control plane, session retirement and
+late-delivery tallies -- and asks the same gate per session.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
 from repro.simulation.stats import CostAccounting, make_stats_sink
-from repro.simulation.vector_lane import DEFAULT_LANE, validate_lane
+from repro.simulation.vector_lane import DEFAULT_LANE, _TickLane, validate_lane
 from repro.obs.trace import Tracer, default_tracer
 
 @dataclass
@@ -94,13 +95,16 @@ class Session:
         join_factory: builds the protocol state of a host that joins
             mid-query (``None`` = an :class:`InertHost`).
         querying_host: the host the query is issued at.
+        lane: the session's tick lane once the gate admitted it
+            (:meth:`EventEngine.start_query`), else ``None``: the query
+            then runs per message.
 
     A fresh session never expires (``termination = ends_at = inf``); the
     query service narrows both at launch.
     """
 
     __slots__ = ("qid", "t0", "hosts", "sink", "sample", "termination",
-                 "ends_at", "join_factory", "querying_host")
+                 "ends_at", "join_factory", "querying_host", "lane")
 
     def __init__(
         self,
@@ -120,6 +124,12 @@ class Session:
         self.termination = inf
         self.ends_at = inf
         self.join_factory = join_factory
+        self.lane = None
+
+    def step(self, engine: "EventEngine") -> None:
+        """The calendar entry of a tick-path session came due: run its
+        lane's earliest pending instant and hand the engine the next."""
+        engine.lane_stepped(self, self.lane.step())
 
     def _joined_host(self, host_id: int) -> ProtocolHost:
         if self.join_factory is not None:
@@ -136,11 +146,14 @@ class EventEngine:
     """The event loop shared by :class:`Simulator` and the query service.
 
     A subclass says what a QUERY_START event means
-    (``_on_query_start(time, event, ctx)``); one whose sessions expire
-    also pushes their ``(ends_at, qid)`` deadlines and supplies
-    ``_retire_front()`` and ``_late(query_id, vtime, dest)``, which the
-    loop reaches only through a deadline or a delivery of a session no
-    longer live.
+    (``_on_query_start(time, event, ctx)``), and ends it in
+    :meth:`start_query`: the session's spec hook, or, once the gate
+    admitted it, its tick lane, which this loop then steps an instant
+    per calendar entry -- the one driver of every in-process lane.
+    One whose sessions expire also pushes their ``(ends_at, qid)``
+    deadlines and supplies ``_retire_front()`` and
+    ``_late(query_id, vtime, dest)``, which the loop reaches only through
+    a deadline or a delivery of a session no longer live.
 
     Args:
         network: the (mutable) dynamic network every session runs on.
@@ -360,6 +373,10 @@ class EventEngine:
         through ``_late`` per destination.  A handler that raises
         abandons the rest of its multicast with it: the queue no longer
         holds those deliveries, and ``len(queue)`` says so.
+
+        On return every live tick lane settles its flat counters into
+        its session's sink (``_TickLane.settle``), so a sink read between
+        two drains reads what the spec loop's would.
         """
         import gc
 
@@ -480,20 +497,60 @@ class EventEngine:
             if gc_was_enabled:
                 gc.enable()
         self.events_processed += events
+        for session in active.values():
+            if session.lane is not None:
+                session.lane.settle(session.sink)
         if until is None and queue:
             raise RuntimeError(
                 f"run stopped at max_time={self.max_time} with {len(queue)} "
                 f"events still pending; the protocol did not terminate")
         return horizon
 
-    def _issue_query(self, session: Session, host: int, time: float,
-                     ctx: HostContext) -> None:
-        """Run ``session``'s query-start hook at ``host``."""
+    def start_query(self, session: Session, kernel, time: float,
+                    ctx: HostContext) -> None:
+        """Start ``session`` at engine ``time``, the one launch of every
+        session: with the gate's ``kernel``, give it its tick lane (run
+        the lane's instant 0 now and file the next instant); with
+        ``None``, run the query-start hook at the querying host."""
+        if kernel is not None:
+            session.lane = _TickLane(self, session, kernel)
+            self.lane_stepped(session, session.lane.start())
+            return
+        host = session.querying_host
         ctx.session = session
         ctx.host_id = host
         ctx.now = time - session.t0
         ctx._chain_depth = 0
         session.hosts[host].on_query_start(ctx)
+
+    def lane_stepped(self, session: Session, v_next: float) -> None:
+        """Book the instant ``session``'s lane just ran and file its next.
+
+        The instant's sends and drops reach the session's sink and the
+        engine tallies now, so a sliced drive reads what one drain
+        would.  The lane works in query-local time; only the calendar
+        key is ``t0 + v_next``, at CUSTOM priority -- after the
+        QUERY_STARTs and before the FAILs of that engine instant, the
+        only kinds a tick-path session can share one with.  A finished
+        lane (``v_next`` is ``inf``) files nothing.  Once no instant is
+        left inside the window of a session that expires, the batch
+        still in flight would have landed late: it goes to the calendar
+        as the deliveries it is, for ``_late`` to tally when they land.
+        """
+        lane = session.lane
+        sent, dropped = lane.flush_tallies(session.sink)
+        self.messages_sent += sent
+        self.dropped_messages += dropped
+        t0 = session.t0
+        if v_next < inf and v_next <= session.termination:
+            self._queue.push(t0 + v_next, EventKind.CUSTOM,
+                             data=session.step)
+            return
+        v_land, records, sent_at = lane.take_in_flight()
+        for _, sender, dests, kind, _, _, depth in records:
+            self._queue.push_multicast(
+                t0 + v_land, sender, dests, kind, None, sent_at, depth,
+                self.wireless, session.qid, v_land)
 
     def _dispatch(self, time: float, event: Event, ctx: HostContext) -> None:
         kind = event.kind
@@ -624,11 +681,13 @@ class Simulator(EventEngine):
     def run(self, until: Optional[float] = None) -> SimulationResult:
         """Execute the protocol and return the querying host's result.
 
-        The first call consults the lane gate and, when the gate refuses
-        or the spec loop was asked for, primes the queue (churn schedule,
-        query start); a later call never re-primes.  On the spec loop it
-        resumes the events left beyond the earlier horizon; after an
-        engaged lane, which runs to its horizon in one go, it finds
+        The first call consults the lane gate, then primes the queue
+        once (churn schedule, query start); a later call never re-primes
+        and resumes the events left beyond the earlier horizon.  The
+        spec loop and the vector lane are both drained from the
+        calendar, so a run sliced into several calls equals one call to
+        the last horizon.  The sharded lane is the exception: it runs to
+        its horizon in one go, on its own clock, and a later call finds
         nothing queued and returns the same result.
 
         Args:
@@ -646,15 +705,11 @@ class Simulator(EventEngine):
                 from repro.simulation import sharded, vector_lane
 
                 lane = vector_lane if self.lane == "vector" else sharded
-                result, self._fallback_reason = lane.maybe_run(
-                    self, self._bound(until))
+                result, self._fallback_reason = lane.maybe_run(self, until)
                 if result is not None:
                     self.lane_used = result.lane_used = self.lane
                     return result
-            self.lane_used = "python"
-            self._schedule_churn()
-            self._queue.push(0.0, EventKind.QUERY_START,
-                             host=self.querying_host)
+            self._prime(None)
         self.session.join_factory = self.join_host_factory
         self._drain(until)
         return SimulationResult(
@@ -666,10 +721,19 @@ class Simulator(EventEngine):
             fallback_reason=self._fallback_reason,
         )
 
+    def _prime(self, kernel) -> None:
+        """File the churn schedule and the query start, once.  The start
+        launches ``kernel``'s tick lane, or runs the spec hook when
+        ``kernel`` is ``None``."""
+        self.lane_used = "python" if kernel is None else self.lane
+        self._schedule_churn()
+        self._queue.push(0.0, EventKind.QUERY_START, host=self.querying_host,
+                         data=kernel)
+
     def _on_query_start(self, time: float, event: Event,
                         ctx: HostContext) -> None:
         if self.network.is_alive(event.host):
-            self._issue_query(self.session, event.host, time, ctx)
+            self.start_query(self.session, event.data, time, ctx)
 
 
 class InertHost(ProtocolHost):

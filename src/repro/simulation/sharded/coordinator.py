@@ -42,6 +42,7 @@ from __future__ import annotations
 import multiprocessing
 from bisect import bisect_right
 from multiprocessing import connection as mp_connection
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -54,10 +55,17 @@ from repro.simulation.sharded.worker import (
     _worker_main,
     local_exchange,
 )
-from repro.simulation.vector_lane import (failure_plan, plan_run,
-                                          replay_accounting)
+from repro.simulation.vector_lane import plan_run, replay_accounting
 
 __all__ = ["run_sharded"]
+
+
+def failure_plan(churn, horizon: float) -> List[Tuple[float, int]]:
+    """The failures every shard applies itself: the churn schedule's,
+    due by ``horizon``, as ``(time, host)`` in stable time order --
+    exactly the calendar's ``(time, seq)`` drain order."""
+    return sorted((fail for fail in churn.failures if fail[0] <= horizon),
+                  key=itemgetter(0))
 
 
 def run_sharded(simulator, horizon: float):

@@ -1,13 +1,15 @@
 """The per-shard execution lane and worker-process entry point.
 
-One :class:`_ShardLane` drives one shard's slice of a run.  The instant
-loop, the in-flight batch and timer calendar, the bulk accounting and
-the WILDFIRE batch kernel are the shared tick-lane skeleton's
+One :class:`_ShardLane` drives one shard's slice of a run.  The body of
+an instant, the in-flight batch and timer calendar, the bulk accounting
+and the WILDFIRE batch kernel are the shared tick-lane skeleton's
 (:mod:`repro.simulation.vector_lane`); this module adds what a
-partitioned run needs on top: canonical keys for the records a shard
-emits, the epoch barriers that rank and exchange them, the RNG tape that
-makes activation draws identical to the spec engine no matter which
-shard a host landed on, and the per-epoch timeline.  The barrier itself
+partitioned run needs on top: the own-clock driver that applies the
+failure plan between instants (shards advance in lockstep, so no
+calendar steps them), canonical keys for the records a shard emits, the
+epoch barriers that rank and exchange them, the RNG tape that makes
+activation draws identical to the spec engine no matter which shard a
+host landed on, and the per-epoch timeline.  The barrier itself
 (who talks to whom) is a callable the coordinator injects -- the same
 lane runs in-process for ``--shards 1`` and inside a forked worker for
 ``K > 1``.
@@ -26,6 +28,7 @@ Determinism rests on two invariants, each enforced loudly:
 
 from __future__ import annotations
 
+import gc
 import marshal
 import traceback
 from bisect import bisect_left, bisect_right
@@ -99,9 +102,10 @@ class _ShardLane(_TickLane):
 
     The :class:`~repro.simulation.vector_lane._TickLane` skeleton plus
     what only a partitioned run needs: ownership of hosts
-    ``[bounds[shard], bounds[shard + 1])``, canonical keys for the
-    records it emits (:meth:`keyed_out`), the injected epoch barrier,
-    the RNG tape, its own tracer and the per-epoch timeline.
+    ``[bounds[shard], bounds[shard + 1])``, its own clock and failure
+    plan (:meth:`run`), canonical keys for the records it emits
+    (:meth:`keyed_out`), the injected epoch barrier, the RNG tape, its
+    own tracer and the per-epoch timeline.
     """
 
     def __init__(self, engine, session, kernel, horizon: float,
@@ -110,8 +114,16 @@ class _ShardLane(_TickLane):
                  barrier: Callable[["_ShardLane", float], Tuple[list, int]],
                  tracer=None, wall_base: float = 0.0,
                  progress_cells=None) -> None:
-        super().__init__(engine, session, kernel, horizon, fails,
+        super().__init__(engine, session, kernel,
                          lo=bounds[shard], hi=bounds[shard + 1])
+        #: Last query-local instant whose emissions are still filed.
+        self.horizon = horizon
+        #: The run's whole failure plan (:func:`~.coordinator.failure_plan`),
+        #: which every shard applies to its own network, so alive bitmaps
+        #: agree at every instant.
+        self.fails = fails
+        self._fail_index = 0
+        self.clock = engine.clock
         self.shard = shard
         self.act_rank = act_rank
         #: Who talks to whom at an epoch boundary: ``local_exchange`` in
@@ -220,18 +232,75 @@ class _ShardLane(_TickLane):
         self._saved_rngs = None
 
     # ------------------------------------------------------------------
+    # The own-clock driver
+    # ------------------------------------------------------------------
+    def run(self) -> None:
+        """Drive the shard on its own clock and failure plan: the shards
+        advance in lockstep, so none of them is stepped from a calendar.
+
+        Instant ordering matches the spec calendar exactly: query start
+        (QUERY_START outranks FAIL at time 0), then failures up to each
+        boundary, then the instant (:meth:`step`), then failures at the
+        instant itself (FAIL has the lowest calendar priority).  Ends
+        when nothing is pending or the next instant would pass the
+        horizon; failures scheduled after that still happen, as the spec
+        loop drains them.
+        """
+        horizon = self.horizon
+        clock = self.clock
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t_next = self.start()
+            self._apply_fails(0.0, inclusive=True)
+            while t_next <= horizon:
+                self._apply_fails(t_next, inclusive=False)
+                clock._now = t = t_next
+                t_next = self.step()
+                self._apply_fails(t, inclusive=True)
+            self._apply_fails(horizon, inclusive=True)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _apply_fails(self, limit: float, inclusive: bool) -> None:
+        """Apply the scheduled failures before (or through) ``limit``."""
+        fails = self.fails
+        index = self._fail_index
+        while index < len(fails):
+            time, host = fails[index]
+            if time > limit or (time == limit and not inclusive):
+                break
+            index += 1
+            self.clock._now = time
+            if not self.alive_bytes[host]:
+                continue
+            self.network.fail_host(host, time)
+            if self.tracer is not None and self.lo <= host < self.hi:
+                # Only the owning shard records the churn event: every
+                # shard replays the full schedule, and one copy per shard
+                # would break a merged trace's exact counts.
+                self.tracer.fail(time, host)
+            self.hosts[host].on_fail(time)
+        self._fail_index = index
+
+    # ------------------------------------------------------------------
     # Epoch hooks of the instant loop
     # ------------------------------------------------------------------
     def exchange(self, t_next: float, sent_at: float) -> None:
         """Meet the other shards at the epoch barrier and file this
         shard's slice of what lands at ``t_next`` -- an empty slice too
         while anything is in flight run-wide, so every shard keeps
-        meeting the barrier until all can stop together.
+        meeting the barrier until all can stop together.  Nothing lands
+        past the horizon: the run stops first, so no shard meets the
+        barrier for it.
 
         Timeline instrumentation is always on: three ``perf_counter()``
         calls and one tuple per epoch (epochs number in the tens to
         hundreds), invisible next to one barrier's pipe round-trip.
         """
+        if t_next > self.horizon:
+            return
         depth_now = len(self.out_records)
         if depth_now > self.queue_depth_peak:
             self.queue_depth_peak = depth_now

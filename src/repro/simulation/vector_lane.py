@@ -1,4 +1,4 @@
-"""The tick-lane skeleton, one per session, and its drivers.
+"""The tick-lane skeleton, one per session, stepped by the event loop.
 
 Under the fixed-delay model every send of instant ``t`` lands one
 ``delta`` later, so the spec engine's one-Python-iteration-per-message
@@ -20,18 +20,18 @@ replayed into the stats sink in bulk (:func:`replay_accounting`).
 A lane belongs to one :class:`~repro.simulation.engine.Session` -- its
 host table, query id and querying host -- on one engine's network, and
 works in the session's query-local time throughout.  It never orders
-itself against anything else; a driver does, and there are two:
-
-* **its own clock** (:meth:`_TickLane.run`): a solo run, the one-session
-  case, owns the network, so the lane takes the failure schedule
-  straight from the churn schedule, applies it between steps and
-  advances the simulator's clock itself;
-* **the engine's calendar** (:class:`~repro.service.engine.MuxEngine`):
-  a service session shares the network with other tenants, so the one
-  event loop files one calendar entry per session instant, at engine
-  time ``t0 + v``, and popping it runs :meth:`_TickLane.step`; failures,
-  query starts and retirement stay calendar events, ordered against the
-  step by the calendar's own priorities.
+itself against anything else: the engine's calendar does, for a solo
+run (the one-session case) exactly as for a service session.
+:meth:`~repro.simulation.engine.EventEngine.start_query` runs the
+lane's instant 0 and files one calendar entry per session instant, at
+engine time ``t0 + v``; popping it runs :meth:`_TickLane.step`.  Failures,
+query starts and retirement stay calendar events, ordered against the
+step by the calendar's own priorities, so the rule of which messages a
+host failing at ``t`` still handles is stated once
+(``events._KIND_PRIORITY``).  The sharded lane
+(:mod:`repro.simulation.sharded`) is the one exception: its shards run
+on their own clock, in lockstep, and apply the failure schedule
+themselves.
 
 The timer calendar is a dict of per-instant registration lists keyed by
 the float the spec host files its timer at (at most ``2 * d_hat`` keys:
@@ -46,10 +46,10 @@ lane is done when nothing is in flight and no timer is pending.
 Used as is, the skeleton is the vector lane: one process owns every
 host, :meth:`_TickLane.exchange` files the list just emitted (append
 order already is the spec loop's global FIFO order) and activations draw
-the live run RNG in place.  The sharded lane
-(:mod:`repro.simulation.sharded`) subclasses it with what genuinely
-differs across processes -- host-range ownership, canonical keys and the
-rank exchange, an RNG tape, per-worker tracing and the epoch timeline.
+the live run RNG in place.  The sharded lane subclasses it with what
+genuinely differs across processes -- host-range ownership, canonical
+keys and the rank exchange, an RNG tape, per-worker tracing, the epoch
+timeline, and the own-clock driver with its failure plan.
 
 The lanes are locked bit-identical to the spec path by construction plus
 harness:
@@ -71,7 +71,9 @@ harness:
   ``tests/integration/test_protocol_matrix.py`` pin value, fingerprint
   and declaration time across topologies, churn and combiners, and
   ``tests/service/test_service.py`` pins a service session to its solo
-  spec run across launch offsets, ``delta`` and failure placements.
+  spec run across launch offsets, ``delta`` and failure placements;
+  ``tests/integration/test_time_laws.py`` holds both to the spec loop
+  when a run is sliced into several ``run(until=...)`` calls.
 
 Engagement is the gate's decision, not the caller's (:func:`plan_run`):
 ``"vector"`` is :data:`DEFAULT_LANE`, and a lane runs only when delay is
@@ -84,9 +86,10 @@ a lane trust its own sends: with no joins, structural adjacency is
 fixed, so a unicast back to a former sender (WILDFIRE's catch-up reply,
 a DAG Report to a parent) needs only both ends alive
 (:meth:`_TickLane.submit_unicast`) and no ``has_alive_edge`` lookup.
-A solo run consults the gate before the queue is primed: a refused run
-is primed for the spec loop with the reason returned beside the
-result, and ``Simulator.run`` records it on
+A solo run consults the gate before the queue is primed, then primes it
+once either way (churn schedule, query start): the query start runs the
+spec hook of a refused run and launches the lane of an admitted one, and
+``Simulator.run`` records the reason on
 ``SimulationResult.fallback_reason`` and ``lane_used``.  The service
 consults it at each session's launch and records the same two facts on
 the session's row; a refused session runs the spec loop beside the
@@ -98,9 +101,7 @@ spec loop does.
 
 from __future__ import annotations
 
-import gc
 from collections import defaultdict
-from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.simulation.clock import instant_after
@@ -141,12 +142,12 @@ def plan_run(engine, session, lane_reason: Optional[str] = None,
     was consumed because nothing was touched.  ``lane_reason`` is the
     verdict of the calling lane's own checks (what forking and the trace
     merge need); ``None`` = passed.  An engine that has not primed its
-    calendar yet (a solo or sharded run, which the lane then drives on
-    its own clock) must hold an empty queue: anything a driver pushed
-    before the first ``run()`` (timers, custom events, external
-    deliveries) belongs to a protocol the lanes do not know about.  On
-    a running calendar (the query service) the lane is stepped *from*
-    the queue, so whatever else is filed there keeps its place.  The
+    calendar yet (a solo run's first ``run()``, vector or sharded: the
+    gate is asked before the churn schedule and the query start are
+    filed) must hold an empty queue: anything a driver pushed before
+    then (timers, custom events, external deliveries) belongs to a
+    protocol the lanes do not know about.  On a running calendar (the
+    query service) whatever else is filed there keeps its place.  The
     kernel is the one the querying host's class names as
     ``batch_kernel``; whether it accepts this host table is its
     ``try_build``'s call.  ``kernels`` is the sharded lane's restriction
@@ -173,37 +174,21 @@ def plan_run(engine, session, lane_reason: Optional[str] = None,
     return kernel, None
 
 
-def failure_plan(churn, horizon: float) -> List[Tuple[float, int]]:
-    """The failures a lane on its own clock applies itself: the churn
-    schedule's, due by ``horizon``, as ``(time, host)`` in stable time
-    order -- exactly the calendar's ``(time, seq)`` drain order."""
-    return sorted((fail for fail in churn.failures if fail[0] <= horizon),
-                  key=itemgetter(0))
-
-
-def maybe_run(simulator, horizon: float):
+def maybe_run(simulator, until: Optional[float]):
     """Run the simulation on the vector lane.
 
     Returns ``(result, None)`` on engagement or ``(None, reason)`` on
     fallback.  Called by :meth:`Simulator.run` on its first call, before
-    anything is queued; a fallback consumes nothing.
+    anything is queued; a fallback consumes nothing.  An engaged run is
+    primed like a spec run, its query start launching the lane, and is
+    then drained to ``until`` by ``Simulator.run`` itself, which finds
+    it primed -- as a later call does, resuming the calendar.
     """
-    from repro.simulation.engine import SimulationResult
-
-    session = simulator.session
-    kernel, reason = plan_run(simulator, session)
+    kernel, reason = plan_run(simulator, simulator.session)
     if reason is not None:
         return None, reason
-    lane = _TickLane(simulator, session, kernel, horizon,
-                     failure_plan(simulator._churn, horizon))
-    lane.run()
-    replay_accounting(session.sink, [lane.accounting()])
-    return SimulationResult(
-        value=session.hosts[session.querying_host].local_result(),
-        costs=session.sink,
-        finished_at=simulator.clock.now,
-        querying_host=session.querying_host,
-    ), None
+    simulator._prime(kernel)
+    return simulator.run(until), None
 
 
 class _TickLane:
@@ -211,28 +196,17 @@ class _TickLane:
     module docstring); the whole host range unless a subclass narrows it.
 
     It keeps what it needs of the engine and the session by value -- the
-    network, the clock, the tracer, the host table, the query id -- and
-    no reference to either, so a live lane closes no cycle through the
+    network, the tracer, the host table, the query id -- and no
+    reference to either, so a live lane closes no cycle through the
     session that holds it.
     """
 
-    def __init__(self, engine, session, kernel, horizon: float,
-                 fails: Sequence[Tuple[float, int]] = (), lo: int = 0,
+    def __init__(self, engine, session, kernel, lo: int = 0,
                  hi: Optional[int] = None) -> None:
         self.kernel = kernel
-        #: Last query-local instant whose emissions are still filed;
-        #: ``inf`` under a driver that stops the lane itself.
-        self.horizon = horizon
-        #: The failure plan of a lane on its own clock (:meth:`run`):
-        #: the run's whole schedule, which every such lane applies to its
-        #: own network, so alive bitmaps agree at every instant.  Empty
-        #: when the engine's calendar applies the failures.
-        self.fails = fails
-        self._fail_index = 0
         #: Stamped on every trace record (0 for a solo run).
         self.qid = session.qid
         self.querying_host = session.querying_host
-        self.clock = engine.clock
         network = engine.network
         n = network.num_hosts
         self.num_hosts = n
@@ -246,7 +220,7 @@ class _TickLane:
         #: pointer check per hook when there is none).
         self.tracer = engine.tracer
         #: The network's own packed alive bitmap (one byte per host);
-        #: failures the lane applies show through immediately.
+        #: failures show through immediately.
         self.alive_bytes = network._alive
         #: The network's own sorted alive-neighbor view table: a failure
         #: clears rows in place (``None``: rebuild through
@@ -271,9 +245,9 @@ class _TickLane:
         #: by the float the spec host files the timer at.
         self.timers: Dict[float, List[tuple]] = {}
         # Accounting, accumulated flat and replayed into the stats sink
-        # in bulk (at the end of a solo run; sends and drops per stepped
-        # instant under the service): per-host receive counts, and per
-        # (time, kind) send totals -- the sink counters these feed are
+        # in bulk (sends and drops per stepped instant, the rest whenever
+        # a drain returns -- :meth:`settle`): per-host receive counts, and
+        # per (time, kind) send totals -- the sink counters these feed are
         # commutative sums, so a handful of ``record_send_batch`` calls
         # rebuild exactly what per-send recording would have.
         self.counts: List[int] = [0] * n
@@ -367,7 +341,7 @@ class _TickLane:
         return self.timers.setdefault(time, [])
 
     # ------------------------------------------------------------------
-    # The instant: one step, and the driver of a lane on its own clock
+    # The instant: one step
     # ------------------------------------------------------------------
     def exchange(self, t_next: float, sent_at: float) -> None:
         """File the records emitted at instant ``sent_at`` under their
@@ -393,10 +367,9 @@ class _TickLane:
         return min(self.in_flight[0], min(self.timers, default=_NEVER))
 
     def _file(self, t: float) -> float:
-        """File what instant ``t`` emitted (inside the horizon) and
-        return the next pending instant."""
-        if self.lands_at <= self.horizon:
-            self.exchange(self.lands_at, t)
+        """File what instant ``t`` emitted and return the next pending
+        instant."""
+        self.exchange(self.lands_at, t)
         return self.next_instant()
 
     def start(self) -> float:
@@ -412,13 +385,13 @@ class _TickLane:
     def step(self) -> float:
         """Run the earliest pending instant; return the next one.
 
-        The body of an instant, stated once for every driver: its
+        The body of an instant, stated once for every lane: its
         deliveries in rank order, then its timers in registration order
         (those registered by the instant's own deliveries included),
         then file what it emitted.  All of it happens in query-local
-        time, and none of it touches a clock or applies a failure:
-        whoever drives the lane orders its instants against everything
-        else.
+        time, and none of it touches a clock or applies a failure: the
+        calendar (a shard: its own clock) orders the lane's instants
+        against everything else.
         """
         t = self.next_instant()
         self.lands_at = instant_after(t, self.delta, self.delta)
@@ -433,57 +406,6 @@ class _TickLane:
         self.end_instant(t)
         return self._file(t)
 
-    def run(self) -> None:
-        """Drive the lane on its own clock and failure plan (a solo run
-        or one shard of one; the query service steps the lane from its
-        calendar instead).
-
-        Instant ordering matches the spec calendar exactly: query start
-        (QUERY_START outranks FAIL at time 0), then failures up to each
-        boundary, then the instant (:meth:`step`), then failures at the
-        instant itself (FAIL has the lowest calendar priority).  Ends
-        when nothing is pending or the next instant would pass the
-        horizon; failures scheduled after that still happen, as the spec
-        loop drains them.
-        """
-        horizon = self.horizon
-        clock = self.clock
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            t_next = self.start()
-            self._apply_fails(0.0, inclusive=True)
-            while t_next <= horizon:
-                self._apply_fails(t_next, inclusive=False)
-                clock._now = t = t_next
-                t_next = self.step()
-                self._apply_fails(t, inclusive=True)
-            self._apply_fails(horizon, inclusive=True)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def _apply_fails(self, limit: float, inclusive: bool) -> None:
-        """Apply the scheduled failures before (or through) ``limit``."""
-        fails = self.fails
-        index = self._fail_index
-        while index < len(fails):
-            time, host = fails[index]
-            if time > limit or (time == limit and not inclusive):
-                break
-            index += 1
-            self.clock._now = time
-            if not self.alive_bytes[host]:
-                continue
-            self.network.fail_host(host, time)
-            if self.tracer is not None and self.lo <= host < self.hi:
-                # Only the owning lane records the churn event: every
-                # lane replays the full schedule, and one copy per lane
-                # would break a merged trace's exact counts.
-                self.tracer.fail(time, host)
-            self.hosts[host].on_fail(time)
-        self._fail_index = index
-
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
@@ -497,9 +419,9 @@ class _TickLane:
 
     def flush_tallies(self, costs) -> Tuple[int, int]:
         """Replay the sends and drops counted since the last call into
-        ``costs`` and forget them; returns ``(sent, dropped)``.  What a
-        driver that reports tallies mid-run (the query service) calls
-        per instant; :meth:`accounting` then carries the rest."""
+        ``costs`` and forget them; returns ``(sent, dropped)``.  The
+        engine calls it per stepped instant, so its own tallies move as
+        the spec loop's do; :meth:`settle` carries the rest."""
         sent = 0
         for (time, kind), count in self.send_acc.items():
             costs.record_send_batch(kind, time, count)
@@ -508,6 +430,17 @@ class _TickLane:
         dropped, self.dropped = self.dropped, 0
         costs.dropped_messages += dropped
         return sent, dropped
+
+    def settle(self, costs) -> None:
+        """Replay every flat counter kept since the last call (receive
+        counts, chain depth, wireless groups) into ``costs`` and reset
+        them.  Called whenever a drain returns and when the session
+        declares, so a sink read between two drains reads what the spec
+        loop's reads there."""
+        replay_accounting(costs, [self.accounting()])
+        self.counts = [0] * self.num_hosts
+        self.send_acc.clear()
+        self.dropped = self.max_depth = self.wireless_groups = 0
 
     def accounting(self) -> Dict[str, Any]:
         """This lane's flat counters, as :func:`replay_accounting` (and
@@ -526,7 +459,8 @@ def replay_accounting(costs, parts: Sequence[Dict[str, Any]]) -> None:
 
     Everything the batch path bypassed commutes -- per-host and
     per-(tick, kind) sums, a running max, scalars -- so replaying the
-    totals at the end (of one lane or of every shard's) produces
+    totals later (one lane's whenever a drain returns, every shard's at
+    the end of a sharded run) produces
     counter-for-counter the state the spec loop's per-send /
     per-delivery recording would have built.
     """

@@ -609,6 +609,39 @@ class TestSessionsOnTheTickLane:
         # One calendar entry per session instant against one per message.
         assert lane_events * 10 < spec_events
 
+    def test_mid_run_costs_read_what_the_spec_loop_reads(
+            self, topology, values, pin_spec_loop):
+        """Between two drains a tick-path session's sink holds every
+        measure the spec loop's holds there -- receive counts, chain
+        depth and wireless groups included, not only the sends."""
+        churn = ChurnSchedule(failures=[(2.0, 11), (3.5, 6)])
+
+        def drive():
+            service = QueryService(topology, values, seed=SEED, churn=churn,
+                                   wireless=True)
+            ids = [service.submit(protocol, "count", at=at)
+                   for protocol, at in (("wildfire", 0.0),
+                                        ("spanning-tree", 0.5),
+                                        ("dag2", 1.25))]
+            seen = []
+            for until in (2.0, 3.5, 5.0, 8.25):
+                service.run(until=until)
+                costs = [service.poll(qid).costs for qid in ids]
+                seen.append([(c.fingerprint(), c.computation_cost,
+                              c.time_cost, c.wireless_transmissions)
+                             for c in costs])
+            lanes = [service.poll(qid).lane_used for qid in ids]
+            return seen, lanes
+
+        lane_seen, lanes = drive()
+        assert lanes == ["vector"] * 3
+        # WILDFIRE's flood has reached hosts by the first boundary.
+        assert lane_seen[0][0][1] > 0
+        pin_spec_loop()
+        spec_seen, lanes = drive()
+        assert lanes == ["python"] * 3
+        assert lane_seen == spec_seen
+
     @pytest.mark.parametrize("delta", [1.0, 0.3])
     def test_late_deliveries_land_when_they_would_have(
             self, topology, values, delta, pin_spec_loop):

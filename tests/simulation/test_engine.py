@@ -5,13 +5,13 @@ from typing import Any, Optional
 import pytest
 
 from repro.obs.trace import RingTracer
-from repro.protocols.base import prepare_protocol_run
-from repro.protocols.wildfire import Wildfire
+from repro.protocols.base import prepare_protocol_run, protocol_from_spec
 from repro.simulation.churn import ChurnSchedule
 from repro.simulation.engine import Simulator
 from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
+from repro.topology import topology_from_spec
 from repro.topology.primitives import chain_topology, star_topology
 from repro.topology.random_graph import random_topology
 
@@ -231,37 +231,96 @@ class TestRunControl:
         assert result.querying_host == 0
 
     @staticmethod
-    def _wildfire_count(lane):
-        """A 40-host WILDFIRE count with one failure past instant 3."""
+    def _count(lane, protocol="wildfire", **kwargs):
+        """A 40-host count with one failure past instant 3."""
         topology = random_topology(40, seed=3)
         prepared = prepare_protocol_run(
-            Wildfire(), topology, [1.0] * len(topology), "count", seed=1)
+            protocol_from_spec(protocol), topology, [1.0] * len(topology),
+            "count", seed=1)
         simulator = Simulator(
             network=topology.to_network(), hosts=prepared.hosts,
             querying_host=0, churn=ChurnSchedule(failures=[(4.5, 7)]),
-            lane=lane)
+            lane=lane, **kwargs)
         return simulator, prepared.termination
 
     @staticmethod
-    def _digest(result):
-        return result.value, result.costs.fingerprint(), result.finished_at
+    def _digest(simulator, result):
+        network = simulator.network
+        return (result.value, result.costs.fingerprint(), result.finished_at,
+                [network.is_alive(host) for host in range(network.num_hosts)])
 
-    def test_a_resumed_run_equals_the_one_shot_run(self):
-        one_shot, horizon = self._wildfire_count("python")
+    @pytest.mark.parametrize("protocol", ["wildfire", "spanning-tree",
+                                          "dag-k2"])
+    @pytest.mark.parametrize("lane", ["python", "vector"])
+    def test_a_resumed_run_equals_the_one_shot_run(self, lane, protocol):
+        one_shot, horizon = self._count(lane, protocol)
         expected = one_shot.run(until=horizon)
-        resumed, _ = self._wildfire_count("python")
+        resumed, _ = self._count(lane, protocol)
         resumed.run(until=3.0)
         # Primed once: no second query start behind the clock, the churn
         # schedule filed once and the failure past the first horizon kept.
         result = resumed.run(until=horizon)
-        assert self._digest(result) == self._digest(expected)
+        assert (self._digest(resumed, result)
+                == self._digest(one_shot, expected))
         assert not resumed.network.is_alive(7)
-        assert result.lane_used == "python"
+        assert (result.lane_used, result.fallback_reason) == (lane, None)
 
     def test_a_second_run_after_an_engaged_lane_changes_nothing(self):
-        simulator, horizon = self._wildfire_count("vector")
-        first = self._digest(simulator.run(until=horizon))
+        simulator, horizon = self._count("vector")
+        first = self._digest(simulator, simulator.run(until=horizon))
         again = simulator.run(until=horizon)
         assert (again.lane_used, again.fallback_reason) == ("vector", None)
-        assert self._digest(again) == first
-        assert len(simulator._queue) == 0
+        assert self._digest(simulator, again) == first
+        spec, _ = self._count("python")
+        spec.run(until=horizon)
+        assert len(simulator._queue) == len(spec._queue)
+
+    @staticmethod
+    def _gnutella_tree(lane, **kwargs):
+        """A 300-host spanning-tree count on the Gnutella-like graph."""
+        topology = topology_from_spec("gnutella", 300, 7)
+        prepared = prepare_protocol_run(
+            protocol_from_spec("spanning-tree"), topology, [1.0] * 300,
+            "count", seed=7)
+        simulator = Simulator(
+            network=topology.to_network(), hosts=prepared.hosts,
+            querying_host=0, lane=lane, **kwargs)
+        return simulator, prepared.termination
+
+    @pytest.mark.parametrize("lane", ["python", "vector"])
+    def test_a_run_sliced_at_half_its_horizon_declares_in_full(self, lane):
+        simulator, horizon = self._gnutella_tree(lane)
+        simulator.run(until=horizon / 2)
+        result = simulator.run(until=horizon)
+        assert (result.value, result.finished_at) == (300.0, 18.0)
+        assert result.lane_used == lane
+
+    @pytest.mark.parametrize("lane", ["python", "vector"])
+    def test_max_time_stops_every_lane_with_work_pending(self, lane):
+        _, horizon = self._gnutella_tree(lane)
+        simulator, _ = self._gnutella_tree(lane, max_time=horizon / 2)
+        with pytest.raises(RuntimeError,
+                           match=r"max_time=9\.0 with \d+ events still "
+                                 r"pending; the protocol did not terminate"):
+            simulator.run()
+        assert simulator.lane_used == lane
+
+    @pytest.mark.parametrize("protocol", ["wildfire", "spanning-tree",
+                                          "dag-k2"])
+    def test_an_engaged_run_keeps_the_engine_tallies(self, protocol):
+        """``messages_sent`` / ``dropped_messages`` move on the lane as
+        they do on the spec loop, instant by instant."""
+        tallies = {}
+        for lane in ("python", "vector"):
+            simulator, horizon = self._count(lane, protocol)
+            seen = []
+            for until in (2.0, 4.5, horizon):
+                result = simulator.run(until=until)
+                seen.append((simulator.messages_sent,
+                             simulator.dropped_messages,
+                             result.costs.messages_sent,
+                             result.costs.dropped_messages))
+            assert result.lane_used == lane
+            tallies[lane] = seen
+        assert tallies["vector"] == tallies["python"]
+        assert tallies["vector"][-1][0] > 0

@@ -8,7 +8,11 @@ instead of hiding in a function body.
 
 One arithmetic fact is layered the same way: how a fixed-delay instant
 becomes a float is ``simulation/clock.py``'s to state, so no other
-kernel module adds or subtracts a ``delta``.
+kernel module adds or subtracts a ``delta``.  So is one ordering fact:
+which messages of instant ``t`` a host failing at ``t`` still handles is
+the calendar's to state, so the in-process tick lane neither moves a
+clock nor applies a failure; only the sharded lane, on its own clock,
+carries a failure plan.
 """
 
 import ast
@@ -100,3 +104,34 @@ def test_only_the_clock_module_adds_a_delta_to_an_instant():
         and (names_delta(node.left) or names_delta(node.right))
     ]
     assert offenders == []
+
+
+def test_the_calendar_alone_drives_the_in_process_tick_lane():
+    """``vector_lane.py`` sets no clock and applies no failure: the
+    engine's calendar orders a lane's instants against FAIL events for a
+    solo run as for a service session.  The own-clock driver and its
+    failure plan live only in the sharded lane."""
+    tree = ast.parse((ROOT / "simulation" / "vector_lane.py").read_text())
+    moves_clock = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        for part in ast.walk(target)
+        if getattr(part, "attr", None) == "_now"
+    ]
+    fails = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("fail_host", "on_fail")
+    ]
+    assert (moves_clock, fails) == ([], [])
+    defined = sorted(
+        path.relative_to(ROOT).as_posix()
+        for path in ROOT.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("failure_plan", "_apply_fails")
+    )
+    assert defined == ["simulation/sharded/coordinator.py",
+                       "simulation/sharded/worker.py"]
