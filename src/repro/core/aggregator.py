@@ -21,7 +21,7 @@ from repro.protocols.randomized_report import RandomizedReport
 from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
 from repro.queries.query import AggregateQuery, QueryKind
-from repro.semantics.oracle import Oracle
+from repro.semantics.oracle import Oracle, sketch_slack
 from repro.simulation.churn import ChurnSchedule
 from repro.topology.base import Topology
 
@@ -119,9 +119,12 @@ class ValidAggregator:
             churn: optional failure schedule to apply during the run; when
                 given, the result carries an oracle validity certificate.
             epsilon_for_certificate: check Approximate Single-Site Validity
-                with this slack instead of exact validity; defaults to 0 for
-                min/max and to a sketch-appropriate slack for count/sum/avg
-                when WILDFIRE or DAG is used.
+                with this slack instead of exact validity; defaults to
+                :func:`~repro.semantics.oracle.sketch_slack` -- 0 for an
+                exact answer (min/max, any exact-addition count/sum/avg
+                such as the spanning tree's) and ``query.epsilon`` or
+                the sketch default for an FM estimate (count/sum/avg
+                under WILDFIRE or DAG).
             seed: override the per-query RNG seed.
         """
         if isinstance(kind, AggregateQuery):
@@ -177,14 +180,12 @@ class ValidAggregator:
     ) -> float:
         if override is not None:
             return override
+        # The oracle's slack rule, the one the sweeps judge by: an FM
+        # estimate gets ``query.epsilon`` (or the sketch default), an
+        # exact answer -- min/max, an exact-addition count -- none.
         if query.epsilon is not None:
-            return query.epsilon
-        if query.kind in (QueryKind.MIN, QueryKind.MAX):
-            return 0.0
-        # Sketch-based answers are approximate by construction; certify them
-        # with a generous multiplicative slack (Lemma 5.1 gives a factor-c
-        # guarantee, which is much wider than this practical default).
-        return 0.75
+            return sketch_slack(protocol, query, query.epsilon)
+        return sketch_slack(protocol, query)
 
     # ------------------------------------------------------------------
     # Convenience wrappers

@@ -123,13 +123,11 @@ class ContinuousQuery:
             raise ValueError("duration must cover at least one period")
 
     def report_times(self) -> List[float]:
-        """The times at which results are declared."""
-        times = []
-        t = self.period
-        while t <= self.duration + 1e-9:
-            times.append(round(t, 9))
-            t += self.period
-        return times
+        """The times at which results are declared: the ``k``-th is
+        ``k * period`` (one rounding, as a clock instant is -- a running
+        sum drifts and, over a long registration, loses the last one)."""
+        reports = int((self.duration + 1e-9) / self.period)
+        return [round(k * self.period, 9) for k in range(1, reports + 1)]
 
     # ------------------------------------------------------------------
     # Live path: per-report sessions on a shared, churning network

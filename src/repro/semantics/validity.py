@@ -109,10 +109,11 @@ def union_set(
     before the horizon.
     """
     hosts = set(range(topology.num_hosts))
-    for join in churn.joins:
+    for index, join in enumerate(churn.joins):
         if horizon is None or join.time <= horizon:
-            # Joined hosts receive ids after the initial ones, in order.
-            hosts.add(topology.num_hosts + churn.joins.index(join))
+            # Joined hosts receive ids after the initial ones, in order
+            # (by position: two equal joins are two hosts).
+            hosts.add(topology.num_hosts + index)
     return hosts
 
 

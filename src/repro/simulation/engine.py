@@ -137,9 +137,11 @@ class Session:
         return InertHost(host_id)
 
     def on_join(self, host_id: int) -> None:
-        """Extend the host table for a host that joined mid-session."""
+        """Extend the host table, and the sink's processed counts, for a
+        host that joined mid-session."""
         if self.hosts is not None:
             self.hosts.append(self._joined_host(host_id))
+            self.sink.reserve(host_id + 1)
 
 
 class EventEngine:
@@ -286,8 +288,8 @@ class EventEngine:
         sample = session.sample
         if sample is None:
             # Fixed delay: the whole multicast shares one delivery instant
-            # and is one calendar entry (no per-destination Message exists
-            # until ``_drain`` delivers it).
+            # and is one calendar entry: one Message, which ``_drain``
+            # hands to every destination in turn.
             if vnow != self._sent_at:
                 self._sent_at = vnow
                 self._lands_at = instant_after(vnow, self.delta, self.delta)
@@ -365,14 +367,24 @@ class EventEngine:
         retires expired sessions.
 
         A fixed-delay multicast pops as one
-        :class:`~repro.simulation.events._DeliverBatch` and is expanded
-        here -- one engine step, ``len(dests)`` deliveries, each counted
-        in ``events_processed`` -- in exactly the order its deliveries
-        would drain filed one by one (see ``EventQueue.pop_due`` for what
-        a handler may file meanwhile).  A late multicast is tallied
-        through ``_late`` per destination.  A handler that raises
-        abandons the rest of its multicast with it: the queue no longer
-        holds those deliveries, and ``len(queue)`` says so.
+        :class:`~repro.simulation.events._DeliverBatch` -- a
+        :class:`Message` that names its ``dests`` -- and is delivered
+        here: one engine step, ``len(dests)`` deliveries, each counted in
+        ``events_processed``, in exactly the order its deliveries would
+        drain filed one by one (see ``EventQueue.pop_due`` for what a
+        handler may file meanwhile).  Every destination's handler gets
+        that same object with ``dest`` set to it, so no handler may keep
+        a message past its call (the contract the reused context already
+        states).  A late multicast is tallied through ``_late`` per
+        destination.  A handler that raises abandons the rest of its
+        multicast with it: the queue no longer holds those deliveries,
+        and ``len(queue)`` says so.
+
+        Each delivery is counted straight into its sink's processed
+        array, which :meth:`start_query` and :meth:`Session.on_join` keep
+        covering every host; a multicast raises the sink's
+        ``max_chain_depth`` once, at its first delivered destination and
+        before that handler runs (its destinations share one depth).
 
         On return every live tick lane settles its flat counters into
         its session's sink (``_TickLane.settle``), so a sink read between
@@ -426,7 +438,10 @@ class EventEngine:
                             tracer.drop(entry.vtime, dest, entry.query_id)
                         continue
                     chain_depth = entry.chain_depth
-                    session.sink.record_processed(dest, chain_depth)
+                    sink = session.sink
+                    sink._processed[dest] += 1
+                    if chain_depth > sink.max_chain_depth:
+                        sink.max_chain_depth = chain_depth
                     if tracer is not None:
                         tracer.deliver(entry.vtime, entry.sender, dest,
                                        entry.kind, chain_depth,
@@ -437,12 +452,13 @@ class EventEngine:
                     ctx._chain_depth = chain_depth
                     session.hosts[dest].on_message(entry, ctx)
                 elif entry.__class__ is _DeliverBatch:
-                    # One multicast, expanded here: the unicast's
+                    # One multicast, one Message: the unicast's
                     # statements in ``dests`` order, with what the
-                    # deliveries share (session, deadline, clock, sink)
-                    # read once.  Kept beside the unicast rather than
-                    # folded into it: the one-destination loop costs a
-                    # variable-delay run, all unicasts, a few percent.
+                    # deliveries share (session, deadline, clock, sink,
+                    # the message itself) read once.  Kept beside the
+                    # unicast rather than folded into it: the
+                    # one-destination loop costs a variable-delay run,
+                    # all unicasts, a few percent.
                     dests = entry.dests
                     events += len(dests) - 1
                     qid = entry.query_id
@@ -452,10 +468,10 @@ class EventEngine:
                         for dest in dests:
                             self._late(qid, vtime, dest)
                         continue
-                    sender, kind, payload = entry.sender, entry.kind, entry.payload
-                    sent_at, wireless = entry.sent_at, entry.wireless
                     chain_depth = entry.chain_depth
                     sink = session.sink
+                    processed = sink._processed
+                    deeper = chain_depth > sink.max_chain_depth
                     hosts = session.hosts
                     ctx.session = session
                     ctx.now = vtime
@@ -467,14 +483,17 @@ class EventEngine:
                             if tracer is not None:
                                 tracer.drop(vtime, dest, qid)
                             continue
-                        sink.record_processed(dest, chain_depth)
+                        processed[dest] += 1
+                        if deeper:
+                            sink.max_chain_depth = chain_depth
+                            deeper = False
                         if tracer is not None:
-                            tracer.deliver(vtime, sender, dest, kind,
-                                           chain_depth, sent_at, qid)
+                            tracer.deliver(vtime, entry.sender, dest,
+                                           entry.kind, chain_depth,
+                                           entry.sent_at, qid)
                         ctx.host_id = dest
-                        hosts[dest].on_message(
-                            Message(sender, dest, kind, payload, sent_at,
-                                    chain_depth, wireless, qid, vtime), ctx)
+                        entry.dest = dest
+                        hosts[dest].on_message(entry, ctx)
                 elif entry.kind is timer:
                     host = entry.host
                     if not alive_flags[host]:
@@ -511,7 +530,10 @@ class EventEngine:
         """Start ``session`` at engine ``time``, the one launch of every
         session: with the gate's ``kernel``, give it its tick lane (run
         the lane's instant 0 now and file the next instant); with
-        ``None``, run the query-start hook at the querying host."""
+        ``None``, run the query-start hook at the querying host.  Either
+        way the session's sink first grows to cover every host of the
+        network, which the drain's in-place counts rely on."""
+        session.sink.reserve(self.network.num_hosts)
         if kernel is not None:
             session.lane = _TickLane(self, session, kernel)
             self.lane_stepped(session, session.lane.start())

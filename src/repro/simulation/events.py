@@ -25,12 +25,14 @@ Three cases keep the order exact:
   sorts after everything already popped and before every larger key.
 
 A multicast is *one* entry weighing ``len(dests)``: it is filed, popped
-and counted out of ``len`` whole, and this module never builds a
-:class:`Message` -- whoever pops a :class:`_DeliverBatch` expands it.
+and counted out of ``len`` whole as one :class:`_DeliverBatch` -- the
+:class:`Message` its destinations receive, plus their ids -- and this
+module never builds a per-destination :class:`Message`: whoever pops a
+batch delivers it.
 
 The engine pushes through ``push_deliver`` / ``push_multicast`` /
 ``push_timer``, pops through ``pop_due`` (one call site:
-``EventEngine._drain``) and expands multicasts there; ``push`` /
+``EventEngine._drain``) and delivers multicasts there; ``push`` /
 ``cancel`` are the generic :class:`Event` API (churn, query starts,
 custom events), and the tick lanes' gate only asks ``len``.
 """
@@ -104,26 +106,27 @@ class Event:
     cancelled: bool = False
 
 
-class _DeliverBatch:
-    """One multicast: a single queue entry standing for ``len(dests)``
-    deliveries, in ``dests`` order.
+class _DeliverBatch(Message):
+    """One multicast: the :class:`Message` every destination receives,
+    plus the ``dests`` it goes to, in delivery order.
 
-    A multicast to ``d`` neighbors filed as ``d`` :class:`Message`
-    objects keeps hundreds of thousands of them alive in the queue during
-    one flood wave at 100k+ hosts, dominating peak RSS.  The batch stores
-    the shared fields once (the destination tuple is the network's cached
-    packed view, so it is not even copied) and is popped whole; the
-    consumer mints each per-destination message at its delivery, so at
-    most one exists at a time.  Batches cannot be cancelled (deliveries
-    never are).
+    It is a single queue entry standing for ``len(dests)`` deliveries.
+    A multicast to ``d`` neighbors filed as ``d`` messages keeps hundreds
+    of thousands of them alive in the queue during one flood wave at
+    100k+ hosts, dominating peak RSS.  The batch stores the shared fields
+    once (the destination tuple is the network's cached packed view, so
+    it is not even copied) and is popped whole; the engine then hands
+    this same object to each destination's handler, setting ``dest``
+    before each call (``-1`` until the first).  Batches cannot be
+    cancelled (deliveries never are).
     """
 
-    __slots__ = ("sender", "dests", "kind", "payload", "sent_at",
-                 "chain_depth", "wireless", "query_id", "vtime")
+    __slots__ = ("dests",)
 
     def __init__(self, sender, dests, kind, payload, sent_at, chain_depth,
                  wireless, query_id, vtime):
         self.sender = sender
+        self.dest = -1
         self.dests = dests
         self.kind = kind
         self.payload = payload
@@ -260,12 +263,13 @@ class EventQueue:
     ) -> None:
         """Schedule one multicast's deliveries without materialising them.
 
-        The bucket holds one :class:`_DeliverBatch` where one
-        :meth:`push_deliver` per destination would hold ``len(dests)``
-        messages; ``len`` counts it as ``len(dests)`` and the engine's
-        expansion delivers it in ``dests`` order, exactly as those
-        messages would drain.  This is the engine's fixed-delay multicast
-        fast path.  An empty ``dests`` files nothing.
+        The bucket holds one :class:`_DeliverBatch` -- the one message
+        all destinations receive -- where one :meth:`push_deliver` per
+        destination would hold ``len(dests)`` messages; ``len`` counts it
+        as ``len(dests)`` and the engine delivers it in ``dests`` order,
+        exactly as those messages would drain.  This is the engine's
+        fixed-delay multicast fast path.  An empty ``dests`` files
+        nothing.
         """
         if not dests:
             _check_time(time)
@@ -372,9 +376,10 @@ class EventQueue:
 
         This is the drain API.  ``entry`` is a bare :class:`Message` for
         a fast-path delivery, a whole :class:`_DeliverBatch` for a
-        multicast (``len`` drops by ``len(entry.dests)``; expanding it is
-        the caller's job) and an :class:`Event` for everything else;
-        cancelled events met on the way are discarded.  When ``horizon``
+        multicast (``len`` drops by ``len(entry.dests)``; delivering it
+        to each destination is the caller's job) and an :class:`Event`
+        for everything else; cancelled events met on the way are
+        discarded.  When ``horizon``
         is given, an entry due after it is *not* consumed and ``None`` is
         returned; ``None`` consumes unconditionally.  An empty queue
         returns ``None``.

@@ -121,9 +121,12 @@ class HostContext:
             self.host_id
         )
         if exclude is not None:
-            excluded = set(exclude)
-            if excluded:
-                targets = [t for t in targets if t not in excluded]
+            # Callers exclude one or two ids: copy the shared view only
+            # when one of them is in it.
+            for host in exclude:
+                if host in targets:
+                    targets = list(targets)
+                    targets.remove(host)
         if not targets:
             return 0
         # ``targets`` was just derived from the network's alive-neighbor
@@ -186,7 +189,13 @@ class ProtocolHost(abc.ABC):
 
     @abc.abstractmethod
     def on_message(self, message: Message, ctx: HostContext) -> None:
-        """Called when a message addressed to this host is delivered."""
+        """Called when a message addressed to this host is delivered.
+
+        ``message.dest`` is this host.  The engine hands every
+        destination of a multicast the same object (rebinding ``dest``
+        between calls), so, like ``ctx``, the message must not be kept
+        past this call: copy the fields the host needs.
+        """
 
     def on_timer(self, name: str, data: Any, ctx: HostContext) -> None:
         """Called when one of this host's timers expires.

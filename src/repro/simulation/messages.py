@@ -16,20 +16,26 @@ from typing import Any, Mapping
 class Message:
     """A single protocol message in flight.
 
-    Treated as immutable by convention (the frozen-dataclass enforcement
-    was dropped because its per-field ``object.__setattr__`` cost showed up
-    on the kernel's per-message hot path); simulation code never mutates a
-    message after construction.  A consequence of losing ``frozen=True``
-    is that messages are no longer hashable -- use ``id(message)`` or a
-    derived key for dedup structures.  The convention extends to payloads:
-    a multicast shares ONE payload snapshot between all of its deliveries,
-    so a receiver mutating a payload would corrupt its siblings'
-    still-undelivered copies (``tests/simulation/test_messages.py`` pins
-    this with read-only payload proxies across every protocol).
+    Treated as immutable by protocol code (the frozen-dataclass
+    enforcement was dropped because its per-field ``object.__setattr__``
+    cost showed up on the kernel's per-message hot path).  The one writer
+    is the engine: a fixed-delay multicast is ONE message from send to
+    delivery (:class:`~repro.simulation.events._DeliverBatch`, this class
+    plus its ``dests``), and ``EventEngine._drain`` hands that same object
+    to each destination in turn, rebinding ``dest`` before each call.  So,
+    as with the reused :class:`~repro.simulation.host.HostContext`, a
+    handler must not keep a message past its call -- copy the fields it
+    needs.  A consequence of losing ``frozen=True`` is that messages are
+    no longer hashable -- use ``id(message)`` or a derived key for dedup
+    structures.  Payloads are shared the same way: a receiver mutating
+    one would corrupt what its multicast's later destinations read
+    (``tests/simulation/test_messages.py`` pins this with read-only
+    payload proxies across every protocol).
 
     Attributes:
         sender: host id of the sending host.
-        dest: host id of the destination host (a neighbor of the sender).
+        dest: host id of the destination host (a neighbor of the sender);
+            for a multicast, the destination being delivered to.
         kind: protocol-defined message kind (e.g. ``"broadcast"``).
         payload: protocol-defined immutable mapping of message fields.
         sent_at: query-local time at which the message was sent (on the

@@ -13,7 +13,8 @@ The paper evaluates protocols on three measures (Section 6.3):
 :class:`CostAccounting` is the one sink every run accounts into.  Every
 measure is exact; the representation is sized for million-host runs:
 per-host processed counts live in a packed ``array('I')`` (4 bytes per
-host) updated with a running maximum, per-kind send counts in a dict,
+host, which the engine's drain increments in place; the computation
+cost is their maximum, taken when read), per-kind send counts in a dict,
 and per-instant send counts in a *sparse* dict keyed by clock tick
 (:func:`~repro.simulation.clock.tick_index`), so memory follows the
 host count and the number of ticks that saw a send -- never traffic,
@@ -47,6 +48,10 @@ class CostAccounting:
     The engine reports raw events (sends, processed deliveries, drops)
     and updates ``max_chain_depth`` / ``dropped_messages`` directly from
     its bulk paths; this class turns them into the paper's measures.
+    The drain also counts a delivery straight into the processed array,
+    which it sizes with :meth:`reserve` (every host of the network when
+    a session starts, and each host that joins) so that no delivery
+    needs a bounds check.
 
     Args:
         num_hosts: number of host slots to pre-size the processed-count
@@ -65,7 +70,6 @@ class CostAccounting:
         self.wireless_transmissions = 0
         self.dropped_messages = 0
         self.max_chain_depth = 0
-        self._max_processed = 0
         # bytes(4 * n) zero-fills without materialising a Python int list.
         self._processed = array("I", bytes(4 * num_hosts))
         # Sparse on purpose: one late send must not allocate every tick
@@ -110,22 +114,20 @@ class CostAccounting:
         """Record that ``host`` processed a message with given chain depth."""
         processed = self._processed
         if host >= len(processed):
-            self._grow(host)
-        count = processed[host] + 1
-        processed[host] = count
-        if count > self._max_processed:
-            self._max_processed = count
+            self.reserve(host + 1)
+        processed[host] += 1
         if chain_depth > self.max_chain_depth:
             self.max_chain_depth = chain_depth
 
-    def _grow(self, host: int) -> None:
-        """Zero-extend the processed array, in place, to cover ``host``
-        (a host that joined after construction)."""
+    def reserve(self, num_hosts: int) -> None:
+        """Zero-extend the processed array, in place, to at least
+        ``num_hosts`` slots (hosts that joined after construction)."""
         processed = self._processed
-        # frombytes appends zero-filled *elements* (extend would treat
-        # the bytes as an iterable and append one element per byte).
-        processed.frombytes(
-            bytes(processed.itemsize * (host + 1 - len(processed))))
+        if num_hosts > len(processed):
+            # frombytes appends zero-filled *elements* (extend would
+            # treat the bytes as an iterable, one element per byte).
+            processed.frombytes(
+                bytes(processed.itemsize * (num_hosts - len(processed))))
 
     def record_dropped(self) -> None:
         """Record a message dropped because its destination failed."""
@@ -141,15 +143,10 @@ class CostAccounting:
         directly.
         """
         processed = self._processed
-        max_processed = self._max_processed
         for host, count in host_counts:
             if host >= len(processed):
-                self._grow(host)
-            total = processed[host] + count
-            processed[host] = total
-            if total > max_processed:
-                max_processed = total
-        self._max_processed = max_processed
+                self.reserve(host + 1)
+            processed[host] += count
 
     # ------------------------------------------------------------------
     # Derived measures
@@ -162,7 +159,7 @@ class CostAccounting:
     @property
     def computation_cost(self) -> int:
         """Maximum number of messages processed by any single host."""
-        return self._max_processed
+        return max(self._processed, default=0)
 
     @property
     def time_cost(self) -> int:

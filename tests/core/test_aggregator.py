@@ -105,6 +105,26 @@ class TestCertificates:
         result = agg.count(churn=churn, epsilon_for_certificate=0.9)
         assert result.certificate.epsilon == 0.9
 
+    def test_exact_answers_are_certified_with_the_oracles_slack(self):
+        """The default certificate grants what ``sketch_slack`` grants:
+        none to the spanning tree's exact count, which falls short of
+        ``q(H_C)`` here, and the sketch slack to WILDFIRE's FM count
+        (``query.epsilon`` when the query names one)."""
+        topo = random_topology(150, avg_degree=4, seed=21)
+        agg = ValidAggregator(topo, constant_values(150, 1), seed=21)
+        for seed in range(3):
+            churn = uniform_failure_schedule(range(150), 30, 0.5, 12.0,
+                                             seed=seed, protect=[0])
+            tree = agg.count(protocol="spanning-tree", churn=churn)
+            assert tree.certificate.epsilon == 0.0
+            assert tree.value < tree.certificate.lower_bound
+            assert tree.is_valid is False
+            fm = agg.count(churn=churn)
+            assert fm.certificate.epsilon == 0.5 and fm.is_valid is True
+            tight = agg.query(AggregateQuery.of("count", epsilon=0.3),
+                              churn=churn)
+            assert tight.certificate.epsilon == 0.3
+
 
 class TestBestEffortComparison:
     def test_spanning_tree_can_go_invalid_under_heavy_churn(self):
@@ -115,8 +135,7 @@ class TestBestEffortComparison:
         for seed in range(6):
             churn = uniform_failure_schedule(range(150), 30, 0.5, 12.0,
                                              seed=seed, protect=[0])
-            result = agg.count(protocol="spanning-tree", churn=churn,
-                               epsilon_for_certificate=0.0)
+            result = agg.count(protocol="spanning-tree", churn=churn)
             if result.is_valid is False:
                 invalid_seen = True
                 break

@@ -18,6 +18,16 @@ class TestContinuousQueryConfig:
                                 window=10.0, duration=20.0)
         assert query.report_times() == [5.0, 10.0, 15.0, 20.0]
 
+    def test_report_instants_are_products_of_the_period(self):
+        """The ``k``-th report is ``k * period``: summing 0.1 a million
+        times would drift past 100000 and drop the last report."""
+        query = ContinuousQuery(query=AggregateQuery.of("count"), period=0.1,
+                                window=1.0, duration=100_000.0)
+        times = query.report_times()
+        assert len(times) == 1_000_000
+        assert times[-1] == 100_000.0
+        assert times[:3] == [0.1, 0.2, 0.3] and times[29] == 3.0
+
     def test_invalid_parameters(self):
         base = dict(query=AggregateQuery.of("count"), period=5.0, window=10.0,
                     duration=20.0)

@@ -11,7 +11,7 @@ from repro.semantics.validity import (
     stable_core,
     union_set,
 )
-from repro.simulation.churn import ChurnSchedule
+from repro.simulation.churn import ChurnSchedule, JoinSpec
 from repro.topology.primitives import chain_topology, ring_topology, star_topology
 
 
@@ -55,6 +55,15 @@ class TestUnionSet:
         topo = chain_topology(4)
         churn = ChurnSchedule(failures=[(1.0, 2)])
         assert union_set(topo, churn) == {0, 1, 2, 3}
+
+    def test_equal_joins_are_two_hosts(self):
+        """``JoinSpec`` is a frozen dataclass, so two joins at the same
+        instant to the same neighbors compare equal; each still adds a
+        host, numbered by its position after the initial ones."""
+        join = JoinSpec(time=2.0, neighbors=(0, 3))
+        churn = ChurnSchedule(joins=[join, join])
+        assert union_set(ring_topology(6), churn) == set(range(8))
+        assert union_set(ring_topology(6), churn, horizon=1.0) == set(range(6))
 
 
 class TestAggregateOver:

@@ -140,13 +140,31 @@ class TestCostAccounting:
         assert sink.computation_cost == 3
         assert sink.computation_histogram() == {2: 1, 3: 1}
 
-    def test_running_max_tracks_computation_cost(self):
+    def test_computation_cost_is_the_max_at_read_time(self):
+        """No running maximum to keep in step (the drain counts into the
+        array in place): the cost is the array's maximum whenever read,
+        after single records, bulk records, growth and on no records."""
+        def agrees(sink):
+            return sink.computation_cost == max(
+                sink.messages_processed.values(), default=0)
+
         sink = CostAccounting(num_hosts=4)
+        assert agrees(sink) and sink.computation_cost == 0
+        assert agrees(CostAccounting())
         for _ in range(3):
             sink.record_processed(1, 0)
         sink.record_processed(2, 0)
-        assert sink.computation_cost == 3
+        assert agrees(sink) and sink.computation_cost == 3
         assert sink.time_cost == 0
+        sink.record_processed_bulk([(2, 4), (0, 1)])
+        assert agrees(sink) and sink.computation_cost == 5
+        sink.reserve(9)
+        sink.reserve(2)  # never shrinks
+        assert len(sink._processed) == 9
+        assert agrees(sink) and sink.computation_cost == 5
+        sink._processed[8] += 6  # as the drain counts a delivery
+        sink.record_processed(20, 0)  # past the reserve: grows again
+        assert agrees(sink) and sink.computation_cost == 6
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
