@@ -7,6 +7,11 @@ workload generators, Flajolet-Martin duplicate-insensitive sketches, the
 best-effort baseline protocols, and an experiment harness that regenerates
 every table and figure of the paper's evaluation section.
 
+A package of ``repro`` imports nothing when it is imported (only
+:mod:`repro.topology` loads its generators): its exported names resolve
+on first use (:func:`lazy_exports`), so a run loads only the modules it
+reaches.
+
 Quickstart
 ----------
 >>> from repro import ValidAggregator, topology, workloads
@@ -18,48 +23,54 @@ Quickstart
 True
 """
 
-from repro.core.aggregator import ValidAggregator
-from repro.core.config import ProtocolConfig, SimulationConfig
-from repro.core.results import QueryResult, ValidityCertificate
-from repro.queries.query import AggregateQuery, QueryKind
-from repro.semantics.validity import ValidityBounds, check_single_site_validity
-
-from repro import (
-    core,
-    experiments,
-    orchestration,
-    protocols,
-    queries,
-    semantics,
-    service,
-    simulation,
-    sketches,
-    topology,
-    workloads,
-)
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ValidAggregator",
-    "ProtocolConfig",
-    "SimulationConfig",
-    "QueryResult",
-    "ValidityCertificate",
-    "AggregateQuery",
-    "QueryKind",
-    "ValidityBounds",
-    "check_single_site_validity",
-    "core",
-    "experiments",
-    "orchestration",
-    "protocols",
-    "queries",
-    "semantics",
-    "service",
-    "simulation",
-    "sketches",
-    "topology",
-    "workloads",
-    "__version__",
-]
+
+def lazy_exports(package, table):
+    """The PEP 562 ``(__getattr__, __dir__)`` pair of ``package``, whose
+    exported names resolve on first use.
+
+    ``table`` maps each exported name to its defining module, relative to
+    ``package``; a name mapped to itself is that submodule.  The first
+    access imports the module and binds the name on the package, so later
+    lookups never come back here.  The tables are the one sanctioned late
+    resolution of a ``repro`` name; ``tests/test_layering.py`` resolves
+    every entry in a fresh interpreter.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        if name not in table:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        module = importlib.import_module(f"{package}.{table[name]}")
+        value = namespace[name] = (
+            module if table[name] == name else getattr(module, name))
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | table.keys())
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "ValidAggregator": "core.aggregator",
+    "ProtocolConfig": "core.config",
+    "SimulationConfig": "core.config",
+    "QueryResult": "core.results",
+    "ValidityCertificate": "core.results",
+    "AggregateQuery": "queries.query",
+    "QueryKind": "queries.query",
+    "ValidityBounds": "semantics.validity",
+    "check_single_site_validity": "semantics.validity",
+    **{package: package for package in (
+        "core", "experiments", "orchestration", "protocols", "queries",
+        "semantics", "service", "simulation", "sketches", "topology",
+        "workloads")},
+}
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,13 +1,13 @@
 """The high-level public API: a validity-aware aggregation facade."""
 
-from repro.core.aggregator import ValidAggregator
-from repro.core.config import ProtocolConfig, SimulationConfig
-from repro.core.results import QueryResult, ValidityCertificate
+from repro import lazy_exports
 
-__all__ = [
-    "ValidAggregator",
-    "ProtocolConfig",
-    "SimulationConfig",
-    "QueryResult",
-    "ValidityCertificate",
-]
+_EXPORTS = {
+    "ValidAggregator": "aggregator",
+    "ProtocolConfig": "config",
+    "SimulationConfig": "config",
+    "QueryResult": "results",
+    "ValidityCertificate": "results",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,45 +5,28 @@ fast, scaled-down configurations used in the benchmark suite and the
 paper-scale configurations (see EXPERIMENTS.md for the recorded outputs).
 """
 
-from repro.experiments.runner import TrialStats, aggregate_trials
-from repro.experiments.tables import format_table
-from repro.experiments.accuracy import run_accuracy_experiment
-from repro.experiments.validity_sweep import ValiditySweepRow, run_validity_sweep
-from repro.experiments.costs import (
-    run_communication_cost_experiment,
-    run_computation_cost_experiment,
-    run_grid_communication_experiment,
-    run_messages_per_instant_experiment,
-    run_time_cost_experiment,
-)
-from repro.experiments.badcase import run_theorem_44_experiment
-from repro.experiments.capture_recapture import run_capture_recapture_experiment
-from repro.experiments.delay_sweep import run_delay_sweep
-from repro.experiments.scale_bench import (
-    run_scale_benchmark,
-    run_service_benchmark,
-)
-from repro.experiments.query_mix import run_query_mix
-from repro.experiments.figures import FIGURES, run_figure
+from repro import lazy_exports
 
-__all__ = [
-    "TrialStats",
-    "aggregate_trials",
-    "format_table",
-    "run_accuracy_experiment",
-    "run_validity_sweep",
-    "ValiditySweepRow",
-    "run_communication_cost_experiment",
-    "run_grid_communication_experiment",
-    "run_computation_cost_experiment",
-    "run_time_cost_experiment",
-    "run_messages_per_instant_experiment",
-    "run_theorem_44_experiment",
-    "run_capture_recapture_experiment",
-    "run_delay_sweep",
-    "run_scale_benchmark",
-    "run_service_benchmark",
-    "run_query_mix",
-    "FIGURES",
-    "run_figure",
-]
+_EXPORTS = {
+    "TrialStats": "runner",
+    "aggregate_trials": "runner",
+    "format_table": "tables",
+    "run_accuracy_experiment": "accuracy",
+    "run_validity_sweep": "validity_sweep",
+    "ValiditySweepRow": "validity_sweep",
+    "run_communication_cost_experiment": "costs",
+    "run_grid_communication_experiment": "costs",
+    "run_computation_cost_experiment": "costs",
+    "run_time_cost_experiment": "costs",
+    "run_messages_per_instant_experiment": "costs",
+    "run_theorem_44_experiment": "badcase",
+    "run_capture_recapture_experiment": "capture_recapture",
+    "run_delay_sweep": "delay_sweep",
+    "run_scale_benchmark": "scale_bench",
+    "run_service_benchmark": "scale_bench",
+    "run_query_mix": "query_mix",
+    "FIGURES": "figures",
+    "run_figure": "figures",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

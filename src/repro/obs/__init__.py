@@ -17,71 +17,38 @@ epoch/barrier wall-clock timeline lands in
 through :mod:`repro.obs.stream` while a run is still in flight.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    collect_queue_metrics,
-    collect_run_metrics,
-    collect_service_metrics,
-    collect_shard_metrics,
-    worker_utilisation,
-)
-from repro.obs.profiling import PhaseTimer, ProfileCapture
-from repro.obs.stream import (
-    MetricsStreamWriter,
-    PeriodicSampler,
-    ShardProgressBoard,
-    current_rss_mb,
-    default_progress_board,
-    progress_board,
-    set_progress_board,
-)
-from repro.obs.timeline import ShardTimeline
-from repro.obs.provenance import (
-    EstimateProvenance,
-    ProvenanceTracer,
-    run_protocol_with_provenance,
-)
-from repro.obs.trace import (
-    DEFAULT_CAPACITY,
-    DEFAULT_SAMPLING,
-    RingTracer,
-    Tracer,
-    default_tracer,
-    set_default_tracer,
-    tracing,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "collect_queue_metrics",
-    "collect_run_metrics",
-    "collect_service_metrics",
-    "collect_shard_metrics",
-    "worker_utilisation",
-    "PhaseTimer",
-    "ProfileCapture",
-    "MetricsStreamWriter",
-    "PeriodicSampler",
-    "ShardProgressBoard",
-    "ShardTimeline",
-    "current_rss_mb",
-    "default_progress_board",
-    "progress_board",
-    "set_progress_board",
-    "EstimateProvenance",
-    "ProvenanceTracer",
-    "run_protocol_with_provenance",
-    "DEFAULT_CAPACITY",
-    "DEFAULT_SAMPLING",
-    "RingTracer",
-    "Tracer",
-    "default_tracer",
-    "set_default_tracer",
-    "tracing",
-]
+_EXPORTS = {
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "collect_queue_metrics": "metrics",
+    "collect_run_metrics": "metrics",
+    "collect_service_metrics": "metrics",
+    "collect_shard_metrics": "metrics",
+    "worker_utilisation": "metrics",
+    "PhaseTimer": "profiling",
+    "ProfileCapture": "profiling",
+    "MetricsStreamWriter": "stream",
+    "PeriodicSampler": "stream",
+    "ShardProgressBoard": "stream",
+    "ShardTimeline": "timeline",
+    "current_rss_mb": "stream",
+    "default_progress_board": "stream",
+    "progress_board": "stream",
+    "set_progress_board": "stream",
+    "EstimateProvenance": "provenance",
+    "ProvenanceTracer": "provenance",
+    "run_protocol_with_provenance": "provenance",
+    "DEFAULT_CAPACITY": "trace",
+    "DEFAULT_SAMPLING": "trace",
+    "RingTracer": "trace",
+    "Tracer": "trace",
+    "default_tracer": "trace",
+    "set_default_tracer": "trace",
+    "tracing": "trace",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

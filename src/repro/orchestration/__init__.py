@@ -14,34 +14,23 @@ The subsystem separates *what* an experiment is from *how* it runs:
 - :mod:`repro.orchestration.cli` exposes it all as ``python -m repro``.
 """
 
-from repro.orchestration.executor import (
-    ParallelExecutor,
-    RunReport,
-    TrialResult,
-    run_spec,
-    run_specs,
-)
-from repro.orchestration.figures import figure_spec, run_figure_matrix
-from repro.orchestration.runners import (
-    register_runner,
-    resolve_runner,
-)
-from repro.orchestration.spec import ExperimentSpec, Trial, derive_trial_seed
-from repro.orchestration.store import ResultStore, default_cache_root
+from repro import lazy_exports
 
-__all__ = [
-    "ExperimentSpec",
-    "Trial",
-    "derive_trial_seed",
-    "ParallelExecutor",
-    "RunReport",
-    "TrialResult",
-    "run_spec",
-    "run_specs",
-    "figure_spec",
-    "run_figure_matrix",
-    "register_runner",
-    "resolve_runner",
-    "ResultStore",
-    "default_cache_root",
-]
+_EXPORTS = {
+    "ExperimentSpec": "spec",
+    "Trial": "spec",
+    "derive_trial_seed": "spec",
+    "ParallelExecutor": "executor",
+    "RunReport": "executor",
+    "TrialResult": "executor",
+    "run_spec": "executor",
+    "run_specs": "executor",
+    "figure_spec": "figures",
+    "run_figure_matrix": "figures",
+    "register_runner": "runners",
+    "resolve_runner": "runners",
+    "ResultStore": "store",
+    "default_cache_root": "store",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+import repro
+
 #: Axis values must be JSON scalars so the canonical form is unambiguous.
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
@@ -40,14 +42,10 @@ def _code_version() -> str:
     every cache entry instead of silently serving results computed by old
     code.  It must NOT enter :meth:`ExperimentSpec.content_hash`, which
     seeds the trials: the numbers a spec produces stay stable across
-    releases unless the drivers actually change behaviour.
+    releases unless the drivers actually change behaviour.  Read per
+    call, so a bumped ``repro.__version__`` takes effect at once.
     """
-    try:
-        from repro import __version__
-
-        return __version__
-    except Exception:  # pragma: no cover - import cycle / stripped package
-        return "unknown"
+    return repro.__version__
 
 
 def derive_trial_seed(spec_hash: str, base_seed: int, index: int) -> int:

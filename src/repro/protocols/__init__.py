@@ -11,28 +11,24 @@
   the related-work discussion.
 """
 
-from repro.protocols.base import Protocol, ProtocolRunResult, run_protocol
-from repro.protocols.wildfire import Wildfire, WildfireHost
-from repro.protocols.spanning_tree import SpanningTree, SpanningTreeHost
-from repro.protocols.dag import DirectedAcyclicGraph, DagHost
-from repro.protocols.allreport import AllReport, AllReportHost
-from repro.protocols.randomized_report import RandomizedReport, RandomizedReportHost
-from repro.protocols.gossip import PushSumGossip, PushSumHost
+from repro import lazy_exports
 
-__all__ = [
-    "Protocol",
-    "ProtocolRunResult",
-    "run_protocol",
-    "Wildfire",
-    "WildfireHost",
-    "SpanningTree",
-    "SpanningTreeHost",
-    "DirectedAcyclicGraph",
-    "DagHost",
-    "AllReport",
-    "AllReportHost",
-    "RandomizedReport",
-    "RandomizedReportHost",
-    "PushSumGossip",
-    "PushSumHost",
-]
+_EXPORTS = {
+    "Protocol": "base",
+    "ProtocolRunResult": "base",
+    "run_protocol": "base",
+    "Wildfire": "wildfire",
+    "WildfireHost": "wildfire",
+    "SpanningTree": "spanning_tree",
+    "SpanningTreeHost": "spanning_tree",
+    "DirectedAcyclicGraph": "dag",
+    "DagHost": "dag",
+    "AllReport": "allreport",
+    "AllReportHost": "allreport",
+    "RandomizedReport": "randomized_report",
+    "RandomizedReportHost": "randomized_report",
+    "PushSumGossip": "gossip",
+    "PushSumHost": "gossip",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,19 +1,15 @@
 """Query model: one-time aggregates, continuous queries, size estimation."""
 
-from repro.queries.query import AggregateQuery, QueryKind
-from repro.queries.continuous import ContinuousQuery, WindowedResult
-from repro.queries.size_estimation import (
-    CaptureRecaptureEstimator,
-    RingSegmentEstimator,
-    required_sample_size,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AggregateQuery",
-    "QueryKind",
-    "ContinuousQuery",
-    "WindowedResult",
-    "CaptureRecaptureEstimator",
-    "RingSegmentEstimator",
-    "required_sample_size",
-]
+_EXPORTS = {
+    "AggregateQuery": "query",
+    "QueryKind": "query",
+    "ContinuousQuery": "continuous",
+    "WindowedResult": "continuous",
+    "CaptureRecaptureEstimator": "size_estimation",
+    "RingSegmentEstimator": "size_estimation",
+    "required_sample_size": "size_estimation",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

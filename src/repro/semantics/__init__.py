@@ -1,20 +1,15 @@
 """Validity semantics: host-set bounds, oracle, and validity metrics."""
 
-from repro.semantics.validity import (
-    ValidityBounds,
-    check_approximate_single_site_validity,
-    check_single_site_validity,
-    stable_core,
-)
-from repro.semantics.oracle import Oracle
-from repro.semantics.metrics import completeness, relative_error
+from repro import lazy_exports
 
-__all__ = [
-    "ValidityBounds",
-    "check_single_site_validity",
-    "check_approximate_single_site_validity",
-    "stable_core",
-    "Oracle",
-    "completeness",
-    "relative_error",
-]
+_EXPORTS = {
+    "ValidityBounds": "validity",
+    "check_single_site_validity": "validity",
+    "check_approximate_single_site_validity": "validity",
+    "stable_core": "validity",
+    "Oracle": "oracle",
+    "completeness": "metrics",
+    "relative_error": "metrics",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,28 +27,21 @@ one-shot/continuous queries) lives in
 :mod:`repro.experiments.query_mix`, and the CLI in ``repro serve``.
 """
 
-from repro.service.admission import AdmissionConfig, AdmissionController
-from repro.service.engine import MuxEngine
-from repro.service.service import QueryService, ServiceReport
-from repro.service.session import QueryOutcome, QuerySession, QueryStatus
-from repro.service.sharing import (
-    SharedComputation,
-    SharedFloodCache,
-    computation_key,
-    consensus_seed,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
-    "MuxEngine",
-    "QueryService",
-    "ServiceReport",
-    "QueryOutcome",
-    "QuerySession",
-    "QueryStatus",
-    "SharedComputation",
-    "SharedFloodCache",
-    "computation_key",
-    "consensus_seed",
-]
+_EXPORTS = {
+    "AdmissionConfig": "admission",
+    "AdmissionController": "admission",
+    "MuxEngine": "engine",
+    "QueryService": "service",
+    "ServiceReport": "service",
+    "QueryOutcome": "session",
+    "QuerySession": "session",
+    "QueryStatus": "session",
+    "SharedComputation": "sharing",
+    "SharedFloodCache": "sharing",
+    "computation_key": "sharing",
+    "consensus_seed": "sharing",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,49 +14,32 @@ accounts into one :class:`~repro.simulation.stats.CostAccounting`, whose
 packed per-host counts keep a million-host run in bounded memory.
 """
 
-from repro.simulation.clock import SimulationClock, tick_index, tick_time
-from repro.simulation.delay import (
-    DelayModel,
-    FixedDelay,
-    HeavyTailDelay,
-    PerEdgeDelay,
-    UniformDelay,
-    delay_model_from_spec,
-)
-from repro.simulation.engine import Simulator, SimulationResult
-from repro.simulation.events import (
-    Event,
-    EventKind,
-    EventQueue,
-)
-from repro.simulation.host import HostContext, ProtocolHost
-from repro.simulation.messages import Message
-from repro.simulation.network import DynamicNetwork, NetworkEvent, NetworkEventKind
-from repro.simulation.stats import CostAccounting
-from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
+from repro import lazy_exports
 
-__all__ = [
-    "SimulationClock",
-    "tick_index",
-    "tick_time",
-    "Simulator",
-    "SimulationResult",
-    "Event",
-    "EventKind",
-    "EventQueue",
-    "HostContext",
-    "ProtocolHost",
-    "Message",
-    "DynamicNetwork",
-    "NetworkEvent",
-    "NetworkEventKind",
-    "CostAccounting",
-    "DelayModel",
-    "FixedDelay",
-    "UniformDelay",
-    "PerEdgeDelay",
-    "HeavyTailDelay",
-    "delay_model_from_spec",
-    "ChurnSchedule",
-    "uniform_failure_schedule",
-]
+_EXPORTS = {
+    "SimulationClock": "clock",
+    "tick_index": "clock",
+    "tick_time": "clock",
+    "Simulator": "engine",
+    "SimulationResult": "engine",
+    "Event": "events",
+    "EventKind": "events",
+    "EventQueue": "events",
+    "HostContext": "host",
+    "ProtocolHost": "host",
+    "Message": "messages",
+    "DynamicNetwork": "network",
+    "NetworkEvent": "network",
+    "NetworkEventKind": "network",
+    "CostAccounting": "stats",
+    "DelayModel": "delay",
+    "FixedDelay": "delay",
+    "UniformDelay": "delay",
+    "PerEdgeDelay": "delay",
+    "HeavyTailDelay": "delay",
+    "delay_model_from_spec": "delay",
+    "ChurnSchedule": "churn",
+    "uniform_failure_schedule": "churn",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

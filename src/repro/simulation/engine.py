@@ -575,6 +575,13 @@ class EventEngine:
                 self.wireless, session.qid, v_land)
 
     def _dispatch(self, time: float, event: Event, ctx: HostContext) -> None:
+        """Handle one event the drain does not inline.
+
+        An event no branch handles -- a DELIVER filed through
+        ``EventQueue.push`` (deliveries are filed as messages), a CUSTOM
+        whose ``data`` is not callable -- raises :class:`ValueError`
+        rather than vanish from the run.
+        """
         kind = event.kind
         if kind is EventKind.QUERY_START:
             self._on_query_start(time, event, ctx)
@@ -601,10 +608,11 @@ class EventEngine:
                 self.tracer.join(time, new_id)
             for session in self._active.values():
                 session.on_join(new_id)
-        elif kind is EventKind.CUSTOM:
-            handler = event.data
-            if callable(handler):
-                handler(self)
+        elif kind is EventKind.CUSTOM and callable(event.data):
+            event.data(self)
+        else:
+            raise ValueError(
+                f"no handler for a {kind.name} event at t={time!r}")
 
 
 class Simulator(EventEngine):

@@ -227,10 +227,11 @@ class EventQueue:
         """Fast-path scheduling of a message delivery (the hot event kind).
 
         The bare :class:`Message` is stored in the deliver bucket of its
-        instant with no :class:`Event` wrapper.  Ordering semantics are
-        identical to ``push(time, EventKind.DELIVER, message=message)``;
-        the only difference is that fast-path deliveries cannot be
-        cancelled (the simulator never cancels deliveries).
+        instant with no :class:`Event` wrapper, and a bare message is
+        what the engine delivers: an ``Event`` of kind DELIVER filed
+        through :meth:`push` orders the same way, but the engine rejects
+        it when it comes due.  Fast-path deliveries cannot be cancelled
+        (the simulator never cancels deliveries).
         """
         self._bucket_at(time, _DELIVER_PRIORITY).append(message)
         self._size += 1
@@ -312,20 +313,20 @@ class EventQueue:
         only until its first live entry) -- far from touching every event,
         so a metrics snapshot stays safe to take mid-run at any scale.
 
-        ``slots`` counts the distinct timestamps in the table,
-        ``horizon`` is the latest timestamp that still has a live
-        (non-cancelled, unconsumed) entry and ``current_epoch`` the index,
-        in units of ``width``, of the earliest such timestamp -- exactly
-        the window the sharded lane's barrier scheduler reasons about.
-        Both are ``None`` when no live entries remain; cancelled events
-        and already-drained positions never count.
+        ``slots`` counts the distinct timestamps that still have a live
+        (non-cancelled, unconsumed) entry, ``horizon`` is the latest of
+        them and ``current_epoch`` the index, in units of ``width``, of
+        the earliest -- exactly the window the sharded lane's barrier
+        scheduler reasons about.  Both are ``None`` when no live entries
+        remain; cancelled events and already-drained positions never
+        count.
         """
         live = [key[0] for key, bucket in self._buckets.items()
                 if next(self._live(bucket), None) is not None]
         return {
             "pending": len(self),
             "cancelled": self._num_cancelled,
-            "slots": len({key[0] for key in self._buckets}),
+            "slots": len(set(live)),
             "horizon": max(live, default=None),
             "current_epoch": (tick_index(min(live), self._width) if live
                               else None),

@@ -19,8 +19,6 @@ Like the vector lane, engagement is conservative and observable:
 
 from __future__ import annotations
 
-import multiprocessing
-
 __all__ = ["maybe_run", "pool_context"]
 
 
@@ -29,7 +27,10 @@ def pool_context():
     forked from (shard workers here, the executor's trial pool, the
     service's query-mix shards): ``fork`` where the platform has it --
     fast, and workers inherit registered runners and the live simulator --
-    else the platform default."""
+    else the platform default.  ``multiprocessing`` is imported here, so
+    a run that never forks does not load it."""
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()

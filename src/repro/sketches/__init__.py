@@ -6,42 +6,25 @@ combine function is a bitwise OR, which lets the WILDFIRE protocol aggregate
 them without worrying about a value being folded in more than once.
 """
 
-from repro.sketches.fm import (
-    FM_CORRECTION,
-    FMSketch,
-    estimate_count,
-    sketch_for_new_element,
-    sketch_for_value,
-)
-from repro.sketches.combiners import (
-    AverageState,
-    Combiner,
-    ExactAverageCombiner,
-    ExactCountCombiner,
-    ExactSumCombiner,
-    FMAverageCombiner,
-    FMCountCombiner,
-    FMSumCombiner,
-    MaxCombiner,
-    MinCombiner,
-    combiner_for_query,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "FMSketch",
-    "FM_CORRECTION",
-    "sketch_for_new_element",
-    "sketch_for_value",
-    "estimate_count",
-    "Combiner",
-    "MinCombiner",
-    "MaxCombiner",
-    "ExactCountCombiner",
-    "ExactSumCombiner",
-    "ExactAverageCombiner",
-    "FMCountCombiner",
-    "FMSumCombiner",
-    "FMAverageCombiner",
-    "AverageState",
-    "combiner_for_query",
-]
+_EXPORTS = {
+    "FMSketch": "fm",
+    "FM_CORRECTION": "fm",
+    "sketch_for_new_element": "fm",
+    "sketch_for_value": "fm",
+    "estimate_count": "fm",
+    "Combiner": "combiners",
+    "MinCombiner": "combiners",
+    "MaxCombiner": "combiners",
+    "ExactCountCombiner": "combiners",
+    "ExactSumCombiner": "combiners",
+    "ExactAverageCombiner": "combiners",
+    "FMCountCombiner": "combiners",
+    "FMSumCombiner": "combiners",
+    "FMAverageCombiner": "combiners",
+    "AverageState": "combiners",
+    "combiner_for_query": "combiners",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,6 +6,10 @@ a random graph with average degree 5, a power-law graph (gamma ~= 2.9) and a
 (the Gnutella crawl is replaced by a calibrated synthetic stand-in; see
 DESIGN.md) plus small deterministic topologies used in the paper's proofs
 and in the test suite.
+
+Unlike the other ``repro`` packages, whose names resolve on first use,
+this one imports its generators eagerly: it defines
+:func:`topology_from_spec` over them, and every run builds a topology.
 """
 
 from repro.topology.base import Topology

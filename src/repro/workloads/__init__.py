@@ -1,29 +1,17 @@
 """Workload generators: attribute-value distributions and churn models."""
 
-from repro.workloads.values import (
-    constant_values,
-    uniform_values,
-    zipf_values,
-)
-from repro.workloads.churn_models import (
-    churn_for_fraction,
-    departures_sweep,
-    session_lifetimes,
-)
-from repro.workloads.query_mix import (
-    QueryMixConfig,
-    QuerySubmission,
-    generate_query_mix,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "zipf_values",
-    "uniform_values",
-    "constant_values",
-    "churn_for_fraction",
-    "departures_sweep",
-    "session_lifetimes",
-    "QueryMixConfig",
-    "QuerySubmission",
-    "generate_query_mix",
-]
+_EXPORTS = {
+    "zipf_values": "values",
+    "uniform_values": "values",
+    "constant_values": "values",
+    "churn_for_fraction": "churn_models",
+    "departures_sweep": "churn_models",
+    "session_lifetimes": "churn_models",
+    "QueryMixConfig": "query_mix",
+    "QuerySubmission": "query_mix",
+    "generate_query_mix": "query_mix",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

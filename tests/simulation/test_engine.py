@@ -8,11 +8,13 @@ from repro.obs.trace import RingTracer
 from repro.protocols.base import prepare_protocol_run, protocol_from_spec
 from repro.simulation.churn import ChurnSchedule
 from repro.simulation.engine import Simulator
+from repro.simulation.events import EventKind
 from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
 from repro.topology import topology_from_spec
-from repro.topology.primitives import chain_topology, star_topology
+from repro.topology.primitives import (chain_topology, ring_topology,
+                                      star_topology)
 from repro.topology.random_graph import random_topology
 
 
@@ -56,6 +58,20 @@ class TimerHost(ProtocolHost):
 
     def on_timer(self, name: str, data: Any, ctx: HostContext) -> None:
         self.fired.append((ctx.now, name, data))
+
+
+class QuietHost(ProtocolHost):
+    """Sends nothing; records the payload of every message it handles."""
+
+    def __init__(self, host_id: int) -> None:
+        super().__init__(host_id, 0.0)
+        self.received = []
+
+    def on_query_start(self, ctx: HostContext) -> None:
+        pass
+
+    def on_message(self, message: Message, ctx: HostContext) -> None:
+        self.received.append(message.payload)
 
 
 def build_simulator(topology, hosts=None, **kwargs):
@@ -222,6 +238,23 @@ class TestRunControl:
             Simulator(network=network, hosts=hosts[:2], querying_host=0)
         with pytest.raises(ValueError):
             Simulator(network=network, hosts=hosts, querying_host=0, delta=0.0)
+
+    @pytest.mark.parametrize("kind, fields", [
+        (EventKind.DELIVER, {"message": Message(
+            0, 1, "hello", {}, 0.0, 1, False, 0, 0.5)}),
+        (EventKind.CUSTOM, {"data": "not callable"}),
+    ])
+    def test_an_event_no_branch_handles_raises(self, kind, fields):
+        """Deliveries are filed as bare messages: a DELIVER ``Event``
+        filed through ``push``, like a CUSTOM one with nothing to call,
+        names itself instead of vanishing from the run."""
+        hosts = [QuietHost(i) for i in range(4)]
+        simulator = Simulator(network=ring_topology(4).to_network(),
+                              hosts=hosts, querying_host=0, lane="python")
+        simulator._queue.push(0.5, kind, **fields)
+        with pytest.raises(ValueError, match=f"{kind.name} event at t=0.5"):
+            simulator.run()
+        assert hosts[1].received == []
 
     def test_result_reports_querying_host_value(self):
         topo = chain_topology(4)

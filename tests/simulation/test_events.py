@@ -293,6 +293,18 @@ class TestOccupancyWindow:
         assert occupancy["horizon"] == 2.0
         assert occupancy["current_epoch"] == 2
 
+    def test_slots_count_only_timestamps_with_a_live_entry(self):
+        queue = EventQueue()
+        queue.push(1.0, EventKind.TIMER, host=0, timer_name="t")
+        queue.push(2.0, EventKind.TIMER, host=1, timer_name="t")
+        pop(queue)
+        occupancy = queue.occupancy()
+        assert (occupancy["pending"], occupancy["slots"]) == (1, 1)
+        pop(queue)  # the drained 2.0 bucket stays filed until the next pop
+        occupancy = queue.occupancy()
+        assert (occupancy["pending"], occupancy["slots"],
+                occupancy["horizon"]) == (0, 0, None)
+
     def test_cancelled_events_never_count(self):
         queue = EventQueue()
         keep = queue.push(1.0, EventKind.TIMER, host=0, timer_name="t")

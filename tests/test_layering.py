@@ -13,21 +13,30 @@ which messages of instant ``t`` a host failing at ``t`` still handles is
 the calendar's to state, so the in-process tick lane neither moves a
 clock nor applies a failure; only the sharded lane, on its own clock,
 carries a failure plan.
+
+The import set is a checked fact too, each in a fresh interpreter: a
+package ``__init__`` imports nothing, so ``import repro`` loads one
+module and the engine loads no surface package (nor ``multiprocessing``).
 """
 
 import ast
+import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import repro
 
 ROOT = pathlib.Path(repro.__file__).parent
 
+#: Every package under ``repro``, dotted.
+PACKAGES = sorted(
+    ".".join(("repro",) + path.parent.relative_to(ROOT).parts)
+    for path in ROOT.rglob("__init__.py"))
+
 #: ``(file, imported name) -> the cycle a function-level import breaks``.
-NESTED_IMPORTS_KEPT = {
-    ("orchestration/spec.py", "repro.__version__"):
-        "repro/__init__.py imports orchestration before it binds "
-        "__version__",
-}
+NESTED_IMPORTS_KEPT = {}
 
 
 def _repro_imports(path):
@@ -135,3 +144,77 @@ def test_the_calendar_alone_drives_the_in_process_tick_lane():
     )
     assert defined == ["simulation/sharded/coordinator.py",
                        "simulation/sharded/worker.py"]
+
+
+def _fresh(*args):
+    """The stdout of ``python *args`` in a fresh interpreter that imports
+    this ``repro``; a non-zero exit fails the test with its stderr."""
+    path = os.pathsep.join(
+        filter(None, [str(ROOT.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_LOADED = ("import sys; print(' '.join(sorted(name for name in sys.modules"
+           " if name.split('.')[0] in ('repro', 'multiprocessing'))))")
+
+
+def test_importing_repro_loads_no_other_repro_module():
+    assert _fresh("-c", "import repro; " + _LOADED).split() == ["repro"]
+
+
+def test_the_engine_loads_no_surface_package_and_no_multiprocessing():
+    loaded = _fresh(
+        "-c", "import repro.simulation.engine; " + _LOADED).split()
+    assert "repro.simulation.engine" in loaded
+    assert [name for name in loaded if name.startswith((
+        "repro.experiments", "repro.orchestration", "repro.service",
+        "repro.obs.provenance", "multiprocessing"))] == []
+
+
+def test_every_package_table_entry_resolves_in_a_fresh_interpreter():
+    """Each package's name -> module table is the one sanctioned late
+    resolution of a ``repro`` name: nothing imports an exported name
+    until it is first used, so a typo or an import cycle would hide
+    until then.  Here each defining module of each table is loaded with
+    no other ``repro`` module but the package ``__init__``s (they are
+    dropped before each), and every name of it resolves."""
+    code = f"""
+import importlib, sys
+resolved = 0
+for package in {PACKAGES!r}:
+    table = getattr(importlib.import_module(package), "_EXPORTS", {{}})
+    for module in dict.fromkeys(table.values()):
+        for name in [name for name in sys.modules
+                     if name.split(".")[0] == "repro"]:
+            del sys.modules[name]
+        names = [name for name in table if table[name] == module]
+        for name in names:
+            getattr(importlib.import_module(package), name)
+        resolved += len(names)
+print(resolved)
+"""
+    exported = sum(
+        len(getattr(importlib.import_module(package), "_EXPORTS", {}))
+        for package in PACKAGES)
+    assert exported > 0
+    assert _fresh("-c", code) == f"{exported}\n"
+
+
+def test_dir_lists_every_export_and_star_imports_work():
+    code = f"""
+import importlib
+for package in {PACKAGES!r}:
+    module = importlib.import_module(package)
+    assert set(module.__all__) <= set(dir(module)), package
+    exec(f"from {{package}} import *", {{}})
+print("ok")
+"""
+    assert _fresh("-c", code) == "ok\n"
+
+
+def test_the_cli_entry_point_starts():
+    assert _fresh("-m", "repro", "--help").startswith("usage: repro")
