@@ -1,9 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper at a reduced
-scale (the paper's 40K-host networks are out of reach for a quick pure-
-Python benchmark run; EXPERIMENTS.md documents larger-scale runs).  Each
-benchmark prints the regenerated table so `pytest benchmarks/
+scale (``BENCH_SCALE`` times the sizes in ``experiments/figures.py``;
+``repro run --scale`` runs larger ones).  Each benchmark prints the regenerated table so `pytest benchmarks/
 --benchmark-only` output doubles as a reproduction report, and attaches key
 numbers to the benchmark's ``extra_info``.
 """
@@ -31,12 +30,12 @@ def run_once(benchmark, func, *args, **kwargs):
 
 def run_orchestrated(benchmark, figure_id, *, scale=BENCH_SCALE, trials=1,
                      workers=1, store=None, force=False):
-    """Run a figure's trial matrix through the orchestration subsystem.
+    """Run a figure's trials the way ``python -m repro run`` does.
 
     Routes the benchmark through :func:`repro.orchestration.figures.
-    run_figure_matrix` (spec -> executor -> cache) so the harness measures
-    the same path the ``python -m repro`` CLI exercises.  Returns the
-    figure's :class:`~repro.orchestration.executor.RunReport`.
+    run_figure_matrix` (seeded trials -> pool -> cache), so the harness
+    measures the CLI's path.  Returns the figure's
+    :class:`~repro.orchestration.figures.RunReport`.
     """
     from repro.orchestration.figures import run_figure_matrix
 

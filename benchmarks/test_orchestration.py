@@ -1,8 +1,9 @@
 """Orchestration-layer benchmarks: cold execution versus warm cache.
 
-The cold benchmark measures a figure run routed through the spec ->
-executor -> store pipeline; the warm benchmark re-runs the identical spec
-against a pre-populated cache and should complete in milliseconds while
+The cold benchmark measures a figure run routed through
+:func:`~repro.orchestration.figures.run_figure_matrix` and the result
+store; the warm benchmark re-runs the identical figure run against a
+pre-populated cache and should complete in milliseconds while
 returning bit-identical values.
 """
 

@@ -14,12 +14,13 @@ option (``--scale``, ``--seed``, ``--trials``, ``--workers``,
 ``--no-cache``, ``--force``, ``--quiet``, ``--cache-dir``) works here too.
 Figure runs fan out over ``--workers`` processes and are cached
 content-addressably under ``.repro_cache/``; note that per-trial driver
-seeds are derived from the experiment spec and ``--seed``, so use
-``repro.experiments.figures.run_figure`` directly to drive a specific
-raw seed.
+seeds are derived from the figure id, ``--scale``, ``--trials`` and
+``--seed``, so use ``repro.experiments.figures.run_figure`` directly to
+drive a specific raw seed.
 
-``--scale 1.0`` is still far below the paper's 40K-host networks; scale
-up gradually and expect runtime to grow superlinearly with network size.
+``--scale 1.0`` is the sizes written in ``repro/experiments/figures.py``,
+which are below the paper's 40K-host networks; scale up gradually and
+expect runtime to grow superlinearly with network size.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Experiment harness: one driver per table/figure of the paper.
 
 Every driver accepts a scale/size parameter so the same code runs both the
-fast, scaled-down configurations used in the benchmark suite and the
-paper-scale configurations (see EXPERIMENTS.md for the recorded outputs).
+fast, scaled-down configurations used in the benchmark suite and larger
+ones; scale 1.0 is the sizes written in :mod:`.figures`.
 """
 
 from repro import lazy_exports

@@ -1,8 +1,8 @@
 """Registry mapping figure identifiers to their experiment drivers.
 
-Each entry runs a scaled-down version of the corresponding paper figure and
-returns a list of dictionaries (one per table row); EXPERIMENTS.md records a
-representative output of every entry next to the paper's reported shape.
+Each entry runs the corresponding paper figure at the sizes written here
+times ``scale`` (below the paper's 40K-host networks even at scale 1.0) and
+returns a list of dictionaries (one per table row).
 """
 
 from __future__ import annotations

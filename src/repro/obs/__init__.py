@@ -28,7 +28,6 @@ _EXPORTS = {
     "collect_run_metrics": "metrics",
     "collect_service_metrics": "metrics",
     "collect_shard_metrics": "metrics",
-    "worker_utilisation": "metrics",
     "PhaseTimer": "profiling",
     "ProfileCapture": "profiling",
     "MetricsStreamWriter": "stream",

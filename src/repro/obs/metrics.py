@@ -34,7 +34,6 @@ __all__ = [
     "collect_queue_metrics",
     "collect_service_metrics",
     "collect_shard_metrics",
-    "worker_utilisation",
 ]
 
 
@@ -293,15 +292,3 @@ def collect_service_metrics(service) -> Dict[str, Any]:
     snapshot["service.retired_order"] = list(engine.retired_order)
     return snapshot
 
-
-def worker_utilisation(report) -> float:
-    """Fraction of the worker pool's wall-clock budget spent in trials.
-
-    ``sum(per-trial elapsed) / (batch elapsed * workers)`` over the
-    trials a :class:`RunReport` actually executed; cached trials cost no
-    worker time and are excluded.  1.0 means the pool never idled.
-    """
-    if report.elapsed <= 0 or report.workers <= 0:
-        return 0.0
-    busy = sum(r.elapsed for r in report.results if not r.cached)
-    return min(1.0, busy / (report.elapsed * report.workers))

@@ -1,34 +1,21 @@
-"""Parallel experiment orchestration: specs, execution, and result caching.
+"""Figure runs: seeded trials over a process pool, with a result cache.
 
-The subsystem separates *what* an experiment is from *how* it runs:
-
-- :class:`ExperimentSpec` declares a trial matrix (axes x repetitions)
-  with a stable content hash;
-- :class:`ParallelExecutor` / :func:`run_spec` fan trials out over a
-  process pool with per-trial seeds derived from the spec hash, so results
-  are identical for any worker count;
+- :func:`run_figure_matrix` runs trials of the paper-figure registry of
+  :mod:`repro.experiments.figures` over one shared pool, each trial's
+  seed derived from the run's identity hash (:func:`derive_trial_seed`),
+  so results are identical for any worker count;
 - :class:`ResultStore` content-addresses results on disk for
   skip-if-cached resume and incremental re-runs;
-- :func:`figure_spec` / :func:`run_figure_matrix` bridge the paper-figure
-  registry of :mod:`repro.experiments.figures` to all of the above;
 - :mod:`repro.orchestration.cli` exposes it all as ``python -m repro``.
 """
 
 from repro import lazy_exports
 
 _EXPORTS = {
-    "ExperimentSpec": "spec",
-    "Trial": "spec",
-    "derive_trial_seed": "spec",
-    "ParallelExecutor": "executor",
-    "RunReport": "executor",
-    "TrialResult": "executor",
-    "run_spec": "executor",
-    "run_specs": "executor",
-    "figure_spec": "figures",
+    "RunReport": "figures",
+    "derive_trial_seed": "figures",
     "run_figure_matrix": "figures",
-    "register_runner": "runners",
-    "resolve_runner": "runners",
+    "worker_utilisation": "figures",
     "ResultStore": "store",
     "default_cache_root": "store",
 }

@@ -19,7 +19,7 @@ Exposed both as ``python -m repro`` and as the ``repro`` console script:
     repro obs report bench.json        # epoch/barrier straggler report
     repro delay-sweep --size 200 --departures 0 10  # validity vs delay
     repro cache ls                     # list cached results
-    repro cache clear 3fa9c1           # evict one spec (cache-key prefix)
+    repro cache clear 3fa9c1           # evict one record (cache-key prefix)
     repro cache clear --all            # evict everything
 """
 
@@ -45,8 +45,8 @@ from repro.obs.stream import (MetricsStreamWriter, PeriodicSampler,
                               read_metrics_stream, set_progress_board)
 from repro.obs.timeline import ShardTimeline
 from repro.obs.trace import RingTracer
-from repro.orchestration.executor import RunReport
-from repro.orchestration.figures import run_figure_matrix
+from repro.orchestration.figures import (RunReport, run_figure_matrix,
+                                        worker_utilisation)
 from repro.orchestration.store import ResultStore, default_cache_root
 from repro.service import AdmissionConfig
 from repro.simulation.vector_lane import DEFAULT_LANE, LANES
@@ -137,9 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("figures", nargs="+", metavar="FIGURE",
                      help="figure ids (e.g. fig8) or 'all'")
     run.add_argument("--scale", type=float, default=0.5,
-                     help="network-size scale factor: 1.0 = the paper's "
-                          "sizes, >1 runs beyond-paper networks "
-                          "(default 0.5)")
+                     help="network-size scale factor: 1.0 = the sizes "
+                          "in experiments/figures.py, >1 runs larger "
+                          "networks (default 0.5)")
     run.add_argument("-t", "--trials", type=int, default=1,
                      help="independent trials per figure (default 1)")
     run.add_argument("--seed", type=int, default=0,
@@ -356,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_ls.add_argument("--cache-dir", default=None)
     cache_clear = cache_sub.add_parser("clear", help="remove cached records")
     cache_clear.add_argument("hash", nargs="?", default=None,
-                             help="spec hash (or unique prefix) to evict")
+                             help="cache key (or unique prefix) to evict")
     cache_clear.add_argument("--all", action="store_true", dest="clear_all",
                              help="evict every record")
     cache_clear.add_argument("--cache-dir", default=None)
@@ -371,8 +371,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _print_report(figure_id: str, report: RunReport, quiet: bool) -> None:
-    spec = report.spec
-    print(f"== {figure_id}: {spec.name} "
+    print(f"== {figure_id}: {report.name} "
           f"[cache {report.cache_key[:12]}] ==")
     if not quiet:
         first = report.results[0]
@@ -388,13 +387,9 @@ def _print_report(figure_id: str, report: RunReport, quiet: bool) -> None:
                 "cached": "yes" if result.cached else "no",
             } for result in report.results]
             print(format_table(summary, title="Trials"))
-    cached = report.num_cached
-    utilisation = (f", {report.worker_utilisation:.0%} utilised"
-                   if report.workers > 1 and report.num_executed else "")
     print(f"-- {len(report.results)} trials "
-          f"({cached} cached, {report.num_executed} executed) "
-          f"in {report.elapsed:.2f}s with {report.workers} worker(s)"
-          f"{utilisation} --")
+          f"({report.num_cached} cached, {report.num_executed} executed) "
+          f"in {report.elapsed:.2f}s with {report.workers} worker(s) --")
     print()
 
 
@@ -414,6 +409,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             force=args.force, progress=log.debug)
     for figure_id, report in reports.items():
         _print_report(figure_id, report, args.quiet)
+    workers = max(report.workers for report in reports.values())
+    if workers > 1:
+        print(f"-- batch: {worker_utilisation(reports.values()):.0%} of "
+              f"{workers} worker(s) utilised --")
     return 0
 
 
@@ -821,8 +820,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # Completed trials are already persisted; a re-run resumes there.
-        print("\ninterrupted; finished trials are cached", file=sys.stderr)
+        # Only ``run`` with a store persists as it goes; a re-run of it
+        # resumes from the last finished trial.
+        resumable = args.command == "run" and not args.no_cache
+        print("\ninterrupted" + ("; finished trials are cached"
+                                 if resumable else ""), file=sys.stderr)
         return 130
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like a

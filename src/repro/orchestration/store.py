@@ -1,12 +1,12 @@
 """Content-addressed on-disk cache of experiment results.
 
-Records live under ``.repro_cache/<hh>/<key>.json`` where ``key`` is the
-spec's :meth:`~repro.orchestration.spec.ExperimentSpec.cache_key` (identity
-hash + package version) and ``hh`` is its first two hex digits (a git-style
-fan-out that keeps directories small).  A record stores the spec that
-produced it
-plus one entry per completed trial, so partially-executed specs resume
-incrementally: the executor re-runs only the missing trial indices.
+Records live under ``.repro_cache/<hh>/<key>.json`` where ``key`` is a
+figure run's cache key (identity hash + package version, see
+:mod:`repro.orchestration.figures`) and ``hh`` is its first two hex digits
+(a git-style fan-out that keeps directories small).  A record stores the
+spec that produced it plus one entry per completed trial, so a
+partially-executed run resumes incrementally: only the missing trial
+indices re-run.
 
 Corrupt or unreadable records are treated as cache misses -- the trial is
 simply recomputed and the record rewritten -- so a truncated file can never
@@ -40,7 +40,7 @@ def default_cache_root() -> Path:
 
 
 class ResultStore:
-    """Content-addressed JSON store keyed by the spec's cache key."""
+    """Content-addressed JSON store keyed by a figure run's cache key."""
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_root()

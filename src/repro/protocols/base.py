@@ -134,7 +134,7 @@ def protocol_from_spec(spec: "Protocol | str") -> Protocol:
     the registered protocols: ``wildfire``, ``spanning-tree``, ``dagK``
     (K >= 2 parents, e.g. ``dag2``), ``allreport``, ``randomized-report``
     and ``gossip``.  This is the single resolver behind ``repro bench``,
-    ``repro serve``, the orchestration runners and the query-mix workload
+    ``repro serve``, ``repro delay-sweep`` and the query-mix workload
     generator, so every surface accepts the same names.
     """
     if isinstance(spec, Protocol):

@@ -46,8 +46,8 @@ def topology_from_spec(name: str, size: int, seed: int = 0) -> Topology:
 
     The sibling of :func:`repro.protocols.base.protocol_from_spec` and
     :func:`repro.simulation.delay.delay_model_from_spec`: the single
-    resolver behind ``repro bench | serve | delay-sweep``, the
-    orchestration runners and the scale / query-mix drivers, so every
+    resolver behind ``repro bench | serve | delay-sweep`` and the
+    scale / query-mix drivers, so every
     surface accepts the same names and rejects an unknown one with the
     same ``KeyError``.
     """

@@ -1,7 +1,6 @@
 """Tests for the variable-delay validity sweep driver."""
 
 from repro.experiments.delay_sweep import DEFAULT_DELAY_SPECS, run_delay_sweep
-from repro.orchestration.runners import resolve_runner
 from repro.topology.random_graph import random_topology
 
 
@@ -49,14 +48,3 @@ def test_variable_delay_never_finishes_later_than_fixed():
             f"{protocol} finished later under variable delay"
         )
 
-
-def test_delay_sweep_runner_produces_rows():
-    runner = resolve_runner("delay-sweep")
-    rows = runner({"topology": "random", "size": 36, "aggregate": "count",
-                   "delay": "heavy_tail:1.2", "departures": 4,
-                   "protocol": "wildfire", "trials": 1}, seed=5)
-    assert rows
-    for row in rows:
-        assert row["delay"] == "heavy_tail:1.2"
-        assert row["protocol"] == "wildfire"
-        assert row["R"] == 4

@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     collect_run_metrics,
     collect_service_metrics,
     collect_shard_metrics,
-    worker_utilisation,
 )
 from repro.protocols.base import run_protocol
 from repro.protocols.wildfire import Wildfire
@@ -172,39 +171,3 @@ class TestServiceCollector:
         spec_depths, spec_queued = mid_run()
         assert spec_depths == depths
         assert sum(spec_depths.values()) <= spec_queued
-
-
-class TestWorkerUtilisation:
-    class _Result:
-        def __init__(self, elapsed, cached=False):
-            self.elapsed = elapsed
-            self.cached = cached
-
-    class _Report:
-        def __init__(self, results, elapsed, workers):
-            self.results = results
-            self.elapsed = elapsed
-            self.workers = workers
-
-    def test_busy_fraction(self):
-        report = self._Report(
-            [self._Result(2.0), self._Result(2.0),
-             self._Result(1.0, cached=True)],
-            elapsed=4.0, workers=2)
-        assert worker_utilisation(report) == pytest.approx(0.5)
-
-    def test_degenerate_reports_are_zero(self):
-        assert worker_utilisation(
-            self._Report([], elapsed=0.0, workers=4)) == 0.0
-
-    def test_real_run_report_exposes_property(self):
-        from repro.orchestration.executor import run_spec
-        from repro.orchestration.spec import ExperimentSpec
-
-        spec = ExperimentSpec.create(
-            name="util-smoke", runner="validity-point",
-            axes={"protocol": ["wildfire"], "topology": ["random"],
-                  "size": [30], "aggregate": ["count"]},
-            num_trials=2, base_seed=SEED)
-        report = run_spec(spec)
-        assert 0.0 <= report.worker_utilisation <= 1.0

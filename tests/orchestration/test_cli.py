@@ -133,12 +133,43 @@ def test_stats_option_is_gone(command, capsys):
     assert "--stats" in capsys.readouterr().err
 
 
-def test_run_on_a_worker_pool_needs_no_stats_restriction(capsys):
-    """Every worker process accounts into the same bounded-memory sink,
-    so nothing about accounting constrains ``--workers``."""
+def test_run_reports_the_processes_that_ran(capsys):
+    """One pending trial runs in process, whatever ``--workers`` asks
+    for; it used to print ``with 4 worker(s), 25% utilised``."""
     assert main(["run", "fig6", *RUN_ARGS, "--no-cache",
-                 "--workers", "2"]) == 0
-    assert "1 trials" in capsys.readouterr().out
+                 "--workers", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "1 trials (0 cached, 1 executed)" in out
+    assert "with 1 worker(s) --" in out and "utilised" not in out
+
+
+def test_run_prints_utilisation_once_for_the_batch(capsys):
+    assert main(["run", "fig7", "fig9", "--scale", "0.05", "--no-cache",
+                 "-q", "--workers", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum("with 2 worker(s) --" in line for line in lines) == 2
+    [batch] = [line for line in lines if "utilised" in line]
+    assert batch.startswith("-- batch: ")
+    assert 0 < int(batch.split()[2].rstrip("%")) <= 100
+
+
+@pytest.mark.parametrize("command, cached", [
+    (["bench", "--hosts", "64"], False),
+    (["run", "fig6", *RUN_ARGS, "--no-cache"], False),
+    (["run", "fig6", *RUN_ARGS], True),
+])
+def test_interrupt_says_cached_only_when_trials_were(
+        command, cached, tmp_path, monkeypatch, capsys):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    from repro.orchestration import cli
+
+    monkeypatch.setattr(cli, "run_scale_benchmark", interrupt)
+    monkeypatch.setattr(cli, "run_figure_matrix", interrupt)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(command) == 130
+    assert ("cached" in capsys.readouterr().err) is cached
 
 
 def test_bench_profile_refuses_trajectory_json(tmp_path, capsys):

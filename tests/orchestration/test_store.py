@@ -2,75 +2,57 @@
 
 import json
 
-from repro.orchestration.executor import run_spec
-from repro.orchestration.spec import ExperimentSpec
+import pytest
+
+from repro.orchestration.figures import run_figure_matrix
 from repro.orchestration.store import ResultStore
 
 
-def counting_runner(params, seed):
-    """Import-path runner that also counts invocations via a side file."""
-    import os
-
-    path = os.environ["COUNTING_RUNNER_LOG"]
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(f"{params.get('x')}:{seed}\n")
-    return {"x": params.get("x"), "seed": seed}
+def run(store, scale=1.0, trials=1):
+    """One ``echo`` figure run (see ``conftest.py``); ``scale`` tells
+    records apart."""
+    return run_figure_matrix(["echo"], scale=scale, num_trials=trials,
+                             store=store)["echo"]
 
 
-COUNTING = f"{__name__}:counting_runner"
+def key_of(scale=1.0, trials=1):
+    return run_figure_matrix(["echo"], scale=scale,
+                             num_trials=trials)["echo"].cache_key
 
 
-def make_spec(x=1, trials=1):
-    return ExperimentSpec.create("counted", COUNTING, axes={"x": [x]},
-                                 num_trials=trials)
-
-
-def invocations(log_path) -> int:
-    if not log_path.exists():
-        return 0
-    return len(log_path.read_text().splitlines())
-
-
-def test_cache_miss_then_hit(tmp_path, monkeypatch):
-    log = tmp_path / "calls.log"
-    monkeypatch.setenv("COUNTING_RUNNER_LOG", str(log))
+def test_cache_miss_then_hit(tmp_path, echo_figure):
     store = ResultStore(tmp_path / "cache")
-    spec = make_spec(trials=2)
+    assert store.load(key_of(trials=2)) is None  # miss
+    echo_figure.clear()
+    cold = run(store, trials=2)
+    assert len(echo_figure) == 2
+    assert store.has(cold.cache_key)
 
-    assert store.load(spec.cache_key()) is None  # miss
-    cold = run_spec(spec, store=store)
-    assert invocations(log) == 2
-    assert store.has(spec.cache_key())
-
-    warm = run_spec(spec, store=store)
-    assert invocations(log) == 2  # nothing recomputed
+    warm = run(store, trials=2)
+    assert len(echo_figure) == 2  # nothing recomputed
     assert warm.fully_cached
     assert warm.values == cold.values
 
 
-def test_corrupt_record_falls_back_to_recompute(tmp_path, monkeypatch):
-    log = tmp_path / "calls.log"
-    monkeypatch.setenv("COUNTING_RUNNER_LOG", str(log))
+def test_corrupt_record_falls_back_to_recompute(tmp_path, echo_figure):
     store = ResultStore(tmp_path / "cache")
-    spec = make_spec()
-    cold = run_spec(spec, store=store)
+    cold = run(store)
 
-    path = store.path_for(spec.cache_key())
+    path = store.path_for(cold.cache_key)
     path.write_text("{ this is not json", encoding="utf-8")
-    assert store.load(spec.cache_key()) is None
+    assert store.load(cold.cache_key) is None
 
-    recovered = run_spec(spec, store=store)
-    assert invocations(log) == 2  # recomputed once
+    recovered = run(store)
+    assert len(echo_figure) == 2  # recomputed once
     assert recovered.num_executed == 1
     assert recovered.values == cold.values
     # The rewritten record is valid again.
-    assert store.has(spec.cache_key())
+    assert store.has(cold.cache_key)
 
 
-def test_record_with_wrong_hash_or_shape_is_ignored(tmp_path):
+def test_record_with_wrong_hash_or_shape_is_ignored(tmp_path, echo_figure):
     store = ResultStore(tmp_path)
-    spec = make_spec()
-    spec_hash = spec.cache_key()
+    spec_hash = key_of()
     path = store.path_for(spec_hash)
     path.parent.mkdir(parents=True)
 
@@ -82,33 +64,28 @@ def test_record_with_wrong_hash_or_shape_is_ignored(tmp_path):
     assert store.load(spec_hash) is None
 
 
-def test_clear_removes_only_the_targeted_spec(tmp_path, monkeypatch):
-    monkeypatch.setenv("COUNTING_RUNNER_LOG", str(tmp_path / "calls.log"))
+def test_clear_removes_only_the_targeted_spec(tmp_path, echo_figure):
     store = ResultStore(tmp_path / "cache")
-    spec_a, spec_b = make_spec(x=1), make_spec(x=2)
-    run_spec(spec_a, store=store)
-    run_spec(spec_b, store=store)
+    key_a, key_b = run(store, scale=1.0).cache_key, \
+        run(store, scale=2.0).cache_key
     assert len(store.entries()) == 2
 
-    removed = store.clear(spec_a.cache_key())
+    removed = store.clear(key_a)
     assert removed == 1
-    assert not store.has(spec_a.cache_key())
-    assert store.has(spec_b.cache_key())
+    assert not store.has(key_a)
+    assert store.has(key_b)
 
     # Prefix eviction and clear-all.
-    run_spec(spec_a, store=store)
-    assert store.clear(spec_b.cache_key()[:12]) == 1
+    run(store, scale=1.0)
+    assert store.clear(key_b[:12]) == 1
     assert store.clear() == 1
     assert store.entries() == []
 
 
-def test_clear_refuses_short_or_ambiguous_prefixes(tmp_path, monkeypatch):
-    monkeypatch.setenv("COUNTING_RUNNER_LOG", str(tmp_path / "calls.log"))
+def test_clear_refuses_short_or_ambiguous_prefixes(tmp_path, echo_figure):
     store = ResultStore(tmp_path / "cache")
-    run_spec(make_spec(x=1), store=store)
-    run_spec(make_spec(x=2), store=store)
-
-    import pytest
+    run(store, scale=1.0)
+    run(store, scale=2.0)
 
     with pytest.raises(ValueError, match="too short"):
         store.clear("3")
@@ -124,24 +101,9 @@ def test_clear_refuses_short_or_ambiguous_prefixes(tmp_path, monkeypatch):
     assert store.clear(real) == 1
 
 
-def test_duplicate_specs_share_one_execution(tmp_path, monkeypatch):
-    from repro.orchestration.executor import run_specs
-
-    log = tmp_path / "calls.log"
-    monkeypatch.setenv("COUNTING_RUNNER_LOG", str(log))
+def test_entries_report_corrupt_records(tmp_path, echo_figure):
     store = ResultStore(tmp_path / "cache")
-    spec = make_spec(trials=2)
-    reports = run_specs([spec, spec], store=store)
-    assert invocations(log) == 2  # not 4: identical specs pooled
-    assert reports[0].values == reports[1].values
-
-
-def test_entries_report_corrupt_records(tmp_path, monkeypatch):
-    monkeypatch.setenv("COUNTING_RUNNER_LOG", str(tmp_path / "calls.log"))
-    store = ResultStore(tmp_path / "cache")
-    spec = make_spec()
-    run_spec(spec, store=store)
-    store.path_for(spec.cache_key()).write_text("garbage")
+    store.path_for(run(store).cache_key).write_text("garbage")
     entries = store.entries()
     assert len(entries) == 1
     assert entries[0]["name"] == "<corrupt>"

@@ -1,6 +1,6 @@
 """The package layering is a checked fact.
 
-``orchestration`` (specs, pool, cache, CLI) -> ``experiments`` (drivers)
+``orchestration`` (figure runs, pool, cache, CLI) -> ``experiments`` (drivers)
 -> ``protocols`` / ``service`` / ``topology`` / ``simulation``: nothing
 imports upward, and inside the two surface packages every ``repro``
 import sits at module top, where an import cycle would fail at once
