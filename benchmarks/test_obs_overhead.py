@@ -39,7 +39,6 @@ SEED = 1
 
 
 def test_traced_10k_run_within_overhead_budget():
-    from repro.obs.metrics import collect_run_metrics
     from repro.obs.trace import RingTracer
     from repro.protocols.base import run_protocol
     from repro.protocols.wildfire import Wildfire
@@ -105,7 +104,8 @@ def test_traced_10k_run_within_overhead_budget():
     # trace (Perfetto-loadable) and a metrics snapshot beside it.
     trace_bytes = os.path.getsize(TRACE_OUT) \
         if tracer.export_chrome(TRACE_OUT) >= 0 else 0
-    snapshot = collect_run_metrics(traced_result).snapshot()
+    snapshot = dict(traced_result.costs.summary())
+    snapshot["accounting_bytes"] = traced_result.costs.footprint_bytes()
     snapshot["obs.trace"] = tracer.summary()
     snapshot["obs.trace_bytes"] = trace_bytes
     snapshot["obs.untraced_seconds"] = round(best_untraced, 4)

@@ -15,7 +15,6 @@ import random
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.metrics import collect_service_metrics
 from repro.obs.stream import current_rss_mb
 from repro.service import QueryService
 from repro.service.engine import merge_shard_summaries
@@ -84,7 +83,7 @@ def run_query_mix(
         metrics_interval: simulated seconds between live metrics
             samples; enables the same sliced drive as ``progress``
             (bit-identical results) with a full
-            :func:`~repro.obs.metrics.collect_service_metrics` snapshot
+            :meth:`~repro.service.QueryService.metrics` snapshot
             appended to ``metrics_stream`` after every slice.  Sampling
             at slice boundaries -- never from a thread -- keeps the
             reads race-free against the engine's own mutation.
@@ -212,7 +211,7 @@ def run_query_mix(
             if progress is not None:
                 progress(snapshot)
             if metrics_stream is not None:
-                sample = collect_service_metrics(service)
+                sample = service.metrics()
                 sample["service.sim_time"] = snapshot["time"]
                 rss = current_rss_mb()
                 if rss is not None:
@@ -222,14 +221,11 @@ def run_query_mix(
 
     late_by_query = service.engine.late_by_query
     rows: List[Dict[str, Any]] = []
-    digest = hashlib.sha256()
     for outcome in report.outcomes:
         row = outcome.as_row()
         row["late_messages"] = late_by_query.get(outcome.query_id, 0)
         if outcome.costs is not None:
             row["cost_fingerprint"] = outcome.costs.fingerprint()
-            digest.update(row["cost_fingerprint"].encode())
-        digest.update(repr((outcome.query_id, outcome.value)).encode())
         rows.append(row)
 
     summary = dict(report.summary())
@@ -242,10 +238,22 @@ def run_query_mix(
         "delay": delay or "fixed",
         "departures": departures,
         "share_floods": bool(share_floods),
-        "determinism_digest": digest.hexdigest(),
+        "determinism_digest": _rows_digest(rows),
     })
     return {"rows": rows, "summary": summary,
-            "metrics": collect_service_metrics(service)}
+            "metrics": service.metrics()}
+
+
+def _rows_digest(rows: List[Dict[str, Any]]) -> str:
+    """The determinism digest: sha256 over every row's cost fingerprint
+    and ``(query_id, value)``, in row (query id) order."""
+    digest = hashlib.sha256()
+    for row in rows:
+        fingerprint = row.get("cost_fingerprint")
+        if fingerprint is not None:
+            digest.update(fingerprint.encode())
+        digest.update(repr((row["query_id"], row["value"])).encode())
+    return digest.hexdigest()
 
 
 def _mix_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -290,15 +298,9 @@ def _run_sharded_query_mix(
     rows = sorted(
         (row for result in shard_results for row in result["rows"]),
         key=lambda row: row["query_id"])
-    digest = hashlib.sha256()
-    for row in rows:
-        fingerprint = row.get("cost_fingerprint")
-        if fingerprint is not None:
-            digest.update(fingerprint.encode())
-        digest.update(repr((row["query_id"], row["value"])).encode())
     summary = merge_shard_summaries(
         [result["summary"] for result in shard_results], rows)
-    summary["determinism_digest"] = digest.hexdigest()
+    summary["determinism_digest"] = _rows_digest(rows)
     summary["shards"] = shards
     return {
         "rows": rows,

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import random
 import sys
+from time import perf_counter
 from typing import Any, Dict, Optional, Sequence
 
 from repro.experiments.query_mix import run_query_mix
-from repro.obs.profiling import PhaseTimer
+from repro.obs.stream import status_mb
 from repro.protocols.base import protocol_from_spec, run_protocol
 from repro.simulation.vector_lane import DEFAULT_LANE
 from repro.topology import Topology, topology_from_spec
@@ -35,13 +36,9 @@ def peak_rss_mb() -> Optional[float]:
     inherit the parent's high-water mark and report it as its own.
     ``VmHWM`` lives on the fresh ``mm`` and measures only this process.
     """
-    try:
-        with open("/proc/self/status") as handle:
-            for line in handle:
-                if line.startswith("VmHWM:"):
-                    return round(int(line.split()[1]) / 1024.0, 1)
-    except OSError:  # pragma: no cover - non-Linux platform
-        pass
+    peak = status_mb("VmHWM")
+    if peak is not None:
+        return peak
     try:
         import resource
     except ImportError:  # pragma: no cover - non-unix platform
@@ -102,33 +99,38 @@ def run_scale_benchmark(
     if num_hosts < 2:
         raise ValueError("scale benchmarks need at least 2 hosts")
 
-    timer = PhaseTimer(tracer=tracer)
-    with timer.section("generate_topology", detail=num_hosts):
-        if prebuilt_topology is not None:
-            topo = prebuilt_topology
-        else:
-            topo = topology_from_spec(topology, num_hosts, seed)
+    origin = perf_counter()
+    if prebuilt_topology is not None:
+        topo = prebuilt_topology
+    else:
+        topo = topology_from_spec(topology, num_hosts, seed)
+    gen_seconds = perf_counter() - origin
+    if tracer is not None:
+        tracer.phase("generate_topology", 0.0, gen_seconds,
+                     detail=num_hosts)
 
     if values is None:
         rng = random.Random(seed)
         values = [rng.random() * 100.0 for _ in range(topo.num_hosts)]
 
-    with timer.section("simulate", detail=num_hosts):
-        result = run_protocol(
-            protocol_from_spec(protocol),
-            topo,
-            values,
-            aggregate,
-            querying_host=0,
-            seed=seed,
-            repetitions=repetitions,
-            delay=delay,
-            tracer=tracer,
-            lane=lane,
-            shards=shards,
-        )
-    gen_seconds = timer.seconds("generate_topology")
-    run_seconds = timer.seconds("simulate")
+    start = perf_counter()
+    result = run_protocol(
+        protocol_from_spec(protocol),
+        topo,
+        values,
+        aggregate,
+        querying_host=0,
+        seed=seed,
+        repetitions=repetitions,
+        delay=delay,
+        tracer=tracer,
+        lane=lane,
+        shards=shards,
+    )
+    run_seconds = perf_counter() - start
+    if tracer is not None:
+        tracer.phase("simulate", start - origin, run_seconds,
+                     detail=num_hosts)
 
     messages = result.costs.messages_sent
     row = {

@@ -1,13 +1,19 @@
-"""Telemetry subsystem: tracing, metrics, provenance, profiling, logging.
+"""Telemetry subsystem: tracing, live metrics streams, provenance,
+profiling, logging.
 
 The observability layer for the simulation kernel and the query
 service.  Everything here obeys one contract: **zero cost when
 disabled**.  Tracing is off unless a tracer is passed to (or bound as
-the process default before constructing) an engine; metrics are pulled
-from structures the engines already maintain; profiling wraps a run
-from the outside.  With everything disabled the kernel's event loop
+the process default before constructing) an engine; profiling wraps a
+run from the outside.  With everything disabled the kernel's event loop
 executes the exact same instruction stream as before this package
 existed, and the golden seeded snapshots stay bit-identical.
+
+No number is computed here a second time: a run's costs are
+``CostAccounting.summary()`` and ``footprint_bytes()``, queue occupancy
+is ``EventQueue.occupancy()``, and the service's snapshot is
+``QueryService.metrics()``, each read on demand from the module that
+owns the state.
 
 The distributed pieces keep the same contract per worker: sharded-lane
 workers trace into private rings the coordinator merges into one
@@ -20,15 +26,6 @@ through :mod:`repro.obs.stream` while a run is still in flight.
 from repro import lazy_exports
 
 _EXPORTS = {
-    "Counter": "metrics",
-    "Gauge": "metrics",
-    "Histogram": "metrics",
-    "MetricsRegistry": "metrics",
-    "collect_queue_metrics": "metrics",
-    "collect_run_metrics": "metrics",
-    "collect_service_metrics": "metrics",
-    "collect_shard_metrics": "metrics",
-    "PhaseTimer": "profiling",
     "ProfileCapture": "profiling",
     "MetricsStreamWriter": "stream",
     "PeriodicSampler": "stream",

@@ -1,11 +1,10 @@
-"""Profiling hooks: cProfile + tracemalloc capture and phase timing.
+"""Profiling hook: a cProfile capture whose results can be kept.
 
 Generalises what ``repro bench --profile`` used to do inline (profile,
-print top-25, discard) into a reusable capture object whose results can
-be *kept*: :meth:`ProfileCapture.dump` writes a binary pstats file
-loadable with ``pstats.Stats(path)`` plus a small JSON sidecar with the
-headline numbers, and :class:`PhaseTimer` provides the phase-tagged
-wall-clock sections the scale/service benchmarks report.
+print top-25, discard) into a reusable capture object:
+:meth:`ProfileCapture.dump` writes a binary pstats file loadable with
+``pstats.Stats(path)`` plus a small JSON sidecar with the headline
+numbers.
 """
 
 from __future__ import annotations
@@ -16,41 +15,30 @@ import json
 import pstats
 import sys
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-__all__ = ["ProfileCapture", "PhaseTimer"]
+__all__ = ["ProfileCapture"]
 
 
 class ProfileCapture:
-    """One profiling window: cProfile always, tracemalloc on request.
+    """One cProfile window.
 
-    >>> capture = ProfileCapture(trace_malloc=True)
+    >>> capture = ProfileCapture()
     >>> with capture:
     ...     work()
     >>> capture.dump("profile.pstats")   # + profile.pstats.json sidecar
     >>> capture.print_stats(25)
-
-    tracemalloc carries real overhead (every allocation is traced), so
-    it is opt-in; wall-clock numbers from a capture with it enabled are
-    not comparable to clean runs.
     """
 
-    def __init__(self, trace_malloc: bool = False) -> None:
+    def __init__(self) -> None:
         self.profiler = cProfile.Profile()
-        self.trace_malloc = trace_malloc
         self.elapsed: Optional[float] = None
-        self.peak_traced_bytes: Optional[int] = None
         self._started: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Capture window
     # ------------------------------------------------------------------
     def start(self) -> "ProfileCapture":
-        if self.trace_malloc:
-            import tracemalloc
-
-            tracemalloc.start()
         self._started = time.perf_counter()
         self.profiler.enable()
         return self
@@ -59,11 +47,6 @@ class ProfileCapture:
         self.profiler.disable()
         if self._started is not None:
             self.elapsed = time.perf_counter() - self._started
-        if self.trace_malloc:
-            import tracemalloc
-
-            _, self.peak_traced_bytes = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
         return self
 
     def __enter__(self) -> "ProfileCapture":
@@ -103,62 +86,15 @@ class ProfileCapture:
 
         The binary profile lands at ``path`` (load it back with
         ``pstats.Stats(path)`` or ``snakeviz``); the headline numbers --
-        wall-clock, traced-allocation peak when tracemalloc ran, and the
-        top ``limit`` functions -- land beside it at ``path + ".json"``.
-        Returns ``path``.
+        wall-clock and the top ``limit`` functions -- land beside it at
+        ``path + ".json"``.  Returns ``path``.
         """
         self.profiler.dump_stats(path)
         sidecar = {
             "elapsed_seconds": self.elapsed,
-            "peak_traced_bytes": self.peak_traced_bytes,
             "top_functions": self.top_functions(limit),
         }
         with open(path + ".json", "w") as handle:
             json.dump(sidecar, handle, indent=1, sort_keys=True)
             handle.write("\n")
         return path
-
-
-class PhaseTimer:
-    """Named wall-clock sections for phase-tagged benchmark timing.
-
-    >>> timer = PhaseTimer()
-    >>> with timer.section("generate"):
-    ...     build_topology()
-    >>> with timer.section("simulate"):
-    ...     run()
-    >>> timer.seconds("simulate")
-
-    Re-entering a section accumulates.  When a tracer is attached, each
-    completed section is also emitted as a ``phase`` trace record, so
-    benchmark phases appear alongside simulation events in Perfetto.
-    """
-
-    def __init__(self, tracer=None) -> None:
-        self._sections: List[Tuple[str, float, float]] = []
-        self._tracer = tracer
-        self._origin = time.perf_counter()
-
-    @contextmanager
-    def section(self, name: str, detail: Any = None) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            end = time.perf_counter()
-            self._sections.append((name, start - self._origin, end - start))
-            if self._tracer is not None:
-                self._tracer.phase(name, start - self._origin, end - start,
-                                   detail=detail)
-
-    def seconds(self, name: str) -> float:
-        """Total wall-clock seconds accumulated under ``name``."""
-        return sum(duration for section, _, duration in self._sections
-                   if section == name)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Accumulated seconds per section, in first-seen order."""
-        out: Dict[str, float] = {}
-        for name, _, duration in self._sections:
-            out[name] = out.get(name, 0.0) + duration
-        return out

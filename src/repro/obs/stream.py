@@ -40,7 +40,21 @@ __all__ = [
     "read_metrics_stream",
     "set_progress_board",
     "progress_board",
+    "status_mb",
 ]
+
+
+def status_mb(field: str) -> Optional[float]:
+    """One memory field of ``/proc/self/status`` (``VmRSS``, ``VmHWM``)
+    in MiB, or None off-Linux."""
+    try:
+        with open("/proc/self/status") as handle:
+            for line in handle:
+                if line.startswith(field + ":"):
+                    return round(int(line.split()[1]) / 1024.0, 1)
+    except OSError:  # pragma: no cover - non-Linux platform
+        pass
+    return None
 
 
 def current_rss_mb() -> Optional[float]:
@@ -50,14 +64,7 @@ def current_rss_mb() -> Optional[float]:
     stream wants the instantaneous ``VmRSS`` so memory growth (and
     release) shows up as a time series.
     """
-    try:
-        with open("/proc/self/status") as handle:
-            for line in handle:
-                if line.startswith("VmRSS:"):
-                    return round(int(line.split()[1]) / 1024.0, 1)
-    except OSError:  # pragma: no cover - non-Linux platform
-        pass
-    return None
+    return status_mb("VmRSS")
 
 
 class MetricsStreamWriter:

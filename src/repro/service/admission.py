@@ -94,6 +94,12 @@ class AdmissionConfig:
             raise ValueError("defer_deadline must be non-negative")
         if self.max_qps is not None and self.max_qps <= 0:
             raise ValueError("max_qps must be positive")
+        for name in ("max_active_sessions", "max_queue_depth",
+                     "tenant_message_budget", "max_tenant_queue_depth",
+                     "max_late_messages", "max_staleness"):
+            limit = getattr(self, name)
+            if limit is not None and limit < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 def _tenant(session) -> Tuple[str, object]:

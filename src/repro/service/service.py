@@ -407,3 +407,77 @@ class QueryService:
     def outcomes(self) -> List[QueryOutcome]:
         """Snapshots of every non-retired query, in submission order."""
         return [s.outcome() for s in self._sessions.values()]
+
+    def metrics(self) -> Dict[str, Any]:
+        """One self-describing metrics snapshot of the live service.
+
+        The engine's cumulative tallies, calendar-queue occupancy (its
+        ``None`` horizon fields skipped while the queue is empty),
+        session residency (virtual time each launched session stays
+        live) and the per-tenant breakdown -- pending queue depth, late
+        deliveries and messages per query id -- that admission control
+        reads as its signal.  The cache and admission blocks appear only
+        when those hooks are installed.
+        """
+        engine = self.engine
+        snapshot: Dict[str, Any] = {
+            "service.messages_sent": engine.messages_sent,
+            "service.dropped_messages": engine.dropped_messages,
+            "service.late_messages": engine.late_messages,
+            "service.events_processed": engine.events_processed,
+            "service.active_sessions": engine.active_sessions,
+            "service.peak_active_sessions": engine.max_active_sessions,
+            "service.retired_sessions": len(engine.retired_order),
+            "service.pending_queries": sum(
+                1 for s in self._sessions.values()
+                if s.status is QueryStatus.PENDING),
+        }
+        for key, value in engine._queue.occupancy().items():
+            if value is not None:
+                snapshot[f"service.queue.{key}"] = value
+        sharing = engine.sharing
+        if sharing is not None:
+            snapshot.update({
+                "service.cache.hits": sharing.hits,
+                "service.cache.leads": sharing.leads,
+                "service.cache.inflight": sharing.inflight_computations,
+                "service.cache.recent_answers": sharing.recent_answers,
+                "service.cache.hit_rate": round(sharing.hit_rate, 4),
+            })
+        admission = engine.admission
+        if admission is not None:
+            snapshot.update({
+                "service.admission.shed": admission.shed,
+                "service.admission.degraded": admission.degraded,
+                "service.admission.deferrals": admission.defer_events,
+                "service.admission.deferred_pending":
+                    admission.deferred_pending,
+            })
+
+        residencies: List[float] = []
+        total = 0.0
+        tenants: Dict[str, Dict[str, Any]] = {}
+        pending_by_query = engine.queue_depth_by_session()
+        for qid, session in sorted(self._sessions.items()):
+            if session.status in (QueryStatus.RUNNING, QueryStatus.DONE):
+                residencies.append(float(session.termination))
+                total += residencies[-1]  # in id order: a bit-stable sum
+            tenants[str(qid)] = {
+                "status": session.status.value,
+                "protocol": session.protocol.name,
+                "queue_depth": pending_by_query.get(qid, 0),
+                "late_messages": engine.late_by_query.get(qid, 0),
+                "messages_sent": (session.sink.messages_sent
+                                  if session.sink is not None else 0),
+                "residency": session.termination,
+            }
+        snapshot["service.session_residency"] = {
+            "count": len(residencies),
+            "sum": total,
+            "min": min(residencies, default=None),
+            "max": max(residencies, default=None),
+            "mean": total / len(residencies) if residencies else None,
+        }
+        snapshot["service.tenants"] = tenants
+        snapshot["service.retired_order"] = list(engine.retired_order)
+        return snapshot

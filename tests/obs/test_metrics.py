@@ -1,23 +1,15 @@
-"""Tests for the metrics registry and its pull collectors.
+"""Tests for the pull-based numbers a metrics snapshot reports.
 
-Metrics are pull-based: every collector reads structures the engines
-already maintain, so the tests here double as a contract that those
-structures (queue occupancy, per-tenant demux state, session table)
-stay consistent with the engine's own accounting.
+Every number is read on demand from structures the engines already
+maintain -- :meth:`EventQueue.occupancy`, the per-tenant demux state,
+the service's session table -- so the tests here double as a contract
+that those structures stay consistent with the engine's own accounting,
+and pin the exact shape of :meth:`QueryService.metrics`.
 """
 
 import pytest
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    collect_queue_metrics,
-    collect_run_metrics,
-    collect_service_metrics,
-    collect_shard_metrics,
-)
-from repro.protocols.base import run_protocol
-from repro.protocols.wildfire import Wildfire
-from repro.service import QueryService
+from repro.service import AdmissionConfig, QueryService
 from repro.simulation.events import EventKind, EventQueue
 from repro.topology.random_graph import random_topology
 from repro.workloads.values import uniform_values
@@ -35,45 +27,6 @@ def values(topology):
     return uniform_values(topology.num_hosts, low=1, high=50, seed=SEED)
 
 
-class TestRegistry:
-    def test_counter_gauge_histogram_snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter("a.count").inc(3)
-        registry.counter("a.count").inc(4)
-        registry.gauge("b.depth").set(12)
-        hist = registry.histogram("c.residency")
-        for sample in (2.0, 8.0, 5.0):
-            hist.observe(sample)
-        snapshot = registry.snapshot()
-        assert snapshot["a.count"] == 7
-        assert snapshot["b.depth"] == 12
-        assert snapshot["c.residency"] == {
-            "count": 3, "sum": 15.0, "min": 2.0, "max": 8.0, "mean": 5.0}
-        assert list(snapshot) == sorted(snapshot)
-
-    def test_counters_only_move_forward(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.counter("x").inc(-1)
-
-    def test_name_collisions_across_types_are_errors(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
-
-
-class TestRunCollector:
-    def test_collects_cost_sink_of_a_run(self, topology, values):
-        result = run_protocol(Wildfire(), topology, values, "count",
-                              seed=SEED)
-        snapshot = collect_run_metrics(result).snapshot()
-        assert snapshot["run.messages_sent"] == result.costs.messages_sent
-        assert snapshot["run.computation_cost"] == \
-            result.costs.computation_cost
-        assert snapshot["run.accounting_bytes"] > 0
-
-
 class TestQueueCollector:
     def test_occupancy_matches_pending_population(self):
         queue = EventQueue()
@@ -83,11 +36,11 @@ class TestQueueCollector:
         cancelled = queue.push(3.0, EventKind.TIMER, host=99,
                                timer_name="t")
         queue.cancel(cancelled)
-        snapshot = collect_queue_metrics(queue).snapshot()
-        assert snapshot["queue.pending"] == len(queue) == 25
-        assert snapshot["queue.cancelled"] == 1
-        assert snapshot["queue.slots"] == 7
-        assert not any("day" in name for name in snapshot)
+        occupancy = queue.occupancy()
+        assert occupancy["pending"] == len(queue) == 25
+        assert occupancy["cancelled"] == 1
+        assert occupancy["slots"] == 7
+        assert not any("day" in name for name in occupancy)
 
     def test_iter_pending_agrees_with_len(self):
         queue = EventQueue()
@@ -96,34 +49,22 @@ class TestQueueCollector:
                        timer_name="t")
         assert sum(w for _, w in queue.iter_pending()) == len(queue)
 
-    def test_window_fields_gauge_when_live_and_skip_when_empty(self):
+    def test_window_fields_gauge_when_live_and_skip_when_empty(
+            self, topology, values):
         queue = EventQueue(width=2.0)
         # Empty queue: the horizon fields are None ("no next event" is
-        # not a number) and must be skipped, not gauged.
-        empty = collect_queue_metrics(queue).snapshot()
-        assert "queue.horizon" not in empty
-        assert "queue.current_epoch" not in empty
+        # not a number), and the service snapshot skips them.
+        empty = queue.occupancy()
+        assert empty["horizon"] is None
+        assert empty["current_epoch"] is None
+        snapshot = QueryService(topology, values, seed=SEED).metrics()
+        assert snapshot["service.queue.pending"] == 0
+        assert "service.queue.horizon" not in snapshot
+        assert "service.queue.current_epoch" not in snapshot
         queue.push(5.0, EventKind.TIMER, host=0, timer_name="t")
-        live = collect_queue_metrics(queue).snapshot()
-        assert live["queue.horizon"] == 5.0
-        assert live["queue.current_epoch"] == 2
-
-
-class TestShardCollector:
-    def test_collects_per_shard_lane_metrics(self, topology, values):
-        result = run_protocol(Wildfire(), topology, values, "count",
-                              seed=SEED, lane="sharded", shards=2)
-        assert "sharded" in result.extra
-        snapshot = collect_shard_metrics(result).snapshot()
-        assert snapshot["shard.shards"] == 2
-        for shard in (0, 1):
-            assert snapshot[f"shard.{shard}.epochs"] >= 1
-            assert f"shard.{shard}.barrier_wait_s" in snapshot
-
-    def test_non_sharded_results_fold_nothing(self, topology, values):
-        result = run_protocol(Wildfire(), topology, values, "count",
-                              seed=SEED)
-        assert collect_shard_metrics(result).snapshot() == {}
+        live = queue.occupancy()
+        assert live["horizon"] == 5.0
+        assert live["current_epoch"] == 2
 
 
 class TestServiceCollector:
@@ -133,7 +74,7 @@ class TestServiceCollector:
                 service.submit("spanning-tree", "sum", at=1.0),
                 service.submit("dag2", "min", at=2.0)]
         service.run()
-        snapshot = collect_service_metrics(service)
+        snapshot = service.metrics()
         engine = service.engine
         assert snapshot["service.messages_sent"] == engine.messages_sent
         assert snapshot["service.peak_active_sessions"] >= 2
@@ -171,3 +112,35 @@ class TestServiceCollector:
         spec_depths, spec_queued = mid_run()
         assert spec_depths == depths
         assert sum(spec_depths.values()) <= spec_queued
+
+    def test_snapshot_key_set_with_sharing_and_admission(
+            self, topology, values):
+        service = QueryService(
+            topology, values, seed=SEED, share_floods=True,
+            admission=AdmissionConfig(policy="defer",
+                                      max_active_sessions=4))
+        keys = {
+            "service.messages_sent", "service.dropped_messages",
+            "service.late_messages", "service.events_processed",
+            "service.active_sessions", "service.peak_active_sessions",
+            "service.retired_sessions", "service.pending_queries",
+            "service.queue.pending", "service.queue.cancelled",
+            "service.queue.slots",
+            "service.cache.hits", "service.cache.leads",
+            "service.cache.inflight", "service.cache.recent_answers",
+            "service.cache.hit_rate",
+            "service.admission.shed", "service.admission.degraded",
+            "service.admission.deferrals",
+            "service.admission.deferred_pending",
+            "service.session_residency", "service.tenants",
+            "service.retired_order",
+        }
+        empty = service.metrics()
+        assert set(empty) == keys
+        residency = empty["service.session_residency"]
+        assert residency == {"count": 0, "sum": 0.0, "min": None,
+                             "max": None, "mean": None}
+        assert type(residency["sum"]) is float
+        service.submit("wildfire", "count", at=1.0)
+        assert set(service.metrics()) == keys | {
+            "service.queue.horizon", "service.queue.current_epoch"}

@@ -1,11 +1,13 @@
-"""Tests for the profiling hooks: capture windows and phase timing."""
+"""Tests for profiling: the cProfile capture window and the wall-clock
+phase spans a traced scale benchmark records."""
 
 import json
 import pstats
 
 import pytest
 
-from repro.obs.profiling import PhaseTimer, ProfileCapture
+from repro.experiments.scale_bench import run_scale_benchmark
+from repro.obs.profiling import ProfileCapture
 from repro.obs.trace import RingTracer
 
 
@@ -27,24 +29,12 @@ class TestProfileCapture:
         assert stats.total_calls > 0
         with open(path + ".json") as handle:
             sidecar = json.load(handle)
+        assert set(sidecar) == {"elapsed_seconds", "top_functions"}
         assert sidecar["elapsed_seconds"] == pytest.approx(
             capture.elapsed)
         assert sidecar["top_functions"]
         assert all({"function", "calls", "cumulative_seconds"}
                    <= set(row) for row in sidecar["top_functions"])
-
-    def test_tracemalloc_peak_is_opt_in(self, tmp_path):
-        plain = ProfileCapture()
-        with plain:
-            _busy_work(1000)
-        assert plain.peak_traced_bytes is None
-
-        traced = ProfileCapture(trace_malloc=True)
-        with traced:
-            blob = [bytearray(4096) for _ in range(32)]
-        assert traced.peak_traced_bytes is not None
-        assert traced.peak_traced_bytes >= 32 * 4096
-        assert blob  # keep alive through the window
 
     def test_top_functions_ranked_by_cumulative_time(self):
         capture = ProfileCapture()
@@ -56,37 +46,14 @@ class TestProfileCapture:
         assert cumulative == sorted(cumulative, reverse=True)
 
 
-class TestPhaseTimer:
-    def test_sections_accumulate(self):
-        timer = PhaseTimer()
-        for _ in range(3):
-            with timer.section("work"):
-                _busy_work(5000)
-        with timer.section("other"):
-            pass
-        assert timer.seconds("work") > 0
-        assert timer.seconds("missing") == 0.0
-        as_dict = timer.as_dict()
-        assert set(as_dict) == {"work", "other"}
-        assert as_dict["work"] == pytest.approx(timer.seconds("work"))
-
-    def test_sections_emit_phase_trace_records(self):
-        tracer = RingTracer(sampling={})
-        timer = PhaseTimer(tracer=tracer)
-        with timer.section("simulate", detail=1234):
-            _busy_work(1000)
-        assert tracer.counts.get("phase") == 1
-        record = tracer.records()[0]
-        assert record["type"] == "phase"
-        assert record["name"] == "simulate"
-        assert record["detail"] == 1234
-        assert record["duration"] == pytest.approx(
-            timer.seconds("simulate"))
-
-    def test_section_recorded_even_when_body_raises(self):
-        timer = PhaseTimer()
-        with pytest.raises(RuntimeError):
-            with timer.section("failing"):
-                raise RuntimeError("boom")
-        assert timer.seconds("failing") >= 0.0
-        assert "failing" in timer.as_dict()
+def test_traced_scale_benchmark_records_its_two_phases():
+    tracer = RingTracer(sampling={})
+    row = run_scale_benchmark(120, topology="random", tracer=tracer)
+    phases = [r for r in tracer.records() if r["type"] == "phase"]
+    assert [(p["name"], p["detail"]) for p in phases] == [
+        ("generate_topology", 120), ("simulate", 120)]
+    generate, simulate = phases
+    assert generate["start"] == 0.0
+    assert simulate["start"] >= generate["duration"]
+    assert round(generate["duration"], 4) == row["gen_seconds"]
+    assert round(simulate["duration"], 4) == row["run_seconds"]

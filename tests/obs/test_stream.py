@@ -19,6 +19,7 @@ from repro.obs.stream import (
     default_progress_board,
     progress_board,
     set_progress_board,
+    status_mb,
 )
 
 
@@ -122,3 +123,14 @@ class TestShardProgressBoard:
 def test_current_rss_mb_reports_positive_on_linux():
     rss = current_rss_mb()
     assert rss is None or rss > 0
+
+
+def test_peak_and_current_rss_read_one_status_parser():
+    from repro.experiments.scale_bench import peak_rss_mb
+
+    rss = current_rss_mb()
+    if rss is None:
+        pytest.skip("no /proc/self/status on this platform")
+    peak = peak_rss_mb()
+    assert 0 < rss <= peak <= status_mb("VmHWM")
+    assert status_mb("NoSuchField") is None

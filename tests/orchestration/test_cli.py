@@ -273,3 +273,19 @@ def test_serve_checks_every_input_before_opening_a_file(
     assert len(captured.err.splitlines()) == 1
     assert bad_input[0] in captured.err
     assert not metrics.exists()
+
+
+@pytest.mark.parametrize("bad_limit", [
+    ["--max-active", "-1"], ["--tenant-budget", "-3"]])
+def test_serve_rejects_negative_admission_limits(bad_limit, tmp_path, capsys):
+    """A negative admission limit used to shed every query and exit 0."""
+    metrics = tmp_path / "m.json"
+    assert main(["serve", "--hosts", "60", "--topology", "random",
+                 "--qps", "1", "--duration", "4", *bad_limit,
+                 "--metrics-out", str(metrics)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "non-negative" in captured.err
+    assert not metrics.exists()
+

@@ -173,6 +173,16 @@ def test_degrade_policy_serves_stale_answers_and_sheds_on_miss():
     assert report.shed == 1
 
 
+@pytest.mark.parametrize("limit", [
+    "max_active_sessions", "max_queue_depth", "tenant_message_budget",
+    "max_tenant_queue_depth", "max_late_messages", "max_staleness"])
+def test_config_rejects_negative_limits_and_keeps_zero(limit):
+    """A negative limit used to be accepted and shed every query."""
+    with pytest.raises(ValueError, match=limit):
+        AdmissionConfig(**{limit: -1})
+    assert getattr(AdmissionConfig(**{limit: 0}), limit) == 0
+
+
 def test_tenant_budget_blocks_heavy_tenant_only():
     """Per-tenant fairness: the tenant that spent its message budget is
     blocked while a fresh tenant's identical query still launches."""
