@@ -8,18 +8,12 @@ validity certificates when churn is simulated.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional, Sequence, Union
 
 from repro.core.config import ProtocolConfig, SimulationConfig
 from repro.core.results import QueryResult, ValidityCertificate
-from repro.protocols.allreport import AllReport
-from repro.protocols.base import Protocol, run_protocol
-from repro.protocols.dag import DirectedAcyclicGraph
-from repro.protocols.gossip import PushSumGossip
-from repro.protocols.randomized_report import RandomizedReport
-from repro.protocols.spanning_tree import SpanningTree
-from repro.protocols.wildfire import Wildfire
+from repro.protocols.base import (PROTOCOL_SPECS, Protocol,
+                                  protocol_from_spec, run_protocol)
 from repro.queries.query import AggregateQuery, QueryKind
 from repro.semantics.oracle import Oracle, sketch_slack
 from repro.simulation.churn import ChurnSchedule
@@ -67,36 +61,10 @@ class ValidAggregator:
         self.protocol_config = protocol_config or ProtocolConfig()
         self._oracle = Oracle(topology, self.values, querying_host)
 
-    # ------------------------------------------------------------------
-    # Protocol construction
-    # ------------------------------------------------------------------
-    def _build_protocol(self, name: str) -> Protocol:
-        cfg = self.protocol_config
-        normalized = name.lower().replace("_", "-")
-        if normalized == "wildfire":
-            return Wildfire(early_termination=cfg.early_termination)
-        if normalized in ("spanning-tree", "spanningtree", "tree"):
-            return SpanningTree()
-        if normalized in ("dag", "directed-acyclic-graph", "directedacyclicgraph"):
-            return DirectedAcyclicGraph(num_parents=cfg.dag_parents)
-        if normalized == "allreport":
-            return AllReport()
-        if normalized in ("randomized-report", "randomizedreport"):
-            return RandomizedReport(epsilon=cfg.epsilon, zeta=cfg.zeta)
-        if normalized in ("gossip", "push-sum", "push-sum-gossip"):
-            return PushSumGossip(num_rounds=cfg.gossip_rounds)
-        raise ValueError(f"unknown protocol: {name!r}")
-
     def available_protocols(self) -> Dict[str, str]:
-        """Map of protocol name to a one-line description."""
-        return {
-            "wildfire": "the paper's Single-Site Valid flooding protocol",
-            "spanning-tree": "best-effort TAG-style tree aggregation",
-            "dag": "best-effort multi-parent (k) aggregation",
-            "allreport": "direct delivery of every value (valid, expensive)",
-            "randomized-report": "sampled direct delivery for size estimates",
-            "gossip": "push-sum epidemic baseline (eventual consistency)",
-        }
+        """Map of protocol spec name to a one-line description (the names
+        :func:`~repro.protocols.base.protocol_from_spec` resolves)."""
+        return dict(PROTOCOL_SPECS)
 
     # ------------------------------------------------------------------
     # Queries
@@ -104,7 +72,7 @@ class ValidAggregator:
     def query(
         self,
         kind: Union[str, QueryKind, AggregateQuery],
-        protocol: str = "wildfire",
+        protocol: Union[str, Protocol] = "wildfire",
         churn: Optional[ChurnSchedule] = None,
         epsilon_for_certificate: Optional[float] = None,
         seed: Optional[int] = None,
@@ -114,8 +82,10 @@ class ValidAggregator:
         Args:
             kind: the aggregate ("min", "max", "count", "sum", "avg"), or a
                 ready-made :class:`AggregateQuery`.
-            protocol: which protocol to execute (see
-                :meth:`available_protocols`).
+            protocol: a spec name (see :meth:`available_protocols`;
+                ``"dag3"``, not a config field, picks three parents) or a
+                ready-made :class:`~repro.protocols.base.Protocol`, e.g.
+                ``PushSumGossip(num_rounds=60)``.
             churn: optional failure schedule to apply during the run; when
                 given, the result carries an oracle validity certificate.
             epsilon_for_certificate: check Approximate Single-Site Validity
@@ -134,7 +104,7 @@ class ValidAggregator:
         else:
             query = AggregateQuery.of(kind)
 
-        protocol_obj = self._build_protocol(protocol)
+        protocol_obj = protocol_from_spec(protocol)
         run_seed = self.seed if seed is None else seed
         run = run_protocol(
             protocol=protocol_obj,

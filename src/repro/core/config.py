@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.simulation.vector_lane import DEFAULT_LANE, validate_lane
@@ -46,37 +46,22 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Protocol-level knobs.
+    """Knobs every protocol run takes.  A protocol's own parameters
+    (DAG fan-out, gossip rounds, ...) travel with the protocol:
+    ``ValidAggregator.query(protocol="dag3")`` or a ready-made
+    ``PushSumGossip(num_rounds=60)``.
 
     Attributes:
         d_hat: overestimate of the stable diameter ``D_hat``; estimated from
             the topology when ``None``.
         fm_repetitions: repetitions ``c`` of the FM sketch for count/sum/avg.
-        early_termination: WILDFIRE's distance-based participation window.
-        dag_parents: fan-out ``k`` for DIRECTEDACYCLICGRAPH.
-        gossip_rounds: rounds for the push-sum baseline.
-        epsilon: approximation slack for RANDOMIZEDREPORT.
-        zeta: failure probability for RANDOMIZEDREPORT.
     """
 
     d_hat: Optional[int] = None
     fm_repetitions: int = 8
-    early_termination: bool = True
-    dag_parents: int = 2
-    gossip_rounds: int = 50
-    epsilon: float = 0.1
-    zeta: float = 0.05
 
     def __post_init__(self) -> None:
         if self.d_hat is not None and self.d_hat < 1:
             raise ValueError("d_hat must be at least 1 when given")
         if self.fm_repetitions < 1:
             raise ValueError("fm_repetitions must be at least 1")
-        if self.dag_parents < 1:
-            raise ValueError("dag_parents must be at least 1")
-        if self.gossip_rounds < 1:
-            raise ValueError("gossip_rounds must be at least 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
-        if not 0.0 < self.zeta < 1.0:
-            raise ValueError("zeta must be in (0, 1)")

@@ -21,7 +21,6 @@ _EXPORTS = {
     "run_messages_per_instant_experiment": "costs",
     "run_theorem_44_experiment": "badcase",
     "run_capture_recapture_experiment": "capture_recapture",
-    "run_delay_sweep": "delay_sweep",
     "run_scale_benchmark": "scale_bench",
     "run_service_benchmark": "scale_bench",
     "run_query_mix": "query_mix",

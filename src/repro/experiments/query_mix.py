@@ -38,7 +38,6 @@ def run_query_mix(
     prebuilt_topology: Optional[Topology] = None,
     tracer=None,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-    progress_interval: Optional[float] = None,
     metrics_interval: Optional[float] = None,
     metrics_stream=None,
     shards: int = 1,
@@ -74,12 +73,12 @@ def run_query_mix(
         prebuilt_topology: reuse an existing topology.
         tracer: structured trace sink handed to the service's engine.
         progress: when given, the drive is sliced into simulated-time
-            windows of ``progress_interval`` (default: a tenth of the
-            arrival window) and ``progress(snapshot)`` is called after
-            each slice with live engine tallies.  Horizon-bounded drives
-            pop the exact same event sequence as one drain, so results
-            are bit-identical with or without progress reporting.
-        progress_interval: simulated seconds per progress slice.
+            windows (``metrics_interval`` when given, else a tenth of
+            the arrival window but at least 1) and ``progress(snapshot)``
+            is called after each slice with live engine tallies.
+            Horizon-bounded drives pop the exact same event sequence as
+            one drain, so results are bit-identical with or without
+            progress reporting.
         metrics_interval: simulated seconds between live metrics
             samples; enables the same sliced drive as ``progress``
             (bit-identical results) with a full
@@ -192,10 +191,7 @@ def run_query_mix(
         report = service.run()
     else:
         engine = service.engine
-        candidates = [i for i in (progress_interval, metrics_interval)
-                      if i]
-        interval = (min(candidates) if candidates
-                    else max(mix.duration / 10.0, 1.0))
+        interval = metrics_interval or max(mix.duration / 10.0, 1.0)
         horizon = 0.0
         while engine.pending_events():
             horizon += interval

@@ -11,13 +11,13 @@ The paper's figures realise the adversarially slowest timing (every hop
 takes exactly ``delta``); its guarantees are stated for *any* per-hop
 delay in ``(0, delta]``.  The same sweep therefore takes a list of
 :mod:`~repro.simulation.delay` model specs (``delay_specs``; the
-beyond-paper ``repro delay-sweep``, see
-:mod:`repro.experiments.delay_sweep`) and then adds one column of points
-per model: WILDFIRE's valid fraction stays at 1.0 under every model
-(deadlines are computed from the bound, so faster realised links only
-give messages more slack), the tree protocols remain valid on static
-networks but keep degrading with churn, and all runs finish *no later*
-than under ``fixed``.
+beyond-paper ``repro delay-sweep`` sweeps :data:`DEFAULT_DELAY_SPECS`)
+and then adds one column of points per model, with a ``delay`` and a
+``finished_at`` column on every row: WILDFIRE's valid fraction stays at
+1.0 under every model (deadlines are computed from the bound, so faster
+realised links only give messages more slack), the tree protocols remain
+valid on static networks but keep degrading with churn, and all runs
+finish *no later* than under ``fixed``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from repro.semantics.oracle import Oracle, sketch_slack
 from repro.simulation.churn import uniform_failure_schedule
 from repro.topology.base import Topology
 from repro.workloads.values import zipf_values
+
+#: Delay models ``repro delay-sweep`` sweeps by default: the paper's
+#: worst case plus one light-spread and one heavy-tailed model.
+DEFAULT_DELAY_SPECS = ("fixed", "uniform:0.25,1.0", "heavy_tail:1.2")
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,8 @@ def run_validity_sweep(
             Grid for Fig. 9).
         query_kind: ``"count"`` or ``"sum"`` in the paper's figures.
         departures: the R values to sweep (paper: 256 ... 4096; ``0`` =
-            static).
+            static).  The querying host never fails, so each must be in
+            ``[0, num_hosts)``; ``ValueError`` otherwise.
         protocols: protocols to compare; defaults to WILDFIRE, SPANNINGTREE
             and DAG with k = 2 and k = 3.
         values: per-host attribute values; Zipf [10, 500] when omitted.
@@ -140,6 +145,11 @@ def run_validity_sweep(
             for experiment-scale sweeps, and it never perturbs the
             declared values (tracers only observe).
     """
+    outside = [r for r in departures if not 0 <= r < topology.num_hosts]
+    if outside:
+        raise ValueError(
+            f"departures {outside} out of range: R must be in "
+            f"[0, {topology.num_hosts - 1}] on {topology.num_hosts} hosts")
     if values is None:
         values = zipf_values(topology.num_hosts, seed=seed)
     protocols = list(protocols) if protocols is not None else default_protocols()
@@ -163,7 +173,7 @@ def run_validity_sweep(
             trial_seed = seed + 131 * trial + num_departures
             churn = uniform_failure_schedule(
                 candidates=range(topology.num_hosts),
-                num_failures=min(num_departures, topology.num_hosts - 1),
+                num_failures=num_departures,
                 start=0.5,
                 end=max(1.0, horizon - 0.5),
                 seed=trial_seed,

@@ -31,12 +31,14 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence)
 
-from repro.experiments.delay_sweep import DEFAULT_DELAY_SPECS, run_delay_sweep
 from repro.experiments.figures import FIGURES
 from repro.experiments.query_mix import run_query_mix
 from repro.experiments.scale_bench import run_scale_benchmark
+from repro.experiments.validity_sweep import (DEFAULT_DELAY_SPECS,
+                                              run_validity_sweep)
 from repro.experiments.tables import format_table
 from repro.obs.logconfig import configure as configure_logging, get_logger
 from repro.obs.profiling import ProfileCapture
@@ -59,6 +61,34 @@ log = get_logger()
 class _UsageError(Exception):
     """A bad invocation: :func:`main` prints the message -- one line on
     stderr, nothing on stdout -- and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every parser of the CLI: a bad command line (unknown flag, bad
+    choice, out-of-range value, missing argument) is a
+    :class:`_UsageError` like any other, not a usage block and
+    ``SystemExit``."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+def _bounded(kind: Callable[[str], Any], low: float,
+             high: Optional[float] = None, strict: bool = False):
+    """An argparse ``type=``: ``kind(text)`` in ``[low, high]`` (``low``
+    excluded when ``strict``); argparse names the flag when it is not."""
+    bound = (f"in [{low}, {high}]" if high is not None
+             else f"> {low}" if strict else f">= {low}")
+
+    def parse(text: str):
+        value = kind(text)
+        if not ((value > low if strict else value >= low)
+                and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
 
 
 @contextlib.contextmanager
@@ -93,14 +123,11 @@ def _tracing(path: Optional[str]) -> Iterator[Optional[RingTracer]]:
 
 
 def _metrics_interval(args: argparse.Namespace) -> Optional[float]:
-    """The checked ``--metrics-interval`` (``None`` when not given)."""
-    if args.metrics_interval is None:
-        return None
-    if not args.metrics_out:
+    """``--metrics-interval`` (``None`` when not given), which streams to
+    ``--metrics-out``."""
+    if args.metrics_interval is not None and not args.metrics_out:
         raise _UsageError(
             "--metrics-interval needs --metrics-out PATH to stream to")
-    if args.metrics_interval <= 0:
-        raise _UsageError("--metrics-interval must be positive")
     return args.metrics_interval
 
 
@@ -119,11 +146,57 @@ def _write_json(path: str, payload: Any) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Parallel experiment orchestration for the "
-                    "Price-of-Validity reproduction.",
-    )
+    at_least_0, at_least_1, hosts = (_bounded(int, 0), _bounded(int, 1),
+                                     _bounded(int, 2))
+    positive = _bounded(float, 0, strict=True)
+    fraction = _bounded(float, 0, 1)
+    # Options several commands share, each stated once.  ``shared(*names)``
+    # is a fresh parent parser holding the named ones, so a command's
+    # ``set_defaults`` (delay-sweep's topology and trials) stays its own.
+    options = {
+        "seed": (["--seed"], dict(type=int, default=0,
+                                  help="base seed (default 0)")),
+        "cache-dir": (["--cache-dir"], dict(
+            help=f"cache location (default {default_cache_root()})")),
+        "topology": (["--topology"], dict(
+            default="gnutella",
+            help="topology generator (default %(default)s)")),
+        "aggregate": (["--aggregate"], dict(
+            default="count", help="query kind (default count)")),
+        "delay": (["--delay"], dict(
+            default="fixed", metavar="MODEL",
+            help="link-delay model spec: fixed | uniform[:lo,hi] | "
+                 "per_edge[:lo,hi] | heavy_tail[:alpha,xm] (default fixed)")),
+        "trials": (["-t", "--trials"], dict(
+            type=at_least_1, default=1,
+            help="independent trials per figure or sweep point "
+                 "(default %(default)s)")),
+        "trace-out": (["--trace-out"], dict(
+            metavar="PATH",
+            help="write a sampled structured trace to PATH (.jsonl = JSON "
+                 "Lines, else Chrome trace-event JSON for Perfetto)")),
+        "metrics-out": (["--metrics-out"], dict(
+            metavar="PATH",
+            help="bench: stream live per-shard progress and RSS to PATH as "
+                 "flushed JSON Lines; serve: write the metrics snapshot "
+                 "(engine, queue, per-tenant) to PATH as JSON, or a JSON "
+                 "Lines stream of them with --metrics-interval")),
+        "metrics-interval": (["--metrics-interval"], dict(
+            type=positive, metavar="SECONDS",
+            help="seconds between live metrics samples, with --metrics-out: "
+                 "wall-clock for bench (default 1.0), simulated for serve "
+                 "(results stay bit-identical; not with --shards > 1)")),
+    }
+
+    def shared(*names: str) -> List[argparse.ArgumentParser]:
+        parent = _Parser(add_help=False)
+        for name in names:
+            flags, kwargs = options[name]
+            parent.add_argument(*flags, **kwargs)
+        return [parent]
+
+    parser = _Parser(prog="repro", description="Parallel experiment "
+                     "orchestration for the Price-of-Validity reproduction.")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="debug-level status logging (per-trial "
                              "progress, cache internals)")
@@ -133,21 +206,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("figures", help="list available figure experiments")
 
-    run = sub.add_parser("run", help="run figure trial matrices")
+    run = sub.add_parser("run", help="run figure trial matrices",
+                         parents=shared("trials", "seed", "cache-dir"))
     run.add_argument("figures", nargs="+", metavar="FIGURE",
                      help="figure ids (e.g. fig8) or 'all'")
-    run.add_argument("--scale", type=float, default=0.5,
-                     help="network-size scale factor: 1.0 = the sizes "
-                          "in experiments/figures.py, >1 runs larger "
-                          "networks (default 0.5)")
-    run.add_argument("-t", "--trials", type=int, default=1,
-                     help="independent trials per figure (default 1)")
-    run.add_argument("--seed", type=int, default=0,
-                     help="base seed folded into per-trial derivation")
-    run.add_argument("-w", "--workers", type=int, default=1,
+    run.add_argument("--scale", type=positive, default=0.5,
+                     help="network-size scale factor: 1.0 = the sizes in "
+                          "experiments/figures.py (default 0.5)")
+    run.add_argument("-w", "--workers", type=at_least_1, default=1,
                      help="worker processes (default 1 = in-process)")
-    run.add_argument("--cache-dir", default=None,
-                     help=f"cache location (default {default_cache_root()})")
     run.add_argument("--no-cache", action="store_true",
                      help="neither read nor write the result cache")
     run.add_argument("--force", action="store_true",
@@ -156,210 +223,124 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="suppress result tables; print summaries only")
 
     bench = sub.add_parser(
-        "bench", help="kernel scale benchmark at arbitrary host counts")
-    bench.add_argument("--hosts", type=int, nargs="+",
+        "bench", help="kernel scale benchmark at arbitrary host counts",
+        parents=shared("topology", "aggregate", "seed", "delay",
+                       "trace-out", "metrics-out", "metrics-interval"))
+    bench.add_argument("--hosts", type=hosts, nargs="+",
                        default=[1000, 10000],
-                       help="network sizes to run (default: 1000 10000; "
-                            "100000 completes in well under a minute)")
-    bench.add_argument("--topology", default="gnutella",
-                       help="topology generator (default gnutella)")
+                       help="network sizes to run (default: 1000 10000)")
     bench.add_argument("--protocol", default="wildfire",
                        help="protocol: wildfire | spanning-tree | dagK")
-    bench.add_argument("--aggregate", default="count",
-                       help="query kind (default count)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repetitions", type=int, default=8,
+    bench.add_argument("--repetitions", type=at_least_1, default=8,
                        help="FM repetitions c for sketch combiners")
-    bench.add_argument("--delay", default="fixed", metavar="MODEL",
-                       help="link-delay model spec: fixed | uniform[:lo,hi]"
-                            " | per_edge[:lo,hi] | heavy_tail[:alpha,xm] "
-                            "(default fixed)")
-    bench.add_argument("--lane", choices=LANES, default=None,
-                       help="kernel lane: vector (per-tick batch lane), "
-                            "sharded (epoch-synchronous multiprocess "
-                            "lane, see --shards) or python (the "
-                            "executable spec); the tick lanes are "
-                            "bit-identical and fall back to python when "
-                            "their gate refuses the run "
+    bench.add_argument("--lane", choices=LANES,
+                       help="kernel lane: vector (per-tick batch), sharded "
+                            "(multiprocess, see --shards) or python (the "
+                            "executable spec), bit-identical; a refused "
+                            "run falls back to python "
                             f"(default {DEFAULT_LANE})")
-    bench.add_argument("--shards", type=int, default=1, metavar="K",
-                       help="worker processes for --lane sharded "
-                            "(default 1 = in-process shard)")
+    bench.add_argument("--shards", type=at_least_1, default=1, metavar="K",
+                       help="worker processes for --lane sharded (default 1)")
     bench.add_argument("--profile", action="store_true",
-                       help="run under cProfile and print the top 25 "
-                            "functions by cumulative time to stderr")
-    bench.add_argument("--profile-out", default=None, metavar="PATH",
-                       help="write the cProfile dump to PATH (binary "
-                            "pstats, loadable with pstats.Stats) plus a "
+                       help="run under cProfile; print the top 25 functions "
+                            "by cumulative time to stderr")
+    bench.add_argument("--profile-out", metavar="PATH",
+                       help="write the cProfile dump (pstats) to PATH plus a "
                             "JSON sidecar at PATH.json; implies --profile")
-    bench.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="record a sampled structured trace of the "
-                            "runs and write it to PATH (.jsonl = JSON "
-                            "Lines; anything else = Chrome trace-event "
-                            "JSON, loadable in Perfetto)")
-    bench.add_argument("--json", default=None, metavar="PATH",
-                       help="append rows to a BENCH_kernel.json trajectory "
-                            "file at PATH")
-    bench.add_argument("--label", default=None,
-                       help="trajectory label for --json (default: "
-                            "'cli' plus the cell parameters)")
-    bench.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="stream live metrics (per-shard epoch "
-                            "progress, resident set size) to PATH as "
-                            "JSON Lines while the sweep runs; each line "
-                            "is flushed, so `tail -f` follows the run")
-    bench.add_argument("--metrics-interval", type=float, default=None,
-                       metavar="SECONDS",
-                       help="wall-clock seconds between live metrics "
-                            "samples (default 1.0; needs --metrics-out)")
+    bench.add_argument("--json", metavar="PATH",
+                       help="append rows to a trajectory file at PATH")
+    bench.add_argument("--label", help="trajectory label for --json "
+                                       "(default: 'cli' plus the cell)")
 
     serve = sub.add_parser(
-        "serve",
-        help="multi-tenant query service: N concurrent aggregate queries "
-             "multiplexed over one shared simulated network")
-    serve.add_argument("--hosts", type=int, default=1000,
+        "serve", help="multi-tenant query service: concurrent aggregate "
+                      "queries over one shared simulated network",
+        parents=shared("topology", "seed", "delay", "trace-out",
+                       "metrics-out", "metrics-interval"))
+    serve.add_argument("--hosts", type=hosts, default=1000,
                        help="network size (default 1000)")
-    serve.add_argument("--topology", default="gnutella",
-                       help="topology generator (default gnutella)")
-    serve.add_argument("--qps", type=float, default=2.0,
-                       help="mean Poisson arrival rate of query streams "
-                            "(default 2.0)")
-    serve.add_argument("--duration", type=float, default=60.0,
-                       help="arrival window in simulated time; the service "
-                            "then runs to drain so every launched query "
-                            "declares (default 60)")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--delay", default="fixed", metavar="MODEL",
-                       help="link-delay model spec shared by all queries; "
-                            "each session samples its own stream "
-                            "(default fixed)")
-    serve.add_argument("--departures", type=int, default=0,
-                       help="hosts failed uniformly over the arrival "
-                            "window (default 0 = static)")
-    serve.add_argument("--continuous-fraction", type=float, default=0.15,
-                       help="fraction of arrivals that are continuous "
-                            "(periodic) query streams (default 0.15)")
-    serve.add_argument("--wildfire-share", type=float, default=None,
-                       metavar="W",
-                       help="weight of WILDFIRE in the protocol mix "
-                            "(default 0.25; the rest splits 2:1 between "
-                            "spanning-tree and dag2)")
-    serve.add_argument("--max-queries", type=int, default=None,
+    serve.add_argument("--qps", type=positive, default=2.0,
+                       help="mean Poisson arrival rate (default 2.0)")
+    serve.add_argument("--duration", type=positive, default=60.0,
+                       help="arrival window in simulated time, then drain "
+                            "(default 60)")
+    serve.add_argument("--departures", type=at_least_0, default=0,
+                       help="hosts failed over the arrival window (default 0)")
+    serve.add_argument("--continuous-fraction", type=fraction, default=0.15,
+                       help="share of periodic query streams (default 0.15)")
+    serve.add_argument("--wildfire-share", type=fraction, metavar="W",
+                       help="WILDFIRE's weight in the protocol mix (default "
+                            "0.25; the rest splits 2:1 tree:dag2)")
+    serve.add_argument("--max-queries", type=at_least_1,
                        help="cap on total submissions (default: unbounded)")
-    serve.add_argument("--shards", type=int, default=1, metavar="K",
-                       help="partition the query mix across K worker "
-                            "processes by query id; rows, summary and "
-                            "the determinism digest are merged to match "
-                            "the single-process run (default 1)")
-    serve.add_argument("--rows", type=int, default=20, metavar="N",
-                       help="print the first N per-query rows (default 20; "
-                            "0 = summary only)")
-    serve.add_argument("--json", default=None, metavar="PATH",
-                       help="write the full report (rows + summary + "
-                            "metrics) to PATH as JSON")
-    serve.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write the service metrics snapshot (engine "
-                            "tallies, queue occupancy, per-tenant "
-                            "breakdown) to PATH as JSON; with "
-                            "--metrics-interval the file becomes a JSON "
-                            "Lines stream of live snapshots instead")
-    serve.add_argument("--metrics-interval", type=float, default=None,
-                       metavar="SECONDS",
-                       help="simulated seconds between live metrics "
-                            "snapshots appended to --metrics-out while "
-                            "the mix runs (results stay bit-identical; "
-                            "needs --metrics-out, incompatible with "
-                            "--shards > 1)")
-    serve.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="record a sampled structured trace of the "
-                            "service run (.jsonl = JSON Lines; else "
-                            "Chrome trace-event JSON for Perfetto)")
-    serve.add_argument("--share-floods", choices=("on", "off"),
-                       default="off",
-                       help="cross-tenant shared-flood cache: sessions "
-                            "whose computation key matches an in-flight "
-                            "computation subscribe to it instead of "
-                            "flooding; per-query results are "
-                            "bit-identical either way (default off)")
-    serve.add_argument("--shed-policy", choices=("shed", "defer",
-                                                 "degrade"), default=None,
-                       help="admission-control policy for overloaded "
-                            "submissions: reject (shed), requeue with a "
-                            "deadline (defer), or answer from the "
-                            "recent-answer cache with a staleness tag "
-                            "(degrade); arming any admission limit "
-                            "defaults this to shed")
-    serve.add_argument("--max-qps", type=float, default=None,
-                       help="admission limit: launches per simulated "
-                            "second (sliding window)")
-    serve.add_argument("--max-active", type=int, default=None,
-                       help="admission limit: concurrently running "
-                            "sessions")
-    serve.add_argument("--tenant-budget", type=int, default=None,
-                       metavar="MSGS",
-                       help="admission limit: per-tenant message budget "
-                            "(continuous streams pool theirs)")
-    serve.add_argument("--defer-retry", type=float, default=2.0,
-                       metavar="SECONDS",
-                       help="simulated seconds between defer retries "
+    serve.add_argument("--shards", type=at_least_1, default=1, metavar="K",
+                       help="partition the mix by query id over K worker "
+                            "processes; merged results match one process")
+    serve.add_argument("--rows", type=at_least_0, default=20, metavar="N",
+                       help="print the first N query rows (default 20)")
+    serve.add_argument("--json", metavar="PATH",
+                       help="write rows, summary and metrics to PATH as JSON")
+    serve.add_argument("--share-floods", choices=("on", "off"), default="off",
+                       help="sessions with an in-flight twin computation "
+                            "subscribe to it; results are bit-identical")
+    serve.add_argument("--shed-policy", choices=("shed", "defer", "degrade"),
+                       help="admission policy under overload: reject, "
+                            "requeue until a deadline, or answer stale from "
+                            "cache (default shed once a limit is armed)")
+    serve.add_argument("--max-qps", type=positive,
+                       help="admission limit: launches per simulated second")
+    serve.add_argument("--max-active", type=at_least_0,
+                       help="admission limit: concurrently running sessions")
+    serve.add_argument("--tenant-budget", type=at_least_0, metavar="MSGS",
+                       help="admission limit: per-tenant message budget")
+    serve.add_argument("--defer-retry", type=positive, metavar="SECONDS",
+                       default=AdmissionConfig.defer_retry,
+                       help="defer policy: simulated seconds between retries "
                             "(default 2.0)")
-    serve.add_argument("--defer-deadline", type=float, default=30.0,
+    serve.add_argument("--defer-deadline", type=_bounded(float, 0),
+                       default=AdmissionConfig.defer_deadline,
                        metavar="SECONDS",
-                       help="how long a deferred query may wait before "
-                            "being shed (default 30.0)")
+                       help="defer policy: wait before a query is shed "
+                            "(default 30.0)")
 
     sweep = sub.add_parser(
-        "delay-sweep",
-        help="validity curves under variable link delay (figs 7-9 style)")
-    sweep.add_argument("--topology", default="random",
-                       help="topology generator (default random)")
-    sweep.add_argument("--size", type=int, default=100,
+        "delay-sweep", help="validity curves under variable link delay",
+        parents=shared("topology", "aggregate", "trials", "seed"))
+    sweep.set_defaults(topology="random", trials=3)
+    sweep.add_argument("--size", type=hosts, default=100,
                        help="network size (default 100)")
-    sweep.add_argument("--aggregate", default="count",
-                       help="query kind (default count)")
     sweep.add_argument("--delays", nargs="+", metavar="MODEL",
-                       default=None,
-                       help="delay model specs to sweep (default: fixed, "
-                            "uniform:0.25,1.0, heavy_tail:1.2)")
-    sweep.add_argument("--departures", type=int, nargs="+", default=[0],
-                       help="churn levels R to sweep (default: 0 = static)")
-    sweep.add_argument("-t", "--trials", type=int, default=3,
-                       help="independent trials per point (default 3)")
-    sweep.add_argument("--seed", type=int, default=0)
+                       help="delay model specs to sweep (default: "
+                            + ", ".join(DEFAULT_DELAY_SPECS) + ")")
+    sweep.add_argument("--departures", type=at_least_0, nargs="+",
+                       default=[0], help="churn levels R to sweep, each "
+                                         "below --size (default: 0)")
     sweep.add_argument("--provenance", action="store_true",
-                       help="attribute each declared estimate's "
-                            "contribution set and add lost_alive_mean / "
-                            "lost_churn_mean columns (records every "
-                            "delivery; experiment scale only)")
+                       help="add lost_alive_mean / lost_churn_mean columns "
+                            "(traces every delivery)")
 
-    obs = sub.add_parser(
-        "obs", help="observability reports over saved run artifacts")
+    obs = sub.add_parser("obs", help="reports over saved run artifacts")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
-    obs_report = obs_sub.add_parser(
-        "report",
-        help="epoch/barrier timeline of a sharded-lane run: per-epoch "
-             "straggler attribution and barrier-overhead fractions from "
-             "any JSON artifact carrying the coordinator's timeline "
-             "(repro bench --json, a saved result); .jsonl paths are "
-             "summarised as live metrics streams instead")
-    obs_report.add_argument("artifact", metavar="PATH",
-                            help="a run/bench JSON artifact with a "
-                                 "sharded timeline, or a --metrics-out "
-                                 "JSON Lines stream")
-    obs_report.add_argument("--epochs", type=int, default=12, metavar="N",
-                            help="cap the per-epoch table at the N most "
-                                 "skewed epochs (default 12; 0 = all)")
+    report = obs_sub.add_parser(
+        "report", help="per-epoch straggler / barrier table of a sharded "
+                       "run's JSON, or a summary of a .jsonl metrics stream")
+    report.add_argument("artifact", metavar="PATH",
+                        help="a bench/run JSON artifact or a --metrics-out "
+                             "JSON Lines stream")
+    report.add_argument("--epochs", type=at_least_0, default=12, metavar="N",
+                        help="show the N most skewed epochs (default 12; "
+                             "0 = all)")
 
     cache = sub.add_parser("cache", help="inspect or evict cached results")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cache_ls = cache_sub.add_parser("ls", help="list cached records")
-    cache_ls.add_argument("--cache-dir", default=None)
-    cache_clear = cache_sub.add_parser("clear", help="remove cached records")
-    cache_clear.add_argument("hash", nargs="?", default=None,
-                             help="cache key (or unique prefix) to evict")
-    cache_clear.add_argument("--all", action="store_true", dest="clear_all",
-                             help="evict every record")
-    cache_clear.add_argument("--cache-dir", default=None)
+    cache_sub.add_parser("ls", help="list cached records",
+                         parents=shared("cache-dir"))
+    clear = cache_sub.add_parser("clear", help="remove cached records",
+                                 parents=shared("cache-dir"))
+    clear.add_argument("hash", nargs="?",
+                       help="cache key (or unique prefix) to evict")
+    clear.add_argument("--all", action="store_true", dest="clear_all",
+                       help="evict every record")
     return parser
 
 
@@ -374,15 +355,13 @@ def _print_report(figure_id: str, report: RunReport, quiet: bool) -> None:
     print(f"== {figure_id}: {report.name} "
           f"[cache {report.cache_key[:12]}] ==")
     if not quiet:
-        first = report.results[0]
-        rows = first.value if isinstance(first.value, list) else [first.value]
-        print(format_table(rows))
+        # Every figure's value is its list of table rows.
+        print(format_table(report.results[0].value))
         if len(report.results) > 1:
             summary = [{
                 "trial": result.index,
                 "seed": result.seed,
-                "rows": len(result.value) if isinstance(result.value, list)
-                        else 1,
+                "rows": len(result.value),
                 "elapsed_s": round(result.elapsed, 2),
                 "cached": "yes" if result.cached else "no",
             } for result in report.results]
@@ -394,10 +373,6 @@ def _print_report(figure_id: str, report: RunReport, quiet: bool) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise _UsageError("--trials must be at least 1")
-    if args.workers < 1:
-        raise _UsageError("--workers must be at least 1")
     figure_ids: List[str] = []
     for figure_id in args.figures:
         figure_ids.extend(FIGURES if figure_id == "all" else [figure_id])
@@ -427,13 +402,10 @@ def _load_trajectory(path: str) -> dict:
         return {"trajectory": []}
     except (OSError, ValueError) as exc:
         raise _UsageError(f"refusing to overwrite {path}: {exc}")
-    if not isinstance(payload, dict):
-        raise _UsageError(
-            f"refusing to overwrite {path}: top-level JSON value is "
-            f"{type(payload).__name__}, expected an object")
-    if not isinstance(payload.setdefault("trajectory", []), list):
-        raise _UsageError(
-            f"refusing to overwrite {path}: 'trajectory' is not a list")
+    if not (isinstance(payload, dict) and isinstance(
+            payload.setdefault("trajectory", []), list)):
+        raise _UsageError(f"refusing to overwrite {path}: not a JSON "
+                          f"object with a 'trajectory' list")
     return payload
 
 
@@ -474,24 +446,21 @@ def _bench_live_metrics(args: argparse.Namespace,
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if any(h < 2 for h in args.hosts):
-        raise _UsageError("--hosts values must be at least 2")
-    if args.repetitions < 1:
-        raise _UsageError("--repetitions must be at least 1")
-    if args.shards < 1:
-        raise _UsageError("--shards must be at least 1")
     lane_requested = args.lane is not None
     if not lane_requested:
         args.lane = DEFAULT_LANE
     if args.shards > 1 and args.lane != "sharded":
         raise _UsageError("--shards requires --lane sharded")
-    payload = _load_trajectory(args.json) if args.json else None
+    if args.label is not None and not args.json:
+        raise _UsageError("--label needs --json PATH (it labels the "
+                          "trajectory point)")
     profiled = args.profile or args.profile_out
     if profiled and args.json:
         # Profiled wall times carry cProfile's tracing overhead; a
         # trajectory file must only ever record clean measurements.
         raise _UsageError("--profile cannot be combined with --json "
                           "(profiled timings would pollute the trajectory)")
+    payload = _load_trajectory(args.json) if args.json else None
     interval = _metrics_interval(args) or 1.0
     capture = ProfileCapture() if profiled else None
     rows = []
@@ -555,18 +524,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.hosts < 2:
-        raise _UsageError("--hosts must be at least 2")
-    if args.qps <= 0 or args.duration <= 0:
-        raise _UsageError("--qps and --duration must be positive")
-    if args.shards < 1:
-        raise _UsageError("--shards must be at least 1")
-    if args.departures < 0:
-        raise _UsageError("--departures must not be negative")
     protocol_mix = dict(DEFAULT_PROTOCOL_MIX)
     if args.wildfire_share is not None:
-        if not 0.0 <= args.wildfire_share <= 1.0:
-            raise _UsageError("--wildfire-share must be in [0, 1]")
         rest = 1.0 - args.wildfire_share
         protocol_mix = {"wildfire": args.wildfire_share,
                         "spanning-tree": rest * 2.0 / 3.0,
@@ -575,6 +534,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if interval is not None and args.shards > 1:
         raise _UsageError(
             "--metrics-interval is incompatible with --shards > 1")
+    # Only the defer policy reads these; argparse cannot tell a default
+    # from the same value typed out, so a changed value is what counts.
+    if args.shed_policy != "defer" and (
+            (args.defer_retry, args.defer_deadline)
+            != (AdmissionConfig.defer_retry, AdmissionConfig.defer_deadline)):
+        raise _UsageError("--defer-retry / --defer-deadline need "
+                          "--shed-policy defer")
     progress = None
     if log.isEnabledFor(10):  # DEBUG: periodic progress line per slice
         progress = lambda snap: log.debug(  # noqa: E731
@@ -658,8 +624,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
-    if args.epochs < 0:
-        raise _UsageError("--epochs must be >= 0")
     try:
         if args.artifact.endswith(".jsonl"):
             return _report_metrics_stream(args.artifact, args.epochs)
@@ -690,13 +654,11 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
         rows, title=f"Epoch/barrier timeline ({timeline.shards} shards"
                     f"{note})"))
     health = timeline.health()
-    shard_rows = [{
-        "shard": k,
-        "compute_s": health["compute_s"][k],
-        "barrier_wait_s": health["barrier_wait_s"][k],
-        "barrier_overhead": health["barrier_overhead"][k],
-        "straggler_epochs": health["straggler_epochs"][k],
-    } for k in range(health["shards"])]
+    columns = ("compute_s", "barrier_wait_s", "barrier_overhead",
+               "straggler_epochs")
+    shard_rows = [{"shard": k, **{column: health[column][k]
+                                  for column in columns}}
+                  for k in range(health["shards"])]
     print(format_table(shard_rows, title="Per-shard totals"))
     worst = health["worst_epoch"]
     if worst is not None:
@@ -759,14 +721,8 @@ def _report_metrics_stream(path: str, limit: int) -> int:
 
 
 def _cmd_delay_sweep(args: argparse.Namespace) -> int:
-    if args.size < 2:
-        raise _UsageError("--size must be at least 2")
-    if args.trials < 1:
-        raise _UsageError("--trials must be at least 1")
-    if min(args.departures) < 0:
-        raise _UsageError("--departures must not be negative")
     with _driver_errors():
-        rows = run_delay_sweep(
+        rows = run_validity_sweep(
             topology_from_spec(args.topology, args.size, args.seed),
             args.aggregate,
             departures=args.departures,
@@ -801,28 +757,24 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    configure_logging(-1 if args.log_quiet else args.verbose)
-    # ``obs`` and ``cache`` pick their sub-subcommand themselves; argparse
-    # has already rejected any command not listed here.
-    command = {
-        "figures": _cmd_figures,
-        "run": _cmd_run,
-        "bench": _cmd_bench,
-        "serve": _cmd_serve,
-        "obs": _cmd_obs_report,
-        "delay-sweep": _cmd_delay_sweep,
-        "cache": _cmd_cache,
-    }[args.command]
+    args = None
     try:
-        return command(args)
+        args = _build_parser().parse_args(argv)
+        configure_logging(-1 if args.log_quiet else args.verbose)
+        # ``obs`` and ``cache`` pick their sub-subcommand themselves;
+        # the parser has already rejected any command not listed here.
+        return {"figures": _cmd_figures, "run": _cmd_run,
+                "bench": _cmd_bench, "serve": _cmd_serve,
+                "obs": _cmd_obs_report, "delay-sweep": _cmd_delay_sweep,
+                "cache": _cmd_cache}[args.command](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         # Only ``run`` with a store persists as it goes; a re-run of it
         # resumes from the last finished trial.
-        resumable = args.command == "run" and not args.no_cache
+        resumable = (getattr(args, "command", None) == "run"
+                     and not args.no_cache)
         print("\ninterrupted" + ("; finished trials are cached"
                                  if resumable else ""), file=sys.stderr)
         return 130
@@ -831,7 +783,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # well-behaved unix filter.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -127,6 +127,17 @@ class Protocol:
         return combiner_for_query(query.kind.value, exact=exact, repetitions=repetitions)
 
 
+#: The names :func:`protocol_from_spec` resolves, one line on each.
+PROTOCOL_SPECS = {
+    "wildfire": "the paper's Single-Site Valid flooding protocol",
+    "spanning-tree": "best-effort TAG-style tree aggregation",
+    "dagK": "best-effort multi-parent aggregation, K >= 2 (dag = dag2)",
+    "allreport": "direct delivery of every value (valid, expensive)",
+    "randomized-report": "sampled direct delivery for size estimates",
+    "gossip": "push-sum epidemic baseline (eventual consistency)",
+}
+
+
 def protocol_from_spec(spec: "Protocol | str") -> Protocol:
     """Build a protocol from a compact spec string.
 
@@ -168,10 +179,8 @@ def protocol_from_spec(spec: "Protocol | str") -> Protocol:
         from repro.protocols.gossip import PushSumGossip
 
         return PushSumGossip()
-    raise KeyError(
-        f"unknown protocol {spec!r}; known: wildfire, spanning-tree, dagK "
-        f"(K >= 2, e.g. dag2), allreport, randomized-report, gossip"
-    )
+    raise KeyError(f"unknown protocol {spec!r}; known: "
+                   f"{', '.join(PROTOCOL_SPECS)} (dagK: K >= 2, e.g. dag2)")
 
 
 def resolve_d_hat(

@@ -26,6 +26,28 @@ def pin_spec_loop(monkeypatch):
 
 
 @pytest.fixture
+def usage_error(tmp_path, monkeypatch, capsys):
+    """Returns ``check(argv, says)``, which runs ``repro`` on a bad command
+    line from inside ``tmp_path`` and asserts the one way every bad
+    invocation ends: exit 2, nothing on stdout, exactly one stderr line,
+    containing ``says``, and no file created under ``tmp_path``."""
+    from repro.orchestration.cli import main
+
+    monkeypatch.chdir(tmp_path)
+
+    def check(argv, says):
+        before = sorted(tmp_path.rglob("*"))
+        assert main([str(arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert says in line
+        assert sorted(tmp_path.rglob("*")) == before
+        return line
+    return check
+
+
+@pytest.fixture
 def small_random_topology():
     """A small connected random topology used across protocol tests."""
     return random_topology(60, avg_degree=4, seed=7)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.aggregator import ValidAggregator
 from repro.core.config import ProtocolConfig, SimulationConfig
 from repro.core.results import QueryResult
+from repro.protocols.gossip import PushSumGossip
 from repro.queries.query import AggregateQuery, QueryKind
 from repro.simulation.churn import uniform_failure_schedule
 from repro.topology.random_graph import random_topology
@@ -58,7 +59,7 @@ class TestQueries:
 
     def test_unknown_protocol_rejected(self, aggregator):
         agg, _, _ = aggregator
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyError, match="unknown protocol 'teleportation'"):
             agg.query("max", protocol="teleportation")
 
     def test_true_value_helper(self, aggregator):
@@ -153,13 +154,12 @@ class TestBestEffortComparison:
 
 
 class TestConfiguration:
-    def test_dag_parent_config_used(self):
+    def test_dag_parents_come_from_the_spec(self):
         topo = random_topology(60, avg_degree=5, seed=30)
         values = constant_values(60, 1)
-        agg = ValidAggregator(topo, values, seed=30,
-                              protocol_config=ProtocolConfig(dag_parents=3))
-        result = agg.count(protocol="dag")
-        assert result.protocol == "dag-k3"
+        agg = ValidAggregator(topo, values, seed=30)
+        assert agg.count(protocol="dag3").protocol == "dag-k3"
+        assert agg.count(protocol="dag").protocol == "dag-k2"
 
     def test_wireless_config_reduces_costs_on_grid(self):
         from repro.topology.grid import grid_topology
@@ -175,9 +175,8 @@ class TestConfiguration:
     def test_gossip_protocol_reachable_from_facade(self):
         topo = random_topology(50, avg_degree=6, seed=32)
         values = constant_values(50, 1)
-        agg = ValidAggregator(topo, values, seed=32,
-                              protocol_config=ProtocolConfig(gossip_rounds=60))
-        result = agg.count(protocol="gossip")
+        agg = ValidAggregator(topo, values, seed=32)
+        result = agg.count(protocol=PushSumGossip(num_rounds=60))
         assert result.value == pytest.approx(50, rel=0.3)
 
     def test_delay_config_threads_through_and_keeps_min_exact(self):

@@ -37,28 +37,31 @@ class TestSimulationConfig:
 
 class TestProtocolConfig:
     def test_defaults(self):
+        from dataclasses import fields
+
         config = ProtocolConfig()
         assert config.d_hat is None
         assert config.fm_repetitions == 8
-        assert config.early_termination
-        assert config.dag_parents == 2
+        assert [f.name for f in fields(config)] == ["d_hat", "fm_repetitions"]
+
+    def test_protocol_parameters_travel_with_the_protocol(self):
+        """The config fields that went were only ever left at these
+        defaults, which the spec names build too."""
+        from repro.protocols.base import protocol_from_spec
+
+        assert protocol_from_spec("wildfire").early_termination
+        assert protocol_from_spec("dag").num_parents == 2
+        assert protocol_from_spec("gossip").num_rounds == 50
+        report = protocol_from_spec("randomized-report")
+        assert (report.epsilon, report.zeta) == (0.1, 0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ProtocolConfig(d_hat=0)
         with pytest.raises(ValueError):
             ProtocolConfig(fm_repetitions=0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(dag_parents=0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(gossip_rounds=0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(epsilon=1.0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(zeta=0.0)
 
     def test_custom_values_accepted(self):
-        config = ProtocolConfig(d_hat=20, fm_repetitions=32, dag_parents=4,
-                                gossip_rounds=10, epsilon=0.2, zeta=0.01)
+        config = ProtocolConfig(d_hat=20, fm_repetitions=32)
         assert config.d_hat == 20
         assert config.fm_repetitions == 32

@@ -14,12 +14,7 @@ import pytest
 
 from repro.core import aggregator
 from repro.core.aggregator import ValidAggregator
-from repro.experiments import (
-    badcase,
-    costs,
-    delay_sweep,
-    validity_sweep,
-)
+from repro.experiments import badcase, costs, validity_sweep
 from repro.simulation.churn import ChurnSchedule
 from repro.simulation.vector_lane import DEFAULT_LANE
 from repro.topology.random_graph import random_topology
@@ -58,9 +53,10 @@ DRIVERS = {
         DAG2),
     "badcase": (badcase, lambda: badcase.run_theorem_44_experiment(
         cycle_size=12, seed=4), TREE),
-    "delay_sweep": (validity_sweep, lambda: delay_sweep.run_delay_sweep(
+    "delay_sweep": (validity_sweep, lambda: validity_sweep.run_validity_sweep(
         random_topology(60, avg_degree=4, seed=7), "count",
-        departures=(0, 8), num_trials=1, seed=7), LINE_UP),
+        departures=(0, 8), delay_specs=validity_sweep.DEFAULT_DELAY_SPECS,
+        num_trials=1, seed=7), LINE_UP),
     "core.aggregator": (aggregator, _aggregator_queries, DAG2),
 }
 

@@ -39,12 +39,9 @@ class TestBenchArtifacts:
         # The benchmark table still prints on stdout.
         assert "Kernel scale benchmark" in capsys.readouterr().out
 
-    def test_profile_out_refuses_trajectory_json(self, tmp_path, capsys):
-        code = main(["bench", "--hosts", "300",
-                     "--profile-out", str(tmp_path / "p.pstats"),
-                     "--json", str(tmp_path / "traj.json")])
-        assert code == 2
-        assert "--profile" in capsys.readouterr().err
+    def test_profile_out_refuses_trajectory_json(self, usage_error):
+        usage_error(["bench", "--hosts", "300", "--profile-out", "p.pstats",
+                     "--json", "traj.json"], "--profile")
 
     def test_trace_out_chrome_json(self, tmp_path):
         path = tmp_path / "trace.json"
@@ -114,6 +111,12 @@ class TestLoggingFlags:
         captured = capsys.readouterr()
         assert "hosts:" not in captured.err
         assert "Kernel scale benchmark" in captured.out
+
+    def test_verbose_serve_logs_each_progress_slice(self, capsys):
+        assert main(["-v", "serve", "--hosts", "60", "--topology", "random",
+                     "--qps", "1", "--duration", "4", "--rows", "0"]) == 0
+        err = capsys.readouterr().err
+        assert ".. t=" in err and "queued events" in err
 
     def test_default_level_is_info(self, capsys):
         assert main(["bench", "--hosts", "200"]) == 0
@@ -200,10 +203,9 @@ class TestMetricsStreaming:
         seqs = [row["seq"] for row in rows[1:]]
         assert seqs == sorted(seqs)
 
-    def test_bench_metrics_interval_requires_out(self, capsys):
-        assert main(["bench", "--hosts", "200",
-                     "--metrics-interval", "1"]) == 2
-        assert "--metrics-out" in capsys.readouterr().err
+    def test_bench_metrics_interval_requires_out(self, usage_error):
+        usage_error(["bench", "--hosts", "200", "--metrics-interval", "1"],
+                    "--metrics-out")
 
     def test_serve_metrics_interval_streams_snapshots(self, tmp_path):
         stream = tmp_path / "serve.jsonl"
@@ -254,11 +256,24 @@ class TestObsReport:
         assert "worst epoch:" in out
 
     def test_report_rejects_artifact_without_timeline(self, tmp_path,
-                                                      capsys):
+                                                      usage_error):
         path = tmp_path / "plain.json"
         path.write_text(json.dumps({"rows": [{"hosts": 10}]}))
-        assert main(["obs", "report", str(path)]) == 2
-        assert "no sharded epoch timeline" in capsys.readouterr().err
+        usage_error(["obs", "report", path], "no sharded epoch timeline")
+        usage_error(["obs", "report", path, "--epochs", "-1"],
+                    "argument --epochs: must be >= 0")
+
+    def test_report_spreads_bench_progress_over_shard_columns(
+            self, tmp_path, capsys):
+        stream = tmp_path / "live.jsonl"
+        assert main(["--quiet", "bench", "--hosts", "400",
+                     "--topology", "random", "--lane", "sharded",
+                     "--shards", "2", "--metrics-out", str(stream),
+                     "--metrics-interval", "0.05"]) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", str(stream)]) == 0
+        out = capsys.readouterr().out
+        assert "shard0.epochs" in out and "shard1.t" in out
 
     def test_report_summarises_metrics_stream(self, tmp_path, capsys):
         stream = tmp_path / "live.jsonl"
@@ -272,9 +287,9 @@ class TestObsReport:
         assert "stream: " in out
         assert "Live metrics samples" in out
 
-    def test_report_missing_file_is_an_error(self, tmp_path, capsys):
-        assert main(["obs", "report", str(tmp_path / "nope.json")]) == 2
-        assert "cannot read" in capsys.readouterr().err
+    def test_report_missing_file_is_an_error(self, usage_error):
+        usage_error(["obs", "report", "nope.json"], "cannot read")
+        usage_error(["obs"], "the following arguments are required")
 
 
 class TestObsReportInterruptedStreams:
@@ -319,15 +334,13 @@ class TestObsReportInterruptedStreams:
         assert "hosts=120" in out
         assert "interrupted before its first sample" in out
 
-    def test_empty_stream_is_an_error(self, tmp_path, capsys):
+    def test_empty_stream_is_an_error(self, tmp_path, usage_error):
         path = tmp_path / "live.jsonl"
         path.write_text("")
-        assert main(["obs", "report", str(path)]) == 2
-        assert "holds no metrics samples" in capsys.readouterr().err
+        usage_error(["obs", "report", path], "holds no metrics samples")
 
-    def test_mid_stream_corruption_is_an_error(self, tmp_path, capsys):
+    def test_mid_stream_corruption_is_an_error(self, tmp_path, usage_error):
         path = self._write(tmp_path, [json.dumps(self.META),
                                       "{not json}",
                                       self._sample(0)])
-        assert main(["obs", "report", str(path)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        usage_error(["obs", "report", path], "not valid JSON")

@@ -167,15 +167,15 @@ class TestExperimentsOptIn:
         assert wildfire.provenance.lost_alive == frozenset()
 
     def test_delay_sweep_columns_are_opt_in(self):
-        from repro.experiments.delay_sweep import run_delay_sweep
+        from repro.experiments.validity_sweep import run_validity_sweep
 
         topology = random_topology(40, avg_degree=4, seed=SEED)
-        plain = run_delay_sweep(topology, "count", departures=(0,),
-                                delay_specs=("fixed",), num_trials=1,
-                                seed=SEED)
-        rich = run_delay_sweep(topology, "count", departures=(0,),
-                               delay_specs=("fixed",), num_trials=1,
-                               seed=SEED, provenance=True)
+        plain = run_validity_sweep(topology, "count", departures=(0,),
+                                   delay_specs=("fixed",), num_trials=1,
+                                   seed=SEED)
+        rich = run_validity_sweep(topology, "count", departures=(0,),
+                                  delay_specs=("fixed",), num_trials=1,
+                                  seed=SEED, provenance=True)
         for before, after in zip(plain, rich):
             stock = before.as_dict()
             extended = after.as_dict()

@@ -39,9 +39,16 @@ def test_run_then_cached_rerun(cache_dir, capsys):
          if line.startswith(("count", "sum"))]
 
 
-def test_run_unknown_figure_fails_cleanly(cache_dir, capsys):
-    assert main(["run", "fig99", "--cache-dir", cache_dir]) == 2
-    assert "unknown figure" in capsys.readouterr().err
+def test_run_prints_a_trials_table_for_several_trials(capsys):
+    assert main(["run", "fig6", "--scale", "0.05", "--trials", "2",
+                 "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert "Trials" in out and "elapsed_s" in out
+    assert "2 trials (0 cached, 2 executed)" in out
+
+
+def test_run_unknown_figure_fails_cleanly(cache_dir, usage_error):
+    usage_error(["run", "fig99", "--cache-dir", cache_dir], "unknown figure")
 
 
 def test_cache_ls_and_targeted_clear(cache_dir, capsys):
@@ -65,9 +72,8 @@ def test_cache_ls_and_targeted_clear(cache_dir, capsys):
     assert "empty" in capsys.readouterr().out
 
 
-def test_cache_clear_requires_target(cache_dir, capsys):
-    assert main(["cache", "clear", "--cache-dir", cache_dir]) == 2
-    assert "--all" in capsys.readouterr().err
+def test_cache_clear_requires_target(cache_dir, usage_error):
+    usage_error(["cache", "clear", "--cache-dir", cache_dir], "--all")
 
 
 def test_no_cache_leaves_no_records(cache_dir, tmp_path, capsys):
@@ -85,9 +91,22 @@ def test_bench_variable_delay_row(capsys):
     assert "accounting_bytes" in captured.out
 
 
-def test_bench_unknown_delay_model_fails_cleanly(capsys):
-    assert main(["bench", "--hosts", "64", "--delay", "warp"]) == 2
-    assert "unknown delay model" in capsys.readouterr().err
+@pytest.mark.parametrize("bad_input, says", [
+    (["--delay", "warp"], "unknown delay model"),
+    (["--hosts", "64", "1"], "argument --hosts: must be >= 2, got 1"),
+    (["--hosts", "many"], "argument --hosts: invalid int value: 'many'"),
+    (["--repetitions", "0"], "argument --repetitions: must be >= 1"),
+    (["--lane", "warp"], "argument --lane: invalid choice: 'warp'"),
+    (["--shards", "2"], "--shards requires --lane sharded"),
+    (["--metrics-interval", "0", "--metrics-out", "m.jsonl"],
+     "argument --metrics-interval: must be > 0"),
+    (["--label", "nightly"], "--label needs --json"),
+])
+def test_bench_checks_every_input_before_opening_a_file(
+        bad_input, says, usage_error):
+    """``--label`` without ``--json`` used to exit 0 and drop the label."""
+    usage_error(["bench", "--hosts", "64", "--trace-out", "trace.json",
+                 *bad_input], says)
 
 
 def test_bench_profile_prints_cumulative_top(capsys):
@@ -108,29 +127,34 @@ def test_delay_sweep_command_prints_rows(capsys):
     assert "wildfire" in out
 
 
-def test_delay_sweep_rejects_unknown_topology(capsys):
-    assert main(["delay-sweep", "--topology", "moebius"]) == 2
-    assert "unknown topology" in capsys.readouterr().err
+def test_delay_sweep_rejects_unknown_topology(usage_error):
+    usage_error(["delay-sweep", "--topology", "moebius"], "unknown topology")
 
 
-def test_delay_sweep_rejects_negative_departures(capsys):
+def test_delay_sweep_rejects_negative_departures(usage_error):
     """The one churn sweep draws ``R`` victims; ``R < 0`` used to run as
-    a static network under an ``R = -3`` label."""
-    assert main(["delay-sweep", "--size", "40", "--departures", "-3"]) == 2
-    assert "--departures must not be negative" in capsys.readouterr().err
+    a static network under an ``R = -3`` label, and ``R >= n`` ran
+    ``n - 1`` failures under the ``R`` asked for."""
+    usage_error(["delay-sweep", "--size", "40", "--departures", "-3"],
+                "argument --departures: must be >= 0, got -3")
+    usage_error(["delay-sweep", "--size", "20", "--departures", "0", "50"],
+                "R must be in [0, 19] on 20 hosts")
 
 
 @pytest.mark.parametrize("command", [
     ["run", "fig6", *RUN_ARGS, "--no-cache"],
     ["bench", "--hosts", "64"],
     ["serve", "--hosts", "64"],
+    ["delay-sweep"],
+    ["figures"],
+    ["obs", "report", "bench.json"],
+    ["cache", "ls"],
 ])
-def test_stats_option_is_gone(command, capsys):
-    """One sink: there is no accounting mode to pick on any command."""
-    with pytest.raises(SystemExit) as excinfo:
-        main([*command, "--stats", "streaming"])
-    assert excinfo.value.code == 2
-    assert "--stats" in capsys.readouterr().err
+def test_stats_option_is_gone(command, usage_error):
+    """One sink: there is no accounting mode to pick on any command, and
+    an unknown flag ends like every other bad invocation."""
+    usage_error([*command, "--stats", "streaming"],
+                "unrecognized arguments: --stats streaming")
 
 
 def test_run_reports_the_processes_that_ran(capsys):
@@ -172,13 +196,34 @@ def test_interrupt_says_cached_only_when_trials_were(
     assert ("cached" in capsys.readouterr().err) is cached
 
 
-def test_bench_profile_refuses_trajectory_json(tmp_path, capsys):
+def test_bench_json_appends_labelled_trajectory_points(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "traj.json"
+    for label in ("first", None):
+        argv = ["bench", "--hosts", "64", "--json", str(path)]
+        assert main(argv + (["--label", label] if label else [])) == 0
+    labels = [point["label"]
+              for point in json.loads(path.read_text())["trajectory"]]
+    assert labels == ["first", "cli wildfire/gnutella/count"]
+
+
+@pytest.mark.parametrize("content", [
+    "{not json", "[1, 2]", '{"trajectory": {}}'])
+def test_bench_refuses_to_overwrite_a_foreign_json(
+        content, tmp_path, usage_error):
+    path = tmp_path / "traj.json"
+    path.write_text(content)
+    usage_error(["bench", "--hosts", "64", "--json", path],
+                f"refusing to overwrite {path}")
+    assert path.read_text() == content
+
+
+def test_bench_profile_refuses_trajectory_json(usage_error):
     """Profiled timings carry tracing overhead and must never land in a
     trajectory file."""
-    out = str(tmp_path / "traj.json")
-    assert main(["bench", "--hosts", "64", "--topology", "random",
-                 "--profile", "--json", out]) == 2
-    assert "--profile" in capsys.readouterr().err
+    usage_error(["bench", "--hosts", "64", "--topology", "random",
+                 "--profile", "--json", "traj.json"], "--profile")
 
 
 def test_serve_runs_a_small_mix_and_reports(tmp_path, capsys):
@@ -224,6 +269,54 @@ def test_serve_rows_name_the_path_and_fallbacks_get_a_line(tmp_path, capsys):
             f"variable delay model") in capsys.readouterr().out
 
 
+def test_serve_wildfire_share_sets_the_protocol_mix(tmp_path, capsys):
+    import json
+
+    report_path = tmp_path / "serve.json"
+    assert main(["serve", "--hosts", "60", "--topology", "random",
+                 "--qps", "2", "--duration", "6", "--rows", "0",
+                 "--wildfire-share", "1", "--json", str(report_path)]) == 0
+    rows = json.loads(report_path.read_text())["rows"]
+    assert rows and {row["protocol"] for row in rows} == {"wildfire"}
+
+
+def test_serve_arms_admission_from_its_flags(tmp_path, capsys):
+    import json
+
+    report_path = tmp_path / "serve.json"
+    assert main(["serve", "--hosts", "60", "--topology", "random",
+                 "--qps", "4", "--duration", "6", "--rows", "0",
+                 "--max-active", "1", "--shed-policy", "defer",
+                 "--defer-retry", "1", "--defer-deadline", "3",
+                 "--json", str(report_path)]) == 0
+    summary = json.loads(report_path.read_text())["summary"]
+    assert summary["peak_active_sessions"] == 1
+    assert summary["deferrals"] > 0 and summary["shed"] > 0
+    assert summary["answered"] + summary["failed"] + summary["shed"] \
+        == summary["queries"]
+
+
+def test_a_closed_stdout_pipe_ends_quietly():
+    """``repro figures | head -0``: a reader that went away is not an
+    error (unbuffered, so the write fails inside the command)."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-u", "-m", "repro",
+                               "figures"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_serve_is_deterministic_across_invocations(capsys):
     args = ["serve", "--hosts", "80", "--topology", "random",
             "--qps", "1", "--duration", "6", "--rows", "0"]
@@ -243,49 +336,143 @@ def test_serve_is_deterministic_across_invocations(capsys):
     assert digest(first) == digest(second)
 
 
-def test_serve_rejects_bad_parameters(capsys):
-    assert main(["serve", "--hosts", "1"]) == 2
-    assert "--hosts" in capsys.readouterr().err
-    assert main(["serve", "--qps", "0"]) == 2
-    assert "--qps" in capsys.readouterr().err
-    assert main(["serve", "--hosts", "64", "--topology", "moebius"]) == 2
-    assert "unknown topology" in capsys.readouterr().err
-    assert main(["serve", "--hosts", "64", "--wildfire-share", "2"]) == 2
-    assert "--wildfire-share" in capsys.readouterr().err
+def test_serve_rejects_bad_parameters(usage_error):
+    usage_error(["serve", "--hosts", "1"], "argument --hosts: must be >= 2")
+    usage_error(["serve", "--qps", "0"], "argument --qps: must be > 0")
+    usage_error(["serve", "--qps", "nan"], "argument --qps: must be > 0")
+    usage_error(["serve", "--hosts", "64", "--topology", "moebius"],
+                "unknown topology")
+    usage_error(["serve", "--hosts", "64", "--wildfire-share", "2"],
+                "argument --wildfire-share: must be in [0, 1], got 2")
+    usage_error(["serve", "--share-floods", "maybe"],
+                "argument --share-floods: invalid choice: 'maybe'")
+    usage_error(["serve", "--shed-policy"],
+                "argument --shed-policy: expected one argument")
 
 
 @pytest.mark.parametrize("bad_input", [
     ["--departures", "-5"],
-    ["--metrics-interval", "1", "--metrics-out", "METRICS", "--shards", "2"],
+    ["--metrics-interval", "1", "--metrics-out", "m.jsonl", "--shards", "2"],
+    ["--metrics-interval", "1"],
+    ["--rows", "-1"],
+    ["--defer-retry", "-5", "--shed-policy", "defer", "--max-active", "3"],
+    ["--defer-retry", "5"],
+    ["--defer-deadline", "10"],
+    ["--defer-retry", "1", "--max-active", "3"],
 ])
 def test_serve_checks_every_input_before_opening_a_file(
-        bad_input, tmp_path, capsys):
+        bad_input, usage_error):
     """A negative ``--departures`` used to run (and print ``departures
     -5``); ``--metrics-interval`` with ``--shards 2`` used to fail only
-    after creating a meta-only stream file."""
-    metrics = tmp_path / "m.jsonl"
-    bad_input = [str(metrics) if arg == "METRICS" else arg
-                 for arg in bad_input]
-    assert main(["serve", "--hosts", "50", "--qps", "1", "--duration", "3",
-                 *bad_input]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert bad_input[0] in captured.err
-    assert not metrics.exists()
+    after creating a meta-only stream file; ``--rows -1`` printed no
+    rows, and ``--defer-*`` without the defer policy armed (or a negative
+    retry) was ignored."""
+    usage_error(["serve", "--hosts", "50", "--qps", "1", "--duration", "3",
+                 "--trace-out", "trace.json", "--json", "report.json",
+                 *bad_input], bad_input[0])
 
 
 @pytest.mark.parametrize("bad_limit", [
     ["--max-active", "-1"], ["--tenant-budget", "-3"]])
-def test_serve_rejects_negative_admission_limits(bad_limit, tmp_path, capsys):
+def test_serve_rejects_negative_admission_limits(bad_limit, usage_error):
     """A negative admission limit used to shed every query and exit 0."""
-    metrics = tmp_path / "m.json"
-    assert main(["serve", "--hosts", "60", "--topology", "random",
+    usage_error(["serve", "--hosts", "60", "--topology", "random",
                  "--qps", "1", "--duration", "4", *bad_limit,
-                 "--metrics-out", str(metrics)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert "non-negative" in captured.err
-    assert not metrics.exists()
+                 "--metrics-out", "m.json"],
+                f"argument {bad_limit[0]}: must be >= 0")
 
+
+
+#: Every option of every command: (command path, option strings, dest,
+#: effective default, nargs, choices).  Declaring a flag once for several
+#: commands, or bounding it in the parser, must leave this table as is.
+SURFACE = [
+    ('', '-v/--verbose', 'verbose', 0, 0, None),
+    ('', '--quiet', 'log_quiet', False, 0, None),
+    ('run', 'figures', 'figures', None, '+', None),
+    ('run', '--scale', 'scale', 0.5, None, None),
+    ('run', '-t/--trials', 'trials', 1, None, None),
+    ('run', '--seed', 'seed', 0, None, None),
+    ('run', '-w/--workers', 'workers', 1, None, None),
+    ('run', '--cache-dir', 'cache_dir', None, None, None),
+    ('run', '--no-cache', 'no_cache', False, 0, None),
+    ('run', '--force', 'force', False, 0, None),
+    ('run', '-q/--quiet', 'quiet', False, 0, None),
+    ('bench', '--hosts', 'hosts', [1000, 10000], '+', None),
+    ('bench', '--topology', 'topology', 'gnutella', None, None),
+    ('bench', '--protocol', 'protocol', 'wildfire', None, None),
+    ('bench', '--aggregate', 'aggregate', 'count', None, None),
+    ('bench', '--seed', 'seed', 0, None, None),
+    ('bench', '--repetitions', 'repetitions', 8, None, None),
+    ('bench', '--delay', 'delay', 'fixed', None, None),
+    ('bench', '--lane', 'lane', None, None, ('python', 'vector', 'sharded')),
+    ('bench', '--shards', 'shards', 1, None, None),
+    ('bench', '--profile', 'profile', False, 0, None),
+    ('bench', '--profile-out', 'profile_out', None, None, None),
+    ('bench', '--trace-out', 'trace_out', None, None, None),
+    ('bench', '--json', 'json', None, None, None),
+    ('bench', '--label', 'label', None, None, None),
+    ('bench', '--metrics-out', 'metrics_out', None, None, None),
+    ('bench', '--metrics-interval', 'metrics_interval', None, None, None),
+    ('serve', '--hosts', 'hosts', 1000, None, None),
+    ('serve', '--topology', 'topology', 'gnutella', None, None),
+    ('serve', '--qps', 'qps', 2.0, None, None),
+    ('serve', '--duration', 'duration', 60.0, None, None),
+    ('serve', '--seed', 'seed', 0, None, None),
+    ('serve', '--delay', 'delay', 'fixed', None, None),
+    ('serve', '--departures', 'departures', 0, None, None),
+    ('serve', '--continuous-fraction', 'continuous_fraction', 0.15, None,
+     None),
+    ('serve', '--wildfire-share', 'wildfire_share', None, None, None),
+    ('serve', '--max-queries', 'max_queries', None, None, None),
+    ('serve', '--shards', 'shards', 1, None, None),
+    ('serve', '--rows', 'rows', 20, None, None),
+    ('serve', '--json', 'json', None, None, None),
+    ('serve', '--metrics-out', 'metrics_out', None, None, None),
+    ('serve', '--metrics-interval', 'metrics_interval', None, None, None),
+    ('serve', '--trace-out', 'trace_out', None, None, None),
+    ('serve', '--share-floods', 'share_floods', 'off', None, ('on', 'off')),
+    ('serve', '--shed-policy', 'shed_policy', None, None,
+     ('shed', 'defer', 'degrade')),
+    ('serve', '--max-qps', 'max_qps', None, None, None),
+    ('serve', '--max-active', 'max_active', None, None, None),
+    ('serve', '--tenant-budget', 'tenant_budget', None, None, None),
+    ('serve', '--defer-retry', 'defer_retry', 2.0, None, None),
+    ('serve', '--defer-deadline', 'defer_deadline', 30.0, None, None),
+    ('delay-sweep', '--topology', 'topology', 'random', None, None),
+    ('delay-sweep', '--size', 'size', 100, None, None),
+    ('delay-sweep', '--aggregate', 'aggregate', 'count', None, None),
+    ('delay-sweep', '--delays', 'delays', None, '+', None),
+    ('delay-sweep', '--departures', 'departures', [0], '+', None),
+    ('delay-sweep', '-t/--trials', 'trials', 3, None, None),
+    ('delay-sweep', '--seed', 'seed', 0, None, None),
+    ('delay-sweep', '--provenance', 'provenance', False, 0, None),
+    ('obs report', 'artifact', 'artifact', None, None, None),
+    ('obs report', '--epochs', 'epochs', 12, None, None),
+    ('cache ls', '--cache-dir', 'cache_dir', None, None, None),
+    ('cache clear', 'hash', 'hash', None, '?', None),
+    ('cache clear', '--all', 'clear_all', False, 0, None),
+    ('cache clear', '--cache-dir', 'cache_dir', None, None, None),
+]
+
+
+def test_every_command_keeps_its_options():
+    import argparse
+
+    from repro.orchestration.cli import _build_parser
+
+    def walk(parser, path):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    yield from walk(child, path + (name,))
+            elif not isinstance(action, argparse._HelpAction):
+                yield (" ".join(path),
+                       "/".join(action.option_strings) or action.dest,
+                       action.dest, parser.get_default(action.dest),
+                       action.nargs, action.choices)
+
+    def by_option(rows):
+        return sorted(rows, key=lambda row: row[:2])
+
+    assert by_option(walk(_build_parser(), ())) == by_option(SURFACE)
