@@ -193,7 +193,9 @@ def test_10k_host_run_is_quick():
 #: 100k run.  ``ru_maxrss`` is a process-wide high-water mark, so this
 #: covers everything that precedes it in the module; the packed network
 #: core (CSR adjacency + slotted hosts + lazy multicast expansion)
-#: brought the clean-process peak from ~377 MiB down to ~179 MiB.
+#: brought the clean-process peak from ~377 MiB down to ~179 MiB, and
+#: plain ``repro bench --hosts 100000`` now reads ~138 MiB (2-core Xeon,
+#: CPython 3.11).
 #: Budgeted with headroom; the strict clean-process 2x guard lives in
 #: ``test_packed_core_100k_rss_is_2x_below_prepacked_baseline``.
 STREAMING_100K_RSS_BUDGET_MB = 250.0

@@ -12,50 +12,38 @@ the paper contrasts with in-network aggregation.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, Optional, Set
 
 from repro.protocols.base import Protocol
-from repro.queries.query import AggregateQuery
-from repro.simulation.host import HostContext, ProtocolHost
+from repro.simulation.host import HostContext, ProtocolHost, RunRecord
 from repro.simulation.messages import Message
-from repro.sketches.combiners import Combiner
-from repro.topology.base import Topology
 
 BROADCAST = "ar-broadcast"
 REPORT = "ar-report"
 
 
+class ReportRun(RunRecord):
+    """ALLREPORT's run constants: the shared record plus the probability
+    with which a host reports (checked here, once per run)."""
+
+    __slots__ = ("report_probability",)
+
+    def __init__(self, *shared: Any, report_probability: float) -> None:
+        super().__init__(*shared)
+        if not 0.0 < report_probability <= 1.0:
+            raise ValueError("report_probability must be in (0, 1]")
+        self.report_probability = report_probability
+
+
 class AllReportHost(ProtocolHost):
     """Per-host ALLREPORT state machine (slotted: one per network host)."""
 
-    __slots__ = (
-        "querying_host", "query", "d_hat", "delta", "rng",
-        "report_probability", "active", "upstream", "collected",
-        "forward_targets",
-    )
+    __slots__ = ("active", "upstream", "collected", "forward_targets")
 
-    def __init__(
-        self,
-        host_id: int,
-        value: float,
-        querying_host: int,
-        query: AggregateQuery,
-        d_hat: int,
-        delta: float,
-        rng: random.Random,
-        report_probability: float = 1.0,
-    ) -> None:
-        super().__init__(host_id, value)
-        if not 0.0 < report_probability <= 1.0:
-            raise ValueError("report_probability must be in (0, 1]")
-        self.querying_host = querying_host
-        self.query = query
-        self.d_hat = d_hat
-        self.delta = delta
-        self.rng = rng
-        self.report_probability = report_probability
+    run_class = ReportRun
 
+    def __init__(self, host_id: int, value: float, run: ReportRun) -> None:
+        super().__init__(host_id, value, run)
         self.active = False
         self.upstream: Optional[int] = None
         self.collected: Dict[int, float] = {}
@@ -64,14 +52,10 @@ class AllReportHost(ProtocolHost):
         self.forward_targets: Dict[int, Set[int]] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def _deadline(self) -> float:
-        return 2.0 * self.d_hat * self.delta
-
     def on_query_start(self, ctx: HostContext) -> None:
         self.active = True
         self.collected[self.host_id] = self.value
-        ctx.send_to_neighbors(BROADCAST, {"d_hat": self.d_hat})
+        ctx.send_to_neighbors(BROADCAST, {"d_hat": self.run.d_hat})
 
     def on_message(self, message: Message, ctx: HostContext) -> None:
         if message.kind == BROADCAST:
@@ -80,17 +64,18 @@ class AllReportHost(ProtocolHost):
             self._on_report(message, ctx)
 
     def _on_broadcast(self, message: Message, ctx: HostContext) -> None:
-        if self.active or ctx.now >= self._deadline:
+        run = self.run
+        if self.active or ctx.now >= run.global_deadline:
             return
         self.active = True
         self.upstream = message.sender
-        ctx.send_to_neighbors(BROADCAST, {"d_hat": self.d_hat},
+        ctx.send_to_neighbors(BROADCAST, {"d_hat": run.d_hat},
                               exclude=(self.upstream,))
-        if self.rng.random() <= self.report_probability:
+        if run.rng.random() <= run.report_probability:
             self._emit_report(
                 origin=self.host_id,
                 value=self.value,
-                ttl=2 * self.d_hat,
+                ttl=2 * run.d_hat,
                 came_from=None,
                 ctx=ctx,
             )
@@ -99,11 +84,12 @@ class AllReportHost(ProtocolHost):
         origin = int(message.payload["origin"])
         value = float(message.payload["value"])
         ttl = int(message.payload["ttl"])
-        if self.host_id == self.querying_host:
-            if ctx.now <= self._deadline:
+        deadline = self.run.global_deadline
+        if self.host_id == self.run.querying_host:
+            if ctx.now <= deadline:
                 self.collected[origin] = value
             return
-        if ctx.now > self._deadline or ttl <= 0:
+        if ctx.now > deadline or ttl <= 0:
             return
         self._emit_report(origin=origin, value=value, ttl=ttl - 1,
                           came_from=message.sender, ctx=ctx)
@@ -130,10 +116,11 @@ class AllReportHost(ProtocolHost):
         used = self.forward_targets.setdefault(origin, set())
         alive = ctx.neighbors()
         payload = {"origin": origin, "value": value, "ttl": ttl}
+        querying_host = self.run.querying_host
 
         preferences = []
-        if self.querying_host in alive:
-            preferences.append(self.querying_host)
+        if querying_host in alive:
+            preferences.append(querying_host)
         if self.upstream is not None and self.upstream != came_from:
             # Routing back where the report came from would just bounce it
             # between the two hosts; prefer making progress elsewhere.
@@ -147,10 +134,10 @@ class AllReportHost(ProtocolHost):
                 continue
             used.add(target)
             ctx.send(target, REPORT, payload)
-            if target != self.querying_host:
+            if target != querying_host:
                 # Re-check later: if the target failed before delivery, the
                 # report is silently dropped by the network, so re-route it.
-                ctx.set_timer(2.0 * self.delta, "ar-retry",
+                ctx.set_timer(2.0 * self.run.delta, "ar-retry",
                               data={"origin": origin, "value": value,
                                     "ttl": ttl, "target": target})
             return
@@ -158,7 +145,7 @@ class AllReportHost(ProtocolHost):
     def on_timer(self, name: str, data, ctx: HostContext) -> None:
         if name != "ar-retry" or not isinstance(data, dict):
             return
-        if ctx.now > self._deadline:
+        if ctx.now > self.run.global_deadline:
             return
         target = data.get("target")
         if target in ctx.neighbors():
@@ -167,13 +154,14 @@ class AllReportHost(ProtocolHost):
                           ttl=int(data["ttl"]) - 1, came_from=None, ctx=ctx)
 
     def local_result(self) -> Optional[float]:
-        if self.host_id != self.querying_host or not self.collected:
+        run = self.run
+        if self.host_id != run.querying_host or not self.collected:
             return None
         values = list(self.collected.values())
-        if self.report_probability < 1.0 and self.query.kind.value == "count":
+        if run.report_probability < 1.0 and run.query.kind.value == "count":
             # RANDOMIZEDREPORT estimate: |M| / p.
-            return len(values) / self.report_probability
-        return self.query.evaluate(values)
+            return len(values) / run.report_probability
+        return run.query.evaluate(values)
 
 
 class AllReport(Protocol):
@@ -181,6 +169,7 @@ class AllReport(Protocol):
 
     name = "allreport"
     requires_duplicate_insensitive = False
+    host_class = AllReportHost
 
     def __init__(self, report_probability: float = 1.0) -> None:
         if not 0.0 < report_probability <= 1.0:
@@ -193,27 +182,5 @@ class AllReport(Protocol):
     def config_spec(self) -> tuple:
         return (self.report_probability,)
 
-    def create_hosts(
-        self,
-        topology: Topology,
-        values: Sequence[float],
-        querying_host: int,
-        query: AggregateQuery,
-        combiner: Combiner,
-        d_hat: int,
-        delta: float,
-        rng: random.Random,
-    ) -> List[ProtocolHost]:
-        return [
-            AllReportHost(
-                host_id=host_id,
-                value=values[host_id],
-                querying_host=querying_host,
-                query=query,
-                d_hat=d_hat,
-                delta=delta,
-                rng=rng,
-                report_probability=self.report_probability,
-            )
-            for host_id in range(topology.num_hosts)
-        ]
+    def host_options(self, num_hosts: int) -> dict:
+        return {"report_probability": self.report_probability}

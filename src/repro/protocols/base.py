@@ -66,10 +66,10 @@ class Protocol:
     name: str = "protocol"
 
     #: The per-host state machine, constructed by :meth:`create_hosts` as
-    #: ``host_class(host_id, value, querying_host, combiner, d_hat, delta,
-    #: rng, **host_options())`` -- the shape WILDFIRE, SPANNINGTREE and
-    #: DAG-k share.  A protocol whose hosts take anything else overrides
-    #: :meth:`create_hosts` instead of naming one.
+    #: ``host_class(host_id, value, run)``, where ``run`` is the one
+    #: ``host_class.run_class`` record of the run -- the shape every
+    #: in-tree protocol shares.  A protocol whose hosts take anything
+    #: else overrides :meth:`create_hosts` instead of naming one.
     host_class: Type[ProtocolHost]
 
     #: Whether the protocol needs a duplicate-insensitive combiner to return
@@ -91,8 +91,10 @@ class Protocol:
         """
         return ()
 
-    def host_options(self) -> Dict[str, Any]:
-        """Extra keyword arguments :meth:`create_hosts` passes every host."""
+    def host_options(self, num_hosts: int) -> Dict[str, Any]:
+        """The protocol's own constants for a run over ``num_hosts``
+        hosts: extra keyword arguments of the host class's
+        ``run_class``."""
         return {}
 
     def create_hosts(
@@ -106,13 +108,13 @@ class Protocol:
         delta: float,
         rng: random.Random,
     ) -> List[ProtocolHost]:
-        """Build one protocol host per topology host."""
-        host_class, options = self.host_class, self.host_options()
-        return [
-            host_class(host_id, values[host_id], querying_host, combiner,
-                       d_hat, delta, rng, **options)
-            for host_id in range(topology.num_hosts)
-        ]
+        """Build one protocol host per topology host, all sharing one
+        run record."""
+        host_class, num_hosts = self.host_class, topology.num_hosts
+        run = host_class.run_class(querying_host, query, combiner, d_hat,
+                                   delta, rng, **self.host_options(num_hosts))
+        return [host_class(host_id, values[host_id], run)
+                for host_id in range(num_hosts)]
 
     def termination_time(self, d_hat: int, delta: float) -> float:
         """The nominal time ``T`` at which the querying host declares:
@@ -220,7 +222,9 @@ class PreparedRun:
         d_hat: the resolved stable-diameter overestimate.
         termination: the protocol's nominal termination time ``T``.
         hosts: one freshly built protocol state machine per topology host.
-        rng: the run RNG (already consumed by host construction).
+        rng: the run RNG.  Building the hosts draws nothing from it;
+            the run does, in spec order (an activation's contribution,
+            ALLREPORT's report coin, gossip's round targets).
         delay_model: resolved realised-delay model (``None`` = fixed).
     """
 

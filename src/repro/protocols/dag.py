@@ -19,17 +19,29 @@ body for every per-host transition.
 
 from __future__ import annotations
 
-import random
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.protocols.base import Protocol
 from repro.queries.query import AggregateQuery
-from repro.simulation.host import HostContext, ProtocolHost
+from repro.simulation.host import HostContext, ProtocolHost, RunRecord
 from repro.simulation.messages import Message
 from repro.sketches.combiners import Combiner, combiner_for_query
 
 BROADCAST = "dag-broadcast"
 REPORT = "dag-report"
+
+
+class DagRun(RunRecord):
+    """DAG-k's run constants: the shared record plus ``num_parents``,
+    the fan-out ``k`` (checked here, once per run)."""
+
+    __slots__ = ("num_parents",)
+
+    def __init__(self, *shared: Any, num_parents: int) -> None:
+        super().__init__(*shared)
+        if num_parents < 1:
+            raise ValueError("num_parents must be at least 1")
+        self.num_parents = num_parents
 
 
 class DagHost(ProtocolHost):
@@ -55,49 +67,31 @@ class DagHost(ProtocolHost):
     stated again in the kernel.
     """
 
-    __slots__ = (
-        "querying_host", "combiner", "d_hat", "delta", "rng", "num_parents",
-        "active", "parents", "depth", "partial", "reports_received",
-        "reported",
-    )
+    __slots__ = ("active", "parents", "depth", "partial",
+                 "reports_received", "reported")
 
+    run_class = DagRun
     broadcast_kind = BROADCAST
     report_kind = REPORT
 
-    def __init__(
-        self,
-        host_id: int,
-        value: float,
-        querying_host: int,
-        combiner: Combiner,
-        d_hat: int,
-        delta: float,
-        rng: random.Random,
-        num_parents: int = 2,
-    ) -> None:
-        super().__init__(host_id, value)
-        if num_parents < 1:
-            raise ValueError("num_parents must be at least 1")
-        self.querying_host = querying_host
-        self.combiner = combiner
-        self.d_hat = d_hat
-        self.delta = delta
-        self.rng = rng
-        self.num_parents = num_parents
-
+    def __init__(self, host_id: int, value: float, run: DagRun) -> None:
+        super().__init__(host_id, value, run)
         self.active = False
-        self.parents: List[int] = []
+        #: ``()`` until adoption; then the parents, the first one the
+        #: adopted sender (a tuple: most hosts never gain a second).
+        self.parents: Tuple[int, ...] = ()
         self.depth: Optional[int] = None
         self.partial: Any = None
         self.reports_received = 0
         self.reported = False
 
     def on_query_start(self, ctx: HostContext) -> None:
+        run = self.run
         self.active = True
         self.depth = 0
-        self.partial = self.combiner.initial(self.value, self.rng)
+        self.partial = run.combiner.initial(self.value, run.rng)
         ctx.send_to_neighbors(self.broadcast_kind,
-                              {"depth": 0, "d_hat": self.d_hat})
+                              {"depth": 0, "d_hat": run.d_hat})
 
     def on_message(self, message: Message, ctx: HostContext) -> None:
         if message.kind == self.broadcast_kind:
@@ -111,7 +105,7 @@ class DagHost(ProtocolHost):
             deadline = self.adopt(message.sender, sender_depth, ctx.now)
             ctx.send_to_neighbors(
                 self.broadcast_kind,
-                {"depth": self.depth, "d_hat": self.d_hat},
+                {"depth": self.depth, "d_hat": self.run.d_hat},
                 exclude=(message.sender,),
             )
             ctx.set_timer_at(deadline, "report")
@@ -119,13 +113,13 @@ class DagHost(ProtocolHost):
         # Additional Broadcasts from hosts no deeper than us become extra
         # parents, up to k; this keeps the parent relation acyclic.
         if (
-            len(self.parents) < self.num_parents
+            len(self.parents) < self.run.num_parents
             and message.sender not in self.parents
             and self.depth is not None
             and sender_depth < self.depth
             and message.sender != self.host_id
         ):
-            self.parents.append(message.sender)
+            self.parents += (message.sender,)
 
     def adopt(self, sender: int, sender_depth: int, now: float) -> float:
         """The first Broadcast heard: ``sender`` becomes the parent, the
@@ -134,18 +128,19 @@ class DagHost(ProtocolHost):
         ``delta`` before the parent's own deadline ("now" when a fast
         many-hop path made ``depth`` exceed the hop distance).  The
         caller forwards the Broadcast and sets the timer at it."""
+        run = self.run
         self.active = True
-        self.parents = [sender]
+        self.parents = (sender,)
         self.depth = sender_depth + 1
-        self.partial = self.combiner.initial(self.value, self.rng)
-        return max(now, (2.0 * self.d_hat - self.depth) * self.delta)
+        self.partial = run.combiner.initial(self.value, run.rng)
+        return max(now, (2.0 * run.d_hat - self.depth) * run.delta)
 
     def take_report(self, agg: Any) -> None:
         """Fold a child's Report.  One that arrives after this host pushed
         its own partial aggregate up the tree (or before it heard the
         Broadcast) is lost -- the best-effort behaviour."""
         if self.active and not self.reported:
-            self.partial = self.combiner.combine(self.partial, agg)
+            self.partial = self.run.combiner.combine(self.partial, agg)
             self.reports_received += 1
 
     def report_due(self) -> Sequence[int]:
@@ -169,7 +164,7 @@ class DagHost(ProtocolHost):
     def local_result(self) -> Optional[float]:
         if self.partial is None:
             return None
-        return self.combiner.finalize(self.partial)
+        return self.run.combiner.finalize(self.partial)
 
 
 class ConvergecastBatchKernel:
@@ -203,15 +198,16 @@ class ConvergecastBatchKernel:
     host hands ``ctx.set_timer_at``.
     """
 
-    __slots__ = ("hosts", "broadcast_kind", "report_kind")
+    __slots__ = ("hosts", "run", "broadcast_kind", "report_kind")
 
     @classmethod
     def try_build(cls, hosts: Sequence[Any], num_hosts: int,
                   querying_host: int) -> Optional["ConvergecastBatchKernel"]:
         """A kernel for this host table, or ``None`` if unsupported.
 
-        Supported: every host is exactly of the querying host's class,
-        and that class names this kernel in its own body -- a subclass
+        Supported: every host is exactly of the querying host's class
+        and shares its run record (the kernel reads ``num_parents`` off
+        it once), and that class names this kernel in its own body -- a subclass
         that merely inherits the name may have overridden the branch the
         kernel inlines.  The hosts call their own combiner and the kernel
         never looks inside a partial, so any combiner works.
@@ -221,14 +217,16 @@ class ConvergecastBatchKernel:
         host_type = type(hosts[querying_host])
         if vars(host_type).get("batch_kernel") is not cls:
             return None
+        run = hosts[querying_host].run
         for host in hosts:
-            if type(host) is not host_type:
+            if type(host) is not host_type or host.run is not run:
                 return None
         return cls(hosts, host_type.broadcast_kind, host_type.report_kind)
 
     def __init__(self, hosts: Sequence[Any], broadcast_kind: str,
                  report_kind: str) -> None:
         self.hosts = hosts
+        self.run = hosts[0].run
         self.broadcast_kind = broadcast_kind
         self.report_kind = report_kind
 
@@ -250,6 +248,7 @@ class ConvergecastBatchKernel:
         alive = lane.alive_bytes
         counts = lane.counts
         broadcast_kind = self.broadcast_kind
+        num_parents = self.run.num_parents
         dropped = 0
         max_depth = lane.max_depth
         tracer = lane.tracer
@@ -280,11 +279,11 @@ class ConvergecastBatchKernel:
                     # (a Fig. 7 sweep rep: 16 641 adoptions against
                     # 242 008 messages), so it stays inlined.
                     parents = host.parents
-                    if (len(parents) < host.num_parents
+                    if (len(parents) < num_parents
                             and sender not in parents
                             and sender_depth < host.depth
                             and sender != dest):
-                        parents.append(sender)
+                        host.parents = parents + (sender,)
                 else:
                     # Adoption is the spec host's own transition; the
                     # lane forwards the Broadcast (a host does so once, so
@@ -345,7 +344,7 @@ class DirectedAcyclicGraph(Protocol):
         self.num_parents = num_parents
         self.name = f"dag-k{num_parents}"
 
-    def host_options(self) -> dict:
+    def host_options(self, num_hosts: int) -> dict:
         return {"num_parents": self.num_parents}
 
     def default_combiner(self, query: AggregateQuery, repetitions: int = 8) -> Combiner:

@@ -26,45 +26,38 @@ fires, so mass conservation (and hence convergence) is unaffected.
 
 from __future__ import annotations
 
-import random
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional
 
 from repro.protocols.base import Protocol
-from repro.queries.query import AggregateQuery, QueryKind
-from repro.simulation.host import HostContext, ProtocolHost
+from repro.queries.query import QueryKind
+from repro.simulation.host import HostContext, ProtocolHost, RunRecord
 from repro.simulation.messages import Message
-from repro.sketches.combiners import Combiner
-from repro.topology.base import Topology
 
 START = "gs-start"
 SHARE = "gs-share"
 
 
+class PushSumRun(RunRecord):
+    """Push-sum's run constants: the shared record plus the number of
+    gossip rounds."""
+
+    __slots__ = ("num_rounds",)
+
+    def __init__(self, *shared: Any, num_rounds: int) -> None:
+        super().__init__(*shared)
+        self.num_rounds = num_rounds
+
+
 class PushSumHost(ProtocolHost):
     """Per-host push-sum state machine driven by per-round timers (slotted)."""
 
-    __slots__ = (
-        "querying_host", "query", "num_rounds", "delta", "rng",
-        "mass", "weight", "extremum", "rounds_done", "started",
-    )
+    __slots__ = ("mass", "weight", "extremum", "rounds_done", "started")
 
-    def __init__(
-        self,
-        host_id: int,
-        value: float,
-        querying_host: int,
-        query: AggregateQuery,
-        num_rounds: int,
-        delta: float,
-        rng: random.Random,
-    ) -> None:
-        super().__init__(host_id, value)
-        self.querying_host = querying_host
-        self.query = query
-        self.num_rounds = num_rounds
-        self.delta = delta
-        self.rng = rng
+    run_class = PushSumRun
 
+    def __init__(self, host_id: int, value: float, run: PushSumRun) -> None:
+        super().__init__(host_id, value, run)
+        query = run.query
         if query.kind is QueryKind.COUNT:
             self.mass = 1.0
         elif query.kind in (QueryKind.SUM, QueryKind.AVG):
@@ -79,7 +72,7 @@ class PushSumHost(ProtocolHost):
         else:
             # For sum/count only the querying host holds weight, so the total
             # weight is 1 and s/w converges to the total mass.
-            self.weight = 1.0 if host_id == querying_host else 0.0
+            self.weight = 1.0 if host_id == run.querying_host else 0.0
         self.extremum = float(value)
         self.rounds_done = 0
         self.started = False
@@ -87,16 +80,16 @@ class PushSumHost(ProtocolHost):
     def on_query_start(self, ctx: HostContext) -> None:
         # The querying host kicks every host off by flooding a start signal.
         self.started = True
-        ctx.send_to_neighbors(START, {"rounds": self.num_rounds})
-        ctx.set_timer(self.delta, "round")
+        ctx.send_to_neighbors(START, {"rounds": self.run.num_rounds})
+        ctx.set_timer(self.run.delta, "round")
 
     def on_message(self, message: Message, ctx: HostContext) -> None:
         if message.kind == START:
             if not self.started:
                 self.started = True
-                ctx.send_to_neighbors(START, {"rounds": self.num_rounds},
+                ctx.send_to_neighbors(START, {"rounds": self.run.num_rounds},
                                       exclude=(message.sender,))
-                ctx.set_timer(self.delta, "round")
+                ctx.set_timer(self.run.delta, "round")
             return
         if message.kind == SHARE:
             self.mass += float(message.payload["mass"])
@@ -106,12 +99,13 @@ class PushSumHost(ProtocolHost):
             )
 
     def _combine_extremum(self, a: float, b: float) -> float:
-        if self.query.kind is QueryKind.MIN:
+        if self.run.query.kind is QueryKind.MIN:
             return min(a, b)
         return max(a, b)
 
     def on_timer(self, name: str, data: Any, ctx: HostContext) -> None:
-        if name != "round" or self.rounds_done >= self.num_rounds:
+        run = self.run
+        if name != "round" or self.rounds_done >= run.num_rounds:
             return
         self.rounds_done += 1
         # The packed sorted view is element-for-element what
@@ -119,7 +113,7 @@ class PushSumHost(ProtocolHost):
         # golden bitstream -- is unchanged.
         neighbors = ctx.neighbors_sorted()
         if neighbors:
-            target = self.rng.choice(neighbors)
+            target = run.rng.choice(neighbors)
             half_mass = self.mass / 2.0
             half_weight = self.weight / 2.0
             self.mass -= half_mass
@@ -129,11 +123,11 @@ class PushSumHost(ProtocolHost):
                 "weight": half_weight,
                 "extremum": self.extremum,
             })
-        if self.rounds_done < self.num_rounds:
-            ctx.set_timer(self.delta, "round")
+        if self.rounds_done < run.num_rounds:
+            ctx.set_timer(run.delta, "round")
 
     def local_result(self) -> Optional[float]:
-        if self.query.kind in (QueryKind.MIN, QueryKind.MAX):
+        if self.run.query.kind in (QueryKind.MIN, QueryKind.MAX):
             return self.extremum
         if self.weight <= 0.0:
             return None
@@ -152,6 +146,7 @@ class PushSumGossip(Protocol):
     requires_duplicate_insensitive = False
 
     stochastic = True  # random neighbor choice every round
+    host_class = PushSumHost
 
     def __init__(self, num_rounds: int = 50) -> None:
         if num_rounds < 1:
@@ -161,29 +156,8 @@ class PushSumGossip(Protocol):
     def config_spec(self) -> tuple:
         return (self.num_rounds,)
 
-    def create_hosts(
-        self,
-        topology: Topology,
-        values: Sequence[float],
-        querying_host: int,
-        query: AggregateQuery,
-        combiner: Combiner,
-        d_hat: int,
-        delta: float,
-        rng: random.Random,
-    ) -> List[ProtocolHost]:
-        return [
-            PushSumHost(
-                host_id=host_id,
-                value=values[host_id],
-                querying_host=querying_host,
-                query=query,
-                num_rounds=self.num_rounds,
-                delta=delta,
-                rng=rng,
-            )
-            for host_id in range(topology.num_hosts)
-        ]
+    def host_options(self, num_hosts: int) -> dict:
+        return {"num_rounds": self.num_rounds}
 
     def termination_time(self, d_hat: int, delta: float) -> float:
         # One flood to start plus the configured number of rounds.

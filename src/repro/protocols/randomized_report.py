@@ -10,15 +10,9 @@ required ``p`` for a target (epsilon, zeta) is ``p >= 4 / (eps^2 n) ln(2 / zeta)
 from __future__ import annotations
 
 import math
-import random
-from typing import List, Sequence
 
-from repro.protocols.allreport import AllReport, AllReportHost
+from repro.protocols.allreport import AllReportHost
 from repro.protocols.base import Protocol
-from repro.queries.query import AggregateQuery
-from repro.simulation.host import ProtocolHost
-from repro.sketches.combiners import Combiner
-from repro.topology.base import Topology
 
 
 def report_probability_for(epsilon: float, zeta: float, network_size: int) -> float:
@@ -62,6 +56,7 @@ class RandomizedReport(Protocol):
 
     name = "randomized-report"
     requires_duplicate_insensitive = False
+    host_class = RandomizedReportHost
 
     def __init__(
         self,
@@ -83,32 +78,9 @@ class RandomizedReport(Protocol):
         return (self.epsilon, self.zeta, self.expected_size,
                 self.report_probability)
 
-    def create_hosts(
-        self,
-        topology: Topology,
-        values: Sequence[float],
-        querying_host: int,
-        query: AggregateQuery,
-        combiner: Combiner,
-        d_hat: int,
-        delta: float,
-        rng: random.Random,
-    ) -> List[ProtocolHost]:
-        if self.report_probability is not None:
-            probability = self.report_probability
-        else:
-            size = self.expected_size or topology.num_hosts
-            probability = report_probability_for(self.epsilon, self.zeta, size)
-        return [
-            RandomizedReportHost(
-                host_id=host_id,
-                value=values[host_id],
-                querying_host=querying_host,
-                query=query,
-                d_hat=d_hat,
-                delta=delta,
-                rng=rng,
-                report_probability=probability,
-            )
-            for host_id in range(topology.num_hosts)
-        ]
+    def host_options(self, num_hosts: int) -> dict:
+        probability = self.report_probability
+        if probability is None:
+            probability = report_probability_for(
+                self.epsilon, self.zeta, self.expected_size or num_hosts)
+        return {"report_probability": probability}

@@ -48,5 +48,5 @@ class SpanningTree(Protocol):
     requires_duplicate_insensitive = False
     host_class = SpanningTreeHost
 
-    def host_options(self) -> dict:
+    def host_options(self, num_hosts: int) -> dict:
         return {"num_parents": 1}

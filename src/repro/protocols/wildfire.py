@@ -32,14 +32,12 @@ happens in time and Single-Site Validity is preserved.
 
 from __future__ import annotations
 
-import random
 from typing import Any, List, Optional, Sequence, Set
 
 from repro.protocols.base import Protocol
 from repro.simulation.clock import instant_after
-from repro.simulation.host import HostContext, ProtocolHost
+from repro.simulation.host import HostContext, ProtocolHost, RunRecord
 from repro.simulation.messages import Message
-from repro.sketches.combiners import Combiner
 from repro.sketches.fm import FMSketch
 
 #: Message kinds used by the protocol.
@@ -48,6 +46,25 @@ CONVERGECAST = "wf-convergecast"
 
 #: Name of the per-instant flush timer.
 FLUSH = "wf-flush"
+
+
+class WildfireRun(RunRecord):
+    """WILDFIRE's run constants: the shared record plus whether the
+    participation window narrows with hop distance (Section 5.3), whether
+    the combiner's state is a packed bitmask, and the combiner's three
+    fold hooks, bound once per run."""
+
+    __slots__ = ("early_termination", "packed_mode", "combine",
+                 "states_equal", "absorbs")
+
+    def __init__(self, *shared: Any, early_termination: bool) -> None:
+        super().__init__(*shared)
+        combiner = self.combiner
+        self.early_termination = early_termination
+        self.packed_mode = bool(getattr(combiner, "packed_state", False))
+        self.combine = combiner.combine
+        self.states_equal = combiner.states_equal
+        self.absorbs = combiner.absorbs
 
 
 class WildfireHost(ProtocolHost):
@@ -75,33 +92,15 @@ class WildfireHost(ProtocolHost):
     """
 
     __slots__ = (
-        "querying_host", "combiner", "d_hat", "delta", "rng",
-        "early_termination", "active", "distance",
-        "_dirty", "_skip_neighbor", "_reply_to", "_flush_pending",
-        "_next_flush", "_combine", "_states_equal", "_absorbs", "_deadline",
-        "_packed_mode", "_packed", "_packed_stale", "_reps", "_nbits",
+        "active", "distance", "_dirty", "_skip_neighbor", "_reply_to",
+        "_flush_pending", "_next_flush", "_deadline", "_packed",
         "_partial_obj",
     )
 
-    def __init__(
-        self,
-        host_id: int,
-        value: float,
-        querying_host: int,
-        combiner: Combiner,
-        d_hat: int,
-        delta: float,
-        rng: random.Random,
-        early_termination: bool = True,
-    ) -> None:
-        super().__init__(host_id, value)
-        self.querying_host = querying_host
-        self.combiner = combiner
-        self.d_hat = d_hat
-        self.delta = delta
-        self.rng = rng
-        self.early_termination = early_termination
+    run_class = WildfireRun
 
+    def __init__(self, host_id: int, value: float, run: WildfireRun) -> None:
+        super().__init__(host_id, value, run)
         self.active = False
         self.distance: Optional[int] = None
 
@@ -120,35 +119,20 @@ class WildfireHost(ProtocolHost):
         self._flush_pending = False
         self._next_flush = 0.0
 
-        # Hot-path bindings: the combine/equality hooks are resolved once,
-        # and the participation deadline is cached at activation time (it
-        # only depends on the hop distance, which never changes afterwards).
-        # The bound-method triple is memoised on the combiner so the whole
-        # host table shares three method objects instead of allocating
-        # three per host.
-        hot = getattr(combiner, "_hot_bindings", None)
-        if hot is None:
-            hot = (combiner.combine, combiner.states_equal, combiner.absorbs)
-            try:
-                combiner._hot_bindings = hot
-            except AttributeError:  # a slotted third-party combiner
-                pass
-        self._combine, self._states_equal, self._absorbs = hot
-        self._deadline = 2.0 * d_hat * delta
+        # The participation deadline, narrowed at activation time (it
+        # only depends on the hop distance, which never changes).
+        self._deadline = run.global_deadline
 
         # FM fast path: when the combiner's state is a packed bitmask
-        # (count/sum sketches), convergecast folding runs on bare ints and
-        # the FMSketch object is materialised lazily, only when the
-        # aggregate is actually sent or read.  Outcomes are identical to
-        # the combiner calls: OR <=> combine, int == <=> states_equal.
-        self._packed_mode = bool(getattr(combiner, "packed_state", False))
+        # (count/sum sketches), the host keeps only the bitmask
+        # ``_packed`` and folds bare ints; ``partial`` builds the
+        # FMSketch when it is read (to send or declare it) and keeps it
+        # in ``_partial_obj`` until the next growth.  Outcomes are
+        # identical to the combiner calls: OR <=> combine, int == <=>
+        # states_equal.  Otherwise ``_packed`` stays ``None`` and the
+        # state is ``_partial_obj`` itself.
         self._packed: Optional[int] = None
-        self._packed_stale = False
-        if self._packed_mode:
-            self._reps = combiner.repetitions
-            self._nbits = combiner.num_bits
         self._partial_obj: Any = None
-        self.partial = None
 
     # ------------------------------------------------------------------
     # Helpers
@@ -156,37 +140,33 @@ class WildfireHost(ProtocolHost):
     @property
     def partial(self) -> Any:
         """The current partial aggregate (materialised on demand)."""
-        if self._packed_stale:
-            self._partial_obj = FMSketch._from_packed(
-                self._packed, self._reps, self._nbits)
-            self._packed_stale = False
-        return self._partial_obj
-
-    @partial.setter
-    def partial(self, value: Any) -> None:
-        self._partial_obj = value
-        self._packed_stale = False
-        if self._packed_mode and value is not None:
-            self._packed = value.packed
-
-    @property
-    def _global_deadline(self) -> float:
-        return 2.0 * self.d_hat * self.delta
+        partial = self._partial_obj
+        if partial is None and self._packed is not None:
+            combiner = self.run.combiner
+            partial = self._partial_obj = FMSketch._from_packed(
+                self._packed, combiner.repetitions, combiner.num_bits)
+        return partial
 
     def _participation_deadline(self) -> float:
         """The time until which this host keeps processing Convergecast."""
+        run = self.run
         if (
-            self.early_termination
+            run.early_termination
             and self.distance is not None
-            and self.host_id != self.querying_host
+            and self.host_id != run.querying_host
         ):
-            return (2.0 * self.d_hat - self.distance + 1.0) * self.delta
-        return self._global_deadline
+            return (2.0 * run.d_hat - self.distance + 1.0) * run.delta
+        return run.global_deadline
 
     def _activate(self, distance: int) -> None:
         self.active = True
         self.distance = distance
-        self.partial = self.combiner.initial(self.value, self.rng)
+        run = self.run
+        contribution = run.combiner.initial(self.value, run.rng)
+        if run.packed_mode:
+            self._packed = contribution.packed
+        else:
+            self._partial_obj = contribution
         self._deadline = self._participation_deadline()
 
     def first_contact(self, sender: int, incoming: Any,
@@ -205,22 +185,23 @@ class WildfireHost(ProtocolHost):
         """
         self._activate(
             sender_distance + 1 if sender_distance is not None else 1)
+        packed = self._packed
         if incoming is None:
             grew, settled = False, False
-        elif self._packed_mode:
-            packed = self._packed
+        elif packed is not None:
+            # Nothing has read ``partial`` since the activation, so no
+            # built sketch goes stale here.
             merged = packed | incoming
             grew = merged != packed
             if grew:
                 self._packed = merged
-                self._packed_stale = True
             settled = merged == incoming
         else:
-            partial = self._partial_obj
-            grew = not self._absorbs(partial, incoming)
+            run, partial = self.run, self._partial_obj
+            grew = not run.absorbs(partial, incoming)
             if grew:
-                self.partial = partial = self._combine(partial, incoming)
-            settled = self._states_equal(partial, incoming)
+                self._partial_obj = partial = run.combine(partial, incoming)
+            settled = run.states_equal(partial, incoming)
         if not settled:
             # The sender still needs our aggregate: it knows less than us.
             self._note_reply(sender)
@@ -228,7 +209,7 @@ class WildfireHost(ProtocolHost):
 
     def _payload(self) -> dict:
         return {
-            "d_hat": self.d_hat,
+            "d_hat": self.run.d_hat,
             "dist": self.distance,
             "agg": self.partial,
         }
@@ -264,9 +245,9 @@ class WildfireHost(ProtocolHost):
         incoming = message.payload.get("agg")
 
         if not self.active:
-            if ctx.now >= self._global_deadline:
+            if ctx.now >= self.run.global_deadline:
                 return
-            if incoming is not None and self._packed_mode:
+            if incoming is not None and self.run.packed_mode:
                 incoming = incoming.packed
             owes_flush = self.first_contact(
                 message.sender, incoming, message.payload.get("dist"))
@@ -286,10 +267,10 @@ class WildfireHost(ProtocolHost):
         # docstring for why the batch kernel repeats it).
         if incoming is None:
             return
-        if self._packed_mode:
-            # Sketch folding on bare packed ints; no object allocation at
-            # all unless the aggregate actually grows.
-            packed = self._packed
+        packed = self._packed
+        if packed is not None:
+            # Packed mode: sketch folding on bare ints; no object
+            # allocation at all unless the aggregate actually grows.
             inc = incoming.packed
             merged = packed | inc
             if merged == packed:
@@ -298,43 +279,41 @@ class WildfireHost(ProtocolHost):
                     self._schedule_flush(ctx)
                 return
             self._packed = merged
-            self._packed_stale = True
+            self._partial_obj = None  # built from the old bitmask
             self._dirty = True
             # If the merge result equals what the sender already has, there
-            # is no point echoing it straight back (Example 5.1).
+            # is no point echoing it straight back (Example 5.1).  A
+            # reply owed to the sender is not withdrawn: the flush this
+            # growth schedules ignores ``_reply_to`` while ``_dirty``.
             self._skip_neighbor = message.sender if merged == inc else None
-            if self._reply_to is not None:
-                self._reply_to.discard(message.sender)
             self._schedule_flush(ctx)
             return
         # Generic combiners: ``absorbs`` tests containment without
         # allocating a merged state that would be discarded.
-        partial = self.partial
-        if self._absorbs(partial, incoming):
-            if not self._states_equal(partial, incoming):
+        run, partial = self.run, self._partial_obj
+        if run.absorbs(partial, incoming):
+            if not run.states_equal(partial, incoming):
                 # Our aggregate did not change but the sender's is stale:
                 # send ours back so the sender (and eventually the querying
                 # host on the other side of it) catches up.
                 self._note_reply(message.sender)
                 self._schedule_flush(ctx)
             return
-        self.partial = new_partial = self._combine(partial, incoming)
+        self._partial_obj = new_partial = run.combine(partial, incoming)
         self._dirty = True
-        # If the merge result equals what the sender already has, there
-        # is no point echoing it straight back (Example 5.1).
-        if self._states_equal(new_partial, incoming):
+        # As in packed mode: skip an echo, keep any owed reply.
+        if run.states_equal(new_partial, incoming):
             self._skip_neighbor = message.sender
         else:
             self._skip_neighbor = None
-        if self._reply_to is not None:
-            self._reply_to.discard(message.sender)
         self._schedule_flush(ctx)
 
     def on_timer(self, name: str, data: Any, ctx: HostContext) -> None:
         if name != FLUSH:
             return
         self._flush_pending = False
-        self._next_flush = instant_after(ctx.now, self.delta, self.delta)
+        delta = self.run.delta
+        self._next_flush = instant_after(ctx.now, delta, delta)
         if not self.active or ctx.now > self._deadline:
             self._dirty = False
             self._reply_to = None
@@ -358,7 +337,7 @@ class WildfireHost(ProtocolHost):
         """The value this host would declare (meaningful at the querying host)."""
         if self.partial is None:
             return None
-        return self.combiner.finalize(self.partial)
+        return self.run.combiner.finalize(self.partial)
 
 
 class WildfireBatchKernel:
@@ -414,8 +393,7 @@ class WildfireBatchKernel:
     understands; everything else falls back to the spec lane.
     """
 
-    __slots__ = ("hosts", "packed_mode", "keep_min", "global_deadline",
-                 "deadlines")
+    __slots__ = ("hosts", "run", "keep_min", "deadlines")
 
     @classmethod
     def try_build(cls, hosts: Sequence[Any], num_hosts: int,
@@ -423,7 +401,7 @@ class WildfireBatchKernel:
         """A kernel for this host table, or ``None`` if unsupported.
 
         Supported: every host is exactly a :class:`WildfireHost` sharing
-        one combiner whose state is either a packed bitmask
+        one run record, whose combiner's state is either a packed bitmask
         (``packed_state``; FM count/sum) or a bare float folded by
         exactly :class:`~repro.sketches.combiners.MinCombiner` /
         :class:`~repro.sketches.combiners.MaxCombiner` (whose ``combine``
@@ -434,23 +412,22 @@ class WildfireBatchKernel:
 
         if num_hosts <= 0 or len(hosts) < num_hosts:
             return None
-        combiner = getattr(hosts[querying_host], "combiner", None)
+        run = hosts[querying_host].run
         for host in hosts:
-            if type(host) is not WildfireHost or host.combiner is not combiner:
+            if type(host) is not WildfireHost or host.run is not run:
                 return None
-        packed_mode = bool(getattr(combiner, "packed_state", False))
-        if not packed_mode and type(combiner) not in (MinCombiner,
-                                                      MaxCombiner):
+        combiner = run.combiner
+        if not run.packed_mode and type(combiner) not in (MinCombiner,
+                                                          MaxCombiner):
             return None
-        return cls(hosts, packed_mode, type(combiner) is MinCombiner)
+        return cls(hosts, type(combiner) is MinCombiner)
 
-    def __init__(self, hosts: Sequence[Any], packed_mode: bool,
-                 keep_min: bool) -> None:
+    def __init__(self, hosts: Sequence[Any], keep_min: bool) -> None:
         self.hosts = hosts
-        #: The fold: OR of packed ints, else min (``keep_min``) or max.
-        self.packed_mode = packed_mode
+        self.run = hosts[0].run
+        #: The fold: OR of packed ints (``run.packed_mode``), else min
+        #: (``keep_min``) or max.
         self.keep_min = keep_min
-        self.global_deadline = hosts[0]._global_deadline
         #: Participation-deadline mirror, ``None`` while a host is
         #: inactive: one list load replaces a host fetch plus two
         #: attribute reads per delivery, and past-deadline deliveries
@@ -464,7 +441,7 @@ class WildfireBatchKernel:
         """The ``(agg, dist)`` record slots of a spec payload: the two
         fields WILDFIRE handlers read, a sketch as its packed int."""
         agg = payload.get("agg")
-        if self.packed_mode and agg is not None:
+        if self.run.packed_mode and agg is not None:
             agg = agg.packed
         return agg, payload.get("dist")
 
@@ -489,8 +466,8 @@ class WildfireBatchKernel:
         counts = lane.counts
         deadlines = self.deadlines
         bucket = lane.timers_at(now)
-        gdl = self.global_deadline
-        packed_mode = self.packed_mode
+        gdl = self.run.global_deadline
+        packed_mode = self.run.packed_mode
         keep_min = self.keep_min
         dropped = 0
         max_depth = lane.max_depth
@@ -566,14 +543,12 @@ class WildfireBatchKernel:
                 else:
                     if packed_mode:
                         host._packed = merged
-                        host._packed_stale = True
+                        host._partial_obj = None
                     else:
                         host._partial_obj = merged
                     host._dirty = True
                     host._skip_neighbor = (sender if merged == incoming
                                            else None)
-                    if host._reply_to is not None:
-                        host._reply_to.discard(sender)
                 # inlined _schedule_flush: the flush fires this instant.
                 if not host._flush_pending:
                     host._flush_pending = True
@@ -613,7 +588,7 @@ class WildfireBatchKernel:
         views = lane.alive_sorted
         lands_at = lane.lands_at
         submit_unicast = lane.submit_unicast
-        packed_mode = self.packed_mode
+        packed_mode = self.run.packed_mode
         wireless = lane.wireless
         out = lane.out_records
         tracer = lane.tracer
@@ -699,5 +674,5 @@ class Wildfire(Protocol):
     def __init__(self, early_termination: bool = True) -> None:
         self.early_termination = early_termination
 
-    def host_options(self) -> dict:
+    def host_options(self, num_hosts: int) -> dict:
         return {"early_termination": self.early_termination}

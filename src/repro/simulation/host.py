@@ -161,27 +161,71 @@ class HostContext:
         )
 
 
+class RunRecord:
+    """The constants every host of one run shares (slotted: one per run).
+
+    :meth:`~repro.protocols.base.Protocol.create_hosts` builds one record
+    per run and hands the same object to every host it builds, which
+    reaches it as ``host.run``.  A host class names the record it reads
+    as ``run_class``; a protocol with constants of its own (WILDFIRE's
+    participation window, DAG-k's ``k``, ...) subclasses this record and
+    checks them in its ``__init__``, once per run.
+
+    Attributes:
+        querying_host: id of the host the query was issued at.
+        query: the aggregate query.
+        combiner: the run's combine function.
+        d_hat: the stable-diameter overestimate.
+        delta: the per-hop delay *bound* protocol timer math uses.
+        rng: the run RNG, drawn from in spec order (a host's
+            contribution, ALLREPORT's report coin, gossip's targets).
+        global_deadline: the paper's ``2 * D_hat * delta``, when the
+            querying host declares.
+    """
+
+    __slots__ = ("querying_host", "query", "combiner", "d_hat", "delta",
+                 "rng", "global_deadline")
+
+    def __init__(self, querying_host: int, query: Any, combiner: Any,
+                 d_hat: int, delta: float, rng: Any) -> None:
+        self.querying_host = querying_host
+        self.query = query
+        self.combiner = combiner
+        self.d_hat = d_hat
+        self.delta = delta
+        self.rng = rng
+        self.global_deadline = 2.0 * d_hat * delta
+
+
 class ProtocolHost(abc.ABC):
     """Base class for per-host protocol state machines.
 
-    Subclasses hold all per-host protocol state (activity flag, partial
+    Subclasses hold their per-host protocol state (activity flag, partial
     aggregate, parent pointers, ...) as instance attributes and implement
     the three reaction hooks.
 
     One state machine exists per network host, so at million-host scale
     the per-instance footprint is a first-order memory cost: the base
     class and every in-tree protocol host declare ``__slots__``, which
-    drops the per-instance ``__dict__``.  New protocols should follow the
+    drops the per-instance ``__dict__``, and a slot holds per-host state
+    only -- whatever is the same for every host of a run lives once, on
+    the :class:`RunRecord` in ``run``.  New protocols should follow the
     convention (declare every attribute the ``__init__`` assigns in
     ``__slots__``); a subclass that skips it merely reintroduces a dict
     for its own attributes -- nothing breaks, it just costs memory.
     """
 
-    __slots__ = ("host_id", "value")
+    __slots__ = ("host_id", "value", "run")
 
-    def __init__(self, host_id: int, value: float) -> None:
+    #: The record :meth:`~repro.protocols.base.Protocol.create_hosts`
+    #: builds once per run and passes every host as ``run``.
+    run_class = RunRecord
+
+    def __init__(self, host_id: int, value: float,
+                 run: Optional[RunRecord] = None) -> None:
         self.host_id = host_id
         self.value = value
+        self.run = run
 
     @abc.abstractmethod
     def on_query_start(self, ctx: HostContext) -> None:

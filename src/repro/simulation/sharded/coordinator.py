@@ -131,7 +131,7 @@ def run_sharded(simulator, horizon: float):
         try:
             lane.run()
         finally:
-            lane.restore_rngs()
+            lane.restore_rng()
         results = [lane.collect_result()]
     else:
         results = _run_forked(simulator, kernel, shards, bounds, act_rank,
@@ -158,7 +158,7 @@ def _activation_prepass(simulator, fails: Sequence[Tuple[float, int]],
     """
     qh = simulator.querying_host
     delta = simulator.delta
-    gdl = simulator.hosts[qh]._global_deadline
+    gdl = simulator.hosts[qh].run.global_deadline
     net = simulator.network.copy()
     act_rank: List[Optional[int]] = [None] * net.num_hosts
     act_order: List[int] = []
@@ -229,12 +229,12 @@ def _predraw(hosts, act_order: Sequence[int], bounds: Sequence[int],
     per_shard: List[list] = [[] for _ in range(shards)]
     if not act_order:
         return per_shard
-    recorder = _RecordingRng(hosts[act_order[0]].rng)
+    combiner = hosts[act_order[0]].run.combiner
+    recorder = _RecordingRng(hosts[act_order[0]].run.rng)
     draws = recorder.draws
     mark = 0
     for host_id in act_order:
-        host = hosts[host_id]
-        host.combiner.initial(host.value, recorder)
+        combiner.initial(hosts[host_id].value, recorder)
         if len(draws) > mark:
             per_shard[bisect_right(bounds, host_id) - 1].extend(
                 draws[mark:])

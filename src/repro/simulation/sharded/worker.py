@@ -135,7 +135,7 @@ class _ShardLane(_TickLane):
         #: Phase separator for this instant's canonical keys (shared by
         #: all shards: ``max(num_hosts, records this instant) + 1``).
         self.rank_bound = self._nh1
-        self._saved_rngs: Optional[list] = None
+        self._saved_rng: Optional[tuple] = None
         # Per-shard observability, surfaced via result.extra["sharded"].
         self.epochs = 0
         self.barrier_wait = 0.0
@@ -211,25 +211,21 @@ class _ShardLane(_TickLane):
     # RNG replay
     # ------------------------------------------------------------------
     def install_replay_rng(self, draws: Sequence[tuple]) -> None:
-        shim = _ReplayRng(draws)
-        hosts = self.hosts
-        saved = []
-        for host_id in range(self.lo, self.hi):
-            host = hosts[host_id]
-            saved.append(host.rng)
-            host.rng = shim
-        self._saved_rngs = saved
+        """Swap the run RNG, on the one run record every host shares,
+        for a replay of this shard's tape (a shard that owns no host
+        activates none and swaps nothing)."""
+        if self.lo < self.hi:
+            run = self.hosts[self.lo].run
+            self._saved_rng = (run, run.rng)
+            run.rng = _ReplayRng(draws)
 
-    def restore_rngs(self) -> None:
+    def restore_rng(self) -> None:
         """Undo :meth:`install_replay_rng` (in-process ``K=1`` runs only;
         forked workers die with their copies)."""
-        saved = self._saved_rngs
-        if saved is None:
-            return
-        hosts = self.hosts
-        for index, host_id in enumerate(range(self.lo, self.hi)):
-            hosts[host_id].rng = saved[index]
-        self._saved_rngs = None
+        if self._saved_rng is not None:
+            run, rng = self._saved_rng
+            run.rng = rng
+            self._saved_rng = None
 
     # ------------------------------------------------------------------
     # The own-clock driver

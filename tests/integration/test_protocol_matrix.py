@@ -236,9 +236,7 @@ def _run_with_joins(delay, join_factory):
     )
     if join_factory:
         simulator.join_host_factory = lambda host_id: WildfireHost(
-            host_id=host_id, value=0.5, querying_host=0,
-            combiner=prepared.combiner, d_hat=prepared.d_hat, delta=1.0,
-            rng=prepared.rng)
+            host_id, 0.5, prepared.hosts[0].run)
     result = simulator.run(until=prepared.termination)
     return network, simulator, result, values
 

@@ -11,7 +11,7 @@ from repro.protocols.base import Protocol, resolve_d_hat, run_protocol
 from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
 from repro.queries.query import AggregateQuery
-from repro.simulation.host import ProtocolHost
+from repro.simulation.host import ProtocolHost, RunRecord
 from repro.sketches.combiners import ExactCountCombiner, MaxCombiner
 from repro.topology.primitives import chain_topology, star_topology
 from repro.workloads.values import constant_values
@@ -95,13 +95,11 @@ class TestProtocolDefaults:
     def test_a_protocol_naming_only_its_host_class_runs(self):
         """``create_hosts`` and ``termination_time`` are the paper's
         defaults: one host per topology host in the shared constructor
-        shape, declaring at ``2 * D_hat * delta``."""
+        shape ``(host_id, value, run)``, every host holding the one
+        :class:`RunRecord` of the run, declaring at
+        ``2 * D_hat * delta``."""
         class Loner(ProtocolHost):
-            __slots__ = ("shape",)
-
-            def __init__(self, host_id, value, *shape):
-                super().__init__(host_id, value)
-                self.shape = shape
+            __slots__ = ()
 
             def on_query_start(self, ctx):
                 pass
@@ -122,7 +120,12 @@ class TestProtocolDefaults:
                                       7, 0.5, rng)
         assert [(h.host_id, h.value) for h in hosts] == [
             (0, 5), (1, 6), (2, 7), (3, 8)]
-        assert all(h.shape == (2, combiner, 7, 0.5, rng) for h in hosts)
+        run = hosts[0].run
+        assert type(run) is RunRecord
+        assert all(h.run is run for h in hosts)
+        assert (run.querying_host, run.query.kind.value, run.combiner,
+                run.d_hat, run.delta, run.rng, run.global_deadline) == (
+            2, "max", combiner, 7, 0.5, rng, 7.0)
         assert Lonely().termination_time(7, 0.5) == 7.0
         run = run_protocol(Lonely(), topo, [5, 6, 7, 8], "max",
                            querying_host=2, d_hat=7, delta=0.5)
@@ -168,8 +171,7 @@ class TestEachProtocolFactStatedOnce:
                     assert "_fold" not in methods
                     assert "first_contact" in methods
         assert defined["termination_time"] == {"base.py", "gossip.py"}
-        assert defined["create_hosts"] == {
-            "base.py", "allreport.py", "randomized_report.py", "gossip.py"}
+        assert defined["create_hosts"] == {"base.py"}
         for transition in ("first_contact", "adopt", "take_report",
                            "report_due"):
             assert len(defined[transition]) == 1, transition

@@ -1,7 +1,9 @@
 """Tests for the WILDFIRE protocol."""
 
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import strategies as st
 
 from repro.protocols.base import run_protocol
@@ -11,6 +13,7 @@ from repro.protocols.wildfire import (
     Wildfire,
     WildfireBatchKernel,
     WildfireHost,
+    WildfireRun,
 )
 from repro.semantics.oracle import Oracle
 from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
@@ -179,6 +182,7 @@ class _CapturingContext:
         self.now = now
         self.timers = []
         self.multicasts = []
+        self.unicasts = []
 
     def set_timer_at(self, instant, name, data=None):
         self.timers.append((instant - self.now, name))
@@ -187,20 +191,27 @@ class _CapturingContext:
         self.multicasts.append((kind, payload["agg"], payload["dist"],
                                 tuple(exclude)))
 
+    def send(self, dest, kind, payload):
+        self.unicasts.append((dest, kind, payload["agg"], payload["dist"]))
+
 
 class _CapturingLane:
-    """The slice of ``_TickLane`` one ``process_instant`` call touches
-    (it is its own ``network``: every host is alive, host 1's neighbors
-    are 0, 2 and 3; ``view_cleared`` leaves host 1's row of the view
-    table as a failure leaves it, for the network to rebuild)."""
+    """The slice of ``_TickLane`` one ``process_instant`` or
+    ``process_timer_bucket`` call touches (it is its own ``network``:
+    every host is alive, host 1's neighbors are 0, 2 and 3;
+    ``view_cleared`` leaves host 1's row of the view table as a failure
+    leaves it, for the network to rebuild)."""
 
     tracer = None
     qid = 0
     sent_at = 0.0
+    wireless = False
+    wireless_groups = 0
     onward = _TickLane.onward
 
     def __init__(self, now, view_cleared):
         self.now = now
+        self.lands_at = now + 1.0
         self.alive_bytes = bytearray([1, 1, 1, 1])
         self.alive_sorted = [(1,), None if view_cleared else (0, 2, 3),
                              (1,), (1,)]
@@ -208,6 +219,9 @@ class _CapturingLane:
         self.dropped = self.max_depth = 0
         self.bucket = []
         self.multicasts = []
+        self.out_records = []
+        self.unicasts = []
+        self.send_acc = Counter()
         self.network = self
 
     def timers_at(self, time):
@@ -222,18 +236,41 @@ class _CapturingLane:
         assert (sender, time) == (1, self.now)
         self.multicasts.append((kind, agg, dist, tuple(dests)))
 
+    def submit_unicast(self, sender, dest, kind, agg, dist, time, depth,
+                       rank):
+        assert (sender, time) == (1, self.now)
+        self.unicasts.append((dest, kind, agg, dist))
+
 
 def _slots(host):
     """Every slot a delivery may move.  The lazily materialised sketch
-    object (``_partial_obj`` / ``_packed_stale``: the spec builds it to
-    send a payload, the lane ships the packed int) is read through
-    ``partial``, by its packed value."""
-    skip = {"combiner", "rng", "_combine", "_states_equal", "_absorbs",
-            "_partial_obj", "_packed_stale"}
+    object (``_partial_obj``: the spec builds it to send a payload, the
+    lane ships the packed int) is read through ``partial``, by its
+    packed value; ``run`` is each table's own record."""
+    skip = {"run", "_partial_obj"}
     slots = {name: getattr(host, name, None) for cls in type(host).__mro__
              for name in getattr(cls, "__slots__", ()) if name not in skip}
     slots["partial"] = getattr(host.partial, "packed", host.partial)
     return slots
+
+
+def _table(combiner, state, reply_to=(), flush_pending=False):
+    """A 4-host WILDFIRE table; host 1 active at distance 2 holding
+    ``state`` (the packed bitmask in packed mode) unless that is
+    ``None``."""
+    run = WildfireRun(0, None, combiner, 4, 1.0, random.Random(11),
+                      early_termination=True)
+    hosts = [WildfireHost(host_id, 3.0, run) for host_id in range(4)]
+    host = hosts[1]
+    if state is not None:
+        host._activate(2)
+        if run.packed_mode:
+            host._packed = state
+        else:
+            host._partial_obj = state
+    host._reply_to = set(reply_to) or None
+    host._flush_pending = flush_pending
+    return hosts
 
 
 def _one_delivery_both_ways(combiner, wrap, state, incoming, sender, reply_to,
@@ -243,19 +280,9 @@ def _one_delivery_both_ways(combiner, wrap, state, incoming, sender, reply_to,
     through ``WildfireBatchKernel.process_instant``; ``state is None``
     leaves the host inactive, so the delivery is its first contact.
     Returns both tables' host 1, spec first."""
-    def table():
-        rng = random.Random(11)
-        hosts = [WildfireHost(host_id, 3.0, 0, combiner, 4, 1.0, rng)
-                 for host_id in range(4)]
-        host = hosts[1]
-        if state is not None:
-            host._activate(2)
-            host.partial = wrap(state)
-        host._reply_to = set(reply_to) or None
-        host._flush_pending = flush_pending
-        return hosts
-
-    spec_hosts, lane_hosts = table(), table()
+    spec_hosts, lane_hosts = [
+        _table(combiner, state, reply_to, flush_pending)
+        for _ in range(2)]
     ctx = _CapturingContext(now)
     payload = {"agg": None if incoming is None else wrap(incoming), "dist": 1}
     spec_hosts[1].on_message(
@@ -337,6 +364,58 @@ class TestFoldStatedTwice:
             [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1.0])
         drawn(request, law, plain=300, wide=10, state=floats,
               incoming=floats, maximum=st.booleans(), **self._common)
+
+    @pytest.mark.parametrize("combiner, state, stale, growth", [
+        (FMCountCombiner(repetitions=2), 0b0011, 0b0001, 0b0100),
+        (FMCountCombiner(repetitions=2), 0b0011, 0b0001, 0b0111),
+        (MinCombiner(), 2.0, 5.0, 1.0),
+        (MaxCombiner(), 5.0, 2.0, 7.0),
+    ], ids=["sketch-grows-past-sender", "sketch-grows-to-sender",
+            "min", "max"])
+    def test_stale_then_growth_from_one_sender_then_flush(
+            self, combiner, state, stale, growth):
+        """A stale delivery from host 2 owes it a reply; a growth from
+        host 2 in the same instant leaves that reply owed (nothing
+        withdraws it) and makes the host dirty; the flush then sends the
+        one multicast -- to host 2 too unless the merge equals what host
+        2 sent -- and no reply, through both bodies alike."""
+        def wrap(value):
+            if isinstance(value, float):
+                return value
+            return FMSketch._from_packed(value, 2, combiner.num_bits)
+
+        now, sender = 3.0, 2
+        spec_hosts = _table(combiner, state)
+        lane_hosts = _table(combiner, state)
+        kernel = WildfireBatchKernel.try_build(lane_hosts, 4, 0)
+        ctx = _CapturingContext(now)
+        lane = _CapturingLane(now, view_cleared=False)
+        for rank, incoming in enumerate((stale, growth)):
+            payload = {"agg": wrap(incoming), "dist": 1}
+            spec_hosts[1].on_message(
+                Message(sender, 1, CONVERGECAST, payload, now - 1.0, 3), ctx)
+            kernel.process_instant(
+                now, [(rank, sender, (1,), CONVERGECAST)
+                      + kernel.flatten(payload) + (3,)], lane)
+            assert _slots(lane_hosts[1]) == _slots(spec_hosts[1])
+        assert spec_hosts[1]._reply_to == {sender} and spec_hosts[1]._dirty
+        assert ctx.timers == [(0.0, FLUSH)] and lane.bucket == [(1, 3, 0)]
+
+        spec_hosts[1].on_timer(FLUSH, None, ctx)
+        kernel.process_timer_bucket(now, lane.bucket, lane)
+        assert _slots(lane_hosts[1]) == _slots(spec_hosts[1])
+        assert spec_hosts[1]._reply_to is None
+        assert ctx.unicasts == lane.unicasts == []
+        merged = spec_hosts[1].partial
+        skip = (sender,) if combiner.states_equal(
+            merged, wrap(growth)) else ()
+        assert [(kind, getattr(agg, "packed", agg), dist, exclude)
+                for kind, agg, dist, exclude in ctx.multicasts] == [
+            (CONVERGECAST, getattr(merged, "packed", merged), 2, skip)]
+        assert [(record[1], tuple(record[2])) + record[3:6]
+                for record in lane.out_records] == [
+            (1, tuple(t for t in (0, 2, 3) if t not in skip), CONVERGECAST,
+             getattr(merged, "packed", merged), 2)]
 
 
 def test_the_lane_fold_calls_no_combiner_hook(monkeypatch):
