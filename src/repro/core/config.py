@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.simulation.vector_lane import DEFAULT_LANE, validate_lane
 
 
-@dataclass(frozen=True)
 class SimulationConfig:
     """Network-model parameters shared by every protocol run.
+
+    Immutable: assigning a field raises :class:`AttributeError`.
 
     Attributes:
         delta: maximum per-hop message delay (the paper's ``delta``).
@@ -29,22 +29,27 @@ class SimulationConfig:
             requests the executable-spec loop itself.
     """
 
-    delta: float = 1.0
-    wireless: bool = False
-    delay: str = "fixed"
-    lane: str = DEFAULT_LANE
+    __slots__ = ("delta", "wireless", "delay", "lane")
 
-    def __post_init__(self) -> None:
-        if self.delta <= 0:
+    def __init__(self, delta: float = 1.0, wireless: bool = False,
+                 delay: str = "fixed", lane: str = DEFAULT_LANE) -> None:
+        if delta <= 0:
             raise ValueError("delta must be positive")
         # Fail fast on malformed specs instead of at first query time.
         from repro.simulation.delay import delay_model_from_spec
 
-        delay_model_from_spec(self.delay, self.delta)
-        validate_lane(self.lane)
+        delay_model_from_spec(delay, delta)
+        validate_lane(lane)
+        for name, value in zip(self.__slots__, (delta, wireless, delay, lane)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.delta, self.wireless, self.delay, self.lane)
 
 
-@dataclass(frozen=True)
 class ProtocolConfig:
     """Knobs every protocol run takes.  A protocol's own parameters
     (DAG fan-out, gossip rounds, ...) travel with the protocol:
@@ -57,11 +62,13 @@ class ProtocolConfig:
         fm_repetitions: repetitions ``c`` of the FM sketch for count/sum/avg.
     """
 
-    d_hat: Optional[int] = None
-    fm_repetitions: int = 8
+    __slots__ = ("d_hat", "fm_repetitions")
 
-    def __post_init__(self) -> None:
-        if self.d_hat is not None and self.d_hat < 1:
+    def __init__(self, d_hat: Optional[int] = None,
+                 fm_repetitions: int = 8) -> None:
+        if d_hat is not None and d_hat < 1:
             raise ValueError("d_hat must be at least 1 when given")
-        if self.fm_repetitions < 1:
+        if fm_repetitions < 1:
             raise ValueError("fm_repetitions must be at least 1")
+        self.d_hat = d_hat
+        self.fm_repetitions = fm_repetitions

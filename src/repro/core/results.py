@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 from repro.protocols.base import ProtocolRunResult
 from repro.semantics.validity import ValidityBounds
 
 
-@dataclass(frozen=True)
-class ValidityCertificate:
+class ValidityCertificate(NamedTuple):
     """The oracle-checked validity verdict attached to a query result.
 
     A certificate can only be issued when the churn that occurred during the
@@ -37,8 +35,7 @@ class ValidityCertificate:
         return self.bounds.upper_value
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     """The answer to one aggregate query plus execution metadata.
 
     Attributes:

@@ -10,16 +10,14 @@ c ~= 8 already giving good estimates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 from repro.experiments.runner import TrialStats, aggregate_trials
 from repro.sketches.fm import FMSketch
 from repro.workloads.values import zipf_values
 
 
-@dataclass(frozen=True)
-class AccuracyRow:
+class AccuracyRow(NamedTuple):
     """One point of the Figure 6 curves."""
 
     operator: str

@@ -11,8 +11,7 @@ surviving arc of the cycle carries every remaining host's contribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.obs.provenance import EstimateProvenance, ProvenanceTracer
 from repro.protocols.base import run_protocol
@@ -25,8 +24,7 @@ from repro.topology.primitives import cycle_with_pendant_topology
 from repro.workloads.values import constant_values
 
 
-@dataclass(frozen=True)
-class BadCaseResult:
+class BadCaseResult(NamedTuple):
     """Outcome of the Theorem 4.4 construction for one protocol."""
 
     protocol: str

@@ -9,8 +9,7 @@ estimates; it also exercises the ring-segment estimator for DHT overlays.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, NamedTuple, Sequence, Set
 
 from repro.queries.size_estimation import (
     CaptureRecaptureEstimator,
@@ -18,8 +17,7 @@ from repro.queries.size_estimation import (
 )
 
 
-@dataclass(frozen=True)
-class SizeEstimationRow:
+class SizeEstimationRow(NamedTuple):
     """One interval of the capture-recapture experiment."""
 
     interval: int

@@ -26,10 +26,9 @@ of the run's costs they read (:class:`CostRow`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter, methodcaller
 from statistics import median_high
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Sequence, Tuple
 
 from repro.protocols.base import (Protocol, ProtocolRunResult,
                                   resolve_d_hat, run_protocol)
@@ -44,8 +43,7 @@ from repro.topology.random_graph import random_topology
 from repro.workloads.values import zipf_values
 
 
-@dataclass(frozen=True)
-class CostRow:
+class CostRow(NamedTuple):
     """One measured cell; every cost is a read of ``result.costs``.
 
     ``columns`` names the table columns of the figure the cell belongs to,

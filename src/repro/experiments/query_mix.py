@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.stream import current_rss_mb
@@ -119,9 +118,9 @@ def run_query_mix(
         snapshot (engine tallies, queue occupancy, per-tenant breakdown).
     """
     make_stats_sink(stats)  # validates the historical names, nothing more
-    mix = replace(mix if mix is not None
-                  else QueryMixConfig(qps=qps, duration=duration),
-                  **mix_overrides)
+    if mix is None:
+        mix = QueryMixConfig(qps=qps, duration=duration)
+    mix = mix.replace(**mix_overrides)
     if int(shards) < 1:
         raise ValueError("shards must be at least 1")
     if shards > 1:
@@ -342,7 +341,7 @@ def run_qps_sweep(
         qps=qps_values[0], duration=duration)
     rows: List[Dict[str, Any]] = []
     for offered in qps_values:
-        point_mix = replace(base_mix, qps=offered, duration=duration)
+        point_mix = base_mix.replace(qps=offered, duration=duration)
         result = run_query_mix(
             num_hosts=num_hosts, topology=topology, seed=seed,
             mix=point_mix, share_floods=share_floods, **mix_overrides)

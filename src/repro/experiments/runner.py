@@ -7,14 +7,12 @@ drivers need to do the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.semantics.metrics import mean_and_confidence_interval
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     """Mean and 95% confidence half-width of a repeated measurement."""
 
     mean: float

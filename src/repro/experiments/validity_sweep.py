@@ -22,8 +22,7 @@ finish *no later* than under ``fixed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.experiments.runner import TrialStats, aggregate_trials
 from repro.obs.provenance import ProvenanceTracer
@@ -42,8 +41,7 @@ from repro.workloads.values import zipf_values
 DEFAULT_DELAY_SPECS = ("fixed", "uniform:0.25,1.0", "heavy_tail:1.2")
 
 
-@dataclass(frozen=True)
-class ValiditySweepRow:
+class ValiditySweepRow(NamedTuple):
     """One (delay model, protocol, R) point of a Figure 7/8/9 style plot.
 
     ``delay`` and ``finished_at`` are set only when the sweep was given

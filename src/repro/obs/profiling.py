@@ -12,7 +12,6 @@ from __future__ import annotations
 import cProfile
 import io
 import json
-import pstats
 import sys
 import time
 from typing import Any, Dict, List, Optional
@@ -60,6 +59,8 @@ class ProfileCapture:
     # ------------------------------------------------------------------
     def print_stats(self, limit: int = 25, stream=None) -> None:
         """Top ``limit`` functions by cumulative time (default stderr)."""
+        import pstats  # imports dataclasses: load it only to read a profile
+
         stats = pstats.Stats(self.profiler,
                              stream=stream if stream is not None
                              else sys.stderr)
@@ -67,6 +68,8 @@ class ProfileCapture:
 
     def top_functions(self, limit: int = 10) -> List[Dict[str, Any]]:
         """The hottest functions by cumulative time, as plain dicts."""
+        import pstats
+
         stats = pstats.Stats(self.profiler, stream=io.StringIO())
         stats.sort_stats("cumulative")
         rows: List[Dict[str, Any]] = []

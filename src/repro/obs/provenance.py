@@ -29,8 +29,7 @@ which is the direction validity accounting needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Tuple
 
 from repro.obs.trace import Tracer
 
@@ -97,8 +96,7 @@ class ProvenanceTracer(Tracer):
         )
 
 
-@dataclass(frozen=True)
-class EstimateProvenance:
+class EstimateProvenance(NamedTuple):
     """The contribution DAG of one declared estimate, reduced to sets.
 
     Attributes:

@@ -57,6 +57,9 @@ from repro.workloads.query_mix import DEFAULT_PROTOCOL_MIX, QueryMixConfig
 
 log = get_logger()
 
+#: The defer policy's defaults, which ``serve``'s flags start from.
+_ADMISSION_DEFAULTS = AdmissionConfig()
+
 
 class _UsageError(Exception):
     """A bad invocation: :func:`main` prints the message -- one line on
@@ -294,11 +297,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--tenant-budget", type=at_least_0, metavar="MSGS",
                        help="admission limit: per-tenant message budget")
     serve.add_argument("--defer-retry", type=positive, metavar="SECONDS",
-                       default=AdmissionConfig.defer_retry,
+                       default=_ADMISSION_DEFAULTS.defer_retry,
                        help="defer policy: simulated seconds between retries "
                             "(default 2.0)")
     serve.add_argument("--defer-deadline", type=_bounded(float, 0),
-                       default=AdmissionConfig.defer_deadline,
+                       default=_ADMISSION_DEFAULTS.defer_deadline,
                        metavar="SECONDS",
                        help="defer policy: wait before a query is shed "
                             "(default 30.0)")
@@ -538,7 +541,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # from the same value typed out, so a changed value is what counts.
     if args.shed_policy != "defer" and (
             (args.defer_retry, args.defer_deadline)
-            != (AdmissionConfig.defer_retry, AdmissionConfig.defer_deadline)):
+            != (_ADMISSION_DEFAULTS.defer_retry,
+                _ADMISSION_DEFAULTS.defer_deadline)):
         raise _UsageError("--defer-retry / --defer-deadline need "
                           "--shed-policy defer")
     progress = None

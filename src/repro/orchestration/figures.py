@@ -21,8 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import repro
 from repro.experiments.figures import lookup_figure, run_figure
@@ -47,8 +47,7 @@ def derive_trial_seed(spec_hash: str, base_seed: int, index: int) -> int:
         % _SEED_SPACE
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     """One trial: its index, derived seed, figure rows and wall time."""
 
     index: int
@@ -58,8 +57,7 @@ class TrialResult:
     cached: bool = False
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """One figure's trials after a batch ran (or resumed) them.
 
     ``elapsed`` runs from the batch start to this figure's last completed

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Type
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Type
 
 from repro.queries.query import AggregateQuery
 from repro.simulation.churn import ChurnSchedule
@@ -17,7 +16,6 @@ from repro.sketches.combiners import Combiner, combiner_for_query
 from repro.topology.base import Topology
 
 
-@dataclass
 class ProtocolRunResult:
     """The outcome of running one protocol once on one network.
 
@@ -39,17 +37,28 @@ class ProtocolRunResult:
             ran, or the spec lane was requested).
     """
 
-    protocol: str
-    query: AggregateQuery
-    value: Optional[float]
-    costs: CostAccounting
-    finished_at: float
-    querying_host: int
-    d_hat: int
-    termination_time: float
-    extra: Dict[str, Any] = field(default_factory=dict)
-    lane_used: str = "python"
-    fallback_reason: Optional[str] = None
+    __slots__ = ("protocol", "query", "value", "costs", "finished_at",
+                 "querying_host", "d_hat", "termination_time", "extra",
+                 "lane_used", "fallback_reason")
+
+    def __init__(self, protocol: str, query: AggregateQuery,
+                 value: Optional[float], costs: CostAccounting,
+                 finished_at: float, querying_host: int, d_hat: int,
+                 termination_time: float,
+                 extra: Optional[Dict[str, Any]] = None,
+                 lane_used: str = "python",
+                 fallback_reason: Optional[str] = None) -> None:
+        self.protocol = protocol
+        self.query = query
+        self.value = value
+        self.costs = costs
+        self.finished_at = finished_at
+        self.querying_host = querying_host
+        self.d_hat = d_hat
+        self.termination_time = termination_time
+        self.extra = {} if extra is None else extra
+        self.lane_used = lane_used
+        self.fallback_reason = fallback_reason
 
 
 class Protocol:
@@ -205,8 +214,7 @@ def resolve_d_hat(
     return max(1, int(round(estimate * overestimate_factor)) + 1)
 
 
-@dataclass
-class PreparedRun:
+class PreparedRun(NamedTuple):
     """Everything one protocol execution derives from ``(query, seed)``.
 
     This is the shared seed-derivation seam between :func:`run_protocol`

@@ -18,8 +18,7 @@ semantics intend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from repro.queries.query import AggregateQuery
 from repro.semantics.validity import ValidityBounds, compute_bounds
@@ -27,8 +26,7 @@ from repro.simulation.churn import ChurnSchedule
 from repro.topology.base import Topology
 
 
-@dataclass(frozen=True)
-class WindowedResult:
+class WindowedResult(NamedTuple):
     """One report of a continuous query.
 
     Attributes:
@@ -96,7 +94,6 @@ def _windowed_bounds(
     return window_start, bounds
 
 
-@dataclass
 class ContinuousQuery:
     """A periodic aggregate query with a validity window.
 
@@ -109,18 +106,20 @@ class ContinuousQuery:
         duration: total registration interval ``T``.
     """
 
-    query: AggregateQuery
-    period: float
-    window: float
-    duration: float
+    __slots__ = ("query", "period", "window", "duration")
 
-    def __post_init__(self) -> None:
-        if self.period <= 0:
+    def __init__(self, query: AggregateQuery, period: float, window: float,
+                 duration: float) -> None:
+        if period <= 0:
             raise ValueError("period must be positive")
-        if self.window <= 0:
+        if window <= 0:
             raise ValueError("window must be positive")
-        if self.duration < self.period:
+        if duration < period:
             raise ValueError("duration must cover at least one period")
+        self.query = query
+        self.period = period
+        self.window = window
+        self.duration = duration
 
     def report_times(self) -> List[float]:
         """The times at which results are declared: the ``k``-th is

@@ -9,7 +9,6 @@ FM operators of Section 5.2 exist.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 
@@ -43,9 +42,10 @@ class QueryKind(enum.Enum):
         return self in (QueryKind.MIN, QueryKind.MAX)
 
 
-@dataclass(frozen=True)
 class AggregateQuery:
     """A one-time aggregate query issued at a querying host.
+
+    Immutable: assigning a field raises :class:`AttributeError`.
 
     Attributes:
         kind: the aggregate function.
@@ -58,16 +58,25 @@ class AggregateQuery:
             queries.
     """
 
-    kind: QueryKind
-    attribute: str = "value"
-    epsilon: Optional[float] = None
-    confidence: Optional[float] = None
+    __slots__ = ("kind", "attribute", "epsilon", "confidence")
 
-    def __post_init__(self) -> None:
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
+    def __init__(self, kind: QueryKind, attribute: str = "value",
+                 epsilon: Optional[float] = None,
+                 confidence: Optional[float] = None) -> None:
+        if epsilon is not None and not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        if self.confidence is not None and not 0.0 < self.confidence < 1.0:
+        if confidence is not None and not 0.0 < confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
+        for name, value in zip(self.__slots__,
+                               (kind, attribute, epsilon, confidence)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.attribute, self.epsilon,
+                            self.confidence)
 
     @classmethod
     def of(cls, kind: str, **kwargs) -> "AggregateQuery":

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import List, NamedTuple, Optional, Sequence, Set
 
 
 def required_sample_size(epsilon: float, delta: float, marked_fraction: float) -> int:
@@ -39,8 +38,7 @@ def required_sample_size(epsilon: float, delta: float, marked_fraction: float) -
     return int(math.ceil(4.0 / (epsilon ** 2 * marked_fraction) * math.log(2.0 / delta)))
 
 
-@dataclass(frozen=True)
-class SizeEstimate:
+class SizeEstimate(NamedTuple):
     """One network-size estimate with its inputs recorded for auditing."""
 
     interval: int

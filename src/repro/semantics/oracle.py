@@ -9,16 +9,14 @@ needs a perfect global view) but is exactly what a simulator can provide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.semantics import validity
 from repro.simulation.churn import ChurnSchedule
 from repro.topology.base import Topology
 
 
-@dataclass
-class OracleReport:
+class OracleReport(NamedTuple):
     """Everything the oracle knows about one query execution."""
 
     bounds: validity.ValidityBounds

@@ -19,15 +19,13 @@ checks declared answers against them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Set
 
 from repro.simulation.churn import ChurnSchedule
 from repro.topology.base import Topology
 
 
-@dataclass(frozen=True)
-class ValidityBounds:
+class ValidityBounds(NamedTuple):
     """The Single-Site Validity host-set bounds for one query execution.
 
     Attributes:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.simulation.events import EventKind
@@ -42,12 +41,11 @@ __all__ = ["AdmissionConfig", "AdmissionController"]
 _POLICIES = ("shed", "defer", "degrade")
 
 
-@dataclass(frozen=True)
 class AdmissionConfig:
     """Envelope and policy for the admission controller.
 
     All limits default to "off" (``None``); any subset can be armed.
-    The config is a frozen dataclass so shard workers can ship it
+    The config holds plain values only, so shard workers can ship it
     through the multiprocessing payload unchanged.
 
     Args:
@@ -73,27 +71,39 @@ class AdmissionConfig:
             serve, in simulated seconds.
     """
 
-    policy: str = "shed"
-    max_active_sessions: Optional[int] = None
-    max_queue_depth: Optional[int] = None
-    max_qps: Optional[float] = None
-    tenant_message_budget: Optional[int] = None
-    max_tenant_queue_depth: Optional[int] = None
-    max_late_messages: Optional[int] = None
-    defer_retry: float = 2.0
-    defer_deadline: float = 30.0
-    max_staleness: float = math.inf
+    __slots__ = ("policy", "max_active_sessions", "max_queue_depth",
+                 "max_qps", "tenant_message_budget", "max_tenant_queue_depth",
+                 "max_late_messages", "defer_retry", "defer_deadline",
+                 "max_staleness")
 
-    def __post_init__(self) -> None:
-        if self.policy not in _POLICIES:
+    def __init__(self, policy: str = "shed",
+                 max_active_sessions: Optional[int] = None,
+                 max_queue_depth: Optional[int] = None,
+                 max_qps: Optional[float] = None,
+                 tenant_message_budget: Optional[int] = None,
+                 max_tenant_queue_depth: Optional[int] = None,
+                 max_late_messages: Optional[int] = None,
+                 defer_retry: float = 2.0, defer_deadline: float = 30.0,
+                 max_staleness: float = math.inf) -> None:
+        if policy not in _POLICIES:
             raise ValueError(
-                f"policy must be one of {_POLICIES}, got {self.policy!r}")
-        if self.defer_retry <= 0:
+                f"policy must be one of {_POLICIES}, got {policy!r}")
+        if defer_retry <= 0:
             raise ValueError("defer_retry must be positive")
-        if self.defer_deadline < 0:
+        if defer_deadline < 0:
             raise ValueError("defer_deadline must be non-negative")
-        if self.max_qps is not None and self.max_qps <= 0:
+        if max_qps is not None and max_qps <= 0:
             raise ValueError("max_qps must be positive")
+        self.policy = policy
+        self.max_active_sessions = max_active_sessions
+        self.max_queue_depth = max_queue_depth
+        self.max_qps = max_qps
+        self.tenant_message_budget = tenant_message_budget
+        self.max_tenant_queue_depth = max_tenant_queue_depth
+        self.max_late_messages = max_late_messages
+        self.defer_retry = defer_retry
+        self.defer_deadline = defer_deadline
+        self.max_staleness = max_staleness
         for name in ("max_active_sessions", "max_queue_depth",
                      "tenant_message_budget", "max_tenant_queue_depth",
                      "max_late_messages", "max_staleness"):

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import random
 import time as _time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.protocols.base import Protocol, protocol_from_spec, resolve_d_hat
@@ -57,7 +56,6 @@ from repro.sketches.combiners import Combiner
 from repro.topology.base import Topology
 
 
-@dataclass
 class ServiceReport:
     """Summary of one :meth:`QueryService.run` drive.
 
@@ -95,21 +93,35 @@ class ServiceReport:
             times before launching or being shed).
     """
 
-    outcomes: List[QueryOutcome] = field(default_factory=list)
-    finished_at: float = 0.0
-    elapsed: float = 0.0
-    messages_sent: int = 0
-    late_messages: int = 0
-    dropped_messages: int = 0
-    events_processed: int = 0
-    peak_active_sessions: int = 0
-    retired_order: List[int] = field(default_factory=list)
-    late_by_query: Dict[int, int] = field(default_factory=dict)
-    shed: int = 0
-    deferred: int = 0
-    degraded: int = 0
-    cache_hits: int = 0
-    deferrals: int = 0
+    __slots__ = ("outcomes", "finished_at", "elapsed", "messages_sent",
+                 "late_messages", "dropped_messages", "events_processed",
+                 "peak_active_sessions", "retired_order", "late_by_query",
+                 "shed", "deferred", "degraded", "cache_hits", "deferrals")
+
+    def __init__(self, outcomes: Optional[List[QueryOutcome]] = None,
+                 finished_at: float = 0.0, elapsed: float = 0.0,
+                 messages_sent: int = 0, late_messages: int = 0,
+                 dropped_messages: int = 0, events_processed: int = 0,
+                 peak_active_sessions: int = 0,
+                 retired_order: Optional[List[int]] = None,
+                 late_by_query: Optional[Dict[int, int]] = None,
+                 shed: int = 0, deferred: int = 0, degraded: int = 0,
+                 cache_hits: int = 0, deferrals: int = 0) -> None:
+        self.outcomes = [] if outcomes is None else outcomes
+        self.finished_at = finished_at
+        self.elapsed = elapsed
+        self.messages_sent = messages_sent
+        self.late_messages = late_messages
+        self.dropped_messages = dropped_messages
+        self.events_processed = events_processed
+        self.peak_active_sessions = peak_active_sessions
+        self.retired_order = [] if retired_order is None else retired_order
+        self.late_by_query = {} if late_by_query is None else late_by_query
+        self.shed = shed
+        self.deferred = deferred
+        self.degraded = degraded
+        self.cache_hits = cache_hits
+        self.deferrals = deferrals
 
     @property
     def answered(self) -> int:

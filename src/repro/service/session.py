@@ -33,7 +33,6 @@ with the host table.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
 from repro.protocols.base import Protocol, prepare_protocol_run
@@ -59,7 +58,6 @@ class QueryStatus(enum.Enum):
     DEFERRED = "deferred"  # requeued by admission control (transient)
 
 
-@dataclass
 class QueryOutcome:
     """The externally visible record of one query (returned by ``poll``).
 
@@ -88,22 +86,36 @@ class QueryOutcome:
             (``None`` when the lane ran).
     """
 
-    query_id: int
-    protocol: str
-    query: AggregateQuery
-    querying_host: int
-    status: QueryStatus
-    seed: int
-    submitted_at: float
-    declared_at: Optional[float] = None
-    value: Optional[float] = None
-    costs: Optional[CostAccounting] = None
-    d_hat: int = 0
-    termination: float = 0.0
-    stream: Optional[int] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
-    lane_used: Optional[str] = None
-    fallback_reason: Optional[str] = None
+    __slots__ = ("query_id", "protocol", "query", "querying_host", "status",
+                 "seed", "submitted_at", "declared_at", "value", "costs",
+                 "d_hat", "termination", "stream", "extra", "lane_used",
+                 "fallback_reason")
+
+    def __init__(self, query_id: int, protocol: str, query: AggregateQuery,
+                 querying_host: int, status: QueryStatus, seed: int,
+                 submitted_at: float, declared_at: Optional[float] = None,
+                 value: Optional[float] = None,
+                 costs: Optional[CostAccounting] = None, d_hat: int = 0,
+                 termination: float = 0.0, stream: Optional[int] = None,
+                 extra: Optional[Dict[str, Any]] = None,
+                 lane_used: Optional[str] = None,
+                 fallback_reason: Optional[str] = None) -> None:
+        self.query_id = query_id
+        self.protocol = protocol
+        self.query = query
+        self.querying_host = querying_host
+        self.status = status
+        self.seed = seed
+        self.submitted_at = submitted_at
+        self.declared_at = declared_at
+        self.value = value
+        self.costs = costs
+        self.d_hat = d_hat
+        self.termination = termination
+        self.stream = stream
+        self.extra = {} if extra is None else extra
+        self.lane_used = lane_used
+        self.fallback_reason = fallback_reason
 
     def as_row(self) -> Dict[str, Any]:
         """Flatten into a report-table row (submit-time metadata included,

@@ -10,38 +10,38 @@ same sequence of events the simulator executed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class JoinSpec:
+class JoinSpec(NamedTuple):
     """A host join: at ``time`` a new host attaches to ``neighbors``."""
 
     time: float
     neighbors: Tuple[int, ...]
 
 
-@dataclass
 class ChurnSchedule:
     """An explicit schedule of host failures (and optionally joins).
 
     Attributes:
-        failures: (time, host) pairs; each host appears at most once.
-        joins: optional join specifications.
+        failures: (time, host) pairs sorted by time; each host appears
+            at most once.
+        joins: join specifications sorted by time.
+
+    Both are sorted copies: the caller's sequences are left as given.
     """
 
-    failures: List[Tuple[float, int]] = field(default_factory=list)
-    joins: List[JoinSpec] = field(default_factory=list)
+    __slots__ = ("failures", "joins")
 
-    def __post_init__(self) -> None:
+    def __init__(self, failures: Iterable[Tuple[float, int]] = (),
+                 joins: Iterable[JoinSpec] = ()) -> None:
+        self.failures = sorted(failures, key=lambda pair: pair[0])
+        self.joins = sorted(joins, key=lambda spec: spec.time)
         seen = set()
         for _, host in self.failures:
             if host in seen:
                 raise ValueError(f"host {host} scheduled to fail more than once")
             seen.add(host)
-        self.failures.sort(key=lambda pair: pair[0])
-        self.joins.sort(key=lambda spec: spec.time)
 
     @property
     def num_failures(self) -> int:

@@ -35,7 +35,6 @@ late-delivery tallies -- and asks the same gate per session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import inf
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -50,7 +49,7 @@ from repro.simulation.stats import CostAccounting, make_stats_sink
 from repro.simulation.vector_lane import DEFAULT_LANE, _TickLane, validate_lane
 from repro.obs.trace import Tracer, default_tracer
 
-@dataclass
+
 class SimulationResult:
     """Outcome of one simulated protocol run.
 
@@ -68,13 +67,20 @@ class SimulationResult:
             runs cannot clobber it.  ``None`` when the lane asked for ran.
     """
 
-    value: Any
-    costs: CostAccounting
-    finished_at: float
-    querying_host: int
-    extra: Dict[str, Any] = field(default_factory=dict)
-    lane_used: str = "python"
-    fallback_reason: Optional[str] = None
+    __slots__ = ("value", "costs", "finished_at", "querying_host", "extra",
+                 "lane_used", "fallback_reason")
+
+    def __init__(self, value: Any, costs: CostAccounting, finished_at: float,
+                 querying_host: int, extra: Optional[Dict[str, Any]] = None,
+                 lane_used: str = "python",
+                 fallback_reason: Optional[str] = None) -> None:
+        self.value = value
+        self.costs = costs
+        self.finished_at = finished_at
+        self.querying_host = querying_host
+        self.extra = {} if extra is None else extra
+        self.lane_used = lane_used
+        self.fallback_reason = fallback_reason
 
 
 class Session:

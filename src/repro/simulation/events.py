@@ -40,7 +40,6 @@ custom events), and the tick lanes' gate only asks ``len``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -81,7 +80,6 @@ _DELIVER_PRIORITY = _KIND_PRIORITY[EventKind.DELIVER]
 _TIMER_PRIORITY = _KIND_PRIORITY[EventKind.TIMER]
 
 
-@dataclass(eq=False, slots=True)
 class Event:
     """A scheduled simulation event.
 
@@ -95,15 +93,23 @@ class Event:
     natural no-op.
     """
 
-    time: float
-    priority: int
-    kind: EventKind
-    host: Optional[int] = None
-    message: Optional[Message] = None
-    timer_name: Optional[str] = None
-    data: Any = None
-    queued: Any = None
-    cancelled: bool = False
+    __slots__ = ("time", "priority", "kind", "host", "message", "timer_name",
+                 "data", "queued", "cancelled")
+
+    def __init__(self, time: float, priority: int, kind: EventKind,
+                 host: Optional[int] = None,
+                 message: Optional[Message] = None,
+                 timer_name: Optional[str] = None, data: Any = None,
+                 queued: Any = None, cancelled: bool = False) -> None:
+        self.time = time
+        self.priority = priority
+        self.kind = kind
+        self.host = host
+        self.message = message
+        self.timer_name = timer_name
+        self.data = data
+        self.queued = queued
+        self.cancelled = cancelled
 
 
 class _DeliverBatch(Message):

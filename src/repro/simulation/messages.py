@@ -8,27 +8,24 @@ paper's *time cost* (length of the longest chain of messages).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 
-@dataclass(slots=True)
 class Message:
     """A single protocol message in flight.
 
-    Treated as immutable by protocol code (the frozen-dataclass
-    enforcement was dropped because its per-field ``object.__setattr__``
-    cost showed up on the kernel's per-message hot path).  The one writer
-    is the engine: a fixed-delay multicast is ONE message from send to
-    delivery (:class:`~repro.simulation.events._DeliverBatch`, this class
-    plus its ``dests``), and ``EventEngine._drain`` hands that same object
-    to each destination in turn, rebinding ``dest`` before each call.  So,
-    as with the reused :class:`~repro.simulation.host.HostContext`, a
+    Treated as immutable by protocol code (no ``__setattr__`` guard: a
+    per-field ``object.__setattr__`` would show up on the kernel's
+    per-message hot path).  The one writer is the engine: a fixed-delay
+    multicast is ONE message from send to delivery
+    (:class:`~repro.simulation.events._DeliverBatch`, this class plus its
+    ``dests``), and ``EventEngine._drain`` hands that same object to each
+    destination in turn, rebinding ``dest`` before each call.  So, as
+    with the reused :class:`~repro.simulation.host.HostContext`, a
     handler must not keep a message past its call -- copy the fields it
-    needs.  A consequence of losing ``frozen=True`` is that messages are
-    no longer hashable -- use ``id(message)`` or a derived key for dedup
-    structures.  Payloads are shared the same way: a receiver mutating
-    one would corrupt what its multicast's later destinations read
+    needs.  Messages compare and hash by identity.  Payloads are shared
+    the same way: a receiver mutating one would corrupt what its
+    multicast's later destinations read
     (``tests/simulation/test_messages.py`` pins this with read-only
     payload proxies across every protocol).
 
@@ -61,33 +58,20 @@ class Message:
             the engine delivery time.
     """
 
-    sender: int
-    dest: int
-    kind: str
-    payload: Mapping[str, Any] = field(default_factory=dict)
-    sent_at: float = 0.0
-    chain_depth: int = 1
-    wireless: bool = False
-    query_id: int = 0
-    vtime: float = 0.0
+    __slots__ = ("sender", "dest", "kind", "payload", "sent_at",
+                 "chain_depth", "wireless", "query_id", "vtime")
 
-    def with_dest(self, dest: int) -> "Message":
-        """Return a copy of this message addressed to a different host."""
-        return Message(
-            sender=self.sender,
-            dest=dest,
-            kind=self.kind,
-            payload=self.payload,
-            sent_at=self.sent_at,
-            chain_depth=self.chain_depth,
-            wireless=self.wireless,
-            query_id=self.query_id,
-            vtime=self.vtime,
-        )
-
-    def describe(self) -> str:
-        """Human-readable one-line description, useful in logs and tests."""
-        return (
-            f"[{self.kind}] {self.sender} -> {self.dest} "
-            f"at t={self.sent_at:g} depth={self.chain_depth}"
-        )
+    def __init__(self, sender: int, dest: int, kind: str,
+                 payload: Optional[Mapping[str, Any]] = None,
+                 sent_at: float = 0.0, chain_depth: int = 1,
+                 wireless: bool = False, query_id: int = 0,
+                 vtime: float = 0.0) -> None:
+        self.sender = sender
+        self.dest = dest
+        self.kind = kind
+        self.payload = {} if payload is None else payload
+        self.sent_at = sent_at
+        self.chain_depth = chain_depth
+        self.wireless = wireless
+        self.query_id = query_id
+        self.vtime = vtime

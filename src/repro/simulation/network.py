@@ -48,13 +48,13 @@ import enum
 from array import array
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -69,8 +69,7 @@ class NetworkEventKind(enum.Enum):
     JOIN = "join"
 
 
-@dataclass(frozen=True)
-class NetworkEvent:
+class NetworkEvent(NamedTuple):
     """A single topology change: a host failing or joining at ``time``."""
 
     time: float

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
-from typing import Any, Generic, Optional, TypeVar
+from typing import Any, Generic, NamedTuple, TypeVar
 
 from repro.sketches.fm import DEFAULT_NUM_BITS, FMSketch
 
@@ -146,8 +145,7 @@ class ExactSumCombiner(Combiner[float]):
         return a + b
 
 
-@dataclass(frozen=True)
-class AverageState:
+class AverageState(NamedTuple):
     """Partial state for average queries: a (sum, count) pair."""
 
     total: float
@@ -243,8 +241,7 @@ class FMSumCombiner(Combiner[FMSketch]):
         return state.estimate()
 
 
-@dataclass(frozen=True)
-class _FMAverageState:
+class _FMAverageState(NamedTuple):
     """Partial state for the FM average: a (sum sketch, count sketch) pair."""
 
     sum_sketch: FMSketch

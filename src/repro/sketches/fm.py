@@ -16,7 +16,7 @@ Storage and sampling are built for the simulation kernel's hot path:
   ``[i * num_bits, (i + 1) * num_bits)``), so merging two sketches -- the
   operation WILDFIRE performs once per received message -- is a single
   bitwise OR of two ints instead of ``c`` separate ORs plus tuple and
-  dataclass construction.
+  record construction.
 * Geometric sampling draws one ``getrandbits(c * (num_bits - 1))`` block
   per element and reads each vector's index as the length of the run of
   ones at the bottom of its ``num_bits - 1`` chunk.  A chunk of ``k`` ones

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.simulation.network import DynamicNetwork
 
 
-@dataclass
 class Topology:
     """An immutable description of a network topology.
 
@@ -18,21 +16,24 @@ class Topology:
         name: short human-readable label ("random", "grid", ...).
         metadata: generator parameters (size, degree, seed, ...), kept for
             experiment reports.
+
+    Not slotted: the instance ``__dict__`` also holds the memos of
+    :meth:`diameter_estimate` and :meth:`to_network`.
     """
 
-    adjacency: List[Set[int]]
-    name: str = "topology"
-    metadata: Dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        n = len(self.adjacency)
-        for host, neighbors in enumerate(self.adjacency):
+    def __init__(self, adjacency: List[Set[int]], name: str = "topology",
+                 metadata: Dict[str, object] | None = None) -> None:
+        self.adjacency = adjacency
+        self.name = name
+        self.metadata = {} if metadata is None else metadata
+        n = len(adjacency)
+        for host, neighbors in enumerate(adjacency):
             for other in neighbors:
                 if other == host:
                     raise ValueError(f"host {host} has a self-loop")
                 if not 0 <= other < n:
                     raise ValueError(f"host {host} references unknown host {other}")
-                if host not in self.adjacency[other]:
+                if host not in adjacency[other]:
                     raise ValueError(
                         f"asymmetric edge {host}->{other}: topologies must be undirected"
                     )
@@ -47,7 +48,7 @@ class Topology:
         """Construct without the symmetry/self-loop validation pass.
 
         For generator-built adjacencies that are symmetric by construction;
-        the O(E) validation in ``__post_init__`` is pure overhead at
+        the O(E) validation in ``__init__`` is pure overhead at
         100k-node scale.  Takes ownership of ``adjacency``.
 
         The set rows are packed into tuples, *preserving each set's own

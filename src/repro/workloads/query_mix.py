@@ -23,8 +23,7 @@ that load as an explicit, reproducible submission schedule:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 __all__ = [
     "QuerySubmission",
@@ -55,8 +54,7 @@ DEFAULT_AGGREGATE_MIX: Dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class QuerySubmission:
+class QuerySubmission(NamedTuple):
     """One scheduled query submission.
 
     Attributes:
@@ -80,7 +78,6 @@ class QuerySubmission:
     continuous: bool = False
 
 
-@dataclass(frozen=True)
 class QueryMixConfig:
     """Parameters of one open-world query mix.
 
@@ -114,50 +111,70 @@ class QueryMixConfig:
             pool when one exists, else from the mixes).
     """
 
-    qps: float = 1.0
-    duration: float = 60.0
-    protocol_mix: Dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_PROTOCOL_MIX))
-    aggregate_mix: Dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_AGGREGATE_MIX))
-    continuous_fraction: float = 0.15
-    period: float = 10.0
-    reports: int = 3
-    think_time: float = 0.0
-    max_queries: Optional[int] = None
-    hot_fraction: float = 0.0
-    hot_targets: int = 3
-    burst_every: Optional[float] = None
-    burst_size: int = 0
+    __slots__ = ("qps", "duration", "protocol_mix", "aggregate_mix",
+                 "continuous_fraction", "period", "reports", "think_time",
+                 "max_queries", "hot_fraction", "hot_targets", "burst_every",
+                 "burst_size")
 
-    def __post_init__(self) -> None:
-        if self.qps <= 0:
+    def __init__(self, qps: float = 1.0, duration: float = 60.0,
+                 protocol_mix: Optional[Dict[str, float]] = None,
+                 aggregate_mix: Optional[Dict[str, float]] = None,
+                 continuous_fraction: float = 0.15, period: float = 10.0,
+                 reports: int = 3, think_time: float = 0.0,
+                 max_queries: Optional[int] = None,
+                 hot_fraction: float = 0.0, hot_targets: int = 3,
+                 burst_every: Optional[float] = None,
+                 burst_size: int = 0) -> None:
+        if qps <= 0:
             raise ValueError("qps must be positive")
-        if self.duration <= 0:
+        if duration <= 0:
             raise ValueError("duration must be positive")
-        if not self.protocol_mix:
+        if protocol_mix is None:
+            protocol_mix = dict(DEFAULT_PROTOCOL_MIX)
+        if aggregate_mix is None:
+            aggregate_mix = dict(DEFAULT_AGGREGATE_MIX)
+        if not protocol_mix:
             raise ValueError("protocol_mix cannot be empty")
-        if not self.aggregate_mix:
+        if not aggregate_mix:
             raise ValueError("aggregate_mix cannot be empty")
-        if not 0.0 <= self.continuous_fraction <= 1.0:
+        if not 0.0 <= continuous_fraction <= 1.0:
             raise ValueError("continuous_fraction must be in [0, 1]")
-        if self.period <= 0:
+        if period <= 0:
             raise ValueError("period must be positive")
-        if self.reports < 1:
+        if reports < 1:
             raise ValueError("continuous streams need at least one report")
-        if self.think_time < 0:
+        if think_time < 0:
             raise ValueError("think_time cannot be negative")
-        if self.max_queries is not None and self.max_queries < 1:
+        if max_queries is not None and max_queries < 1:
             raise ValueError("max_queries must be at least 1")
-        if not 0.0 <= self.hot_fraction <= 1.0:
+        if not 0.0 <= hot_fraction <= 1.0:
             raise ValueError("hot_fraction must be in [0, 1]")
-        if self.hot_targets < 1:
+        if hot_targets < 1:
             raise ValueError("hot_targets must be at least 1")
-        if self.burst_every is not None:
-            if self.burst_every <= 0:
+        if burst_every is not None:
+            if burst_every <= 0:
                 raise ValueError("burst_every must be positive")
-            if self.burst_size < 1:
+            if burst_size < 1:
                 raise ValueError("bursts need burst_size >= 1")
+        self.qps = qps
+        self.duration = duration
+        self.protocol_mix = protocol_mix
+        self.aggregate_mix = aggregate_mix
+        self.continuous_fraction = continuous_fraction
+        self.period = period
+        self.reports = reports
+        self.think_time = think_time
+        self.max_queries = max_queries
+        self.hot_fraction = hot_fraction
+        self.hot_targets = hot_targets
+        self.burst_every = burst_every
+        self.burst_size = burst_size
+
+    def replace(self, **changes) -> "QueryMixConfig":
+        """A validated copy with ``changes`` applied to its fields."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return QueryMixConfig(**fields)
 
 
 def duplicate_heavy_mix(**overrides) -> QueryMixConfig:
@@ -241,9 +258,7 @@ def generate_query_mix(
     if config is None:
         config = QueryMixConfig(**overrides)
     elif overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
+        config = config.replace(**overrides)
     rng = random.Random(f"{seed}:query-mix")
     # The hot/burst knobs draw from *separate* streams so schedules with
     # the knobs off stay bit-identical to the pre-knob generator (the

@@ -1,5 +1,8 @@
 """Tests for the configuration objects."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.config import ProtocolConfig, SimulationConfig
@@ -34,15 +37,19 @@ class TestSimulationConfig:
         with pytest.raises(Exception):
             config.delta = 2.0
 
+    def test_pickles_and_copies_despite_being_frozen(self):
+        config = SimulationConfig(delta=2.0, wireless=True, delay="uniform")
+        for clone in (pickle.loads(pickle.dumps(config)), copy.copy(config)):
+            assert (clone.delta, clone.wireless, clone.delay, clone.lane) == (
+                2.0, True, "uniform", config.lane)
+
 
 class TestProtocolConfig:
     def test_defaults(self):
-        from dataclasses import fields
-
         config = ProtocolConfig()
         assert config.d_hat is None
         assert config.fm_repetitions == 8
-        assert [f.name for f in fields(config)] == ["d_hat", "fm_repetitions"]
+        assert ProtocolConfig.__slots__ == ("d_hat", "fm_repetitions")
 
     def test_protocol_parameters_travel_with_the_protocol(self):
         """The config fields that went were only ever left at these

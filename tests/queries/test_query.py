@@ -1,5 +1,8 @@
 """Tests for the aggregate query model."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.queries.query import AggregateQuery, QueryKind
@@ -65,3 +68,9 @@ class TestAggregateQuery:
         query = AggregateQuery.of("min")
         with pytest.raises(Exception):
             query.attribute = "other"
+
+    def test_pickles_and_copies_despite_being_frozen(self):
+        query = AggregateQuery.of("avg", epsilon=0.1, confidence=0.9)
+        for clone in (pickle.loads(pickle.dumps(query)), copy.copy(query)):
+            assert (clone.kind, clone.attribute, clone.epsilon,
+                    clone.confidence) == (QueryKind.AVG, "value", 0.1, 0.9)

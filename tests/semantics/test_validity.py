@@ -57,10 +57,11 @@ class TestUnionSet:
         assert union_set(topo, churn) == {0, 1, 2, 3}
 
     def test_equal_joins_are_two_hosts(self):
-        """``JoinSpec`` is a frozen dataclass, so two joins at the same
+        """``JoinSpec`` is a value record, so two joins at the same
         instant to the same neighbors compare equal; each still adds a
         host, numbered by its position after the initial ones."""
         join = JoinSpec(time=2.0, neighbors=(0, 3))
+        assert join == JoinSpec(time=2.0, neighbors=(0, 3))
         churn = ChurnSchedule(joins=[join, join])
         assert union_set(ring_topology(6), churn) == set(range(8))
         assert union_set(ring_topology(6), churn, horizon=1.0) == set(range(6))

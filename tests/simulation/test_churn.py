@@ -15,6 +15,24 @@ class TestChurnSchedule:
         schedule = ChurnSchedule(failures=[(5.0, 1), (2.0, 2), (9.0, 3)])
         assert [t for t, _ in schedule.failures] == [2.0, 5.0, 9.0]
 
+    def test_the_callers_lists_are_left_as_given(self):
+        failures = [(5.0, 1), (2.0, 2)]
+        joins = [JoinSpec(time=9.0, neighbors=(1,)),
+                 JoinSpec(time=2.0, neighbors=(0,))]
+        schedule = ChurnSchedule(failures=failures, joins=joins)
+        assert failures == [(5.0, 1), (2.0, 2)]
+        assert [join.time for join in joins] == [9.0, 2.0]
+        assert schedule.failures == [(2.0, 2), (5.0, 1)]
+        assert [join.time for join in schedule.joins] == [2.0, 9.0]
+
+    def test_tuples_are_accepted(self):
+        schedule = ChurnSchedule(
+            failures=((5.0, 1), (2.0, 2)),
+            joins=(JoinSpec(time=9.0, neighbors=(1,)),
+                   JoinSpec(time=2.0, neighbors=(0,))))
+        assert schedule.failures == [(2.0, 2), (5.0, 1)]
+        assert [join.time for join in schedule.joins] == [2.0, 9.0]
+
     def test_duplicate_failure_rejected(self):
         with pytest.raises(ValueError):
             ChurnSchedule(failures=[(1.0, 4), (2.0, 4)])

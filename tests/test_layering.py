@@ -16,7 +16,8 @@ carries a failure plan.
 
 The import set is a checked fact too, each in a fresh interpreter: a
 package ``__init__`` imports nothing, so ``import repro`` loads one
-module and the engine loads no surface package (nor ``multiprocessing``).
+module, the engine loads no surface package (nor ``multiprocessing``),
+and no run path loads ``dataclasses`` or ``inspect``.
 """
 
 import ast
@@ -91,6 +92,21 @@ def test_surface_packages_import_repro_at_module_top_only():
         if not at_top
     }
     assert nested == set(NESTED_IMPORTS_KEPT)
+
+
+def test_no_module_imports_dataclasses():
+    """Each ``@dataclass`` ``exec``-compiles its generated methods at
+    import, and ``dataclasses`` pulls in ``inspect``, ``ast`` and
+    ``dis``: records are plain slotted classes or ``NamedTuple``s."""
+    offenders = [
+        path.relative_to(ROOT).as_posix()
+        for path in sorted(ROOT.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import)
+            and any(alias.name == "dataclasses" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert offenders == []
 
 
 def test_only_the_clock_module_adds_a_delta_to_an_instant():
@@ -173,6 +189,15 @@ def test_the_engine_loads_no_surface_package_and_no_multiprocessing():
     assert [name for name in loaded if name.startswith((
         "repro.experiments", "repro.orchestration", "repro.service",
         "repro.obs.provenance", "multiprocessing"))] == []
+
+
+def test_the_run_paths_load_neither_dataclasses_nor_inspect():
+    loaded = _fresh("-c", (
+        "import sys, repro.experiments.validity_sweep, "
+        "repro.experiments.query_mix, repro.service.service; "
+        "print(*[name for name in ('dataclasses', 'inspect') "
+        "if name in sys.modules])")).split()
+    assert loaded == []
 
 
 def test_every_package_table_entry_resolves_in_a_fresh_interpreter():
