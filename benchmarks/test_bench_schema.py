@@ -41,8 +41,8 @@ NUMERIC_POINT_FIELDS = (
     "wall_qps", "knee_qps", "capacity_qps",
 )
 
-#: Every row of a qps-vs-latency sweep (``run_qps_sweep``) must carry
-#: exactly these measurements; a point missing its latency column would
+#: Every row of a recorded qps-vs-latency sweep must carry exactly these
+#: measurements; a point missing its latency column would
 #: silently break the knee comparison across PRs.
 QPS_SWEEP_ROW_FIELDS = (
     "offered_qps", "queries", "answered", "shed", "deferred", "degraded",

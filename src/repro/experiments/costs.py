@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from operator import attrgetter, methodcaller
 from statistics import median_high
-from typing import Callable, Dict, Hashable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.protocols.base import (Protocol, ProtocolRunResult,
                                   resolve_d_hat, run_protocol)
@@ -282,28 +282,3 @@ def run_messages_per_instant_experiment(
                               grid_topology(grid_side))]
     return _table(cells, seed, ("topology", "|H|", "diameter", "peak_time",
                                "last_active"))
-
-
-def _wildfire_over_tree(rows: Sequence[CostRow], group: str,
-                        cost: str) -> Dict[Hashable, float]:
-    """WILDFIRE's ``cost`` attribute over SPANNINGTREE's per value of the
-    ``group`` attribute, from the first row of each protocol in the group
-    (groups missing either, or with a zero tree cost, are left out)."""
-    first: Dict[Hashable, Dict[str, int]] = {}
-    for row in rows:
-        first.setdefault(getattr(row, group), {}).setdefault(
-            row.result.protocol, getattr(row, cost))
-    return {key: costs[Wildfire.name] / costs[SpanningTree.name]
-            for key, costs in first.items()
-            if Wildfire.name in costs and costs.get(SpanningTree.name)}
-
-
-def wildfire_to_tree_ratio(rows: Sequence[CostRow]) -> Dict[int, float]:
-    """The headline "price of validity": the WILDFIRE / SPANNINGTREE
-    message ratio per network size."""
-    return _wildfire_over_tree(rows, "num_hosts", "messages")
-
-
-def computation_cost_ratio(rows: Sequence[CostRow]) -> Dict[str, float]:
-    """WILDFIRE / SPANNINGTREE maximum-computation-cost ratio per topology."""
-    return _wildfire_over_tree(rows, "topology", "max_cost")

@@ -305,78 +305,3 @@ def _run_sharded_query_mix(
             "per_shard": [result["metrics"] for result in shard_results],
         },
     }
-
-
-def run_qps_sweep(
-    qps_values,
-    num_hosts: int = 500,
-    topology: str = "gnutella",
-    duration: float = 30.0,
-    seed: int = 0,
-    share_floods: bool = False,
-    mix: Optional[QueryMixConfig] = None,
-    knee_slowdown: float = 1.5,
-    **mix_overrides,
-) -> Dict[str, Any]:
-    """Offered-qps vs service-latency sweep: where is the saturation knee?
-
-    Drives the same mix shape at each offered rate (the mix's own
-    ``qps``/``duration`` are overridden per point) and reports, per
-    point, the wall-clock cost per query and the throughput actually
-    achieved.  The **knee** is the highest offered rate whose wall-clock
-    seconds per query stay within ``knee_slowdown`` x the lowest offered
-    rate's -- past it, added load buys latency instead of throughput.
-    With the shared-flood cache on, duplicate floods collapse into
-    subscriptions, so the same substrate absorbs a higher offered rate
-    before the knee: the knee moves right.
-
-    Returns ``{"rows": [...], "knee_qps": ..., "capacity_qps": ...,
-    "share_floods": ...}``; rows carry the fields
-    ``benchmarks/test_bench_schema.py`` locks.
-    """
-    qps_values = sorted(float(q) for q in qps_values)
-    if not qps_values:
-        raise ValueError("qps sweep needs at least one offered rate")
-    base_mix = mix if mix is not None else QueryMixConfig(
-        qps=qps_values[0], duration=duration)
-    rows: List[Dict[str, Any]] = []
-    for offered in qps_values:
-        point_mix = base_mix.replace(qps=offered, duration=duration)
-        result = run_query_mix(
-            num_hosts=num_hosts, topology=topology, seed=seed,
-            mix=point_mix, share_floods=share_floods, **mix_overrides)
-        summary = result["summary"]
-        queries = summary["queries"]
-        elapsed = summary["elapsed_seconds"]
-        rows.append({
-            "offered_qps": offered,
-            "queries": queries,
-            "answered": summary["answered"],
-            "shed": summary.get("shed", 0),
-            "deferred": summary.get("deferred", 0),
-            "degraded": summary.get("degraded", 0),
-            "cache_hits": summary.get("cache_hits", 0),
-            "cache_hit_rate": round(
-                summary.get("cache_hits", 0) / queries, 4) if queries
-                else 0.0,
-            "messages": summary["messages_sent"],
-            "msgs_per_query": round(
-                summary["messages_sent"] / queries, 1) if queries
-                else 0.0,
-            "elapsed_s": elapsed,
-            "wall_s_per_query": round(
-                elapsed / queries, 6) if queries else 0.0,
-            "wall_qps": summary["queries_per_second"],
-            "share_floods": bool(share_floods),
-        })
-    baseline = rows[0]["wall_s_per_query"] or 1e-9
-    knee = rows[0]["offered_qps"]
-    for row in rows:
-        if row["wall_s_per_query"] <= knee_slowdown * baseline:
-            knee = row["offered_qps"]
-    return {
-        "rows": rows,
-        "knee_qps": knee,
-        "capacity_qps": max(row["wall_qps"] for row in rows),
-        "share_floods": bool(share_floods),
-    }

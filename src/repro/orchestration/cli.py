@@ -348,8 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    rows = [{"figure": key, "description": description}
-            for key, (description, _) in FIGURES.items()]
+    rows = [{"figure": key, "description": figure.description}
+            for key, figure in FIGURES.items()]
     print(format_table(rows, title="Available figures"))
     return 0
 
@@ -369,7 +369,16 @@ def _print_report(figure_id: str, report: RunReport, quiet: bool) -> None:
                 "cached": "yes" if result.cached else "no",
             } for result in report.results]
             print(format_table(summary, title="Trials"))
-    print(f"-- {len(report.results)} trials "
+    # A verdict is a function of the rows, so cached trials get one too.
+    trials = len(report.results)
+    failed: Dict[str, int] = {}
+    for rows in report.values:
+        for name, holds in FIGURES[figure_id].claims(rows):
+            failed[name] = failed.get(name, 0) + (not holds)
+    for name, count in failed.items():
+        verdict = f"fail {count}" if count else f"pass {trials}"
+        print(f"claim {name}: {verdict}/{trials} trials")
+    print(f"-- {trials} trials "
           f"({report.num_cached} cached, {report.num_executed} executed) "
           f"in {report.elapsed:.2f}s with {report.workers} worker(s) --")
     print()

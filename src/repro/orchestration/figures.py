@@ -117,7 +117,7 @@ class _FigureRun:
 
     def __init__(self, figure_id: str, scale: float, num_trials: int,
                  base_seed: int, reader: Optional[ResultStore]) -> None:
-        name, _ = lookup_figure(figure_id)
+        name = lookup_figure(figure_id).description
         self.figure_id = figure_id
         self.params = {"figure": figure_id, "scale": scale}
         self.spec = {"name": name, "runner": "figure",

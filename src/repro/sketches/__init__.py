@@ -11,9 +11,6 @@ from repro import lazy_exports
 _EXPORTS = {
     "FMSketch": "fm",
     "FM_CORRECTION": "fm",
-    "sketch_for_new_element": "fm",
-    "sketch_for_value": "fm",
-    "estimate_count": "fm",
     "Combiner": "combiners",
     "MinCombiner": "combiners",
     "MaxCombiner": "combiners",

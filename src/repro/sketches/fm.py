@@ -46,7 +46,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 #: The Flajolet-Martin bias correction constant phi; E[2^z] ~= phi * n.
 FM_CORRECTION = 0.77351
@@ -443,49 +443,6 @@ class FMSketch:
         """Readable rendering of the bit vectors (for debugging)."""
         rows = [format(vector, f"0{self.num_bits}b")[::-1] for vector in self.vectors]
         return "\n".join(rows)
-
-
-# ----------------------------------------------------------------------
-# Convenience functions used by the accuracy experiments (Figure 6)
-# ----------------------------------------------------------------------
-def sketch_for_new_element(
-    repetitions: int,
-    rng: Optional[random.Random] = None,
-    seed: Optional[int] = None,
-    num_bits: int = DEFAULT_NUM_BITS,
-) -> FMSketch:
-    """Standalone wrapper around :meth:`FMSketch.for_new_element`."""
-    rng = rng if rng is not None else random.Random(seed)
-    return FMSketch.for_new_element(repetitions, rng, num_bits=num_bits)
-
-
-def sketch_for_value(
-    value: int,
-    repetitions: int,
-    rng: Optional[random.Random] = None,
-    seed: Optional[int] = None,
-    num_bits: int = DEFAULT_NUM_BITS,
-) -> FMSketch:
-    """Standalone wrapper around :meth:`FMSketch.for_value`."""
-    rng = rng if rng is not None else random.Random(seed)
-    return FMSketch.for_value(value, repetitions, rng, num_bits=num_bits)
-
-
-def estimate_count(sketches: Iterable[FMSketch]) -> float:
-    """OR together per-element sketches and estimate their distinct count."""
-    merged: Optional[FMSketch] = None
-    for sketch in sketches:
-        merged = sketch if merged is None else merged.merge(sketch)
-    if merged is None:
-        return 0.0
-    return merged.estimate()
-
-
-def relative_error(estimate: float, truth: float) -> float:
-    """The paper's relative-error validity metric ``|estimate/truth - 1|``."""
-    if truth == 0:
-        return 0.0 if estimate == 0 else float("inf")
-    return abs(estimate / truth - 1.0)
 
 
 def required_repetitions(error_factor: float) -> int:

@@ -1,4 +1,4 @@
-"""Workload generators: attribute-value distributions and churn models."""
+"""Workload generators: attribute-value distributions and query mixes."""
 
 from repro import lazy_exports
 
@@ -6,9 +6,6 @@ _EXPORTS = {
     "zipf_values": "values",
     "uniform_values": "values",
     "constant_values": "values",
-    "churn_for_fraction": "churn_models",
-    "departures_sweep": "churn_models",
-    "session_lifetimes": "churn_models",
     "QueryMixConfig": "query_mix",
     "QuerySubmission": "query_mix",
     "generate_query_mix": "query_mix",

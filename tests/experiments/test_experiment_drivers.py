@@ -1,10 +1,13 @@
 """Smoke and shape tests for the per-figure experiment drivers.
 
-These run the same code as the benchmark harness but at tiny scales so the
-whole suite stays fast; the assertions check the *shape* of the results
-(who wins, what stays within bounds) rather than absolute numbers.
+The class tests run the drivers at tiny scales so the whole suite stays
+fast; their assertions check the *shape* of the results (who wins, what
+stays within bounds) rather than absolute numbers.  The module-level tests
+pin every ``FIGURES`` table at scale 0.3, seed 1, and assert each figure's
+claims on those same rows.
 """
 
+import functools
 import hashlib
 import json
 
@@ -17,13 +20,11 @@ from repro.experiments.capture_recapture import (
     run_ring_segment_experiment,
 )
 from repro.experiments.costs import (
-    computation_cost_ratio,
     run_communication_cost_experiment,
     run_computation_cost_experiment,
     run_grid_communication_experiment,
     run_messages_per_instant_experiment,
     run_time_cost_experiment,
-    wildfire_to_tree_ratio,
 )
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.validity_sweep import run_validity_sweep
@@ -77,8 +78,8 @@ class TestCommunicationExperiments:
                                                  d_hat_factors=(1.0, 2.0),
                                                  include_gnutella_point=False,
                                                  seed=2)
-        ratios = wildfire_to_tree_ratio(rows)
-        assert ratios and all(ratio > 1.5 for ratio in ratios.values())
+        messages = {r.label: r.messages for r in rows}
+        assert messages["wildfire (D_hat=1x)"] > 1.5 * messages["spanning-tree"]
 
     def test_d_hat_overestimate_does_not_change_cost(self):
         rows = run_communication_cost_experiment(network_sizes=(150,),
@@ -101,8 +102,9 @@ class TestCommunicationExperiments:
 class TestComputationExperiment:
     def test_wildfire_computation_cost_higher(self):
         rows = run_computation_cost_experiment(power_law_size=200, grid_side=8, seed=3)
-        ratios = computation_cost_ratio(rows)
-        assert all(ratio >= 1.0 for ratio in ratios.values())
+        cost = {(r.result.protocol, r.topology): r.max_cost for r in rows}
+        for topology in ("power-law", "grid"):
+            assert cost["wildfire", topology] >= cost["spanning-tree", topology]
         grid_rows = [r for r in rows if r.topology == "grid"]
         assert grid_rows and all(r.histogram for r in grid_rows)
 
@@ -161,6 +163,13 @@ class TestFigureRegistry:
         expected = {"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
                     "fig13a", "fig13b", "thm4.4", "sec5.4"}
         assert expected <= set(FIGURES)
+        # At least one claim per figure, no name twice, and the names
+        # FIGURE_CLAIMS pins (so no claim is dropped silently).
+        assert set(FIGURE_CLAIMS) == set(FIGURES)
+        for figure_id, figure in FIGURES.items():
+            names = [name for name, _ in figure.claims(pinned_rows(figure_id))]
+            assert names and len(set(names)) == len(names), figure_id
+            assert names == FIGURE_CLAIMS[figure_id]
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(KeyError):
@@ -188,9 +197,46 @@ FIGURE_DIGESTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def pinned_rows(figure_id):
+    """The rows ``FIGURE_DIGESTS`` pins, built once per session."""
+    return run_figure(figure_id, scale=0.3, seed=1)
+
+
 @pytest.mark.parametrize("figure_id", sorted(FIGURES))
 def test_figure_table_is_pinned(figure_id):
-    rows = run_figure(figure_id, scale=0.3, seed=1)
+    rows = pinned_rows(figure_id)
     digest = hashlib.sha256(
         json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
     assert digest == FIGURE_DIGESTS[figure_id]
+
+
+#: Every figure's claim names, in the order ``repro run`` prints them: a
+#: claim dropped or renamed must be a deliberate edit here too.
+FIGURE_CLAIMS = {
+    "fig6": ["fm-ratio-near-1-at-c16"],
+    "fig7": ["wildfire-valid-on-average", "wildfire-value-flat",
+             "tree-value-falls", "tree-ends-below-oracle"],
+    "fig8": ["wildfire-valid-on-average", "wildfire-value-flat",
+             "tree-value-falls"],
+    "fig9": ["wildfire-valid-on-average", "wildfire-value-flat",
+             "tree-ends-below-oracle"],
+    "fig10": ["price-of-validity", "messages-flat-in-d-hat"],
+    "fig11": ["count-costs-more-than-tree", "min-max-cheaper-than-count"],
+    "fig12": ["hotspot-on-power-law", "hotspot-on-grid",
+              "hotspot-worst-on-grid"],
+    "fig13a": ["declared-at-grows-with-d-hat", "tree-declares-first",
+               "messages-flat-in-d-hat", "wildfire-declares-at-2-d-hat",
+               "chain-within-4-d-hat"],
+    "fig13b": ["traffic-peaks-near-diameter", "traffic-ends-before-deadline"],
+    "thm4.4": ["tree-loses-half-the-cycle", "tree-invalid", "wildfire-valid"],
+    "sec5.4": ["capture-recapture-error", "ring-segment-error"],
+}
+
+
+@pytest.mark.parametrize("figure_id, claim", [
+    (figure_id, claim) for figure_id in sorted(FIGURE_CLAIMS)
+    for claim in FIGURE_CLAIMS[figure_id]])
+def test_every_figure_claim_holds_on_the_pinned_table(figure_id, claim):
+    verdicts = dict(FIGURES[figure_id].claims(pinned_rows(figure_id)))
+    assert verdicts[claim]

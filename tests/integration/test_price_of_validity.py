@@ -2,8 +2,9 @@
 
 The absolute numbers depend on the simulator, but the qualitative findings
 must hold: WILDFIRE stays valid under churn where the best-effort protocols
-do not, and it pays a constant-factor communication premium for count/sum
-while min/max cost about the same as (or less than) SPANNINGTREE.
+do not, min/max cost about the same as (or less than) SPANNINGTREE, and
+direct delivery makes a hotspot.  The count premium and the time cost are
+claims of Figs. 10 and 13(a) in ``repro.experiments.figures.FIGURES``.
 """
 
 import pytest
@@ -64,17 +65,6 @@ class TestValidityUnderChurn:
 
 
 class TestPriceOfValidity:
-    def test_count_communication_premium_is_constant_factor(self):
-        topo = random_topology(400, avg_degree=5, seed=19)
-        values = constant_values(400, 1)
-        wildfire = run_protocol(Wildfire(), topo, values, "count",
-                                combiner=FMCountCombiner(repetitions=8), seed=19)
-        tree = run_protocol(SpanningTree(), topo, values, "count", seed=19)
-        ratio = wildfire.costs.communication_cost / tree.costs.communication_cost
-        # The paper reports roughly 4-5x; we accept the same order of
-        # magnitude (well below the 2*D_hat*|E| worst case).
-        assert 2.0 <= ratio <= 12.0
-
     def test_min_max_premium_is_small(self):
         topo = random_topology(400, avg_degree=5, seed=20)
         values = zipf_values(400, seed=20)
@@ -82,16 +72,6 @@ class TestPriceOfValidity:
         tree = run_protocol(SpanningTree(), topo, values, "min", seed=20)
         ratio = wildfire_min.costs.communication_cost / tree.costs.communication_cost
         assert ratio <= 2.5
-
-    def test_time_cost_fixed_by_d_hat_not_by_traffic(self):
-        topo = random_topology(300, avg_degree=5, seed=21)
-        values = constant_values(300, 1)
-        d_hat = 10
-        wildfire = run_protocol(Wildfire(), topo, values, "max", d_hat=d_hat, seed=21)
-        assert wildfire.termination_time == 2 * d_hat
-        # The causal chain is bounded by the flooding depth plus convergecast
-        # rounds, i.e. it does not blow up with message volume.
-        assert wildfire.costs.time_cost <= 4 * d_hat
 
     def test_allreport_hotspot_worse_than_wildfire(self):
         from repro.protocols.allreport import AllReport

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.experiments.figures import FIGURES
+from repro.experiments.figures import FIGURES, Figure
 
 
 @pytest.fixture
 def echo_figure(monkeypatch):
-    """Register figure ``echo``, whose one row is its ``(scale, seed)``;
-    returns the list of seeds it has run.  Setting ``calls.fail_at = k``
-    makes the k-th call (0-based) raise ``RuntimeError("boom")``."""
+    """Register figure ``echo``, whose one row is its ``(scale, seed)``
+    and whose one claim holds for an even seed; returns the list of seeds
+    it has run.  Setting ``calls.fail_at = k`` makes the k-th call
+    (0-based) raise ``RuntimeError("boom")``."""
 
     class Calls(list):
         fail_at = None
@@ -22,5 +23,7 @@ def echo_figure(monkeypatch):
         calls.append(seed)
         return [{"scale": scale, "seed": seed}]
 
-    monkeypatch.setitem(FIGURES, "echo", ("echo figure", driver))
+    monkeypatch.setitem(FIGURES, "echo", Figure(
+        "echo figure", driver,
+        lambda rows: [("even-seed", rows[0]["seed"] % 2 == 0)]))
     return calls

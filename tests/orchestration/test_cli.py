@@ -39,6 +39,32 @@ def test_run_then_cached_rerun(cache_dir, capsys):
          if line.startswith(("count", "sum"))]
 
 
+def test_a_warm_run_prints_the_cold_runs_verdicts(cache_dir, capsys):
+    """Verdicts are a function of the rows: an all-cached rerun prints the
+    claim lines of the run that computed them, and --quiet keeps them."""
+    args = ["run", "thm4.4", "fig13b", "--scale", "0.05", "--trials", "2",
+            "--cache-dir", cache_dir]
+    assert main(args) == 0
+    cold = capsys.readouterr().out
+    assert main([*args, "-q"]) == 0
+    warm = capsys.readouterr().out
+    assert warm.count("2 trials (2 cached, 0 executed)") == 2
+
+    def verdicts(out):
+        return [line for line in out.splitlines()
+                if line.startswith(("== ", "claim "))]
+    assert len(verdicts(cold)) == 2 + 5
+    assert verdicts(warm) == verdicts(cold)
+
+
+def test_a_failed_claim_is_reported_not_raised(echo_figure, capsys):
+    assert main(["run", "echo", "--trials", "4", "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    odd = sum(seed % 2 for seed in echo_figure)
+    assert 0 < odd < 4  # the derived seeds exercise both verdicts
+    assert f"claim even-seed: fail {odd}/4 trials" in out
+
+
 def test_run_prints_a_trials_table_for_several_trials(capsys):
     assert main(["run", "fig6", "--scale", "0.05", "--trials", "2",
                  "--no-cache"]) == 0

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.experiments.figures import FIGURES, run_figure
+from repro.experiments.figures import FIGURES, Figure, run_figure
 from repro.orchestration.figures import (derive_trial_seed, run_figure_matrix,
                                          worker_utilisation)
 from repro.orchestration.store import ResultStore
@@ -20,8 +20,8 @@ from repro.orchestration.store import ResultStore
 def identity(monkeypatch, figure_id, scale, num_trials, base_seed):
     """``(spec hash, seeds, cache key)`` of a figure run, without running
     the figure's real driver."""
-    monkeypatch.setitem(FIGURES, figure_id,
-                        ("stand-in", lambda scale, seed: [{"seed": seed}]))
+    monkeypatch.setitem(FIGURES, figure_id, Figure(
+        "stand-in", lambda scale, seed: [{"seed": seed}], lambda rows: []))
     report = run_figure_matrix([figure_id], scale=scale,
                                num_trials=num_trials,
                                base_seed=base_seed)[figure_id]
@@ -73,9 +73,9 @@ def test_identity_is_the_same_in_a_fresh_interpreter(monkeypatch):
     """The identity must not lean on per-process state such as string
     hash randomisation: another interpreter computes the same values."""
     script = (
-        "from repro.experiments.figures import FIGURES\n"
+        "from repro.experiments.figures import FIGURES, Figure\n"
         "from repro.orchestration.figures import run_figure_matrix\n"
-        "FIGURES['fig6'] = ('stand-in', lambda scale, seed: [])\n"
+        "FIGURES['fig6'] = Figure('stand-in', lambda scale, seed: [], lambda rows: [])\n"
         "r = run_figure_matrix(['fig6'], scale=0.5, num_trials=3)['fig6']\n"
         "print(r.spec_hash, *[t.seed for t in r.results])\n")
     env = dict(os.environ, PYTHONHASHSEED="12345",
@@ -89,8 +89,8 @@ def test_identity_is_the_same_in_a_fresh_interpreter(monkeypatch):
 def test_the_figure_title_is_not_part_of_the_identity(monkeypatch):
     """Retitling a figure keeps its seeds and its cached records."""
     before = identity(monkeypatch, "fig6", 0.5, 3, 0)
-    monkeypatch.setitem(FIGURES, "fig6",
-                        ("a new title", lambda scale, seed: [{"seed": seed}]))
+    monkeypatch.setitem(FIGURES, "fig6", Figure(
+        "a new title", lambda scale, seed: [{"seed": seed}], lambda rows: []))
     after = run_figure_matrix(["fig6"], num_trials=3)["fig6"]
     assert (after.spec_hash, [r.seed for r in after.results],
             after.cache_key) == before
@@ -166,7 +166,8 @@ def test_a_record_written_before_the_rewrite_still_serves(
     def driver(scale, seed):
         raise AssertionError("a cached trial ran")
 
-    monkeypatch.setitem(FIGURES, "fig6", ("stand-in", driver))
+    monkeypatch.setitem(FIGURES, "fig6", Figure(
+        "stand-in", driver, lambda rows: []))
     key = "ddf28e7a7c8e428b50cf06735569d6add8c42f2aeeb4af7445c15a6eb8f4941b"
     seeds = [668254802, 673229414, 732445262]
     trials = {str(index): {"params": {"figure": "fig6", "scale": 0.5},

@@ -4,15 +4,7 @@ import random
 
 import pytest
 
-from repro.sketches.fm import (
-    FM_CORRECTION,
-    FMSketch,
-    estimate_count,
-    relative_error,
-    required_repetitions,
-    sketch_for_new_element,
-    sketch_for_value,
-)
+from repro.sketches.fm import FM_CORRECTION, FMSketch, required_repetitions
 
 
 class TestConstruction:
@@ -49,14 +41,6 @@ class TestConstruction:
             FMSketch(vectors=(), num_bits=32)
         with pytest.raises(ValueError):
             FMSketch(vectors=(1 << 40,), num_bits=32)
-
-    def test_standalone_wrappers_use_seed(self):
-        a = sketch_for_new_element(4, seed=9)
-        b = sketch_for_new_element(4, seed=9)
-        assert a == b
-        c = sketch_for_value(10, 4, seed=9)
-        d = sketch_for_value(10, 4, seed=9)
-        assert c == d
 
 
 class TestMerge:
@@ -122,13 +106,6 @@ class TestEstimation:
         truth = sum(values)
         assert truth / 2.5 <= sketch.estimate() <= truth * 2.5
 
-    def test_estimate_count_helper(self):
-        rng = random.Random(13)
-        sketches = [FMSketch.for_new_element(16, rng) for _ in range(300)]
-        estimate = estimate_count(sketches)
-        assert 100 <= estimate <= 900
-        assert estimate_count([]) == 0.0
-
     def test_correction_constant_value(self):
         assert FM_CORRECTION == pytest.approx(0.77351)
 
@@ -139,11 +116,6 @@ class TestEstimation:
 
 
 class TestHelpers:
-    def test_relative_error(self):
-        assert relative_error(110, 100) == pytest.approx(0.1)
-        assert relative_error(0, 0) == 0.0
-        assert relative_error(5, 0) == float("inf")
-
     def test_required_repetitions(self):
         assert required_repetitions(3.0) == 3
         assert required_repetitions(4.5) == 5

@@ -13,12 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches.fm import (
-    FMSketch,
-    _sample_packed_element,
-    relative_error,
-    sampling_mode,
-)
+from repro.semantics.metrics import relative_error
+from repro.sketches.fm import FMSketch, _sample_packed_element, sampling_mode
 
 
 def sketches(repetitions=4, num_bits=16):
