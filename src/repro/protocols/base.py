@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Type
 
 from repro.queries.query import AggregateQuery
@@ -118,12 +119,13 @@ class Protocol:
         rng: random.Random,
     ) -> List[ProtocolHost]:
         """Build one protocol host per topology host, all sharing one
-        run record."""
+        run record (one ``map`` over the ids, the values and the record
+        repeated: no per-host Python loop)."""
         host_class, num_hosts = self.host_class, topology.num_hosts
         run = host_class.run_class(querying_host, query, combiner, d_hat,
                                    delta, rng, **self.host_options(num_hosts))
-        return [host_class(host_id, values[host_id], run)
-                for host_id in range(num_hosts)]
+        return list(map(host_class, range(num_hosts), values,
+                        repeat(run, num_hosts)))
 
     def termination_time(self, d_hat: int, delta: float) -> float:
         """The nominal time ``T`` at which the querying host declares:

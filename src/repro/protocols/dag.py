@@ -14,7 +14,11 @@ under any realised delay model bounded by ``delta``.
 This module holds the one convergecast body -- :class:`DagHost`, of
 which SPANNINGTREE's host is the ``k = 1`` subclass -- and the tick
 lane's driver for it, :class:`ConvergecastBatchKernel`, which calls that
-body for every per-host transition.
+body for every per-host transition.  With the FM count and sum sketches
+a host keeps its partial aggregate as the packed bitmask int, as a
+WILDFIRE host does: it draws that int in one call, a Report carries it
+and a fold is one OR; the sketch object is built once, when the querying
+host declares.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.queries.query import AggregateQuery
 from repro.simulation.host import HostContext, ProtocolHost, RunRecord
 from repro.simulation.messages import Message
 from repro.sketches.combiners import Combiner, combiner_for_query
+from repro.sketches.fm import FMSketch
 
 BROADCAST = "dag-broadcast"
 REPORT = "dag-report"
@@ -33,15 +38,26 @@ REPORT = "dag-report"
 
 class DagRun(RunRecord):
     """DAG-k's run constants: the shared record plus ``num_parents``,
-    the fan-out ``k`` (checked here, once per run)."""
+    the fan-out ``k`` (checked here, once per run), and the combiner's
+    draw and fold, bound once per run: with a packed-state combiner
+    (``combiner.packed_state``, as :class:`~repro.protocols.wildfire.WildfireRun`
+    reads it) a host draws ``initial_packed`` ints and folds them with
+    ``int.__or__``, otherwise it draws ``initial`` and folds with
+    ``combine``.  The two agree bit for bit: OR is the sketch merge."""
 
-    __slots__ = ("num_parents",)
+    __slots__ = ("num_parents", "packed_mode", "draw", "fold")
 
     def __init__(self, *shared: Any, num_parents: int) -> None:
         super().__init__(*shared)
         if num_parents < 1:
             raise ValueError("num_parents must be at least 1")
         self.num_parents = num_parents
+        combiner = self.combiner
+        self.packed_mode = bool(getattr(combiner, "packed_state", False))
+        if self.packed_mode:
+            self.draw, self.fold = combiner.initial_packed, int.__or__
+        else:
+            self.draw, self.fold = combiner.initial, combiner.combine
 
 
 class DagHost(ProtocolHost):
@@ -52,6 +68,12 @@ class DagHost(ProtocolHost):
     parent slot the extra-parent branch below is dead and the only
     difference left is the two message-kind strings, which are class
     attributes.
+
+    ``partial`` is the host's partial aggregate in the run's own
+    representation (:class:`DagRun`): the packed bitmask int for the FM
+    count and sum sketches, the combiner's state otherwise.  A Report
+    carries it as is; only :meth:`local_result` builds the
+    :class:`~repro.sketches.fm.FMSketch`, once, at declaration.
 
     The three O(hosts) transitions are methods that return what to send
     instead of sending it -- :meth:`adopt` (the first Broadcast: parent,
@@ -75,7 +97,12 @@ class DagHost(ProtocolHost):
     report_kind = REPORT
 
     def __init__(self, host_id: int, value: float, run: DagRun) -> None:
-        super().__init__(host_id, value, run)
+        # ``ProtocolHost``'s three slots, assigned here rather than
+        # through ``super().__init__``: a run builds one host per
+        # network host.
+        self.host_id = host_id
+        self.value = value
+        self.run = run
         self.active = False
         #: ``()`` until adoption; then the parents, the first one the
         #: adopted sender (a tuple: most hosts never gain a second).
@@ -89,7 +116,7 @@ class DagHost(ProtocolHost):
         run = self.run
         self.active = True
         self.depth = 0
-        self.partial = run.combiner.initial(self.value, run.rng)
+        self.partial = run.draw(self.value, run.rng)
         ctx.send_to_neighbors(self.broadcast_kind,
                               {"depth": 0, "d_hat": run.d_hat})
 
@@ -132,15 +159,16 @@ class DagHost(ProtocolHost):
         self.active = True
         self.parents = (sender,)
         self.depth = sender_depth + 1
-        self.partial = run.combiner.initial(self.value, run.rng)
+        self.partial = run.draw(self.value, run.rng)
         return max(now, (2.0 * run.d_hat - self.depth) * run.delta)
 
     def take_report(self, agg: Any) -> None:
         """Fold a child's Report.  One that arrives after this host pushed
         its own partial aggregate up the tree (or before it heard the
-        Broadcast) is lost -- the best-effort behaviour."""
+        Broadcast) is lost -- the best-effort behaviour.  ``agg`` is in
+        the host's own representation (the class docstring)."""
         if self.active and not self.reported:
-            self.partial = self.run.combiner.combine(self.partial, agg)
+            self.partial = self.run.fold(self.partial, agg)
             self.reports_received += 1
 
     def report_due(self) -> Sequence[int]:
@@ -162,9 +190,14 @@ class DagHost(ProtocolHost):
             ctx.send(parent, self.report_kind, payload)
 
     def local_result(self) -> Optional[float]:
-        if self.partial is None:
+        partial, run = self.partial, self.run
+        if partial is None:
             return None
-        return self.run.combiner.finalize(self.partial)
+        combiner = run.combiner
+        if run.packed_mode:
+            partial = FMSketch._from_packed(partial, combiner.repetitions,
+                                            combiner.num_bits)
+        return combiner.finalize(partial)
 
 
 class ConvergecastBatchKernel:
@@ -176,7 +209,7 @@ class ConvergecastBatchKernel:
     :meth:`process_instant` and each instant's due timers
     ``(host_id, chain_depth, rank)`` to :meth:`process_timer_bucket`, and
     the kernel keeps what a lane adds to the protocol -- target lists,
-    ``submit_multi`` / ``submit_unicast``, timer registration,
+    ``submit_multi`` and the Report records, timer registration,
     accounting and trace hooks.  Adoption, the Report fold and the
     report deadline are calls into the spec host
     (:meth:`DagHost.adopt`, :meth:`~DagHost.take_report`,
@@ -184,11 +217,12 @@ class ConvergecastBatchKernel:
     per-delivery branch inlined here.  As there, the onward Broadcast's
     targets are ``lane.onward`` (the network's own sorted view less the
     sender), and a Report to a parent -- a former sender -- needs only
-    both ends alive (``lane.submit_unicast``).  A
-    Broadcast carries the sender's tree depth in the ``dist`` slot, a
-    Report carries the partial aggregate in ``agg`` (the object itself:
-    a host never changes its partial after reporting, so the reference
-    the spec's payload dict holds is the same one).  ``rank`` is carried
+    both ends alive (``lane.submit_unicast``'s check, inlined per
+    bucket).  A Broadcast carries the sender's tree depth in the
+    ``dist`` slot, a Report carries the partial aggregate in ``agg``, in
+    the host's own representation -- the packed int, or the combiner's
+    state object -- which is what the spec's payload dict holds (a host
+    never changes its partial after reporting).  ``rank`` is carried
     for the shared record shape and never read -- only the in-process
     lane admits convergecast, where append order already is spec order.
 
@@ -303,12 +337,18 @@ class ConvergecastBatchKernel:
     def process_timer_bucket(self, now: float, bucket: List[tuple],
                              lane: Any) -> None:
         """Fire one instant's report timers in registration order
-        (:meth:`DagHost.on_timer`'s sends)."""
+        (:meth:`DagHost.on_timer`'s sends).  Every Report of the bucket
+        is sent at ``now`` with one kind, so, as in
+        :meth:`~repro.protocols.wildfire.WildfireBatchKernel.process_timer_bucket`,
+        the records go straight onto ``lane.out_records`` and the
+        bucket's sends are added to the lane's tally once."""
         hosts = self.hosts
         alive = lane.alive_bytes
         report_kind = self.report_kind
+        out = lane.out_records
         tracer = lane.tracer
         qid = lane.qid
+        sent = 0
         for host_id, depth, rank in bucket:
             if not alive[host_id]:
                 continue  # dead hosts' timers expire silently
@@ -319,8 +359,18 @@ class ConvergecastBatchKernel:
             host = hosts[host_id]
             partial = host.partial
             for parent in host.report_due():
-                lane.submit_unicast(host_id, parent, report_kind, partial,
-                                    None, now, depth + 1, rank)
+                # ``lane.submit_unicast`` without the call: both ends
+                # alive (the sender is, above), traced and appended per
+                # Report, counted once per bucket below.
+                if alive[parent]:
+                    sent += 1
+                    if tracer is not None:
+                        tracer.send(now, host_id, parent, report_kind, 1,
+                                    qid)
+                    out.append((rank, host_id, (parent,), report_kind,
+                                partial, None, depth + 1))
+        if sent:
+            lane.send_acc[(now, report_kind)] += sent
 
 
 # Named after both classes exist; ``SpanningTreeHost`` names it again in

@@ -100,7 +100,12 @@ class WildfireHost(ProtocolHost):
     run_class = WildfireRun
 
     def __init__(self, host_id: int, value: float, run: WildfireRun) -> None:
-        super().__init__(host_id, value, run)
+        # ``ProtocolHost``'s three slots, assigned here rather than
+        # through ``super().__init__``: a run builds one host per
+        # network host.
+        self.host_id = host_id
+        self.value = value
+        self.run = run
         self.active = False
         self.distance: Optional[int] = None
 
@@ -124,8 +129,8 @@ class WildfireHost(ProtocolHost):
         self._deadline = run.global_deadline
 
         # FM fast path: when the combiner's state is a packed bitmask
-        # (count/sum sketches), the host keeps only the bitmask
-        # ``_packed`` and folds bare ints; ``partial`` builds the
+        # (count/sum sketches), the host draws and keeps only the
+        # bitmask ``_packed`` and folds bare ints; ``partial`` builds the
         # FMSketch when it is read (to send or declare it) and keeps it
         # in ``_partial_obj`` until the next growth.  Outcomes are
         # identical to the combiner calls: OR <=> combine, int == <=>
@@ -162,11 +167,10 @@ class WildfireHost(ProtocolHost):
         self.active = True
         self.distance = distance
         run = self.run
-        contribution = run.combiner.initial(self.value, run.rng)
         if run.packed_mode:
-            self._packed = contribution.packed
+            self._packed = run.combiner.initial_packed(self.value, run.rng)
         else:
-            self._partial_obj = contribution
+            self._partial_obj = run.combiner.initial(self.value, run.rng)
         self._deadline = self._participation_deadline()
 
     def first_contact(self, sender: int, incoming: Any,

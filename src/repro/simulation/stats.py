@@ -35,7 +35,9 @@ import hashlib
 import json
 import sys
 from array import array
-from typing import Dict, Mapping, Union
+from collections import Counter
+from operator import add
+from typing import Dict, Mapping, Sequence, Union
 
 from repro.simulation.clock import _TICK_EPSILON
 
@@ -133,20 +135,21 @@ class CostAccounting:
         """Record a message dropped because its destination failed."""
         self.dropped_messages += 1
 
-    def record_processed_bulk(self, host_counts) -> None:
-        """Fold many per-host processed-count increments in at once.
+    def add_processed(self, lo: int, counts: Sequence[int]) -> None:
+        """Add a run of per-host processed counts: ``counts[i]`` to host
+        ``lo + i`` (the array grows to cover them, as for joined hosts).
 
-        ``host_counts`` yields ``(host, count)`` pairs with ``count >= 1``.
-        Equivalent to ``count`` calls to :meth:`record_processed` per pair
-        except that chain depths are **not** folded here -- the caller
-        (the tick lanes' end-of-run replay) updates ``max_chain_depth``
+        Equivalent to ``counts[i]`` calls to :meth:`record_processed` for
+        each host, done as one slice assignment over
+        ``map(operator.add, ...)`` -- no per-host Python loop -- except
+        that chain depths are **not** folded here: the caller (a tick
+        lane's replay of its flat counts) updates ``max_chain_depth``
         directly.
         """
+        hi = lo + len(counts)
+        self.reserve(hi)
         processed = self._processed
-        for host, count in host_counts:
-            if host >= len(processed):
-                self.reserve(host + 1)
-            processed[host] += count
+        processed[lo:hi] = array("I", map(add, processed[lo:hi], counts))
 
     # ------------------------------------------------------------------
     # Derived measures
@@ -176,10 +179,8 @@ class CostAccounting:
     def computation_histogram(self) -> Dict[int, int]:
         """Map ``cost -> number of hosts`` that processed exactly that many
         messages (the Figure 12 distribution)."""
-        histogram: Dict[int, int] = {}
-        for count in self._processed:
-            if count:
-                histogram[count] = histogram.get(count, 0) + 1
+        histogram = Counter(self._processed)  # first-seen key order
+        histogram.pop(0, None)
         return histogram
 
     def messages_per_instant(self) -> Dict[float, int]:

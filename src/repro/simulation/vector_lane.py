@@ -477,7 +477,5 @@ def replay_accounting(costs, parts: Sequence[Dict[str, Any]]) -> None:
     max_depth = max(part["max_depth"] for part in parts)
     if max_depth > costs.max_chain_depth:
         costs.max_chain_depth = max_depth
-    costs.record_processed_bulk(
-        (lo + offset, count)
-        for lo, counts in (part["counts"] for part in parts)
-        for offset, count in enumerate(counts) if count)
+    for part in parts:
+        costs.add_processed(*part["counts"])

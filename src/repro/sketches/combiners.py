@@ -22,7 +22,8 @@ import abc
 import random
 from typing import Any, Generic, NamedTuple, TypeVar
 
-from repro.sketches.fm import DEFAULT_NUM_BITS, FMSketch
+from repro.sketches.fm import (DEFAULT_NUM_BITS, FMSketch, _sample_packed_element,
+                               _sample_packed_value)
 
 State = TypeVar("State")
 
@@ -174,71 +175,79 @@ class ExactAverageCombiner(Combiner[AverageState]):
 # ----------------------------------------------------------------------
 # Duplicate-insensitive FM combiners (Section 5.2)
 # ----------------------------------------------------------------------
-class FMCountCombiner(Combiner[FMSketch]):
-    """Duplicate-insensitive count using Flajolet-Martin sketches."""
+class _FMCombiner(Combiner[Any]):
+    """What the three FM combiners share: the sketch shape, checked once
+    here, so a bad shape fails when the run is set up rather than at its
+    first host's draw."""
 
     duplicate_insensitive = True
     stochastic = True
-    name = "count-fm"
-    #: State is a single packed bitmask int (enables protocol fast paths).
-    packed_state = True
 
     def __init__(self, repetitions: int = 8, num_bits: int = DEFAULT_NUM_BITS) -> None:
         if repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if num_bits < 1:
+            raise ValueError("num_bits must be positive")
         self.repetitions = repetitions
         self.num_bits = num_bits
+
+
+class _FMSketchCombiner(_FMCombiner):
+    """Count and sum: the state is one :class:`FMSketch`, merged by OR."""
+
+    #: The state is a single packed bitmask int (enables protocol fast
+    #: paths: a host may keep ``initial_packed`` ints and fold them by OR).
+    packed_state = True
+
+    def combine(self, a: FMSketch, b: FMSketch) -> FMSketch:
+        return a.merge(b)
+
+    def states_equal(self, a: FMSketch, b: FMSketch) -> bool:
+        return a.packed == b.packed
+
+    def absorbs(self, a: FMSketch, b: FMSketch) -> bool:
+        return _sketch_absorbs(a, b)
+
+    def finalize(self, state: FMSketch) -> float:
+        return state.estimate()
+
+
+class FMCountCombiner(_FMSketchCombiner):
+    """Duplicate-insensitive count using Flajolet-Martin sketches."""
+
+    name = "count-fm"
 
     def initial(self, value: float, rng: random.Random) -> FMSketch:
         return FMSketch.for_new_element(self.repetitions, rng, num_bits=self.num_bits)
 
-    def combine(self, a: FMSketch, b: FMSketch) -> FMSketch:
-        return a.merge(b)
-
-    def states_equal(self, a: FMSketch, b: FMSketch) -> bool:
-        return a.packed == b.packed
-
-    def absorbs(self, a: FMSketch, b: FMSketch) -> bool:
-        return _sketch_absorbs(a, b)
-
-    def finalize(self, state: FMSketch) -> float:
-        return state.estimate()
+    def initial_packed(self, value: float, rng: random.Random) -> int:
+        """``initial(value, rng).packed`` in one call, drawing what it
+        draws in either sampling mode: what a host that keeps only the
+        bitmask draws.  No argument check: the shape was checked when
+        the combiner was built."""
+        return _sample_packed_element(rng, self.repetitions, self.num_bits)
 
 
-class FMSumCombiner(Combiner[FMSketch]):
+class FMSumCombiner(_FMSketchCombiner):
     """Duplicate-insensitive sum: each host contributes ``value`` elements.
 
     A fractional value is truncated (99.9 contributes 99 elements), so
-    the estimated SUM is that of the integer parts.
+    the estimated SUM is that of the integer parts; a negative value,
+    -0.5 included, is refused.
     """
 
-    duplicate_insensitive = True
-    stochastic = True
     name = "sum-fm"
-    #: State is a single packed bitmask int (enables protocol fast paths).
-    packed_state = True
-
-    def __init__(self, repetitions: int = 8, num_bits: int = DEFAULT_NUM_BITS) -> None:
-        if repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        self.repetitions = repetitions
-        self.num_bits = num_bits
 
     def initial(self, value: float, rng: random.Random) -> FMSketch:
-        return FMSketch.for_value(int(value), self.repetitions, rng,
+        return FMSketch.for_value(value, self.repetitions, rng,
                                   num_bits=self.num_bits)
 
-    def combine(self, a: FMSketch, b: FMSketch) -> FMSketch:
-        return a.merge(b)
-
-    def states_equal(self, a: FMSketch, b: FMSketch) -> bool:
-        return a.packed == b.packed
-
-    def absorbs(self, a: FMSketch, b: FMSketch) -> bool:
-        return _sketch_absorbs(a, b)
-
-    def finalize(self, state: FMSketch) -> float:
-        return state.estimate()
+    def initial_packed(self, value: float, rng: random.Random) -> int:
+        """``initial(value, rng).packed`` in one call, drawing what it
+        draws in either sampling mode (the value's sign is still
+        checked)."""
+        return _sample_packed_value(rng, value, self.repetitions,
+                                    self.num_bits)
 
 
 class _FMAverageState(NamedTuple):
@@ -248,22 +257,14 @@ class _FMAverageState(NamedTuple):
     count_sketch: FMSketch
 
 
-class FMAverageCombiner(Combiner[_FMAverageState]):
+class FMAverageCombiner(_FMCombiner):
     """Duplicate-insensitive average as the ratio of FM sum and FM count."""
 
-    duplicate_insensitive = True
-    stochastic = True
     name = "avg-fm"
-
-    def __init__(self, repetitions: int = 8, num_bits: int = DEFAULT_NUM_BITS) -> None:
-        if repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        self.repetitions = repetitions
-        self.num_bits = num_bits
 
     def initial(self, value: float, rng: random.Random) -> _FMAverageState:
         return _FMAverageState(
-            sum_sketch=FMSketch.for_value(int(value), self.repetitions, rng,
+            sum_sketch=FMSketch.for_value(value, self.repetitions, rng,
                                           num_bits=self.num_bits),
             count_sketch=FMSketch.for_new_element(self.repetitions, rng,
                                                   num_bits=self.num_bits),

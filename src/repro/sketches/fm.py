@@ -250,6 +250,30 @@ def _sample_packed_elements(rng: random.Random, count: int,
     return hits
 
 
+def _sample_packed_value(rng: random.Random, value: float, repetitions: int,
+                         num_bits: int) -> int:
+    """:meth:`FMSketch.for_value`'s packed int: ``int(value)`` elements,
+    drawn as the sampling mode says.  The sign is checked before the
+    truncation, so -0.5 is refused like -1."""
+    if value < 0:
+        raise ValueError("sum sketches require non-negative values")
+    count = int(value)
+    if _sampling_mode != "legacy":
+        return _sample_packed_elements(rng, count, repetitions, num_bits)
+    # Replays the seed implementation's RNG consumption order:
+    # element-major, vector-minor, one coin-toss loop per sample.
+    vectors = [0] * repetitions
+    for _ in range(count):
+        for i in range(repetitions):
+            vectors[i] |= 1 << _geometric_bit_index(rng, num_bits)
+    packed = 0
+    offset = 0
+    for vector in vectors:
+        packed |= vector << offset
+        offset += num_bits
+    return packed
+
+
 class FMSketch:
     """An immutable FM sketch: ``c`` bit vectors packed into one integer.
 
@@ -344,28 +368,12 @@ class FMSketch:
         in Section 5.2.  A fractional ``value`` is truncated: a host holding
         99.9 contributes 99 elements.
         """
-        if value < 0:
-            raise ValueError("sum sketches require non-negative values")
         if repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if num_bits < 1:
             raise ValueError("num_bits must be positive")
-        count = int(value)
-        if _sampling_mode == "legacy":
-            # Replays the seed implementation's RNG consumption order:
-            # element-major, vector-minor, one coin-toss loop per sample.
-            vectors = [0] * repetitions
-            for _ in range(count):
-                for i in range(repetitions):
-                    vectors[i] |= 1 << _geometric_bit_index(rng, num_bits)
-            packed = 0
-            offset = 0
-            for vector in vectors:
-                packed |= vector << offset
-                offset += num_bits
-            return cls._from_packed(packed, repetitions, num_bits)
         return cls._from_packed(
-            _sample_packed_elements(rng, count, repetitions, num_bits),
+            _sample_packed_value(rng, value, repetitions, num_bits),
             repetitions, num_bits,
         )
 

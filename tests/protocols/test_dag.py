@@ -1,15 +1,18 @@
 """Tests for the DIRECTEDACYCLICGRAPH best-effort protocol."""
 
 import pytest
+from hypothesis import strategies as st
 
-from repro.protocols.base import run_protocol
+from repro.protocols.base import prepare_protocol_run, run_protocol
 from repro.protocols.dag import DirectedAcyclicGraph
 from repro.protocols.spanning_tree import SpanningTree
-from repro.simulation.churn import ChurnSchedule
-from repro.sketches.combiners import FMCountCombiner
+from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
+from repro.sketches.combiners import FMCountCombiner, FMSumCombiner
+from repro.sketches.fm import FMSketch
 from repro.topology.primitives import chain_topology, ring_topology
 from repro.topology.random_graph import random_topology
 from repro.workloads.values import constant_values, zipf_values
+from tests.drawn import drawn
 
 
 class TestConstruction:
@@ -94,3 +97,85 @@ class TestRobustness:
         assert tree.value == 1.0
         # The DAG's FM estimate of a single host is also tiny.
         assert k3.value <= 4.0
+
+
+class _ObjectCount(FMCountCombiner):
+    """The FM count with its state kept as ``FMSketch`` objects: a host
+    draws ``initial`` and folds through ``combine``."""
+
+    packed_state = False
+
+
+class _ObjectSum(FMSumCombiner):
+    """The FM sum with its state kept as ``FMSketch`` objects."""
+
+    packed_state = False
+
+
+_PROTOCOLS = {"spanning-tree": SpanningTree, "dag2": lambda: DirectedAcyclicGraph(2),
+              "dag3": lambda: DirectedAcyclicGraph(3)}
+_COMBINERS = {"count": (FMCountCombiner, _ObjectCount),
+              "sum": (FMSumCombiner, _ObjectSum)}
+
+
+def _packed_run_equals_object_run(protocol, query, seed, failures, lane,
+                                  num_hosts, delta):
+    """One run with each representation of the same FM combiner: equal
+    value, cost fingerprint and declaration time."""
+    topology = random_topology(num_hosts, avg_degree=4, seed=seed)
+    values = zipf_values(num_hosts, seed=seed)
+    seen = []
+    for combiner_class in _COMBINERS[query]:
+        combiner = combiner_class(repetitions=8)
+        prepared = prepare_protocol_run(_PROTOCOLS[protocol](), topology,
+                                        values, query, combiner=combiner,
+                                        delta=delta, seed=seed)
+        assert prepared.hosts[0].run.packed_mode is combiner.packed_state
+        # Failures over the whole run, the querying host spared.
+        churn = uniform_failure_schedule(
+            range(num_hosts), min(failures, num_hosts - 1), start=0.5 * delta,
+            end=prepared.termination, seed=seed, protect=[0])
+        run = run_protocol(_PROTOCOLS[protocol](), topology, values, query,
+                           combiner=combiner, delta=delta, churn=churn,
+                           seed=seed, lane=lane)
+        assert run.lane_used == lane
+        seen.append((run.value, run.costs.fingerprint(), run.finished_at))
+    assert seen[0] == seen[1]
+    assert seen[0][0] is not None
+
+
+class TestPackedStateIsTheObjectState:
+    """A host of an FM count or sum keeps its partial as the packed int
+    (``combiner.packed_state``); with the same combiner kept as sketch
+    objects the protocol must run identically, on the spec loop and on
+    the tick lane, static and under failures."""
+
+    @pytest.mark.parametrize("lane", ["python", "vector"])
+    @pytest.mark.parametrize("failures", [0, 6])
+    @pytest.mark.parametrize("query", ["count", "sum"])
+    @pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
+    def test_pinned_cells(self, protocol, query, failures, lane):
+        _packed_run_equals_object_run(protocol, query, 5, failures, lane,
+                                      40, 1.0)
+
+    def test_drawn_cells(self, request):
+        drawn(request, _packed_run_equals_object_run,
+              protocol=st.sampled_from(sorted(_PROTOCOLS)),
+              query=st.sampled_from(sorted(_COMBINERS)),
+              seed=st.integers(0, 2 ** 16), failures=st.integers(0, 12),
+              lane=st.sampled_from(["python", "vector"]),
+              num_hosts=st.integers(5, 60),
+              delta=st.sampled_from([1.0, 0.1, 0.3]))
+
+    def test_a_host_keeps_the_int_and_declares_its_sketch(self):
+        topology = random_topology(30, avg_degree=4, seed=2)
+        prepared = prepare_protocol_run(
+            DirectedAcyclicGraph(2), topology, [1.0] * 30, "count",
+            combiner=FMCountCombiner(repetitions=4), d_hat=8, seed=2)
+        host = prepared.hosts[3]
+        assert host.local_result() is None
+        host.adopt(0, 0, 0.0)
+        assert type(host.partial) is int
+        sketch = FMSketch._from_packed(host.partial, 4,
+                                       prepared.combiner.num_bits)
+        assert host.local_result() == sketch.estimate()

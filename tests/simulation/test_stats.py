@@ -60,6 +60,18 @@ class TestCostAccounting:
         histogram = costs.computation_histogram()
         assert histogram == {2: 1, 1: 1}
 
+    def test_computation_histogram_keeps_first_seen_key_order(self):
+        """Counted in C, keyed as the per-host loop it replaced keyed
+        it: each nonzero cost in the order a host first shows it."""
+        costs = CostAccounting(num_hosts=9)
+        costs.add_processed(0, [0, 3, 1, 0, 3, 7, 1, 0, 2])
+        expected = {}
+        for count in costs._processed:
+            if count:
+                expected[count] = expected.get(count, 0) + 1
+        assert list(costs.computation_histogram().items()) == list(
+            expected.items()) == [(3, 2), (1, 2), (7, 1), (2, 1)]
+
     def test_dropped_messages_counted(self):
         costs = CostAccounting()
         costs.record_dropped()
@@ -136,7 +148,8 @@ class TestCostAccounting:
         sink = CostAccounting(num_hosts=3)
         sink.record_processed(10, 2)  # a host joined after construction
         sink.record_processed(10, 2)
-        sink.record_processed_bulk([(12, 3)])
+        sink.add_processed(11, [0, 3])  # past the end: grows on demand
+        assert len(sink._processed) == 13
         assert sink.computation_cost == 3
         assert sink.computation_histogram() == {2: 1, 3: 1}
 
@@ -156,7 +169,7 @@ class TestCostAccounting:
         sink.record_processed(2, 0)
         assert agrees(sink) and sink.computation_cost == 3
         assert sink.time_cost == 0
-        sink.record_processed_bulk([(2, 4), (0, 1)])
+        sink.add_processed(0, [1, 0, 4])
         assert agrees(sink) and sink.computation_cost == 5
         sink.reserve(9)
         sink.reserve(2)  # never shrinks
@@ -256,13 +269,19 @@ def test_matches_the_naive_model_on_any_event_stream(seed, tick_width, span):
 
 
 def test_bulk_replay_equals_per_delivery_recording():
-    """What the tick lanes rely on: folding per-host totals in at the end
-    builds the state per-delivery recording would have."""
+    """What the tick lanes rely on: adding per-host totals in at the end,
+    in runs that start anywhere (a shard's ``lo``), builds the state
+    per-delivery recording would have -- the histogram's key order
+    included."""
     one_by_one = _drive(CostAccounting(num_hosts=50))
+    counts = list(one_by_one._processed)
     bulk = CostAccounting(num_hosts=50)
-    bulk.record_processed_bulk(one_by_one.messages_processed.items())
+    for lo, hi in ((0, 17), (17, 40), (40, 50)):
+        bulk.add_processed(lo, counts[lo:hi])
+    assert bulk.messages_processed == one_by_one.messages_processed
     assert bulk.computation_cost == one_by_one.computation_cost
-    assert bulk.computation_histogram() == one_by_one.computation_histogram()
+    assert list(bulk.computation_histogram().items()) == list(
+        one_by_one.computation_histogram().items())
 
 
 class TestMakeStatsSink:

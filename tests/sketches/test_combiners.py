@@ -16,6 +16,7 @@ from repro.sketches.combiners import (
     MinCombiner,
     combiner_for_query,
 )
+from repro.sketches.fm import SAMPLING_MODES, sampling_mode
 
 
 @pytest.fixture
@@ -115,6 +116,43 @@ class TestFMCombiners:
             FMSumCombiner(repetitions=0)
         with pytest.raises(ValueError):
             FMAverageCombiner(repetitions=0)
+
+    @pytest.mark.parametrize("combiner_class", [
+        FMCountCombiner, FMSumCombiner, FMAverageCombiner])
+    def test_invalid_width_refused_when_built(self, combiner_class):
+        """A zero-bit sketch used to be accepted here and refused only at
+        the first host's draw, mid-flood."""
+        with pytest.raises(ValueError, match="num_bits"):
+            combiner_class(num_bits=0)
+
+    @pytest.mark.parametrize("combiner_class", [
+        FMSumCombiner, FMAverageCombiner])
+    def test_negative_fraction_refused_like_a_negative_integer(
+            self, combiner_class, rng):
+        """-0.5 used to be truncated to 0 before the sign check and
+        contribute an empty sketch, where -1.0 raised."""
+        combiner = combiner_class(repetitions=4)
+        for value in (-0.5, -1.0):
+            with pytest.raises(ValueError, match="non-negative"):
+                combiner.initial(value, rng)
+        if combiner_class is FMSumCombiner:
+            with pytest.raises(ValueError, match="non-negative"):
+                combiner.initial_packed(-0.5, rng)
+
+    @pytest.mark.parametrize("mode", SAMPLING_MODES)
+    @pytest.mark.parametrize("value", [0, 0.9, 1, 47, 500])
+    @pytest.mark.parametrize("combiner_class", [FMCountCombiner, FMSumCombiner])
+    def test_initial_packed_is_the_initial_sketch(self, combiner_class, value,
+                                                   mode):
+        """The one packed call a packed-state host makes draws what
+        ``initial`` draws: the same bits and the same RNG state after."""
+        combiner = combiner_class(repetitions=8)
+        with sampling_mode(mode):
+            for seed in range(3):
+                packed_rng, sketch_rng = random.Random(seed), random.Random(seed)
+                assert combiner.initial_packed(value, packed_rng) == (
+                    combiner.initial(value, sketch_rng).packed)
+                assert packed_rng.getstate() == sketch_rng.getstate()
 
 
 class TestFactory:
