@@ -29,8 +29,6 @@ _EXPORTS = {
     "ProtocolHost": "host",
     "Message": "messages",
     "DynamicNetwork": "network",
-    "NetworkEvent": "network",
-    "NetworkEventKind": "network",
     "CostAccounting": "stats",
     "DelayModel": "delay",
     "FixedDelay": "delay",

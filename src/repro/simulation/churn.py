@@ -10,7 +10,7 @@ same sequence of events the simulator executed.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 
 class JoinSpec(NamedTuple):
@@ -46,21 +46,6 @@ class ChurnSchedule:
     @property
     def num_failures(self) -> int:
         return len(self.failures)
-
-    @property
-    def failed_hosts(self) -> List[int]:
-        return [host for _, host in self.failures]
-
-    def failures_before(self, time: float) -> List[int]:
-        """Hosts whose failure time is strictly before ``time``."""
-        return [host for t, host in self.failures if t < time]
-
-    def restricted_to(self, horizon: float) -> "ChurnSchedule":
-        """A copy containing only events at or before ``horizon``."""
-        return ChurnSchedule(
-            failures=[(t, h) for t, h in self.failures if t <= horizon],
-            joins=[j for j in self.joins if j.time <= horizon],
-        )
 
     @staticmethod
     def empty() -> "ChurnSchedule":
@@ -111,32 +96,4 @@ def uniform_failure_schedule(
         step = (end - start) / (num_failures - 1)
         times = [start + i * step for i in range(num_failures)]
     failures = list(zip(times, victims))
-    return ChurnSchedule(failures=failures)
-
-
-def poisson_lifetime_schedule(
-    candidates: Sequence[int],
-    mean_lifetime: float,
-    horizon: float,
-    seed: int = 0,
-    protect: Optional[Iterable[int]] = None,
-) -> ChurnSchedule:
-    """Fail hosts with exponentially distributed lifetimes.
-
-    This models the "median session duration" style of churn observed in
-    deployed P2P systems (each host leaves independently with a memoryless
-    lifetime).  Hosts whose sampled lifetime exceeds ``horizon`` never fail
-    during the run.
-    """
-    if mean_lifetime <= 0:
-        raise ValueError("mean_lifetime must be positive")
-    protected = set(protect) if protect is not None else set()
-    rng = random.Random(seed)
-    failures: List[Tuple[float, int]] = []
-    for host in candidates:
-        if host in protected:
-            continue
-        lifetime = rng.expovariate(1.0 / mean_lifetime)
-        if lifetime <= horizon:
-            failures.append((lifetime, host))
     return ChurnSchedule(failures=failures)

@@ -199,7 +199,24 @@ class EventEngine:
         self.max_time = float(max_time)
         self.clock = SimulationClock()
         self._queue = EventQueue(width=self.delta)
-        self._churn = churn or ChurnSchedule.empty()
+        self._churn = churn = churn or ChurnSchedule.empty()
+        # A churn id must name a host slot the run can have: an initial
+        # host or one of the scheduled joins.  Past the bitmap a FAIL
+        # would raise a bare IndexError mid-drain, and a negative id
+        # would fail a host counted from the end.
+        slots = network.num_hosts + len(churn.joins)
+        for _, host in churn.failures:
+            if not 0 <= host < slots:
+                raise ValueError(
+                    f"churn fails host {host}, outside the {slots} host "
+                    f"slots of this network and its joins")
+        for join in churn.joins:
+            for other in join.neighbors:
+                if not 0 <= other < slots:
+                    raise ValueError(
+                        f"churn joins a host at neighbor {other}, outside "
+                        f"the {slots} host slots of this network and its "
+                        f"joins")
         self._churn_scheduled = False
         # qid -> live session (the demux table), and the (ends_at, qid)
         # heap of sessions due to leave it (empty while none expires).

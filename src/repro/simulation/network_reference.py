@@ -1,15 +1,16 @@
 """The retained set-based reference network (executable specification).
 
 This is the pre-packed-core :class:`~repro.simulation.network.DynamicNetwork`
-implementation, kept verbatim as the behavioural oracle for the CSR core:
-per-host mutable ``set`` adjacency, eager edge removal on failure, and an
-explicitly materialised pristine copy of the initial topology.  It is *not*
+implementation, kept as the behavioural oracle for the CSR core: per-host
+mutable ``set`` adjacency with eager edge removal on failure.  It is *not*
 used by the simulation kernel -- it exists so that
 
 * ``tests/simulation/test_network_packed.py`` can replay random
-  churn/join/query sequences against both implementations and assert
-  every observable (alive-neighbor views, edge predicates, alive
-  accounting, event log, BFS/diameter) is identical at every step, and
+  churn/join sequences against both implementations and assert every
+  observable of the kept surface (``num_hosts``, ``is_alive``, both
+  alive-neighbor views, ``has_alive_edge``, the ids ``join_host`` hands
+  out and the errors both dynamism methods raise) is identical at every
+  step, and
 * ``tests/integration/test_protocol_matrix.py`` can run whole seeded
   protocol executions on this reference substrate and require
   event-for-event equality with the packed core.
@@ -21,104 +22,31 @@ behaviour change that must update both).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-from repro.simulation.network import NetworkEvent, NetworkEventKind
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 class ReferenceNetwork:
     """Set-based dynamic network: the executable spec for the packed core.
 
     API-compatible with :class:`~repro.simulation.network.DynamicNetwork`
-    (the engines only touch the public surface plus the ``_alive``
-    sequence, which is a list of bools here and a bytearray there).
+    except for the packed-only ``partition_bounds`` (the engines only touch
+    the public surface plus the ``_alive`` sequence, which is a list of
+    bools here and a bytearray there, and the ``_alive_sorted`` views).
     """
 
-    def __init__(
-        self,
-        adjacency: Sequence[Iterable[int]],
-        validate: bool = True,
-        copy: bool = True,
-    ) -> None:
-        if copy:
-            self._adjacency: List[Set[int]] = [set(neigh) for neigh in adjacency]
-        else:
-            self._adjacency = [
-                neigh if isinstance(neigh, set) else set(neigh)
-                for neigh in adjacency
-            ]
+    def __init__(self, adjacency: Sequence[Iterable[int]]) -> None:
+        self._adjacency: List[Set[int]] = [set(neigh) for neigh in adjacency]
         n = len(self._adjacency)
-        if validate:
-            self._validate(self._adjacency, n)
-        # The pristine time-0 adjacency, materialised on the first topology
-        # change (before that, the current adjacency *is* the initial one).
-        self._pristine: Optional[List[Set[int]]] = None
         self._alive: List[bool] = [True] * n
-        self._events: List[NetworkEvent] = []
-        self._ever_alive: Set[int] = set(range(n))
         # Per-host caches of the alive-neighbor view; invalidated only for
         # the hosts an individual failure or join touches.
         self._alive_neighbors: List[Optional[FrozenSet[int]]] = [None] * n
         self._alive_sorted: List[Optional[Tuple[int, ...]]] = [None] * n
 
-    @staticmethod
-    def _validate(adjacency: List[Set[int]], n: int) -> None:
-        for host, neighbors in enumerate(adjacency):
-            for other in neighbors:
-                if other == host:
-                    raise ValueError(f"host {host} has a self-loop")
-                if not 0 <= other < n:
-                    raise ValueError(
-                        f"host {host} lists unknown neighbor {other} (n={n})"
-                    )
-                if host not in adjacency[other]:
-                    raise ValueError(
-                        f"asymmetric edge: {host} lists {other} but not vice versa"
-                    )
-
-    def _ensure_pristine(self) -> List[Set[int]]:
-        """Materialise the initial adjacency before the first mutation."""
-        if self._pristine is None:
-            self._pristine = [set(neigh) for neigh in self._adjacency]
-        return self._pristine
-
-    @property
-    def _initial_adjacency(self) -> List[Set[int]]:
-        """The time-0 adjacency (kept for compatibility and the oracle)."""
-        if self._pristine is None:
-            return self._adjacency
-        return self._pristine
-
-    # ------------------------------------------------------------------
-    # Basic accessors
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._adjacency)
-
     @property
     def num_hosts(self) -> int:
         """Total number of host slots ever allocated (alive or failed)."""
         return len(self._adjacency)
-
-    @property
-    def alive_hosts(self) -> List[int]:
-        """Host ids that are currently alive."""
-        return [h for h, alive in enumerate(self._alive) if alive]
-
-    @property
-    def num_alive(self) -> int:
-        return sum(self._alive)
-
-    @property
-    def events(self) -> List[NetworkEvent]:
-        """The append-only log of topology changes."""
-        return list(self._events)
-
-    @property
-    def ever_alive(self) -> Set[int]:
-        """Hosts that were alive at some instant (the upper bound set H_U)."""
-        return set(self._ever_alive)
 
     def is_alive(self, host: int) -> bool:
         return self._alive[host]
@@ -146,34 +74,6 @@ class ReferenceNetwork:
         """Whether ``dest`` is an alive current neighbor of ``sender``."""
         return dest in self._adjacency[sender] and self._alive[dest]
 
-    def all_neighbors(self, host: int) -> Set[int]:
-        """Current neighbors of ``host`` regardless of liveness."""
-        return set(self._adjacency[host])
-
-    def initial_neighbors(self, host: int) -> Set[int]:
-        """Neighbors of ``host`` in the initial topology."""
-        return set(self._initial_adjacency[host])
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self._adjacency[a]
-
-    def degree(self, host: int) -> int:
-        return len(self._adjacency[host])
-
-    def num_edges(self) -> int:
-        """Number of undirected edges in the current graph."""
-        return sum(len(neigh) for neigh in self._adjacency) // 2
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over undirected edges (a < b) of the current graph."""
-        for a, neighbors in enumerate(self._adjacency):
-            for b in neighbors:
-                if a < b:
-                    yield a, b
-
-    # ------------------------------------------------------------------
-    # Dynamism
-    # ------------------------------------------------------------------
     def _invalidate(self, host: int) -> None:
         self._alive_neighbors[host] = None
         self._alive_sorted[host] = None
@@ -182,18 +82,12 @@ class ReferenceNetwork:
         """Remove ``host`` from the network at simulation time ``time``."""
         if not self._alive[host]:
             raise ValueError(f"host {host} is already failed")
-        self._ensure_pristine()
         self._alive[host] = False
-        neighbors = tuple(sorted(self._adjacency[host]))
         for other in self._adjacency[host]:
             self._adjacency[other].discard(host)
             self._invalidate(other)
         self._adjacency[host].clear()
         self._invalidate(host)
-        self._events.append(
-            NetworkEvent(time=time, kind=NetworkEventKind.FAIL, host=host,
-                         neighbors=neighbors)
-        )
 
     def join_host(self, neighbors: Iterable[int], time: float) -> int:
         """Add a new host connected to ``neighbors`` and return its id."""
@@ -204,103 +98,20 @@ class ReferenceNetwork:
                 raise ValueError(f"unknown neighbor {other}")
             if not self._alive[other]:
                 raise ValueError(f"cannot join at failed host {other}")
-        self._ensure_pristine()
         self._adjacency.append(set(neighbor_set))
-        self._pristine.append(set())
         self._alive.append(True)
-        self._ever_alive.add(new_id)
         self._alive_neighbors.append(None)
         self._alive_sorted.append(None)
         for other in neighbor_set:
             self._adjacency[other].add(new_id)
             self._invalidate(other)
-        self._events.append(
-            NetworkEvent(time=time, kind=NetworkEventKind.JOIN, host=new_id,
-                         neighbors=tuple(sorted(neighbor_set)))
-        )
         return new_id
-
-    # ------------------------------------------------------------------
-    # Graph algorithms
-    # ------------------------------------------------------------------
-    def bfs_distances(self, source: int, alive_only: bool = True) -> Dict[int, int]:
-        """Hop distances from ``source`` to every reachable host."""
-        if alive_only and not self._alive[source]:
-            return {}
-        distances = {source: 0}
-        frontier = deque([source])
-        while frontier:
-            host = frontier.popleft()
-            next_dist = distances[host] + 1
-            for other in self._adjacency[host]:
-                if alive_only and not self._alive[other]:
-                    continue
-                if other not in distances:
-                    distances[other] = next_dist
-                    frontier.append(other)
-        return distances
-
-    def reachable_from(self, source: int) -> Set[int]:
-        """Alive hosts reachable from ``source`` over alive hosts."""
-        return set(self.bfs_distances(source, alive_only=True))
-
-    def diameter_estimate(self, samples: int = 8, seed: int = 0) -> int:
-        """Estimate the diameter by double-sweep BFS from a few sources."""
-        import random
-
-        alive = self.alive_hosts
-        if not alive:
-            return 0
-        rng = random.Random(seed)
-        best = 0
-        for _ in range(max(1, samples)):
-            start = rng.choice(alive)
-            dist = self.bfs_distances(start)
-            if not dist:
-                continue
-            # Tie-break equally-far hosts by smallest id so the sweep source
-            # does not depend on set iteration order (matches the packed core).
-            far_host, far_dist = max(dist.items(),
-                                     key=lambda kv: (kv[1], -kv[0]))
-            best = max(best, far_dist)
-            dist2 = self.bfs_distances(far_host)
-            if dist2:
-                best = max(best, max(dist2.values()))
-        return best
-
-    def is_connected(self) -> bool:
-        """True when every alive host is reachable from every other."""
-        alive = self.alive_hosts
-        if not alive:
-            return True
-        return len(self.reachable_from(alive[0])) == len(alive)
-
-    def snapshot_adjacency(self) -> List[Set[int]]:
-        """A deep copy of the current adjacency (for oracles and tests)."""
-        return [set(neigh) for neigh in self._adjacency]
 
     def copy(self) -> "ReferenceNetwork":
         """An independent copy of the current network state."""
         clone = ReferenceNetwork.__new__(ReferenceNetwork)
         clone._adjacency = [set(s) for s in self._adjacency]
-        clone._pristine = (
-            None if self._pristine is None
-            else [set(s) for s in self._pristine]
-        )
         clone._alive = list(self._alive)
-        clone._events = list(self._events)
-        clone._ever_alive = set(self._ever_alive)
         clone._alive_neighbors = [None] * len(clone._adjacency)
         clone._alive_sorted = [None] * len(clone._adjacency)
         return clone
-
-    @classmethod
-    def from_edges(cls, num_hosts: int, edges: Iterable[Tuple[int, int]]) -> "ReferenceNetwork":
-        """Build a network from an edge list."""
-        adjacency: List[Set[int]] = [set() for _ in range(num_hosts)]
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"self-loop on host {a}")
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        return cls(adjacency, validate=False, copy=False)

@@ -137,18 +137,6 @@ class Topology:
             return True
         return len(self.bfs_distances(0)) == self.num_hosts
 
-    def largest_component(self) -> Set[int]:
-        """Host set of the largest connected component."""
-        remaining = set(range(self.num_hosts))
-        best: Set[int] = set()
-        while remaining:
-            source = next(iter(remaining))
-            component = set(self.bfs_distances(source))
-            remaining -= component
-            if len(component) > len(best):
-                best = component
-        return best
-
     def diameter_estimate(self, samples: int = 4, seed: int = 0) -> int:
         """Double-sweep BFS estimate of the diameter (exact on trees).
 
@@ -201,17 +189,8 @@ class Topology:
             # aliasing them, so the topology's own sets can be handed over
             # directly -- no per-host set copy even at million-host scale.
             pristine = self.__dict__["_pristine_network"] = DynamicNetwork(
-                self.adjacency, validate=False, copy=False)
+                self.adjacency)
         return pristine.copy()
-
-    def to_networkx(self):  # pragma: no cover - convenience only
-        """Return a ``networkx.Graph`` view (requires networkx)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_hosts))
-        graph.add_edges_from(self.edges())
-        return graph
 
     @classmethod
     def from_edges(

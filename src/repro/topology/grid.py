@@ -64,10 +64,3 @@ def grid_topology(
         cols=cols,
         neighborhood=neighborhood,
     )
-
-
-def grid_coordinates(host: int, cols: int) -> Tuple[int, int]:
-    """Map a host id back to its (row, col) grid coordinates."""
-    if cols <= 0:
-        raise ValueError("cols must be positive")
-    return divmod(host, cols)

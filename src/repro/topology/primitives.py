@@ -7,7 +7,6 @@ Theorem 4.4) and simple shapes used throughout the test suite.
 
 from __future__ import annotations
 
-import random
 from typing import List, Set
 
 from repro.topology.base import Topology
@@ -100,18 +99,3 @@ def cycle_with_pendant_topology(cycle_size: int, name: str = "cycle-pendant") ->
     return Topology(adjacency=adjacency, name=name,
                     metadata={"generator": "cycle_with_pendant",
                               "cycle_size": cycle_size})
-
-
-def random_tree_topology(num_hosts: int, seed: int = 0, name: str = "random-tree") -> Topology:
-    """A uniformly random labelled tree (useful for property-based tests)."""
-    if num_hosts <= 0:
-        raise ValueError("num_hosts must be positive")
-    adjacency: List[Set[int]] = [set() for _ in range(num_hosts)]
-    rng = random.Random(seed)
-    for host in range(1, num_hosts):
-        parent = rng.randrange(host)
-        adjacency[host].add(parent)
-        adjacency[parent].add(host)
-    return Topology(adjacency=adjacency, name=name,
-                    metadata={"generator": "random_tree", "num_hosts": num_hosts,
-                              "seed": seed})

@@ -27,6 +27,7 @@ from repro.protocols.gossip import PushSumGossip
 from repro.protocols.randomized_report import RandomizedReport
 from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
+from repro.obs.trace import RingTracer
 from repro.queries.query import AggregateQuery
 from repro.semantics.oracle import Oracle, sketch_slack
 from repro.semantics.validity import aggregate_over, union_set
@@ -36,7 +37,6 @@ from repro.simulation.churn import (
     uniform_failure_schedule,
 )
 from repro.simulation.engine import Simulator
-from repro.simulation.network import NetworkEventKind
 from repro.topology.grid import grid_topology
 from repro.topology.power_law import power_law_topology
 from repro.topology.random_graph import random_topology
@@ -232,7 +232,7 @@ def _run_with_joins(delay, join_factory):
     simulator = Simulator(
         network=network, hosts=prepared.hosts, querying_host=0,
         churn=churn, delay_model=prepared.delay_model,
-        max_time=prepared.termination * 4 + 16,
+        max_time=prepared.termination * 4 + 16, tracer=RingTracer(),
     )
     if join_factory:
         simulator.join_host_factory = lambda host_id: WildfireHost(
@@ -249,18 +249,19 @@ class TestJoinsThroughCalendarQueue:
         network, simulator, result, values = _run_with_joins(
             delay, join_factory=False)
         # Both joins landed: the network grew by two host slots and the
-        # event log records them at their scheduled instants.
-        assert network.num_hosts == len(values) + 2
-        join_events = [e for e in network.events
-                       if e.kind is NetworkEventKind.JOIN]
-        assert [e.time for e in join_events] == [1.0, 2.0]
-        assert join_events[0].neighbors == (0, 3)
-        # Joined hosts are wired symmetrically and alive.
-        for event in join_events:
-            assert network.is_alive(event.host)
-            for neighbor in event.neighbors:
-                if network.is_alive(neighbor):
-                    assert network.has_edge(event.host, neighbor)
+        # trace records them at their scheduled instants.
+        n = len(values)
+        assert network.num_hosts == n + 2
+        assert [record for record in simulator.tracer.raw_records()
+                if record[0] == "join"] == [("join", 1.0, n),
+                                            ("join", 2.0, n + 1)]
+        # Joined hosts are alive and wired symmetrically to their
+        # neighbors (none of which fails).
+        for host, neighbors in ((n, (0, 3)), (n + 1, (5, 11, 20))):
+            assert network.is_alive(host)
+            assert network.alive_neighbors_sorted(host) == neighbors
+            for neighbor in neighbors:
+                assert host in network.alive_neighbors_sorted(neighbor)
         # Without a factory the joined hosts are inert placeholders; the
         # protocol still terminates and declares the stable-core minimum.
         assert result.value == float(min(values))

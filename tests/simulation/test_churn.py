@@ -5,7 +5,6 @@ import pytest
 from repro.simulation.churn import (
     ChurnSchedule,
     JoinSpec,
-    poisson_lifetime_schedule,
     uniform_failure_schedule,
 )
 
@@ -37,24 +36,6 @@ class TestChurnSchedule:
         with pytest.raises(ValueError):
             ChurnSchedule(failures=[(1.0, 4), (2.0, 4)])
 
-    def test_failed_hosts_and_counts(self):
-        schedule = ChurnSchedule(failures=[(1.0, 4), (2.0, 5)])
-        assert schedule.num_failures == 2
-        assert set(schedule.failed_hosts) == {4, 5}
-
-    def test_failures_before(self):
-        schedule = ChurnSchedule(failures=[(1.0, 4), (2.0, 5), (3.0, 6)])
-        assert schedule.failures_before(2.0) == [4]
-
-    def test_restricted_to_horizon(self):
-        schedule = ChurnSchedule(
-            failures=[(1.0, 4), (5.0, 5)],
-            joins=[JoinSpec(time=2.0, neighbors=(0,)), JoinSpec(time=9.0, neighbors=(1,))],
-        )
-        restricted = schedule.restricted_to(3.0)
-        assert restricted.failed_hosts == [4]
-        assert len(restricted.joins) == 1
-
     def test_empty_schedule(self):
         schedule = ChurnSchedule.empty()
         assert schedule.num_failures == 0
@@ -76,7 +57,7 @@ class TestUniformFailureSchedule:
     def test_protected_hosts_never_fail(self):
         schedule = uniform_failure_schedule(range(20), 19, start=0.0, end=1.0,
                                             seed=0, protect=[0])
-        assert 0 not in schedule.failed_hosts
+        assert 0 not in [host for _, host in schedule.failures]
 
     def test_zero_failures_gives_empty_schedule(self):
         schedule = uniform_failure_schedule(range(10), 0, start=0.0, end=1.0)
@@ -98,20 +79,3 @@ class TestUniformFailureSchedule:
         a = uniform_failure_schedule(range(50), 5, 0.0, 10.0, seed=11)
         b = uniform_failure_schedule(range(50), 5, 0.0, 10.0, seed=11)
         assert a.failures == b.failures
-
-
-class TestPoissonLifetimeSchedule:
-    def test_only_hosts_with_short_lifetimes_fail(self):
-        schedule = poisson_lifetime_schedule(range(200), mean_lifetime=5.0,
-                                             horizon=10.0, seed=2)
-        assert 0 < schedule.num_failures < 200
-        assert all(t <= 10.0 for t, _ in schedule.failures)
-
-    def test_protect_excludes_hosts(self):
-        schedule = poisson_lifetime_schedule(range(50), mean_lifetime=0.1,
-                                             horizon=100.0, seed=2, protect=[3])
-        assert 3 not in schedule.failed_hosts
-
-    def test_invalid_mean_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_lifetime_schedule(range(5), mean_lifetime=0.0, horizon=1.0)

@@ -210,6 +210,55 @@ class TestFailures:
                       querying_host=0)
 
 
+#: Every engine that takes a churn schedule: the three solo lanes and the
+#: query service's multiplexed engine.
+_CHURN_SURFACES = ["python", "vector", "sharded", "service"]
+
+
+def _start_with_churn(surface, churn):
+    from repro.protocols.base import run_protocol
+    from repro.protocols.wildfire import Wildfire
+    from repro.service import QueryService
+
+    topo = random_topology(20, seed=1)
+    if surface == "service":
+        return QueryService(topo, [1.0] * 20, churn=churn)
+    return run_protocol(Wildfire(), topo, [float(h) for h in range(20)],
+                        "max", churn=churn, lane=surface,
+                        shards=2 if surface == "sharded" else 1)
+
+
+class TestChurnIdsOutsideTheNetwork:
+    """A churn id past the host slots (20 initial hosts, no joins here)
+    is refused up front: a negative one used to fail a host counted from
+    the bitmap's end, a large one to raise a bare IndexError mid-drain."""
+
+    @pytest.mark.parametrize("host", [-1, 25], ids=["negative", "past_end"])
+    @pytest.mark.parametrize("surface", _CHURN_SURFACES)
+    def test_failure_host_is_refused(self, surface, host):
+        churn = ChurnSchedule(failures=[(0.5, host)])
+        with pytest.raises(ValueError, match=f"churn fails host {host},"):
+            _start_with_churn(surface, churn)
+
+    @pytest.mark.parametrize("other", [-1, 25], ids=["negative", "past_end"])
+    @pytest.mark.parametrize("surface", _CHURN_SURFACES)
+    def test_join_neighbor_is_refused(self, surface, other):
+        from repro.simulation.churn import JoinSpec
+
+        churn = ChurnSchedule(joins=[JoinSpec(time=0.5, neighbors=(0, other))])
+        with pytest.raises(ValueError, match=f"at neighbor {other},"):
+            _start_with_churn(surface, churn)
+
+    def test_joined_slots_may_be_named(self):
+        from repro.simulation.churn import JoinSpec
+
+        churn = ChurnSchedule(failures=[(2.5, 20)],
+                              joins=[JoinSpec(time=0.5, neighbors=(0, 1)),
+                                     JoinSpec(time=1.5, neighbors=(20,))])
+        run = _start_with_churn("python", churn)
+        assert run.value == 19.0
+
+
 class TestJoins:
     def test_join_event_adds_inert_host(self):
         topo = chain_topology(3)

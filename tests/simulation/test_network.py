@@ -1,144 +1,118 @@
-"""Tests for the dynamic network graph."""
+"""Tests for the dynamic network graph.
+
+Each case runs on the packed core and on its set-based reference spec,
+which the protocol matrix swaps in for whole runs.
+"""
 
 import pytest
 
-from repro.simulation.network import DynamicNetwork, NetworkEventKind
+from repro.simulation.network import DynamicNetwork
+from repro.simulation.network_reference import ReferenceNetwork
 
 
-def triangle_plus_tail():
+@pytest.fixture(params=[DynamicNetwork, ReferenceNetwork],
+                ids=["packed", "reference"])
+def network_cls(request):
+    return request.param
+
+
+@pytest.fixture
+def triangle_plus_tail(network_cls):
     """Hosts 0-1-2 form a triangle; host 3 hangs off host 2."""
-    return DynamicNetwork.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    return lambda: network_cls([{1, 2}, {0, 2}, {0, 1, 3}, {2}])
 
 
 class TestConstruction:
-    def test_from_edges_builds_symmetric_adjacency(self):
+    @pytest.mark.parametrize("knob", ["validate", "copy"])
+    def test_constructor_takes_no_knobs(self, network_cls, knob):
+        """Rows are trusted: ``Topology`` checks untrusted ones once."""
+        with pytest.raises(TypeError):
+            network_cls([{1}, {0}], **{knob: False})
+
+    def test_rows_become_alive_neighbor_views(self, triangle_plus_tail):
         network = triangle_plus_tail()
+        assert network.num_hosts == 4
         assert network.neighbors(0) == {1, 2}
-        assert network.neighbors(3) == {2}
-        assert network.num_edges() == 4
-
-    def test_validation_rejects_self_loops(self):
-        with pytest.raises(ValueError):
-            DynamicNetwork([{0}])
-
-    def test_validation_rejects_asymmetric_edges(self):
-        with pytest.raises(ValueError):
-            DynamicNetwork([{1}, set()])
-
-    def test_validation_rejects_unknown_neighbor(self):
-        with pytest.raises(ValueError):
-            DynamicNetwork([{5}])
-
-    def test_from_edges_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            DynamicNetwork.from_edges(2, [(0, 0)])
-
-
-class TestAccessors:
-    def test_alive_hosts_initially_all(self):
-        network = triangle_plus_tail()
-        assert network.alive_hosts == [0, 1, 2, 3]
-        assert network.num_alive == 4
-        assert len(network) == 4
-
-    def test_edges_iteration_is_undirected(self):
-        network = triangle_plus_tail()
-        edges = set(network.edges())
-        assert edges == {(0, 1), (0, 2), (1, 2), (2, 3)}
-
-    def test_degree(self):
-        network = triangle_plus_tail()
-        assert network.degree(2) == 3
-        assert network.degree(3) == 1
-
-    def test_ever_alive_tracks_initial_hosts(self):
-        network = triangle_plus_tail()
-        assert network.ever_alive == {0, 1, 2, 3}
+        assert network.alive_neighbors_sorted(2) == (0, 1, 3)
+        assert network.has_alive_edge(3, 2)
+        assert not network.has_alive_edge(3, 0)
 
 
 class TestFailures:
-    def test_fail_host_removes_edges_and_liveness(self):
+    def test_fail_host_removes_edges_and_liveness(self, triangle_plus_tail):
         network = triangle_plus_tail()
         network.fail_host(2, time=1.0)
         assert not network.is_alive(2)
         assert network.neighbors(0) == {1}
         assert network.neighbors(3) == set()
-        assert network.num_alive == 3
+        assert network.alive_neighbors_sorted(2) == ()
+        assert not network.has_alive_edge(0, 2)
+        assert not network.has_alive_edge(2, 0)
 
-    def test_fail_host_twice_raises(self):
+    def test_fail_host_twice_raises(self, triangle_plus_tail):
         network = triangle_plus_tail()
         network.fail_host(2, time=1.0)
         with pytest.raises(ValueError):
             network.fail_host(2, time=2.0)
 
-    def test_failure_recorded_in_event_log(self):
-        network = triangle_plus_tail()
-        network.fail_host(1, time=4.5)
-        events = network.events
-        assert len(events) == 1
-        assert events[0].kind is NetworkEventKind.FAIL
-        assert events[0].host == 1
-        assert events[0].time == 4.5
-        assert events[0].neighbors == (0, 2)
-
-    def test_failed_host_still_counted_in_ever_alive(self):
-        network = triangle_plus_tail()
-        network.fail_host(3, time=1.0)
-        assert 3 in network.ever_alive
-
 
 class TestJoins:
-    def test_join_adds_host_with_edges(self):
+    def test_join_adds_host_with_edges(self, triangle_plus_tail):
         network = triangle_plus_tail()
         new_id = network.join_host([0, 1], time=2.0)
         assert new_id == 4
+        assert network.num_hosts == 5
         assert network.is_alive(new_id)
         assert network.neighbors(new_id) == {0, 1}
         assert new_id in network.neighbors(0)
+        assert network.has_alive_edge(1, new_id)
 
-    def test_join_at_failed_host_raises(self):
+    def test_join_at_failed_host_raises(self, triangle_plus_tail):
         network = triangle_plus_tail()
         network.fail_host(1, time=1.0)
         with pytest.raises(ValueError):
             network.join_host([1], time=2.0)
 
-    def test_join_records_event(self):
+
+    def test_join_at_unknown_neighbor_raises(self, triangle_plus_tail):
         network = triangle_plus_tail()
-        network.join_host([0], time=3.0)
-        assert network.events[-1].kind is NetworkEventKind.JOIN
+        for unknown in (-1, 4):
+            with pytest.raises(ValueError):
+                network.join_host([0, unknown], time=2.0)
+        assert network.num_hosts == 4
+        assert network.alive_neighbors_sorted(0) == (1, 2)
 
 
-class TestGraphAlgorithms:
-    def test_bfs_distances_on_chain(self):
-        network = DynamicNetwork.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert network.bfs_distances(0) == {0: 0, 1: 1, 2: 2, 3: 3}
-
-    def test_bfs_skips_failed_hosts(self):
-        network = DynamicNetwork.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        network.fail_host(1, time=1.0)
-        distances = network.bfs_distances(0)
-        assert distances == {0: 0}
-
-    def test_reachability_after_partition(self):
-        network = triangle_plus_tail()
-        network.fail_host(2, time=1.0)
-        assert network.reachable_from(0) == {0, 1}
-        assert network.reachable_from(3) == {3}
-        assert not network.is_connected()
-
-    def test_diameter_estimate_on_chain_is_exact(self):
-        network = DynamicNetwork.from_edges(6, [(i, i + 1) for i in range(5)])
-        assert network.diameter_estimate(samples=4) == 5
-
-    def test_copy_is_independent(self):
+class TestCopies:
+    def test_copy_is_independent(self, triangle_plus_tail):
         network = triangle_plus_tail()
         clone = network.copy()
         network.fail_host(0, time=1.0)
         assert clone.is_alive(0)
         assert not network.is_alive(0)
+        assert clone.neighbors(1) == {0, 2}
 
-    def test_snapshot_adjacency_is_deep(self):
-        network = triangle_plus_tail()
-        snapshot = network.snapshot_adjacency()
-        snapshot[0].add(3)
-        assert 3 not in network.neighbors(0)
+
+class TestPartitionBounds:
+    """The sharded lane's host ranges (packed core only)."""
+
+    @staticmethod
+    def star(leaves):
+        return DynamicNetwork([set(range(1, leaves + 1))]
+                              + [{0} for _ in range(leaves)])
+
+    @pytest.mark.parametrize("shards", [1, 2, 5, 12])
+    def test_bounds_cover_every_host_in_order(self, shards):
+        bounds = self.star(9).partition_bounds(shards)
+        assert len(bounds) == shards + 1
+        assert bounds[0] == 0 and bounds[-1] == 10
+        assert bounds == sorted(bounds)
+
+    def test_cuts_balance_base_edges_not_hosts(self):
+        """The hub carries half of the star's edge ends, so it is a shard
+        of its own."""
+        assert self.star(9).partition_bounds(2) == [0, 1, 10]
+
+    def test_zero_shards_refused(self):
+        with pytest.raises(ValueError):
+            self.star(3).partition_bounds(0)

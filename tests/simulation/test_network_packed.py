@@ -4,24 +4,24 @@
 packed CSR arrays with an alive bitmap and a join-overflow table;
 :class:`~repro.simulation.network_reference.ReferenceNetwork` is the
 retained pre-rewrite set-based implementation.  These tests replay
-hypothesis-generated churn/join/observation sequences against both and
-require every observable to agree at every step -- the packed core must
-be *indistinguishable*, not merely equivalent on happy paths.
+hypothesis-generated churn/join sequences against both and require every
+observable of the surface a run reads to agree at every step -- the
+packed core must be *indistinguishable*, not merely equivalent on happy
+paths.  They are the whole contract between the packed core and its spec.
 
 The module also carries the calendar-queue fuzz for the join overflow
 table (joins and departures interleaved through a real ``Simulator``
-run) and the regression lock on ``alive_hosts``/``num_alive`` being
-served from the maintained count plus bitmap.
+run).
 """
 
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.network import DynamicNetwork, NetworkEventKind
+from repro.simulation.network import DynamicNetwork
 from repro.simulation.network_reference import ReferenceNetwork
+from tests.drawn import drawn
 
 
 # ---------------------------------------------------------------------------
@@ -73,24 +73,37 @@ def churn_scripts(draw):
     return n, edges, ops
 
 
+def _from_edges(cls, n, edges):
+    adjacency = [set() for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return cls(adjacency)
+
+
+def _pair(n, edges):
+    """The packed core and its spec, built from one edge list."""
+    return (_from_edges(DynamicNetwork, n, edges),
+            _from_edges(ReferenceNetwork, n, edges))
+
+
+def _apply(networks, op):
+    """Apply one scripted operation to every network; the new join ids."""
+    if op[0] == "fail":
+        for network in networks:
+            network.fail_host(op[1], op[2])
+        return None
+    return [network.join_host(op[1], op[2]) for network in networks]
+
+
 def _observe(network):
-    """Every cheap observable of a network, as one comparable structure."""
+    """Every observable of the kept surface, as one comparable structure."""
     n = network.num_hosts
     return {
         "num_hosts": n,
-        "num_alive": network.num_alive,
-        "alive_hosts": network.alive_hosts,
-        "ever_alive": network.ever_alive,
-        "num_edges": network.num_edges(),
-        "edges": set(network.edges()),
-        "neighbors": [set(network.neighbors(h)) for h in range(n)],
-        "sorted_views": [network.alive_neighbors_sorted(h) for h in range(n)],
-        "all_neighbors": [network.all_neighbors(h) for h in range(n)],
-        "initial": [network.initial_neighbors(h) for h in range(n)],
-        "degrees": [network.degree(h) for h in range(n)],
         "alive": [network.is_alive(h) for h in range(n)],
-        "snapshot": network.snapshot_adjacency(),
-        "events": network.events,
+        "neighbors": [network.neighbors(h) for h in range(n)],
+        "sorted_views": [network.alive_neighbors_sorted(h) for h in range(n)],
     }
 
 
@@ -99,87 +112,80 @@ def _assert_identical(packed, reference):
     for key in obs_r:
         assert obs_p[key] == obs_r[key], f"packed core diverged on {key}"
     n = packed.num_hosts
-    # Pairwise edge predicates over every (a, b), including failed hosts.
+    # Pairwise edge predicate over every (a, b), failed hosts and one id
+    # past the end included.
     for a in range(n):
-        for b in range(n):
-            assert packed.has_edge(a, b) == reference.has_edge(a, b)
+        for b in range(n + 1):
             assert (packed.has_alive_edge(a, b)
-                    == reference.has_alive_edge(a, b))
-    # Traversals: distances, reachability, diameter, connectivity.
-    for source in range(n):
-        assert (packed.bfs_distances(source)
-                == reference.bfs_distances(source))
-        assert (packed.bfs_distances(source, alive_only=False)
-                == reference.bfs_distances(source, alive_only=False))
-        assert (packed.reachable_from(source)
-                == reference.reachable_from(source))
-    assert packed.is_connected() == reference.is_connected()
-    assert (packed.diameter_estimate(samples=4, seed=3)
-            == reference.diameter_estimate(samples=4, seed=3))
+                    == reference.has_alive_edge(a, b)), (a, b)
+
+
+def _public(cls):
+    return {name for name in dir(cls) if not name.startswith("_")}
+
+
+def test_the_spec_has_the_packed_core_public_surface():
+    """The protocol matrix swaps one class for the other under whole runs,
+    so their public names must agree; only the sharded lane's
+    ``partition_bounds`` is packed-only (it cuts the CSR offsets)."""
+    assert _public(DynamicNetwork) - {"partition_bounds"} \
+        == _public(ReferenceNetwork)
 
 
 class TestDifferentialChurnReplay:
-    @settings(max_examples=120, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(script=churn_scripts())
     def test_every_observable_matches_the_reference_at_every_step(
-            self, script):
-        n, edges, ops = script
-        packed = DynamicNetwork.from_edges(n, edges)
-        reference = ReferenceNetwork.from_edges(n, edges)
-        _assert_identical(packed, reference)
-        for op in ops:
-            if op[0] == "fail":
-                _, victim, time = op
-                packed.fail_host(victim, time)
-                reference.fail_host(victim, time)
-            else:
-                _, neighbors, time = op
-                new_p = packed.join_host(neighbors, time)
-                new_r = reference.join_host(neighbors, time)
-                assert new_p == new_r
+            self, request):
+        def law(script):
+            n, edges, ops = script
+            packed, reference = _pair(n, edges)
             _assert_identical(packed, reference)
+            for op in ops:
+                new_ids = _apply((packed, reference), op)
+                if new_ids is not None:
+                    assert new_ids[0] == new_ids[1]
+                _assert_identical(packed, reference)
 
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(script=churn_scripts())
-    def test_copies_stay_identical_and_independent(self, script):
-        n, edges, ops = script
-        packed = DynamicNetwork.from_edges(n, edges)
-        reference = ReferenceNetwork.from_edges(n, edges)
-        for op in ops:
-            if op[0] == "fail":
-                packed.fail_host(op[1], op[2])
-                reference.fail_host(op[1], op[2])
-            else:
-                packed.join_host(op[1], op[2])
-                reference.join_host(op[1], op[2])
-        clone = packed.copy()
-        _assert_identical(clone, reference)
-        # Mutating the clone must not leak into the original (the clones
-        # share the immutable base CSR but nothing mutable).
-        survivors = clone.alive_hosts
-        if len(survivors) > 1:
-            clone.fail_host(survivors[-1], 99.0)
-            assert packed.is_alive(survivors[-1])
+        drawn(request, law, plain=120, wide=5, script=churn_scripts())
+
+    def test_copies_stay_identical_and_independent(self, request):
+        def law(script):
+            n, edges, ops = script
+            packed, reference = _pair(n, edges)
+            for op in ops:
+                _apply((packed, reference), op)
+            clone = packed.copy()
+            spec_clone = reference.copy()
+            _assert_identical(clone, reference)
+            _assert_identical(spec_clone, reference)
+            # Mutating a clone must not leak into its original (the clones
+            # share the immutable base CSR but nothing mutable).
+            survivors = [h for h in range(clone.num_hosts)
+                         if clone.is_alive(h)]
+            if len(survivors) > 1:
+                victim = survivors.pop()
+                _apply((clone, spec_clone), ("fail", victim, 99.0))
+                assert packed.is_alive(victim)
+                _assert_identical(packed, reference)
+                _assert_identical(clone, spec_clone)
+            joined = _apply((clone, spec_clone), ("join", survivors[:2], 99.0))
+            assert joined == [packed.num_hosts] * 2
             _assert_identical(packed, reference)
+            _assert_identical(clone, spec_clone)
+
+        drawn(request, law, plain=40, wide=2, script=churn_scripts())
 
     def test_duplicate_trusted_input_rows_are_normalised_like_reference(self):
-        # The old implementation passed every row through set() even on
-        # the validate=False trusted path; the CSR build must normalise
-        # identically or duplicated entries would double-count degrees
-        # and double-deliver multicasts.
+        # Every row passes through set(): a duplicated entry must not
+        # reach the CSR buffers, or it would double-deliver multicasts.
         raw = [[1, 1, 2], (0, 2, 2), {0, 1}]
-        packed = DynamicNetwork(raw, validate=False, copy=False)
-        reference = ReferenceNetwork(raw, validate=False, copy=False)
+        packed = DynamicNetwork(raw)
+        reference = ReferenceNetwork(raw)
         _assert_identical(packed, reference)
         assert packed.alive_neighbors_sorted(0) == (1, 2)
-        assert packed.degree(1) == 2
-        assert packed.num_edges() == 3
+        assert packed.alive_neighbors_sorted(1) == (0, 2)
 
     def test_rejections_match_the_reference(self):
-        packed = DynamicNetwork.from_edges(3, [(0, 1), (1, 2)])
-        reference = ReferenceNetwork.from_edges(3, [(0, 1), (1, 2)])
+        packed, reference = _pair(3, [(0, 1), (1, 2)])
         for network in (packed, reference):
             network.fail_host(2, 1.0)
             with pytest.raises(ValueError):
@@ -189,39 +195,6 @@ class TestDifferentialChurnReplay:
             with pytest.raises(ValueError):
                 network.join_host([17], 3.0)    # unknown neighbor
         _assert_identical(packed, reference)
-
-
-class TestAliveAccountingRegression:
-    """Satellite lock: ``num_alive`` is the maintained O(1) count and
-    ``alive_hosts`` the bitmap scan; both must track the reference under
-    arbitrary churn (the count is easy to desynchronise by hand)."""
-
-    @settings(max_examples=80, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(script=churn_scripts())
-    def test_alive_count_and_listing_agree_with_reference(self, script):
-        n, edges, ops = script
-        packed = DynamicNetwork.from_edges(n, edges)
-        reference = ReferenceNetwork.from_edges(n, edges)
-        for op in ops:
-            if op[0] == "fail":
-                packed.fail_host(op[1], op[2])
-                reference.fail_host(op[1], op[2])
-            else:
-                packed.join_host(op[1], op[2])
-                reference.join_host(op[1], op[2])
-            assert packed.num_alive == reference.num_alive
-            assert packed.alive_hosts == reference.alive_hosts
-            # The maintained count equals a fresh bitmap scan, too.
-            assert packed.num_alive == sum(packed._alive)
-
-    def test_num_alive_is_not_an_o_n_scan(self):
-        # The property must read the maintained count, not re-sum the
-        # bitmap: corrupt the bitmap behind the count's back and check the
-        # count (not the scan) is what is served.
-        network = DynamicNetwork.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        network._alive[3] = 0  # bypass fail_host on purpose
-        assert network.num_alive == 4
 
 
 # ---------------------------------------------------------------------------
@@ -254,60 +227,71 @@ class _ProbeHost:
 def _fuzz_run(seed: int, delay):
     """Interleave joins and departures through one Simulator run.
 
-    A CUSTOM probe fires between every pair of churn instants and checks
-    the packed core against a reference replayed from the event log:
+    A CUSTOM probe fires between every pair of churn instants and
+    snapshots the packed core, for the caller to check against a
+    reference replayed from the schedule:
 
     * no alive-neighbor view ever yields a departed host;
     * a join's edges appear exactly at (not before) its scheduled tick;
     * the overflow table stays consistent with the reference adjacency.
+
+    Returns the network, the reference, the scheduled churn as
+    ``(tick, op)`` in drain order, the probe snapshots and the run's
+    fail / join trace records.
     """
+    from repro.obs.trace import RingTracer
     from repro.simulation.churn import ChurnSchedule, JoinSpec
     from repro.simulation.engine import Simulator
     from repro.simulation.events import EventKind
 
     rng = random.Random(seed)
     n = rng.randrange(8, 16)
-    edges = _random_edges(n, rng)
-    network = DynamicNetwork.from_edges(n, edges)
-    reference = ReferenceNetwork.from_edges(n, edges)
+    network, reference = _pair(n, _random_edges(n, rng))
 
     alive = list(range(n))
     next_id = n
     failures, joins = [], []
-    expected = {}  # tick -> list of ("fail", host) / ("join", neighbors)
+    scheduled = []
     for step in range(rng.randrange(4, 10)):
         tick = float(step + 1)
-        expected[tick] = []
+        ops = []
         for _ in range(rng.randrange(1, 3)):
             if rng.random() < 0.5 and len(alive) > 2:
                 victim = alive.pop(rng.randrange(1, len(alive)))
                 failures.append((tick, victim))
-                expected[tick].append(("fail", victim))
+                ops.append(("fail", victim, tick))
             else:
                 k = rng.randrange(1, min(3, len(alive)) + 1)
                 neighbors = tuple(sorted(rng.sample(alive, k)))
                 joins.append(JoinSpec(time=tick, neighbors=neighbors))
-                expected[tick].append(("join", neighbors))
+                ops.append(("join", neighbors, tick))
                 alive.append(next_id)
                 next_id += 1
+        # Within one instant the calendar drains JOIN before FAIL (the
+        # engine's kind priorities), so expectations are ordered so too.
+        scheduled.extend(sorted(ops, key=lambda op: op[0] != "join"))
 
     churn = ChurnSchedule(failures=failures, joins=joins)
     hosts = [_ProbeHost(h) for h in range(n)]
+    tracer = RingTracer()
     simulator = Simulator(network=network, hosts=hosts, querying_host=0,
-                          churn=churn, delay_model=delay, max_time=100.0)
+                          churn=churn, delay_model=delay, max_time=100.0,
+                          tracer=tracer)
 
     observations = []
 
     def probe(sim, tick=None):
         observations.append((sim.clock.now, _observe(sim.network)))
 
-    horizon = max(expected) + 1.0
+    horizon = scheduled[-1][2] + 1.0
     for step in range(int(horizon) + 1):
         # +0.5 puts the probe strictly between churn instants; churn at
         # tick t must be visible at t + 0.5 and not at t - 0.5.
         simulator._queue.push(step + 0.5, EventKind.CUSTOM, data=probe)
     simulator.run(until=horizon)
-    return network, reference, expected, observations
+    churn_records = [record for record in tracer.raw_records()
+                     if record[0] in ("fail", "join")]
+    return network, reference, scheduled, observations, churn_records
 
 
 @pytest.mark.parametrize("delay", [None, "uniform:0.25,1.0", "per_edge"],
@@ -317,19 +301,15 @@ def test_join_overflow_fuzz_through_calendar_queue(seed, delay):
     from repro.simulation.delay import delay_model_from_spec
 
     model = delay_model_from_spec(delay, 1.0, seed=seed)
-    network, reference, expected, observations = _fuzz_run(seed, model)
+    network, reference, scheduled, observations, churn_records = _fuzz_run(
+        seed, model)
 
-    # Replay the network's own event log onto the reference implementation
-    # step by step, checking each probe snapshot against it.
-    log = network.events
+    # Replay the schedule onto the reference implementation step by
+    # step, checking each probe snapshot against it.
     cursor = 0
     for now, observed in observations:
-        while cursor < len(log) and log[cursor].time <= now:
-            event = log[cursor]
-            if event.kind is NetworkEventKind.FAIL:
-                reference.fail_host(event.host, event.time)
-            else:
-                reference.join_host(event.neighbors, event.time)
+        while cursor < len(scheduled) and scheduled[cursor][2] <= now:
+            _apply((reference,), scheduled[cursor])
             cursor += 1
         ref_obs = _observe(reference)
         for key in ref_obs:
@@ -342,30 +322,26 @@ def test_join_overflow_fuzz_through_calendar_queue(seed, delay):
             for d in dead:
                 assert d not in view, (
                     f"t={now}: departed host {d} served in host {h}'s view")
+    assert cursor == len(scheduled)
 
-    # The event log must contain exactly the scheduled churn, at exactly
-    # its scheduled ticks (joins appear at their tick, never earlier).
-    # Within one instant the calendar drains JOIN before FAIL (the
-    # engine's kind priorities), so expectations are ordered accordingly.
-    scheduled = [
-        (t, op)
-        for t in sorted(expected)
-        for op in (sorted(expected[t], key=lambda o: o[0] != "join"))
-    ]
-    assert len(log) == len(scheduled)
-    for event, (tick, op) in zip(log, scheduled):
-        assert event.time == tick
-        if op[0] == "fail":
-            assert event.kind is NetworkEventKind.FAIL
-            assert event.host == op[1]
+    # The run applied exactly the scheduled churn, at exactly its
+    # scheduled ticks (joins appear at their tick, never earlier), and
+    # handed the joined hosts consecutive ids past the initial ones.
+    expected_records = []
+    next_id = len(observations[0][1]["alive"])
+    joined = []
+    for kind, subject, tick in scheduled:
+        if kind == "fail":
+            expected_records.append(("fail", tick, subject))
         else:
-            assert event.kind is NetworkEventKind.JOIN
-            assert event.neighbors == op[1]
+            expected_records.append(("join", tick, next_id))
+            joined.append((next_id, subject))
+            next_id += 1
+    assert churn_records == expected_records
     # And every join's edges are present (symmetrically) afterwards, for
     # neighbors that survived to the end.
-    for event in log:
-        if event.kind is NetworkEventKind.JOIN:
-            for neighbor in event.neighbors:
-                if network.is_alive(neighbor) and network.is_alive(event.host):
-                    assert network.has_edge(event.host, neighbor)
-                    assert network.has_edge(neighbor, event.host)
+    for host, neighbors in joined:
+        for neighbor in neighbors:
+            if network.is_alive(neighbor) and network.is_alive(host):
+                assert network.has_alive_edge(host, neighbor)
+                assert network.has_alive_edge(neighbor, host)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.topology.gnutella import gnutella_like_topology
-from repro.topology.grid import grid_coordinates, grid_topology
+from repro.topology.grid import grid_topology
 from repro.topology.power_law import power_law_topology
 from repro.topology.random_graph import random_topology
 from repro.topology.small_world import small_world_topology
@@ -87,19 +87,11 @@ class TestGridTopology:
         assert topo.num_hosts == 21
         assert topo.is_connected()
 
-    def test_grid_coordinates_roundtrip(self):
-        cols = 7
-        assert grid_coordinates(0, cols) == (0, 0)
-        assert grid_coordinates(8, cols) == (1, 1)
-        assert grid_coordinates(20, cols) == (2, 6)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             grid_topology(0)
         with pytest.raises(ValueError):
             grid_topology(3, neighborhood="hex")
-        with pytest.raises(ValueError):
-            grid_coordinates(3, 0)
 
     def test_diameter_of_grid_is_side_minus_one(self):
         # With Moore neighborhoods, diagonal moves make the diameter the

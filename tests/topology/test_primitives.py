@@ -5,7 +5,6 @@ import pytest
 from repro.topology.primitives import (
     chain_topology,
     cycle_with_pendant_topology,
-    random_tree_topology,
     ring_topology,
     star_topology,
     tree_topology,
@@ -80,19 +79,3 @@ class TestCycleWithPendant:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             cycle_with_pendant_topology(3)
-
-
-class TestRandomTree:
-    def test_is_a_tree(self):
-        topo = random_tree_topology(40, seed=3)
-        assert topo.num_edges == 39
-        assert topo.is_connected()
-
-    def test_deterministic(self):
-        a = random_tree_topology(20, seed=5)
-        b = random_tree_topology(20, seed=5)
-        assert list(a.edges()) == list(b.edges())
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            random_tree_topology(0)
