@@ -50,11 +50,13 @@ FLUSH = "wf-flush"
 
 class WildfireRun(RunRecord):
     """WILDFIRE's run constants: the shared record plus whether the
-    participation window narrows with hop distance (Section 5.3), whether
-    the combiner's state is a packed bitmask, and the combiner's three
-    fold hooks, bound once per run."""
+    participation window narrows with hop distance (Section 5.3), and the
+    combiner's draw and fold hooks, bound once per run.  As for
+    :class:`~repro.protocols.dag.DagRun`, a packed-state combiner
+    (``combiner.packed_state``: FM count / sum) draws ``initial_packed``
+    ints, which a host folds by OR; otherwise it draws ``initial``."""
 
-    __slots__ = ("early_termination", "packed_mode", "combine",
+    __slots__ = ("early_termination", "packed_mode", "draw", "combine",
                  "states_equal", "absorbs")
 
     def __init__(self, *shared: Any, early_termination: bool) -> None:
@@ -62,6 +64,8 @@ class WildfireRun(RunRecord):
         combiner = self.combiner
         self.early_termination = early_termination
         self.packed_mode = bool(getattr(combiner, "packed_state", False))
+        self.draw = (combiner.initial_packed if self.packed_mode
+                     else combiner.initial)
         self.combine = combiner.combine
         self.states_equal = combiner.states_equal
         self.absorbs = combiner.absorbs
@@ -89,12 +93,20 @@ class WildfireHost(ProtocolHost):
     and cost a call plus a result tuple per flush for three *more*
     lines.  Unit differentials (``tests/protocols/test_wildfire.py``)
     lock the two fold bodies together delivery by delivery.
+
+    ``partial`` is the host's partial aggregate in the run's own
+    representation (:class:`WildfireRun`), as a
+    :class:`~repro.protocols.dag.DagHost` keeps it: the packed bitmask
+    int for the FM count and sum sketches -- folded by OR, compared by
+    ``==``, which is what ``combine`` / ``states_equal`` compute on the
+    sketches -- and the combiner's state otherwise.  A message carries
+    it as is; only :meth:`local_result` builds the
+    :class:`~repro.sketches.fm.FMSketch`, once, at declaration.
     """
 
     __slots__ = (
-        "active", "distance", "_dirty", "_skip_neighbor", "_reply_to",
-        "_flush_pending", "_next_flush", "_deadline", "_packed",
-        "_partial_obj",
+        "active", "distance", "partial", "_dirty", "_skip_neighbor",
+        "_reply_to", "_flush_pending", "_next_flush", "_deadline",
     )
 
     run_class = WildfireRun
@@ -108,6 +120,7 @@ class WildfireHost(ProtocolHost):
         self.run = run
         self.active = False
         self.distance: Optional[int] = None
+        self.partial: Any = None
 
         # Per-instant batching state.  ``_next_flush`` rate-limits outgoing
         # Convergecast updates to one per ``delta`` (the paper's cost
@@ -128,30 +141,9 @@ class WildfireHost(ProtocolHost):
         # only depends on the hop distance, which never changes).
         self._deadline = run.global_deadline
 
-        # FM fast path: when the combiner's state is a packed bitmask
-        # (count/sum sketches), the host draws and keeps only the
-        # bitmask ``_packed`` and folds bare ints; ``partial`` builds the
-        # FMSketch when it is read (to send or declare it) and keeps it
-        # in ``_partial_obj`` until the next growth.  Outcomes are
-        # identical to the combiner calls: OR <=> combine, int == <=>
-        # states_equal.  Otherwise ``_packed`` stays ``None`` and the
-        # state is ``_partial_obj`` itself.
-        self._packed: Optional[int] = None
-        self._partial_obj: Any = None
-
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    @property
-    def partial(self) -> Any:
-        """The current partial aggregate (materialised on demand)."""
-        partial = self._partial_obj
-        if partial is None and self._packed is not None:
-            combiner = self.run.combiner
-            partial = self._partial_obj = FMSketch._from_packed(
-                self._packed, combiner.repetitions, combiner.num_bits)
-        return partial
-
     def _participation_deadline(self) -> float:
         """The time until which this host keeps processing Convergecast."""
         run = self.run
@@ -167,10 +159,7 @@ class WildfireHost(ProtocolHost):
         self.active = True
         self.distance = distance
         run = self.run
-        if run.packed_mode:
-            self._packed = run.combiner.initial_packed(self.value, run.rng)
-        else:
-            self._partial_obj = run.combiner.initial(self.value, run.rng)
+        self.partial = run.draw(self.value, run.rng)
         self._deadline = self._participation_deadline()
 
     def first_contact(self, sender: int, incoming: Any,
@@ -178,33 +167,29 @@ class WildfireHost(ProtocolHost):
         """The first message an inactive host hears (Fig. 4, first contact).
 
         Adopts the hop distance, draws the host's own contribution and
-        folds the piggybacked aggregate into it -- ``incoming`` in the
-        host's own representation: the packed bitmask int in packed
-        mode, the combiner state otherwise.  Sends nothing: the caller
-        forwards the Broadcast (carrying the folded aggregate to every
-        neighbor but ``sender``, which is why nothing is left dirty) and
-        then, when this returns ``True``, schedules the flush that
-        either replies to a ``sender`` that knows less than this host
-        or just opens the one-update-per-``delta`` window.
+        folds the piggybacked aggregate ``incoming`` (in the host's own
+        representation, the class docstring) into it.  Sends nothing:
+        the caller forwards the Broadcast (carrying the folded aggregate
+        to every neighbor but ``sender``, which is why nothing is left
+        dirty) and then, when this returns ``True``, schedules the flush
+        that either replies to a ``sender`` that knows less than this
+        host or just opens the one-update-per-``delta`` window.
         """
         self._activate(
             sender_distance + 1 if sender_distance is not None else 1)
-        packed = self._packed
+        run, partial = self.run, self.partial
         if incoming is None:
             grew, settled = False, False
-        elif packed is not None:
-            # Nothing has read ``partial`` since the activation, so no
-            # built sketch goes stale here.
-            merged = packed | incoming
-            grew = merged != packed
+        elif run.packed_mode:
+            merged = partial | incoming
+            grew = merged != partial
             if grew:
-                self._packed = merged
+                self.partial = merged
             settled = merged == incoming
         else:
-            run, partial = self.run, self._partial_obj
             grew = not run.absorbs(partial, incoming)
             if grew:
-                self._partial_obj = partial = run.combine(partial, incoming)
+                self.partial = partial = run.combine(partial, incoming)
             settled = run.states_equal(partial, incoming)
         if not settled:
             # The sender still needs our aggregate: it knows less than us.
@@ -227,13 +212,14 @@ class WildfireHost(ProtocolHost):
             reply_to.add(sender)
 
     def _schedule_flush(self, ctx: HostContext) -> None:
-        if not self._flush_pending:
-            self._flush_pending = True
-            # Due now (or when the one-per-delta rate limit ends): timers
-            # are dispatched after all message deliveries of the same
-            # instant, so every aggregate received by the flush instant
-            # is folded in before the single outgoing update.
-            ctx.set_timer_at(max(ctx.now, self._next_flush), FLUSH)
+        """Set the one flush this host owes; the caller has checked that
+        none is pending."""
+        self._flush_pending = True
+        # Due now (or when the one-per-delta rate limit ends): timers
+        # are dispatched after all message deliveries of the same
+        # instant, so every aggregate received by the flush instant is
+        # folded in before the single outgoing update.
+        ctx.set_timer_at(max(ctx.now, self._next_flush), FLUSH)
 
     # ------------------------------------------------------------------
     # Protocol hooks
@@ -251,8 +237,6 @@ class WildfireHost(ProtocolHost):
         if not self.active:
             if ctx.now >= self.run.global_deadline:
                 return
-            if incoming is not None and self.run.packed_mode:
-                incoming = incoming.packed
             owes_flush = self.first_contact(
                 message.sender, incoming, message.payload.get("dist"))
             # Forward the Broadcast immediately (flooding must not wait a
@@ -261,7 +245,7 @@ class WildfireHost(ProtocolHost):
             # Convergecast contribution.
             ctx.send_to_neighbors(BROADCAST, self._payload(),
                                   exclude=(message.sender,))
-            if owes_flush:
+            if owes_flush and not self._flush_pending:
                 self._schedule_flush(ctx)
             return
 
@@ -271,46 +255,42 @@ class WildfireHost(ProtocolHost):
         # docstring for why the batch kernel repeats it).
         if incoming is None:
             return
-        packed = self._packed
-        if packed is not None:
-            # Packed mode: sketch folding on bare ints; no object
-            # allocation at all unless the aggregate actually grows.
-            inc = incoming.packed
-            merged = packed | inc
-            if merged == packed:
-                if packed != inc:
-                    self._note_reply(message.sender)
-                    self._schedule_flush(ctx)
-                return
-            self._packed = merged
-            self._partial_obj = None  # built from the old bitmask
-            self._dirty = True
-            # If the merge result equals what the sender already has, there
-            # is no point echoing it straight back (Example 5.1).  A
-            # reply owed to the sender is not withdrawn: the flush this
-            # growth schedules ignores ``_reply_to`` while ``_dirty``.
-            self._skip_neighbor = message.sender if merged == inc else None
-            self._schedule_flush(ctx)
-            return
+        run, partial = self.run, self.partial
+        if run.packed_mode:
+            # Sketch folding on bare ints: OR, and ``==`` for equality.
+            merged = partial | incoming
+            if merged == partial:
+                if partial == incoming:
+                    return
+                # Our aggregate did not change but the sender's is
+                # stale: send ours back so the sender (and eventually the
+                # querying host on the other side of it) catches up.
+                self._note_reply(message.sender)
+            else:
+                self.partial = merged
+                self._dirty = True
+                # If the merge result equals what the sender already
+                # has, there is no point echoing it straight back
+                # (Example 5.1).  A reply owed to the sender is not
+                # withdrawn: the flush ignores ``_reply_to`` while
+                # ``_dirty``.
+                self._skip_neighbor = (message.sender if merged == incoming
+                                       else None)
         # Generic combiners: ``absorbs`` tests containment without
         # allocating a merged state that would be discarded.
-        run, partial = self.run, self._partial_obj
-        if run.absorbs(partial, incoming):
-            if not run.states_equal(partial, incoming):
-                # Our aggregate did not change but the sender's is stale:
-                # send ours back so the sender (and eventually the querying
-                # host on the other side of it) catches up.
-                self._note_reply(message.sender)
-                self._schedule_flush(ctx)
-            return
-        self._partial_obj = new_partial = run.combine(partial, incoming)
-        self._dirty = True
-        # As in packed mode: skip an echo, keep any owed reply.
-        if run.states_equal(new_partial, incoming):
-            self._skip_neighbor = message.sender
+        elif run.absorbs(partial, incoming):
+            if run.states_equal(partial, incoming):
+                return
+            self._note_reply(message.sender)  # the stale sender, as above
         else:
-            self._skip_neighbor = None
-        self._schedule_flush(ctx)
+            self.partial = merged = run.combine(partial, incoming)
+            self._dirty = True
+            # As in packed mode: skip an echo, keep any owed reply.
+            self._skip_neighbor = (message.sender
+                                   if run.states_equal(merged, incoming)
+                                   else None)
+        if not self._flush_pending:
+            self._schedule_flush(ctx)
 
     def on_timer(self, name: str, data: Any, ctx: HostContext) -> None:
         if name != FLUSH:
@@ -339,9 +319,14 @@ class WildfireHost(ProtocolHost):
 
     def local_result(self) -> Optional[float]:
         """The value this host would declare (meaningful at the querying host)."""
-        if self.partial is None:
+        partial, run = self.partial, self.run
+        if partial is None:
             return None
-        return self.run.combiner.finalize(self.partial)
+        combiner = run.combiner
+        if run.packed_mode:
+            partial = FMSketch._from_packed(partial, combiner.repetitions,
+                                            combiner.num_bits)
+        return combiner.finalize(partial)
 
 
 class WildfireBatchKernel:
@@ -356,7 +341,7 @@ class WildfireBatchKernel:
     accounting and trace hooks -- and that is what lives here.  The
     protocol itself is :class:`WildfireHost`: an inactive host's first
     contact is a call to its own :meth:`~WildfireHost.first_contact`
-    (which draws ``combiner.initial`` in spec RNG order).  The two
+    (which draws the contribution in spec RNG order).  The two
     bodies that run per message rather than per host are stated a
     second time, **inlined** over the batch -- the active-host fold and
     the FLUSH emission -- because there a delivery must cost a couple of
@@ -365,24 +350,23 @@ class WildfireBatchKernel:
     rebind and a method call (the call counts are in the
     :class:`WildfireHost` docstring).  The fold is one body for the
     three duplicate-insensitive folds Section 5 admits: the host state
-    is one scalar (the packed sketch int, or the min / max float), only
-    the merge expression depends on the fold, and three comparisons on
-    ``merged`` decide no-op, stale sender or growth -- no combiner hook
-    and no ``partial`` property is called per delivery.  Target lists
-    are read from the network's own sorted-view table
-    (``lane.alive_sorted``; ``lane.onward`` at first contact), rebuilt
-    through the network only where a failure cleared a row.
+    is its one scalar ``partial`` (the packed sketch int, or the min /
+    max float), read and written in place; only the merge expression
+    depends on the fold, and three comparisons on ``merged`` decide
+    no-op, stale sender or growth -- no combiner hook is called per
+    delivery.  Target lists are read from the network's own sorted-view
+    table (``lane.alive_sorted``; ``lane.onward`` at first contact),
+    rebuilt through the network only where a failure cleared a row.
 
     Everything travels as one flat record shape,
     ``(rank, sender, dests, kind, agg, dist, chain_depth)``: ``agg`` is
-    the raw packed bitmask int in packed mode (the querying host's
-    declared sketch is materialised lazily by ``partial`` as in the spec
-    lane), ``dests`` ascend, and ``rank`` orders the record within its
-    instant.  A delivery's rank rides onto the flush registration
-    ``(host, chain_depth, rank)`` it causes and from there into slot 0
-    of that flush's emissions; the in-process lane never reads it
-    (append order already is spec order), the sharded lane turns it into
-    the canonical cross-shard key.
+    the sender's ``partial`` as the spec lane sends it (the packed
+    bitmask int in packed mode), ``dests`` ascend, and ``rank`` orders
+    the record within its instant.  A delivery's rank rides onto the
+    flush registration ``(host, chain_depth, rank)`` it causes and from
+    there into slot 0 of that flush's emissions; the in-process lane
+    never reads it (append order already is spec order), the sharded
+    lane turns it into the canonical cross-shard key.
 
     The inlined bodies are safe because deliveries are processed in the
     exact global FIFO order of the spec loop and every branch reads the
@@ -443,11 +427,8 @@ class WildfireBatchKernel:
 
     def flatten(self, payload) -> tuple:
         """The ``(agg, dist)`` record slots of a spec payload: the two
-        fields WILDFIRE handlers read, a sketch as its packed int."""
-        agg = payload.get("agg")
-        if self.run.packed_mode and agg is not None:
-            agg = agg.packed
-        return agg, payload.get("dist")
+        fields WILDFIRE handlers read, each as the spec sends it."""
+        return payload.get("agg"), payload.get("dist")
 
     def refresh_host(self, host_id: int) -> None:
         """Re-mirror one host's activation state after a real hook ran."""
@@ -511,8 +492,7 @@ class WildfireBatchKernel:
                     if targets:
                         lane.submit_multi(
                             dest, targets, BROADCAST,
-                            host._packed if packed_mode else host._partial_obj,
-                            host.distance, now, depth + 1)
+                            host.partial, host.distance, now, depth + 1)
                     if owes_flush and not host._flush_pending:
                         host._flush_pending = True
                         bucket.append((dest, depth, rank))
@@ -526,15 +506,13 @@ class WildfireBatchKernel:
                 # again (see the class docstring).  Min / max merge as
                 # the combiner writes it, so ``merged`` is the very
                 # object ``combine`` returns, NaN and -0.0 included ----
+                state = host.partial
                 if packed_mode:
-                    state = host._packed
                     merged = state | incoming
+                elif keep_min:
+                    merged = state if state <= incoming else incoming
                 else:
-                    state = host._partial_obj
-                    if keep_min:
-                        merged = state if state <= incoming else incoming
-                    else:
-                        merged = state if state >= incoming else incoming
+                    merged = state if state >= incoming else incoming
                 if merged == state:
                     if state == incoming:
                         continue  # pure no-op
@@ -545,11 +523,7 @@ class WildfireBatchKernel:
                     else:
                         reply_to.add(sender)
                 else:
-                    if packed_mode:
-                        host._packed = merged
-                        host._partial_obj = None
-                    else:
-                        host._partial_obj = merged
+                    host.partial = merged
                     host._dirty = True
                     host._skip_neighbor = (sender if merged == incoming
                                            else None)
@@ -592,7 +566,6 @@ class WildfireBatchKernel:
         views = lane.alive_sorted
         lands_at = lane.lands_at
         submit_unicast = lane.submit_unicast
-        packed_mode = self.run.packed_mode
         wireless = lane.wireless
         out = lane.out_records
         tracer = lane.tracer
@@ -617,9 +590,7 @@ class WildfireBatchKernel:
                 host._dirty = False
                 host._reply_to = None
                 continue
-            # Packed mode ships the raw bitmask int; no sketch
-            # materialisation per flush.
-            agg = host._packed if packed_mode else host._partial_obj
+            agg = host.partial
             if host._dirty:
                 targets = views[host_id]
                 if targets is None:  # cleared by a failure

@@ -128,8 +128,8 @@ class MuxEngine(EventEngine):
             cls = entry.__class__
             if cls is Message or cls is _DeliverBatch:
                 qid = entry.query_id
-            elif cls is Event and entry.kind is EventKind.TIMER:
-                qid = entry.data[2].qid
+            elif cls is tuple:  # a timer: (host, name, info)
+                qid = entry[2][2].qid
             else:
                 continue
             depths[qid] = depths.get(qid, 0) + weight

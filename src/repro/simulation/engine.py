@@ -424,7 +424,6 @@ class EventEngine:
         alive_flags = self.network._alive
         active = self._active
         ends_heap = self._ends_heap
-        timer = EventKind.TIMER
         tracer = self.tracer
         ctx = HostContext(self, None, 0, 0.0, 0)
         events = 0
@@ -517,22 +516,21 @@ class EventEngine:
                         ctx.host_id = dest
                         entry.dest = dest
                         hosts[dest].on_message(entry, ctx)
-                elif entry.kind is timer:
-                    host = entry.host
+                elif entry.__class__ is tuple:  # a timer
+                    host, name, info = entry
                     if not alive_flags[host]:
                         continue
-                    data, chain_depth, session, vfire = entry.data
+                    data, chain_depth, session, vfire = info
                     # A session that declared has released its hosts.
                     if session.hosts is None or vfire > session.termination:
                         continue
                     if tracer is not None:
-                        tracer.timer(vfire, host, entry.timer_name,
-                                     session.qid)
+                        tracer.timer(vfire, host, name, session.qid)
                     ctx.session = session
                     ctx.host_id = host
                     ctx.now = vfire
                     ctx._chain_depth = chain_depth
-                    session.hosts[host].on_timer(entry.timer_name, data, ctx)
+                    session.hosts[host].on_timer(name, data, ctx)
                 else:
                     self._dispatch(time, entry, ctx)
         finally:
@@ -600,10 +598,10 @@ class EventEngine:
     def _dispatch(self, time: float, event: Event, ctx: HostContext) -> None:
         """Handle one event the drain does not inline.
 
-        An event no branch handles -- a DELIVER filed through
-        ``EventQueue.push`` (deliveries are filed as messages), a CUSTOM
-        whose ``data`` is not callable -- raises :class:`ValueError`
-        rather than vanish from the run.
+        An event no branch handles -- a DELIVER or a TIMER filed through
+        ``EventQueue.push`` (deliveries are filed as messages, timers as
+        ``push_timer`` tuples), a CUSTOM whose ``data`` is not callable
+        -- raises :class:`ValueError` rather than vanish from the run.
         """
         kind = event.kind
         if kind is EventKind.QUERY_START:

@@ -28,19 +28,23 @@ A multicast is *one* entry weighing ``len(dests)``: it is filed, popped
 and counted out of ``len`` whole as one :class:`_DeliverBatch` -- the
 :class:`Message` its destinations receive, plus their ids -- and this
 module never builds a per-destination :class:`Message`: whoever pops a
-batch delivers it.
+batch delivers it.  A host timer is the plain tuple
+``(host, name, info)`` -- what its handler reads, and nothing else.
 
 The engine pushes through ``push_deliver`` / ``push_multicast`` /
 ``push_timer``, pops through ``pop_due`` (one call site:
-``EventEngine._drain``) and delivers multicasts there; ``push`` /
-``cancel`` are the generic :class:`Event` API (churn, query starts,
-custom events), and the tick lanes' gate only asks ``len``.
+``EventEngine._drain``) and delivers multicasts there; ``push`` is the
+generic :class:`Event` API (churn, query starts, custom events), and the
+tick lanes' gate only asks ``len``.  Nothing filed is ever withdrawn:
+there is no cancellation, so ``len`` is the count of what was filed and
+not yet popped.
 """
 
 from __future__ import annotations
 
 import enum
 from heapq import heappop, heappush
+from itertools import islice
 from math import inf
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -81,26 +85,19 @@ _TIMER_PRIORITY = _KIND_PRIORITY[EventKind.TIMER]
 
 
 class Event:
-    """A scheduled simulation event.
+    """A scheduled simulation event filed through :meth:`EventQueue.push`.
 
     Events are never compared: FIFO position in their bucket is their
-    order.  ``queued``/``cancelled`` are queue-internal lifecycle
-    markers: ``queued`` holds the owning :class:`EventQueue` exactly
-    while the event sits unconsumed in it (``None`` otherwise), and
-    ``cancelled`` marks a lazy cancellation the drain has not yet
-    discarded.  Keeping them on the event (rather than in a queue-side
-    set) makes cancelling a consumed, foreign, or never-scheduled event a
-    natural no-op.
+    order.
     """
 
     __slots__ = ("time", "priority", "kind", "host", "message", "timer_name",
-                 "data", "queued", "cancelled")
+                 "data")
 
     def __init__(self, time: float, priority: int, kind: EventKind,
                  host: Optional[int] = None,
                  message: Optional[Message] = None,
-                 timer_name: Optional[str] = None, data: Any = None,
-                 queued: Any = None, cancelled: bool = False) -> None:
+                 timer_name: Optional[str] = None, data: Any = None) -> None:
         self.time = time
         self.priority = priority
         self.kind = kind
@@ -108,8 +105,6 @@ class Event:
         self.message = message
         self.timer_name = timer_name
         self.data = data
-        self.queued = queued
-        self.cancelled = cancelled
 
 
 class _DeliverBatch(Message):
@@ -123,8 +118,7 @@ class _DeliverBatch(Message):
     once (the destination tuple is the network's cached packed view, so
     it is not even copied) and is popped whole; the engine then hands
     this same object to each destination's handler, setting ``dest``
-    before each call (``-1`` until the first).  Batches cannot be
-    cancelled (deliveries never are).
+    before each call (``-1`` until the first).
     """
 
     __slots__ = ("dests",)
@@ -152,12 +146,6 @@ def _check_time(time: float) -> None:
 class EventQueue:
     """Events ordered by ``(time, kind priority, insertion)``.
 
-    Supports lazy cancellation: a cancelled event stays in its bucket and
-    is discarded when the drain meets it.  Cancelling an event that was
-    already consumed (or that was never scheduled on this queue) is a
-    no-op, so ``len`` and ``occupancy()`` stay exact under any
-    interleaving of push/pop/cancel.
-
     Time-validity contract: **every** scheduling entry point (``push``,
     ``push_deliver``, ``push_timer``, ``push_multicast``) rejects a
     negative, infinite or NaN time with :class:`ValueError` -- stated
@@ -183,14 +171,13 @@ class EventQueue:
         self._front: List[Any] = []
         self._cursor = 0
         self._time = 0.0
-        self._num_cancelled = 0
         self._size = 0
 
     def __len__(self) -> int:
-        return self._size - self._num_cancelled
+        return self._size
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self._size > 0
 
     def _bucket_at(self, time: float, priority: int) -> List[Any]:
         """The FIFO bucket of ``(time, priority)``, filing a new key once."""
@@ -221,10 +208,9 @@ class EventQueue:
         timer_name: Optional[str] = None,
         data: Any = None,
     ) -> Event:
-        """Schedule a new event and return it (useful for ``cancel``)."""
+        """Schedule a new event and return it."""
         priority = _KIND_PRIORITY[kind]
-        event = Event(time, priority, kind, host, message, timer_name, data,
-                      self)
+        event = Event(time, priority, kind, host, message, timer_name, data)
         self._bucket_at(time, priority).append(event)
         self._size += 1
         return event
@@ -236,24 +222,20 @@ class EventQueue:
         instant with no :class:`Event` wrapper, and a bare message is
         what the engine delivers: an ``Event`` of kind DELIVER filed
         through :meth:`push` orders the same way, but the engine rejects
-        it when it comes due.  Fast-path deliveries cannot be cancelled
-        (the simulator never cancels deliveries).
+        it when it comes due.
         """
         self._bucket_at(time, _DELIVER_PRIORITY).append(message)
         self._size += 1
 
-    def push_timer(self, time: float, host: int, name: str, info: Any) -> Event:
-        """Fast-path scheduling of a host timer.
-
-        Equivalent to ``push(time, EventKind.TIMER, host=host,
-        timer_name=name, data=info)`` minus the keyword plumbing; the
-        returned event can be cancelled like any other.
+    def push_timer(self, time: float, host: int, name: str, info: Any) -> None:
+        """Schedule a host timer: the tuple ``(host, name, info)`` in the
+        TIMER bucket of its instant, and that tuple is what pops.  Like a
+        bare message it is the one shape the engine handles for its kind:
+        an ``Event`` of kind TIMER filed through :meth:`push` orders the
+        same way, but the engine rejects it when it comes due.
         """
-        event = Event(time, _TIMER_PRIORITY, EventKind.TIMER, host, None,
-                      name, info, self)
-        self._bucket_at(time, _TIMER_PRIORITY).append(event)
+        self._bucket_at(time, _TIMER_PRIORITY).append((host, name, info))
         self._size += 1
-        return event
 
     def push_multicast(
         self,
@@ -286,52 +268,33 @@ class EventQueue:
                           chain_depth, wireless, query_id, vtime))
         self._size += len(dests)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (lazy removal).
-
-        Cancelling an event that was already consumed (popped or drained),
-        already cancelled, or never scheduled here is a **no-op** -- the
-        queue's ``len``/``occupancy`` bookkeeping only counts events that
-        are actually still pending, so cancellation can never drive
-        ``len(queue)`` negative or make it undercount.  An event pending
-        on a *different* queue is likewise left untouched.
-        """
-        if (event.__class__ is Event and event.queued is self
-                and not event.cancelled):
-            event.cancelled = True
-            self._num_cancelled += 1
-
     # ------------------------------------------------------------------
     # Introspection (pull-based; never touched by the drain hot path)
     # ------------------------------------------------------------------
     def _live(self, bucket: List[Any]) -> Iterator[Any]:
-        """The unconsumed, non-cancelled entries of ``bucket``, in order."""
-        start = self._cursor if bucket is self._front else 0
-        for index in range(start, len(bucket)):
-            entry = bucket[index]
-            if not (entry.__class__ is Event and entry.cancelled):
-                yield entry
+        """The unconsumed entries of ``bucket``, in order (only the front
+        bucket has a consumed prefix)."""
+        return islice(bucket, self._cursor if bucket is self._front else 0,
+                      None)
 
     def occupancy(self) -> Dict[str, Any]:
         """Queue depth and the pending time window, computed on demand.
 
-        Walks the bucket table (one entry per key, scanning each bucket
-        only until its first live entry) -- far from touching every event,
-        so a metrics snapshot stays safe to take mid-run at any scale.
+        Walks the bucket table (one entry per key, looking at most at
+        one entry of each bucket) -- far from touching every event, so a
+        metrics snapshot stays safe to take mid-run at any scale.
 
-        ``slots`` counts the distinct timestamps that still have a live
-        (non-cancelled, unconsumed) entry, ``horizon`` is the latest of
-        them and ``current_epoch`` the index, in units of ``width``, of
-        the earliest -- exactly the window the sharded lane's barrier
-        scheduler reasons about.  Both are ``None`` when no live entries
-        remain; cancelled events and already-drained positions never
-        count.
+        ``slots`` counts the distinct timestamps that still have an
+        unconsumed entry, ``horizon`` is the latest of them and
+        ``current_epoch`` the index, in units of ``width``, of the
+        earliest -- exactly the window the sharded lane's barrier
+        scheduler reasons about.  Both are ``None`` when nothing is
+        pending; already-drained positions never count.
         """
         live = [key[0] for key, bucket in self._buckets.items()
                 if next(self._live(bucket), None) is not None]
         return {
-            "pending": len(self),
-            "cancelled": self._num_cancelled,
+            "pending": self._size,
             "slots": len(set(live)),
             "horizon": max(live, default=None),
             "current_epoch": (tick_index(min(live), self._width) if live
@@ -339,14 +302,14 @@ class EventQueue:
         }
 
     def iter_pending(self) -> Iterator[Any]:
-        """Yield ``(entry, weight)`` for every live queued entry.
+        """Yield ``(entry, weight)`` for every queued entry.
 
         Non-destructive and unordered (bucket-table order).  ``entry`` is
         a bare :class:`Message`, a :class:`_DeliverBatch` (``weight`` =
-        its destinations), or an :class:`Event`; cancelled events and
-        already-popped positions are skipped.  The weights sum to
-        ``len(queue)``.  Intended for metrics collectors, not for
-        draining.
+        its destinations), a timer's ``(host, name, info)`` tuple or an
+        :class:`Event`; already-popped positions are skipped.  The
+        weights sum to ``len(queue)``.  Intended for metrics collectors,
+        not for draining.
         """
         for bucket in self._buckets.values():
             for entry in self._live(bucket):
@@ -384,12 +347,11 @@ class EventQueue:
         This is the drain API.  ``entry`` is a bare :class:`Message` for
         a fast-path delivery, a whole :class:`_DeliverBatch` for a
         multicast (``len`` drops by ``len(entry.dests)``; delivering it
-        to each destination is the caller's job) and an :class:`Event`
-        for everything else; cancelled events met on the way are
-        discarded.  When ``horizon``
-        is given, an entry due after it is *not* consumed and ``None`` is
-        returned; ``None`` consumes unconditionally.  An empty queue
-        returns ``None``.
+        to each destination is the caller's job), the ``(host, name,
+        info)`` tuple of a :meth:`push_timer` timer and an :class:`Event`
+        for everything else.  When ``horizon`` is given, an entry due
+        after it is *not* consumed and ``None`` is returned; ``None``
+        consumes unconditionally.  An empty queue returns ``None``.
 
         Whatever is filed while the caller works through a batch sorts
         against the *popped* position: at the batch's own key it lands
@@ -414,16 +376,10 @@ class EventQueue:
             entry = bucket[index]
             bucket[index] = None  # release the popped position
             self._cursor = index + 1
-            cls = entry.__class__
-            if cls is _DeliverBatch:
+            if entry.__class__ is _DeliverBatch:
                 self._size -= len(entry.dests)
             else:
                 self._size -= 1
-                if cls is Event:
-                    entry.queued = None
-                    if entry.cancelled:
-                        self._num_cancelled -= 1
-                        continue
             return time, entry
 
     def pop_tick(self, horizon: Optional[float] = None):
@@ -432,9 +388,8 @@ class EventQueue:
         Returns ``(time, buckets)`` where ``buckets`` is a list of
         ``_NUM_PRIORITIES`` lists in priority order; each entry is what
         ``pop_due`` would have returned -- a bare :class:`Message`, a
-        whole :class:`_DeliverBatch` or an :class:`Event`.  Cancelled
-        events are discarded, consumed events are unqueued and the
-        instant's keys are retired, exactly as if it had been drained
+        whole :class:`_DeliverBatch`, a timer tuple or an :class:`Event`.
+        The instant's keys are retired exactly as if it had been drained
         with ``pop_due`` -- the per-entry order within each list is the
         drain order.  When ``horizon`` is given, an instant due after it
         is left untouched and ``None`` is returned; an empty queue also
@@ -455,19 +410,11 @@ class EventQueue:
             removed = 0
             while True:  # each bucket of the instant in turn
                 bucket = self._front
-                live = out[keys[0][1]]
-                for entry in bucket[self._cursor:]:
-                    cls = entry.__class__
-                    if cls is _DeliverBatch:
-                        removed += len(entry.dests)
-                    else:
-                        removed += 1
-                        if cls is Event:
-                            entry.queued = None
-                            if entry.cancelled:
-                                self._num_cancelled -= 1
-                                continue
-                    live.append(entry)
+                entries = bucket[self._cursor:]
+                out[keys[0][1]] += entries
+                for entry in entries:
+                    removed += (len(entry.dests)
+                                if entry.__class__ is _DeliverBatch else 1)
                 self._cursor = len(bucket)
                 if not self._next_bucket() or self._time != time:
                     break

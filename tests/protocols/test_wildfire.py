@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.protocols.base import run_protocol
 from repro.protocols.wildfire import (
+    BROADCAST,
     CONVERGECAST,
     FLUSH,
     Wildfire,
@@ -243,15 +244,10 @@ class _CapturingLane:
 
 
 def _slots(host):
-    """Every slot a delivery may move.  The lazily materialised sketch
-    object (``_partial_obj``: the spec builds it to send a payload, the
-    lane ships the packed int) is read through ``partial``, by its
-    packed value; ``run`` is each table's own record."""
-    skip = {"run", "_partial_obj"}
-    slots = {name: getattr(host, name, None) for cls in type(host).__mro__
-             for name in getattr(cls, "__slots__", ()) if name not in skip}
-    slots["partial"] = getattr(host.partial, "packed", host.partial)
-    return slots
+    """Every slot a delivery may move (``run`` is each table's own
+    record)."""
+    return {name: getattr(host, name, None) for cls in type(host).__mro__
+            for name in getattr(cls, "__slots__", ()) if name != "run"}
 
 
 def _table(combiner, state, reply_to=(), flush_pending=False):
@@ -264,16 +260,13 @@ def _table(combiner, state, reply_to=(), flush_pending=False):
     host = hosts[1]
     if state is not None:
         host._activate(2)
-        if run.packed_mode:
-            host._packed = state
-        else:
-            host._partial_obj = state
+        host.partial = state
     host._reply_to = set(reply_to) or None
     host._flush_pending = flush_pending
     return hosts
 
 
-def _one_delivery_both_ways(combiner, wrap, state, incoming, sender, reply_to,
+def _one_delivery_both_ways(combiner, state, incoming, sender, reply_to,
                             flush_pending, now, view_cleared):
     """Deliver one message to host 1 of two identical 4-host tables, once
     through ``WildfireHost.on_message`` and once as a single-record batch
@@ -284,7 +277,7 @@ def _one_delivery_both_ways(combiner, wrap, state, incoming, sender, reply_to,
         _table(combiner, state, reply_to, flush_pending)
         for _ in range(2)]
     ctx = _CapturingContext(now)
-    payload = {"agg": None if incoming is None else wrap(incoming), "dist": 1}
+    payload = {"agg": incoming, "dist": 1}
     spec_hosts[1].on_message(
         Message(sender, 1, CONVERGECAST, payload, now - 1.0, 3), ctx)
 
@@ -303,10 +296,8 @@ def _one_delivery_both_ways(combiner, wrap, state, incoming, sender, reply_to,
     assert lane.bucket in ([], [(1, 3, 5)])
     # A first contact forwards the same Broadcast to everyone but the
     # sender (the lane names the targets, the spec the exclusion).
-    def unpacked(multicasts):
-        return [(kind, getattr(agg, "packed", agg), dist)
-                for kind, agg, dist, _ in multicasts]
-    assert unpacked(lane.multicasts) == unpacked(ctx.multicasts)
+    assert ([record[:3] for record in lane.multicasts]
+            == [record[:3] for record in ctx.multicasts])
     for (_, _, _, targets), (_, _, _, exclude) in zip(lane.multicasts,
                                                       ctx.multicasts):
         assert exclude == (sender,)
@@ -320,8 +311,10 @@ class TestFoldStatedTwice:
     body the batch kernel repeats (the kernel's is one scalar merge and
     three comparisons for all three folds; the spec's goes through the
     combiner hooks); first contact is shared.  One delivery through each
-    must leave the host in the same state and agree on the flush.  Drawn
-    300 times in tier-1, ten times the named profile's count in CI."""
+    must leave the host in the same state and agree on the flush.  A
+    payload carries ``agg`` as both send it: the packed int in packed
+    mode, the float otherwise.  Drawn 300 times in tier-1, ten times the
+    named profile's count in CI."""
 
     _common = dict(
         sender=st.sampled_from([0, 2, 3]),
@@ -336,12 +329,8 @@ class TestFoldStatedTwice:
     def test_packed_sketch_delivery(self, request):
         combiner = FMCountCombiner(repetitions=2)
 
-        def wrap(packed):
-            return FMSketch._from_packed(packed, 2, combiner.num_bits)
-
         def law(state, incoming, **delivery):
-            _one_delivery_both_ways(combiner, wrap, state, incoming,
-                                    **delivery)
+            _one_delivery_both_ways(combiner, state, incoming, **delivery)
 
         drawn(request, law, plain=300, wide=10,
               state=st.none() | st.integers(0, 15),
@@ -354,7 +343,7 @@ class TestFoldStatedTwice:
         def law(state, incoming, maximum, **delivery):
             combiner = MaxCombiner() if maximum else MinCombiner()
             spec, lane = _one_delivery_both_ways(
-                combiner, float, state, incoming, **delivery)
+                combiner, state, incoming, **delivery)
             assert lane.partial is spec.partial
             if (state is not None and incoming is not None
                     and delivery["now"] <= spec._deadline):
@@ -379,11 +368,6 @@ class TestFoldStatedTwice:
         withdraws it) and makes the host dirty; the flush then sends the
         one multicast -- to host 2 too unless the merge equals what host
         2 sent -- and no reply, through both bodies alike."""
-        def wrap(value):
-            if isinstance(value, float):
-                return value
-            return FMSketch._from_packed(value, 2, combiner.num_bits)
-
         now, sender = 3.0, 2
         spec_hosts = _table(combiner, state)
         lane_hosts = _table(combiner, state)
@@ -391,7 +375,7 @@ class TestFoldStatedTwice:
         ctx = _CapturingContext(now)
         lane = _CapturingLane(now, view_cleared=False)
         for rank, incoming in enumerate((stale, growth)):
-            payload = {"agg": wrap(incoming), "dist": 1}
+            payload = {"agg": incoming, "dist": 1}
             spec_hosts[1].on_message(
                 Message(sender, 1, CONVERGECAST, payload, now - 1.0, 3), ctx)
             kernel.process_instant(
@@ -407,15 +391,12 @@ class TestFoldStatedTwice:
         assert spec_hosts[1]._reply_to is None
         assert ctx.unicasts == lane.unicasts == []
         merged = spec_hosts[1].partial
-        skip = (sender,) if combiner.states_equal(
-            merged, wrap(growth)) else ()
-        assert [(kind, getattr(agg, "packed", agg), dist, exclude)
-                for kind, agg, dist, exclude in ctx.multicasts] == [
-            (CONVERGECAST, getattr(merged, "packed", merged), 2, skip)]
+        skip = (sender,) if merged == growth else ()
+        assert ctx.multicasts == [(CONVERGECAST, merged, 2, skip)]
         assert [(record[1], tuple(record[2])) + record[3:6]
                 for record in lane.out_records] == [
             (1, tuple(t for t in (0, 2, 3) if t not in skip), CONVERGECAST,
-             getattr(merged, "packed", merged), 2)]
+             merged, 2)]
 
 
 def test_the_lane_fold_calls_no_combiner_hook(monkeypatch):
@@ -442,3 +423,51 @@ def test_the_lane_fold_calls_no_combiner_hook(monkeypatch):
     assert 0 < tallies["vector"]["absorbs"] <= topo.num_hosts - 1
     assert tallies["vector"]["states_equal"] == tallies["vector"]["absorbs"]
     assert tallies["python"]["absorbs"] > 3 * tallies["vector"]["absorbs"]
+
+
+@pytest.mark.parametrize("combiner, state_type", [
+    (FMCountCombiner(repetitions=2), int),
+    (FMSumCombiner(repetitions=2), int),
+    (MinCombiner(), float),
+])
+def test_a_host_keeps_one_aggregate_slot_and_sends_it_as_is(
+        combiner, state_type):
+    """``partial`` is the one aggregate slot, in the run's own
+    representation, and the query start's Broadcast carries that very
+    object."""
+    assert [name for name in WildfireHost.__slots__
+            if "partial" in name or "packed" in name] == ["partial"]
+    host = _table(combiner, None)[0]
+    ctx = _CapturingContext(0.0)
+    host.on_query_start(ctx)
+    assert type(host.partial) is state_type
+    assert ctx.multicasts == [(BROADCAST, host.partial, 0, ())]
+    assert type(host.local_result()) is float
+
+
+def test_a_packed_spec_run_builds_one_sketch_and_requests_each_flush_once(
+        monkeypatch):
+    """On the spec lane a packed host draws, folds and sends the bare
+    int: the one :class:`FMSketch` of a run is the querying host's
+    declaration.  A flush is requested only while none is pending, so
+    every request is a flush that fires."""
+    built, requested, fired = [], [], []
+    from_packed = FMSketch._from_packed.__func__
+    monkeypatch.setattr(FMSketch, "_from_packed", classmethod(
+        lambda cls, *args: (built.append(args), from_packed(cls, *args))[1]))
+    init = FMSketch.__init__
+    monkeypatch.setattr(FMSketch, "__init__", lambda self, *args, **kw: (
+        built.append(args), init(self, *args, **kw))[1])
+    schedule, on_timer = WildfireHost._schedule_flush, WildfireHost.on_timer
+    monkeypatch.setattr(WildfireHost, "_schedule_flush", lambda self, ctx: (
+        requested.append(self.host_id), schedule(self, ctx))[1])
+    monkeypatch.setattr(WildfireHost, "on_timer", lambda self, *args: (
+        fired.append(self.host_id), on_timer(self, *args))[1])
+    topo = random_topology(120, avg_degree=5, seed=4)
+    result = run_protocol(Wildfire(), topo, [1.0] * 120, "count",
+                          combiner=FMCountCombiner(repetitions=8), seed=4,
+                          lane="python")
+    assert result.lane_used == "python"
+    assert len(built) == 1
+    assert len(fired) > topo.num_hosts
+    assert Counter(requested) == Counter(fired)

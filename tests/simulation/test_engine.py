@@ -292,11 +292,13 @@ class TestRunControl:
         (EventKind.DELIVER, {"message": Message(
             0, 1, "hello", {}, 0.0, 1, False, 0, 0.5)}),
         (EventKind.CUSTOM, {"data": "not callable"}),
+        (EventKind.TIMER, {"host": 3, "timer_name": "wf-flush"}),
     ])
     def test_an_event_no_branch_handles_raises(self, kind, fields):
-        """Deliveries are filed as bare messages: a DELIVER ``Event``
-        filed through ``push``, like a CUSTOM one with nothing to call,
-        names itself instead of vanishing from the run."""
+        """Deliveries are filed as bare messages and timers as
+        ``push_timer`` tuples: a DELIVER or TIMER ``Event`` filed through
+        ``push``, like a CUSTOM one with nothing to call, names itself
+        instead of vanishing from (or crashing) the run."""
         hosts = [QuietHost(i) for i in range(4)]
         simulator = Simulator(network=ring_topology(4).to_network(),
                               hosts=hosts, querying_host=0, lane="python")

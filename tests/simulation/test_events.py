@@ -79,24 +79,26 @@ class TestEventQueueBehaviour:
     def test_pop_due_on_an_empty_queue_returns_none(self):
         assert EventQueue().pop_due(None) is None
 
-    def test_cancel_skips_event(self):
+    def test_horizon_leaves_a_later_front_queued(self):
         queue = EventQueue()
-        keep = queue.push(1.0, EventKind.TIMER, host=0, timer_name="keep")
-        drop = queue.push(0.5, EventKind.TIMER, host=0, timer_name="drop")
-        queue.cancel(drop)
-        assert len(queue) == 1
-        event = pop(queue)
-        assert event is keep
-
-    def test_horizon_ignores_a_cancelled_front(self):
-        queue = EventQueue()
-        drop = queue.push(0.5, EventKind.TIMER, host=0, timer_name="drop")
+        queue.push(0.5, EventKind.TIMER, host=0, timer_name="first")
         queue.push(2.0, EventKind.TIMER, host=0, timer_name="keep")
-        queue.cancel(drop)
-        # The live front is the 2.0 timer: not due by 1.0, and left queued.
+        assert queue.pop_due(1.0)[0] == 0.5
+        # The front is now the 2.0 timer: not due by 1.0, and left queued.
         assert queue.pop_due(1.0) is None
         assert len(queue) == 1
         assert queue.pop_due(2.0)[0] == 2.0
+
+    def test_a_timer_tuple_and_a_timer_event_share_one_fifo(self):
+        """``push_timer`` and a generic TIMER ``push`` file into the same
+        bucket of an instant: they pop in insertion order, each in the
+        shape it was filed."""
+        queue = EventQueue()
+        queue.push_timer(1.0, 0, "a", None)
+        event = queue.push(1.0, EventKind.TIMER, host=1, timer_name="b")
+        queue.push_timer(1.0, 2, "c", None)
+        assert [pop(queue) for _ in range(3)] == [
+            (0, "a", None), event, (2, "c", None)]
 
     def test_horizon_bounded_pop_on_an_empty_queue_returns_none(self):
         assert EventQueue().pop_due(1.0) is None
@@ -196,7 +198,7 @@ class TestTieBreakingRegression:
         assert len(queue) == queue.occupancy()["pending"] == 2
         assert sum(weight for _, weight in queue.iter_pending()) == 2
         assert pop(queue).dest == 200
-        assert pop(queue).kind is EventKind.TIMER
+        assert pop(queue) == (5, "t", None)  # a timer pops as its tuple
         assert not queue
 
     def test_event_filed_while_a_multicast_is_out_runs_after_it(self):
@@ -216,7 +218,7 @@ class TestTieBreakingRegression:
         assert pop(queue).dest == 13
         assert pop(queue).dest == 14
         assert pop(queue).dests == (15,)
-        assert pop(queue).kind is EventKind.TIMER
+        assert pop(queue) == (5, "t", None)
         assert queue.pop_due(None) is None
 
     def test_push_multicast_with_no_destinations_is_a_noop(self):
@@ -265,10 +267,9 @@ class TestTieBreakingRegression:
 
 class TestOccupancyWindow:
     """``occupancy()``'s horizon/current_epoch fields must be *exact*
-    under any interleaving of push / pop / cancel -- they are the window
-    the sharded lane's barrier scheduler reasons about, so an off-by-one
-    (a cancelled straggler counting, a drained slot lingering) would
-    mis-place an epoch barrier."""
+    under any interleaving of push / pop -- they are the window the
+    sharded lane's barrier scheduler reasons about, so an off-by-one (a
+    drained slot lingering) would mis-place an epoch barrier."""
 
     def test_empty_queue_reports_no_window(self):
         occupancy = EventQueue().occupancy()
@@ -304,21 +305,26 @@ class TestOccupancyWindow:
         assert (occupancy["pending"], occupancy["slots"],
                 occupancy["horizon"]) == (0, 0, None)
 
-    def test_cancelled_events_never_count(self):
+    def test_timer_tuples_count_like_every_other_entry(self):
         queue = EventQueue()
-        keep = queue.push(1.0, EventKind.TIMER, host=0, timer_name="t")
-        tail = queue.push(9.0, EventKind.TIMER, host=1, timer_name="t")
-        queue.cancel(tail)
+        queue.push_timer(1.0, 0, "flush", None)
+        queue.push(1.0, EventKind.TIMER, host=1, timer_name="t")
+        queue.push_timer(9.0, 2, "flush", None)
         occupancy = queue.occupancy()
-        # The cancelled 9.0 straggler must not stretch the horizon.
-        assert occupancy["horizon"] == 1.0
-        assert occupancy["current_epoch"] == 1
-        queue.cancel(keep)
+        assert (occupancy["pending"], occupancy["slots"],
+                occupancy["horizon"], occupancy["current_epoch"]) == (
+                    3, 2, 9.0, 1)
+        assert sorted((entry, weight) for entry, weight
+                      in queue.iter_pending()
+                      if entry.__class__ is tuple) == [
+                          ((0, "flush", None), 1), ((2, "flush", None), 1)]
+        pop(queue)
+        pop(queue)
         occupancy = queue.occupancy()
-        assert occupancy["horizon"] is None
-        assert occupancy["current_epoch"] is None
+        assert (occupancy["pending"], occupancy["slots"],
+                occupancy["current_epoch"]) == (1, 1, 9)
 
-    def test_fuzz_exact_under_push_pop_cancel_interleaving(self):
+    def test_fuzz_exact_under_push_pop_interleaving(self):
         import random as stdlib_random
 
         rng = stdlib_random.Random(99)
@@ -326,14 +332,13 @@ class TestOccupancyWindow:
             queue = EventQueue(width=width)
             live = []  # (time, event) pairs still live in the queue
             for _ in range(400):
-                action = rng.random()
-                if action < 0.5 or not live:
+                if rng.random() < 0.5 or not live:
                     time = float(rng.randrange(0, 40)) / 4.0
                     event = queue.push(time, EventKind.TIMER,
                                        host=rng.randrange(8),
                                        timer_name="t")
                     live.append((time, event))
-                elif action < 0.75:
+                else:
                     popped = pop(queue)
                     expected_time, _ = min(live, key=lambda p: p[0])
                     assert popped.time == expected_time
@@ -341,10 +346,6 @@ class TestOccupancyWindow:
                         if event is popped:
                             live.pop(index)
                             break
-                else:
-                    index = rng.randrange(len(live))
-                    _, event = live.pop(index)
-                    queue.cancel(event)
                 occupancy = queue.occupancy()
                 if not live:
                     assert occupancy["horizon"] is None

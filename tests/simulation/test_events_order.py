@@ -1,28 +1,21 @@
-"""Cancellation-lifecycle and scheduling-guard tests for the event queue.
+"""Scheduling-guard and ordering tests for the event queue.
 
-Two confirmed bugs are locked down here:
+``push()`` once rejected negative times while the fast paths
+(``push_deliver``/``push_timer``/``push_multicast``) silently accepted
+them; all four entry points now share one contract.
 
-* ``cancel()`` on an already-consumed event used to park the seq in the
-  queue's cancelled set forever, so ``len()`` undercounted (and could go
-  negative) and ``occupancy()["pending"]`` drifted.  Cancellation of
-  consumed/unknown events must be a no-op.
-* ``push()`` rejected negative times but the fast paths
-  (``push_deliver``/``push_timer``/``push_multicast``) silently accepted
-  them.  All four entry points now share one contract.
-
-The hypothesis fuzz interleaves all four push paths, ``pop_due``,
-``pop_tick`` and cancel (including cancel-after-pop and double-cancel), on
-a shared time grid and on float times that each own a key, and checks
-``len``, ``occupancy()["pending"]`` and the drain order against a reference
-heap model after every operation.  A multicast is one model entry weighing
-``len(dests)``: it pops whole and leaves ``len`` whole.
+The drawn fuzz interleaves all four push paths, ``pop_due`` and
+``pop_tick`` on a shared time grid and on float times that each own a
+key, and checks ``len``, ``occupancy()["pending"]`` and the drain order
+against a reference heap model after every operation.  A multicast is
+one model entry weighing ``len(dests)``: it pops whole and leaves
+``len`` whole.  A timer pops as its ``(host, name, info)`` tuple.
 """
 
 import heapq
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.simulation.events import (
@@ -32,83 +25,7 @@ from repro.simulation.events import (
     _KIND_PRIORITY,
 )
 from repro.simulation.messages import Message
-
-
-# ---------------------------------------------------------------------------
-# Regression: cancel of consumed/unknown events is a no-op
-# ---------------------------------------------------------------------------
-
-def test_cancel_after_pop_is_noop():
-    """The ISSUE repro: push one timer, pop it, cancel it, take len()."""
-    queue = EventQueue()
-    event = queue.push_timer(1.0, 0, "flush", None)
-    queue.pop_due(None)
-    queue.cancel(event)  # already consumed: must not poison the queue
-    assert len(queue) == 0
-    assert bool(queue) is False
-    assert queue.occupancy()["pending"] == 0
-    assert queue.occupancy()["cancelled"] == 0
-
-
-def test_cancel_after_pop_keeps_len_exact_for_later_events():
-    queue = EventQueue()
-    consumed = queue.push_timer(1.0, 0, "flush", None)
-    queue.pop_due(None)
-    queue.cancel(consumed)
-    queue.push_timer(2.0, 1, "flush", None)
-    assert len(queue) == 1  # used to report 0 (and -1 before the push)
-    assert queue.pop_due(None)[1].host == 1
-
-
-def test_double_cancel_counts_once():
-    queue = EventQueue()
-    event = queue.push_timer(1.0, 0, "flush", None)
-    queue.push_timer(2.0, 1, "flush", None)
-    queue.cancel(event)
-    queue.cancel(event)
-    assert len(queue) == 1
-    assert queue.occupancy()["cancelled"] == 1
-    assert queue.pop_due(None)[1].host == 1
-    assert len(queue) == 0
-
-
-def test_cancel_after_lazy_discard_is_noop():
-    """Once the drain has discarded a cancelled event, cancelling it again
-    (or re-cancelling after it left the queue) must not recount it."""
-    queue = EventQueue()
-    event = queue.push_timer(1.0, 0, "flush", None)
-    queue.push_timer(2.0, 1, "flush", None)
-    queue.cancel(event)
-    # The drain discards the cancelled event.
-    assert queue.pop_due(None)[1].host == 1
-    queue.cancel(event)
-    assert len(queue) == 0
-    assert queue.occupancy()["cancelled"] == 0
-
-
-def test_cancel_foreign_event_is_noop():
-    """An event never scheduled on *this* queue cannot disturb its counts."""
-    queue = EventQueue()
-    other = EventQueue()
-    foreign = other.push_timer(1.0, 0, "flush", None)
-    queue.push_timer(1.0, 1, "flush", None)
-    queue.cancel(foreign)
-    assert len(queue) == 1
-    assert queue.occupancy()["cancelled"] == 0
-    # The foreign queue still drains its (cancelled) event's slot cleanly.
-    other.cancel(foreign)
-    assert len(other) == 0
-
-
-def test_cancel_popped_fast_path_delivery_is_noop():
-    """A fast-path delivery pops as its bare message; cancelling that
-    must be a no-op (only Event wrappers are ever cancellable)."""
-    queue = EventQueue()
-    queue.push_deliver(1.0, Message(0, 1, "QUERY", None))
-    _, message = queue.pop_due(None)
-    queue.cancel(message)
-    assert len(queue) == 0
-    assert queue.occupancy()["pending"] == 0
+from tests.drawn import drawn
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +66,60 @@ def test_zero_time_accepted_on_every_entry_point():
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis fuzz: interleaved push/pop/cancel vs a reference heap model
+# What a pop hands out and leaves behind
+# ---------------------------------------------------------------------------
+
+def test_a_popped_timer_is_its_tuple_and_leaves_the_queue_empty():
+    queue = EventQueue()
+    assert queue.push_timer(1.0, 0, "flush", "info") is None
+    assert queue.pop_due(None) == (1.0, (0, "flush", "info"))
+    assert len(queue) == 0
+    assert bool(queue) is False
+    occupancy = queue.occupancy()
+    assert (occupancy["pending"], occupancy["slots"],
+            occupancy["horizon"]) == (0, 0, None)
+
+
+def test_len_stays_exact_for_entries_filed_after_a_pop():
+    queue = EventQueue()
+    queue.push_timer(1.0, 0, "flush", None)
+    queue.pop_due(None)
+    queue.push_timer(2.0, 1, "flush", None)
+    queue.push_multicast(2.0, 0, (1, 2, 3), "QUERY", None, 1.0, 1)
+    assert len(queue) == queue.occupancy()["pending"] == 4
+    assert queue.pop_due(None)[1].dests == (1, 2, 3)  # DELIVER first
+    assert len(queue) == 1
+    assert queue.pop_due(None)[1] == (1, "flush", None)
+    assert len(queue) == 0
+
+
+def test_a_popped_fast_path_delivery_is_the_message_itself():
+    """No wrapper is built on either side of a fast-path delivery."""
+    queue = EventQueue()
+    message = Message(0, 1, "QUERY", None)
+    queue.push_deliver(1.0, message)
+    time, entry = queue.pop_due(None)
+    assert time == 1.0 and entry is message
+    assert len(queue) == 0
+    assert queue.occupancy()["pending"] == 0
+
+
+def test_two_queues_share_no_state():
+    """Filing into or draining one queue leaves another's counts and
+    order untouched."""
+    queue, other = EventQueue(), EventQueue()
+    other.push_timer(1.0, 0, "flush", None)
+    queue.push_timer(0.5, 1, "flush", None)
+    queue.push_timer(1.0, 2, "flush", None)
+    assert (len(queue), len(other)) == (2, 1)
+    assert other.pop_due(None) == (1.0, (0, "flush", None))
+    assert len(queue) == 2
+    assert [queue.pop_due(None)[1][0] for _ in range(2)] == [1, 2]
+    assert queue.pop_due(None) is None and other.pop_due(None) is None
+
+
+# ---------------------------------------------------------------------------
+# Drawn fuzz: interleaved pushes and pops vs a reference heap model
 # ---------------------------------------------------------------------------
 
 _TIMES = (0.0, 0.5, 1.0, 1.5, 2.5, 7.25)
@@ -169,19 +139,21 @@ _ops = st.lists(
         st.tuples(st.just("timer"), _time),
         st.tuples(st.just("pop")),
         st.tuples(st.just("tick")),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
     ),
     min_size=1, max_size=80,
 )
 
 
 def _label(entry):
-    """Model label of one queue entry: ``data`` of an Event, ``(payload,
-    dest)`` of a message, ``(payload, dests)`` of a whole multicast."""
+    """Model label of one queue entry: ``data`` of an Event, ``info`` of
+    a timer tuple, ``(payload, dest)`` of a message, ``(payload, dests)``
+    of a whole multicast."""
     if entry.__class__ is Message:
         return entry.payload, entry.dest
     if entry.__class__ is _DeliverBatch:
         return entry.payload, entry.dests
+    if entry.__class__ is tuple:
+        return entry[2]
     return entry.data
 
 
@@ -191,102 +163,75 @@ def _labelled(front):
     return time, _label(entry)
 
 
-@settings(max_examples=80, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_ops)
-def test_interleaved_push_pop_cancel_matches_reference_heap(ops):
+def _push_pop_law(ops):
     queue = EventQueue(width=1.0)
     counter = itertools.count()
-    heap = []            # reference model: (time, priority, seq, label)
-    alive = {}           # label -> heap entry still pending in the model
-    weights = {}         # label -> what it adds to len (default 1)
-    handles = []         # push-returned events, cancellable by index
-    handle_labels = []   # parallel: model label per handle
+    labels = itertools.count()
+    heap = []  # reference model: (time, priority, seq, label, weight)
 
-    def model_push(time, priority, label):
-        entry = (time, priority, next(counter), label)
-        heapq.heappush(heap, entry)
-        alive[label] = entry
+    def model_push(time, priority, label, weight=1):
+        heapq.heappush(heap, (time, priority, next(counter), label, weight))
 
-    def model_front():
-        while heap and heap[0][3] not in alive:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-
-    def model_pop():
-        entry = model_front()
-        if entry is not None:
-            del alive[heapq.heappop(heap)[3]]
-        return entry
-
-    def check_counts():
-        pending = sum(weights.get(label, 1) for label in alive)
-        assert len(queue) == pending
-        assert queue.occupancy()["pending"] == pending
-        assert sum(weight for _, weight in queue.iter_pending()) == pending
-
-    label_counter = itertools.count()
     deliver = _KIND_PRIORITY[EventKind.DELIVER]
     for op in ops:
         if op[0] == "push":
             time, kind = op[1], _KINDS[op[2]]
-            label = next(label_counter)
-            handles.append(queue.push(time, kind, host=0, data=label))
-            handle_labels.append(label)
+            label = next(labels)
+            queue.push(time, kind, host=0, data=label)
             model_push(time, _KIND_PRIORITY[kind], label)
         elif op[0] == "timer":
-            label = next(label_counter)
-            handles.append(queue.push_timer(op[1], 0, "flush", label))
-            handle_labels.append(label)
+            label = next(labels)
+            queue.push_timer(op[1], 0, "flush", label)
             model_push(op[1], _KIND_PRIORITY[EventKind.TIMER], label)
         elif op[0] == "deliver":
-            # Fast-path bare message: no seq, FIFO position is its order.
-            label = next(label_counter)
+            # Fast-path bare message: FIFO position is its order.
+            label = next(labels)
             queue.push_deliver(op[1], Message(0, 0, "QUERY", label))
             model_push(op[1], deliver, (label, 0))
         elif op[0] == "multicast":
             # One reference entry for the lot, weighing its destinations.
             dests = tuple(range(op[2]))
-            label = (next(label_counter), dests)
-            queue.push_multicast(op[1], 0, dests, "QUERY", label[0], 0.0, 1)
-            model_push(op[1], deliver, label)
-            weights[label] = len(dests)
+            label = next(labels)
+            queue.push_multicast(op[1], 0, dests, "QUERY", label, 0.0, 1)
+            model_push(op[1], deliver, (label, dests), len(dests))
         elif op[0] == "pop":
-            expected = model_pop()
-            if expected is None:
+            if not heap:
                 assert queue.pop_due(None) is None
             else:
+                expected = heapq.heappop(heap)
                 assert _labelled(queue.pop_due(None)) == (
                     expected[0], expected[3])
         elif op[0] == "tick":
-            # Reference: every live entry of the front time, by priority.
-            front = model_front()
-            if front is None:
+            # Reference: every entry of the front time, by priority.
+            if not heap:
                 assert queue.pop_tick() is None
             else:
+                front = heap[0][0]
                 expected = [[] for _ in _KIND_PRIORITY]
-                entry = front
-                while entry is not None and entry[0] == front[0]:
-                    expected[entry[1]].append(model_pop()[3])
-                    entry = model_front()
+                while heap and heap[0][0] == front:
+                    entry = heapq.heappop(heap)
+                    expected[entry[1]].append(entry[3])
                 time, buckets = queue.pop_tick()
-                assert time == front[0]
+                assert time == front
                 assert [[_label(entry) for entry in bucket]
                         for bucket in buckets] == expected
-        elif op[0] == "cancel":
-            if handles:
-                index = op[1] % len(handles)
-                queue.cancel(handles[index])
-                alive.pop(handle_labels[index], None)
-        check_counts()
+        pending = sum(entry[4] for entry in heap)
+        assert len(queue) == queue.occupancy()["pending"] == pending
+        assert sum(weight for _, weight in queue.iter_pending()) == pending
 
     # Drain whatever is left and require the exact reference order.
-    remaining = [model_pop() for _ in range(len(alive))]
+    remaining = [heapq.heappop(heap) for _ in range(len(heap))]
     drained = [_labelled(queue.pop_due(None)) for _ in remaining]
     assert drained == [(entry[0], entry[3]) for entry in remaining]
     assert queue.pop_due(None) is None
     assert len(queue) == 0
     assert queue.occupancy()["pending"] == 0
+
+
+def test_interleaved_push_pop_matches_reference_heap(request):
+    """80 drawn op sequences in tier-1, ten times the named profile's
+    count in CI."""
+    drawn(request, _push_pop_law, plain=80, wide=10, ops=_ops)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +260,14 @@ def test_key_recreated_after_retirement_is_a_new_bucket():
     queue = EventQueue()
     queue.push_timer(1.0, 0, "flush", None)
     queue.push_timer(3.0, 3, "flush", None)
-    assert queue.pop_due(None)[1].host == 0
-    assert queue.pop_due(None)[1].host == 3   # retires the 1.0 key
+    assert queue.pop_due(None)[1] == (0, "flush", None)
+    assert queue.pop_due(None)[1] == (3, "flush", None)  # retires 1.0
     # Both keys come back: 1.0 after its bucket was retired, 3.0 while its
     # exhausted bucket is still the cached front; 2.0 is new.
     queue.push_timer(3.0, 4, "flush", None)
     queue.push_timer(1.0, 1, "flush", None)
     queue.push_timer(2.0, 2, "flush", None)
-    assert [queue.pop_due(None)[1].host for _ in range(3)] == [1, 2, 4]
+    assert [queue.pop_due(None)[1][0] for _ in range(3)] == [1, 2, 4]
     assert len(queue) == 0
     assert queue.occupancy()["horizon"] is None
 
@@ -343,7 +288,7 @@ def test_pop_tick_of_a_preempted_bucket_returns_exactly_the_remainder():
     assert time == 2.0
     assert [_label(entry) for entry in
             buckets[_KIND_PRIORITY[EventKind.DELIVER]]] == [("rest", (13, 14))]
-    assert [e.host for e in buckets[_KIND_PRIORITY[EventKind.TIMER]]] == [5]
+    assert buckets[_KIND_PRIORITY[EventKind.TIMER]] == [(5, "flush", None)]
     assert len(queue) == 0
     assert queue.pop_tick() is None
 
@@ -366,31 +311,26 @@ def test_pop_tick_returns_whole_instant_in_priority_order():
     deliveries = buckets[_KIND_PRIORITY[EventKind.DELIVER]]
     assert deliveries[0].payload == "a"          # bare message first (FIFO)
     assert deliveries[1].dests == (2, 3)         # unexpanded batch record
-    assert buckets[_KIND_PRIORITY[EventKind.TIMER]][0].host == 7
+    assert buckets[_KIND_PRIORITY[EventKind.TIMER]] == [(7, "flush", None)]
     assert buckets[_KIND_PRIORITY[EventKind.FAIL]][0].host == 9
     # Weight accounting: 1 bare + 2 batched + timer + fail consumed.
     assert len(queue) == 1
     assert queue.pop_due(None)[0] == 2.0
 
 
-def test_pop_tick_respects_horizon_and_skips_cancelled():
+def test_pop_tick_respects_horizon():
     queue = EventQueue()
-    keep = queue.push_timer(3.0, 0, "flush", None)
-    dropped = queue.push_timer(3.0, 1, "flush", None)
-    queue.cancel(dropped)
+    queue.push_timer(3.0, 0, "flush", None)
+    queue.push_timer(3.0, 1, "flush", None)
     assert queue.pop_tick(horizon=2.0) is None
-    assert len(queue) == 1
+    assert len(queue) == 2
 
     time, buckets = queue.pop_tick(horizon=3.0)
     assert time == 3.0
     timers = buckets[_KIND_PRIORITY[EventKind.TIMER]]
-    assert [event.host for event in timers] == [0]
+    assert [timer[0] for timer in timers] == [0, 1]
     assert len(queue) == 0
-    assert queue.occupancy()["cancelled"] == 0
     assert queue.pop_tick() is None
-    # The instant's events were consumed: cancelling them now is a no-op.
-    queue.cancel(keep)
-    assert len(queue) == 0
 
 
 def test_pop_tick_after_partial_pop_due_returns_remainder():
@@ -405,5 +345,5 @@ def test_pop_tick_after_partial_pop_due_returns_remainder():
     assert time == 1.0
     assert [m.payload for m in buckets[_KIND_PRIORITY[EventKind.DELIVER]]] \
         == ["second"]
-    assert [e.host for e in buckets[_KIND_PRIORITY[EventKind.TIMER]]] == [5]
+    assert buckets[_KIND_PRIORITY[EventKind.TIMER]] == [(5, "flush", None)]
     assert len(queue) == 0

@@ -182,8 +182,8 @@ def test_a_raising_handler_abandons_the_rest_of_its_multicast():
         simulator.run()
     queue = simulator._queue
     assert len(queue) == queue.occupancy()["pending"] == 1
-    assert [(entry.kind.value, entry.host, weight)
-            for entry, weight in queue.iter_pending()] == [("timer", 1, 1)]
+    assert [(entry[:2], weight) for entry, weight in queue.iter_pending()
+            ] == [((1, "later"), 1)]
     # A resumed run finds only that timer: hosts 3, 4 and 5 never hear.
     simulator.run()
     assert simulator.costs.messages_processed == {1: 1, 2: 1}
