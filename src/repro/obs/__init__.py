@@ -3,11 +3,11 @@ profiling, logging.
 
 The observability layer for the simulation kernel and the query
 service.  Everything here obeys one contract: **zero cost when
-disabled**.  Tracing is off unless a tracer is passed to (or bound as
-the process default before constructing) an engine; profiling wraps a
-run from the outside.  With everything disabled the kernel's event loop
-executes the exact same instruction stream as before this package
-existed, and the golden seeded snapshots stay bit-identical.
+disabled**.  Tracing is off unless a tracer is passed to an engine;
+profiling wraps a run from the outside.  With everything disabled the
+kernel's event loop executes the exact same instruction stream as before
+this package existed, and the golden seeded snapshots stay
+bit-identical.
 
 No number is computed here a second time: a run's costs are
 ``CostAccounting.summary()`` and ``footprint_bytes()``, queue occupancy
@@ -42,9 +42,6 @@ _EXPORTS = {
     "DEFAULT_SAMPLING": "trace",
     "RingTracer": "trace",
     "Tracer": "trace",
-    "default_tracer": "trace",
-    "set_default_tracer": "trace",
-    "tracing": "trace",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

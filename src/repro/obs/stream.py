@@ -18,9 +18,8 @@ counterpart, in three independently usable pieces:
   ``(epoch, simulated time)`` cells.  Workers store their slot once per
   epoch (two plain float stores, no locks: one writer per slot, readers
   tolerate tearing between the two fields); the sampler thread in the
-  coordinator reads all slots for the per-shard progress gauges the
-  ISSUE's long-run monitoring asks for.  Bound process-wide via
-  :func:`set_progress_board`, mirroring ``set_default_tracer``.
+  coordinator reads all slots for the per-shard progress gauges of a
+  long run.  Bound process-wide via :func:`set_progress_board`.
 """
 
 from __future__ import annotations
@@ -268,7 +267,7 @@ class ShardProgressBoard:
 
 
 # ---------------------------------------------------------------------------
-# Process-wide board binding (mirrors trace.set_default_tracer)
+# Process-wide board binding
 # ---------------------------------------------------------------------------
 #: The process-wide progress board; ``None`` = no live progress wanted.
 #: The sharded coordinator resolves this once per run, before forking.

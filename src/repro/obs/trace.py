@@ -14,10 +14,8 @@ Engines hold ``tracer = None`` when tracing is off and guard every
 record point with a single ``if tracer is not None`` pointer check; no
 record object is built, no method is called, and the goldens stay
 bit-identical because a tracer only ever *observes* -- it never touches
-RNG streams, event ordering, or cost accounting.
-
-A process-wide default can be bound once per run: engines resolve
-:func:`default_tracer` in their constructor, never per event.
+RNG streams, event ordering, or cost accounting.  A run traces only
+when its caller passes a tracer in: there is no process-wide default.
 
 Exporters
 ---------
@@ -45,17 +43,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "Tracer",
     "RingTracer",
     "DEFAULT_SAMPLING",
     "DEFAULT_CAPACITY",
-    "default_tracer",
-    "set_default_tracer",
-    "tracing",
 ]
 
 #: Ring capacity bounding the resident trace (records, not bytes); at
@@ -500,36 +494,3 @@ class RingTracer(Tracer):
                     "args": ({} if row.get("detail") is None
                              else {"detail": row["detail"]})})
 
-
-# ---------------------------------------------------------------------------
-# Process-wide default binding
-# ---------------------------------------------------------------------------
-#: The process-wide default tracer; ``None`` = tracing disabled.  Engines
-#: resolve this ONCE in their constructor, so flipping it mid-run has no
-#: effect on runs already built.
-_default_tracer: Optional[Tracer] = None
-
-
-def default_tracer() -> Optional[Tracer]:
-    """The process-wide default tracer (``None`` = disabled)."""
-    return _default_tracer
-
-
-def set_default_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Set the process-wide default tracer; returns the previous one."""
-    global _default_tracer
-    if tracer is not None and not isinstance(tracer, Tracer):
-        raise TypeError(f"expected a Tracer or None, got {tracer!r}")
-    previous = _default_tracer
-    _default_tracer = tracer
-    return previous
-
-
-@contextmanager
-def tracing(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
-    """Bind ``tracer`` as the process default for the ``with`` body."""
-    previous = set_default_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_default_tracer(previous)

@@ -373,7 +373,7 @@ def run_protocol(
             :class:`~repro.simulation.stats.CostAccounting` to account
             into, or ``None`` for a fresh one.
         tracer: structured trace sink from :mod:`repro.obs.trace`
-            (``None`` = the process default, usually disabled).  Tracers
+            (``None``: untraced).  Tracers
             observe; the declared value and every cost counter are
             bit-identical with tracing on or off.
         lane: kernel lane -- ``"vector"`` (the default) asks for the

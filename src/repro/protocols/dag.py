@@ -14,11 +14,10 @@ under any realised delay model bounded by ``delta``.
 This module holds the one convergecast body -- :class:`DagHost`, of
 which SPANNINGTREE's host is the ``k = 1`` subclass -- and the tick
 lane's driver for it, :class:`ConvergecastBatchKernel`, which calls that
-body for every per-host transition.  With the FM count and sum sketches
-a host keeps its partial aggregate as the packed bitmask int, as a
-WILDFIRE host does: it draws that int in one call, a Report carries it
-and a fold is one OR; the sketch object is built once, when the querying
-host declares.
+body for every per-host transition.  A host keeps its partial aggregate
+as the combiner's state, as a WILDFIRE host does -- for the FM count and
+sum the packed bitmask int, folded by one OR -- and a Report carries it
+as is; only the querying host's declaration turns it into a value.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.queries.query import AggregateQuery
 from repro.simulation.host import HostContext, ProtocolHost, RunRecord
 from repro.simulation.messages import Message
 from repro.sketches.combiners import Combiner, combiner_for_query
-from repro.sketches.fm import FMSketch
 
 BROADCAST = "dag-broadcast"
 REPORT = "dag-report"
@@ -38,26 +36,18 @@ REPORT = "dag-report"
 
 class DagRun(RunRecord):
     """DAG-k's run constants: the shared record plus ``num_parents``,
-    the fan-out ``k`` (checked here, once per run), and the combiner's
-    draw and fold, bound once per run: with a packed-state combiner
-    (``combiner.packed_state``, as :class:`~repro.protocols.wildfire.WildfireRun`
-    reads it) a host draws ``initial_packed`` ints and folds them with
-    ``int.__or__``, otherwise it draws ``initial`` and folds with
-    ``combine``.  The two agree bit for bit: OR is the sketch merge."""
+    the fan-out ``k`` (checked here, once per run), and ``fold``, the
+    combiner's ``combine`` bound once per run (``operator.or_`` itself
+    for the FM count and sum)."""
 
-    __slots__ = ("num_parents", "packed_mode", "draw", "fold")
+    __slots__ = ("num_parents", "fold")
 
     def __init__(self, *shared: Any, num_parents: int) -> None:
         super().__init__(*shared)
         if num_parents < 1:
             raise ValueError("num_parents must be at least 1")
         self.num_parents = num_parents
-        combiner = self.combiner
-        self.packed_mode = bool(getattr(combiner, "packed_state", False))
-        if self.packed_mode:
-            self.draw, self.fold = combiner.initial_packed, int.__or__
-        else:
-            self.draw, self.fold = combiner.initial, combiner.combine
+        self.fold = self.combiner.combine
 
 
 class DagHost(ProtocolHost):
@@ -69,11 +59,10 @@ class DagHost(ProtocolHost):
     difference left is the two message-kind strings, which are class
     attributes.
 
-    ``partial`` is the host's partial aggregate in the run's own
-    representation (:class:`DagRun`): the packed bitmask int for the FM
-    count and sum sketches, the combiner's state otherwise.  A Report
-    carries it as is; only :meth:`local_result` builds the
-    :class:`~repro.sketches.fm.FMSketch`, once, at declaration.
+    ``partial`` is the host's partial aggregate, the combiner's state
+    (the packed bitmask int for the FM count and sum).  A Report carries
+    it as is; only :meth:`local_result` turns it into the declared
+    value, through ``combiner.finalize``.
 
     The three O(hosts) transitions are methods that return what to send
     instead of sending it -- :meth:`adopt` (the first Broadcast: parent,
@@ -116,7 +105,7 @@ class DagHost(ProtocolHost):
         run = self.run
         self.active = True
         self.depth = 0
-        self.partial = run.draw(self.value, run.rng)
+        self.partial = run.combiner.initial(self.value, run.rng)
         ctx.send_to_neighbors(self.broadcast_kind,
                               {"depth": 0, "d_hat": run.d_hat})
 
@@ -159,14 +148,14 @@ class DagHost(ProtocolHost):
         self.active = True
         self.parents = (sender,)
         self.depth = sender_depth + 1
-        self.partial = run.draw(self.value, run.rng)
+        self.partial = run.combiner.initial(self.value, run.rng)
         return max(now, (2.0 * run.d_hat - self.depth) * run.delta)
 
     def take_report(self, agg: Any) -> None:
         """Fold a child's Report.  One that arrives after this host pushed
         its own partial aggregate up the tree (or before it heard the
-        Broadcast) is lost -- the best-effort behaviour.  ``agg`` is in
-        the host's own representation (the class docstring)."""
+        Broadcast) is lost -- the best-effort behaviour.  ``agg`` is a
+        combiner state, like ``partial``."""
         if self.active and not self.reported:
             self.partial = self.run.fold(self.partial, agg)
             self.reports_received += 1
@@ -190,14 +179,8 @@ class DagHost(ProtocolHost):
             ctx.send(parent, self.report_kind, payload)
 
     def local_result(self) -> Optional[float]:
-        partial, run = self.partial, self.run
-        if partial is None:
-            return None
-        combiner = run.combiner
-        if run.packed_mode:
-            partial = FMSketch._from_packed(partial, combiner.repetitions,
-                                            combiner.num_bits)
-        return combiner.finalize(partial)
+        partial = self.partial
+        return None if partial is None else self.run.combiner.finalize(partial)
 
 
 class ConvergecastBatchKernel:
@@ -219,10 +202,10 @@ class ConvergecastBatchKernel:
     sender), and a Report to a parent -- a former sender -- needs only
     both ends alive (``lane.submit_unicast``'s check, inlined per
     bucket).  A Broadcast carries the sender's tree depth in the
-    ``dist`` slot, a Report carries the partial aggregate in ``agg``, in
-    the host's own representation -- the packed int, or the combiner's
-    state object -- which is what the spec's payload dict holds (a host
-    never changes its partial after reporting).  ``rank`` is carried
+    ``dist`` slot, a Report carries the partial aggregate in ``agg`` --
+    the combiner's state, the packed int for the FM count and sum --
+    which is what the spec's payload dict holds (a host never changes
+    its partial after reporting).  ``rank`` is carried
     for the shared record shape and never read -- only the in-process
     lane admits convergecast, where append order already is spec order.
 

@@ -32,13 +32,13 @@ happens in time and Single-Site Validity is preserved.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, List, Optional, Sequence, Set
 
 from repro.protocols.base import Protocol
 from repro.simulation.clock import instant_after
 from repro.simulation.host import HostContext, ProtocolHost, RunRecord
 from repro.simulation.messages import Message
-from repro.sketches.fm import FMSketch
 
 #: Message kinds used by the protocol.
 BROADCAST = "wf-broadcast"
@@ -51,24 +51,15 @@ FLUSH = "wf-flush"
 class WildfireRun(RunRecord):
     """WILDFIRE's run constants: the shared record plus whether the
     participation window narrows with hop distance (Section 5.3), and the
-    combiner's draw and fold hooks, bound once per run.  As for
-    :class:`~repro.protocols.dag.DagRun`, a packed-state combiner
-    (``combiner.packed_state``: FM count / sum) draws ``initial_packed``
-    ints, which a host folds by OR; otherwise it draws ``initial``."""
+    combiner's ``combine``, bound once per run (``operator.or_`` itself
+    for the FM count and sum)."""
 
-    __slots__ = ("early_termination", "packed_mode", "draw", "combine",
-                 "states_equal", "absorbs")
+    __slots__ = ("early_termination", "combine")
 
     def __init__(self, *shared: Any, early_termination: bool) -> None:
         super().__init__(*shared)
-        combiner = self.combiner
         self.early_termination = early_termination
-        self.packed_mode = bool(getattr(combiner, "packed_state", False))
-        self.draw = (combiner.initial_packed if self.packed_mode
-                     else combiner.initial)
-        self.combine = combiner.combine
-        self.states_equal = combiner.states_equal
-        self.absorbs = combiner.absorbs
+        self.combine = self.combiner.combine
 
 
 class WildfireHost(ProtocolHost):
@@ -84,24 +75,21 @@ class WildfireHost(ProtocolHost):
     the active-host fold in :meth:`on_message` and the FLUSH emission
     in :meth:`on_timer`.  One 6 000-host flood makes 6 000 activations
     (the query start and 5 999 first contacts) but 191 263 deliveries
-    and 43 418 flushes.  Per delivery the kernel's fold is one scalar
-    merge and three comparisons for every fold it admits -- the packed
-    sketch OR, min and max alike -- where this class goes through the
-    combiner's ``absorbs`` / ``states_equal`` / ``combine`` hooks (the
-    spec is the general statement; any duplicate-insensitive combiner
-    runs here).  Sharing the flush was tried when the split was sized
-    and cost a call plus a result tuple per flush for three *more*
-    lines.  Unit differentials (``tests/protocols/test_wildfire.py``)
-    lock the two fold bodies together delivery by delivery.
+    and 43 418 flushes.  Both folds are one merge and up to three ``==``
+    tests on its result; the kernel writes the merge inline for the
+    folds it admits -- the packed sketch OR, min and max -- where this
+    class calls the run's ``combine`` (the spec is the general
+    statement; any duplicate-insensitive combiner runs here).  Sharing
+    the flush was tried when the split was sized and cost a call plus a
+    result tuple per flush for three *more* lines.  Unit differentials
+    (``tests/protocols/test_wildfire.py``) lock the two fold bodies
+    together delivery by delivery.
 
-    ``partial`` is the host's partial aggregate in the run's own
-    representation (:class:`WildfireRun`), as a
-    :class:`~repro.protocols.dag.DagHost` keeps it: the packed bitmask
-    int for the FM count and sum sketches -- folded by OR, compared by
-    ``==``, which is what ``combine`` / ``states_equal`` compute on the
-    sketches -- and the combiner's state otherwise.  A message carries
-    it as is; only :meth:`local_result` builds the
-    :class:`~repro.sketches.fm.FMSketch`, once, at declaration.
+    ``partial`` is the host's partial aggregate, the combiner's state
+    (for the FM count and sum, the packed bitmask int: folded by OR,
+    compared by ``==``).  A message carries it as is; only
+    :meth:`local_result` turns it into the declared value, through
+    ``combiner.finalize``.
     """
 
     __slots__ = (
@@ -159,7 +147,7 @@ class WildfireHost(ProtocolHost):
         self.active = True
         self.distance = distance
         run = self.run
-        self.partial = run.draw(self.value, run.rng)
+        self.partial = run.combiner.initial(self.value, run.rng)
         self._deadline = self._participation_deadline()
 
     def first_contact(self, sender: int, incoming: Any,
@@ -167,8 +155,8 @@ class WildfireHost(ProtocolHost):
         """The first message an inactive host hears (Fig. 4, first contact).
 
         Adopts the hop distance, draws the host's own contribution and
-        folds the piggybacked aggregate ``incoming`` (in the host's own
-        representation, the class docstring) into it.  Sends nothing:
+        folds the piggybacked aggregate ``incoming`` (a combiner state,
+        like ``partial``) into it.  Sends nothing:
         the caller forwards the Broadcast (carrying the folded aggregate
         to every neighbor but ``sender``, which is why nothing is left
         dirty) and then, when this returns ``True``, schedules the flush
@@ -180,17 +168,12 @@ class WildfireHost(ProtocolHost):
         run, partial = self.run, self.partial
         if incoming is None:
             grew, settled = False, False
-        elif run.packed_mode:
-            merged = partial | incoming
+        else:
+            merged = run.combine(partial, incoming)
             grew = merged != partial
             if grew:
                 self.partial = merged
             settled = merged == incoming
-        else:
-            grew = not run.absorbs(partial, incoming)
-            if grew:
-                self.partial = partial = run.combine(partial, incoming)
-            settled = run.states_equal(partial, incoming)
         if not settled:
             # The sender still needs our aggregate: it knows less than us.
             self._note_reply(sender)
@@ -255,39 +238,23 @@ class WildfireHost(ProtocolHost):
         # docstring for why the batch kernel repeats it).
         if incoming is None:
             return
-        run, partial = self.run, self.partial
-        if run.packed_mode:
-            # Sketch folding on bare ints: OR, and ``==`` for equality.
-            merged = partial | incoming
-            if merged == partial:
-                if partial == incoming:
-                    return
-                # Our aggregate did not change but the sender's is
-                # stale: send ours back so the sender (and eventually the
-                # querying host on the other side of it) catches up.
-                self._note_reply(message.sender)
-            else:
-                self.partial = merged
-                self._dirty = True
-                # If the merge result equals what the sender already
-                # has, there is no point echoing it straight back
-                # (Example 5.1).  A reply owed to the sender is not
-                # withdrawn: the flush ignores ``_reply_to`` while
-                # ``_dirty``.
-                self._skip_neighbor = (message.sender if merged == incoming
-                                       else None)
-        # Generic combiners: ``absorbs`` tests containment without
-        # allocating a merged state that would be discarded.
-        elif run.absorbs(partial, incoming):
-            if run.states_equal(partial, incoming):
+        partial = self.partial
+        merged = self.run.combine(partial, incoming)
+        if merged == partial:
+            if partial == incoming:
                 return
-            self._note_reply(message.sender)  # the stale sender, as above
+            # Our aggregate did not change but the sender's is stale:
+            # send ours back so the sender (and eventually the querying
+            # host on the other side of it) catches up.
+            self._note_reply(message.sender)
         else:
-            self.partial = merged = run.combine(partial, incoming)
+            self.partial = merged
             self._dirty = True
-            # As in packed mode: skip an echo, keep any owed reply.
-            self._skip_neighbor = (message.sender
-                                   if run.states_equal(merged, incoming)
+            # If the merge result equals what the sender already has,
+            # there is no point echoing it straight back (Example 5.1).
+            # A reply owed to the sender is not withdrawn: the flush
+            # ignores ``_reply_to`` while ``_dirty``.
+            self._skip_neighbor = (message.sender if merged == incoming
                                    else None)
         if not self._flush_pending:
             self._schedule_flush(ctx)
@@ -319,14 +286,8 @@ class WildfireHost(ProtocolHost):
 
     def local_result(self) -> Optional[float]:
         """The value this host would declare (meaningful at the querying host)."""
-        partial, run = self.partial, self.run
-        if partial is None:
-            return None
-        combiner = run.combiner
-        if run.packed_mode:
-            partial = FMSketch._from_packed(partial, combiner.repetitions,
-                                            combiner.num_bits)
-        return combiner.finalize(partial)
+        partial = self.partial
+        return None if partial is None else self.run.combiner.finalize(partial)
 
 
 class WildfireBatchKernel:
@@ -352,21 +313,22 @@ class WildfireBatchKernel:
     three duplicate-insensitive folds Section 5 admits: the host state
     is its one scalar ``partial`` (the packed sketch int, or the min /
     max float), read and written in place; only the merge expression
-    depends on the fold, and three comparisons on ``merged`` decide
-    no-op, stale sender or growth -- no combiner hook is called per
-    delivery.  Target lists are read from the network's own sorted-view
-    table (``lane.alive_sorted``; ``lane.onward`` at first contact),
-    rebuilt through the network only where a failure cleared a row.
+    depends on the fold, and the spec's three comparisons on ``merged``
+    decide no-op, stale sender or growth -- no combiner method is called
+    per delivery.  Target lists are read from the network's own
+    sorted-view table (``lane.alive_sorted``; ``lane.onward`` at first
+    contact), rebuilt through the network only where a failure cleared
+    a row.
 
     Everything travels as one flat record shape,
     ``(rank, sender, dests, kind, agg, dist, chain_depth)``: ``agg`` is
     the sender's ``partial`` as the spec lane sends it (the packed
-    bitmask int in packed mode), ``dests`` ascend, and ``rank`` orders
-    the record within its instant.  A delivery's rank rides onto the
-    flush registration ``(host, chain_depth, rank)`` it causes and from
-    there into slot 0 of that flush's emissions; the in-process lane
-    never reads it (append order already is spec order), the sharded
-    lane turns it into the canonical cross-shard key.
+    bitmask int for the FM count and sum), ``dests`` ascend, and
+    ``rank`` orders the record within its instant.  A delivery's rank
+    rides onto the flush registration ``(host, chain_depth, rank)`` it
+    causes and from there into slot 0 of that flush's emissions; the
+    in-process lane never reads it (append order already is spec order),
+    the sharded lane turns it into the canonical cross-shard key.
 
     The inlined bodies are safe because deliveries are processed in the
     exact global FIFO order of the spec loop and every branch reads the
@@ -389,12 +351,13 @@ class WildfireBatchKernel:
         """A kernel for this host table, or ``None`` if unsupported.
 
         Supported: every host is exactly a :class:`WildfireHost` sharing
-        one run record, whose combiner's state is either a packed bitmask
-        (``packed_state``; FM count/sum) or a bare float folded by
-        exactly :class:`~repro.sketches.combiners.MinCombiner` /
-        :class:`~repro.sketches.combiners.MaxCombiner` (whose ``combine``
-        the kernel's merge restates).  Pair states (FM average) and
-        third-party combiners fall back to the spec lane.
+        one run record, whose combiner either merges with
+        ``operator.or_`` itself (the FM count and sum) or is exactly
+        :class:`~repro.sketches.combiners.MinCombiner` /
+        :class:`~repro.sketches.combiners.MaxCombiner`: the three merges
+        :meth:`process_instant` writes inline, choosing by the same
+        test.  Pair states (FM average) and third-party combiners fall
+        back to the spec lane.
         """
         from repro.sketches.combiners import MaxCombiner, MinCombiner
 
@@ -405,16 +368,16 @@ class WildfireBatchKernel:
             if type(host) is not WildfireHost or host.run is not run:
                 return None
         combiner = run.combiner
-        if not run.packed_mode and type(combiner) not in (MinCombiner,
-                                                          MaxCombiner):
+        if run.combine is not operator.or_ and type(combiner) not in (
+                MinCombiner, MaxCombiner):
             return None
         return cls(hosts, type(combiner) is MinCombiner)
 
     def __init__(self, hosts: Sequence[Any], keep_min: bool) -> None:
         self.hosts = hosts
         self.run = hosts[0].run
-        #: The fold: OR of packed ints (``run.packed_mode``), else min
-        #: (``keep_min``) or max.
+        #: The fold: OR when ``run.combine`` is ``operator.or_``, else
+        #: min (``keep_min``) or max.
         self.keep_min = keep_min
         #: Participation-deadline mirror, ``None`` while a host is
         #: inactive: one list load replaces a host fetch plus two
@@ -452,7 +415,7 @@ class WildfireBatchKernel:
         deadlines = self.deadlines
         bucket = lane.timers_at(now)
         gdl = self.run.global_deadline
-        packed_mode = self.run.packed_mode
+        fold_or = self.run.combine is operator.or_
         keep_min = self.keep_min
         dropped = 0
         max_depth = lane.max_depth
@@ -507,7 +470,7 @@ class WildfireBatchKernel:
                 # the combiner writes it, so ``merged`` is the very
                 # object ``combine`` returns, NaN and -0.0 included ----
                 state = host.partial
-                if packed_mode:
+                if fold_or:
                     merged = state | incoming
                 elif keep_min:
                     merged = state if state <= incoming else incoming

@@ -183,8 +183,8 @@ class QueryService:
             so concurrent queries agree on the horizon arithmetic).
         max_time: engine runaway backstop (a drain-to-empty :meth:`run`
             that reaches it with events still pending raises).
-        tracer: structured trace sink handed to the engine (``None``
-            resolves the process default once at construction).
+        tracer: structured trace sink handed to the engine (``None``:
+            untraced).
         share_floods: enable the cross-tenant shared-flood cache --
             sessions whose computation key matches an in-flight
             computation subscribe to it instead of flooding (results

@@ -47,7 +47,7 @@ from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
 from repro.simulation.stats import CostAccounting, make_stats_sink
 from repro.simulation.vector_lane import DEFAULT_LANE, _TickLane, validate_lane
-from repro.obs.trace import Tracer, default_tracer
+from repro.obs.trace import Tracer
 
 
 class SimulationResult:
@@ -173,11 +173,11 @@ class EventEngine:
         max_time: hard stop for the engine clock.  A drain-to-empty run
             (no ``until``) that reaches it with events still pending
             raises, which catches protocols that fail to terminate.
-        tracer: structured trace sink (see :mod:`repro.obs.trace`);
-            ``None`` resolves the process-wide default *once* here.  With
-            no tracer bound the loop performs a single pointer check per
-            event and nothing else -- tracing observes, it never perturbs
-            RNG streams, event ordering, or cost accounting.  Trace times
+        tracer: structured trace sink (see :mod:`repro.obs.trace`), or
+            ``None`` for an untraced run.  With no tracer the loop
+            performs a single pointer check per event and nothing else
+            -- tracing observes, it never perturbs RNG streams, event
+            ordering, or cost accounting.  Trace times
             are query-local and carry the query id, so one trace
             demultiplexes per session.
     """
@@ -226,7 +226,7 @@ class EventEngine:
         self.messages_sent = 0
         self.dropped_messages = 0
         self.events_processed = 0
-        self.tracer = tracer if tracer is not None else default_tracer()
+        self.tracer = tracer
         # The last fixed-delay multicast's send and landing instants: an
         # instant's multicasts share one landing, computed once.
         self._sent_at = 0.0
@@ -598,10 +598,10 @@ class EventEngine:
     def _dispatch(self, time: float, event: Event, ctx: HostContext) -> None:
         """Handle one event the drain does not inline.
 
-        An event no branch handles -- a DELIVER or a TIMER filed through
-        ``EventQueue.push`` (deliveries are filed as messages, timers as
-        ``push_timer`` tuples), a CUSTOM whose ``data`` is not callable
-        -- raises :class:`ValueError` rather than vanish from the run.
+        An event no branch handles -- a CUSTOM whose ``data`` is not
+        callable -- raises :class:`ValueError` rather than vanish from
+        the run (``EventQueue.push`` refuses the other two kinds it
+        could carry, DELIVER and TIMER, at the call).
         """
         kind = event.kind
         if kind is EventKind.QUERY_START:

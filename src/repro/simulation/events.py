@@ -34,8 +34,9 @@ batch delivers it.  A host timer is the plain tuple
 The engine pushes through ``push_deliver`` / ``push_multicast`` /
 ``push_timer``, pops through ``pop_due`` (one call site:
 ``EventEngine._drain``) and delivers multicasts there; ``push`` is the
-generic :class:`Event` API (churn, query starts, custom events), and the
-tick lanes' gate only asks ``len``.  Nothing filed is ever withdrawn:
+:class:`Event` API for the other kinds (churn, query starts, custom
+events; it refuses a DELIVER or TIMER), and the tick lanes' gate only
+asks ``len``.  Nothing filed is ever withdrawn:
 there is no cancellation, so ``len`` is the count of what was filed and
 not yet popped.
 """
@@ -83,6 +84,12 @@ _NUM_PRIORITIES = 6
 _DELIVER_PRIORITY = _KIND_PRIORITY[EventKind.DELIVER]
 _TIMER_PRIORITY = _KIND_PRIORITY[EventKind.TIMER]
 
+#: The kinds :meth:`EventQueue.push` files as an :class:`Event`: a
+#: delivery is filed as a message, a timer as a tuple, and the engine
+#: handles them in no other shape.
+_EVENT_PRIORITY = {kind: priority for kind, priority in _KIND_PRIORITY.items()
+                   if kind not in (EventKind.DELIVER, EventKind.TIMER)}
+
 
 class Event:
     """A scheduled simulation event filed through :meth:`EventQueue.push`.
@@ -91,19 +98,14 @@ class Event:
     order.
     """
 
-    __slots__ = ("time", "priority", "kind", "host", "message", "timer_name",
-                 "data")
+    __slots__ = ("time", "priority", "kind", "host", "data")
 
     def __init__(self, time: float, priority: int, kind: EventKind,
-                 host: Optional[int] = None,
-                 message: Optional[Message] = None,
-                 timer_name: Optional[str] = None, data: Any = None) -> None:
+                 host: Optional[int] = None, data: Any = None) -> None:
         self.time = time
         self.priority = priority
         self.kind = kind
         self.host = host
-        self.message = message
-        self.timer_name = timer_name
         self.data = data
 
 
@@ -199,18 +201,23 @@ class EventQueue:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def push(
-        self,
-        time: float,
-        kind: EventKind,
-        host: Optional[int] = None,
-        message: Optional[Message] = None,
-        timer_name: Optional[str] = None,
-        data: Any = None,
-    ) -> Event:
-        """Schedule a new event and return it."""
-        priority = _KIND_PRIORITY[kind]
-        event = Event(time, priority, kind, host, message, timer_name, data)
+    def push(self, time: float, kind: EventKind, host: Optional[int] = None,
+             data: Any = None) -> Event:
+        """Schedule a QUERY_START, JOIN, CUSTOM or FAIL event and return it.
+
+        A DELIVER or TIMER is refused here, at the call, with
+        :class:`ValueError`: the engine takes those kinds only as
+        :meth:`push_deliver` / :meth:`push_multicast` messages and
+        :meth:`push_timer` tuples.
+        """
+        try:
+            priority = _EVENT_PRIORITY[kind]
+        except KeyError:
+            raise ValueError(
+                f"{kind!r} is not filed as an Event: use push_deliver / "
+                f"push_multicast for a delivery, push_timer for a timer"
+            ) from None
+        event = Event(time, priority, kind, host, data)
         self._bucket_at(time, priority).append(event)
         self._size += 1
         return event
@@ -220,9 +227,7 @@ class EventQueue:
 
         The bare :class:`Message` is stored in the deliver bucket of its
         instant with no :class:`Event` wrapper, and a bare message is
-        what the engine delivers: an ``Event`` of kind DELIVER filed
-        through :meth:`push` orders the same way, but the engine rejects
-        it when it comes due.
+        what the engine delivers.
         """
         self._bucket_at(time, _DELIVER_PRIORITY).append(message)
         self._size += 1
@@ -230,9 +235,7 @@ class EventQueue:
     def push_timer(self, time: float, host: int, name: str, info: Any) -> None:
         """Schedule a host timer: the tuple ``(host, name, info)`` in the
         TIMER bucket of its instant, and that tuple is what pops.  Like a
-        bare message it is the one shape the engine handles for its kind:
-        an ``Event`` of kind TIMER filed through :meth:`push` orders the
-        same way, but the engine rejects it when it comes due.
+        bare message it is the one shape the engine handles for its kind.
         """
         self._bucket_at(time, _TIMER_PRIORITY).append((host, name, info))
         self._size += 1

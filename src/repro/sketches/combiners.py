@@ -14,30 +14,27 @@ aggregation semantics:
 WILDFIRE floods partial aggregates along every path, so it requires a
 duplicate-insensitive combiner (min, max, or the FM sketch operators);
 tree-based protocols can also use the exact, duplicate-sensitive ones.
+
+A partial aggregate is a plain value, and ``==`` is its equality: a
+float for min, max and the exact count and sum, an :class:`AverageState`
+for the exact average, and for the FM operators the packed bitmask int
+of one :class:`~repro.sketches.fm.FMSketch` (count and sum, merged by
+``operator.or_``) or a ``(sum, count)`` pair of them (average).  A host
+keeps, sends and folds that value as it is; only ``finalize`` builds a
+sketch.
 """
 
 from __future__ import annotations
 
 import abc
+import operator
 import random
-from typing import Any, Generic, NamedTuple, TypeVar
+from typing import Any, Generic, NamedTuple, Tuple, TypeVar
 
 from repro.sketches.fm import (DEFAULT_NUM_BITS, FMSketch, _sample_packed_element,
                                _sample_packed_value)
 
 State = TypeVar("State")
-
-
-def _sketch_absorbs(a: FMSketch, b: FMSketch) -> bool:
-    """Whether merging ``b`` into ``a`` would change nothing.
-
-    Shares :meth:`FMSketch.merge`'s shape guard so mismatched sketches
-    stay an error rather than silent corruption, but tests containment on
-    the packed masks without allocating a merged sketch.
-    """
-    if a.repetitions != b.repetitions or a.num_bits != b.num_bits:
-        raise ValueError("cannot merge sketches with different shapes")
-    return (a.packed | b.packed) == a.packed
 
 
 class Combiner(abc.ABC, Generic[State]):
@@ -68,18 +65,14 @@ class Combiner(abc.ABC, Generic[State]):
         """Turn the final partial aggregate into the declared answer."""
         return float(state)  # type: ignore[arg-type]
 
-    def states_equal(self, a: State, b: State) -> bool:
-        """Whether two partial aggregates are equal (controls re-sending)."""
-        return a == b
-
     def absorbs(self, a: State, b: State) -> bool:
         """Whether folding ``b`` into ``a`` would leave ``a`` unchanged.
 
-        Equivalent to ``states_equal(combine(a, b), a)``; combiners with a
-        cheap containment test override this so the simulation hot path can
-        skip allocating a merged state that would be discarded.
+        No protocol calls this (a host folds with ``combine`` and tests
+        the result with ``==``); the perf harness's ``sketches.absorbs``
+        kernel times it.
         """
-        return self.states_equal(self.combine(a, b), a)
+        return self.combine(a, b) == a
 
 
 # ----------------------------------------------------------------------
@@ -97,9 +90,6 @@ class MinCombiner(Combiner[float]):
     def combine(self, a: float, b: float) -> float:
         return a if a <= b else b
 
-    def absorbs(self, a: float, b: float) -> bool:
-        return a <= b
-
 
 class MaxCombiner(Combiner[float]):
     """Maximum: the combine function is ``max`` itself."""
@@ -112,9 +102,6 @@ class MaxCombiner(Combiner[float]):
 
     def combine(self, a: float, b: float) -> float:
         return a if a >= b else b
-
-    def absorbs(self, a: float, b: float) -> bool:
-        return a >= b
 
 
 # ----------------------------------------------------------------------
@@ -193,23 +180,16 @@ class _FMCombiner(Combiner[Any]):
 
 
 class _FMSketchCombiner(_FMCombiner):
-    """Count and sum: the state is one :class:`FMSketch`, merged by OR."""
+    """Count and sum: the state is one :class:`FMSketch`'s packed int
+    (vector ``i`` in bits ``[i * num_bits, (i + 1) * num_bits)``), so
+    the merge is a bitwise OR and ``==`` is sketch equality; only
+    ``finalize`` builds the sketch."""
 
-    #: The state is a single packed bitmask int (enables protocol fast
-    #: paths: a host may keep ``initial_packed`` ints and fold them by OR).
-    packed_state = True
+    combine = staticmethod(operator.or_)
 
-    def combine(self, a: FMSketch, b: FMSketch) -> FMSketch:
-        return a.merge(b)
-
-    def states_equal(self, a: FMSketch, b: FMSketch) -> bool:
-        return a.packed == b.packed
-
-    def absorbs(self, a: FMSketch, b: FMSketch) -> bool:
-        return _sketch_absorbs(a, b)
-
-    def finalize(self, state: FMSketch) -> float:
-        return state.estimate()
+    def finalize(self, state: int) -> float:
+        return FMSketch._from_packed(state, self.repetitions,
+                                     self.num_bits).estimate()
 
 
 class FMCountCombiner(_FMSketchCombiner):
@@ -217,14 +197,10 @@ class FMCountCombiner(_FMSketchCombiner):
 
     name = "count-fm"
 
-    def initial(self, value: float, rng: random.Random) -> FMSketch:
-        return FMSketch.for_new_element(self.repetitions, rng, num_bits=self.num_bits)
-
-    def initial_packed(self, value: float, rng: random.Random) -> int:
-        """``initial(value, rng).packed`` in one call, drawing what it
-        draws in either sampling mode: what a host that keeps only the
-        bitmask draws.  No argument check: the shape was checked when
-        the combiner was built."""
+    def initial(self, value: float, rng: random.Random) -> int:
+        """``FMSketch.for_new_element``'s packed int, drawing what it
+        draws in either sampling mode.  No argument check: the shape was
+        checked when the combiner was built."""
         return _sample_packed_element(rng, self.repetitions, self.num_bits)
 
 
@@ -238,55 +214,35 @@ class FMSumCombiner(_FMSketchCombiner):
 
     name = "sum-fm"
 
-    def initial(self, value: float, rng: random.Random) -> FMSketch:
-        return FMSketch.for_value(value, self.repetitions, rng,
-                                  num_bits=self.num_bits)
-
-    def initial_packed(self, value: float, rng: random.Random) -> int:
-        """``initial(value, rng).packed`` in one call, drawing what it
-        draws in either sampling mode (the value's sign is still
-        checked)."""
+    def initial(self, value: float, rng: random.Random) -> int:
+        """``FMSketch.for_value``'s packed int, drawing what it draws in
+        either sampling mode."""
         return _sample_packed_value(rng, value, self.repetitions,
                                     self.num_bits)
 
 
-class _FMAverageState(NamedTuple):
-    """Partial state for the FM average: a (sum sketch, count sketch) pair."""
-
-    sum_sketch: FMSketch
-    count_sketch: FMSketch
-
-
 class FMAverageCombiner(_FMCombiner):
-    """Duplicate-insensitive average as the ratio of FM sum and FM count."""
+    """Duplicate-insensitive average as the ratio of FM sum and FM count.
+
+    The state is the pair ``(sum, count)`` of packed sketch ints, the
+    sum drawn first."""
 
     name = "avg-fm"
 
-    def initial(self, value: float, rng: random.Random) -> _FMAverageState:
-        return _FMAverageState(
-            sum_sketch=FMSketch.for_value(value, self.repetitions, rng,
-                                          num_bits=self.num_bits),
-            count_sketch=FMSketch.for_new_element(self.repetitions, rng,
-                                                  num_bits=self.num_bits),
-        )
+    def initial(self, value: float, rng: random.Random) -> Tuple[int, int]:
+        return (_sample_packed_value(rng, value, self.repetitions,
+                                     self.num_bits),
+                _sample_packed_element(rng, self.repetitions, self.num_bits))
 
-    def combine(self, a: _FMAverageState, b: _FMAverageState) -> _FMAverageState:
-        return _FMAverageState(
-            sum_sketch=a.sum_sketch.merge(b.sum_sketch),
-            count_sketch=a.count_sketch.merge(b.count_sketch),
-        )
+    def combine(self, a: Tuple[int, int],
+                b: Tuple[int, int]) -> Tuple[int, int]:
+        return a[0] | b[0], a[1] | b[1]
 
-    def absorbs(self, a: _FMAverageState, b: _FMAverageState) -> bool:
-        # Short-circuit order matches combine(): both components must be
-        # contained for the state to be unchanged.
-        return (_sketch_absorbs(a.sum_sketch, b.sum_sketch)
-                and _sketch_absorbs(a.count_sketch, b.count_sketch))
-
-    def finalize(self, state: _FMAverageState) -> float:
-        count = state.count_sketch.estimate()
-        if count == 0:
-            return 0.0
-        return state.sum_sketch.estimate() / count
+    def finalize(self, state: Tuple[int, int]) -> float:
+        total, count = (FMSketch._from_packed(bits, self.repetitions,
+                                              self.num_bits).estimate()
+                        for bits in state)
+        return total / count if count else 0.0
 
 
 # ----------------------------------------------------------------------

@@ -129,8 +129,9 @@ def _build_protocol(name: str):
     raise KeyError(name)
 
 
-def run_matrix_case(case: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one matrix cell and serialise its full run result."""
+def run_matrix_case(case: Dict[str, Any], tracer=None) -> Dict[str, Any]:
+    """Execute one matrix cell and serialise its full run result
+    (``tracer``, when given, observes the run)."""
     from repro.protocols.base import run_protocol
     from repro.simulation.churn import uniform_failure_schedule
     from repro.workloads.values import uniform_values
@@ -156,6 +157,7 @@ def run_matrix_case(case: Dict[str, Any]) -> Dict[str, Any]:
         querying_host=0,
         churn=churn,
         seed=MATRIX_SEED,
+        tracer=tracer,
     )
     return {
         "params": dict(case),

@@ -31,8 +31,7 @@ class TestQueueCollector:
     def test_occupancy_matches_pending_population(self):
         queue = EventQueue()
         for i in range(25):
-            queue.push(float(i % 7), EventKind.TIMER, host=i,
-                       timer_name="t")
+            queue.push_timer(float(i % 7), i, "t", None)
         occupancy = queue.occupancy()
         assert occupancy["pending"] == len(queue) == 25
         assert occupancy["slots"] == 7
@@ -42,8 +41,7 @@ class TestQueueCollector:
     def test_iter_pending_agrees_with_len(self):
         queue = EventQueue()
         for i in range(40):
-            queue.push(float(i % 11), EventKind.TIMER, host=i,
-                       timer_name="t")
+            queue.push_timer(float(i % 11), i, "t", None)
         assert sum(w for _, w in queue.iter_pending()) == len(queue)
 
     def test_window_fields_gauge_when_live_and_skip_when_empty(
@@ -58,7 +56,7 @@ class TestQueueCollector:
         assert snapshot["service.queue.pending"] == 0
         assert "service.queue.horizon" not in snapshot
         assert "service.queue.current_epoch" not in snapshot
-        queue.push(5.0, EventKind.TIMER, host=0, timer_name="t")
+        queue.push_timer(5.0, 0, "t", None)
         live = queue.occupancy()
         assert live["horizon"] == 5.0
         assert live["current_epoch"] == 2

@@ -109,7 +109,7 @@ class TestShardProgressBoard:
         with pytest.raises(ValueError):
             ShardProgressBoard(0)
 
-    def test_process_binding_mirrors_default_tracer(self):
+    def test_process_binding_binds_and_restores(self):
         assert default_progress_board() is None
         board = ShardProgressBoard(2)
         with progress_board(board) as bound:

@@ -19,9 +19,6 @@ from repro.obs.trace import (
     DEFAULT_SAMPLING,
     RingTracer,
     Tracer,
-    default_tracer,
-    set_default_tracer,
-    tracing,
 )
 from repro.protocols.base import run_protocol
 from repro.protocols.wildfire import Wildfire
@@ -158,33 +155,6 @@ class TestExporters:
         # One simulation second maps to one trace microsecond.
         assert span["dur"] == pytest.approx(1.25e6)
         assert payload["metadata"]["counts"] == populated.summary()["counts"]
-
-
-class TestDefaultBinding:
-    def test_default_is_disabled(self):
-        assert default_tracer() is None
-
-    def test_tracing_binds_and_restores(self):
-        tracer = RingTracer()
-        with tracing(tracer) as bound:
-            assert bound is tracer
-            assert default_tracer() is tracer
-        assert default_tracer() is None
-
-    def test_engines_resolve_default_once(self, topology, values):
-        """A run built under ``tracing(...)`` uses the bound tracer even
-        though no ``tracer=`` argument was passed."""
-        tracer = RingTracer()
-        with tracing(tracer):
-            result = run_protocol(Wildfire(), topology, values, "count",
-                                  seed=SEED)
-        assert tracer.counts["send"] == result.costs.messages_sent
-
-    def test_set_default_rejects_non_tracers(self):
-        with pytest.raises(TypeError):
-            set_default_tracer(object())
-        previous = set_default_tracer(None)
-        assert previous is None
 
 
 class TestExporterEdgeCases:

@@ -9,8 +9,8 @@ telemetry never having been built:
   ``repro/obs`` tree -- the one ``if tracer is not None`` pointer check
   per event allocates nothing);
 * golden protocol-matrix cells replay byte-identical with a live
-  ``RingTracer`` bound as the process default, because tracers observe
-  without touching RNG streams, event ordering, or accounting.
+  ``RingTracer`` passed in, because tracers observe without touching
+  RNG streams, event ordering, or accounting.
 """
 
 import json
@@ -18,7 +18,7 @@ import tracemalloc
 
 import pytest
 
-from repro.obs.trace import RingTracer, tracing
+from repro.obs.trace import RingTracer
 from repro.protocols.base import run_protocol
 from repro.protocols.wildfire import Wildfire
 from repro.sketches.fm import sampling_mode
@@ -63,13 +63,13 @@ def test_disabled_telemetry_allocates_nothing_in_obs(tmp_path):
 
 @pytest.mark.parametrize("case_index", [0, 17, 35])
 def test_golden_cells_byte_identical_with_tracer_bound(case_index):
-    """Replaying golden matrix cells with a live default RingTracer must
+    """Replaying golden matrix cells with a live RingTracer must
     reproduce the committed snapshots byte for byte."""
     stored = load_snapshot("protocol_matrix", "fast")
     case = regen.matrix_cases()[case_index]
     tracer = RingTracer()
-    with sampling_mode("fast"), tracing(tracer):
-        live = regen.canonical(regen.run_matrix_case(case))
+    with sampling_mode("fast"):
+        live = regen.canonical(regen.run_matrix_case(case, tracer=tracer))
     assert_bit_identical(
         stored[case_index], live,
         f"matrix cell {case} replayed with a bound RingTracer")
@@ -85,7 +85,7 @@ def test_golden_cell_json_bytes_match_disabled_run():
     case = regen.matrix_cases()[4]
     with sampling_mode("fast"):
         disabled = regen.canonical(regen.run_matrix_case(case))
-        with tracing(RingTracer()):
-            traced = regen.canonical(regen.run_matrix_case(case))
+        traced = regen.canonical(regen.run_matrix_case(
+            case, tracer=RingTracer()))
     assert json.dumps(traced, sort_keys=True).encode() == \
         json.dumps(disabled, sort_keys=True).encode()

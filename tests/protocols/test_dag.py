@@ -99,42 +99,28 @@ class TestRobustness:
         assert k3.value <= 4.0
 
 
-class _ObjectCount(FMCountCombiner):
-    """The FM count with its state kept as ``FMSketch`` objects: a host
-    draws ``initial`` and folds through ``combine``."""
-
-    packed_state = False
-
-
-class _ObjectSum(FMSumCombiner):
-    """The FM sum with its state kept as ``FMSketch`` objects."""
-
-    packed_state = False
-
-
 _PROTOCOLS = {"spanning-tree": SpanningTree, "dag2": lambda: DirectedAcyclicGraph(2),
               "dag3": lambda: DirectedAcyclicGraph(3)}
-_COMBINERS = {"count": (FMCountCombiner, _ObjectCount),
-              "sum": (FMSumCombiner, _ObjectSum)}
+_COMBINERS = {"count": FMCountCombiner, "sum": FMSumCombiner}
 
 
-def _packed_run_equals_object_run(protocol, query, seed, failures, lane,
-                                  num_hosts, delta):
-    """One run with each representation of the same FM combiner: equal
-    value, cost fingerprint and declaration time."""
+def _spec_lane_run_equals_tick_lane_run(protocol, query, seed, failures,
+                                        num_hosts, delta):
+    """One FM count or sum on the spec loop and one on the tick lane,
+    the packed int folded by the hosts' own ``take_report`` on both:
+    equal value, cost fingerprint and declaration time."""
     topology = random_topology(num_hosts, avg_degree=4, seed=seed)
     values = zipf_values(num_hosts, seed=seed)
+    combiner = _COMBINERS[query](repetitions=8)
+    termination = prepare_protocol_run(
+        _PROTOCOLS[protocol](), topology, values, query, combiner=combiner,
+        delta=delta, seed=seed).termination
+    # Failures over the whole run, the querying host spared.
+    churn = uniform_failure_schedule(
+        range(num_hosts), min(failures, num_hosts - 1), start=0.5 * delta,
+        end=termination, seed=seed, protect=[0])
     seen = []
-    for combiner_class in _COMBINERS[query]:
-        combiner = combiner_class(repetitions=8)
-        prepared = prepare_protocol_run(_PROTOCOLS[protocol](), topology,
-                                        values, query, combiner=combiner,
-                                        delta=delta, seed=seed)
-        assert prepared.hosts[0].run.packed_mode is combiner.packed_state
-        # Failures over the whole run, the querying host spared.
-        churn = uniform_failure_schedule(
-            range(num_hosts), min(failures, num_hosts - 1), start=0.5 * delta,
-            end=prepared.termination, seed=seed, protect=[0])
+    for lane in ("python", "vector"):
         run = run_protocol(_PROTOCOLS[protocol](), topology, values, query,
                            combiner=combiner, delta=delta, churn=churn,
                            seed=seed, lane=lane)
@@ -144,26 +130,23 @@ def _packed_run_equals_object_run(protocol, query, seed, failures, lane,
     assert seen[0][0] is not None
 
 
-class TestPackedStateIsTheObjectState:
+class TestFMStateAlikeOnBothLanes:
     """A host of an FM count or sum keeps its partial as the packed int
-    (``combiner.packed_state``); with the same combiner kept as sketch
-    objects the protocol must run identically, on the spec loop and on
-    the tick lane, static and under failures."""
+    on either lane; the spec loop and the tick lane must run the tree
+    and DAG protocols identically on it, static and under failures."""
 
-    @pytest.mark.parametrize("lane", ["python", "vector"])
     @pytest.mark.parametrize("failures", [0, 6])
     @pytest.mark.parametrize("query", ["count", "sum"])
     @pytest.mark.parametrize("protocol", sorted(_PROTOCOLS))
-    def test_pinned_cells(self, protocol, query, failures, lane):
-        _packed_run_equals_object_run(protocol, query, 5, failures, lane,
-                                      40, 1.0)
+    def test_pinned_cells(self, protocol, query, failures):
+        _spec_lane_run_equals_tick_lane_run(protocol, query, 5, failures, 40,
+                                            1.0)
 
     def test_drawn_cells(self, request):
-        drawn(request, _packed_run_equals_object_run,
+        drawn(request, _spec_lane_run_equals_tick_lane_run,
               protocol=st.sampled_from(sorted(_PROTOCOLS)),
               query=st.sampled_from(sorted(_COMBINERS)),
               seed=st.integers(0, 2 ** 16), failures=st.integers(0, 12),
-              lane=st.sampled_from(["python", "vector"]),
               num_hosts=st.integers(5, 60),
               delta=st.sampled_from([1.0, 0.1, 0.3]))
 

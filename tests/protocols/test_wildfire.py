@@ -252,8 +252,8 @@ def _slots(host):
 
 def _table(combiner, state, reply_to=(), flush_pending=False):
     """A 4-host WILDFIRE table; host 1 active at distance 2 holding
-    ``state`` (the packed bitmask in packed mode) unless that is
-    ``None``."""
+    ``state`` (a combiner state: the packed bitmask for the FM count)
+    unless that is ``None``."""
     run = WildfireRun(0, None, combiner, 4, 1.0, random.Random(11),
                       early_termination=True)
     hosts = [WildfireHost(host_id, 3.0, run) for host_id in range(4)]
@@ -308,13 +308,13 @@ def _one_delivery_both_ways(combiner, state, incoming, sender, reply_to,
 
 class TestFoldStatedTwice:
     """``WildfireHost.on_message``'s active-host fold is the one protocol
-    body the batch kernel repeats (the kernel's is one scalar merge and
-    three comparisons for all three folds; the spec's goes through the
-    combiner hooks); first contact is shared.  One delivery through each
-    must leave the host in the same state and agree on the flush.  A
-    payload carries ``agg`` as both send it: the packed int in packed
-    mode, the float otherwise.  Drawn 300 times in tier-1, ten times the
-    named profile's count in CI."""
+    body the batch kernel repeats (both are one merge and three
+    comparisons; the kernel writes the merge inline for its three folds,
+    the spec calls ``combine``); first contact is shared.  One delivery
+    through each must leave the host in the same state and agree on the
+    flush.  A payload carries ``agg`` as both send it: the packed int for
+    the FM sketch, the float for min and max.  Drawn 300 times in tier-1,
+    ten times the named profile's count in CI."""
 
     _common = dict(
         sender=st.sampled_from([0, 2, 3]),
@@ -400,16 +400,17 @@ class TestFoldStatedTwice:
 
 
 def test_the_lane_fold_calls_no_combiner_hook(monkeypatch):
-    """On the vector lane only first contact reaches the combiner's
-    hooks -- at most one ``absorbs`` and one ``states_equal`` per host --
-    while the spec loop pays them per delivery."""
+    """On the vector lane the combiner is called per host, never per
+    delivery -- a draw per activation, a ``combine`` per first contact,
+    the declaration's ``finalize`` -- while the spec loop calls
+    ``combine`` on every delivery to an active host."""
     calls = []
-    for name in ("absorbs", "states_equal", "combine"):
-        hook = getattr(MinCombiner, name)
+    for name in ("initial", "combine", "finalize", "absorbs"):
+        method = getattr(MinCombiner, name)
         monkeypatch.setattr(
             MinCombiner, name,
-            lambda self, a, b, hook=hook, name=name: (
-                calls.append(name), hook(self, a, b))[1])
+            lambda self, *args, method=method, name=name: (
+                calls.append(name), method(self, *args))[1])
     topo = random_topology(60, avg_degree=5, seed=3)
     values = zipf_values(60, seed=3)
     tallies = {}
@@ -418,11 +419,13 @@ def test_the_lane_fold_calls_no_combiner_hook(monkeypatch):
         result = run_protocol(Wildfire(), topo, values, "min", seed=3,
                               lane=lane)
         assert result.lane_used == lane and result.value == min(values)
-        tallies[lane] = {name: calls.count(name)
-                         for name in ("absorbs", "states_equal")}
-    assert 0 < tallies["vector"]["absorbs"] <= topo.num_hosts - 1
-    assert tallies["vector"]["states_equal"] == tallies["vector"]["absorbs"]
-    assert tallies["python"]["absorbs"] > 3 * tallies["vector"]["absorbs"]
+        tallies[lane] = Counter(calls)
+    vector = tallies["vector"]
+    assert set(vector) == {"initial", "combine", "finalize"}
+    assert vector["initial"] == topo.num_hosts
+    assert 0 < vector["combine"] <= topo.num_hosts - 1
+    assert vector["finalize"] == tallies["python"]["finalize"]
+    assert tallies["python"]["combine"] > 3 * vector["combine"]
 
 
 @pytest.mark.parametrize("combiner, state_type", [

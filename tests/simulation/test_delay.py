@@ -220,6 +220,8 @@ class TestCalendarQueueFuzz:
 
         from repro.simulation.events import (
             EventKind, EventQueue, _KIND_PRIORITY)
+        from repro.simulation.messages import Message
+        from tests.simulation.test_events import _expected, _popped
 
         rng = random.Random(20260730)
         kinds = list(_KIND_PRIORITY)
@@ -237,24 +239,23 @@ class TestCalendarQueueFuzz:
                         time = rng.random() * 8.0
                     kind = rng.choice(kinds)
                     label = next(labels)
-                    queue.push(time, kind, host=label)
+                    if kind is EventKind.DELIVER:
+                        queue.push_deliver(time, Message(label, 0, "k", {}))
+                    elif kind is EventKind.TIMER:
+                        queue.push_timer(time, label, "t", None)
+                    else:
+                        queue.push(time, kind, host=label)
                     heapq.heappush(
                         reference,
                         (time, _KIND_PRIORITY[kind], next(counter), label))
                     if rng.random() < 0.3 and queue:
-                        got = queue.pop_due(None)[1]
-                        expected = heapq.heappop(reference)
-                        assert (got.time, got.priority, got.host) == (
-                            expected[0], expected[1], expected[3])
+                        assert _popped(queue) == _expected(reference)
                 while queue:
-                    got = queue.pop_due(None)[1]
-                    expected = heapq.heappop(reference)
-                    assert (got.time, got.priority, got.host) == (
-                        expected[0], expected[1], expected[3])
+                    assert _popped(queue) == _expected(reference)
                 assert not reference
 
     def test_width_does_not_change_drain_order(self):
-        from repro.simulation.events import EventKind, EventQueue
+        from repro.simulation.events import EventQueue
 
         rng = random.Random(99)
         pushes = [(rng.random() * 10.0, i) for i in range(300)]
@@ -262,8 +263,8 @@ class TestCalendarQueueFuzz:
         for width in (0.01, 1.0, 50.0):
             queue = EventQueue(width=width)
             for time, label in pushes:
-                queue.push(time, EventKind.TIMER, host=label)
-            orders.append([queue.pop_due(None)[1].host for _ in pushes])
+                queue.push_timer(time, label, "t", None)
+            orders.append([queue.pop_due(None)[1][0] for _ in pushes])
             assert not queue
         assert orders[0] == orders[1] == orders[2]
 

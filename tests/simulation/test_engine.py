@@ -288,22 +288,27 @@ class TestRunControl:
         with pytest.raises(ValueError):
             Simulator(network=network, hosts=hosts, querying_host=0, delta=0.0)
 
-    @pytest.mark.parametrize("kind, fields", [
-        (EventKind.DELIVER, {"message": Message(
-            0, 1, "hello", {}, 0.0, 1, False, 0, 0.5)}),
-        (EventKind.CUSTOM, {"data": "not callable"}),
-        (EventKind.TIMER, {"host": 3, "timer_name": "wf-flush"}),
-    ])
-    def test_an_event_no_branch_handles_raises(self, kind, fields):
+    @pytest.mark.parametrize("kind", [EventKind.DELIVER, EventKind.TIMER])
+    def test_a_delivery_or_timer_event_is_refused_when_pushed(self, kind):
         """Deliveries are filed as bare messages and timers as
-        ``push_timer`` tuples: a DELIVER or TIMER ``Event`` filed through
-        ``push``, like a CUSTOM one with nothing to call, names itself
-        instead of vanishing from (or crashing) the run."""
+        ``push_timer`` tuples: a DELIVER or TIMER ``Event`` is refused at
+        the ``push``, before the run starts, naming the call to use."""
         hosts = [QuietHost(i) for i in range(4)]
         simulator = Simulator(network=ring_topology(4).to_network(),
                               hosts=hosts, querying_host=0, lane="python")
-        simulator._queue.push(0.5, kind, **fields)
-        with pytest.raises(ValueError, match=f"{kind.name} event at t=0.5"):
+        with pytest.raises(ValueError, match="push_timer"):
+            simulator._queue.push(0.5, kind, host=3)
+        simulator.run()  # nothing was filed: the run is clean
+        assert hosts[1].received == []
+
+    def test_an_event_no_branch_handles_raises(self):
+        """A CUSTOM event with nothing to call names itself when it comes
+        due instead of vanishing from the run."""
+        hosts = [QuietHost(i) for i in range(4)]
+        simulator = Simulator(network=ring_topology(4).to_network(),
+                              hosts=hosts, querying_host=0, lane="python")
+        simulator._queue.push(0.5, EventKind.CUSTOM, data="not callable")
+        with pytest.raises(ValueError, match="CUSTOM event at t=0.5"):
             simulator.run()
         assert hosts[1].received == []
 

@@ -1,12 +1,18 @@
 """Tests for the event queue."""
 
 import ast
+import heapq
 import pathlib
 
 import pytest
 
 from repro.simulation.clock import tick_index
-from repro.simulation.events import EventKind, EventQueue, _DeliverBatch
+from repro.simulation.events import (
+    _KIND_PRIORITY,
+    EventKind,
+    EventQueue,
+    _DeliverBatch,
+)
 from repro.simulation.messages import Message
 
 
@@ -16,50 +22,57 @@ def make_message(sender=0, dest=1):
 
 def pop(queue):
     """Consume the earliest live entry: an :class:`Event`, the bare
-    :class:`Message` of a fast-path delivery, or a whole multicast."""
+    :class:`Message` of a delivery, a whole multicast or a timer's
+    ``(host, name, info)`` tuple."""
     return queue.pop_due(None)[1]
 
 
-def dest_of(entry):
-    return entry.dest if isinstance(entry, Message) else entry.message.dest
+def kind_of(entry):
+    """The kind of a popped entry: a message is a delivery, a tuple a
+    timer, anything else an :class:`Event`."""
+    if isinstance(entry, Message):
+        return EventKind.DELIVER
+    if entry.__class__ is tuple:
+        return EventKind.TIMER
+    return entry.kind
 
 
 class TestEventQueueOrdering:
     def test_pops_in_time_order(self):
         queue = EventQueue()
-        queue.push(5.0, EventKind.TIMER, host=1, timer_name="b")
-        queue.push(1.0, EventKind.TIMER, host=1, timer_name="a")
-        queue.push(3.0, EventKind.TIMER, host=1, timer_name="c")
+        queue.push_timer(5.0, 1, "b", None)
+        queue.push_timer(1.0, 1, "a", None)
+        queue.push_timer(3.0, 1, "c", None)
         times = [queue.pop_due(None)[0] for _ in range(3)]
         assert times == [1.0, 3.0, 5.0]
 
     def test_ties_broken_by_insertion_order_within_same_kind(self):
         queue = EventQueue()
-        first = queue.push(2.0, EventKind.TIMER, host=1, timer_name="first")
-        second = queue.push(2.0, EventKind.TIMER, host=2, timer_name="second")
-        assert pop(queue) is first
-        assert pop(queue) is second
+        queue.push_timer(2.0, 1, "first", None)
+        queue.push_timer(2.0, 2, "second", None)
+        assert pop(queue) == (1, "first", None)
+        assert pop(queue) == (2, "second", None)
 
     def test_deliveries_precede_timers_at_same_instant(self):
         queue = EventQueue()
-        queue.push(2.0, EventKind.TIMER, host=1, timer_name="deadline")
-        queue.push(2.0, EventKind.DELIVER, message=make_message())
-        assert pop(queue).kind is EventKind.DELIVER
-        assert pop(queue).kind is EventKind.TIMER
+        queue.push_timer(2.0, 1, "deadline", None)
+        queue.push_deliver(2.0, make_message())
+        assert kind_of(pop(queue)) is EventKind.DELIVER
+        assert kind_of(pop(queue)) is EventKind.TIMER
 
     def test_failures_processed_last_at_same_instant(self):
         queue = EventQueue()
         queue.push(2.0, EventKind.FAIL, host=3)
-        queue.push(2.0, EventKind.DELIVER, message=make_message())
-        queue.push(2.0, EventKind.TIMER, host=1, timer_name="t")
-        kinds = [pop(queue).kind for _ in range(3)]
+        queue.push_deliver(2.0, make_message())
+        queue.push_timer(2.0, 1, "t", None)
+        kinds = [kind_of(pop(queue)) for _ in range(3)]
         assert kinds == [EventKind.DELIVER, EventKind.TIMER, EventKind.FAIL]
 
     def test_query_start_runs_before_everything(self):
         queue = EventQueue()
-        queue.push(0.0, EventKind.DELIVER, message=make_message())
+        queue.push_deliver(0.0, make_message())
         queue.push(0.0, EventKind.QUERY_START, host=0)
-        assert pop(queue).kind is EventKind.QUERY_START
+        assert kind_of(pop(queue)) is EventKind.QUERY_START
 
 
 class TestEventQueueBehaviour:
@@ -67,38 +80,27 @@ class TestEventQueueBehaviour:
         queue = EventQueue()
         assert len(queue) == 0
         assert not queue
-        queue.push(1.0, EventKind.TIMER, host=0, timer_name="x")
+        queue.push_timer(1.0, 0, "x", None)
         assert len(queue) == 1
         assert queue
 
     def test_negative_time_rejected(self):
         queue = EventQueue()
         with pytest.raises(ValueError):
-            queue.push(-0.5, EventKind.TIMER, host=0, timer_name="x")
+            queue.push(-0.5, EventKind.FAIL, host=0)
 
     def test_pop_due_on_an_empty_queue_returns_none(self):
         assert EventQueue().pop_due(None) is None
 
     def test_horizon_leaves_a_later_front_queued(self):
         queue = EventQueue()
-        queue.push(0.5, EventKind.TIMER, host=0, timer_name="first")
-        queue.push(2.0, EventKind.TIMER, host=0, timer_name="keep")
+        queue.push_timer(0.5, 0, "first", None)
+        queue.push_timer(2.0, 0, "keep", None)
         assert queue.pop_due(1.0)[0] == 0.5
         # The front is now the 2.0 timer: not due by 1.0, and left queued.
         assert queue.pop_due(1.0) is None
         assert len(queue) == 1
         assert queue.pop_due(2.0)[0] == 2.0
-
-    def test_a_timer_tuple_and_a_timer_event_share_one_fifo(self):
-        """``push_timer`` and a generic TIMER ``push`` file into the same
-        bucket of an instant: they pop in insertion order, each in the
-        shape it was filed."""
-        queue = EventQueue()
-        queue.push_timer(1.0, 0, "a", None)
-        event = queue.push(1.0, EventKind.TIMER, host=1, timer_name="b")
-        queue.push_timer(1.0, 2, "c", None)
-        assert [pop(queue) for _ in range(3)] == [
-            (0, "a", None), event, (2, "c", None)]
 
     def test_horizon_bounded_pop_on_an_empty_queue_returns_none(self):
         assert EventQueue().pop_due(1.0) is None
@@ -106,10 +108,10 @@ class TestEventQueueBehaviour:
     def test_draining_yields_all_in_order(self):
         queue = EventQueue()
         for t in (3.0, 1.0, 2.0):
-            queue.push(t, EventKind.TIMER, host=0, timer_name=str(t))
+            queue.push_timer(t, 0, str(t), None)
         times = []
         while queue:
-            times.append(pop(queue).time)
+            times.append(queue.pop_due(None)[0])
         assert times == [1.0, 2.0, 3.0]
         assert queue.pop_due(None) is None
 
@@ -123,27 +125,27 @@ class TestTieBreakingRegression:
     def test_many_same_time_events_fifo_within_kind(self):
         queue = EventQueue()
         for i in range(200):
-            queue.push(7.0, EventKind.TIMER, host=i, timer_name=f"t{i}")
-        assert [pop(queue).host for _ in range(200)] == list(range(200))
+            queue.push_timer(7.0, i, f"t{i}", None)
+        assert [pop(queue)[0] for _ in range(200)] == list(range(200))
 
     def test_interleaved_kinds_at_one_instant_follow_priority_then_fifo(self):
         queue = EventQueue()
         # Push in an adversarial kind order; drain must be priority-major
         # (JOIN < DELIVER < TIMER < FAIL), insertion-minor.
         queue.push(1.0, EventKind.FAIL, host=10)
-        queue.push(1.0, EventKind.TIMER, host=20, timer_name="a")
-        queue.push(1.0, EventKind.DELIVER, message=make_message(0, 30))
+        queue.push_timer(1.0, 20, "a", None)
+        queue.push_deliver(1.0, make_message(0, 30))
         queue.push(1.0, EventKind.FAIL, host=11)
-        queue.push(1.0, EventKind.DELIVER, message=make_message(0, 31))
-        queue.push(1.0, EventKind.TIMER, host=21, timer_name="b")
+        queue.push_deliver(1.0, make_message(0, 31))
+        queue.push_timer(1.0, 21, "b", None)
         queue.push(1.0, EventKind.JOIN, data=(1, 2))
         drained = [pop(queue) for _ in range(7)]
-        kinds = [e.kind for e in drained]
+        kinds = [kind_of(e) for e in drained]
         assert kinds == [EventKind.JOIN, EventKind.DELIVER, EventKind.DELIVER,
                          EventKind.TIMER, EventKind.TIMER, EventKind.FAIL,
                          EventKind.FAIL]
-        assert [e.message.dest for e in drained[1:3]] == [30, 31]
-        assert [e.timer_name for e in drained[3:5]] == ["a", "b"]
+        assert [e.dest for e in drained[1:3]] == [30, 31]
+        assert [e[1] for e in drained[3:5]] == ["a", "b"]
         assert [e.host for e in drained[5:]] == [10, 11]
 
     def test_events_pushed_mid_drain_at_same_instant_keep_order(self):
@@ -151,25 +153,30 @@ class TestTieBreakingRegression:
         runs within that instant, after already-queued higher-priority
         events -- and a lower-priority-level push never jumps the queue."""
         queue = EventQueue()
-        queue.push(2.0, EventKind.DELIVER, message=make_message(0, 1))
-        queue.push(2.0, EventKind.TIMER, host=5, timer_name="first")
-        assert pop(queue).kind is EventKind.DELIVER
+        queue.push_deliver(2.0, make_message(0, 1))
+        queue.push_timer(2.0, 5, "first", None)
+        assert kind_of(pop(queue)) is EventKind.DELIVER
         # Mid-drain: schedule another timer and a delivery at time 2.0.
-        queue.push(2.0, EventKind.TIMER, host=6, timer_name="second")
-        queue.push(2.0, EventKind.DELIVER, message=make_message(0, 2))
+        queue.push_timer(2.0, 6, "second", None)
+        queue.push_deliver(2.0, make_message(0, 2))
         # The late delivery outranks both timers; timers stay FIFO.
-        assert pop(queue).message.dest == 2
-        assert pop(queue).timer_name == "first"
-        assert pop(queue).timer_name == "second"
+        assert pop(queue).dest == 2
+        assert pop(queue)[1] == "first"
+        assert pop(queue)[1] == "second"
         assert not queue
 
     def test_fast_path_delivers_interleave_with_generic_pushes(self):
         queue = EventQueue()
         queue.push_deliver(3.0, make_message(0, 1))
-        queue.push(3.0, EventKind.DELIVER, message=make_message(0, 2))
+        queue.push(3.0, EventKind.FAIL, host=7)
+        queue.push_deliver(3.0, make_message(0, 2))
+        queue.push(3.0, EventKind.JOIN, data=(1,))
         queue.push_deliver(3.0, make_message(0, 3))
-        dests = [dest_of(pop(queue)) for _ in range(3)]
-        assert dests == [1, 2, 3]
+        drained = [pop(queue) for _ in range(5)]
+        assert [kind_of(e) for e in drained] == [
+            EventKind.JOIN, EventKind.DELIVER, EventKind.DELIVER,
+            EventKind.DELIVER, EventKind.FAIL]
+        assert [e.dest for e in drained[1:4]] == [1, 2, 3]
 
     def test_push_multicast_pops_whole_at_its_fifo_position(self):
         """A multicast is one entry weighing ``len(dests)``: it keeps the
@@ -230,11 +237,8 @@ class TestTieBreakingRegression:
     def test_fuzz_matches_reference_heap_order(self):
         """Randomized differential test against the original heap
         semantics: order by (time, kind priority, global insertion seq)."""
-        import heapq
         import itertools
         import random as stdlib_random
-
-        from repro.simulation.events import _KIND_PRIORITY
 
         rng = stdlib_random.Random(1234)
         kinds = list(_KIND_PRIORITY)
@@ -248,21 +252,34 @@ class TestTieBreakingRegression:
                 time = rng.choice([0.0, 1.0, 1.0, 2.0, 2.5, 3.0])
                 kind = rng.choice(kinds)
                 label = next(labels)
-                queue.push(time, kind, host=label)
+                if kind is EventKind.DELIVER:
+                    queue.push_deliver(time, make_message(label, 0))
+                elif kind is EventKind.TIMER:
+                    queue.push_timer(time, label, "t", None)
+                else:
+                    queue.push(time, kind, host=label)
                 heapq.heappush(
                     reference,
                     (time, _KIND_PRIORITY[kind], next(counter), label))
                 if rng.random() < 0.25 and queue:
-                    got = pop(queue)
-                    expected = heapq.heappop(reference)
-                    assert (got.time, got.priority, got.host) == (
-                        expected[0], expected[1], expected[3])
+                    assert _popped(queue) == _expected(reference)
             while queue:
-                got = pop(queue)
-                expected = heapq.heappop(reference)
-                assert (got.time, got.priority, got.host) == (
-                    expected[0], expected[1], expected[3])
+                assert _popped(queue) == _expected(reference)
             assert not reference
+
+
+def _popped(queue):
+    """``(time, priority, label)`` of the next entry: a message's sender,
+    a timer tuple's host or an event's host is its label."""
+    time, entry = queue.pop_due(None)
+    label = (entry.sender if isinstance(entry, Message)
+             else entry[0] if entry.__class__ is tuple else entry.host)
+    return time, _KIND_PRIORITY[kind_of(entry)], label
+
+
+def _expected(reference):
+    time, priority, _, label = heapq.heappop(reference)
+    return time, priority, label
 
 
 class TestOccupancyWindow:
@@ -278,16 +295,16 @@ class TestOccupancyWindow:
 
     def test_window_tracks_pushes(self):
         queue = EventQueue(width=2.0)
-        queue.push(3.0, EventKind.TIMER, host=0, timer_name="t")
-        queue.push(7.5, EventKind.TIMER, host=1, timer_name="t")
+        queue.push_timer(3.0, 0, "t", None)
+        queue.push_timer(7.5, 1, "t", None)
         occupancy = queue.occupancy()
         assert occupancy["horizon"] == 7.5
         assert occupancy["current_epoch"] == int(3.0 / 2.0)
 
     def test_pop_advances_the_window_front(self):
         queue = EventQueue()
-        queue.push(1.0, EventKind.TIMER, host=0, timer_name="t")
-        queue.push(2.0, EventKind.TIMER, host=1, timer_name="t")
+        queue.push_timer(1.0, 0, "t", None)
+        queue.push_timer(2.0, 1, "t", None)
         pop(queue)
         occupancy = queue.occupancy()
         assert occupancy["horizon"] == 2.0
@@ -295,8 +312,8 @@ class TestOccupancyWindow:
 
     def test_slots_count_only_timestamps_with_a_live_entry(self):
         queue = EventQueue()
-        queue.push(1.0, EventKind.TIMER, host=0, timer_name="t")
-        queue.push(2.0, EventKind.TIMER, host=1, timer_name="t")
+        queue.push_timer(1.0, 0, "t", None)
+        queue.push_timer(2.0, 1, "t", None)
         pop(queue)
         occupancy = queue.occupancy()
         assert (occupancy["pending"], occupancy["slots"]) == (1, 1)
@@ -308,7 +325,7 @@ class TestOccupancyWindow:
     def test_timer_tuples_count_like_every_other_entry(self):
         queue = EventQueue()
         queue.push_timer(1.0, 0, "flush", None)
-        queue.push(1.0, EventKind.TIMER, host=1, timer_name="t")
+        queue.push(1.0, EventKind.FAIL, host=1)
         queue.push_timer(9.0, 2, "flush", None)
         occupancy = queue.occupancy()
         assert (occupancy["pending"], occupancy["slots"],
@@ -334,9 +351,8 @@ class TestOccupancyWindow:
             for _ in range(400):
                 if rng.random() < 0.5 or not live:
                     time = float(rng.randrange(0, 40)) / 4.0
-                    event = queue.push(time, EventKind.TIMER,
-                                       host=rng.randrange(8),
-                                       timer_name="t")
+                    event = queue.push(time, EventKind.FAIL,
+                                       host=rng.randrange(8))
                     live.append((time, event))
                 else:
                     popped = pop(queue)
@@ -363,7 +379,7 @@ class TestOccupancyWindow:
         (``delta = 0.7``, ``k = 3`` among them)."""
         for k in range(1, 40):
             queue = EventQueue(width=delta)
-            queue.push(k * delta, EventKind.TIMER, host=0, timer_name="t")
+            queue.push_timer(k * delta, 0, "t", None)
             assert queue.occupancy()["current_epoch"] == k
 
 

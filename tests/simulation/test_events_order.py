@@ -39,7 +39,7 @@ def test_negative_time_rejected_on_every_entry_point():
     message = Message(0, 1, "QUERY", None)
     for bad in (-1.0, -5e-324, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="time"):
-            queue.push(bad, EventKind.TIMER, host=0)
+            queue.push(bad, EventKind.FAIL, host=0)
         with pytest.raises(ValueError, match="time"):
             queue.push_deliver(bad, message)
         with pytest.raises(ValueError, match="time"):
@@ -123,8 +123,7 @@ def test_two_queues_share_no_state():
 # ---------------------------------------------------------------------------
 
 _TIMES = (0.0, 0.5, 1.0, 1.5, 2.5, 7.25)
-_KINDS = (EventKind.TIMER, EventKind.CUSTOM, EventKind.FAIL,
-          EventKind.DELIVER, EventKind.QUERY_START)
+_KINDS = (EventKind.CUSTOM, EventKind.FAIL, EventKind.QUERY_START)
 
 # The grid makes many events share a key (the fixed-delay regime); the
 # floats give nearly every event a key of its own (variable delay).

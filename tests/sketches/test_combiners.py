@@ -16,7 +16,7 @@ from repro.sketches.combiners import (
     MinCombiner,
     combiner_for_query,
 )
-from repro.sketches.fm import SAMPLING_MODES, sampling_mode
+from repro.sketches.fm import SAMPLING_MODES, FMSketch, sampling_mode
 
 
 @pytest.fixture
@@ -65,6 +65,20 @@ class TestExactCombiners:
         assert AverageState(total=0.0, count=0.0).value() == 0.0
 
 
+#: What each FM combiner's state packs, drawn through ``FMSketch``.
+_SKETCHES = {
+    FMCountCombiner: lambda value, rng: (FMSketch.for_new_element(8, rng),),
+    FMSumCombiner: lambda value, rng: (FMSketch.for_value(value, 8, rng),),
+    FMAverageCombiner: lambda value, rng: (FMSketch.for_value(value, 8, rng),
+                                           FMSketch.for_new_element(8, rng)),
+}
+
+
+def _parts(state):
+    """A state's packed ints: the pair's two, or the one int."""
+    return list(state) if type(state) is tuple else [state]
+
+
 class TestFMCombiners:
     def test_count_combiner_estimates(self, rng):
         combiner = FMCountCombiner(repetitions=16)
@@ -100,14 +114,9 @@ class TestFMCombiners:
 
     def test_average_combiner_empty_count_guard(self, rng):
         combiner = FMAverageCombiner(repetitions=4)
-        # A handcrafted state with empty sketches finalizes to 0 rather than
+        # A handcrafted pair of empty sketches finalizes to 0 rather than
         # dividing by zero.
-        from repro.sketches.fm import FMSketch
-        from repro.sketches.combiners import _FMAverageState
-
-        state = _FMAverageState(sum_sketch=FMSketch.empty(4),
-                                count_sketch=FMSketch.empty(4))
-        assert combiner.finalize(state) == 0.0
+        assert combiner.finalize((0, 0)) == 0.0
 
     def test_invalid_repetitions(self):
         with pytest.raises(ValueError):
@@ -135,24 +144,33 @@ class TestFMCombiners:
         for value in (-0.5, -1.0):
             with pytest.raises(ValueError, match="non-negative"):
                 combiner.initial(value, rng)
-        if combiner_class is FMSumCombiner:
-            with pytest.raises(ValueError, match="non-negative"):
-                combiner.initial_packed(-0.5, rng)
 
     @pytest.mark.parametrize("mode", SAMPLING_MODES)
-    @pytest.mark.parametrize("value", [0, 0.9, 1, 47, 500])
-    @pytest.mark.parametrize("combiner_class", [FMCountCombiner, FMSumCombiner])
-    def test_initial_packed_is_the_initial_sketch(self, combiner_class, value,
-                                                   mode):
-        """The one packed call a packed-state host makes draws what
-        ``initial`` draws: the same bits and the same RNG state after."""
+    # 64 and 65: one whole block of the fast SUM sampler, and one over.
+    @pytest.mark.parametrize("value", [0, 0.9, 1, 47, 64, 65, 500])
+    @pytest.mark.parametrize("combiner_class", sorted(
+        _SKETCHES, key=lambda cls: cls.name))
+    def test_the_state_is_the_packed_sketch(self, combiner_class, value,
+                                            mode):
+        """A state is the packed int of what ``FMSketch`` draws from an
+        equal-seeded RNG (a ``(sum, count)`` pair for the average), and
+        leaves the RNG in the same state; ``combine`` is the sketches'
+        ``merge`` and ``finalize`` their estimate."""
         combiner = combiner_class(repetitions=8)
+        sketches = _SKETCHES[combiner_class]
         with sampling_mode(mode):
             for seed in range(3):
-                packed_rng, sketch_rng = random.Random(seed), random.Random(seed)
-                assert combiner.initial_packed(value, packed_rng) == (
-                    combiner.initial(value, sketch_rng).packed)
-                assert packed_rng.getstate() == sketch_rng.getstate()
+                state_rng, sketch_rng = random.Random(seed), random.Random(seed)
+                a, b = (combiner.initial(value, state_rng) for _ in range(2))
+                x, y = (sketches(value, sketch_rng) for _ in range(2))
+                merged = [s.merge(t) for s, t in zip(x, y)]
+                assert state_rng.getstate() == sketch_rng.getstate()
+                assert [_parts(state) for state in (
+                    a, b, combiner.combine(a, b))] == [
+                    [s.packed for s in drawn] for drawn in (x, y, merged)]
+                estimates = [s.estimate() for s in merged] + [1.0]
+                assert combiner.finalize(combiner.combine(a, b)) == (
+                    estimates[0] / estimates[1])
 
 
 class TestFactory:
