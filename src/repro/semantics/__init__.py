@@ -8,7 +8,6 @@ _EXPORTS = {
     "check_approximate_single_site_validity": "validity",
     "stable_core": "validity",
     "Oracle": "oracle",
-    "completeness": "metrics",
     "relative_error": "metrics",
 }
 __all__ = list(_EXPORTS)

@@ -1,32 +1,15 @@
 """Post-hoc validity metrics from related work (Section 2.4).
 
-Completeness and Relative Error are the metrics earlier best-effort systems
-used to characterise answer quality.  The paper points out that both can
-only be computed by an oracle after the fact; they are provided here for the
+Relative Error is the metric earlier best-effort systems used to
+characterise answer quality (Completeness, the other, is
+``Oracle.completeness_of``).  The paper points out that both can only be
+computed by an oracle after the fact; they are provided here for the
 comparison experiments.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-
-def completeness(contributing_hosts: Iterable[int], total_hosts: int) -> float:
-    """Percentage of hosts whose data contributed to the final result.
-
-    Args:
-        contributing_hosts: hosts whose values reached the querying host.
-        total_hosts: number of hosts in the network.
-
-    Returns:
-        A fraction in [0, 1]; 1.0 means every host contributed.
-    """
-    if total_hosts <= 0:
-        raise ValueError("total_hosts must be positive")
-    unique = set(contributing_hosts)
-    if any(h < 0 or h >= total_hosts for h in unique):
-        raise ValueError("contributing host id out of range")
-    return len(unique) / total_hosts
+from typing import Sequence
 
 
 def relative_error(reported: float, true_value: float) -> float:
@@ -45,16 +28,6 @@ def accuracy_ratio(reported: float, true_value: float) -> float:
     if true_value == 0:
         return float("inf") if reported else 1.0
     return reported / true_value
-
-
-def within_factor(reported: float, true_value: float, factor: float) -> bool:
-    """Whether ``1/factor <= reported/true <= factor`` (Lemma 5.1 guarantee)."""
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    if true_value == 0:
-        return reported == 0
-    ratio = reported / true_value
-    return (1.0 / factor) <= ratio <= factor
 
 
 def mean_and_confidence_interval(samples: Sequence[float], z: float = 1.96):

@@ -3,26 +3,37 @@
 Events drain in ``(time, kind priority, insertion)`` order, so ties are
 broken deterministically and a run is reproducible for a fixed seed.
 
-One structure holds them: a dict ``(time, priority) -> bucket`` -- a
-FIFO list, position *is* insertion order -- plus one ``heapq`` of those
-keys, with the front bucket and its cursor cached on the queue.  A push
-is a tuple, a dict lookup and an append (a new key adds a list and a
-``heappush``); a pop reads the cached front and retires an exhausted
-key with one ``heappop``.  Keys rather than per-timestamp slots because
-the traffic is bimodal (counted on the benchmark's 6000-host floods):
-at fixed delay 84 215 pushes share 23 keys and the heap is never deeper
-than 3, under a variable-delay model 61 394 pushes make 61 394 keys --
-one tuple, one list and one C-level sift each, and nothing else.
+One structure holds them: one ``heapq`` of items ``(time, priority,
+seq, x)``.  ``seq`` counts the queue's items, so items of one ``(time,
+priority)`` key drain in filing order; ``x`` is one entry or a
+*bucket*, the FIFO list of entries filed at one key (position *is*
+insertion order).  There is no key table and no key hashing.  For each
+hot kind (deliveries, timers) the queue remembers the time of its last
+push and the bucket open there: a push at that time appends to it (the
+second such push opens it, an item whose later ``seq`` sorts it behind
+the first, lone entry), a push at any other time files a one-entry
+item, and ``push`` always does.  A pop takes a one-entry item with one
+``heappop``; a bucket stays at the heap's front while a cursor walks it
+and leaves with one ``heappop`` in the pop that drains it.  One entry
+*or* a bucket per item because the traffic is bimodal (counted on the
+benchmark's ``flood_py`` and ``flood_jitter`` floods): at fixed delay
+84 215 pushes file 44 items and the heap is never deeper than 5, under
+a variable-delay model 61 394 pushes file 61 394 items -- one tuple and
+one C-level sift each, and nothing else.  A heap of one item per entry
+would sift thousands of live entries per pop at fixed delay; a key
+table beside the heap costs a tuple hash per lookup and a list per
+variable-delay push.
 
 Three cases keep the order exact:
 
-* an event appended to the bucket *being drained* (a zero-delay timer)
-  lands beyond the cursor and still runs in that instant: a bucket that
-  ran dry stays filed until the next pop finds it so;
-* a new key below the front becomes the front at once: the pre-empted
-  bucket drops its drained prefix and later resumes where it stopped;
-* a key re-created after its bucket was retired is a new bucket: it
-  sorts after everything already popped and before every larger key.
+* an entry filed at the key of the bucket *being drained* (a zero-delay
+  timer) lands beyond the cursor and still runs in that instant;
+* a new item below a half-drained bucket becomes the front at once: the
+  pre-empted bucket drops its drained prefix when the cursor next walks
+  another bucket, and later resumes where it stopped;
+* a key filed at again after its bucket drained is a new item: its
+  later ``seq`` sorts it after everything already popped and before
+  every larger key.
 
 A multicast is *one* entry weighing ``len(dests)``: it is filed, popped
 and counted out of ``len`` whole as one :class:`_DeliverBatch` -- the
@@ -45,8 +56,8 @@ from __future__ import annotations
 
 import enum
 from heapq import heappop, heappush
-from itertools import islice
-from math import inf
+from itertools import count, islice
+from math import inf, nan
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.simulation.clock import tick_index
@@ -94,8 +105,8 @@ _EVENT_PRIORITY = {kind: priority for kind, priority in _KIND_PRIORITY.items()
 class Event:
     """A scheduled simulation event filed through :meth:`EventQueue.push`.
 
-    Events are never compared: FIFO position in their bucket is their
-    order.
+    Events are never compared: each is a heap item of its own, ordered
+    by the item's ``seq``.
     """
 
     __slots__ = ("time", "priority", "kind", "host", "data")
@@ -151,9 +162,10 @@ class EventQueue:
     Time-validity contract: **every** scheduling entry point (``push``,
     ``push_deliver``, ``push_timer``, ``push_multicast``) rejects a
     negative, infinite or NaN time with :class:`ValueError` -- stated
-    once, in :func:`_check_time`, which :meth:`_bucket_at` applies to
-    each new key (a key already filed passed it) and an empty multicast,
-    which files nothing, applies itself.
+    once, in :func:`_check_time`, which :meth:`_file` applies to each
+    time it has not just filed at (and so before it remembers one),
+    ``push`` to every event and an empty multicast, which files
+    nothing, to itself.
 
     Args:
         width: the epoch unit of ``occupancy()["current_epoch"]`` (the
@@ -165,14 +177,17 @@ class EventQueue:
         if width <= 0:
             raise ValueError("epoch width must be positive")
         self._width = float(width)
-        self._buckets: Dict[Tuple[float, int], List[Any]] = {}
-        self._keys: List[Tuple[float, int]] = []  # heap; one entry per bucket
-        # The bucket of ``_keys[0]``, the index of its next entry and its
-        # time; with no key pending, an empty list (exhausted, like a
-        # drained bucket, so the pop path needs no separate test for it).
-        self._front: List[Any] = []
+        # heapq of (time, priority, seq, one entry or a FIFO bucket list).
+        self._heap: List[Tuple[float, int, int, Any]] = []
+        self._seq = count().__next__
+        # Per priority: the time of the last hot-kind push and the bucket
+        # open there (None until a second push at that time opens one).
+        # NaN equals no time, so the first push of a kind files an item.
+        self._open_at = [nan] * _NUM_PRIORITIES
+        self._open: List[Optional[List[Any]]] = [None] * _NUM_PRIORITIES
+        # The bucket the cursor walks (the front's, or a pre-empted one).
+        self._walked: Optional[List[Any]] = None
         self._cursor = 0
-        self._time = 0.0
         self._size = 0
 
     def __len__(self) -> int:
@@ -181,22 +196,20 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._size > 0
 
-    def _bucket_at(self, time: float, priority: int) -> List[Any]:
-        """The FIFO bucket of ``(time, priority)``, filing a new key once."""
-        key = (time, priority)
-        bucket = self._buckets.get(key)
-        if bucket is None:
+    def _file(self, time: float, priority: int, entry: Any) -> None:
+        """File a hot-kind entry: into the bucket open at ``time``, as
+        the item that opens it, or -- at a time of its own -- alone."""
+        if time == self._open_at[priority]:
+            bucket = self._open[priority]
+            if bucket is not None:
+                bucket.append(entry)
+                return
+            entry = self._open[priority] = [entry]
+        else:
             _check_time(time)
-            bucket = self._buckets[key] = []
-            heappush(self._keys, key)
-            if self._keys[0] is key:
-                # A new minimum pre-empts the front, which drops its
-                # drained prefix to resume at index 0 like any other.
-                del self._front[:self._cursor]
-                self._front = bucket
-                self._cursor = 0
-                self._time = time
-        return bucket
+            self._open_at[priority] = time
+            self._open[priority] = None
+        heappush(self._heap, (time, priority, self._seq(), entry))
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -205,10 +218,10 @@ class EventQueue:
              data: Any = None) -> Event:
         """Schedule a QUERY_START, JOIN, CUSTOM or FAIL event and return it.
 
-        A DELIVER or TIMER is refused here, at the call, with
-        :class:`ValueError`: the engine takes those kinds only as
-        :meth:`push_deliver` / :meth:`push_multicast` messages and
-        :meth:`push_timer` tuples.
+        The event is one heap item of its own.  A DELIVER or TIMER is
+        refused here, at the call, with :class:`ValueError`: the engine
+        takes those kinds only as :meth:`push_deliver` /
+        :meth:`push_multicast` messages and :meth:`push_timer` tuples.
         """
         try:
             priority = _EVENT_PRIORITY[kind]
@@ -217,27 +230,27 @@ class EventQueue:
                 f"{kind!r} is not filed as an Event: use push_deliver / "
                 f"push_multicast for a delivery, push_timer for a timer"
             ) from None
+        _check_time(time)
         event = Event(time, priority, kind, host, data)
-        self._bucket_at(time, priority).append(event)
+        heappush(self._heap, (time, priority, self._seq(), event))
         self._size += 1
         return event
 
     def push_deliver(self, time: float, message: Message) -> None:
         """Fast-path scheduling of a message delivery (the hot event kind).
 
-        The bare :class:`Message` is stored in the deliver bucket of its
-        instant with no :class:`Event` wrapper, and a bare message is
-        what the engine delivers.
+        The bare :class:`Message` is filed with no :class:`Event`
+        wrapper, and a bare message is what the engine delivers.
         """
-        self._bucket_at(time, _DELIVER_PRIORITY).append(message)
+        self._file(time, _DELIVER_PRIORITY, message)
         self._size += 1
 
     def push_timer(self, time: float, host: int, name: str, info: Any) -> None:
-        """Schedule a host timer: the tuple ``(host, name, info)`` in the
-        TIMER bucket of its instant, and that tuple is what pops.  Like a
-        bare message it is the one shape the engine handles for its kind.
+        """Schedule a host timer: the tuple ``(host, name, info)`` is
+        filed, and that tuple is what pops.  Like a bare message it is
+        the one shape the engine handles for its kind.
         """
-        self._bucket_at(time, _TIMER_PRIORITY).append((host, name, info))
+        self._file(time, _TIMER_PRIORITY, (host, name, info))
         self._size += 1
 
     def push_multicast(
@@ -255,9 +268,9 @@ class EventQueue:
     ) -> None:
         """Schedule one multicast's deliveries without materialising them.
 
-        The bucket holds one :class:`_DeliverBatch` -- the one message
-        all destinations receive -- where one :meth:`push_deliver` per
-        destination would hold ``len(dests)`` messages; ``len`` counts it
+        One :class:`_DeliverBatch` is filed -- the one message all
+        destinations receive -- where one :meth:`push_deliver` per
+        destination would file ``len(dests)`` messages; ``len`` counts it
         as ``len(dests)`` and the engine delivers it in ``dests`` order,
         exactly as those messages would drain.  This is the engine's
         fixed-delay multicast fast path.  An empty ``dests`` files
@@ -266,56 +279,58 @@ class EventQueue:
         if not dests:
             _check_time(time)
             return
-        self._bucket_at(time, _DELIVER_PRIORITY).append(
-            _DeliverBatch(sender, dests, kind, payload, sent_at,
-                          chain_depth, wireless, query_id, vtime))
+        self._file(time, _DELIVER_PRIORITY,
+                   _DeliverBatch(sender, dests, kind, payload, sent_at,
+                                 chain_depth, wireless, query_id, vtime))
         self._size += len(dests)
 
     # ------------------------------------------------------------------
     # Introspection (pull-based; never touched by the drain hot path)
     # ------------------------------------------------------------------
-    def _live(self, bucket: List[Any]) -> Iterator[Any]:
-        """The unconsumed entries of ``bucket``, in order (only the front
-        bucket has a consumed prefix)."""
-        return islice(bucket, self._cursor if bucket is self._front else 0,
-                      None)
+    def _live(self, x: Any) -> Iterator[Any]:
+        """The unconsumed entries of one heap item's ``x``, in order
+        (only the walked bucket has a consumed prefix)."""
+        if x.__class__ is not list:
+            return iter((x,))
+        return islice(x, self._cursor if x is self._walked else 0, None)
 
     def occupancy(self) -> Dict[str, Any]:
         """Queue depth and the pending time window, computed on demand.
 
-        Walks the bucket table (one entry per key, looking at most at
-        one entry of each bucket) -- far from touching every event, so a
-        metrics snapshot stays safe to take mid-run at any scale.
+        Walks the heap (one item per lone entry or bucket, never into a
+        bucket) -- far from touching every event, so a metrics snapshot
+        stays safe to take mid-run at any scale.
 
         ``slots`` counts the distinct timestamps that still have an
         unconsumed entry, ``horizon`` is the latest of them and
         ``current_epoch`` the index, in units of ``width``, of the
         earliest -- exactly the window the sharded lane's barrier
         scheduler reasons about.  Both are ``None`` when nothing is
-        pending; already-drained positions never count.
+        pending.  Every item in the heap holds a live entry: a drained
+        bucket leaves it in the pop that drains it.
         """
-        live = [key[0] for key, bucket in self._buckets.items()
-                if next(self._live(bucket), None) is not None]
+        heap = self._heap
+        live = {item[0] for item in heap}
         return {
             "pending": self._size,
-            "slots": len(set(live)),
+            "slots": len(live),
             "horizon": max(live, default=None),
-            "current_epoch": (tick_index(min(live), self._width) if live
+            "current_epoch": (tick_index(heap[0][0], self._width) if heap
                               else None),
         }
 
     def iter_pending(self) -> Iterator[Any]:
         """Yield ``(entry, weight)`` for every queued entry.
 
-        Non-destructive and unordered (bucket-table order).  ``entry`` is
-        a bare :class:`Message`, a :class:`_DeliverBatch` (``weight`` =
-        its destinations), a timer's ``(host, name, info)`` tuple or an
+        Non-destructive and unordered (heap order).  ``entry`` is a bare
+        :class:`Message`, a :class:`_DeliverBatch` (``weight`` = its
+        destinations), a timer's ``(host, name, info)`` tuple or an
         :class:`Event`; already-popped positions are skipped.  The
         weights sum to ``len(queue)``.  Intended for metrics collectors,
         not for draining.
         """
-        for bucket in self._buckets.values():
-            for entry in self._live(bucket):
+        for item in self._heap:
+            for entry in self._live(item[3]):
                 if entry.__class__ is _DeliverBatch:
                     yield entry, len(entry.dests)
                 else:
@@ -324,25 +339,22 @@ class EventQueue:
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
-    def _next_bucket(self) -> bool:
-        """Retire the exhausted front bucket and cache the next one.
-
-        Returns whether there is one.  Called by the pop *after* the
-        bucket ran dry, so an event appended to the instant being drained
-        needs no new key: it is met at the cursor.
-        """
-        keys = self._keys
-        if not keys:
-            return False
-        del self._buckets[heappop(keys)]
+    def _walk(self, bucket: List[Any]) -> None:
+        """Point the cursor at ``bucket``, the new front.  A bucket the
+        cursor leaves half drained was pre-empted by a lower item: it
+        drops its drained prefix, to resume at index 0 like any other."""
+        if self._walked is not None:
+            del self._walked[:self._cursor]
+        self._walked = bucket
         self._cursor = 0
-        if not keys:
-            self._front = []
-            return False
-        key = keys[0]
-        self._front = self._buckets[key]
-        self._time = key[0]
-        return True
+
+    def _retire(self, priority: int, bucket: List[Any]) -> None:
+        """Forget a bucket whose item just left the heap: a later push at
+        its time opens a new one, behind everything already popped."""
+        if bucket is self._walked:
+            self._walked = None
+        if bucket is self._open[priority]:
+            self._open[priority] = None
 
     def pop_due(self, horizon: Optional[float]):
         """Consume and return ``(time, entry)`` for the earliest live entry.
@@ -356,34 +368,50 @@ class EventQueue:
         after it is *not* consumed and ``None`` is returned; ``None``
         consumes unconditionally.  An empty queue returns ``None``.
 
+        A lone entry leaves the heap with one ``heappop``.  A bucket
+        stays at the front while the cursor walks it, so an entry filed
+        at its key meanwhile (a zero-delay timer) lands beyond the cursor
+        and still runs in that instant; the pop that takes its last entry
+        retires it with one ``heappop``.
+
         Whatever is filed while the caller works through a batch sorts
         against the *popped* position: at the batch's own key it lands
         behind it, at a later key it drains later -- both as if the
-        batch's deliveries had been filed one by one.  Only a key *below*
-        an in-progress DELIVER bucket (a QUERY_START or JOIN at this very
-        instant) would have cut in between two destinations and now runs
-        after the last; no message handler can file one
+        batch's deliveries had been filed one by one.  Only an item
+        *below* an in-progress DELIVER (a QUERY_START or JOIN at this
+        very instant) would have cut in between two destinations and now
+        runs after the last; no message handler can file one
         (``HostContext.send`` delays lie in ``(0, delta]``,
         ``set_timer`` files at TIMER priority).
         """
-        while True:
-            bucket = self._front
+        heap = self._heap
+        if not heap:
+            return None
+        item = heap[0]
+        time = item[0]
+        if horizon is not None and time > horizon:
+            return None
+        entry = item[3]
+        if entry.__class__ is list:
+            bucket = entry
+            if bucket is not self._walked:
+                self._walk(bucket)
             index = self._cursor
-            if index == len(bucket):
-                if not self._next_bucket():
-                    return None
-                continue
-            time = self._time
-            if horizon is not None and time > horizon:
-                return None
             entry = bucket[index]
             bucket[index] = None  # release the popped position
-            self._cursor = index + 1
-            if entry.__class__ is _DeliverBatch:
-                self._size -= len(entry.dests)
+            index += 1
+            if index == len(bucket):
+                heappop(heap)
+                self._retire(item[1], bucket)
             else:
-                self._size -= 1
-            return time, entry
+                self._cursor = index
+        else:
+            heappop(heap)
+        if entry.__class__ is _DeliverBatch:
+            self._size -= len(entry.dests)
+        else:
+            self._size -= 1
+        return time, entry
 
     def pop_tick(self, horizon: Optional[float] = None):
         """Consume *every* event of the earliest instant in one call.
@@ -392,36 +420,34 @@ class EventQueue:
         ``_NUM_PRIORITIES`` lists in priority order; each entry is what
         ``pop_due`` would have returned -- a bare :class:`Message`, a
         whole :class:`_DeliverBatch`, a timer tuple or an :class:`Event`.
-        The instant's keys are retired exactly as if it had been drained
-        with ``pop_due`` -- the per-entry order within each list is the
-        drain order.  When ``horizon`` is given, an instant due after it
-        is left untouched and ``None`` is returned; an empty queue also
-        returns ``None``.
+        Each of the instant's items leaves the heap with one ``heappop``
+        in drain order, a bucket as one slice (its live part), so the
+        per-entry order within each list is the ``pop_due`` order.  When
+        ``horizon`` is given, an instant due after it is left untouched
+        and ``None`` is returned; an empty queue also returns ``None``.
 
-        Unlike ``pop_due``, events appended to the instant *while the
-        caller processes the returned lists* land in fresh buckets and
+        Unlike ``pop_due``, events filed at the instant *while the
+        caller processes the returned lists* open fresh items and
         surface on the next call.  Nothing under ``src/`` calls this
         since the tick lanes got their own flat lists; it stays for the
         frozen ``perf_kernels.events_tick`` benchmark kernel.
         """
-        keys = self._keys
-        while self._cursor < len(self._front) or self._next_bucket():
-            time = self._time
-            if horizon is not None and time > horizon:
-                return None
-            out: List[List[Any]] = [[] for _ in range(_NUM_PRIORITIES)]
-            removed = 0
-            while True:  # each bucket of the instant in turn
-                bucket = self._front
-                entries = bucket[self._cursor:]
-                out[keys[0][1]] += entries
-                for entry in entries:
-                    removed += (len(entry.dests)
-                                if entry.__class__ is _DeliverBatch else 1)
-                self._cursor = len(bucket)
-                if not self._next_bucket() or self._time != time:
-                    break
-            self._size -= removed
-            if any(out):
-                return time, out
-        return None
+        heap = self._heap
+        if not heap:
+            return None
+        time = heap[0][0]
+        if horizon is not None and time > horizon:
+            return None
+        out: List[List[Any]] = [[] for _ in range(_NUM_PRIORITIES)]
+        removed = 0
+        while heap and heap[0][0] == time:
+            _, priority, _, x = heappop(heap)
+            entries = list(self._live(x))
+            if x.__class__ is list:
+                self._retire(priority, x)
+            out[priority] += entries
+            for entry in entries:
+                removed += (len(entry.dests)
+                            if entry.__class__ is _DeliverBatch else 1)
+        self._size -= removed
+        return time, out

@@ -4,27 +4,9 @@ import pytest
 
 from repro.semantics.metrics import (
     accuracy_ratio,
-    completeness,
     mean_and_confidence_interval,
     relative_error,
-    within_factor,
 )
-
-
-class TestCompleteness:
-    def test_basic_fraction(self):
-        assert completeness([0, 1, 2], 4) == pytest.approx(0.75)
-
-    def test_duplicates_ignored(self):
-        assert completeness([1, 1, 1], 3) == pytest.approx(1 / 3)
-
-    def test_out_of_range_host_rejected(self):
-        with pytest.raises(ValueError):
-            completeness([5], 3)
-
-    def test_invalid_total(self):
-        with pytest.raises(ValueError):
-            completeness([0], 0)
 
 
 class TestRelativeError:
@@ -46,22 +28,6 @@ class TestAccuracyRatio:
     def test_zero_truth(self):
         assert accuracy_ratio(0, 0) == 1.0
         assert accuracy_ratio(3, 0) == float("inf")
-
-
-class TestWithinFactor:
-    def test_inside_and_outside(self):
-        assert within_factor(150, 100, 2)
-        assert within_factor(60, 100, 2)
-        assert not within_factor(40, 100, 2)
-        assert not within_factor(250, 100, 2)
-
-    def test_zero_truth(self):
-        assert within_factor(0, 0, 2)
-        assert not within_factor(1, 0, 2)
-
-    def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            within_factor(1, 1, 0)
 
 
 class TestConfidenceInterval:

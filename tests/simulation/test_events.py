@@ -385,7 +385,8 @@ class TestOccupancyWindow:
 
 class TestOneStructure:
     """``width`` cannot grow back into a performance knob, the drain loop
-    cannot fork and the queue cannot grow lazy expansion back."""
+    cannot fork, the queue cannot grow lazy expansion back and it keeps
+    no key table beside its heap."""
 
     @staticmethod
     def _readers(path, attr):
@@ -404,6 +405,34 @@ class TestOneStructure:
 
         assert self._readers(pathlib.Path(events.__file__),
                              "_width") == ["occupancy"]
+
+    def test_no_attribute_is_a_dict_after_mixed_traffic(self):
+        """1 000 pushes through all four entry points, at shared and at
+        lone times, with partial drains between them: no lookup table
+        stands beside the heap at any point."""
+        import random as stdlib_random
+
+        rng = stdlib_random.Random(43)
+        queue = EventQueue()
+        message = make_message()
+        for index in range(1000):
+            time = (rng.choice((1.0, 2.0, 2.0, 3.5)) if rng.random() < 0.5
+                    else rng.uniform(0.0, 8.0))
+            which = index % 4
+            if which == 0:
+                queue.push(time, EventKind.CUSTOM, data=index)
+            elif which == 1:
+                queue.push_deliver(time, message)
+            elif which == 2:
+                queue.push_multicast(time, 0, (1, 2, 3), "k", None, 0.0, 1)
+            else:
+                queue.push_timer(time, index, "t", None)
+            if rng.random() < 0.3:
+                for _ in range(rng.randrange(1, 6)):
+                    queue.pop_due(None)
+            assert not [name for name, value in vars(queue).items()
+                        if isinstance(value, dict)]
+        assert queue
 
     def test_the_queue_builds_no_message_and_resumes_no_batch(self):
         """Expansion lives in the engine: ``events.py`` never calls

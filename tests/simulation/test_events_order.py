@@ -4,10 +4,12 @@
 (``push_deliver``/``push_timer``/``push_multicast``) silently accepted
 them; all four entry points now share one contract.
 
-The drawn fuzz interleaves all four push paths, ``pop_due`` and
-``pop_tick`` on a shared time grid and on float times that each own a
-key, and checks ``len``, ``occupancy()["pending"]`` and the drain order
-against a reference heap model after every operation.  A multicast is
+The drawn fuzz interleaves all four push paths, ``pop_due`` (with and
+without a horizon) and ``pop_tick`` on a shared time grid, on float
+times that each own a key, and at the times the queue's structure turns
+on: a kind's last time, the last popped time and below the front.  It
+checks ``len``, ``occupancy()`` and the ``iter_pending`` weights after
+every operation and the drain order against a reference heap model.  A multicast is
 one model entry weighing ``len(dests)``: it pops whole and leaves
 ``len`` whole.  A timer pops as its ``(host, name, info)`` tuple.
 """
@@ -54,6 +56,50 @@ def test_negative_time_rejected_on_every_entry_point():
     assert len(queue) == 0
     assert queue.occupancy()["slots"] == 0
     assert queue.pop_due(None) is None
+
+
+# One filing per entry point, in the shape the law's ``_file`` takes.
+_ENTRY_POINTS = {
+    "push": ("push", 1),
+    "push_deliver": ("deliver",),
+    "push_timer": ("timer",),
+    "push_multicast": ("multicast", 2),
+}
+
+
+def _drain(queue):
+    out = []
+    while (front := queue.pop_due(None)) is not None:
+        out.append((front[0], front[1].__class__, _label(front[1])))
+    return out
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("entry_point", sorted(_ENTRY_POINTS))
+def test_a_refused_push_leaves_the_queue_as_it_was(entry_point, bad):
+    """A refused time is never remembered as the time last filed at: the
+    same refusal repeats, and pushes at the time last filed at (here
+    2.0) and at others drain exactly as on a queue that never saw it."""
+    labels = itertools.count()
+    before = [(name, time, next(labels)) for time in (1.0, 2.0, 2.0)
+              for name in sorted(_ENTRY_POINTS)]
+    after = [(name, time, next(labels)) for time in (2.0, 2.0, 1.0, 3.0, 2.0)
+             for name in sorted(_ENTRY_POINTS)]
+    queue, fresh = EventQueue(), EventQueue()
+    for target in (queue, fresh):
+        for name, time, label in before:
+            _file(target, _ENTRY_POINTS[name], time, label)
+        assert target.pop_due(None)[0] == 1.0
+    for _ in range(2):
+        with pytest.raises(ValueError, match="time"):
+            _file(queue, _ENTRY_POINTS[entry_point], bad, "refused")
+        assert len(queue) == len(fresh)
+    for target in (queue, fresh):
+        for name, time, label in after:
+            _file(target, _ENTRY_POINTS[name], time, label)
+    assert len(queue) == len(fresh)
+    assert _drain(queue) == _drain(fresh)
+    assert len(queue) == 0
 
 
 def test_zero_time_accepted_on_every_entry_point():
@@ -129,14 +175,35 @@ _KINDS = (EventKind.CUSTOM, EventKind.FAIL, EventKind.QUERY_START)
 # floats give nearly every event a key of its own (variable delay).
 _time = st.one_of(st.sampled_from(_TIMES), st.floats(0, 8, allow_nan=False))
 
+# What is filed: an Event of one of ``_KINDS``, a bare delivery, a
+# multicast to 1..4 destinations or a timer.
+_what = st.one_of(
+    st.tuples(st.just("push"), st.sampled_from(range(len(_KINDS)))),
+    st.tuples(st.just("deliver")),
+    st.tuples(st.just("multicast"), st.integers(1, 4)),
+    st.tuples(st.just("timer")),
+)
+
+# Where it is filed: a drawn time; "again", the time this priority was
+# last filed at (repeats at one key, between pushes of the same kind at
+# others); "popped", the time of the last pop (a key whose entries, a
+# lone one included, have already popped); "under", a fraction of the
+# front's time, at most the front's own (a lower key filed while the
+# front may be half drained).
+_where = st.one_of(
+    st.tuples(st.just("at"), _time),
+    st.tuples(st.just("again")),
+    st.tuples(st.just("popped")),
+    st.tuples(st.just("under"), st.floats(0, 1)),
+)
+
+# A file or pop op repeats 1..3 times, so buckets open and half drain
+# often enough for one to be pre-empted by another.
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("push"), _time,
-                  st.sampled_from(range(len(_KINDS)))),
-        st.tuples(st.just("deliver"), _time),
-        st.tuples(st.just("multicast"), _time, st.integers(1, 4)),
-        st.tuples(st.just("timer"), _time),
-        st.tuples(st.just("pop")),
+        st.tuples(st.just("file"), _what, _where, st.integers(1, 3)),
+        st.tuples(st.just("pop"), st.one_of(st.none(), _time),
+                  st.integers(1, 3)),
         st.tuples(st.just("tick")),
     ),
     min_size=1, max_size=80,
@@ -162,50 +229,72 @@ def _labelled(front):
     return time, _label(entry)
 
 
+def _file(queue, what, time, label):
+    """File ``what`` at ``time`` through its entry point; return its
+    model ``(priority, label, weight)``."""
+    if what[0] == "push":
+        kind = _KINDS[what[1]]
+        queue.push(time, kind, host=0, data=label)
+        return _KIND_PRIORITY[kind], label, 1
+    if what[0] == "timer":
+        queue.push_timer(time, 0, "flush", label)
+        return _KIND_PRIORITY[EventKind.TIMER], label, 1
+    deliver = _KIND_PRIORITY[EventKind.DELIVER]
+    if what[0] == "deliver":
+        # Fast-path bare message: FIFO position is its order.
+        queue.push_deliver(time, Message(0, 0, "QUERY", label))
+        return deliver, (label, 0), 1
+    # One reference entry for the lot, weighing its destinations.
+    dests = tuple(range(what[1]))
+    queue.push_multicast(time, 0, dests, "QUERY", label, 0.0, 1)
+    return deliver, (label, dests), len(dests)
+
+
 def _push_pop_law(ops):
     queue = EventQueue(width=1.0)
     counter = itertools.count()
     labels = itertools.count()
     heap = []  # reference model: (time, priority, seq, label, weight)
+    last_at = {}  # priority -> the time it was last filed at
+    popped_at = 0.0
 
-    def model_push(time, priority, label, weight=1):
-        heapq.heappush(heap, (time, priority, next(counter), label, weight))
-
-    deliver = _KIND_PRIORITY[EventKind.DELIVER]
     for op in ops:
-        if op[0] == "push":
-            time, kind = op[1], _KINDS[op[2]]
-            label = next(labels)
-            queue.push(time, kind, host=0, data=label)
-            model_push(time, _KIND_PRIORITY[kind], label)
-        elif op[0] == "timer":
-            label = next(labels)
-            queue.push_timer(op[1], 0, "flush", label)
-            model_push(op[1], _KIND_PRIORITY[EventKind.TIMER], label)
-        elif op[0] == "deliver":
-            # Fast-path bare message: FIFO position is its order.
-            label = next(labels)
-            queue.push_deliver(op[1], Message(0, 0, "QUERY", label))
-            model_push(op[1], deliver, (label, 0))
-        elif op[0] == "multicast":
-            # One reference entry for the lot, weighing its destinations.
-            dests = tuple(range(op[2]))
-            label = next(labels)
-            queue.push_multicast(op[1], 0, dests, "QUERY", label, 0.0, 1)
-            model_push(op[1], deliver, (label, dests), len(dests))
-        elif op[0] == "pop":
-            if not heap:
-                assert queue.pop_due(None) is None
+        if op[0] == "file":
+            what, where = op[1], op[2]
+            priority = (_KIND_PRIORITY[_KINDS[what[1]]] if what[0] == "push"
+                        else _KIND_PRIORITY[EventKind.TIMER]
+                        if what[0] == "timer"
+                        else _KIND_PRIORITY[EventKind.DELIVER])
+            if where[0] == "at":
+                time = where[1]
+            elif where[0] == "again":
+                time = last_at.get(priority, 0.0)
+            elif where[0] == "popped":
+                time = popped_at
             else:
-                expected = heapq.heappop(heap)
-                assert _labelled(queue.pop_due(None)) == (
-                    expected[0], expected[3])
+                time = where[1] * (heap[0][0] if heap else 8.0)
+            last_at[priority] = time
+            for _ in range(op[3]):
+                priority, label, weight = _file(queue, what, time,
+                                                next(labels))
+                heapq.heappush(heap, (time, priority, next(counter), label,
+                                      weight))
+        elif op[0] == "pop":
+            horizon = op[1]
+            for _ in range(op[2]):
+                if not heap or horizon is not None and heap[0][0] > horizon:
+                    assert queue.pop_due(horizon) is None
+                else:
+                    expected = heapq.heappop(heap)
+                    popped_at = expected[0]
+                    assert _labelled(queue.pop_due(horizon)) == (
+                        expected[0], expected[3])
         elif op[0] == "tick":
             # Reference: every entry of the front time, by priority.
             if not heap:
                 assert queue.pop_tick() is None
             else:
-                front = heap[0][0]
+                front = popped_at = heap[0][0]
                 expected = [[] for _ in _KIND_PRIORITY]
                 while heap and heap[0][0] == front:
                     entry = heapq.heappop(heap)
@@ -217,6 +306,10 @@ def _push_pop_law(ops):
         pending = sum(entry[4] for entry in heap)
         assert len(queue) == queue.occupancy()["pending"] == pending
         assert sum(weight for _, weight in queue.iter_pending()) == pending
+        times = {entry[0] for entry in heap}
+        occupancy = queue.occupancy()
+        assert (occupancy["slots"], occupancy["horizon"]) == (
+            len(times), max(times, default=None))
 
     # Drain whatever is left and require the exact reference order.
     remaining = [heapq.heappop(heap) for _ in range(len(heap))]
@@ -252,6 +345,25 @@ def test_preempted_bucket_resumes_behind_the_multicast_that_was_out():
     assert [(time, message.dest) for time, message in
             (queue.pop_due(None) for _ in range(3))] == [
         (1.0, 99), (2.0, 13), (2.0, 14)]
+    assert queue.pop_due(None) is None
+
+
+def test_a_bucket_preempted_by_a_bucket_resumes_where_it_stopped():
+    """A half-drained bucket loses the front to a lower key that holds
+    several entries: those drain first, then the first bucket resumes
+    at its next entry, neither repeating nor skipping one."""
+    queue = EventQueue()
+    for dest in (10, 11, 12, 13):
+        queue.push_deliver(2.0, Message(0, dest, "QUERY", None))
+    assert [queue.pop_due(None)[1].dest for _ in range(2)] == [10, 11]
+    for host in (1, 2, 3):
+        queue.push_timer(1.0, host, "flush", None)
+    queue.push_deliver(2.0, Message(0, 14, "QUERY", None))
+    assert len(queue) == queue.occupancy()["pending"] == 6
+    assert [queue.pop_due(None)[1][0] for _ in range(3)] == [1, 2, 3]
+    assert sorted(message.dest for message, _ in queue.iter_pending()) == [
+        12, 13, 14]
+    assert [queue.pop_due(None)[1].dest for _ in range(3)] == [12, 13, 14]
     assert queue.pop_due(None) is None
 
 
