@@ -52,6 +52,8 @@ def run_capture_recapture_experiment(
         sample_size: hosts sampled per interval (|N_t|).
         seed: RNG seed.
     """
+    if sample_size < 1:
+        raise ValueError("sample_size must be at least 1")
     if initial_size < sample_size:
         raise ValueError("sample_size cannot exceed the initial population")
     rng = random.Random(seed)

@@ -16,9 +16,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.stream import current_rss_mb
 from repro.service import QueryService
-from repro.service.engine import merge_shard_summaries
 from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
-from repro.simulation.sharded import pool_context
 from repro.simulation.stats import make_stats_sink
 from repro.topology import Topology, topology_from_spec
 from repro.workloads.query_mix import QueryMixConfig, generate_query_mix
@@ -39,10 +37,8 @@ def run_query_mix(
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     metrics_interval: Optional[float] = None,
     metrics_stream=None,
-    shards: int = 1,
     share_floods: bool = False,
     admission=None,
-    _session_slice: Optional[tuple] = None,
     **mix_overrides,
 ) -> Dict[str, Any]:
     """Run one open-world query mix over a shared service.
@@ -89,26 +85,12 @@ def run_query_mix(
             :class:`~repro.obs.stream.MetricsStreamWriter` (anything
             with a ``sample(payload)`` method) receiving the live
             snapshots; required when ``metrics_interval`` is set.
-        shards: partition the mix by query id across this many worker
-            processes, each driving its own engine over an identically
-            seeded copy of the network.  Sessions are private and churn
-            is a fixed schedule, so every per-query row -- and therefore
-            the recomputed determinism digest -- is bit-identical to the
-            single-process run; service-level tallies are merged by
-            :func:`repro.service.engine.merge_shard_summaries`.
         share_floods: enable the cross-tenant shared-flood cache.
             Content-derived seeds make every per-query result
             bit-identical with sharing on or off; only the message
             totals (and the digest-independent service tallies) shrink.
         admission: an :class:`~repro.service.AdmissionConfig` arming
-            the overload control loop (picklable, so it ships to shard
-            workers unchanged).  Note that admission decisions read
-            live engine state, so a sharded drive -- where each worker
-            sees only its slice of the load -- can shed a different set
-            of queries than the single-process run.
-        _session_slice: internal ``(worker, shards)`` filter -- submit
-            only queries whose id lands on this worker (ids are pinned
-            so per-session seeds match the unsharded run).
+            the overload control loop.
 
     Returns:
         ``{"rows": [...], "summary": {...}, "metrics": {...}}``.  The
@@ -117,29 +99,13 @@ def run_query_mix(
         compared with one string; ``metrics`` is the service metrics
         snapshot (engine tallies, queue occupancy, per-tenant breakdown).
     """
+    if metrics_interval is not None and metrics_stream is None:
+        raise ValueError("metrics_interval needs a metrics_stream to "
+                         "write to")
     make_stats_sink(stats)  # validates the historical names, nothing more
     if mix is None:
         mix = QueryMixConfig(qps=qps, duration=duration)
     mix = mix.replace(**mix_overrides)
-    if int(shards) < 1:
-        raise ValueError("shards must be at least 1")
-    if shards > 1:
-        if _session_slice is not None:
-            raise ValueError("worker slices cannot themselves shard")
-        if (tracer is not None or progress is not None
-                or metrics_stream is not None):
-            raise ValueError(
-                "sharded query mixes cannot carry a tracer, progress "
-                "callback or metrics stream across process boundaries; "
-                "run with shards=1")
-        if prebuilt_topology is not None:
-            raise ValueError(
-                "sharded query mixes rebuild the topology per worker; "
-                "pass the generator name instead of a prebuilt topology")
-        return _run_sharded_query_mix(
-            shards=int(shards), num_hosts=num_hosts, topology=topology,
-            seed=seed, delay=delay, departures=departures, mix=mix,
-            share_floods=share_floods, admission=admission)
 
     if prebuilt_topology is not None:
         topo = prebuilt_topology
@@ -163,16 +129,7 @@ def run_query_mix(
     service = QueryService(
         topo, values, churn=churn, seed=seed, delay=delay, tracer=tracer,
         share_floods=share_floods, admission=admission)
-    for index, submission in enumerate(submissions):
-        # Ids are pinned explicitly (1-based submission order, exactly
-        # what auto-assignment would hand out) so a shard worker that
-        # skips every other submission still derives the same
-        # per-session seeds as the single-process run.
-        qid = index + 1
-        if _session_slice is not None:
-            worker, span = _session_slice
-            if qid % span != worker:
-                continue
+    for submission in submissions:
         service.submit(
             submission.protocol,
             submission.aggregate,
@@ -181,11 +138,7 @@ def run_query_mix(
             stream=submission.stream,
             extra={"continuous": submission.continuous,
                    "report_index": submission.report_index},
-            query_id=qid,
         )
-    if metrics_interval is not None and metrics_stream is None:
-        raise ValueError("metrics_interval needs a metrics_stream to "
-                         "write to")
     if progress is None and metrics_stream is None:
         report = service.run()
     else:
@@ -249,59 +202,3 @@ def _rows_digest(rows: List[Dict[str, Any]]) -> str:
             digest.update(fingerprint.encode())
         digest.update(repr((row["query_id"], row["value"])).encode())
     return digest.hexdigest()
-
-
-def _mix_shard_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool entry point: one worker's slice of the sharded query mix."""
-    return run_query_mix(**payload)
-
-
-def _run_sharded_query_mix(
-    shards: int,
-    num_hosts: int,
-    topology: str,
-    seed: int,
-    delay: Optional[str],
-    departures: int,
-    mix: QueryMixConfig,
-    share_floods: bool,
-    admission,
-) -> Dict[str, Any]:
-    """Partition the mix by query id over a worker pool and merge.
-
-    Each worker rebuilds the identical topology/values/churn/mix from
-    the shared seed and drives only the queries whose 1-based id is
-    congruent to its index mod ``shards``.  Per-query rows come back
-    bit-identical to the single-process run (sessions are private;
-    churn is a fixed schedule), so the parent reassembles them in id
-    order and *recomputes* the determinism digest with the exact
-    single-process algorithm -- digest equality is the end-to-end proof
-    that sharding changed nothing a tenant can observe.
-    """
-    payloads = [
-        {
-            "num_hosts": num_hosts, "topology": topology, "seed": seed,
-            "delay": delay, "departures": departures, "mix": mix,
-            "share_floods": share_floods, "admission": admission,
-            "_session_slice": (worker, shards),
-        }
-        for worker in range(shards)
-    ]
-    with pool_context().Pool(processes=shards) as pool:
-        shard_results = pool.map(_mix_shard_worker, payloads)
-
-    rows = sorted(
-        (row for result in shard_results for row in result["rows"]),
-        key=lambda row: row["query_id"])
-    summary = merge_shard_summaries(
-        [result["summary"] for result in shard_results], rows)
-    summary["determinism_digest"] = _rows_digest(rows)
-    summary["shards"] = shards
-    return {
-        "rows": rows,
-        "summary": summary,
-        "metrics": {
-            "service.shards": shards,
-            "per_shard": [result["metrics"] for result in shard_results],
-        },
-    }

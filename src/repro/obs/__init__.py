@@ -15,12 +15,13 @@ is ``EventQueue.occupancy()``, and the service's snapshot is
 ``QueryService.metrics()``, each read on demand from the module that
 owns the state.
 
-The distributed pieces keep the same contract per worker: sharded-lane
-workers trace into private rings the coordinator merges into one
-multi-process trace (:meth:`RingTracer.ingest_process`), the
-epoch/barrier wall-clock timeline lands in
-:class:`~repro.obs.timeline.ShardTimeline`, and live metrics stream out
-through :mod:`repro.obs.stream` while a run is still in flight.
+The sharded lane keeps the same contract per worker: its workers trace
+into private rings the coordinator merges into one multi-process trace
+(:meth:`RingTracer.ingest_process`), and the epoch/barrier wall-clock
+timeline lands in :class:`~repro.obs.timeline.ShardTimeline`.  Live
+metrics (the service's snapshots, a bench run's resident set size)
+stream out through :mod:`repro.obs.stream` while a run is still in
+flight.
 """
 
 from repro import lazy_exports
@@ -29,12 +30,8 @@ _EXPORTS = {
     "ProfileCapture": "profiling",
     "MetricsStreamWriter": "stream",
     "PeriodicSampler": "stream",
-    "ShardProgressBoard": "stream",
     "ShardTimeline": "timeline",
     "current_rss_mb": "stream",
-    "default_progress_board": "stream",
-    "progress_board": "stream",
-    "set_progress_board": "stream",
     "EstimateProvenance": "provenance",
     "ProvenanceTracer": "provenance",
     "run_protocol_with_provenance": "provenance",

@@ -1,8 +1,7 @@
 """Live metrics streaming: JSON Lines samples while a run is in flight.
 
-The metrics layer so far was end-of-run only: a 60-minute sharded run
-emitted nothing until it finished.  This module adds the in-flight
-counterpart, in three independently usable pieces:
+The in-flight counterpart of the end-of-run metrics, in two
+independently usable pieces:
 
 * :class:`MetricsStreamWriter` -- an append-only JSON Lines sink: one
   ``meta`` header line, one ``sample`` line per snapshot (monotonic
@@ -11,34 +10,23 @@ counterpart, in three independently usable pieces:
   live run.
 * :class:`PeriodicSampler` -- a daemon thread that invokes a callback
   every ``interval`` wall-clock seconds until stopped; the thread only
-  *reads* (pull-based metrics, the shared progress board), so the run
-  being sampled stays bit-identical -- the same argument as the tracer's
-  observe-only contract.
-* :class:`ShardProgressBoard` -- a tiny fork-shared array of per-shard
-  ``(epoch, simulated time)`` cells.  Workers store their slot once per
-  epoch (two plain float stores, no locks: one writer per slot, readers
-  tolerate tearing between the two fields); the sampler thread in the
-  coordinator reads all slots for the per-shard progress gauges of a
-  long run.  Bound process-wide via :func:`set_progress_board`.
+  *reads* (pull-based metrics such as the resident set size), so the
+  run being sampled stays bit-identical -- the same argument as the
+  tracer's observe-only contract.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Optional
 
 __all__ = [
     "MetricsStreamWriter",
     "PeriodicSampler",
-    "ShardProgressBoard",
     "current_rss_mb",
-    "default_progress_board",
     "read_metrics_stream",
-    "set_progress_board",
-    "progress_board",
     "status_mb",
 ]
 
@@ -236,68 +224,3 @@ class PeriodicSampler:
         except BaseException:
             if exc_type is None:
                 raise
-
-
-class ShardProgressBoard:
-    """Fork-shared per-shard ``(epoch, simulated time)`` progress cells."""
-
-    __slots__ = ("shards", "cells")
-
-    def __init__(self, shards: int) -> None:
-        from multiprocessing.sharedctypes import RawArray
-
-        if shards < 1:
-            raise ValueError("a progress board needs at least one shard")
-        self.shards = int(shards)
-        #: Flat doubles: ``cells[2k]`` = epochs completed by shard ``k``,
-        #: ``cells[2k + 1]`` = its last barrier's simulated time.  A
-        #: RawArray (no lock) survives ``fork`` by inheritance -- exactly
-        #: the start method the sharded lane is gated to.
-        self.cells = RawArray("d", 2 * self.shards)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The board as plain lists (JSON-safe, read without locking)."""
-        cells = self.cells
-        return {
-            "shards": self.shards,
-            "epochs": [int(cells[2 * k]) for k in range(self.shards)],
-            "sim_time": [round(cells[2 * k + 1], 6)
-                         for k in range(self.shards)],
-        }
-
-
-# ---------------------------------------------------------------------------
-# Process-wide board binding
-# ---------------------------------------------------------------------------
-#: The process-wide progress board; ``None`` = no live progress wanted.
-#: The sharded coordinator resolves this once per run, before forking.
-_progress_board: Optional[ShardProgressBoard] = None
-
-
-def default_progress_board() -> Optional[ShardProgressBoard]:
-    """The process-wide progress board (``None`` = disabled)."""
-    return _progress_board
-
-
-def set_progress_board(
-        board: Optional[ShardProgressBoard]) -> Optional[ShardProgressBoard]:
-    """Bind the process-wide progress board; returns the previous one."""
-    global _progress_board
-    if board is not None and not isinstance(board, ShardProgressBoard):
-        raise TypeError(
-            f"expected a ShardProgressBoard or None, got {board!r}")
-    previous = _progress_board
-    _progress_board = board
-    return previous
-
-
-@contextmanager
-def progress_board(
-        board: Optional[ShardProgressBoard]
-) -> Iterator[Optional[ShardProgressBoard]]:
-    """Bind ``board`` as the process default for the ``with`` body."""
-    previous = set_progress_board(board)
-    try:
-        yield board
-    finally:
-        set_progress_board(previous)

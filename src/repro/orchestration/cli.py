@@ -14,8 +14,8 @@ Exposed both as ``python -m repro`` and as the ``repro`` console script:
                                        # multi-tenant query service
     repro bench --lane sharded --shards 4 --trace-out trace.json
                                        # merged per-shard Perfetto trace
-    repro bench --lane sharded --shards 4 --metrics-out live.jsonl
-                                       # live metrics stream (tail -f)
+    repro bench --hosts 1000000 --metrics-out live.jsonl
+                                       # live RSS stream (tail -f)
     repro obs report bench.json        # epoch/barrier straggler report
     repro delay-sweep --size 200 --departures 0 10  # validity vs delay
     repro cache ls                     # list cached results
@@ -43,8 +43,7 @@ from repro.experiments.tables import format_table
 from repro.obs.logconfig import configure as configure_logging, get_logger
 from repro.obs.profiling import ProfileCapture
 from repro.obs.stream import (MetricsStreamWriter, PeriodicSampler,
-                              ShardProgressBoard, current_rss_mb,
-                              read_metrics_stream, set_progress_board)
+                              current_rss_mb, read_metrics_stream)
 from repro.obs.timeline import ShardTimeline
 from repro.obs.trace import RingTracer
 from repro.orchestration.figures import (RunReport, run_figure_matrix,
@@ -135,9 +134,8 @@ def _metrics_interval(args: argparse.Namespace) -> Optional[float]:
 
 
 def _scalars(row: Dict[str, Any]) -> Dict[str, Any]:
-    """Nested structures (a sharded timeline block, the retired order,
-    per-shard progress) belong in the JSON artifacts; printed tables stay
-    scalar."""
+    """Nested structures (a sharded timeline block, the retired order)
+    belong in the JSON artifacts; printed tables stay scalar."""
     return {key: value for key, value in row.items()
             if not isinstance(value, (dict, list))}
 
@@ -180,15 +178,15 @@ def _build_parser() -> argparse.ArgumentParser:
                  "Lines, else Chrome trace-event JSON for Perfetto)")),
         "metrics-out": (["--metrics-out"], dict(
             metavar="PATH",
-            help="bench: stream live per-shard progress and RSS to PATH as "
-                 "flushed JSON Lines; serve: write the metrics snapshot "
-                 "(engine, queue, per-tenant) to PATH as JSON, or a JSON "
-                 "Lines stream of them with --metrics-interval")),
+            help="bench: stream the resident set size to PATH as flushed "
+                 "JSON Lines; serve: write the metrics snapshot (engine, "
+                 "queue, per-tenant) to PATH as JSON, or a JSON Lines "
+                 "stream of them with --metrics-interval")),
         "metrics-interval": (["--metrics-interval"], dict(
             type=positive, metavar="SECONDS",
             help="seconds between live metrics samples, with --metrics-out: "
                  "wall-clock for bench (default 1.0), simulated for serve "
-                 "(results stay bit-identical; not with --shards > 1)")),
+                 "(results stay bit-identical)")),
     }
 
     def shared(*names: str) -> List[argparse.ArgumentParser]:
@@ -276,9 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "0.25; the rest splits 2:1 tree:dag2)")
     serve.add_argument("--max-queries", type=at_least_1,
                        help="cap on total submissions (default: unbounded)")
-    serve.add_argument("--shards", type=at_least_1, default=1, metavar="K",
-                       help="partition the mix by query id over K worker "
-                            "processes; merged results match one process")
     serve.add_argument("--rows", type=at_least_0, default=20, metavar="N",
                        help="print the first N query rows (default 20)")
     serve.add_argument("--json", metavar="PATH",
@@ -424,21 +419,13 @@ def _load_trajectory(path: str) -> dict:
 @contextlib.contextmanager
 def _bench_live_metrics(args: argparse.Namespace,
                         interval: float) -> Iterator[None]:
-    """``bench --metrics-out``: sample per-shard epoch progress and the
-    resident set size into a JSON Lines stream while the block runs."""
-    # The board is fork-shared: sharded workers store their (epoch,
-    # simulated time) once per epoch, and the sampler thread here only
-    # *reads*, so the run stays bit-identical.
-    board = ShardProgressBoard(args.shards)
-
+    """``bench --metrics-out``: sample the resident set size into a JSON
+    Lines stream while the block runs (the sampler thread only reads, so
+    the run stays bit-identical)."""
     def live_payload():
-        payload = {"progress": board.snapshot()}
         rss = current_rss_mb()
-        if rss is not None:
-            payload["process.rss_mb"] = rss
-        return payload
+        return {} if rss is None else {"process.rss_mb": rss}
 
-    prev_board = set_progress_board(board)
     stream = MetricsStreamWriter(args.metrics_out, meta={
         "command": "bench", "lane": args.lane, "shards": args.shards,
         "hosts": list(args.hosts), "interval_s": interval})
@@ -451,7 +438,6 @@ def _bench_live_metrics(args: argparse.Namespace,
             sampler.stop(final_sample=False)
             stream.final(live_payload())
         finally:
-            set_progress_board(prev_board)
             stream.close()
             log.info("wrote %s live metrics samples to %s",
                      stream.samples_written, args.metrics_out)
@@ -543,9 +529,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         "spanning-tree": rest * 2.0 / 3.0,
                         "dag2": rest / 3.0}
     interval = _metrics_interval(args)
-    if interval is not None and args.shards > 1:
-        raise _UsageError(
-            "--metrics-interval is incompatible with --shards > 1")
     # Only the defer policy reads these; argparse cannot tell a default
     # from the same value typed out, so a changed value is what counts.
     if args.shed_policy != "defer" and (
@@ -595,7 +578,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             delay=None if args.delay == "fixed" else args.delay,
             departures=args.departures, mix=mix, tracer=tracer,
             progress=progress, metrics_interval=interval,
-            metrics_stream=metrics_stream, shards=args.shards,
+            metrics_stream=metrics_stream,
             share_floods=args.share_floods == "on", admission=admission)
         if metrics_stream is not None:
             # The stream ends with the end-of-run snapshot, so a consumer
@@ -711,21 +694,7 @@ def _report_metrics_stream(path: str, limit: int) -> int:
         print("stream has no final frame (interrupted run) -- totals "
               "below are the last live sample")
     shown = samples[-limit:] if limit else samples
-
-    def _flat(row):
-        out = _scalars(row)
-        progress = row.get("progress")
-        if isinstance(progress, dict):
-            # The bench stream's per-shard board: one epochs/t column
-            # pair per shard so progress skew reads across the row.
-            pairs = zip(progress.get("epochs", ()),
-                        progress.get("sim_time", ()))
-            for shard, (epochs, sim_time) in enumerate(pairs):
-                out[f"shard{shard}.epochs"] = epochs
-                out[f"shard{shard}.t"] = sim_time
-        return out
-
-    printable = [_flat(row) for row in shown]
+    printable = [_scalars(row) for row in shown]
     skipped = len(samples) - len(shown)
     suffix = f" -- last {len(shown)} of {len(samples)}" if skipped else ""
     print(format_table(

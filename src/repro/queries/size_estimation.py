@@ -180,37 +180,3 @@ class CaptureRecaptureEstimator:
     def latest(self) -> Optional[SizeEstimate]:
         """The most recent estimate, if any."""
         return self.history[-1] if self.history else None
-
-
-def run_capture_recapture(
-    population_by_interval: Sequence[Set[int]],
-    sample_size: int,
-    seed: int = 0,
-    max_marked: Optional[int] = None,
-) -> List[SizeEstimate]:
-    """Drive a capture-recapture estimator over a sequence of populations.
-
-    Args:
-        population_by_interval: the alive host set at each sampling interval
-            (interval 0 is only used for the initial marking).
-        sample_size: hosts sampled per interval (must not exceed the smallest
-            population).
-        seed: RNG seed for the uniform sampling.
-        max_marked: optional marked-set cap.
-
-    Returns:
-        The estimates produced from the second interval onwards.
-    """
-    if sample_size < 1:
-        raise ValueError("sample_size must be at least 1")
-    rng = random.Random(seed)
-    estimator = CaptureRecaptureEstimator(max_marked=max_marked)
-    estimates: List[SizeEstimate] = []
-    for alive in population_by_interval:
-        if len(alive) < sample_size:
-            raise ValueError("sample_size exceeds the alive population")
-        sample = rng.sample(sorted(alive), sample_size)
-        record = estimator.observe_interval(alive, sample)
-        if record is not None:
-            estimates.append(record)
-    return estimates

@@ -180,12 +180,8 @@ def check_single_site_validity(
     """
     normalized = kind.lower()
     lower, upper = bounds.lower_value, bounds.upper_value
-    if normalized in ("count", "sum", "max", "maximum"):
-        low, high = min(lower, upper), max(lower, upper)
-        return low <= value <= high
-    if normalized in ("min", "minimum"):
-        low, high = min(lower, upper), max(lower, upper)
-        return low <= value <= high
+    if normalized in ("count", "sum", "max", "maximum", "min", "minimum"):
+        return min(lower, upper) <= value <= max(lower, upper)
     if normalized in ("avg", "average", "mean"):
         # Admissible averages are convex combinations of core values and any
         # subset of the extra (union minus core) values; the reachable range

@@ -45,8 +45,6 @@ class AdmissionConfig:
     """Envelope and policy for the admission controller.
 
     All limits default to "off" (``None``); any subset can be armed.
-    The config holds plain values only, so shard workers can ship it
-    through the multiprocessing payload unchanged.
 
     Args:
         policy: what to do with a blocked submission (``shed`` /

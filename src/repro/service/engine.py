@@ -28,7 +28,7 @@ session -- plus what only a multi-tenant service has:
   its window holds no further instant, so they are tallied when they
   would have landed);
 * per-tenant queue depth -- calendar entries plus what each lane holds,
-  in the same weights -- and the sharded drive's summary merge.
+  in the same weights.
 
 Per-session state (seed stream, delay-model stream, cost sink, virtual
 clock) is fully private, so the stimulus sequence one query observes is
@@ -40,7 +40,7 @@ reproducible under any interleaving.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.obs.trace import Tracer
 from repro.service.session import QuerySession, QueryStatus
@@ -257,69 +257,3 @@ class MuxEngine(EventEngine):
             kernel, session.fallback_reason = plan_run(self, session)
             session.lane_used = "python" if kernel is None else "vector"
             self.start_query(session, kernel, time, ctx)
-
-
-def merge_shard_summaries(summaries: Sequence[Mapping[str, Any]],
-                          rows: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Fold per-shard service summaries into one service-level summary.
-
-    The sharded ``repro serve`` drive partitions the query mix by id
-    across worker processes, each running its own :class:`MuxEngine`
-    over a private (identically seeded) copy of the network.  Because
-    per-session state is private and churn is a fixed service-wide
-    schedule, every per-query row is bit-identical to the
-    single-process run; this helper reassembles the *service-level*
-    tallies from the shard summaries:
-
-    * engine tallies (``messages_sent``, ``late_messages``,
-      ``dropped_messages``, ``events_processed``), query counts and
-      wall-clock ``elapsed_seconds`` are additive -- note that
-      ``events_processed`` counts *work done*, and every shard's engine
-      replays the shared churn schedule on its private network copy, so
-      the sum exceeds the single-process tally by
-      ``(shards - 1) * churn_events``;
-    * ``finished_at`` is the max over shards;
-    * ``retired_order`` is rebuilt from the merged ``rows`` by sorting
-      declared queries on ``(declared_at, query_id)`` -- the engine
-      retires same-instant declarations in submission (id) order, so
-      this reproduces the single-process order;
-    * ``late_by_query`` is a disjoint union (each query lives on
-      exactly one shard);
-    * ``peak_active_sessions`` is summed: the shards run concurrently,
-      so the sum is the faithful residency bound for the sharded drive
-      (and an upper bound on the single-process peak).
-    """
-    if not summaries:
-        raise ValueError("merge_shard_summaries needs at least one summary")
-    merged: Dict[str, Any] = dict(summaries[0])
-    for key in ("queries", "answered", "failed", "messages_sent",
-                "late_messages", "dropped_messages", "events_processed",
-                "peak_active_sessions"):
-        merged[key] = sum(s[key] for s in summaries)
-    # Control-plane tallies (absent from pre-sharing summaries).
-    for key in ("shed", "deferred", "degraded", "cache_hits", "deferrals"):
-        if any(key in s for s in summaries):
-            merged[key] = sum(s.get(key, 0) for s in summaries)
-    merged["finished_at"] = max(s["finished_at"] for s in summaries)
-    merged["elapsed_seconds"] = round(
-        sum(s["elapsed_seconds"] for s in summaries), 4)
-    merged["queries_per_second"] = round(
-        merged["answered"] / merged["elapsed_seconds"], 2
-    ) if merged["elapsed_seconds"] > 0 else 0.0
-    late_by_query: Dict[str, int] = {}
-    for summary in summaries:
-        late_by_query.update(summary.get("late_by_query", {}))
-    merged["late_by_query"] = {
-        key: late_by_query[key]
-        for key in sorted(late_by_query, key=int)
-    }
-    # Degraded answers carry a declared_at (the instant they were served
-    # from the recent-answer store) but never occupied a demux slot, so
-    # they are not part of the engine's retirement order.
-    declared = [row for row in rows
-                if row.get("declared_at") is not None
-                and not row.get("degraded")]
-    declared.sort(key=lambda row: (row["declared_at"], row["query_id"]))
-    merged["retired_order"] = [row["query_id"] for row in declared]
-    merged["retired"] = len(merged["retired_order"])
-    return merged

@@ -39,7 +39,6 @@ digits on such a tie.
 
 from __future__ import annotations
 
-import random
 import time as _time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -240,19 +239,6 @@ class QueryService:
     # ------------------------------------------------------------------
     # Tenant API
     # ------------------------------------------------------------------
-    def derive_seed(self, query_id: int) -> int:
-        """An id-derived session seed under the service seed.
-
-        String seeding hashes with SHA-512 under the hood, so the streams
-        of different sessions (and of the same session id under different
-        service seeds) are independent and version-stable.  This is *not*
-        the submit-path default (that is the content-derived consensus
-        seed); pass ``seed=service.derive_seed(qid)`` explicitly to give
-        a session an id-private stream.
-        """
-        return random.Random(
-            f"{self.seed}:query:{query_id}").getrandbits(64)
-
     def submit(
         self,
         protocol: Union[Protocol, str],
@@ -266,7 +252,6 @@ class QueryService:
         join_factory: Optional[Callable[[int], ProtocolHost]] = None,
         stream: Optional[int] = None,
         extra: Optional[Dict[str, Any]] = None,
-        query_id: Optional[int] = None,
     ) -> int:
         """Register one aggregate query and return its session id.
 
@@ -277,12 +262,7 @@ class QueryService:
         identical seeds, hence identical answers -- see
         :func:`~repro.service.sharing.consensus_seed`); pass it
         explicitly to replay a session solo or to force private streams.
-
-        ``query_id`` pins the session id instead of taking the next free
-        one -- the sharded service drive uses this so a worker holding
-        every ``K``-th query still derives the exact per-session seeds
-        (and therefore rows) of the single-process run.  Auto-assignment
-        continues above any pinned id.
+        Session ids are assigned 1, 2, ... in submission order.
         """
         if at < 0:
             raise ValueError("queries cannot launch at negative times")
@@ -309,16 +289,8 @@ class QueryService:
                 f"paths and requires a duplicate-insensitive combiner; got "
                 f"{combiner.name!r}"
             )
-        if query_id is None:
-            qid = self._next_qid
-            self._next_qid += 1
-        else:
-            qid = int(query_id)
-            if qid < 1:
-                raise ValueError("query ids start at 1")
-            if qid in self._sessions:
-                raise ValueError(f"query id {qid} is already in use")
-            self._next_qid = max(self._next_qid, qid + 1)
+        qid = self._next_qid
+        self._next_qid += 1
         # Resolve what the run will actually use so the consensus seed
         # and the computation key see the same inputs as the launch.
         resolved_combiner = (combiner if combiner is not None else

@@ -158,8 +158,8 @@ def consensus_seed(service_seed, protocol: Protocol, query: AggregateQuery,
     sketch stream, declare the same estimate, and -- because the seed
     lands in both computation keys -- can share one flood, with results
     unchanged whether sharing is on or off.  Unlike the cache key, this
-    derivation must be stable across processes and runs (the sharded
-    drive re-derives it in workers), so it uses no object identities;
+    derivation must be stable across processes and runs, so it uses no
+    object identities;
     the delay spec is deliberately left out -- it cannot be stably
     tokenised when passed as a model object, and seed *collisions*
     between different-delay submissions are harmless (their cache keys

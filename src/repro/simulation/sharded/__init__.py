@@ -24,10 +24,10 @@ __all__ = ["maybe_run", "pool_context"]
 
 def pool_context():
     """The ``multiprocessing`` context every worker pool of the package is
-    forked from (shard workers here, ``repro run``'s figure-trial pool,
-    the service's query-mix shards): ``fork`` where the platform has it --
-    fast, and workers inherit the loaded modules and the live simulator --
-    else the platform default.  ``multiprocessing`` is imported here, so
+    forked from (shard workers here and ``repro run``'s figure-trial
+    pool): ``fork`` where the platform has it -- fast, and workers
+    inherit the loaded modules and the live simulator -- else the
+    platform default.  ``multiprocessing`` is imported here, so
     a run that never forks does not load it."""
     import multiprocessing
 

@@ -111,10 +111,6 @@ def run_sharded(simulator, horizon: float):
     # output has one "shard k" track for every K.
     trace_conf = ((tracer.capacity, dict(tracer.sampling))
                   if tracer is not None else None)
-    from repro.obs.stream import default_progress_board
-    board = default_progress_board()
-    cells = (board.cells if board is not None and board.shards >= shards
-             else None)
     # One wall-clock origin for every shard's timeline/trace timestamps:
     # perf_counter() is CLOCK_MONOTONIC on Linux, comparable across
     # forked children.
@@ -125,8 +121,7 @@ def run_sharded(simulator, horizon: float):
                         if trace_conf is not None else None)
         lane = _ShardLane(simulator, simulator.session, kernel, horizon,
                           fails, 0, bounds, act_rank, local_exchange,
-                          tracer=child_tracer, wall_base=wall_base,
-                          progress_cells=cells)
+                          tracer=child_tracer, wall_base=wall_base)
         lane.install_replay_rng(draws_by_shard[0])
         try:
             lane.run()
@@ -136,7 +131,7 @@ def run_sharded(simulator, horizon: float):
     else:
         results = _run_forked(simulator, kernel, shards, bounds, act_rank,
                               draws_by_shard, fails, horizon, trace_conf,
-                              wall_base, cells)
+                              wall_base)
     return _merge(simulator, results, fails, bounds, shards), None
 
 
@@ -247,7 +242,7 @@ def _predraw(hosts, act_order: Sequence[int], bounds: Sequence[int],
 # ----------------------------------------------------------------------
 def _run_forked(simulator, kernel, shards: int, bounds, act_rank,
                 draws_by_shard, fails, horizon: float, trace_conf,
-                wall_base: float, progress_cells) -> List[dict]:
+                wall_base: float) -> List[dict]:
     ctx = pool_context()
     # pipes[i][j] carries i -> j epoch blobs; result pipes carry one
     # final dict per worker.  All ends are created before the forks so
@@ -269,8 +264,7 @@ def _run_forked(simulator, kernel, shards: int, bounds, act_rank,
             target=_worker_main,
             args=(simulator, kernel, shard, shards, bounds, act_rank,
                   draws_by_shard[shard], fails, horizon, trace_conf,
-                  wall_base, progress_cells, senders, receivers,
-                  result_pipes[shard][1]),
+                  wall_base, senders, receivers, result_pipes[shard][1]),
             daemon=True,
         ))
     for proc in procs:

@@ -112,8 +112,7 @@ class _ShardLane(_TickLane):
                  fails: Sequence[Tuple[float, int]], shard: int,
                  bounds: Sequence[int], act_rank: Sequence[Optional[int]],
                  barrier: Callable[["_ShardLane", float], Tuple[list, int]],
-                 tracer=None, wall_base: float = 0.0,
-                 progress_cells=None) -> None:
+                 tracer=None, wall_base: float = 0.0) -> None:
         super().__init__(engine, session, kernel,
                          lo=bounds[shard], hi=bounds[shard + 1])
         #: Last query-local instant whose emissions are still filed.
@@ -150,9 +149,6 @@ class _ShardLane(_TickLane):
         #: Wall-clock origin shared by all shards (the coordinator's
         #: pre-fork ``perf_counter()``; CLOCK_MONOTONIC survives fork).
         self.wall_base = wall_base
-        #: Fork-shared progress doubles (``ShardProgressBoard.cells``)
-        #: or None; this shard owns slots ``[2*shard, 2*shard + 1]``.
-        self.progress_cells = progress_cells
         #: Per-epoch ``(epoch, t, wall_start, exchange_s, compute_s,
         #: barrier_wait_s, cross_records, queue_depth)`` samples.
         self.timeline: List[tuple] = []
@@ -322,13 +318,6 @@ class _ShardLane(_TickLane):
             wall_mid - wall_start, perf_counter() - wall_mid,
             self.barrier_wait - barrier_before,
             self.cross_records_in - cross_before, depth_now))
-        cells = self.progress_cells
-        if cells is not None:
-            # Two unsynchronised float stores: one writer per slot, and
-            # the sampler thread tolerates reading between them
-            # (progress is advisory, not exact).
-            cells[2 * self.shard] = float(self.epochs)
-            cells[2 * self.shard + 1] = t
 
     # ------------------------------------------------------------------
     # Result shipping
@@ -515,7 +504,7 @@ def _worker_main(simulator, kernel, shard: int, shards: int,
                  bounds: Sequence[int], act_rank: Sequence[Optional[int]],
                  draws: Sequence[tuple], fails: Sequence[Tuple[float, int]],
                  horizon: float, trace_conf, wall_base: float,
-                 progress_cells, senders, receivers, result_conn) -> None:
+                 senders, receivers, result_conn) -> None:
     """Forked worker body: run one shard, ship one result dict.
 
     ``trace_conf`` is ``(capacity, sampling)`` when the run is traced:
@@ -534,8 +523,7 @@ def _worker_main(simulator, kernel, shard: int, shards: int,
             simulator, simulator.session, kernel, horizon, fails, shard,
             bounds, act_rank,
             make_pipe_exchange(shard, shards, bounds, senders, receivers),
-            tracer=tracer, wall_base=wall_base,
-            progress_cells=progress_cells)
+            tracer=tracer, wall_base=wall_base)
         lane.install_replay_rng(draws)
         lane.run()
         result_conn.send(lane.collect_result())

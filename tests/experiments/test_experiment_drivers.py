@@ -151,6 +151,28 @@ class TestCaptureRecaptureExperiment:
         mean_error = sum(r.relative_error for r in rows) / len(rows)
         assert mean_error < 0.35
 
+    def test_static_population_estimates_its_size(self):
+        """With no churn every interval after the first recaptures; each
+        estimate is noisy (hypergeometric recapture counts) but within a
+        factor of two, and their mean is much closer."""
+        rows = run_capture_recapture_experiment(
+            initial_size=500, num_intervals=8, departure_rate=0.0,
+            arrival_rate=0.0, sample_size=150, seed=4)
+        assert len(rows) >= 6
+        assert all(row.true_size == 500 for row in rows)
+        for row in rows:
+            assert 250 <= row.estimate <= 1000
+        mean = sum(row.estimate for row in rows) / len(rows)
+        assert mean == pytest.approx(500, rel=0.3)
+
+    def test_rejects_an_empty_or_oversized_sample(self):
+        """A zero sample used to return no rows instead of an error."""
+        for sample_size in (0, -3, 20):
+            with pytest.raises(ValueError, match="sample_size"):
+                run_capture_recapture_experiment(
+                    initial_size=10, num_intervals=3,
+                    sample_size=sample_size)
+
     def test_ring_segment_rows(self):
         rows = run_ring_segment_experiment(network_sizes=(300,), sample_size=80,
                                            num_trials=3, seed=2)
@@ -240,3 +262,50 @@ FIGURE_CLAIMS = {
 def test_every_figure_claim_holds_on_the_pinned_table(figure_id, claim):
     verdicts = dict(FIGURES[figure_id].claims(pinned_rows(figure_id)))
     assert verdicts[claim]
+
+
+def test_a_passed_mix_is_the_one_statement_of_rate_and_window():
+    """``mix=`` names qps and duration; the summary and the churn window
+    read it, not the ``qps=`` / ``duration=`` argument defaults (2.0 /
+    60.0, which spread the failures out to t = 57 of a 6 s mix)."""
+    from repro.experiments.query_mix import run_query_mix
+    from repro.workloads.query_mix import QueryMixConfig
+
+    summary = run_query_mix(
+        num_hosts=60, mix=QueryMixConfig(qps=4, duration=6), seed=1,
+        departures=10)["summary"]
+    assert (summary["qps"], summary["duration"]) == (4.0, 6.0)
+    assert summary["finished_at"] < 57.0
+
+
+def test_submissions_take_ids_in_order_and_content_seeds():
+    """Ids are 1, 2, ... in submission order.  Session seeds are
+    content-derived, not id-derived: identical submissions agree, and
+    each is the consensus seed of what was submitted."""
+    from repro.service import QueryService
+    from repro.service.sharing import consensus_seed
+
+    topology = random_topology(30, avg_degree=3.0, seed=3)
+    service = QueryService(topology, [1.0] * topology.num_hosts, seed=9)
+    assert [service.submit("wildfire", "count") for _ in range(2)] == [1, 2]
+    first, second = service._sessions[1], service._sessions[2]
+    assert first.seed == second.seed == consensus_seed(
+        9, first.protocol, first.query, 0,
+        first.protocol.default_combiner(first.query, repetitions=8),
+        service.d_hat)
+
+
+def test_metrics_interval_without_a_stream_fails_before_any_work(
+        monkeypatch):
+    """The check used to run after the topology, the values, the mix and
+    the service were built and every query submitted (0.29 s at 20 000
+    hosts before the error)."""
+    from repro.experiments import query_mix
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a topology before checking arguments")
+
+    monkeypatch.setattr(query_mix, "topology_from_spec", no_build)
+    with pytest.raises(ValueError, match="metrics_stream"):
+        query_mix.run_query_mix(num_hosts=20000, qps=5, duration=100,
+                                metrics_interval=1.0)

@@ -186,22 +186,22 @@ class TestDistributedTraceArtifacts:
 
 
 class TestMetricsStreaming:
-    def test_bench_metrics_out_streams_progress_jsonl(self, tmp_path):
+    @pytest.mark.parametrize("lane", [
+        [], ["--lane", "sharded", "--shards", "2"]],
+        ids=["default", "sharded"])
+    def test_bench_metrics_out_streams_rss_jsonl(self, tmp_path, lane):
         stream = tmp_path / "live.jsonl"
         assert main(["bench", "--hosts", "400", "--topology", "random",
-                     "--lane", "sharded", "--shards", "2",
-                     "--metrics-out", str(stream),
+                     *lane, "--metrics-out", str(stream),
                      "--metrics-interval", "0.05"]) == 0
         rows = [json.loads(line)
                 for line in stream.read_text().splitlines()]
         assert rows[0]["type"] == "meta"
-        assert rows[0]["lane"] == "sharded"
+        assert rows[0]["command"] == "bench"
         assert rows[-1]["type"] == "final"
-        final = rows[-1]
-        assert final["progress"]["shards"] == 2
-        assert all(epochs >= 1 for epochs in final["progress"]["epochs"])
+        assert rows[-1]["process.rss_mb"] > 0
         seqs = [row["seq"] for row in rows[1:]]
-        assert seqs == sorted(seqs)
+        assert seqs == list(range(len(seqs)))
 
     def test_bench_metrics_interval_requires_out(self, usage_error):
         usage_error(["bench", "--hosts", "200", "--metrics-interval", "1"],
@@ -263,18 +263,6 @@ class TestObsReport:
         usage_error(["obs", "report", path, "--epochs", "-1"],
                     "argument --epochs: must be >= 0")
 
-    def test_report_spreads_bench_progress_over_shard_columns(
-            self, tmp_path, capsys):
-        stream = tmp_path / "live.jsonl"
-        assert main(["--quiet", "bench", "--hosts", "400",
-                     "--topology", "random", "--lane", "sharded",
-                     "--shards", "2", "--metrics-out", str(stream),
-                     "--metrics-interval", "0.05"]) == 0
-        capsys.readouterr()
-        assert main(["obs", "report", str(stream)]) == 0
-        out = capsys.readouterr().out
-        assert "shard0.epochs" in out and "shard1.t" in out
-
     def test_report_summarises_metrics_stream(self, tmp_path, capsys):
         stream = tmp_path / "live.jsonl"
         assert main(["--quiet", "serve", "--hosts", "120", "--qps", "0.5",
@@ -286,6 +274,18 @@ class TestObsReport:
         out = capsys.readouterr().out
         assert "stream: " in out
         assert "Live metrics samples" in out
+
+    def test_report_summarises_a_bench_rss_stream(self, tmp_path, capsys):
+        stream = tmp_path / "live.jsonl"
+        assert main(["--quiet", "bench", "--hosts", "400",
+                     "--topology", "random", "--metrics-out", str(stream),
+                     "--metrics-interval", "0.05"]) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", str(stream)]) == 0
+        out = capsys.readouterr().out
+        assert "command=bench" in out
+        assert "Live metrics samples" in out and "process.rss_mb" in out
+        assert "stream has no final frame" not in out
 
     def test_report_missing_file_is_an_error(self, usage_error):
         usage_error(["obs", "report", "nope.json"], "cannot read")

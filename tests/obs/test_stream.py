@@ -1,9 +1,9 @@
 """Unit tests for live metrics streaming primitives.
 
-The writer's JSON Lines framing, the sampler's error propagation and
-final-sample semantics, and the fork-shared progress board; the CLI
-integration (``--metrics-out`` / ``--metrics-interval``) lives in
-``tests/obs/test_cli_obs.py``.
+The writer's JSON Lines framing, the reader's torn-tail tolerance and
+the sampler's error propagation and final-sample semantics; the CLI
+integration (``--metrics-out`` /
+``--metrics-interval``) lives in ``tests/obs/test_cli_obs.py``.
 """
 
 import json
@@ -14,11 +14,8 @@ import pytest
 from repro.obs.stream import (
     MetricsStreamWriter,
     PeriodicSampler,
-    ShardProgressBoard,
     current_rss_mb,
-    default_progress_board,
-    progress_board,
-    set_progress_board,
+    read_metrics_stream,
     status_mb,
 )
 
@@ -61,6 +58,55 @@ class TestMetricsStreamWriter:
         writer.close()
         writer.close()  # idempotent
 
+    def test_meta_may_name_its_stream_but_not_its_type(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        with MetricsStreamWriter(str(path), meta={"stream": "bench",
+                                                  "type": "sample"}):
+            pass
+        assert _rows(path) == [{"type": "meta", "stream": "bench"}]
+
+
+class TestReadMetricsStream:
+    def test_reads_back_what_the_writer_wrote(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        with MetricsStreamWriter(str(path), meta={"hosts": 10}) as writer:
+            writer.sample({"a": 1})
+            writer.final({"a": 2})
+        stream = read_metrics_stream(str(path))
+        assert stream["meta"] == {"type": "meta", "stream": "metrics",
+                                  "hosts": 10}
+        assert [(row["type"], row["a"]) for row in stream["rows"]] == [
+            ("sample", 1), ("final", 2)]
+        assert stream["has_final"] is True
+        assert stream["truncated"] is None
+
+    def test_a_torn_last_line_is_dropped_with_its_file_line(self, tmp_path):
+        """Blank lines are skipped but still counted, so the reported
+        line number is the file's own."""
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"type": "meta"}\n\n{"type": "sample", "seq": 0}'
+                        '\n{"type": "sam')
+        stream = read_metrics_stream(str(path))
+        assert [row["seq"] for row in stream["rows"]] == [0]
+        assert stream["has_final"] is False
+        number, error = stream["truncated"]
+        assert number == 4 and error
+
+    def test_a_bad_line_before_the_end_raises(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"type": "meta"}\n{oops\n{"type": "final"}\n')
+        with pytest.raises(ValueError, match=r"m\.jsonl:2: bad JSON line"):
+            read_metrics_stream(str(path))
+
+    def test_only_the_first_meta_is_the_header(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"type": "sample", "seq": 0}\n'
+                        '{"type": "meta", "n": 1}\n'
+                        '{"type": "meta", "n": 2}\n')
+        stream = read_metrics_stream(str(path))
+        assert stream["meta"] == {"type": "meta", "n": 1}
+        assert [row["type"] for row in stream["rows"]] == ["sample", "meta"]
+
 
 class TestPeriodicSampler:
     def test_stop_fires_one_final_sample(self):
@@ -95,29 +141,22 @@ class TestPeriodicSampler:
             sampler.start()
         sampler.stop(final_sample=False)
 
+    def test_a_failing_body_skips_the_final_sample_and_wins(self):
+        """The body's exception propagates; the sampler's own error and
+        its final sample are dropped."""
+        calls = []
 
-class TestShardProgressBoard:
-    def test_snapshot_reads_cells(self):
-        board = ShardProgressBoard(3)
-        board.cells[2] = 5.0   # shard 1: 5 epochs
-        board.cells[3] = 5.25  # ... at simulated time 5.25
-        snap = board.snapshot()
-        assert snap == {"shards": 3, "epochs": [0, 5, 0],
-                        "sim_time": [0.0, 5.25, 0.0]}
+        def boom():
+            calls.append(1)
+            raise RuntimeError("sampler died")
 
-    def test_rejects_non_positive_shards(self):
-        with pytest.raises(ValueError):
-            ShardProgressBoard(0)
-
-    def test_process_binding_binds_and_restores(self):
-        assert default_progress_board() is None
-        board = ShardProgressBoard(2)
-        with progress_board(board) as bound:
-            assert bound is board
-            assert default_progress_board() is board
-        assert default_progress_board() is None
-        with pytest.raises(TypeError):
-            set_progress_board(object())
+        with pytest.raises(KeyError, match="body died"):
+            with PeriodicSampler(0.01, boom):
+                deadline = time.monotonic() + 10.0
+                while not calls and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise KeyError("body died")
+        assert calls == [1]
 
 
 def test_current_rss_mb_reports_positive_on_linux():

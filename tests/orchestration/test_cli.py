@@ -108,6 +108,13 @@ def test_no_cache_leaves_no_records(cache_dir, tmp_path, capsys):
     assert not (tmp_path / "cache").exists()
 
 
+def test_bench_cli_runs_the_sharded_lane(capsys):
+    assert main(["bench", "--hosts", "300", "--topology", "random",
+                 "--lane", "sharded", "--shards", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "sharded lane x2" in out
+
+
 def test_bench_variable_delay_row(capsys):
     assert main(["bench", "--hosts", "64", "--topology", "random",
                  "--delay", "uniform:0.5,1.0"]) == 0
@@ -127,6 +134,8 @@ def test_bench_variable_delay_row(capsys):
     (["--metrics-interval", "0", "--metrics-out", "m.jsonl"],
      "argument --metrics-interval: must be > 0"),
     (["--label", "nightly"], "--label needs --json"),
+    (["--lane", "sharded", "--shards", "0"],
+     "argument --shards: must be >= 1"),
 ])
 def test_bench_checks_every_input_before_opening_a_file(
         bad_input, says, usage_error):
@@ -374,11 +383,13 @@ def test_serve_rejects_bad_parameters(usage_error):
                 "argument --share-floods: invalid choice: 'maybe'")
     usage_error(["serve", "--shed-policy"],
                 "argument --shed-policy: expected one argument")
+    usage_error(["serve", "--shards", "2"],
+                "unrecognized arguments: --shards 2")
 
 
 @pytest.mark.parametrize("bad_input", [
     ["--departures", "-5"],
-    ["--metrics-interval", "1", "--metrics-out", "m.jsonl", "--shards", "2"],
+    ["--metrics-interval", "0", "--metrics-out", "m.jsonl"],
     ["--metrics-interval", "1"],
     ["--rows", "-1"],
     ["--defer-retry", "-5", "--shed-policy", "defer", "--max-active", "3"],
@@ -389,10 +400,8 @@ def test_serve_rejects_bad_parameters(usage_error):
 def test_serve_checks_every_input_before_opening_a_file(
         bad_input, usage_error):
     """A negative ``--departures`` used to run (and print ``departures
-    -5``); ``--metrics-interval`` with ``--shards 2`` used to fail only
-    after creating a meta-only stream file; ``--rows -1`` printed no
-    rows, and ``--defer-*`` without the defer policy armed (or a negative
-    retry) was ignored."""
+    -5``); ``--rows -1`` printed no rows, and ``--defer-*`` without the
+    defer policy armed (or a negative retry) was ignored."""
     usage_error(["serve", "--hosts", "50", "--qps", "1", "--duration", "3",
                  "--trace-out", "trace.json", "--json", "report.json",
                  *bad_input], bad_input[0])
@@ -451,7 +460,6 @@ SURFACE = [
      None),
     ('serve', '--wildfire-share', 'wildfire_share', None, None, None),
     ('serve', '--max-queries', 'max_queries', None, None, None),
-    ('serve', '--shards', 'shards', 1, None, None),
     ('serve', '--rows', 'rows', 20, None, None),
     ('serve', '--json', 'json', None, None, None),
     ('serve', '--metrics-out', 'metrics_out', None, None, None),

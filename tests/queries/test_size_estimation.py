@@ -6,7 +6,6 @@ from repro.queries.size_estimation import (
     CaptureRecaptureEstimator,
     RingSegmentEstimator,
     required_sample_size,
-    run_capture_recapture,
 )
 
 
@@ -89,20 +88,3 @@ class TestCaptureRecapture:
     def test_invalid_max_marked(self):
         with pytest.raises(ValueError):
             CaptureRecaptureEstimator(max_marked=0)
-
-    def test_run_capture_recapture_helper(self):
-        populations = [set(range(500)) for _ in range(8)]
-        estimates = run_capture_recapture(populations, sample_size=150, seed=4)
-        assert len(estimates) >= 6
-        # Individual estimates are noisy (hypergeometric recapture counts);
-        # each should be within a factor of two and their mean much closer.
-        for record in estimates:
-            assert 250 <= record.estimate <= 1000
-        mean = sum(r.estimate for r in estimates) / len(estimates)
-        assert mean == pytest.approx(500, rel=0.3)
-
-    def test_run_capture_recapture_validates_sample_size(self):
-        with pytest.raises(ValueError):
-            run_capture_recapture([set(range(10))], sample_size=0)
-        with pytest.raises(ValueError):
-            run_capture_recapture([set(range(10))], sample_size=20)

@@ -1,17 +1,15 @@
 """The overload/fairness test matrix for the admission controller.
 
-The controller's contract, exercised over the full configuration
-matrix (policy x shard count) under the adversarial
-overload workload:
+The controller's contract, exercised over the configuration matrix
+(policy x flood sharing) under the adversarial overload workload:
 
 * **exactly one terminal outcome per query** -- every submitted query
   ends ``done``, ``failed`` or ``shed``; nothing is left ``deferred``
   or ``pending`` after a run to drain, and nothing is double-counted;
 * **fairness counters balance** -- the service-level tallies (shed /
   deferred / degraded / deferrals) are exactly the per-row facts summed
-  back up, in every cell of the matrix including the sharded ones
-  (where admission decisions may legitimately differ from the
-  single-process run, but the books must still balance per shard);
+  back up, in every cell of the matrix, including the ones where
+  identical queries share one flood;
 * the policies do what they say: ``shed`` rejects terminally, ``defer``
   retries inside its deadline and sheds past it, ``degrade`` serves a
   staleness-tagged recent answer and falls back to shedding on a miss.
@@ -38,17 +36,19 @@ BASE = dict(num_hosts=80, topology="random", qps=2.0, duration=12.0,
             seed=11, mix=adversarial_overload_mix(qps=2.0, duration=12.0))
 
 
-def _run_cell(policy, shards, **admission_overrides):
+def _run_cell(policy, share_floods=False, **admission_overrides):
     admission = AdmissionConfig(policy=policy,
                                 **{**ENVELOPE, **admission_overrides})
-    return run_query_mix(**BASE, shards=shards,
-                         share_floods=False, admission=admission)
+    return run_query_mix(**BASE, share_floods=share_floods,
+                         admission=admission)
 
 
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("share_floods", [False, True],
+                         ids=["solo", "shared"])
 @pytest.mark.parametrize("policy", ["shed", "defer", "degrade"])
-def test_overload_matrix_one_terminal_outcome_per_query(policy, shards):
-    result = _run_cell(policy, shards)
+def test_overload_matrix_one_terminal_outcome_per_query(policy,
+                                                        share_floods):
+    result = _run_cell(policy, share_floods)
     rows, summary = result["rows"], result["summary"]
 
     # Every submitted query has exactly one row, and every row ended in
@@ -95,7 +95,7 @@ def test_overload_matrix_decides_the_same_on_either_path(policy,
     under the matrix's session cap and under queue-depth caps, which
     read the work the lanes hold."""
     def outcomes(**overrides):
-        result = _run_cell(policy, 1, **overrides)
+        result = _run_cell(policy, **overrides)
         launched = {row["lane_used"] for row in result["rows"]
                     if row["status"] == "done" and not row.get("degraded")}
         return launched, result["summary"]["deferrals"], [
@@ -122,7 +122,7 @@ def test_overload_matrix_decides_the_same_on_either_path(policy,
 def test_defer_policy_retries_then_drains():
     """Deferrals happen, and every deferred query still terminates --
     launched inside the deadline or shed at it."""
-    result = _run_cell("defer", 1)
+    result = _run_cell("defer")
     summary = result["summary"]
     assert summary["deferrals"] > 0
     assert summary["deferred"] == 0
@@ -205,16 +205,3 @@ def test_tenant_budget_blocks_heavy_tenant_only():
     assert service.poll(heavy_second).status is QueryStatus.SHED
     assert service.poll(heavy_second).extra["shed_reason"] == "tenant_budget"
     assert service.poll(light).status is QueryStatus.DONE
-
-
-def test_sharded_matrix_merges_admission_tallies():
-    """The merged sharded summary's fairness counters equal the sums of
-    what each shard actually did (locked via the rows, which carry every
-    shard's per-query decisions)."""
-    result = _run_cell("shed", 2)
-    rows, summary = result["rows"], result["summary"]
-    assert summary["shards"] == 2
-    assert summary["shed"] == sum(
-        1 for row in rows if row["status"] == "shed")
-    assert (summary["answered"] + summary["failed"] + summary["shed"]
-            == summary["queries"])

@@ -2,6 +2,8 @@
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 _TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 
@@ -60,3 +62,18 @@ def test_prints_packages_of_a_tree_and_files_of_a_package(tmp_path, capsys):
         ["2", str(tmp_path / "pkg" / "a.py")],
         ["1", str(tmp_path / "pkg" / "b.py")],
     ]
+
+
+def test_a_reader_that_closes_early_gets_no_traceback(tmp_path):
+    """``code_lines.py src | head -1`` prints the total and stops quietly.
+    The output here (one small tree named 2 000 times) overflows the pipe
+    buffer, so the tool is still writing when the reader closes."""
+    (tmp_path / "a.py").write_text("x = 1\n")
+    proc = subprocess.Popen(
+        [sys.executable, str(_TOOL)] + [str(tmp_path)] * 2000,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().split() == [b"1", str(tmp_path).encode()]
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.wait(timeout=60)
+    assert "Traceback" not in stderr, stderr

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import io
+import os
 import pathlib
 import sys
 import tokenize
@@ -76,4 +77,9 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        sys.exit(main(sys.argv[1:]))
+    except BrokenPipeError:
+        # The reader stopped early (``| head -1``): it has what it wanted.
+        # Point stdout at devnull so the exit-time flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
