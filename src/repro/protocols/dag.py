@@ -218,9 +218,10 @@ class ConvergecastBatchKernel:
     __slots__ = ("hosts", "run", "broadcast_kind", "report_kind")
 
     @classmethod
-    def try_build(cls, hosts: Sequence[Any], num_hosts: int,
+    def try_build(cls, hosts: Sequence[Any], alive: bytearray,
                   querying_host: int) -> Optional["ConvergecastBatchKernel"]:
-        """A kernel for this host table, or ``None`` if unsupported.
+        """A kernel for this host table over the network's alive bitmap
+        ``alive`` (one byte per host), or ``None`` if unsupported.
 
         Supported: every host is exactly of the querying host's class
         and shares its run record (the kernel reads ``num_parents`` off
@@ -229,7 +230,7 @@ class ConvergecastBatchKernel:
         kernel inlines.  The hosts call their own combiner and the kernel
         never looks inside a partial, so any combiner works.
         """
-        if num_hosts <= 0 or len(hosts) < num_hosts:
+        if not alive or len(hosts) < len(alive):
             return None
         host_type = type(hosts[querying_host])
         if vars(host_type).get("batch_kernel") is not cls:

@@ -47,6 +47,10 @@ CONVERGECAST = "wf-convergecast"
 #: Name of the per-instant flush timer.
 FLUSH = "wf-flush"
 
+#: A dead host's slot in the batch kernel's deadline mirror: no instant
+#: is inside it, so the past-deadline test alone routes a delivery there.
+_DEAD = float("-inf")
+
 
 class WildfireRun(RunRecord):
     """WILDFIRE's run constants: the shared record plus whether the
@@ -75,8 +79,15 @@ class WildfireHost(ProtocolHost):
     the active-host fold in :meth:`on_message` and the FLUSH emission
     in :meth:`on_timer`.  One 6 000-host flood makes 6 000 activations
     (the query start and 5 999 first contacts) but 191 263 deliveries
-    and 43 418 flushes.  Both folds are one merge and up to three ``==``
-    tests on its result; the kernel writes the merge inline for the
+    and 43 418 flushes.  Both folds decide in one order, doing only the
+    work that can change what is sent: a delivery equal to ``partial``
+    is *settled* and returns before any merge (an idempotent merge would
+    change nothing, and WILDFIRE's duplicate-insensitive combiners are
+    idempotent); otherwise one merge, then growth (dirty, maybe a skip
+    neighbor) or a stale sender, noted in ``_reply_to`` only while the
+    host is clean -- ``_dirty`` is cleared only by the flush, and a
+    dirty flush multicasts and discards ``_reply_to``, so a note made
+    while dirty is dead.  The kernel writes the merge inline for the
     folds it admits -- the packed sketch OR, min and max -- where this
     class calls the run's ``combine`` (the spec is the general
     statement; any duplicate-insensitive combiner runs here).  Sharing
@@ -239,9 +250,14 @@ class WildfireHost(ProtocolHost):
         if incoming is None:
             return
         partial = self.partial
+        if partial == incoming:
+            # Settled: an idempotent merge would change nothing and the
+            # sender knows what we know.
+            return
         merged = self.run.combine(partial, incoming)
         if merged == partial:
-            if partial == incoming:
+            if self._dirty:
+                # The flush already pending multicasts to the sender too.
                 return
             # Our aggregate did not change but the sender's is stale:
             # send ours back so the sender (and eventually the querying
@@ -313,12 +329,16 @@ class WildfireBatchKernel:
     three duplicate-insensitive folds Section 5 admits: the host state
     is its one scalar ``partial`` (the packed sketch int, or the min /
     max float), read and written in place; only the merge expression
-    depends on the fold, and the spec's three comparisons on ``merged``
-    decide no-op, stale sender or growth -- no combiner method is called
-    per delivery.  Target lists are read from the network's own
-    sorted-view table (``lane.alive_sorted``; ``lane.onward`` at first
-    contact), rebuilt through the network only where a failure cleared
-    a row.
+    depends on the fold, and the spec's comparisons decide settled,
+    stale sender or growth in the spec's order -- no combiner method is
+    called per delivery.  Liveness is read from the ``deadlines``
+    mirror, not the alive bitmap: a dead host's slot is ``-inf``, which
+    no instant is inside, so the one past-deadline test routes a
+    delivery to it, and only that branch asks whether the host is past
+    its window (count the delivery) or dead (count a drop).
+    Target lists are read from the network's own sorted-view table
+    (``lane.alive_sorted``; ``lane.onward`` at first contact), rebuilt
+    through the network only where a failure cleared a row.
 
     Everything travels as one flat record shape,
     ``(rank, sender, dests, kind, agg, dist, chain_depth)``: ``agg`` is
@@ -338,17 +358,22 @@ class WildfireBatchKernel:
     registration instant (``_next_flush`` is never in the future, which
     :meth:`process_instant` asserts), so every flush is registered on
     the lane's timer calendar at ``now``, and every send of instant
-    ``t`` lands one ``delta`` later.
+    ``t`` lands one ``delta`` later.  The mirror is live too: it is
+    built from the alive bitmap, so a host that died before the launch
+    is dead from the start, and every real hook is followed by
+    :meth:`refresh_host` -- the query start, the engine's FAIL branch
+    and a shard's ``_apply_fails``.
     ``try_build`` gates engagement to host tables the kernel provably
     understands; everything else falls back to the spec lane.
     """
 
-    __slots__ = ("hosts", "run", "keep_min", "deadlines")
+    __slots__ = ("hosts", "run", "alive", "keep_min", "deadlines")
 
     @classmethod
-    def try_build(cls, hosts: Sequence[Any], num_hosts: int,
+    def try_build(cls, hosts: Sequence[Any], alive: bytearray,
                   querying_host: int) -> Optional["WildfireBatchKernel"]:
-        """A kernel for this host table, or ``None`` if unsupported.
+        """A kernel for this host table over the network's alive bitmap
+        ``alive`` (one byte per host), or ``None`` if unsupported.
 
         Supported: every host is exactly a :class:`WildfireHost` sharing
         one run record, whose combiner either merges with
@@ -361,7 +386,7 @@ class WildfireBatchKernel:
         """
         from repro.sketches.combiners import MaxCombiner, MinCombiner
 
-        if num_hosts <= 0 or len(hosts) < num_hosts:
+        if not alive or len(hosts) < len(alive):
             return None
         run = hosts[querying_host].run
         for host in hosts:
@@ -371,22 +396,26 @@ class WildfireBatchKernel:
         if run.combine is not operator.or_ and type(combiner) not in (
                 MinCombiner, MaxCombiner):
             return None
-        return cls(hosts, type(combiner) is MinCombiner)
+        return cls(hosts, alive, type(combiner) is MinCombiner)
 
-    def __init__(self, hosts: Sequence[Any], keep_min: bool) -> None:
+    def __init__(self, hosts: Sequence[Any], alive: bytearray,
+                 keep_min: bool) -> None:
         self.hosts = hosts
         self.run = hosts[0].run
+        self.alive = alive
         #: The fold: OR when ``run.combine`` is ``operator.or_``, else
         #: min (``keep_min``) or max.
         self.keep_min = keep_min
-        #: Participation-deadline mirror, ``None`` while a host is
-        #: inactive: one list load replaces a host fetch plus two
-        #: attribute reads per delivery, and past-deadline deliveries
-        #: (the tail of every flood) skip the host object entirely.
-        #: Maintained at first contact and by :meth:`refresh_host` after
-        #: the real query-start hook runs.
+        #: Participation-deadline mirror: ``None`` while a host is
+        #: inactive, ``_DEAD`` once it failed.  One list load replaces
+        #: an alive-bitmap read, a host fetch and two attribute reads per
+        #: delivery, and past-deadline and dead deliveries (the tail of
+        #: every flood) skip the host object entirely.  Built from the
+        #: bitmap here, maintained at first contact and by
+        #: :meth:`refresh_host` after every real hook.
         self.deadlines: List[Optional[float]] = [
-            host._deadline if host.active else None for host in hosts]
+            (host._deadline if host.active else None) if up else _DEAD
+            for host, up in zip(hosts, alive)]
 
     def flatten(self, payload) -> tuple:
         """The ``(agg, dist)`` record slots of a spec payload: the two
@@ -394,9 +423,15 @@ class WildfireBatchKernel:
         return payload.get("agg"), payload.get("dist")
 
     def refresh_host(self, host_id: int) -> None:
-        """Re-mirror one host's activation state after a real hook ran."""
+        """Re-mirror one host after a real hook ran -- the query start,
+        or a failure (the engine's FAIL branch, a shard's
+        ``_apply_fails``): ``_DEAD`` once it failed, else its
+        participation deadline once active, else ``None``."""
         host = self.hosts[host_id]
-        self.deadlines[host_id] = host._deadline if host.active else None
+        if not self.alive[host_id]:
+            self.deadlines[host_id] = _DEAD
+        else:
+            self.deadlines[host_id] = host._deadline if host.active else None
 
     def process_instant(self, now: float, entries: Sequence[tuple],
                         lane: Any) -> None:
@@ -410,7 +445,6 @@ class WildfireBatchKernel:
         it (one pointer check each when there is none).
         """
         hosts = self.hosts
-        alive = lane.alive_bytes
         counts = lane.counts
         deadlines = self.deadlines
         bucket = lane.timers_at(now)
@@ -423,21 +457,34 @@ class WildfireBatchKernel:
         qid = lane.qid
         sent_at = lane.sent_at
         for rank, sender, dests, kind, incoming, dist, depth in entries:
-            delivered = False
+            if depth > max_depth:
+                # The chain depth counts deliveries only: raise it for a
+                # record with at least one live destination.
+                for dest in dests:
+                    if deadlines[dest] != _DEAD:
+                        max_depth = depth
+                        break
             for dest in dests:
-                if not alive[dest]:
-                    dropped += 1
+                deadline = deadlines[dest]
+                if deadline is not None and now > deadline:
+                    # Past its window, or dead: no instant is inside
+                    # ``_DEAD``.
+                    if deadline == _DEAD:
+                        dropped += 1
+                        if tracer is not None:
+                            tracer.drop(now, dest, qid)
+                        continue
+                    counts[dest] += 1
                     if tracer is not None:
-                        tracer.drop(now, dest, qid)
-                    continue
+                        tracer.deliver(now, sender, dest, kind, depth,
+                                       sent_at, qid)
+                    continue  # spec path: return untouched
                 counts[dest] += 1
-                delivered = True
                 if tracer is not None:
                     # Recorded before the handler body runs, the spec
                     # loop's deliver-then-dispatch order.
                     tracer.deliver(now, sender, dest, kind, depth, sent_at,
                                    qid)
-                deadline = deadlines[dest]
                 if deadline is None:  # inactive
                     if now >= gdl:
                         continue  # spec path: return untouched
@@ -460,16 +507,18 @@ class WildfireBatchKernel:
                         host._flush_pending = True
                         bucket.append((dest, depth, rank))
                     continue
-                if now > deadline:
-                    continue  # spec path: return untouched
                 if incoming is None:
                     continue
                 host = hosts[dest]
                 # -- WildfireHost.on_message's active-host fold, stated
-                # again (see the class docstring).  Min / max merge as
-                # the combiner writes it, so ``merged`` is the very
-                # object ``combine`` returns, NaN and -0.0 included ----
+                # again (see the class docstring): settled, then merge,
+                # then stale (noted only while clean) or growth.  Min /
+                # max merge as the combiner writes it, so ``merged`` is
+                # the very object ``combine`` returns, NaN and -0.0
+                # included ----
                 state = host.partial
+                if state == incoming:
+                    continue  # settled
                 if fold_or:
                     merged = state | incoming
                 elif keep_min:
@@ -477,8 +526,8 @@ class WildfireBatchKernel:
                 else:
                     merged = state if state >= incoming else incoming
                 if merged == state:
-                    if state == incoming:
-                        continue  # pure no-op
+                    if host._dirty:
+                        continue  # the pending flush multicasts
                     # absorbed but the sender is stale: owe a reply
                     reply_to = host._reply_to
                     if reply_to is None:
@@ -497,8 +546,6 @@ class WildfireBatchKernel:
                         raise RuntimeError(
                             "tick lane: flush scheduled in the future")
                     bucket.append((dest, depth, rank))
-            if delivered and depth > max_depth:
-                max_depth = depth
         lane.dropped += dropped
         lane.max_depth = max_depth
 
@@ -524,7 +571,7 @@ class WildfireBatchKernel:
         nothing rebinds it inside a bucket.
         """
         hosts = self.hosts
-        alive = lane.alive_bytes
+        deadlines = self.deadlines
         network = lane.network
         views = lane.alive_sorted
         lands_at = lane.lands_at
@@ -536,7 +583,8 @@ class WildfireBatchKernel:
         sent = 0
         wireless_extra = 0
         for host_id, depth, rank in bucket:
-            if not alive[host_id]:
+            deadline = deadlines[host_id]
+            if deadline == _DEAD:
                 continue  # dead hosts' timers expire silently
             if tracer is not None:
                 # The spec loop records every fired timer on an alive
@@ -549,7 +597,7 @@ class WildfireBatchKernel:
             host = hosts[host_id]
             host._flush_pending = False
             host._next_flush = lands_at
-            if not host.active or now > host._deadline:
+            if not host.active or now > deadline:
                 host._dirty = False
                 host._reply_to = None
                 continue

@@ -615,9 +615,14 @@ class EventEngine:
                 self.tracer.fail(time, host)
             for session in self._active.values():
                 # Sessions riding a shared flood hold no host table (the
-                # flood's own session sees the failure).
+                # flood's own session sees the failure).  A tick lane's
+                # kernel re-mirrors the host after the hook: WILDFIRE's
+                # deadline mirror carries death, so its deliveries read
+                # no alive bitmap.
                 if time <= session.ends_at and session.hosts is not None:
                     session.hosts[host].on_fail(time - session.t0)
+                    if session.lane is not None:
+                        session.lane.kernel.refresh_host(host)
         elif kind is EventKind.JOIN:
             neighbors = [
                 h for h in (event.data or ()) if self.network.is_alive(h)

@@ -274,6 +274,7 @@ class _ShardLane(_TickLane):
                 # would break a merged trace's exact counts.
                 self.tracer.fail(time, host)
             self.hosts[host].on_fail(time)
+            self.kernel.refresh_host(host)
         self._fail_index = index
 
     # ------------------------------------------------------------------

@@ -28,7 +28,8 @@ engine time ``t0 + v``; popping it runs :meth:`_TickLane.step`.  Failures,
 query starts and retirement stay calendar events, ordered against the
 step by the calendar's own priorities, so the rule of which messages a
 host failing at ``t`` still handles is stated once
-(``events._KIND_PRIORITY``).  The sharded lane
+(``events._KIND_PRIORITY``); after the query start and each failure the
+kernel's ``refresh_host`` re-mirrors the host it touched.  The sharded lane
 (:mod:`repro.simulation.sharded`) is the one exception: its shards run
 on their own clock, in lockstep, and apply the failure schedule
 themselves.
@@ -150,8 +151,10 @@ def plan_run(engine, session, lane_reason: Optional[str] = None,
     query service) whatever else is filed there keeps its place.  The
     kernel is the one the querying host's class names as
     ``batch_kernel``; whether it accepts this host table is its
-    ``try_build``'s call.  ``kernels`` is the sharded lane's restriction
-    to the kernel classes it can drive (``None`` = any).
+    ``try_build``'s call, made over the network's alive bitmap (a kernel
+    that mirrors liveness starts from it).  ``kernels`` is the sharded
+    lane's restriction to the kernel classes it can drive (``None`` =
+    any).
     """
     if session.sample is not None:
         return None, "variable delay model"
@@ -168,7 +171,7 @@ def plan_run(engine, session, lane_reason: Optional[str] = None,
     if kernel_class is not None and (kernels is None
                                      or kernel_class in kernels):
         kernel = kernel_class.try_build(
-            hosts, engine.network.num_hosts, querying_host)
+            hosts, engine.network._alive, querying_host)
     if kernel is None:
         return None, "unsupported protocol hosts or combiner"
     return kernel, None
@@ -220,7 +223,9 @@ class _TickLane:
         #: pointer check per hook when there is none).
         self.tracer = engine.tracer
         #: The network's own packed alive bitmap (one byte per host);
-        #: failures show through immediately.
+        #: failures show through immediately.  The unicast path and the
+        #: convergecast kernel read it; the WILDFIRE kernel reads no
+        #: bitmap per delivery (its deadline mirror carries death).
         self.alive_bytes = network._alive
         #: The network's own sorted alive-neighbor view table: a failure
         #: clears rows in place (``None``: rebuild through

@@ -199,9 +199,10 @@ class _CapturingContext:
 class _CapturingLane:
     """The slice of ``_TickLane`` one ``process_instant`` or
     ``process_timer_bucket`` call touches (it is its own ``network``:
-    every host is alive, host 1's neighbors are 0, 2 and 3;
-    ``view_cleared`` leaves host 1's row of the view table as a failure
-    leaves it, for the network to rebuild)."""
+    host 1's neighbors are 0, 2 and 3; ``view_cleared`` leaves host 1's
+    row of the view table as a failure leaves it, for the network to
+    rebuild).  It has no alive bitmap: the kernel reads liveness from
+    its own deadline mirror."""
 
     tracer = None
     qid = 0
@@ -213,7 +214,6 @@ class _CapturingLane:
     def __init__(self, now, view_cleared):
         self.now = now
         self.lands_at = now + 1.0
-        self.alive_bytes = bytearray([1, 1, 1, 1])
         self.alive_sorted = [(1,), None if view_cleared else (0, 2, 3),
                              (1,), (1,)]
         self.counts = [0, 0, 0, 0]
@@ -250,10 +250,11 @@ def _slots(host):
             for name in getattr(cls, "__slots__", ()) if name != "run"}
 
 
-def _table(combiner, state, reply_to=(), flush_pending=False):
+def _table(combiner, state, reply_to=(), flush_pending=False, dirty=False):
     """A 4-host WILDFIRE table; host 1 active at distance 2 holding
     ``state`` (a combiner state: the packed bitmask for the FM count)
-    unless that is ``None``."""
+    unless that is ``None``.  A ``dirty`` host has its flush pending, as
+    only the flush clears either."""
     run = WildfireRun(0, None, combiner, 4, 1.0, random.Random(11),
                       early_termination=True)
     hosts = [WildfireHost(host_id, 3.0, run) for host_id in range(4)]
@@ -261,28 +262,38 @@ def _table(combiner, state, reply_to=(), flush_pending=False):
     if state is not None:
         host._activate(2)
         host.partial = state
+        host._dirty = dirty
     host._reply_to = set(reply_to) or None
-    host._flush_pending = flush_pending
+    host._flush_pending = flush_pending or host._dirty
     return hosts
 
 
+def _kernel(hosts, alive=None):
+    """The batch kernel over ``hosts`` and the alive bitmap ``alive``
+    (every host alive unless given)."""
+    if alive is None:
+        alive = bytearray([1] * len(hosts))
+    kernel = WildfireBatchKernel.try_build(hosts, alive, 0)
+    assert kernel is not None
+    return kernel
+
+
 def _one_delivery_both_ways(combiner, state, incoming, sender, reply_to,
-                            flush_pending, now, view_cleared):
+                            flush_pending, dirty, now, view_cleared):
     """Deliver one message to host 1 of two identical 4-host tables, once
     through ``WildfireHost.on_message`` and once as a single-record batch
     through ``WildfireBatchKernel.process_instant``; ``state is None``
     leaves the host inactive, so the delivery is its first contact.
     Returns both tables' host 1, spec first."""
     spec_hosts, lane_hosts = [
-        _table(combiner, state, reply_to, flush_pending)
+        _table(combiner, state, reply_to, flush_pending, dirty)
         for _ in range(2)]
     ctx = _CapturingContext(now)
     payload = {"agg": incoming, "dist": 1}
     spec_hosts[1].on_message(
         Message(sender, 1, CONVERGECAST, payload, now - 1.0, 3), ctx)
 
-    kernel = WildfireBatchKernel.try_build(lane_hosts, 4, 0)
-    assert kernel is not None
+    kernel = _kernel(lane_hosts)
     lane = _CapturingLane(now, view_cleared)
     kernel.process_instant(
         now, [(5, sender, (1,), CONVERGECAST) + kernel.flatten(payload) + (3,)],
@@ -308,18 +319,20 @@ def _one_delivery_both_ways(combiner, state, incoming, sender, reply_to,
 
 class TestFoldStatedTwice:
     """``WildfireHost.on_message``'s active-host fold is the one protocol
-    body the batch kernel repeats (both are one merge and three
-    comparisons; the kernel writes the merge inline for its three folds,
-    the spec calls ``combine``); first contact is shared.  One delivery
-    through each must leave the host in the same state and agree on the
-    flush.  A payload carries ``agg`` as both send it: the packed int for
-    the FM sketch, the float for min and max.  Drawn 300 times in tier-1,
-    ten times the named profile's count in CI."""
+    body the batch kernel repeats (both test settled before any merge,
+    then merge, then note a stale sender only while clean; the kernel
+    writes the merge inline for its three folds, the spec calls
+    ``combine``); first contact is shared.  One delivery through each
+    must leave the host in the same state and agree on the flush.  A
+    payload carries ``agg`` as both send it: the packed int for the FM
+    sketch, the float for min and max.  Drawn 300 times in tier-1, ten
+    times the named profile's count in CI."""
 
     _common = dict(
         sender=st.sampled_from([0, 2, 3]),
         reply_to=st.sets(st.sampled_from([0, 2, 3])),
         flush_pending=st.booleans(),
+        dirty=st.booleans(),
         # Inside the window, on and past the participation deadline
         # (distance 2: 7.0) and the global one (8.0).
         now=st.sampled_from([3.0, 7.0, 7.5, 8.0, 8.5]),
@@ -371,7 +384,7 @@ class TestFoldStatedTwice:
         now, sender = 3.0, 2
         spec_hosts = _table(combiner, state)
         lane_hosts = _table(combiner, state)
-        kernel = WildfireBatchKernel.try_build(lane_hosts, 4, 0)
+        kernel = _kernel(lane_hosts)
         ctx = _CapturingContext(now)
         lane = _CapturingLane(now, view_cleared=False)
         for rank, incoming in enumerate((stale, growth)):
@@ -397,6 +410,122 @@ class TestFoldStatedTwice:
                 for record in lane.out_records] == [
             (1, tuple(t for t in (0, 2, 3) if t not in skip), CONVERGECAST,
              merged, 2)]
+
+    #: ``(combiner, state, growth, stale)``: ``growth`` is what the
+    #: merge comes to, so its sender becomes the skip neighbor.
+    GROWTH_THEN_STALE = [
+        (FMCountCombiner(repetitions=2), 0b0011, 0b0111, 0b0001),
+        (MinCombiner(), 2.0, 1.0, 5.0),
+        (MaxCombiner(), 5.0, 7.0, 2.0),
+    ]
+
+    @pytest.mark.parametrize("stale_sender", [3, 2],
+                             ids=["another-sender", "the-skip-neighbor"])
+    @pytest.mark.parametrize("combiner, state, growth, stale",
+                             GROWTH_THEN_STALE, ids=["sketch", "min", "max"])
+    def test_growth_then_stale_owes_no_reply_and_flushes_one_multicast(
+            self, combiner, state, growth, stale, stale_sender):
+        """Host 2's growth makes the host dirty and host 2 its skip
+        neighbor; a stale delivery after it in the same instant -- from
+        host 3, or from host 2 itself -- notes no reply, because the
+        dirty flush discards every reply.  The flush sends the one
+        multicast, past host 2, through both bodies alike."""
+        now = 3.0
+        spec_hosts = _table(combiner, state)
+        lane_hosts = _table(combiner, state)
+        kernel = _kernel(lane_hosts)
+        ctx = _CapturingContext(now)
+        lane = _CapturingLane(now, view_cleared=False)
+        for rank, (sender, incoming) in enumerate(
+                ((2, growth), (stale_sender, stale))):
+            payload = {"agg": incoming, "dist": 1}
+            spec_hosts[1].on_message(
+                Message(sender, 1, CONVERGECAST, payload, now - 1.0, 3), ctx)
+            kernel.process_instant(
+                now, [(rank, sender, (1,), CONVERGECAST)
+                      + kernel.flatten(payload) + (3,)], lane)
+            assert _slots(lane_hosts[1]) == _slots(spec_hosts[1])
+            assert spec_hosts[1]._reply_to is None
+        assert spec_hosts[1]._dirty and spec_hosts[1]._skip_neighbor == 2
+        assert ctx.timers == [(0.0, FLUSH)] and lane.bucket == [(1, 3, 0)]
+
+        spec_hosts[1].on_timer(FLUSH, None, ctx)
+        kernel.process_timer_bucket(now, lane.bucket, lane)
+        assert _slots(lane_hosts[1]) == _slots(spec_hosts[1])
+        assert ctx.unicasts == lane.unicasts == []
+        assert ctx.multicasts == [(CONVERGECAST, growth, 2, (2,))]
+        assert [(record[1], tuple(record[2])) + record[3:6]
+                for record in lane.out_records] == [
+            (1, (0, 3), CONVERGECAST, growth, 2)]
+
+    @pytest.mark.parametrize("combiner, state, incoming", [
+        (FMCountCombiner(repetitions=2), 0b0110, 0b0110),
+        (MinCombiner(), 2.0, float("2.0")),
+        (MaxCombiner(), -0.0, 0.0),
+    ], ids=["sketch", "min", "max"])
+    def test_a_settled_delivery_calls_no_combine(self, combiner, state,
+                                                 incoming):
+        """A delivery equal to the host's aggregate returns before any
+        merge: the spec host never calls ``combine`` for it, and neither
+        body moves a slot, owes a reply or asks for a flush."""
+        calls = []
+        spec_hosts = _table(combiner, state)
+        lane_hosts = _table(combiner, state)
+        combine = spec_hosts[1].run.combine
+        spec_hosts[1].run.combine = lambda *args: (calls.append(args),
+                                                   combine(*args))[1]
+        before = _slots(spec_hosts[1])
+        ctx = _CapturingContext(3.0)
+        spec_hosts[1].on_message(
+            Message(2, 1, CONVERGECAST, {"agg": incoming, "dist": 1}, 2.0, 3),
+            ctx)
+        kernel = _kernel(lane_hosts)
+        lane = _CapturingLane(3.0, view_cleared=False)
+        kernel.process_instant(
+            3.0, [(0, 2, (1,), CONVERGECAST, incoming, 1, 3)], lane)
+        assert calls == []
+        assert _slots(spec_hosts[1]) == _slots(lane_hosts[1]) == before
+        assert spec_hosts[1].partial is state
+        assert ctx.timers == lane.bucket == []
+        assert lane.counts == [0, 1, 0, 0]
+
+
+class TestDeadlineMirrorCarriesDeath:
+    """The kernel's deadline mirror holds a dead host as ``-inf``, which
+    no instant is inside: built from the alive bitmap, re-mirrored by
+    ``refresh_host`` after a failure, and read instead of the bitmap."""
+
+    def test_built_over_a_dead_host_and_refreshed_after_a_failure(self):
+        hosts = _table(MinCombiner(), 2.0)
+        alive = bytearray([1, 1, 0, 1])
+        kernel = _kernel(hosts, alive)
+        assert kernel.deadlines == [None, hosts[1]._deadline,
+                                    float("-inf"), None]
+        alive[1] = 0
+        kernel.refresh_host(1)
+        assert kernel.deadlines[1] == float("-inf")
+
+    def test_deliveries_to_a_dead_host_are_drops_and_its_flush_never_fires(
+            self):
+        """Host 1 is active and dirty with a flush pending when it
+        fails: a delivery still addressed to it is a drop, and the
+        registration fires nothing -- no slot moves, nothing is sent."""
+        hosts = _table(MinCombiner(), 2.0, flush_pending=True, dirty=True)
+        alive = bytearray([1, 1, 1, 1])
+        kernel = _kernel(hosts, alive)
+        alive[1] = 0
+        kernel.refresh_host(1)
+        before = _slots(hosts[1])
+        lane = _CapturingLane(3.0, view_cleared=False)
+        kernel.process_instant(
+            3.0, [(0, 2, (1,), CONVERGECAST, 1.0, 1, 3)], lane)
+        # A record with no live destination leaves the chain depth.
+        assert lane.dropped == 1 and lane.counts == [0, 0, 0, 0]
+        assert lane.max_depth == 0
+        kernel.process_timer_bucket(3.0, [(1, 2, 0)], lane)
+        assert _slots(hosts[1]) == before
+        assert lane.out_records == lane.unicasts == lane.multicasts == []
+        assert lane.bucket == []
 
 
 def test_the_lane_fold_calls_no_combiner_hook(monkeypatch):

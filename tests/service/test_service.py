@@ -482,6 +482,48 @@ class TestSessionsOnTheTickLane:
                     rode = service.poll(ids[1]).extra.get("cache_hit", False)
                     assert rode == (sharing and not failures), where
 
+    def test_a_session_launched_after_a_failure_mirrors_the_dead_host(
+            self, topology, values, monkeypatch):
+        """Hosts 6 (a neighbor of querying host 0) and 23 fail before the
+        session launches, so no hook tells its kernel: the WILDFIRE
+        deadline mirror is built dead from the alive bitmap.  The row
+        equals the solo spec run on a network where both are already
+        dead."""
+        built = []
+        gate = service_engine.plan_run
+
+        def recording_gate(*args, **kwargs):
+            kernel, reason = gate(*args, **kwargs)
+            built.append(kernel)
+            return kernel, reason
+
+        monkeypatch.setattr(service_engine, "plan_run", recording_gate)
+        at = 2.0
+        service = QueryService(
+            topology, values, seed=SEED,
+            churn=ChurnSchedule(failures=[(0.5, 6), (1.25, 23)]))
+        qid = service.submit("wildfire", "count", at=at)
+        service.run()
+        outcome = service.poll(qid)
+        [kernel] = built
+        assert kernel.deadlines[6] == kernel.deadlines[23] == float("-inf")
+        assert (outcome.lane_used, outcome.fallback_reason) == (
+            "vector", None)
+
+        prepared = prepare_protocol_run(
+            protocol_from_spec("wildfire"), topology, values, "count",
+            seed=outcome.seed, d_hat=service.d_hat)
+        network = topology.to_network()
+        network.fail_host(6, 0.0)
+        network.fail_host(23, 0.0)
+        solo = Simulator(
+            network=network, hosts=prepared.hosts, querying_host=0,
+            max_time=prepared.termination * 4 + 16, lane="python").run(
+                until=prepared.termination)
+        assert solo.lane_used == "python"
+        assert _digest(outcome) == (
+            solo.value, solo.costs.fingerprint(), at + prepared.termination)
+
     #: Sessions the gate refuses: what makes them unsupported, and the
     #: reason their row must carry.
     GATES = {

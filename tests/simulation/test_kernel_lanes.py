@@ -15,6 +15,7 @@ the perf smokes.
 import multiprocessing
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.config import SimulationConfig
 from repro.obs.trace import RingTracer, Tracer
@@ -30,6 +31,7 @@ from repro.simulation.vector_lane import DEFAULT_LANE, LANES, validate_lane
 from repro.topology.grid import grid_topology
 from repro.topology.random_graph import random_topology
 from repro.workloads.values import uniform_values
+from tests.drawn import drawn
 
 SEED = 11
 
@@ -448,6 +450,71 @@ def test_ring_tracer_engages_the_lane_and_records_the_spec_trace(
     else:
         merged = [r for p in tracer.processes for r in p["records"]]
         assert sorted(merged) == sorted(spec_tracer.raw_records())
+
+
+def _full_ring():
+    return RingTracer(capacity=100_000, sampling={})
+
+
+def _same_trace_as_the_spec(lane, shards, churn):
+    """Run WILDFIRE under ``churn`` on the spec loop and on the lane, each
+    under an unsampled ring; assert the snapshots equal and the lane's
+    records are the spec loop's (a multiset across shards).  Returns
+    the records."""
+    spec_ring, ring = _full_ring(), _full_ring()
+    spec = _spec(churn=churn, tracer=spec_ring)
+    assert _engaged(lane, shards, churn=churn, tracer=ring) == spec
+    if lane == "vector":
+        records = ring.raw_records()
+    else:
+        records = [r for p in ring.processes for r in p["records"]]
+    assert sorted(records) == sorted(spec_ring.raw_records())
+    return records
+
+
+def _after_its_failure(records, host, failed_at):
+    """What ``host`` did after ``failed_at``: ``(drops, acts)`` -- the
+    deliveries dropped at it, and any delivery, fired timer or send."""
+    later = [r for r in records if r[1] > failed_at]
+    drops = [r for r in later if r[0] == "drop" and r[2] == host]
+    acts = [r for r in later
+            if (r[0] == "deliver" and r[3] == host)
+            or (r[0] in ("timer", "send") and r[2] == host)]
+    return drops, acts
+
+
+#: The drivers whose failure path the deadline mirror rides: the
+#: engine's FAIL branch, and a shard's own failure plan.
+FAILURE_DRIVERS = pytest.mark.parametrize(
+    "lane,shards", [("vector", 1), ("sharded", 2)], ids=lambda v: str(v))
+
+
+@FAILURE_DRIVERS
+def test_a_host_failing_between_instants_drops_what_is_in_flight_to_it(
+        lane, shards):
+    # Host 14 folds four deliveries and flushes at instant 3; eight more
+    # are in flight to it when it fails at 3.5.  They are drops, its
+    # window never reopens, and the run is the spec loop's.
+    records = _same_trace_as_the_spec(
+        lane, shards, ChurnSchedule(failures=[(3.5, 14)]))
+    drops, acts = _after_its_failure(records, 14, 3.5)
+    assert [r[:3] for r in drops] == [("drop", 4.0, 14)] * 8
+    assert acts == []
+
+
+@FAILURE_DRIVERS
+def test_a_drawn_failure_between_instants_is_the_spec_loops(
+        request, lane, shards):
+    # Any host, querying host 0 included, failing between any two
+    # instants of the flood.
+    def law(host, instant, offset):
+        failed_at = instant + offset
+        records = _same_trace_as_the_spec(
+            lane, shards, ChurnSchedule(failures=[(failed_at, host)]))
+        assert _after_its_failure(records, host, failed_at)[1] == []
+
+    drawn(request, law, plain=3, host=st.integers(0, 29),
+          instant=st.integers(0, 7), offset=st.sampled_from([0.25, 0.5]))
 
 
 # ----------------------------------------------------------------------
