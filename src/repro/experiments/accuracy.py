@@ -36,16 +36,20 @@ class AccuracyRow(NamedTuple):
 
 
 def _count_estimate(set_size: int, repetitions: int, rng: random.Random) -> float:
-    sketch = FMSketch.empty(repetitions)
-    for _ in range(set_size):
-        sketch = sketch.merge(FMSketch.for_new_element(repetitions, rng))
+    # One sketch of ``set_size`` distinct elements: the same draws, in
+    # the same order, as OR-ing ``set_size`` single-element sketches.
+    sketch = FMSketch.for_value(set_size, repetitions, rng)
     return sketch.estimate() / set_size
 
 
 def _sum_estimate(values: Sequence[int], repetitions: int, rng: random.Random) -> float:
-    sketch = FMSketch.empty(repetitions)
-    for value in values:
-        sketch = sketch.merge(FMSketch.for_value(value, repetitions, rng))
+    # A value of ``v`` is ``int(v)`` distinct elements, drawn after the
+    # previous value's: one sketch of all of them makes the same draws
+    # as OR-ing one ``for_value`` sketch per value.
+    if any(value < 0 for value in values):
+        raise ValueError("sum sketches require non-negative values")
+    elements = sum(int(value) for value in values)
+    sketch = FMSketch.for_value(elements, repetitions, rng)
     truth = sum(values)
     return sketch.estimate() / truth if truth else 1.0
 

@@ -172,8 +172,10 @@ def run_query_mix(
     for outcome in report.outcomes:
         row = outcome.as_row()
         row["late_messages"] = late_by_query.get(outcome.query_id, 0)
-        if outcome.costs is not None:
-            row["cost_fingerprint"] = outcome.costs.fingerprint()
+        # Frozen once per flood when it declared: after the drain every
+        # row with a cost sink is a declared one.
+        if outcome.fingerprint is not None:
+            row["cost_fingerprint"] = outcome.fingerprint
         rows.append(row)
 
     summary = dict(report.summary())

@@ -192,16 +192,18 @@ class ConvergecastBatchKernel:
     :meth:`process_instant` and each instant's due timers
     ``(host_id, chain_depth, rank)`` to :meth:`process_timer_bucket`, and
     the kernel keeps what a lane adds to the protocol -- target lists,
-    ``submit_multi`` and the Report records, timer registration,
-    accounting and trace hooks.  Adoption, the Report fold and the
-    report deadline are calls into the spec host
+    filing the onward Broadcasts and the Reports (records straight onto
+    ``lane.out_records``, one tally per instant and kind), timer
+    registration, accounting and trace hooks.  Adoption, the Report
+    fold and the report deadline are calls into the spec host
     (:meth:`DagHost.adopt`, :meth:`~DagHost.take_report`,
     :meth:`~DagHost.report_due`); the extra-parent test is the one
     per-delivery branch inlined here.  As there, the onward Broadcast's
-    targets are ``lane.onward`` (the network's own sorted view less the
-    sender), and a Report to a parent -- a former sender -- needs only
-    both ends alive (``lane.submit_unicast``'s check, inlined per
-    bucket).  A Broadcast carries the sender's tree depth in the
+    targets are the network's own sorted view (``lane.alive_sorted``,
+    rebuilt where a failure cleared the row) less the sender, and a
+    Report to a parent -- a former sender, a structural neighbor for
+    the whole run -- needs only both ends alive on the bitmap.  A
+    Broadcast carries the sender's tree depth in the
     ``dist`` slot, a Report carries the partial aggregate in ``agg`` --
     the combiner's state, the packed int for the FM count and sum --
     which is what the spec's payload dict holds (a host never changes
@@ -261,13 +263,23 @@ class ConvergecastBatchKernel:
         """Process one instant's delivery records in spec FIFO order
         (:meth:`DagHost.on_message`'s dispatch); with a ``lane.tracer``
         every delivery and drop is recorded where the spec loop records
-        it, stamped with the batch's send instant ``lane.sent_at``."""
+        it, stamped with the batch's send instant ``lane.sent_at``.  An
+        adoption's onward Broadcast goes straight onto
+        ``lane.out_records``, counted in two locals folded into the lane
+        at the end, and its report timer straight onto ``lane.timers``."""
         hosts = self.hosts
         alive = lane.alive_bytes
         counts = lane.counts
         broadcast_kind = self.broadcast_kind
         num_parents = self.run.num_parents
+        network = lane.network
+        views = lane.alive_sorted
+        timers = lane.timers
+        wireless = lane.wireless
+        out = lane.out_records
         dropped = 0
+        sent = 0
+        wireless_extra = 0
         max_depth = lane.max_depth
         tracer = lane.tracer
         qid = lane.qid
@@ -308,13 +320,35 @@ class ConvergecastBatchKernel:
                     # the lane's neighbor memo would never be read back)
                     # and registers the report timer at the deadline.
                     deadline = host.adopt(sender, sender_depth, now)
-                    targets = lane.onward(dest, sender)
+                    targets = views[dest]
+                    if targets is None:  # cleared by a failure
+                        targets = network.alive_neighbors_sorted(dest)
+                    if sender in targets:
+                        targets = list(targets)
+                        targets.remove(sender)
                     if targets:
-                        lane.submit_multi(dest, targets, broadcast_kind, None,
-                                          host.depth, now, depth + 1)
-                    lane.timers_at(deadline).append((dest, depth, rank))
+                        if wireless:
+                            # One over-the-air transmission per batch.
+                            sent += 1
+                            wireless_extra += len(targets) - 1
+                        else:
+                            sent += len(targets)
+                        if tracer is not None:
+                            tracer.send(now, dest, -1, broadcast_kind,
+                                        len(targets), qid)
+                        out.append((0, dest, targets, broadcast_kind, None,
+                                    host.depth, depth + 1))
+                    registered = timers.get(deadline)
+                    if registered is None:
+                        timers[deadline] = [(dest, depth, rank)]
+                    else:
+                        registered.append((dest, depth, rank))
             if delivered and depth > max_depth:
                 max_depth = depth
+        if sent:
+            lane.send_acc[(now, broadcast_kind)] += sent
+        if wireless_extra:
+            lane.wireless_groups += wireless_extra
         lane.dropped += dropped
         lane.max_depth = max_depth
 
@@ -343,9 +377,9 @@ class ConvergecastBatchKernel:
             host = hosts[host_id]
             partial = host.partial
             for parent in host.report_due():
-                # ``lane.submit_unicast`` without the call: both ends
-                # alive (the sender is, above), traced and appended per
-                # Report, counted once per bucket below.
+                # ``ctx.send``'s alive-edge check: both ends alive (the
+                # sender is, above); traced and appended per Report,
+                # counted once per bucket below.
                 if alive[parent]:
                     sent += 1
                     if tracer is not None:

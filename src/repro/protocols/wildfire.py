@@ -143,23 +143,17 @@ class WildfireHost(ProtocolHost):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _participation_deadline(self) -> float:
-        """The time until which this host keeps processing Convergecast."""
-        run = self.run
-        if (
-            run.early_termination
-            and self.distance is not None
-            and self.host_id != run.querying_host
-        ):
-            return (2.0 * run.d_hat - self.distance + 1.0) * run.delta
-        return run.global_deadline
-
     def _activate(self, distance: int) -> None:
         self.active = True
         self.distance = distance
         run = self.run
         self.partial = run.combiner.initial(self.value, run.rng)
-        self._deadline = self._participation_deadline()
+        if run.early_termination and self.host_id != run.querying_host:
+            # Section 5.3: a host ``distance`` hops out keeps processing
+            # Convergecast only until ``(2 * D_hat - distance + 1) *
+            # delta`` (the querying host, and every host without the
+            # optimisation, until the global deadline set at __init__).
+            self._deadline = (2.0 * run.d_hat - distance + 1.0) * run.delta
 
     def first_contact(self, sender: int, incoming: Any,
                       sender_distance: Optional[int]) -> bool:
@@ -313,9 +307,11 @@ class WildfireBatchKernel:
     subclass in :mod:`repro.simulation.sharded.worker`) hands each
     instant's deliveries to :meth:`process_instant` and the flushes they
     registered to :meth:`process_timer_bucket`.  What a lane adds to the
-    protocol is how things travel -- target lists, ``submit_multi`` /
-    ``submit_unicast``, timer registration, the ``deadlines`` mirror,
-    accounting and trace hooks -- and that is what lives here.  The
+    protocol is how things travel -- target lists, filing every send
+    (the record onto ``lane.out_records``, one tally per instant and
+    kind into ``lane.send_acc``, the trace record), timer registration,
+    the ``deadlines`` mirror, accounting and trace hooks -- and that is
+    what lives here.  The
     protocol itself is :class:`WildfireHost`: an inactive host's first
     contact is a call to its own :meth:`~WildfireHost.first_contact`
     (which draws the contribution in spec RNG order).  The two
@@ -337,8 +333,9 @@ class WildfireBatchKernel:
     delivery to it, and only that branch asks whether the host is past
     its window (count the delivery) or dead (count a drop).
     Target lists are read from the network's own sorted-view table
-    (``lane.alive_sorted``; ``lane.onward`` at first contact), rebuilt
-    through the network only where a failure cleared a row.
+    (``lane.alive_sorted``, less the sender for a first contact's onward
+    Broadcast), rebuilt through the network only where a failure
+    cleared a row.
 
     Everything travels as one flat record shape,
     ``(rank, sender, dests, kind, agg, dist, chain_depth)``: ``agg`` is
@@ -447,11 +444,17 @@ class WildfireBatchKernel:
         hosts = self.hosts
         counts = lane.counts
         deadlines = self.deadlines
-        bucket = lane.timers_at(now)
+        bucket = lane.timers.setdefault(now, [])
         gdl = self.run.global_deadline
         fold_or = self.run.combine is operator.or_
         keep_min = self.keep_min
+        network = lane.network
+        views = lane.alive_sorted
+        wireless = lane.wireless
+        out = lane.out_records
         dropped = 0
+        sent = 0
+        wireless_extra = 0
         max_depth = lane.max_depth
         tracer = lane.tracer
         qid = lane.qid
@@ -492,17 +495,31 @@ class WildfireBatchKernel:
                     # plain call: 5 999 of them a 6 000-host flood against
                     # 191 263 deliveries.  The lane's business is what is
                     # left -- the deadline mirror, the onward Broadcast
-                    # (send_to_neighbors with exclude=(sender,)) and the
-                    # flush registration, due at once: a host that was
-                    # never active has never flushed.
+                    # (send_to_neighbors with exclude=(sender,): the
+                    # shared view itself unless it holds the sender) and
+                    # the flush registration, due at once: a host that
+                    # was never active has never flushed.
                     host = hosts[dest]
                     owes_flush = host.first_contact(sender, incoming, dist)
                     deadlines[dest] = host._deadline
-                    targets = lane.onward(dest, sender)
+                    targets = views[dest]
+                    if targets is None:  # cleared by a failure
+                        targets = network.alive_neighbors_sorted(dest)
+                    if sender in targets:
+                        targets = list(targets)
+                        targets.remove(sender)
                     if targets:
-                        lane.submit_multi(
-                            dest, targets, BROADCAST,
-                            host.partial, host.distance, now, depth + 1)
+                        if wireless:
+                            # One over-the-air transmission per batch.
+                            sent += 1
+                            wireless_extra += len(targets) - 1
+                        else:
+                            sent += len(targets)
+                        if tracer is not None:
+                            tracer.send(now, dest, -1, BROADCAST,
+                                        len(targets), qid)
+                        out.append((0, dest, targets, BROADCAST,
+                                    host.partial, host.distance, depth + 1))
                     if owes_flush and not host._flush_pending:
                         host._flush_pending = True
                         bucket.append((dest, depth, rank))
@@ -546,6 +563,10 @@ class WildfireBatchKernel:
                         raise RuntimeError(
                             "tick lane: flush scheduled in the future")
                     bucket.append((dest, depth, rank))
+        if sent:
+            lane.send_acc[(now, BROADCAST)] += sent
+        if wireless_extra:
+            lane.wireless_groups += wireless_extra
         lane.dropped += dropped
         lane.max_depth = max_depth
 
@@ -560,22 +581,25 @@ class WildfireBatchKernel:
         transcribed inline.  All sends from this bucket share one
         delivery instant (``lane.lands_at``, one ``delta`` after ``now``:
         also every flushing host's ``_next_flush``) and one accounting key
-        (``(now, CONVERGECAST)``).  Multicasts (the dirty branch) are
-        appended straight to ``lane.out_records`` and counted in two
-        locals folded into the lane at the end; unicast replies (the
-        ``_reply_to`` branch) go through ``lane.submit_unicast``, which
-        checks both ends alive, counts, traces and appends per call.  The
-        totals are those the per-send path would record, and FIFO order
-        holds across the two branches because ``out`` below *is*
-        ``lane.out_records`` -- the list ``submit_unicast`` appends to;
-        nothing rebinds it inside a bucket.
+        (``(now, CONVERGECAST)``).  Multicasts (the dirty branch) and
+        unicast replies (the ``_reply_to`` branch) alike are traced and
+        appended straight to ``lane.out_records`` in spec order, and
+        counted in two locals folded into the lane at the end: the totals
+        are those the per-send path would record.  A reply goes back to a
+        former sender -- a structural neighbor for the whole run, the
+        gate refusing joins -- from a host that is alive, so the spec's
+        alive-edge check reduces to the deadline mirror's verdict on the
+        neighbor.  A flush fires in the instant that registered it and
+        failures land between instants (a lane's instant is filed ahead
+        of that engine instant's failures; a shard applies its failure
+        plan between steps), so a flushing host is never dead: one that
+        is raises, as a flush scheduled in the future does.
         """
         hosts = self.hosts
         deadlines = self.deadlines
         network = lane.network
         views = lane.alive_sorted
         lands_at = lane.lands_at
-        submit_unicast = lane.submit_unicast
         wireless = lane.wireless
         out = lane.out_records
         tracer = lane.tracer
@@ -585,7 +609,7 @@ class WildfireBatchKernel:
         for host_id, depth, rank in bucket:
             deadline = deadlines[host_id]
             if deadline == _DEAD:
-                continue  # dead hosts' timers expire silently
+                raise RuntimeError("tick lane: flush fired on a dead host")
             if tracer is not None:
                 # The spec loop records every fired timer on an alive
                 # host before its handler runs.
@@ -628,8 +652,14 @@ class WildfireBatchKernel:
             elif host._reply_to:
                 distance = host.distance
                 for neighbor in sorted(host._reply_to):
-                    submit_unicast(host_id, neighbor, CONVERGECAST, agg,
-                                   distance, now, depth + 1, rank)
+                    if deadlines[neighbor] == _DEAD:
+                        continue  # ctx.send's alive-edge check refuses
+                    sent += 1
+                    if tracer is not None:
+                        tracer.send(now, host_id, neighbor, CONVERGECAST, 1,
+                                    qid)
+                    out.append((rank, host_id, (neighbor,), CONVERGECAST,
+                                agg, distance, depth + 1))
                 host._reply_to = None
             host._dirty = False
             host._skip_neighbor = None

@@ -48,7 +48,8 @@ from repro.service.admission import AdmissionConfig, AdmissionController
 from repro.service.engine import MuxEngine
 from repro.service.session import QueryOutcome, QuerySession, QueryStatus
 from repro.service.sharing import (SharedFloodCache, computation_key,
-                                   consensus_seed, delay_is_stochastic)
+                                   consensus_material, consensus_seed,
+                                   delay_is_stochastic)
 from repro.simulation.churn import ChurnSchedule
 from repro.simulation.host import ProtocolHost
 from repro.sketches.combiners import Combiner
@@ -227,6 +228,10 @@ class QueryService:
         self._elapsed_total = 0.0
         self.share_floods = bool(share_floods)
         self._delay_stochastic = delay_is_stochastic(delay, self.delta)
+        # ``(seed, computation key)`` per distinct submission content:
+        # keyed by the consensus material, plus the seed when the caller
+        # passed one (the key is ``None`` while sharing is off).
+        self._derived: Dict[Any, tuple] = {}
         # The cache also backs the degrade policy's recent-answer store,
         # so it exists (with subscription off) when only degrading.
         if self.share_floods or (admission is not None
@@ -297,10 +302,25 @@ class QueryService:
                              protocol.default_combiner(
                                  query, repetitions=repetitions))
         resolved_d_hat = self.d_hat if d_hat is None else int(d_hat)
-        if seed is None:
-            seed = consensus_seed(self.seed, protocol, query,
-                                  querying_host, resolved_combiner,
-                                  resolved_d_hat)
+        # One content, one seed, one key: derived once per distinct
+        # material (every input of both but the service-wide ones).
+        material = consensus_material(protocol, query, querying_host,
+                                      resolved_combiner, resolved_d_hat)
+        memo = material if seed is None else (material, seed)
+        derived = self._derived.get(memo)
+        if derived is None:
+            if seed is None:
+                seed = consensus_seed(self.seed, protocol, query,
+                                      querying_host, resolved_combiner,
+                                      resolved_d_hat)
+            share_key = None
+            if self.engine.sharing is not None:
+                share_key = computation_key(
+                    protocol, query, querying_host, resolved_combiner,
+                    resolved_d_hat, self.delay_spec, seed,
+                    delay_stochastic=self._delay_stochastic)
+            derived = self._derived[memo] = (seed, share_key)
+        seed, share_key = derived
         session = QuerySession(
             qid=qid,
             protocol=protocol,
@@ -318,13 +338,10 @@ class QueryService:
             stream=stream,
             extra=extra,
         )
-        if self.engine.sharing is not None and join_factory is None:
+        if join_factory is None:
             # A join factory customises per-session behaviour the key
             # cannot capture, so such sessions never share.
-            session.share_key = computation_key(
-                protocol, query, querying_host, resolved_combiner,
-                resolved_d_hat, self.delay_spec, seed,
-                delay_stochastic=self._delay_stochastic)
+            session.share_key = share_key
         self._sessions[qid] = session
         self.engine.schedule_session(session)
         tracer = self.engine.tracer

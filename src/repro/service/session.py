@@ -33,7 +33,9 @@ with the host table.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
+from types import MappingProxyType
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional,
+                    Sequence)
 
 from repro.protocols.base import Protocol, prepare_protocol_run
 from repro.queries.query import AggregateQuery
@@ -71,7 +73,12 @@ class QueryOutcome:
         submitted_at: engine time the query was scheduled to launch.
         declared_at: engine time of the declaration (``None`` until done).
         value: the declared aggregate (``None`` until done / if failed).
-        costs: the session's private cost accounting sink.
+        costs: the session's private cost accounting sink (a
+            subscriber's is its own copy of its leader's final sink).
+        summary: ``costs.summary()``, frozen read-only when the flood
+            the value came from (the query's own, or a subscriber's
+            leader's) declared; ``None`` before that.
+        fingerprint: ``costs.fingerprint()``, frozen with ``summary``.
         d_hat: the stable-diameter overestimate the session used.
         termination: the protocol's nominal duration ``T`` (virtual time).
         stream: caller-supplied user-stream tag (reports of one
@@ -89,7 +96,7 @@ class QueryOutcome:
     __slots__ = ("query_id", "protocol", "query", "querying_host", "status",
                  "seed", "submitted_at", "declared_at", "value", "costs",
                  "d_hat", "termination", "stream", "extra", "lane_used",
-                 "fallback_reason")
+                 "fallback_reason", "summary", "fingerprint")
 
     def __init__(self, query_id: int, protocol: str, query: AggregateQuery,
                  querying_host: int, status: QueryStatus, seed: int,
@@ -99,7 +106,9 @@ class QueryOutcome:
                  termination: float = 0.0, stream: Optional[int] = None,
                  extra: Optional[Dict[str, Any]] = None,
                  lane_used: Optional[str] = None,
-                 fallback_reason: Optional[str] = None) -> None:
+                 fallback_reason: Optional[str] = None,
+                 summary: Optional[Mapping[str, int]] = None,
+                 fingerprint: Optional[str] = None) -> None:
         self.query_id = query_id
         self.protocol = protocol
         self.query = query
@@ -116,6 +125,8 @@ class QueryOutcome:
         self.extra = {} if extra is None else extra
         self.lane_used = lane_used
         self.fallback_reason = fallback_reason
+        self.summary = summary
+        self.fingerprint = fingerprint
 
     def as_row(self) -> Dict[str, Any]:
         """Flatten into a report-table row (submit-time metadata included,
@@ -136,7 +147,9 @@ class QueryOutcome:
         if self.stream is not None:
             row["stream"] = self.stream
         row.update(self.extra)
-        if self.costs is not None:
+        if self.summary is not None:
+            row.update(self.summary)
+        elif self.costs is not None:  # not declared yet: read it live
             row.update(self.costs.summary())
         return row
 
@@ -156,7 +169,7 @@ class QuerySession(Session):
         "topology", "values", "stream", "extra",
         # launch-time state
         "status", "delay_model", "d_hat", "value", "declared_at",
-        "lane_used", "fallback_reason",
+        "lane_used", "fallback_reason", "summary", "fingerprint",
         # shared-flood cache wiring
         "share_key", "shared_from",
     )
@@ -203,6 +216,10 @@ class QuerySession(Session):
         # The gate's verdict at launch, as the outcome row reports it.
         self.lane_used: Optional[str] = None
         self.fallback_reason: Optional[str] = None
+        # Frozen by finalize with the value and the final sink: the
+        # record a subscriber declares from.
+        self.summary: Optional[Mapping[str, int]] = None
+        self.fingerprint: Optional[str] = None
         # Set by the service when flood sharing is on: the session's
         # computation key, and (after subscription) the in-flight
         # computation this session rides instead of flooding itself.
@@ -287,10 +304,14 @@ class QuerySession(Session):
         if self.status is not QueryStatus.RUNNING:
             return
         if self.shared_from is not None:
-            # Subscriber: fork the declared value and a private copy of
-            # the leader's cost accounting (bit-identical to the solo
+            # Subscriber: declare the leader's frozen record with a
+            # private copy of its final sink (bit-identical to the solo
             # run this session would have executed -- see sharing.py).
-            self.value, self.sink = self.shared_from.resolve()
+            leader = self.shared_from.resolve()
+            self.value = leader.value
+            self.summary = leader.summary
+            self.fingerprint = leader.fingerprint
+            self.sink = leader.sink.copy()
             self.declared_at = self.ends_at
             self.status = QueryStatus.DONE
             self.shared_from = None
@@ -303,6 +324,10 @@ class QuerySession(Session):
             self.lane.settle(self.sink)
         self.value = self.hosts[self.querying_host].local_result()
         self.declared_at = self.ends_at
+        # Summarised and fingerprinted once per flood: every subscriber
+        # declares these very objects.
+        self.summary = MappingProxyType(self.sink.summary())
+        self.fingerprint = self.sink.fingerprint()
         self.status = QueryStatus.DONE
         # Per-host protocol state dominates a session's footprint (one
         # state machine per network host); the result and the cost sink
@@ -331,4 +356,6 @@ class QuerySession(Session):
             extra=dict(self.extra),
             lane_used=self.lane_used,
             fallback_reason=self.fallback_reason,
+            summary=self.summary,
+            fingerprint=self.fingerprint,
         )

@@ -6,7 +6,11 @@ module is the sharing layer of ROADMAP item 4: sessions whose *derived
 computation key* matches an in-flight computation **subscribe** to it
 instead of flooding, forking only per-tenant accounting, clocks and
 outcome records -- each subscriber's reported result stays bit-identical
-to the run it would have executed alone.
+to the run it would have executed alone.  The leader freezes what it
+declared once -- value, cost summary, fingerprint and final sink -- and
+a subscriber declares that record with a private copy of the sink, so
+one flood is summarised and fingerprinted once however many tenants
+ride it.
 
 The correctness invariant, locked by ``tests/service/test_sharing_key.py``:
 
@@ -45,7 +49,6 @@ Completed leaders additionally feed a small **recent-answer store**
 from __future__ import annotations
 
 import bisect
-import copy
 import random
 from collections import OrderedDict
 from typing import Any, List, Optional, Tuple
@@ -62,6 +65,7 @@ __all__ = [
     "SharedFloodCache",
     "canonical_delay_spec",
     "computation_key",
+    "consensus_material",
     "consensus_seed",
     "delay_is_stochastic",
     "protocol_is_stochastic",
@@ -147,6 +151,27 @@ def seed_sensitive(protocol: Protocol, combiner: Combiner,
             or delay_stochastic)
 
 
+def consensus_material(protocol: Protocol, query: AggregateQuery,
+                       querying_host: int, combiner: Combiner,
+                       d_hat: int) -> Tuple:
+    """The submission content :func:`consensus_seed` derives a seed from.
+
+    Everything the computation key holds but the delay spec and the seed
+    itself (see :func:`consensus_seed` for why the delay is left out), so
+    two submissions with equal material get the same consensus seed and,
+    on one service, the same key: the service derives both once per
+    distinct material.
+    """
+    return (
+        _protocol_spec(protocol),
+        (query.kind.value, query.attribute, query.epsilon,
+         query.confidence),
+        querying_host,
+        _combiner_spec(combiner),
+        int(d_hat),
+    )
+
+
 def consensus_seed(service_seed, protocol: Protocol, query: AggregateQuery,
                    querying_host: int, combiner: Combiner,
                    d_hat: int) -> int:
@@ -174,14 +199,8 @@ def consensus_seed(service_seed, protocol: Protocol, query: AggregateQuery,
     gossip/per-edge carve-out) -- so any retag must clear that test's
     full delay matrix.
     """
-    material = (
-        _protocol_spec(protocol),
-        (query.kind.value, query.attribute, query.epsilon,
-         query.confidence),
-        querying_host,
-        _combiner_spec(combiner),
-        int(d_hat),
-    )
+    material = consensus_material(protocol, query, querying_host,
+                                  combiner, d_hat)
     return random.Random(
         f"{service_seed}:consensus-v2:{material!r}").getrandbits(64)
 
@@ -224,7 +243,8 @@ class SharedComputation:
     ``leader`` is the session actually executing protocol state on the
     network; ``subscribers`` the query ids that attached.  ``resolve``
     is called from a subscriber's ``finalize`` and returns the declared
-    value plus a *private deep copy* of the leader's cost sink -- the
+    leader, whose frozen record the subscriber declares with a *private
+    copy* of the final cost sink -- the
     stimulus stream the leader consumed (in virtual time) is exactly the
     stream each subscriber's solo run would have consumed, so the copied
     accounting is the subscriber's own accounting, bit for bit.
@@ -238,7 +258,11 @@ class SharedComputation:
         self.subscribers: List[int] = []
 
     def resolve(self):
-        """The computation's final ``(value, private sink copy)``.
+        """The declared leader: its value, cost ``summary``,
+        ``fingerprint`` and final ``sink``, frozen once when it declared.
+        A subscriber declares the same value, summary and fingerprint
+        over a :meth:`~repro.simulation.stats.CostAccounting.copy` of the
+        sink, and so never shares the leader's.
 
         A subscriber whose retirement instant ties with the leader's can
         pop from the deadline heap first (heap order is ``(ends_at,
@@ -251,7 +275,7 @@ class SharedComputation:
 
         if leader.status is QueryStatus.RUNNING:
             leader.finalize()
-        return leader.value, copy.deepcopy(leader.sink)
+        return leader
 
 
 class SharedFloodCache:

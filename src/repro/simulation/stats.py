@@ -151,6 +151,21 @@ class CostAccounting:
         processed = self._processed
         processed[lo:hi] = array("I", map(add, processed[lo:hi], counts))
 
+    def copy(self) -> "CostAccounting":
+        """A private copy that reports every measure this sink reports:
+        the processed array and the two dicts are copied, the scalars
+        assigned, and no container is shared with ``self``."""
+        twin = object.__new__(type(self))
+        twin.tick_width = self.tick_width
+        twin.messages_sent = self.messages_sent
+        twin.wireless_transmissions = self.wireless_transmissions
+        twin.dropped_messages = self.dropped_messages
+        twin.max_chain_depth = self.max_chain_depth
+        twin._processed = self._processed[:]
+        twin._by_tick = dict(self._by_tick)
+        twin.messages_by_kind = dict(self.messages_by_kind)
+        return twin
+
     # ------------------------------------------------------------------
     # Derived measures
     # ------------------------------------------------------------------

@@ -85,8 +85,13 @@ and any tracer but the exact ``RingTracer``.  The gate reads the query's
 inputs, never the queue's contents.  What it refuses is also what lets
 a lane trust its own sends: with no joins, structural adjacency is
 fixed, so a unicast back to a former sender (WILDFIRE's catch-up reply,
-a DAG Report to a parent) needs only both ends alive
-(:meth:`_TickLane.submit_unicast`) and no ``has_alive_edge`` lookup.
+a DAG Report to a parent) needs only both ends alive, which each kernel
+reads from its own liveness source, and no ``has_alive_edge`` lookup.
+Every send after the query start is filed by the kernel itself: the
+record appended to :attr:`_TickLane.out_records`, one tally per
+``(instant, kind)`` added to ``send_acc`` and, under a tracer, the
+spec loop's ``send`` record (dest -1 and the width as the count for a
+multicast).
 A solo run consults the gate before the queue is primed, then primes it
 once either way (churn schedule, query start): the query start runs the
 spec hook of a refused run and launches the lane of an admitted one, and
@@ -219,11 +224,11 @@ class _TickLane:
         self.network = network
         self.delta = engine.delta
         self.wireless = engine.wireless
-        #: Trace sink the kernel and the submit paths report to (one
+        #: Trace sink the kernel and the query start report to (one
         #: pointer check per hook when there is none).
         self.tracer = engine.tracer
         #: The network's own packed alive bitmap (one byte per host);
-        #: failures show through immediately.  The unicast path and the
+        #: failures show through immediately.  The query start and the
         #: convergecast kernel read it; the WILDFIRE kernel reads no
         #: bitmap per delivery (its deadline mirror carries death).
         self.alive_bytes = network._alive
@@ -247,7 +252,8 @@ class _TickLane:
         self.lands_at = self.delta
         #: The timer calendar: per-instant registrations
         #: ``(host_id, chain_depth, causing_rank)`` in spec order, keyed
-        #: by the float the spec host files the timer at.
+        #: by the float the spec host files the timer at; a kernel
+        #: appends to the list under that key (creating it on first use).
         self.timers: Dict[float, List[tuple]] = {}
         # Accounting, accumulated flat and replayed into the stats sink
         # in bulk (sends and drops per stepped instant, the rest whenever
@@ -262,7 +268,7 @@ class _TickLane:
         self.wireless_groups = 0
 
     # ------------------------------------------------------------------
-    # Submit targets (the query-start hook / kernel activation call sites)
+    # The query-start hook's send target
     # ------------------------------------------------------------------
     def session_multicast(self, session, sender: int, dests: Sequence[int],
                           kind: str, payload, time: float, chain_depth: int,
@@ -277,20 +283,14 @@ class _TickLane:
         and does nothing else, so the context's unicast and timer
         targets (``session_send``, ``_queue``) are deliberately
         absent: reaching one means the gate was wrong, and the
-        ``AttributeError`` is the fail-loud signal.
+        ``AttributeError`` is the fail-loud signal.  ``dests`` comes from
+        the network's own alive-neighbor view (the ``send_to_neighbors``
+        contract), so no destination is re-checked here: one that dies
+        before the delivery instant is dropped then, as in the spec path.
+        Every later send is filed by the kernel itself, straight onto
+        :attr:`out_records` with the same tally and trace record.
         """
         agg, dist = self.kernel.flatten(payload)
-        self.submit_multi(sender, dests, kind, agg, dist, time, chain_depth)
-
-    def submit_multi(self, sender: int, dests: Sequence[int], kind: str,
-                     agg, dist, time: float, chain_depth: int) -> None:
-        """Lane twin of ``EventEngine.session_multicast`` (trusted dests).
-
-        ``dests`` comes from the network's own alive-neighbor view (the
-        ``send_to_neighbors`` contract), so no per-destination liveness
-        re-check happens -- destinations that die before the delivery
-        instant are dropped at delivery time, as in the spec path.
-        """
         if self.wireless:
             # One over-the-air transmission for the whole batch.
             self.send_acc[(time, kind)] += 1
@@ -303,47 +303,6 @@ class _TickLane:
             self.tracer.send(time, sender, -1, kind, len(dests), self.qid)
         self.out_records.append(
             (0, sender, dests, kind, agg, dist, chain_depth))
-
-    def submit_unicast(self, sender: int, dest: int, kind: str, agg, dist,
-                       time: float, chain_depth: int, rank: int) -> bool:
-        """Lane twin of ``EventEngine.session_send``, recording nothing
-        when either end is dead.
-
-        The spec's alive-edge check reduces to that here: every lane
-        unicast goes back to a host that once sent to ``sender``
-        (WILDFIRE's ``_reply_to``, a DAG parent), so the two are
-        structurally adjacent, and the gate refuses joins, so
-        structural adjacency never changes on a lane.
-        """
-        alive = self.alive_bytes
-        if not (alive[sender] and alive[dest]):
-            return False
-        self.send_acc[(time, kind)] += 1
-        if self.tracer is not None:
-            self.tracer.send(time, sender, dest, kind, 1, self.qid)
-        self.out_records.append(
-            (rank, sender, (dest,), kind, agg, dist, chain_depth))
-        return True
-
-    def onward(self, host_id: int, sender: int) -> Sequence[int]:
-        """``host_id``'s alive neighbors but ``sender``, ascending: the
-        targets of the Broadcast a first contact forwards.  Read from
-        the view table, rebuilt through the network only where a failure
-        cleared the row; the shared view itself when ``sender`` is not
-        in it (it died), else a list without it."""
-        targets = self.alive_sorted[host_id]
-        if targets is None:
-            targets = self.network.alive_neighbors_sorted(host_id)
-        if sender in targets:
-            targets = list(targets)
-            targets.remove(sender)
-        return targets
-
-    def timers_at(self, time: float) -> List[tuple]:
-        """The calendar's registration list for instant ``time``
-        (created on first use); append
-        ``(host_id, chain_depth, causing_rank)`` to register a timer."""
-        return self.timers.setdefault(time, [])
 
     # ------------------------------------------------------------------
     # The instant: one step

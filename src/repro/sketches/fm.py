@@ -26,13 +26,17 @@ Storage and sampling are built for the simulation kernel's hot path:
   calls.  The ``c`` run lengths are read by a handful of whole-block
   integer operations, not a per-vector loop.
 * A SUM sketch (``for_value``) draws its elements a block at a time: up
-  to 64 side by side in one int from ONE ``getrandbits`` call, the same
-  whole-block operations run across all of them, then a log-step OR-fold.
+  to 64 side by side in one int from ONE ``getrandbits`` call, each
+  chunk's index isolated where it was drawn by the same whole-block
+  add / and-not, a log-step OR-fold, and one spread of the folded
+  element into the lanes (a block holding an all-ones chunk, the clamp,
+  is spread before it is folded instead).
   The Mersenne Twister hands out whole 32-bit words in order, so a block
   consumes exactly the words its elements would have drawn one by one:
   sketch and RNG state equal the per-element loop's, bit for bit.  ns
-  per element, loop -> block: c = 8 915 -> 145, c = 16 1 125 -> 290,
-  c = 32 1 515 -> 805.
+  per element, loop -> block before the fold: c = 8 915 -> 145, c = 16
+  1 125 -> 290, c = 32 1 515 -> 805; the fold then took one call at
+  (c, v) = (8, 4096) / (32, 500) from 604 / 390 to 483 / 180 us.
 
 The pre-rewrite sampler (one ``rng.random()`` call per coin toss) is kept
 as the ``"legacy"`` sampling mode.  It consumes the underlying RNG stream
@@ -156,34 +160,51 @@ _BLOCK = 64
 def _block_plan(repetitions: int, num_bits: int) -> tuple:
     """:func:`_spread_plan` lifted to ``_BLOCK`` elements side by side.
 
-    Returns ``(stride, width, low, top, drop, steps, ones, folds)``.
-    Element ``e`` of a block is drawn at bit ``e * stride`` (whole 32-bit
-    words) and worked on at bit ``e * width``, the wider of the draw
-    stride and the sketch; ``low`` / ``top`` / ``drop`` undo the
-    generator's truncation of each element's last word, ``steps`` first
-    re-stride the elements where the sketch is the wider, then spread
-    every element's chunks into its lanes, ``ones`` is a one at the
-    bottom of every lane of every element, and ``folds`` are the
-    ``(span, keep)`` halvings that OR all elements down onto the first.
+    Returns ``(stride, low, top, drop, chunk_ones, carry_at,
+    chunk_folds, spread, width, steps, ones, folds)``.  Element ``e`` of
+    a block is drawn at bit ``e * stride`` (whole 32-bit words);
+    ``low`` / ``top`` / ``drop`` undo the generator's truncation of each
+    element's last word.  The fold works in that draw layout:
+    ``chunk_ones`` is a one at the bottom of every ``num_bits - 1``-bit
+    chunk of every element, ``carry_at`` the bit just past every chunk
+    (where an all-ones chunk's carry lands), ``chunk_folds`` the
+    ``(span, keep)`` halvings that OR all elements down onto the first,
+    and ``spread`` the one-element :func:`_spread_plan` steps.  A block
+    with an all-ones chunk is worked on at bit ``e * width``, the wider
+    of the draw stride and the sketch: ``steps`` first re-stride the
+    elements where the sketch is the wider, then spread every element's
+    chunks into its lanes, ``ones`` is a one at the bottom of every lane
+    of every element, and ``folds`` OR all elements down onto the first.
     """
     draw_bits, spread, ones = _spread_plan(repetitions, num_bits)
+    chunk = num_bits - 1
     stride = -(-draw_bits // 32) * 32
     width = max(stride, repetitions * num_bits)
     drop = stride - draw_bits
     last = stride - 32
-    low = _comb(_BLOCK, stride) * ((1 << last) - 1)
-    top = _comb(_BLOCK, stride) * ((1 << (32 - drop)) - 1 << last)
+    every_draw = _comb(_BLOCK, stride)
+    low = every_draw * ((1 << last) - 1)
+    top = every_draw * ((1 << (32 - drop)) - 1 << last)
+    chunk_ones = every_draw * _comb(repetitions, chunk)
+    carry_at = chunk_ones << chunk
     steps = (_field_moves(_BLOCK, draw_bits, stride, width)
              if width > stride else [])
     every = _comb(_BLOCK, width)
     steps += [(every * mask, shift) for mask, shift in spread]
+    return (stride, low, top, drop, chunk_ones, carry_at,
+            _halvings(stride), spread, width, tuple(steps), every * ones,
+            _halvings(width))
+
+
+def _halvings(width: int) -> Tuple[Tuple[int, int], ...]:
+    """The ``(span, keep)`` steps that OR ``_BLOCK`` fields ``width``
+    bits apart down onto the first: ``x = (x >> span) | (x & keep)``."""
     folds = []
     span = _BLOCK * width >> 1
     while span >= width:
         folds.append((span, (1 << span) - 1))
         span >>= 1
-    return (stride, width, low, top, drop, tuple(steps), every * ones,
-            tuple(folds))
+    return tuple(folds)
 
 
 def _sample_packed_element(rng: random.Random, repetitions: int,
@@ -214,40 +235,65 @@ def _sample_packed_elements(rng: random.Random, count: int,
                             repetitions: int, num_bits: int) -> int:
     """The OR of ``count`` fast-mode :func:`_sample_packed_element` draws.
 
-    Up to ``_BLOCK`` elements come from ONE ``getrandbits`` call and go
-    through the spread, the add / and-not and a log-step OR-fold as
-    whole-block integer operations.  For a ``random.Random`` the result
-    *and* the generator's state afterwards equal the element loop's: the
-    Mersenne Twister's ``getrandbits(k)`` emits ``ceil(k / 32)`` 32-bit
-    words little-endian and keeps the *top* ``k % 32`` bits of the last
-    one, so one draw of ``n`` whole-word strides consumes exactly the
-    words of ``n`` element draws, and moving each element's last word
-    down by the dropped bits restores its value.  With any other
-    generator the result is still a correct sample, but not the loop's.
-    Nothing is drawn for ``count == 0`` or one-bit vectors.
+    Up to ``_BLOCK`` elements come from ONE ``getrandbits`` call, worked
+    on as whole-block integer operations.  For a ``random.Random`` the
+    result *and* the generator's state afterwards equal the element
+    loop's: the Mersenne Twister's ``getrandbits(k)`` emits ``ceil(k /
+    32)`` 32-bit words little-endian and keeps the *top* ``k % 32`` bits
+    of the last one, so one draw of ``n`` whole-word strides consumes
+    exactly the words of ``n`` element draws, and moving each element's
+    last word down by the dropped bits restores its value.  With any
+    other generator the result is still a correct sample, but not the
+    loop's.  Nothing is drawn for ``count == 0`` or one-bit vectors.
+
+    Every chunk's index is found where it was drawn: adding a one at the
+    bottom of each ``num_bits - 1``-bit chunk and keeping ``& ~drawn``
+    isolates the lowest zero bit of every chunk that has one, so the
+    elements OR-fold in the draw layout and only the folded element is
+    spread into the sketch's lanes (a bit permutation, which commutes
+    with OR).  An all-ones chunk -- the clamp, index ``num_bits - 1``,
+    which the draw layout has no bit for -- carries into the bit past
+    it; a block that shows such a carry takes the spread-then-add path
+    on the same drawn bits instead.
     """
     if not count:
         return 0
     if num_bits == 1:
         return _spread_plan(repetitions, num_bits)[2]
-    stride, width, low, top, drop, steps, ones, folds = _block_plan(
-        repetitions, num_bits)
-    hits = 0
+    (stride, low, top, drop, chunk_ones, carry_at, chunk_folds, spread,
+     width, steps, ones, folds) = _block_plan(repetitions, num_bits)
+    # The first block is the widest: ``n`` elements need the last
+    # ``ceil(log2(n))`` halvings only (a one-element draw, none).
+    skip = len(folds) - (min(count, _BLOCK) - 1).bit_length()
+    found = 0   # chunk-isolated indices, in the draw layout
+    hits = 0    # lane-isolated indices of blocks with an all-ones chunk
     while count:
         n = min(count, _BLOCK)
         count -= n
         lanes = rng.getrandbits(n * stride)
         if drop:
             lanes = (lanes & low) | ((lanes >> drop) & top)
+        # ``chunk_ones`` repeats every ``stride`` bits: shifted down it
+        # covers exactly the ``n`` elements drawn.
+        bottoms = chunk_ones >> (_BLOCK - n) * stride
+        summed = lanes + bottoms
+        if not (summed ^ lanes ^ bottoms) & carry_at:
+            found |= summed & ~lanes
+            continue
         for mask, shift in steps:
             moving = lanes & mask
             lanes ^= moving ^ (moving << shift)
-        # ``ones`` repeats every ``width`` bits: shifted down it covers
-        # exactly the ``n`` elements drawn, so an absent one sets no bit.
         hits |= (lanes + (ones >> (_BLOCK - n) * width)) & ~lanes
-    for span, keep in folds:
-        hits = (hits >> span) | (hits & keep)
-    return hits
+    if found:
+        for span, keep in chunk_folds[skip:]:
+            found = (found >> span) | (found & keep)
+        for mask, shift in spread:
+            moving = found & mask
+            found ^= moving ^ (moving << shift)
+    if hits:
+        for span, keep in folds[skip:]:
+            hits = (hits >> span) | (hits & keep)
+    return found | hits
 
 
 def _sample_packed_value(rng: random.Random, value: float, repetitions: int,

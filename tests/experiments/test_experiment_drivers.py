@@ -10,9 +10,11 @@ claims on those same rows.
 import functools
 import hashlib
 import json
+import random
 
 import pytest
 
+from repro.experiments import accuracy
 from repro.experiments.accuracy import run_accuracy_experiment
 from repro.experiments.badcase import run_theorem_44_experiment
 from repro.experiments.capture_recapture import (
@@ -28,6 +30,7 @@ from repro.experiments.costs import (
 )
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.validity_sweep import run_validity_sweep
+from repro.sketches.fm import SAMPLING_MODES, FMSketch, sampling_mode
 from repro.topology.random_graph import random_topology
 
 
@@ -45,6 +48,39 @@ class TestAccuracyExperiment:
                                        num_trials=2, include_sum=True, seed=1)
         assert {row.operator for row in rows} == {"count", "sum"}
         assert all("ratio_mean" in row.as_dict() for row in rows)
+
+    @pytest.mark.parametrize("mode", SAMPLING_MODES)
+    def test_one_sketch_per_estimate_draws_what_the_element_loop_draws(
+            self, monkeypatch, mode):
+        """Each estimate is one ``for_value`` sketch; the rows equal
+        those of OR-ing one sketch per element (count) or per value
+        (sum), in both sampling modes."""
+        def count_loop(set_size, repetitions, rng):
+            sketch = FMSketch.empty(repetitions)
+            for _ in range(set_size):
+                sketch = sketch.merge(
+                    FMSketch.for_new_element(repetitions, rng))
+            return sketch.estimate() / set_size
+
+        def sum_loop(values, repetitions, rng):
+            sketch = FMSketch.empty(repetitions)
+            for value in values:
+                sketch = sketch.merge(
+                    FMSketch.for_value(value, repetitions, rng))
+            truth = sum(values)
+            return sketch.estimate() / truth if truth else 1.0
+
+        config = dict(set_sizes=(64, 200), repetitions_sweep=(1, 8, 33),
+                      num_trials=2, value_low=0, value_high=90, seed=4)
+        with sampling_mode(mode):
+            rows = run_accuracy_experiment(**config)
+            monkeypatch.setattr(accuracy, "_count_estimate", count_loop)
+            monkeypatch.setattr(accuracy, "_sum_estimate", sum_loop)
+            assert rows == run_accuracy_experiment(**config)
+
+    def test_a_negative_value_still_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            accuracy._sum_estimate([3, -0.5, 4], 8, random.Random(1))
 
 
 class TestValiditySweep:

@@ -19,7 +19,6 @@ from repro.protocols.wildfire import (
 from repro.semantics.oracle import Oracle
 from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
 from repro.simulation.messages import Message
-from repro.simulation.vector_lane import _TickLane
 from repro.sketches.combiners import (
     FMCountCombiner,
     FMSumCombiner,
@@ -202,14 +201,14 @@ class _CapturingLane:
     host 1's neighbors are 0, 2 and 3; ``view_cleared`` leaves host 1's
     row of the view table as a failure leaves it, for the network to
     rebuild).  It has no alive bitmap: the kernel reads liveness from
-    its own deadline mirror."""
+    its own deadline mirror.  The kernel files every send itself, onto
+    ``out_records``; ``multicasts`` reads the onward Broadcasts back."""
 
     tracer = None
     qid = 0
     sent_at = 0.0
     wireless = False
     wireless_groups = 0
-    onward = _TickLane.onward
 
     def __init__(self, now, view_cleared):
         self.now = now
@@ -219,28 +218,21 @@ class _CapturingLane:
         self.counts = [0, 0, 0, 0]
         self.dropped = self.max_depth = 0
         self.bucket = []
-        self.multicasts = []
+        self.timers = {now: self.bucket}
         self.out_records = []
-        self.unicasts = []
         self.send_acc = Counter()
         self.network = self
-
-    def timers_at(self, time):
-        assert time == self.now
-        return self.bucket
 
     def alive_neighbors_sorted(self, host_id):
         assert host_id == 1 and self.alive_sorted[1] is None
         return (0, 2, 3)
 
-    def submit_multi(self, sender, dests, kind, agg, dist, time, depth):
-        assert (sender, time) == (1, self.now)
-        self.multicasts.append((kind, agg, dist, tuple(dests)))
-
-    def submit_unicast(self, sender, dest, kind, agg, dist, time, depth,
-                       rank):
-        assert (sender, time) == (1, self.now)
-        self.unicasts.append((dest, kind, agg, dist))
+    @property
+    def multicasts(self):
+        """``(kind, agg, dist, targets)`` of every onward Broadcast."""
+        return [(kind, agg, dist, tuple(dests))
+                for _, sender, dests, kind, agg, dist, _ in self.out_records
+                if kind == BROADCAST and sender == 1]
 
 
 def _slots(host):
@@ -313,6 +305,10 @@ def _one_delivery_both_ways(combiner, state, incoming, sender, reply_to,
                                                       ctx.multicasts):
         assert exclude == (sender,)
         assert targets == tuple(t for t in (0, 2, 3) if t != sender)
+    # Filed by the kernel: one tally for the instant's Broadcast sends.
+    assert lane.send_acc == (
+        Counter({(now, BROADCAST): len(lane.multicasts[0][3])})
+        if lane.multicasts else Counter())
     assert lane.counts == [0, 1, 0, 0] and lane.max_depth == 3
     return spec_hosts[1], lane_hosts[1]
 
@@ -402,7 +398,7 @@ class TestFoldStatedTwice:
         kernel.process_timer_bucket(now, lane.bucket, lane)
         assert _slots(lane_hosts[1]) == _slots(spec_hosts[1])
         assert spec_hosts[1]._reply_to is None
-        assert ctx.unicasts == lane.unicasts == []
+        assert ctx.unicasts == []
         merged = spec_hosts[1].partial
         skip = (sender,) if merged == growth else ()
         assert ctx.multicasts == [(CONVERGECAST, merged, 2, skip)]
@@ -452,7 +448,7 @@ class TestFoldStatedTwice:
         spec_hosts[1].on_timer(FLUSH, None, ctx)
         kernel.process_timer_bucket(now, lane.bucket, lane)
         assert _slots(lane_hosts[1]) == _slots(spec_hosts[1])
-        assert ctx.unicasts == lane.unicasts == []
+        assert ctx.unicasts == []
         assert ctx.multicasts == [(CONVERGECAST, growth, 2, (2,))]
         assert [(record[1], tuple(record[2])) + record[3:6]
                 for record in lane.out_records] == [
@@ -508,8 +504,11 @@ class TestDeadlineMirrorCarriesDeath:
     def test_deliveries_to_a_dead_host_are_drops_and_its_flush_never_fires(
             self):
         """Host 1 is active and dirty with a flush pending when it
-        fails: a delivery still addressed to it is a drop, and the
-        registration fires nothing -- no slot moves, nothing is sent."""
+        fails: a delivery still addressed to it is a drop, and its
+        registration firing is a broken lane invariant -- a flush fires
+        in the instant that registered it and failures land between
+        instants, so no lane run reaches it.  It raises before any slot
+        moves or anything is sent."""
         hosts = _table(MinCombiner(), 2.0, flush_pending=True, dirty=True)
         alive = bytearray([1, 1, 1, 1])
         kernel = _kernel(hosts, alive)
@@ -522,9 +521,10 @@ class TestDeadlineMirrorCarriesDeath:
         # A record with no live destination leaves the chain depth.
         assert lane.dropped == 1 and lane.counts == [0, 0, 0, 0]
         assert lane.max_depth == 0
-        kernel.process_timer_bucket(3.0, [(1, 2, 0)], lane)
+        with pytest.raises(RuntimeError, match="dead host"):
+            kernel.process_timer_bucket(3.0, [(1, 2, 0)], lane)
         assert _slots(hosts[1]) == before
-        assert lane.out_records == lane.unicasts == lane.multicasts == []
+        assert lane.out_records == [] and not lane.send_acc
         assert lane.bucket == []
 
 

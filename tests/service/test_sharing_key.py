@@ -34,6 +34,7 @@ from repro.service.sharing import (canonical_delay_spec, computation_key,
                                    seed_sensitive)
 from repro.topology.random_graph import random_topology
 from repro.workloads.values import uniform_values
+from tests.drawn import drawn
 
 #: One fixed small network: the invariant quantifies over submissions,
 #: not topologies (the key never contains the network -- both sessions
@@ -231,3 +232,143 @@ def test_subscriber_outcome_is_bit_identical_to_its_solo_run(delay):
         assert outcome.costs.fingerprint() == solo.costs.fingerprint()
     assert service.poll(second).extra["shared_with"] == first
     assert service.poll(second).value == leader.value
+
+
+# ----------------------------------------------------------------------
+# One declaration per flood, one seed and one key per distinct content
+# ----------------------------------------------------------------------
+def _outcome_digest(outcome):
+    """What a tenant reads of a declared outcome; the declaration time
+    relative to the launch."""
+    return (outcome.value, dict(outcome.summary), outcome.fingerprint,
+            outcome.declared_at - outcome.submitted_at)
+
+
+def test_a_subscriber_declares_its_solo_run_and_its_leaders(request):
+    """Two tenants ride one leader's flood: each subscriber's outcome is
+    its solo ``run_protocol``'s and its leader's -- value, cost summary,
+    fingerprint and declaration time after launch -- and its summary and
+    fingerprint are those of its own sink.  Drawn a few times in tier-1,
+    the named profile's count in CI."""
+    def law(protocol, aggregate, host, delay, lags):
+        service = QueryService(TOPOLOGY, VALUES, seed=3, delay=delay,
+                               share_floods=True)
+        leader = service.submit(protocol, aggregate, querying_host=host)
+        riders = [service.submit(protocol, aggregate, querying_host=host,
+                                 at=lag) for lag in lags]
+        service.run()
+        assert service.engine.sharing.hits == len(riders)
+        lead = service.poll(leader)
+        proto = protocol_from_spec(protocol)
+        solo = run_protocol(proto, TOPOLOGY, VALUES, aggregate,
+                            querying_host=host, seed=lead.seed,
+                            d_hat=service.d_hat, delay=delay)
+        # A solo run declares at its termination time T.
+        want = (solo.value, solo.costs.summary(), solo.costs.fingerprint(),
+                proto.termination_time(service.d_hat, 1.0))
+        assert _outcome_digest(lead) == want
+        for rider in riders:
+            outcome = service.poll(rider)
+            assert outcome.extra["shared_with"] == leader
+            assert _outcome_digest(outcome) == want
+            assert outcome.fingerprint == outcome.costs.fingerprint()
+            assert dict(outcome.summary) == outcome.costs.summary()
+            assert outcome.costs is not lead.costs
+
+    drawn(request, law, plain=6, protocol=st.sampled_from(PROTOCOLS),
+          aggregate=st.sampled_from(AGGREGATES + ["sum"]),
+          host=st.sampled_from(HOSTS), delay=st.sampled_from(DELAYS),
+          lags=st.lists(st.sampled_from([0.0, 0.5, 1.0, 4.0]), min_size=1,
+                        max_size=3))
+
+
+def test_a_subscribers_costs_are_a_private_copy():
+    """Driving one subscriber's sink moves neither its leader's nor
+    another subscriber's, and no outcome's frozen summary."""
+    service = QueryService(TOPOLOGY, VALUES, seed=3, share_floods=True)
+    qids = [service.submit("wildfire", "count", querying_host=9, at=at)
+            for at in (0.0, 1.0, 2.0)]
+    service.run()
+    leader, first, second = (service.poll(qid) for qid in qids)
+    assert not leader.extra.get("cache_hit")
+    reading = [(o.costs.fingerprint(), o.costs.summary()) for o in
+               (leader, first, second)]
+    first.costs.record_send_batch("x", 1.0, 5)
+    first.costs.record_processed(3, 99)
+    first.costs.reserve(TOPOLOGY.num_hosts + 10)
+    assert first.costs.fingerprint() != reading[1][0]
+    for outcome, (fingerprint, summary) in zip((leader, second),
+                                               reading[::2]):
+        assert (outcome.costs.fingerprint(),
+                outcome.costs.summary()) == (fingerprint, summary)
+    assert first.fingerprint == leader.fingerprint == reading[0][0]
+    assert dict(first.summary) == reading[0][1]
+    with pytest.raises(TypeError):
+        first.summary["communication_cost"] = 0
+
+
+def test_one_seed_and_one_key_per_distinct_content(monkeypatch):
+    """Identical submissions derive the consensus seed and the
+    computation key once; a different host, kind, combiner shape or
+    ``d_hat`` derives fresh ones, and a caller's own seed is its own
+    content."""
+    from repro.service import service as service_module
+
+    calls = []
+    for name in ("consensus_seed", "computation_key"):
+        wrapped = getattr(service_module, name)
+        monkeypatch.setattr(service_module, name, lambda *args, _f=wrapped,
+                            _n=name, **kw: (calls.append(_n),
+                                            _f(*args, **kw))[1])
+    service = QueryService(TOPOLOGY, VALUES, seed=3, share_floods=True)
+
+    def derived(**submission):
+        calls.clear()
+        qid = service.submit("wildfire", submission.pop("kind", "count"),
+                             **submission)
+        session = service._sessions[qid]
+        return session.seed, session.share_key, sorted(calls)
+
+    both = ["computation_key", "consensus_seed"]
+    seed, key, made = derived(querying_host=9)
+    assert made == both
+    for at in (0.0, 2.0, 5.0):
+        assert derived(querying_host=9, at=at) == (seed, key, [])
+    fresh = [derived(querying_host=23), derived(kind="sum", querying_host=9),
+             derived(querying_host=9, repetitions=16),
+             derived(querying_host=9, d_hat=D_HAT + 1)]
+    for other_seed, other_key, other_made in fresh:
+        assert other_made == both
+        assert other_seed != seed and other_key != key
+    assert derived(querying_host=9, seed=seed) == (
+        seed, key, ["computation_key"])
+    assert derived(querying_host=9, seed=seed)[2] == []
+    assert derived(querying_host=9, seed=seed + 1)[1] != key
+
+
+def test_a_mix_fingerprints_each_flood_once_and_deep_copies_nothing(
+        monkeypatch):
+    """Through ``run_query_mix``, which ``repro serve`` runs: one
+    ``fingerprint()`` per session that flooded (every subscriber reads
+    its leader's), no ``copy.deepcopy``, and the determinism digest of
+    the same mix with sharing off."""
+    import copy
+
+    from repro.experiments.query_mix import run_query_mix
+    from repro.simulation.stats import CostAccounting
+    from repro.workloads.query_mix import duplicate_heavy_mix
+
+    mix = duplicate_heavy_mix(qps=6, duration=4)
+    unshared = run_query_mix(num_hosts=60, topology="random", mix=mix,
+                             seed=2)["summary"]["determinism_digest"]
+    fingerprints = []
+    fingerprint = CostAccounting.fingerprint
+    monkeypatch.setattr(CostAccounting, "fingerprint", lambda self: (
+        fingerprints.append(self), fingerprint(self))[1])
+    monkeypatch.setattr(copy, "deepcopy", None)
+    result = run_query_mix(num_hosts=60, topology="random", mix=mix, seed=2,
+                           share_floods=True)
+    floods = [row for row in result["rows"] if not row.get("cache_hit")]
+    assert result["summary"]["cache_hits"] > len(floods) / 2
+    assert len(fingerprints) == len(floods)
+    assert result["summary"]["determinism_digest"] == unshared

@@ -1,6 +1,7 @@
 """Tests for cost accounting (the one sink)."""
 
 import ast
+import copy
 import pathlib
 import random
 from collections import Counter
@@ -282,6 +283,42 @@ def test_bulk_replay_equals_per_delivery_recording():
     assert bulk.computation_cost == one_by_one.computation_cost
     assert list(bulk.computation_histogram().items()) == list(
         one_by_one.computation_histogram().items())
+
+
+def _measures(sink):
+    """Everything a sink reports, in the order it reports it."""
+    return (sink.summary(), sink.fingerprint(), sink.tick_width,
+            list(sink.messages_by_kind.items()),
+            list(sink.messages_per_instant().items()),
+            list(sink.messages_processed.items()),
+            list(sink.computation_histogram().items()),
+            sink.footprint_bytes())
+
+
+@pytest.mark.parametrize("seed,tick_width", [(7, 1.0), (8, 0.25), (9, 0.1)])
+def test_copy_agrees_with_deepcopy_and_shares_no_container(seed,
+                                                           tick_width):
+    """A subscriber's private sink is ``copy()``, not ``copy.deepcopy``:
+    every reported measure agrees, and neither the processed array nor
+    either dict is shared, so driving the copy leaves the original (and
+    driving the original leaves the copy) as it was."""
+    sink = _drive(CostAccounting(num_hosts=20, tick_width=tick_width),
+                  seed=seed, span=9.0)
+    twin = sink.copy()
+    assert type(twin) is CostAccounting
+    assert _measures(twin) == _measures(copy.deepcopy(sink))
+    assert vars(twin).keys() == vars(sink).keys()
+    for name, value in vars(sink).items():
+        if not isinstance(value, (int, float)):
+            assert getattr(twin, name) is not value, name
+    before = _measures(sink)
+    _drive(twin, seed=seed + 1, span=9.0)
+    twin.reserve(40)
+    assert _measures(sink) == before != _measures(twin)
+    driven = _measures(twin)
+    _drive(sink, seed=seed + 2, span=9.0)
+    sink.reserve(60)
+    assert _measures(twin) == driven
 
 
 class TestMakeStatsSink:

@@ -14,7 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.semantics.metrics import relative_error
-from repro.sketches.fm import FMSketch, _sample_packed_element, sampling_mode
+from repro.sketches.fm import (_BLOCK, FMSketch, _block_plan,
+                               _sample_packed_element,
+                               _sample_packed_elements, _spread_plan,
+                               sampling_mode)
+from tests.drawn import drawn
 
 
 def sketches(repetitions=4, num_bits=16):
@@ -247,3 +251,100 @@ def test_block_sampler_requests_whole_word_strides(value, repetitions,
     assert rng.requests == requests
     # All-tails draws: every inserted element lands on bit 0 of each vector.
     assert sketch.vectors == (1 if value else 0,) * repetitions
+
+
+# ----------------------------------------------------------------------
+# Fold before spread: the block sampler against the spread-every-element
+# path it replaced
+# ----------------------------------------------------------------------
+def _spread_then_fold(rng, count, repetitions, num_bits):
+    """The block sampler as it stood before it folded in the draw
+    layout, kept here as the reference: every element of a block is
+    spread into its lanes, then the lowest zero bit of every lane is
+    isolated and the elements OR-fold."""
+    if not count:
+        return 0
+    if num_bits == 1:
+        return _spread_plan(repetitions, num_bits)[2]
+    (stride, low, top, drop, _, _, _, _, width, steps, ones,
+     folds) = _block_plan(repetitions, num_bits)
+    hits = 0
+    while count:
+        n = min(count, _BLOCK)
+        count -= n
+        lanes = rng.getrandbits(n * stride)
+        if drop:
+            lanes = (lanes & low) | ((lanes >> drop) & top)
+        for mask, shift in steps:
+            moving = lanes & mask
+            lanes ^= moving ^ (moving << shift)
+        hits |= (lanes + (ones >> (_BLOCK - n) * width)) & ~lanes
+    for span, keep in folds:
+        hits = (hits >> span) | (hits & keep)
+    return hits
+
+
+def test_block_fold_equals_the_spread_path(request):
+    """Sketch and generator state equal the spread path's, over the
+    sketch shapes the repo runs and narrow vectors, where all-ones
+    chunks (the clamp) are common and send blocks down the spread
+    path.  Drawn 60 times in tier-1, the named profile's count in CI."""
+    def law(repetitions, num_bits, count, seed):
+        folded_rng, spread_rng = random.Random(seed), random.Random(seed)
+        assert (_sample_packed_elements(folded_rng, count, repetitions,
+                                        num_bits)
+                == _spread_then_fold(spread_rng, count, repetitions,
+                                     num_bits))
+        assert folded_rng.getstate() == spread_rng.getstate()
+
+    drawn(request, law, plain=60,
+          repetitions=st.sampled_from([1, 2, 4, 8, 12, 16, 24, 32]),
+          num_bits=st.sampled_from([2, 3, 5, 8, 32, 33]),
+          count=st.integers(0, 600), seed=st.integers(0, 2 ** 32))
+
+
+def _as_drawn(elements, repetitions, num_bits):
+    """The ``getrandbits`` block that yields ``elements`` (each ``c *
+    (b - 1)`` bits): a generator keeps the *top* bits of each element's
+    last 32-bit word, so those bits sit ``drop`` higher in the block."""
+    stride, _, _, drop = _block_plan(repetitions, num_bits)[:4]
+    last = stride - 32
+    block = 0
+    for index, element in enumerate(elements):
+        word = (element & ((1 << last) - 1)) | (element >> last << last + drop)
+        block |= word << index * stride
+    return block
+
+
+@pytest.mark.parametrize("repetitions,num_bits", [(8, 33), (8, 32), (3, 5)],
+                         ids=["whole-words", "dropped-bits", "narrow"])
+@pytest.mark.parametrize("element,chunk", [(0, 0), (2, 1), (4, -1), (None, 0)],
+                         ids=["first", "middle", "last", "none"])
+def test_an_all_ones_chunk_takes_the_spread_path(repetitions, num_bits,
+                                                 element, chunk):
+    """A stub generator hands out one block of five elements, one chunk
+    of one element all ones (the clamp: index ``num_bits - 1``, which
+    carries past its chunk).  The sketch is the element-wise OR of the
+    loop formulation, from the one request the block makes."""
+    seeded = random.Random(repetitions * num_bits)
+    chunk_bits = num_bits - 1
+    full = (1 << chunk_bits) - 1
+    elements = []
+    for _ in range(5):
+        drawn_element = seeded.getrandbits(repetitions * chunk_bits)
+        for rep in range(repetitions):  # no clamp but the planted one
+            if drawn_element >> rep * chunk_bits & full == full:
+                drawn_element ^= 1 << rep * chunk_bits
+        elements.append(drawn_element)
+    if element is not None:
+        chunk %= repetitions
+        elements[element] |= full << chunk * chunk_bits
+    rng = _ScriptedRng([_as_drawn(elements, repetitions, num_bits)])
+    want = 0
+    for drawn_element in elements:
+        want |= _sample_by_loop(drawn_element, repetitions, num_bits)
+    assert _sample_packed_elements(rng, 5, repetitions, num_bits) == want
+    assert rng.requests == [5 * _block_plan(repetitions, num_bits)[0]]
+    clamp = 1 << chunk_bits
+    assert any(want >> rep * num_bits & clamp
+               for rep in range(repetitions)) == (element is not None)
