@@ -14,11 +14,12 @@ from __future__ import annotations
 BENCH_SEED = 1
 
 #: The traced/untraced wall-clock ratio gates read the machine's load as
-#: well as the code, on CPU seconds as on wall seconds, so a
+#: well as the code, on CPU seconds as on wall seconds, and the tick-lane
+#: memory budgets run two 100k-host floods in subprocesses, so a
 #: directory-wide run (tier-1) does not collect them.  The perf-smoke
-#: job names the file, and a file named on the command line is
+#: job names both files, and a file named on the command line is
 #: collected all the same.
-collect_ignore = ["test_obs_overhead.py"]
+collect_ignore = ["test_obs_overhead.py", "test_tick_lane_memory.py"]
 
 
 def run_orchestrated(benchmark, figure_id, *, scale, trials=1,

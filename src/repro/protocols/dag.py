@@ -22,7 +22,7 @@ as is; only the querying host's declaration turns it into a value.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.protocols.base import Protocol
 from repro.queries.query import AggregateQuery
@@ -189,8 +189,9 @@ class ConvergecastBatchKernel:
     Same shape as :class:`~repro.protocols.wildfire.WildfireBatchKernel`:
     the lane hands each instant's delivery records
     ``(rank, sender, dests, kind, agg, dist, chain_depth)`` to
-    :meth:`process_instant` and each instant's due timers
-    ``(host_id, chain_depth, rank)`` to :meth:`process_timer_bucket`, and
+    :meth:`process_instant`, as an iterable traversed once, and each
+    instant's due report timers -- bare host ids -- to
+    :meth:`process_timer_bucket`, and
     the kernel keeps what a lane adds to the protocol -- target lists,
     filing the onward Broadcasts and the Reports (records straight onto
     ``lane.out_records``, one tally per instant and kind), timer
@@ -209,12 +210,21 @@ class ConvergecastBatchKernel:
     which is what the spec's payload dict holds (a host never changes
     its partial after reporting).  ``rank`` is carried
     for the shared record shape and never read -- only the in-process
-    lane admits convergecast, where append order already is spec order.
+    lane admits convergecast, where append order already is spec order
+    -- so every record this kernel files has rank 0.
 
     Unlike WILDFIRE's flush, the report timer is generally due at a
     future instant: the kernel registers it on the lane's timer calendar
     under the deadline :meth:`DagHost.adopt` returns, the float the spec
-    host hands ``ctx.set_timer_at``.
+    host hands ``ctx.set_timer_at``.  The registration is the host id
+    alone.  On a tick lane a Broadcast record's chain depth is its
+    sender's tree depth plus one (the query start's is 1, from depth 0),
+    so an adopter's ``depth`` is the chain depth that registered its
+    timer, and its Reports leave at chain depth ``depth + 1``.  They
+    leave as one record: ``dests`` is the parents tuple
+    :meth:`DagHost.report_due` returns when every parent is alive, else
+    the list of the alive ones in parent order -- the very deliveries,
+    in the very order, that one record per parent made.
     """
 
     __slots__ = ("hosts", "run", "broadcast_kind", "report_kind")
@@ -258,10 +268,11 @@ class ConvergecastBatchKernel:
         """The kernel mirrors no host state, so a real hook having run
         leaves nothing to refresh."""
 
-    def process_instant(self, now: float, entries: Sequence[tuple],
+    def process_instant(self, now: float, entries: Iterable[tuple],
                         lane: Any) -> None:
         """Process one instant's delivery records in spec FIFO order
-        (:meth:`DagHost.on_message`'s dispatch); with a ``lane.tracer``
+        (:meth:`DagHost.on_message`'s dispatch), from an iterable the
+        kernel traverses once; with a ``lane.tracer``
         every delivery and drop is recorded where the spec loop records
         it, stamped with the batch's send instant ``lane.sent_at``.  An
         adoption's onward Broadcast goes straight onto
@@ -340,9 +351,9 @@ class ConvergecastBatchKernel:
                                     host.depth, depth + 1))
                     registered = timers.get(deadline)
                     if registered is None:
-                        timers[deadline] = [(dest, depth, rank)]
+                        timers[deadline] = [dest]
                     else:
-                        registered.append((dest, depth, rank))
+                        registered.append(dest)
             if delivered and depth > max_depth:
                 max_depth = depth
         if sent:
@@ -352,14 +363,16 @@ class ConvergecastBatchKernel:
         lane.dropped += dropped
         lane.max_depth = max_depth
 
-    def process_timer_bucket(self, now: float, bucket: List[tuple],
+    def process_timer_bucket(self, now: float, bucket: List[int],
                              lane: Any) -> None:
-        """Fire one instant's report timers in registration order
-        (:meth:`DagHost.on_timer`'s sends).  Every Report of the bucket
-        is sent at ``now`` with one kind, so, as in
+        """Fire one instant's report timers (host ids) in registration
+        order (:meth:`DagHost.on_timer`'s sends).  Every Report of the
+        bucket is sent at ``now`` with one kind, so, as in
         :meth:`~repro.protocols.wildfire.WildfireBatchKernel.process_timer_bucket`,
-        the records go straight onto ``lane.out_records`` and the
-        bucket's sends are added to the lane's tally once."""
+        each host's one record goes straight onto ``lane.out_records``
+        and the bucket's sends -- one per alive parent -- are added to
+        the lane's tally once; a traced run records one ``send`` per
+        parent, as the spec loop does."""
         hosts = self.hosts
         alive = lane.alive_bytes
         report_kind = self.report_kind
@@ -367,7 +380,7 @@ class ConvergecastBatchKernel:
         tracer = lane.tracer
         qid = lane.qid
         sent = 0
-        for host_id, depth, rank in bucket:
+        for host_id in bucket:
             if not alive[host_id]:
                 continue  # dead hosts' timers expire silently
             if tracer is not None:
@@ -375,18 +388,22 @@ class ConvergecastBatchKernel:
                 # host before its handler runs.
                 tracer.timer(now, host_id, "report", qid)
             host = hosts[host_id]
-            partial = host.partial
-            for parent in host.report_due():
-                # ``ctx.send``'s alive-edge check: both ends alive (the
-                # sender is, above); traced and appended per Report,
-                # counted once per bucket below.
-                if alive[parent]:
-                    sent += 1
-                    if tracer is not None:
-                        tracer.send(now, host_id, parent, report_kind, 1,
-                                    qid)
-                    out.append((rank, host_id, (parent,), report_kind,
-                                partial, None, depth + 1))
+            # ``ctx.send``'s alive-edge check: both ends alive (the
+            # sender is, above).  One record carries the host's Reports,
+            # in parent order: the parents tuple itself unless one died.
+            parents = host.report_due()
+            for parent in parents:
+                if not alive[parent]:
+                    parents = [up for up in parents if alive[up]]
+                    break
+            if not parents:
+                continue
+            sent += len(parents)
+            if tracer is not None:
+                for parent in parents:
+                    tracer.send(now, host_id, parent, report_kind, 1, qid)
+            out.append((0, host_id, parents, report_kind, host.partial,
+                        None, host.depth + 1))
         if sent:
             lane.send_acc[(now, report_kind)] += sent
 

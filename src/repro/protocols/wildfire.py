@@ -33,7 +33,7 @@ happens in time and Single-Site Validity is preserved.
 from __future__ import annotations
 
 import operator
-from typing import Any, List, Optional, Sequence, Set
+from typing import Any, Iterable, List, Optional, Sequence, Set
 
 from repro.protocols.base import Protocol
 from repro.simulation.clock import instant_after
@@ -54,16 +54,20 @@ _DEAD = float("-inf")
 
 class WildfireRun(RunRecord):
     """WILDFIRE's run constants: the shared record plus whether the
-    participation window narrows with hop distance (Section 5.3), and the
+    participation window narrows with hop distance (Section 5.3), the
     combiner's ``combine``, bound once per run (``operator.or_`` itself
-    for the FM count and sum)."""
+    for the FM count and sum), and ``windows``, the narrowed window's
+    end by hop distance -- one float per distance, filled as hosts at a
+    new distance activate and shared by every host there (and by the
+    batch kernel's deadline mirror)."""
 
-    __slots__ = ("early_termination", "combine")
+    __slots__ = ("early_termination", "combine", "windows")
 
     def __init__(self, *shared: Any, early_termination: bool) -> None:
         super().__init__(*shared)
         self.early_termination = early_termination
         self.combine = self.combiner.combine
+        self.windows: List[float] = []
 
 
 class WildfireHost(ProtocolHost):
@@ -153,7 +157,11 @@ class WildfireHost(ProtocolHost):
             # Convergecast only until ``(2 * D_hat - distance + 1) *
             # delta`` (the querying host, and every host without the
             # optimisation, until the global deadline set at __init__).
-            self._deadline = (2.0 * run.d_hat - distance + 1.0) * run.delta
+            windows = run.windows
+            while len(windows) <= distance:
+                windows.append(
+                    (2.0 * run.d_hat - len(windows) + 1.0) * run.delta)
+            self._deadline = windows[distance]
 
     def first_contact(self, sender: int, incoming: Any,
                       sender_distance: Optional[int]) -> bool:
@@ -345,7 +353,12 @@ class WildfireBatchKernel:
     rides onto the flush registration ``(host, chain_depth, rank)`` it
     causes and from there into slot 0 of that flush's emissions; the
     in-process lane never reads it (append order already is spec order),
-    the sharded lane turns it into the canonical cross-shard key.
+    the sharded lane turns it into the canonical cross-shard key.  A lane
+    hands :meth:`process_instant` its batch as a one-pass iterable that
+    frees each record once it is delivered.  A participation deadline is
+    the run's shared float for the host's distance
+    (``WildfireRun.windows``), so the mirror holds one float per
+    distance, not one per host.
 
     The inlined bodies are safe because deliveries are processed in the
     exact global FIFO order of the spec loop and every branch reads the
@@ -430,12 +443,14 @@ class WildfireBatchKernel:
         else:
             self.deadlines[host_id] = host._deadline if host.active else None
 
-    def process_instant(self, now: float, entries: Sequence[tuple],
+    def process_instant(self, now: float, entries: Iterable[tuple],
                         lane: Any) -> None:
         """Process one instant's delivery records in spec FIFO order.
 
-        ``entries`` holds the instant's records in ascending rank order
-        (``dests`` restricted to the hosts this lane owns).  Receive-side
+        ``entries`` yields the instant's records in ascending rank order
+        (``dests`` restricted to the hosts this lane owns); it is an
+        iterable the kernel may traverse once, and the lane frees each
+        record as the traversal moves past it.  Receive-side
         accounting (processed counts, drops, chain depth) accumulates
         into the ``lane``'s bulk counters; with a ``lane.tracer`` every
         delivery, drop and send is recorded where the spec loop records

@@ -38,7 +38,6 @@ _EXPORTS = {
     "QueryOutcome": "session",
     "QuerySession": "session",
     "QueryStatus": "session",
-    "SharedComputation": "sharing",
     "SharedFloodCache": "sharing",
     "computation_key": "sharing",
     "consensus_seed": "sharing",

@@ -216,19 +216,19 @@ class MuxEngine(EventEngine):
         session = event.data
         sharing = self.sharing
         if sharing is not None:
-            comp = sharing.try_subscribe(session, time)
-            if comp is not None:
+            leader = sharing.try_subscribe(session, time)
+            if leader is not None:
                 # Shared-flood hit: ride the in-flight computation
                 # instead of launching another flood.  The session
                 # still occupies a demux slot until its own deadline
                 # so retirement order and residency stay faithful.
                 sharing.hits += 1
-                session.attach_shared(comp, time)
+                session.attach_shared(leader, time)
                 self._enroll(session)
                 if self.tracer is not None:
                     self.tracer.session(
                         0.0, session.qid, "subscribe",
-                        f"leader={comp.leader.qid}")
+                        f"leader={leader.qid}")
                 return
         admission = self.admission
         if admission is not None and admission.decide(self, session, time):

@@ -274,7 +274,7 @@ class QuerySession(Session):
         self.status = QueryStatus.RUNNING
         return True
 
-    def attach_shared(self, comp, now: float) -> None:
+    def attach_shared(self, leader: "QuerySession", now: float) -> None:
         """Go live as a *subscriber* of an in-flight shared computation.
 
         The session builds no protocol state of its own: its horizon
@@ -285,29 +285,34 @@ class QuerySession(Session):
         finalize time.  Only per-tenant bookkeeping is private -- which
         is the whole point of the shared-flood cache.
         """
-        leader = comp.leader
         self.query = leader.query
         self.d_hat = leader.d_hat
         self.termination = leader.termination
         self.t0 = now
         self.ends_at = now + self.termination
         self.status = QueryStatus.RUNNING
-        self.shared_from = comp
+        self.shared_from = leader
         self.lane_used = leader.lane_used
         self.fallback_reason = leader.fallback_reason
         self.extra["cache_hit"] = True
         self.extra["shared_with"] = leader.qid
-        comp.subscribers.append(self.qid)
 
     def finalize(self) -> None:
         """Declare the query's value and release its protocol state."""
         if self.status is not QueryStatus.RUNNING:
             return
-        if self.shared_from is not None:
+        leader = self.shared_from
+        if leader is not None:
             # Subscriber: declare the leader's frozen record with a
             # private copy of its final sink (bit-identical to the solo
             # run this session would have executed -- see sharing.py).
-            leader = self.shared_from.resolve()
+            # A subscriber whose retirement instant ties with the
+            # leader's can pop from the deadline heap first (heap order
+            # is ``(ends_at, qid)``); every leader event has been
+            # consumed by then, so finalizing the leader here is exact,
+            # and its own later retirement becomes a no-op.
+            if leader.status is QueryStatus.RUNNING:
+                leader.finalize()
             self.value = leader.value
             self.summary = leader.summary
             self.fingerprint = leader.fingerprint

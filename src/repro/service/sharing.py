@@ -61,7 +61,6 @@ from repro.sketches.combiners import Combiner
 
 __all__ = [
     "STOCHASTIC_PROTOCOLS",
-    "SharedComputation",
     "SharedFloodCache",
     "canonical_delay_spec",
     "computation_key",
@@ -237,47 +236,6 @@ def computation_key(
     return key
 
 
-class SharedComputation:
-    """One in-flight flood and the tenants riding it.
-
-    ``leader`` is the session actually executing protocol state on the
-    network; ``subscribers`` the query ids that attached.  ``resolve``
-    is called from a subscriber's ``finalize`` and returns the declared
-    leader, whose frozen record the subscriber declares with a *private
-    copy* of the final cost sink -- the
-    stimulus stream the leader consumed (in virtual time) is exactly the
-    stream each subscriber's solo run would have consumed, so the copied
-    accounting is the subscriber's own accounting, bit for bit.
-    """
-
-    __slots__ = ("key", "leader", "subscribers")
-
-    def __init__(self, key: Tuple, leader) -> None:
-        self.key = key
-        self.leader = leader
-        self.subscribers: List[int] = []
-
-    def resolve(self):
-        """The declared leader: its value, cost ``summary``,
-        ``fingerprint`` and final ``sink``, frozen once when it declared.
-        A subscriber declares the same value, summary and fingerprint
-        over a :meth:`~repro.simulation.stats.CostAccounting.copy` of the
-        sink, and so never shares the leader's.
-
-        A subscriber whose retirement instant ties with the leader's can
-        pop from the deadline heap first (heap order is ``(ends_at,
-        qid)``); every leader event has been consumed by then, so
-        force-finalizing the leader here is exact, and the leader's own
-        later retirement becomes a no-op.
-        """
-        leader = self.leader
-        from repro.service.session import QueryStatus
-
-        if leader.status is QueryStatus.RUNNING:
-            leader.finalize()
-        return leader
-
-
 class SharedFloodCache:
     """In-flight computation registry plus the recent-answer store.
 
@@ -306,6 +264,7 @@ class SharedFloodCache:
         self.subscribe_enabled = bool(subscribe)
         self.hits = 0
         self.leads = 0
+        #: share key -> the leader session of the flood in flight.
         self._inflight: dict = {}
         self._recent: "OrderedDict[Tuple, Tuple[float, float, int]]" = (
             OrderedDict())
@@ -328,17 +287,16 @@ class SharedFloodCache:
                     and self._churn_times[index] <= end)
 
     def try_subscribe(self, session, now: float):
-        """The in-flight computation ``session`` may attach to, if any."""
+        """The leader of the in-flight flood ``session`` may ride, if any."""
         key = session.share_key
         if not self.subscribe_enabled or key is None:
             return None
-        comp = self._inflight.get(key)
-        if comp is None:
+        leader = self._inflight.get(key)
+        if leader is None:
             return None
-        leader = comp.leader
         if not self.quiet_window(leader.t0, now + leader.termination):
             return None
-        return comp
+        return leader
 
     def register(self, session) -> None:
         """Record a freshly launched session as a leader for its key."""
@@ -348,16 +306,14 @@ class SharedFloodCache:
         # A same-key leader can already be registered when subscription
         # is disabled, or when churn between the launches forced a fresh
         # flood; the newer computation reflects the newer network epoch.
-        self._inflight[session.share_key] = SharedComputation(
-            session.share_key, session)
+        self._inflight[session.share_key] = session
 
     def on_retired(self, session) -> None:
         """Migrate a retiring leader's answer into the recent store."""
         key = session.share_key
         if key is None or session.extra.get("cache_hit"):
             return
-        comp = self._inflight.get(key)
-        if comp is not None and comp.leader is session:
+        if self._inflight.get(key) is session:
             del self._inflight[key]
         if session.value is None or session.declared_at is None:
             return

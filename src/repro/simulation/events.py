@@ -185,9 +185,9 @@ class EventQueue:
         # NaN equals no time, so the first push of a kind files an item.
         self._open_at = [nan] * _NUM_PRIORITIES
         self._open: List[Optional[List[Any]]] = [None] * _NUM_PRIORITIES
-        # The bucket the cursor walks (the front's, or a pre-empted one).
+        # The bucket the cursor walks (the front's, or a pre-empted one);
+        # ``_walk`` sets the cursor before anything reads it.
         self._walked: Optional[List[Any]] = None
-        self._cursor = 0
         self._size = 0
 
     def __len__(self) -> int:

@@ -34,10 +34,15 @@ kernel's ``refresh_host`` re-mirrors the host it touched.  The sharded lane
 on their own clock, in lockstep, and apply the failure schedule
 themselves.
 
+The batch in flight reaches the kernel as an iterator that consumes it:
+each record, and the target list it carries, is freed once delivered
+rather than when the instant ends, while the next batch is being built.
+
 The timer calendar is a dict of per-instant registration lists keyed by
 the float the spec host files its timer at (at most ``2 * d_hat`` keys:
-one per tree depth).  A WILDFIRE flush registers at ``now`` and fires in
-the instant that registered it; a convergecast report registers at the
+one per tree depth).  A WILDFIRE flush registers ``(host_id,
+chain_depth, causing_rank)`` at ``now`` and fires in the instant that
+registered it; a convergecast report registers the bare host id at the
 deadline :meth:`~repro.protocols.dag.DagHost.adopt` returns.  Every
 instant is ``k * delta`` from :mod:`~repro.simulation.clock` -- no two
 sit an ulp apart -- so whatever is in flight is one batch, the next
@@ -127,6 +132,9 @@ _NEVER = float("inf")
 
 #: ``_TickLane.in_flight`` with nothing in flight: no records, landing never.
 _NOTHING = (_NEVER, (), 0.0)
+
+#: Ends the consuming iterator :meth:`_TickLane.step` hands a kernel.
+_DELIVERED = object()
 
 
 def validate_lane(lane: str) -> str:
@@ -250,11 +258,12 @@ class _TickLane:
         #: Where the current instant's sends land, one ``delta`` later
         #: (also the earliest next flush of a host flushing now).
         self.lands_at = self.delta
-        #: The timer calendar: per-instant registrations
-        #: ``(host_id, chain_depth, causing_rank)`` in spec order, keyed
-        #: by the float the spec host files the timer at; a kernel
+        #: The timer calendar: per-instant registrations in spec order,
+        #: in the kernel's own shape (a WILDFIRE flush's ``(host_id,
+        #: chain_depth, causing_rank)``, a report timer's bare host id),
+        #: keyed by the float the spec host files the timer at; a kernel
         #: appends to the list under that key (creating it on first use).
-        self.timers: Dict[float, List[tuple]] = {}
+        self.timers: Dict[float, List[Any]] = {}
         # Accounting, accumulated flat and replayed into the stats sink
         # in bulk (sends and drops per stepped instant, the rest whenever
         # a drain returns -- :meth:`settle`): per-host receive counts, and
@@ -363,7 +372,13 @@ class _TickLane:
         if self.in_flight[0] == t:
             _, entries, self.sent_at = self.take_in_flight()
             if entries:
-                kernel.process_instant(t, entries, self)
+                # Consumed as delivered: each record (and its target
+                # list) is freed once the kernel moves past it, not when
+                # the instant ends, while the next batch is built.
+                entries.append(_DELIVERED)
+                entries.reverse()
+                kernel.process_instant(t, iter(entries.pop, _DELIVERED),
+                                       self)
         bucket = self.timers.pop(t, None)
         if bucket:
             kernel.process_timer_bucket(t, bucket, self)

@@ -603,3 +603,34 @@ def test_a_packed_spec_run_builds_one_sketch_and_requests_each_flush_once(
     assert len(built) == 1
     assert len(fired) > topo.num_hosts
     assert Counter(requested) == Counter(fired)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.3])
+@pytest.mark.parametrize("lane", ["python", "vector"])
+def test_hosts_at_one_distance_share_one_window(lane, delta):
+    """A participation window is one float per hop distance: every
+    active host at distance ``d`` (the querying host aside, which keeps
+    the global deadline) holds ``run.windows[d]`` itself, equal to
+    ``(2 * D_hat - d + 1) * delta``; on the tick lane the kernel's
+    deadline mirror holds those very floats."""
+    from repro.protocols.base import prepare_protocol_run
+    from repro.simulation.engine import Simulator
+
+    topo = random_topology(60, avg_degree=3.0, seed=5)
+    prepared = prepare_protocol_run(Wildfire(), topo, [1.0] * 60, "count",
+                                    seed=5, delta=delta)
+    simulator = Simulator(network=topo.to_network(), hosts=prepared.hosts,
+                          querying_host=0, delta=delta, lane=lane)
+    assert simulator.run(until=prepared.termination).lane_used == lane
+    run = prepared.hosts[0].run
+    assert run.windows == [(2.0 * run.d_hat - d + 1.0) * delta
+                           for d in range(len(run.windows))]
+    active = [host for host in prepared.hosts[1:] if host.active]
+    assert len(active) == 59
+    assert {host.distance for host in active} == set(
+        range(1, len(run.windows)))
+    for host in active:
+        assert host._deadline is run.windows[host.distance]
+    if lane == "vector":
+        mirror = simulator.session.lane.kernel.deadlines
+        assert all(mirror[host.host_id] is host._deadline for host in active)

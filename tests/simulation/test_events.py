@@ -74,6 +74,16 @@ class TestEventQueueOrdering:
         queue.push(0.0, EventKind.QUERY_START, host=0)
         assert kind_of(pop(queue)) is EventKind.QUERY_START
 
+    def test_query_start_runs_before_a_join_filed_first(self):
+        """A query launched at a join's instant starts on the network as
+        it was: its QUERY_START outranks the JOIN, whatever the filing
+        order."""
+        queue = EventQueue()
+        queue.push(1.0, EventKind.JOIN, data=(0,))
+        queue.push(1.0, EventKind.QUERY_START, host=0)
+        assert kind_of(pop(queue)) is EventKind.QUERY_START
+        assert kind_of(pop(queue)) is EventKind.JOIN
+
 
 class TestEventQueueBehaviour:
     def test_len_and_bool(self):
@@ -227,6 +237,16 @@ class TestTieBreakingRegression:
         assert pop(queue).dests == (15,)
         assert pop(queue) == (5, "t", None)
         assert queue.pop_due(None) is None
+
+    def test_push_multicast_defaults_to_a_wired_batch_of_query_zero(self):
+        """The engine passes every field; the frozen replay kernels of
+        ``benchmarks/perf/perf_kernels.py`` file multicasts with the
+        defaults, which make a wired batch of query 0 at vtime 0."""
+        queue = EventQueue()
+        queue.push_multicast(1.0, 7, (1, 2), "kind", None, 0.5, 1)
+        batch = pop(queue)
+        assert (batch.wireless, batch.query_id, batch.vtime) == (
+            False, 0, 0.0)
 
     def test_push_multicast_with_no_destinations_is_a_noop(self):
         queue = EventQueue()

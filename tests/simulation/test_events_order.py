@@ -404,6 +404,26 @@ def test_pop_tick_of_a_preempted_bucket_returns_exactly_the_remainder():
     assert queue.pop_tick() is None
 
 
+def test_pop_tick_of_an_earlier_bucket_keeps_the_walked_one_resumable():
+    """``pop_tick`` retires every bucket it takes, and only the one the
+    cursor walks may reset the cursor: a half-drained bucket at 2.0,
+    pre-empted by a bucket at 1.0 that ``pop_tick`` takes whole, resumes
+    at its next entry, never at its released prefix."""
+    queue = EventQueue()
+    for dest in (1, 2, 3):
+        queue.push_deliver(2.0, Message(0, dest, "QUERY", "later"))
+    assert queue.pop_due(None)[1].dest == 1  # the lone first entry
+    assert queue.pop_due(None)[1].dest == 2  # the bucket, now walked
+    queue.push_deliver(1.0, Message(0, 7, "QUERY", "earlier"))
+    queue.push_deliver(1.0, Message(0, 8, "QUERY", "earlier"))
+    time, buckets = queue.pop_tick()
+    assert time == 1.0
+    assert [message.dest for message in
+            buckets[_KIND_PRIORITY[EventKind.DELIVER]]] == [7, 8]
+    assert queue.pop_due(None)[1].dest == 3
+    assert len(queue) == 0 and queue.pop_due(None) is None
+
+
 # ---------------------------------------------------------------------------
 # pop_tick: one whole instant per call
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ the perf smokes.
 """
 
 import multiprocessing
+import weakref
 
 import pytest
 from hypothesis import strategies as st
@@ -515,6 +516,89 @@ def test_a_drawn_failure_between_instants_is_the_spec_loops(
 
     drawn(request, law, plain=3, host=st.integers(0, 29),
           instant=st.integers(0, 7), offset=st.sampled_from([0.25, 0.5]))
+
+
+@convergecast
+def test_a_drawn_convergecast_under_drawn_failures_is_the_spec_loops(
+        request, protocol):
+    # A parent (a tree parent, or any of a DAG host's parents) failing
+    # after the Broadcast passed it and before its children report, and
+    # up to two more hosts failing between any two instants: the vector
+    # lane's deliveries (chain depth included), fired timers and sends
+    # are the spec loop's record for record, and so are the value and
+    # the cost fingerprint.
+    make = CONVERGECAST[protocol]
+    _, static, _ = _simulate("python", protocol=make())
+    parents = sorted({parent for host in static.hosts
+                      for parent in host.parents if parent != 0})
+
+    def law(parent, offset, others):
+        failed_at = static.hosts[parent].depth + offset
+        churn = ChurnSchedule(failures=[(failed_at, parent)] + [
+            (time, host) for time, host in others if host != parent])
+        spec_ring, ring = _full_ring(), _full_ring()
+        spec = _spec(protocol=make(), churn=churn, tracer=spec_ring)
+        vector, simulator, result = _simulate(
+            "vector", protocol=make(), churn=churn, tracer=ring)
+        assert (result.lane_used, result.fallback_reason) == ("vector", None)
+        assert not simulator.hosts[parent].reported
+        assert vector == spec
+        assert ring.raw_records() == spec_ring.raw_records()
+
+    drawn(request, law, plain=3, parent=st.sampled_from(parents),
+          offset=st.sampled_from([0.5, 1.5]),
+          others=st.lists(st.tuples(
+              st.sampled_from([0.5, 1.5, 2.5, 4.5, 7.5]),
+              st.integers(0, 29)), max_size=2, unique_by=lambda f: f[1]))
+
+
+class _Agg:
+    """A record's aggregate, weakly referenceable."""
+
+
+class _HoldsNothing:
+    """A stub batch kernel noting, at each record it handles, which of
+    the batch's aggregates are still alive."""
+
+    def __init__(self, refs):
+        self.refs = refs
+        self.alive = []
+
+    def process_instant(self, now, entries, lane):
+        for record in entries:
+            self.alive.append([ref() is not None for ref in self.refs])
+
+    def process_timer_bucket(self, now, bucket, lane):
+        raise AssertionError("no timer was registered")
+
+
+def test_the_lane_frees_each_record_once_it_is_delivered():
+    # While the kernel handles record k, records 0 .. k-1 and their
+    # aggregates are gone: the batch is consumed as it is delivered,
+    # not held until the instant ends.
+    from types import SimpleNamespace
+
+    from repro.simulation.vector_lane import _TickLane
+
+    network = SimpleNamespace(num_hosts=4, _alive=bytearray(b"\1" * 4),
+                              _alive_sorted=[None] * 4)
+    engine = SimpleNamespace(network=network, delta=1.0, wireless=False,
+                             tracer=None)
+    session = SimpleNamespace(qid=0, querying_host=0, hosts=[None] * 4)
+    refs = []
+
+    def record(rank):
+        agg = _Agg()
+        refs.append(weakref.ref(agg))
+        return (rank, 0, [1, 2, 3], "kind", agg, None, 1)
+
+    kernel = _HoldsNothing(refs)
+    lane = _TickLane(engine, session, kernel)
+    lane.in_flight = (1.0, [record(rank) for rank in range(5)], 0.0)
+    assert lane.step() == float("inf")
+    assert kernel.alive == [[rank >= k for rank in range(5)]
+                            for k in range(5)]
+    assert all(ref() is None for ref in refs)
 
 
 # ----------------------------------------------------------------------
