@@ -48,12 +48,11 @@ class ProvenanceTracer(Tracer):
     :class:`~repro.obs.trace.RingTracer` instead.
     """
 
-    __slots__ = ("deliveries", "failures", "joins")
+    __slots__ = ("deliveries", "failures")
 
     def __init__(self) -> None:
         self.deliveries: List[Tuple[int, int, float, float]] = []
         self.failures: List[Tuple[float, int]] = []
-        self.joins: List[Tuple[float, int]] = []
 
     def deliver(self, time, sender, dest, kind, chain_depth, sent_at=0.0,
                 query_id=0):
@@ -61,9 +60,6 @@ class ProvenanceTracer(Tracer):
 
     def fail(self, time, host):
         self.failures.append((time, host))
-
-    def join(self, time, host):
-        self.joins.append((time, host))
 
     def provenance(self, querying_host: int, termination: float,
                    num_hosts: int) -> "EstimateProvenance":
@@ -81,8 +77,8 @@ class ProvenanceTracer(Tracer):
             known = deadline.get(sender)
             if known is None or sent_at > known:
                 deadline[sender] = sent_at
-        contributors = frozenset(h for h in deadline if h < num_hosts)
-        failed = frozenset(h for _, h in self.failures if h < num_hosts)
+        contributors = frozenset(deadline)
+        failed = frozenset(h for _, h in self.failures)
         lost = frozenset(h for h in range(num_hosts)
                          if h not in contributors)
         return EstimateProvenance(
@@ -102,8 +98,9 @@ class EstimateProvenance(NamedTuple):
     Attributes:
         querying_host: the host whose declaration is attributed.
         termination: the nominal termination time the attribution used.
-        num_hosts: initial network size (joined hosts are excluded --
-            the paper's validity semantics range over initial hosts).
+        num_hosts: the network size (hosts only leave, so every host is
+            an initial one, the range the paper's validity semantics
+            cover).
         contributors: hosts whose value may have reached the declaration.
         failed: hosts that failed during the run.
         lost: initial hosts absent from the contribution set; split by

@@ -4,7 +4,7 @@ The paper's evaluation is entirely about *observing* a distributed
 aggregate computation; this module is the substrate that makes a run
 observable without perturbing it.  A :class:`Tracer` receives typed
 records at the engine's seams -- message send/deliver, timer fire, host
-fail/join, session submit/declare/retire, phase transitions -- and the
+fail, session submit/declare/retire, phase transitions -- and the
 concrete :class:`RingTracer` files them into a bounded ring buffer with
 per-kind sampling so 100k-1M-host runs stay memory-capped.
 
@@ -99,9 +99,6 @@ class Tracer:
 
     def fail(self, time: float, host: int) -> None:
         """A host failed (churn)."""
-
-    def join(self, time: float, host: int) -> None:
-        """A host joined the network (churn)."""
 
     def session(self, time: float, query_id: int, event: str,
                 detail: Any = None) -> None:
@@ -222,10 +219,6 @@ class RingTracer(Tracer):
         if self._admit("fail"):
             self._ring.append(("fail", time, host))
 
-    def join(self, time, host):
-        if self._admit("join"):
-            self._ring.append(("join", time, host))
-
     def session(self, time, query_id, event, detail=None):
         if self._admit("session"):
             self._ring.append(("session", time, query_id, event, detail))
@@ -330,9 +323,9 @@ class RingTracer(Tracer):
             _, time, dest, qid = record
             return {"type": kind, "time": time, "dest": dest,
                     "query_id": qid}
-        if kind in ("fail", "join"):
+        if kind == "fail":
             _, time, host = record
-            return {"type": kind, "time": time, "host": host}
+            return {"type": "fail", "time": time, "host": host}
         if kind == "session":
             _, time, qid, event, detail = record
             row = {"type": "session", "time": time, "query_id": qid,
@@ -464,11 +457,11 @@ class RingTracer(Tracer):
                     "ts": row["time"] * scale, "cat": "message",
                     "name": kind,
                     "args": {"query_id": row["query_id"]}})
-            elif kind in ("fail", "join"):
+            elif kind == "fail":
                 events.append({
                     "ph": "i", "s": "g", "pid": pid, "tid": row["host"],
                     "ts": row["time"] * scale, "cat": "churn",
-                    "name": f"{kind} host {row['host']}", "args": {}})
+                    "name": f"fail host {row['host']}", "args": {}})
             elif kind == "session":
                 event = row["event"]
                 phase = {"launch": "b", "declare": "e",

@@ -601,8 +601,8 @@ class WildfireBatchKernel:
         appended straight to ``lane.out_records`` in spec order, and
         counted in two locals folded into the lane at the end: the totals
         are those the per-send path would record.  A reply goes back to a
-        former sender -- a structural neighbor for the whole run, the
-        gate refusing joins -- from a host that is alive, so the spec's
+        former sender -- a structural neighbor for the whole run, since
+        hosts only leave -- from a host that is alive, so the spec's
         alive-edge check reduces to the deadline mirror's verdict on the
         neighbor.  A flush fires in the instant that registered it and
         failures land between instants (a lane's instant is filed ahead

@@ -102,17 +102,11 @@ def union_set(
 ) -> Set[int]:
     """Compute ``H_U``: hosts alive at some instant during the interval.
 
-    With a failure-only dynamism model every initial host was alive at time
-    0, so ``H_U`` is simply all initial hosts plus any host that joined
-    before the horizon.
+    Hosts only leave, and every initial host was alive at time 0, so
+    ``H_U`` is every initial host whatever ``churn`` fails and whatever
+    the ``horizon``.
     """
-    hosts = set(range(topology.num_hosts))
-    for index, join in enumerate(churn.joins):
-        if horizon is None or join.time <= horizon:
-            # Joined hosts receive ids after the initial ones, in order
-            # (by position: two equal joins are two hosts).
-            hosts.add(topology.num_hosts + index)
-    return hosts
+    return set(range(topology.num_hosts))
 
 
 def aggregate_over(kind: str, hosts: Iterable[int], values: Sequence[float]) -> float:
@@ -146,16 +140,11 @@ def compute_bounds(
     """Compute the Single-Site Validity bounds and their aggregate values."""
     core = stable_core(topology, churn, querying_host, horizon=horizon)
     union = union_set(topology, churn, horizon=horizon)
-    # Hosts joined during the run have no recorded value in ``values``; they
-    # may or may not contribute, so the upper bound uses only hosts we have
-    # values for (consistent with the paper's experiments, which do not model
-    # joins).
-    union_known = {h for h in union if h < len(values)}
     lower = aggregate_over(kind, core, values)
-    upper = aggregate_over(kind, union_known, values)
+    upper = aggregate_over(kind, union, values)
     return ValidityBounds(
         stable_core=frozenset(core),
-        union=frozenset(union_known),
+        union=frozenset(union),
         querying_host=querying_host,
         lower_value=lower,
         upper_value=upper,

@@ -1,7 +1,7 @@
 """The query service's engine: many sessions on the one event loop.
 
 :class:`MuxEngine` is the :class:`~repro.simulation.engine.EventEngine`
--- the loop, the submit paths, churn scheduling and FAIL / JOIN fan-out
+-- the loop, the submit paths, churn scheduling and FAIL fan-out
 that a solo :class:`~repro.simulation.engine.Simulator` runs with one
 session -- plus what only a multi-tenant service has:
 
@@ -12,8 +12,8 @@ session -- plus what only a multi-tenant service has:
   through the launch a solo run uses
   (:meth:`~repro.simulation.engine.EventEngine.start_query`: one
   calendar entry per *instant* of its query-local clock, instead of one
-  per message); a session it refuses (variable delay, join churn, hosts
-  no kernel drives) runs per message as before, with the reason on its
+  per message); a session it refuses (variable delay, hosts no kernel
+  drives) runs per message as before, with the reason on its
   row.  Either way the calendar is the only ordering authority:
   QUERY_START, FAIL and retirement are where they were, and a FAIL fans
   out to the host objects the kernels mutate;
@@ -59,7 +59,7 @@ class MuxEngine(EventEngine):
     Args:
         network: the shared dynamic network all sessions run on.
         delta: the per-hop delay bound every session's timer math uses.
-        churn: service-wide schedule of host failures/joins.
+        churn: service-wide schedule of host failures.
         wireless: broadcast-medium accounting (shared by all sessions).
         max_time: hard stop for the engine clock (runaway backstop: a
             drain-to-empty :meth:`run` that reaches it with events still

@@ -40,7 +40,7 @@ digits on such a tie.
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.protocols.base import Protocol, protocol_from_spec, resolve_d_hat
 from repro.queries.query import AggregateQuery
@@ -51,7 +51,6 @@ from repro.service.sharing import (SharedFloodCache, computation_key,
                                    consensus_material, consensus_seed,
                                    delay_is_stochastic)
 from repro.simulation.churn import ChurnSchedule
-from repro.simulation.host import ProtocolHost
 from repro.sketches.combiners import Combiner
 from repro.topology.base import Topology
 
@@ -167,7 +166,7 @@ class QueryService:
         values: one attribute value per topology host (shared by every
             query, as in the paper's ad-hoc query model).
         delta: per-hop delay bound for every session's timer math.
-        churn: service-wide failure/join schedule (applied once, seen by
+        churn: service-wide failure schedule (applied once, seen by
             every session that overlaps it).
         seed: service seed; per-query seeds derive from it and the
             query's content (see
@@ -254,7 +253,6 @@ class QueryService:
         combiner: Optional[Combiner] = None,
         d_hat: Optional[int] = None,
         repetitions: int = 8,
-        join_factory: Optional[Callable[[int], ProtocolHost]] = None,
         stream: Optional[int] = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> int:
@@ -334,14 +332,10 @@ class QueryService:
             combiner=combiner,
             d_hat=resolved_d_hat,
             delay=self.delay_spec,
-            join_factory=join_factory,
             stream=stream,
             extra=extra,
         )
-        if join_factory is None:
-            # A join factory customises per-session behaviour the key
-            # cannot capture, so such sessions never share.
-            session.share_key = share_key
+        session.share_key = share_key
         self._sessions[qid] = session
         self.engine.schedule_session(session)
         tracer = self.engine.tracer

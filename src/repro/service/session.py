@@ -34,13 +34,11 @@ from __future__ import annotations
 
 import enum
 from types import MappingProxyType
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional,
-                    Sequence)
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence
 
 from repro.protocols.base import Protocol, prepare_protocol_run
 from repro.queries.query import AggregateQuery
 from repro.simulation.engine import Session
-from repro.simulation.host import ProtocolHost
 from repro.simulation.stats import CostAccounting
 from repro.sketches.combiners import Combiner
 from repro.topology.base import Topology
@@ -188,12 +186,10 @@ class QuerySession(Session):
         combiner: Optional[Combiner] = None,
         d_hat: Optional[int] = None,
         delay: Any = None,
-        join_factory: Optional[Callable[[int], ProtocolHost]] = None,
         stream: Optional[int] = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> None:
-        super().__init__(qid, join_factory=join_factory,
-                         querying_host=querying_host)
+        super().__init__(qid, querying_host=querying_host)
         self.protocol = protocol
         self.query = query
         self.seed = seed
@@ -259,11 +255,6 @@ class QuerySession(Session):
         self.d_hat = prepared.d_hat
         self.termination = prepared.termination
         self.hosts = prepared.hosts
-        # The shared network may have grown past the pristine topology
-        # (joins before this launch); pad so the host table stays
-        # indexable by every live host id.
-        for host_id in range(len(self.hosts), engine.network.num_hosts):
-            self.hosts.append(self._joined_host(host_id))
         self.delay_model = prepared.delay_model
         self.sample = (None if prepared.delay_model is None
                        else prepared.delay_model.sample)

@@ -51,7 +51,7 @@ from __future__ import annotations
 import bisect
 import random
 from collections import OrderedDict
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.protocols.base import Protocol
 from repro.queries.query import AggregateQuery
@@ -256,11 +256,9 @@ class SharedFloodCache:
     def __init__(self, churn: Optional[ChurnSchedule] = None,
                  subscribe: bool = True,
                  recent_capacity: int = 256) -> None:
-        times: List[float] = []
-        if churn is not None:
-            times.extend(time for time, _ in churn.failures)
-            times.extend(join.time for join in churn.joins)
-        self._churn_times = sorted(times)
+        # The schedule keeps its failures in time order.
+        self._churn_times = ([] if churn is None
+                             else [time for time, _ in churn.failures])
         self.subscribe_enabled = bool(subscribe)
         self.hits = 0
         self.leads = 0

@@ -2,43 +2,42 @@
 
 The paper models dynamism by removing ``R`` randomly selected hosts at a
 uniform rate over the query-processing interval.  A :class:`ChurnSchedule`
-is an explicit list of (time, host) failure pairs plus optional join events,
-so experiments are reproducible and the oracle can reason about exactly the
+is an explicit list of (time, host) failure pairs -- hosts only leave -- so
+experiments are reproducible and the oracle can reason about exactly the
 same sequence of events the simulator executed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
-
-
-class JoinSpec(NamedTuple):
-    """A host join: at ``time`` a new host attaches to ``neighbors``."""
-
-    time: float
-    neighbors: Tuple[int, ...]
+from math import inf
+from typing import Iterable, Optional, Sequence, Tuple
 
 
 class ChurnSchedule:
-    """An explicit schedule of host failures (and optionally joins).
+    """An explicit schedule of host failures.
 
     Attributes:
         failures: (time, host) pairs sorted by time; each host appears
-            at most once.
-        joins: join specifications sorted by time.
+            at most once.  A sorted copy: the caller's sequence is left
+            as given.
 
-    Both are sorted copies: the caller's sequences are left as given.
+    A failure time must be finite and non-negative: the engine files no
+    event at NaN or infinity, so the run would ignore the failure while
+    the oracle counted it.
     """
 
-    __slots__ = ("failures", "joins")
+    __slots__ = ("failures",)
 
-    def __init__(self, failures: Iterable[Tuple[float, int]] = (),
-                 joins: Iterable[JoinSpec] = ()) -> None:
+    def __init__(self, failures: Iterable[Tuple[float, int]] = ()) -> None:
         self.failures = sorted(failures, key=lambda pair: pair[0])
-        self.joins = sorted(joins, key=lambda spec: spec.time)
         seen = set()
-        for _, host in self.failures:
+        for time, host in self.failures:
+            if not 0 <= time < inf:
+                raise ValueError(
+                    f"churn failure ({time!r}, {host}) has a time the "
+                    f"engine cannot run: it must be finite and "
+                    f"non-negative")
             if host in seen:
                 raise ValueError(f"host {host} scheduled to fail more than once")
             seen.add(host)

@@ -19,8 +19,9 @@ calendar :class:`~repro.simulation.events.EventQueue`:
   6.3 costs) and delayed by its private
   :class:`~repro.simulation.delay.DelayModel` stream (``None`` = the
   paper's worst case of exactly ``delta`` per hop);
-* churn (FAIL / JOIN) is shared: it mutates the one network and fans out
-  to every live session's host table;
+* churn is shared: a FAIL mutates the one network and fans out to every
+  live session's host table (hosts only leave, so a session's table is
+  the network's hosts for its whole life);
 * a session the kernel-lane gate admits is stepped an instant at a time
   by this loop (:meth:`EventEngine.start_query`: one CUSTOM calendar
   entry per instant of its tick lane) instead of delivered a message at
@@ -98,8 +99,6 @@ class Session:
         termination: query-local instant after which the query's
             stimuli are no longer delivered.
         ends_at: the same instant in engine time.
-        join_factory: builds the protocol state of a host that joins
-            mid-query (``None`` = an :class:`InertHost`).
         querying_host: the host the query is issued at.
         lane: the session's tick lane once the gate admitted it
             (:meth:`EventEngine.start_query`), else ``None``: the query
@@ -110,7 +109,7 @@ class Session:
     """
 
     __slots__ = ("qid", "t0", "hosts", "sink", "sample", "termination",
-                 "ends_at", "join_factory", "querying_host", "lane")
+                 "ends_at", "querying_host", "lane")
 
     def __init__(
         self,
@@ -118,7 +117,6 @@ class Session:
         hosts: Optional[List[ProtocolHost]] = None,
         sink: Optional[CostAccounting] = None,
         sample: Optional[Callable[[int, int, float], float]] = None,
-        join_factory: Optional[Callable[[int], ProtocolHost]] = None,
         querying_host: int = 0,
     ) -> None:
         self.qid = qid
@@ -129,25 +127,12 @@ class Session:
         self.sample = sample
         self.termination = inf
         self.ends_at = inf
-        self.join_factory = join_factory
         self.lane = None
 
     def step(self, engine: "EventEngine") -> None:
         """The calendar entry of a tick-path session came due: run its
         lane's earliest pending instant and hand the engine the next."""
         engine.lane_stepped(self, self.lane.step())
-
-    def _joined_host(self, host_id: int) -> ProtocolHost:
-        if self.join_factory is not None:
-            return self.join_factory(host_id)
-        return InertHost(host_id)
-
-    def on_join(self, host_id: int) -> None:
-        """Extend the host table, and the sink's processed counts, for a
-        host that joined mid-session."""
-        if self.hosts is not None:
-            self.hosts.append(self._joined_host(host_id))
-            self.sink.reserve(host_id + 1)
 
 
 class EventEngine:
@@ -167,7 +152,7 @@ class EventEngine:
         network: the (mutable) dynamic network every session runs on.
         delta: maximum per-hop message delay (the paper's ``delta``):
             the *bound* every protocol's timer math relies on.
-        churn: schedule of host failures/joins to apply.
+        churn: schedule of host failures to apply.
         wireless: when True, a multicast to all neighbors of a host counts
             as one transmission (the sensor-network broadcast medium).
         max_time: hard stop for the engine clock.  A drain-to-empty run
@@ -200,23 +185,15 @@ class EventEngine:
         self.clock = SimulationClock()
         self._queue = EventQueue(width=self.delta)
         self._churn = churn = churn or ChurnSchedule.empty()
-        # A churn id must name a host slot the run can have: an initial
-        # host or one of the scheduled joins.  Past the bitmap a FAIL
-        # would raise a bare IndexError mid-drain, and a negative id
+        # A churn id must name a host of the network.  Past the bitmap a
+        # FAIL would raise a bare IndexError mid-drain, and a negative id
         # would fail a host counted from the end.
-        slots = network.num_hosts + len(churn.joins)
+        slots = network.num_hosts
         for _, host in churn.failures:
             if not 0 <= host < slots:
                 raise ValueError(
-                    f"churn fails host {host}, outside the {slots} host "
-                    f"slots of this network and its joins")
-        for join in churn.joins:
-            for other in join.neighbors:
-                if not 0 <= other < slots:
-                    raise ValueError(
-                        f"churn joins a host at neighbor {other}, outside "
-                        f"the {slots} host slots of this network and its "
-                        f"joins")
+                    f"churn fails host {host}, outside the {slots} hosts "
+                    f"of this network")
         self._churn_scheduled = False
         # qid -> live session (the demux table), and the (ends_at, qid)
         # heap of sessions due to leave it (empty while none expires).
@@ -362,10 +339,6 @@ class EventEngine:
         for time, host in self._churn.failures:
             if time <= limit:
                 self._queue.push(time, EventKind.FAIL, host=host)
-        for join in self._churn.joins:
-            if join.time <= limit:
-                self._queue.push(
-                    join.time, EventKind.JOIN, data=tuple(join.neighbors))
 
     def _drain(self, until: Optional[float]) -> float:
         """Consume every event due by ``until``; returns the horizon.
@@ -404,10 +377,10 @@ class EventEngine:
         and ``len(queue)`` says so.
 
         Each delivery is counted straight into its sink's processed
-        array, which :meth:`start_query` and :meth:`Session.on_join` keep
-        covering every host; a multicast raises the sink's
-        ``max_chain_depth`` once, at its first delivered destination and
-        before that handler runs (its destinations share one depth).
+        array, which :meth:`start_query` sizes to cover every host; a
+        multicast raises the sink's ``max_chain_depth`` once, at its first
+        delivered destination and before that handler runs (its
+        destinations share one depth).
 
         On return every live tick lane settles its flat counters into
         its session's sink (``_TickLane.settle``), so a sink read between
@@ -420,7 +393,7 @@ class EventEngine:
         pop_due = queue.pop_due
         clock = self.clock
         # The network's packed alive bitmap (a bytearray: one byte per
-        # host, appended in place on joins, so the binding stays valid).
+        # host, flipped in place on failures, so the binding stays valid).
         alive_flags = self.network._alive
         active = self._active
         ends_heap = self._ends_heap
@@ -623,17 +596,6 @@ class EventEngine:
                     session.hosts[host].on_fail(time - session.t0)
                     if session.lane is not None:
                         session.lane.kernel.refresh_host(host)
-        elif kind is EventKind.JOIN:
-            neighbors = [
-                h for h in (event.data or ()) if self.network.is_alive(h)
-            ]
-            if not neighbors:
-                return
-            new_id = self.network.join_host(neighbors, time)
-            if self.tracer is not None:
-                self.tracer.join(time, new_id)
-            for session in self._active.values():
-                session.on_join(new_id)
         elif kind is EventKind.CUSTOM and callable(event.data):
             event.data(self)
         else:
@@ -653,7 +615,7 @@ class Simulator(EventEngine):
             This is the *bound* every protocol's timer math relies on;
             realised delays are drawn from ``delay_model`` and never
             exceed it.
-        churn: schedule of host failures/joins to apply during the run.
+        churn: schedule of host failures to apply during the run.
         wireless: when True, a multicast to all neighbors of a host counts
             as one transmission (the sensor-network broadcast medium).
         max_time: hard stop for the simulation clock; a drain-to-empty
@@ -671,7 +633,7 @@ class Simulator(EventEngine):
             :data:`~repro.simulation.vector_lane.DEFAULT_LANE`) asks for
             the per-tick batch lane (:mod:`~repro.simulation.vector_lane`),
             whose gate engages it when the run is supported (fixed delay,
-            no joins, nothing queued before the first ``run()``,
+            nothing queued before the first ``run()``,
             kernel-supported hosts; traced or not) and otherwise falls
             back to the spec loop, recording why on the result's
             ``fallback_reason``.  ``"python"`` requests the spec loop
@@ -684,11 +646,6 @@ class Simulator(EventEngine):
         shards: worker-process count for the sharded lane (ignored by the
             other lanes); ``1`` runs the sharded protocol in-process.
     """
-
-    #: Optional ``factory(host_id) -> ProtocolHost`` an experiment driver
-    #: attaches for hosts that join mid-run; without one a joining host
-    #: silently ignores all traffic.
-    join_host_factory: Optional[Callable[[int], ProtocolHost]] = None
 
     def __init__(
         self,
@@ -766,7 +723,6 @@ class Simulator(EventEngine):
                     self.lane_used = result.lane_used = self.lane
                     return result
             self._prime(None)
-        self.session.join_factory = self.join_host_factory
         self._drain(until)
         return SimulationResult(
             value=self.hosts[self.querying_host].local_result(),
@@ -791,23 +747,3 @@ class Simulator(EventEngine):
         if self.network.is_alive(event.host):
             self.start_query(self.session, event.data, time, ctx)
 
-
-class InertHost(ProtocolHost):
-    """A host that ignores every stimulus.
-
-    Used as the placeholder state machine for hosts that join mid-run
-    without a ``join_host_factory``, and by the query service to pad a
-    session's host table for network hosts that exist but do not
-    participate in that query (e.g. hosts that joined before the query
-    launched)."""
-
-    __slots__ = ()
-
-    def __init__(self, host_id: int) -> None:
-        super().__init__(host_id, value=0.0)
-
-    def on_query_start(self, ctx: HostContext) -> None:  # pragma: no cover
-        return
-
-    def on_message(self, message: Message, ctx: HostContext) -> None:
-        return

@@ -70,7 +70,6 @@ class EventKind(enum.Enum):
     DELIVER = "deliver"  # deliver a message to its destination host
     TIMER = "timer"      # a host timer expires
     FAIL = "fail"        # a host leaves the network
-    JOIN = "join"        # a host joins the network
     QUERY_START = "query_start"  # the querying host initiates the protocol
     # A callable run with the engine: driver hooks, and each instant of
     # a service session's tick lane.
@@ -84,14 +83,13 @@ class EventKind(enum.Enum):
 #: host processes everything addressed to it "up to" its failure instant.
 _KIND_PRIORITY = {
     EventKind.QUERY_START: 0,
-    EventKind.JOIN: 1,
-    EventKind.DELIVER: 2,
-    EventKind.CUSTOM: 3,
-    EventKind.TIMER: 4,
-    EventKind.FAIL: 5,
+    EventKind.DELIVER: 1,
+    EventKind.CUSTOM: 2,
+    EventKind.TIMER: 3,
+    EventKind.FAIL: 4,
 }
 
-_NUM_PRIORITIES = 6
+_NUM_PRIORITIES = 5
 _DELIVER_PRIORITY = _KIND_PRIORITY[EventKind.DELIVER]
 _TIMER_PRIORITY = _KIND_PRIORITY[EventKind.TIMER]
 
@@ -216,7 +214,7 @@ class EventQueue:
     # ------------------------------------------------------------------
     def push(self, time: float, kind: EventKind, host: Optional[int] = None,
              data: Any = None) -> Event:
-        """Schedule a QUERY_START, JOIN, CUSTOM or FAIL event and return it.
+        """Schedule a QUERY_START, CUSTOM or FAIL event and return it.
 
         The event is one heap item of its own.  A DELIVER or TIMER is
         refused here, at the call, with :class:`ValueError`: the engine
@@ -378,7 +376,7 @@ class EventQueue:
         against the *popped* position: at the batch's own key it lands
         behind it, at a later key it drains later -- both as if the
         batch's deliveries had been filed one by one.  Only an item
-        *below* an in-progress DELIVER (a QUERY_START or JOIN at this
+        *below* an in-progress DELIVER (a QUERY_START at this
         very instant) would have cut in between two destinations and now
         runs after the last; no message handler can file one
         (``HostContext.send`` delays lie in ``(0, delta]``,

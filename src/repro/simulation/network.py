@@ -1,12 +1,12 @@
 """Dynamic network graph on a packed-memory (CSR) core.
 
 The network is the undirected graph ``G = (H, E)`` of the paper.  Hosts may
-fail (leave) or join at any simulated instant; the adjacency structure and
-the set of alive hosts are updated accordingly.  The class serves what a
-run reads -- liveness and the alive-neighbor views -- and nothing else:
-graph measures live on the immutable
-:class:`~repro.topology.base.Topology`, and the validity bounds come from
-the churn schedule.
+fail (leave) at any simulated instant and none joins, so the host count
+and the adjacency structure are fixed for a run; only the set of alive
+hosts changes.  The class serves what a run reads -- liveness and the
+alive-neighbor views -- and nothing else: graph measures live on the
+immutable :class:`~repro.topology.base.Topology`, and the validity bounds
+come from the churn schedule.
 
 The graph carries *connectivity* only; link timing lives in the engine's
 :class:`~repro.simulation.delay.DelayModel` (the per-edge model derives
@@ -25,10 +25,6 @@ so the storage is a compact CSR-style core:
   ascending (4 bytes per directed edge instead of a boxed int in a set);
 * alive-ness is a ``bytearray`` bitmap (``_alive``), so ``is_alive`` is
   O(1) and the engines' hot loops index the bitmap directly;
-* churn-induced edge *additions* (host joins) go to a small per-host
-  overflow table ``_overflow: {host: [new ids...]}``.  Join ids are
-  assigned in increasing order and each overflow list starts sorted, so
-  every ``base row + overflow row`` concatenation is already ascending;
 * failures remove nothing: an edge is *current* iff both endpoints are
   alive, so the alive-filter applied at view time reproduces the eager
   edge-removal semantics of the old mutable-set implementation exactly.
@@ -36,7 +32,7 @@ so the storage is a compact CSR-style core:
 The protocol-facing views -- the alive-neighbor frozenset queried per
 unicast and the ascending tuple driving every multicast -- are lazily
 materialised straight off the packed arrays and cached per host,
-invalidated only for the hosts a failure or join actually touches.  The
+invalidated only for the hosts a failure actually touches.  The
 ascending order is the same order the old implementation served (and the
 golden snapshots pin); the set-based executable specification is retained
 in :mod:`repro.simulation.network_reference` and the differential suite
@@ -47,11 +43,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
 class DynamicNetwork:
-    """An undirected graph of hosts supporting failures and joins.
+    """An undirected graph of hosts supporting failures.
 
     Host identifiers are consecutive integers starting at zero.
 
@@ -64,11 +60,9 @@ class DynamicNetwork:
     """
 
     __slots__ = (
-        "_base_n",
         "_base_offsets",
         "_base_targets",
         "_alive",
-        "_overflow",
         "_alive_neighbors",
         "_alive_sorted",
     )
@@ -91,15 +85,13 @@ class DynamicNetwork:
         for row in rows:
             extend_targets(row)
             push_offset(len(targets))
-        # Base CSR core: immutable once built (joins go to the overflow
-        # table, failures only flip the alive bitmap).
-        self._base_n = n
+        # Base CSR core: immutable once built (failures only flip the
+        # alive bitmap).
         self._base_offsets = offsets
         self._base_targets = targets
         self._alive = bytearray(b"\x01") * n
-        self._overflow: Dict[int, List[int]] = {}
         # Per-host caches of the alive-neighbor views; invalidated only for
-        # the hosts an individual failure or join touches.  The views are
+        # the hosts an individual failure touches.  The views are
         # immutable and ``copy()`` shares them, so the sorted ones start
         # materialised: with everyone alive they are the rows just packed.
         self._alive_neighbors: List[Optional[FrozenSet[int]]] = [None] * n
@@ -109,53 +101,31 @@ class DynamicNetwork:
     # ------------------------------------------------------------------
     # Packed-core helpers
     # ------------------------------------------------------------------
-    def _structural_neighbors(self, host: int) -> Iterator[int]:
-        """All base + overflow neighbor ids of ``host``, alive or not."""
-        if host < self._base_n:
-            offsets = self._base_offsets
-            yield from self._base_targets[offsets[host]:offsets[host + 1]]
-        extra = self._overflow.get(host)
-        if extra:
-            yield from extra
+    def _structural_neighbors(self, host: int) -> "array[int]":
+        """All neighbor ids of ``host``, alive or not, ascending."""
+        offsets = self._base_offsets
+        return self._base_targets[offsets[host]:offsets[host + 1]]
 
     def _alive_row(self, host: int) -> List[int]:
         """Current alive neighbors of ``host``, ascending (uncached)."""
         alive = self._alive
         if not alive[host]:
             return []
-        if host < self._base_n:
-            offsets = self._base_offsets
-            row = [
-                t
-                for t in self._base_targets[offsets[host]:offsets[host + 1]]
-                if alive[t]
-            ]
-        else:
-            row = []
-        extra = self._overflow.get(host)
-        if extra:
-            # Overflow ids are assigned in increasing order and start above
-            # every base id, so the concatenation stays ascending.
-            row.extend(t for t in extra if alive[t])
-        return row
+        return [t for t in self._structural_neighbors(host) if alive[t]]
 
     def _has_structural_edge(self, a: int, b: int) -> bool:
-        if a < self._base_n:
-            offsets = self._base_offsets
-            targets = self._base_targets
-            lo, hi = offsets[a], offsets[a + 1]
-            i = bisect_left(targets, b, lo, hi)
-            if i < hi and targets[i] == b:
-                return True
-        extra = self._overflow.get(a)
-        return extra is not None and b in extra
+        offsets = self._base_offsets
+        targets = self._base_targets
+        lo, hi = offsets[a], offsets[a + 1]
+        i = bisect_left(targets, b, lo, hi)
+        return i < hi and targets[i] == b
 
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
     @property
     def num_hosts(self) -> int:
-        """Total number of host slots ever allocated (alive or failed)."""
+        """Number of hosts, alive or failed (fixed for the network's life)."""
         return len(self._alive)
 
     def is_alive(self, host: int) -> bool:
@@ -211,36 +181,6 @@ class DynamicNetwork:
         alive_neighbors[host] = None
         alive_sorted[host] = None
 
-    def join_host(self, neighbors: Iterable[int], time: float) -> int:
-        """Add a new host connected to ``neighbors`` and return its id."""
-        alive = self._alive
-        new_id = len(alive)
-        neighbor_set = set(neighbors)
-        for other in neighbor_set:
-            if not 0 <= other < new_id:
-                raise ValueError(f"unknown neighbor {other}")
-            if not alive[other]:
-                raise ValueError(f"cannot join at failed host {other}")
-        ordered = sorted(neighbor_set)
-        alive.append(1)
-        self._alive_neighbors.append(None)
-        self._alive_sorted.append(None)
-        overflow = self._overflow
-        overflow[new_id] = list(ordered)
-        alive_neighbors = self._alive_neighbors
-        alive_sorted = self._alive_sorted
-        for other in ordered:
-            row = overflow.get(other)
-            if row is None:
-                overflow[other] = [new_id]
-            else:
-                # ``new_id`` exceeds every existing id, so appending keeps
-                # the overflow row sorted.
-                row.append(new_id)
-            alive_neighbors[other] = None
-            alive_sorted[other] = None
-        return new_id
-
     def partition_bounds(self, shards: int) -> List[int]:
         """Contiguous host-range boundaries for ``shards`` workers.
 
@@ -249,16 +189,11 @@ class DynamicNetwork:
         points are chosen so every shard carries roughly the same number
         of *base CSR edges* (host count alone skews badly on power-law
         topologies: the hub-heavy prefix would dwarf the tail shards).
-        Ranges may be empty when ``shards > num_hosts``.  Partitioning a
-        network that has grown past its base table (joined hosts) is
-        refused -- overflow rows are not range-partitionable.
+        Ranges may be empty when ``shards > num_hosts``.
         """
         if shards < 1:
             raise ValueError("shards must be at least 1")
-        n = self._base_n
-        if n != len(self._alive) or self._overflow:
-            raise ValueError(
-                "cannot range-partition a network with joined hosts")
+        n = len(self._alive)
         offsets = self._base_offsets
         total = offsets[n]
         bounds = [0]
@@ -279,14 +214,12 @@ class DynamicNetwork:
         share them, and so are the cached neighbor views (tuples and
         frozensets), so clones share those copy-on-write: each side owns
         the *list* of views, and an invalidation only assigns ``None``
-        into its own.  The alive bitmap and overflow table are private.
+        into its own.  The alive bitmap is private.
         """
         clone = DynamicNetwork.__new__(DynamicNetwork)
-        clone._base_n = self._base_n
         clone._base_offsets = self._base_offsets
         clone._base_targets = self._base_targets
         clone._alive = bytearray(self._alive)
-        clone._overflow = {h: list(row) for h, row in self._overflow.items()}
         clone._alive_neighbors = list(self._alive_neighbors)
         clone._alive_sorted = list(self._alive_sorted)
         return clone

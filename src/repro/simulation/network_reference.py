@@ -6,11 +6,10 @@ mutable ``set`` adjacency with eager edge removal on failure.  It is *not*
 used by the simulation kernel -- it exists so that
 
 * ``tests/simulation/test_network_packed.py`` can replay random
-  churn/join sequences against both implementations and assert every
-  observable of the kept surface (``num_hosts``, ``is_alive``, both
-  alive-neighbor views, ``has_alive_edge``, the ids ``join_host`` hands
-  out and the errors both dynamism methods raise) is identical at every
-  step, and
+  failure and copy sequences against both implementations and assert
+  every observable of the kept surface (``num_hosts``, ``is_alive``, both
+  alive-neighbor views, ``has_alive_edge`` and the error ``fail_host``
+  raises) is identical at every step, and
 * ``tests/integration/test_protocol_matrix.py`` can run whole seeded
   protocol executions on this reference substrate and require
   event-for-event equality with the packed core.
@@ -39,13 +38,13 @@ class ReferenceNetwork:
         n = len(self._adjacency)
         self._alive: List[bool] = [True] * n
         # Per-host caches of the alive-neighbor view; invalidated only for
-        # the hosts an individual failure or join touches.
+        # the hosts an individual failure touches.
         self._alive_neighbors: List[Optional[FrozenSet[int]]] = [None] * n
         self._alive_sorted: List[Optional[Tuple[int, ...]]] = [None] * n
 
     @property
     def num_hosts(self) -> int:
-        """Total number of host slots ever allocated (alive or failed)."""
+        """Number of hosts, alive or failed (fixed for the network's life)."""
         return len(self._adjacency)
 
     def is_alive(self, host: int) -> bool:
@@ -88,24 +87,6 @@ class ReferenceNetwork:
             self._invalidate(other)
         self._adjacency[host].clear()
         self._invalidate(host)
-
-    def join_host(self, neighbors: Iterable[int], time: float) -> int:
-        """Add a new host connected to ``neighbors`` and return its id."""
-        new_id = len(self._adjacency)
-        neighbor_set = set(neighbors)
-        for other in neighbor_set:
-            if not 0 <= other < new_id:
-                raise ValueError(f"unknown neighbor {other}")
-            if not self._alive[other]:
-                raise ValueError(f"cannot join at failed host {other}")
-        self._adjacency.append(set(neighbor_set))
-        self._alive.append(True)
-        self._alive_neighbors.append(None)
-        self._alive_sorted.append(None)
-        for other in neighbor_set:
-            self._adjacency[other].add(new_id)
-            self._invalidate(other)
-        return new_id
 
     def copy(self) -> "ReferenceNetwork":
         """An independent copy of the current network state."""

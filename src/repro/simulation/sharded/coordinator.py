@@ -7,15 +7,16 @@ bit-identical (value, cost fingerprint, declaration time) to the
 single-process engine.  The sequence:
 
 1. **Gate and plan** -- the checks only a multi-process run adds (an
-   exact ``RingTracer`` or none, the ``fork`` start method for
+   exact ``RingTracer`` or none, and the ``fork`` start method for
    ``K > 1`` since worker arguments reference the live simulator and
-   must not be pickled, a range-partitionable network),
+   must not be pickled),
    then the tick lanes' shared :func:`~repro.simulation.vector_lane.plan_run`
-   (fixed delay, no joins, kernel-supported hosts -- here WILDFIRE's
+   (fixed delay, kernel-supported hosts -- here WILDFIRE's
    only: the pre-pass below and the canonical keys are derived from its
    Broadcast-first activation order), which names the reason, having
-   touched nothing, or admits the run; the failure plan is then read
-   off the churn schedule (the query start at time 0 is the lane's own
+   touched nothing, or admits the run; the host range is then cut into
+   ``K`` shards by edge count and the failure plan read off the churn
+   schedule (the query start at time 0 is the lane's own
    first step).
 2. **Activation pre-pass** -- compute every host's global activation
    rank content-independently on a throwaway network copy.  WILDFIRE
@@ -79,7 +80,6 @@ def run_sharded(simulator, horizon: float):
 
     tracer = simulator.tracer
     shards = simulator.shards
-    bounds = None
     if tracer is not None and type(tracer) is not RingTracer:
         # Workers trace into fresh rings and the coordinator merges raw
         # ring tuples; a third-party tracer subclass could observe state
@@ -92,14 +92,11 @@ def run_sharded(simulator, horizon: float):
         reason = "fork start method unavailable"
     else:
         reason = None
-        try:
-            bounds = simulator.network.partition_bounds(shards)
-        except ValueError:
-            reason = "network is not range-partitionable"
     kernel, reason = plan_run(simulator, simulator.session, reason,
                               kernels=(WildfireBatchKernel,))
     if reason is not None:
         return None, reason
+    bounds = simulator.network.partition_bounds(shards)
     fails = failure_plan(simulator._churn, horizon)
 
     act_rank, act_order = _activation_prepass(simulator, fails, horizon)

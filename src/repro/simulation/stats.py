@@ -52,12 +52,11 @@ class CostAccounting:
     its bulk paths; this class turns them into the paper's measures.
     The drain also counts a delivery straight into the processed array,
     which it sizes with :meth:`reserve` (every host of the network when
-    a session starts, and each host that joins) so that no delivery
-    needs a bounds check.
+    a session starts) so that no delivery needs a bounds check.
 
     Args:
         num_hosts: number of host slots to pre-size the processed-count
-            array for; hosts joining later grow it on demand.
+            array for; a host past them grows it on demand.
         tick_width: per-instant histogram bucket width (the engine
             passes the delay bound ``delta``).
     """
@@ -123,7 +122,8 @@ class CostAccounting:
 
     def reserve(self, num_hosts: int) -> None:
         """Zero-extend the processed array, in place, to at least
-        ``num_hosts`` slots (hosts that joined after construction)."""
+        ``num_hosts`` slots (a sink built smaller, or empty, by its
+        caller)."""
         processed = self._processed
         if num_hosts > len(processed):
             # frombytes appends zero-filled *elements* (extend would
@@ -137,7 +137,7 @@ class CostAccounting:
 
     def add_processed(self, lo: int, counts: Sequence[int]) -> None:
         """Add a run of per-host processed counts: ``counts[i]`` to host
-        ``lo + i`` (the array grows to cover them, as for joined hosts).
+        ``lo + i`` (the array grows to cover them).
 
         Equivalent to ``counts[i]`` calls to :meth:`record_processed` for
         each host, done as one slice assignment over

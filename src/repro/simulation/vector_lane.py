@@ -83,15 +83,15 @@ harness:
 
 Engagement is the gate's decision, not the caller's (:func:`plan_run`):
 ``"vector"`` is :data:`DEFAULT_LANE`, and a lane runs only when delay is
-fixed, churn has no joins, nothing was queued before a solo run's first
-``run()`` and the host class names a batch kernel that accepts the host
-table; the sharded lane additionally refuses any kernel but WILDFIRE's
-and any tracer but the exact ``RingTracer``.  The gate reads the query's
-inputs, never the queue's contents.  What it refuses is also what lets
-a lane trust its own sends: with no joins, structural adjacency is
-fixed, so a unicast back to a former sender (WILDFIRE's catch-up reply,
-a DAG Report to a parent) needs only both ends alive, which each kernel
-reads from its own liveness source, and no ``has_alive_edge`` lookup.
+fixed, nothing was queued before a solo run's first ``run()`` and the
+host class names a batch kernel that accepts the host table; the
+sharded lane additionally refuses any kernel but WILDFIRE's and any
+tracer but the exact ``RingTracer``.  The gate reads the query's
+inputs, never the queue's contents.  A lane trusts its own sends because
+hosts only leave: structural adjacency is fixed, so a unicast back to a
+former sender (WILDFIRE's catch-up reply, a DAG Report to a parent)
+needs only both ends alive, which each kernel reads from its own
+liveness source, and no ``has_alive_edge`` lookup.
 Every send after the query start is filed by the kernel itself: the
 record appended to :attr:`_TickLane.out_records`, one tally per
 ``(instant, kind)`` added to ``send_acc`` and, under a tracer, the
@@ -173,8 +173,6 @@ def plan_run(engine, session, lane_reason: Optional[str] = None,
         return None, "variable delay model"
     if lane_reason is not None:
         return None, lane_reason
-    if engine._churn.joins:
-        return None, "join churn scheduled"
     if not engine._churn_scheduled and len(engine._queue) != 0:
         return None, "unexpected pre-queued events"
     hosts = session.hosts

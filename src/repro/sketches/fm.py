@@ -329,6 +329,9 @@ class FMSketch:
         repetitions: the number of vectors ``c``.
         num_bits: width of each bit vector.
 
+    Lemma 5.1's guarantee: with ``c > 2`` repetitions,
+    ``Pr[1/c <= estimate/true <= c] >= 1 - 2/c``.
+
     The public surface of the original tuple-of-ints representation is
     preserved: sketches construct from ``vectors=``, expose a ``vectors``
     view, and compare equal iff their vectors and widths are equal.
@@ -497,17 +500,3 @@ class FMSketch:
         """Readable rendering of the bit vectors (for debugging)."""
         rows = [format(vector, f"0{self.num_bits}b")[::-1] for vector in self.vectors]
         return "\n".join(rows)
-
-
-def required_repetitions(error_factor: float) -> int:
-    """Repetitions needed so Pr[1/c <= est/true <= c] >= 1 - 2/c (Lemma 5.1).
-
-    Given a target multiplicative error factor ``c`` this simply returns the
-    smallest integer ``c`` satisfying the lemma's premise (c > 2); it exists
-    to make the guarantee explicit in code and tests.
-    """
-    if error_factor <= 2:
-        raise ValueError("the FM guarantee requires an error factor greater than 2")
-    import math
-
-    return int(math.ceil(error_factor))

@@ -181,7 +181,7 @@ class Topology:
         and memoised like :meth:`diameter_estimate`; each call returns an
         independent copy sharing only what is immutable: the base CSR
         buffers and the pristine sorted neighbor views (a copy that fails
-        or joins a host drops the stale views from its own table).
+        a host drops the stale views from its own table).
         """
         pristine = self.__dict__.get("_pristine_network")
         if pristine is None:

@@ -30,12 +30,8 @@ from repro.protocols.wildfire import Wildfire
 from repro.obs.trace import RingTracer
 from repro.queries.query import AggregateQuery
 from repro.semantics.oracle import Oracle, sketch_slack
-from repro.semantics.validity import aggregate_over, union_set
-from repro.simulation.churn import (
-    ChurnSchedule,
-    JoinSpec,
-    uniform_failure_schedule,
-)
+from repro.semantics.validity import aggregate_over, stable_core, union_set
+from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
 from repro.simulation.engine import Simulator
 from repro.topology.grid import grid_topology
 from repro.topology.power_law import power_law_topology
@@ -205,80 +201,72 @@ def test_tree_and_dag_preserve_validity_under_variable_delay(
         )
 
 
-#: Join axis: ``ChurnSchedule.joins`` routed through the calendar queue,
-#: with and without variable realised delays.  ``None`` is the fixed-delay
-#: fast path (joins must interleave correctly with batched ring slots);
-#: the model specs exercise joins landing between arbitrary float-time
-#: deliveries.  Long-lived service runs make joins first-class: a tenant
-#: can submit a query at any time, including after the network grew.
-_JOIN_DELAYS = [None, "uniform:0.25,1.0", "heavy_tail:1.2", "per_edge"]
+#: Failure axis through the calendar queue, with and without variable
+#: realised delays.  ``None`` is the fixed-delay fast path (failures must
+#: interleave correctly with batched ring slots); the model specs
+#: exercise failures landing between arbitrary float-time deliveries.
+_CALENDAR_DELAYS = [None, "uniform:0.25,1.0", "heavy_tail:1.2", "per_edge"]
 
 
-def _run_with_joins(delay, join_factory):
-    """One WILDFIRE min run over a schedule mixing failures and joins."""
-    from repro.protocols.wildfire import WildfireHost
-
+def _run_with_failures(delay, failures):
+    """One traced WILDFIRE min run over ``failures`` on the random graph."""
     topology = TOPOLOGIES["random"]()
     values = uniform_values(topology.num_hosts, low=1, high=50, seed=SEED)
     prepared = prepare_protocol_run(
         Wildfire(), topology, values, "min", querying_host=0, seed=SEED,
         delay=delay)
-    churn = ChurnSchedule(
-        failures=[(2.5, 7), (4.0, 19)],
-        joins=[JoinSpec(time=1.0, neighbors=(0, 3)),
-               JoinSpec(time=2.0, neighbors=(5, 11, 20))],
-    )
+    churn = ChurnSchedule(failures=failures)
     network = topology.to_network()
     simulator = Simulator(
         network=network, hosts=prepared.hosts, querying_host=0,
         churn=churn, delay_model=prepared.delay_model,
         max_time=prepared.termination * 4 + 16, tracer=RingTracer(),
     )
-    if join_factory:
-        simulator.join_host_factory = lambda host_id: WildfireHost(
-            host_id, 0.5, prepared.hosts[0].run)
     result = simulator.run(until=prepared.termination)
-    return network, simulator, result, values
+    return network, simulator, result, prepared.termination
 
 
-@pytest.mark.parametrize("delay", _JOIN_DELAYS,
+@pytest.mark.parametrize("delay", _CALENDAR_DELAYS,
                          ids=["fixed" if d is None else d.split(":")[0]
-                              for d in _JOIN_DELAYS])
-class TestJoinsThroughCalendarQueue:
-    def test_joins_are_applied_and_logged(self, delay):
-        network, simulator, result, values = _run_with_joins(
-            delay, join_factory=False)
-        # Both joins landed: the network grew by two host slots and the
-        # trace records them at their scheduled instants.
-        n = len(values)
-        assert network.num_hosts == n + 2
+                              for d in _CALENDAR_DELAYS])
+class TestFailuresThroughCalendarQueue:
+    def test_failures_are_applied_and_logged(self, delay):
+        topology = TOPOLOGIES["random"]()
+        values = uniform_values(topology.num_hosts, low=1, high=50, seed=SEED)
+        failures = [(2.5, 7), (4.0, 19)]
+        network, simulator, result, termination = _run_with_failures(
+            delay, failures)
+        # Both failures landed: the trace records them at their scheduled
+        # instants, and neither host is left in any alive view.
         assert [record for record in simulator.tracer.raw_records()
-                if record[0] == "join"] == [("join", 1.0, n),
-                                            ("join", 2.0, n + 1)]
-        # Joined hosts are alive and wired symmetrically to their
-        # neighbors (none of which fails).
-        for host, neighbors in ((n, (0, 3)), (n + 1, (5, 11, 20))):
-            assert network.is_alive(host)
-            assert network.alive_neighbors_sorted(host) == neighbors
-            for neighbor in neighbors:
-                assert host in network.alive_neighbors_sorted(neighbor)
-        # Without a factory the joined hosts are inert placeholders; the
-        # protocol still terminates and declares the stable-core minimum.
-        assert result.value == float(min(values))
-        assert len(simulator.hosts) == network.num_hosts
+                if record[0] == "fail"] == [("fail", 2.5, 7),
+                                            ("fail", 4.0, 19)]
+        assert network.num_hosts == len(values)
+        for host in (7, 19):
+            assert not network.is_alive(host)
+            assert network.alive_neighbors_sorted(host) == ()
+            for neighbor in topology.adjacency[host]:
+                assert host not in network.alive_neighbors_sorted(neighbor)
+        oracle = Oracle(topology, values, 0)
+        assert oracle.is_valid(result.value, "min",
+                               ChurnSchedule(failures=failures),
+                               horizon=termination)
 
-    def test_joined_hosts_participate_when_a_factory_is_attached(
-            self, delay):
-        network, simulator, result, values = _run_with_joins(
-            delay, join_factory=True)
-        # The factory-built joined hosts carry value 0.5, below every
-        # initial value; WILDFIRE's flooding must fold them in (they are
-        # alive members of the network for almost the whole interval),
-        # so the declared minimum is the joined hosts' value.
-        assert result.value == 0.5
-        joined = simulator.hosts[len(values):]
-        assert len(joined) == 2
-        assert all(host.active for host in joined)
+    def test_a_host_failed_at_the_launch_is_never_counted(self, delay):
+        topology = TOPOLOGIES["random"]()
+        values = uniform_values(topology.num_hosts, low=1, high=50, seed=SEED)
+        smallest = min(range(1, len(values)), key=values.__getitem__)
+        assert values[smallest] < values[0]
+        failures = [(0.0, smallest)]
+        _, _, result, _ = _run_with_failures(delay, failures)
+        # The query starts before a failure filed at the same instant,
+        # but nothing reaches the failed host before it goes: its value
+        # never leaves it, and the rest of the network is static, so the
+        # declared minimum is exactly the stable core's.
+        core = stable_core(topology, ChurnSchedule(failures=failures), 0)
+        assert smallest not in core
+        assert result.value == aggregate_over("min", core, values)
+        assert result.value > values[smallest]
 
 
 #: Packed-vs-reference axis: the CSR network core against the retained

@@ -11,7 +11,7 @@ from repro.semantics.validity import (
     stable_core,
     union_set,
 )
-from repro.simulation.churn import ChurnSchedule, JoinSpec
+from repro.simulation.churn import ChurnSchedule
 from repro.topology.primitives import chain_topology, ring_topology, star_topology
 
 
@@ -51,20 +51,21 @@ class TestStableCore:
 
 
 class TestUnionSet:
-    def test_union_is_all_initial_hosts_without_joins(self):
-        topo = chain_topology(4)
-        churn = ChurnSchedule(failures=[(1.0, 2)])
-        assert union_set(topo, churn) == {0, 1, 2, 3}
+    """``H_U`` is every initial host: hosts only leave, and each was
+    alive at time 0, so neither the failures nor the horizon move it."""
 
-    def test_equal_joins_are_two_hosts(self):
-        """``JoinSpec`` is a value record, so two joins at the same
-        instant to the same neighbors compare equal; each still adds a
-        host, numbered by its position after the initial ones."""
-        join = JoinSpec(time=2.0, neighbors=(0, 3))
-        assert join == JoinSpec(time=2.0, neighbors=(0, 3))
-        churn = ChurnSchedule(joins=[join, join])
-        assert union_set(ring_topology(6), churn) == set(range(8))
-        assert union_set(ring_topology(6), churn, horizon=1.0) == set(range(6))
+    @pytest.mark.parametrize("failures", [
+        [], [(1.0, 2)], [(0.0, 0)], [(0.0, 3), (1.0, 1), (2.0, 2), (3.0, 0)],
+    ], ids=["none", "one", "querying-host-at-0", "all"])
+    @pytest.mark.parametrize("horizon", [None, 0.0, 1.5, 10.0])
+    def test_union_is_every_initial_host(self, failures, horizon):
+        topo = chain_topology(4)
+        churn = ChurnSchedule(failures=failures)
+        assert union_set(topo, churn, horizon=horizon) == {0, 1, 2, 3}
+        bounds = compute_bounds(topo, [5, 1, 7, 3], churn, querying_host=0,
+                                kind="sum", horizon=horizon)
+        assert bounds.union == frozenset(range(4))
+        assert bounds.upper_value == 16
 
 
 class TestAggregateOver:

@@ -26,7 +26,7 @@ from repro.protocols.base import (prepare_protocol_run, protocol_from_spec,
 from repro.queries.query import AggregateQuery
 from repro.service import QueryService, QueryStatus
 from repro.service import engine as service_engine
-from repro.simulation.churn import ChurnSchedule, JoinSpec, uniform_failure_schedule
+from repro.simulation.churn import ChurnSchedule, uniform_failure_schedule
 from repro.simulation.engine import Simulator
 from repro.topology.random_graph import random_topology
 from repro.workloads.values import uniform_values
@@ -58,23 +58,18 @@ MIX = [
 #: Churn axis of the mux-vs-solo identity: every event falls after the
 #: last launch of ``MIX`` (a solo run cannot start on a network that
 #: already churned) at dyadic instants, so shifting by a launch instant
-#: is exact.  The second join attaches to the first joined host (id 60).
+#: is exact.
 _FAILURES = [(4.5, 21), (6.0, 30), (7.25, 42), (9.5, 8)]
 CHURN_AXIS = {
     "none": ChurnSchedule.empty(),
     "failures": ChurnSchedule(failures=_FAILURES),
-    "failures+joins": ChurnSchedule(
-        failures=_FAILURES,
-        joins=[JoinSpec(5.0, (2, 21, 33)), JoinSpec(8.75, (60, 14))]),
 }
 
 
 def _as_seen_from(churn, at):
     """``churn`` on the clock of a query launched at engine time ``at``."""
     return ChurnSchedule(
-        failures=[(time - at, host) for time, host in churn.failures],
-        joins=[JoinSpec(join.time - at, join.neighbors)
-               for join in churn.joins])
+        failures=[(time - at, host) for time, host in churn.failures])
 
 
 def _launched_at(local, at):
@@ -309,8 +304,7 @@ class TestDeterminismAndIsolation:
         a solo run_protocol execution (the spec loop) with the session's
         seed, the service's d_hat and the service's churn as the session
         sees it (shifted to its launch instant), for every delay model --
-        value, cost fingerprint and declaration time.  Joined hosts are
-        inert on both sides.
+        value, cost fingerprint and declaration time.
 
         One carve-out: push-sum gossip under ``per_edge``.  A share sent
         at a round instant over an edge with fixed latency ``d`` arrives
@@ -347,8 +341,6 @@ class TestDeterminismAndIsolation:
             # The row names the path: the gate's reasons in its order.
             if delay is not None:
                 expected = ("python", "variable delay model")
-            elif schedule.joins:
-                expected = ("python", "join churn scheduled")
             elif protocol in ("allreport", "gossip"):
                 expected = ("python", "unsupported protocol hosts or combiner")
             else:
@@ -365,12 +357,12 @@ class TestDeterminismAndIsolation:
             return [{**row, "query_id": 0} for row in tracer.records()
                     if row["type"] != "session"]
 
-        # The failures-only cells run the traced tick lane (joins and a
-        # variable delay send the other two to the spec loop), one of
-        # them at a delta whose instants are not exact in binary.
+        # The fixed-delay cells run the traced tick lane (a variable
+        # delay sends the first two to the spec loop), one of them at a
+        # delta whose instants are not exact in binary.
         for protocol, delay, churn, delta, lane in (
-                ("wildfire", None, "failures+joins", 1.0, "python"),
-                ("dag2", "uniform", "failures+joins", 1.0, "python"),
+                ("wildfire", "uniform", "failures", 1.0, "python"),
+                ("dag2", "uniform", "failures", 1.0, "python"),
                 ("wildfire", None, "failures", 1.0, "vector"),
                 ("spanning-tree", None, "failures", 1.0, "vector"),
                 ("dag2", None, "failures", 0.3, "vector")):
@@ -530,10 +522,6 @@ class TestSessionsOnTheTickLane:
         "variable delay": (
             "variable delay model",
             dict(service=dict(delay="uniform:0.25,1.0"))),
-        "join churn": (
-            "join churn scheduled",
-            dict(service=dict(churn=ChurnSchedule(
-                failures=[(2.0, 4)], joins=[JoinSpec(3.0, (0, 1))])))),
         "pair-state combiner": (
             "unsupported protocol hosts or combiner",
             dict(submit=dict(query="avg"))),
@@ -543,11 +531,6 @@ class TestSessionsOnTheTickLane:
         "gossip hosts": (
             "unsupported protocol hosts or combiner",
             dict(submit=dict(protocol="gossip"))),
-        # The network outgrew the topology before the launch, so the
-        # host table is padded with what the join factory builds.
-        "a padded host table": (
-            "unsupported protocol hosts or combiner",
-            dict(grow=True)),
     }
 
     @pytest.mark.parametrize("gate", sorted(GATES))
@@ -558,8 +541,6 @@ class TestSessionsOnTheTickLane:
         def drive():
             service = QueryService(topology, values, seed=SEED,
                                    **setup.get("service", {}))
-            if setup.get("grow"):
-                service.engine.network.join_host([0, 1], 0.0)
             submit = {"protocol": "wildfire", "query": "count",
                       **setup.get("submit", {})}
             refused = service.submit(submit["protocol"], submit["query"],
@@ -815,18 +796,6 @@ class TestSharedSubstrate:
         outcome = service.poll(wf)
         assert oracle.is_valid(outcome.value, "min", churn,
                                horizon=outcome.termination)
-
-    def test_joins_extend_active_sessions(self, topology, values):
-        churn = ChurnSchedule(joins=[JoinSpec(time=1.0, neighbors=(0, 3))])
-        service = QueryService(topology, values, churn=churn, seed=SEED)
-        early = service.submit("wildfire", "min", at=0.0)
-        late = service.submit("wildfire", "min", at=5.0)
-        service.run()
-        # Both sessions completed on the grown network: the early one was
-        # extended mid-flight, the late one padded its table at launch.
-        assert service.poll(early).value == float(min(values))
-        assert service.poll(late).value == float(min(values))
-        assert service.engine.network.num_hosts == topology.num_hosts + 1
 
     def test_late_messages_are_counted_not_delivered(self, topology, values):
         """Traffic still in flight at the declaration instant is tallied

@@ -229,46 +229,31 @@ def _start_with_churn(surface, churn):
 
 
 class TestChurnIdsOutsideTheNetwork:
-    """A churn id past the host slots (20 initial hosts, no joins here)
-    is refused up front: a negative one used to fail a host counted from
-    the bitmap's end, a large one to raise a bare IndexError mid-drain."""
+    """A churn id past the network's 20 hosts is refused up front: a
+    negative one used to fail a host counted from the bitmap's end, a
+    large one to raise a bare IndexError mid-drain."""
 
-    @pytest.mark.parametrize("host", [-1, 25], ids=["negative", "past_end"])
+    @pytest.mark.parametrize("host", [-1, 20, 25],
+                             ids=["negative", "at_end", "past_end"])
     @pytest.mark.parametrize("surface", _CHURN_SURFACES)
     def test_failure_host_is_refused(self, surface, host):
         churn = ChurnSchedule(failures=[(0.5, host)])
         with pytest.raises(ValueError, match=f"churn fails host {host},"):
             _start_with_churn(surface, churn)
 
-    @pytest.mark.parametrize("other", [-1, 25], ids=["negative", "past_end"])
     @pytest.mark.parametrize("surface", _CHURN_SURFACES)
-    def test_join_neighbor_is_refused(self, surface, other):
-        from repro.simulation.churn import JoinSpec
-
-        churn = ChurnSchedule(joins=[JoinSpec(time=0.5, neighbors=(0, other))])
-        with pytest.raises(ValueError, match=f"at neighbor {other},"):
-            _start_with_churn(surface, churn)
-
-    def test_joined_slots_may_be_named(self):
-        from repro.simulation.churn import JoinSpec
-
-        churn = ChurnSchedule(failures=[(2.5, 20)],
-                              joins=[JoinSpec(time=0.5, neighbors=(0, 1)),
-                                     JoinSpec(time=1.5, neighbors=(20,))])
-        run = _start_with_churn("python", churn)
-        assert run.value == 19.0
-
-
-class TestJoins:
-    def test_join_event_adds_inert_host(self):
-        topo = chain_topology(3)
-        from repro.simulation.churn import JoinSpec
-
-        churn = ChurnSchedule(joins=[JoinSpec(time=1.0, neighbors=(0,))])
-        simulator, _ = build_simulator(topo, churn=churn)
-        simulator.run(until=10)
-        assert simulator.network.num_hosts == 4
-        assert simulator.network.is_alive(3)
+    def test_the_last_host_may_fail(self, surface):
+        # Host 19 carries the largest value and fails before anything
+        # reaches it, so the max the solo lanes declare is the next one.
+        churn = ChurnSchedule(failures=[(0.5, 19)])
+        run = _start_with_churn(surface, churn)
+        if surface == "service":
+            qid = run.submit("wildfire", "count", at=0.0)
+            run.run()
+            assert run.poll(qid).value is not None
+            assert not run.engine.network.is_alive(19)
+        else:
+            assert run.value == 18.0
 
 
 class TestRunControl:

@@ -74,15 +74,17 @@ class TestEventQueueOrdering:
         queue.push(0.0, EventKind.QUERY_START, host=0)
         assert kind_of(pop(queue)) is EventKind.QUERY_START
 
-    def test_query_start_runs_before_a_join_filed_first(self):
-        """A query launched at a join's instant starts on the network as
-        it was: its QUERY_START outranks the JOIN, whatever the filing
-        order."""
+    @pytest.mark.parametrize("kind", [EventKind.CUSTOM, EventKind.FAIL])
+    def test_query_start_runs_before_a_hook_or_failure_filed_first(
+            self, kind):
+        """A query launched at a failure's instant starts on the network
+        as it was, and before a driver hook of that instant: its
+        QUERY_START outranks both, whatever the filing order."""
         queue = EventQueue()
-        queue.push(1.0, EventKind.JOIN, data=(0,))
+        queue.push(1.0, kind, host=3)
         queue.push(1.0, EventKind.QUERY_START, host=0)
         assert kind_of(pop(queue)) is EventKind.QUERY_START
-        assert kind_of(pop(queue)) is EventKind.JOIN
+        assert kind_of(pop(queue)) is kind
 
 
 class TestEventQueueBehaviour:
@@ -141,22 +143,24 @@ class TestTieBreakingRegression:
     def test_interleaved_kinds_at_one_instant_follow_priority_then_fifo(self):
         queue = EventQueue()
         # Push in an adversarial kind order; drain must be priority-major
-        # (JOIN < DELIVER < TIMER < FAIL), insertion-minor.
+        # (QUERY_START < DELIVER < CUSTOM < TIMER < FAIL), insertion-minor.
         queue.push(1.0, EventKind.FAIL, host=10)
         queue.push_timer(1.0, 20, "a", None)
         queue.push_deliver(1.0, make_message(0, 30))
         queue.push(1.0, EventKind.FAIL, host=11)
+        queue.push(1.0, EventKind.CUSTOM, host=40)
         queue.push_deliver(1.0, make_message(0, 31))
         queue.push_timer(1.0, 21, "b", None)
-        queue.push(1.0, EventKind.JOIN, data=(1, 2))
-        drained = [pop(queue) for _ in range(7)]
+        queue.push(1.0, EventKind.QUERY_START, host=0)
+        drained = [pop(queue) for _ in range(8)]
         kinds = [kind_of(e) for e in drained]
-        assert kinds == [EventKind.JOIN, EventKind.DELIVER, EventKind.DELIVER,
+        assert kinds == [EventKind.QUERY_START, EventKind.DELIVER,
+                         EventKind.DELIVER, EventKind.CUSTOM,
                          EventKind.TIMER, EventKind.TIMER, EventKind.FAIL,
                          EventKind.FAIL]
         assert [e.dest for e in drained[1:3]] == [30, 31]
-        assert [e[1] for e in drained[3:5]] == ["a", "b"]
-        assert [e.host for e in drained[5:]] == [10, 11]
+        assert [e[1] for e in drained[4:6]] == ["a", "b"]
+        assert [e.host for e in drained[6:]] == [10, 11]
 
     def test_events_pushed_mid_drain_at_same_instant_keep_order(self):
         """A zero-delay timer scheduled while its instant is draining still
@@ -180,11 +184,11 @@ class TestTieBreakingRegression:
         queue.push_deliver(3.0, make_message(0, 1))
         queue.push(3.0, EventKind.FAIL, host=7)
         queue.push_deliver(3.0, make_message(0, 2))
-        queue.push(3.0, EventKind.JOIN, data=(1,))
+        queue.push(3.0, EventKind.QUERY_START, host=0)
         queue.push_deliver(3.0, make_message(0, 3))
         drained = [pop(queue) for _ in range(5)]
         assert [kind_of(e) for e in drained] == [
-            EventKind.JOIN, EventKind.DELIVER, EventKind.DELIVER,
+            EventKind.QUERY_START, EventKind.DELIVER, EventKind.DELIVER,
             EventKind.DELIVER, EventKind.FAIL]
         assert [e.dest for e in drained[1:4]] == [1, 2, 3]
 

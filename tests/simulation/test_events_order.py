@@ -438,7 +438,7 @@ def test_pop_tick_returns_whole_instant_in_priority_order():
 
     time, buckets = queue.pop_tick()
     assert time == 1.0
-    assert [len(bucket) for bucket in buckets] == [0, 0, 2, 0, 1, 1]
+    assert [len(bucket) for bucket in buckets] == [0, 2, 0, 1, 1]
     deliveries = buckets[_KIND_PRIORITY[EventKind.DELIVER]]
     assert deliveries[0].payload == "a"          # bare message first (FIFO)
     assert deliveries[1].dests == (2, 3)         # unexpanded batch record

@@ -25,7 +25,7 @@ from repro.protocols.base import prepare_protocol_run
 from repro.protocols.dag import DagHost, DirectedAcyclicGraph
 from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
-from repro.simulation.churn import ChurnSchedule, JoinSpec
+from repro.simulation.churn import ChurnSchedule
 from repro.simulation.engine import Simulator
 from repro.simulation.host import HostContext
 from repro.simulation.vector_lane import DEFAULT_LANE, LANES, validate_lane
@@ -634,11 +634,6 @@ GATES = {
     "foreign tracer on the sharded lane": (
         "unsupported tracer (sharded tracing needs RingTracer)",
         lambda: dict(tracer=Tracer()), ("sharded",)),
-    "join churn": (
-        "join churn scheduled",
-        lambda: dict(churn=ChurnSchedule(failures=[(2.0, 4)],
-                                         joins=[JoinSpec(3.0, (0, 1))])),
-        ("vector", "sharded")),
     # FM average carries pair state; the kernel only handles packed
     # bitmask and bare-float states.
     "pair-state combiner": (
@@ -681,14 +676,12 @@ def test_falls_back_with_a_reason(gate, lane, shards):
 
 
 def test_gate_reasons_follow_one_order():
-    # Delay, the lane's own checks, joins, pre-queued events, hosts: a
-    # run refused on several counts names the first.
-    joins = ChurnSchedule(joins=[JoinSpec(3.0, (0, 1))])
+    # Delay, the lane's own checks, pre-queued events, hosts: a run
+    # refused on several counts names the first.
     refused = [
         ("unsupported protocol hosts or combiner",
          dict(protocol=AllReport())),
         ("unexpected pre-queued events", dict(prime=_push_foreign_timer)),
-        ("join churn scheduled", dict(churn=joins)),
         ("unsupported tracer (sharded tracing needs RingTracer)",
          dict(tracer=Tracer())),
         ("variable delay model", dict(delay="uniform:0.25,1.0")),
@@ -701,7 +694,7 @@ def test_gate_reasons_follow_one_order():
     # The vector lane has no checks of its own.
     kwargs.pop("delay")
     _, _, result = _simulate("vector", **kwargs)
-    assert result.fallback_reason == "join churn scheduled"
+    assert result.fallback_reason == "unexpected pre-queued events"
 
 
 def test_sharded_falls_back_without_the_fork_start_method(monkeypatch):

@@ -55,32 +55,26 @@ class TestFailures:
         with pytest.raises(ValueError):
             network.fail_host(2, time=2.0)
 
-
-class TestJoins:
-    def test_join_adds_host_with_edges(self, triangle_plus_tail):
+    def test_failing_a_leaf_keeps_the_rest(self, triangle_plus_tail):
         network = triangle_plus_tail()
-        new_id = network.join_host([0, 1], time=2.0)
-        assert new_id == 4
-        assert network.num_hosts == 5
-        assert network.is_alive(new_id)
-        assert network.neighbors(new_id) == {0, 1}
-        assert new_id in network.neighbors(0)
-        assert network.has_alive_edge(1, new_id)
+        network.fail_host(3, time=1.0)
+        assert network.neighbors(2) == {0, 1}
+        assert network.alive_neighbors_sorted(2) == (0, 1)
+        assert network.has_alive_edge(0, 1)
+        assert network.has_alive_edge(2, 0)
+        assert not network.has_alive_edge(2, 3)
+        assert all(network.is_alive(host) for host in (0, 1, 2))
 
-    def test_join_at_failed_host_raises(self, triangle_plus_tail):
+    def test_views_read_before_a_failure_are_refreshed(
+            self, triangle_plus_tail):
         network = triangle_plus_tail()
-        network.fail_host(1, time=1.0)
-        with pytest.raises(ValueError):
-            network.join_host([1], time=2.0)
-
-
-    def test_join_at_unknown_neighbor_raises(self, triangle_plus_tail):
-        network = triangle_plus_tail()
-        for unknown in (-1, 4):
-            with pytest.raises(ValueError):
-                network.join_host([0, unknown], time=2.0)
-        assert network.num_hosts == 4
+        # Read (and so build) every view before the failure.
         assert network.alive_neighbors_sorted(0) == (1, 2)
+        assert network.neighbors(2) == {0, 1, 3}
+        network.fail_host(1, time=1.0)
+        assert network.alive_neighbors_sorted(0) == (2,)
+        assert network.neighbors(2) == {0, 3}
+        assert network.neighbors(1) == set()
 
 
 class TestCopies:
@@ -91,6 +85,19 @@ class TestCopies:
         assert clone.is_alive(0)
         assert not network.is_alive(0)
         assert clone.neighbors(1) == {0, 2}
+
+    def test_copy_keeps_earlier_failures(self, triangle_plus_tail):
+        network = triangle_plus_tail()
+        network.fail_host(2, time=1.0)
+        clone = network.copy()
+        assert not clone.is_alive(2)
+        assert clone.alive_neighbors_sorted(0) == (1,)
+        assert clone.neighbors(3) == set()
+        with pytest.raises(ValueError):
+            clone.fail_host(2, time=2.0)
+        clone.fail_host(1, time=2.0)
+        assert network.is_alive(1)
+        assert network.alive_neighbors_sorted(0) == (1,)
 
 
 class TestPartitionBounds:

@@ -1,17 +1,17 @@
 """Differential tests: the packed CSR network against the set-based spec.
 
 :class:`~repro.simulation.network.DynamicNetwork` stores adjacency in
-packed CSR arrays with an alive bitmap and a join-overflow table;
+packed CSR arrays with an alive bitmap;
 :class:`~repro.simulation.network_reference.ReferenceNetwork` is the
 retained pre-rewrite set-based implementation.  These tests replay
-hypothesis-generated churn/join sequences against both and require every
-observable of the surface a run reads to agree at every step -- the
-packed core must be *indistinguishable*, not merely equivalent on happy
-paths.  They are the whole contract between the packed core and its spec.
+hypothesis-generated failure and copy sequences against both and require
+every observable of the surface a run reads to agree at every step --
+the packed core must be *indistinguishable*, not merely equivalent on
+happy paths.  They are the whole contract between the packed core and
+its spec.
 
-The module also carries the calendar-queue fuzz for the join overflow
-table (joins and departures interleaved through a real ``Simulator``
-run).
+The module also carries the calendar-queue fuzz: departures drained
+through a real ``Simulator`` run, with the network copied between them.
 """
 
 import random
@@ -46,9 +46,9 @@ def _random_edges(n: int, rng: random.Random):
 def churn_scripts(draw):
     """(num_hosts, edge list, operations) with ops valid by construction.
 
-    Operations are drawn as abstract choices and resolved against the
-    evolving alive set, so every script is replayable on both
-    implementations without hitting their validation errors.
+    An operation fails a host still alive (resolved against the evolving
+    alive set, so every script replays on both implementations without
+    hitting their errors) or copies the network.
     """
     n = draw(st.integers(min_value=2, max_value=14))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -57,19 +57,14 @@ def churn_scripts(draw):
     num_ops = draw(st.integers(min_value=0, max_value=12))
     ops = []
     alive = list(range(n))
-    next_id = n
     for step in range(num_ops):
-        kind = draw(st.sampled_from(["fail", "join", "join", "fail"]))
-        if kind == "fail" and len(alive) > 1:
-            victim = draw(st.sampled_from(sorted(alive)))
+        kind = draw(st.sampled_from(["fail", "fail", "copy"]))
+        if kind == "copy":
+            ops.append(("copy",))
+        elif alive:
+            victim = draw(st.sampled_from(alive))
             alive.remove(victim)
             ops.append(("fail", victim, float(step)))
-        elif kind == "join" and alive:
-            k = draw(st.integers(min_value=0, max_value=min(3, len(alive))))
-            neighbors = draw(st.permutations(sorted(alive)))[:k]
-            ops.append(("join", tuple(neighbors), float(step)))
-            alive.append(next_id)
-            next_id += 1
     return n, edges, ops
 
 
@@ -87,13 +82,10 @@ def _pair(n, edges):
             _from_edges(ReferenceNetwork, n, edges))
 
 
-def _apply(networks, op):
-    """Apply one scripted operation to every network; the new join ids."""
-    if op[0] == "fail":
-        for network in networks:
-            network.fail_host(op[1], op[2])
-        return None
-    return [network.join_host(op[1], op[2]) for network in networks]
+def _fail(networks, host, time):
+    """Fail ``host`` on every network."""
+    for network in networks:
+        network.fail_host(host, time)
 
 
 def _observe(network):
@@ -135,15 +127,23 @@ def test_the_spec_has_the_packed_core_public_surface():
 class TestDifferentialChurnReplay:
     def test_every_observable_matches_the_reference_at_every_step(
             self, request):
+        """A copy op carries on from the copies; every left-behind
+        original must still read as it did when it was copied, whatever
+        the copies fail afterwards (they share its cached views)."""
         def law(script):
             n, edges, ops = script
             packed, reference = _pair(n, edges)
             _assert_identical(packed, reference)
+            left_behind = []
             for op in ops:
-                new_ids = _apply((packed, reference), op)
-                if new_ids is not None:
-                    assert new_ids[0] == new_ids[1]
+                if op[0] == "copy":
+                    left_behind.append((packed, _observe(reference)))
+                    packed, reference = packed.copy(), reference.copy()
+                else:
+                    _fail((packed, reference), op[1], op[2])
                 _assert_identical(packed, reference)
+            for original, observed in left_behind:
+                assert _observe(original) == observed
 
         drawn(request, law, plain=120, wide=5, script=churn_scripts())
 
@@ -152,25 +152,28 @@ class TestDifferentialChurnReplay:
             n, edges, ops = script
             packed, reference = _pair(n, edges)
             for op in ops:
-                _apply((packed, reference), op)
+                if op[0] == "fail":
+                    _fail((packed, reference), op[1], op[2])
             clone = packed.copy()
             spec_clone = reference.copy()
             _assert_identical(clone, reference)
             _assert_identical(spec_clone, reference)
-            # Mutating a clone must not leak into its original (the clones
-            # share the immutable base CSR but nothing mutable).
-            survivors = [h for h in range(clone.num_hosts)
-                         if clone.is_alive(h)]
-            if len(survivors) > 1:
+            # Failing a host on either side must not leak into the other
+            # (the clones share the immutable base CSR and the cached
+            # views, but nothing mutable).
+            survivors = [h for h in range(n) if clone.is_alive(h)]
+            if survivors:
                 victim = survivors.pop()
-                _apply((clone, spec_clone), ("fail", victim, 99.0))
+                _fail((clone, spec_clone), victim, 99.0)
                 assert packed.is_alive(victim)
                 _assert_identical(packed, reference)
                 _assert_identical(clone, spec_clone)
-            joined = _apply((clone, spec_clone), ("join", survivors[:2], 99.0))
-            assert joined == [packed.num_hosts] * 2
-            _assert_identical(packed, reference)
-            _assert_identical(clone, spec_clone)
+            if survivors:
+                victim = survivors.pop()
+                _fail((packed, reference), victim, 99.0)
+                assert clone.is_alive(victim)
+                _assert_identical(packed, reference)
+                _assert_identical(clone, spec_clone)
 
         drawn(request, law, plain=40, wide=2, script=churn_scripts())
 
@@ -188,17 +191,20 @@ class TestDifferentialChurnReplay:
         packed, reference = _pair(3, [(0, 1), (1, 2)])
         for network in (packed, reference):
             network.fail_host(2, 1.0)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="host 2 is already failed"):
                 network.fail_host(2, 2.0)       # double failure
-            with pytest.raises(ValueError):
-                network.join_host([2], 3.0)     # join at failed host
-            with pytest.raises(ValueError):
-                network.join_host([17], 3.0)    # unknown neighbor
+            clone = network.copy()
+            with pytest.raises(ValueError, match="host 2 is already failed"):
+                clone.fail_host(2, 2.0)         # ... seen by a copy too
+            clone.fail_host(1, 2.0)
+            with pytest.raises(ValueError, match="host 1 is already failed"):
+                clone.fail_host(1, 3.0)
+            network.fail_host(1, 3.0)           # the original never saw it
         _assert_identical(packed, reference)
 
 
 # ---------------------------------------------------------------------------
-# Join-overflow fuzz through the calendar queue
+# Failure fuzz through the calendar queue
 # ---------------------------------------------------------------------------
 
 class _ProbeHost:
@@ -225,22 +231,24 @@ class _ProbeHost:
 
 
 def _fuzz_run(seed: int, delay):
-    """Interleave joins and departures through one Simulator run.
+    """Drain a schedule of departures through one Simulator run.
 
-    A CUSTOM probe fires between every pair of churn instants and
-    snapshots the packed core, for the caller to check against a
+    A CUSTOM probe fires between every pair of churn instants, snapshots
+    the packed core and copies it, for the caller to check against a
     reference replayed from the schedule:
 
     * no alive-neighbor view ever yields a departed host;
-    * a join's edges appear exactly at (not before) its scheduled tick;
-    * the overflow table stays consistent with the reference adjacency.
+    * a failure drops its edges exactly at (not before) its scheduled
+      tick;
+    * a copy taken mid-run keeps reading what it copied while the run
+      fails further hosts on the original.
 
-    Returns the network, the reference, the scheduled churn as
-    ``(tick, op)`` in drain order, the probe snapshots and the run's
-    fail / join trace records.
+    Returns the reference, the scheduled failures as ``(tick, host)`` in
+    drain order, the probe snapshots ``(now, observed, copy)`` and the
+    run's fail trace records.
     """
     from repro.obs.trace import RingTracer
-    from repro.simulation.churn import ChurnSchedule, JoinSpec
+    from repro.simulation.churn import ChurnSchedule
     from repro.simulation.engine import Simulator
     from repro.simulation.events import EventKind
 
@@ -248,30 +256,16 @@ def _fuzz_run(seed: int, delay):
     n = rng.randrange(8, 16)
     network, reference = _pair(n, _random_edges(n, rng))
 
-    alive = list(range(n))
-    next_id = n
-    failures, joins = [], []
-    scheduled = []
+    # Host 0 queries, so it stays; a tick may fail several hosts, which
+    # the calendar drains in filing order.
+    victims = rng.sample(range(1, n), rng.randrange(4, n - 1))
+    failures = []
     for step in range(rng.randrange(4, 10)):
-        tick = float(step + 1)
-        ops = []
         for _ in range(rng.randrange(1, 3)):
-            if rng.random() < 0.5 and len(alive) > 2:
-                victim = alive.pop(rng.randrange(1, len(alive)))
-                failures.append((tick, victim))
-                ops.append(("fail", victim, tick))
-            else:
-                k = rng.randrange(1, min(3, len(alive)) + 1)
-                neighbors = tuple(sorted(rng.sample(alive, k)))
-                joins.append(JoinSpec(time=tick, neighbors=neighbors))
-                ops.append(("join", neighbors, tick))
-                alive.append(next_id)
-                next_id += 1
-        # Within one instant the calendar drains JOIN before FAIL (the
-        # engine's kind priorities), so expectations are ordered so too.
-        scheduled.extend(sorted(ops, key=lambda op: op[0] != "join"))
+            if victims:
+                failures.append((float(step + 1), victims.pop()))
 
-    churn = ChurnSchedule(failures=failures, joins=joins)
+    churn = ChurnSchedule(failures=failures)
     hosts = [_ProbeHost(h) for h in range(n)]
     tracer = RingTracer()
     simulator = Simulator(network=network, hosts=hosts, querying_host=0,
@@ -280,68 +274,52 @@ def _fuzz_run(seed: int, delay):
 
     observations = []
 
-    def probe(sim, tick=None):
-        observations.append((sim.clock.now, _observe(sim.network)))
+    def probe(sim):
+        observations.append(
+            (sim.clock.now, _observe(sim.network), sim.network.copy()))
 
-    horizon = scheduled[-1][2] + 1.0
+    horizon = failures[-1][0] + 1.0
     for step in range(int(horizon) + 1):
         # +0.5 puts the probe strictly between churn instants; churn at
         # tick t must be visible at t + 0.5 and not at t - 0.5.
         simulator._queue.push(step + 0.5, EventKind.CUSTOM, data=probe)
     simulator.run(until=horizon)
     churn_records = [record for record in tracer.raw_records()
-                     if record[0] in ("fail", "join")]
-    return network, reference, scheduled, observations, churn_records
+                     if record[0] == "fail"]
+    return reference, failures, observations, churn_records
 
 
 @pytest.mark.parametrize("delay", [None, "uniform:0.25,1.0", "per_edge"],
                          ids=["fixed", "uniform", "per_edge"])
 @pytest.mark.parametrize("seed", range(6))
-def test_join_overflow_fuzz_through_calendar_queue(seed, delay):
+def test_failure_fuzz_through_calendar_queue(seed, delay):
     from repro.simulation.delay import delay_model_from_spec
 
     model = delay_model_from_spec(delay, 1.0, seed=seed)
-    network, reference, scheduled, observations, churn_records = _fuzz_run(
-        seed, model)
+    reference, failures, observations, churn_records = _fuzz_run(seed, model)
 
     # Replay the schedule onto the reference implementation step by
     # step, checking each probe snapshot against it.
     cursor = 0
-    for now, observed in observations:
-        while cursor < len(scheduled) and scheduled[cursor][2] <= now:
-            _apply((reference,), scheduled[cursor])
+    for now, observed, _ in observations:
+        while cursor < len(failures) and failures[cursor][0] <= now:
+            tick, host = failures[cursor]
+            _fail((reference,), host, tick)
             cursor += 1
-        ref_obs = _observe(reference)
-        for key in ref_obs:
-            assert observed[key] == ref_obs[key], (
-                f"t={now}: packed core diverged from replayed reference "
-                f"on {key}")
+        assert observed == _observe(reference), (
+            f"t={now}: packed core diverged from replayed reference")
         # No view may ever contain a departed host.
         dead = [h for h, a in enumerate(observed["alive"]) if not a]
         for h, view in enumerate(observed["sorted_views"]):
             for d in dead:
                 assert d not in view, (
                     f"t={now}: departed host {d} served in host {h}'s view")
-    assert cursor == len(scheduled)
+    assert cursor == len(failures)
+    # Each mid-run copy still reads its instant: the failures the run
+    # applied to the original afterwards did not reach it.
+    for now, observed, copy in observations:
+        assert _observe(copy) == observed, f"copy taken at t={now} moved"
 
-    # The run applied exactly the scheduled churn, at exactly its
-    # scheduled ticks (joins appear at their tick, never earlier), and
-    # handed the joined hosts consecutive ids past the initial ones.
-    expected_records = []
-    next_id = len(observations[0][1]["alive"])
-    joined = []
-    for kind, subject, tick in scheduled:
-        if kind == "fail":
-            expected_records.append(("fail", tick, subject))
-        else:
-            expected_records.append(("join", tick, next_id))
-            joined.append((next_id, subject))
-            next_id += 1
-    assert churn_records == expected_records
-    # And every join's edges are present (symmetrically) afterwards, for
-    # neighbors that survived to the end.
-    for host, neighbors in joined:
-        for neighbor in neighbors:
-            if network.is_alive(neighbor) and network.is_alive(host):
-                assert network.has_alive_edge(host, neighbor)
-                assert network.has_alive_edge(neighbor, host)
+    # The run applied exactly the scheduled failures, at exactly their
+    # scheduled ticks, in the schedule's order.
+    assert churn_records == [("fail", tick, host) for tick, host in failures]

@@ -3,8 +3,7 @@
 ``EventEngine._drain`` hands the multicast's one object to each
 destination in turn with ``dest`` rebound to it, and counts every
 delivery straight into the session sink's processed array -- which must
-therefore cover every host, including hosts that join mid-query and a
-caller's sink of size 0.  Flood probes (every host forwards the first
+therefore cover every host, even in a caller's sink of size 0.  Flood probes (every host forwards the first
 message it hears to all alive neighbors but its sender) log each
 delivery they get.
 """
@@ -14,8 +13,7 @@ from collections import Counter
 import pytest
 
 from repro.protocols.base import Protocol
-from repro.service import QueryService
-from repro.simulation.churn import ChurnSchedule, JoinSpec
+from repro.simulation.churn import ChurnSchedule
 from repro.simulation.engine import Simulator
 from repro.simulation.host import ProtocolHost
 from repro.simulation.stats import CostAccounting
@@ -70,14 +68,6 @@ def topology():
     return random_topology(40, avg_degree=4, seed=5)
 
 
-def _two_hops_out(topology, root=0):
-    """Hosts two hops from ``root``: they forward at 2.0, after a join
-    at 1.5 wired to them."""
-    near = set(topology.adjacency[root]) | {root}
-    return sorted({far for host in topology.adjacency[root]
-                   for far in topology.adjacency[host]} - near)[:2]
-
-
 @pytest.mark.parametrize("wireless", [False, True], ids=["p2p", "wireless"])
 def test_every_destination_gets_the_multicasts_one_message(topology,
                                                            wireless):
@@ -108,39 +98,19 @@ def test_every_destination_gets_the_multicasts_one_message(topology,
         host for host, _, _, _ in log)
 
 
-def _join_churn(topology):
-    return ChurnSchedule(joins=[
-        JoinSpec(time=1.5, neighbors=tuple(_two_hops_out(topology)))])
-
-
-def test_joined_hosts_are_counted_into_an_empty_sink(topology):
+def test_every_host_is_counted_into_an_empty_sink(topology):
     """A caller's ``CostAccounting()`` has no slot for any host; the
-    engine grows it at the query start and again at the join."""
+    engine grows it to the whole network at the query start."""
     flood = _ProbeFlood()
     sink = CostAccounting()
     simulator = Simulator(
         topology.to_network(),
         [flood.probe(host_id) for host_id in range(topology.num_hosts)], 0,
-        churn=_join_churn(topology), stats=sink, lane="python")
-    simulator.join_host_factory = flood.probe
+        stats=sink, lane="python")
     result = simulator.run()
-    joined = topology.num_hosts
     counted = Counter(host for host, _, _, _ in flood.log)
-    assert counted[joined] > 0
+    assert len(counted) > 1
     assert result.costs is sink
     assert sink.messages_processed == counted
     assert sink.computation_cost == max(counted.values())
 
-
-def test_a_session_launched_before_a_join_counts_the_joined_host(topology):
-    flood = _ProbeFlood()
-    service = QueryService(topology, [1.0] * topology.num_hosts, seed=3,
-                           churn=_join_churn(topology))
-    qid = service.submit(flood, "count", at=0.0, d_hat=8,
-                         join_factory=flood.probe)
-    service.run()
-    outcome = service.poll(qid)
-    assert outcome.lane_used == "python"
-    counted = Counter(host for host, _, _, _ in flood.log)
-    assert counted[topology.num_hosts] > 0
-    assert outcome.costs.messages_processed == counted

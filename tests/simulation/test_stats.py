@@ -145,9 +145,9 @@ class TestCostAccounting:
         sink.record_processed(4, 0)
         assert len(sink._processed) == 5
 
-    def test_joined_hosts_grow_the_processed_array(self):
+    def test_hosts_past_the_array_grow_it(self):
         sink = CostAccounting(num_hosts=3)
-        sink.record_processed(10, 2)  # a host joined after construction
+        sink.record_processed(10, 2)  # past the end: grows on demand
         sink.record_processed(10, 2)
         sink.add_processed(11, [0, 3])  # past the end: grows on demand
         assert len(sink._processed) == 13

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sketches.fm import FM_CORRECTION, FMSketch, required_repetitions
+from repro.sketches.fm import FM_CORRECTION, FMSketch
 
 
 class TestConstruction:
@@ -114,10 +114,3 @@ class TestEstimation:
         text = sketch.describe()
         assert len(text.splitlines()) == 2
 
-
-class TestHelpers:
-    def test_required_repetitions(self):
-        assert required_repetitions(3.0) == 3
-        assert required_repetitions(4.5) == 5
-        with pytest.raises(ValueError):
-            required_repetitions(2.0)

@@ -87,22 +87,19 @@ class TestConversions:
         assert first is not second
         assert first._base_targets is second._base_targets
         first.fail_host(0, time=1.0)
-        joined = first.join_host([1, 2], time=2.0)
+        first.fail_host(2, time=2.0)
+        assert first.neighbors(1) == frozenset()
         third = topo.to_network()
         for pristine in (second, third):
-            assert pristine.num_hosts == joined == 6
+            assert pristine.num_hosts == 6
             assert all(pristine.is_alive(host) for host in range(6))
             assert pristine.neighbors(1) == {0, 2}
             assert pristine.alive_neighbors_sorted(1) == (0, 2)
-            # A join on one copy leaves the memo range-partitionable.
-            assert pristine.partition_bounds(2)[-1] == 6
-        with pytest.raises(ValueError):
-            first.partition_bounds(2)
 
     def test_copies_share_neighbor_views_copy_on_write(self):
         """Every copy starts from the pristine network's sorted views --
-        the same tuple objects, not rebuilt ones -- and a fail or a join
-        on one copy drops views from that copy's own table only."""
+        the same tuple objects, not rebuilt ones -- and a failure on one
+        copy drops views from that copy's own table only."""
         topo = ring_topology(6)
         first, sibling = topo.to_network(), topo.to_network()
         pristine = topo.__dict__["_pristine_network"]
@@ -112,15 +109,14 @@ class TestConversions:
             assert first.alive_neighbors_sorted(host) is before[host]
             assert sibling.alive_neighbors_sorted(host) is before[host]
         first.fail_host(0, time=1.0)
-        joined = first.join_host([1, 2], time=2.0)
-        assert first.alive_neighbors_sorted(1) == (2, joined)
+        assert first.alive_neighbors_sorted(1) == (2,)
         assert first.neighbors(5) == {4}
         # A clone of the churned copy shares *its* views, the same way.
         second = first.copy()
         assert second.alive_neighbors_sorted(1) is first.alive_neighbors_sorted(1)
         second.fail_host(2, time=3.0)
-        assert second.alive_neighbors_sorted(1) == (joined,)
-        assert first.alive_neighbors_sorted(1) == (2, joined)
+        assert second.alive_neighbors_sorted(1) == ()
+        assert first.alive_neighbors_sorted(1) == (2,)
         for untouched in (pristine, sibling, topo.to_network()):
             assert untouched.num_hosts == 6
             assert [untouched.alive_neighbors_sorted(host)
