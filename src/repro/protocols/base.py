@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import repeat
+from math import inf
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Type
 
 from repro.queries.query import AggregateQuery
@@ -271,6 +272,8 @@ def prepare_protocol_run(
     bitstream.  Any caller that goes through this function -- the solo
     harness or the query service -- reproduces the same derivation.
     """
+    if not 0 < delta < inf:
+        raise ValueError(f"delta must be finite and positive, not {delta!r}")
     if isinstance(query, str):
         query = AggregateQuery.of(query)
     if len(values) < topology.num_hosts:
@@ -363,6 +366,7 @@ def run_protocol(
         max_time: override for the simulator's runaway backstop (defaults
             to four times the nominal termination time; tighten it to
             fail fast on non-terminating regressions in large-scale runs).
+            NaN or a negative value is refused.
         delay: realised link-delay model (a spec string such as
             ``"uniform"`` / ``"heavy_tail:1.5"``, a ready-made
             :class:`~repro.simulation.delay.DelayModel` with bound

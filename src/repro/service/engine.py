@@ -46,7 +46,8 @@ from repro.obs.trace import Tracer
 from repro.service.session import QuerySession, QueryStatus
 from repro.simulation.churn import ChurnSchedule
 from repro.simulation.engine import EventEngine
-from repro.simulation.events import Event, EventKind, _DeliverBatch
+from repro.simulation.events import (
+    Event, EventKind, _DeliverBatch, _TimerBatch)
 from repro.simulation.host import HostContext
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
@@ -118,10 +119,11 @@ class MuxEngine(EventEngine):
         """Pending queued work per query id, computed on demand.
 
         Walks the calendar queue's live entries (never the drain path):
-        unicasts count 1 under their ``query_id``, multicast batches
-        count their destinations, and timers route on the session they
-        were filed with.  This is the per-tenant queue-depth signal the
-        admission-control roadmap item needs.
+        bare messages count 1 under their ``query_id``, send batches
+        count their destinations, and timers (one, or a batch counting
+        its hosts) route on the session they were filed with.  This is
+        the per-tenant queue-depth signal the admission-control roadmap
+        item needs.
         """
         depths: Dict[int, int] = {}
         for entry, weight in self._queue.iter_pending():
@@ -130,6 +132,8 @@ class MuxEngine(EventEngine):
                 qid = entry.query_id
             elif cls is tuple:  # a timer: (host, name, info)
                 qid = entry[2][2].qid
+            elif cls is _TimerBatch:
+                qid = entry.info[2].qid
             else:
                 continue
             depths[qid] = depths.get(qid, 0) + weight

@@ -24,7 +24,9 @@ class ChurnSchedule:
 
     A failure time must be finite and non-negative: the engine files no
     event at NaN or infinity, so the run would ignore the failure while
-    the oracle counted it.
+    the oracle counted it.  A host must be an ``int`` (not a ``bool``):
+    any other id would pass the engine's range check and break the
+    failure mid-run.
     """
 
     __slots__ = ("failures",)
@@ -38,6 +40,10 @@ class ChurnSchedule:
                     f"churn failure ({time!r}, {host}) has a time the "
                     f"engine cannot run: it must be finite and "
                     f"non-negative")
+            if not isinstance(host, int) or isinstance(host, bool):
+                raise ValueError(
+                    f"churn failure ({time!r}, {host!r}) names no host: a "
+                    f"host id is an int")
             if host in seen:
                 raise ValueError(f"host {host} scheduled to fail more than once")
             seen.add(host)

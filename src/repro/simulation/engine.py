@@ -42,7 +42,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.simulation.churn import ChurnSchedule
 from repro.simulation.clock import SimulationClock, instant_after
 from repro.simulation.delay import DelayModel, delay_model_from_spec
-from repro.simulation.events import Event, EventKind, EventQueue, _DeliverBatch
+from repro.simulation.events import (
+    Event, EventKind, EventQueue, _DeliverBatch, _TimerBatch)
 from repro.simulation.host import HostContext, ProtocolHost
 from repro.simulation.messages import Message
 from repro.simulation.network import DynamicNetwork
@@ -155,9 +156,10 @@ class EventEngine:
         churn: schedule of host failures to apply.
         wireless: when True, a multicast to all neighbors of a host counts
             as one transmission (the sensor-network broadcast medium).
-        max_time: hard stop for the engine clock.  A drain-to-empty run
-            (no ``until``) that reaches it with events still pending
-            raises, which catches protocols that fail to terminate.
+        max_time: hard stop for the engine clock, never NaN or
+            negative.  A drain-to-empty run (no ``until``) that reaches it
+            with events still pending raises, which catches protocols
+            that fail to terminate.
         tracer: structured trace sink (see :mod:`repro.obs.trace`), or
             ``None`` for an untraced run.  With no tracer the loop
             performs a single pointer check per event and nothing else
@@ -176,8 +178,12 @@ class EventEngine:
         max_time: float,
         tracer: Optional[Tracer],
     ) -> None:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < delta < inf:
+            raise ValueError(
+                f"delta must be finite and positive, not {delta!r}")
+        if not max_time >= 0:  # NaN would turn the backstop off
+            raise ValueError(
+                f"max_time must be non-negative, not {max_time!r}")
         self.network = network
         self.delta = float(delta)
         self.wireless = wireless
@@ -204,8 +210,8 @@ class EventEngine:
         self.dropped_messages = 0
         self.events_processed = 0
         self.tracer = tracer
-        # The last fixed-delay multicast's send and landing instants: an
-        # instant's multicasts share one landing, computed once.
+        # The last fixed-delay send's send and landing instants: an
+        # instant's sends share one landing, computed once.
         self._sent_at = 0.0
         self._lands_at = self.delta
 
@@ -226,25 +232,39 @@ class EventEngine:
 
         ``vnow`` is the session's query-local time; the sink is keyed by
         it while the delivery is filed at the corresponding engine time.
+        At fixed delay the unicast is a one-destination send of its own
+        payload snapshot, which joins the calendar's open batch when it
+        shares its key (``EventQueue.push_multicast``); a variable delay
+        files it as a bare :class:`Message`.
         """
         network = self.network
         if not network.is_alive(sender):
             return False
         if not network.has_alive_edge(sender, dest):
             return False
-        sample = session.sample
-        # The query-local delivery instant is the one a lone query
-        # computes; the engine instant only orders the shared calendar.
-        vdeliver = (instant_after(vnow, self.delta, self.delta)
-                    if sample is None else vnow + sample(sender, dest, vnow))
-        message = Message(sender, dest, kind, dict(payload), vnow,
-                          chain_depth, False, session.qid, vdeliver)
+        qid = session.qid
         session.sink.record_send(kind, vnow)
         self.messages_sent += 1
         tracer = self.tracer
         if tracer is not None:
-            tracer.send(vnow, sender, dest, kind, query_id=session.qid)
-        self._queue.push_deliver(session.t0 + vdeliver, message)
+            tracer.send(vnow, sender, dest, kind, query_id=qid)
+        # The query-local delivery instant is the one a lone query
+        # computes; the engine instant only orders the shared calendar.
+        sample = session.sample
+        if sample is None:
+            if vnow != self._sent_at:
+                self._sent_at = vnow
+                self._lands_at = instant_after(vnow, self.delta, self.delta)
+            vdeliver = self._lands_at
+            self._queue.push_multicast(
+                session.t0 + vdeliver, sender, (dest,), kind, dict(payload),
+                vnow, chain_depth, False, qid, vdeliver)
+        else:
+            vdeliver = vnow + sample(sender, dest, vnow)
+            self._queue.push_deliver(
+                session.t0 + vdeliver,
+                Message(sender, dest, kind, dict(payload), vnow, chain_depth,
+                        False, qid, vdeliver))
         return True
 
     def session_multicast(
@@ -288,8 +308,8 @@ class EventEngine:
         sample = session.sample
         if sample is None:
             # Fixed delay: the whole multicast shares one delivery instant
-            # and is one calendar entry: one Message, which ``_drain``
-            # hands to every destination in turn.
+            # and joins (or opens) one calendar entry: one Message, which
+            # ``_drain`` hands to every destination in turn.
             if vnow != self._sent_at:
                 self._sent_at = vnow
                 self._lands_at = instant_after(vnow, self.delta, self.delta)
@@ -358,29 +378,36 @@ class EventEngine:
         by construction), and the cyclic garbage collector is paused for
         the duration of the loop -- simulation objects are acyclic, so the
         periodic gen-0 scans triggered by the allocation rate are pure
-        overhead.  Per stimulus the demux costs one dict lookup for a
+        overhead.  Per popped entry the demux costs one dict lookup for a
         message, one tuple slot for a timer, and the deadline check that
         retires expired sessions.
 
-        A fixed-delay multicast pops as one
-        :class:`~repro.simulation.events._DeliverBatch` -- a
-        :class:`Message` that names its ``dests`` -- and is delivered
-        here: one engine step, ``len(dests)`` deliveries, each counted in
+        At fixed delay an instant's traffic pops as a few batches (a
+        500-host WILDFIRE flood: at most four entries per instant).  A
+        run of same-key sends -- multicasts, and unicasts as
+        one-destination sends -- pops as one
+        :class:`~repro.simulation.events._DeliverBatch`, a
+        :class:`Message` that names its ``sends``, and is delivered
+        here: one engine step, ``weight`` deliveries, each counted in
         ``events_processed``, in exactly the order its deliveries would
         drain filed one by one (see ``EventQueue.pop_due`` for what a
         handler may file meanwhile).  Every destination's handler gets
-        that same object with ``dest`` set to it, so no handler may keep
-        a message past its call (the contract the reused context already
-        states).  A late multicast is tallied through ``_late`` per
-        destination.  A handler that raises abandons the rest of its
-        multicast with it: the queue no longer holds those deliveries,
-        and ``len(queue)`` says so.
+        that same object, with ``sender`` and ``payload`` rebound per
+        send and ``dest`` per delivery, so no handler may keep a message
+        past its call (the contract the reused context already states).
+        A run of same-key timers pops as one
+        :class:`~repro.simulation.events._TimerBatch` and fires at each
+        of its hosts in filing order; a timer alone at its key pops as
+        its ``(host, name, info)`` tuple.  A late batch is tallied
+        through ``_late`` per destination.  A handler that raises
+        abandons the rest of its batch with it: the queue no longer
+        holds those stimuli, and ``len(queue)`` says so.
 
         Each delivery is counted straight into its sink's processed
         array, which :meth:`start_query` sizes to cover every host; a
-        multicast raises the sink's ``max_chain_depth`` once, at its first
+        batch raises the sink's ``max_chain_depth`` once, at its first
         delivered destination and before that handler runs (its
-        destinations share one depth).
+        deliveries share one depth).
 
         On return every live tick lane settles its flat counters into
         its session's sink (``_TickLane.settle``), so a sink read between
@@ -447,21 +474,21 @@ class EventEngine:
                     ctx._chain_depth = chain_depth
                     session.hosts[dest].on_message(entry, ctx)
                 elif entry.__class__ is _DeliverBatch:
-                    # One multicast, one Message: the unicast's
-                    # statements in ``dests`` order, with what the
-                    # deliveries share (session, deadline, clock, sink,
-                    # the message itself) read once.  Kept beside the
-                    # unicast rather than folded into it: the
-                    # one-destination loop costs a variable-delay run,
-                    # all unicasts, a few percent.
-                    dests = entry.dests
-                    events += len(dests) - 1
+                    # A run of same-key sends, one Message: the
+                    # unicast's statements per destination, send by
+                    # send, with what the deliveries share (session,
+                    # deadline, clock, sink, the message itself) read
+                    # once.  Kept beside the unicast rather than folded
+                    # into it: the one-destination loop costs a
+                    # variable-delay run, all unicasts, a few percent.
+                    events += entry.weight - 1
                     qid = entry.query_id
                     vtime = entry.vtime
                     session = active.get(qid)
                     if session is None or vtime > session.termination:
-                        for dest in dests:
-                            self._late(qid, vtime, dest)
+                        for _, dests, _ in entry.sends:
+                            for dest in dests:
+                                self._late(qid, vtime, dest)
                         continue
                     chain_depth = entry.chain_depth
                     sink = session.sink
@@ -471,24 +498,27 @@ class EventEngine:
                     ctx.session = session
                     ctx.now = vtime
                     ctx._chain_depth = chain_depth
-                    for dest in dests:
-                        if not alive_flags[dest]:
-                            self.dropped_messages += 1
-                            sink.record_dropped()
+                    for sender, dests, payload in entry.sends:
+                        entry.sender = sender
+                        entry.payload = payload
+                        for dest in dests:
+                            if not alive_flags[dest]:
+                                self.dropped_messages += 1
+                                sink.record_dropped()
+                                if tracer is not None:
+                                    tracer.drop(vtime, dest, qid)
+                                continue
+                            processed[dest] += 1
+                            if deeper:
+                                sink.max_chain_depth = chain_depth
+                                deeper = False
                             if tracer is not None:
-                                tracer.drop(vtime, dest, qid)
-                            continue
-                        processed[dest] += 1
-                        if deeper:
-                            sink.max_chain_depth = chain_depth
-                            deeper = False
-                        if tracer is not None:
-                            tracer.deliver(vtime, entry.sender, dest,
-                                           entry.kind, chain_depth,
-                                           entry.sent_at, qid)
-                        ctx.host_id = dest
-                        entry.dest = dest
-                        hosts[dest].on_message(entry, ctx)
+                                tracer.deliver(vtime, sender, dest,
+                                               entry.kind, chain_depth,
+                                               entry.sent_at, qid)
+                            ctx.host_id = dest
+                            entry.dest = dest
+                            hosts[dest].on_message(entry, ctx)
                 elif entry.__class__ is tuple:  # a timer
                     host, name, info = entry
                     if not alive_flags[host]:
@@ -504,6 +534,28 @@ class EventEngine:
                     ctx.now = vfire
                     ctx._chain_depth = chain_depth
                     session.hosts[host].on_timer(name, data, ctx)
+                elif entry.__class__ is _TimerBatch:
+                    # A run of same-key timers: the lone timer's
+                    # statements per host, with what they share read
+                    # once (a session releases its hosts only between
+                    # two pops, when it retires).
+                    timed = entry.hosts
+                    events += len(timed) - 1
+                    data, chain_depth, session, vfire = entry.info
+                    hosts = session.hosts
+                    if hosts is None or vfire > session.termination:
+                        continue
+                    name = entry.name
+                    ctx.session = session
+                    ctx.now = vfire
+                    ctx._chain_depth = chain_depth
+                    for host in timed:
+                        if not alive_flags[host]:
+                            continue
+                        if tracer is not None:
+                            tracer.timer(vfire, host, name, session.qid)
+                        ctx.host_id = host
+                        hosts[host].on_timer(name, data, ctx)
                 else:
                     self._dispatch(time, entry, ctx)
         finally:
@@ -674,7 +726,8 @@ class Simulator(EventEngine):
         self.costs = make_stats_sink(stats, num_hosts=network.num_hosts,
                                      tick_width=self.delta)
         # ``None`` marks the fixed-delay fast path: deliveries land exactly
-        # ``delta`` after their send and multicasts share one queue bucket.
+        # ``delta`` after their send and an instant's same-key sends share one
+        # calendar entry.
         self.delay_model = delay_model_from_spec(delay_model, self.delta)
         #: The run's one session: launched at 0, never retired.
         self.session = Session(

@@ -17,12 +17,12 @@ item, and ``push`` always does.  A pop takes a one-entry item with one
 and leaves with one ``heappop`` in the pop that drains it.  One entry
 *or* a bucket per item because the traffic is bimodal (counted on the
 benchmark's ``flood_py`` and ``flood_jitter`` floods): at fixed delay
-84 215 pushes file 44 items and the heap is never deeper than 5, under
-a variable-delay model 61 394 pushes file 61 394 items -- one tuple and
-one C-level sift each, and nothing else.  A heap of one item per entry
-would sift thousands of live entries per pop at fixed delay; a key
-table beside the heap costs a tuple hash per lookup and a list per
-variable-delay push.
+84 215 pushes file 38 entries -- 38 items, never more than 4 in the
+heap, 38 pops -- under a variable-delay model 61 394 pushes file
+61 394 items -- one tuple and one C-level sift each, and nothing else.
+A heap of one item per entry would sift thousands of live entries per
+pop at fixed delay; a key table beside the heap costs a tuple hash per
+lookup and a list per variable-delay push.
 
 Three cases keep the order exact:
 
@@ -35,16 +35,31 @@ Three cases keep the order exact:
   later ``seq`` sorts it after everything already popped and before
   every larger key.
 
-A multicast is *one* entry weighing ``len(dests)``: it is filed, popped
-and counted out of ``len`` whole as one :class:`_DeliverBatch` -- the
-:class:`Message` its destinations receive, plus their ids -- and this
-module never builds a per-destination :class:`Message`: whoever pops a
-batch delivers it.  A host timer is the plain tuple
-``(host, name, info)`` -- what its handler reads, and nothing else.
+At fixed delay every send of an instant lands at one instant and every
+WILDFIRE flush is a zero-delay timer, so one entry stands for a *run*
+of same-key stimuli.  A send (a multicast, or a unicast as a
+one-destination send) filed right behind an unpopped
+:class:`_DeliverBatch` with its key -- time, kind, send instant, chain
+depth, medium, query and delivery instant -- joins it; a batch is
+filed, popped and counted out of ``len`` whole, weighing its
+destinations: the :class:`Message` they receive, plus its ``(sender,
+dests, payload)`` sends.  This module never builds a per-destination
+:class:`Message`: whoever pops a batch delivers it.  A host timer is the
+plain tuple ``(host, name, info)`` -- what its handler reads, and
+nothing else -- unless it is filed right behind an unpopped timer of
+its key (time, name, ``data`` and session *objects*, chain depth and
+query-local instant) in the bucket open at its time: then the two are
+one :class:`_TimerBatch` of host ids.  A batch grows only while it is
+the last unpopped entry at its key; a popped one never grows, and a
+bare message, another key or another session closes the open one.  So
+a drain, expanded, is exactly the ``(time, priority, insertion)`` order
+of the single stimuli.  A timer alone at its key stays a tuple (a batch
+per timer would cost the variable-delay loop, where every timer is
+alone, an object per timer).
 
 The engine pushes through ``push_deliver`` / ``push_multicast`` /
 ``push_timer``, pops through ``pop_due`` (one call site:
-``EventEngine._drain``) and delivers multicasts there; ``push`` is the
+``EventEngine._drain``) and delivers batches there; ``push`` is the
 :class:`Event` API for the other kinds (churn, query starts, custom
 events; it refuses a DELIVER or TIMER), and the tick lanes' gate only
 asks ``len``.  Nothing filed is ever withdrawn:
@@ -119,26 +134,32 @@ class Event:
 
 
 class _DeliverBatch(Message):
-    """One multicast: the :class:`Message` every destination receives,
-    plus the ``dests`` it goes to, in delivery order.
+    """A run of fixed-delay sends that share one key: the
+    :class:`Message` every destination receives, plus the ``sends`` --
+    ``(sender, dests, payload)`` triples, in filing order -- and their
+    total ``weight`` (destinations).
 
-    It is a single queue entry standing for ``len(dests)`` deliveries.
-    A multicast to ``d`` neighbors filed as ``d`` messages keeps hundreds
+    It is a single queue entry standing for ``weight`` deliveries.  A
+    multicast to ``d`` neighbors filed as ``d`` messages keeps hundreds
     of thousands of them alive in the queue during one flood wave at
-    100k+ hosts, dominating peak RSS.  The batch stores the shared fields
-    once (the destination tuple is the network's cached packed view, so
-    it is not even copied) and is popped whole; the engine then hands
-    this same object to each destination's handler, setting ``dest``
-    before each call (``-1`` until the first).
+    100k+ hosts, dominating peak RSS; and at fixed delay every send of
+    an instant lands at one instant, so filing each multicast (or
+    unicast) as an entry of its own pays one calendar round trip per
+    send.  The batch stores the shared fields once (a destination tuple
+    is the network's cached packed view, so it is not even copied) and
+    is popped whole; the engine then hands this same object to each
+    destination's handler, binding ``sender`` and ``payload`` before
+    each send and ``dest`` before each call (``-1`` until the first).
     """
 
-    __slots__ = ("dests",)
+    __slots__ = ("sends", "weight")
 
     def __init__(self, sender, dests, kind, payload, sent_at, chain_depth,
                  wireless, query_id, vtime):
         self.sender = sender
         self.dest = -1
-        self.dests = dests
+        self.sends = [(sender, dests, payload)]
+        self.weight = len(dests)
         self.kind = kind
         self.payload = payload
         self.sent_at = sent_at
@@ -146,6 +167,44 @@ class _DeliverBatch(Message):
         self.wireless = wireless
         self.query_id = query_id
         self.vtime = vtime
+
+
+class _TimerBatch:
+    """A run of timers that share one key: the ``hosts`` they fire at,
+    in filing order, and the ``name`` and ``info`` they share.  It pops
+    whole and weighs ``len(hosts)``.  Only a second same-key timer
+    behind another makes one: a timer alone at its key stays its
+    ``(host, name, info)`` tuple."""
+
+    __slots__ = ("hosts", "name", "info")
+
+    def __init__(self, hosts: List[int], name: str, info: Any) -> None:
+        self.hosts = hosts
+        self.name = name
+        self.info = info
+
+
+def _same_timer(info: Any, other: Any) -> bool:
+    """Whether two timers' ``info`` share a key: the one object, or the
+    engine's ``(data, chain_depth, session, vfire)`` with the same
+    ``data`` and session *objects* and equal depth and instant (an
+    equal but distinct ``data`` may be mutated apart, so it splits)."""
+    if info is other:
+        return True
+    return (info.__class__ is tuple and other.__class__ is tuple
+            and len(info) == len(other) == 4
+            and info[0] is other[0] and info[2] is other[2]
+            and info[1] == other[1] and info[3] == other[3])
+
+
+def _weight(entry: Any) -> int:
+    """How many stimuli one queue entry stands for."""
+    cls = entry.__class__
+    if cls is _DeliverBatch:
+        return entry.weight
+    if cls is _TimerBatch:
+        return len(entry.hosts)
+    return 1
 
 
 def _check_time(time: float) -> None:
@@ -186,6 +245,9 @@ class EventQueue:
         # The bucket the cursor walks (the front's, or a pre-empted one);
         # ``_walk`` sets the cursor before anything reads it.
         self._walked: Optional[List[Any]] = None
+        # The last DELIVER entry filed, while it is an unpopped batch:
+        # the one a same-key send may still join.
+        self._batch: Optional[_DeliverBatch] = None
         self._size = 0
 
     def __len__(self) -> int:
@@ -241,13 +303,33 @@ class EventQueue:
         wrapper, and a bare message is what the engine delivers.
         """
         self._file(time, _DELIVER_PRIORITY, message)
+        self._batch = None  # filed behind the open batch: it closes
         self._size += 1
 
     def push_timer(self, time: float, host: int, name: str, info: Any) -> None:
-        """Schedule a host timer: the tuple ``(host, name, info)`` is
-        filed, and that tuple is what pops.  Like a bare message it is
-        the one shape the engine handles for its kind.
+        """Schedule a host timer: the tuple ``(host, name, info)``.
+
+        A timer filed right behind an unpopped same-key one (same time,
+        ``name`` and :func:`_same_timer` ``info``) in the bucket open at
+        its time joins it instead: the two become one
+        :class:`_TimerBatch`, which later same-key timers grow.  A timer
+        alone at its key is filed, and pops, as its tuple.  (The open
+        bucket's last entry is never popped: the pop that takes it
+        drains and retires the bucket.)
         """
+        bucket = self._open[_TIMER_PRIORITY]
+        if bucket is not None and time == self._open_at[_TIMER_PRIORITY]:
+            last = bucket[-1]
+            if last.__class__ is _TimerBatch:
+                if last.name == name and _same_timer(last.info, info):
+                    last.hosts.append(host)
+                    self._size += 1
+                    return
+            elif (last.__class__ is tuple and last[1] == name
+                  and _same_timer(last[2], info)):
+                bucket[-1] = _TimerBatch([last[0], host], name, last[2])
+                self._size += 1
+                return
         self._file(time, _TIMER_PRIORITY, (host, name, info))
         self._size += 1
 
@@ -264,22 +346,36 @@ class EventQueue:
         query_id: int = 0,
         vtime: float = 0.0,
     ) -> None:
-        """Schedule one multicast's deliveries without materialising them.
+        """Schedule one send's deliveries without materialising them.
 
-        One :class:`_DeliverBatch` is filed -- the one message all
-        destinations receive -- where one :meth:`push_deliver` per
-        destination would file ``len(dests)`` messages; ``len`` counts it
-        as ``len(dests)`` and the engine delivers it in ``dests`` order,
-        exactly as those messages would drain.  This is the engine's
-        fixed-delay multicast fast path.  An empty ``dests`` files
-        nothing.
+        The send joins the open :class:`_DeliverBatch` -- the last
+        DELIVER entry filed, while it is unpopped -- when it shares that
+        batch's key: the same time, ``kind``, ``sent_at``,
+        ``chain_depth``, ``wireless``, ``query_id`` and ``vtime``.
+        Otherwise it is filed as a new batch, which then is the open
+        one.  Either way it drains exactly where one :meth:`push_deliver`
+        per destination would: ``len`` counts it as ``len(dests)`` and
+        the engine delivers its destinations in order, right behind the
+        batch's earlier sends.  This is the engine's fixed-delay send
+        path (a unicast is a one-destination send).  An empty ``dests``
+        files nothing.
         """
         if not dests:
             _check_time(time)
             return
-        self._file(time, _DELIVER_PRIORITY,
-                   _DeliverBatch(sender, dests, kind, payload, sent_at,
-                                 chain_depth, wireless, query_id, vtime))
+        batch = self._batch
+        if (batch is not None and time == self._open_at[_DELIVER_PRIORITY]
+                and batch.sent_at == sent_at
+                and batch.chain_depth == chain_depth
+                and batch.query_id == query_id and batch.kind == kind
+                and batch.wireless == wireless and batch.vtime == vtime):
+            batch.sends.append((sender, dests, payload))
+            batch.weight += len(dests)
+        else:
+            batch = _DeliverBatch(sender, dests, kind, payload, sent_at,
+                                  chain_depth, wireless, query_id, vtime)
+            self._file(time, _DELIVER_PRIORITY, batch)
+            self._batch = batch
         self._size += len(dests)
 
     # ------------------------------------------------------------------
@@ -322,17 +418,15 @@ class EventQueue:
 
         Non-destructive and unordered (heap order).  ``entry`` is a bare
         :class:`Message`, a :class:`_DeliverBatch` (``weight`` = its
-        destinations), a timer's ``(host, name, info)`` tuple or an
+        destinations), a timer's ``(host, name, info)`` tuple, a
+        :class:`_TimerBatch` (``weight`` = its hosts) or an
         :class:`Event`; already-popped positions are skipped.  The
         weights sum to ``len(queue)``.  Intended for metrics collectors,
         not for draining.
         """
         for item in self._heap:
             for entry in self._live(item[3]):
-                if entry.__class__ is _DeliverBatch:
-                    yield entry, len(entry.dests)
-                else:
-                    yield entry, 1
+                yield entry, _weight(entry)
 
     # ------------------------------------------------------------------
     # Draining
@@ -358,13 +452,15 @@ class EventQueue:
         """Consume and return ``(time, entry)`` for the earliest live entry.
 
         This is the drain API.  ``entry`` is a bare :class:`Message` for
-        a fast-path delivery, a whole :class:`_DeliverBatch` for a
-        multicast (``len`` drops by ``len(entry.dests)``; delivering it
-        to each destination is the caller's job), the ``(host, name,
-        info)`` tuple of a :meth:`push_timer` timer and an :class:`Event`
-        for everything else.  When ``horizon`` is given, an entry due
-        after it is *not* consumed and ``None`` is returned; ``None``
-        consumes unconditionally.  An empty queue returns ``None``.
+        a fast-path delivery, a whole :class:`_DeliverBatch` for a run
+        of same-key sends (``len`` drops by ``entry.weight``; delivering
+        it to each destination is the caller's job), the ``(host, name,
+        info)`` tuple of a lone :meth:`push_timer` timer, a whole
+        :class:`_TimerBatch` for a run of same-key timers and an
+        :class:`Event` for everything else.  When ``horizon`` is given,
+        an entry due after it is *not* consumed and ``None`` is
+        returned; ``None`` consumes unconditionally.  An empty queue
+        returns ``None``.
 
         A lone entry leaves the heap with one ``heappop``.  A bucket
         stays at the front while the cursor walks it, so an entry filed
@@ -372,13 +468,13 @@ class EventQueue:
         and still runs in that instant; the pop that takes its last entry
         retires it with one ``heappop``.
 
-        Whatever is filed while the caller works through a batch sorts
-        against the *popped* position: at the batch's own key it lands
-        behind it, at a later key it drains later -- both as if the
-        batch's deliveries had been filed one by one.  Only an item
-        *below* an in-progress DELIVER (a QUERY_START at this
-        very instant) would have cut in between two destinations and now
-        runs after the last; no message handler can file one
+        A popped batch never grows.  Whatever is filed while the caller
+        works through it sorts against the *popped* position: at the
+        batch's own key it lands behind it, at a later key it drains
+        later -- both as if the batch's stimuli had been filed one by
+        one.  Only an item *below* an in-progress batch (a QUERY_START
+        at this very instant) would have cut in between two of its
+        stimuli and now runs after the last; no handler can file one
         (``HostContext.send`` delays lie in ``(0, delta]``,
         ``set_timer`` files at TIMER priority).
         """
@@ -405,8 +501,13 @@ class EventQueue:
                 self._cursor = index
         else:
             heappop(heap)
-        if entry.__class__ is _DeliverBatch:
-            self._size -= len(entry.dests)
+        cls = entry.__class__
+        if cls is _DeliverBatch:
+            self._size -= entry.weight
+            if entry is self._batch:
+                self._batch = None
+        elif cls is _TimerBatch:
+            self._size -= len(entry.hosts)
         else:
             self._size -= 1
         return time, entry
@@ -417,7 +518,8 @@ class EventQueue:
         Returns ``(time, buckets)`` where ``buckets`` is a list of
         ``_NUM_PRIORITIES`` lists in priority order; each entry is what
         ``pop_due`` would have returned -- a bare :class:`Message`, a
-        whole :class:`_DeliverBatch`, a timer tuple or an :class:`Event`.
+        whole :class:`_DeliverBatch`, a timer tuple, a whole
+        :class:`_TimerBatch` or an :class:`Event`.
         Each of the instant's items leaves the heap with one ``heappop``
         in drain order, a bucket as one slice (its live part), so the
         per-entry order within each list is the ``pop_due`` order.  When
@@ -445,7 +547,8 @@ class EventQueue:
                 self._retire(priority, x)
             out[priority] += entries
             for entry in entries:
-                removed += (len(entry.dests)
-                            if entry.__class__ is _DeliverBatch else 1)
+                removed += _weight(entry)
+                if entry is self._batch:
+                    self._batch = None
         self._size -= removed
         return time, out

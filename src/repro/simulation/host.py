@@ -235,10 +235,12 @@ class ProtocolHost(abc.ABC):
     def on_message(self, message: Message, ctx: HostContext) -> None:
         """Called when a message addressed to this host is delivered.
 
-        ``message.dest`` is this host.  The engine hands every
-        destination of a multicast the same object (rebinding ``dest``
-        between calls), so, like ``ctx``, the message must not be kept
-        past this call: copy the fields the host needs.
+        ``message.dest`` is this host.  At fixed delay the engine hands
+        every delivery of one batch -- an instant's same-key sends,
+        multicasts and unicasts alike -- the same object, rebinding
+        ``sender``, ``payload`` and ``dest`` between calls, so, like
+        ``ctx``, the message must not be kept past this call: copy the
+        fields the host needs.
         """
 
     def on_timer(self, name: str, data: Any, ctx: HostContext) -> None:

@@ -16,16 +16,19 @@ class Message:
 
     Treated as immutable by protocol code (no ``__setattr__`` guard: a
     per-field ``object.__setattr__`` would show up on the kernel's
-    per-message hot path).  The one writer is the engine: a fixed-delay
-    multicast is ONE message from send to delivery
+    per-message hot path).  The one writer is the engine: at fixed delay
+    a run of same-key sends (an instant's multicasts and unicasts) is
+    ONE message from send to delivery
     (:class:`~repro.simulation.events._DeliverBatch`, this class plus its
-    ``dests``), and ``EventEngine._drain`` hands that same object to each
-    destination in turn, rebinding ``dest`` before each call.  So, as
-    with the reused :class:`~repro.simulation.host.HostContext`, a
-    handler must not keep a message past its call -- copy the fields it
-    needs.  Messages compare and hash by identity.  Payloads are shared
-    the same way: a receiver mutating one would corrupt what its
-    multicast's later destinations read
+    ``(sender, dests, payload)`` sends), and ``EventEngine._drain`` hands
+    that same object to each destination in turn, rebinding ``sender``
+    and ``payload`` before each send's deliveries and ``dest`` before
+    each call.  So, as with the reused
+    :class:`~repro.simulation.host.HostContext`, a handler must not keep
+    a message past its call -- copy the fields it needs.  Messages
+    compare and hash by identity.  Payloads are shared the same way: a
+    receiver mutating one would corrupt what its multicast's later
+    destinations read
     (``tests/simulation/test_messages.py`` pins this with read-only
     payload proxies across every protocol).
 

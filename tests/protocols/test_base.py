@@ -1,18 +1,21 @@
 """Tests for the shared protocol plumbing."""
 
 import ast
+import math
 import pathlib
 import random
 
 import pytest
 
 import repro.protocols
-from repro.protocols.base import Protocol, resolve_d_hat, run_protocol
+from repro.protocols.base import (
+    Protocol, prepare_protocol_run, resolve_d_hat, run_protocol)
 from repro.protocols.spanning_tree import SpanningTree
 from repro.protocols.wildfire import Wildfire
 from repro.queries.query import AggregateQuery
 from repro.simulation.host import ProtocolHost, RunRecord
 from repro.sketches.combiners import ExactCountCombiner, MaxCombiner
+from repro.topology import gnutella_like_topology
 from repro.topology.primitives import chain_topology, star_topology
 from repro.workloads.values import constant_values
 
@@ -36,6 +39,11 @@ class TestResolveDHat:
         assert resolve_d_hat(topo, None) >= 1
 
 
+@pytest.fixture(scope="module")
+def gnutella_200():
+    return gnutella_like_topology(200, seed=1)
+
+
 class TestRunProtocol:
     def test_accepts_query_string_or_object(self):
         topo = star_topology(5)
@@ -51,6 +59,27 @@ class TestRunProtocol:
             run_protocol(Wildfire(), topo, [1, 2], "max")
         with pytest.raises(ValueError):
             run_protocol(Wildfire(), topo, [1] * 5, "max", querying_host=99)
+
+    @pytest.mark.parametrize("argument,value", [
+        ("delta", math.nan), ("delta", math.inf),
+        ("max_time", math.nan), ("max_time", -1.0)])
+    def test_a_delta_or_max_time_no_run_can_keep_is_refused(
+            self, gnutella_200, argument, value):
+        """Before, a NaN ``delta`` died in an integer conversion and an
+        infinite one in the event queue's time check; a NaN
+        ``max_time`` ran as if unlimited, and a negative one returned
+        ``value None`` silently.  Each is refused before the run,
+        naming the argument."""
+        with pytest.raises(ValueError, match=argument):
+            run_protocol(Wildfire(), gnutella_200, [1.0] * 200, "count",
+                         seed=1, lane="python", **{argument: value})
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+    def test_prepare_refuses_a_delta_that_is_not_finite_and_positive(
+            self, gnutella_200, delta):
+        with pytest.raises(ValueError, match="delta"):
+            prepare_protocol_run(Wildfire(), gnutella_200, [1.0] * 200,
+                                 "count", delta=delta)
 
     def test_duplicate_sensitive_combiner_rejected_for_wildfire(self):
         topo = star_topology(4)

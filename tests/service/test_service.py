@@ -125,6 +125,19 @@ class TestLifecycle:
         with pytest.raises(KeyError):
             service.submit("no-such-protocol", "count")
 
+    @pytest.mark.parametrize("argument,value", [
+        ("delta", float("nan")), ("delta", float("inf")),
+        ("max_time", float("nan")), ("max_time", -1.0)])
+    def test_a_delta_or_max_time_no_run_can_keep_is_refused(
+            self, topology, values, argument, value):
+        """Before, the service took them: a NaN or infinite ``delta``
+        made its first tick-lane session raise a bare float-to-int error
+        out of ``run()``, stopping every tenant; a NaN ``max_time`` ran
+        with no backstop and a negative one raised "did not terminate".
+        The engine now refuses each at construction, naming it."""
+        with pytest.raises(ValueError, match=argument):
+            QueryService(topology, values, seed=SEED, **{argument: value})
+
     def test_rejects_launches_behind_the_service_clock(
             self, topology, values):
         # After a horizon-bounded drive the network has already lived

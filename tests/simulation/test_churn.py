@@ -37,6 +37,16 @@ class TestChurnSchedule:
         with pytest.raises(ValueError, match=re.escape(f"({time!r}, 5)")):
             ChurnSchedule(failures=[(1.0, 4), (time, 5)])
 
+    @pytest.mark.parametrize("host", [3.0, True, "3", None])
+    def test_a_host_that_is_not_an_int_is_refused(self, host):
+        """A float id passed the engine's ``0 <= host < slots`` check and
+        raised a bare ``TypeError`` from the alive bitmap mid-drain; a
+        ``bool`` failed host 0 or 1.  The schedule refuses both, naming
+        the pair."""
+        with pytest.raises(ValueError,
+                           match=re.escape(f"(0.5, {host!r})")):
+            ChurnSchedule(failures=[(1.0, 4), (0.5, host)])
+
     def test_empty_schedule(self):
         schedule = ChurnSchedule.empty()
         assert schedule.num_failures == 0

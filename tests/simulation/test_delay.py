@@ -221,6 +221,7 @@ class TestCalendarQueueFuzz:
         from repro.simulation.events import (
             EventKind, EventQueue, _KIND_PRIORITY)
         from repro.simulation.messages import Message
+        from tests.simulation.stimuli import Drain
         from tests.simulation.test_events import _expected, _popped
 
         rng = random.Random(20260730)
@@ -228,6 +229,7 @@ class TestCalendarQueueFuzz:
         for width in (0.125, 0.5, 1.0, 3.0, 100.0):
             for _ in range(10):
                 queue = EventQueue(width=width)
+                drain = Drain(queue)
                 reference = []
                 counter = itertools.count()
                 labels = iter(range(100_000))
@@ -248,11 +250,11 @@ class TestCalendarQueueFuzz:
                     heapq.heappush(
                         reference,
                         (time, _KIND_PRIORITY[kind], next(counter), label))
-                    if rng.random() < 0.3 and queue:
-                        assert _popped(queue) == _expected(reference)
-                while queue:
-                    assert _popped(queue) == _expected(reference)
-                assert not reference
+                    if rng.random() < 0.3 and reference:
+                        assert _popped(drain) == _expected(reference)
+                while reference:
+                    assert _popped(drain) == _expected(reference)
+                assert not queue and drain.pop() is None
 
     def test_width_does_not_change_drain_order(self):
         from repro.simulation.events import EventQueue

@@ -272,6 +272,11 @@ class TestRunControl:
             Simulator(network=network, hosts=hosts[:2], querying_host=0)
         with pytest.raises(ValueError):
             Simulator(network=network, hosts=hosts, querying_host=0, delta=0.0)
+        for bad in ({"delta": float("nan")}, {"max_time": float("nan")},
+                    {"max_time": -1.0}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                Simulator(network=network, hosts=hosts, querying_host=0,
+                          **bad)
 
     @pytest.mark.parametrize("kind", [EventKind.DELIVER, EventKind.TIMER])
     def test_a_delivery_or_timer_event_is_refused_when_pushed(self, kind):

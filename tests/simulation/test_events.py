@@ -14,6 +14,7 @@ from repro.simulation.events import (
     _DeliverBatch,
 )
 from repro.simulation.messages import Message
+from tests.simulation.stimuli import Drain, Send, stimuli
 
 
 def make_message(sender=0, dest=1):
@@ -28,9 +29,9 @@ def pop(queue):
 
 
 def kind_of(entry):
-    """The kind of a popped entry: a message is a delivery, a tuple a
-    timer, anything else an :class:`Event`."""
-    if isinstance(entry, Message):
+    """The kind of a popped entry or stimulus: a message or a send is a
+    delivery, a tuple a timer, anything else an :class:`Event`."""
+    if isinstance(entry, (Message, Send)):
         return EventKind.DELIVER
     if entry.__class__ is tuple:
         return EventKind.TIMER
@@ -210,10 +211,11 @@ class TestTieBreakingRegression:
         time, batch = queue.pop_due(None)
         assert batch.__class__ is _DeliverBatch and isinstance(batch, Message)
         assert time == 1.0 and batch.payload is payload
-        # One Message plus its destinations; ``dest`` is bound per
-        # delivery by the engine, so a filed batch names none.
-        assert _DeliverBatch.__slots__ == ("dests",)
-        assert batch.dests == (1, 2, 3)
+        # One Message plus its sends and their weight; ``dest`` is bound
+        # per delivery by the engine, so a filed batch names none.
+        assert _DeliverBatch.__slots__ == ("sends", "weight")
+        assert batch.sends == [(7, (1, 2, 3), payload)]
+        assert batch.weight == 3
         assert [getattr(batch, field) for field in Message.__slots__] == [
             7, -1, "kind", payload, 0.25, 2, True, 5, 0.75]
         assert len(queue) == queue.occupancy()["pending"] == 2
@@ -231,14 +233,16 @@ class TestTieBreakingRegression:
         queue.push_multicast(2.0, 0, (10, 11, 12), "QUERY", "batch", 0.0, 1)
         queue.push_deliver(2.0, make_message(0, 13))
         queue.push_timer(2.0, 5, "t", None)
-        assert queue.pop_due(None)[1].dests == (10, 11, 12)
+        [send] = stimuli(queue.pop_due(None)[1])
+        assert send.dests == (10, 11, 12)
         # Filed "from inside the second destination's handler".
         queue.push_deliver(2.0, make_message(0, 14))
         queue.push_multicast(2.0, 0, (15,), "QUERY", "next", 0.0, 1)
         assert len(queue) == 4
         assert pop(queue).dest == 13
         assert pop(queue).dest == 14
-        assert pop(queue).dests == (15,)
+        [send] = stimuli(pop(queue))
+        assert send.dests == (15,)
         assert pop(queue) == (5, "t", None)
         assert queue.pop_due(None) is None
 
@@ -268,6 +272,7 @@ class TestTieBreakingRegression:
         kinds = list(_KIND_PRIORITY)
         for _ in range(20):
             queue = EventQueue()
+            drain = Drain(queue)
             reference = []
             counter = itertools.count()
             labels = iter(range(10_000))
@@ -285,17 +290,17 @@ class TestTieBreakingRegression:
                 heapq.heappush(
                     reference,
                     (time, _KIND_PRIORITY[kind], next(counter), label))
-                if rng.random() < 0.25 and queue:
-                    assert _popped(queue) == _expected(reference)
-            while queue:
-                assert _popped(queue) == _expected(reference)
-            assert not reference
+                if rng.random() < 0.25 and reference:
+                    assert _popped(drain) == _expected(reference)
+            while reference:
+                assert _popped(drain) == _expected(reference)
+            assert not queue and drain.pop() is None
 
 
-def _popped(queue):
-    """``(time, priority, label)`` of the next entry: a message's sender,
-    a timer tuple's host or an event's host is its label."""
-    time, entry = queue.pop_due(None)
+def _popped(drain):
+    """``(time, priority, label)`` of the next stimulus: a message's
+    sender, a timer tuple's host or an event's host is its label."""
+    time, entry = drain.pop()
     label = (entry.sender if isinstance(entry, Message)
              else entry[0] if entry.__class__ is tuple else entry.host)
     return time, _KIND_PRIORITY[kind_of(entry)], label

@@ -10,8 +10,11 @@ times that each own a key, and at the times the queue's structure turns
 on: a kind's last time, the last popped time and below the front.  It
 checks ``len``, ``occupancy()`` and the ``iter_pending`` weights after
 every operation and the drain order against a reference heap model.  A multicast is
-one model entry weighing ``len(dests)``: it pops whole and leaves
-``len`` whole.  A timer pops as its ``(host, name, info)`` tuple.
+one model entry weighing ``len(dests)``, and a timer one weighing 1.  The
+queue files a run of same-key sends (or timers) as one batch that pops
+whole, so each pop is expanded into its single stimuli
+(``tests/simulation/stimuli.py``) and compared with as many model
+entries; a lone timer pops as its ``(host, name, info)`` tuple.
 """
 
 import heapq
@@ -25,9 +28,11 @@ from repro.simulation.events import (
     EventQueue,
     _DeliverBatch,
     _KIND_PRIORITY,
+    _TimerBatch,
 )
 from repro.simulation.messages import Message
 from tests.drawn import drawn
+from tests.simulation.stimuli import Drain, Send, stimuli
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +75,8 @@ _ENTRY_POINTS = {
 def _drain(queue):
     out = []
     while (front := queue.pop_due(None)) is not None:
-        out.append((front[0], front[1].__class__, _label(front[1])))
+        out += [(front[0], stimulus.__class__, _label(stimulus))
+                for stimulus in stimuli(front[1])]
     return out
 
 
@@ -133,7 +139,8 @@ def test_len_stays_exact_for_entries_filed_after_a_pop():
     queue.push_timer(2.0, 1, "flush", None)
     queue.push_multicast(2.0, 0, (1, 2, 3), "QUERY", None, 1.0, 1)
     assert len(queue) == queue.occupancy()["pending"] == 4
-    assert queue.pop_due(None)[1].dests == (1, 2, 3)  # DELIVER first
+    [send] = stimuli(queue.pop_due(None)[1])
+    assert send.dests == (1, 2, 3)  # DELIVER first
     assert len(queue) == 1
     assert queue.pop_due(None)[1] == (1, "flush", None)
     assert len(queue) == 0
@@ -211,12 +218,12 @@ _ops = st.lists(
 
 
 def _label(entry):
-    """Model label of one queue entry: ``data`` of an Event, ``info`` of
-    a timer tuple, ``(payload, dest)`` of a message, ``(payload, dests)``
+    """Model label of one stimulus: ``data`` of an Event, ``info`` of a
+    timer tuple, ``(payload, dest)`` of a message, ``(payload, dests)``
     of a whole multicast."""
     if entry.__class__ is Message:
         return entry.payload, entry.dest
-    if entry.__class__ is _DeliverBatch:
+    if entry.__class__ is Send:
         return entry.payload, entry.dests
     if entry.__class__ is tuple:
         return entry[2]
@@ -224,9 +231,10 @@ def _label(entry):
 
 
 def _labelled(front):
-    """``(time, model label)`` of a popped ``(time, entry)`` pair."""
+    """``(time, model label)`` of each stimulus of a popped ``(time,
+    entry)`` pair."""
     time, entry = front
-    return time, _label(entry)
+    return [(time, _label(stimulus)) for stimulus in stimuli(entry)]
 
 
 def _file(queue, what, time, label):
@@ -285,10 +293,13 @@ def _push_pop_law(ops):
                 if not heap or horizon is not None and heap[0][0] > horizon:
                     assert queue.pop_due(horizon) is None
                 else:
-                    expected = heapq.heappop(heap)
-                    popped_at = expected[0]
-                    assert _labelled(queue.pop_due(horizon)) == (
-                        expected[0], expected[3])
+                    # One pop hands out a whole batch: as many model
+                    # entries, the next ones in the reference order.
+                    got = _labelled(queue.pop_due(horizon))
+                    expected = [heapq.heappop(heap) for _ in got]
+                    popped_at = expected[0][0]
+                    assert got == [(entry[0], entry[3])
+                                   for entry in expected]
         elif op[0] == "tick":
             # Reference: every entry of the front time, by priority.
             if not heap:
@@ -301,7 +312,8 @@ def _push_pop_law(ops):
                     expected[entry[1]].append(entry[3])
                 time, buckets = queue.pop_tick()
                 assert time == front
-                assert [[_label(entry) for entry in bucket]
+                assert [[_label(stimulus) for entry in bucket
+                         for stimulus in stimuli(entry)]
                         for bucket in buckets] == expected
         pending = sum(entry[4] for entry in heap)
         assert len(queue) == queue.occupancy()["pending"] == pending
@@ -313,7 +325,9 @@ def _push_pop_law(ops):
 
     # Drain whatever is left and require the exact reference order.
     remaining = [heapq.heappop(heap) for _ in range(len(heap))]
-    drained = [_labelled(queue.pop_due(None)) for _ in remaining]
+    drained = []
+    while len(drained) < len(remaining):
+        drained += _labelled(queue.pop_due(None))
     assert drained == [(entry[0], entry[3]) for entry in remaining]
     assert queue.pop_due(None) is None
     assert len(queue) == 0
@@ -327,6 +341,297 @@ def test_interleaved_push_pop_matches_reference_heap(request):
 
 
 # ---------------------------------------------------------------------------
+# Batches: same-key runs share one entry, and drain as their stimuli would
+# ---------------------------------------------------------------------------
+
+class _Session:
+    """A stand-in for the engine's session: compared by identity."""
+
+    __slots__ = ("qid",)
+
+    def __init__(self, qid):
+        self.qid = qid
+
+
+_SESSIONS = (_Session(1), _Session(2))
+_SHARED = {"shared": True}
+
+# A send's key (kind, sent_at, chain_depth, wireless, query_id, vtime
+# offset): the first, and one per field that differs from it.
+_SEND_KEYS = (
+    ("QUERY", 0.0, 1, False, 1, 0.0),
+    ("REPLY", 0.0, 1, False, 1, 0.0),
+    ("QUERY", 0.5, 1, False, 1, 0.0),
+    ("QUERY", 0.0, 2, False, 1, 0.0),
+    ("QUERY", 0.0, 1, True, 1, 0.0),
+    ("QUERY", 0.0, 1, False, 2, 0.0),
+    ("QUERY", 0.0, 1, False, 1, 0.25),
+)
+
+# A timer's key (name, data, chain_depth, session, vfire offset), the
+# same way; ``"fresh"`` data is a new dict per push, equal to every
+# other one and never the same object, so it must never merge.
+_TIMER_KEYS = (
+    ("flush", None, 1, 0, 0.0),
+    ("flush", _SHARED, 1, 0, 0.0),
+    ("deadline", None, 1, 0, 0.0),
+    ("flush", "fresh", 1, 0, 0.0),
+    ("flush", None, 2, 0, 0.0),
+    ("flush", None, 1, 1, 0.0),
+    ("flush", None, 1, 0, 0.25),
+)
+
+# A key index: the first key half the time, so that runs of it and near
+# misses (a key differing from it in one field) are frequent.
+def _key(keys):
+    return st.one_of(st.just(0), st.sampled_from(range(len(keys))))
+
+
+# One filing of a run: a send to 1..3 destinations, a timer, a bare
+# message (which must close an open send batch) or an Event.
+_item = st.one_of(
+    st.tuples(st.just("send"), _key(_SEND_KEYS), st.integers(1, 3)),
+    st.tuples(st.just("timer"), _key(_TIMER_KEYS)),
+    st.tuples(st.just("deliver")),
+    st.tuples(st.just("push"), st.sampled_from(range(len(_KINDS)))),
+)
+
+# Where a run is filed: a grid time; the time the last run was filed at
+# (the open keys); the time of the last pop (a popped batch's key, maybe
+# the one mid-drain); under the front (a smaller item pre-empting a
+# half-drained bucket).
+_batch_where = st.one_of(
+    st.tuples(st.just("at"), st.sampled_from((0.0, 1.0, 2.0))),
+    st.tuples(st.just("again")),
+    st.tuples(st.just("popped")),
+    st.tuples(st.just("under"), st.floats(0, 1)),
+)
+
+_batch_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("file"), _batch_where,
+                  st.lists(_item, min_size=1, max_size=8)),
+        st.tuples(st.just("pop"), st.integers(1, 3)),
+        st.tuples(st.just("tick")),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def _stimulus_label(stimulus):
+    """What one stimulus must carry: a send's every field, a timer's host,
+    name and ``info`` (its data and session by identity), a message's
+    payload and an event's data."""
+    if stimulus.__class__ is Send:
+        return tuple(stimulus)
+    if stimulus.__class__ is tuple:
+        host, name, (data, depth, session, vfire) = stimulus
+        return host, name, id(data), depth, id(session), vfire
+    if stimulus.__class__ is Message:
+        return stimulus.payload
+    return stimulus.data
+
+
+def _file_batchable(queue, what, time, label, keep):
+    """File one stimulus; return its ``(priority, label, weight)``."""
+    if what[0] == "send":
+        kind, sent_at, depth, wireless, qid, offset = _SEND_KEYS[what[1]]
+        dests = tuple(range(what[2]))
+        queue.push_multicast(time, label, dests, kind, label, sent_at, depth,
+                             wireless, qid, time + offset)
+        return (_KIND_PRIORITY[EventKind.DELIVER],
+                (label, dests, label, kind, sent_at, depth, wireless, qid,
+                 time + offset), len(dests))
+    if what[0] == "timer":
+        name, data, depth, session, offset = _TIMER_KEYS[what[1]]
+        if data == "fresh":
+            data = {"shared": True}
+            keep.append(data)  # its id stays its own
+        session = _SESSIONS[session]
+        info = (data, depth, session, time + offset)
+        queue.push_timer(time, label, name, info)
+        return (_KIND_PRIORITY[EventKind.TIMER],
+                (label, name, id(data), depth, id(session), time + offset), 1)
+    if what[0] == "deliver":
+        queue.push_deliver(time, Message(0, 0, "QUERY", label))
+        return _KIND_PRIORITY[EventKind.DELIVER], label, 1
+    kind = _KINDS[what[1]]
+    queue.push(time, kind, host=0, data=label)
+    return _KIND_PRIORITY[kind], label, 1
+
+
+def _batching_law(ops):
+    queue = EventQueue(width=1.0)
+    counter = itertools.count()
+    labels = itertools.count()
+    heap = []  # reference model: (time, priority, seq, label, weight)
+    filed_at = popped_at = 0.0
+    keep = []
+
+    for op in ops:
+        if op[0] == "file":
+            _, where, items = op
+            if where[0] == "at":
+                time = where[1]
+            elif where[0] == "again":
+                time = filed_at
+            elif where[0] == "popped":
+                time = popped_at
+            else:
+                time = where[1] * (heap[0][0] if heap else 2.0)
+            filed_at = time
+            for what in items:
+                filed = _file_batchable(queue, what, time, next(labels), keep)
+                heapq.heappush(heap, (time, filed[0], next(counter),
+                                      filed[1], filed[2]))
+        elif op[0] == "pop":
+            for _ in range(op[1]):
+                front = queue.pop_due(None)
+                if not heap:
+                    assert front is None
+                    continue
+                time, entry = front
+                got = [_stimulus_label(stimulus)
+                       for stimulus in stimuli(entry)]
+                expected = [heapq.heappop(heap) for _ in got]
+                popped_at = time
+                assert [(time, label) for label in got] == [
+                    (model[0], model[3]) for model in expected]
+        else:
+            if not heap:
+                assert queue.pop_tick() is None
+            else:
+                front = popped_at = heap[0][0]
+                expected = [[] for _ in _KIND_PRIORITY]
+                while heap and heap[0][0] == front:
+                    model = heapq.heappop(heap)
+                    expected[model[1]].append(model[3])
+                time, buckets = queue.pop_tick()
+                assert time == front
+                assert [[_stimulus_label(stimulus) for entry in bucket
+                         for stimulus in stimuli(entry)]
+                        for bucket in buckets] == expected
+        pending = sum(model[4] for model in heap)
+        assert len(queue) == pending
+        assert sum(weight for _, weight in queue.iter_pending()) == pending
+
+    drained = []
+    while (front := queue.pop_due(None)) is not None:
+        drained += [(front[0], _stimulus_label(stimulus))
+                    for stimulus in stimuli(front[1])]
+    remaining = [heapq.heappop(heap) for _ in range(len(heap))]
+    assert drained == [(model[0], model[3]) for model in remaining]
+    assert len(queue) == 0
+
+
+def test_batches_drain_as_their_stimuli_in_the_reference_order(request):
+    """Runs of sends, timers and bare messages at one time, filed at the
+    open keys, at a popped batch's key and under a half-drained bucket;
+    keys repeat or miss by one field (two sessions or queries alternating
+    among them), and equal-but-distinct timer data must split.  Expanded,
+    every pop is the reference heap's next stimuli, each with its own
+    payload, data and session.  80 drawn op sequences in tier-1, ten
+    times the named profile's count in CI."""
+    drawn(request, _batching_law, plain=80, wide=10, ops=_batch_ops)
+
+
+def test_a_run_of_same_key_sends_is_one_entry():
+    queue = EventQueue()
+    for sender in (4, 5, 6):
+        queue.push_multicast(1.0, sender, (sender, 9), "QUERY", sender, 0.0,
+                             1, False, 1, 1.0)
+    assert len(queue) == 6
+    time, batch = queue.pop_due(None)
+    assert batch.sends == [(4, (4, 9), 4), (5, (5, 9), 5), (6, (6, 9), 6)]
+    assert batch.weight == 6 and len(queue) == 0
+    assert queue.pop_due(None) is None
+
+
+@pytest.mark.parametrize("variant", range(1, len(_SEND_KEYS)))
+def test_a_send_that_misses_the_key_by_one_field_opens_a_batch(variant):
+    queue = EventQueue()
+    for label, key in enumerate((0, 0, variant)):
+        kind, sent_at, depth, wireless, qid, offset = _SEND_KEYS[key]
+        queue.push_multicast(1.0, label, (label,), kind, label, sent_at,
+                             depth, wireless, qid, 1.0 + offset)
+    popped = [queue.pop_due(None)[1] for _ in range(2)]
+    assert [batch.sends for batch in popped] == [
+        [(0, (0,), 0), (1, (1,), 1)], [(2, (2,), 2)]]
+    assert queue.pop_due(None) is None
+
+
+@pytest.mark.parametrize("variant", range(1, len(_TIMER_KEYS)))
+def test_a_timer_that_misses_the_key_by_one_field_stays_its_own(variant):
+    """Missed by a lone tuple (host 2) and by a batch (host 5) alike."""
+    queue = EventQueue()
+    for host, key in enumerate((0, 0, variant, 0, 0, variant)):
+        name, data, depth, session, offset = _TIMER_KEYS[key]
+        if data == "fresh":
+            data = {"shared": True}
+        queue.push_timer(1.0, host, name,
+                         (data, depth, _SESSIONS[session], 1.0 + offset))
+    popped = [queue.pop_due(None)[1] for _ in range(5)]
+    assert [entry[0] for entry in popped[:3]] == [0, 1, 2]
+    assert popped[3].hosts == [3, 4]
+    assert popped[4][:2] == (5, _TIMER_KEYS[variant][0])
+    assert queue.pop_due(None) is None
+
+
+def test_a_bare_message_or_another_key_closes_the_open_batch():
+    queue = EventQueue()
+    queue.push_multicast(1.0, 0, (1,), "QUERY", "a", 0.0, 1)
+    queue.push_deliver(1.0, Message(0, 2, "QUERY", "bare"))
+    queue.push_multicast(1.0, 0, (3,), "QUERY", "b", 0.0, 1)
+    queue.push_multicast(1.0, 0, (4,), "QUERY", "c", 0.0, 2)  # deeper
+    queue.push_multicast(1.0, 0, (5,), "QUERY", "d", 0.0, 2)
+    popped = [queue.pop_due(None)[1] for _ in range(4)]
+    assert [[send.payload for send in stimuli(entry)] for entry in popped
+            ] == [["a"], ["bare"], ["b"], ["c", "d"]]
+
+
+def test_a_popped_batch_never_grows():
+    """A send filed at the key of a batch being delivered is filed
+    behind it, as a new entry, and still drains in that instant."""
+    queue = EventQueue()
+    queue.push_multicast(1.0, 0, (1, 2), "QUERY", "out", 0.0, 1)
+    time, batch = queue.pop_due(None)
+    queue.push_multicast(1.0, 0, (3,), "QUERY", "after", 0.0, 1)
+    assert batch.sends == [(0, (1, 2), "out")] and batch.weight == 2
+    assert queue.pop_due(None)[1].sends == [(0, (3,), "after")]
+    assert len(queue) == 0
+
+
+def test_a_batch_popped_by_pop_tick_never_grows():
+    queue = EventQueue()
+    queue.push_multicast(1.0, 0, (1, 2), "QUERY", "out", 0.0, 1)
+    _, buckets = queue.pop_tick()
+    queue.push_multicast(1.0, 0, (3,), "QUERY", "after", 0.0, 1)
+    [batch] = buckets[_KIND_PRIORITY[EventKind.DELIVER]]
+    assert batch.sends == [(0, (1, 2), "out")] and len(queue) == 1
+    assert queue.pop_due(None)[1].sends == [(0, (3,), "after")]
+
+
+def test_same_key_timers_share_one_entry_behind_the_first():
+    """The first timer at a time is a lone item, so it stays its tuple;
+    the run behind it is one batch.  Equal but distinct data, another
+    session or another name each start a new entry."""
+    queue = EventQueue()
+    session, other = _Session(1), _Session(2)
+    for host in (1, 2, 3, 4):
+        queue.push_timer(2.0, host, "flush", (None, 1, session, 2.0))
+    queue.push_timer(2.0, 5, "flush", (None, 1, other, 2.0))
+    queue.push_timer(2.0, 6, "flush", ({}, 1, session, 2.0))
+    queue.push_timer(2.0, 7, "flush", ({}, 1, session, 2.0))
+    assert len(queue) == 7
+    popped = [queue.pop_due(None)[1] for _ in range(5)]
+    assert popped[0] == (1, "flush", (None, 1, session, 2.0))
+    assert popped[1].__class__ is _TimerBatch
+    assert (popped[1].hosts, popped[1].name) == ([2, 3, 4], "flush")
+    assert [entry[0] for entry in popped[2:]] == [5, 6, 7]
+    assert len(queue) == 0 and queue.pop_due(None) is None
+
+
+# ---------------------------------------------------------------------------
 # Pre-emption and re-created keys: the cases the cached front must get right
 # ---------------------------------------------------------------------------
 
@@ -334,7 +639,8 @@ def test_preempted_bucket_resumes_behind_the_multicast_that_was_out():
     queue = EventQueue()
     queue.push_multicast(2.0, 0, (10, 11, 12), "QUERY", "batch", 0.0, 1)
     queue.push_deliver(2.0, Message(0, 13, "QUERY", "after"))
-    assert queue.pop_due(None)[1].dests == (10, 11, 12)
+    [send] = stimuli(queue.pop_due(None)[1])
+    assert send.dests == (10, 11, 12)
     assert len(queue) == 1
     # An earlier key arrives while the multicast is being delivered: it
     # is the next pop, and the 2.0 bucket then resumes behind the batch,
@@ -353,18 +659,19 @@ def test_a_bucket_preempted_by_a_bucket_resumes_where_it_stopped():
     several entries: those drain first, then the first bucket resumes
     at its next entry, neither repeating nor skipping one."""
     queue = EventQueue()
+    drain = Drain(queue)
     for dest in (10, 11, 12, 13):
         queue.push_deliver(2.0, Message(0, dest, "QUERY", None))
-    assert [queue.pop_due(None)[1].dest for _ in range(2)] == [10, 11]
+    assert [drain.pop()[1].dest for _ in range(2)] == [10, 11]
     for host in (1, 2, 3):
         queue.push_timer(1.0, host, "flush", None)
     queue.push_deliver(2.0, Message(0, 14, "QUERY", None))
     assert len(queue) == queue.occupancy()["pending"] == 6
-    assert [queue.pop_due(None)[1][0] for _ in range(3)] == [1, 2, 3]
+    assert [drain.pop()[1][0] for _ in range(3)] == [1, 2, 3]
     assert sorted(message.dest for message, _ in queue.iter_pending()) == [
         12, 13, 14]
-    assert [queue.pop_due(None)[1].dest for _ in range(3)] == [12, 13, 14]
-    assert queue.pop_due(None) is None
+    assert [drain.pop()[1].dest for _ in range(3)] == [12, 13, 14]
+    assert drain.pop() is None
 
 
 def test_key_recreated_after_retirement_is_a_new_bucket():
@@ -387,7 +694,9 @@ def test_pop_tick_of_a_preempted_bucket_returns_exactly_the_remainder():
     queue = EventQueue()
     queue.push_deliver(2.0, Message(0, 9, "QUERY", "first"))
     queue.push_multicast(2.0, 0, (10, 11, 12), "QUERY", "batch", 0.0, 1)
-    queue.push_multicast(2.0, 0, (13, 14), "QUERY", "rest", 0.0, 1)
+    # A chain depth of its own keeps "rest" out of the "batch" batch, so
+    # the bucket still holds an entry of its own behind the popped one.
+    queue.push_multicast(2.0, 0, (13, 14), "QUERY", "rest", 0.0, 2)
     queue.push_timer(2.0, 5, "flush", None)
     assert queue.pop_due(None)[1].dest == 9
     queue.push_deliver(1.0, Message(0, 99, "QUERY", "earlier"))
@@ -397,8 +706,8 @@ def test_pop_tick_of_a_preempted_bucket_returns_exactly_the_remainder():
 
     time, buckets = queue.pop_tick()
     assert time == 2.0
-    assert [_label(entry) for entry in
-            buckets[_KIND_PRIORITY[EventKind.DELIVER]]] == [("rest", (13, 14))]
+    assert [_label(send) for entry in buckets[_KIND_PRIORITY[EventKind.DELIVER]]
+            for send in stimuli(entry)] == [("rest", (13, 14))]
     assert buckets[_KIND_PRIORITY[EventKind.TIMER]] == [(5, "flush", None)]
     assert len(queue) == 0
     assert queue.pop_tick() is None
@@ -441,7 +750,8 @@ def test_pop_tick_returns_whole_instant_in_priority_order():
     assert [len(bucket) for bucket in buckets] == [0, 2, 0, 1, 1]
     deliveries = buckets[_KIND_PRIORITY[EventKind.DELIVER]]
     assert deliveries[0].payload == "a"          # bare message first (FIFO)
-    assert deliveries[1].dests == (2, 3)         # unexpanded batch record
+    assert deliveries[1].__class__ is _DeliverBatch  # popped whole
+    assert [send.dests for send in stimuli(deliveries[1])] == [(2, 3)]
     assert buckets[_KIND_PRIORITY[EventKind.TIMER]] == [(7, "flush", None)]
     assert buckets[_KIND_PRIORITY[EventKind.FAIL]][0].host == 9
     # Weight accounting: 1 bare + 2 batched + timer + fail consumed.

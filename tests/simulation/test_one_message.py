@@ -1,7 +1,10 @@
-"""A fixed-delay multicast is one :class:`Message` from send to delivery.
+"""A fixed-delay batch of sends is one :class:`Message` from send to
+delivery.
 
-``EventEngine._drain`` hands the multicast's one object to each
-destination in turn with ``dest`` rebound to it, and counts every
+The multicasts an instant files with one key share one calendar entry,
+and ``EventEngine._drain`` hands its one object to each destination in
+turn with ``sender`` and ``payload`` rebound per send and ``dest`` per
+delivery, and counts every
 delivery straight into the session sink's processed array -- which must
 therefore cover every host, even in a caller's sink of size 0.  Flood probes (every host forwards the first
 message it hears to all alive neighbors but its sender) log each
@@ -21,9 +24,10 @@ from repro.topology.random_graph import random_topology
 
 
 class _Probe(ProtocolHost):
-    """Logs ``(host_id, message.dest, message.sender, id(message))`` per
-    delivery.  It also keeps every message it is handed -- which a real
-    handler must not -- so that no id is recycled while the log is read."""
+    """Logs ``(host_id, message.dest, message.sender, id(message),
+    message.sent_at)`` per delivery.  It also keeps every message it is
+    handed -- which a real handler must not -- so that no id is recycled
+    while the log is read."""
 
     __slots__ = ("log", "kept", "forwarded")
 
@@ -39,7 +43,7 @@ class _Probe(ProtocolHost):
 
     def on_message(self, message, ctx):
         self.log.append((ctx.host_id, message.dest, message.sender,
-                         id(message)))
+                         id(message), message.sent_at))
         self.kept.append(message)
         if not self.forwarded:
             self.forwarded = True
@@ -81,21 +85,26 @@ def test_every_destination_gets_the_multicasts_one_message(topology,
         lane="python")
     simulator.run()
     log = flood.log
-    assert all(host == dest for host, dest, _, _ in log)
+    assert all(host == dest for host, dest, _, _, _ in log)
     # The victim failed while the root's multicast was in flight: its
     # siblings, on both sides of it, still got that same message.
-    assert [host for host, _, sender, _ in log if sender == 0] == [
+    assert [host for host, _, sender, _, _ in log if sender == 0] == [
         dest for dest in root_dests if dest != victim]
-    assert victim not in {host for host, _, _, _ in log}
-    # Each host multicasts once, so a sender names one multicast: one
-    # object for all of its destinations, a different one per multicast.
-    objects = {}
-    for _, _, sender, identity in log:
-        objects.setdefault(sender, set()).add(identity)
+    assert victim not in {host for host, _, _, _, _ in log}
+    # Each host multicasts once, and every multicast of one instant has
+    # one key (one depth, one send instant), so an instant's multicasts
+    # are one batch: one object for all of their destinations, a
+    # different one per instant -- and a sender names one object.
+    objects, by_sender = {}, {}
+    for _, _, sender, identity, sent_at in log:
+        objects.setdefault(sent_at, set()).add(identity)
+        by_sender.setdefault(sender, set()).add(identity)
+    assert len(objects) > 1 and len(by_sender) > len(objects)
     assert all(len(ids) == 1 for ids in objects.values())
     assert len(set().union(*objects.values())) == len(objects)
+    assert all(len(ids) == 1 for ids in by_sender.values())
     assert simulator.costs.messages_processed == Counter(
-        host for host, _, _, _ in log)
+        host for host, _, _, _, _ in log)
 
 
 def test_every_host_is_counted_into_an_empty_sink(topology):
@@ -108,7 +117,7 @@ def test_every_host_is_counted_into_an_empty_sink(topology):
         [flood.probe(host_id) for host_id in range(topology.num_hosts)], 0,
         stats=sink, lane="python")
     result = simulator.run()
-    counted = Counter(host for host, _, _, _ in flood.log)
+    counted = Counter(host for host, _, _, _, _ in flood.log)
     assert len(counted) > 1
     assert result.costs is sink
     assert sink.messages_processed == counted
